@@ -3,10 +3,6 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"flor.dev/flor/internal/backmat"
@@ -28,7 +24,7 @@ import (
 // work.
 type CkptThroughputRow struct {
 	Scenario    string  `json:"scenario"` // "frozen", "mutating", "spool-cadence", "finetune-family" or "remote-restore"
-	Format      string  `json:"format"`   // "v1-blob", "v2-frames", "v2-pack", "v2-sharded16", "v2-private", "v2-pooled", "remote-cold", "remote-warm", "remote-cold-barrier" or "remote-cold-pipelined"
+	Format      string  `json:"format"`   // "v1-blob", "v2-frames", "v2-pack", "v2-sharded16", "v2-private", "v2-pooled", "remote-cold" or "remote-warm"
 	LogicalMB   float64 `json:"logical_mb"`
 	MatMBps     float64 `json:"materialize_mbps"`
 	ResMBps     float64 `json:"restore_mbps"`
@@ -66,14 +62,6 @@ type CkptThroughputReport struct {
 	// Warm restores skip the remote ranged GETs the cache tier absorbed, so
 	// the ratio is the cache tier's whole value proposition in one number.
 	RemoteWarmRestoreSpeedup float64 `json:"remote_warm_restore_speedup"`
-	// RemoteColdRestoreSpeedup is the cold-restore engine's headline ratio,
-	// measured over a simulated fixed-bandwidth remote link (calibrated
-	// modestly fetch-bound — transferring the run takes ~1.45x its decode
-	// time, the common regime for remote restores): the pipelined restore
-	// with plan-driven prefetch warming the cache tier ahead of the decode
-	// front, versus the barriered no-prefetch baseline on the same link.
-	// Acceptance bar ≥ 1.5; CI guards regressions below 1.4.
-	RemoteColdRestoreSpeedup float64 `json:"remote_cold_restore_speedup"`
 	// FamilyStorageReduction is the finetune-family scenario's stored-bytes
 	// ratio: per-run private packs over one shared chunk pool, across a
 	// 4-run family re-checkpointing a frozen backbone (acceptance bar ≥ 3x
@@ -346,125 +334,6 @@ func (s *Session) uploadRemoteRun(sc ckptScenario, epochs int, tag string) (ctl 
 	return ctl, fs, logical, nil
 }
 
-// linkStore wraps an ObjectStore with a byte counter and an optional
-// fixed-bandwidth pacer (bps bytes/second, zero = unthrottled): every read
-// queues its bytes on one shared link clock, so concurrent ranged GETs
-// share the simulated pipe the way parallel GETs share a NIC. Writes and
-// listings stay unthrottled — the scenarios it serves only measure reads.
-type linkStore struct {
-	inner remote.ObjectStore
-	bps   float64
-	bytes atomic.Int64
-	mu    sync.Mutex
-	free  time.Time
-}
-
-func (l *linkStore) pace(n int64) {
-	l.bytes.Add(n)
-	if l.bps <= 0 || n <= 0 {
-		return
-	}
-	d := time.Duration(float64(n) / l.bps * 1e9)
-	l.mu.Lock()
-	now := time.Now()
-	if l.free.Before(now) {
-		l.free = now
-	}
-	l.free = l.free.Add(d)
-	done := l.free
-	l.mu.Unlock()
-	time.Sleep(time.Until(done))
-}
-
-func (l *linkStore) Size(key string) (int64, error) { return l.inner.Size(key) }
-
-func (l *linkStore) Get(key string) ([]byte, error) {
-	data, err := l.inner.Get(key)
-	l.pace(int64(len(data)))
-	return data, err
-}
-
-func (l *linkStore) GetRange(key string, off, n int64) ([]byte, error) {
-	data, err := l.inner.GetRange(key, off, n)
-	l.pace(int64(len(data)))
-	return data, err
-}
-
-func (l *linkStore) Put(key string, data []byte) error { return l.inner.Put(key, data) }
-func (l *linkStore) List(prefix string) ([]string, error) {
-	return l.inner.List(prefix)
-}
-func (l *linkStore) Delete(key string) error { return l.inner.Delete(key) }
-
-// viewStore snapshots a finished upload into memory once and serves every
-// GET as a zero-copy view of the immutable snapshot. The simulated link
-// already charges wall time per transferred byte; a real object GET lands
-// its bytes without also spending a restore core on a materialization
-// memcpy, so a copying test double would tax the overlapped engine for CPU
-// the real system never spends (the barriered baseline hides the same copy
-// inside its idle fetch phase). Pack objects are immutable by construction,
-// and every consumer treats GET results as read-only.
-type viewStore struct {
-	objects map[string][]byte
-}
-
-// snapshotStore loads every object under prefix from src into a viewStore.
-func snapshotStore(src remote.ObjectStore, prefix string) (*viewStore, error) {
-	keys, err := src.List(prefix)
-	if err != nil {
-		return nil, err
-	}
-	v := &viewStore{objects: make(map[string][]byte, len(keys))}
-	for _, k := range keys {
-		data, err := src.Get(k)
-		if err != nil {
-			return nil, err
-		}
-		v.objects[k] = data
-	}
-	return v, nil
-}
-
-func (v *viewStore) Size(key string) (int64, error) {
-	data, ok := v.objects[key]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", remote.ErrNotFound, key)
-	}
-	return int64(len(data)), nil
-}
-
-func (v *viewStore) Get(key string) ([]byte, error) {
-	data, ok := v.objects[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", remote.ErrNotFound, key)
-	}
-	return data, nil
-}
-
-func (v *viewStore) GetRange(key string, off, n int64) ([]byte, error) {
-	data, ok := v.objects[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", remote.ErrNotFound, key)
-	}
-	if off < 0 || n < 0 || off+n > int64(len(data)) {
-		return nil, fmt.Errorf("bench: get range %s [%d,%d): beyond object length %d", key, off, off+n, len(data))
-	}
-	return data[off : off+n], nil
-}
-
-func (v *viewStore) Put(string, []byte) error { return fmt.Errorf("bench: viewStore is read-only") }
-func (v *viewStore) Delete(string) error      { return fmt.Errorf("bench: viewStore is read-only") }
-func (v *viewStore) List(prefix string) ([]string, error) {
-	var keys []string
-	for k := range v.objects {
-		if strings.HasPrefix(k, prefix) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys, nil
-}
-
 // runRemoteRestore uploads a frozen-scenario run to a local filesystem
 // object store and restores it twice through the remote object backend: once
 // against an empty chunk-cache tier (every pack byte a ranged GET) and once
@@ -528,184 +397,6 @@ func (s *Session) runRemoteRestore(sc ckptScenario, epochs int) (cold, warm Ckpt
 	return cold, warm, nil
 }
 
-// runRemoteColdPipeline measures the cold-restore engine against its own
-// pre-pipeline baseline on a simulated fixed-bandwidth link. A calibration
-// pass (barriered, unthrottled) measures the run's restore wall time and
-// its remote GET volume; the link bandwidth is then set so transferring
-// that volume takes exactly that long — the fetch-bound-meets-decode-bound
-// regime where a barrier hurts most honestly (slower links make both
-// passes fetch-bound, faster links make both decode-bound). Both measured
-// passes start with an empty chunk-cache tier; the engine pass hints every
-// epoch to a Prefetcher before its first restore, so warming, singleflight
-// and pipelined decode all work the same way replay's readahead drives
-// them.
-func (s *Session) runRemoteColdPipeline(sc ckptScenario, epochs int) (barrier, pipe CkptThroughputRow, err error) {
-	// This comparison is a ratio of two ~(fetch+decode) wall times; at the
-	// scenario's native epoch count the decode leg is a few tens of
-	// milliseconds and scheduler noise swamps it. Triple the run length so
-	// both legs sit comfortably above the noise floor.
-	epochs *= 3
-	barrier = CkptThroughputRow{Scenario: "remote-restore", Format: "remote-cold-barrier", Checkpoints: epochs}
-	pipe = CkptThroughputRow{Scenario: "remote-restore", Format: "remote-cold-pipelined", Checkpoints: epochs}
-	ctl, fsObj, logical, err := s.uploadRemoteRun(sc, epochs, "pipe")
-	if err != nil {
-		return barrier, pipe, err
-	}
-	// Serve the measured passes from an immutable in-memory snapshot so GETs
-	// are zero-copy views: the link pacer charges the transfer, not a memcpy.
-	obj, err := snapshotStore(fsObj, remote.PacksPrefix("bench"))
-	if err != nil {
-		return barrier, pipe, err
-	}
-
-	// pass runs one full cold restore over link: a fresh cache tier, a fresh
-	// payload cache, and optionally the prefetcher warming the whole plan
-	// ahead of the decode front. The hint is inside the timed region — the
-	// engine's cost of issuing its speculation is part of its wall time.
-	pass := func(link *linkStore, prefetch bool) (int64, error) {
-		tier, err := cachetier.New("", 1<<30)
-		if err != nil {
-			return 0, err
-		}
-		backend := remote.NewObjectBackend(remote.Retry(link, remote.Policy{}), remote.PacksPrefix("bench"), tier)
-		ro, err := store.OpenWith(ctl, store.Options{ReadOnly: true, Backend: backend})
-		if err != nil {
-			return 0, err
-		}
-		drainWriteback()
-		cache := backmat.NewPayloadCache(0)
-		t0 := time.Now()
-		if prefetch {
-			pf := ro.NewPrefetcher(3, nil)
-			defer pf.Close()
-			keys := make([]store.Key, epochs)
-			for e := range keys {
-				keys[e] = store.Key{LoopID: "train", Exec: e}
-			}
-			pf.Hint(keys...)
-		}
-		for e := 0; e < epochs; e++ {
-			secs, ok, err := ro.GetSections(store.Key{LoopID: "train", Exec: e}, cache.Contains)
-			if err != nil || !ok {
-				return 0, fmt.Errorf("bench: remote-cold-pipeline epoch %d: ok=%v err=%v", e, ok, err)
-			}
-			if _, err := backmat.DecodeSectionsCached(cache, secs); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(t0).Nanoseconds(), nil
-	}
-
-	// Calibrate: one cold sweep counts the run's remote GET volume, then
-	// warm sweeps over the tier it populated measure the decode-bound wall
-	// time (minimum of several — the first sweeps of a process pay GC-pacer
-	// and page-fault warmup that is not decode). The link bandwidth is then
-	// set so transferring the GET volume takes ~1.45x the decode time: a
-	// modestly fetch-bound link, the common regime for remote restores and
-	// the reason readahead exists. There the engine can hide the entire
-	// decode leg behind the transfer — its wall time is pinned to the link
-	// and insensitive to CPU scheduling noise — while the barrier still pays
-	// fetch and decode serially. (A balanced link maximizes the theoretical
-	// gap but makes the measured ratio hypersensitive to the decode
-	// estimate; a much slower link hides the barrier entirely.)
-	prev := store.SetPipelinedRemoteFetch(false)
-	calibrate := func() (float64, error) {
-		tier, err := cachetier.New("", 1<<30)
-		if err != nil {
-			return 0, err
-		}
-		cal := &linkStore{inner: obj}
-		backend := remote.NewObjectBackend(remote.Retry(cal, remote.Policy{}), remote.PacksPrefix("bench"), tier)
-		ro, err := store.OpenWith(ctl, store.Options{ReadOnly: true, Backend: backend})
-		if err != nil {
-			return 0, err
-		}
-		drainWriteback()
-		sweep := func() (int64, error) {
-			cache := backmat.NewPayloadCache(0)
-			t0 := time.Now()
-			for e := 0; e < epochs; e++ {
-				secs, ok, err := ro.GetSections(store.Key{LoopID: "train", Exec: e}, cache.Contains)
-				if err != nil || !ok {
-					return 0, fmt.Errorf("bench: cold-pipeline calibration epoch %d: ok=%v err=%v", e, ok, err)
-				}
-				if _, err := backmat.DecodeSectionsCached(cache, secs); err != nil {
-					return 0, err
-				}
-			}
-			return time.Since(t0).Nanoseconds(), nil
-		}
-		coldNs, err := sweep() // cold: populate the tier, count GETs
-		if err != nil {
-			return 0, err
-		}
-		// Warm: decode-bound wall time, minimum of five sweeps.
-		var decodeNs int64
-		for p := 0; p < 5; p++ {
-			ns, err := sweep()
-			if err != nil {
-				return 0, err
-			}
-			if debugColdPipeline {
-				s.printf("[cold-pipeline] warm sweep %d: %dms\n", p, ns/1e6)
-			}
-			if p == 0 || ns < decodeNs {
-				decodeNs = ns
-			}
-		}
-		bps := float64(cal.bytes.Load()) / (1.45 * float64(decodeNs) / 1e9)
-		if debugColdPipeline {
-			s.printf("[cold-pipeline] coldNs=%dms decodeNs=%dms getBytes=%dMB bps=%.0fMB/s\n", coldNs/1e6, decodeNs/1e6, cal.bytes.Load()>>20, bps/(1<<20))
-		}
-		return bps, nil
-	}
-	bps, err := calibrate()
-	if err != nil {
-		store.SetPipelinedRemoteFetch(prev)
-		return barrier, pipe, err
-	}
-	// Measure both modes over the same link; best of three throttled passes
-	// each, so a descheduling blip cannot fake a speedup.
-	var barrierNs int64
-	for p := 0; p < 3 && err == nil; p++ {
-		var ns int64
-		ns, err = pass(&linkStore{inner: obj, bps: bps}, false)
-		if p == 0 || ns < barrierNs {
-			barrierNs = ns
-		}
-	}
-	store.SetPipelinedRemoteFetch(prev)
-	if err != nil {
-		return barrier, pipe, err
-	}
-	var pipeNs int64
-	for p := 0; p < 3; p++ {
-		ns, err := pass(&linkStore{inner: obj, bps: bps}, true)
-		if err != nil {
-			return barrier, pipe, err
-		}
-		if p == 0 || ns < pipeNs {
-			pipeNs = ns
-		}
-	}
-
-	if debugColdPipeline {
-		pt := store.PrefetchTotals()
-		s.printf("[cold-pipeline] barrierNs=%dms pipeNs=%dms prefetch issued=%dMB used=%dMB\n",
-			barrierNs/1e6, pipeNs/1e6, pt.IssuedBytes>>20, pt.UsedBytes>>20)
-	}
-
-	mb := float64(logical) / (1 << 20)
-	barrier.LogicalMB, pipe.LogicalMB = mb, mb
-	barrier.ResMBps = mb / (float64(barrierNs) / 1e9)
-	pipe.ResMBps = mb / (float64(pipeNs) / 1e9)
-	return barrier, pipe, nil
-}
-
-// debugColdPipeline prints the cold-pipeline calibration internals; flip on
-// locally when retuning the simulated link.
-const debugColdPipeline = false
-
 // CkptThroughput measures checkpoint materialize/restore throughput for both
 // segment formats over both scenarios, plus the spool-cadence comparison of
 // the single-pack and sharded v2 layouts, and prints the comparison plus a
@@ -743,20 +434,6 @@ func (s *Session) CkptThroughput(epochs int) (*CkptThroughputReport, error) {
 	rep.Rows = append(rep.Rows, coldRow, warmRow)
 	if coldRow.ResMBps > 0 {
 		rep.RemoteWarmRestoreSpeedup = warmRow.ResMBps / coldRow.ResMBps
-	}
-	// Cold-restore engine: pipelined + prefetched vs barriered, same link.
-	// The mutating workload is the honest one here: every epoch restores
-	// fresh bytes, so the engine must genuinely overlap the next epoch's
-	// fetch with this epoch's decode (the frozen workload dedups away the
-	// tail epochs' fetches entirely, leaving nothing to prefetch).
-	mutatingSc := ckptScenarios(s.Scale)[1]
-	barRow, pipeRow, err := s.runRemoteColdPipeline(mutatingSc, epochs)
-	if err != nil {
-		return nil, err
-	}
-	rep.Rows = append(rep.Rows, barRow, pipeRow)
-	if barRow.ResMBps > 0 {
-		rep.RemoteColdRestoreSpeedup = pipeRow.ResMBps / barRow.ResMBps
 	}
 	// Fine-tuning family: per-run private packs vs one shared chunk pool.
 	privRow, poolRow, reduction, restoreSpeedup, err := s.FinetuneFamily(epochs)
@@ -811,7 +488,6 @@ func (s *Session) CkptThroughput(epochs int) (*CkptThroughputReport, error) {
 	s.printf("finetune family (%d runs), pooled vs private packs: %0.2fx storage reduction / %0.2fx shared-restore\n",
 		familyRuns, rep.FamilyStorageReduction, rep.FamilySharedRestoreSpeedup)
 	s.printf("remote restore, warm vs cold chunk-cache tier: %0.2fx\n", rep.RemoteWarmRestoreSpeedup)
-	s.printf("remote cold restore, pipelined+prefetched vs barriered on a calibrated link: %0.2fx\n", rep.RemoteColdRestoreSpeedup)
 
 	js, err := json.Marshal(rep)
 	if err != nil {

@@ -324,9 +324,8 @@ func Parse(b []byte) (Frame, int, error) {
 // ParseDecodeInto parses the frame at the front of b, decodes it into dst
 // (which must be exactly RawLen bytes), and verifies the frame CRC. For
 // raw-style frames the copy into dst runs first and the checksum then reads
-// the hot copy (plus the few header bytes), so the source — typically a
-// cold memory-mapped pack — is streamed exactly once instead of once for
-// the CRC and again for the copy. Other styles fall back to Parse +
+// the hot copy (plus the few header bytes), so the source is streamed
+// exactly once instead of once for the CRC and again for the copy. Other styles fall back to Parse +
 // DecodeIntoTrusted, whose decompression is already the second pass.
 //
 // Like DecodeIntoTrusted, the decoded bytes' content hash is not recomputed:
@@ -354,100 +353,6 @@ func ParseDecodeInto(b, dst []byte) (Frame, error) {
 		return f, fmt.Errorf("%w: frame CRC mismatch (got %08x want %08x)", codec.ErrCorrupt, got, want)
 	}
 	return f, nil
-}
-
-// DecodeFrameAt reads the frame record at [off, off+frameLen) of r, decodes
-// it into dst (which must be exactly the frame's raw length), verifies the
-// frame CRC, and returns the frame's stored content hash for the caller to
-// match against its independent reference (the trusted-path contract of
-// DecodeIntoTrusted: no content-hash recompute here).
-//
-// For raw-style frames the payload is read by one ranged read straight into
-// dst — no staging buffer, no mapping — plus two tiny reads for the header
-// and the CRC trailer; the checksum then runs over the hot copy. Other
-// styles stage the record in a recycled span and take the Parse +
-// DecodeIntoTrusted path. On any error dst's contents are unspecified.
-func DecodeFrameAt(r io.ReaderAt, off int64, frameLen int, dst []byte) (Hash, error) {
-	var hdr [maxHeaderLen]byte
-	probe := frameLen
-	if probe > len(hdr) {
-		probe = len(hdr)
-	}
-	if _, err := r.ReadAt(hdr[:probe], off); err != nil {
-		return Hash{}, fmt.Errorf("%w: frame header read: %v", codec.ErrCorrupt, err)
-	}
-	f, encLen, hdrLen, err := parseHeaderPrefix(hdr[:probe])
-	if err != nil {
-		return Hash{}, err
-	}
-	if hdrLen+encLen+4 != frameLen {
-		return Hash{}, fmt.Errorf("%w: frame record is %d bytes, header implies %d",
-			codec.ErrCorrupt, frameLen, hdrLen+encLen+4)
-	}
-	if len(dst) != f.RawLen {
-		return Hash{}, fmt.Errorf("ckptfmt: DecodeFrameAt buffer is %d bytes, frame holds %d", len(dst), f.RawLen)
-	}
-	if f.Style == StyleRaw && encLen == f.RawLen {
-		if _, err := r.ReadAt(dst, off+int64(hdrLen)); err != nil {
-			return Hash{}, fmt.Errorf("%w: frame payload read: %v", codec.ErrCorrupt, err)
-		}
-		var tail [4]byte
-		if _, err := r.ReadAt(tail[:], off+int64(hdrLen+encLen)); err != nil {
-			return Hash{}, fmt.Errorf("%w: frame CRC read: %v", codec.ErrCorrupt, err)
-		}
-		want := binary.LittleEndian.Uint32(tail[:])
-		got := crc32.Update(crc32.Update(0, castagnoli, hdr[:hdrLen]), castagnoli, dst)
-		if got != want {
-			return Hash{}, fmt.Errorf("%w: frame CRC mismatch (got %08x want %08x)", codec.ErrCorrupt, got, want)
-		}
-		return f.Hash, nil
-	}
-	span := Shared.Get(frameLen)
-	defer Shared.Put(span)
-	if _, err := r.ReadAt(span, off); err != nil {
-		return Hash{}, fmt.Errorf("%w: frame read: %v", codec.ErrCorrupt, err)
-	}
-	ff, _, err := Parse(span)
-	if err != nil {
-		return Hash{}, err
-	}
-	if _, err := ff.DecodeIntoTrusted(dst); err != nil {
-		return Hash{}, err
-	}
-	return ff.Hash, nil
-}
-
-// DecodeExpectedFrameAt is DecodeFrameAt for a caller that already knows,
-// from an independently stored directory ref, the raw length (len(dst)) and
-// content hash the frame should carry. A raw-style frame with those values
-// has a fully determined header (the encoding is canonical), so when the
-// synthesized header's length is consistent with frameLen the record is
-// decoded with just two ranged reads — payload straight into dst and the
-// 4-byte CRC trailer — and no header read or parse at all: the trailer was
-// computed over header + payload at write time, so it matches the checksum of
-// synthesized header + hot payload exactly when the payload carries the
-// expected content. (The on-disk header bytes themselves go unread and thus
-// unverified — nothing depends on them.) Any mismatch — a compressed frame of
-// coincidental size, payload corruption, or different content — falls back to
-// DecodeFrameAt for a precise verdict; callers must still match the returned
-// hash against their reference.
-func DecodeExpectedFrameAt(r io.ReaderAt, off int64, frameLen int, want Hash, dst []byte) (Hash, error) {
-	var buf [maxHeaderLen]byte
-	hdr := appendHeader(buf[:0], StyleRaw, len(dst), len(dst), want)
-	if len(hdr)+len(dst)+4 == frameLen {
-		if _, err := r.ReadAt(dst, off+int64(len(hdr))); err != nil {
-			return Hash{}, fmt.Errorf("%w: frame payload read: %v", codec.ErrCorrupt, err)
-		}
-		var tail [4]byte
-		if _, err := r.ReadAt(tail[:], off+int64(frameLen-4)); err != nil {
-			return Hash{}, fmt.Errorf("%w: frame CRC read: %v", codec.ErrCorrupt, err)
-		}
-		got := crc32.Update(crc32.Update(0, castagnoli, hdr), castagnoli, dst)
-		if got == binary.LittleEndian.Uint32(tail[:]) {
-			return want, nil
-		}
-	}
-	return DecodeFrameAt(r, off, frameLen, dst)
 }
 
 // DecodeGatheredRaw verifies a raw-style frame whose record was scatter-read

@@ -299,73 +299,3 @@ func TestParseDecodeIntoAllStyles(t *testing.T) {
 		}
 	}
 }
-
-func TestDecodeFrameAtAllStyles(t *testing.T) {
-	for _, f := range frameStyles() {
-		// Surround the frame with junk so a ranged read that strays off the
-		// record would be caught by the CRC.
-		pre := randomBytes(33, 5)
-		wire := f.Marshal()
-		pack := append(append(bytes.Clone(pre), wire...), randomBytes(29, 6)...)
-		want, err := f.Decode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, expected := range []bool{false, true} {
-			dst := make([]byte, f.RawLen)
-			var h Hash
-			if expected {
-				h, err = DecodeExpectedFrameAt(bytes.NewReader(pack), int64(len(pre)), len(wire), f.Hash, dst)
-			} else {
-				h, err = DecodeFrameAt(bytes.NewReader(pack), int64(len(pre)), len(wire), dst)
-			}
-			if err != nil {
-				t.Fatalf("style %d expected=%v: %v", f.Style, expected, err)
-			}
-			if h != f.Hash || !bytes.Equal(dst, want) {
-				t.Fatalf("style %d expected=%v: decode mismatch", f.Style, expected)
-			}
-		}
-		for i := range wire {
-			mut := append(bytes.Clone(pre), bytes.Clone(wire)...)
-			mut[len(pre)+i] ^= 0xff
-			dst := make([]byte, f.RawLen)
-			if _, err := DecodeFrameAt(bytes.NewReader(mut), int64(len(pre)), len(wire), dst); !errors.Is(err, codec.ErrCorrupt) {
-				t.Fatalf("style %d byte %d: DecodeFrameAt gave %v, not codec.ErrCorrupt", f.Style, i, err)
-			}
-			dst = make([]byte, f.RawLen)
-			h, err := DecodeExpectedFrameAt(bytes.NewReader(mut), int64(len(pre)), len(wire), f.Hash, dst)
-			if f.Style == StyleRaw && i < len(wire)-f.RawLen-4 {
-				// Raw fast path: header bytes are reconstructed from the
-				// trusted ref, never read, so on-disk header damage is
-				// invisible — and harmless: the payload must still checksum
-				// against the known-good header.
-				if err != nil || h != f.Hash || !bytes.Equal(dst, want) {
-					t.Fatalf("style %d header byte %d: fast path gave %v", f.Style, i, err)
-				}
-			} else if !errors.Is(err, codec.ErrCorrupt) {
-				t.Fatalf("style %d byte %d: DecodeExpectedFrameAt gave %v, not codec.ErrCorrupt", f.Style, i, err)
-			}
-		}
-	}
-}
-
-func TestDecodeExpectedFrameAtWrongHashFallsBack(t *testing.T) {
-	f := BuildStyle(randomBytes(1024, 31), StyleRaw)
-	wire := f.Marshal()
-	var wrong Hash
-	wrong[0] = ^f.Hash[0]
-	dst := make([]byte, f.RawLen)
-	// A wrong expectation must not error here — the frame itself is intact;
-	// the returned (true) hash lets the caller detect the mismatch.
-	h, err := DecodeExpectedFrameAt(bytes.NewReader(wire), 0, len(wire), wrong, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h != f.Hash {
-		t.Fatalf("returned hash %s, want the stored %s", h, f.Hash)
-	}
-	if raw, _ := f.Decode(); !bytes.Equal(dst, raw) {
-		t.Fatal("payload mismatch after fallback")
-	}
-}

@@ -138,8 +138,8 @@ var Catalog = []Def{
 	{MStoreSpoolPasses, KindCounter, nil, "Spool passes (segment + dirty-shard pack compression)."},
 	{MStoreSpoolSeconds, KindHistogram, nil, "Spool pass latency."},
 	{MStoreSpoolArtifactBytes, KindGauge, nil, "Compressed size of the spool artifacts after the last pass."},
-	{MStoreFetchBytes, KindCounter, []string{"tier"}, "Encoded pack bytes served to restores, by fetch tier (mmap|scatter|ranged|cache|remote|cache-tier|singleflight; cache counts logical bytes skipped via payload-cache hits)."},
-	{MStoreFetchFrames, KindCounter, []string{"tier"}, "Chunk frames served to restores, by fetch tier (mmap|scatter|ranged|cache|remote|cache-tier|singleflight)."},
+	{MStoreFetchBytes, KindCounter, []string{"tier"}, "Encoded pack bytes served to restores, by fetch tier (scatter|ranged|cache|remote|cache-tier|singleflight; cache counts logical bytes skipped via payload-cache hits)."},
+	{MStoreFetchFrames, KindCounter, []string{"tier"}, "Chunk frames served to restores, by fetch tier (scatter|ranged|cache|remote|cache-tier|singleflight)."},
 	{MStorePrefetchIssued, KindCounter, nil, "Encoded pack bytes the speculative prefetcher pulled toward the cache tier ahead of the decode front."},
 	{MStorePrefetchUsed, KindCounter, nil, "Prefetched bytes a restore later consumed (the speculation paid off)."},
 	{MStorePrefetchWasted, KindCounter, nil, "Prefetched bytes never consumed by a restore before the prefetcher shut down."},

@@ -190,7 +190,7 @@ type WorkerReport struct {
 	RestoredBytes int64 // logical checkpoint bytes loaded by this worker
 	Executed      int
 	// Fetch attributes the worker's restored bytes to store fetch tiers
-	// (mmap/scatter/ranged/cache/remote/cache-tier/singleflight). Zero
+	// (scatter/ranged/cache/remote/cache-tier/singleflight). Zero
 	// unless the replay was traced.
 	Fetch store.FetchSnapshot
 }
@@ -702,24 +702,18 @@ func (w *worker) finish() *WorkerReport {
 	}
 	w.report.Fetch = w.rt.FetchSnapshot()
 	if w.tr != nil {
+		attrs := map[string]int64{
+			"setup_ns":       w.report.SetupNs,
+			"init_ns":        w.report.InitNs,
+			"work_ns":        w.report.WorkNs,
+			"restore_ns":     w.report.RestoreNs,
+			"restored":       int64(w.report.Restored),
+			"restored_bytes": w.report.RestoredBytes,
+			"executed":       int64(w.report.Executed),
+		}
+		w.report.Fetch.Each(func(tier string, bytes, _ int64) { attrs[tier+"_bytes"] = bytes })
 		w.tr.Add(obs.Span{Name: "worker", Worker: w.pid, StartNs: w.tr.Now(),
-			DurNs: w.report.SetupNs + w.report.InitNs + w.report.WorkNs,
-			Attrs: map[string]int64{
-				"setup_ns":           w.report.SetupNs,
-				"init_ns":            w.report.InitNs,
-				"work_ns":            w.report.WorkNs,
-				"restore_ns":         w.report.RestoreNs,
-				"restored":           int64(w.report.Restored),
-				"restored_bytes":     w.report.RestoredBytes,
-				"executed":           int64(w.report.Executed),
-				"mmap_bytes":         w.report.Fetch.MmapBytes,
-				"scatter_bytes":      w.report.Fetch.ScatterBytes,
-				"ranged_bytes":       w.report.Fetch.RangedBytes,
-				"cache_bytes":        w.report.Fetch.CacheBytes,
-				"remote_bytes":       w.report.Fetch.RemoteBytes,
-				"cache_tier_bytes":   w.report.Fetch.CacheTierBytes,
-				"singleflight_bytes": w.report.Fetch.SingleflightBytes,
-			}})
+			DurNs: w.report.SetupNs + w.report.InitNs + w.report.WorkNs, Attrs: attrs})
 	}
 	return w.report
 }

@@ -226,7 +226,7 @@ func (o *Options) fill() {
 
 // QueryCost summarizes the resources one query consumed: logical checkpoint
 // bytes restored, time spent restoring them, and the fetch-tier attribution
-// of every byte the store served (mmap / scatter-preadv / ranged reads vs
+// of every byte the store served (scatter-preadv / ranged / remote reads vs
 // the cross-query payload cache). Returned per query in replay and sample
 // responses and accumulated per run in /v1/stats.
 type QueryCost struct {

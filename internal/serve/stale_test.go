@@ -45,13 +45,6 @@ func supersedeAndExpire(t *testing.T, st *store.Store, victim, donor store.Key) 
 // store against the surviving generation, and retry once — the client sees
 // a successful response, not an error.
 func TestServeRefreshesStaleStoreAfterPackGC(t *testing.T) {
-	// The streamed pack-read path surfaces the deleted generation as an open
-	// error immediately. (The mmap path can outlive deletion: an established
-	// mapping keeps old-generation bytes readable, which is the grace period
-	// working as intended — it only goes stale on remap.)
-	prev := store.SetMmapPackReads(false)
-	defer store.SetMmapPackReads(prev)
-
 	dir := t.TempDir()
 	factory := recordRun(t, dir, 6, 2, 7)
 

@@ -333,19 +333,11 @@ func (b *Block) restore(ctx *script.Ctx, key store.Key) error {
 	b.stats.RestoreNs += restoreNs
 	b.stats.RestoredBytes += restoredBytes
 	if b.rt.tr != nil {
-		d := b.rt.fetch.Snapshot().Sub(fetchBefore)
-		b.rt.tr.Add(obs.Span{Name: "restore", Worker: b.rt.worker, StartNs: spanStart, DurNs: restoreNs,
-			Attrs: map[string]int64{
-				"exec":           int64(key.Exec),
-				"restored_bytes": restoredBytes,
-				"mmap_bytes":     d.MmapBytes, "mmap_frames": d.MmapFrames,
-				"scatter_bytes": d.ScatterBytes, "scatter_frames": d.ScatterFrames,
-				"ranged_bytes": d.RangedBytes, "ranged_frames": d.RangedFrames,
-				"cache_bytes": d.CacheBytes, "cache_frames": d.CacheFrames,
-				"remote_bytes": d.RemoteBytes, "remote_frames": d.RemoteFrames,
-				"cache_tier_bytes": d.CacheTierBytes, "cache_tier_frames": d.CacheTierFrames,
-				"singleflight_bytes": d.SingleflightBytes, "singleflight_frames": d.SingleflightFrames,
-			}})
+		attrs := map[string]int64{"exec": int64(key.Exec), "restored_bytes": restoredBytes}
+		b.rt.fetch.Snapshot().Sub(fetchBefore).Each(func(tier string, bytes, frames int64) {
+			attrs[tier+"_bytes"], attrs[tier+"_frames"] = bytes, frames
+		})
+		b.rt.tr.Add(obs.Span{Name: "restore", Worker: b.rt.worker, StartNs: spanStart, DurNs: restoreNs, Attrs: attrs})
 	}
 	if meta, ok := b.rt.st.Lookup(key); ok {
 		b.rt.tracker.NoteRestoreLoop(b.Loop.ID, restoreNs, meta.MaterNs)

@@ -57,52 +57,13 @@ type BackendReader interface {
 	io.Closer
 }
 
-// MappedBackend is an optional Backend capability: whole-object read-only
-// memory maps. The restore hot path prefers a mapping over ranged reads —
-// frame parsing then runs straight over the page cache with no per-restore
-// read syscalls or staging buffers. Backends whose objects are not local
-// files (S3-style ranged stores) simply do not implement the interface and
-// keep the streamed read path; implementations may also return an error for
-// objects they cannot map, which likewise falls back.
-type MappedBackend interface {
-	// OpenMapped memory-maps the named object read-only at its current
-	// length. The mapping stays valid after the object is appended to (it
-	// covers the old length) and, on POSIX systems, after the object is
-	// removed — callers remap when they need bytes past the mapped length.
-	OpenMapped(name string) (*Mapping, error)
-}
-
-// Mapping is a read-only memory-mapped view of one backend object. Close
-// invalidates Bytes; the caller owns making sure no reads are in flight.
-type Mapping struct {
-	data  []byte
-	unmap func([]byte) error
-}
-
-// Bytes returns the mapped view. The slice must not be mutated and must not
-// be referenced after Close.
-func (m *Mapping) Bytes() []byte { return m.data }
-
-// Close unmaps the view. Safe to call twice.
-func (m *Mapping) Close() error {
-	if m.unmap == nil || m.data == nil {
-		return nil
-	}
-	data := m.data
-	m.data = nil
-	return m.unmap(data)
-}
-
 // TieredBackend is an optional Backend capability implemented by backends
 // whose reads travel a network (S3-style object stores), possibly through a
-// local read-through cache tier. The restore path switches to a
-// remote-shaped fetch strategy for such backends: no memory maps, no
-// vectored preads against a file descriptor — instead offset-sorted jobs
-// coalesce into spans and the spans are fetched as parallel ranged GETs per
-// shard, with bytes attributed to the "remote" and "cache-tier" fetch tiers.
+// local read-through cache tier. It is what makes speculative prefetch worth
+// starting (Store.NewPrefetcher); the restore path itself never consults it
+// — how a run is read follows from the opened reader's own capabilities.
 type TieredBackend interface {
-	// RemoteReads reports whether reads are served by a remote object store
-	// (true switches the restore path to the remote fetch strategy).
+	// RemoteReads reports whether reads are served by a remote object store.
 	RemoteReads() bool
 }
 
@@ -110,8 +71,8 @@ type TieredBackend interface {
 // plus per-read tier attribution, reporting how many of the returned bytes
 // were served by a local cache tier, fetched from the remote store by this
 // read, or shared from another reader's concurrent in-flight fetch of the
-// same blocks (the singleflight tier). Readers without the capability have
-// their whole read attributed remote.
+// same blocks (the singleflight tier). Reads through readers without the
+// capability count as ranged.
 type TieredReader interface {
 	ReadAtTier(p []byte, off int64) (n int, cached, fetched, shared int64, err error)
 }

@@ -2,14 +2,13 @@ package store
 
 import "sync/atomic"
 
-// Fetch tiers, in the order the fetch path prefers them. Every chunk frame a
-// restore touches is served by exactly one tier, so per-tier byte counts sum
-// to the restore's encoded volume — the invariant the tier-attribution spans
-// and the flor_store_fetch_* metrics rely on.
+// Fetch tiers. Every chunk frame a restore touches is served by exactly one
+// tier, so per-tier byte counts sum to the restore's encoded volume — the
+// invariant the tier-attribution spans and the flor_store_fetch_* metrics
+// rely on.
 const (
-	tierMmap         = iota // frame aliased out of the pack's memory mapping
-	tierScatter             // vectored preadv straight into the destination buffer
-	tierRanged              // private ranged read (large frames, coalesced spans)
+	tierScatter      = iota // vectored preadv straight into the destination buffer
+	tierRanged              // ranged read staged through an arena span
 	tierCache               // payload-cache hit: chunks never read at all
 	tierRemote              // ranged GET against a remote object store
 	tierCacheTier           // local chunk-cache hit in front of a remote store
@@ -17,11 +16,25 @@ const (
 	numTiers
 )
 
-// tierNames are the metric label values, indexed by tier.
-var tierNames = [numTiers]string{"mmap", "scatter", "ranged", "cache", "remote", "cache-tier", "singleflight"}
+// tierTable is the one place a tier is spelled out: its metric label value,
+// its span-attribute and JSON key prefix, and its FetchSnapshot fields.
+// Everything per-tier — counters, snapshots, snapshot algebra, span
+// attributes — loops over it.
+var tierTable = [numTiers]struct {
+	label string
+	key   string
+	field func(*FetchSnapshot) (bytes, frames *int64)
+}{
+	tierScatter:      {"scatter", "scatter", func(s *FetchSnapshot) (*int64, *int64) { return &s.ScatterBytes, &s.ScatterFrames }},
+	tierRanged:       {"ranged", "ranged", func(s *FetchSnapshot) (*int64, *int64) { return &s.RangedBytes, &s.RangedFrames }},
+	tierCache:        {"cache", "cache", func(s *FetchSnapshot) (*int64, *int64) { return &s.CacheBytes, &s.CacheFrames }},
+	tierRemote:       {"remote", "remote", func(s *FetchSnapshot) (*int64, *int64) { return &s.RemoteBytes, &s.RemoteFrames }},
+	tierCacheTier:    {"cache-tier", "cache_tier", func(s *FetchSnapshot) (*int64, *int64) { return &s.CacheTierBytes, &s.CacheTierFrames }},
+	tierSingleflight: {"singleflight", "singleflight", func(s *FetchSnapshot) (*int64, *int64) { return &s.SingleflightBytes, &s.SingleflightFrames }},
+}
 
 // FetchStats accumulates per-tier fetch accounting for one observer — a
-// query trace, a worker — across concurrent shard fetches. A nil *FetchStats
+// query trace, a worker — across concurrent run reads. A nil *FetchStats
 // no-ops, so the fetch path threads an optional observer without branching
 // at call sites. Bytes are encoded pack bytes except for the cache tier,
 // which counts the logical bytes a payload-cache hit avoided reading.
@@ -45,19 +58,18 @@ func (f *FetchStats) Snapshot() FetchSnapshot {
 	if f == nil {
 		return s
 	}
-	s.MmapBytes, s.MmapFrames = f.bytes[tierMmap].Load(), f.frames[tierMmap].Load()
-	s.ScatterBytes, s.ScatterFrames = f.bytes[tierScatter].Load(), f.frames[tierScatter].Load()
-	s.RangedBytes, s.RangedFrames = f.bytes[tierRanged].Load(), f.frames[tierRanged].Load()
-	s.CacheBytes, s.CacheFrames = f.bytes[tierCache].Load(), f.frames[tierCache].Load()
-	s.RemoteBytes, s.RemoteFrames = f.bytes[tierRemote].Load(), f.frames[tierRemote].Load()
-	s.CacheTierBytes, s.CacheTierFrames = f.bytes[tierCacheTier].Load(), f.frames[tierCacheTier].Load()
-	s.SingleflightBytes, s.SingleflightFrames = f.bytes[tierSingleflight].Load(), f.frames[tierSingleflight].Load()
+	for t := range tierTable {
+		b, n := tierTable[t].field(&s)
+		*b, *n = f.bytes[t].Load(), f.frames[t].Load()
+	}
 	return s
 }
 
 // FetchSnapshot is a point-in-time, plain-int copy of FetchStats — the form
 // that travels in spans, worker reports, and query-cost summaries.
 type FetchSnapshot struct {
+	// MmapBytes and MmapFrames are always 0: the memory-mapped tier is gone,
+	// and the fields remain only so the /v1 wire format keeps its keys.
 	MmapBytes     int64 `json:"mmap_bytes"`
 	MmapFrames    int64 `json:"mmap_frames"`
 	ScatterBytes  int64 `json:"scatter_bytes"`
@@ -80,40 +92,43 @@ type FetchSnapshot struct {
 	SingleflightFrames int64 `json:"singleflight_frames"`
 }
 
+// Each calls f once per fetch tier with the tier's key — the prefix of its
+// span attributes and JSON fields ("scatter", "cache_tier", …) — and counts.
+func (s FetchSnapshot) Each(f func(tier string, bytes, frames int64)) {
+	for t := range tierTable {
+		b, n := tierTable[t].field(&s)
+		f(tierTable[t].key, *b, *n)
+	}
+}
+
 // Sub returns the delta s - prev (both from the same FetchStats).
 func (s FetchSnapshot) Sub(prev FetchSnapshot) FetchSnapshot {
-	return FetchSnapshot{
-		MmapBytes: s.MmapBytes - prev.MmapBytes, MmapFrames: s.MmapFrames - prev.MmapFrames,
-		ScatterBytes: s.ScatterBytes - prev.ScatterBytes, ScatterFrames: s.ScatterFrames - prev.ScatterFrames,
-		RangedBytes: s.RangedBytes - prev.RangedBytes, RangedFrames: s.RangedFrames - prev.RangedFrames,
-		CacheBytes: s.CacheBytes - prev.CacheBytes, CacheFrames: s.CacheFrames - prev.CacheFrames,
-		RemoteBytes: s.RemoteBytes - prev.RemoteBytes, RemoteFrames: s.RemoteFrames - prev.RemoteFrames,
-		CacheTierBytes: s.CacheTierBytes - prev.CacheTierBytes, CacheTierFrames: s.CacheTierFrames - prev.CacheTierFrames,
-		SingleflightBytes: s.SingleflightBytes - prev.SingleflightBytes, SingleflightFrames: s.SingleflightFrames - prev.SingleflightFrames,
+	for t := range tierTable {
+		b, n := tierTable[t].field(&s)
+		pb, pn := tierTable[t].field(&prev)
+		*b, *n = *b-*pb, *n-*pn
 	}
+	return s
 }
 
 // Add returns the element-wise sum s + o.
 func (s FetchSnapshot) Add(o FetchSnapshot) FetchSnapshot {
-	return FetchSnapshot{
-		MmapBytes: s.MmapBytes + o.MmapBytes, MmapFrames: s.MmapFrames + o.MmapFrames,
-		ScatterBytes: s.ScatterBytes + o.ScatterBytes, ScatterFrames: s.ScatterFrames + o.ScatterFrames,
-		RangedBytes: s.RangedBytes + o.RangedBytes, RangedFrames: s.RangedFrames + o.RangedFrames,
-		CacheBytes: s.CacheBytes + o.CacheBytes, CacheFrames: s.CacheFrames + o.CacheFrames,
-		RemoteBytes: s.RemoteBytes + o.RemoteBytes, RemoteFrames: s.RemoteFrames + o.RemoteFrames,
-		CacheTierBytes: s.CacheTierBytes + o.CacheTierBytes, CacheTierFrames: s.CacheTierFrames + o.CacheTierFrames,
-		SingleflightBytes: s.SingleflightBytes + o.SingleflightBytes, SingleflightFrames: s.SingleflightFrames + o.SingleflightFrames,
+	for t := range tierTable {
+		b, n := tierTable[t].field(&s)
+		ob, on := tierTable[t].field(&o)
+		*b, *n = *b+*ob, *n+*on
 	}
+	return s
 }
 
 // TotalBytes returns the snapshot's byte total across all tiers.
-func (s FetchSnapshot) TotalBytes() int64 {
-	return s.MmapBytes + s.ScatterBytes + s.RangedBytes + s.CacheBytes +
-		s.RemoteBytes + s.CacheTierBytes + s.SingleflightBytes
+func (s FetchSnapshot) TotalBytes() (total int64) {
+	s.Each(func(_ string, b, _ int64) { total += b })
+	return total
 }
 
 // TotalFrames returns the snapshot's frame total across all tiers.
-func (s FetchSnapshot) TotalFrames() int64 {
-	return s.MmapFrames + s.ScatterFrames + s.RangedFrames + s.CacheFrames +
-		s.RemoteFrames + s.CacheTierFrames + s.SingleflightFrames
+func (s FetchSnapshot) TotalFrames() (total int64) {
+	s.Each(func(_ string, _, n int64) { total += n })
+	return total
 }

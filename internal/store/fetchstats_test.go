@@ -21,9 +21,6 @@ func TestFetchTierAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	prevMmap := SetMmapPackReads(false)
-	defer SetMmapPackReads(prevMmap)
-
 	// Cold read: every restored byte must be attributed to a disk tier.
 	var fs FetchStats
 	got, ok, err := s.GetSectionsObserved(key, nil, &fs)
@@ -37,8 +34,8 @@ func TestFetchTierAttribution(t *testing.T) {
 	if snap.CacheBytes != 0 || snap.CacheFrames != 0 {
 		t.Fatalf("cold read attributed to cache: %+v", snap)
 	}
-	if snap.MmapBytes != 0 {
-		t.Fatalf("mmap disabled but mmap tier counted: %+v", snap)
+	if snap.MmapBytes != 0 || snap.MmapFrames != 0 {
+		t.Fatalf("the retired mmap tier counted: %+v", snap)
 	}
 	if snap.ScatterBytes+snap.RangedBytes != snap.TotalBytes() {
 		t.Fatalf("disk tiers do not cover the read: %+v", snap)
@@ -70,20 +67,6 @@ func TestFetchTierAttribution(t *testing.T) {
 	if d != snap2 {
 		t.Fatalf("Add/Sub not inverse: %+v != %+v", d, snap2)
 	}
-
-	// Mmap read (when the platform maps packs): small frames shift to the
-	// mmap tier; large direct-read frames stay on scatter/ranged.
-	if _, isMapped := s.pool.backend.(MappedBackend); isMapped {
-		SetMmapPackReads(true)
-		var fs3 FetchStats
-		if _, ok, err := s.GetSectionsObserved(key, nil, &fs3); err != nil || !ok {
-			t.Fatalf("mmap read: ok=%v err=%v", ok, err)
-		}
-		snap3 := fs3.Snapshot()
-		if snap3.TotalBytes() == 0 || snap3.CacheBytes != 0 {
-			t.Fatalf("mmap read misattributed: %+v", snap3)
-		}
-	}
 }
 
 // TestFetchTierCountingDisabledAllocFree is the CI zero-alloc guard for the
@@ -94,7 +77,7 @@ func TestFetchTierCountingDisabledAllocFree(t *testing.T) {
 	p.initShards() // resolves nil handles while the registry is disabled
 	var nilFS *FetchStats
 	allocs := testing.AllocsPerRun(1000, func() {
-		p.countFetch(tierMmap, 4096, 3, nil)
+		p.countFetch(tierScatter, 4096, 3, nil)
 		p.countFetch(tierCache, 1<<20, 16, nil)
 		nilFS.note(tierRanged, 128, 1)
 	})

@@ -38,7 +38,6 @@ package store
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -49,7 +48,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"flor.dev/flor/internal/ckptfmt"
@@ -105,84 +103,6 @@ type poolShard struct {
 	// failed: packLen can no longer be trusted, and appending at an unknown
 	// offset would commit wrong-offset chunk records. Reads stay valid.
 	broken error
-
-	// mapped caches one refcounted read-only mapping of a pack object for
-	// the mmap read path; mappedObj names the object it covers. Replaced
-	// when a fetch needs bytes past the mapped length (the pack grew) or a
-	// different generation, and retired on compaction swap.
-	mapped    *packMap
-	mappedObj string
-}
-
-// packMap is a refcounted handle on one pack object's memory mapping.
-// Fetches acquire it for the span of a readSections call (decode reads the
-// frame bytes straight out of the mapping); the owning shard retires it when
-// the mapping is replaced or its generation compacted away, and whichever of
-// retire/release runs last unmaps. Refcounting is what makes unmap safe: a
-// munmap while a decode still reads the pages would fault the process, not
-// error.
-type packMap struct {
-	mu      sync.Mutex
-	m       *Mapping
-	refs    int
-	retired bool
-}
-
-func (pm *packMap) acquireLocked() { // caller holds the owning shard's mu
-	pm.mu.Lock()
-	pm.refs++
-	pm.mu.Unlock()
-}
-
-func (pm *packMap) release() {
-	pm.mu.Lock()
-	pm.refs--
-	last := pm.refs == 0 && pm.retired
-	pm.mu.Unlock()
-	if last {
-		pm.m.Close()
-	}
-}
-
-func (pm *packMap) retire() {
-	pm.mu.Lock()
-	pm.retired = true
-	idle := pm.refs == 0
-	pm.mu.Unlock()
-	if idle {
-		pm.m.Close()
-	}
-}
-
-// mmapPackReads gates the memory-mapped read path process-wide (1 = on).
-// The streamed ranged-read path is the fallback and the two must be
-// byte-identical — the migration matrix test runs both.
-var mmapPackReads atomic.Bool
-
-func init() { mmapPackReads.Store(true) }
-
-// SetMmapPackReads enables or disables memory-mapped pack reads, returning
-// the previous setting. Benchmarks and tests use it to compare the mmap and
-// streamed read paths; production leaves it on.
-func SetMmapPackReads(on bool) (prev bool) {
-	return mmapPackReads.Swap(on)
-}
-
-// pipelinedRemoteFetch gates the streaming remote restore path process-wide
-// (1 = on): each coalesced span's frames decode as soon as its ranged GET
-// lands instead of waiting for every span of the shard. The barriered path
-// is the fallback and the two must be byte-identical — the remote-twin
-// migration test and the cold-restore benchmark run both.
-var pipelinedRemoteFetch atomic.Bool
-
-func init() { pipelinedRemoteFetch.Store(true) }
-
-// SetPipelinedRemoteFetch enables or disables the pipelined remote fetch
-// path (decode overlapped with in-flight ranged GETs), returning the
-// previous setting. Benchmarks use it to measure the pipeline against the
-// span barrier; production leaves it on.
-func SetPipelinedRemoteFetch(on bool) (prev bool) {
-	return pipelinedRemoteFetch.Swap(on)
 }
 
 // packObjName maps (base name, generation) to the backend object name.
@@ -271,9 +191,9 @@ func (p *ChunkPool) initShards() {
 // initFetchMetrics resolves the per-tier fetch counters; called from every
 // pool constructor right after initShards.
 func (p *ChunkPool) initFetchMetrics() {
-	for t, name := range tierNames {
-		p.mFetchBytes[t] = obs.C(obs.MStoreFetchBytes, obs.L("tier", name))
-		p.mFetchFrames[t] = obs.C(obs.MStoreFetchFrames, obs.L("tier", name))
+	for t := range tierTable {
+		p.mFetchBytes[t] = obs.C(obs.MStoreFetchBytes, obs.L("tier", tierTable[t].label))
+		p.mFetchFrames[t] = obs.C(obs.MStoreFetchFrames, obs.L("tier", tierTable[t].label))
 	}
 }
 
@@ -521,579 +441,6 @@ func (p *ChunkPool) resolve(jobs []chunkJob, byShard map[int][]int, seq int) err
 	}
 	return nil
 }
-
-// maxCoalesceGap bounds the dead bytes two neighbouring chunk reads may
-// carry between them and still be merged into one ranged read. Re-reading up
-// to 256 KiB of gap costs less than an extra read round-trip per chunk, yet
-// a sparse restore (a few live chunks scattered over a big pack) still
-// splits into separate reads instead of dragging the whole pack in.
-const maxCoalesceGap = 256 << 10
-
-// directReadMin is the frame-record size from which a chunk is fetched by a
-// private ranged read straight into its decode destination
-// (ckptfmt.DecodeFrameAt) instead of through the mapping or a staging span.
-// For a large raw frame that is the whole restore: one kernel copy into the
-// owned buffer, then a checksum over the hot copy — both the
-// mapping-then-copy route (cold TLB walk over the mapped pages) and the
-// span route (a second, staging copy) stream the bytes twice. Below the
-// threshold the three small reads stop amortizing and coalesced spans or
-// the mapping win.
-const directReadMin = 64 << 10
-
-// fetchShard points the given jobs' enc slices at the encoded frame bytes of
-// one shard's pack generation. Jobs of one shard always share a generation
-// (locations were resolved atomically under the shard lock).
-//
-// Two IO paths, byte-identical results:
-//
-//   - mmap (MappedBackend + SetMmapPackReads on): enc slices alias the pack
-//     mapping directly — zero copies, zero read syscalls on warm page cache.
-//   - streamed: offset-sorted jobs coalesce into bounded-gap spans, each one
-//     ranged read into an arena staging buffer (readv in spirit: one pass,
-//     few syscalls, no per-chunk allocations).
-//
-// Either way the enc slices alias memory that outlives this call only until
-// release is invoked; the caller must call release (non-nil on success) after
-// frame decode and must not let enc escape. A missing pack object surfaces
-// ErrStalePack: the generation was compacted away and deleted after its
-// grace period, so the caller's resolved locations are stale, not corrupt.
-func (p *ChunkPool) fetchShard(si int, jobs []chunkJob, idxs []int, fs *FetchStats, bdgt *byteBudget) (release func(), err error) {
-	sh := p.shardTab[si]
-	obj := packObjName(sh.name, jobs[idxs[0]].loc.Gen)
-
-	// Remote-backed pools skip the local-IO strategies (no file descriptor
-	// to preadv, no pages to map) and fetch coalesced spans as parallel
-	// ranged GETs instead.
-	if tb, ok := p.backend.(TieredBackend); ok && tb.RemoteReads() {
-		return p.fetchShardRemote(obj, jobs, idxs, fs, bdgt)
-	}
-
-	// Frames at least directReadMin long are handed the open pack handle
-	// instead of bytes: the decode phase reads each one's payload by a
-	// private ranged read straight into its destination buffer. Smaller
-	// frames go through the mapping or coalesced staging spans below.
-	var direct, rest []int
-	for _, ji := range idxs {
-		if int(jobs[ji].loc.EncLen) >= directReadMin && jobs[ji].dst != nil {
-			direct = append(direct, ji)
-		} else {
-			rest = append(rest, ji)
-		}
-	}
-
-	var rels []func()
-	release = func() {
-		for _, r := range rels {
-			r()
-		}
-	}
-	var pf BackendReader
-	openPack := func() error {
-		pf, err = p.backend.Open(obj)
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				return fmt.Errorf("%w: shard %s: %v", ErrStalePack, obj, err)
-			}
-			return fmt.Errorf("%w: shard %s: open pack: %v", codec.ErrCorrupt, obj, err)
-		}
-		rels = append(rels, func() { pf.Close() })
-		return nil
-	}
-	if len(direct) > 0 {
-		if err := openPack(); err != nil {
-			return nil, err
-		}
-		for _, ji := range direct {
-			jobs[ji].src = pf
-		}
-		scatterRead(pf, jobs, direct)
-		// Attribution: jobs the vectored read verified in place were served
-		// by the scatter tier; the rest fall back to per-frame ranged reads
-		// in the decode phase.
-		var scB, scN, raB, raN int64
-		for _, ji := range direct {
-			if jobs[ji].pre {
-				scB += int64(jobs[ji].loc.EncLen)
-				scN++
-			} else {
-				raB += int64(jobs[ji].loc.EncLen)
-				raN++
-			}
-		}
-		if scN > 0 {
-			p.countFetch(tierScatter, scB, scN, fs)
-		}
-		if raN > 0 {
-			p.countFetch(tierRanged, raB, raN, fs)
-		}
-		if len(rest) == 0 {
-			return release, nil
-		}
-	}
-
-	sorted := append([]int(nil), rest...)
-	sort.Slice(sorted, func(a, b int) bool { return jobs[sorted[a]].loc.Off < jobs[sorted[b]].loc.Off })
-	last := jobs[sorted[len(sorted)-1]].loc
-	maxEnd := last.Off + int64(last.EncLen)
-
-	if mmapPackReads.Load() {
-		if mb, ok := p.backend.(MappedBackend); ok {
-			pm, merr := p.acquireMapping(mb, sh, obj, maxEnd)
-			if merr == nil {
-				data := pm.m.Bytes()
-				var b int64
-				for _, ji := range rest {
-					loc := jobs[ji].loc
-					jobs[ji].enc = data[loc.Off : loc.Off+int64(loc.EncLen)]
-					b += int64(loc.EncLen)
-				}
-				p.countFetch(tierMmap, b, int64(len(rest)), fs)
-				rels = append(rels, pm.release)
-				return release, nil
-			}
-			if errors.Is(merr, os.ErrNotExist) {
-				release()
-				return nil, fmt.Errorf("%w: shard %s: %v", ErrStalePack, obj, merr)
-			}
-			// Any other mapping failure (platform stub, exotic filesystem)
-			// falls back to the streamed path below.
-		}
-	}
-
-	if pf == nil {
-		if err := openPack(); err != nil {
-			return nil, err
-		}
-	}
-
-	var spans [][]byte
-	rels = append(rels, func() {
-		for _, b := range spans {
-			ckptfmt.Shared.Put(b)
-		}
-	})
-	for k := 0; k < len(sorted); {
-		start := jobs[sorted[k]].loc.Off
-		end := start + int64(jobs[sorted[k]].loc.EncLen)
-		next := k + 1
-		for next < len(sorted) {
-			loc := jobs[sorted[next]].loc
-			if loc.Off-end > maxCoalesceGap {
-				break
-			}
-			if e := loc.Off + int64(loc.EncLen); e > end {
-				end = e
-			}
-			next++
-		}
-		span := ckptfmt.Shared.Get(int(end - start))
-		if _, err := pf.ReadAt(span, start); err != nil {
-			release()
-			return nil, fmt.Errorf("%w: shard %s: read span [%d,%d): %v", codec.ErrCorrupt, obj, start, end, err)
-		}
-		spans = append(spans, span)
-		for ; k < next; k++ {
-			loc := jobs[sorted[k]].loc
-			jobs[sorted[k]].enc = span[loc.Off-start : loc.Off-start+int64(loc.EncLen)]
-		}
-	}
-	var b int64
-	for _, ji := range rest {
-		b += int64(jobs[ji].loc.EncLen)
-	}
-	p.countFetch(tierRanged, b, int64(len(rest)), fs)
-	return release, nil
-}
-
-// remoteSpanParallelism bounds the concurrent ranged GETs one shard fetch
-// issues against a remote backend. Remote latency, not syscall count, is the
-// cost model: a handful of in-flight range reads per shard hides round-trips
-// without flooding the store (restores already parallelize across shards).
-const remoteSpanParallelism = 8
-
-// restoreInflightBudget bounds the staged span bytes one restore may hold in
-// flight across all of its shards on the remote path. The budget is what
-// keeps the pipelined producer/consumer honest: GET producers stall instead
-// of piling staged spans faster than decode drains them, so a wide restore's
-// peak memory stays bounded no matter how many shards race.
-const restoreInflightBudget = 64 << 20
-
-// byteBudget is a counting semaphore over bytes. A nil budget is unlimited.
-type byteBudget struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	cap  int64
-	free int64
-}
-
-func newByteBudget(n int64) *byteBudget {
-	b := &byteBudget{cap: n, free: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// acquire blocks until n bytes are free and claims them, returning the
-// claimed amount (n is clamped to the budget's capacity so one span larger
-// than the whole budget cannot deadlock). Pass the return value to release.
-func (b *byteBudget) acquire(n int64) int64 {
-	if b == nil {
-		return 0
-	}
-	if n > b.cap {
-		n = b.cap
-	}
-	b.mu.Lock()
-	for b.free < n {
-		b.cond.Wait()
-	}
-	b.free -= n
-	b.mu.Unlock()
-	return n
-}
-
-// release returns bytes claimed by acquire.
-func (b *byteBudget) release(n int64) {
-	if b == nil || n == 0 {
-		return
-	}
-	b.mu.Lock()
-	b.free += n
-	b.mu.Unlock()
-	b.cond.Broadcast()
-}
-
-// decodeJob decodes one fetched frame into its destination buffer and
-// verifies it holds the content the directory asked for.
-func (p *ChunkPool) decodeJob(j *chunkJob) error {
-	frame, err := ckptfmt.ParseDecodeInto(j.enc, j.dst)
-	if err != nil {
-		return fmt.Errorf("store: shard %s frame at %d: %w", p.shardName(j.shard), j.loc.Off, err)
-	}
-	if frame.Hash != j.ref.Hash {
-		return fmt.Errorf("%w: shard %s frame at %d holds %s, directory wants %s",
-			codec.ErrCorrupt, p.shardName(j.shard), j.loc.Off, frame.Hash, j.ref.Hash)
-	}
-	return nil
-}
-
-// fetchShardRemote is fetchShard's strategy for TieredBackend pools: jobs
-// are offset-sorted and coalesced into bounded-gap spans exactly like the
-// streamed path, but the spans are read with up to remoteSpanParallelism
-// concurrent ranged GETs, and each span's encoded frame bytes are attributed
-// to the "cache-tier", "singleflight", and "remote" fetch tiers in
-// proportion to how much of the span the backend served from its local
-// cache, from another reader's shared in-flight fetch, or from the remote
-// store.
-//
-// With pipelined fetch on (the default), each span's frames decode inline as
-// soon as its GET lands — overlapping decode with the remaining in-flight
-// GETs — the staging buffer returns to the arena immediately, and the jobs
-// come back marked done so the caller's decode phase skips them. bdgt (one
-// per restore, shared across its shards) bounds the staged bytes in flight.
-// With pipelining off, every span barriers before decode, reproducing the
-// pre-pipeline path for benchmarks.
-//
-// A missing pack object surfaces ErrStalePack; any other read failure
-// propagates with its cause wrapped (%w), so typed remote errors — retry
-// budgets exhausted, injected test faults — stay visible to errors.Is.
-func (p *ChunkPool) fetchShardRemote(obj string, jobs []chunkJob, idxs []int, fs *FetchStats, bdgt *byteBudget) (release func(), err error) {
-	pf, err := p.backend.Open(obj)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("%w: shard %s: %v", ErrStalePack, obj, err)
-		}
-		return nil, fmt.Errorf("store: shard %s: open remote pack: %w", obj, err)
-	}
-
-	sorted := append([]int(nil), idxs...)
-	sort.Slice(sorted, func(a, b int) bool { return jobs[sorted[a]].loc.Off < jobs[sorted[b]].loc.Off })
-
-	type span struct {
-		start, end int64
-		members    []int // job indices, offset order
-	}
-	var spans []*span
-	for k := 0; k < len(sorted); {
-		sp := &span{start: jobs[sorted[k]].loc.Off}
-		sp.end = sp.start + int64(jobs[sorted[k]].loc.EncLen)
-		sp.members = append(sp.members, sorted[k])
-		k++
-		for k < len(sorted) {
-			loc := jobs[sorted[k]].loc
-			if loc.Off-sp.end > maxCoalesceGap {
-				break
-			}
-			if e := loc.Off + int64(loc.EncLen); e > sp.end {
-				sp.end = e
-			}
-			sp.members = append(sp.members, sorted[k])
-			k++
-		}
-		spans = append(spans, sp)
-	}
-
-	pipelined := pipelinedRemoteFetch.Load()
-
-	var mu sync.Mutex // guards bufs and firstErr across span workers
-	var bufs [][]byte
-	release = func() {
-		mu.Lock()
-		for _, b := range bufs {
-			ckptfmt.Shared.Put(b)
-		}
-		bufs = nil
-		mu.Unlock()
-		pf.Close()
-	}
-	var firstErr error
-	setErr := func(e error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = e
-		}
-		mu.Unlock()
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, remoteSpanParallelism)
-	for _, sp := range spans {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(sp *span) {
-			defer func() { <-sem; wg.Done() }()
-			var granted int64
-			if pipelined {
-				granted = bdgt.acquire(sp.end - sp.start)
-			}
-			buf := ckptfmt.Shared.Get(int(sp.end - sp.start))
-			putBack := func() {
-				ckptfmt.Shared.Put(buf)
-				bdgt.release(granted)
-			}
-			var cached, fetched, shared int64
-			var n int
-			var rerr error
-			if tr, ok := pf.(TieredReader); ok {
-				n, cached, fetched, shared, rerr = tr.ReadAtTier(buf, sp.start)
-			} else {
-				n, rerr = pf.ReadAt(buf, sp.start)
-				fetched = int64(n)
-			}
-			if rerr == nil && n < len(buf) {
-				rerr = io.ErrUnexpectedEOF
-			}
-			if rerr != nil {
-				putBack()
-				if errors.Is(rerr, os.ErrNotExist) {
-					setErr(fmt.Errorf("%w: shard %s: %v", ErrStalePack, obj, rerr))
-				} else {
-					setErr(fmt.Errorf("store: shard %s: remote read span [%d,%d): %w", obj, sp.start, sp.end, rerr))
-				}
-				return
-			}
-			var encB int64
-			for _, ji := range sp.members {
-				loc := jobs[ji].loc
-				jobs[ji].enc = buf[loc.Off-sp.start : loc.Off-sp.start+int64(loc.EncLen)]
-				encB += int64(loc.EncLen)
-			}
-			// Attribute the span's encoded frame bytes (not the raw span
-			// bytes, which include coalescing gaps) across the tiers in
-			// proportion to where the backend got the span from, so per-tier
-			// byte sums still reproduce the restore's encoded volume.
-			frames := int64(len(sp.members))
-			total := cached + fetched + shared
-			if total <= 0 {
-				p.countFetch(tierCacheTier, encB, frames, fs)
-			} else {
-				cb, cf := encB*cached/total, frames*cached/total
-				sb, sf := encB*shared/total, frames*shared/total
-				if cb > 0 || cf > 0 {
-					p.countFetch(tierCacheTier, cb, cf, fs)
-				}
-				if sb > 0 || sf > 0 {
-					p.countFetch(tierSingleflight, sb, sf, fs)
-				}
-				p.countFetch(tierRemote, encB-cb-sb, frames-cf-sf, fs)
-			}
-			if !pipelined {
-				mu.Lock()
-				bufs = append(bufs, buf)
-				mu.Unlock()
-				return
-			}
-			// Pipelined: decode this span's frames now, while other spans'
-			// GETs are still in flight, then recycle the staging buffer
-			// immediately instead of pinning it until the whole shard lands.
-			for _, ji := range sp.members {
-				if derr := p.decodeJob(&jobs[ji]); derr != nil {
-					setErr(derr)
-					break
-				}
-				jobs[ji].enc = nil
-				jobs[ji].done = true
-			}
-			putBack()
-		}(sp)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		release()
-		return nil, firstErr
-	}
-	return release, nil
-}
-
-// Scatter-read run bounds: a run of adjacent direct-read frames is read by
-// one vectored pread, so its length is capped by IOV_MAX (three vector
-// entries per frame) and the scratch it may burn on inter-frame gaps plus
-// frame overhead is bounded separately. Payload per run is also capped:
-// each run is checksummed right after its read, so a cache-sized batch
-// keeps the verify pass streaming bytes the kernel copy just made hot.
-const (
-	maxScatterFrames  = iovMax / 3
-	maxScatterScratch = 1 << 20
-	maxScatterPayload = 2 << 20
-)
-
-// scatterOverhead returns the header+trailer byte count job ji's record
-// carries around its payload if it is the plain raw frame its directory ref
-// implies, or -1 when the record cannot have that shape (it is compressed,
-// or not a section-buffer job) and must not be scatter-split.
-func scatterOverhead(j *chunkJob) int {
-	ov := int(j.loc.EncLen) - len(j.dst)
-	// A canonical raw header is 1 style byte, two equal uvarints (at least
-	// one byte each), and the 16-byte hash; plus the 4-byte trailer.
-	if ov < 1+1+1+16+4 || ov > 1+2*binary.MaxVarintLen64+16+4 {
-		return -1
-	}
-	return ov
-}
-
-// scatterRead batch-reads runs of adjacent direct-read frames with one
-// vectored pread per run: each payload lands straight in its destination
-// buffer while headers, trailers, and bounded inter-frame gaps land in a
-// recycled scratch span, collapsing the per-frame ranged reads into a
-// handful of syscalls. Each run is verified immediately after its read —
-// the checksum streams bytes the kernel copy just made cache-hot — and
-// verified jobs skip the decode phase's IO entirely. Purely best-effort:
-// jobs whose records cannot be split raw-frame-shaped, whose read fails, or
-// whose bytes turn out not to hold the assumed raw shape simply stay on
-// their per-frame path (src is already set), which re-reads precisely and
-// owns the error verdict.
-func scatterRead(pf BackendReader, jobs []chunkJob, direct []int) {
-	if !preadvSupported || len(direct) < 2 {
-		return
-	}
-	fder, ok := pf.(interface{ Fd() uintptr })
-	if !ok {
-		return
-	}
-	sorted := append([]int(nil), direct...)
-	sort.Slice(sorted, func(a, b int) bool { return jobs[sorted[a]].loc.Off < jobs[sorted[b]].loc.Off })
-	for k := 0; k < len(sorted); {
-		ov := scatterOverhead(&jobs[sorted[k]])
-		if ov < 0 {
-			k++
-			continue
-		}
-		run := []int{sorted[k]}
-		scratch := ov
-		payload := len(jobs[sorted[k]].dst)
-		pos := jobs[sorted[k]].loc.Off + int64(jobs[sorted[k]].loc.EncLen)
-		next := k + 1
-		for next < len(sorted) && len(run) < maxScatterFrames {
-			j := &jobs[sorted[next]]
-			gap := j.loc.Off - pos
-			nov := scatterOverhead(j)
-			if gap < 0 || gap > maxCoalesceGap || nov < 0 ||
-				scratch+int(gap)+nov > maxScatterScratch ||
-				payload+len(j.dst) > maxScatterPayload {
-				break
-			}
-			run = append(run, sorted[next])
-			scratch += int(gap) + nov
-			payload += len(j.dst)
-			pos = j.loc.Off + int64(j.loc.EncLen)
-			next++
-		}
-		if len(run) >= 2 {
-			scatterRun(fder.Fd(), jobs, run, scratch)
-		}
-		k = next
-	}
-}
-
-// scatterRun issues the vectored read for one run of frames and verifies
-// each frame in place while its bytes are hot, marking verified jobs done.
-// On any failure the affected jobs are left for the per-frame path.
-func scatterRun(fd uintptr, jobs []chunkJob, run []int, scratchLen int) {
-	scratch := ckptfmt.Shared.Get(scratchLen)
-	defer ckptfmt.Shared.Put(scratch)
-	iovs := make([][]byte, 0, 3*len(run))
-	hdrs := make([][]byte, len(run))
-	tails := make([][]byte, len(run))
-	sOff := 0
-	pos := jobs[run[0]].loc.Off
-	for k, ji := range run {
-		j := &jobs[ji]
-		gap := int(j.loc.Off - pos)
-		hdrLen := int(j.loc.EncLen) - len(j.dst) - 4
-		lead := scratch[sOff : sOff+gap+hdrLen]
-		sOff += gap + hdrLen
-		tail := scratch[sOff : sOff+4]
-		sOff += 4
-		iovs = append(iovs, lead, j.dst, tail)
-		hdrs[k] = lead[gap:]
-		tails[k] = tail
-		pos = j.loc.Off + int64(j.loc.EncLen)
-	}
-	if err := preadvFull(fd, iovs, jobs[run[0]].loc.Off); err != nil {
-		return
-	}
-	for k, ji := range run {
-		if h, ok, err := ckptfmt.DecodeGatheredRaw(hdrs[k], jobs[ji].dst, tails[k]); ok && err == nil {
-			jobs[ji].got = h
-			jobs[ji].pre = true
-		}
-	}
-}
-
-// acquireMapping returns the shard's cached mapping of obj when it covers
-// need bytes, or maps obj afresh (retiring any previous mapping). The
-// returned packMap carries one reference owned by the caller; release it
-// once all reads from the mapping are done.
-func (p *ChunkPool) acquireMapping(mb MappedBackend, sh *poolShard, obj string, need int64) (*packMap, error) {
-	sh.mu.Lock()
-	if pm := sh.mapped; pm != nil && sh.mappedObj == obj && int64(len(pm.m.Bytes())) >= need {
-		pm.acquireLocked()
-		sh.mu.Unlock()
-		return pm, nil
-	}
-	sh.mu.Unlock()
-
-	m, err := mb.OpenMapped(obj)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(m.Bytes())) < need {
-		// The object is shorter than a committed chunk record claims —
-		// surface through the streamed path's canonical error.
-		m.Close()
-		return nil, fmt.Errorf("store: mapping of %s covers %d bytes, need %d", obj, len(m.Bytes()), need)
-	}
-	pm := &packMap{m: m, refs: 1}
-	sh.mu.Lock()
-	old := sh.mapped
-	sh.mapped, sh.mappedObj = pm, obj
-	sh.mu.Unlock()
-	if old != nil {
-		old.retire()
-	}
-	return pm, nil
-}
-
-// shardName returns shard si's base pack name (error messages).
-func (p *ChunkPool) shardName(si int) string { return p.shardTab[si].name }
 
 // ---------------------------------------------------------------------------
 // Spool
@@ -1357,7 +704,7 @@ func openSharedPool(root string, fanout int, readOnly bool) (*ChunkPool, error) 
 	p := &ChunkPool{root: key, ctlDir: key, shared: true, fanout: fanout, readOnly: readOnly}
 	p.initShards()
 	// One backend for the pool's whole lifetime: a read-only→writable
-	// upgrade must not swap the field under concurrent readers (fetchShard
+	// upgrade must not swap the field under concurrent readers (restores
 	// and spool read it without locks). The root exists — the marker was
 	// just read or written — so the plain DirBackend needs no MkdirAll.
 	p.backend = &DirBackend{roots: []string{key}}
@@ -1989,12 +1336,7 @@ func (p *ChunkPool) gc(mark func() (map[ckptfmt.Hash]bool, error), o GCOptions, 
 		sh.chunks = sw.newMap
 		sh.packLen = sw.newLen
 		sh.spooledLen, sh.spooledGz = 0, 0
-		oldMap := sh.mapped
-		sh.mapped, sh.mappedObj = nil, ""
 		sh.mu.Unlock()
-		if oldMap != nil {
-			oldMap.retire() // unmaps once in-flight fetches release
-		}
 		sched[sw.oldObj] = now.Add(o.retention()).UnixNano()
 		res.CompactedShards++
 		res.RetiredPacks++

@@ -11,11 +11,15 @@ import (
 	"flor.dev/flor/internal/codec"
 )
 
-// preadvSupported gates the vectored scatter-read fast path in fetchShard.
-const preadvSupported = true
-
-// iovMax caps the vector length of one preadv call (IOV_MAX).
-const iovMax = 1024
+// packFd returns the file descriptor behind a pack reader when it has one:
+// the capability that selects the vectored read strategy.
+func packFd(pf BackendReader) (uintptr, bool) {
+	f, ok := pf.(interface{ Fd() uintptr })
+	if !ok {
+		return 0, false
+	}
+	return f.Fd(), true
+}
 
 // preadvFull reads len(iovs) buffers' worth of bytes starting at off, filling
 // the buffers in order, retrying short reads and EINTR until every byte is in

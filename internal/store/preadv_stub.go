@@ -4,9 +4,9 @@ package store
 
 import "errors"
 
-// preadvSupported gates the vectored scatter-read fast path in fetchShard;
-// without preadv(2) direct-read jobs use per-frame ranged reads instead.
-const preadvSupported = false
+// packFd never offers a descriptor without preadv(2): every run takes the
+// staged read strategy.
+func packFd(BackendReader) (uintptr, bool) { return 0, false }
 
 func preadvFull(fd uintptr, iovs [][]byte, off int64) error {
 	return errors.New("preadv unsupported on this platform")

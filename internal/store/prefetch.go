@@ -1,11 +1,9 @@
 package store
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"flor.dev/flor/internal/ckptfmt"
 	"flor.dev/flor/internal/obs"
 )
 
@@ -313,7 +311,7 @@ func (p *Prefetcher) warm(key Key, st *hintState, cancelled bool) {
 		for _, ref := range dir.Sections[i].Chunks {
 			si := pool.shardOf(ref.Hash)
 			byShard[si] = append(byShard[si], len(jobs))
-			jobs = append(jobs, chunkJob{sec: i, shard: si, ref: ref})
+			jobs = append(jobs, chunkJob{ref: ref})
 		}
 	}
 	if len(jobs) == 0 {
@@ -333,19 +331,10 @@ func (p *Prefetcher) warm(key Key, st *hintState, cancelled bool) {
 		return
 	}
 
+	// Speculation runs one read at a time per warm worker, stops at the
+	// first run boundary after the hint is cancelled, and swallows failures.
 	spanStart := p.tr.Now()
-	var issued int64
-	stopped := false
-	for si, idxs := range byShard {
-		if stopped {
-			break
-		}
-		issuedShard, ok := p.warmShard(pool, si, jobs, idxs, key)
-		issued += issuedShard
-		if !ok {
-			stopped = true
-		}
-	}
+	issued, _ := pool.execute(jobs, byShard, 1, func() bool { return !p.hintDead(key) }, warmRun)
 
 	p.mIssued.Add(issued)
 	prefetchIssued.Add(issued)
@@ -372,54 +361,6 @@ func (p *Prefetcher) warm(key Key, st *hintState, cancelled bool) {
 		delete(p.state, key)
 	}
 	p.cond.Broadcast() // a hint settled; Drain waiters re-check
-}
-
-// warmShard reads one shard's coalesced spans. It stops early (ok=false)
-// when the hint is cancelled between spans or the pack read fails.
-func (p *Prefetcher) warmShard(pool *ChunkPool, si int, jobs []chunkJob, idxs []int, key Key) (issued int64, ok bool) {
-	sorted := append([]int(nil), idxs...)
-	sort.Slice(sorted, func(a, b int) bool { return jobs[sorted[a]].loc.Off < jobs[sorted[b]].loc.Off })
-	obj := packObjName(pool.shardTab[si].name, jobs[sorted[0]].loc.Gen)
-	pf, err := pool.backend.Open(obj)
-	if err != nil {
-		return 0, false
-	}
-	defer pf.Close()
-	for k := 0; k < len(sorted); {
-		start := jobs[sorted[k]].loc.Off
-		end := start + int64(jobs[sorted[k]].loc.EncLen)
-		var encB int64 = int64(jobs[sorted[k]].loc.EncLen)
-		k++
-		for k < len(sorted) {
-			loc := jobs[sorted[k]].loc
-			if loc.Off-end > maxCoalesceGap {
-				break
-			}
-			if e := loc.Off + int64(loc.EncLen); e > end {
-				end = e
-			}
-			encB += int64(loc.EncLen)
-			k++
-		}
-		if p.hintDead(key) {
-			return issued, false
-		}
-		var rerr error
-		if w, ok := pf.(WarmReader); ok {
-			// Copy-free warm: the tier admits the span's blocks directly from
-			// the remote fetch, with no scratch buffer for bytes nobody reads.
-			_, rerr = w.WarmAt(start, end-start)
-		} else {
-			buf := ckptfmt.Shared.Get(int(end - start))
-			_, rerr = pf.ReadAt(buf, start)
-			ckptfmt.Shared.Put(buf)
-		}
-		if rerr != nil {
-			return issued, false
-		}
-		issued += encB
-	}
-	return issued, true
 }
 
 // hintDead reports whether key's hint was cancelled (steal, shutdown) — the

@@ -12,10 +12,11 @@ import (
 
 // ObjectBackend adapts an ObjectStore to store.Backend, so a run's chunk
 // packs can live in a shared remote pool while the control plane (FORMAT,
-// MANIFEST, segments) stays in a local run directory. It implements
-// store.TieredBackend, which switches the restore path to the remote fetch
-// strategy: coalesced spans fetched as parallel ranged GETs, attributed to
-// the "remote" and "cache-tier" fetch tiers.
+// MANIFEST, segments) stays in a local run directory. Its readers expose no
+// file descriptor, so the restore path reads each coalesced run as one
+// ranged GET, several in flight, and attributes the bytes to the "remote",
+// "cache-tier" and "singleflight" fetch tiers (store.TieredReader). It
+// implements store.TieredBackend so replays start a prefetcher over it.
 //
 // Reads go through an optional cachetier.Cache; pack appends and wholesale
 // replacements invalidate the touched object's cached blocks (correctness

@@ -67,11 +67,26 @@
 // Each shard has its own append lock and its own dedup map (the two-level
 // index: shard, then hash), so record-time spooling fans a checkpoint's
 // fresh chunks out across shards concurrently, and replay-time restores of
-// independent sections issue per-shard ranged reads instead of serializing
-// on one file descriptor. Spooling to gzip is incremental per shard: only
-// shards whose pack grew since the last spool are recompressed, so a
-// background spool cadence touches the few shards a new checkpoint dirtied
-// rather than one ever-growing pack.
+// independent sections read their shards' packs concurrently instead of
+// serializing on one file descriptor. Spooling to gzip is incremental per
+// shard: only shards whose pack grew since the last spool are recompressed,
+// so a background spool cadence touches the few shards a new checkpoint
+// dirtied rather than one ever-growing pack.
+//
+// # Restore read path
+//
+// Every restore — any layout, local or remote — and every prefetch warm runs
+// one pipeline (fetch.go): a planner offset-sorts each shard's wanted frame
+// records and cuts them into bounded runs (neighbours merge across gaps up
+// to 256 KiB), and an executor reads the runs of all shards on one bounded
+// worker group, one read call per run, decoding and hash-checking a run's
+// frames the moment its bytes land and handing out no further runs after the
+// first error. How a run's bytes are obtained follows from what the opened
+// BackendReader offers, never from a setting: a file descriptor gets one
+// vectored preadv that puts large raw payloads straight into their section
+// buffers; anything else gets one ReadAt (ReadAtTier when offered) into an
+// arena span; a warm gets WarmAt, or a read that is dropped. The results are
+// byte-identical whichever way the bytes came.
 //
 // # Manifest and crash consistency
 //
@@ -1605,32 +1620,15 @@ func (s *Store) segmentDir(key Key) (*Meta, *ckptfmt.Directory, error) {
 	return m, dir, nil
 }
 
-// chunkJob is one frame to fetch and decode while materializing sections.
-type chunkJob struct {
-	sec   int
-	shard int
-	dst   []byte        // decode destination within the section's owned buffer
-	enc   []byte        // encoded frame bytes, filled by the per-shard read phase
-	src   BackendReader // direct-read source (large frames): decode reads the pack itself
-	got   ckptfmt.Hash  // scatter-read jobs: stored hash, CRC-verified during the fetch
-	pre   bool          // scatter-read jobs: payload already in dst and verified
-	done  bool          // pipelined remote jobs: decoded and verified during the fetch
-	loc   chunkLoc
-	ref   ckptfmt.ChunkRef
-}
-
 // readSections materializes sections of a v2 directory: chunk frames are
-// fetched with per-shard reads — shards read concurrently, so restores of
-// independent sections never serialize on one file descriptor — and decoded
-// in parallel across the worker pool. Sections whose identity the optional
-// have callback claims are skipped (returned with nil Data). Per shard the
-// fetch is either a memory-mapped view of the pack or offset-sorted reads
-// coalesced into arena staging spans (see ChunkPool.fetchShard).
+// fetched and decoded by the pool's one read pipeline (see fetch.go) — runs
+// of neighbouring frames read concurrently across shards, each run decoded
+// the moment its bytes land. Sections whose identity the optional have
+// callback claims are skipped (returned with nil Data).
 //
-// Every loaded section owns a freshly allocated Data buffer: decode copies
-// out of the transient fetch memory (span buffers recycle through the arena,
-// mappings unmap once released), so Data — and any lazy payload view a
-// caller builds over it — stays valid indefinitely.
+// Every loaded section owns a freshly allocated Data buffer: decode writes
+// into it directly or copies out of transient arena spans, so Data — and any
+// lazy payload view a caller builds over it — stays valid indefinitely.
 //
 // The have callback is invoked without any store lock held, and each
 // shard's lock is taken only briefly to resolve chunk locations: concurrent
@@ -1673,7 +1671,7 @@ func (s *Store) readSections(m *Meta, dir *ckptfmt.Directory, have func(ckptfmt.
 		off := 0
 		for _, ref := range ds.Chunks {
 			si := p.shardOf(ref.Hash)
-			j := chunkJob{sec: i, shard: si, ref: ref, dst: buf[off : off+ref.RawLen]}
+			j := chunkJob{ref: ref, dst: buf[off : off+ref.RawLen]}
 			off += ref.RawLen
 			byShard[si] = append(byShard[si], len(jobs))
 			jobs = append(jobs, j)
@@ -1685,104 +1683,9 @@ func (s *Store) readSections(m *Meta, dir *ckptfmt.Directory, have func(ckptfmt.
 	if len(jobs) == 0 {
 		return secs, nil
 	}
-
-	// Phase 3: fetch each shard's frames, shards in parallel (inline when a
-	// single shard is involved — the unsharded layout and small restores).
-	// Each fetch returns a release callback that recycles its staging spans
-	// (or drops its mapping reference); the enc slices die with phase 4, so
-	// releases run only after every decode finished. Remote fetches share
-	// one per-restore in-flight byte budget across all shards, and on the
-	// pipelined path may hand jobs back already decoded (done set) — phase 4
-	// skips those.
-	bdgt := newByteBudget(restoreInflightBudget)
-	releases := make([]func(), 0, len(byShard))
-	defer func() {
-		for _, r := range releases {
-			r()
-		}
-	}()
-	if len(byShard) == 1 {
-		for si, idxs := range byShard {
-			rel, err := p.fetchShard(si, jobs, idxs, fs, bdgt)
-			if err != nil {
-				return nil, err
-			}
-			releases = append(releases, rel)
-		}
-	} else {
-		shardErrs := make([]error, p.Fanout())
-		shardRels := make([]func(), p.Fanout())
-		var wg sync.WaitGroup
-		for si, idxs := range byShard {
-			wg.Add(1)
-			go func(si int, idxs []int) {
-				defer wg.Done()
-				shardRels[si], shardErrs[si] = p.fetchShard(si, jobs, idxs, fs, bdgt)
-			}(si, idxs)
-		}
-		wg.Wait()
-		for _, rel := range shardRels {
-			if rel != nil {
-				releases = append(releases, rel)
-			}
-		}
-		for _, err := range shardErrs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Phase 4: parse and decode every frame in parallel across the pool.
-	// The CRC covers the whole frame and the directory pins the content
-	// hash, so the decode skips the redundant hash recompute — and for raw
-	// frames ParseDecodeInto fuses copy and CRC into one pass over the
-	// (cold, often memory-mapped) source, checksumming the hot copy instead:
-	// deterministic decoding of CRC-clean bytes into the checked hash's
-	// frame cannot diverge.
-	errs := make([]error, len(jobs))
-	ckptfmt.ParallelDo(len(jobs), func(i int) {
-		j := jobs[i]
-		if j.done {
-			// Pipelined remote job: decoded and hash-verified inline while
-			// its span's GET neighbors were still in flight.
-			return
-		}
-		var hash ckptfmt.Hash
-		if j.pre {
-			// Scatter-read job: the vectored fetch already put the payload in
-			// dst and CRC-verified it against the on-disk header while the
-			// bytes were cache-hot; only the directory check remains.
-			hash = j.got
-		} else if j.src != nil {
-			// Direct-read job: the directory ref pins the expected raw length
-			// and hash, so the common case is one ranged read of the payload
-			// straight into the destination plus the 4-byte trailer — no
-			// header read. Still fully parallel: pread is concurrency-safe.
-			h, err := ckptfmt.DecodeExpectedFrameAt(j.src, j.loc.Off, int(j.loc.EncLen), j.ref.Hash, j.dst)
-			if err != nil {
-				errs[i] = fmt.Errorf("store: shard %s frame at %d: %w", p.shardName(j.shard), j.loc.Off, err)
-				return
-			}
-			hash = h
-		} else {
-			frame, err := ckptfmt.ParseDecodeInto(j.enc, j.dst)
-			if err != nil {
-				errs[i] = fmt.Errorf("store: shard %s frame at %d: %w", p.shardName(j.shard), j.loc.Off, err)
-				return
-			}
-			hash = frame.Hash
-		}
-		if hash != j.ref.Hash {
-			errs[i] = fmt.Errorf("%w: shard %s frame at %d holds %s, directory wants %s",
-				codec.ErrCorrupt, p.shardName(j.shard), j.loc.Off, hash, j.ref.Hash)
-			return
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	// Phase 3: fetch and decode every frame into its section buffer.
+	if err := p.fetch(jobs, byShard, fs); err != nil {
+		return nil, err
 	}
 	return secs, nil
 }

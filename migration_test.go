@@ -14,6 +14,7 @@ import (
 	"flor.dev/flor/internal/replay"
 	"flor.dev/flor/internal/store"
 	"flor.dev/flor/internal/store/cachetier"
+	"flor.dev/flor/internal/store/faultbackend"
 	"flor.dev/flor/internal/store/remote"
 	"flor.dev/flor/internal/tensor"
 	"flor.dev/flor/internal/xrand"
@@ -152,8 +153,8 @@ func compressibleFactory(epochs, steps int) func() *flor.Program {
 // TestRestoreMatrixByteIdentical is the frame-style × IO-path × parallelism
 // matrix: the same program recorded under each frame style (adaptive,
 // forced deflate, forced LZ4) must replay byte-identical logs whether the
-// pack bytes arrive through memory-mapped views or streamed coalesced
-// reads, and at any worker count. It also pins the LZ4 marker latch: only
+// pack bytes arrive through vectored reads of a file descriptor or staged
+// ranged reads, and at any worker count. It also pins the LZ4 marker latch: only
 // the store that committed LZ4 frames carries the "lz4" FORMAT token that
 // makes older builds refuse it.
 func TestRestoreMatrixByteIdentical(t *testing.T) {
@@ -191,26 +192,43 @@ func TestRestoreMatrixByteIdentical(t *testing.T) {
 		if hasLZ4 := strings.Contains(string(marker), "lz4"); hasLZ4 != sv.wantLZ4 {
 			t.Fatalf("%s: marker %q lz4 token = %v, want %v", sv.name, marker, hasLZ4, sv.wantLZ4)
 		}
-		for _, mmapOn := range []bool{true, false} {
-			prev := store.SetMmapPackReads(mmapOn)
-			for _, workers := range []int{1, 3} {
-				res, err := flor.Replay(dir, probed, flor.Workers(workers), flor.Init(flor.WeakInit))
+		// The IO axis is chosen the way production chooses it — by what the
+		// backend's pack readers can do: the plain directory backend hands out
+		// files (vectored preadv on Linux), the same backend behind a
+		// zero-fault wrapper hands out readers with no descriptor (staged
+		// ReadAt spans).
+		ios := []struct {
+			name    string
+			backend func() store.Backend
+		}{
+			{"vectored", func() store.Backend { return nil }},
+			{"staged", func() store.Backend {
+				db, err := store.NewDirBackend(dir)
 				if err != nil {
-					store.SetMmapPackReads(prev)
-					t.Fatalf("%s mmap=%v workers=%d: replay: %v", sv.name, mmapOn, workers, err)
+					t.Fatal(err)
+				}
+				return faultbackend.WrapBackend(db, faultbackend.Config{})
+			}},
+		}
+		for _, iom := range ios {
+			for _, workers := range []int{1, 3} {
+				rec, err := core.LoadRecordingWith(dir, store.Options{ReadOnly: true, Backend: iom.backend()})
+				if err != nil {
+					t.Fatalf("%s io=%s: open: %v", sv.name, iom.name, err)
+				}
+				res, err := replay.Replay(rec, probed, replay.Options{Workers: workers, Init: replay.Weak})
+				if err != nil {
+					t.Fatalf("%s io=%s workers=%d: replay: %v", sv.name, iom.name, workers, err)
 				}
 				if len(res.Anomalies) != 0 {
-					store.SetMmapPackReads(prev)
-					t.Fatalf("%s mmap=%v workers=%d: anomalies %v", sv.name, mmapOn, workers, res.Anomalies)
+					t.Fatalf("%s io=%s workers=%d: anomalies %v", sv.name, iom.name, workers, res.Anomalies)
 				}
 				if ref == nil {
 					ref = res.Logs
 				} else if err := sameLogs(ref, res.Logs); err != nil {
-					store.SetMmapPackReads(prev)
-					t.Fatalf("%s mmap=%v workers=%d: logs diverge: %v", sv.name, mmapOn, workers, err)
+					t.Fatalf("%s io=%s workers=%d: logs diverge: %v", sv.name, iom.name, workers, err)
 				}
 			}
-			store.SetMmapPackReads(prev)
 		}
 	}
 }
