@@ -3,12 +3,12 @@
 //
 // Usage:
 //
-//	florbench [-exp all|table3|fig5|fig7|fig10|fig11|fig12|fig13|fig14|table4|ser-vs-io|cfactor|ckpt-throughput|replay-scaleout|serve-throughput]
+//	florbench [-exp all|table3|fig5|fig7|fig10|fig11|fig12|fig13|fig14|table4|ser-vs-io|cfactor|ckpt-throughput|serve-throughput]
 //	          [-scale full|smoke] [-dir DIR] [-benchdir DIR]
 //
-// The ckpt-throughput, replay-scaleout, and serve-throughput experiments
-// additionally persist their reports as BENCH_ckpt.json, BENCH_replay.json,
-// and BENCH_serve.json in -benchdir (default: the working directory),
+// The ckpt-throughput and serve-throughput experiments additionally persist
+// their reports as BENCH_ckpt.json and BENCH_serve.json in -benchdir
+// (default: the working directory),
 // forming the repository's benchmark trajectory; README.md documents the
 // schemas.
 package main
@@ -36,7 +36,7 @@ func writeBenchJSON(dir, name string, report any) error {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (comma separated): all, table3, fig5, fig7, fig10, fig11, fig12, fig13, fig14, table4, ser-vs-io, cfactor, ckpt-throughput, replay-scaleout, serve-throughput")
+	exp := flag.String("exp", "all", "experiment to run (comma separated): all, table3, fig5, fig7, fig10, fig11, fig12, fig13, fig14, table4, ser-vs-io, cfactor, ckpt-throughput, serve-throughput")
 	scale := flag.String("scale", "full", "workload scale: full (paper epoch counts) or smoke")
 	dir := flag.String("dir", "", "run directory (default: a temp directory)")
 	benchdir := flag.String("benchdir", ".", "directory for BENCH_*.json trajectory files")
@@ -91,13 +91,6 @@ func main() {
 			return err
 		}
 		return writeBenchJSON(*benchdir, "BENCH_ckpt.json", rep)
-	})
-	run("replay-scaleout", func() error {
-		rep, err := s.ReplayScaleout()
-		if err != nil {
-			return err
-		}
-		return writeBenchJSON(*benchdir, "BENCH_replay.json", rep)
 	})
 	run("serve-throughput", func() error {
 		rep, err := s.ServeThroughput()

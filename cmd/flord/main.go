@@ -41,7 +41,7 @@
 //	POST /v1/runs               {"id":"x","dir":"...","program":"ImgN"} — register a
 //	                            recorded dir against a Table 3 workload; dirs are
 //	                            confined under -dir, and unknown store formats 400
-//	POST /v1/runs/{id}/replay   {"probe":"outer","workers":4,"scheduler":"stealing"}
+//	POST /v1/runs/{id}/replay   {"probe":"outer","workers":4,"init":"weak"}
 //	POST /v1/runs/{id}/warm     warm a remote run's chunk-cache tier (synchronous)
 //	GET  /v1/runs/{id}/logs?iters=3,7&probe=outer
 //	GET  /v1/runs/{id}/trace/{trace_id}

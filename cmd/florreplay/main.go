@@ -5,8 +5,7 @@
 // Usage:
 //
 //	florreplay -workload RsNt -dir ./run-rsnt -probe outer|inner|none
-//	           [-workers 4] [-init strong|weak] [-sched static|balanced|stealing]
-//	           [-scale smoke|full]
+//	           [-workers 4] [-init strong|weak] [-scale smoke|full]
 //
 // The outer probe logs the model's weight norm each epoch (satisfied by
 // partial replay: the training loop is skipped). The inner probe logs the
@@ -29,7 +28,6 @@ func main() {
 	probe := flag.String("probe", "outer", "hindsight probe position: outer, inner, none")
 	workers := flag.Int("workers", 1, "degree of hindsight parallelism")
 	initMode := flag.String("init", "strong", "worker initialization: strong or weak")
-	sched := flag.String("sched", "static", "replay scheduler: static, balanced, stealing")
 	scale := flag.String("scale", "full", "workload scale used at record time")
 	flag.Parse()
 
@@ -59,22 +57,13 @@ func main() {
 	if *initMode == "weak" {
 		opts = append(opts, flor.Init(flor.WeakInit))
 	}
-	switch *sched {
-	case "static":
-	case "balanced":
-		opts = append(opts, flor.WithScheduler(flor.SchedulerBalanced))
-	case "stealing":
-		opts = append(opts, flor.WithScheduler(flor.SchedulerStealing))
-	default:
-		log.Fatalf("florreplay: unknown scheduler %q", *sched)
-	}
 
 	res, err := flor.Replay(*dir, factory, opts...)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("replayed %s with %q probe on %d worker(s) [%s scheduler, %d steals] in %.3fs\n",
-		spec.Name, *probe, res.Workers, res.Scheduler, res.Steals, float64(res.WallNs)/1e9)
+	fmt.Printf("replayed %s with %q probe on %d worker(s) [%d steals] in %.3fs\n",
+		spec.Name, *probe, res.Workers, res.Steals, float64(res.WallNs)/1e9)
 	if len(res.ProbedLoops) > 0 {
 		fmt.Printf("probed loops: %v\n", res.ProbedLoops)
 	}

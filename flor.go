@@ -143,25 +143,6 @@ const (
 	WeakInit = replay.Weak
 )
 
-// Scheduler selects how replay distributes main-loop iterations over
-// parallel workers.
-type Scheduler = replay.Scheduler
-
-// Replay scheduling policies.
-const (
-	// SchedulerStatic splits iterations uniformly with static assignment
-	// (the paper's generator partitioning; default).
-	SchedulerStatic = replay.SchedStatic
-	// SchedulerBalanced splits by recorded per-iteration cost, snapping
-	// segment boundaries to materialized checkpoints.
-	SchedulerBalanced = replay.SchedBalanced
-	// SchedulerStealing additionally lets idle workers steal the trailing
-	// half of the heaviest remaining segment, re-initializing from the
-	// nearest checkpoint. Logs still merge deterministically in iteration
-	// order.
-	SchedulerStealing = replay.SchedStealing
-)
-
 // DefaultEpsilon is the paper's record overhead tolerance, 1/15 ≈ 6.67 %.
 const DefaultEpsilon = adapt.DefaultEpsilon
 
@@ -260,14 +241,6 @@ func Init(m InitMode) Option {
 	return func(o *options) { o.rep.Init = m }
 }
 
-// WithScheduler selects the replay scheduling policy (default
-// SchedulerStatic). SchedulerBalanced and SchedulerStealing use the
-// per-iteration timings captured during record to equalize worker makespans
-// under skewed iteration costs.
-func WithScheduler(s Scheduler) Option {
-	return func(o *options) { o.rep.Scheduler = s }
-}
-
 // RecordResult reports a record run.
 type RecordResult struct {
 	// WallNs is the instrumented run's duration including materialization
@@ -313,11 +286,9 @@ type ReplayResult struct {
 	Anomalies []Anomaly
 	// WallNs is the replay's wall-clock duration.
 	WallNs int64
-	// Workers is the number of parallel workers used.
+	// Workers is the number of parallel workers that ran.
 	Workers int
-	// Scheduler is the scheduling policy the replay ran under.
-	Scheduler Scheduler
-	// Steals counts the leases idle workers stole (SchedulerStealing only).
+	// Steals counts the leases idle workers cut off a busy worker's lease.
 	Steals int
 }
 
@@ -347,7 +318,6 @@ func Replay(dir string, factory func() *Program, opts ...Option) (*ReplayResult,
 		Anomalies:   res.Anomalies,
 		WallNs:      res.WallNs,
 		Workers:     len(res.Workers),
-		Scheduler:   res.Scheduler,
 		Steals:      res.Steals,
 	}, nil
 }

@@ -247,29 +247,6 @@ func TestCFactorPositive(t *testing.T) {
 	}
 }
 
-func TestReplayScaleoutAcceptance(t *testing.T) {
-	s := smokeSession(t)
-	rep, err := s.ReplayScaleout()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.BalancedGainZipfG8 < 1.5 {
-		t.Fatalf("balanced gain on zipf at G=8 = %.2fx, want >= 1.5x", rep.BalancedGainZipfG8)
-	}
-	if rep.StealingGainZipfG8 < 1.5 {
-		t.Fatalf("stealing gain on zipf at G=8 = %.2fx, want >= 1.5x", rep.StealingGainZipfG8)
-	}
-	if rep.UniformWorstVsStatic < 0.999 {
-		t.Fatalf("uniform scenario regressed: worst vs-static ratio %.3f", rep.UniformWorstVsStatic)
-	}
-	// G >= 8 rows on zipf must all clear the bar, not just the headline.
-	for _, r := range rep.Rows {
-		if r.Scenario == "zipf" && r.G >= 8 && r.Scheduler != "static" && r.VsStatic < 1.5 {
-			t.Fatalf("zipf G=%d %s vs static = %.2fx, want >= 1.5x", r.G, r.Scheduler, r.VsStatic)
-		}
-	}
-}
-
 func TestServeThroughputSmoke(t *testing.T) {
 	s := smokeSession(t)
 	old := ServeQueryCount

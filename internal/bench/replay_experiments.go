@@ -77,10 +77,10 @@ func (s *Session) Fig12() (*Fig12Report, error) {
 		if e := wr.Epochs(); e < row.InnerWorkers {
 			row.InnerWorkers = e
 		}
-		vr := cluster.Simulate(wr.IterationCosts(), row.InnerWorkers, replay.Weak, true)
+		vr := cluster.Simulate(wr.IterationCosts(), row.InnerWorkers, replay.Weak, true, nil)
 		row.InnerVirtSpeedup = vr.SpeedupFactor
 		row.InnerVirtReplayNs = vr.MakespanNs
-		outerPar := cluster.Simulate(wr.IterationCosts(), row.InnerWorkers, replay.Weak, false)
+		outerPar := cluster.Simulate(wr.IterationCosts(), row.InnerWorkers, replay.Weak, false, nil)
 		row.OuterParSpeedup = outerPar.SpeedupFactor
 		rep.Rows = append(rep.Rows, row)
 	}
@@ -126,8 +126,8 @@ func (s *Session) Fig10() (*Fig10Report, error) {
 			return nil, err
 		}
 		costs := wr.IterationCosts()
-		strong := cluster.Simulate(costs, g, replay.Strong, true)
-		weak := cluster.Simulate(costs, g, replay.Weak, true)
+		strong := cluster.Simulate(costs, g, replay.Strong, true, nil)
+		weak := cluster.Simulate(costs, g, replay.Weak, true, nil)
 		n := wr.Epochs()
 		per := (n + g - 1) / g
 		rep.Rows = append(rep.Rows, Fig10Row{
@@ -168,7 +168,7 @@ func (s *Session) Fig13() (*Fig13Report, error) {
 	costs := wr.IterationCosts()
 	n := wr.Epochs()
 	for _, g := range []int{1, 4, 8, 12, 16} {
-		vr := cluster.Simulate(costs, g, replay.Weak, true)
+		vr := cluster.Simulate(costs, g, replay.Weak, true, nil)
 		rep.GPUs = append(rep.GPUs, g)
 		rep.Speedup = append(rep.Speedup, vr.SpeedupFactor)
 		rep.Ideal = append(rep.Ideal, replay.MaxSpeedup(n, g))
@@ -221,14 +221,14 @@ func (s *Session) Fig14() (*Fig14Report, error) {
 			return nil, err
 		}
 		costs := wr.IterationCosts()
-		serial := cluster.Simulate(costs, 1, replay.Weak, true)
+		serial := cluster.Simulate(costs, 1, replay.Weak, true, nil)
 		_, serialCost := cluster.ReplayCost(serial, cluster.P32xLarge())
 
 		g := paperGPUPool
 		if e := wr.Epochs(); e < g {
 			g = e
 		}
-		par := cluster.Simulate(costs, g, replay.Weak, true)
+		par := cluster.Simulate(costs, g, replay.Weak, true, nil)
 		machines, parCost := cluster.ReplayCost(par, cluster.P38xLarge())
 		rep.Rows = append(rep.Rows, Fig14Row{
 			Name:     name,

@@ -124,80 +124,36 @@ func (c *IterationCosts) schedCosts(probedInner bool) *sched.Costs {
 type VirtualReplay struct {
 	Workers       int
 	Init          replay.InitMode
-	Scheduler     sched.Policy
 	ProbedInner   bool // inner probe: work iterations execute; else they restore
 	WorkerNs      []int64
 	MakespanNs    int64
 	SequentialNs  int64 // one worker doing everything (vanilla re-execution)
 	SpeedupFactor float64
-	Steals        int // leases created by stealing (SchedStealing only)
+	Steals        int // leases created by stealing
 }
 
-// Simulate computes the virtual makespan of replaying n iterations over G
-// workers given measured iteration costs, under the static scheduler.
-// Initialization iterations cost restore time (strong) or a single restore
-// (weak); work iterations cost compute time when the inner loop is probed,
-// restore time otherwise.
-func Simulate(costs *IterationCosts, g int, init replay.InitMode, probedInner bool) *VirtualReplay {
-	return SimulateSched(costs, g, init, probedInner, sched.Static)
-}
-
-// SimulateSched computes the virtual makespan under a chosen scheduling
-// policy. It runs the same partitioners and stealing policy the real replay
-// engine uses (internal/sched), so the virtual scale-out behind Figures
-// 10/13 — and the replay-scaleout benchmark comparing schedulers under
-// skewed costs — reflects what a replay would actually do.
-func SimulateSched(costs *IterationCosts, g int, init replay.InitMode, probedInner bool, policy sched.Policy) *VirtualReplay {
-	return SimulateSchedTraced(costs, g, init, probedInner, policy, nil)
-}
-
-// SimulateSchedTraced is SimulateSched with an optional virtual-time span
-// trace (obs.NewVirtualTrace): each simulated worker's setup, checkpoint
-// catch-up, and work phases are recorded as spans stamped with the same
-// virtual nanoseconds the makespan uses. The simulation is deterministic, so
-// two traces of identical inputs are byte-identical NDJSON — diffable
-// records of what the scheduler decided. A nil tr traces nothing.
-func SimulateSchedTraced(costs *IterationCosts, g int, init replay.InitMode, probedInner bool, policy sched.Policy, tr *obs.Trace) *VirtualReplay {
-	sc := costs.schedCosts(probedInner)
-	vr := &VirtualReplay{Workers: g, Init: init, ProbedInner: probedInner, Scheduler: policy}
-
-	var seq int64 = costs.SetupNs
+// Simulate computes the virtual makespan of replaying the measured
+// iterations over g workers. It runs sched.Simulate — the partitioner and
+// lease executor the real replay engine runs, under a virtual clock — so the
+// scale-out behind Figures 10/13/14 reflects what a replay would actually
+// do. Initialization iterations cost restore time (strong) or a single
+// restore (weak); work iterations cost compute time when the inner loop is
+// probed, restore time otherwise.
+//
+// A non-nil tr (obs.NewVirtualTrace) receives each simulated worker's setup,
+// checkpoint catch-up and work phases as spans stamped with the same virtual
+// nanoseconds the makespan uses; two traces of identical inputs are
+// byte-identical NDJSON.
+func Simulate(costs *IterationCosts, g int, init replay.InitMode, probedInner bool, tr *obs.Trace) *VirtualReplay {
+	vr := &VirtualReplay{Workers: g, Init: init, ProbedInner: probedInner}
+	vr.SequentialNs = costs.SetupNs
 	for _, c := range costs.ComputNs {
-		seq += c
+		vr.SequentialNs += c
 	}
-	vr.SequentialNs = seq
-
-	switch policy {
-	case sched.Stealing:
-		sim := sched.SimulateStealingTraced(sc, g, init, nil, tr)
-		vr.WorkerNs = sim.WorkerNs
-		vr.MakespanNs = sim.MakespanNs
-		vr.Steals = sim.Steals
-	default:
-		var segs [][2]int
-		if policy == sched.Balanced {
-			segs = sched.PartitionBalanced(sc, g)
-		} else {
-			segs = sched.PartitionStatic(sc.N(), g)
-		}
-		for i, seg := range segs {
-			initNs := sc.InitCostNs(seg[0], init, nil)
-			workNs := sc.WorkCostNs(seg[0], seg[1])
-			w := sc.SetupNs + initNs + workNs
-			vr.WorkerNs = append(vr.WorkerNs, w)
-			if w > vr.MakespanNs {
-				vr.MakespanNs = w
-			}
-			if tr != nil {
-				tr.Add(obs.Span{Name: "setup", Worker: i, StartNs: 0, DurNs: sc.SetupNs})
-				tr.Add(obs.Span{Name: "init", Worker: i, StartNs: sc.SetupNs, DurNs: initNs,
-					Attrs: map[string]int64{"start": int64(seg[0]), "stolen": 0}})
-				tr.Add(obs.Span{Name: "work", Worker: i, StartNs: sc.SetupNs + initNs, DurNs: workNs,
-					Attrs: map[string]int64{"start": int64(seg[0]), "end": int64(seg[1]), "stolen": 0}})
-				tr.Add(obs.Span{Name: "worker", Worker: i, StartNs: 0, DurNs: w})
-			}
-		}
-	}
+	sim := sched.Simulate(costs.schedCosts(probedInner), g, init, nil, tr)
+	vr.WorkerNs = sim.WorkerNs
+	vr.MakespanNs = sim.MakespanNs
+	vr.Steals = sim.Steals
 	if vr.MakespanNs > 0 {
 		vr.SpeedupFactor = float64(vr.SequentialNs) / float64(vr.MakespanNs)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"flor.dev/flor/internal/obs"
 	"flor.dev/flor/internal/replay"
-	"flor.dev/flor/internal/sched"
 	"flor.dev/flor/internal/xrand"
 )
 
@@ -26,10 +25,10 @@ func seededCosts(n int, seed uint64) *IterationCosts {
 
 // simNDJSON runs one traced virtual-time simulation and returns the
 // canonical NDJSON span log.
-func simNDJSON(t *testing.T, costs *IterationCosts, g int, policy sched.Policy) []byte {
+func simNDJSON(t *testing.T, costs *IterationCosts, g int) []byte {
 	t.Helper()
 	tr := obs.NewVirtualTrace()
-	vr := SimulateSchedTraced(costs, g, replay.Weak, true, policy, tr)
+	vr := Simulate(costs, g, replay.Weak, true, tr)
 	if vr.MakespanNs <= 0 {
 		t.Fatalf("simulation produced no makespan: %+v", vr)
 	}
@@ -40,34 +39,31 @@ func simNDJSON(t *testing.T, costs *IterationCosts, g int, policy sched.Policy) 
 	return buf.Bytes()
 }
 
-// TestSimTraceDeterministic pins the tentpole's determinism guarantee: two
-// same-seed virtual-time simulation runs emit byte-identical span logs, for
-// both the stealing event loop and the partitioned schedulers.
+// TestSimTraceDeterministic pins the simulator's determinism guarantee: two
+// same-seed virtual-time simulation runs emit byte-identical span logs.
 func TestSimTraceDeterministic(t *testing.T) {
-	for _, policy := range []sched.Policy{sched.Static, sched.Balanced, sched.Stealing} {
-		a := simNDJSON(t, seededCosts(64, 7), 5, policy)
-		b := simNDJSON(t, seededCosts(64, 7), 5, policy)
-		if !bytes.Equal(a, b) {
-			t.Errorf("%v: same-seed traces differ:\n--- first\n%s\n--- second\n%s", policy, a, b)
-		}
-		if len(bytes.TrimSpace(a)) == 0 {
-			t.Errorf("%v: trace empty", policy)
-		}
-		// Different seeds must actually change the trace, or the equality
-		// above proves nothing.
-		if c := simNDJSON(t, seededCosts(64, 8), 5, policy); bytes.Equal(a, c) {
-			t.Errorf("%v: traces identical across different seeds", policy)
-		}
+	a := simNDJSON(t, seededCosts(64, 7), 5)
+	b := simNDJSON(t, seededCosts(64, 7), 5)
+	if !bytes.Equal(a, b) {
+		t.Errorf("same-seed traces differ:\n--- first\n%s\n--- second\n%s", a, b)
+	}
+	if len(bytes.TrimSpace(a)) == 0 {
+		t.Error("trace empty")
+	}
+	// Different seeds must actually change the trace, or the equality above
+	// proves nothing.
+	if c := simNDJSON(t, seededCosts(64, 8), 5); bytes.Equal(a, c) {
+		t.Error("traces identical across different seeds")
 	}
 }
 
-// TestSimTraceAccounting cross-checks the stealing trace against the
-// simulation's own numbers: per-worker span sums equal WorkerNs, work spans
+// TestSimTraceAccounting cross-checks the trace against the simulation's own
+// numbers: per-worker span sums equal WorkerNs, work spans
 // cover every iteration exactly once, and stolen work spans match Steals.
 func TestSimTraceAccounting(t *testing.T) {
 	costs := seededCosts(64, 7)
 	tr := obs.NewVirtualTrace()
-	vr := SimulateSchedTraced(costs, 5, replay.Weak, true, sched.Stealing, tr)
+	vr := Simulate(costs, 5, replay.Weak, true, tr)
 
 	covered := make([]int, 64)
 	stolenWork := 0
@@ -108,7 +104,7 @@ func TestSimTraceAccounting(t *testing.T) {
 func TestSimTraceSpansWellFormed(t *testing.T) {
 	costs := seededCosts(32, 3)
 	tr := obs.NewVirtualTrace()
-	vr := SimulateSchedTraced(costs, 4, replay.Weak, true, sched.Stealing, tr)
+	vr := Simulate(costs, 4, replay.Weak, true, tr)
 	var buf bytes.Buffer
 	if err := tr.WriteNDJSON(&buf); err != nil {
 		t.Fatal(err)

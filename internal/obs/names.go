@@ -165,7 +165,7 @@ var Catalog = []Def{
 	{MSchedStealAttempts, KindCounter, nil, "Steal attempts against the lease executor (profitable or not)."},
 	{MSchedLeaseSplits, KindCounter, nil, "Leases split by a profitable steal."},
 	// replay
-	{MReplayReplays, KindCounter, nil, "Completed replays (all schedulers)."},
+	{MReplayReplays, KindCounter, nil, "Completed replays."},
 	{MReplayIterations, KindCounter, nil, "Main-loop iterations executed in replay work phases."},
 	{MReplayRestoreNs, KindCounter, nil, "Nanoseconds replay workers spent restoring checkpoints."},
 	{MReplayWorkNs, KindCounter, nil, "Nanoseconds replay workers spent in work phases."},

@@ -2,9 +2,11 @@ package replay_test
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
+	"flor.dev/flor/internal/obs"
 	"flor.dev/flor/internal/replay"
 	"flor.dev/flor/internal/script"
 )
@@ -43,36 +45,51 @@ func TestGeneratorAnyGEqualsSequential(t *testing.T) {
 	}
 }
 
-// TestWorkerSegmentsAccountable verifies the reported worker segments are a
-// disjoint ordered cover of the epoch range and that each worker's log
-// volume corresponds to its segment.
-func TestWorkerSegmentsAccountable(t *testing.T) {
+// TestWorkerLeasesAccountable verifies the leases the workers executed (the
+// trace's work spans) are a disjoint ordered cover of the epoch range and
+// that each worker's log volume corresponds to the epochs it ran.
+func TestWorkerLeasesAccountable(t *testing.T) {
 	factory := trainFactory(9, 2)
 	rec := record(t, factory)
-	res, err := replay.Replay(rec.Recording, addOuterProbe(factory), replay.Options{Workers: 4})
+	tr := obs.NewTrace()
+	res, err := replay.Replay(rec.Recording, addOuterProbe(factory), replay.Options{Workers: 4, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := 0
-	for _, w := range res.Workers {
-		if w.Segment[0] != next {
-			t.Fatalf("worker %d starts at %d, want %d", w.PID, w.Segment[0], next)
+	var leases []obs.Span
+	epochs := map[int]int{} // per worker
+	tailWorker := -1
+	for _, sp := range tr.Spans() {
+		if sp.Name == "work" {
+			leases = append(leases, sp)
+			epochs[sp.Worker] += int(sp.Attrs["end"] - sp.Attrs["start"])
+			if sp.Attrs["end"] == 9 {
+				tailWorker = sp.Worker
+			}
 		}
-		next = w.Segment[1]
-		epochs := w.Segment[1] - w.Segment[0]
-		// Two log lines per epoch (probe + loss); the last worker adds the
-		// tail line.
-		want := 2 * epochs
-		if w.PID == len(res.Workers)-1 {
+	}
+	sort.Slice(leases, func(i, j int) bool { return leases[i].Attrs["start"] < leases[j].Attrs["start"] })
+	next := int64(0)
+	for _, sp := range leases {
+		if sp.Attrs["start"] != next {
+			t.Fatalf("lease %v starts at %d, want %d", sp.Attrs, sp.Attrs["start"], next)
+		}
+		next = sp.Attrs["end"]
+	}
+	if next != 9 {
+		t.Fatalf("leases cover up to %d, want 9", next)
+	}
+	for _, w := range res.Workers {
+		// Two log lines per epoch (probe + loss); the worker whose lease
+		// ends the loop adds the tail line.
+		want := 2 * epochs[w.PID]
+		if w.PID == tailWorker {
 			want++
 		}
 		if len(w.Logs) != want {
 			t.Fatalf("worker %d: %d log lines for %d epochs (want %d):\n%s",
-				w.PID, len(w.Logs), epochs, want, strings.Join(w.Logs, "\n"))
+				w.PID, len(w.Logs), epochs[w.PID], want, strings.Join(w.Logs, "\n"))
 		}
-	}
-	if next != 9 {
-		t.Fatalf("segments cover up to %d, want 9", next)
 	}
 }
 

@@ -2,8 +2,11 @@
 // diff, partial replay through SkipBlocks, and hindsight parallelism via the
 // Flor generator (paper §3.2, §5.4).
 //
-// A replay partitions the main loop's iterator into contiguous segments
-// (internal/sched owns the partitioners and the work-stealing executor).
+// A replay cuts the main loop's iterator into contiguous, checkpoint-anchored
+// leases (internal/sched owns the partitioner and the lease executor) and
+// runs one worker loop over them: a worker claims a lease, executes it, and
+// comes back for another — an initial lease nobody has started, else the
+// trailing part of the lease most profitable to split.
 // Every worker executes the same instrumented program from the beginning:
 // setup runs logically (imports, data loading, model construction), then the
 // generator drives the main loop through two phases —
@@ -11,14 +14,16 @@
 //	init_sgmnt: iterations replayed in SkipBlock initialization mode, which
 //	            skips nested loops by restoring their Loop End Checkpoints.
 //	            Strong initialization covers every iteration before the
-//	            worker's segment; weak initialization jumps to the nearest
-//	            materialized checkpoint at or before segment start.
+//	            worker's first lease; weak initialization jumps to the nearest
+//	            materialized checkpoint at or before the lease start. A worker
+//	            moving on to a lease that does not start where its state sits
+//	            always re-initializes the weak way.
 //	work_sgmnt: the worker's own iterations in replay-execution mode, where
 //	            probed loops re-execute (producing the hindsight logs) and
 //	            unprobed loops restore.
 //
-// Workers share nothing and never communicate beyond the lease bookkeeping
-// of the stealing scheduler; each executed span of iterations carries its
+// Workers share nothing and never communicate beyond the executor's lease
+// bookkeeping; each executed span of iterations carries its
 // own log lines, and spans are merged in iteration order before the merged
 // log is diffed against the record log (deferred correctness check, §5.2.2).
 package replay
@@ -53,21 +58,17 @@ const (
 	Weak   = sched.Weak
 )
 
-// Scheduler selects how main-loop iterations are distributed over workers.
-type Scheduler = sched.Policy
+// Scheduler is accepted and ignored. Replay has one scheduler; the type and
+// its constants survive only because cmd/florperf (frozen outside [benchmark]
+// PRs) names SchedBalanced. The next [benchmark] PR can drop that reference
+// and, with it, this type, the constants and Options.Scheduler.
+type Scheduler int
 
-// Replay scheduling policies.
+// Former scheduling policies; all three now select the same (only) executor.
 const (
-	// SchedStatic assigns uniform contiguous segments statically (the
-	// original Flor generator partitioning).
-	SchedStatic = sched.Static
-	// SchedBalanced balances segments by recorded per-iteration cost and
-	// snaps boundaries to materialized checkpoints.
-	SchedBalanced = sched.Balanced
-	// SchedStealing additionally lets idle workers steal the trailing half
-	// of the heaviest remaining segment, re-initializing from the nearest
-	// checkpoint.
-	SchedStealing = sched.Stealing
+	SchedStatic Scheduler = iota
+	SchedBalanced
+	SchedStealing
 )
 
 // Options configures a replay.
@@ -76,16 +77,18 @@ type Options struct {
 	Workers int
 	// Init selects strong or weak worker initialization.
 	Init InitMode
-	// Scheduler selects the segment scheduling policy (default SchedStatic).
+	// Scheduler is ignored (see the Scheduler type).
 	Scheduler Scheduler
 	// SkipDeferredCheck disables the record/replay log diff (used by
 	// benchmarks that measure pure replay latency).
 	SkipDeferredCheck bool
 	// Slots, when non-nil, gates every replay worker on a shared slot
 	// source (normally a sched.Pool shared across concurrent queries in a
-	// serving daemon). Each worker holds one slot for its whole lifetime —
-	// setup, initialization, work — so the source's global budget bounds
-	// actual parallelism across replays regardless of each query's Workers.
+	// serving daemon). A worker acquires its slot before it claims work and
+	// holds it for its whole lifetime — setup, initialization, work — so the
+	// source's global budget bounds actual parallelism across replays
+	// regardless of each query's Workers, and a worker granted a slot after
+	// the others took everything returns without running setup.
 	// Nil means unlimited (the single-replay library default).
 	Slots sched.SlotSource
 	// Ctx bounds slot waits (a daemon's queueing deadline); nil means
@@ -175,11 +178,13 @@ func (rec *Recording) costsFor(st *schedState, p *script.Program, probedInner bo
 	return st.costs[idx]
 }
 
-// WorkerReport describes one parallel worker's replay.
+// WorkerReport describes one parallel worker's replay. Only workers that
+// claimed work report: one that was granted its slot after the others had
+// taken everything leaves no trace.
 type WorkerReport struct {
 	PID           int
-	Segment       [2]int // initial [start, end) main-loop lease
-	InitFrom      int    // first iteration replayed in init mode
+	Segment       [2]int // first lease claimed, [start, end) at claim time
+	InitFrom      int    // first iteration replayed in init mode for it
 	Stolen        int    // leases acquired by stealing
 	Logs          []string
 	SetupNs       int64
@@ -202,7 +207,6 @@ type Result struct {
 	Logs      []string // merged logs in iteration order
 	Anomalies []runlog.Anomaly
 	Workers   []WorkerReport
-	Scheduler Scheduler
 	Steals    int
 	WallNs    int64
 	// CFactor is the restore/materialize scaling factor after the replay:
@@ -228,14 +232,6 @@ func mergeSpans(spans []logSpan) []string {
 		out = append(out, s.lines...)
 	}
 	return out
-}
-
-// Partition splits n iterations into at most g contiguous segments whose
-// sizes differ by at most one (the Flor generator's iterator partitioning,
-// §5.4.1). Kept as the package's static-partition entry point; the balanced
-// and stealing policies live in internal/sched.
-func Partition(n, g int) [][2]int {
-	return sched.PartitionStatic(n, g)
 }
 
 // MaxSpeedup returns the best achievable parallel speedup for n iterations
@@ -266,76 +262,82 @@ func Replay(rec *Recording, factory func() *script.Program, opts Options) (*Resu
 	n := probeProgram.Main.Iters
 
 	// One adaptive tracker is shared by the scheduler's cost model and
-	// every worker of this replay: restores measured by early segments
+	// every worker of this replay: restores measured by early leases
 	// refine the restore/materialize factor c mid-replay
-	// (skipblock.restore → adapt.NoteRestore), and the stealing executor
-	// reprices later catch-up estimates through it (cost-model feedback,
-	// paper §5.3.2).
+	// (skipblock.restore → adapt.NoteRestore), and the executor reprices
+	// later catch-up estimates through it (cost-model feedback, paper
+	// §5.3.2).
 	tracker := adapt.New(adapt.DefaultEpsilon)
 	if rec.Timings != nil && rec.Timings.C > 0 {
 		tracker.SeedC(rec.Timings.C)
 	}
 	priorC := tracker.C()
 
-	// Anchors matter only to weak initialization and the non-static
-	// schedulers; the cost model also prices slot requests whenever a
-	// shared slot source is in play (its waiters are ordered by estimated
-	// cost, which must be comparable across concurrent queries). The
-	// default static/strong library path skips the store scans entirely.
-	anchors := make([]int, 0)
-	var costs *sched.Costs
-	if opts.Init == Weak || opts.Scheduler != SchedStatic || opts.Slots != nil {
-		st := rec.schedStateFor(probeProgram)
-		anchors = st.anchors
-		if opts.Scheduler != SchedStatic || opts.Slots != nil {
-			// Work iterations re-execute at compute cost only when an
-			// instrumented (restorable) loop itself is probed; an outer-only
-			// probe leaves every nested loop restoring, so work is priced as
-			// catch-up.
-			probedInner := false
-			for _, id := range st.ids {
-				if diff.Probes[id] {
-					probedInner = true
-				}
-			}
-			costs = rec.costsFor(st, probeProgram, probedInner, tracker)
+	// Work iterations re-execute at compute cost only when an instrumented
+	// (restorable) loop itself is probed; an outer-only probe leaves every
+	// nested loop restoring, so work is priced as catch-up.
+	st := rec.schedStateFor(probeProgram)
+	probedInner := false
+	for _, id := range st.ids {
+		if diff.Probes[id] {
+			probedInner = true
 		}
 	}
+	costs := rec.costsFor(st, probeProgram, probedInner, tracker)
 
 	env := &replayEnv{
-		rec: rec, factory: factory, diff: diff, tracker: tracker, priorC: priorC,
-		costs: costs, anchors: anchors, opts: opts, ctx: opts.Ctx,
+		rec: rec, factory: factory, diff: diff, tracker: tracker,
+		anchors: st.anchors, ids: st.ids, mult: st.mult, opts: opts, ctx: opts.Ctx,
+		// Every worker queues for its slot at the same price, the modeled
+		// per-worker share of the replay: which lease a worker will run is
+		// only decided once it holds the slot.
+		slotCostNs: costs.SetupNs + costs.WorkCostNs(0, n)/int64(opts.Workers),
 	}
 	if env.ctx == nil {
 		env.ctx = context.Background()
 	}
+
+	x := sched.NewExecutor(costs,
+		sched.PartitionBalancedAnchored(costs, opts.Workers, opts.Init, st.anchors), st.anchors)
+	// Feedback: steal profitability rescales modeled catch-up by how far the
+	// measured restore/materialize factor has drifted from the prior the
+	// cost model was priced with. The scale is clamped: measured restores
+	// are biased cheap when they hit the payload cache, while a stolen
+	// lease's catch-up restores uncached content at full cost, so one
+	// replay's drift may adjust — but never invert — the profit rule.
+	x.SetRestoreScale(func() float64 {
+		if priorC <= 0 {
+			return 1
+		}
+		scale := tracker.C() / priorC
+		if scale < 0.5 {
+			scale = 0.5
+		} else if scale > 2 {
+			scale = 2
+		}
+		return scale
+	})
 	if opts.Prefetch > 0 {
 		// NewPrefetcher returns nil for local stores, and a nil prefetcher
-		// no-ops everywhere, so the local path stays exactly as before.
-		st := rec.schedStateFor(probeProgram)
-		env.ids, env.mult = st.ids, st.mult
+		// no-ops everywhere, so the local path pays nothing for it.
 		env.prefetch = rec.Store.NewPrefetcher(0, opts.Trace)
 		defer env.prefetch.Close()
+		// A successful steal invalidates the victim's speculation for the
+		// stolen span; the thief re-hints what it still wants when it plans
+		// its own horizon (Hint revives a cancelled-but-queued key).
+		x.SetOnSteal(func(victimEnd, stolenStart, stolenEnd int) {
+			env.cancelIters(stolenStart, stolenEnd)
+		})
 	}
 
-	res := &Result{Probes: diff.Probes, NewLabels: diff.NewLabels, Scheduler: opts.Scheduler}
+	res := &Result{Probes: diff.Probes, NewLabels: diff.NewLabels}
 	t0 := time.Now()
-	var spans []logSpan
-	if opts.Scheduler == SchedStealing && n > 0 {
-		spans, err = replayStealing(env, n, res)
-	} else {
-		var segs [][2]int
-		if opts.Scheduler == SchedBalanced {
-			segs = sched.PartitionBalancedAnchored(costs, opts.Workers, opts.Init, anchors)
-		} else {
-			segs = sched.PartitionStatic(n, opts.Workers)
-		}
-		spans, err = replayStatic(env, segs, res)
-	}
+	spans, err := replayLeases(env, x, n, res)
 	if err != nil {
 		return nil, err
 	}
 	res.WallNs = time.Since(t0).Nanoseconds()
+	res.Steals = x.Steals()
 	res.CFactor = tracker.C()
 	res.Logs = mergeSpans(spans)
 	if !opts.SkipDeferredCheck {
@@ -365,22 +367,19 @@ func recordReplayMetrics(n int, res *Result) {
 	}
 }
 
-// replayEnv bundles the per-replay state both scheduling paths thread
-// through their workers.
+// replayEnv bundles the per-replay state every worker shares.
 type replayEnv struct {
-	rec     *Recording
-	factory func() *script.Program
-	diff    *script.DiffResult
-	tracker *adapt.Tracker
-	priorC  float64
-	costs   *sched.Costs
-	anchors []int
-	opts    Options
-	ctx     context.Context
-	// Plan-driven readahead state (nil/empty unless opts.Prefetch > 0 and
-	// the recording's store reads remotely): the instrumented loop set and
-	// multiplicities translate iteration plans into checkpoint keys for the
-	// shared prefetcher.
+	rec        *Recording
+	factory    func() *script.Program
+	diff       *script.DiffResult
+	tracker    *adapt.Tracker
+	anchors    []int
+	opts       Options
+	ctx        context.Context
+	slotCostNs int64
+	// The instrumented loop set and multiplicities translate iteration plans
+	// into checkpoint keys for the prefetcher, which is nil unless
+	// opts.Prefetch > 0 and the recording's store reads remotely.
 	prefetch *store.Prefetcher
 	ids      []string
 	mult     map[string]int
@@ -423,19 +422,6 @@ func (env *replayEnv) hintIters(iters []int) {
 	env.prefetch.Hint(keys...)
 }
 
-// hintIterRange hints [start, end) — the static scheduler's fixed-window
-// equivalent of a stealing lease's horizon.
-func (env *replayEnv) hintIterRange(start, end int) {
-	if env.prefetch == nil || start >= end {
-		return
-	}
-	iters := make([]int, 0, end-start)
-	for e := start; e < end; e++ {
-		iters = append(iters, e)
-	}
-	env.hintIters(iters)
-}
-
 // cancelIters drops speculation for iterations the plan no longer owns
 // (the stolen span of a lease).
 func (env *replayEnv) cancelIters(start, end int) {
@@ -449,28 +435,18 @@ func (env *replayEnv) cancelIters(start, end int) {
 	env.prefetch.Cancel(keys...)
 }
 
-// slotCost estimates one worker's total modeled cost (setup + init + work)
-// for slot-queue ordering; zero when no cost model exists.
-func (env *replayEnv) slotCost(seg [2]int) int64 {
-	if env.costs == nil {
-		return 0
-	}
-	return env.costs.SetupNs +
-		env.costs.InitCostNs(seg[0], env.opts.Init, env.anchors) +
-		env.costs.WorkCostNs(seg[0], seg[1])
-}
-
-// acquireSlot blocks until the shared slot source grants a slot (no-op
-// without one). Callers must releaseSlot on success. Traced replays record
-// the wait as a "slot_wait" span, so queue time is visible per worker.
-func (env *replayEnv) acquireSlot(seg [2]int, pid int) error {
+// acquireSlot blocks until the shared slot source grants a slot or ctx is
+// done (no-op without a source). Callers must releaseSlot on success. Traced
+// replays record the wait as a "slot_wait" span, so queue time is visible per
+// worker.
+func (env *replayEnv) acquireSlot(ctx context.Context, pid int) error {
 	if env.opts.Slots == nil {
 		return nil
 	}
 	tr := env.opts.Trace
 	t0 := tr.Now()
 	w0 := time.Now()
-	err := env.opts.Slots.Acquire(env.ctx, env.slotCost(seg))
+	err := env.opts.Slots.Acquire(ctx, env.slotCostNs)
 	if tr != nil && err == nil {
 		tr.Add(obs.Span{Name: "slot_wait", Worker: pid, StartNs: t0,
 			DurNs: time.Since(w0).Nanoseconds()})
@@ -484,116 +460,47 @@ func (env *replayEnv) releaseSlot() {
 	}
 }
 
-// replayStatic runs one worker per segment with static assignment (the
-// SchedStatic and SchedBalanced policies). With a shared slot source, each
-// worker first acquires a slot priced at its segment's modeled cost;
-// segments are independent, so workers serialized by a tight budget still
-// complete.
-func replayStatic(env *replayEnv, segs [][2]int, res *Result) ([]logSpan, error) {
-	res.Workers = make([]WorkerReport, len(segs))
-	spans := make([]logSpan, len(segs))
-	var wg sync.WaitGroup
-	errs := make([]error, len(segs))
-	for pid := range segs {
-		wg.Add(1)
-		go func(pid int) {
-			defer wg.Done()
-			if err := env.acquireSlot(segs[pid], pid); err != nil {
-				errs[pid] = err
-				return
-			}
-			defer env.releaseSlot()
-			report, err := runWorker(env, segs[pid], pid, pid == len(segs)-1)
-			if err != nil {
-				errs[pid] = err
-				return
-			}
-			res.Workers[pid] = *report
-			spans[pid] = logSpan{start: segs[pid][0], lines: report.Logs}
-		}(pid)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return spans, nil
-}
-
-// replayStealing runs opts.Workers workers over a shared lease executor
-// seeded with the balanced partition (the SchedStealing policy).
-func replayStealing(env *replayEnv, n int, res *Result) ([]logSpan, error) {
-	opts := env.opts
-	g := opts.Workers
-	if g > n {
-		g = n
-	}
-	segs := sched.PartitionBalancedAnchored(env.costs, g, opts.Init, env.anchors)
-	x := sched.NewExecutor(env.costs, segs, env.anchors)
-	// Feedback: steal profitability rescales modeled catch-up by how far the
-	// measured restore/materialize factor has drifted from the prior the
-	// cost model was priced with. The scale is clamped: measured restores
-	// are biased cheap when they hit the payload cache, while a stolen
-	// lease's catch-up restores uncached content at full cost, so one
-	// replay's drift may adjust — but never invert — the profit rule.
-	x.SetRestoreScale(func() float64 {
-		if env.priorC <= 0 {
-			return 1
-		}
-		scale := env.tracker.C() / env.priorC
-		if scale < 0.5 {
-			scale = 0.5
-		} else if scale > 2 {
-			scale = 2
-		}
-		return scale
-	})
-	if env.prefetch != nil {
-		// A successful steal invalidates the victim's speculation for the
-		// stolen span; the thief re-hints what it still wants when it plans
-		// its own horizon (Hint revives a cancelled-but-queued key).
-		x.SetOnSteal(func(victimEnd, stolenStart, stolenEnd int) {
-			env.cancelIters(stolenStart, stolenEnd)
-		})
-	}
-
-	res.Workers = make([]WorkerReport, g)
+// replayLeases starts opts.Workers interchangeable workers over the executor
+// and waits for them. A worker first acquires its slot and only then claims
+// work, so however few slots the source grants, the workers that do run take
+// the leases in order and nobody sets up a program to find its share gone.
+// Once every iteration has been handed out, workers still queued for a slot
+// are released from the queue: the replay ends when its work does.
+func replayLeases(env *replayEnv, x *sched.Executor, n int, res *Result) ([]logSpan, error) {
+	g := env.opts.Workers
+	ctx, cancel := context.WithCancel(env.ctx)
+	defer cancel()
+	reports := make([]*WorkerReport, g)
 	workerSpans := make([][]logSpan, g)
-	var wg sync.WaitGroup
 	errs := make([]error, g)
+	var wg sync.WaitGroup
 	for pid := 0; pid < g; pid++ {
 		wg.Add(1)
 		go func(pid int) {
 			defer wg.Done()
-			seg := [2]int{0, 0}
-			if pid < len(segs) {
-				seg = segs[pid]
-			}
-			if err := env.acquireSlot(seg, pid); err != nil {
-				errs[pid] = err
+			if err := env.acquireSlot(ctx, pid); err != nil {
+				if !x.Exhausted() {
+					errs[pid] = err
+				}
 				return
 			}
 			defer env.releaseSlot()
-			report, spans, err := runStealingWorker(env, x, pid, n)
-			if err != nil {
-				errs[pid] = err
-				return
+			reports[pid], workerSpans[pid], errs[pid] = workerLoop(env, x, pid, n)
+			if x.Exhausted() {
+				cancel()
 			}
-			res.Workers[pid] = *report
-			workerSpans[pid] = spans
 		}(pid)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	res.Steals = x.Steals()
 	var spans []logSpan
-	for _, ws := range workerSpans {
-		spans = append(spans, ws...)
+	for pid := range reports {
+		if errs[pid] != nil {
+			return nil, errs[pid]
+		}
+		if reports[pid] != nil {
+			res.Workers = append(res.Workers, *reports[pid])
+			spans = append(spans, workerSpans[pid]...)
+		}
 	}
 	return spans, nil
 }
@@ -601,8 +508,8 @@ func replayStealing(env *replayEnv, n int, res *Result) ([]logSpan, error) {
 // worker bundles one replay worker's per-process state. Each worker is its
 // own process in the paper; here, its own program instance, environment,
 // tracker and SkipBlock runtime over the shared (read-only) checkpoint
-// store. Both scheduling paths (static segments and stealing leases) share
-// this lifecycle: construction + setup, initTo, work iterations, tail.
+// store. Its lifecycle: construction + setup, then per lease initTo and work
+// iterations, and the tail after the lease that ends the loop.
 type worker struct {
 	p      *script.Program
 	rt     *skipblock.Runtime
@@ -648,7 +555,7 @@ func (w *worker) close() { w.mat.Close() }
 // [initFrom, start) in SkipBlock init mode. Log output is suppressed: init
 // iterations belong to other workers' segments. Block execution counters
 // are repositioned first, so initTo is correct from any current position
-// (the stealing path re-initializes mid-replay).
+// (a worker moving to a non-adjacent lease re-initializes mid-replay).
 func (w *worker) initTo(initFrom, start int) error {
 	t0 := w.tr.Now()
 	i0 := time.Now()
@@ -718,99 +625,32 @@ func (w *worker) finish() *WorkerReport {
 	return w.report
 }
 
-// runWorker executes one statically assigned worker: setup, initialization,
-// work segment, and (for the last worker) the program tail.
-func runWorker(env *replayEnv, seg [2]int, pid int, last bool) (*WorkerReport, error) {
-	w, err := newWorker(env, pid)
-	if err != nil {
-		return nil, err
+// workerLoop executes one worker holding a slot: claim a lease, set up once,
+// then run leases until the executor has nothing left for it. A worker that
+// finds nothing to claim returns nil before building its program. Before a
+// lease whose start differs from the worker's current position, the worker
+// initializes: its first lease as opts.Init says (strong from iteration 0,
+// weak from the nearest anchored checkpoint), any later one always from the
+// nearest anchored checkpoint — Claim only hands a state-carrying worker
+// leases with one. The worker whose lease ends at the last iteration runs the
+// program tail immediately, while its state is current.
+func workerLoop(env *replayEnv, x *sched.Executor, pid, n int) (*WorkerReport, []logSpan, error) {
+	lease := x.Claim(0)
+	if lease == nil {
+		return nil, nil, nil
 	}
-	defer w.close()
-	w.report.Segment = seg
-
-	// Phase 2: initialization — strong catches up from 0, weak from the
-	// nearest anchored checkpoint.
-	initFrom := 0
-	if env.opts.Init == Weak && seg[0] > 0 {
-		initFrom = sched.AnchorBefore(env.anchors, seg[0]-1)
-	}
-	w.report.InitFrom = initFrom
-	// Warm the segment's opening window while initialization replays toward
-	// it; static segments never shrink, so no cancellation path is needed.
-	hintEnd := seg[0] + env.opts.Prefetch
-	if hintEnd > seg[1] {
-		hintEnd = seg[1]
-	}
-	env.hintIterRange(seg[0], hintEnd)
-	if seg[0] > 0 {
-		if err := w.initTo(initFrom, seg[0]); err != nil {
-			return nil, err
-		}
-	}
-
-	// Phase 3: the work segment, in replay-execution mode with log capture.
-	t0 := w.tr.Now()
-	w0 := time.Now()
-	w.rt.SetMode(skipblock.ModeReplayExec)
-	lg := runlog.New()
-	w.ctx.Log = lg.Append
-	for e := seg[0]; e < seg[1]; e++ {
-		env.claimIter(e)
-		if next := e + 1 + env.opts.Prefetch; next <= seg[1] {
-			env.hintIterRange(e+1, next)
-		} else {
-			env.hintIterRange(e+1, seg[1])
-		}
-		if err := w.runIteration(e); err != nil {
-			return nil, err
-		}
-	}
-	// The final worker also runs the tail (post-loop statements).
-	if last {
-		if err := w.runTail(); err != nil {
-			return nil, err
-		}
-	}
-	w.report.WorkNs = time.Since(w0).Nanoseconds()
-	if w.tr != nil {
-		w.tr.Add(obs.Span{Name: "work", Worker: pid, StartNs: t0, DurNs: w.report.WorkNs,
-			Attrs: map[string]int64{"start": int64(seg[0]), "end": int64(seg[1])}})
-	}
-	w.report.Logs = lg.Lines()
-	return w.finish(), nil
-}
-
-// runStealingWorker executes one worker of the stealing scheduler: setup
-// once, then a loop of leases — the statically assigned one first, stolen
-// remainders after. Before each lease whose start differs from the worker's
-// current position, the worker re-initializes: from iteration 0 (strong,
-// first lease only) or from the nearest anchored checkpoint (weak; always,
-// for stolen leases). The worker whose final lease ends at the last
-// iteration runs the program tail immediately, while its state is current.
-func runStealingWorker(env *replayEnv, x *sched.Executor, pid, n int) (*WorkerReport, []logSpan, error) {
 	w, err := newWorker(env, pid)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer w.close()
+	w.report.Segment[0], w.report.Segment[1] = lease.Bounds()
 
 	var spans []logSpan
 	pos := 0 // the main-loop iteration the program state currently sits at
-	first := true
-	lease := x.InitialLease(pid)
-	if lease != nil {
-		s, e := lease.Bounds()
-		w.report.Segment = [2]int{s, e}
-	}
-	for {
-		isStolen := false
-		if lease == nil {
-			var ok bool
-			if lease, ok = x.Steal(); !ok {
-				break
-			}
+	for first := true; lease != nil; first, lease = false, x.Claim(pos) {
+		if lease.Stolen() {
 			w.report.Stolen++
-			isStolen = true
 		}
 		start := lease.Start()
 		// Warm the lease's opening horizon while initialization replays
@@ -818,11 +658,6 @@ func runStealingWorker(env *replayEnv, x *sched.Executor, pid, n int) (*WorkerRe
 		// compute for free.
 		env.hintIters(lease.Horizon(env.opts.Prefetch))
 
-		// Initialization to the lease start. A lease adjacent to the
-		// worker's current position needs none; otherwise stolen leases
-		// always use weak (checkpoint-anchored) initialization — stealing
-		// only targets splits with a reachable anchor. start==0 re-inits
-		// only the block counters (the init loop is empty).
 		if start != pos {
 			initFrom := 0
 			if !first || env.opts.Init == Weak {
@@ -875,7 +710,7 @@ func runStealingWorker(env *replayEnv, x *sched.Executor, pid, n int) (*WorkerRe
 		w.report.WorkNs += leaseNs
 		if w.tr != nil {
 			stolen := int64(0)
-			if isStolen {
+			if lease.Stolen() {
 				stolen = 1
 			}
 			w.tr.Add(obs.Span{Name: "work", Worker: pid, StartNs: t0, DurNs: leaseNs,
@@ -883,8 +718,6 @@ func runStealingWorker(env *replayEnv, x *sched.Executor, pid, n int) (*WorkerRe
 		}
 		spans = append(spans, span)
 		w.report.Logs = append(w.report.Logs, span.lines...)
-		lease = nil
-		first = false
 	}
 	return w.finish(), spans, nil
 }
@@ -1055,8 +888,8 @@ func schedCosts(rec *Recording, p *script.Program, ids []string, mult map[string
 		total += c.WorkNs[e]
 	}
 	if total == 0 {
-		// No usable cost data: uniform work costs so Balanced degenerates
-		// to Static and Stealing splits by count.
+		// No usable cost data: uniform work costs, so the partition is the
+		// uniform ⌈n/G⌉ split and steals split by count.
 		for e := range c.WorkNs {
 			c.WorkNs[e] = 1
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"flor.dev/flor/internal/core"
 	"flor.dev/flor/internal/replay"
@@ -220,7 +219,9 @@ func TestParallelReplayMatchesSequential(t *testing.T) {
 		if len(par.Anomalies) != 0 {
 			t.Fatalf("G=%d anomalies: %v", g, par.Anomalies)
 		}
-		if len(par.Workers) != min(g, 8) {
+		// Workers are interchangeable: a fast one may have walked on into a
+		// lease before a slow one was scheduled at all.
+		if len(par.Workers) < 1 || len(par.Workers) > min(g, 8) {
 			t.Fatalf("G=%d workers = %d", g, len(par.Workers))
 		}
 	}
@@ -300,53 +301,6 @@ func TestReplayDetectsDivergenceAsAnomaly(t *testing.T) {
 	}
 	if len(res.Anomalies) == 0 {
 		t.Fatal("deferred check missed a divergent replay")
-	}
-}
-
-func TestPartitionProperties(t *testing.T) {
-	f := func(nRaw, gRaw uint8) bool {
-		n := int(nRaw%200) + 1
-		g := int(gRaw%20) + 1
-		segs := replay.Partition(n, g)
-		// Coverage and disjointness.
-		next := 0
-		for _, s := range segs {
-			if s[0] != next || s[1] < s[0] {
-				return false
-			}
-			next = s[1]
-		}
-		if next != n {
-			return false
-		}
-		// Balance: sizes differ by at most 1.
-		minSize, maxSize := n+1, 0
-		for _, s := range segs {
-			size := s[1] - s[0]
-			if size < minSize {
-				minSize = size
-			}
-			if size > maxSize {
-				maxSize = size
-			}
-		}
-		return maxSize-minSize <= 1 && len(segs) <= g
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPartitionEdgeCases(t *testing.T) {
-	if got := replay.Partition(0, 4); got != nil {
-		t.Fatalf("replay.Partition(0,4) = %v", got)
-	}
-	if got := replay.Partition(4, 0); got != nil {
-		t.Fatalf("replay.Partition(4,0) = %v", got)
-	}
-	segs := replay.Partition(3, 8)
-	if len(segs) != 3 {
-		t.Fatalf("replay.Partition(3,8) = %v, want 3 singleton segments", segs)
 	}
 }
 

@@ -1,13 +1,19 @@
 package replay_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
+	"flor.dev/flor/internal/backmat"
 	"flor.dev/flor/internal/core"
+	"flor.dev/flor/internal/obs"
 	"flor.dev/flor/internal/replay"
 	"flor.dev/flor/internal/runlog"
+	"flor.dev/flor/internal/sched"
 	"flor.dev/flor/internal/script"
 	"flor.dev/flor/internal/tensor"
 	"flor.dev/flor/internal/value"
@@ -74,8 +80,8 @@ func skewedFactory(epochs, steps int) func() *script.Program {
 	}
 }
 
-// replayWith replays rec with the probed factory under one scheduler
-// configuration and fails on error or anomalies.
+// replayWith replays rec with the given factory and options and fails on
+// error or anomalies.
 func replayWith(t *testing.T, rec *core.RecordResult, factory func() *script.Program, opts replay.Options) *replay.Result {
 	t.Helper()
 	res, err := replay.Replay(rec.Recording, factory, opts)
@@ -83,75 +89,194 @@ func replayWith(t *testing.T, rec *core.RecordResult, factory func() *script.Pro
 		t.Fatal(err)
 	}
 	if len(res.Anomalies) != 0 {
-		t.Fatalf("deferred check found anomalies under %v/%v: %v", opts.Scheduler, opts.Init, res.Anomalies[0])
+		t.Fatalf("deferred check found anomalies at workers=%d init=%v: %v", opts.Workers, opts.Init, res.Anomalies[0])
 	}
 	return res
 }
 
-// TestSchedulersProduceIdenticalLogs is the deterministic-merge regression:
-// replay logs under Balanced and Stealing with skewed costs are byte-
-// identical to the Static single-worker replay, and the deferred check
-// reports no anomalies for any of them.
-func TestSchedulersProduceIdenticalLogs(t *testing.T) {
-	factory := skewedFactory(32, 3)
-	rec := record(t, factory)
-	probed := addInnerProbe(factory)
-
-	baseline := replayWith(t, rec, probed, replay.Options{Workers: 1})
-	want := strings.Join(baseline.Logs, "\n")
-
-	for _, opts := range []replay.Options{
-		{Workers: 4, Scheduler: replay.SchedBalanced, Init: replay.Weak},
-		{Workers: 4, Scheduler: replay.SchedBalanced, Init: replay.Strong},
-		{Workers: 4, Scheduler: replay.SchedStealing, Init: replay.Weak},
-		{Workers: 8, Scheduler: replay.SchedStealing, Init: replay.Strong},
+// TestReplayMatrixByteIdentical is the contract of the one executor: for
+// every worker count x initialization x slot budget, on a densely and on a
+// sparsely checkpointed recording, the merged log is byte-identical to the
+// 1-worker replay of the same program, and the unprobed replay to the record
+// log itself. Slot budgets below the worker count force workers to walk from
+// lease to lease and late workers to find nothing; skewed costs make idle
+// ones steal.
+func TestReplayMatrixByteIdentical(t *testing.T) {
+	factory := skewedFactory(24, 2)
+	sparse, err := core.Record(t.TempDir(), factory, core.RecordOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prog := range []struct {
+		name string
+		rec  *core.RecordResult
+	}{
+		{"dense", record(t, factory)},
+		// Adaptive checkpointing on microsecond epochs materializes few or
+		// no checkpoints: weak initialization falls back toward iteration 0
+		// and stealing stands down wherever no anchor is reachable.
+		{"sparse", sparse},
 	} {
-		res := replayWith(t, rec, probed, opts)
-		if got := strings.Join(res.Logs, "\n"); got != want {
-			t.Fatalf("%v/%v logs diverge from static single-worker:\n got: %.200s\nwant: %.200s",
-				opts.Scheduler, opts.Init, got, want)
+		for _, variant := range []struct {
+			name    string
+			factory func() *script.Program
+		}{
+			{"unprobed", factory},
+			{"outer", addOuterProbe(factory)},
+			{"inner", addInnerProbe(factory)},
+		} {
+			want := strings.Join(replayWith(t, prog.rec, variant.factory, replay.Options{Workers: 1}).Logs, "\n")
+			if variant.name == "unprobed" && want != strings.Join(prog.rec.Logs, "\n") {
+				t.Fatalf("%s: 1-worker unprobed replay differs from the record log", prog.name)
+			}
+			for _, workers := range []int{1, 2, 3, 4, 8} {
+				for _, init := range []replay.InitMode{replay.Strong, replay.Weak} {
+					for _, slots := range []int{0, 1, 2} {
+						opts := replay.Options{Workers: workers, Init: init}
+						var pool *sched.Pool
+						if slots > 0 {
+							pool = sched.NewPool(slots)
+							opts.Slots = pool
+						}
+						res := replayWith(t, prog.rec, variant.factory, opts)
+						if got := strings.Join(res.Logs, "\n"); got != want {
+							t.Fatalf("%s/%s workers=%d init=%v slots=%d: logs diverge from the 1-worker replay:\n got: %.200s\nwant: %.200s",
+								prog.name, variant.name, workers, init, slots, got, want)
+						}
+						if len(res.Workers) < 1 || len(res.Workers) > workers {
+							t.Fatalf("%s/%s workers=%d slots=%d: %d workers reported", prog.name, variant.name, workers, slots, len(res.Workers))
+						}
+						if pool != nil {
+							if st := pool.Stats(); st.InUse != 0 || st.Waiting != 0 {
+								t.Fatalf("%s/%s workers=%d slots=%d: pool not drained: %+v", prog.name, variant.name, workers, slots, st)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }
 
-// TestStealingSparseCheckpoints exercises the no-anchor safety path: with
-// adaptive checkpointing enabled these microsecond epochs materialize few or
-// no checkpoints, so stealing must stand down (or steal only around real
-// anchors) and still merge a byte-identical log.
-func TestStealingSparseCheckpoints(t *testing.T) {
-	factory := skewedFactory(16, 2)
-	res, err := core.Record(t.TempDir(), factory, core.RecordOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	probed := addInnerProbe(factory)
-	baseline := replayWith(t, res, probed, replay.Options{Workers: 1})
-	stealing := replayWith(t, res, probed, replay.Options{Workers: 4, Scheduler: replay.SchedStealing, Init: replay.Weak})
-	if strings.Join(stealing.Logs, "\n") != strings.Join(baseline.Logs, "\n") {
-		t.Fatal("stealing logs diverge under sparse checkpoints")
-	}
-}
-
-// TestStealingOuterProbe checks the partial-replay path (work iterations
-// restore rather than execute) under the stealing scheduler.
-func TestStealingOuterProbe(t *testing.T) {
-	factory := skewedFactory(24, 2)
+// TestOneSlotRunsOneWorker: a replay squeezed to one slot degrades to one
+// sequential worker — it walks the initial leases in order with no
+// re-initialization, and the workers granted the slot afterwards find
+// nothing and leave before building a program. (One statically assigned
+// worker per segment used to pay four setups and three restores here.)
+func TestOneSlotRunsOneWorker(t *testing.T) {
+	factory := trainFactory(8, 3)
 	rec := record(t, factory)
-	probed := addOuterProbe(factory)
-	baseline := replayWith(t, rec, probed, replay.Options{Workers: 1})
-	stealing := replayWith(t, rec, probed, replay.Options{Workers: 6, Scheduler: replay.SchedStealing, Init: replay.Weak})
-	if strings.Join(stealing.Logs, "\n") != strings.Join(baseline.Logs, "\n") {
-		t.Fatal("stealing logs diverge on outer-probe partial replay")
+	tr := obs.NewTrace()
+	pool := sched.NewPool(1)
+	res := replayWith(t, rec, addOuterProbe(factory), replay.Options{
+		Workers: 4, Init: replay.Weak, Slots: pool, Cache: backmat.NewPayloadCache(0), Trace: tr,
+	})
+	if len(res.Workers) != 1 {
+		t.Fatalf("%d workers reported, want 1", len(res.Workers))
+	}
+	if res.Steals != 0 || res.Workers[0].Stolen != 0 || res.Workers[0].InitNs != 0 {
+		t.Fatalf("sequential walk stole or re-initialized: steals=%d report=%+v", res.Steals, res.Workers[0])
+	}
+	if res.CFactor <= 0 {
+		t.Fatalf("CFactor = %v, want > 0", res.CFactor)
+	}
+	setups, next := 0, 0
+	for _, sp := range tr.Spans() {
+		switch sp.Name {
+		case "setup":
+			setups++
+		case "init":
+			t.Fatalf("init span %+v on a walk over adjacent leases", sp)
+		case "work":
+			if sp.Attrs["stolen"] != 0 || int(sp.Attrs["start"]) != next {
+				t.Fatalf("work span %+v: want an unstolen lease starting at %d", sp.Attrs, next)
+			}
+			next = int(sp.Attrs["end"])
+		}
+	}
+	if setups != 1 || next != 8 {
+		t.Fatalf("%d setup spans, leases end at %d; want 1 and 8", setups, next)
+	}
+	if st := pool.Stats(); st.InUse != 0 || st.Acquires > 4 {
+		t.Fatalf("pool stats = %+v", st)
 	}
 }
 
-// TestBalancedSegmentsRespectSkew verifies the balanced partitioner actually
-// consumes the recording's timings: with a deterministic head-heavy timing
-// vector injected into the recording, the heavy head must be split across
-// more workers than the uniform split would give it. (The timings are
-// injected rather than wall-clock-measured so the partition is independent
-// of machine load; end-to-end timing capture has its own coverage.)
-func TestBalancedSegmentsRespectSkew(t *testing.T) {
+// stingySlots grants exactly one slot, ever: every later Acquire waits until
+// its context is done and fails with the context's error.
+type stingySlots struct {
+	mu      sync.Mutex
+	granted bool
+}
+
+func (s *stingySlots) Acquire(ctx context.Context, _ int64) error {
+	s.mu.Lock()
+	first := !s.granted
+	s.granted = true
+	s.mu.Unlock()
+	if first {
+		return nil
+	}
+	<-ctx.Done()
+	return ctx.Err()
+}
+
+func (s *stingySlots) Release() {}
+
+// TestReplayEndsWhenWorkDoes: workers still queued for a slot once every
+// iteration has been handed out are taken off the queue, and their failed
+// wait is not the replay's failure. (With one worker per segment the replay
+// needed every worker to be granted a slot: this one never returned.)
+func TestReplayEndsWhenWorkDoes(t *testing.T) {
+	factory := trainFactory(8, 3)
+	rec := record(t, factory)
+	res := replayWith(t, rec, addInnerProbe(factory), replay.Options{Workers: 4, Slots: &stingySlots{}})
+	if len(res.Workers) != 1 {
+		t.Fatalf("%d workers reported, want 1", len(res.Workers))
+	}
+	want := replayWith(t, rec, addInnerProbe(factory), replay.Options{Workers: 1})
+	if strings.Join(res.Logs, "\n") != strings.Join(want.Logs, "\n") {
+		t.Fatal("logs diverge from the 1-worker replay")
+	}
+
+	// A wait that fails while work remains is still the replay's failure.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := replay.Replay(rec.Recording, factory, replay.Options{Workers: 2, Slots: sched.NewPool(1), Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("replay under a cancelled context: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestReplayZeroIterationLoop: a program whose main loop runs zero times
+// still has a setup and a tail, and its record log holds the tail's line.
+// Replay runs one worker through setup and tail whatever Workers says. (No
+// worker used to be spawned: empty log, one anomaly.)
+func TestReplayZeroIterationLoop(t *testing.T) {
+	factory := trainFactory(0, 2)
+	rec := record(t, factory)
+	if len(rec.Logs) != 1 {
+		t.Fatalf("record log = %v, want the tail's line", rec.Logs)
+	}
+	for _, workers := range []int{1, 4} {
+		for _, init := range []replay.InitMode{replay.Strong, replay.Weak} {
+			res := replayWith(t, rec, factory, replay.Options{Workers: workers, Init: init})
+			if strings.Join(res.Logs, "\n") != strings.Join(rec.Logs, "\n") {
+				t.Fatalf("workers=%d: replay log %v, record log %v", workers, res.Logs, rec.Logs)
+			}
+			if len(res.Workers) != 1 {
+				t.Fatalf("workers=%d: %d workers reported, want 1", workers, len(res.Workers))
+			}
+		}
+	}
+}
+
+// TestInitialLeasesRespectSkew verifies the partitioner actually consumes
+// the recording's timings: with a deterministic head-heavy timing vector
+// injected into the recording, the lease starting at iteration 0 must be
+// shorter than the uniform split would make it. (The timings are injected
+// rather than wall-clock-measured so the partition is independent of
+// machine load; end-to-end timing capture has its own coverage.)
+func TestInitialLeasesRespectSkew(t *testing.T) {
 	factory := skewedFactory(32, 3)
 	rec := record(t, factory)
 	iters := make([]int64, 32)
@@ -162,15 +287,16 @@ func TestBalancedSegmentsRespectSkew(t *testing.T) {
 		}
 	}
 	rec.Recording.Timings = &runlog.Timings{SetupNs: 1000, IterNs: iters}
-	probed := addInnerProbe(factory)
-	res := replayWith(t, rec, probed, replay.Options{Workers: 4, Scheduler: replay.SchedBalanced, Init: replay.Weak})
-	if len(res.Workers) < 2 {
-		t.Fatalf("balanced replay used %d workers", len(res.Workers))
+	res := replayWith(t, rec, addInnerProbe(factory), replay.Options{Workers: 4, Init: replay.Weak})
+	// The head eighth (4 epochs) does 40x the per-epoch work, so the first
+	// lease must be shorter than the uniform 32/4 = 8 iterations.
+	for _, w := range res.Workers {
+		if w.Segment[0] == 0 {
+			if w.Segment[1] >= 8 {
+				t.Fatalf("first lease %v ignores the recorded head skew", w.Segment)
+			}
+			return
+		}
 	}
-	// The first (heavy) segment must be shorter than the uniform 32/4 = 8
-	// iterations: the head eighth (4 epochs) does 40x the per-epoch work.
-	first := res.Workers[0].Segment
-	if first[1]-first[0] >= 8 {
-		t.Fatalf("first balanced segment %v ignores the recorded head skew", first)
-	}
+	t.Fatalf("no worker reports the lease starting at 0: %+v", res.Workers)
 }

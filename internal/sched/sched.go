@@ -1,73 +1,45 @@
-// Package sched implements replay scheduling: cost models derived from
-// recorded per-iteration timings, cost-balanced contiguous partitioning, and
-// (in steal.go / sim.go) a dynamic work-stealing executor with
-// checkpoint-aware lease splitting.
+// Package sched schedules replay: it cuts the main loop into contiguous,
+// checkpoint-anchored spans and hands them to share-nothing workers.
 //
 // The paper's hindsight-parallel replay (§5.4) splits the main loop's
-// iterator into contiguous segments, one per worker. The seed implementation
-// split uniformly — near-ideal when every iteration costs the same, but any
-// skew (adaptive sparse checkpointing per §5.3, heavy probes on a few
-// epochs, fine-tuning workloads with tiny epochs) concentrates cost into one
-// worker's segment and wrecks the makespan. This package owns everything the
-// replay engine and the cluster simulator need to schedule around skew:
+// iterator into contiguous segments, one per worker. A uniform ⌈n/G⌉ split is
+// near-ideal when every iteration costs the same, but any skew (adaptive
+// sparse checkpointing per §5.3, heavy probes on a few epochs, fine-tuning
+// workloads with tiny epochs) concentrates cost into one worker's segment and
+// wrecks the makespan. There is one scheduler, in three files:
 //
-//   - Costs: per-iteration work and catch-up (restore) costs plus setup.
-//   - PartitionStatic: the seed's uniform contiguous split.
-//   - PartitionBalanced: a contiguous split minimizing the maximum segment
-//     work cost (prefix sums + binary search on the bottleneck).
-//   - SnapToAnchors: moves segment boundaries to materialized checkpoints so
-//     weak-initialized workers never pay long catch-up replays.
-//   - Executor (steal.go): lease-based work stealing for real replay.
-//   - SimulateStealing (sim.go): the same policy in deterministic virtual
-//     time, for the cluster simulator's makespan accounting.
-//
-// internal/replay and internal/cluster both build on this package, so the
-// virtual makespans behind Figures 10 and 13 use exactly the scheduler the
-// real replay engine runs.
+//   - sched.go — Costs: per-iteration work and catch-up (restore) costs plus
+//     setup, derived from recorded timings. PartitionBalancedAnchored: the
+//     initial partition, a contiguous split minimizing the maximum segment
+//     work cost (binary search on the bottleneck, even shares under it) with
+//     boundaries snapped to materialized checkpoints where that does not cost
+//     makespan. On uniform costs it is the paper's ⌈n/G⌉ split.
+//   - steal.go — Executor: the partition's segments become leases. A worker
+//     that is ready to run Claims one — an initial lease nobody has started
+//     (preferably the one adjacent to where its state already sits), else
+//     the trailing part of the lease most profitable to split (stolen work
+//     minus the thief's checkpoint re-initialization) — and comes back for
+//     another when it runs dry.
+//   - sim.go — Simulate: the same Executor driven under a virtual clock, so
+//     the makespans behind Figures 10, 13 and 14 (internal/cluster) are
+//     decisions of the scheduler replay runs, not of a second model of it.
 //
 // pool.go adds the serving tier above single replays: Pool is a global
 // worker-slot budget shared by every concurrent query of a serving daemon.
 // Replay workers and sample queries hold one slot while they compute, and
 // waiters are granted slots cheapest-estimated-cost-first, so a point query
 // priced at a few restores overtakes the queued workers of a large full
-// replay instead of starving behind them. The cost estimates come from the
-// same Costs model the partitioners use — scheduling inside a replay and
-// between replays speak one currency.
+// replay instead of starving behind them. A replay worker acquires its slot
+// before it claims a lease, so a replay squeezed to one slot runs as one
+// sequential worker. The cost estimates come from the same Costs model the
+// partitioner uses — scheduling inside a replay and between replays speak
+// one currency.
 package sched
 
 import (
 	"sort"
 	"sync"
 )
-
-// Policy selects the replay scheduling strategy.
-type Policy int
-
-const (
-	// Static is the seed behaviour: uniform contiguous segments, one
-	// statically assigned per worker.
-	Static Policy = iota
-	// Balanced splits contiguously by measured cost (minimizing the maximum
-	// segment cost) and snaps boundaries to materialized checkpoints, but
-	// assignment stays static.
-	Balanced
-	// Stealing starts from the Balanced partition and lets idle workers
-	// steal the trailing half of the heaviest remaining segment,
-	// re-initializing from the nearest checkpoint.
-	Stealing
-)
-
-// String renders the policy.
-func (p Policy) String() string {
-	switch p {
-	case Balanced:
-		return "balanced"
-	case Stealing:
-		return "stealing"
-	default:
-		return "static"
-	}
-}
 
 // Init selects the worker initialization strategy (paper §5.4.2). It lives
 // here so the scheduler's cost accounting and the replay engine share one
@@ -117,7 +89,7 @@ type Costs struct {
 
 // Uniform returns the cost model the scheduler falls back to when no
 // timings were recorded: every iteration costs one unit, catch-up is free.
-// Under it, Balanced reduces to Static and Stealing splits by count.
+// Under it the partition is the uniform ⌈n/G⌉ split and steals split by count.
 func Uniform(n int) *Costs {
 	c := &Costs{WorkNs: make([]int64, n)}
 	for i := range c.WorkNs {
@@ -294,36 +266,14 @@ func abs(x int) int {
 
 // ---------- partitioners ----------
 
-// PartitionStatic splits n iterations into at most g contiguous segments
-// whose sizes differ by at most one (the seed's uniform split, §5.4.1).
-// Segments are returned in order; fewer than g are returned when n < g.
-func PartitionStatic(n, g int) [][2]int {
-	if n <= 0 || g <= 0 {
-		return nil
-	}
-	if g > n {
-		g = n
-	}
-	segs := make([][2]int, 0, g)
-	base := n / g
-	rem := n % g
-	start := 0
-	for i := 0; i < g; i++ {
-		size := base
-		if i < rem {
-			size++
-		}
-		segs = append(segs, [2]int{start, start + size})
-		start += size
-	}
-	return segs
-}
-
 // PartitionBalanced splits the model's n iterations into at most g
 // contiguous segments minimizing the maximum segment work cost: binary
-// search on the bottleneck over prefix sums, then a greedy sweep packing
-// each segment up to the optimum. Deterministic for a fixed input, and its
-// makespan never exceeds PartitionStatic's on the same costs.
+// search on the bottleneck, then a sweep that gives each segment an even
+// share of the work still to place — never so little that the rest would no
+// longer fit under the bottleneck. Among the optimal partitions that is the
+// one with the slack spread over all workers rather than left to the last,
+// and on uniform costs it is exactly the paper's ⌈n/G⌉ split, larger segments
+// first. Deterministic for a fixed input.
 func PartitionBalanced(c *Costs, g int) [][2]int {
 	n := c.N()
 	if n <= 0 || g <= 0 {
@@ -332,15 +282,15 @@ func PartitionBalanced(c *Costs, g int) [][2]int {
 	if g > n {
 		g = n
 	}
-	var lo, hi int64
+	var lo, total int64
 	for _, w := range c.WorkNs {
 		if w > lo {
 			lo = w
 		}
-		hi += w
+		total += w
 	}
 	// Smallest T such that [0,n) fits in ≤ g segments each of cost ≤ T.
-	for lo < hi {
+	for hi := total; lo < hi; {
 		mid := lo + (hi-lo)/2
 		if segmentsNeeded(c.WorkNs, mid) <= g {
 			hi = mid
@@ -348,15 +298,34 @@ func PartitionBalanced(c *Costs, g int) [][2]int {
 			lo = mid + 1
 		}
 	}
-	segs := make([][2]int, 0, g)
-	start := 0
+	// need[i] is the fewest segments of cost ≤ T that cover [i, n): one
+	// packed greedily from i up to j, plus need[j]. j only moves left as i
+	// does.
+	need := make([]int, n+1)
 	var sum int64
-	for i := 0; i < n; i++ {
-		if i > start && sum+c.WorkNs[i] > lo {
+	for i, j := n-1, n; i >= 0; i-- {
+		sum += c.WorkNs[i]
+		for sum > lo {
+			j--
+			sum -= c.WorkNs[j]
+		}
+		need[i] = 1 + need[j]
+	}
+	// Cut before i once the segment holds its share of what was left when it
+	// began (or cannot take i without outgrowing T), provided the rest still
+	// fits in the segments that remain — which, by the time a segment is
+	// packed up to T, it always does.
+	segs := make([][2]int, 0, g)
+	start, left := 0, total
+	sum = 0
+	for i, w := range c.WorkNs {
+		open := int64(g - len(segs)) // segments not yet closed, this one included
+		if i > start && (sum >= (left+open-1)/open || sum+w > lo) && int64(need[i]) < open {
 			segs = append(segs, [2]int{start, i})
+			left -= sum
 			start, sum = i, 0
 		}
-		sum += c.WorkNs[i]
+		sum += w
 	}
 	return append(segs, [2]int{start, n})
 }

@@ -1,10 +1,14 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"flor.dev/flor/internal/obs"
 )
 
 // costVector is a quick-generatable random cost model: up to 512 iterations
@@ -58,30 +62,27 @@ func checkSegments(t *testing.T, segs [][2]int, n int) {
 	}
 }
 
-func TestPartitionStaticProperties(t *testing.T) {
-	prop := func(cv costVector) bool {
-		segs := PartitionStatic(len(cv.Work), cv.G)
-		checkSegments(t, segs, len(cv.Work))
-		if len(segs) > cv.G {
-			t.Fatalf("static produced %d segments for g=%d", len(segs), cv.G)
-		}
-		// Sizes differ by at most one.
-		min, max := len(cv.Work), 0
-		for _, s := range segs {
-			if sz := s[1] - s[0]; sz < min {
-				min = sz
-			} else if sz > max {
-				max = sz
-			}
-			if sz := s[1] - s[0]; sz > max {
-				max = sz
-			}
-		}
-		return max-min <= 1
+// uniformSplit is the reference the partitioner is held against: the paper's
+// §5.4.1 split of n iterations into at most g contiguous segments whose sizes
+// differ by at most one, blind to cost.
+func uniformSplit(n, g int) [][2]int {
+	if n <= 0 || g <= 0 {
+		return nil
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	if g > n {
+		g = n
 	}
+	segs := make([][2]int, 0, g)
+	start := 0
+	for i := 0; i < g; i++ {
+		size := n / g
+		if i < n%g {
+			size++
+		}
+		segs = append(segs, [2]int{start, start + size})
+		start += size
+	}
+	return segs
 }
 
 func TestPartitionBalancedProperties(t *testing.T) {
@@ -92,14 +93,25 @@ func TestPartitionBalancedProperties(t *testing.T) {
 		if len(segs) > cv.G {
 			t.Fatalf("balanced produced %d segments for g=%d", len(segs), cv.G)
 		}
-		// The balanced bottleneck never exceeds the static one on the same
-		// cost vector (its defining property).
-		static := PartitionStatic(len(cv.Work), cv.G)
+		// The balanced bottleneck never exceeds the uniform split's on the
+		// same cost vector (its defining property).
+		static := uniformSplit(len(cv.Work), cv.G)
 		balancedMax := maxSegCost(c, segs)
 		staticMax := maxSegCost(c, static)
 		if balancedMax > staticMax {
-			t.Fatalf("balanced bottleneck %d > static %d for %v g=%d",
+			t.Fatalf("balanced bottleneck %d > uniform split %d for %v g=%d",
 				balancedMax, staticMax, cv.Work, cv.G)
+		}
+		// And it is the optimum: the heaviest iteration alone, or a cost no
+		// partition into g segments can go below.
+		var heaviest int64
+		for _, w := range cv.Work {
+			if w > heaviest {
+				heaviest = w
+			}
+		}
+		if balancedMax > heaviest && segmentsNeeded(cv.Work, balancedMax-1) <= cv.G {
+			t.Fatalf("balanced bottleneck %d is not minimal for %v g=%d", balancedMax, cv.Work, cv.G)
 		}
 		return true
 	}
@@ -153,12 +165,24 @@ func TestSnapToAnchorsProperties(t *testing.T) {
 	}
 }
 
-func TestPartitionBalancedUniformMatchesStatic(t *testing.T) {
-	c := Uniform(256)
-	balanced := PartitionBalanced(c, 8)
-	static := PartitionStatic(256, 8)
-	if !reflect.DeepEqual(balanced, static) {
-		t.Fatalf("uniform costs: balanced %v != static %v", balanced, static)
+// TestPartitionBalancedUniformIsUniformSplit: on uniform costs the
+// partition is the paper's split exactly — sizes differing by at most one,
+// larger first — whether or not g divides n.
+func TestPartitionBalancedUniformIsUniformSplit(t *testing.T) {
+	for n := 1; n <= 64; n++ {
+		for g := 1; g <= 20; g++ {
+			if got, want := PartitionBalanced(Uniform(n), g), uniformSplit(n, g); !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d g=%d: balanced %v != uniform split %v", n, g, got, want)
+			}
+		}
+	}
+	// Whatever the unit of cost.
+	c := &Costs{WorkNs: make([]int64, 200)}
+	for i := range c.WorkNs {
+		c.WorkNs[i] = 1_000_000
+	}
+	if got, want := PartitionBalanced(c, 16), uniformSplit(200, 16); !reflect.DeepEqual(got, want) {
+		t.Fatalf("n=200 g=16: balanced %v != uniform split %v", got, want)
 	}
 }
 
@@ -236,22 +260,23 @@ func TestMakespanInitAccounting(t *testing.T) {
 	}
 }
 
-func TestSimulateStealingUniformMatchesBalanced(t *testing.T) {
+func TestSimulateUniformMatchesBalanced(t *testing.T) {
 	c := Uniform(64)
 	c.SetupNs = 5
-	sim := SimulateStealing(c, 8, Weak, nil)
+	sim := Simulate(c, 8, Weak, nil, nil)
 	segs := PartitionBalanced(c, 8)
 	want := c.Makespan(segs, Weak, nil)
 	if sim.MakespanNs != want {
-		t.Fatalf("uniform stealing makespan %d != balanced %d", sim.MakespanNs, want)
+		t.Fatalf("uniform makespan %d != balanced partition's %d", sim.MakespanNs, want)
 	}
 	if sim.Steals != 0 {
 		t.Fatalf("uniform costs should need no steals, got %d", sim.Steals)
 	}
 }
 
-func TestSimulateStealingBeatsStaticOnSkew(t *testing.T) {
-	// Head-heavy costs: static's first worker drowns; stealing redistributes.
+func TestSimulateBeatsUniformSplitOnSkew(t *testing.T) {
+	// Head-heavy costs: the uniform split's first worker drowns; balancing
+	// redistributes.
 	c := &Costs{WorkNs: make([]int64, 128), CatchupNs: make([]int64, 128)}
 	for i := range c.WorkNs {
 		c.WorkNs[i] = 1
@@ -260,31 +285,63 @@ func TestSimulateStealingBeatsStaticOnSkew(t *testing.T) {
 			c.WorkNs[i] = 100
 		}
 	}
-	staticSpan := c.Makespan(PartitionStatic(128, 8), Weak, nil)
-	sim := SimulateStealing(c, 8, Weak, nil)
+	staticSpan := c.Makespan(uniformSplit(128, 8), Weak, nil)
+	sim := Simulate(c, 8, Weak, nil, nil)
 	if sim.MakespanNs*2 > staticSpan {
-		t.Fatalf("stealing makespan %d not at least 2x better than static %d", sim.MakespanNs, staticSpan)
-	}
-	if sim.Steals == 0 {
-		t.Fatal("skewed costs should trigger steals")
+		t.Fatalf("makespan %d not at least 2x better than the uniform split's %d", sim.MakespanNs, staticSpan)
 	}
 }
 
-func TestSimulateStealingDeterministic(t *testing.T) {
+// TestSimulateScaleoutBars carries the scale-out acceptance bars: on
+// Zipf-skewed costs (the head-heavy shape of warmup-dominated loops and
+// heavy probes on early epochs) the scheduler beats the uniform split by at
+// least 1.5x at G>=8, and on uniform costs it is never worse. 256
+// iterations of 10ms compute and 0.2ms restore, 5ms setup, weak init.
+func TestSimulateScaleoutBars(t *testing.T) {
+	const n, computNs, restoreNs, setupNs, zipfS = 256, 10_000_000, 200_000, 5_000_000, 1.1
+	uniform := &Costs{SetupNs: setupNs}
+	zipf := &Costs{SetupNs: setupNs}
+	var norm float64
+	for e := 1; e <= n; e++ {
+		norm += 1 / math.Pow(float64(e), zipfS)
+	}
+	for e := 0; e < n; e++ {
+		uniform.WorkNs = append(uniform.WorkNs, computNs)
+		uniform.CatchupNs = append(uniform.CatchupNs, restoreNs)
+		// Same total compute as the uniform vector, redistributed.
+		w := 1 / math.Pow(float64(e+1), zipfS)
+		zipf.WorkNs = append(zipf.WorkNs, int64(w*float64(computNs*n)/norm))
+		zipf.CatchupNs = append(zipf.CatchupNs, restoreNs)
+	}
+	for _, g := range []int{4, 8, 16} {
+		if got, ref := Simulate(uniform, g, Weak, nil, nil).MakespanNs, uniform.Makespan(uniformSplit(n, g), Weak, nil); got > ref {
+			t.Errorf("uniform G=%d: makespan %d worse than the uniform split's %d", g, got, ref)
+		}
+		got, ref := Simulate(zipf, g, Weak, nil, nil).MakespanNs, zipf.Makespan(uniformSplit(n, g), Weak, nil)
+		if got > ref {
+			t.Errorf("zipf G=%d: makespan %d worse than the uniform split's %d", g, got, ref)
+		}
+		if g >= 8 && float64(ref) < 1.5*float64(got) {
+			t.Errorf("zipf G=%d: %.2fx over the uniform split, want >= 1.5x", g, float64(ref)/float64(got))
+		}
+	}
+}
+
+func TestSimulateDeterministic(t *testing.T) {
 	c := &Costs{WorkNs: make([]int64, 200), CatchupNs: make([]int64, 200)}
 	r := rand.New(rand.NewSource(42))
 	for i := range c.WorkNs {
 		c.WorkNs[i] = int64(r.Intn(1000)) + 1
 		c.CatchupNs[i] = int64(r.Intn(10)) + 1
 	}
-	a := SimulateStealing(c, 6, Weak, nil)
-	b := SimulateStealing(c, 6, Weak, nil)
+	a := Simulate(c, 6, Weak, nil, nil)
+	b := Simulate(c, 6, Weak, nil, nil)
 	if a.MakespanNs != b.MakespanNs || a.Steals != b.Steals || !reflect.DeepEqual(a.WorkerNs, b.WorkerNs) {
 		t.Fatalf("simulation is not deterministic: %+v vs %+v", a, b)
 	}
 }
 
-func TestSimulateStealingNoAnchorsNoSteals(t *testing.T) {
+func TestSimulateNoAnchorsNoSteals(t *testing.T) {
 	// Without any materialized checkpoint, re-initializing a mid-replay
 	// worker is unsafe, so stealing must stand down entirely.
 	c := &Costs{WorkNs: make([]int64, 64), CatchupNs: make([]int64, 64)}
@@ -295,8 +352,128 @@ func TestSimulateStealingNoAnchorsNoSteals(t *testing.T) {
 		}
 		c.CatchupNs[i] = 1
 	}
-	sim := SimulateStealing(c, 4, Weak, []int{})
+	sim := Simulate(c, 4, Weak, []int{}, nil)
 	if sim.Steals != 0 {
 		t.Fatalf("no anchors: want 0 steals, got %d", sim.Steals)
+	}
+}
+
+// TestSimulateEmptyLoop: a zero-iteration loop still costs one worker its
+// setup (it runs the program's tail); the others never start.
+func TestSimulateEmptyLoop(t *testing.T) {
+	c := &Costs{SetupNs: 7}
+	sim := Simulate(c, 3, Strong, nil, nil)
+	if sim.MakespanNs != 7 || !reflect.DeepEqual(sim.WorkerNs, []int64{7, 0, 0}) {
+		t.Fatalf("empty loop: %+v, want one worker paying setup", sim)
+	}
+}
+
+// TestSimulateAgreesWithExecutor pins that the simulator adds nothing to the
+// scheduler but a clock: an independent single-threaded drive of Executor
+// over the same costs and anchors — earliest worker acts next, lowest id on
+// ties — ends with exactly the lease boundaries, owners and stolen marks of
+// Simulate's trace.
+func TestSimulateAgreesWithExecutor(t *testing.T) {
+	type span struct{ worker, start, end, stolen int }
+	steals := 0
+	for _, tc := range []struct {
+		name    string
+		seed    int64
+		n, g    int
+		init    Init
+		anchors []int
+	}{
+		{"dense-weak", 1, 96, 5, Weak, nil},
+		{"dense-strong", 2, 64, 4, Strong, nil},
+		{"sparse-weak", 3, 120, 6, Weak, []int{0, 9, 10, 31, 32, 33, 70, 71, 100}},
+		{"more-workers-than-segments", 4, 5, 9, Weak, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(tc.seed))
+			c := &Costs{SetupNs: 50, WorkNs: make([]int64, tc.n), CatchupNs: make([]int64, tc.n)}
+			for i := range c.WorkNs {
+				c.WorkNs[i] = 1 + int64(r.Intn(100))
+				if i < tc.n/6 {
+					c.WorkNs[i] *= 40
+				}
+				c.CatchupNs[i] = 1 + int64(r.Intn(20))
+			}
+
+			tr := obs.NewVirtualTrace()
+			sim := Simulate(c, tc.g, tc.init, tc.anchors, tr)
+			var got []span
+			for _, sp := range tr.Spans() {
+				if sp.Name == "work" {
+					got = append(got, span{sp.Worker, int(sp.Attrs["start"]), int(sp.Attrs["end"]), int(sp.Attrs["stolen"])})
+				}
+			}
+
+			x := NewExecutor(c, PartitionBalancedAnchored(c, tc.g, tc.init, tc.anchors), tc.anchors)
+			clock := make([]int64, tc.g)
+			pos := make([]int, tc.g)
+			lease := make([]*Lease, tc.g)
+			started := make([]bool, tc.g)
+			done := make([]bool, tc.g)
+			var want []span
+			for {
+				w := -1
+				for i := range clock {
+					if !done[i] && (w < 0 || clock[i] < clock[w]) {
+						w = i
+					}
+				}
+				if w < 0 {
+					break
+				}
+				if lease[w] == nil {
+					if lease[w] = x.Claim(pos[w]); lease[w] == nil {
+						done[w] = true
+						continue
+					}
+					mode := Weak
+					if !started[w] {
+						started[w], mode = true, tc.init
+						clock[w] += c.SetupNs
+					}
+					if lease[w].Start() != pos[w] {
+						clock[w] += c.InitCostNs(lease[w].Start(), mode, tc.anchors)
+					}
+				} else if i, ok := lease[w].Next(); ok {
+					clock[w] += c.WorkNs[i]
+				} else {
+					s, e := lease[w].Bounds()
+					stolen := 0
+					if lease[w].Stolen() {
+						stolen = 1
+					}
+					want = append(want, span{w, s, e, stolen})
+					pos[w], lease[w] = e, nil
+				}
+			}
+
+			byStart := func(s []span) { sort.Slice(s, func(i, j int) bool { return s[i].start < s[j].start }) }
+			byStart(got)
+			byStart(want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("simulated leases diverge from the executor's:\n sim: %v\nexec: %v", got, want)
+			}
+			if !reflect.DeepEqual(sim.WorkerNs, clock) || sim.Steals != x.Steals() {
+				t.Fatalf("sim %v/%d steals, executor drive %v/%d", sim.WorkerNs, sim.Steals, clock, x.Steals())
+			}
+			next := 0
+			for _, s := range want {
+				if s.start != next {
+					t.Fatalf("leases leave a gap or overlap at %d: %v", next, want)
+				}
+				next = s.end
+			}
+			if next != tc.n {
+				t.Fatalf("leases end at %d, want %d", next, tc.n)
+			}
+			steals += sim.Steals
+		})
+	}
+	if steals == 0 {
+		t.Fatal("no case stole: the agreement was only checked on initial leases")
 	}
 }

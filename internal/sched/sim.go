@@ -2,180 +2,109 @@ package sched
 
 import "flor.dev/flor/internal/obs"
 
-// SimResult describes one simulated work-stealing replay in virtual time.
+// SimResult describes one simulated replay in virtual time.
 type SimResult struct {
 	// MakespanNs is the virtual time at which the last worker finishes.
 	MakespanNs int64
-	// WorkerNs[w] is worker w's finish time (including setup, even for
-	// workers that never obtained work).
+	// WorkerNs[w] is worker w's finish time; 0 for a worker that found
+	// nothing to claim (it exits before paying setup).
 	WorkerNs []int64
 	// Steals is the number of leases created by stealing.
 	Steals int
 }
 
-// simLease mirrors steal.go's Lease in virtual time: the owner executes
-// [start, end) sequentially from virtual time workStart, so its position at
-// any time is derivable from the cost prefix sums.
-type simLease struct {
-	start, end int
-	workStart  int64 // virtual time the owner began the work phase
-	owner      int
-	initNs     int64 // checkpoint catch-up charged before workStart
-	stolen     bool
-}
-
-// SimulateStealing runs the work-stealing policy of Executor in
-// deterministic virtual time: workers are charged the modeled costs of the
-// iterations they initialize and execute, an idle worker steals the most
-// profitable trailing remainder exactly as Executor.Steal does, and the
-// makespan is the last finish time. The cluster simulator uses it so the
-// virtual scale-out numbers (Figures 10/13) reflect the scheduler replay
-// actually runs.
+// Simulate runs a g-worker replay in deterministic virtual time. It drives
+// the real Executor — the initial partition replay uses, Claim, Next and
+// Steal — under a virtual clock: every worker is charged the modeled cost of
+// setup, of initializing to each lease it claims and of each iteration it
+// takes, and the worker with the earliest clock (lowest id on ties) acts
+// next. The virtual scale-out numbers (Figures 10/13/14) are therefore
+// decisions of the scheduler replay actually runs, not of a model of it. All
+// workers are ready at time 0: the simulation has no slot budget.
 //
-// Workers whose steal attempt finds no profitable remainder exit, matching
-// the real executor: remaining owners finish their own leases.
-func SimulateStealing(c *Costs, g int, init Init, anchors []int) *SimResult {
-	return SimulateStealingTraced(c, g, init, anchors, nil)
-}
-
-// SimulateStealingTraced is SimulateStealing with an optional span trace: a
-// virtual-time obs.Trace (obs.NewVirtualTrace) receives one "setup" span per
-// worker and one "init" + "work" span pair per lease, stamped with the same
-// virtual nanoseconds the makespan accounting uses. Two simulations of the
-// same inputs produce byte-identical NDJSON — the trace is a diffable record
-// of scheduling decisions, not a wall-clock profile. A nil tr traces nothing.
-func SimulateStealingTraced(c *Costs, g int, init Init, anchors []int, tr *obs.Trace) *SimResult {
-	n := c.N()
+// A non-nil tr (obs.NewVirtualTrace) receives one "setup" span per worker
+// that claimed work, one "init" + "work" pair per lease and a closing
+// "worker" span per worker, stamped with the same virtual nanoseconds the
+// makespan accounting uses. Two simulations of the same inputs produce
+// byte-identical NDJSON: a diffable record of scheduling decisions.
+func Simulate(c *Costs, g int, init Init, anchors []int, tr *obs.Trace) *SimResult {
 	res := &SimResult{}
 	if g <= 0 {
 		return res
 	}
-	segs := PartitionBalancedAnchored(c, g, init, anchors)
-	prefix := c.prefix()
-	work := func(s, e int) int64 { return prefix[e] - prefix[s] }
-
-	// retire emits a lease's spans once its extent is final: leases shrink
-	// when stolen from, so spans are recorded at retirement, not creation.
-	retire := func(l *simLease) {
-		if tr == nil {
-			return
-		}
-		stolen := int64(0)
-		if l.stolen {
-			stolen = 1
-		}
-		tr.Add(obs.Span{Name: "init", Worker: l.owner, StartNs: l.workStart - l.initNs, DurNs: l.initNs,
-			Attrs: map[string]int64{"start": int64(l.start), "stolen": stolen}})
-		tr.Add(obs.Span{Name: "work", Worker: l.owner, StartNs: l.workStart, DurNs: work(l.start, l.end),
-			Attrs: map[string]int64{"start": int64(l.start), "end": int64(l.end), "stolen": stolen}})
-	}
+	x := NewExecutor(c, PartitionBalancedAnchored(c, g, init, anchors), anchors)
 
 	type worker struct {
-		busyUntil int64
-		lease     *simLease
+		clock     int64
+		pos       int    // iteration the worker's state sits at
+		lease     *Lease // nil between leases
+		workStart int64  // clock when the current lease's work phase began
+		started   bool   // claimed a first lease and paid setup
 		done      bool
 	}
 	workers := make([]worker, g)
-	var active []*simLease
-	for w := range workers {
-		if tr != nil {
-			tr.Add(obs.Span{Name: "setup", Worker: w, StartNs: 0, DurNs: c.SetupNs})
+	stolenAttr := func(l *Lease) int64 {
+		if l.Stolen() {
+			return 1
 		}
-		if w < len(segs) {
-			l := &simLease{start: segs[w][0], end: segs[w][1], owner: w}
-			l.initNs = c.InitCostNs(l.start, init, anchors)
-			l.workStart = c.SetupNs + l.initNs
-			workers[w] = worker{busyUntil: l.workStart + work(l.start, l.end), lease: l}
-			active = append(active, l)
-		} else {
-			// No initial lease: the worker goes idle after setup and tries
-			// to steal then.
-			workers[w] = worker{busyUntil: c.SetupNs}
-		}
+		return 0
 	}
-
-	// position returns how far l's owner has advanced by virtual time t: the
-	// first unclaimed iteration (the one being executed at t counts as
-	// claimed, like Executor's Lease.next).
-	position := func(l *simLease, t int64) int {
-		elapsed := t - l.workStart
-		p := l.start
-		for p < l.end && prefix[p+1]-prefix[l.start] <= elapsed {
-			p++
-		}
-		if p < l.end {
-			p++ // iteration p is mid-execution: claimed, not stealable
-		}
-		return p
-	}
-
 	for {
-		// Next event: the busy worker finishing earliest (lowest id on ties).
-		ev := -1
-		for w := range workers {
-			if workers[w].done {
-				continue
-			}
-			if ev < 0 || workers[w].busyUntil < workers[ev].busyUntil {
-				ev = w
+		w := -1
+		for i := range workers {
+			if !workers[i].done && (w < 0 || workers[i].clock < workers[w].clock) {
+				w = i
 			}
 		}
-		if ev < 0 {
+		if w < 0 {
 			break
 		}
-		t := workers[ev].busyUntil
-		if l := workers[ev].lease; l != nil {
-			workers[ev].lease = nil
-			for i, al := range active {
-				if al == l {
-					active = append(active[:i], active[i+1:]...)
-					break
-				}
-			}
-			retire(l)
-		}
-		// Steal attempt, mirroring Executor.Steal's profitability rule.
-		var best *simLease
-		var bestMid int
-		var bestProfit int64
-		for _, l := range active {
-			next := position(l, t)
-			mid, ok := splitPoint(anchors, next, l.end)
-			if !ok || !hasAnchorAtOrBefore(anchors, mid-1) {
+		me := &workers[w]
+		if me.lease == nil {
+			l := x.Claim(me.pos)
+			if l == nil {
+				me.done = true
 				continue
 			}
-			profit := work(mid, l.end) - c.InitCostNs(mid, Weak, anchors)
-			if best == nil || profit > bestProfit {
-				best, bestMid, bestProfit = l, mid, profit
+			// The first lease initializes in the requested mode; any later
+			// non-adjacent one re-initializes from the nearest checkpoint.
+			mode := Weak
+			if !me.started {
+				me.started, mode = true, init
+				tr.Add(obs.Span{Name: "setup", Worker: w, StartNs: me.clock, DurNs: c.SetupNs})
+				me.clock += c.SetupNs
 			}
-		}
-		if best == nil || bestProfit <= 0 {
-			workers[ev].done = true
+			var initNs int64
+			if l.Start() != me.pos {
+				initNs = c.InitCostNs(l.Start(), mode, anchors)
+			}
+			tr.Add(obs.Span{Name: "init", Worker: w, StartNs: me.clock, DurNs: initNs,
+				Attrs: map[string]int64{"start": int64(l.Start()), "stolen": stolenAttr(l)}})
+			me.clock += initNs
+			me.lease, me.workStart = l, me.clock
 			continue
 		}
-		stolen := &simLease{start: bestMid, end: best.end, owner: ev, stolen: true}
-		stolen.initNs = c.InitCostNs(bestMid, Weak, anchors)
-		stolen.workStart = t + stolen.initNs
-		best.end = bestMid
-		workers[best.owner].busyUntil = best.workStart + work(best.start, best.end)
-		workers[ev].lease = stolen
-		workers[ev].busyUntil = stolen.workStart + work(stolen.start, stolen.end)
-		active = append(active, stolen)
-		res.Steals++
+		if i, ok := me.lease.Next(); ok {
+			me.clock += c.WorkNs[i]
+			continue
+		}
+		// Exhausted: the bounds are final, so the work span can be emitted.
+		start, end := me.lease.Bounds()
+		tr.Add(obs.Span{Name: "work", Worker: w, StartNs: me.workStart, DurNs: me.clock - me.workStart,
+			Attrs: map[string]int64{"start": int64(start), "end": int64(end), "stolen": stolenAttr(me.lease)}})
+		me.pos, me.lease = end, nil
 	}
 
+	res.Steals = x.Steals()
 	res.WorkerNs = make([]int64, g)
 	for w := range workers {
-		res.WorkerNs[w] = workers[w].busyUntil
-		if workers[w].busyUntil > res.MakespanNs {
-			res.MakespanNs = workers[w].busyUntil
+		res.WorkerNs[w] = workers[w].clock
+		if workers[w].clock > res.MakespanNs {
+			res.MakespanNs = workers[w].clock
 		}
-		if tr != nil {
-			tr.Add(obs.Span{Name: "worker", Worker: w, StartNs: 0, DurNs: workers[w].busyUntil})
+		if workers[w].started {
+			tr.Add(obs.Span{Name: "worker", Worker: w, StartNs: 0, DurNs: workers[w].clock})
 		}
-	}
-	if n == 0 {
-		res.MakespanNs = c.SetupNs
 	}
 	return res
 }

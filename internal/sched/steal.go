@@ -6,13 +6,15 @@ import (
 	"flor.dev/flor/internal/obs"
 )
 
-// Executor coordinates lease-based work stealing over main-loop iterations.
-// Each worker owns one Lease (a contiguous, shrinkable span of iterations)
-// at a time and claims iterations from it one by one; when a worker's lease
-// is exhausted it calls Steal, which cuts the trailing part off the heaviest
-// remaining lease. The claimed-iteration sets of all leases are disjoint and
-// together cover exactly [0, n), whatever interleaving the scheduler
-// produces, so replay logs merge deterministically in iteration order.
+// Executor hands main-loop iterations to replay workers as leases. It is
+// seeded with an initial partition, one unclaimed Lease (a contiguous,
+// shrinkable span of iterations) per segment. Workers are interchangeable:
+// whoever is ready calls Claim for a lease, takes iterations from it one by
+// one with Next, and calls Claim again when it runs dry — first for initial
+// leases nobody has started, then for the trailing part of the lease most
+// profitable to split. The claimed-iteration sets of all leases are disjoint
+// and together cover exactly [0, n), whatever the interleaving, so replay
+// logs merge deterministically in iteration order.
 //
 // All methods are safe for concurrent use.
 type Executor struct {
@@ -21,7 +23,6 @@ type Executor struct {
 	anchors []int
 	prefix  []int64 // work-cost prefix sums, len n+1
 	leases  []*Lease
-	initial int // leases created from the initial partition
 	steals  int
 	// restoreScale, when set, rescales the modeled catch-up cost of a steal's
 	// weak re-initialization by the ratio of the measured restore/materialize
@@ -48,20 +49,28 @@ type Executor struct {
 // Lease is one worker's contiguous span of iterations [Start, end). A steal
 // shrinks end; Next hands out iterations until it reaches the (current) end.
 type Lease struct {
-	x     *Executor
-	start int
-	next  int
-	end   int
+	x       *Executor
+	start   int
+	next    int
+	end     int
+	claimed bool // a worker owns it; stolen leases are born claimed
+	stolen  bool
 }
 
 // NewExecutor builds an executor over the initial partition segs (normally
-// PartitionBalanced snapped to anchors). costs drives the heaviest-lease and
-// profitability decisions; Uniform(n) is the fallback when no timings exist.
+// PartitionBalancedAnchored). costs drives the split and profitability
+// decisions; Uniform(n) is the fallback when no timings exist. An empty
+// partition (a zero-iteration main loop) becomes the single empty lease
+// [0, 0), so one worker still claims work and runs the program's setup and
+// tail.
 func NewExecutor(costs *Costs, segs [][2]int, anchors []int) *Executor {
 	x := &Executor{
-		costs: costs, anchors: anchors, prefix: costs.prefix(), initial: len(segs),
+		costs: costs, anchors: anchors, prefix: costs.prefix(),
 		mStealAttempts: obs.C(obs.MSchedStealAttempts),
 		mLeaseSplits:   obs.C(obs.MSchedLeaseSplits),
+	}
+	if len(segs) == 0 {
+		segs = [][2]int{{0, 0}}
 	}
 	for _, s := range segs {
 		x.leases = append(x.leases, &Lease{x: x, start: s[0], next: s[0], end: s[1]})
@@ -69,18 +78,44 @@ func NewExecutor(costs *Costs, segs [][2]int, anchors []int) *Executor {
 	return x
 }
 
-// InitialLease returns worker's statically assigned lease, or nil when the
-// initial partition has fewer segments than workers (the worker then starts
-// by stealing).
-func (x *Executor) InitialLease(worker int) *Lease {
-	if worker < 0 || worker >= x.initial {
-		return nil
-	}
-	// The slice header mutates when Steal appends; a slow worker can ask
-	// for its initial lease after fast workers have started stealing.
+// Claim hands the calling worker its next lease, or nil when nothing is left
+// for it (the worker should exit; owners finish the leases they hold). pos is
+// the iteration the worker's program state sits at: 0 for a worker that has
+// executed nothing yet, the end of its previous lease otherwise. In order of
+// preference:
+//
+//  1. the unclaimed initial lease starting at pos — the worker continues with
+//     no re-initialization;
+//  2. the first other unclaimed initial lease. A worker at pos 0 still holds
+//     pristine post-setup state and can initialize to any start; a worker
+//     carrying state from another span must re-initialize from a restored
+//     checkpoint, so it only takes a lease with an anchor before its start;
+//  3. a profitable steal (see Steal).
+func (x *Executor) Claim(pos int) *Lease {
 	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.leases[worker]
+	var other *Lease
+	for _, l := range x.leases {
+		if l.claimed {
+			continue
+		}
+		if l.start == pos {
+			l.claimed = true
+			x.mu.Unlock()
+			return l
+		}
+		if other == nil && (pos == 0 || (l.start > 0 && hasAnchorAtOrBefore(x.anchors, l.start-1))) {
+			other = l
+		}
+	}
+	if other != nil {
+		other.claimed = true
+	}
+	x.mu.Unlock()
+	if other != nil {
+		return other
+	}
+	l, _ := x.Steal()
+	return l
 }
 
 // SetRestoreScale installs a callback returning the current catch-up cost
@@ -147,6 +182,19 @@ func (x *Executor) WorkScale() float64 {
 	return x.workScale
 }
 
+// Exhausted reports whether every iteration has been handed out: a worker
+// that has not claimed yet has nothing to come for.
+func (x *Executor) Exhausted() bool {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for _, l := range x.leases {
+		if !l.claimed || l.next < l.end {
+			return false
+		}
+	}
+	return true
+}
+
 // Steals returns how many leases were created by stealing.
 func (x *Executor) Steals() int {
 	x.mu.Lock()
@@ -163,10 +211,9 @@ func (x *Executor) workCost(s, e int) int64 {
 }
 
 // Steal cuts the trailing part off the lease whose pending remainder is most
-// profitable to share — stolen work cost minus the thief's weak re-init
-// catch-up — and returns it as a fresh lease. ok is false when no lease has
-// a profitable remainder; the caller should then finish (remaining owners
-// complete their own leases).
+// profitable to share — stolen work cost minus the thief's weak
+// re-init catch-up — and returns it as a fresh lease. ok is false when no
+// lease has a profitable remainder.
 func (x *Executor) Steal() (*Lease, bool) {
 	x.mu.Lock()
 	x.mStealAttempts.Inc()
@@ -197,7 +244,7 @@ func (x *Executor) Steal() (*Lease, bool) {
 		x.mu.Unlock()
 		return nil, false
 	}
-	stolen := &Lease{x: x, start: bestMid, next: bestMid, end: best.end}
+	stolen := &Lease{x: x, start: bestMid, next: bestMid, end: best.end, claimed: true, stolen: true}
 	stolenEnd := best.end
 	best.end = bestMid
 	x.leases = append(x.leases, stolen)
@@ -213,6 +260,10 @@ func (x *Executor) Steal() (*Lease, bool) {
 
 // Start returns the first iteration of the lease.
 func (l *Lease) Start() int { return l.start }
+
+// Stolen reports whether the lease was cut off another worker's lease rather
+// than seeded by the initial partition.
+func (l *Lease) Stolen() bool { return l.stolen }
 
 // Next claims the lease's next iteration. ok is false when the lease is
 // exhausted — either the worker reached the end or a thief took the rest.

@@ -27,13 +27,11 @@ func runExecutor(t *testing.T, c *Costs, g int, anchors []int, jitter bool) ([][
 		go func(w int) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(w)))
-			lease := x.InitialLease(w)
+			pos := 0
 			for {
+				lease := x.Claim(pos)
 				if lease == nil {
-					var ok bool
-					if lease, ok = x.Steal(); !ok {
-						return
-					}
+					return
 				}
 				var mine []int
 				for {
@@ -53,7 +51,7 @@ func runExecutor(t *testing.T, c *Costs, g int, anchors []int, jitter bool) ([][
 				spans = append(spans, [2]int{start, end})
 				claimed = append(claimed, mine...)
 				mu.Unlock()
-				lease = nil
+				pos = end
 			}
 		}(w)
 	}
@@ -109,50 +107,37 @@ func TestExecutorStress(t *testing.T) {
 	}
 }
 
-// TestExecutorStealCounts verifies steals happen under skew and stay at zero
-// when stealing is unsafe (no anchors).
+// TestExecutorStealCounts verifies that workers arriving after the only
+// initial lease is taken split it rather than leave, and that the split
+// leases still cover every iteration once.
 func TestExecutorStealCounts(t *testing.T) {
 	c := Uniform(256)
 	for i := 0; i < 16; i++ {
 		c.WorkNs[i] = 1000
 	}
-	// Give only one worker an initial lease by partitioning for g=1, then
-	// running 8 workers: the other 7 must steal everything they do.
-	segs := PartitionBalanced(c, 1)
-	x := NewExecutor(c, segs, nil)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	total := 0
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lease := x.InitialLease(w)
-			for {
-				if lease == nil {
-					var ok bool
-					if lease, ok = x.Steal(); !ok {
-						return
-					}
-				}
-				for {
-					if _, ok := lease.Next(); !ok {
-						break
-					}
-					mu.Lock()
-					total++
-					mu.Unlock()
-				}
-				lease = nil
-			}
-		}(w)
+	x := NewExecutor(c, PartitionBalanced(c, 1), nil)
+	leases := []*Lease{x.Claim(0)}
+	for w := 1; w < 8; w++ {
+		l := x.Claim(0)
+		if l == nil || !l.Stolen() {
+			t.Fatalf("worker %d: claim = %v, want a stolen lease", w, l)
+		}
+		leases = append(leases, l)
 	}
-	wg.Wait()
+	total := 0
+	for _, l := range leases {
+		for {
+			if _, ok := l.Next(); !ok {
+				break
+			}
+			total++
+		}
+	}
 	if total != 256 {
 		t.Fatalf("executed %d iterations, want 256", total)
 	}
-	if x.Steals() == 0 {
-		t.Fatal("idle workers with one fat lease available should have stolen")
+	if x.Steals() != 7 {
+		t.Fatalf("steals = %d, want 7", x.Steals())
 	}
 }
 
@@ -209,5 +194,87 @@ func TestNoteIterDoneIgnoresJunk(t *testing.T) {
 	x.NoteIterDone(99, 100)
 	if ws := x.WorkScale(); ws != 1.0 {
 		t.Fatalf("work scale = %g, want 1.0 with no valid samples", ws)
+	}
+}
+
+// TestClaimOrder pins what a ready worker is handed: the unclaimed initial
+// lease adjacent to its state first, then the first other unclaimed initial
+// lease, then a steal.
+func TestClaimOrder(t *testing.T) {
+	c := Uniform(40)
+	segs := [][2]int{{0, 10}, {10, 20}, {20, 30}, {30, 40}}
+	x := NewExecutor(c, segs, nil)
+	a := x.Claim(0)
+	b := x.Claim(0) // a second fresh worker: lease 0 is taken, next unclaimed
+	if s, _ := a.Bounds(); s != 0 || a.Stolen() {
+		t.Fatalf("first claim = lease at %d", s)
+	}
+	if s, _ := b.Bounds(); s != 10 || b.Stolen() {
+		t.Fatalf("second fresh claim = lease at %d, want 10", s)
+	}
+	// Worker a finishes [0,10): the adjacent lease is b's, so it moves on to
+	// the first unclaimed one.
+	for {
+		if _, ok := a.Next(); !ok {
+			break
+		}
+	}
+	if x.Exhausted() {
+		t.Fatal("exhausted with two leases unclaimed")
+	}
+	a2 := x.Claim(10)
+	if s, _ := a2.Bounds(); s != 20 {
+		t.Fatalf("non-adjacent claim = lease at %d, want 20", s)
+	}
+	for {
+		if _, ok := a2.Next(); !ok {
+			break
+		}
+	}
+	// Now [30,40) starts where a's state sits: adjacent, no re-init.
+	if a3 := x.Claim(30); a3.Start() != 30 || a3.Stolen() {
+		t.Fatalf("adjacent claim = lease at %d stolen=%v", a3.Start(), a3.Stolen())
+	}
+	// Every initial lease is claimed: the next claim is a steal.
+	if l := x.Claim(0); l == nil || !l.Stolen() {
+		t.Fatalf("claim with all initial leases taken = %+v, want a stolen lease", l)
+	}
+}
+
+// TestClaimNonAdjacentNeedsAnchor: a worker carrying state from another span
+// may only take a lease it can reach from a restored checkpoint; a fresh
+// worker (pos 0) can initialize to anything.
+func TestClaimNonAdjacentNeedsAnchor(t *testing.T) {
+	c := Uniform(30)
+	segs := [][2]int{{0, 10}, {10, 20}, {20, 30}}
+	x := NewExecutor(c, segs, []int{}) // no checkpoints at all
+	x.Claim(0)
+	if l := x.Claim(5); l != nil {
+		t.Fatalf("state-carrying worker claimed [%d,..) with no anchor to re-initialize from", l.Start())
+	}
+	if l := x.Claim(10); l == nil || l.Start() != 10 {
+		t.Fatal("adjacent lease needs no anchor")
+	}
+	if l := x.Claim(0); l == nil || l.Start() != 20 {
+		t.Fatal("a fresh worker initializes from iteration 0 and can take any lease")
+	}
+}
+
+// TestExecutorEmptyLoop: a zero-iteration loop is one empty lease, claimed
+// once, so exactly one worker runs setup and tail.
+func TestExecutorEmptyLoop(t *testing.T) {
+	x := NewExecutor(Uniform(0), nil, nil)
+	l := x.Claim(0)
+	if l == nil {
+		t.Fatal("no lease for the empty loop")
+	}
+	if _, ok := l.Next(); ok {
+		t.Fatal("empty lease handed out an iteration")
+	}
+	if s, e := l.Bounds(); s != 0 || e != 0 {
+		t.Fatalf("empty lease bounds [%d,%d)", s, e)
+	}
+	if !x.Exhausted() || x.Claim(0) != nil {
+		t.Fatal("empty loop claimable twice")
 	}
 }

@@ -38,7 +38,11 @@ type storeCache struct {
 	cacheBytes int64
 	entries    map[string]*list.Element // value: *cacheEntry
 	lru        *list.List               // front = most recent
-	onEvict    func(runID string)
+	// opening holds one channel per run whose store is being opened right
+	// now; it is closed when the open finishes, either way. Concurrent first
+	// queries of a run wait on it instead of opening the run again.
+	opening map[string]chan struct{}
+	onEvict func(runID string)
 	// poolCaches keys shared payload caches by resolved pool root. Pool
 	// caches are not evicted with their runs: the pool outlives any one
 	// run's LRU residency, and its decoded content stays valid (content-
@@ -59,6 +63,7 @@ func newStoreCache(capacity int, cacheBytes int64, onEvict func(string)) *storeC
 		cacheBytes: cacheBytes,
 		entries:    map[string]*list.Element{},
 		lru:        list.New(),
+		opening:    map[string]chan struct{}{},
 		onEvict:    onEvict,
 		poolCaches: map[string]*backmat.PayloadCache{},
 		mEvictions: obs.C(obs.MServeStoreEvictions),
@@ -70,39 +75,52 @@ func newStoreCache(capacity int, cacheBytes int64, onEvict func(string)) *storeC
 // (the caller chooses the open path: pinned local roots, or the remote
 // object backend) and evicting the least recently used entry beyond
 // capacity. poolRoot selects the shared payload cache ("" = private).
+//
+// A run is opened by one caller at a time: whoever misses first loads, and
+// callers arriving meanwhile wait for it and then take the hit. A miss is
+// counted per load. If the load fails its caller gets the error and the
+// waiters try again, one of them as the next loader.
 func (c *storeCache) get(runID, poolRoot string, load func() (*replay.Recording, error)) (*cacheEntry, bool, error) {
 	c.mu.Lock()
-	if el, ok := c.entries[runID]; ok {
-		c.lru.MoveToFront(el)
-		c.hits++
-		ent := el.Value.(*cacheEntry)
-		ent.lastTouch = time.Now()
+	for {
+		if el, ok := c.entries[runID]; ok {
+			c.lru.MoveToFront(el)
+			c.hits++
+			ent := el.Value.(*cacheEntry)
+			ent.lastTouch = time.Now()
+			c.mu.Unlock()
+			return ent, true, nil
+		}
+		opened, ok := c.opening[runID]
+		if !ok {
+			break
+		}
 		c.mu.Unlock()
-		return ent, true, nil
+		<-opened
+		c.mu.Lock()
 	}
+	opened := make(chan struct{})
+	c.opening[runID] = opened
 	c.misses++
 	c.mu.Unlock()
 
 	// Load outside the lock: opening a cold store replays its manifest,
-	// which must not block hits on other runs. A racing duplicate load of
-	// the same run is benign (last one wins the cache slot).
+	// which must not block hits on other runs.
 	rec, err := load()
-	if err != nil {
-		return nil, false, err
-	}
-	now := time.Now()
-	ent := &cacheEntry{
-		runID: runID, poolRoot: poolRoot, rec: rec,
-		cache: c.payloadCache(poolRoot), openedAt: now, lastTouch: now,
+	var ent *cacheEntry
+	if err == nil {
+		now := time.Now()
+		ent = &cacheEntry{
+			runID: runID, poolRoot: poolRoot, rec: rec,
+			cache: c.payloadCache(poolRoot), openedAt: now, lastTouch: now,
+		}
 	}
 
 	c.mu.Lock()
+	delete(c.opening, runID)
+	close(opened)
 	var evicted []string
-	if el, ok := c.entries[runID]; ok {
-		// Lost the race: adopt the winner so concurrent queries share it.
-		c.lru.MoveToFront(el)
-		ent = el.Value.(*cacheEntry)
-	} else {
+	if ent != nil {
 		c.entries[runID] = c.lru.PushFront(ent)
 		for c.lru.Len() > c.cap {
 			last := c.lru.Back()
@@ -113,8 +131,8 @@ func (c *storeCache) get(runID, poolRoot string, load func() (*replay.Recording,
 			c.mEvictions.Inc()
 			evicted = append(evicted, old.runID)
 		}
+		c.mOpen.Set(int64(c.lru.Len()))
 	}
-	c.mOpen.Set(int64(c.lru.Len()))
 	hook := c.onEvict
 	c.mu.Unlock()
 	if hook != nil {
@@ -122,7 +140,7 @@ func (c *storeCache) get(runID, poolRoot string, load func() (*replay.Recording,
 			hook(id)
 		}
 	}
-	return ent, false, nil
+	return ent, false, err
 }
 
 // payloadCache returns the decoded-payload cache for a store: per-run for

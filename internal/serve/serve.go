@@ -900,7 +900,9 @@ type ReplayRequest struct {
 	// Workers is the hindsight parallelism G (server default when <= 0).
 	// Actual concurrency is additionally bounded by the shared pool.
 	Workers int `json:"workers"`
-	// Scheduler is "static", "balanced" or "stealing" ("balanced" default).
+	// Scheduler is accepted for compatibility and ignored: "", "static",
+	// "balanced" and "stealing" all run the one executor; other names are
+	// rejected.
 	Scheduler string `json:"scheduler"`
 	// Init is "strong" or "weak" ("weak" default: daemon replays jump to
 	// checkpoints).
@@ -913,13 +915,15 @@ type ReplayResponse struct {
 	Probe     string   `json:"probe"`
 	Logs      []string `json:"logs"`
 	Anomalies int      `json:"anomalies"`
-	Workers   int      `json:"workers"`
-	Scheduler string   `json:"scheduler"`
-	Steals    int      `json:"steals"`
-	CFactor   float64  `json:"c_factor"`
-	WallNs    int64    `json:"wall_ns"`
-	QueueNs   int64    `json:"queue_ns"`
-	StoreHit  bool     `json:"store_hit"`
+	// Workers counts the workers that ran: at most the requested
+	// parallelism, fewer when the shared pool granted fewer slots before the
+	// work ran out.
+	Workers  int     `json:"workers"`
+	Steals   int     `json:"steals"`
+	CFactor  float64 `json:"c_factor"`
+	WallNs   int64   `json:"wall_ns"`
+	QueueNs  int64   `json:"queue_ns"`
+	StoreHit bool    `json:"store_hit"`
 	// Cost attributes the replay's restored bytes to store fetch tiers and
 	// totals its restore work.
 	Cost QueryCost `json:"cost"`
@@ -946,8 +950,7 @@ func (s *Server) Replay(ctx context.Context, runID string, req ReplayRequest) (*
 	if err != nil {
 		return nil, err
 	}
-	schedPolicy, err := parseScheduler(req.Scheduler)
-	if err != nil {
+	if err := checkScheduler(req.Scheduler); err != nil {
 		return nil, err
 	}
 	init, err := parseInit(req.Init)
@@ -976,14 +979,13 @@ func (s *Server) Replay(ctx context.Context, runID string, req ReplayRequest) (*
 	t0 := time.Now()
 	doReplay := func(ent *cacheEntry) (*replay.Result, error) {
 		return replay.Replay(ent.rec, factory, replay.Options{
-			Workers:   workers,
-			Scheduler: schedPolicy,
-			Init:      init,
-			Slots:     s.pool,
-			Ctx:       slotCtx,
-			Cache:     ent.cache,
-			Trace:     tr,
-			Prefetch:  s.opts.Prefetch,
+			Workers:  workers,
+			Init:     init,
+			Slots:    s.pool,
+			Ctx:      slotCtx,
+			Cache:    ent.cache,
+			Trace:    tr,
+			Prefetch: s.opts.Prefetch,
 		})
 	}
 	res, err := doReplay(ent)
@@ -1029,7 +1031,6 @@ func (s *Server) Replay(ctx context.Context, runID string, req ReplayRequest) (*
 		Logs:      res.Logs,
 		Anomalies: len(res.Anomalies),
 		Workers:   len(res.Workers),
-		Scheduler: res.Scheduler.String(),
 		Steals:    res.Steals,
 		CFactor:   res.CFactor,
 		WallNs:    res.WallNs,
@@ -1429,16 +1430,15 @@ func (s *Server) Trace(runID, traceID string) (*obs.Trace, error) {
 // renders it at GET /metrics.
 func (s *Server) MetricsRegistry() *obs.Registry { return s.reg }
 
-func parseScheduler(name string) (replay.Scheduler, error) {
+// checkScheduler validates the request's scheduler name. Replay has one
+// scheduler, so the names clients used to choose between are accepted and
+// ignored; anything else is still a malformed request.
+func checkScheduler(name string) error {
 	switch name {
-	case "", "balanced":
-		return replay.SchedBalanced, nil
-	case "static":
-		return replay.SchedStatic, nil
-	case "stealing":
-		return replay.SchedStealing, nil
+	case "", "static", "balanced", "stealing":
+		return nil
 	default:
-		return 0, fmt.Errorf("%w: unknown scheduler %q (want static, balanced or stealing)", ErrBadRequest, name)
+		return fmt.Errorf("%w: unknown scheduler %q (want static, balanced or stealing)", ErrBadRequest, name)
 	}
 }
 

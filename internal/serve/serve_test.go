@@ -216,7 +216,7 @@ func TestDaemonConcurrentQueriesByteIdentical(t *testing.T) {
 		go func(id string) {
 			defer wg.Done()
 			resp, body := fx.post(t, "/v1/runs/"+id+"/replay",
-				serve.ReplayRequest{Probe: "wnorm", Workers: 4, Scheduler: "stealing", Init: "weak"})
+				serve.ReplayRequest{Probe: "wnorm", Workers: 4, Init: "weak"})
 			if resp.StatusCode != http.StatusOK {
 				results <- result{id: id, err: fmt.Errorf("status %d: %s", resp.StatusCode, body)}
 				return
@@ -458,6 +458,13 @@ func TestDaemonErrors(t *testing.T) {
 	}
 	if resp, _ := fx.post(t, "/v1/runs/run-a/replay", serve.ReplayRequest{Scheduler: "chaotic"}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown scheduler: status %d", resp.StatusCode)
+	}
+	// The names clients used to pick a scheduler with are still accepted
+	// (and ignored).
+	for _, name := range []string{"static", "balanced", "stealing"} {
+		if resp, body := fx.post(t, "/v1/runs/run-a/replay", serve.ReplayRequest{Scheduler: name}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("scheduler %q: status %d: %s", name, resp.StatusCode, body)
+		}
 	}
 	if resp, _ := fx.get(t, "/v1/runs/run-a/logs?iters=zap"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad iters: status %d", resp.StatusCode)
