@@ -138,8 +138,12 @@ const DefaultPayloadCacheBytes = 256 << 20
 // PayloadCache memoizes decoded section payloads by content identity.
 // Replay restores largely identical state epoch after epoch (frozen layers,
 // datasets, configuration); since payloads are immutable by contract and
-// every Value.Restore copies, one decode per distinct content serves the
-// whole run. The cache never evicts — once the byte budget is reached, new
+// every Value.Restore copies out of them, one decode per distinct content
+// serves the whole run, shared by every worker of every query. A decoded
+// payload views the section buffer it was decoded from, so admitting a
+// payload takes that buffer over for good: it is the cache's from then on
+// and no restore may write to it again (DecodeSectionsCached hands it over).
+// The cache never evicts — once the byte budget is reached, new
 // content simply stops being cached. That keeps Contains answers stable,
 // which GetSections relies on when it skips loading content the cache has
 // promised to serve (an evicting cache could break that promise between the
@@ -241,26 +245,29 @@ func (c *PayloadCache) get(h ckptfmt.Hash) (value.Payload, bool) {
 	return e.p, ok
 }
 
-func (c *PayloadCache) put(h ckptfmt.Hash, p value.Payload, bytes int64) {
+// put offers a decoded payload and reports whether the cache admitted it —
+// and with it took over the buffer the payload views.
+func (c *PayloadCache) put(h ckptfmt.Hash, p value.Payload, bytes int64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.m[h]; ok {
-		return
+		return false
 	}
 	if _, ok := c.seen[h]; !ok {
 		if len(c.seen) >= seenLimit {
 			c.seen = map[ckptfmt.Hash]struct{}{}
 		}
 		c.seen[h] = struct{}{}
-		return
+		return false
 	}
 	if c.size+bytes > c.cap {
-		return
+		return false
 	}
 	c.m[h] = cachedPayload{p: p, bytes: bytes}
 	c.size += bytes
 	c.admits++
 	c.mAdmits.Inc()
+	return true
 }
 
 // DecodeSectionsCached parses sections into bundle items, serving sections
@@ -268,11 +275,12 @@ func (c *PayloadCache) put(h ckptfmt.Hash, p value.Payload, bytes int64) {
 // store skipped loading them) and caching fresh decodes by content
 // identity. A nil cache degrades to DecodeSections.
 //
-// Ownership: the call takes secs[i].Data — a buffer the cache hit path no
-// longer needs (the cached payload references an earlier load's bytes) is
-// recycled into the shared restore arena, so callers must not retain Data
-// slices across the call. Decoded payloads may alias Data (lazy tensor
-// views), which is exactly why only the cache-HIT path may recycle.
+// Ownership: decoded payloads view secs[i].Data. A section buffer stays the
+// caller's — to overwrite with its next restore once it is done with the
+// returned items — unless the cache admitted the payload decoded from it:
+// then the buffer is the cache's for good, and the call sets secs[i].Data to
+// nil so the caller cannot offer it again. Payloads served from the cache
+// view buffers admitted earlier and must be treated as read-only.
 func DecodeSectionsCached(c *PayloadCache, secs []store.Section) ([]NamedPayload, error) {
 	if c == nil {
 		return DecodeSections(secs)
@@ -284,10 +292,6 @@ func DecodeSectionsCached(c *PayloadCache, secs []store.Section) ([]NamedPayload
 		if secs[i].Hash != zero {
 			if p, ok := c.get(secs[i].Hash); ok {
 				items[i] = NamedPayload{Name: secs[i].Name, Payload: p}
-				if secs[i].Data != nil {
-					ckptfmt.Shared.Put(secs[i].Data)
-					secs[i].Data = nil
-				}
 				return
 			}
 		}
@@ -301,8 +305,8 @@ func DecodeSectionsCached(c *PayloadCache, secs []store.Section) ([]NamedPayload
 			return
 		}
 		items[i] = NamedPayload{Name: secs[i].Name, Payload: p}
-		if secs[i].Hash != zero {
-			c.put(secs[i].Hash, p, int64(len(secs[i].Data)))
+		if secs[i].Hash != zero && c.put(secs[i].Hash, p, int64(len(secs[i].Data))) {
+			secs[i].Data = nil
 		}
 	})
 	for _, err := range errs {

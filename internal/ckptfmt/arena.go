@@ -24,11 +24,12 @@ type Arena struct {
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
-// Shared is the process-wide arena the restore path threads its staging
-// buffers through: the store recycles span read buffers here between shard
-// fetches, and the payload cache's admission path feeds section buffers it
-// retires back into the same pool, so both layers draw from one warm set
-// instead of growing two.
+// Shared is the process-wide arena the restore path threads its fetch
+// scratch through: the store stages span reads, frame headers and trailers,
+// and small or compressed records here and releases each span the moment a
+// run's frames are decoded. Section buffers never come from it or go to it:
+// they belong to the restoring worker, or to the payload cache once it admits
+// a payload viewing them.
 var Shared = NewArena()
 
 // Get returns a buffer of length n (capacity possibly larger). Contents are

@@ -17,6 +17,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"unsafe"
 
 	"flor.dev/flor/internal/tensor"
@@ -98,13 +99,17 @@ func (w *Writer) RawAppend(b []byte) {
 	w.buf.Write(b)
 }
 
-// Tensor appends a shape-prefixed dense tensor.
-func (w *Writer) Tensor(t *tensor.Tensor) {
-	shape := t.Shape()
+// shape appends a tensor's rank and dimensions.
+func (w *Writer) shape(shape []int) {
 	w.Uvarint(uint64(len(shape)))
 	for _, d := range shape {
 		w.Uvarint(uint64(d))
 	}
+}
+
+// Tensor appends a shape-prefixed dense tensor.
+func (w *Writer) Tensor(t *tensor.Tensor) {
+	w.shape(t.Shape())
 	data := t.Data()
 	if len(data) == 0 {
 		return
@@ -145,20 +150,22 @@ func NewReader(b []byte) *Reader { return &Reader{buf: b} }
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint. Only the shortest encoding of a value —
+// the one Writer emits — is accepted, so whatever decodes re-encodes to the
+// bytes it was read from.
 func (r *Reader) Uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && r.buf[r.off+n-1] == 0) {
 		return 0, fmt.Errorf("%w: bad uvarint at offset %d", ErrCorrupt, r.off)
 	}
 	r.off += n
 	return v, nil
 }
 
-// Int reads a zig-zag varint.
+// Int reads a zig-zag varint (shortest encoding only, like Uvarint).
 func (r *Reader) Int() (int, error) {
 	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && r.buf[r.off+n-1] == 0) {
 		return 0, fmt.Errorf("%w: bad varint at offset %d", ErrCorrupt, r.off)
 	}
 	r.off += n
@@ -219,13 +226,11 @@ func (r *Reader) RawBytes() ([]byte, error) {
 
 // Tensor reads a shape-prefixed dense tensor.
 func (r *Reader) Tensor() (*tensor.Tensor, error) {
-	shape, raw, err := r.TensorView()
+	d, err := r.Dense()
 	if err != nil {
 		return nil, err
 	}
-	out := tensor.New(shape...)
-	PutFloats(out.Data(), raw)
-	return out, nil
+	return d.Tensor(), nil
 }
 
 // TensorView reads a shape-prefixed dense tensor without materializing it.
@@ -235,6 +240,10 @@ func (r *Reader) Tensor() (*tensor.Tensor, error) {
 // float64 slice — together they form the zero-copy restore path, which
 // defers (or skips) building an intermediate tensor and instead copies
 // checkpoint bytes straight into the live destination.
+//
+// The element count is bounded by the bytes left in the stream before any
+// dimension is trusted, so a shape whose product overflows (or whose
+// dimensions do not fit an int) is ErrCorrupt, never a wrapped-around length.
 func (r *Reader) TensorView() (shape []int, raw []byte, err error) {
 	dims, err := r.Uvarint()
 	if err != nil {
@@ -244,21 +253,105 @@ func (r *Reader) TensorView() (shape []int, raw []byte, err error) {
 		return nil, nil, fmt.Errorf("%w: implausible tensor rank %d", ErrCorrupt, dims)
 	}
 	shape = make([]int, dims)
-	n := 1
+	limit := uint64(r.Remaining()) / 8
+	n := uint64(1)
 	for i := range shape {
 		d, err := r.Uvarint()
 		if err != nil {
 			return nil, nil, err
 		}
+		if d > math.MaxInt || (n != 0 && d != 0 && n > limit/d) {
+			return nil, nil, fmt.Errorf("%w: tensor dimension %d exceeds the %d bytes left at offset %d", ErrCorrupt, d, r.Remaining(), r.off)
+		}
 		shape[i] = int(d)
-		n *= int(d)
+		n *= d
 	}
-	if r.Remaining() < 8*n {
+	if uint64(r.Remaining())/8 < n {
 		return nil, nil, fmt.Errorf("%w: truncated tensor payload at offset %d", ErrCorrupt, r.off)
 	}
-	raw = r.buf[r.off : r.off+8*n]
-	r.off += 8 * n
+	raw = r.buf[r.off : r.off+8*int(n)]
+	r.off += 8 * int(n)
 	return shape, raw, nil
+}
+
+// Dense is a dense tensor as checkpoints carry it, in one of two forms.
+// Snapshots build the materialized form (T set). Decoding builds the view
+// form: the shape and the wire float block, aliasing the decoded buffer,
+// unmaterialized. A view restores by copying checkpoint bytes straight into a
+// live tensor's backing array (CopyInto) — the restore hot path never builds
+// an intermediate tensor — and materializes a fresh copy on demand for any
+// other consumer (Tensor). Neither form is ever mutated through Dense, so a
+// value may be shared between goroutines for as long as the buffer a view
+// aliases stays untouched.
+type Dense struct {
+	T *tensor.Tensor
+
+	// View form, set only when T is nil: raw holds 8 little-endian IEEE-754
+	// bytes per element, shape the dimensions.
+	raw   []byte
+	shape []int
+}
+
+// Dense reads a shape-prefixed dense tensor as a view over the reader's
+// buffer (see TensorView).
+func (r *Reader) Dense() (Dense, error) {
+	shape, raw, err := r.TensorView()
+	if err != nil {
+		return Dense{}, err
+	}
+	return Dense{raw: raw, shape: shape}, nil
+}
+
+// Dense appends d in the encoding of Tensor; a view is re-emitted verbatim,
+// byte-identical to encoding the tensor it would materialize to.
+func (w *Writer) Dense(d Dense) {
+	if d.T != nil {
+		w.Tensor(d.T)
+		return
+	}
+	w.shape(d.shape)
+	w.buf.Write(d.raw)
+}
+
+// Shape returns the dimensions without materializing a view.
+func (d Dense) Shape() []int {
+	if d.T != nil {
+		return d.T.Shape()
+	}
+	return d.shape
+}
+
+// Len returns the element count.
+func (d Dense) Len() int {
+	if d.T != nil {
+		return d.T.Len()
+	}
+	return len(d.raw) / 8
+}
+
+// Tensor returns the materialized tensor, or a freshly allocated copy of a
+// view: the view itself is never materialized in place, because decoded
+// payloads are shared (a payload cache serves one to many restores).
+func (d Dense) Tensor() *tensor.Tensor {
+	if d.T != nil {
+		return d.T
+	}
+	t := tensor.New(d.shape...)
+	PutFloats(t.Data(), d.raw)
+	return t
+}
+
+// CopyInto overwrites dst's elements with d's; the shapes must match.
+func (d Dense) CopyInto(dst *tensor.Tensor) error {
+	if !slices.Equal(dst.Shape(), d.Shape()) {
+		return fmt.Errorf("codec: tensor shape mismatch %v vs %v", dst.Shape(), d.Shape())
+	}
+	if d.T != nil {
+		dst.CopyFrom(d.T)
+	} else {
+		PutFloats(dst.Data(), d.raw)
+	}
+	return nil
 }
 
 // PutFloats copies a wire-format float block (8 little-endian bytes per

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -340,5 +341,87 @@ func TestTensorViewAliasesAndPutFloats(t *testing.T) {
 	// The view must reject truncated payloads like Tensor does.
 	if _, _, err := NewReader(w.Bytes()[:w.Len()-4]).TensorView(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated view: err = %v", err)
+	}
+}
+
+// TestTensorViewRejectsOverflowingShape pins that a shape whose element
+// count wraps around (or does not fit an int) is corruption: [1<<62, 4]
+// multiplies to 0 in 64 bits and used to decode as an empty block.
+func TestTensorViewRejectsOverflowingShape(t *testing.T) {
+	for _, dims := range [][]uint64{
+		{1 << 62, 4},         // product wraps to 0
+		{1 << 61, 3},         // product wraps negative as an int
+		{1 << 63},            // dimension does not fit an int
+		{3, 1 << 62, 1 << 2}, // wraps mid-way
+		{1 << 40},            // fits, but far beyond the bytes present
+	} {
+		w := NewWriter()
+		w.Uvarint(uint64(len(dims)))
+		for _, d := range dims {
+			w.Uvarint(d)
+		}
+		w.RawAppend(make([]byte, 64))
+		if _, _, err := NewReader(w.Bytes()).TensorView(); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("dims %v: TensorView err = %v, want ErrCorrupt", dims, err)
+		}
+		if _, err := NewReader(w.Bytes()).Tensor(); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("dims %v: Tensor err = %v, want ErrCorrupt", dims, err)
+		}
+	}
+	// An empty tensor is still a tensor.
+	w := NewWriter()
+	w.Tensor(tensor.New(0, 5))
+	if shape, raw, err := NewReader(w.Bytes()).TensorView(); err != nil || len(raw) != 0 || len(shape) != 2 {
+		t.Fatalf("empty tensor: shape=%v raw=%d err=%v", shape, len(raw), err)
+	}
+}
+
+// TestDenseFormsEquivalent pins that the view a Reader decodes and the
+// materialized tensor it came from are interchangeable: same encoding, same
+// shape and length, CopyInto and Tensor yield the same elements, and the view
+// is never materialized in place.
+func TestDenseFormsEquivalent(t *testing.T) {
+	orig := tensor.Randn(xrand.New(5), 1, 7, 3)
+	w := NewWriter()
+	w.Dense(Dense{T: orig})
+	view, err := NewReader(w.Bytes()).Dense()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if view.T != nil || view.Len() != orig.Len() || !slices.Equal(view.Shape(), orig.Shape()) {
+		t.Fatalf("view = %+v", view)
+	}
+	w2 := NewWriter()
+	w2.Dense(view)
+	if !bytes.Equal(w.Bytes(), w2.Bytes()) {
+		t.Fatal("view re-encodes differently from the tensor it was decoded from")
+	}
+	a, b := view.Tensor(), view.Tensor()
+	if !tensor.Equal(a, orig) || a == b || view.T != nil {
+		t.Fatal("view materializes wrongly, or in place")
+	}
+	dst := tensor.New(7, 3)
+	if err := view.CopyInto(dst); err != nil || !tensor.Equal(dst, orig) {
+		t.Fatalf("CopyInto: err=%v", err)
+	}
+	if err := view.CopyInto(tensor.New(3, 7)); err == nil {
+		t.Fatal("CopyInto accepted a different shape")
+	}
+	if err := (Dense{T: orig}).CopyInto(tensor.New(21)); err == nil {
+		t.Fatal("CopyInto accepted a different shape (materialized)")
+	}
+}
+
+// TestReaderRejectsPaddedVarints pins that only the shortest varint encoding
+// decodes, so decode-then-encode is the identity on accepted input.
+func TestReaderRejectsPaddedVarints(t *testing.T) {
+	if _, err := NewReader([]byte{0x80, 0x00}).Uvarint(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("padded uvarint: err = %v", err)
+	}
+	if _, err := NewReader([]byte{0x82, 0x00}).Int(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("padded varint: err = %v", err)
+	}
+	if v, err := NewReader([]byte{0x00}).Uvarint(); err != nil || v != 0 {
+		t.Fatalf("zero: v=%d err=%v", v, err)
 	}
 }

@@ -13,31 +13,37 @@ package opt
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
+	"flor.dev/flor/internal/codec"
 	"flor.dev/flor/internal/nn"
 	"flor.dev/flor/internal/tensor"
 )
 
-// State is a serializable snapshot of optimizer or scheduler state: named
-// tensors plus named scalars.
+// State is a serializable snapshot of model, optimizer or scheduler state:
+// named tensors plus named scalars. A tensor entry is a codec.Dense:
+// materialized when Snapshot built the state, a view over checkpoint bytes
+// when a decoder did. Restore copies entries into the live object's own
+// tensors and keeps no reference to the state.
 type State struct {
 	Scalars map[string]float64
-	Tensors map[string]*tensor.Tensor
+	Tensors map[string]codec.Dense
 }
 
 // NewState returns an empty state.
 func NewState() *State {
-	return &State{Scalars: map[string]float64{}, Tensors: map[string]*tensor.Tensor{}}
+	return &State{Scalars: map[string]float64{}, Tensors: map[string]codec.Dense{}}
 }
 
-// Clone deep-copies the state.
+// Clone deep-copies the state into materialized tensors.
 func (s *State) Clone() *State {
 	c := NewState()
 	for k, v := range s.Scalars {
 		c.Scalars[k] = v
 	}
 	for k, v := range s.Tensors {
-		c.Tensors[k] = v.Clone()
+		c.Tensors[k] = codec.Dense{T: v.Tensor().Clone()}
 	}
 	return c
 }
@@ -54,7 +60,7 @@ func (s *State) Equal(o *State) bool {
 	}
 	for k, v := range s.Tensors {
 		ov, ok := o.Tensors[k]
-		if !ok || !tensor.Equal(v, ov) {
+		if !ok || !tensor.Equal(v.Tensor(), ov.Tensor()) {
 			return false
 		}
 	}
@@ -65,12 +71,58 @@ func (s *State) Equal(o *State) bool {
 func (s *State) SizeBytes() int {
 	n := 0
 	for k := range s.Scalars {
-		n += len(k) + 8
+		n += scalarSize(k)
 	}
 	for k, v := range s.Tensors {
 		n += len(k) + 8*v.Len()
 	}
 	return n
+}
+
+// scalarSize is what one named scalar adds to State.SizeBytes.
+func scalarSize(name string) int { return len(name) + 8 }
+
+// momentsSize is what the live moment tensors in m, snapshotted under
+// prefix+name, add to State.SizeBytes — counted in place, without the deep
+// copy Snapshot makes.
+func momentsSize(prefix string, m map[string]*tensor.Tensor) int {
+	n := 0
+	for k, v := range m {
+		n += len(prefix) + len(k) + 8*v.Len()
+	}
+	return n
+}
+
+// loadMoments makes the live moment tensors in dst equal to the snapshot
+// entries named prefix+name: an existing tensor of the right shape is
+// overwritten in place, one seen for the first time or with a changed shape
+// is allocated, and one the snapshot lacks is deleted. dst never aliases src,
+// so the snapshot stays intact whatever Step does next.
+func loadMoments(dst map[string]*tensor.Tensor, prefix string, src map[string]codec.Dense) {
+	kept := 0
+	for name, d := range src {
+		if !strings.HasPrefix(name, prefix) {
+			continue
+		}
+		kept++
+		k := name[len(prefix):]
+		t, ok := dst[k]
+		if !ok || !slices.Equal(t.Shape(), d.Shape()) {
+			t = tensor.New(d.Shape()...)
+			dst[k] = t
+		}
+		if err := d.CopyInto(t); err != nil {
+			panic(err) // unreachable: t has d's shape
+		}
+	}
+	if len(dst) == kept {
+		return
+	}
+	for k := range dst {
+		if _, ok := src[prefix+k]; !ok {
+			delete(dst, k)
+		}
+	}
 }
 
 // Optimizer updates a model's trainable parameters from their gradients.
@@ -88,8 +140,11 @@ type Optimizer interface {
 	// Snapshot captures all mutable optimizer state.
 	Snapshot() *State
 	// Restore applies a snapshot captured from an identically configured
-	// optimizer.
+	// optimizer. It overwrites the optimizer's own tensors and retains
+	// nothing of the state, which may be shared with other restores.
 	Restore(*State) error
+	// SizeBytes returns Snapshot().SizeBytes() without taking the snapshot.
+	SizeBytes() int
 }
 
 // SGD is stochastic gradient descent with momentum and decoupled weight
@@ -152,10 +207,13 @@ func (s *SGD) Snapshot() *State {
 	st := NewState()
 	st.Scalars["lr"] = s.lr
 	for k, v := range s.velocity {
-		st.Tensors["vel."+k] = v.Clone()
+		st.Tensors["vel."+k] = codec.Dense{T: v.Clone()}
 	}
 	return st
 }
+
+// SizeBytes implements Optimizer.
+func (s *SGD) SizeBytes() int { return scalarSize("lr") + momentsSize("vel.", s.velocity) }
 
 // Restore implements Optimizer.
 func (s *SGD) Restore(st *State) error {
@@ -163,14 +221,13 @@ func (s *SGD) Restore(st *State) error {
 	if !ok {
 		return fmt.Errorf("opt: SGD restore: missing lr")
 	}
-	s.lr = lr
-	s.velocity = map[string]*tensor.Tensor{}
-	for k, v := range st.Tensors {
+	for k := range st.Tensors {
 		if len(k) < 5 || k[:4] != "vel." {
 			return fmt.Errorf("opt: SGD restore: unexpected tensor %q", k)
 		}
-		s.velocity[k[4:]] = v.Clone()
 	}
+	s.lr = lr
+	loadMoments(s.velocity, "vel.", st.Tensors)
 	return nil
 }
 
@@ -244,12 +301,17 @@ func (a *AdamW) Snapshot() *State {
 	st.Scalars["lr"] = a.lr
 	st.Scalars["step"] = float64(a.step)
 	for k, v := range a.m {
-		st.Tensors["m."+k] = v.Clone()
+		st.Tensors["m."+k] = codec.Dense{T: v.Clone()}
 	}
 	for k, v := range a.v {
-		st.Tensors["v."+k] = v.Clone()
+		st.Tensors["v."+k] = codec.Dense{T: v.Clone()}
 	}
 	return st
+}
+
+// SizeBytes implements Optimizer.
+func (a *AdamW) SizeBytes() int {
+	return scalarSize("lr") + scalarSize("step") + momentsSize("m.", a.m) + momentsSize("v.", a.v)
 }
 
 // Restore implements Optimizer.
@@ -262,20 +324,15 @@ func (a *AdamW) Restore(st *State) error {
 	if !ok {
 		return fmt.Errorf("opt: AdamW restore: missing step")
 	}
-	a.lr = lr
-	a.step = int(stepF)
-	a.m = map[string]*tensor.Tensor{}
-	a.v = map[string]*tensor.Tensor{}
-	for k, v := range st.Tensors {
-		switch {
-		case len(k) > 2 && k[:2] == "m.":
-			a.m[k[2:]] = v.Clone()
-		case len(k) > 2 && k[:2] == "v.":
-			a.v[k[2:]] = v.Clone()
-		default:
+	for k := range st.Tensors {
+		if len(k) < 3 || (k[:2] != "m." && k[:2] != "v.") {
 			return fmt.Errorf("opt: AdamW restore: unexpected tensor %q", k)
 		}
 	}
+	a.lr = lr
+	a.step = int(stepF)
+	loadMoments(a.m, "m.", st.Tensors)
+	loadMoments(a.v, "v.", st.Tensors)
 	return nil
 }
 
@@ -290,6 +347,8 @@ type Scheduler interface {
 	Snapshot() *State
 	// Restore applies a snapshot.
 	Restore(*State) error
+	// SizeBytes returns Snapshot().SizeBytes() without taking the snapshot.
+	SizeBytes() int
 }
 
 // StepLR multiplies the learning rate by gamma every stepSize epochs.
@@ -322,6 +381,9 @@ func (s *StepLR) Snapshot() *State {
 	st.Scalars["epoch"] = float64(s.epoch)
 	return st
 }
+
+// SizeBytes implements Scheduler.
+func (s *StepLR) SizeBytes() int { return scalarSize("epoch") }
 
 // Restore implements Scheduler.
 func (s *StepLR) Restore(st *State) error {
@@ -367,6 +429,9 @@ func (s *CosineLR) Snapshot() *State {
 	st.Scalars["baseLR"] = s.baseLR
 	return st
 }
+
+// SizeBytes implements Scheduler.
+func (s *CosineLR) SizeBytes() int { return scalarSize("epoch") + scalarSize("baseLR") }
 
 // Restore implements Scheduler.
 func (s *CosineLR) Restore(st *State) error {

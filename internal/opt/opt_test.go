@@ -1,10 +1,13 @@
 package opt
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"flor.dev/flor/internal/autograd"
+	"flor.dev/flor/internal/codec"
 	"flor.dev/flor/internal/nn"
 	"flor.dev/flor/internal/tensor"
 	"flor.dev/flor/internal/xrand"
@@ -179,7 +182,7 @@ func TestRestoreRejectsMalformedState(t *testing.T) {
 	}
 	bad := NewState()
 	bad.Scalars["lr"] = 0.1
-	bad.Tensors["junk"] = tensor.New(1)
+	bad.Tensors["junk"] = codec.Dense{T: tensor.New(1)}
 	if err := NewSGD(m, 0.1, 0, 0).Restore(bad); err == nil {
 		t.Fatal("SGD.Restore accepted unknown tensor key")
 	}
@@ -255,12 +258,12 @@ func TestSchedulerSnapshotRestore(t *testing.T) {
 func TestStateCloneAndEqual(t *testing.T) {
 	s := NewState()
 	s.Scalars["x"] = 1.5
-	s.Tensors["w"] = tensor.FromSlice([]float64{1, 2}, 2)
+	s.Tensors["w"] = codec.Dense{T: tensor.FromSlice([]float64{1, 2}, 2)}
 	c := s.Clone()
 	if !s.Equal(c) {
 		t.Fatal("clone not equal")
 	}
-	c.Tensors["w"].Set(9, 0)
+	c.Tensors["w"].T.Set(9, 0)
 	if s.Equal(c) {
 		t.Fatal("clone shares tensor storage")
 	}
@@ -278,5 +281,125 @@ func TestReferenceGraphExposed(t *testing.T) {
 	}
 	if s.Optimizer() != Optimizer(o) {
 		t.Fatal("scheduler does not expose its optimizer")
+	}
+}
+
+// asViews re-expresses a snapshot the way a checkpoint decoder delivers it:
+// every tensor a codec.Dense view over one shared buffer, which is returned
+// so a test can see whether anything wrote through a view.
+func asViews(t *testing.T, st *State) (*State, []byte) {
+	t.Helper()
+	names := make([]string, 0, len(st.Tensors))
+	w := codec.NewWriter()
+	for k, d := range st.Tensors {
+		names = append(names, k)
+		w.Dense(d)
+	}
+	out := NewState()
+	for k, v := range st.Scalars {
+		out.Scalars[k] = v
+	}
+	r := codec.NewReader(w.Bytes())
+	for _, k := range names {
+		d, err := r.Dense()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Tensors[k] = d
+	}
+	return out, w.Bytes()
+}
+
+// TestRestoreOverwritesOwnTensors pins what restoring by overwrite must not
+// break, for both optimizers and both forms of a snapshot: an entry the
+// snapshot lacks is deleted, a shape change reallocates, the snapshot stays
+// bit-identical whatever the optimizer does next, and one snapshot restored
+// into two optimizers gives them independent tensors.
+func TestRestoreOverwritesOwnTensors(t *testing.T) {
+	kinds := []struct {
+		name   string
+		build  func(m nn.Module) Optimizer
+		absent []string // entries dropped for the deletion case
+		grown  string   // entry given a new shape
+	}{
+		{"SGD", func(m nn.Module) Optimizer { return NewSGD(m, 0.5, 0.9, 0.01) }, []string{"vel.fc.b"}, "vel.fc.w"},
+		{"AdamW", func(m nn.Module) Optimizer { return NewAdamW(m, 0.05, 0.01) }, []string{"m.fc.b", "v.fc.b"}, "m.fc.w"},
+	}
+	for _, k := range kinds {
+		for _, form := range []string{"materialized", "view"} {
+			t.Run(k.name+"/"+form, func(t *testing.T) {
+				trained := func(steps int) (*nn.Linear, Optimizer) {
+					m := nn.NewLinear("fc", xrand.New(1), 2, 2)
+					o := k.build(m)
+					for i := 0; i < steps; i++ {
+						trainStep(m, o)
+					}
+					return m, o
+				}
+				_, src := trained(3)
+				snap, ref := src.Snapshot(), src.Snapshot()
+				var buf, bufRef []byte
+				if form == "view" {
+					snap, buf = asViews(t, snap)
+					bufRef = append([]byte(nil), buf...)
+				}
+				intact := func(when string) {
+					t.Helper()
+					if !snap.Equal(ref) || !bytes.Equal(buf, bufRef) {
+						t.Fatalf("%s: the snapshot restored from changed", when)
+					}
+				}
+
+				// Independent tensors: step one of two optimizers restored from
+				// the same snapshot; the other and the snapshot do not move.
+				m1, o1 := trained(5)
+				_, o2 := trained(1)
+				if err := o1.Restore(snap); err != nil {
+					t.Fatal(err)
+				}
+				if err := o2.Restore(snap); err != nil {
+					t.Fatal(err)
+				}
+				if !o1.Snapshot().Equal(ref) || !o2.Snapshot().Equal(ref) {
+					t.Fatal("restored optimizer state differs from the snapshot")
+				}
+				trainStep(m1, o1)
+				if o1.Snapshot().Equal(ref) {
+					t.Fatal("Step did not move the restored optimizer")
+				}
+				if !o2.Snapshot().Equal(ref) {
+					t.Fatal("two optimizers restored from one snapshot share tensors")
+				}
+				intact("Step after Restore")
+
+				// Deletion: entries the snapshot lacks disappear.
+				pruned := &State{Scalars: snap.Scalars, Tensors: map[string]codec.Dense{}}
+				for name, d := range snap.Tensors {
+					if !slices.Contains(k.absent, name) {
+						pruned.Tensors[name] = d
+					}
+				}
+				if err := o1.Restore(pruned); err != nil {
+					t.Fatal(err)
+				}
+				if got := o1.Snapshot(); !got.Equal(pruned) {
+					t.Fatalf("after restoring a snapshot without %v the optimizer holds %d tensors, want %d", k.absent, len(got.Tensors), len(pruned.Tensors))
+				}
+
+				// Shape change: the entry is reallocated, not written through.
+				grown := &State{Scalars: snap.Scalars, Tensors: map[string]codec.Dense{}}
+				for name, d := range snap.Tensors {
+					grown.Tensors[name] = d
+				}
+				grown.Tensors[k.grown] = codec.Dense{T: tensor.Full(7, 3, 5)}
+				if err := o2.Restore(grown); err != nil {
+					t.Fatal(err)
+				}
+				if got := o2.Snapshot(); !got.Equal(grown) {
+					t.Fatalf("restored %s has shape %v, want [3 5]", k.grown, got.Tensors[k.grown].Shape())
+				}
+				intact("restores of edited snapshots")
+			})
+		}
 	}
 }

@@ -240,9 +240,15 @@ func TestReplayEndsWhenWorkDoes(t *testing.T) {
 	}
 
 	// A wait that fails while work remains is still the replay's failure.
+	// The pool's one slot is taken, so no worker can finish the work before
+	// another's wait fails.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := replay.Replay(rec.Recording, factory, replay.Options{Workers: 2, Slots: sched.NewPool(1), Ctx: ctx}); !errors.Is(err, context.Canceled) {
+	busy := sched.NewPool(1)
+	if err := busy.Acquire(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := replay.Replay(rec.Recording, factory, replay.Options{Workers: 2, Slots: busy, Ctx: ctx}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("replay under a cancelled context: err = %v, want context.Canceled", err)
 	}
 }

@@ -2,15 +2,20 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"flor.dev/flor/internal/codec"
 	"flor.dev/flor/internal/core"
 	"flor.dev/flor/internal/replay"
 	"flor.dev/flor/internal/script"
@@ -485,6 +490,45 @@ func TestDaemonErrors(t *testing.T) {
 	}
 	if len(runs) != 2 || runs[0].ID != "run-a" || len(runs[0].Probes) != 2 {
 		t.Fatalf("runs = %+v", runs)
+	}
+}
+
+// TestDaemonCorruptFrameMidRestoreIsTypedError flips one byte in the middle
+// of a run's chunk pack, inside the frame of a mid-run checkpoint: restores
+// of earlier epochs succeed (into worker buffers that the failing read then
+// scribbles on) before one fails its CRC. The query must end as a typed
+// codec.ErrCorrupt — a 500 whose body is the error alone, with no log line of
+// the epochs that did restore — at every worker count, and the other run
+// keeps answering.
+func TestDaemonCorruptFrameMidRestoreIsTypedError(t *testing.T) {
+	// A 1-byte payload cache admits nothing: every restore reads the pack.
+	fx := startDaemon(t, serve.Options{Slots: 4, PayloadCacheBytes: 1})
+	packPath := filepath.Join(fx.dirs["run-a"], "CHUNKS")
+	pack, err := os.ReadFile(packPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pack[len(pack)/2] ^= 0xff
+	if err := os.WriteFile(packPath, pack, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		req := serve.ReplayRequest{Probe: "wnorm", Workers: workers}
+		if resp, err := fx.srv.Replay(context.Background(), "run-a", req); !errors.Is(err, codec.ErrCorrupt) || resp != nil {
+			t.Fatalf("workers=%d: Replay = %v, %v; want no response and codec.ErrCorrupt", workers, resp, err)
+		}
+		resp, body := fx.post(t, "/v1/runs/run-a/replay", req)
+		var reply map[string]any
+		if err := json.Unmarshal(body, &reply); err != nil {
+			t.Fatalf("workers=%d: reply %q: %v", workers, body, err)
+		}
+		msg, _ := reply["error"].(string)
+		if resp.StatusCode != http.StatusInternalServerError || len(reply) != 1 || !strings.Contains(msg, codec.ErrCorrupt.Error()) {
+			t.Fatalf("workers=%d: status %d, reply %s; want 500 carrying only the corruption error", workers, resp.StatusCode, body)
+		}
+	}
+	if resp, body := fx.post(t, "/v1/runs/run-b/replay", serve.ReplayRequest{Probe: "wnorm", Workers: 2}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("intact run after the corrupt one: status %d: %s", resp.StatusCode, body)
 	}
 }
 

@@ -71,6 +71,13 @@ type Block struct {
 
 	execIndex int // which execution of this loop is next
 	stats     Stats
+	// bufs is what the block's last restore read, kept so the next reads
+	// into the same section buffers: every execution of a loop checkpoints
+	// the same names at the same sizes. They are this block's alone — a
+	// Runtime runs on one goroutine, each restore is done with the payloads
+	// viewing them before it returns, and a buffer a shared payload cache
+	// admitted has been taken out (backmat.DecodeSectionsCached).
+	bufs []store.Section
 
 	rt *Runtime
 }
@@ -289,20 +296,24 @@ func (b *Block) execute(ctx *script.Ctx) error {
 
 // restore loads the Loop End Checkpoint and applies its side-effects.
 // Format-v2 checkpoints restore through the parallel path: chunk frames are
-// read and decoded across the worker pool (store.GetSections), then bundle
-// entries decode in parallel too (backmat.DecodeSections). Format-v1 and
-// opaque checkpoints fall back to the monolithic decode.
+// read and decoded across the worker pool into the block's own section
+// buffers (store.GetSectionsInto), bundle entries decode in parallel into
+// views over them (backmat.DecodeSectionsCached), and every value overwrites
+// its live state from its view — in steady state a restore allocates nothing
+// proportional to the checkpoint. Format-v1 and opaque checkpoints fall back
+// to the monolithic decode.
 func (b *Block) restore(ctx *script.Ctx, key store.Key) error {
 	t0 := time.Now()
 	spanStart := b.rt.tr.Now()
 	fetchBefore := b.rt.fetch.Snapshot()
 	var items []backmat.NamedPayload
 	var restoredBytes int64
-	secs, ok, err := b.rt.st.GetSectionsObserved(key, b.rt.cache.Contains, b.rt.fetch)
+	secs, ok, err := b.rt.st.GetSectionsInto(key, b.rt.cache.Contains, b.rt.fetch, b.bufs)
 	if err != nil {
 		return fmt.Errorf("skipblock: %s: %w", key, err)
 	}
 	if ok {
+		b.bufs = secs
 		for _, sec := range secs {
 			restoredBytes += int64(sec.RawLen)
 		}

@@ -86,7 +86,10 @@
 // vectored preadv that puts large raw payloads straight into their section
 // buffers; anything else gets one ReadAt (ReadAtTier when offered) into an
 // arena span; a warm gets WarmAt, or a read that is dropped. The results are
-// byte-identical whichever way the bytes came.
+// byte-identical whichever way the bytes came. Section buffers are the
+// caller's: freshly allocated and retainable from GetSections, or the ones a
+// restoring worker offers back through GetSectionsInto, so that a loop's
+// next checkpoint is read over its previous one without allocating.
 //
 // # Manifest and crash consistency
 //
@@ -1528,7 +1531,7 @@ func (s *Store) Get(key Key) ([]byte, error) {
 		}
 		return payload, nil
 	}
-	secs, err := s.readSections(m, dir, nil, nil)
+	secs, err := s.readSections(m, dir, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -1571,6 +1574,22 @@ func (s *Store) GetSections(key Key, have func(ckptfmt.Hash) bool) (secs []Secti
 // payload-cache hit skips) is accounted to its fetch tier in fs. A nil fs is
 // exactly GetSections — the hot path pays no observation cost.
 func (s *Store) GetSectionsObserved(key Key, have func(ckptfmt.Hash) bool, fs *FetchStats) (secs []Section, ok bool, err error) {
+	return s.GetSectionsInto(key, have, fs, nil)
+}
+
+// GetSectionsInto is GetSectionsObserved reading into buffers the caller
+// already owns: a loaded section whose name matches reuse's section at the
+// same position, and whose Data is large enough, is read into that Data
+// instead of a fresh allocation. A restoring goroutine that passes back what
+// its previous call for the same loop returned — section names and sizes
+// repeat from one execution's checkpoint to the next — reads without
+// allocating section memory. The caller must own every Data it offers: no
+// view over it may still be in use, and a buffer whose view was handed to a
+// holder that outlives the restore (see backmat.PayloadCache) is that
+// holder's and must not be offered again. The buffers of reuse are
+// overwritten even when the call fails. With a nil reuse every returned Data
+// is freshly allocated and the caller's to retain.
+func (s *Store) GetSectionsInto(key Key, have func(ckptfmt.Hash) bool, fs *FetchStats, reuse []Section) (secs []Section, ok bool, err error) {
 	m, dir, err := s.segmentDir(key)
 	if err != nil {
 		return nil, false, err
@@ -1578,7 +1597,7 @@ func (s *Store) GetSectionsObserved(key Key, have func(ckptfmt.Hash) bool, fs *F
 	if m.Format != FormatV2 || dir.Opaque {
 		return nil, false, nil
 	}
-	secs, err = s.readSections(m, dir, have, fs)
+	secs, err = s.readSections(m, dir, have, fs, reuse)
 	if err != nil {
 		return nil, false, err
 	}
@@ -1626,15 +1645,18 @@ func (s *Store) segmentDir(key Key) (*Meta, *ckptfmt.Directory, error) {
 // the moment its bytes land. Sections whose identity the optional have
 // callback claims are skipped (returned with nil Data).
 //
-// Every loaded section owns a freshly allocated Data buffer: decode writes
-// into it directly or copies out of transient arena spans, so Data — and any
-// lazy payload view a caller builds over it — stays valid indefinitely.
+// A loaded section's Data is the one owned copy of its bytes: the kernel
+// read lands in it directly (large raw frames) or decode copies into it out
+// of transient arena spans. It is taken from reuse when the caller offers a
+// fitting buffer (see GetSectionsInto) and freshly allocated otherwise; either
+// way it belongs to the caller on return, and any payload view built over it
+// stays valid for as long as the caller leaves it alone.
 //
 // The have callback is invoked without any store lock held, and each
 // shard's lock is taken only briefly to resolve chunk locations: concurrent
 // readers from many server goroutines must not serialize on each other's
 // cache probes.
-func (s *Store) readSections(m *Meta, dir *ckptfmt.Directory, have func(ckptfmt.Hash) bool, fs *FetchStats) ([]Section, error) {
+func (s *Store) readSections(m *Meta, dir *ckptfmt.Directory, have func(ckptfmt.Hash) bool, fs *FetchStats, reuse []Section) ([]Section, error) {
 	secs := make([]Section, len(dir.Sections))
 	// Phase 1, lock-free: compute each section's content identity and ask
 	// the caller which sections it already holds. A section the caller holds
@@ -1666,7 +1688,12 @@ func (s *Store) readSections(m *Meta, dir *ckptfmt.Directory, have func(ckptfmt.
 	byShard := map[int][]int{} // shard -> indices into jobs
 	for _, i := range load {
 		ds := &dir.Sections[i]
-		buf := make([]byte, secs[i].RawLen)
+		var buf []byte
+		if i < len(reuse) && reuse[i].Name == ds.Name && cap(reuse[i].Data) >= secs[i].RawLen {
+			buf = reuse[i].Data[:secs[i].RawLen]
+		} else {
+			buf = make([]byte, secs[i].RawLen)
+		}
 		secs[i].Data = buf
 		off := 0
 		for _, ref := range ds.Chunks {

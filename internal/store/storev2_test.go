@@ -59,6 +59,79 @@ func TestPutSectionsGetSectionsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGetSectionsIntoBufferOwnership pins who owns section memory on reads: a
+// read offered no buffers returns fresh ones the caller may retain (a later
+// read never touches them), a read offered the sections of an earlier one
+// lands in their buffers where name and size fit, and allocates where they
+// do not — another name at that position, too small a buffer, no buffer.
+func TestGetSectionsIntoBufferOwnership(t *testing.T) {
+	s := openTemp(t)
+	content := func(seed uint64) []Section {
+		return []Section{
+			{Name: "net", Data: noise(ckptfmt.DefaultChunkSize+100, seed)},
+			{Name: "opt", Data: noise(70<<10, seed+100)},
+			{Name: "lr", Data: noise(9, seed+200)},
+		}
+	}
+	k0, k1 := Key{LoopID: "train", Exec: 0}, Key{LoopID: "train", Exec: 1}
+	for i, k := range []Key{k0, k1} {
+		if _, err := s.PutSections(k, content(uint64(i+1)), 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(k Key, reuse []Section) []Section {
+		t.Helper()
+		secs, ok, err := s.GetSectionsInto(k, nil, nil, reuse)
+		if err != nil || !ok {
+			t.Fatalf("read %s: ok=%v err=%v", k, ok, err)
+		}
+		return secs
+	}
+	same := func(a, b []byte) bool { return &a[0] == &b[0] }
+	check := func(what string, got, want []Section) {
+		t.Helper()
+		for i := range want {
+			if got[i].Name != want[i].Name || !bytes.Equal(got[i].Data, want[i].Data) {
+				t.Fatalf("%s: section %q differs from what was stored", what, want[i].Name)
+			}
+		}
+	}
+
+	// No buffers offered: fresh, retainable memory every time.
+	first, _, err := s.GetSectionsObserved(k0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := read(k1, nil)
+	check("retained read", first, content(1))
+	check("fresh read", second, content(2))
+	for i := range first {
+		if same(first[i].Data, second[i].Data) {
+			t.Fatalf("section %q of two unbuffered reads shares memory", first[i].Name)
+		}
+	}
+
+	// The previous read's sections offered: every section lands in place.
+	third := read(k1, first)
+	check("read into offered buffers", third, content(2))
+	for i := range third {
+		if !same(third[i].Data, first[i].Data) {
+			t.Fatalf("section %q was offered a fitting buffer but allocated", third[i].Name)
+		}
+	}
+
+	// Misfits allocate: a renamed slot, a short buffer, a missing one.
+	offered := []Section{{Name: "other", Data: third[0].Data}, {Name: "opt", Data: third[1].Data[:10:10]}}
+	fourth := read(k0, offered)
+	check("read past misfit buffers", fourth, content(1))
+	for i := range fourth {
+		if same(fourth[i].Data, third[i].Data) {
+			t.Fatalf("section %q reused a buffer that does not fit it", fourth[i].Name)
+		}
+	}
+	check("buffers not taken stay intact", third, content(2))
+}
+
 func TestGetSectionsFallsBackForOpaqueAndV1(t *testing.T) {
 	s := openTemp(t)
 	s.Put(Key{LoopID: "L", Exec: 0}, []byte("opaque blob"), 0, 0, 0)
@@ -203,12 +276,19 @@ func TestTornManifestTailWithV2Records(t *testing.T) {
 
 // TestFlippedPackByteSurfacesErrCorrupt flips every byte of the chunk pack
 // in turn; reads of the affected checkpoint must fail with codec.ErrCorrupt
-// rather than return garbage state.
+// rather than return garbage state — also when the read lands in buffers the
+// caller offered for reuse, which a failed read may scribble on but must
+// never hand back as sections.
 func TestFlippedPackByteSurfacesErrCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	key := Key{LoopID: "L", Exec: 0}
-	s.PutSections(key, []Section{{Name: "w", Data: noise(512, 2)}}, 0, 0, 0)
+	want := noise(512, 2)
+	s.PutSections(key, []Section{{Name: "w", Data: want}}, 0, 0, 0)
+	reuse, ok, err := s.GetSections(key, nil)
+	if err != nil || !ok {
+		t.Fatalf("intact read: ok=%v err=%v", ok, err)
+	}
 	packPath := filepath.Join(dir, "CHUNKS")
 	pack, err := os.ReadFile(packPath)
 	if err != nil {
@@ -225,8 +305,23 @@ func TestFlippedPackByteSurfacesErrCorrupt(t *testing.T) {
 		if _, _, err := s2.GetSections(key, nil); !errors.Is(err, codec.ErrCorrupt) {
 			t.Fatalf("byte %d: error %v is not codec.ErrCorrupt", i, err)
 		}
+		if secs, _, err := s2.GetSectionsInto(key, nil, nil, reuse); !errors.Is(err, codec.ErrCorrupt) || secs != nil {
+			t.Fatalf("byte %d, into reused buffers: %d sections, error %v; want none and codec.ErrCorrupt", i, len(secs), err)
+		}
 	}
 	os.WriteFile(packPath, pack, 0o644)
+	// The same buffers serve the next intact read.
+	s3, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := s3.GetSectionsInto(key, nil, nil, reuse)
+	if err != nil || !ok || !bytes.Equal(got[0].Data, want) {
+		t.Fatalf("intact read into reused buffers: ok=%v err=%v", ok, err)
+	}
+	if &got[0].Data[0] != &reuse[0].Data[0] {
+		t.Fatal("a fitting buffer was offered but the read allocated a new one")
+	}
 }
 
 func TestFlippedSegmentDirectoryByteDetected(t *testing.T) {

@@ -15,6 +15,7 @@ package value
 
 import (
 	"fmt"
+	"slices"
 
 	"flor.dev/flor/internal/codec"
 	"flor.dev/flor/internal/nn"
@@ -137,70 +138,32 @@ func (p BoolPayload) Encode(w *codec.Writer) { w.Bool(bool(p)) }
 // SizeBytes implements Payload.
 func (BoolPayload) SizeBytes() int { return 1 }
 
-// TensorPayload carries a dense tensor, in one of two forms. Snapshot builds
-// the materialized form (T set). DecodePayload builds the lazy form: the wire
-// float block and shape, unmaterialized. A lazy payload restores by copying
-// checkpoint bytes straight into the live tensor's backing array — the
-// restore hot path never builds an intermediate tensor copy — and
-// materializes on demand for any other consumer via Tensor. The raw block
-// aliases the decoded section buffer, which is immutable once returned, so
-// lazy payloads are safe to hold indefinitely (e.g. in a PayloadCache).
-type TensorPayload struct {
-	T *tensor.Tensor
-
-	// Lazy form, set only when T is nil: raw holds 8 little-endian IEEE-754
-	// bytes per element, shape the dimensions.
-	raw   []byte
-	shape []int
-}
+// TensorPayload carries a dense tensor in codec.Dense's two forms: Snapshot
+// builds the materialized one (T set), DecodePayload the view over the
+// decoded section buffer, which Restore copies straight into the live
+// tensor's backing array. Whoever holds a decoded payload beyond the restore
+// it was decoded for (a backmat.PayloadCache) owns that buffer from then on.
+type TensorPayload codec.Dense
 
 // Kind implements Payload.
 func (TensorPayload) Kind() Kind { return KindTensor }
 
 // Encode implements Payload.
-func (p TensorPayload) Encode(w *codec.Writer) {
-	if p.T != nil {
-		w.Tensor(p.T)
-		return
-	}
-	// Re-emit the lazy form verbatim: shape prefix then the wire float block,
-	// byte-identical to encoding the materialized tensor.
-	w.Uvarint(uint64(len(p.shape)))
-	for _, d := range p.shape {
-		w.Uvarint(uint64(d))
-	}
-	w.RawAppend(p.raw)
-}
+func (p TensorPayload) Encode(w *codec.Writer) { w.Dense(codec.Dense(p)) }
 
 // SizeBytes implements Payload.
-func (p TensorPayload) SizeBytes() int {
-	if p.T != nil {
-		return 8*p.T.Len() + 8
-	}
-	return len(p.raw) + 8
-}
+func (p TensorPayload) SizeBytes() int { return 8*codec.Dense(p).Len() + 8 }
 
-// Tensor returns the payload's tensor, materializing a lazy view on demand.
-func (p TensorPayload) Tensor() *tensor.Tensor {
-	if p.T != nil {
-		return p.T
-	}
-	t := tensor.New(p.shape...)
-	codec.PutFloats(t.Data(), p.raw)
-	return t
-}
-
-// Shape returns the payload's dimensions without materializing it.
-func (p TensorPayload) Shape() []int {
-	if p.T != nil {
-		return p.T.Shape()
-	}
-	return p.shape
-}
+// Tensor returns the payload's tensor, a fresh copy when it is a view.
+func (p TensorPayload) Tensor() *tensor.Tensor { return codec.Dense(p).Tensor() }
 
 // StatePayload carries named tensors plus named scalars, sorted by name on
 // the wire for deterministic encoding. It serves models, optimizers and
-// schedulers alike.
+// schedulers alike. Like TensorPayload it has one decoded form: DecodePayload
+// leaves every tensor entry a codec.Dense view over the section buffer, and
+// Model, Optimizer and Scheduler restore by overwriting their own tensors
+// from it — a decoded state is never adopted as live state, so one payload
+// can serve any number of restores.
 type StatePayload struct{ S *opt.State }
 
 // Kind implements Payload.
@@ -214,11 +177,11 @@ func (p StatePayload) Encode(w *codec.Writer) {
 		w.String(k)
 		w.Float64(p.S.Scalars[k])
 	}
-	tensorKeys := sortedKeysT(p.S.Tensors)
+	tensorKeys := sortedKeys(p.S.Tensors)
 	w.Uvarint(uint64(len(tensorKeys)))
 	for _, k := range tensorKeys {
 		w.String(k)
-		w.Tensor(p.S.Tensors[k])
+		w.Dense(p.S.Tensors[k])
 	}
 }
 
@@ -265,45 +228,31 @@ func DecodePayload(r *codec.Reader, k Kind) (Payload, error) {
 		}
 		return BoolPayload(v), nil
 	case KindTensor:
-		// Decode lazily: keep the wire view so a subsequent Restore copies
-		// bytes straight onto the live tensor instead of paying for an
-		// intermediate materialized copy it would immediately discard.
-		shape, raw, err := r.TensorView()
+		// Keep the wire view so a subsequent Restore copies bytes straight
+		// onto the live tensor instead of paying for an intermediate
+		// materialized copy it would immediately discard.
+		d, err := r.Dense()
 		if err != nil {
 			return nil, err
 		}
-		return TensorPayload{raw: raw, shape: shape}, nil
+		return TensorPayload(d), nil
 	case KindState:
 		st := opt.NewState()
-		ns, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		for i := uint64(0); i < ns; i++ {
-			name, err := r.String()
-			if err != nil {
-				return nil, err
-			}
+		err := decodeNamed(r, func(name string) error {
 			v, err := r.Float64()
-			if err != nil {
-				return nil, err
-			}
 			st.Scalars[name] = v
-		}
-		nt, err := r.Uvarint()
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		for i := uint64(0); i < nt; i++ {
-			name, err := r.String()
-			if err != nil {
-				return nil, err
-			}
-			t, err := r.Tensor()
-			if err != nil {
-				return nil, err
-			}
-			st.Tensors[name] = t
+		err = decodeNamed(r, func(name string) error {
+			d, err := r.Dense()
+			st.Tensors[name] = d
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
 		return StatePayload{S: st}, nil
 	case KindRNG:
@@ -312,7 +261,7 @@ func DecodePayload(r *codec.Reader, k Kind) (Payload, error) {
 			return nil, err
 		}
 		if len(b) != 16 {
-			return nil, fmt.Errorf("value: RNG payload length %d, want 16", len(b))
+			return nil, fmt.Errorf("%w: RNG payload length %d, want 16", codec.ErrCorrupt, len(b))
 		}
 		var p RNGPayload
 		copy(p[:], b)
@@ -320,8 +269,34 @@ func DecodePayload(r *codec.Reader, k Kind) (Payload, error) {
 	case KindOpaque:
 		return OpaquePayload{}, nil
 	default:
-		return nil, fmt.Errorf("value: unknown payload kind %d", uint8(k))
+		return nil, fmt.Errorf("%w: unknown payload kind %d", codec.ErrCorrupt, uint8(k))
 	}
+}
+
+// decodeNamed reads a count and then that many (name, entry) pairs, calling
+// entry to read each one's body. Names must be strictly ascending — the order
+// Encode writes — so a duplicate or shuffled name is corruption rather than a
+// silently dropped entry.
+func decodeNamed(r *codec.Reader, entry func(name string) error) error {
+	n, err := r.Uvarint()
+	if err != nil {
+		return err
+	}
+	prev := ""
+	for i := uint64(0); i < n; i++ {
+		name, err := r.String()
+		if err != nil {
+			return err
+		}
+		if i > 0 && name <= prev {
+			return fmt.Errorf("%w: state entry %q out of order after %q", codec.ErrCorrupt, name, prev)
+		}
+		prev = name
+		if err := entry(name); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // EncodePayload writes k's tag followed by the payload body.
@@ -336,35 +311,19 @@ func DecodeTaggedPayload(r *codec.Reader) (Payload, error) {
 	if err != nil {
 		return nil, err
 	}
+	if k > uint64(KindOpaque) { // before Kind(k) truncates it onto a valid tag
+		return nil, fmt.Errorf("%w: unknown payload kind %d", codec.ErrCorrupt, k)
+	}
 	return DecodePayload(r, Kind(k))
 }
 
-func sortedKeys(m map[string]float64) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sortStrings(keys)
+	slices.Sort(keys)
 	return keys
-}
-
-func sortedKeysT(m map[string]*tensor.Tensor) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sortStrings(keys)
-	return keys
-}
-
-func sortStrings(s []string) {
-	// Insertion sort: key sets are small and this avoids importing sort in a
-	// hot path package.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // ---------- live values ----------
@@ -497,32 +456,10 @@ func (b *Tensor) Restore(p Payload) error {
 	if !ok {
 		return restoreMismatch(b, p)
 	}
-	if tp.T == nil {
-		// Lazy payload: copy the wire bytes straight into the live tensor's
-		// aligned backing array, skipping the intermediate tensor entirely.
-		if !shapeEqual(b.T.Shape(), tp.shape) {
-			return fmt.Errorf("value: tensor restore shape mismatch %v vs %v", b.T.Shape(), tp.shape)
-		}
-		codec.PutFloats(b.T.Data(), tp.raw)
-		return nil
+	if err := codec.Dense(tp).CopyInto(b.T); err != nil {
+		return fmt.Errorf("value: tensor restore: %w", err)
 	}
-	if !tensor.SameShape(b.T, tp.T) {
-		return fmt.Errorf("value: tensor restore shape mismatch %v vs %v", b.T.Shape(), tp.T.Shape())
-	}
-	b.T.CopyFrom(tp.T)
 	return nil
-}
-
-func shapeEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // SizeBytes implements Value.
@@ -546,18 +483,29 @@ func (*Model) Kind() Kind { return KindState }
 func (b *Model) Snapshot() Payload {
 	st := opt.NewState()
 	for _, p := range b.M.Params() {
-		st.Tensors[p.Name] = p.Var.Value.Clone()
+		st.Tensors[p.Name] = codec.Dense{T: p.Var.Value.Clone()}
 	}
 	return StatePayload{S: st}
 }
 
-// Restore implements Value.
+// Restore implements Value: every parameter of the live module is
+// overwritten from the entry of its name, which must be present with a
+// matching shape.
 func (b *Model) Restore(p Payload) error {
 	sp, ok := p.(StatePayload)
 	if !ok {
 		return restoreMismatch(b, p)
 	}
-	return nn.LoadState(b.M, sp.S.Tensors)
+	for _, param := range b.M.Params() {
+		d, ok := sp.S.Tensors[param.Name]
+		if !ok {
+			return fmt.Errorf("value: model restore: missing parameter %q", param.Name)
+		}
+		if err := d.CopyInto(param.Var.Value); err != nil {
+			return fmt.Errorf("value: model restore %q: %w", param.Name, err)
+		}
+	}
+	return nil
 }
 
 // SizeBytes implements Value.
@@ -595,7 +543,7 @@ func (b *Optimizer) Restore(p Payload) error {
 }
 
 // SizeBytes implements Value.
-func (b *Optimizer) SizeBytes() int { return b.O.Snapshot().SizeBytes() }
+func (b *Optimizer) SizeBytes() int { return b.O.SizeBytes() }
 
 // Equal implements Value.
 func (b *Optimizer) Equal(o Value) bool {
@@ -622,7 +570,7 @@ func (b *Scheduler) Restore(p Payload) error {
 }
 
 // SizeBytes implements Value.
-func (b *Scheduler) SizeBytes() int { return b.S.Snapshot().SizeBytes() }
+func (b *Scheduler) SizeBytes() int { return b.S.SizeBytes() }
 
 // Equal implements Value.
 func (b *Scheduler) Equal(o Value) bool {

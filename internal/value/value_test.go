@@ -213,8 +213,8 @@ func TestStatePayloadDeterministicEncoding(t *testing.T) {
 	st := opt.NewState()
 	st.Scalars["zeta"] = 1
 	st.Scalars["alpha"] = 2
-	st.Tensors["m.b"] = tensor.Full(1, 2)
-	st.Tensors["m.a"] = tensor.Full(2, 2)
+	st.Tensors["m.b"] = codec.Dense{T: tensor.Full(1, 2)}
+	st.Tensors["m.a"] = codec.Dense{T: tensor.Full(2, 2)}
 	enc := func() []byte {
 		w := codec.NewWriter()
 		EncodePayload(w, StatePayload{S: st})
@@ -239,6 +239,34 @@ func TestSizeBytesPositive(t *testing.T) {
 	for _, v := range vals {
 		if v.SizeBytes() <= 0 {
 			t.Fatalf("%s SizeBytes = %d", v.Kind(), v.SizeBytes())
+		}
+	}
+}
+
+// TestSizeBytesMatchesSnapshot pins the non-copying size count of optimizers
+// and schedulers to the figure adaptive checkpointing has always been fed,
+// the size of a snapshot, before and after state exists.
+func TestSizeBytesMatchesSnapshot(t *testing.T) {
+	m := nn.NewLinear("fc", xrand.New(1), 3, 2)
+	plain, mom, adam := opt.NewSGD(m, 0.1, 0, 0), opt.NewSGD(m, 0.1, 0.9, 0.01), opt.NewAdamW(m, 0.05, 0.01)
+	for _, o := range []opt.Optimizer{plain, mom, adam} {
+		for step := 0; step < 2; step++ {
+			if got, want := (&Optimizer{O: o}).SizeBytes(), o.Snapshot().SizeBytes(); got != want {
+				t.Fatalf("%T after %d steps: SizeBytes = %d, Snapshot().SizeBytes() = %d", o, step, got, want)
+			}
+			for _, p := range m.Params() {
+				p.Var.Grad = tensor.Full(0.5, p.Var.Value.Shape()...)
+			}
+			o.Step()
+		}
+	}
+	if (&Optimizer{O: mom}).SizeBytes() <= (&Optimizer{O: plain}).SizeBytes() {
+		t.Fatal("momentum buffers not counted")
+	}
+	for _, s := range []opt.Scheduler{opt.NewStepLR(plain, 2, 0.5), opt.NewCosineLR(adam, 10)} {
+		s.Step()
+		if got, want := (&Scheduler{S: s}).SizeBytes(), s.Snapshot().SizeBytes(); got != want {
+			t.Fatalf("%T: SizeBytes = %d, Snapshot().SizeBytes() = %d", s, got, want)
 		}
 	}
 }
