@@ -3,8 +3,9 @@
 //
 // Materializing a checkpoint decomposes into three costs:
 //
-//	snapshot  — deep-copying mutable state (unavoidably on the training thread;
-//	            the analogue of fork()'s copy-on-write page duplication)
+//	snapshot  — copying mutable state out from under the training loop
+//	            (unavoidably on the training thread; the analogue of
+//	            fork()'s copy-on-write page duplication)
 //	serialize — encoding snapshots into bytes (≈4.3× the cost of I/O, §5.1)
 //	write     — committing bytes to the checkpoint store
 //
@@ -12,21 +13,37 @@
 //
 //	Baseline (cloudpickle):  snapshot + serialize + write on the caller
 //	Queue (IPC-Queue):       snapshot + serialize on the caller; write behind
-//	Plasma (IPC-Plasma):     snapshot on the caller, handed off per object;
-//	                         serialize + write behind
-//	Fork (the paper's):      snapshot on the caller, handed off per batched
-//	                         bundle; serialize + write behind
+//	Plasma (IPC-Plasma):     capture on the caller, handed off per object;
+//	                         write behind
+//	Fork (the paper's):      capture on the caller, handed off per batched
+//	                         bundle; write behind
 //
 // Fork and Plasma block the caller for nearly the same time; Fork's batching
 // (one handoff per checkpoint instead of one per object) gives it the small
 // edge the paper reports.
 //
-// Since checkpoint format v2, serialization itself is also parallel:
-// bundles encode as one section per environment entry across the ckptfmt
-// worker pool (EncodeSections), and format-v2 stores chunk, frame, and
-// deduplicate those sections (store.PutSections). Every strategy gets the
-// parallel encode — the strategies only decide *where* it runs relative to
-// the training thread.
+// Capture is snapshot and serialize fused into the one copy a checkpoint
+// cannot avoid: the training thread encodes each value's live state
+// (value.EncodeLive) straight into a section buffer the Materializer owns —
+// one memcpy per tensor, no clone, nothing borrowed once Materialize
+// returns. The copy budget of a Fork or Plasma checkpoint is
+//
+//	live state → section buffer (caller) → hash → staged frames → pack
+//
+// and its ownership rule: section buffers belong to the Materializer, in sets
+// of one buffer per environment entry; a set is the caller's while it is
+// being filled, the background worker's from hand-off until the store's
+// PutSections has returned, and free again after that — the store keeps no
+// reference to section bytes past a put. There are two sets (bufferSets): the
+// caller fills one while the worker writes the other, and waits for a free
+// one when both are in the pipeline. The first two checkpoints allocate them,
+// every later one overwrites them, and they die with the Materializer at
+// Close.
+//
+// Baseline and Queue keep the two-step form — Snapshot, then EncodeSections,
+// both on the caller — because "the sender pickles" is what they exist to
+// reproduce. Format-v2 stores chunk, frame and deduplicate sections
+// (store.PutSections) wherever the write runs.
 package backmat
 
 import (
@@ -96,19 +113,26 @@ func EncodeBundle(items []NamedPayload) []byte {
 }
 
 // EncodeSections serializes a checkpoint bundle as one section per entry,
-// encoding entries in parallel across the ckptfmt worker pool. Sections are
-// the unit the format-v2 store chunks, frames, and deduplicates; wherever a
-// strategy runs serialization — inline for Baseline and Queue, behind the
-// training thread for Plasma and Fork — it now also runs wide.
+// encoding entries in parallel across the ckptfmt worker pool, each into a
+// fresh buffer sized once from its payload. Sections are the unit the
+// format-v2 store chunks, frames, and deduplicates. Baseline and Queue encode
+// their snapshots with it; Fork and Plasma never build the snapshots and
+// encode live state into recycled buffers instead (Materializer.capture).
 func EncodeSections(items []NamedPayload) []store.Section {
 	secs := make([]store.Section, len(items))
 	ckptfmt.ParallelDo(len(items), func(i int) {
 		w := codec.NewWriter()
+		w.Grow(items[i].Payload.SizeBytes() + sectionSlack)
 		value.EncodePayload(w, items[i].Payload)
 		secs[i] = store.Section{Name: items[i].Name, Data: w.Bytes()}
 	})
 	return secs
 }
+
+// sectionSlack is what a section's encoding may need beyond its value's
+// SizeBytes estimate (the kind tag, counts, a shape prefix). Running past it
+// costs one buffer growth, never correctness.
+const sectionSlack = 32
 
 // DecodeSections parses sections back into bundle items, decoding entries in
 // parallel; the replay-side counterpart of EncodeSections.
@@ -354,10 +378,13 @@ func DecodeBundle(b []byte) ([]NamedPayload, error) {
 
 // Stats aggregates materialization timings.
 type Stats struct {
-	Checkpoints    int
-	CallerNs       int64 // training-thread blocked time across all checkpoints
-	SnapshotNs     int64 // subset of CallerNs spent deep-copying state
-	SerializeNs    int64 // encode time, wherever it ran
+	Checkpoints int
+	CallerNs    int64 // training-thread blocked time across all checkpoints
+	SnapshotNs  int64 // subset of CallerNs spent copying state out of the live values
+	// SerializeNs is encode time not already counted in SnapshotNs, wherever
+	// it ran: Baseline's and Queue's EncodeSections. It is 0 for Fork and
+	// Plasma, whose capture encodes while it copies — SnapshotNs holds it all.
+	SerializeNs    int64
 	WriteNs        int64 // store write time, wherever it ran
 	BackgroundNs   int64 // work performed off the training thread
 	BytesWritten   int64 // logical checkpoint payload bytes committed
@@ -365,17 +392,22 @@ type Stats struct {
 	MaxLiveWorkers int   // high-water mark of concurrent background tasks
 }
 
+// task is one checkpoint on its way to the store: encoded sections plus the
+// timings the store records beside them.
 type task struct {
-	key      store.Key
-	items    []NamedPayload
-	preSecs  []store.Section // non-nil when serialization already happened (Queue)
+	key  store.Key
+	secs []store.Section
+	// recycle marks secs as one of the materializer's own buffer sets, to go
+	// back to m.free once the put has returned.
+	recycle  bool
 	snapNs   int64
+	serNs    int64
 	computNs int64
 }
 
 // Materializer writes checkpoint bundles to a store under a chosen strategy.
-// Materialize may be called only from the single training thread; background
-// work is drained by Drain or Close.
+// Materialize, Drain and Close may be called only from the single training
+// thread; background work is drained by Drain or Close.
 type Materializer struct {
 	strategy Strategy
 	st       *store.Store
@@ -386,37 +418,59 @@ type Materializer struct {
 	live     int
 	observer func(*store.Meta)
 
+	// tasks feeds the background worker, which exists only between the first
+	// hand-off and the next Drain or Close: a materializer that never
+	// materializes (every replay worker holds one) costs no goroutine.
 	tasks chan task
 	wg    sync.WaitGroup
 
-	// plasma assembles per-object handoffs back into bundles keyed by
+	// free holds the section-buffer sets not in use (see the package comment
+	// for who owns a set when). It starts full of empty sets, so the first
+	// captures allocate and every later one overwrites.
+	free chan []store.Section
+
+	// plasma counts per-object handoffs back into bundles keyed by
 	// checkpoint.
 	plasmaMu      sync.Mutex
 	plasmaPending map[store.Key]*plasmaBundle
 }
 
 type plasmaBundle struct {
-	items    []NamedPayload
-	expect   int
-	snapNs   int64
-	computNs int64
+	got, expect int
 }
 
 // inFlight bounds queued background work; the paper reports "never more than
 // two live children", which this backpressure reproduces.
 const inFlight = 2
 
+// bufferSets is how many section-buffer sets a materializer owns: two, the
+// paper's two live children again, each holding one copy of the state. While
+// one set is being written the caller fills the other, so the writer never
+// waits for the caller as long as a capture is quicker than a write; a
+// third or fourth set was measured to buy no throughput on a write-bound
+// recording and to cost its size in resident memory. With both sets in the
+// pipeline the caller waits for one, as it waits on a full tasks queue under
+// Queue.
+const bufferSets = inFlight
+
 // New constructs a materializer over st.
 func New(st *store.Store, strategy Strategy) *Materializer {
 	m := &Materializer{
 		strategy:      strategy,
 		st:            st,
-		tasks:         make(chan task, inFlight),
+		free:          emptySets(),
 		plasmaPending: map[store.Key]*plasmaBundle{},
 	}
-	m.wg.Add(1)
-	go m.worker()
 	return m
+}
+
+// emptySets is the free list of a materializer that owns no buffers yet.
+func emptySets() chan []store.Section {
+	free := make(chan []store.Section, bufferSets)
+	for i := 0; i < bufferSets; i++ {
+		free <- nil
+	}
+	return free
 }
 
 // Strategy returns the configured strategy.
@@ -431,9 +485,20 @@ func (m *Materializer) SetObserver(f func(*store.Meta)) {
 	m.mu.Unlock()
 }
 
-func (m *Materializer) worker() {
+// handOff queues t for the background worker, starting the worker if none is
+// running; it blocks while inFlight tasks are already queued.
+func (m *Materializer) handOff(t task) {
+	if m.tasks == nil {
+		m.tasks = make(chan task, inFlight)
+		m.wg.Add(1)
+		go m.worker(m.tasks)
+	}
+	m.tasks <- t
+}
+
+func (m *Materializer) worker(tasks <-chan task) {
 	defer m.wg.Done()
-	for t := range m.tasks {
+	for t := range tasks {
 		m.mu.Lock()
 		m.live++
 		if m.live > m.stats.MaxLiveWorkers {
@@ -452,24 +517,25 @@ func (m *Materializer) worker() {
 	}
 }
 
-// finish serializes (if needed) and writes one checkpoint.
+// finish writes one checkpoint's sections to the store and settles its
+// accounts: the first error is latched for Drain and Close, the write is
+// timed, and the observer sees the committed meta. It runs on the background
+// worker, or on the caller for Baseline. Whatever the put's outcome, a
+// recycled buffer set is free again when it returns — a failed write must not
+// strand the set the next capture is waiting for.
 func (m *Materializer) finish(t task) {
-	secs := t.preSecs
-	var serNs int64
-	if secs == nil {
-		s0 := time.Now()
-		secs = EncodeSections(t.items)
-		serNs = time.Since(s0).Nanoseconds()
-	}
 	w0 := time.Now()
-	meta, err := m.put(t.key, secs, t.snapNs, serNs, t.computNs)
+	meta, err := m.put(t.key, t.secs, t.snapNs, t.serNs, t.computNs)
 	writeNs := time.Since(w0).Nanoseconds()
+	if t.recycle {
+		m.free <- t.secs
+	}
 
 	m.mu.Lock()
 	if err != nil && m.firstEr == nil {
 		m.firstEr = err
 	}
-	m.stats.SerializeNs += serNs
+	m.stats.SerializeNs += t.serNs
 	m.stats.WriteNs += writeNs
 	if err == nil {
 		m.stats.BytesWritten += meta.Size
@@ -492,120 +558,133 @@ func (m *Materializer) put(key store.Key, secs []store.Section, snapNs, serNs, c
 	return m.st.Put(key, BundleBytes(secs), snapNs, serNs, computNs)
 }
 
-// Materialize checkpoints the given values under key. computNs is the
-// observed computation time of the loop execution being memoized; it is
-// stored alongside for adaptive checkpointing and the benchmark harness.
-// The returned duration is the time the caller (training thread) was
-// blocked.
-func (m *Materializer) Materialize(key store.Key, vals []NamedValue, computNs int64) time.Duration {
-	begin := time.Now()
+// capture encodes the live state of vals into set, a buffer set taken from
+// m.free, one section per value, on the calling (training) thread: the
+// checkpoint's one copy. Each value is borrowed only for its own encode, so
+// nothing of vals is referenced once capture returns, and the caller may
+// mutate them at once. The returned set is the caller's until it hands it to
+// finish.
+func capture(vals []NamedValue, set []store.Section) []store.Section {
+	if cap(set) < len(vals) {
+		set = append(set[:cap(set)], make([]store.Section, len(vals)-cap(set))...)
+	}
+	set = set[:len(vals)]
+	for i, nv := range vals {
+		w := codec.NewWriterInto(set[i].Data)
+		w.Grow(nv.V.SizeBytes() + sectionSlack)
+		value.EncodeLive(w, nv.V)
+		set[i] = store.Section{Name: nv.Name, Data: w.Bytes()}
+	}
+	return set
+}
 
-	// Snapshot on the caller: every strategy pays this (fork pays it as
-	// copy-on-write page duplication; pickle-based strategies pay it as part
-	// of serialization — accounted identically here for comparability).
+// snapshotAndEncode is Baseline's and Queue's caller-side work, the
+// two-step form Figure 5 measures them by: deep-copy every value, then
+// encode the copies.
+func snapshotAndEncode(vals []NamedValue) (secs []store.Section, snapNs, serNs int64) {
 	s0 := time.Now()
 	items := make([]NamedPayload, len(vals))
 	for i, nv := range vals {
 		items[i] = NamedPayload{Name: nv.Name, Payload: nv.V.Snapshot()}
 	}
-	snapNs := time.Since(s0).Nanoseconds()
+	snapNs = time.Since(s0).Nanoseconds()
+	e0 := time.Now()
+	secs = EncodeSections(items)
+	return secs, snapNs, time.Since(e0).Nanoseconds()
+}
+
+// Materialize checkpoints the given values under key. computNs is the
+// observed computation time of the loop execution being memoized; it is
+// stored alongside for adaptive checkpointing and the benchmark harness.
+// The returned duration is the time the caller (training thread) was
+// blocked. vals are read only until Materialize returns: whatever the
+// strategy, the checkpoint is the state at the call, and the caller is free
+// to mutate every value the moment it has the duration.
+func (m *Materializer) Materialize(key store.Key, vals []NamedValue, computNs int64) time.Duration {
+	begin := time.Now()
+	t := task{key: key, computNs: computNs}
+
+	// Copying state out on the caller: every strategy pays this (fork pays it
+	// as copy-on-write page duplication; pickle-based strategies pay it as
+	// part of serialization — accounted identically here for comparability).
+	switch m.strategy {
+	case Baseline, Queue:
+		t.secs, t.snapNs, t.serNs = snapshotAndEncode(vals)
+	case Plasma, Fork:
+		set := <-m.free // backpressure: blocks while every set is in the pipeline
+		s0 := time.Now()
+		t.secs, t.recycle = capture(vals, set), true
+		t.snapNs = time.Since(s0).Nanoseconds()
+	}
 
 	switch m.strategy {
 	case Baseline:
-		// Serialize and write inline.
-		e0 := time.Now()
-		secs := EncodeSections(items)
-		serNs := time.Since(e0).Nanoseconds()
-		w0 := time.Now()
-		meta, err := m.put(key, secs, snapNs, serNs, computNs)
-		writeNs := time.Since(w0).Nanoseconds()
-		m.mu.Lock()
-		if err != nil && m.firstEr == nil {
-			m.firstEr = err
-		}
-		m.stats.SerializeNs += serNs
-		m.stats.WriteNs += writeNs
-		if err == nil {
-			m.stats.BytesWritten += meta.Size
-			m.stats.StoredBytes += meta.StoredBytes
-		}
-		observe := m.observer
-		m.mu.Unlock()
-		if err == nil && observe != nil {
-			observe(meta)
-		}
+		// Write inline too.
+		m.finish(t)
 
-	case Queue:
-		// Serialize inline (the queue pickles on the sending process), write
-		// in the background.
-		e0 := time.Now()
-		secs := EncodeSections(items)
-		serNs := time.Since(e0).Nanoseconds()
-		m.mu.Lock()
-		m.stats.SerializeNs += serNs
-		m.mu.Unlock()
-		m.tasks <- task{key: key, preSecs: secs, snapNs: snapNs, computNs: computNs}
+	case Queue, Fork:
+		// One handoff for the whole batched bundle; the write happens in the
+		// child (Queue has pickled on the sending process, Fork has only
+		// copied).
+		m.handOff(t)
 
 	case Plasma:
 		// Hand off object by object: each put into the "object store" is a
 		// separate synchronization, like plasma_client.put per array.
 		m.plasmaMu.Lock()
-		m.plasmaPending[key] = &plasmaBundle{expect: len(items), snapNs: snapNs, computNs: computNs}
+		m.plasmaPending[key] = &plasmaBundle{expect: len(t.secs)}
 		m.plasmaMu.Unlock()
-		for _, it := range items {
-			m.plasmaPut(key, it)
+		for range t.secs {
+			m.plasmaPut(t)
 		}
-
-	case Fork:
-		// One handoff for the whole batched bundle; serialization and write
-		// happen in the child.
-		m.tasks <- task{key: key, items: items, snapNs: snapNs, computNs: computNs}
 	}
 
 	caller := time.Since(begin)
 	m.mu.Lock()
 	m.stats.Checkpoints++
 	m.stats.CallerNs += caller.Nanoseconds()
-	m.stats.SnapshotNs += snapNs
+	m.stats.SnapshotNs += t.snapNs
 	m.mu.Unlock()
 	return caller
 }
 
-func (m *Materializer) plasmaPut(key store.Key, it NamedPayload) {
+// plasmaPut delivers one object of t's bundle; the last one hands the
+// complete bundle off.
+func (m *Materializer) plasmaPut(t task) {
 	m.plasmaMu.Lock()
-	pb := m.plasmaPending[key]
-	pb.items = append(pb.items, it)
-	done := len(pb.items) == pb.expect
+	pb := m.plasmaPending[t.key]
+	pb.got++
+	done := pb.got == pb.expect
 	if done {
-		delete(m.plasmaPending, key)
+		delete(m.plasmaPending, t.key)
 	}
 	m.plasmaMu.Unlock()
 	if done {
-		m.tasks <- task{key: key, items: pb.items, snapNs: pb.snapNs, computNs: pb.computNs}
+		m.handOff(t)
 	}
 }
 
 // Drain blocks until all queued background work has been committed, and
-// returns the first background error, if any.
+// returns the first background error, if any. The worker it waited for is
+// gone afterwards; the next hand-off starts another.
 func (m *Materializer) Drain() error {
-	// Close-and-reopen the worker to establish a barrier.
-	close(m.tasks)
-	m.wg.Wait()
-	m.tasks = make(chan task, inFlight)
-	m.wg.Add(1)
-	go m.worker()
+	if m.tasks != nil {
+		close(m.tasks)
+		m.wg.Wait()
+		m.tasks = nil
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.firstEr
 }
 
-// Close drains background work and shuts the materializer down.
+// Close drains background work and shuts the materializer down, giving up
+// its section buffers. On a materializer that never materialized it is a
+// no-op returning nil.
 func (m *Materializer) Close() error {
-	close(m.tasks)
-	m.wg.Wait()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.firstEr
+	err := m.Drain()
+	m.free = emptySets()
+	return err
 }
 
 // Stats returns a copy of the accumulated statistics.

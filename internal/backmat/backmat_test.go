@@ -3,7 +3,10 @@ package backmat
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"sync"
 	"testing"
+	"time"
 
 	"flor.dev/flor/internal/store"
 	"flor.dev/flor/internal/tensor"
@@ -198,47 +201,91 @@ func TestDrainFlushesAndStaysUsable(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	st := newStore(t)
-	m := New(st, Fork)
-	for i := 0; i < 5; i++ {
-		m.Materialize(store.Key{LoopID: "L", Exec: i}, sampleValues(2, 128), 0)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	stats := m.Stats()
-	if stats.Checkpoints != 5 {
-		t.Fatalf("Checkpoints = %d", stats.Checkpoints)
-	}
-	if stats.CallerNs <= 0 || stats.SnapshotNs <= 0 {
-		t.Fatalf("caller-side timings not recorded: %+v", stats)
-	}
-	if stats.SerializeNs <= 0 || stats.WriteNs <= 0 || stats.BytesWritten <= 0 {
-		t.Fatalf("background timings not recorded: %+v", stats)
-	}
-	if stats.MaxLiveWorkers < 1 {
-		t.Fatalf("MaxLiveWorkers = %d", stats.MaxLiveWorkers)
+	// Whatever the strategy, and wherever its stages ran, snapshot +
+	// serialize + write is what the store records as the checkpoint's
+	// materialization cost: adaptive checkpointing prices restores from it.
+	for _, strat := range []Strategy{Baseline, Queue, Plasma, Fork} {
+		t.Run(strat.String(), func(t *testing.T) {
+			st := newStore(t)
+			m := New(st, strat)
+			var mu sync.Mutex
+			var materNs, metaSnapNs int64
+			m.SetObserver(func(meta *store.Meta) {
+				mu.Lock()
+				materNs += meta.MaterNs
+				metaSnapNs += meta.SnapNs
+				mu.Unlock()
+			})
+			for i := 0; i < 5; i++ {
+				m.Materialize(store.Key{LoopID: "L", Exec: i}, sampleValues(2, 128), 0)
+			}
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			stats := m.Stats()
+			if stats.Checkpoints != 5 {
+				t.Fatalf("Checkpoints = %d", stats.Checkpoints)
+			}
+			if stats.CallerNs <= 0 || stats.SnapshotNs <= 0 || stats.SnapshotNs > stats.CallerNs {
+				t.Fatalf("caller-side timings not recorded: %+v", stats)
+			}
+			if stats.WriteNs <= 0 || stats.BytesWritten <= 0 {
+				t.Fatalf("write not recorded: %+v", stats)
+			}
+			// Capture encodes while it copies, so Fork and Plasma have no
+			// separate serialize stage; the pickling strategies do.
+			if captures := strat == Fork || strat == Plasma; captures != (stats.SerializeNs == 0) {
+				t.Fatalf("SerializeNs = %d under %s", stats.SerializeNs, strat)
+			}
+			if metaSnapNs != stats.SnapshotNs {
+				t.Fatalf("metas carry %d ns of snapshot, stats %d", metaSnapNs, stats.SnapshotNs)
+			}
+			// The store times its own write, a little inside what the
+			// materializer measures around the call.
+			staged := stats.SnapshotNs + stats.SerializeNs
+			if materNs <= staged || materNs > staged+stats.WriteNs {
+				t.Fatalf("MaterNs sums to %d, want within (%d, %d]: %+v", materNs, staged, staged+stats.WriteNs, stats)
+			}
+			// Baseline writes on the caller and never starts the worker.
+			if inline := strat == Baseline; inline != (stats.MaxLiveWorkers == 0) || stats.MaxLiveWorkers > 1 {
+				t.Fatalf("MaxLiveWorkers = %d under %s", stats.MaxLiveWorkers, strat)
+			}
+		})
 	}
 }
 
 func TestBackgroundStrategiesDontPaySerializationOnCaller(t *testing.T) {
-	// The defining property of Fork/Plasma vs Baseline (Fig 5): caller time
-	// excludes serialization. We verify structurally: for Fork, the caller
-	// time equals snapshot time plus handoff, and SerializeNs is accounted
-	// to the background, not the caller.
-	st := newStore(t)
-	m := New(st, Fork)
-	m.Materialize(store.Key{LoopID: "L", Exec: 0}, sampleValues(1, 1<<16), 0)
-	callerBeforeDrain := m.Stats().CallerNs
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
+	// Figure 5's claim, as the training thread sees it: for one drained
+	// 512 KiB checkpoint, Fork and Plasma (one copy into a recycled buffer)
+	// block the caller for less than Queue (deep copy, then encode), which
+	// blocks it for less than Baseline (and then the write). Each strategy's
+	// time is its best of several rounds, so that a neighbour's burst on a
+	// shared machine cannot reorder them.
+	blocked := map[Strategy]time.Duration{}
+	vals := sampleValues(1, 1<<16)
+	for _, strat := range []Strategy{Baseline, Queue, Plasma, Fork} {
+		m := New(newStore(t), strat)
+		best := time.Duration(math.MaxInt64)
+		for round := 0; round < 12; round++ {
+			d := m.Materialize(store.Key{LoopID: "L", Exec: round}, vals, 0)
+			if err := m.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			if round >= bufferSets { // past the rounds that allocate Fork's and Plasma's buffers
+				best = min(best, d)
+			}
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		blocked[strat] = best
 	}
-	stats := m.Stats()
-	// Serialization of a 64K-element tensor dwarfs a snapshot memcpy; if the
-	// caller had paid for it, CallerNs would be >= SerializeNs.
-	if callerBeforeDrain > stats.SnapshotNs+stats.SerializeNs/2 {
-		t.Fatalf("Fork caller paid for serialization: caller=%d snap=%d ser=%d",
-			callerBeforeDrain, stats.SnapshotNs, stats.SerializeNs)
+	if blocked[Fork] >= blocked[Queue] || blocked[Plasma] >= blocked[Queue] {
+		t.Fatalf("Fork (%v) and Plasma (%v) should block the caller for less than Queue (%v)",
+			blocked[Fork], blocked[Plasma], blocked[Queue])
+	}
+	if blocked[Queue] >= blocked[Baseline] {
+		t.Fatalf("Queue (%v) should block the caller for less than Baseline (%v)", blocked[Queue], blocked[Baseline])
 	}
 }
 

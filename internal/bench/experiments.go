@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"flor.dev/flor/internal/adapt"
@@ -29,15 +30,19 @@ func (s *Session) Table3() {
 
 // Fig5Report carries the background-materialization comparison.
 type Fig5Report struct {
-	// CallerBlockedNs maps strategy name to mean training-thread blocked
-	// time for one large checkpoint.
+	// CallerBlockedNs maps strategy name to the training-thread blocked time
+	// for one large checkpoint: the best of the rounds.
 	CallerBlockedNs map[string]int64
 	CheckpointBytes int64
 }
 
 // Fig5 reproduces Figure 5: the time the main thread is blocked while
 // materializing one large (RTE-like: a big frozen model) checkpoint, under
-// the four strategies. Results are the mean of `rounds` materializations.
+// the four strategies. Results are the best of `rounds` materializations:
+// what disturbs a round on a shared host (a collection, a descheduled
+// goroutine) only ever adds time, and a strategy's first rounds also allocate
+// what a recording allocates once (Fork's and Plasma's section buffers need
+// two), so the minimum is the round that measured the strategy itself.
 func (s *Session) Fig5(rounds int) (*Fig5Report, error) {
 	// An RTE-like state bundle: a large frozen transformer plus optimizer.
 	model := nn.NewTransformer(xrand.New(0xF165), 3000, 12, 64, 128, 3, 2)
@@ -52,9 +57,16 @@ func (s *Session) Fig5(rounds int) (*Fig5Report, error) {
 			return nil, err
 		}
 		mat := backmat.New(st, strat)
-		var total time.Duration
+		best := time.Duration(math.MaxInt64)
 		for i := 0; i < rounds; i++ {
-			total += mat.Materialize(store.Key{LoopID: "L", Exec: i}, vals, 0)
+			// Every round checkpoints state the store has not seen, as an
+			// epoch of training would leave it: materializing the same bytes
+			// again is a dedup hit, and Baseline's write — the figure's
+			// tallest bar — would shrink to a hash.
+			for _, p := range model.Params() {
+				tensor.ScaleInPlace(p.Var.Value, 1.0001)
+			}
+			best = min(best, mat.Materialize(store.Key{LoopID: "L", Exec: i}, vals, 0))
 			// Drain between rounds: the paper measures the cost of one
 			// checkpoint, not queueing backpressure from earlier ones.
 			if err := mat.Drain(); err != nil {
@@ -64,11 +76,11 @@ func (s *Session) Fig5(rounds int) (*Fig5Report, error) {
 		if err := mat.Close(); err != nil {
 			return nil, err
 		}
-		rep.CallerBlockedNs[strat.String()] = int64(total) / int64(rounds)
+		rep.CallerBlockedNs[strat.String()] = int64(best)
 		rep.CheckpointBytes = mat.Stats().BytesWritten / int64(rounds)
 	}
 	s.printf("\nFigure 5: Background materialization performance (caller-blocked time,\n")
-	s.printf("one %.1f MB checkpoint, mean of %d rounds).\n", float64(rep.CheckpointBytes)/(1<<20), rounds)
+	s.printf("one %.1f MB checkpoint, best of %d rounds).\n", float64(rep.CheckpointBytes)/(1<<20), rounds)
 	for _, name := range []string{"Baseline", "IPC-Queue", "IPC-Plasma", "Fork"} {
 		ns := rep.CallerBlockedNs[name]
 		s.printf("  %-11s %10.3f ms\n", name, float64(ns)/1e6)

@@ -24,12 +24,14 @@ type Arena struct {
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
-// Shared is the process-wide arena the restore path threads its fetch
-// scratch through: the store stages span reads, frame headers and trailers,
-// and small or compressed records here and releases each span the moment a
-// run's frames are decoded. Section buffers never come from it or go to it:
-// they belong to the restoring worker, or to the payload cache once it admits
-// a payload viewing them.
+// Shared is the process-wide arena the store threads its scratch through. The
+// restore path stages span reads, frame headers and trailers, and small or
+// compressed records here and releases each span the moment a run's frames
+// are decoded; the write path stages a shard's fresh frames here for their
+// one pack append and releases the span when the append returns. Section
+// buffers never come from it or go to it: they belong to the restoring
+// worker (or to the payload cache once it admits a payload viewing them) on
+// the way in, and to the materializer on the way out.
 var Shared = NewArena()
 
 // Get returns a buffer of length n (capacity possibly larger). Contents are

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 
 	"flor.dev/flor/internal/codec"
 )
@@ -157,13 +158,22 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // to actually shrink the chunk.
 func Build(raw []byte) Frame { return BuildStyle(raw, StyleAuto) }
 
-// BuildStyle encodes one raw chunk with an explicit style preference.
+// BuildStyle encodes one raw chunk with an explicit style preference,
+// hashing it first; see BuildHashed, which it wraps, for the style rules.
+func BuildStyle(raw []byte, style byte) Frame { return BuildHashed(raw, HashChunk(raw), style) }
+
+// BuildHashed is BuildStyle for a caller that already holds the chunk's
+// content hash — the store's put hashes every chunk to probe the dedup index
+// and hands the hash of each fresh one here, so a chunk's bytes are hashed
+// once. h must be HashChunk(raw); it is trusted, not recomputed.
+//
 // StyleAuto applies the raw/deflate heuristic; an explicit StyleDeflate or
 // StyleLZ4 skips the entropy gate but still falls back to StyleRaw whenever
 // the compressed encoding fails to shrink the chunk, so a style preference
-// can never make a frame larger than the verbatim one.
-func BuildStyle(raw []byte, style byte) Frame {
-	f := Frame{Style: StyleRaw, RawLen: len(raw), Hash: HashChunk(raw), Enc: raw}
+// can never make a frame larger than the verbatim one. A raw-style frame's
+// Enc aliases raw.
+func BuildHashed(raw []byte, h Hash, style byte) Frame {
+	f := Frame{Style: StyleRaw, RawLen: len(raw), Hash: h, Enc: raw}
 	switch style {
 	case StyleRaw:
 		return f
@@ -241,6 +251,16 @@ func appendHeader(dst []byte, style byte, rawLen, encLen int, h Hash) []byte {
 	return append(dst, h[:]...)
 }
 
+// WireLen is the frame's serialized length, known before a byte is written:
+// Append extends dst by exactly this much, so a run of frames can be staged
+// in a span sized once.
+func (f *Frame) WireLen() int {
+	return 1 + uvarintLen(uint64(f.RawLen)) + uvarintLen(uint64(len(f.Enc))) + len(f.Hash) + len(f.Enc) + 4
+}
+
+// uvarintLen is the length of binary.PutUvarint's encoding of v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
 // Append serializes the frame onto dst and returns the extended slice.
 func (f *Frame) Append(dst []byte) []byte {
 	start := len(dst)
@@ -253,7 +273,7 @@ func (f *Frame) Append(dst []byte) []byte {
 
 // Marshal serializes the frame into a fresh buffer.
 func (f *Frame) Marshal() []byte {
-	return f.Append(make([]byte, 0, len(f.Enc)+32))
+	return f.Append(make([]byte, 0, f.WireLen()))
 }
 
 // maxHeaderLen bounds a frame header: the style byte, two uvarints, and the

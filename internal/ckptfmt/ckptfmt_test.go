@@ -299,3 +299,42 @@ func TestParseDecodeIntoAllStyles(t *testing.T) {
 		}
 	}
 }
+
+// TestWireLenIsWhatAppendWrites: a pack append sizes its staging span from
+// WireLen before serializing anything, so the two must agree for every
+// style and across every varint-length boundary of the two length fields.
+func TestWireLenIsWhatAppendWrites(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 129, 16383, 16384, 16385, DefaultChunkSize, 1<<21 - 1, 1 << 21} {
+		for _, raw := range [][]byte{randomBytes(n, uint64(n)+1), make([]byte, n)} {
+			for _, style := range []byte{StyleAuto, StyleRaw, StyleDeflate, StyleLZ4} {
+				f := BuildStyle(raw, style)
+				if got := len(f.Marshal()); got != f.WireLen() {
+					t.Fatalf("%d raw bytes, style %d: WireLen = %d, Marshal wrote %d", n, f.Style, f.WireLen(), got)
+				}
+				dst := make([]byte, 3, 3+f.WireLen())
+				if out := f.Append(dst); len(out) != 3+f.WireLen() || &out[0] != &dst[0] {
+					t.Fatalf("%d raw bytes, style %d: Append outgrew a span sized by WireLen", n, f.Style)
+				}
+			}
+		}
+	}
+}
+
+// TestBuildHashedDoesNotRehash: the store hashes a chunk once, to probe its
+// dedup index, and frame building must take that hash as given — a frame
+// built from a hash is the frame BuildStyle builds, and the hash it carries is
+// the one it was handed, not a second pass over the bytes.
+func TestBuildHashedDoesNotRehash(t *testing.T) {
+	raw := randomBytes(4096, 33)
+	for _, style := range []byte{StyleAuto, StyleRaw, StyleDeflate, StyleLZ4} {
+		want := BuildStyle(raw, style)
+		got := BuildHashed(raw, HashChunk(raw), style)
+		if !bytes.Equal(got.Marshal(), want.Marshal()) {
+			t.Fatalf("style %d: BuildHashed and BuildStyle disagree", style)
+		}
+		marker := Hash{0xAB, 0xCD}
+		if f := BuildHashed(raw, marker, style); f.Hash != marker {
+			t.Fatalf("style %d: frame carries %s, not the hash it was handed", style, f.Hash)
+		}
+	}
+}

@@ -37,66 +37,68 @@ var ErrCorrupt = errors.New("codec: corrupt data")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Writer accumulates an encoded byte stream in memory.
+// Writer appends an encoded byte stream to a byte slice: one it grows itself
+// (NewWriter), or one the caller handed it (NewWriterInto) so that an encode
+// into a recycled buffer of sufficient capacity allocates nothing.
 type Writer struct {
-	buf bytes.Buffer
+	buf []byte
 }
 
 // NewWriter returns an empty Writer.
 func NewWriter() *Writer { return &Writer{} }
 
+// NewWriterInto returns a Writer that encodes into buf's backing array from
+// its start, whatever buf held before. The stream outgrows the array only if
+// its capacity is short, and then Bytes returns the grown replacement — the
+// caller keeps that one in buf's place.
+func NewWriterInto(buf []byte) *Writer { return &Writer{buf: buf[:0]} }
+
+// Grow makes room for n more bytes, so the writes that follow extend the
+// stream in place instead of doubling their way there.
+func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
+
 // Bytes returns the encoded stream.
-func (w *Writer) Bytes() []byte { return w.buf.Bytes() }
+func (w *Writer) Bytes() []byte { return w.buf }
 
 // Len returns the current encoded length.
-func (w *Writer) Len() int { return w.buf.Len() }
+func (w *Writer) Len() int { return len(w.buf) }
 
 // Uvarint appends an unsigned varint.
-func (w *Writer) Uvarint(v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	w.buf.Write(tmp[:n])
-}
+func (w *Writer) Uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 
 // Int appends a signed integer as a zig-zag varint.
-func (w *Writer) Int(v int) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], int64(v))
-	w.buf.Write(tmp[:n])
-}
+func (w *Writer) Int(v int) { w.buf = binary.AppendVarint(w.buf, int64(v)) }
 
 // Float64 appends an IEEE-754 little-endian float.
 func (w *Writer) Float64(v float64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-	w.buf.Write(tmp[:])
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
 }
 
 // Bool appends a single byte 0/1.
 func (w *Writer) Bool(v bool) {
 	if v {
-		w.buf.WriteByte(1)
+		w.buf = append(w.buf, 1)
 	} else {
-		w.buf.WriteByte(0)
+		w.buf = append(w.buf, 0)
 	}
 }
 
 // String appends a length-prefixed string.
 func (w *Writer) String(s string) {
 	w.Uvarint(uint64(len(s)))
-	w.buf.WriteString(s)
+	w.buf = append(w.buf, s...)
 }
 
 // RawBytes appends a length-prefixed byte slice.
 func (w *Writer) RawBytes(b []byte) {
 	w.Uvarint(uint64(len(b)))
-	w.buf.Write(b)
+	w.buf = append(w.buf, b...)
 }
 
 // RawAppend appends bytes verbatim, with no length prefix; used to splice
 // pre-encoded payloads into a stream whose framing is managed by the caller.
 func (w *Writer) RawAppend(b []byte) {
-	w.buf.Write(b)
+	w.buf = append(w.buf, b...)
 }
 
 // shape appends a tensor's rank and dimensions.
@@ -107,7 +109,9 @@ func (w *Writer) shape(shape []int) {
 	}
 }
 
-// Tensor appends a shape-prefixed dense tensor.
+// Tensor appends a shape-prefixed dense tensor. It only reads t, for the
+// duration of the call: encoding a live tensor is the one copy its checkpoint
+// needs.
 func (w *Writer) Tensor(t *tensor.Tensor) {
 	w.shape(t.Shape())
 	data := t.Data()
@@ -120,14 +124,13 @@ func (w *Writer) Tensor(t *tensor.Tensor) {
 	// written straight from memory — IEEE-754 little-endian is both the
 	// in-memory and the wire representation.
 	if hostLittleEndian {
-		w.buf.Write(unsafe.Slice((*byte)(unsafe.Pointer(&data[0])), 8*len(data)))
+		w.buf = append(w.buf, unsafe.Slice((*byte)(unsafe.Pointer(&data[0])), 8*len(data))...)
 		return
 	}
-	block := make([]byte, 8*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(block[8*i:], math.Float64bits(v))
+	w.Grow(8 * len(data))
+	for _, v := range data {
+		w.Float64(v)
 	}
-	w.buf.Write(block)
 }
 
 // IntSlice appends a length-prefixed slice of signed ints.
@@ -310,7 +313,7 @@ func (w *Writer) Dense(d Dense) {
 		return
 	}
 	w.shape(d.shape)
-	w.buf.Write(d.raw)
+	w.buf = append(w.buf, d.raw...)
 }
 
 // Shape returns the dimensions without materializing a view.

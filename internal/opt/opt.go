@@ -137,7 +137,13 @@ type Optimizer interface {
 	LR() float64
 	// SetLR overrides the learning rate (called by schedulers).
 	SetLR(lr float64)
-	// Snapshot captures all mutable optimizer state.
+	// Live returns all mutable optimizer state with every tensor entry
+	// borrowing the optimizer's own moment tensor, uncopied: the state reads
+	// as a snapshot only until the next Step or Restore, and must be neither
+	// mutated nor kept. Materialization encodes from it — the encode is the
+	// checkpoint's one copy.
+	Live() *State
+	// Snapshot captures all mutable optimizer state: Live().Clone().
 	Snapshot() *State
 	// Restore applies a snapshot captured from an identically configured
 	// optimizer. It overwrites the optimizer's own tensors and retains
@@ -202,15 +208,18 @@ func (s *SGD) LR() float64 { return s.lr }
 // SetLR implements Optimizer.
 func (s *SGD) SetLR(lr float64) { s.lr = lr }
 
-// Snapshot implements Optimizer.
-func (s *SGD) Snapshot() *State {
+// Live implements Optimizer.
+func (s *SGD) Live() *State {
 	st := NewState()
 	st.Scalars["lr"] = s.lr
 	for k, v := range s.velocity {
-		st.Tensors["vel."+k] = codec.Dense{T: v.Clone()}
+		st.Tensors["vel."+k] = codec.Dense{T: v}
 	}
 	return st
 }
+
+// Snapshot implements Optimizer.
+func (s *SGD) Snapshot() *State { return s.Live().Clone() }
 
 // SizeBytes implements Optimizer.
 func (s *SGD) SizeBytes() int { return scalarSize("lr") + momentsSize("vel.", s.velocity) }
@@ -295,19 +304,22 @@ func (a *AdamW) LR() float64 { return a.lr }
 // SetLR implements Optimizer.
 func (a *AdamW) SetLR(lr float64) { a.lr = lr }
 
-// Snapshot implements Optimizer.
-func (a *AdamW) Snapshot() *State {
+// Live implements Optimizer.
+func (a *AdamW) Live() *State {
 	st := NewState()
 	st.Scalars["lr"] = a.lr
 	st.Scalars["step"] = float64(a.step)
 	for k, v := range a.m {
-		st.Tensors["m."+k] = codec.Dense{T: v.Clone()}
+		st.Tensors["m."+k] = codec.Dense{T: v}
 	}
 	for k, v := range a.v {
-		st.Tensors["v."+k] = codec.Dense{T: v.Clone()}
+		st.Tensors["v."+k] = codec.Dense{T: v}
 	}
 	return st
 }
+
+// Snapshot implements Optimizer.
+func (a *AdamW) Snapshot() *State { return a.Live().Clone() }
 
 // SizeBytes implements Optimizer.
 func (a *AdamW) SizeBytes() int {

@@ -2,8 +2,11 @@ package replay_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"flor.dev/flor/internal/core"
 	"flor.dev/flor/internal/replay"
@@ -354,4 +357,42 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestReplayStartsNoMaterializerGoroutines: a replay worker holds a
+// materializer (its SkipBlock runtime takes one) but never records, so it
+// must not pay for a background writer. Seen from inside a single-worker
+// replay, the only goroutine beyond the caller's is the worker itself; and
+// at any width a finished replay leaves the count where it found it.
+func TestReplayStartsNoMaterializerGoroutines(t *testing.T) {
+	factory := trainFactory(6, 2)
+	rec := record(t, factory)
+	var peak atomic.Int64
+	probed := func() *script.Program {
+		p := factory()
+		p.Main.Body = script.AddLog(p.Main.Body, 1, script.LogStmt("goroutines", func(*script.Env) (string, error) {
+			if n := int64(runtime.NumGoroutine()); n > peak.Load() {
+				peak.Store(n)
+			}
+			return "-", nil
+		}))
+		return p
+	}
+	for _, workers := range []int{1, 4} {
+		peak.Store(0)
+		before := runtime.NumGoroutine()
+		if _, err := replay.Replay(rec.Recording, probed, replay.Options{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond) // a worker past its last statement may not be gone yet
+		}
+		if after := runtime.NumGoroutine(); after != before {
+			t.Fatalf("workers=%d: %d goroutines after the replay, %d before", workers, after, before)
+		}
+		if workers == 1 && peak.Load() != int64(before)+1 {
+			t.Fatalf("a single-worker replay ran %d goroutines at its peak, want the caller's %d plus the worker", peak.Load(), before)
+		}
+	}
 }

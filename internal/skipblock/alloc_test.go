@@ -23,10 +23,18 @@ func sgdProgram(epochs int, afterEpoch func(epoch int)) *script.Program {
 		script.ExprMethod("optimizer", "step", nil, func(e *script.Env) error {
 			// Noise gradients: the velocity state must be as incompressible
 			// as real training state, so its frames stay raw like the model's.
+			// The gradient tensors are allocated once and refilled, so that
+			// what a recorded epoch allocates is its checkpoint's doing.
 			o := e.MustGet("optimizer").(*value.Optimizer).O
 			rng := xrand.New(uint64(e.Int("epoch")))
 			for _, p := range o.Model().Params() {
-				p.Var.Grad = tensor.Randn(rng, 0.01, p.Var.Value.Shape()...)
+				if p.Var.Grad == nil {
+					p.Var.Grad = tensor.New(p.Var.Value.Shape()...)
+				}
+				g := p.Var.Grad.Data()
+				for i := range g {
+					g[i] = 0.01 * rng.NormFloat64()
+				}
 			}
 			o.Step()
 			return nil
@@ -101,13 +109,7 @@ func TestRestoreSteadyStateAllocation(t *testing.T) {
 			t.Fatalf("epoch %d: replay logged %s, record %s", i, replayed[i], recorded[i])
 		}
 	}
-	if info, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range info.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("under the race detector sync.Pool drops a quarter of its Puts, so the fetch path's scratch arena reallocates at random")
-			}
-		}
-	}
+	skipUnderRace(t)
 	perRestore := uint64(b.Stats().RestoredBytes) / epochs
 	if perRestore < 256<<10 {
 		t.Fatalf("checkpoints hold %d bytes; too small for the guard to mean anything", perRestore)
@@ -122,4 +124,65 @@ func TestRestoreSteadyStateAllocation(t *testing.T) {
 		worst = max(worst, got)
 	}
 	t.Logf("restores of %d bytes: the second allocated %d, the worst after it %d", perRestore, allocated[1]-allocated[0], worst)
+}
+
+// skipUnderRace skips an allocation guard when the race detector is on:
+// sync.Pool then drops a quarter of its Puts, so the store's scratch arena
+// reallocates at random.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("under the race detector sync.Pool drops a quarter of its Puts, so the scratch arena reallocates at random")
+			}
+		}
+	}
+}
+
+// TestMaterializeSteadyStateAllocation is the allocation guard of the write
+// path, the twin of the restore guard above: recording through Fork, a
+// checkpoint after the fourth allocates at most a tenth of the bytes it
+// materializes. The first two allocate the materializer's two section-buffer
+// sets (the free list hands out every empty set before it hands one back) and
+// the first append the arena's staging span; from then on live state is
+// encoded into those buffers, hashed once and staged in that span.
+func TestMaterializeSteadyStateAllocation(t *testing.T) {
+	skipUnderRace(t)
+	const epochs = 24
+	// One P, as above: the pack append stages frames in the sync.Pool arena.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	allocated := make([]uint64, epochs)
+	p := sgdProgram(epochs, func(epoch int) {
+		runtime.ReadMemStats(&ms)
+		allocated[epoch] = ms.TotalAlloc
+	})
+	rt, _, mat, _ := newHarness(t, p, backmat.Fork)
+	runProgram(t, p, rt, func(string) {})
+	if err := mat.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stats := mat.Stats()
+	if stats.Checkpoints != epochs {
+		t.Fatalf("materialized %d checkpoints, want %d", stats.Checkpoints, epochs)
+	}
+	perCheckpoint := uint64(stats.BytesWritten) / epochs
+	if perCheckpoint < 256<<10 {
+		t.Fatalf("checkpoints hold %d bytes; too small for the guard to mean anything", perCheckpoint)
+	}
+	// allocated[e] is read after checkpoint e was handed off, while the
+	// writer may still be busy with e-1 and e-2: a difference charges an
+	// epoch with whatever the writer allocated meanwhile, which is the point.
+	var worst uint64
+	for e := 4; e < epochs; e++ {
+		got := allocated[e] - allocated[e-1]
+		if got > perCheckpoint/10 {
+			t.Fatalf("checkpoint %d allocated %d bytes to materialize %d (%.0f%%); steady state must stay under 10%%",
+				e, got, perCheckpoint, 100*float64(got)/float64(perCheckpoint))
+		}
+		worst = max(worst, got)
+	}
+	t.Logf("checkpoints of %d bytes: the second to the fourth allocated %d, the worst after them %d",
+		perCheckpoint, allocated[3]-allocated[0], worst)
 }

@@ -325,9 +325,14 @@ func (p *ChunkPool) filterFresh(hashes []ckptfmt.Hash) []int {
 }
 
 // appendFrames appends freshly encoded frames to their hash shards' packs —
-// each involved shard serializes its frames and appends under its own lock,
-// concurrently with the other shards — and returns each frame's committed
-// location. For shared pools it also appends the chunk records to the pool
+// each involved shard appends under its own lock, concurrently with the other
+// shards — and returns each frame's committed location. A shard's frames go
+// out as one backend append: their wire lengths are known up front
+// (Frame.WireLen), so they are staged once, at their exact size, in a span of
+// the ckptfmt.Shared scratch arena that goes back the moment the append
+// returns. Nothing section-sized stays reachable from the pool or its shards
+// after a put — a recording's store outlives its puts by the whole life of
+// the Recording. For shared pools it also appends the chunk records to the pool
 // INDEX and publishes the locations to the in-memory dedup index; private
 // pools defer publication to publish, after the run manifest commit.
 // Callers hold p.gcMu.RLock (via Store.putV2).
@@ -355,17 +360,17 @@ func (p *ChunkPool) appendFrames(frames []ckptfmt.Frame) ([]chunkLoc, error) {
 			appendErrs[k] = fmt.Errorf("store: shard %s unusable after failed append: %w", sh.name, sh.broken)
 			return
 		}
-		var buf []byte
 		off := sh.packLen
 		for _, i := range idxs {
-			before := len(buf)
-			buf = frames[i].Append(buf)
-			wire := len(buf) - before
+			wire := frames[i].WireLen()
 			locs[i] = chunkLoc{Gen: sh.gen, Off: off, EncLen: wire, RawLen: frames[i].RawLen, Style: frames[i].Style}
 			off += int64(wire)
 		}
-		if len(buf) == 0 {
-			return
+		span := ckptfmt.Shared.Get(int(off - sh.packLen))
+		defer ckptfmt.Shared.Put(span)
+		buf := span[:0]
+		for _, i := range idxs {
+			buf = frames[i].Append(buf)
 		}
 		if err := p.backend.Append(sh.obj(), buf); err != nil {
 			// A partial append leaves the pack length unknown; resync from

@@ -1330,7 +1330,10 @@ func (s *Store) Put(key Key, payload []byte, snapNs, serNs, computNs int64) (*Me
 // (concurrently across shards), and the segment directory plus manifest
 // records commit the checkpoint. PutSections is safe to call from several
 // goroutines at once: shards serialize their own appends and the manifest
-// commit is atomic per checkpoint. See Put for the timing parameters.
+// commit is atomic per checkpoint. The sections' Data is only read, and only
+// until PutSections returns — nothing of it stays referenced from the store,
+// so the caller may overwrite the buffers with its next checkpoint. See Put
+// for the timing parameters.
 func (s *Store) PutSections(key Key, secs []Section, snapNs, serNs, computNs int64) (*Meta, error) {
 	if s.readOnly {
 		return nil, ErrReadOnly
@@ -1341,6 +1344,13 @@ func (s *Store) PutSections(key Key, secs []Section, snapNs, serNs, computNs int
 	return s.putV2(key, secs, false, snapNs, serNs, computNs)
 }
 
+// putV2 is the format-v2 write path. A section byte is touched three times:
+// hashed once (the hash probes the dedup index and, for a fresh chunk, is the
+// one its frame carries), style-sampled or compressed where the frame style
+// asks, and copied once into the staging span of its shard's pack append
+// (appendFrames), together with the CRC pass over that copy. Chunks and
+// raw-style frames alias secs[i].Data throughout; every alias is dropped by
+// the time putV2 returns.
 func (s *Store) putV2(key Key, secs []Section, opaque bool, snapNs, serNs, computNs int64) (*Meta, error) {
 	s.mu.Lock()
 	seq := s.nextSeq
@@ -1387,11 +1397,12 @@ func (s *Store) putV2(key Key, secs []Section, opaque bool, snapNs, serNs, compu
 	// the first committed record wins at replay.
 	newIdx := p.filterFresh(hashes)
 	obs.C(obs.MStoreChunkDedupHits).Add(int64(len(flat) - len(newIdx)))
-	newChunks := make([][]byte, len(newIdx))
-	for i, idx := range newIdx {
-		newChunks[i] = flat[idx]
-	}
-	frames := ckptfmt.EncodeChunksStyle(newChunks, s.frameStyle)
+	// Frames for the fresh chunks only, each built from the hash taken above:
+	// a chunk's bytes are hashed once per put, whether it dedups or not.
+	frames := make([]ckptfmt.Frame, len(newIdx))
+	ckptfmt.ParallelDo(len(newIdx), func(i int) {
+		frames[i] = ckptfmt.BuildHashed(flat[newIdx[i]], hashes[newIdx[i]], s.frameStyle)
+	})
 
 	// Latch the "lz4" FORMAT token before any LZ4 frame can become readable:
 	// the marker must hit disk ahead of the records that commit such frames,

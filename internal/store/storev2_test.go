@@ -441,3 +441,66 @@ func TestGCKeepsSharedChunksReadable(t *testing.T) {
 		t.Fatalf("latest checkpoint unreadable after GC: %v", err)
 	}
 }
+
+// TestPackBytesAreFreshFramesInDirectoryOrder pins what the append routine
+// writes, whatever it stages the bytes in: a shard's pack is the
+// concatenation of Frame.Marshal() over the chunks that were fresh when their
+// checkpoint was put, in directory order, checkpoint after checkpoint —
+// frozen content once, compressible content in its compressed style — for the
+// single pack and for a sharded one.
+func TestPackBytesAreFreshFramesInDirectoryOrder(t *testing.T) {
+	frozen := noise(2*ckptfmt.DefaultChunkSize+77, 1)
+	checkpoints := make([][]Section, 6)
+	for e := range checkpoints {
+		checkpoints[e] = []Section{
+			{Name: "frozen", Data: frozen},
+			{Name: "hot", Data: noise(3*ckptfmt.DefaultChunkSize, uint64(100+e))},
+			{Name: "zeros", Data: make([]byte, 4096+e)}, // deflates under the automatic style
+			{Name: "lr", Data: noise(9, uint64(200+e))},
+			{Name: "empty"},
+		}
+	}
+	for _, fanout := range []int{1, 4} {
+		s, dir := openSharded(t, fanout)
+		want := map[int][]byte{} // shard -> expected pack bytes
+		seen := map[ckptfmt.Hash]bool{}
+		for e, secs := range checkpoints {
+			if _, err := s.PutSections(Key{LoopID: "train", Exec: e}, secs, 0, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			for _, sec := range secs {
+				for _, chunk := range codec.SplitChunks(sec.Data, ckptfmt.DefaultChunkSize) {
+					f := ckptfmt.Build(chunk)
+					if seen[f.Hash] {
+						continue
+					}
+					seen[f.Hash] = true
+					shard := int(f.Hash[0]) & (fanout - 1)
+					want[shard] = append(want[shard], f.Marshal()...)
+				}
+			}
+		}
+		styles := map[byte]bool{}
+		for shard, sh := range s.pool.shardTab {
+			got, err := os.ReadFile(filepath.Join(dir, sh.name))
+			if err != nil && len(want[shard]) > 0 {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want[shard]) {
+				t.Fatalf("fanout %d: pack %s holds %d bytes that are not its fresh frames in directory order (%d bytes)",
+					fanout, sh.name, len(got), len(want[shard]))
+			}
+			for off := 0; off < len(got); {
+				f, n, err := ckptfmt.Parse(got[off:])
+				if err != nil {
+					t.Fatal(err)
+				}
+				styles[f.Style] = true
+				off += n
+			}
+		}
+		if !styles[ckptfmt.StyleRaw] || !styles[ckptfmt.StyleDeflate] {
+			t.Fatalf("fanout %d: packs hold styles %v, want raw and deflate frames both", fanout, styles)
+		}
+	}
+}

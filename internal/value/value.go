@@ -7,6 +7,8 @@
 //   - Value.Snapshot() performs a fast deep copy of the value's mutable state
 //     on the training thread (the analogue of fork()'s copy in §5.1); the
 //     resulting Payload is immutable and can be encoded in the background.
+//     EncodeLive fuses the two: it encodes the live state itself, in the bytes
+//     the snapshot would encode to, so the encode is the only copy made.
 //   - Value.Restore(payload) applies a payload onto the live object. Replay
 //     re-executes program setup to reconstruct objects (models, optimizers),
 //     then restores checkpointed state onto them — physiological recovery:
@@ -305,6 +307,28 @@ func EncodePayload(w *codec.Writer, p Payload) {
 	p.Encode(w)
 }
 
+// EncodeLive writes v's current state in exactly the bytes
+// EncodePayload(w, v.Snapshot()) would produce, without the snapshot's deep
+// copy: tensors, model parameters and optimizer moments are encoded straight
+// from the live tensors, which are only read and only until EncodeLive
+// returns. It is the training thread's whole share of a checkpoint — into a
+// buffer w was handed, one memcpy per tensor. The other kinds snapshot as
+// usual: their payloads are a few bytes.
+func EncodeLive(w *codec.Writer, v Value) {
+	var p Payload
+	switch b := v.(type) {
+	case *Tensor:
+		p = TensorPayload{T: b.T}
+	case *Model:
+		p = StatePayload{S: b.live()}
+	case *Optimizer:
+		p = StatePayload{S: b.O.Live()}
+	default:
+		p = v.Snapshot()
+	}
+	EncodePayload(w, p)
+}
+
 // DecodeTaggedPayload reads a kind tag then the payload body.
 func DecodeTaggedPayload(r *codec.Reader) (Payload, error) {
 	k, err := r.Uvarint()
@@ -480,12 +504,16 @@ type Model struct{ M nn.Module }
 func (*Model) Kind() Kind { return KindState }
 
 // Snapshot implements Value.
-func (b *Model) Snapshot() Payload {
+func (b *Model) Snapshot() Payload { return StatePayload{S: b.live().Clone()} }
+
+// live is the model's state with every entry borrowing its parameter's own
+// tensor (see opt.Optimizer.Live).
+func (b *Model) live() *opt.State {
 	st := opt.NewState()
 	for _, p := range b.M.Params() {
-		st.Tensors[p.Name] = codec.Dense{T: p.Var.Value.Clone()}
+		st.Tensors[p.Name] = codec.Dense{T: p.Var.Value}
 	}
-	return StatePayload{S: st}
+	return st
 }
 
 // Restore implements Value: every parameter of the live module is
