@@ -4,9 +4,8 @@
 //
 //	go run ./cmd/florbench
 //
-// for the full-scale (paper epoch counts) regeneration, whose output is
-// recorded in EXPERIMENTS.md. Headline quantities are attached to each
-// benchmark via ReportMetric.
+// for the full-scale (paper epoch counts) regeneration. Headline quantities
+// are attached to each benchmark via ReportMetric.
 package flor_test
 
 import (
@@ -189,25 +188,6 @@ func BenchmarkFig14CostOfParallelism(b *testing.B) {
 			}
 		}
 		b.ReportMetric(worstRatio, "worst-cost-ratio")
-	}
-}
-
-// BenchmarkCkptThroughput compares checkpoint materialize/restore
-// throughput under segment format v1 (single monolithic blob) and v2
-// (parallel frames with content-addressed dedup), reporting the v2 speedups
-// and the frozen-layer dedup ratio.
-func BenchmarkCkptThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := newSession(b)
-		rep, err := s.CkptThroughput(6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rep.MatSpeedupFrozen, "mat-speedup-frozen")
-		b.ReportMetric(rep.ResSpeedupFrozen, "res-speedup-frozen")
-		b.ReportMetric(rep.DedupRatioFrozen, "dedup-ratio-frozen")
-		b.ReportMetric(rep.ShardedSpoolSpeedup, "sharded-spool-speedup")
-		b.ReportMetric(rep.FamilyStorageReduction, "family-storage-reduction")
 	}
 }
 

@@ -1,12 +1,14 @@
 package flor_test
 
 // Documentation hygiene checks, run by the tier-1 suite and by the CI docs
-// lane: every internal package must carry a godoc package comment, and
-// every relative link in the repo's markdown docs must resolve. Keeping
-// these as plain tests (rather than CI-only shell) means a broken doc
-// fails `go test ./...` locally, before review.
+// lane: every internal package must carry a godoc package comment, every
+// relative link in the repo's markdown docs must resolve, and every command
+// the docs show must name things that exist. Keeping these as plain tests
+// (rather than CI-only shell) means a broken doc fails `go test ./...`
+// locally, before review.
 
 import (
+	"encoding/json"
 	"go/parser"
 	"go/token"
 	"os"
@@ -15,6 +17,7 @@ import (
 	"strings"
 	"testing"
 
+	"flor.dev/flor/internal/bench"
 	"flor.dev/flor/internal/obs"
 )
 
@@ -98,6 +101,69 @@ func TestDocRelativeLinks(t *testing.T) {
 			resolved := filepath.Join(filepath.Dir(md), target)
 			if _, err := os.Stat(resolved); err != nil {
 				t.Errorf("%s: broken relative link %q (resolved %s)", md, m[1], resolved)
+			}
+		}
+	}
+}
+
+// What the user-facing docs may show of the two harnesses: a florbench
+// experiment list, a benchmark file, a florperf workload.
+var (
+	docExp       = regexp.MustCompile(`-exp[ =]([A-Za-z0-9_,-]+)`)
+	docBenchFile = regexp.MustCompile(`\bBENCH\w*\.json\b`)
+	docWorkload  = regexp.MustCompile(`--workload[ =]([A-Za-z0-9_-]+)`)
+)
+
+// TestDocCommandsExist keeps README.md and docs/*.md from naming things that
+// are gone: every `-exp <name>` they show is an experiment florbench accepts
+// (bench.Experiments, the list cmd/florbench validates against), every
+// BENCH*.json they mention exists at the repository root, and every
+// `--workload <name>` is a workload BENCHMARK.json declares.
+func TestDocCommandsExist(t *testing.T) {
+	exps := map[string]bool{"all": true}
+	for _, e := range bench.Experiments {
+		exps[e.Name] = true
+	}
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decl struct {
+		Workloads []struct{ Name string }
+	}
+	if err := json.Unmarshal(raw, &decl); err != nil {
+		t.Fatal(err)
+	}
+	workloads := map[string]bool{}
+	for _, w := range decl.Workloads {
+		workloads[w.Name] = true
+	}
+
+	mds, err := filepath.Glob(filepath.Join("docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, md := range append(mds, "README.md") {
+		raw, err := os.ReadFile(md)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc := string(raw)
+		for _, m := range docExp.FindAllStringSubmatch(doc, -1) {
+			for _, name := range strings.Split(m[1], ",") {
+				if !exps[name] {
+					t.Errorf("%s: shows `-exp %s`, but florbench accepts no experiment %q", md, m[1], name)
+				}
+			}
+		}
+		for _, name := range docBenchFile.FindAllString(doc, -1) {
+			if _, err := os.Stat(name); err != nil {
+				t.Errorf("%s: mentions %s, which is not at the repository root", md, name)
+			}
+		}
+		for _, m := range docWorkload.FindAllStringSubmatch(doc, -1) {
+			if !workloads[m[1]] {
+				t.Errorf("%s: shows `--workload %s`, which BENCHMARK.json does not declare", md, m[1])
 			}
 		}
 	}

@@ -42,7 +42,7 @@
 //
 // Baseline and Queue keep the two-step form — Snapshot, then EncodeSections,
 // both on the caller — because "the sender pickles" is what they exist to
-// reproduce. Format-v2 stores chunk, frame and deduplicate sections
+// reproduce. The store chunks, frames and deduplicates sections
 // (store.PutSections) wherever the write runs.
 package backmat
 
@@ -342,8 +342,9 @@ func DecodeSectionsCached(c *PayloadCache, secs []store.Section) ([]NamedPayload
 }
 
 // BundleBytes reassembles sections into the monolithic bundle encoding —
-// byte-identical to EncodeBundle of the same items. It is the bridge from
-// the section-based encode path onto a legacy format-v1 store.
+// byte-identical to EncodeBundle of the same items, and to what Store.Get
+// returns for a sectioned checkpoint. Nothing writes it any more; with
+// EncodeBundle it is the reference encoding the capture tests compare against.
 func BundleBytes(secs []store.Section) []byte {
 	w := codec.NewWriter()
 	w.Uvarint(uint64(len(secs)))
@@ -525,7 +526,7 @@ func (m *Materializer) worker(tasks <-chan task) {
 // strand the set the next capture is waiting for.
 func (m *Materializer) finish(t task) {
 	w0 := time.Now()
-	meta, err := m.put(t.key, t.secs, t.snapNs, t.serNs, t.computNs)
+	meta, err := m.st.PutSections(t.key, t.secs, t.snapNs, t.serNs, t.computNs)
 	writeNs := time.Since(w0).Nanoseconds()
 	if t.recycle {
 		m.free <- t.secs
@@ -546,16 +547,6 @@ func (m *Materializer) finish(t task) {
 	if err == nil && observe != nil {
 		observe(meta)
 	}
-}
-
-// put commits sections through the store's native write path: chunked,
-// deduplicated frames on a format-v2 store, a reassembled monolithic bundle
-// on a legacy v1 store.
-func (m *Materializer) put(key store.Key, secs []store.Section, snapNs, serNs, computNs int64) (*store.Meta, error) {
-	if m.st.Format() == store.FormatV2 {
-		return m.st.PutSections(key, secs, snapNs, serNs, computNs)
-	}
-	return m.st.Put(key, BundleBytes(secs), snapNs, serNs, computNs)
 }
 
 // capture encodes the live state of vals into set, a buffer set taken from

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"flor.dev/flor/internal/adapt"
@@ -249,7 +250,7 @@ func (s *Session) Table4() (*Table4Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		gz, err := storeGzTotal(wr.Record.Recording.Store)
+		gz, err := wr.Record.Recording.Store.Spool()
 		if err != nil {
 			return nil, err
 		}
@@ -260,7 +261,7 @@ func (s *Session) Table4() (*Table4Report, error) {
 			Checkpoints: wr.Record.MatStats.Checkpoints,
 		})
 	}
-	sortRows(rep.Rows)
+	sort.Slice(rep.Rows, func(i, j int) bool { return rep.Rows[i].GzBytes < rep.Rows[j].GzBytes })
 	s.printf("\nTable 4: storage for one execution of Flor record (gzip).\n")
 	s.printf("%-5s %16s %14s %12s\n", "Name", "ckpt size", "cost/month", "checkpoints")
 	for _, r := range rep.Rows {
@@ -268,14 +269,6 @@ func (s *Session) Table4() (*Table4Report, error) {
 			cluster.FormatDollars(r.CostPerMo), r.Checkpoints)
 	}
 	return rep, nil
-}
-
-func sortRows(rows []Table4Row) {
-	for i := 1; i < len(rows); i++ {
-		for j := i; j > 0 && rows[j].GzBytes < rows[j-1].GzBytes; j-- {
-			rows[j], rows[j-1] = rows[j-1], rows[j]
-		}
-	}
 }
 
 func fmtBytes(b int64) string {

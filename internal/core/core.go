@@ -41,9 +41,6 @@ type RecordOptions struct {
 	// DisableBackground forces the Baseline strategy (serialization and
 	// write on the training thread), reproducing §5.1's comparison.
 	DisableBackground bool
-	// StoreFormat forces the checkpoint store's segment format
-	// (store.FormatV1 or store.FormatV2); 0 auto-detects (v2 for new runs).
-	StoreFormat int
 	// ShardFanout requests a hash-prefix sharded chunk store for new runs
 	// (power of two in [2, 256]); 0 keeps the single-pack v2 layout.
 	ShardFanout int
@@ -85,7 +82,6 @@ type RecordResult struct {
 func Record(dir string, factory func() *script.Program, opts RecordOptions) (*RecordResult, error) {
 	p := factory()
 	st, err := store.OpenWith(dir, store.Options{
-		Format:      opts.StoreFormat,
 		ShardFanout: opts.ShardFanout,
 		ShardDirs:   opts.ShardDirs,
 		Pool:        opts.Pool,
@@ -93,6 +89,9 @@ func Record(dir string, factory func() *script.Program, opts RecordOptions) (*Re
 	})
 	if err != nil {
 		return nil, err
+	}
+	if st.ReadOnly() {
+		return nil, fmt.Errorf("core: record into %s: a legacy v1 run directory is read-compat only: %w", dir, store.ErrReadOnly)
 	}
 	strategy := opts.Strategy
 	if opts.DisableBackground {

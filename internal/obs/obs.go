@@ -13,9 +13,8 @@
 // predictable branch — no allocation, no atomics, no locks. Hot paths
 // resolve handles once at construction time (a pool's counters in NewPool, a
 // cache's in NewPayloadCache) and pay only an atomic add per event when the
-// registry is live. Enable installs a live registry process-wide; the
-// serve-throughput benchmark's obs-overhead entry keeps the disabled-path
-// claim measured rather than asserted.
+// registry is live. Enable installs a live registry process-wide;
+// TestDisabledHandlesAllocFree pins the disabled-path claim.
 //
 // # Names
 //

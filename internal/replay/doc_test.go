@@ -12,8 +12,9 @@ import (
 )
 
 // TestGeneratorAnyGEqualsSequential is the generator-level property of
-// DESIGN.md §6: for any worker count G ≥ 1, the merged replay log is
-// identical to the G=1 log, probed or unprobed, strong or weak init.
+// docs/ARCHITECTURE.md's "Replay" paragraph: for any worker count G ≥ 1, the
+// merged replay log is identical to the G=1 log, probed or unprobed, strong
+// or weak init.
 func TestGeneratorAnyGEqualsSequential(t *testing.T) {
 	factory := trainFactory(12, 2)
 	rec := record(t, factory)

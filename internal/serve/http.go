@@ -267,11 +267,23 @@ func parseIters(raw string) ([]int, error) {
 	return out, nil
 }
 
+// maxRequestBody caps a JSON request body. The largest legitimate request is
+// a sampling query's iteration list, which stays orders of magnitude below it;
+// without a cap one POST makes the daemon buffer whatever it is sent.
+const maxRequestBody = 1 << 20
+
+// readJSON decodes a request body of at most maxRequestBody bytes into dst,
+// answering 413 for a longer one and 400 for one that does not parse.
 func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		writeJSON(w, http.StatusBadRequest, errBody(fmt.Errorf("serve: bad request body: %w", err)))
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errBody(fmt.Errorf("serve: bad request body: %w", err)))
 		return false
 	}
 	return true

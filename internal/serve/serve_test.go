@@ -493,6 +493,24 @@ func TestDaemonErrors(t *testing.T) {
 	}
 }
 
+// TestDaemonOversizedBodyIs413: a request body past the 1 MiB cap is refused
+// with 413 and the usual error body on every endpoint that reads one, without
+// being buffered, and the daemon keeps serving.
+func TestDaemonOversizedBodyIs413(t *testing.T) {
+	fx := startDaemon(t, serve.Options{Slots: 2})
+	huge := json.RawMessage(`{"iterations":[` + strings.Repeat("0,", 1<<20) + `0]}`) // 2 MiB
+	for _, path := range []string{"/v1/runs", "/v1/runs/run-a/replay", "/v1/runs/run-a/logs"} {
+		resp, body := fx.post(t, path, huge)
+		var e map[string]string
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || json.Unmarshal(body, &e) != nil || e["error"] == "" {
+			t.Fatalf("%s: 2 MiB body: status %d, body %.200s; want 413 with an error body", path, resp.StatusCode, body)
+		}
+	}
+	if resp, body := fx.post(t, "/v1/runs/run-a/logs", serve.SampleRequest{Iterations: []int{1}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid query after the refused ones: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 // TestDaemonCorruptFrameMidRestoreIsTypedError flips one byte in the middle
 // of a run's chunk pack, inside the frame of a mid-run checkpoint: restores
 // of earlier epochs succeed (into worker buffers that the failing read then

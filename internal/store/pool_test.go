@@ -122,6 +122,48 @@ func TestPooledRoundTripAndReopen(t *testing.T) {
 	}
 }
 
+// TestPooledFamilyStoresThreeTimesLess is the cross-run dedup acceptance bar:
+// a 4-run fine-tuning family over one frozen backbone stores at least 3x
+// fewer pack bytes in a shared chunk pool than in per-run private packs, and
+// its family-wide dedup ratio (logical bytes per stored raw byte) is higher.
+func TestPooledFamilyStoresThreeTimesLess(t *testing.T) {
+	const runs, epochs = 4, 3
+	base := t.TempDir()
+	pool := filepath.Join(base, "POOL")
+	var logical int64
+	var private DedupStats
+	for r := 0; r < runs; r++ {
+		priv, err := OpenWith(filepath.Join(base, fmt.Sprintf("private-%d", r)), Options{ShardFanout: DefaultShardFanout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled := openPooled(t, filepath.Join(base, fmt.Sprintf("pooled-%d", r)), pool)
+		for e := 0; e < epochs; e++ {
+			secs := familySections(1, uint64(100+r), e)
+			for _, st := range []*Store{priv, pooled} {
+				if _, err := st.PutSections(Key{LoopID: "train", Exec: e}, secs, 0, 0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		d := priv.Dedup()
+		logical += d.LogicalBytes
+		private.StoredEncBytes += d.StoredEncBytes
+		private.StoredRawBytes += d.StoredRawBytes
+	}
+	ps, ok := PoolStatsAt(pool)
+	if !ok {
+		t.Fatal("pool not open after the family was recorded")
+	}
+	if private.StoredEncBytes < 3*ps.StoredEncBytes {
+		t.Fatalf("family stores %d bytes private, %d pooled: %.2fx, acceptance bar is >= 3x",
+			private.StoredEncBytes, ps.StoredEncBytes, float64(private.StoredEncBytes)/float64(ps.StoredEncBytes))
+	}
+	if pooledRatio, privateRatio := float64(logical)/float64(ps.StoredRawBytes), float64(logical)/float64(private.StoredRawBytes); pooledRatio <= privateRatio {
+		t.Fatalf("pooled family dedup ratio %.2f not above private %.2f", pooledRatio, privateRatio)
+	}
+}
+
 func TestPooledReadOnlyOpen(t *testing.T) {
 	base := t.TempDir()
 	pool := filepath.Join(base, "POOL")
@@ -174,9 +216,6 @@ func TestPooledOpenRefusals(t *testing.T) {
 	// Pool options compose with nothing that moves packs elsewhere.
 	if _, err := OpenWith(filepath.Join(base, "x1"), Options{Pool: pool, ShardDirs: []string{filepath.Join(base, "extra")}}); err == nil {
 		t.Fatal("Pool+ShardDirs must be refused")
-	}
-	if _, err := OpenWith(filepath.Join(base, "x2"), Options{Pool: pool, Format: FormatV1}); err == nil {
-		t.Fatal("v1 cannot attach to a pool")
 	}
 
 	// Fanout conflicts with an existing pool are refused.

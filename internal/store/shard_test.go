@@ -359,9 +359,6 @@ func TestReshardRefusedOnRecordedStore(t *testing.T) {
 	if _, err := OpenWith(t.TempDir(), Options{ShardFanout: 12}); err == nil {
 		t.Fatal("non-power-of-two fanout accepted")
 	}
-	if _, err := OpenWith(t.TempDir(), Options{Format: FormatV1, ShardFanout: 4}); err == nil {
-		t.Fatal("sharded v1 accepted")
-	}
 	// Extra roots without a sharded layout would relocate the single CHUNKS
 	// pack while the FORMAT marker still claims plain v2 — refuse.
 	if _, err := OpenWith(t.TempDir(), Options{ShardDirs: []string{t.TempDir()}}); err == nil {
@@ -370,9 +367,7 @@ func TestReshardRefusedOnRecordedStore(t *testing.T) {
 }
 
 func TestDetectLayoutVariants(t *testing.T) {
-	v1dir := t.TempDir()
-	v1, _ := OpenFormat(v1dir, FormatV1)
-	v1.Put(Key{LoopID: "L", Exec: 0}, []byte("x"), 0, 0, 0)
+	v1dir := v1Fixture(t)
 	v2dir := t.TempDir()
 	Open(v2dir)
 	shdir := t.TempDir()

@@ -36,13 +36,16 @@
 //
 // # Formats
 //
-// Four layouts are readable (docs/FORMATS.md has the byte-level detail);
-// v2-pooled (marker "2 pool shards=N") stores segments like v2 but resolves
-// every chunk through the shared pool named by its manifest:
+// One encoding is written — v2 — over a private or shared chunk pool at some
+// fanout; four layouts are readable (docs/FORMATS.md has the byte-level
+// detail). v2-pooled (marker "2 pool shards=N") stores segments like v2 but
+// resolves every chunk through the shared pool named by its manifest:
 //
-//   - v1 (legacy): one monolithic CRC-framed blob per segment, untyped
-//     manifest records, no pack. Detected from the absence of the FORMAT
-//     marker; v1 runs remain fully readable and writable in v1.
+//   - v1 (legacy, read-only): one monolithic CRC-framed blob per segment,
+//     untyped manifest records, no pack. Detected from the absence of the
+//     FORMAT marker on a directory that holds a manifest; a v1 run opens
+//     read-only whatever the options say — it replays byte-identically and
+//     every write fails with ErrReadOnly. No build writes v1 any more.
 //   - v2 (marker "2"): a segment file holds only a CRC-framed *directory*
 //     (package ckptfmt): the checkpoint's named sections and, per section,
 //     the ordered content hashes of the chunks holding its bytes. The chunk
@@ -93,7 +96,7 @@
 //
 // # Manifest and crash consistency
 //
-// The v2 MANIFEST interleaves record kinds, each individually CRC-framed:
+// The MANIFEST interleaves record kinds, each individually CRC-framed:
 //
 //	'C' chunk record  hash, pack offset (shard-relative when sharded),
 //	                  encoded length, raw length, style, and (after GC
@@ -150,7 +153,8 @@ import (
 
 // Format identifies a segment encoding.
 const (
-	// FormatV1 is the legacy single-blob-per-segment encoding.
+	// FormatV1 is the legacy single-blob-per-segment encoding; it is only
+	// read (see resolveLayout).
 	FormatV1 = 1
 	// FormatV2 is the frame-based, deduplicated encoding (package ckptfmt),
 	// with or without hash-prefix sharding.
@@ -166,7 +170,7 @@ const (
 	maxShardFanout = 256
 )
 
-// Manifest record tags (format v2 manifests only).
+// Manifest record tags (legacy v1 manifests hold untagged meta records).
 const (
 	recMeta  = 'M'
 	recChunk = 'C'
@@ -205,10 +209,10 @@ type Meta struct {
 	MaterNs  int64 // observed materialization time (serialize+write), ns
 	SnapNs   int64 // observed snapshot (training-thread) time, ns
 	ComputNs int64 // observed loop computation time, ns
-	Format   int   // segment format (FormatV1 or FormatV2)
+	Format   int   // segment format (FormatV2; FormatV1 in legacy runs)
 	// StoredBytes is the number of pack bytes this checkpoint added (encoded
 	// size of its previously unseen chunks). Dedup hits make it smaller than
-	// Size; always equal to Size's framed encoding in format v1.
+	// Size; it is Size itself for a legacy v1 checkpoint.
 	StoredBytes int64
 }
 
@@ -327,12 +331,8 @@ func (e *UnknownFormatError) Error() string {
 func (e *UnknownFormatError) Is(target error) bool { return target == ErrUnknownFormat }
 
 // Options configures OpenWith. The zero value reproduces Open: auto-detect
-// format, single local directory, read-write.
+// the layout, single local directory, read-write.
 type Options struct {
-	// Format forces the segment format for writes (FormatV1 or FormatV2);
-	// 0 auto-detects. Forcing a format that disagrees with a recorded
-	// directory is refused.
-	Format int
 	// ShardFanout selects the chunk-pack layout for new v2 stores: 0 keeps
 	// the existing layout (single pack for new directories), 1 explicitly
 	// requests the single pack, and a power of two in [2, 256] requests
@@ -388,17 +388,9 @@ type Options struct {
 // the checkpoint index and the dedup chunk index. Torn or corrupt manifest
 // tails are truncated away; segments whose files are missing or corrupt are
 // dropped from the index. New stores are created at format v2; directories
-// recorded before the FORMAT marker existed open as v1.
+// recorded before the FORMAT marker existed open as v1, read-only.
 func Open(dir string) (*Store, error) {
 	return OpenWith(dir, Options{})
-}
-
-// OpenFormat opens a store forcing the given segment format for writes
-// (FormatV1 or FormatV2); format 0 auto-detects: the FORMAT marker if
-// present, v1 for pre-existing unmarked runs, v2 for new directories.
-// Benchmarks use the explicit form to compare the write paths.
-func OpenFormat(dir string, format int) (*Store, error) {
-	return OpenWith(dir, Options{Format: format})
 }
 
 // OpenReadOnly opens an existing recorded run for shared read-only use — the
@@ -412,8 +404,8 @@ func OpenReadOnly(dir string) (*Store, error) {
 }
 
 // OpenWith opens (or, unless o.ReadOnly, creates) a store at dir under the
-// given options. See Options for the layout and backend knobs; Open,
-// OpenFormat and OpenReadOnly are thin wrappers.
+// given options. See Options for the layout and backend knobs; Open and
+// OpenReadOnly are thin wrappers.
 func OpenWith(dir string, o Options) (*Store, error) {
 	if o.ReadOnly {
 		// A read-only open must not mint an empty store out of a typo'd
@@ -508,7 +500,8 @@ func OpenWith(dir string, o Options) (*Store, error) {
 	return s, nil
 }
 
-// ReadOnly reports whether the store rejects writes.
+// ReadOnly reports whether the store rejects writes: it was opened read-only,
+// or it is a legacy v1 run.
 func (s *Store) ReadOnly() bool { return s.readOnly }
 
 // Layout describes a run directory's on-disk store layout, detected without
@@ -601,15 +594,14 @@ func DetectLayout(dir string) (Layout, error) {
 	} else if !st.IsDir() {
 		return Layout{}, fmt.Errorf("store: detect layout: %s is not a directory", dir)
 	}
-	l, _, _, err := detectDir(dir)
+	l, _, err := detectDir(dir)
 	return l, err
 }
 
 // detectDir reads a directory's FORMAT marker (falling back on manifest
-// presence) and reports the detected layout, the parsed marker (zero when
-// absent), and whether a marker was found — the shared core of DetectLayout
-// and Store.resolveLayout.
-func detectDir(dir string) (Layout, markerInfo, bool, error) {
+// presence) and reports the detected layout and the parsed marker (zero when
+// absent) — the shared core of DetectLayout and Store.resolveLayout.
+func detectDir(dir string) (Layout, markerInfo, error) {
 	recorded := false
 	if _, merr := os.Stat(filepath.Join(dir, manifestFile)); merr == nil {
 		recorded = true
@@ -622,16 +614,16 @@ func detectDir(dir string) (Layout, markerInfo, bool, error) {
 			// An unknown marker means a newer (or corrupted) layout whose
 			// manifest records this build would misparse as a torn tail and
 			// truncate away — refuse rather than destroy.
-			return Layout{}, markerInfo{}, true, &UnknownFormatError{Dir: dir, Marker: strings.TrimSpace(string(raw))}
+			return Layout{}, markerInfo{}, &UnknownFormatError{Dir: dir, Marker: strings.TrimSpace(string(raw))}
 		}
-		return Layout{Format: m.format, ShardFanout: m.fanout, Pooled: m.pooled, Recorded: recorded}, m, true, nil
+		return Layout{Format: m.format, ShardFanout: m.fanout, Pooled: m.pooled, Recorded: recorded}, m, nil
 	case errors.Is(err, os.ErrNotExist):
 		if recorded {
-			return Layout{Format: FormatV1, Recorded: true}, markerInfo{}, false, nil // pre-FORMAT-marker run
+			return Layout{Format: FormatV1, Recorded: true}, markerInfo{}, nil // pre-FORMAT-marker run
 		}
-		return Layout{Format: FormatV2, ShardFanout: 1}, markerInfo{}, false, nil // fresh directory
+		return Layout{Format: FormatV2, ShardFanout: 1}, markerInfo{}, nil // fresh directory
 	default:
-		return Layout{}, markerInfo{}, false, fmt.Errorf("store: read format marker: %w", err)
+		return Layout{}, markerInfo{}, fmt.Errorf("store: read format marker: %w", err)
 	}
 }
 
@@ -717,53 +709,43 @@ func formatMarker(fanout int, pooled, gc, lz4 bool) []byte {
 // directories) the presence of a manifest. The marker itself is written
 // later (writeMarker), after a pool attachment has fixed the fanout.
 func (s *Store) resolveLayout(o Options) error {
-	l, m, hasMarker, err := detectDir(s.dir)
+	l, m, err := detectDir(s.dir)
 	if err != nil {
 		return err
 	}
-	detected, detFanout, pooled := l.Format, l.ShardFanout, l.Pooled
+	s.format = l.Format
+	s.recorded = l.Recorded
+	if l.Format == FormatV1 {
+		// v1 is read-compat only: nothing writes that encoding any more, so
+		// a legacy run opens read-only however it was asked for.
+		if o.ShardFanout > 1 || o.Pool != "" {
+			return fmt.Errorf("store: %s is a legacy v1 run (read-only): it cannot be sharded or attached to a chunk pool", s.dir)
+		}
+		s.readOnly = true
+		return nil
+	}
+	fanout, pooled := l.ShardFanout, l.Pooled
 	s.gcMarked = m.gc
 	s.lz4Marked = m.lz4
-	if !hasMarker && detected == FormatV2 && o.ShardFanout > 1 {
-		detFanout = o.ShardFanout // fresh directory: honor the requested fanout
-	}
-	// A forced format or fanout may only disagree with a directory that has
-	// no committed state: opening a v2 manifest as v1 (or a sharded one as
-	// unsharded) would misparse records or misplace every chunk.
-	s.recorded = l.Recorded
-	recorded := l.Recorded
-	if o.Format != 0 && o.Format != detected {
-		if recorded {
-			return fmt.Errorf("store: cannot force format v%d on %s (recorded as v%d)", o.Format, s.dir, detected)
+	// A requested fanout may only disagree with a directory that has no
+	// committed state (a fresh one takes it): opening a sharded manifest as
+	// unsharded would misplace every chunk.
+	if o.ShardFanout != 0 && !pooled && o.ShardFanout != fanout {
+		if l.Recorded {
+			return fmt.Errorf("store: cannot reshard %s to fanout %d (recorded at fanout %d)", s.dir, o.ShardFanout, fanout)
 		}
-		detected = o.Format
-		if detected == FormatV1 {
-			detFanout = 0
-		}
-	}
-	if o.ShardFanout != 0 && detected == FormatV2 && !pooled && o.ShardFanout != detFanout {
-		if recorded {
-			return fmt.Errorf("store: cannot reshard %s to fanout %d (recorded at fanout %d)", s.dir, o.ShardFanout, detFanout)
-		}
-		detFanout = o.ShardFanout
-	}
-	if o.ShardFanout > 1 && detected == FormatV1 {
-		return fmt.Errorf("store: format v1 cannot shard (fanout %d requested)", o.ShardFanout)
+		fanout = o.ShardFanout
 	}
 	// Pool attachment: only fresh directories can attach — moving a
 	// recorded run's chunks into (or out of) a pool would strand every
 	// committed chunk record.
 	if o.Pool != "" {
-		if detected == FormatV1 {
-			return fmt.Errorf("store: format v1 cannot attach to a chunk pool")
-		}
-		if recorded && !pooled {
+		if l.Recorded && !pooled {
 			return fmt.Errorf("store: cannot attach recorded run %s to pool %s (recorded with a private pack)", s.dir, o.Pool)
 		}
 		pooled = true
 	}
-	s.format = detected
-	s.fanout = detFanout
+	s.fanout = fanout
 	s.pooled = pooled
 	return nil
 }
@@ -773,7 +755,7 @@ func (s *Store) resolveLayout(o Options) error {
 // every open would leave a crash window in which a torn marker bricks an
 // otherwise intact run behind the UnknownFormatError refusal.
 func (s *Store) writeMarker() error {
-	if s.format != FormatV2 || s.readOnly {
+	if s.readOnly {
 		return nil
 	}
 	want := formatMarker(s.fanout, s.pooled, s.gcMarked, s.lz4Marked)
@@ -928,7 +910,7 @@ func (s *Store) commitPoolAttachment() error {
 			}
 		}
 		s.mu.Lock()
-		err := s.appendManifestLocked(s.frameRecord(recPool, encodePoolRef(ref, s.fanout)))
+		err := s.appendManifestLocked(frameTagged(recPool, encodePoolRef(ref, s.fanout)))
 		if err == nil {
 			s.sawPRec = true
 			s.poolRef = ref
@@ -969,7 +951,7 @@ func peekPoolRef(dir string) (ref string, fanout int, err error) {
 // resolved pool root and ok=true for pooled runs, ok=false otherwise.
 // Registration paths use it to validate and pin pool roots.
 func PoolRef(dir string) (root string, ok bool, err error) {
-	l, _, _, err := detectDir(dir)
+	l, _, err := detectDir(dir)
 	if err != nil {
 		return "", false, err
 	}
@@ -994,9 +976,6 @@ func PoolRef(dir string) (root string, ok bool, err error) {
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
-
-// Format returns the segment format used for writes.
-func (s *Store) Format() int { return s.format }
 
 // ShardFanout returns the chunk-pack shard count: 0 for v1 stores, 1 for
 // the unsharded v2 layout, the fanout for sharded and pooled stores.
@@ -1270,15 +1249,6 @@ func frameTagged(tag byte, body []byte) []byte {
 	return codec.Frame(payload)
 }
 
-// frameRecord wraps a manifest record payload with its type tag (v2) and CRC
-// frame.
-func (s *Store) frameRecord(tag byte, body []byte) []byte {
-	if s.format != FormatV2 {
-		return codec.Frame(body)
-	}
-	return frameTagged(tag, body)
-}
-
 // Put durably stores payload for key and commits it to the manifest.
 // snapNs and serNs are the observed snapshot and serialization times for
 // this checkpoint; Put measures its own write time and records
@@ -1286,49 +1256,20 @@ func (s *Store) frameRecord(tag byte, body []byte) []byte {
 // adaptive checkpointing (paper Table 2's M_i). computNs is the loop
 // execution time being memoized (C_i).
 //
-// In format v2 the payload is stored as a single opaque section — chunked,
-// content-addressed, and deduplicated like any other checkpoint, but with no
-// per-entry structure. PutSections is the structured (and more parallel)
+// The payload is stored as a single opaque section — chunked, content-addressed,
+// and deduplicated like any other checkpoint, but with no per-entry structure. PutSections is the structured (and more parallel)
 // write path.
 func (s *Store) Put(key Key, payload []byte, snapNs, serNs, computNs int64) (*Meta, error) {
 	if s.readOnly {
 		return nil, ErrReadOnly
 	}
-	if s.format == FormatV2 {
-		return s.putV2(key, []Section{{Data: payload}}, true, snapNs, serNs, computNs)
-	}
-
-	s.mu.Lock()
-	seq := s.nextSeq
-	s.nextSeq++
-	s.mu.Unlock()
-
-	w0 := time.Now()
-	framed := codec.Frame(payload)
-	if err := s.writeSegment(seq, framed); err != nil {
-		return nil, err
-	}
-	writeNs := time.Since(w0).Nanoseconds()
-
-	m := &Meta{
-		Key: key, Seq: seq, Size: int64(len(payload)),
-		MaterNs: snapNs + serNs + writeNs, SnapNs: snapNs, ComputNs: computNs,
-		Format: FormatV1, StoredBytes: int64(len(framed)),
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.appendManifestLocked(s.frameRecord(recMeta, encodeMeta(m))); err != nil {
-		return nil, err
-	}
-	s.commitLocked(m)
-	return m, nil
+	return s.putV2(key, []Section{{Data: payload}}, true, snapNs, serNs, computNs)
 }
 
-// PutSections durably stores a checkpoint as named sections (format v2
-// stores only). Sections are chunked, frames for previously unseen chunks
-// are encoded in parallel and appended to their hash shards' packs
-// (concurrently across shards), and the segment directory plus manifest
-// records commit the checkpoint. PutSections is safe to call from several
+// PutSections durably stores a checkpoint as named sections. Sections are
+// chunked, frames for previously unseen chunks are encoded in parallel and
+// appended to their hash shards' packs (concurrently across shards), and the
+// segment directory plus manifest records commit the checkpoint. PutSections is safe to call from several
 // goroutines at once: shards serialize their own appends and the manifest
 // commit is atomic per checkpoint. The sections' Data is only read, and only
 // until PutSections returns — nothing of it stays referenced from the store,
@@ -1338,19 +1279,16 @@ func (s *Store) PutSections(key Key, secs []Section, snapNs, serNs, computNs int
 	if s.readOnly {
 		return nil, ErrReadOnly
 	}
-	if s.format != FormatV2 {
-		return nil, fmt.Errorf("store: PutSections requires format v2 (store is v%d)", s.format)
-	}
 	return s.putV2(key, secs, false, snapNs, serNs, computNs)
 }
 
-// putV2 is the format-v2 write path. A section byte is touched three times:
-// hashed once (the hash probes the dedup index and, for a fresh chunk, is the
-// one its frame carries), style-sampled or compressed where the frame style
-// asks, and copied once into the staging span of its shard's pack append
-// (appendFrames), together with the CRC pass over that copy. Chunks and
-// raw-style frames alias secs[i].Data throughout; every alias is dropped by
-// the time putV2 returns.
+// putV2 is the one write path: every new checkpoint is format v2. A section
+// byte is touched three times: hashed once (the hash probes the dedup index
+// and, for a fresh chunk, is the one its frame carries), style-sampled or
+// compressed where the frame style asks, and copied once into the staging
+// span of its shard's pack append (appendFrames), together with the CRC pass
+// over that copy. Chunks and raw-style frames alias secs[i].Data throughout;
+// every alias is dropped by the time putV2 returns.
 func (s *Store) putV2(key Key, secs []Section, opaque bool, snapNs, serNs, computNs int64) (*Meta, error) {
 	s.mu.Lock()
 	seq := s.nextSeq
@@ -1463,7 +1401,7 @@ func (s *Store) putV2(key Key, secs []Section, opaque bool, snapNs, serNs, compu
 		s.dedup.StoredRawBytes += int64(locs[i].RawLen)
 		s.dedup.StoredEncBytes += int64(locs[i].EncLen)
 		if !p.shared {
-			record = append(record, s.frameRecord(recChunk, encodeChunkRecord(frames[i].Hash, locs[i]))...)
+			record = append(record, frameTagged(recChunk, encodeChunkRecord(frames[i].Hash, locs[i]))...)
 		}
 	}
 	s.dedup.ChunkRefs += int64(len(flat))
@@ -1474,7 +1412,7 @@ func (s *Store) putV2(key Key, secs []Section, opaque bool, snapNs, serNs, compu
 		MaterNs: snapNs + serNs + writeNs, SnapNs: snapNs, ComputNs: computNs,
 		Format: FormatV2, StoredBytes: stored,
 	}
-	record = append(record, s.frameRecord(recMeta, encodeMeta(m))...)
+	record = append(record, frameTagged(recMeta, encodeMeta(m))...)
 	if err := s.appendManifestLocked(record); err != nil {
 		return nil, err
 	}
@@ -1791,9 +1729,8 @@ func (s *Store) ExecsFor(loopID string) []int {
 // Spool compresses the run's durable artifacts to .gz siblings (the
 // simulated S3 spooling of paper §6; checkpoints were "compressed by a
 // background process, before being spooled to an S3 bucket"): every
-// committed segment, plus — for format v2 — the chunk packs, since segment
-// files hold only directories. Spooling is incremental: segments already
-// spooled are skipped, and a shard pack is recompressed only when it grew
+// committed segment, plus the chunk packs, since segment files hold only
+// directories. Spooling is incremental: segments already spooled are skipped, and a shard pack is recompressed only when it grew
 // since the last spool, so on a periodic spool cadence a sharded store
 // touches only the shards new checkpoints dirtied instead of one
 // ever-growing pack. Shards spool concurrently. Spool returns the total
@@ -1851,13 +1788,11 @@ func (s *Store) Spool() (int64, error) {
 	// the whole run family), so unlike segments they can be far larger than
 	// any one checkpoint; the pool streams each dirty shard through gzip,
 	// shards in parallel.
-	if s.format == FormatV2 {
-		n, err := s.pool.spool()
-		if err != nil {
-			return 0, err
-		}
-		total += n
+	n, err := s.pool.spool()
+	if err != nil {
+		return 0, err
 	}
+	total += n
 	obs.C(obs.MStoreSpoolPasses).Inc()
 	obs.H(obs.MStoreSpoolSeconds).ObserveNs(time.Since(p0).Nanoseconds())
 	obs.G(obs.MStoreSpoolArtifactBytes).Set(total)
@@ -1909,8 +1844,7 @@ func (s *Store) TotalSize() int64 {
 
 // GC reclaims space from superseded materializations: segment files that
 // are no longer the latest checkpoint for their key are deleted, and —
-// format v2 private-pack stores — chunks referenced only by those
-// superseded checkpoints are compacted out of the packs (GCWith for the
+// private-pack stores — chunks referenced only by those superseded checkpoints are compacted out of the packs (GCWith for the
 // knobs and full accounting). It returns the number of segments removed.
 //
 // Compaction is safe under concurrent readers: packs are never rewritten in
@@ -1946,10 +1880,10 @@ func (s *Store) GCWith(o GCOptions) (GCResult, error) {
 		res.Segments = n
 		return res, err
 	}
-	if s.format != FormatV2 || o.SkipChunks {
-		// v1 (or chunk-skipping private) GC: just the segment sweep. With
-		// no chunk mark downstream, sweeping a racing put's segment costs
-		// at most that one checkpoint's readability, never pack bytes.
+	if o.SkipChunks {
+		// Chunk-skipping private GC: just the segment sweep. With no chunk
+		// mark downstream, sweeping a racing put's segment costs at most that
+		// one checkpoint's readability, never pack bytes.
 		n, err := s.sweepSegments()
 		res.Segments = n
 		return res, err
@@ -2066,10 +2000,10 @@ func (s *Store) persistCompaction(recs []poolChunkRec) error {
 	defer s.mu.Unlock()
 	var buf []byte
 	for _, cr := range recs {
-		buf = append(buf, s.frameRecord(recChunk, encodeChunkRecord(cr.hash, cr.loc))...)
+		buf = append(buf, frameTagged(recChunk, encodeChunkRecord(cr.hash, cr.loc))...)
 	}
 	for _, m := range s.metas {
-		buf = append(buf, s.frameRecord(recMeta, encodeMeta(m))...)
+		buf = append(buf, frameTagged(recMeta, encodeMeta(m))...)
 	}
 	if err := writeFileAtomic(s.manifestPath(), buf); err != nil {
 		return fmt.Errorf("store: rewrite manifest: %w", err)

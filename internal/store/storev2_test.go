@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -139,13 +140,11 @@ func TestGetSectionsFallsBackForOpaqueAndV1(t *testing.T) {
 		t.Fatalf("opaque checkpoint: ok=%v err=%v, want fallback", ok, err)
 	}
 
-	v1dir := t.TempDir()
-	v1, err := OpenFormat(v1dir, FormatV1)
+	v1, err := Open(v1Fixture(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1.Put(Key{LoopID: "L", Exec: 0}, []byte("v1 blob"), 0, 0, 0)
-	if _, ok, err := v1.GetSections(Key{LoopID: "L", Exec: 0}, nil); ok || err != nil {
+	if _, ok, err := v1.GetSections(Key{LoopID: "train", Exec: 0}, nil); ok || err != nil {
 		t.Fatalf("v1 checkpoint: ok=%v err=%v, want fallback", ok, err)
 	}
 }
@@ -342,54 +341,116 @@ func TestFlippedSegmentDirectoryByteDetected(t *testing.T) {
 	os.WriteFile(segPath, seg, 0o644)
 }
 
-// TestV1StoreRemainsReadableAndWritable pins backward compatibility: a run
-// directory recorded in format v1 (no FORMAT marker) opens as v1, serves its
-// checkpoints, and keeps writing v1 segments.
-func TestV1StoreRemainsReadableAndWritable(t *testing.T) {
+// v1Fixture copies the repository's committed legacy run (testdata/v1run at
+// the root: six "train" checkpoints recorded by the last build that could
+// write format v1) into a fresh directory. No build writes v1 any more, so
+// these bytes are what v1 compatibility means.
+func v1Fixture(t *testing.T) string {
+	t.Helper()
 	dir := t.TempDir()
-	v1, err := OpenFormat(dir, FormatV1)
-	if err != nil {
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("..", "..", "testdata", "v1run"))); err != nil {
 		t.Fatal(err)
 	}
-	payload := noise(4096, 8)
-	v1.Put(Key{LoopID: "train", Exec: 0}, payload, 0, 0, 0)
-	if _, err := os.Stat(filepath.Join(dir, "FORMAT")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("v1 store grew a FORMAT marker")
-	}
+	return dir
+}
 
-	s, err := Open(dir) // auto-detect must pick v1
+// dirBytes reads every file directly under dir, keyed by name.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Format() != FormatV1 {
-		t.Fatalf("auto-detected format %d, want v1", s.Format())
+	out := map[string]string{}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(raw)
 	}
-	got, err := s.Get(Key{LoopID: "train", Exec: 0})
-	if err != nil || !bytes.Equal(got, payload) {
+	return out
+}
+
+// TestV1StoreReadableAndRefusesWrites pins backward compatibility: a run
+// directory recorded in format v1 (no FORMAT marker) opens as v1 without
+// being asked to, serves its checkpoints, and is read-only — every write
+// fails with ErrReadOnly and no open or refused write touches a byte of it.
+func TestV1StoreReadableAndRefusesWrites(t *testing.T) {
+	dir := v1Fixture(t)
+	before := dirBytes(t, dir)
+
+	if l, err := DetectLayout(dir); err != nil || l.String() != "v1" {
+		t.Fatalf("DetectLayout = %s, %v, want v1", l, err)
+	}
+	s, err := Open(dir) // a plain writable open must pick v1, read-only
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := s.Layout(); l.Format != FormatV1 || !s.ReadOnly() {
+		t.Fatalf("opened as %s, read-only=%v; want v1, read-only", l, s.ReadOnly())
+	}
+	if len(s.Metas()) != 6 {
+		t.Fatalf("v1 run lists %d checkpoints, want 6", len(s.Metas()))
+	}
+	key := Key{LoopID: "train", Exec: 0}
+	seg, _ := os.ReadFile(filepath.Join(dir, "ckpt-00000000.bin"))
+	want, _, err := codec.Unframe(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Get(key); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("v1 read failed: %v", err)
 	}
-	if _, err := s.Put(Key{LoopID: "train", Exec: 1}, []byte("more"), 0, 0, 0); err != nil {
-		t.Fatal(err)
+	if _, ok, err := s.GetSections(key, nil); ok || err != nil {
+		t.Fatalf("v1 GetSections: ok=%v err=%v, want the ok=false fallback", ok, err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "CHUNKS")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("v1 store grew a CHUNKS pack")
+
+	if _, err := s.Put(Key{LoopID: "train", Exec: 6}, []byte("more"), 0, 0, 0); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("Put on a v1 store: %v, want ErrReadOnly", err)
 	}
-	if _, err := s.PutSections(Key{LoopID: "train", Exec: 2}, []Section{{Name: "w", Data: payload}}, 0, 0, 0); err == nil {
-		t.Fatal("PutSections on a v1 store must refuse")
+	if _, err := s.PutSections(Key{LoopID: "train", Exec: 6}, []Section{{Name: "w", Data: []byte("more")}}, 0, 0, 0); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("PutSections on a v1 store: %v, want ErrReadOnly", err)
+	}
+	if _, err := s.Spool(); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("Spool on a v1 store: %v, want ErrReadOnly", err)
+	}
+	if _, err := s.GC(); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("GC on a v1 store: %v, want ErrReadOnly", err)
+	}
+	if after := dirBytes(t, dir); !maps.Equal(before, after) {
+		t.Fatal("opening a v1 run and refusing its writes changed the directory")
 	}
 }
 
-// TestFormatMismatchRefusedWithoutDataLoss pins the open guard: forcing the
-// wrong format onto a recorded directory must error out, never misparse the
-// manifest as a torn tail and truncate the run away.
+// TestFormatMismatchRefusedWithoutDataLoss pins the open guard: write-layout
+// options that disagree with a recorded directory's format (sharding or
+// pooling a legacy v1 run) and a FORMAT marker this build does not know must
+// error out, never misparse the manifest as a torn tail and truncate the run
+// away.
 func TestFormatMismatchRefusedWithoutDataLoss(t *testing.T) {
+	v1dir := v1Fixture(t)
+	before := dirBytes(t, v1dir)
+	if _, err := OpenWith(v1dir, Options{ShardFanout: 4}); err == nil {
+		t.Fatal("sharding a v1 directory succeeded")
+	}
+	if _, err := OpenWith(v1dir, Options{Pool: filepath.Join(t.TempDir(), "POOL")}); err == nil {
+		t.Fatal("attaching a v1 directory to a pool succeeded")
+	}
+	if after := dirBytes(t, v1dir); !maps.Equal(before, after) {
+		t.Fatal("refused opens changed the v1 directory")
+	}
+
+	// An unknown FORMAT marker (a future layout) must refuse, not truncate.
 	dir := t.TempDir()
-	s, _ := Open(dir) // v2
+	s, _ := Open(dir)
 	key := Key{LoopID: "L", Exec: 0}
 	s.Put(key, []byte("precious"), 0, 0, 0)
-	if _, err := OpenFormat(dir, FormatV1); err == nil {
-		t.Fatal("forcing v1 onto a v2 directory succeeded")
+	os.WriteFile(filepath.Join(dir, "FORMAT"), []byte("3\n"), 0o644)
+	if _, err := Open(dir); err == nil {
+		t.Fatal("unknown format marker opened")
 	}
+	os.WriteFile(filepath.Join(dir, "FORMAT"), []byte("2\n"), 0o644)
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -397,25 +458,12 @@ func TestFormatMismatchRefusedWithoutDataLoss(t *testing.T) {
 	if got, err := s2.Get(key); err != nil || string(got) != "precious" {
 		t.Fatalf("data lost after refused mismatched open: %q, %v", got, err)
 	}
-
-	v1dir := t.TempDir()
-	v1, _ := OpenFormat(v1dir, FormatV1)
-	v1.Put(key, []byte("legacy"), 0, 0, 0)
-	if _, err := OpenFormat(v1dir, FormatV2); err == nil {
-		t.Fatal("forcing v2 onto a v1 directory succeeded")
-	}
-
-	// An unknown FORMAT marker (a future layout) must refuse, not truncate.
-	os.WriteFile(filepath.Join(dir, "FORMAT"), []byte("3\n"), 0o644)
-	if _, err := Open(dir); err == nil {
-		t.Fatal("unknown format marker opened")
-	}
 }
 
 func TestNewStoresDefaultToV2(t *testing.T) {
 	s := openTemp(t)
-	if s.Format() != FormatV2 {
-		t.Fatalf("new store format = %d, want v2", s.Format())
+	if l := s.Layout(); l.Format != FormatV2 || s.ReadOnly() {
+		t.Fatalf("new store opened as %s, read-only=%v; want writable v2", l, s.ReadOnly())
 	}
 	m, _ := s.Put(Key{LoopID: "L", Exec: 0}, []byte("x"), 0, 0, 0)
 	if m.Format != FormatV2 {

@@ -11,10 +11,10 @@
 //	ImgN  Classic CV  Image classification       Squeezenet     Train      8
 //	RnnT  MLPerf      Language translation       RNN+Attention  Train      8
 //
-// Models are laptop-scale analogues (see DESIGN.md §2): epoch counts match
-// the paper exactly; per-epoch compute and checkpoint size are scaled
-// together so each workload keeps its materialization-to-computation
-// profile. The fine-tuning workloads freeze their transformer backbone, so
+// Models are laptop-scale analogues (docs/ARCHITECTURE.md, "Concept →
+// package", names the DL stack under them): epoch counts match the paper
+// exactly; per-epoch compute and checkpoint size are scaled together so each
+// workload keeps its materialization-to-computation profile. The fine-tuning workloads freeze their transformer backbone, so
 // their checkpoints are enormous relative to their epochs — the trigger for
 // adaptive checkpointing's sparse mode (paper §5.3.4, Figure 7).
 package workloads

@@ -1,8 +1,10 @@
 package flor_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +14,7 @@ import (
 	"flor.dev/flor/internal/core"
 	"flor.dev/flor/internal/obs"
 	"flor.dev/flor/internal/replay"
+	"flor.dev/flor/internal/serve"
 	"flor.dev/flor/internal/store"
 	"flor.dev/flor/internal/store/cachetier"
 	"flor.dev/flor/internal/store/faultbackend"
@@ -20,13 +23,40 @@ import (
 	"flor.dev/flor/internal/xrand"
 )
 
+// copyV1Fixture copies testdata/v1run — counterFactory(6, 3) recorded by the
+// last build that could write format v1 — into dir. No build writes v1 any
+// more, so these committed bytes are what v1 compatibility means.
+func copyV1Fixture(dir string) error {
+	return os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "v1run")))
+}
+
+// dirBytes reads every file under dir, keyed by relative path.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(dir, path)
+		out[rel] = string(raw)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestMigrationMatrixByteIdenticalReplay is the layout-compatibility
-// matrix: the same program recorded into a legacy v1 store, an unsharded v2
-// store, a hash-prefix sharded v2 store, and a pooled store (shared chunk
-// pool) must open through the same API — no flags, no layout hints — and
-// replay byte-identical logs, with the record-phase logs as the reference.
-// In particular the pooled run is the private-pack run's twin: same
-// program, same probes, byte-identical replay output.
+// matrix: the same program as a legacy v1 run (the committed fixture), and
+// recorded into an unsharded v2 store, a hash-prefix sharded v2 store, and a
+// pooled store (shared chunk pool) must open through the same API — no
+// flags, no layout hints — and replay byte-identical logs, with the legacy
+// run's replay as the reference. In particular the pooled run is the
+// private-pack run's twin: same program, same probes, byte-identical replay
+// output.
 func TestMigrationMatrixByteIdenticalReplay(t *testing.T) {
 	factory := counterFactory(6, 3)
 	poolRoot := filepath.Join(t.TempDir(), "POOL")
@@ -44,10 +74,7 @@ func TestMigrationMatrixByteIdenticalReplay(t *testing.T) {
 		record func(dir string) error
 		layout string
 	}{
-		{"v1", func(dir string) error {
-			_, err := core.Record(dir, factory, core.RecordOptions{DisableAdaptive: true, StoreFormat: store.FormatV1})
-			return err
-		}, "v1"},
+		{"v1", copyV1Fixture, "v1"},
 		{"v2", func(dir string) error {
 			_, err := flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing())
 			return err
@@ -107,6 +134,40 @@ func TestMigrationMatrixByteIdenticalReplay(t *testing.T) {
 		if err := sameLogs(ref.hs, r.hs); err != nil {
 			t.Fatalf("probed replay logs diverge between %s and %s: %v", ref.name, r.name, err)
 		}
+	}
+}
+
+// TestV1RunServedAndNeverWritten pins the write side of v1 read-compat: the
+// legacy fixture registers with the serving daemon as layout "v1" and answers
+// a replay there, recording into it fails at open with ErrReadOnly and a
+// message naming the directory, and none of that touches a byte of it.
+func TestV1RunServedAndNeverWritten(t *testing.T) {
+	factory := counterFactory(6, 3)
+	dir := t.TempDir()
+	if err := copyV1Fixture(dir); err != nil {
+		t.Fatal(err)
+	}
+	before := dirBytes(t, dir)
+
+	srv := serve.New(serve.Options{})
+	defer srv.Shutdown(context.Background())
+	if err := srv.Register(serve.RunConfig{ID: "legacy", Dir: dir, Factories: map[string]func() *flor.Program{"": factory}}); err != nil {
+		t.Fatalf("register v1 run: %v", err)
+	}
+	if runs := srv.Runs(); len(runs) != 1 || runs[0].Format != "v1" {
+		t.Fatalf("registered runs = %+v, want one of format v1", runs)
+	}
+	resp, err := srv.Replay(context.Background(), "legacy", serve.ReplayRequest{Workers: 2})
+	if err != nil || resp.Anomalies != 0 || len(resp.Logs) == 0 {
+		t.Fatalf("served replay of the v1 run: %+v, %v", resp, err)
+	}
+
+	_, err = flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing())
+	if !errors.Is(err, store.ErrReadOnly) || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("record into a v1 run: err = %v, want ErrReadOnly naming %s", err, dir)
+	}
+	if after := dirBytes(t, dir); !maps.Equal(before, after) {
+		t.Fatal("serving and the refused record changed the v1 run directory")
 	}
 }
 
