@@ -47,7 +47,6 @@
 package backmat
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -421,7 +420,8 @@ type Materializer struct {
 
 	// tasks feeds the background worker, which exists only between the first
 	// hand-off and the next Drain or Close: a materializer that never
-	// materializes (every replay worker holds one) costs no goroutine.
+	// materializes (an adaptive recording that skips every checkpoint) costs
+	// no goroutine.
 	tasks chan task
 	wg    sync.WaitGroup
 
@@ -684,6 +684,3 @@ func (m *Materializer) Stats() Stats {
 	defer m.mu.Unlock()
 	return m.stats
 }
-
-// ErrClosed is returned by operations on a closed materializer.
-var ErrClosed = errors.New("backmat: materializer closed")

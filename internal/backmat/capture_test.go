@@ -47,9 +47,9 @@ func waitForGoroutines(t *testing.T, want int) {
 	}
 }
 
-// TestUnusedMaterializerStartsNothing: every replay worker and every sample
-// query holds a materializer it never materializes with. It must cost them no
-// goroutine, and draining or closing it is a no-op.
+// TestUnusedMaterializerStartsNothing: an adaptive recording that skips every
+// checkpoint holds a materializer it never materializes with. It must cost
+// no goroutine, and draining or closing it is a no-op.
 func TestUnusedMaterializerStartsNothing(t *testing.T) {
 	before := runtime.NumGoroutine()
 	m := New(newStore(t), Fork)

@@ -34,6 +34,9 @@ type Fig5Report struct {
 	// CallerBlockedNs maps strategy name to the training-thread blocked time
 	// for one large checkpoint: the best of the rounds.
 	CallerBlockedNs map[string]int64
+	// Stats maps strategy name to its materializer's accounting over all
+	// rounds: which thread serialized, wrote and worked in the background.
+	Stats           map[string]backmat.Stats
 	CheckpointBytes int64
 }
 
@@ -51,7 +54,7 @@ func (s *Session) Fig5(rounds int) (*Fig5Report, error) {
 		{Name: "net", V: &value.Model{M: model}},
 		{Name: "w", V: &value.Tensor{T: tensor.Randn(xrand.New(5), 1, 1<<15)}},
 	}
-	rep := &Fig5Report{CallerBlockedNs: map[string]int64{}}
+	rep := &Fig5Report{CallerBlockedNs: map[string]int64{}, Stats: map[string]backmat.Stats{}}
 	for _, strat := range []backmat.Strategy{backmat.Baseline, backmat.Queue, backmat.Plasma, backmat.Fork} {
 		st, err := store.Open(s.tempDir("fig5-" + strat.String()))
 		if err != nil {
@@ -78,7 +81,8 @@ func (s *Session) Fig5(rounds int) (*Fig5Report, error) {
 			return nil, err
 		}
 		rep.CallerBlockedNs[strat.String()] = int64(best)
-		rep.CheckpointBytes = mat.Stats().BytesWritten / int64(rounds)
+		rep.Stats[strat.String()] = mat.Stats()
+		rep.CheckpointBytes = rep.Stats[strat.String()].BytesWritten / int64(rounds)
 	}
 	s.printf("\nFigure 5: Background materialization performance (caller-blocked time,\n")
 	s.printf("one %.1f MB checkpoint, best of %d rounds).\n", float64(rep.CheckpointBytes)/(1<<20), rounds)

@@ -2,11 +2,14 @@
 // diff, partial replay through SkipBlocks, and hindsight parallelism via the
 // Flor generator (paper §3.2, §5.4).
 //
-// A replay cuts the main loop's iterator into contiguous, checkpoint-anchored
-// leases (internal/sched owns the partitioner and the lease executor) and
-// runs one worker loop over them: a worker claims a lease, executes it, and
-// comes back for another — an initial lease nobody has started, else the
-// trailing part of the lease most profitable to split.
+// There is one query path: a worker (one program instance, SkipBlock runtime
+// and report) executed over spans of main-loop iterations. A full replay
+// cuts the iterator into contiguous, checkpoint-anchored leases
+// (internal/sched owns the partitioner and the lease executor) and its
+// workers claim them — an initial lease nobody has started, else the
+// trailing part of the lease most profitable to split. A sample (§8, partial
+// replay) is one worker over the requested one-iteration spans, ascending.
+// Both read the recording's one memoized loop/anchor table (schedState).
 // Every worker executes the same instrumented program from the beginning:
 // setup runs logically (imports, data loading, model construction), then the
 // generator drives the main loop through two phases —
@@ -15,17 +18,17 @@
 //	            skips nested loops by restoring their Loop End Checkpoints.
 //	            Strong initialization covers every iteration before the
 //	            worker's first lease; weak initialization jumps to the nearest
-//	            materialized checkpoint at or before the lease start. A worker
-//	            moving on to a lease that does not start where its state sits
+//	            materialized checkpoint at or before the span start. A worker
+//	            moving on to a span that does not start where its state sits
 //	            always re-initializes the weak way.
 //	work_sgmnt: the worker's own iterations in replay-execution mode, where
 //	            probed loops re-execute (producing the hindsight logs) and
 //	            unprobed loops restore.
 //
-// Workers share nothing and never communicate beyond the executor's lease
-// bookkeeping; each executed span of iterations carries its
-// own log lines, and spans are merged in iteration order before the merged
-// log is diffed against the record log (deferred correctness check, §5.2.2).
+// Workers share nothing beyond the executor's lease bookkeeping; each
+// executed span carries its own log lines, and a replay merges spans in
+// iteration order before diffing the merged log against the record log
+// (deferred correctness check, §5.2.2).
 package replay
 
 import (
@@ -150,12 +153,7 @@ func (rec *Recording) schedStateFor(p *script.Program) *schedState {
 	rec.schedMu.Lock()
 	defer rec.schedMu.Unlock()
 	if rec.sched == nil {
-		ids, mult := instrumentedLoops(rec.Store, p)
-		rec.sched = &schedState{
-			ids:     ids,
-			mult:    mult,
-			anchors: anchoredIterations(rec.Store, p, ids, mult),
-		}
+		rec.sched = newSchedState(rec.Store, p)
 	}
 	return rec.sched
 }
@@ -173,7 +171,7 @@ func (rec *Recording) costsFor(st *schedState, p *script.Program, probedInner bo
 	rec.schedMu.Lock()
 	defer rec.schedMu.Unlock()
 	if st.costs[idx] == nil {
-		st.costs[idx] = schedCosts(rec, p, st.ids, st.mult, st.anchors, probedInner, tracker)
+		st.costs[idx] = schedCosts(rec, p, st, probedInner, tracker)
 	}
 	return st.costs[idx]
 }
@@ -251,32 +249,17 @@ func Replay(rec *Recording, factory func() *script.Program, opts Options) (*Resu
 	if opts.Workers <= 0 {
 		opts.Workers = 1
 	}
-	probeProgram := factory()
-	diff, err := script.DiffHindsight(rec.Shape, probeProgram)
+	env, probeProgram, err := newReplayEnv(rec, factory, opts)
 	if err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
-	}
-	if probeProgram.Main == nil {
-		return nil, fmt.Errorf("replay: program has no main loop")
+		return nil, err
 	}
 	n := probeProgram.Main.Iters
-
-	// One adaptive tracker is shared by the scheduler's cost model and
-	// every worker of this replay: restores measured by early leases
-	// refine the restore/materialize factor c mid-replay
-	// (skipblock.restore → adapt.NoteRestore), and the executor reprices
-	// later catch-up estimates through it (cost-model feedback, paper
-	// §5.3.2).
-	tracker := adapt.New(adapt.DefaultEpsilon)
-	if rec.Timings != nil && rec.Timings.C > 0 {
-		tracker.SeedC(rec.Timings.C)
-	}
+	st, diff, tracker := env.st, env.diff, env.tracker
 	priorC := tracker.C()
 
 	// Work iterations re-execute at compute cost only when an instrumented
 	// (restorable) loop itself is probed; an outer-only probe leaves every
 	// nested loop restoring, so work is priced as catch-up.
-	st := rec.schedStateFor(probeProgram)
 	probedInner := false
 	for _, id := range st.ids {
 		if diff.Probes[id] {
@@ -284,18 +267,10 @@ func Replay(rec *Recording, factory func() *script.Program, opts Options) (*Resu
 		}
 	}
 	costs := rec.costsFor(st, probeProgram, probedInner, tracker)
-
-	env := &replayEnv{
-		rec: rec, factory: factory, diff: diff, tracker: tracker,
-		anchors: st.anchors, ids: st.ids, mult: st.mult, opts: opts, ctx: opts.Ctx,
-		// Every worker queues for its slot at the same price, the modeled
-		// per-worker share of the replay: which lease a worker will run is
-		// only decided once it holds the slot.
-		slotCostNs: costs.SetupNs + costs.WorkCostNs(0, n)/int64(opts.Workers),
-	}
-	if env.ctx == nil {
-		env.ctx = context.Background()
-	}
+	// Every worker queues for its slot at the same price, the modeled
+	// per-worker share of the replay: which lease a worker will run is
+	// only decided once it holds the slot.
+	env.slotCostNs = costs.SetupNs + costs.WorkCostNs(0, n)/int64(opts.Workers)
 
 	x := sched.NewExecutor(costs,
 		sched.PartitionBalancedAnchored(costs, opts.Workers, opts.Init, st.anchors), st.anchors)
@@ -343,22 +318,49 @@ func Replay(rec *Recording, factory func() *script.Program, opts Options) (*Resu
 	if !opts.SkipDeferredCheck {
 		res.Anomalies = runlog.DeferredCheck(rec.RecordLog, res.Logs, diff.NewLabels)
 	}
-	recordReplayMetrics(n, res)
+	obs.C(obs.MReplayReplays).Inc()
+	recordReplayMetrics(n, res.Workers)
 	return res, nil
 }
 
-// recordReplayMetrics folds a finished replay into the metrics registry
-// (no-op handles while disabled; one resolution per replay, off the hot
-// iteration path).
-func recordReplayMetrics(n int, res *Result) {
-	obs.C(obs.MReplayReplays).Inc()
-	obs.C(obs.MReplayIterations).Add(int64(n))
+// newReplayEnv builds what a full replay and a sample share: the probed
+// program's diff against the recording (returning the instance it diffed),
+// the recording's memoized loop/anchor table, and one adaptive tracker. The
+// tracker is shared by the scheduler's cost model and every worker: restores
+// measured early refine the restore/materialize factor c mid-replay
+// (skipblock.restore → adapt.NoteRestore), and the executor reprices later
+// catch-up estimates through it (cost-model feedback, paper §5.3.2).
+func newReplayEnv(rec *Recording, factory func() *script.Program, opts Options) (*replayEnv, *script.Program, error) {
+	p := factory()
+	diff, err := script.DiffHindsight(rec.Shape, p)
+	if err != nil {
+		return nil, nil, fmt.Errorf("replay: %w", err)
+	}
+	if p.Main == nil {
+		return nil, nil, fmt.Errorf("replay: program has no main loop")
+	}
+	tracker := adapt.New(adapt.DefaultEpsilon)
+	if rec.Timings != nil && rec.Timings.C > 0 {
+		tracker.SeedC(rec.Timings.C)
+	}
+	if opts.Ctx == nil {
+		opts.Ctx = context.Background()
+	}
+	return &replayEnv{rec: rec, factory: factory, diff: diff, tracker: tracker,
+		st: rec.schedStateFor(p), opts: opts}, p, nil
+}
+
+// recordReplayMetrics folds a finished query's worker reports — a replay's,
+// or a sample's one — into the metrics registry (no-op handles while
+// disabled; one resolution per query, off the hot iteration path).
+func recordReplayMetrics(iterations int, workers []WorkerReport) {
+	obs.C(obs.MReplayIterations).Add(int64(iterations))
 	restoreNs := obs.C(obs.MReplayRestoreNs)
 	workNs := obs.C(obs.MReplayWorkNs)
 	busyNs := obs.C(obs.MReplayWorkerBusyNs)
 	restored := obs.C(obs.MReplayRestoredCheckpoints)
 	restoredBytes := obs.C(obs.MReplayRestoredBytes)
-	for _, wr := range res.Workers {
+	for _, wr := range workers {
 		restoreNs.Add(wr.RestoreNs)
 		workNs.Add(wr.WorkNs)
 		busyNs.Add(wr.SetupNs + wr.InitNs + wr.WorkNs)
@@ -367,30 +369,27 @@ func recordReplayMetrics(n int, res *Result) {
 	}
 }
 
-// replayEnv bundles the per-replay state every worker shares.
+// replayEnv bundles the per-query state every worker shares.
 type replayEnv struct {
 	rec        *Recording
 	factory    func() *script.Program
 	diff       *script.DiffResult
 	tracker    *adapt.Tracker
-	anchors    []int
-	opts       Options
-	ctx        context.Context
+	st         *schedState
+	opts       Options // Ctx never nil
 	slotCostNs int64
-	// The instrumented loop set and multiplicities translate iteration plans
-	// into checkpoint keys for the prefetcher, which is nil unless
+	// prefetch warms the checkpoint keys of planned iterations; nil unless
 	// opts.Prefetch > 0 and the recording's store reads remotely.
 	prefetch *store.Prefetcher
-	ids      []string
-	mult     map[string]int
 }
 
 // iterKeys returns the checkpoint keys the instrumented loops materialize
-// during main-loop iteration e — the unit of prefetch planning.
-func (env *replayEnv) iterKeys(e int) []store.Key {
+// during main-loop iteration e — the unit of anchoring, restore pricing and
+// prefetch planning.
+func (st *schedState) iterKeys(e int) []store.Key {
 	var keys []store.Key
-	for _, id := range env.ids {
-		m := env.mult[id]
+	for _, id := range st.ids {
+		m := st.mult[id]
 		for x := e * m; x < (e+1)*m; x++ {
 			keys = append(keys, store.Key{LoopID: id, Exec: x})
 		}
@@ -403,7 +402,7 @@ func (env *replayEnv) claimIter(e int) {
 	if env.prefetch == nil {
 		return
 	}
-	for _, k := range env.iterKeys(e) {
+	for _, k := range env.st.iterKeys(e) {
 		env.prefetch.Claim(k)
 	}
 }
@@ -417,7 +416,7 @@ func (env *replayEnv) hintIters(iters []int) {
 	}
 	var keys []store.Key
 	for _, e := range iters {
-		keys = append(keys, env.iterKeys(e)...)
+		keys = append(keys, env.st.iterKeys(e)...)
 	}
 	env.prefetch.Hint(keys...)
 }
@@ -430,7 +429,7 @@ func (env *replayEnv) cancelIters(start, end int) {
 	}
 	var keys []store.Key
 	for e := start; e < end; e++ {
-		keys = append(keys, env.iterKeys(e)...)
+		keys = append(keys, env.st.iterKeys(e)...)
 	}
 	env.prefetch.Cancel(keys...)
 }
@@ -468,7 +467,7 @@ func (env *replayEnv) releaseSlot() {
 // are released from the queue: the replay ends when its work does.
 func replayLeases(env *replayEnv, x *sched.Executor, n int, res *Result) ([]logSpan, error) {
 	g := env.opts.Workers
-	ctx, cancel := context.WithCancel(env.ctx)
+	ctx, cancel := context.WithCancel(env.opts.Ctx)
 	defer cancel()
 	reports := make([]*WorkerReport, g)
 	workerSpans := make([][]logSpan, g)
@@ -508,32 +507,32 @@ func replayLeases(env *replayEnv, x *sched.Executor, n int, res *Result) ([]logS
 // worker bundles one replay worker's per-process state. Each worker is its
 // own process in the paper; here, its own program instance, environment,
 // tracker and SkipBlock runtime over the shared (read-only) checkpoint
-// store. Its lifecycle: construction + setup, then per lease initTo and work
-// iterations, and the tail after the lease that ends the loop.
+// store. Its lifecycle: construction + setup, then per span (a lease of a
+// full replay, one sampled iteration of a sample) initTo and work, and the
+// tail after the span that ends the loop.
 type worker struct {
 	p      *script.Program
 	rt     *skipblock.Runtime
-	mat    *backmat.Materializer
+	mult   map[string]int // the recording's memoized executions per main iteration
 	ctx    *script.Ctx
 	pid    int
 	report *WorkerReport
 	tr     *obs.Trace // nil when the replay is untraced
 }
 
-// newWorker builds a worker and runs phase 1: every statement before the
-// main loop (imports, data loading, model construction — §5.4.2 "the first
-// part"). Callers must close() the worker. Workers share the replay's
-// tracker (restore observations feed the scheduler's cost model) and, when
-// configured, a cross-query payload cache.
-func newWorker(env *replayEnv, pid int) (*worker, error) {
-	p := env.factory()
-	mat := backmat.New(env.rec.Store, backmat.Fork)
-	rt := skipblock.NewRuntime(p, env.tracker, mat, env.rec.Store)
+// newWorker builds a worker over a fresh program instance p and runs phase
+// 1: every statement before the main loop (imports, data loading, model
+// construction — §5.4.2 "the first part"). Workers share the query's tracker
+// (restore observations feed the scheduler's cost model) and, when
+// configured, a cross-query payload cache. A replay never records, so the
+// SkipBlock runtime gets no materializer.
+func newWorker(env *replayEnv, pid int, p *script.Program) (*worker, error) {
+	rt := skipblock.NewRuntime(p, env.tracker, nil, env.rec.Store)
 	rt.SetCache(env.opts.Cache)
 	rt.SetTrace(env.opts.Trace, pid)
 	rt.SetProbes(env.diff.Probes)
 	w := &worker{
-		p: p, rt: rt, mat: mat, pid: pid,
+		p: p, rt: rt, mult: env.st.mult, pid: pid,
 		ctx:    &script.Ctx{Env: script.NewEnv(), LoopHook: rt.Hook},
 		report: &WorkerReport{PID: pid},
 		tr:     env.opts.Trace,
@@ -541,7 +540,6 @@ func newWorker(env *replayEnv, pid int) (*worker, error) {
 	t0 := w.tr.Now()
 	s0 := time.Now()
 	if err := script.ExecStmts(w.ctx, p.Setup); err != nil {
-		mat.Close()
 		return nil, fmt.Errorf("replay: worker %d setup: %w", pid, err)
 	}
 	w.report.SetupNs = time.Since(s0).Nanoseconds()
@@ -549,18 +547,19 @@ func newWorker(env *replayEnv, pid int) (*worker, error) {
 	return w, nil
 }
 
-func (w *worker) close() { w.mat.Close() }
-
 // initTo restores the program state at iteration start by replaying
 // [initFrom, start) in SkipBlock init mode. Log output is suppressed: init
 // iterations belong to other workers' segments. Block execution counters
 // are repositioned first, so initTo is correct from any current position
-// (a worker moving to a non-adjacent lease re-initializes mid-replay).
+// (a worker moving to a non-adjacent span re-initializes mid-replay).
 func (w *worker) initTo(initFrom, start int) error {
 	t0 := w.tr.Now()
 	i0 := time.Now()
 	w.rt.SetMode(skipblock.ModeReplayInit)
-	positionBlocks(w.p, w.rt, initFrom)
+	for _, id := range w.rt.Blocks() {
+		b, _ := w.rt.Block(id)
+		b.SetExecIndex(initFrom * w.mult[id])
+	}
 	w.ctx.Log = nil
 	for e := initFrom; e < start; e++ {
 		w.ctx.Env.SetInt(w.p.Main.IterVar, e)
@@ -585,6 +584,30 @@ func (w *worker) runIteration(e int) error {
 		return fmt.Errorf("replay: worker %d iteration %d: %w", w.pid, e, err)
 	}
 	return nil
+}
+
+// beginWork switches to replay-execution mode and starts capturing the log
+// lines of the span beginning at start. The returned func closes the span
+// where it stopped: its time goes into the report, its lines into the
+// worker's log, and the trace gets one "work" span.
+func (w *worker) beginWork(start int) (*logSpan, func(end int, stolen bool)) {
+	t0 := w.tr.Now()
+	w0 := time.Now()
+	w.rt.SetMode(skipblock.ModeReplayExec)
+	span := &logSpan{start: start}
+	w.ctx.Log = func(line string) { span.lines = append(span.lines, line) }
+	return span, func(end int, stolen bool) {
+		ns := time.Since(w0).Nanoseconds()
+		w.report.WorkNs += ns
+		if w.tr != nil {
+			attrs := map[string]int64{"start": int64(start), "end": int64(end), "stolen": 0}
+			if stolen {
+				attrs["stolen"] = 1
+			}
+			w.tr.Add(obs.Span{Name: "work", Worker: w.pid, StartNs: t0, DurNs: ns, Attrs: attrs})
+		}
+		w.report.Logs = append(w.report.Logs, span.lines...)
+	}
 }
 
 // runTail executes the post-loop statements.
@@ -639,11 +662,10 @@ func workerLoop(env *replayEnv, x *sched.Executor, pid, n int) (*WorkerReport, [
 	if lease == nil {
 		return nil, nil, nil
 	}
-	w, err := newWorker(env, pid)
+	w, err := newWorker(env, pid, env.factory())
 	if err != nil {
 		return nil, nil, err
 	}
-	defer w.close()
 	w.report.Segment[0], w.report.Segment[1] = lease.Bounds()
 
 	var spans []logSpan
@@ -661,7 +683,7 @@ func workerLoop(env *replayEnv, x *sched.Executor, pid, n int) (*WorkerReport, [
 		if start != pos {
 			initFrom := 0
 			if !first || env.opts.Init == Weak {
-				initFrom = sched.AnchorBefore(env.anchors, start-1)
+				initFrom = sched.AnchorBefore(env.st.anchors, start-1)
 			}
 			if first {
 				w.report.InitFrom = initFrom
@@ -673,11 +695,7 @@ func workerLoop(env *replayEnv, x *sched.Executor, pid, n int) (*WorkerReport, [
 
 		// Work phase: claim iterations until the lease is exhausted (either
 		// finished or stolen down to the worker's position).
-		t0 := w.tr.Now()
-		w0 := time.Now()
-		w.rt.SetMode(skipblock.ModeReplayExec)
-		span := logSpan{start: start}
-		w.ctx.Log = func(line string) { span.lines = append(span.lines, line) }
+		span, endWork := w.beginWork(start)
 		for {
 			e, ok := lease.Next()
 			if !ok {
@@ -706,99 +724,41 @@ func workerLoop(env *replayEnv, x *sched.Executor, pid, n int) (*WorkerReport, [
 				return nil, nil, err
 			}
 		}
-		leaseNs := time.Since(w0).Nanoseconds()
-		w.report.WorkNs += leaseNs
-		if w.tr != nil {
-			stolen := int64(0)
-			if lease.Stolen() {
-				stolen = 1
-			}
-			w.tr.Add(obs.Span{Name: "work", Worker: pid, StartNs: t0, DurNs: leaseNs,
-				Attrs: map[string]int64{"start": int64(start), "end": int64(end), "stolen": stolen}})
-		}
-		spans = append(spans, span)
-		w.report.Logs = append(w.report.Logs, span.lines...)
+		endWork(end, lease.Stolen())
+		spans = append(spans, *span)
 	}
 	return w.finish(), spans, nil
 }
 
-// positionBlocks sets every SkipBlock's execution counter to its position at
-// the start of main-loop iteration `epoch`.
-func positionBlocks(p *script.Program, rt *skipblock.Runtime, epoch int) {
-	for _, id := range rt.Blocks() {
-		b, _ := rt.Block(id)
-		mult := skipblock.ExecsPerMainIteration(p, id)
-		b.SetExecIndex(epoch * mult)
+// newSchedState derives a recording's scheduling state: the IDs of the
+// program's memoizable nested loops, sorted, with their executions per
+// main-loop iteration — the loops whose checkpoints drive anchoring and
+// restore-cost estimates — and, sorted, every anchored main-loop iteration:
+// one whose instrumented loops all have a materialized checkpoint for each of
+// their executions during it. Those are the iterations weak initialization
+// and sampling can jump to and stealing can re-initialize from. A program
+// with no instrumented loops anchors nothing (there are no checkpoints to
+// restore).
+func newSchedState(ckpts *store.Store, p *script.Program) *schedState {
+	st := &schedState{mult: map[string]int{}, anchors: []int{}}
+	st.ids = skipblock.NewRuntime(p, adapt.New(0), nil, ckpts).Blocks()
+	sort.Strings(st.ids)
+	for _, id := range st.ids {
+		st.mult[id] = skipblock.ExecsPerMainIteration(p, id)
 	}
-}
-
-// instrumentedLoops returns the IDs of the program's memoizable nested
-// loops, sorted, with their executions per main-loop iteration — the loops
-// whose checkpoints drive anchoring and restore-cost estimates.
-func instrumentedLoops(st *store.Store, p *script.Program) ([]string, map[string]int) {
-	rt := skipblock.NewRuntime(p, adapt.New(0), nil, st)
-	ids := rt.Blocks()
-	sort.Strings(ids)
-	mult := make(map[string]int, len(ids))
-	for _, id := range ids {
-		mult[id] = skipblock.ExecsPerMainIteration(p, id)
+	if len(st.ids) == 0 || p.Main == nil {
+		return st
 	}
-	return ids, mult
-}
-
-// anchoredIterations returns, sorted, every main-loop iteration e whose
-// instrumented loops all have materialized checkpoints for every execution
-// during e — the iterations weak initialization can jump to and stealing can
-// re-initialize from. A program with no instrumented loops anchors nothing
-// (there are no checkpoints to restore).
-func anchoredIterations(st *store.Store, p *script.Program, ids []string, mult map[string]int) []int {
-	anchors := make([]int, 0)
-	if len(ids) == 0 || p.Main == nil {
-		return anchors
-	}
+iterations:
 	for e := 0; e < p.Main.Iters; e++ {
-		if iterationAnchored(st, ids, mult, e) {
-			anchors = append(anchors, e)
-		}
-	}
-	return anchors
-}
-
-// iterationAnchored is the single definition of "anchored": every
-// instrumented loop has a materialized checkpoint for each of its
-// executions during main-loop iteration e. anchoredIterations (the
-// scheduler) and weakAnchor (iteration sampling) both use it.
-func iterationAnchored(st *store.Store, ids []string, mult map[string]int, e int) bool {
-	for _, id := range ids {
-		m := mult[id]
-		for x := e * m; x < (e+1)*m; x++ {
-			if !st.Has(store.Key{LoopID: id, Exec: x}) {
-				return false
+		for _, k := range st.iterKeys(e) {
+			if !ckpts.Has(k) {
+				continue iterations
 			}
 		}
+		st.anchors = append(st.anchors, e)
 	}
-	return true
-}
-
-// weakAnchor returns the largest main-loop iteration e ≤ target such that
-// iteration e is anchored, so the whole iteration can be replayed by
-// restoration alone. Falls back to 0 (strong initialization) when no such
-// iteration exists.
-func weakAnchor(st *store.Store, p *script.Program, rt *skipblock.Runtime, target int) int {
-	ids := rt.Blocks()
-	if len(ids) == 0 {
-		return 0
-	}
-	mult := make(map[string]int, len(ids))
-	for _, id := range ids {
-		mult[id] = skipblock.ExecsPerMainIteration(p, id)
-	}
-	for e := target; e >= 0; e-- {
-		if iterationAnchored(st, ids, mult, e) {
-			return e
-		}
-	}
-	return 0
+	return st
 }
 
 // schedCosts derives the scheduler's cost model for this replay from the
@@ -813,60 +773,48 @@ func weakAnchor(st *store.Store, p *script.Program, rt *skipblock.Runtime, targe
 // tracker prices restore predictions; Replay passes the shared per-replay
 // tracker so the same c-factor prior prices scheduling and is later refined
 // by the workers' measured restores.
-func schedCosts(rec *Recording, p *script.Program, ids []string, mult map[string]int,
-	anchors []int, probed bool, tracker *adapt.Tracker) *sched.Costs {
-
+func schedCosts(rec *Recording, p *script.Program, st *schedState, probed bool, tracker *adapt.Tracker) *sched.Costs {
 	n := p.Main.Iters
 
-	// Per-iteration compute: recorded wall times, else store metadata.
+	// Per-iteration compute — recorded wall times, else store metadata — and
+	// restore estimate from materialization metadata.
 	comput := make([]int64, n)
-	if rec.Timings != nil && len(rec.Timings.IterNs) == n {
-		copy(comput, rec.Timings.IterNs)
-	} else {
-		var sum, cnt int64
-		for e := 0; e < n; e++ {
-			for _, id := range ids {
-				m := mult[id]
-				for x := e * m; x < (e+1)*m; x++ {
-					if meta, ok := rec.Store.Lookup(store.Key{LoopID: id, Exec: x}); ok && meta.ComputNs > 0 {
-						comput[e] += meta.ComputNs
-					}
-				}
-			}
-			if comput[e] > 0 {
-				sum += comput[e]
-				cnt++
-			}
-		}
-		if cnt > 0 {
-			mean := sum / cnt
-			for e := range comput {
-				if comput[e] == 0 {
-					comput[e] = mean
-				}
-			}
-		}
-	}
-
-	// Per-iteration restore estimate from materialization metadata.
 	restore := make([]int64, n)
+	timed := rec.Timings != nil && len(rec.Timings.IterNs) == n
+	if timed {
+		copy(comput, rec.Timings.IterNs)
+	}
+	var sum, cnt int64
 	for e := 0; e < n; e++ {
-		for _, id := range ids {
-			m := mult[id]
-			for x := e * m; x < (e+1)*m; x++ {
-				if meta, ok := rec.Store.Lookup(store.Key{LoopID: id, Exec: x}); ok {
-					// Price each loop's restores with its own c estimate:
-					// nested loops can sit far apart in restore/materialize
-					// ratio, and the balanced partition skews when one
-					// global factor prices both.
-					restore[e] += tracker.PredictRestoreNsLoop(id, meta.MaterNs)
-				}
+		for _, k := range st.iterKeys(e) {
+			meta, ok := rec.Store.Lookup(k)
+			if !ok {
+				continue
+			}
+			// Price each loop's restores with its own c estimate: nested
+			// loops can sit far apart in restore/materialize ratio, and the
+			// balanced partition skews when one global factor prices both.
+			restore[e] += tracker.PredictRestoreNsLoop(k.LoopID, meta.MaterNs)
+			if !timed && meta.ComputNs > 0 {
+				comput[e] += meta.ComputNs
+			}
+		}
+		if comput[e] > 0 {
+			sum += comput[e]
+			cnt++
+		}
+	}
+	if !timed && cnt > 0 {
+		mean := sum / cnt
+		for e := range comput {
+			if comput[e] == 0 {
+				comput[e] = mean
 			}
 		}
 	}
 
-	anchored := make(map[int]bool, len(anchors))
-	for _, a := range anchors {
+	anchored := make(map[int]bool, len(st.anchors))
+	for _, a := range st.anchors {
 		anchored[a] = true
 	}
 	c := &sched.Costs{WorkNs: make([]int64, n), CatchupNs: make([]int64, n)}

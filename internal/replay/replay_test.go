@@ -359,11 +359,11 @@ func min(a, b int) int {
 	return b
 }
 
-// TestReplayStartsNoMaterializerGoroutines: a replay worker holds a
-// materializer (its SkipBlock runtime takes one) but never records, so it
-// must not pay for a background writer. Seen from inside a single-worker
-// replay, the only goroutine beyond the caller's is the worker itself; and
-// at any width a finished replay leaves the count where it found it.
+// TestReplayStartsNoMaterializerGoroutines: a replay never records, so its
+// workers hold no materializer and nothing writes in the background. Seen
+// from inside a single-worker replay, the only goroutine beyond the caller's
+// is the worker itself; and at any width a finished replay leaves the count
+// where it found it.
 func TestReplayStartsNoMaterializerGoroutines(t *testing.T) {
 	factory := trainFactory(6, 2)
 	rec := record(t, factory)

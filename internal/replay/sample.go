@@ -4,16 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
-	"flor.dev/flor/internal/adapt"
 	"flor.dev/flor/internal/backmat"
 	"flor.dev/flor/internal/obs"
-	"flor.dev/flor/internal/runlog"
 	"flor.dev/flor/internal/sched"
 	"flor.dev/flor/internal/script"
-	"flor.dev/flor/internal/skipblock"
 	"flor.dev/flor/internal/store"
 )
 
@@ -28,9 +25,10 @@ type SampleOptions struct {
 	Slots sched.SlotSource
 	// Ctx bounds the slot wait; nil means context.Background().
 	Ctx context.Context
-	// Trace, when non-nil, collects spans — slot wait, setup, one span per
-	// sampled iteration, and tier-attributed restore spans — exactly like a
-	// full replay's trace. Nil disables tracing at zero cost.
+	// Trace, when non-nil, collects the worker's spans exactly like a full
+	// replay's trace — slot wait, setup, init (the catch-up from anchor to
+	// sampled point), one work span per sampled iteration, tier-attributed
+	// restores, the worker summary. Nil disables tracing at zero cost.
 	Trace *obs.Trace
 }
 
@@ -56,9 +54,11 @@ type SampleResult struct {
 // ReplaySample replays only the given main-loop iterations (paper §8,
 // "Partial Replay: Search and Approximation"): the worker-initialization
 // mechanism gives random access to any iteration, so a replay need not scan
-// the whole past. For each requested iteration the state is reconstructed
-// from the nearest checkpoint (weak initialization) and the iteration is
-// re-executed in replay-execution mode, producing its hindsight logs.
+// the whole past. A sample is a replay by one worker over one-iteration
+// spans: where a span does not start at the worker's position the worker
+// initializes from the nearest anchored checkpoint (weak initialization),
+// then re-executes the iteration in replay-execution mode, producing its
+// hindsight logs — that iteration's slice of a full replay's log, no tail.
 //
 // Iterations are deduplicated and visited in ascending order; out-of-range
 // iterations are an error. The deferred log check is skipped: a sample's
@@ -84,133 +84,78 @@ func ReplaySampleWith(rec *Recording, factory func() *script.Program, iterations
 // nil emit degrades to the buffered behavior. The returned SampleResult
 // still aggregates everything emitted.
 func ReplaySampleStream(rec *Recording, factory func() *script.Program, iterations []int, sopts SampleOptions, emit func(iteration int, logs []string) error) (*SampleResult, error) {
-	p := factory()
-	diff, err := script.DiffHindsight(rec.Shape, p)
+	env, p, err := newReplayEnv(rec, factory, Options{
+		Cache: sopts.Cache, Slots: sopts.Slots, Ctx: sopts.Ctx, Trace: sopts.Trace})
 	if err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
-	}
-	if p.Main == nil {
-		return nil, fmt.Errorf("replay: program has no main loop")
+		return nil, err
 	}
 	n := p.Main.Iters
-	seen := map[int]bool{}
-	var sample []int
 	for _, it := range iterations {
 		if it < 0 || it >= n {
 			return nil, fmt.Errorf("%w: %d not in [0,%d)", ErrSampleRange, it, n)
 		}
-		if !seen[it] {
-			seen[it] = true
-			sample = append(sample, it)
-		}
 	}
-	sort.Ints(sample)
+	sample := slices.Clone(iterations)
+	slices.Sort(sample)
+	sample = slices.Compact(sample)
 
 	// One slot covers the whole (sequential) sample. Its cost estimate — a
 	// mean recorded iteration per sampled point — is deliberately coarse:
 	// it only needs to be small next to a full replay's segments so the
 	// pool's cheapest-first queue lets point queries through.
-	tr := sopts.Trace
-	if sopts.Slots != nil {
-		ctx := sopts.Ctx
-		if ctx == nil {
-			ctx = context.Background()
+	if rec.Timings != nil && len(rec.Timings.IterNs) > 0 {
+		var sum int64
+		for _, ns := range rec.Timings.IterNs {
+			sum += ns
 		}
-		var iterMean int64
-		if rec.Timings != nil && len(rec.Timings.IterNs) > 0 {
-			var sum int64
-			for _, ns := range rec.Timings.IterNs {
-				sum += ns
+		env.slotCostNs = int64(len(sample)) * (sum / int64(len(rec.Timings.IterNs)))
+	}
+	if err := env.acquireSlot(env.opts.Ctx, 0); err != nil {
+		return nil, err
+	}
+	defer env.releaseSlot()
+
+	t0 := time.Now()
+	w, err := newWorker(env, 0, p)
+	if err != nil {
+		return nil, err
+	}
+	pos := 0 // the main-loop iteration the program state currently sits at
+	for _, it := range sample {
+		if it != pos {
+			// Jump to the nearest anchored checkpoint — unless the worker's
+			// own state is already past it: then roll forward from where it
+			// sits rather than restore backwards.
+			from := sched.AnchorBefore(env.st.anchors, it-1)
+			if from < pos {
+				from = pos
 			}
-			iterMean = sum / int64(len(rec.Timings.IterNs))
+			if err := w.initTo(from, it); err != nil {
+				return nil, err
+			}
 		}
-		st0 := tr.Now()
-		sw0 := time.Now()
-		if err := sopts.Slots.Acquire(ctx, int64(len(sample))*iterMean); err != nil {
+		span, endWork := w.beginWork(it)
+		if err := w.runIteration(it); err != nil {
 			return nil, err
 		}
-		defer sopts.Slots.Release()
-		tr.Add(obs.Span{Name: "slot_wait", Worker: 0, StartNs: st0,
-			DurNs: time.Since(sw0).Nanoseconds()})
-	}
-
-	tracker := adapt.New(adapt.DefaultEpsilon)
-	if rec.Timings != nil && rec.Timings.C > 0 {
-		tracker.SeedC(rec.Timings.C)
-	}
-	mat := backmat.New(rec.Store, backmat.Fork)
-	defer mat.Close()
-	rt := skipblock.NewRuntime(p, tracker, mat, rec.Store)
-	rt.SetCache(sopts.Cache)
-	rt.SetTrace(tr, 0)
-	rt.SetProbes(diff.Probes)
-
-	ctx := &script.Ctx{Env: script.NewEnv(), LoopHook: rt.Hook}
-	t0 := time.Now()
-	setup0 := tr.Now()
-	if err := script.ExecStmts(ctx, p.Setup); err != nil {
-		return nil, fmt.Errorf("replay: sample setup: %w", err)
-	}
-	tr.Add(obs.Span{Name: "setup", Worker: 0, StartNs: setup0,
-		DurNs: time.Since(t0).Nanoseconds()})
-
-	lg := runlog.New()
-	cursor := -1 // last initialized iteration
-	for _, it := range sample {
-		// Reconstruct the state at the start of iteration `it`: jump to the
-		// nearest fully checkpointed iteration at or before it-1, then
-		// init-replay forward.
-		if it > 0 && cursor < it-1 {
-			from := weakAnchor(rec.Store, p, rt, it-1)
-			if from <= cursor {
-				from = cursor + 1
-			}
-			rt.SetMode(skipblock.ModeReplayInit)
-			positionBlocks(p, rt, from)
-			ctx.Log = nil
-			for e := from; e < it; e++ {
-				ctx.Env.SetInt(p.Main.IterVar, e)
-				if err := script.ExecStmts(ctx, p.Main.Body); err != nil {
-					return nil, fmt.Errorf("replay: sample init iteration %d: %w", e, err)
-				}
-			}
-		} else if it == 0 {
-			positionBlocks(p, rt, 0)
-		}
-		// Replay the sampled iteration with log capture.
-		rt.SetMode(skipblock.ModeReplayExec)
-		positionBlocks(p, rt, it)
-		mark := lg.Len()
-		ctx.Log = lg.Append
-		ctx.Env.SetInt(p.Main.IterVar, it)
-		it0 := tr.Now()
-		iw0 := time.Now()
-		if err := script.ExecStmts(ctx, p.Main.Body); err != nil {
-			return nil, fmt.Errorf("replay: sample iteration %d: %w", it, err)
-		}
-		tr.Add(obs.Span{Name: "work", Worker: 0, StartNs: it0,
-			DurNs: time.Since(iw0).Nanoseconds(),
-			Attrs: map[string]int64{"start": int64(it), "end": int64(it + 1)}})
-		cursor = it
+		pos = it + 1
+		endWork(pos, false)
 		if emit != nil {
-			if err := emit(it, lg.Tail(mark)); err != nil {
+			if err := emit(it, span.lines); err != nil {
 				return nil, err
 			}
 		}
 	}
-	res := &SampleResult{
-		Iterations: sample,
-		Logs:       lg.Lines(),
-		Probes:     diff.Probes,
-		WallNs:     time.Since(t0).Nanoseconds(),
-		Fetch:      rt.FetchSnapshot(),
-	}
-	for _, id := range rt.Blocks() {
-		b, _ := rt.Block(id)
-		st := b.Stats()
-		res.Restored += st.Restored
-		res.RestoredBytes += st.RestoredBytes
-		res.RestoreNs += st.RestoreNs
-	}
-	return res, nil
+	rep := w.finish()
+	recordReplayMetrics(len(sample), []WorkerReport{*rep})
+	return &SampleResult{
+		Iterations:    sample,
+		Logs:          rep.Logs,
+		Probes:        env.diff.Probes,
+		WallNs:        time.Since(t0).Nanoseconds(),
+		Restored:      rep.Restored,
+		RestoredBytes: rep.RestoredBytes,
+		RestoreNs:     rep.RestoreNs,
+		Fetch:         rep.Fetch,
+	}, nil
 }

@@ -20,6 +20,10 @@
 //   - per-run admission control: bounded in-flight queries per run, a
 //     bounded wait queue, and a queueing deadline.
 //
+// Both query kinds run through one function, query: Replay and Sample parse
+// their request and shape their response, and everything between — admission
+// to trace retention, failures classified once — happens there.
+//
 // http.go exposes the daemon over HTTP/JSON (/v1/runs for listing and
 // registration, /v1/runs/{id}/replay, /v1/runs/{id}/logs, /v1/stats);
 // cmd/flord is the standalone binary and flor.Serve the embedding API.
@@ -934,113 +938,6 @@ type ReplayResponse struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// Replay serves one replay query through admission control, the shared
-// store, and the shared worker pool.
-func (s *Server) Replay(ctx context.Context, runID string, req ReplayRequest) (*ReplayResponse, error) {
-	done, err := s.beginQuery()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	r, err := s.run(runID)
-	if err != nil {
-		return nil, err
-	}
-	factory, err := r.factory(req.Probe)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkScheduler(req.Scheduler); err != nil {
-		return nil, err
-	}
-	init, err := parseInit(req.Init)
-	if err != nil {
-		return nil, err
-	}
-	release, queueNs, err := s.admit(ctx, r)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	ent, hit, err := s.open(r)
-	if err != nil {
-		return nil, err
-	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.opts.DefaultWorkers
-	}
-	// The queue deadline also bounds shared-pool slot waits: an admitted
-	// query must not hold one of the run's in-flight slots forever while
-	// its workers starve behind other queries' segments.
-	slotCtx, cancel := context.WithTimeout(ctx, s.opts.QueueTimeout)
-	defer cancel()
-	tr := obs.NewTrace()
-	t0 := time.Now()
-	doReplay := func(ent *cacheEntry) (*replay.Result, error) {
-		return replay.Replay(ent.rec, factory, replay.Options{
-			Workers:  workers,
-			Init:     init,
-			Slots:    s.pool,
-			Ctx:      slotCtx,
-			Cache:    ent.cache,
-			Trace:    tr,
-			Prefetch: s.opts.Prefetch,
-		})
-	}
-	res, err := doReplay(ent)
-	if err != nil && errors.Is(err, store.ErrStalePack) {
-		if fresh, rerr := s.refreshStale(r); rerr == nil {
-			ent, hit = fresh, false
-			res, err = doReplay(ent)
-		}
-	}
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			r.mu.Lock()
-			r.stats.QueueTimeouts++
-			r.mu.Unlock()
-			r.mQueueTimeouts.Inc()
-			return nil, fmt.Errorf("%w: replay %q waited on worker slots beyond %v", ErrQueueTimeout, runID, s.opts.QueueTimeout)
-		}
-		r.mu.Lock()
-		r.stats.Errors++
-		r.mu.Unlock()
-		r.mErrors.Inc()
-		return nil, fmt.Errorf("serve: replay %q: %w", runID, err)
-	}
-	durNs := time.Since(t0).Nanoseconds()
-	var cost QueryCost
-	for _, wr := range res.Workers {
-		cost.RestoredBytes += wr.RestoredBytes
-		cost.RestoreNs += wr.RestoreNs
-		cost.Fetch = cost.Fetch.Add(wr.Fetch)
-	}
-	slow := s.opts.SlowQueryThreshold > 0 && durNs >= s.opts.SlowQueryThreshold.Nanoseconds()
-	r.mu.Lock()
-	r.stats.Replays++
-	r.stats.Cost = r.stats.Cost.add(cost)
-	r.mu.Unlock()
-	r.mReplays.Inc()
-	traceID := s.keepTrace(r, "replay", tr, t0, durNs, slow)
-	// The exemplar ties the latency bucket back to a retrievable trace.
-	s.mQuerySeconds["replay"].ObserveNsExemplar(durNs, traceID)
-	return &ReplayResponse{
-		RunID:     runID,
-		Probe:     req.Probe,
-		Logs:      res.Logs,
-		Anomalies: len(res.Anomalies),
-		Workers:   len(res.Workers),
-		Steals:    res.Steals,
-		CFactor:   res.CFactor,
-		WallNs:    res.WallNs,
-		QueueNs:   queueNs,
-		StoreHit:  hit,
-		Cost:      cost,
-		TraceID:   traceID,
-	}, nil
-}
-
 // SampleRequest is an iteration-sampling query (point reads over the past).
 type SampleRequest struct {
 	Probe      string `json:"probe"`
@@ -1088,34 +985,152 @@ func (s *Server) SampleStream(ctx context.Context, runID string, req SampleReque
 	return s.sample(ctx, runID, req, emit)
 }
 
-func (s *Server) sample(ctx context.Context, runID string, req SampleRequest, emit func(SampleChunk) error) (*SampleResponse, error) {
+// served is the part of a reply the query skeleton owns, whatever the kind.
+type served struct {
+	queueNs  int64
+	storeHit bool
+	cost     QueryCost
+	traceID  string
+}
+
+// query serves one query of either kind ("replay" or "sample"): drain gate,
+// run and probe lookup, per-run admission, store open, the slot-wait
+// deadline, the trace, one retry on store.ErrStalePack, error
+// classification, stats and trace retention. run has replay.Replay's shape:
+// it executes the kind's replay with the daemon plumbing in opts (shared
+// pool, slot-wait context, payload cache, trace, prefetch depth) and reports
+// what the query cost.
+func (s *Server) query(ctx context.Context, kind, runID, probe string,
+	run func(rec *replay.Recording, factory func() *script.Program, opts replay.Options) (QueryCost, error)) (served, error) {
+
+	var sv served
 	done, err := s.beginQuery()
 	if err != nil {
-		return nil, err
+		return sv, err
 	}
 	defer done()
 	r, err := s.run(runID)
 	if err != nil {
-		return nil, err
+		return sv, err
 	}
-	factory, err := r.factory(req.Probe)
+	factory, err := r.factory(probe)
 	if err != nil {
-		return nil, err
-	}
-	if len(req.Iterations) == 0 {
-		return nil, fmt.Errorf("%w: sample %q: no iterations requested", ErrBadRequest, runID)
+		return sv, err
 	}
 	release, queueNs, err := s.admit(ctx, r)
 	if err != nil {
-		return nil, err
+		return sv, err
 	}
 	defer release()
+	sv.queueNs = queueNs
 	ent, hit, err := s.open(r)
+	if err != nil {
+		return sv, err
+	}
+	sv.storeHit = hit
+	// The queue deadline also bounds shared-pool slot waits: an admitted
+	// query must not hold one of the run's in-flight slots forever while
+	// its workers starve behind other queries' segments.
+	slotCtx, cancel := context.WithTimeout(ctx, s.opts.QueueTimeout)
+	defer cancel()
+	opts := replay.Options{Slots: s.pool, Ctx: slotCtx, Cache: ent.cache, Trace: obs.NewTrace(), Prefetch: s.opts.Prefetch}
+	t0 := time.Now()
+	sv.cost, err = run(ent.rec, factory, opts)
+	if err != nil && errors.Is(err, store.ErrStalePack) {
+		if fresh, rerr := s.refreshStale(r); rerr == nil {
+			ent, sv.storeHit = fresh, false
+			opts.Cache = ent.cache
+			sv.cost, err = run(ent.rec, factory, opts)
+		}
+	}
+	switch {
+	case err == nil:
+	case ctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
+		// The caller went away, or ran out its own deadline, while the query
+		// waited on worker slots: not a serving failure and not our queue
+		// deadline — counted nowhere, like the same cancel a step earlier in
+		// admit.
+		return sv, err
+	case errors.Is(err, context.DeadlineExceeded):
+		r.mu.Lock()
+		r.stats.QueueTimeouts++
+		r.mu.Unlock()
+		r.mQueueTimeouts.Inc()
+		return sv, fmt.Errorf("%w: %s %q waited on worker slots beyond %v", ErrQueueTimeout, kind, runID, s.opts.QueueTimeout)
+	case errors.Is(err, replay.ErrSampleRange):
+		// Out-of-range iterations are the client's mistake, not a serving
+		// failure: report 400 and keep them out of the error counters.
+		return sv, fmt.Errorf("%w: %s %q: %v", ErrBadRequest, kind, runID, err)
+	default:
+		r.mu.Lock()
+		r.stats.Errors++
+		r.mu.Unlock()
+		r.mErrors.Inc()
+		return sv, fmt.Errorf("serve: %s %q: %w", kind, runID, err)
+	}
+	durNs := time.Since(t0).Nanoseconds()
+	queries, counted := &r.stats.Replays, r.mReplays
+	if kind == "sample" {
+		queries, counted = &r.stats.Samples, r.mSamples
+	}
+	r.mu.Lock()
+	*queries++
+	r.stats.Cost = r.stats.Cost.add(sv.cost)
+	r.mu.Unlock()
+	counted.Inc()
+	slow := s.opts.SlowQueryThreshold > 0 && durNs >= s.opts.SlowQueryThreshold.Nanoseconds()
+	sv.traceID = s.keepTrace(r, kind, opts.Trace, t0, durNs, slow)
+	// The exemplar ties the latency bucket back to a retrievable trace.
+	s.mQuerySeconds[kind].ObserveNsExemplar(durNs, sv.traceID)
+	return sv, nil
+}
+
+// Replay serves one replay query through admission control, the shared
+// store, and the shared worker pool.
+func (s *Server) Replay(ctx context.Context, runID string, req ReplayRequest) (*ReplayResponse, error) {
+	init, err := parseReplayRequest(req)
 	if err != nil {
 		return nil, err
 	}
-	slotCtx, cancel := context.WithTimeout(ctx, s.opts.QueueTimeout)
-	defer cancel()
+	var res *replay.Result
+	sv, err := s.query(ctx, "replay", runID, req.Probe, func(rec *replay.Recording, factory func() *script.Program, opts replay.Options) (cost QueryCost, err error) {
+		opts.Init = init
+		if opts.Workers = req.Workers; opts.Workers <= 0 {
+			opts.Workers = s.opts.DefaultWorkers
+		}
+		if res, err = replay.Replay(rec, factory, opts); err != nil {
+			return cost, err
+		}
+		for _, wr := range res.Workers {
+			cost.RestoredBytes += wr.RestoredBytes
+			cost.RestoreNs += wr.RestoreNs
+			cost.Fetch = cost.Fetch.Add(wr.Fetch)
+		}
+		return cost, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &ReplayResponse{
+		RunID:     runID,
+		Probe:     req.Probe,
+		Logs:      res.Logs,
+		Anomalies: len(res.Anomalies),
+		Workers:   len(res.Workers),
+		Steals:    res.Steals,
+		CFactor:   res.CFactor,
+		WallNs:    res.WallNs,
+		QueueNs:   sv.queueNs,
+		StoreHit:  sv.storeHit,
+		Cost:      sv.cost,
+		TraceID:   sv.traceID,
+	}, nil
+}
+
+func (s *Server) sample(ctx context.Context, runID string, req SampleRequest, emit func(SampleChunk) error) (*SampleResponse, error) {
+	if len(req.Iterations) == 0 {
+		return nil, fmt.Errorf("%w: sample %q: no iterations requested", ErrBadRequest, runID)
+	}
 	emitted := 0
 	var rawEmit func(int, []string) error
 	if emit != nil {
@@ -1124,64 +1139,33 @@ func (s *Server) sample(ctx context.Context, runID string, req SampleRequest, em
 			return emit(SampleChunk{Iteration: it, Logs: logs})
 		}
 	}
-	tr := obs.NewTrace()
-	t0 := time.Now()
-	doSample := func(ent *cacheEntry) (*replay.SampleResult, error) {
-		return replay.ReplaySampleStream(ent.rec, factory, req.Iterations, replay.SampleOptions{
-			Cache: ent.cache,
-			Slots: s.pool,
-			Ctx:   slotCtx,
-			Trace: tr,
-		}, rawEmit)
-	}
-	res, err := doSample(ent)
-	// The retry is only safe while nothing has streamed: chunks already
-	// delivered to the client must not be re-emitted by a second attempt.
-	if err != nil && errors.Is(err, store.ErrStalePack) && emitted == 0 {
-		if fresh, rerr := s.refreshStale(r); rerr == nil {
-			ent, hit = fresh, false
-			res, err = doSample(ent)
+	var res *replay.SampleResult
+	sv, err := s.query(ctx, "sample", runID, req.Probe, func(rec *replay.Recording, factory func() *script.Program, opts replay.Options) (cost QueryCost, err error) {
+		res, err = replay.ReplaySampleStream(rec, factory, req.Iterations, replay.SampleOptions{
+			Cache: opts.Cache, Slots: opts.Slots, Ctx: opts.Ctx, Trace: opts.Trace}, rawEmit)
+		if err != nil {
+			if emitted > 0 && errors.Is(err, store.ErrStalePack) {
+				// Chunks already delivered must not be re-emitted by a second
+				// attempt: %v keeps the cause out of the stale-pack retry.
+				err = fmt.Errorf("after %d streamed iterations: %v", emitted, err)
+			}
+			return cost, err
 		}
-	}
+		return QueryCost{RestoredBytes: res.RestoredBytes, RestoreNs: res.RestoreNs, Fetch: res.Fetch}, nil
+	})
 	if err != nil {
-		// Out-of-range iterations are the client's mistake, not a serving
-		// failure: report 400 and keep them out of the error counters.
-		if errors.Is(err, replay.ErrSampleRange) {
-			return nil, fmt.Errorf("%w: sample %q: %v", ErrBadRequest, runID, err)
-		}
-		if errors.Is(err, context.DeadlineExceeded) {
-			r.mu.Lock()
-			r.stats.QueueTimeouts++
-			r.mu.Unlock()
-			r.mQueueTimeouts.Inc()
-			return nil, fmt.Errorf("%w: sample %q waited on a worker slot beyond %v", ErrQueueTimeout, runID, s.opts.QueueTimeout)
-		}
-		r.mu.Lock()
-		r.stats.Errors++
-		r.mu.Unlock()
-		r.mErrors.Inc()
-		return nil, fmt.Errorf("serve: sample %q: %w", runID, err)
+		return nil, err
 	}
-	durNs := time.Since(t0).Nanoseconds()
-	cost := QueryCost{RestoredBytes: res.RestoredBytes, RestoreNs: res.RestoreNs, Fetch: res.Fetch}
-	slow := s.opts.SlowQueryThreshold > 0 && durNs >= s.opts.SlowQueryThreshold.Nanoseconds()
-	r.mu.Lock()
-	r.stats.Samples++
-	r.stats.Cost = r.stats.Cost.add(cost)
-	r.mu.Unlock()
-	r.mSamples.Inc()
-	traceID := s.keepTrace(r, "sample", tr, t0, durNs, slow)
-	s.mQuerySeconds["sample"].ObserveNsExemplar(durNs, traceID)
 	return &SampleResponse{
 		RunID:      runID,
 		Probe:      req.Probe,
 		Iterations: res.Iterations,
 		Logs:       res.Logs,
 		WallNs:     res.WallNs,
-		QueueNs:    queueNs,
-		StoreHit:   hit,
-		Cost:       cost,
-		TraceID:    traceID,
+		QueueNs:    sv.queueNs,
+		StoreHit:   sv.storeHit,
+		Cost:       sv.cost,
+		TraceID:    sv.traceID,
 	}, nil
 }
 
@@ -1430,25 +1414,21 @@ func (s *Server) Trace(runID, traceID string) (*obs.Trace, error) {
 // renders it at GET /metrics.
 func (s *Server) MetricsRegistry() *obs.Registry { return s.reg }
 
-// checkScheduler validates the request's scheduler name. Replay has one
-// scheduler, so the names clients used to choose between are accepted and
-// ignored; anything else is still a malformed request.
-func checkScheduler(name string) error {
-	switch name {
+// parseReplayRequest validates the request's scheduler and init names.
+// Replay has one scheduler, so the names clients used to choose between are
+// accepted and ignored; anything else is still a malformed request.
+func parseReplayRequest(req ReplayRequest) (replay.InitMode, error) {
+	switch req.Scheduler {
 	case "", "static", "balanced", "stealing":
-		return nil
 	default:
-		return fmt.Errorf("%w: unknown scheduler %q (want static, balanced or stealing)", ErrBadRequest, name)
+		return 0, fmt.Errorf("%w: unknown scheduler %q (want static, balanced or stealing)", ErrBadRequest, req.Scheduler)
 	}
-}
-
-func parseInit(name string) (replay.InitMode, error) {
-	switch name {
+	switch req.Init {
 	case "", "weak":
 		return replay.Weak, nil
 	case "strong":
 		return replay.Strong, nil
 	default:
-		return 0, fmt.Errorf("%w: unknown init mode %q (want strong or weak)", ErrBadRequest, name)
+		return 0, fmt.Errorf("%w: unknown init mode %q (want strong or weak)", ErrBadRequest, req.Init)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -111,11 +112,16 @@ func TestReplayCostTierAttribution(t *testing.T) {
 	}
 }
 
-// TestSampleTraceID checks sampling queries are traced like replays: the
-// response names a retrievable trace with slot-wait, setup and per-iteration
-// work spans, and a cost snapshot.
+// TestSampleTraceID checks sampling queries are traced like replays, because
+// they are replays: the response names a retrievable trace with the worker's
+// slot-wait, setup, init (the catch-up from anchor to sampled point),
+// per-iteration work and closing summary spans, a cost snapshot, and the same
+// flor_replay_* counters move.
 func TestSampleTraceID(t *testing.T) {
+	withRegistry(t)
 	fx := startDaemon(t, serve.Options{})
+	restoredBefore := obs.C(obs.MReplayRestoredBytes).Value()
+	itersBefore := obs.C(obs.MReplayIterations).Value()
 
 	resp, body := fx.get(t, "/v1/runs/run-a/logs?iters=2,5&probe=wnorm")
 	if resp.StatusCode != http.StatusOK {
@@ -133,8 +139,12 @@ func TestSampleTraceID(t *testing.T) {
 		t.Fatalf("trace: %d: %s", resp.StatusCode, body)
 	}
 	names := map[string]int{}
+	var inits [][2]int64
 	for _, sp := range parseTraceSpans(t, body) {
 		names[sp.Name]++
+		if sp.Name == "init" {
+			inits = append(inits, [2]int64{sp.Attrs["from"], sp.Attrs["to"]})
+		}
 	}
 	for _, want := range []string{"slot_wait", "setup", "work"} {
 		if names[want] == 0 {
@@ -143,6 +153,23 @@ func TestSampleTraceID(t *testing.T) {
 	}
 	if names["work"] != 2 {
 		t.Errorf("sample trace has %d work spans, want 2 (one per sampled iteration)", names["work"])
+	}
+	// Neither sampled iteration starts where the worker sits (0, then 3), so
+	// each is reached by a catch-up from the anchored iteration before it —
+	// attributed to an init span, not left as a gap.
+	if want := [][2]int64{{1, 2}, {4, 5}}; !reflect.DeepEqual(inits, want) {
+		t.Errorf("sample trace init spans (from,to) = %v, want %v", inits, want)
+	}
+	if names["worker"] != 1 {
+		t.Errorf("sample trace has %d worker summary spans, want 1", names["worker"])
+	}
+	// The sample fed the replay counters: what it restored, and one
+	// iteration per sampled point.
+	if got := obs.C(obs.MReplayRestoredBytes).Value() - restoredBefore; got != sr.Cost.RestoredBytes || got == 0 {
+		t.Errorf("flor_replay_restored_bytes_total moved by %d, response cost says %d", got, sr.Cost.RestoredBytes)
+	}
+	if got := obs.C(obs.MReplayIterations).Value() - itersBefore; got != 2 {
+		t.Errorf("flor_replay_iterations_total moved by %d, want 2", got)
 	}
 	// A sampled jump-and-replay restores checkpoint state; the cost must
 	// attribute it.

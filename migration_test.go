@@ -123,6 +123,15 @@ func TestMigrationMatrixByteIdenticalReplay(t *testing.T) {
 		if len(hs.Anomalies) != 0 {
 			t.Fatalf("%s: probed anomalies %v", v.name, hs.Anomalies)
 		}
+		// A sample is that replay's per-iteration slices (3 hindsight lines
+		// and the sum per epoch, no tail), asked for unsorted with a repeat.
+		sampled, err := flor.ReplaySampled(dir, probed, []int{4, 1, 4, 2})
+		if err != nil {
+			t.Fatalf("%s: sample: %v", v.name, err)
+		}
+		if err := sameLogs(append(hs.Logs[1*4:3*4:3*4], hs.Logs[4*4:5*4]...), sampled.Logs); err != nil {
+			t.Fatalf("%s: sample of iterations 1, 2, 4 is not the probed replay's slices: %v", v.name, err)
+		}
 		results = append(results, result{name: v.name, base: base.Logs, hs: hs.Logs})
 	}
 
@@ -381,6 +390,14 @@ func TestMigrationRemoteTwinByteIdentical(t *testing.T) {
 		}
 		if err := sameLogs(local.Logs, res.Logs); err != nil {
 			t.Fatalf("%s: remote logs diverge from local: %v", label, err)
+		}
+		// One line per epoch: a remote sample is the local replay's lines.
+		sampled, err := replay.ReplaySample(rec, factory, []int{3, 1})
+		if err != nil {
+			t.Fatalf("%s: remote sample: %v", label, err)
+		}
+		if err := sameLogs([]string{local.Logs[1], local.Logs[3]}, sampled.Logs); err != nil {
+			t.Fatalf("%s: remote sample diverges from the local replay's lines: %v", label, err)
 		}
 		var fetch store.FetchSnapshot
 		for _, w := range res.Workers {
