@@ -25,7 +25,7 @@
 // Capture is snapshot and serialize fused into the one copy a checkpoint
 // cannot avoid: the training thread encodes each value's live state
 // (value.EncodeLive) straight into a section buffer the Materializer owns —
-// one memcpy per tensor, no clone, nothing borrowed once Materialize
+// one pass per tensor, no clone, nothing borrowed once Materialize
 // returns. The copy budget of a Fork or Plasma checkpoint is
 //
 //	live state → section buffer (caller) → hash → staged frames → pack
@@ -33,12 +33,23 @@
 // and its ownership rule: section buffers belong to the Materializer, in sets
 // of one buffer per environment entry; a set is the caller's while it is
 // being filled, the background worker's from hand-off until the store's
-// PutSections has returned, and free again after that — the store keeps no
+// put has returned, and free again after that — the store keeps no
 // reference to section bytes past a put. There are two sets (bufferSets): the
 // caller fills one while the worker writes the other, and waits for a free
 // one when both are in the pipeline. The first two checkpoints allocate them,
 // every later one overwrites them, and they die with the Materializer at
 // Close.
+//
+// The arrows are taken only by bytes that changed. The set a capture fills
+// still holds the checkpoint encoded into it two captures ago, and beside each
+// buffer the chunk hashes the store took of it then. The encoder compares
+// before it copies (codec.NewWriterInto), a store chunk at a time, and for
+// every chunk it found already there capture offers the remembered hash to the
+// put in place of hashing the chunk again (store.PutSectionsKnown). That is
+// sound because the hash was taken from these bytes; every byte written over
+// them since compared equal; and by the ownership rule nobody but capture
+// writes a set. A frozen backbone is read once per checkpoint and neither
+// copied nor hashed.
 //
 // Baseline and Queue keep the two-step form — Snapshot, then EncodeSections,
 // both on the caller — because "the sender pickles" is what they exist to
@@ -392,13 +403,22 @@ type Stats struct {
 	MaxLiveWorkers int   // high-water mark of concurrent background tasks
 }
 
+// bufferSet is one of the materializer's section-buffer sets: a buffer per
+// environment entry and, parallel to them, the chunk hashes the store took of
+// each at the set's last put plus capture's claims for its next.
+type bufferSet struct {
+	secs  []store.Section
+	known []store.KnownChunks
+}
+
 // task is one checkpoint on its way to the store: encoded sections plus the
 // timings the store records beside them.
 type task struct {
-	key  store.Key
-	secs []store.Section
-	// recycle marks secs as one of the materializer's own buffer sets, to go
-	// back to m.free once the put has returned.
+	key store.Key
+	bufferSet
+	// recycle marks the sections as one of the materializer's own buffer
+	// sets, to go back to m.free once the put has returned. Baseline's and
+	// Queue's are fresh every time and have nothing known.
 	recycle  bool
 	snapNs   int64
 	serNs    int64
@@ -428,7 +448,7 @@ type Materializer struct {
 	// free holds the section-buffer sets not in use (see the package comment
 	// for who owns a set when). It starts full of empty sets, so the first
 	// captures allocate and every later one overwrites.
-	free chan []store.Section
+	free chan bufferSet
 
 	// plasma counts per-object handoffs back into bundles keyed by
 	// checkpoint.
@@ -466,10 +486,10 @@ func New(st *store.Store, strategy Strategy) *Materializer {
 }
 
 // emptySets is the free list of a materializer that owns no buffers yet.
-func emptySets() chan []store.Section {
-	free := make(chan []store.Section, bufferSets)
+func emptySets() chan bufferSet {
+	free := make(chan bufferSet, bufferSets)
 	for i := 0; i < bufferSets; i++ {
-		free <- nil
+		free <- bufferSet{}
 	}
 	return free
 }
@@ -526,10 +546,10 @@ func (m *Materializer) worker(tasks <-chan task) {
 // strand the set the next capture is waiting for.
 func (m *Materializer) finish(t task) {
 	w0 := time.Now()
-	meta, err := m.st.PutSections(t.key, t.secs, t.snapNs, t.serNs, t.computNs)
+	meta, err := m.st.PutSectionsKnown(t.key, t.secs, t.known, t.snapNs, t.serNs, t.computNs)
 	writeNs := time.Since(w0).Nanoseconds()
 	if t.recycle {
-		m.free <- t.secs
+		m.free <- t.bufferSet
 	}
 
 	m.mu.Lock()
@@ -551,22 +571,40 @@ func (m *Materializer) finish(t task) {
 
 // capture encodes the live state of vals into set, a buffer set taken from
 // m.free, one section per value, on the calling (training) thread: the
-// checkpoint's one copy. Each value is borrowed only for its own encode, so
-// nothing of vals is referenced once capture returns, and the caller may
-// mutate them at once. The returned set is the caller's until it hands it to
-// finish.
-func capture(vals []NamedValue, set []store.Section) []store.Section {
-	if cap(set) < len(vals) {
-		set = append(set[:cap(set)], make([]store.Section, len(vals)-cap(set))...)
-	}
-	set = set[:len(vals)]
+// checkpoint's one pass over its state. Each value is borrowed only for its
+// own encode, so nothing of vals is referenced once capture returns, and the
+// caller may mutate them at once. The returned set is the caller's until it
+// hands it to finish.
+//
+// capture is the only writer a set ever has, which is what lets it vouch for
+// chunks: where the encoder found a store chunk of the buffer already holding
+// exactly what it was about to write, and the buffer is still the same
+// variable's, the hash the store took of that chunk at the set's last put is
+// offered to the next one. Everything else — a changed chunk, a grown buffer, a
+// stream that ends elsewhere, a renamed entry — is hashed afresh.
+func capture(vals []NamedValue, set bufferSet) bufferSet {
+	set.secs, set.known = resize(set.secs, len(vals)), resize(set.known, len(vals))
 	for i, nv := range vals {
-		w := codec.NewWriterInto(set[i].Data)
+		w := codec.NewWriterInto(set.secs[i].Data, ckptfmt.DefaultChunkSize)
 		w.Grow(nv.V.SizeBytes() + sectionSlack)
 		value.EncodeLive(w, nv.V)
-		set[i] = store.Section{Name: nv.Name, Data: w.Bytes()}
+		set.known[i].Clean = nil
+		if set.secs[i].Name == nv.Name {
+			set.known[i].Clean = w.Clean()
+		}
+		set.secs[i] = store.Section{Name: nv.Name, Data: w.Bytes()}
 	}
 	return set
+}
+
+// resize returns s with length n, keeping what its backing array holds — a set
+// that shrinks and grows back finds its buffers again — and extending it with
+// zero values past its capacity.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
 }
 
 // snapshotAndEncode is Baseline's and Queue's caller-side work, the
@@ -604,7 +642,7 @@ func (m *Materializer) Materialize(key store.Key, vals []NamedValue, computNs in
 	case Plasma, Fork:
 		set := <-m.free // backpressure: blocks while every set is in the pipeline
 		s0 := time.Now()
-		t.secs, t.recycle = capture(vals, set), true
+		t.bufferSet, t.recycle = capture(vals, set), true
 		t.snapNs = time.Since(s0).Nanoseconds()
 	}
 

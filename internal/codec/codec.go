@@ -40,22 +40,93 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Writer appends an encoded byte stream to a byte slice: one it grows itself
 // (NewWriter), or one the caller handed it (NewWriterInto) so that an encode
 // into a recycled buffer of sufficient capacity allocates nothing.
+//
+// Over a handed buffer the Writer compares before it copies: the buffer still
+// holds the stream encoded into it last time, and a write whose bytes are
+// already there, at the same offset, only advances the length. Cleanliness is
+// kept per granule — the unit the caller will hash the stream in — so the
+// Writer can say afterwards exactly which granules it left untouched (Clean).
 type Writer struct {
 	buf []byte
+
+	// Comparing state, set by NewWriterInto. old is the handed buffer at the
+	// length of the stream it held; it shares buf's backing array, and is nil
+	// once the stream has moved to a bigger one (nothing there to compare
+	// with). dirty[j] is set by the first byte written into granule j that
+	// differs from old's.
+	old     []byte
+	granule int
+	dirty   []bool
 }
 
 // NewWriter returns an empty Writer.
 func NewWriter() *Writer { return &Writer{} }
 
 // NewWriterInto returns a Writer that encodes into buf's backing array from
-// its start, whatever buf held before. The stream outgrows the array only if
-// its capacity is short, and then Bytes returns the grown replacement — the
-// caller keeps that one in buf's place.
-func NewWriterInto(buf []byte) *Writer { return &Writer{buf: buf[:0]} }
+// its start, taking buf — at its full length — as the stream encoded there
+// before and comparing against it in granules of granule bytes (see Clean).
+// The stream outgrows the array only if its capacity is short, and then Bytes
+// returns the grown replacement — the caller keeps that one in buf's place.
+func NewWriterInto(buf []byte, granule int) *Writer {
+	return &Writer{buf: buf[:0], old: buf, granule: granule, dirty: make([]bool, (len(buf)+granule-1)/granule)}
+}
+
+// Clean reports, for each granule of the stream written so far, whether it is
+// byte for byte the granule the handed buffer held at that index before:
+// every byte written into it compared equal, and it ends where the old one
+// did. A stream that had to move to a bigger array has no clean granule; one
+// longer or shorter than its predecessor has none from the granule the shorter
+// of the two ends in (unless that end is a granule boundary). Call it when the
+// stream is complete. A Writer from NewWriter compares nothing and reports nil.
+func (w *Writer) Clean() []bool {
+	if w.granule == 0 {
+		return nil
+	}
+	clean := make([]bool, (len(w.buf)+w.granule-1)/w.granule)
+	for j := range clean {
+		// Ending where old's granule j ended implies old has a granule j —
+		// and a stream that moved has an empty old.
+		end := (j + 1) * w.granule
+		clean[j] = min(end, len(w.buf)) == min(end, len(w.old)) && !w.dirty[j]
+	}
+	return clean
+}
+
+// write appends p: every encoder below funnels into it. A comparing Writer
+// takes p one granule's share at a time; a share the buffer already holds is
+// skipped, and the first that differs marks its granule, whose remaining
+// shares are then copied without a look — so a rewritten tensor costs one
+// early-exit compare per granule, and an unchanged one is read, not written.
+func (w *Writer) write(p []byte) {
+	if len(p) > cap(w.buf)-len(w.buf) {
+		w.old = nil // append is about to move the stream
+	}
+	for w.old != nil && len(p) > 0 {
+		off := len(w.buf)
+		j := off / w.granule
+		n := min(len(p), (j+1)*w.granule-off)
+		if off+n > len(w.old) {
+			break // past what the buffer held: granule j cannot end where it did
+		}
+		if !w.dirty[j] && bytes.Equal(w.old[off:off+n], p[:n]) {
+			w.buf = w.buf[:off+n]
+		} else {
+			w.dirty[j] = true
+			w.buf = append(w.buf, p[:n]...)
+		}
+		p = p[n:]
+	}
+	w.buf = append(w.buf, p...)
+}
 
 // Grow makes room for n more bytes, so the writes that follow extend the
 // stream in place instead of doubling their way there.
-func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
+func (w *Writer) Grow(n int) {
+	if n > cap(w.buf)-len(w.buf) {
+		w.old = nil
+	}
+	w.buf = slices.Grow(w.buf, n)
+}
 
 // Bytes returns the encoded stream.
 func (w *Writer) Bytes() []byte { return w.buf }
@@ -64,42 +135,49 @@ func (w *Writer) Bytes() []byte { return w.buf }
 func (w *Writer) Len() int { return len(w.buf) }
 
 // Uvarint appends an unsigned varint.
-func (w *Writer) Uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
+func (w *Writer) Uvarint(v uint64) {
+	var tmp [binary.MaxVarintLen64]byte
+	w.write(binary.AppendUvarint(tmp[:0], v))
+}
 
 // Int appends a signed integer as a zig-zag varint.
-func (w *Writer) Int(v int) { w.buf = binary.AppendVarint(w.buf, int64(v)) }
+func (w *Writer) Int(v int) {
+	var tmp [binary.MaxVarintLen64]byte
+	w.write(binary.AppendVarint(tmp[:0], int64(v)))
+}
 
 // Float64 appends an IEEE-754 little-endian float.
 func (w *Writer) Float64(v float64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
+	var tmp [8]byte
+	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
+	w.write(tmp[:])
 }
 
 // Bool appends a single byte 0/1.
 func (w *Writer) Bool(v bool) {
+	b := [1]byte{0}
 	if v {
-		w.buf = append(w.buf, 1)
-	} else {
-		w.buf = append(w.buf, 0)
+		b[0] = 1
 	}
+	w.write(b[:])
 }
 
 // String appends a length-prefixed string.
 func (w *Writer) String(s string) {
 	w.Uvarint(uint64(len(s)))
-	w.buf = append(w.buf, s...)
+	w.write(unsafe.Slice(unsafe.StringData(s), len(s))) // s's bytes, read in place
+
 }
 
 // RawBytes appends a length-prefixed byte slice.
 func (w *Writer) RawBytes(b []byte) {
 	w.Uvarint(uint64(len(b)))
-	w.buf = append(w.buf, b...)
+	w.write(b)
 }
 
 // RawAppend appends bytes verbatim, with no length prefix; used to splice
 // pre-encoded payloads into a stream whose framing is managed by the caller.
-func (w *Writer) RawAppend(b []byte) {
-	w.buf = append(w.buf, b...)
-}
+func (w *Writer) RawAppend(b []byte) { w.write(b) }
 
 // shape appends a tensor's rank and dimensions.
 func (w *Writer) shape(shape []int) {
@@ -124,7 +202,7 @@ func (w *Writer) Tensor(t *tensor.Tensor) {
 	// written straight from memory — IEEE-754 little-endian is both the
 	// in-memory and the wire representation.
 	if hostLittleEndian {
-		w.buf = append(w.buf, unsafe.Slice((*byte)(unsafe.Pointer(&data[0])), 8*len(data))...)
+		w.write(unsafe.Slice((*byte)(unsafe.Pointer(&data[0])), 8*len(data)))
 		return
 	}
 	w.Grow(8 * len(data))
@@ -313,7 +391,7 @@ func (w *Writer) Dense(d Dense) {
 		return
 	}
 	w.shape(d.shape)
-	w.buf = append(w.buf, d.raw...)
+	w.write(d.raw)
 }
 
 // Shape returns the dimensions without materializing a view.

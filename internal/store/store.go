@@ -233,6 +233,31 @@ type Section struct {
 	RawLen int
 }
 
+// KnownChunks is what the single writer of a section buffer carries from one
+// put of that buffer to the next (PutSectionsKnown): the hash of each of its
+// DefaultChunkSize chunks as the store last took them, and the writer's claim
+// about which chunks it has left byte for byte as they were since. It is a
+// cache of work already done on bytes still in memory — never serialized, and
+// worth nothing once the buffer is gone.
+type KnownChunks struct {
+	// Hashes[j] is the hash the last put computed (or accepted) for chunk j.
+	// Only the store writes it.
+	Hashes []ckptfmt.Hash
+	// Clean[j] offers Hashes[j] to the next put in place of hashing chunk j
+	// again. Only the buffer's writer can set it, and only from an exact
+	// compare of what it wrote against what the buffer held; the put consumes
+	// the claim.
+	Clean []bool
+}
+
+// offer returns the hash known has on offer for chunk j of section i, if any.
+func offer(known []KnownChunks, i, j int) (ckptfmt.Hash, bool) {
+	if known == nil || j >= len(known[i].Clean) || !known[i].Clean[j] || j >= len(known[i].Hashes) {
+		return ckptfmt.Hash{}, false
+	}
+	return known[i].Hashes[j], true
+}
+
 // DedupStats aggregates the run's chunk-level storage accounting.
 type DedupStats struct {
 	LogicalBytes   int64 // raw bytes referenced by all committed checkpoints
@@ -1263,7 +1288,7 @@ func (s *Store) Put(key Key, payload []byte, snapNs, serNs, computNs int64) (*Me
 	if s.readOnly {
 		return nil, ErrReadOnly
 	}
-	return s.putV2(key, []Section{{Data: payload}}, true, snapNs, serNs, computNs)
+	return s.putV2(key, []Section{{Data: payload}}, nil, true, snapNs, serNs, computNs)
 }
 
 // PutSections durably stores a checkpoint as named sections. Sections are
@@ -1273,23 +1298,66 @@ func (s *Store) Put(key Key, payload []byte, snapNs, serNs, computNs int64) (*Me
 // goroutines at once: shards serialize their own appends and the manifest
 // commit is atomic per checkpoint. The sections' Data is only read, and only
 // until PutSections returns — nothing of it stays referenced from the store,
-// so the caller may overwrite the buffers with its next checkpoint. See Put
-// for the timing parameters.
+// so the caller may overwrite the buffers with its next checkpoint. Every
+// chunk is hashed, every time: the store remembers nothing about a []Section
+// between puts. See Put for the timing parameters.
 func (s *Store) PutSections(key Key, secs []Section, snapNs, serNs, computNs int64) (*Meta, error) {
+	return s.PutSectionsKnown(key, secs, nil, snapNs, serNs, computNs)
+}
+
+// PutSectionsKnown is PutSections for the caller that owns its section
+// buffers from put to put and is their only writer: known[i] belongs to
+// secs[i]. A chunk whose hash is on offer (KnownChunks.Clean) is not hashed
+// again; everything after the hash — dedup probe, frame, directory, manifest —
+// is what PutSections does, so the bytes on disk are the same. On return
+// known[i].Hashes holds the hash of every chunk of secs[i] as just stored and
+// no claim is left standing: an offer is good for one put, and only its writer
+// can renew it. A failed put forgets the hashes too. A nil known is
+// PutSections.
+func (s *Store) PutSectionsKnown(key Key, secs []Section, known []KnownChunks, snapNs, serNs, computNs int64) (m *Meta, err error) {
+	defer func() {
+		if err != nil {
+			clear(known)
+		}
+	}()
 	if s.readOnly {
 		return nil, ErrReadOnly
 	}
-	return s.putV2(key, secs, false, snapNs, serNs, computNs)
+	if known != nil && len(known) != len(secs) {
+		return nil, fmt.Errorf("store: %d sections put with known chunks of %d", len(secs), len(known))
+	}
+	return s.putV2(key, secs, known, false, snapNs, serNs, computNs)
+}
+
+// putHook is nil outside tests and race builds (VerifyOffers in export_test.go, race.go).
+// putV2 shows it every chunk with the hash it is about to store the chunk
+// under and whether that hash was offered by the caller or just computed; an
+// error fails the put.
+var putHook func(chunk []byte, h ckptfmt.Hash, offered bool) error
+
+// verifyOffered is the putHook that takes no offer on trust.
+func verifyOffered(chunk []byte, h ckptfmt.Hash, offered bool) error {
+	if !offered {
+		return nil
+	}
+	if got := ckptfmt.HashChunk(chunk); got != h {
+		return fmt.Errorf("store: hash %s offered for a %d-byte chunk that hashes to %s", h, len(chunk), got)
+	}
+	return nil
 }
 
 // putV2 is the one write path: every new checkpoint is format v2. A section
-// byte is touched three times: hashed once (the hash probes the dedup index
-// and, for a fresh chunk, is the one its frame carries), style-sampled or
-// compressed where the frame style asks, and copied once into the staging
-// span of its shard's pack append (appendFrames), together with the CRC pass
-// over that copy. Chunks and raw-style frames alias secs[i].Data throughout;
-// every alias is dropped by the time putV2 returns.
-func (s *Store) putV2(key Key, secs []Section, opaque bool, snapNs, serNs, computNs int64) (*Meta, error) {
+// byte is touched three times: hashed once — unless its chunk came with a hash
+// its writer vouches for (PutSectionsKnown), the only way a chunk skips
+// HashChunk — the hash probing the dedup index and, for a fresh chunk, being
+// the one its frame carries; style-sampled or compressed where the frame style
+// asks; and copied once into the staging span of its shard's pack append
+// (appendFrames), together with the CRC pass over that copy. putV2 never
+// decides a hash is reusable: it takes offers and hands every chunk's hash
+// back, and a []Section put twice is hashed in full twice. Chunks and
+// raw-style frames alias secs[i].Data throughout; every alias is dropped by
+// the time putV2 returns.
+func (s *Store) putV2(key Key, secs []Section, known []KnownChunks, opaque bool, snapNs, serNs, computNs int64) (*Meta, error) {
 	s.mu.Lock()
 	seq := s.nextSeq
 	s.nextSeq++
@@ -1297,26 +1365,45 @@ func (s *Store) putV2(key Key, secs []Section, opaque bool, snapNs, serNs, compu
 
 	w0 := time.Now()
 
-	// Chunk every section and hash every chunk in parallel; the directory is
-	// fully determined by content before any byte hits disk.
+	// Chunk every section and hash, in parallel, every chunk that did not come
+	// with its hash; the directory is fully determined by content before any
+	// byte hits disk.
 	dir := ckptfmt.Directory{Opaque: opaque, Sections: make([]ckptfmt.SectionRef, len(secs))}
 	var flat [][]byte
-	var refs []*ckptfmt.ChunkRef
+	var hashes []ckptfmt.Hash
+	var offered []bool // hashes[i] came with flat[i]
 	var logical int64
 	for i, sec := range secs {
 		chunks := codec.SplitChunks(sec.Data, ckptfmt.DefaultChunkSize)
 		dir.Sections[i] = ckptfmt.SectionRef{Name: sec.Name, Chunks: make([]ckptfmt.ChunkRef, len(chunks))}
 		for j, c := range chunks {
-			dir.Sections[i].Chunks[j] = ckptfmt.ChunkRef{RawLen: len(c)}
+			h, ok := offer(known, i, j)
 			flat = append(flat, c)
-			refs = append(refs, &dir.Sections[i].Chunks[j])
+			hashes = append(hashes, h)
+			offered = append(offered, ok)
 		}
 		logical += int64(len(sec.Data))
 	}
-	hashes := make([]ckptfmt.Hash, len(flat))
-	ckptfmt.ParallelDo(len(flat), func(i int) { hashes[i] = ckptfmt.HashChunk(flat[i]) })
-	for i, h := range hashes {
-		refs[i].Hash = h
+	ckptfmt.ParallelDo(len(flat), func(i int) {
+		if !offered[i] {
+			hashes[i] = ckptfmt.HashChunk(flat[i])
+		}
+	})
+	for i := 0; putHook != nil && i < len(flat); i++ {
+		if err := putHook(flat[i], hashes[i], offered[i]); err != nil {
+			return nil, err
+		}
+	}
+	n := 0
+	for i := range dir.Sections {
+		chunks := dir.Sections[i].Chunks
+		for j := range chunks {
+			chunks[j] = ckptfmt.ChunkRef{RawLen: len(flat[n+j]), Hash: hashes[n+j]}
+		}
+		if known != nil {
+			known[i] = KnownChunks{Hashes: append(known[i].Hashes[:0], hashes[n:n+len(chunks)]...)}
+		}
+		n += len(chunks)
 	}
 
 	// The pool's GC fence: holding the read side from fresh-chunk filtering
@@ -1335,8 +1422,8 @@ func (s *Store) putV2(key Key, secs []Section, opaque bool, snapNs, serNs, compu
 	// the first committed record wins at replay.
 	newIdx := p.filterFresh(hashes)
 	obs.C(obs.MStoreChunkDedupHits).Add(int64(len(flat) - len(newIdx)))
-	// Frames for the fresh chunks only, each built from the hash taken above:
-	// a chunk's bytes are hashed once per put, whether it dedups or not.
+	// Frames for the fresh chunks only, each built from the hash settled above:
+	// a chunk's bytes are hashed at most once per put, whether it dedups or not.
 	frames := make([]ckptfmt.Frame, len(newIdx))
 	ckptfmt.ParallelDo(len(newIdx), func(i int) {
 		frames[i] = ckptfmt.BuildHashed(flat[newIdx[i]], hashes[newIdx[i]], s.frameStyle)
@@ -1427,14 +1514,14 @@ func (s *Store) putV2(key Key, secs []Section, opaque bool, snapNs, serNs, compu
 // (and existence-based skip checks) never observe a torn file.
 func writeFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
+	err := os.WriteFile(tmp, data, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
+	if err != nil {
+		os.Remove(tmp) // best effort: the write's or the rename's error is the one to report
 	}
-	return nil
+	return err
 }
 
 // writeSegment commits framed bytes to segment seq via write-then-rename.
@@ -1450,9 +1537,12 @@ func (s *Store) appendManifestLocked(record []byte) error {
 	if err != nil {
 		return fmt.Errorf("store: open manifest: %w", err)
 	}
-	defer f.Close()
 	if _, err := f.Write(record); err != nil {
+		f.Close()
 		return fmt.Errorf("store: append manifest: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("store: close manifest: %w", err)
 	}
 	return nil
 }

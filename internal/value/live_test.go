@@ -2,6 +2,7 @@ package value
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"flor.dev/flor/internal/codec"
@@ -97,10 +98,17 @@ func TestEncodeLiveMatchesSnapshotEncoding(t *testing.T) {
 				t.Fatalf("live encoding\n%x\nsnapshot encoding\n%x", grown.Bytes(), want)
 			}
 			handed := bytes.Repeat([]byte{0xAA}, len(want))
-			into := codec.NewWriterInto(handed)
+			into := codec.NewWriterInto(handed, 64)
 			EncodeLive(into, v)
 			if got := into.Bytes(); !bytes.Equal(got, want) || (len(got) > 0 && &got[0] != &handed[0]) {
 				t.Fatalf("encoding into a handed buffer gave %x (in place: %v), want %x", got, len(got) > 0 && &got[0] == &handed[0], want)
+			}
+			// Encoded again over its own bytes, every granule compares clean
+			// and the stream is still the same: no encoder bypasses the compare.
+			over := codec.NewWriterInto(into.Bytes(), 64)
+			EncodeLive(over, v)
+			if got := over.Bytes(); !bytes.Equal(got, want) || slices.Contains(over.Clean(), false) {
+				t.Fatalf("re-encoding an unchanged value gave %x, clean %v; want %x, all clean", got, over.Clean(), want)
 			}
 
 			r := codec.NewReader(grown.Bytes())
@@ -137,7 +145,7 @@ func TestEncodeLiveBorrowsNothingPastReturn(t *testing.T) {
 		if !bytes.Equal(w.Bytes(), before) {
 			t.Fatalf("%s: encoded bytes changed when the live value did", name)
 		}
-		again := codec.NewWriterInto(w.Bytes())
+		again := codec.NewWriterInto(w.Bytes(), 64)
 		EncodeLive(again, v)
 		if bytes.Equal(again.Bytes(), before) {
 			t.Fatalf("%s: re-encoding the mutated value reproduced the old bytes", name)

@@ -312,8 +312,9 @@ func EncodePayload(w *codec.Writer, p Payload) {
 // copy: tensors, model parameters and optimizer moments are encoded straight
 // from the live tensors, which are only read and only until EncodeLive
 // returns. It is the training thread's whole share of a checkpoint — into a
-// buffer w was handed, one memcpy per tensor. The other kinds snapshot as
-// usual: their payloads are a few bytes.
+// buffer w was handed, one pass per tensor (a memcpy, or where the buffer
+// already holds the bytes, a compare). The other kinds snapshot as usual:
+// their payloads are a few bytes.
 func EncodeLive(w *codec.Writer, v Value) {
 	var p Payload
 	switch b := v.(type) {

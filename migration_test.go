@@ -7,6 +7,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -427,4 +428,182 @@ func sameLogs(a, b []string) error {
 		}
 	}
 	return nil
+}
+
+// changingFactory is a program whose checkpoints differ from their
+// predecessors in every way the change-aware capture path distinguishes: a
+// tensor no loop writes, one rewritten in full, one where a single row
+// changes, a string that changes length, and — because three loops with
+// different changesets take turns on the materializer's two buffer sets — an
+// entry list whose names and sizes change from one use of a buffer to the
+// next.
+func changingFactory(epochs int) func() *flor.Program {
+	const chunkFloats = 256 << 10 / 8
+	fill := func(e *flor.Env, d []float64) {
+		rng := e.MustGet("rng").(*flor.RNGVal).R
+		for i := range d {
+			d[i] = rng.Float64()
+		}
+	}
+	data := func(e *flor.Env, name string) []float64 { return e.MustGet(name).(*flor.TensorVal).T.Data() }
+	return func() *flor.Program {
+		train := &flor.Loop{ID: "train", IterVar: "i", Iters: 1, Body: []flor.Stmt{
+			flor.AssignFunc([]string{"hot", "table", "notes", "frozen", "rng"}, "train_step", nil, func(e *flor.Env) error {
+				fill(e, data(e, "hot"))
+				table := data(e, "table")
+				row := (e.Int("epoch") * 23) % 64
+				fill(e, table[row*len(table)/64:(row+1)*len(table)/64])
+				n := 200_000 + (e.Int("epoch")%3)*90_000
+				e.MustGet("notes").(*flor.StringVal).V = strings.Repeat("epoch notes; ", n/13+1)[:n]
+				return nil
+			}),
+		}}
+		eval := &flor.Loop{ID: "eval", IterVar: "j", Iters: 1, Body: []flor.Stmt{
+			flor.AssignFunc([]string{"score", "frozen"}, "evaluate", []string{"hot"}, func(e *flor.Env) error {
+				e.SetFloat("score", data(e, "hot")[0]+data(e, "frozen")[0])
+				return nil
+			}),
+		}}
+		tune := &flor.Loop{ID: "tune", IterVar: "k", Iters: 1, Body: []flor.Stmt{
+			flor.AssignFunc([]string{"table", "hot", "rng"}, "tune_step", nil, func(e *flor.Env) error {
+				fill(e, data(e, "table")[:8])
+				return nil
+			}),
+		}}
+		return &flor.Program{
+			Name: "changing",
+			Setup: []flor.Stmt{
+				flor.AssignFunc([]string{"hot", "table", "notes", "frozen", "rng", "score"}, "build", nil, func(e *flor.Env) error {
+					e.Set("rng", &flor.RNGVal{R: xrand.New(31)})
+					e.Set("frozen", &flor.TensorVal{T: tensor.New(2 * chunkFloats)})
+					e.Set("hot", &flor.TensorVal{T: tensor.New(chunkFloats)})
+					e.Set("table", &flor.TensorVal{T: tensor.New(64, 2*chunkFloats/64)})
+					e.Set("notes", &flor.StringVal{})
+					e.SetFloat("score", 0)
+					fill(e, data(e, "frozen"))
+					fill(e, data(e, "table"))
+					return nil
+				}),
+			},
+			Main: &flor.Loop{ID: "main", IterVar: "epoch", Iters: epochs, Body: []flor.Stmt{
+				flor.LoopStmt(train),
+				flor.LoopStmt(eval),
+				flor.LoopStmt(tune),
+				flor.LogStmt("epoch", func(e *flor.Env) (string, error) {
+					return fmt.Sprintf("%d score=%.17g notes=%d", e.Int("epoch"), e.Float("score"), len(e.MustGet("notes").(*flor.StringVal).V)), nil
+				}),
+			}},
+		}
+	}
+}
+
+// TestChangeAwareCaptureMatchesBaselineMatrix is the program-level equivalence
+// oracle of the change-aware capture path: changingFactory recorded with Fork
+// and with Plasma — which compare before they copy and offer the store the
+// hashes of chunks they found unchanged — against Baseline, which owns no
+// buffer from one checkpoint to the next and hashes every byte, on each of
+// the three writer layouts. Everything on disk must be Baseline's byte for
+// byte, except the two files that hold stopwatch readings — timings.log, and
+// the manifest, whose meta records are compared field for field without
+// theirs — and a replay that restores every checkpoint must log what
+// Baseline's replay logs.
+func TestChangeAwareCaptureMatchesBaselineMatrix(t *testing.T) {
+	const epochs = 5
+	factory := changingFactory(epochs)
+	probed := func() *flor.Program {
+		p := factory()
+		p.Main.Body = flor.AddLog(p.Main.Body, 3, flor.LogStmt("hs", func(e *flor.Env) (string, error) {
+			sum := 0.0
+			for _, name := range []string{"frozen", "hot", "table"} {
+				sum += e.MustGet(name).(*flor.TensorVal).T.Sum()
+			}
+			return fmt.Sprintf("%.17g", sum), nil
+		}))
+		return p
+	}
+	type recorded struct {
+		files     map[string]string
+		metas     []store.Meta
+		base, hs  []string
+		recordLog []string
+	}
+	record := func(t *testing.T, strat flor.Strategy, layout func(base string) []flor.Option) recorded {
+		t.Helper()
+		base := t.TempDir()
+		dir := filepath.Join(base, "run")
+		opts := append(layout(base), flor.DisableAdaptiveCheckpointing(), flor.WithStrategy(strat))
+		rec, err := flor.Record(dir, factory, opts...)
+		if err != nil {
+			t.Fatalf("%s: record: %v", strat, err)
+		}
+		if rec.Checkpoints != 3*epochs {
+			t.Fatalf("%s: %d checkpoints, want %d", strat, rec.Checkpoints, 3*epochs)
+		}
+		out := recorded{files: dirBytes(t, base), recordLog: rec.Logs}
+		st, err := store.OpenReadOnly(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range st.Metas() {
+			m := *m
+			m.MaterNs, m.SnapNs, m.ComputNs = 0, 0, 0
+			out.metas = append(out.metas, m)
+		}
+		for _, run := range []struct {
+			logs    *[]string
+			factory func() *flor.Program
+			opts    []flor.Option
+		}{
+			{&out.base, factory, []flor.Option{flor.Workers(2)}},
+			{&out.hs, probed, []flor.Option{flor.Workers(3), flor.Init(flor.WeakInit)}},
+		} {
+			res, err := flor.Replay(dir, run.factory, run.opts...)
+			if err != nil {
+				t.Fatalf("%s: replay: %v", strat, err)
+			}
+			if len(res.Anomalies) != 0 {
+				t.Fatalf("%s: replay anomalies %v", strat, res.Anomalies)
+			}
+			*run.logs = res.Logs
+		}
+		return out
+	}
+
+	for _, l := range []struct {
+		name   string
+		layout func(base string) []flor.Option
+	}{
+		{"v2", func(string) []flor.Option { return nil }},
+		{"v2-sharded", func(string) []flor.Option { return []flor.Option{flor.Shards(16)} }},
+		{"v2-pooled", func(base string) []flor.Option {
+			return []flor.Option{flor.Pool(filepath.Join(base, "POOL")), flor.Shards(16)}
+		}},
+	} {
+		t.Run(l.name, func(t *testing.T) {
+			want := record(t, flor.StrategyBaseline, l.layout)
+			for _, strat := range []flor.Strategy{flor.StrategyFork, flor.StrategyPlasma} {
+				got := record(t, strat, l.layout)
+				if !slices.Equal(got.metas, want.metas) {
+					t.Fatalf("%s: metas\n%+v\nBaseline's\n%+v", strat, got.metas, want.metas)
+				}
+				if len(got.files) != len(want.files) {
+					t.Fatalf("%s wrote %d files, Baseline %d", strat, len(got.files), len(want.files))
+				}
+				for name, w := range want.files {
+					g, ok := got.files[name]
+					if !ok {
+						t.Fatalf("%s did not write %s", strat, name)
+					}
+					if stopwatch := filepath.Base(name) == "MANIFEST" || filepath.Base(name) == "timings.log"; !stopwatch && g != w {
+						t.Fatalf("%s: %s differs from Baseline's (%d vs %d bytes)", strat, name, len(g), len(w))
+					}
+				}
+				for _, logs := range [][2][]string{{got.recordLog, want.recordLog}, {got.base, want.base}, {got.hs, want.hs}} {
+					if err := sameLogs(logs[0], logs[1]); err != nil {
+						t.Fatalf("%s: logs diverge from Baseline's: %v", strat, err)
+					}
+				}
+			}
+		})
+	}
 }
