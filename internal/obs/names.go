@@ -167,11 +167,11 @@ var Catalog = []Def{
 	// replay
 	{MReplayReplays, KindCounter, nil, "Completed replays."},
 	{MReplayIterations, KindCounter, nil, "Main-loop iterations executed in replay work phases."},
-	{MReplayRestoreNs, KindCounter, nil, "Nanoseconds replay workers spent restoring checkpoints."},
+	{MReplayRestoreNs, KindCounter, nil, "Nanoseconds replay workers spent loading checkpointed state that statements read."},
 	{MReplayWorkNs, KindCounter, nil, "Nanoseconds replay workers spent in work phases."},
 	{MReplayWorkerBusyNs, KindCounter, nil, "Nanoseconds replay workers were busy (setup + init + work)."},
-	{MReplayRestoredCheckpoints, KindCounter, nil, "Checkpoints restored by replay workers."},
-	{MReplayRestoredBytes, KindCounter, nil, "Logical checkpoint bytes restored by replay workers."},
+	{MReplayRestoredCheckpoints, KindCounter, nil, "Loop executions replay workers skipped by binding their checkpoint (skips, not loads)."},
+	{MReplayRestoredBytes, KindCounter, nil, "Logical bytes of the checkpoint sections replay workers actually loaded."},
 	{MReplayPayloadCacheHits, KindCounter, nil, "Decoded-payload cache hits (content served without decoding)."},
 	{MReplayPayloadCacheMisses, KindCounter, nil, "Decoded-payload cache misses (content decoded)."},
 	{MReplayPayloadCacheAdmits, KindCounter, nil, "Payloads admitted to the cache on their second touch."},

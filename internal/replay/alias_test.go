@@ -20,7 +20,9 @@ import (
 
 // stateFactory trains a small residual MLP with SGD momentum on noise
 // gradients: each epoch's checkpoint holds a model section and an equally
-// large optimizer section, both KindState, whose content never repeats.
+// large optimizer section, both KindState, whose content never repeats. Its
+// log statement reads the optimizer, and through it the model, so a replay
+// loads both sections of every checkpoint it skips over.
 func stateFactory(epochs int) func() *script.Program {
 	return func() *script.Program {
 		train := &script.Loop{ID: "train", IterVar: "step", Iters: 1, Body: []script.Stmt{
@@ -47,7 +49,8 @@ func stateFactory(epochs int) func() *script.Program {
 			Main: &script.Loop{ID: "main", IterVar: "epoch", Iters: epochs, Body: []script.Stmt{
 				script.LoopStmt(train),
 				script.LogStmt("norm", func(e *script.Env) (string, error) {
-					return fmt.Sprintf("epoch=%d norm=%.17g", e.Int("epoch"), nn.WeightNorm(e.MustGet("net").(*value.Model).M)), nil
+					o := e.MustGet("optimizer").(*value.Optimizer).O
+					return fmt.Sprintf("epoch=%d lr=%g norm=%.17g", e.Int("epoch"), o.LR(), nn.WeightNorm(o.Model())), nil
 				}),
 			}},
 		}

@@ -28,6 +28,41 @@ import (
 type Env struct {
 	vars  map[string]value.Value
 	order []string
+	// obs, when set, hears of every access by name; err latches the first
+	// failure it reports from a read, which has no error return of its own.
+	obs Observer
+	err error
+}
+
+// Observer is told of an environment's accesses before they happen. Its one
+// implementation is the SkipBlock runtime, which in replay leaves a skipped
+// loop's checkpointed state on disk until something is about to look at it.
+type Observer interface {
+	// Read precedes every lookup of name.
+	Read(name string) error
+	// Write precedes every bind of, and every in-place assignment to, name.
+	Write(name string)
+	// Sync precedes every ordinary statement: its closure may reach any state
+	// through Go pointers the environment never sees.
+	Sync() error
+}
+
+// Observe attaches o to the environment (nil detaches).
+func (e *Env) Observe(o Observer) { e.obs = o }
+
+func (e *Env) read(name string) {
+	if e.obs == nil {
+		return
+	}
+	if err := e.obs.Read(name); err != nil && e.err == nil {
+		e.err = err
+	}
+}
+
+func (e *Env) write(name string) {
+	if e.obs != nil {
+		e.obs.Write(name)
+	}
 }
 
 // NewEnv returns an empty environment.
@@ -37,6 +72,7 @@ func NewEnv() *Env {
 
 // Set binds name to v, preserving first-bind order.
 func (e *Env) Set(name string, v value.Value) {
+	e.write(name)
 	if _, ok := e.vars[name]; !ok {
 		e.order = append(e.order, name)
 	}
@@ -45,6 +81,7 @@ func (e *Env) Set(name string, v value.Value) {
 
 // Get returns the value bound to name.
 func (e *Env) Get(name string) (value.Value, bool) {
+	e.read(name)
 	v, ok := e.vars[name]
 	return v, ok
 }
@@ -52,6 +89,7 @@ func (e *Env) Get(name string) (value.Value, bool) {
 // MustGet returns the value bound to name, panicking on absence (programs
 // reference variables they defined; absence is a program bug).
 func (e *Env) MustGet(name string) value.Value {
+	e.read(name)
 	v, ok := e.vars[name]
 	if !ok {
 		panic(fmt.Sprintf("script: undefined variable %q", name))
@@ -67,6 +105,7 @@ func (e *Env) Int(name string) int {
 // SetInt binds name to an integer, reusing the existing box when present.
 func (e *Env) SetInt(name string, v int) {
 	if b, ok := e.vars[name].(*value.Int); ok {
+		e.write(name)
 		b.V = v
 		return
 	}
@@ -81,6 +120,7 @@ func (e *Env) Float(name string) float64 {
 // SetFloat binds name to a float, reusing the existing box when present.
 func (e *Env) SetFloat(name string, v float64) {
 	if b, ok := e.vars[name].(*value.Float); ok {
+		e.write(name)
 		b.V = v
 		return
 	}
@@ -207,7 +247,8 @@ func (s *Stmt) Render() string {
 // Ctx carries execution state through a program run.
 type Ctx struct {
 	Env *Env
-	// Log receives each log statement's output line; nil discards.
+	// Log receives each log statement's output line; with nil, log statements
+	// are not evaluated (they are side-effect-free by contract).
 	Log func(line string)
 	// LoopHook, when non-nil, intercepts nested loop execution (the
 	// SkipBlock runtime installs itself here). Returning handled=true means
@@ -237,7 +278,15 @@ func ExecStmts(ctx *Ctx, stmts []Stmt) error {
 func ExecStmt(ctx *Ctx, s *Stmt) error {
 	switch {
 	case s.IsLog:
+		if ctx.Log == nil {
+			return nil // a side-effect-free expression whose result nobody takes
+		}
 		line, err := s.EvalLog(ctx.Env)
+		// A read that failed inside the expression outranks whatever it went
+		// on to compute from the state it did not get.
+		if ctx.Env.err != nil {
+			err, ctx.Env.err = ctx.Env.err, nil
+		}
 		if err != nil {
 			return fmt.Errorf("script: log %q: %w", s.Label, err)
 		}
@@ -252,6 +301,11 @@ func ExecStmt(ctx *Ctx, s *Stmt) error {
 		}
 		return ExecLoop(ctx, s.Loop)
 	default:
+		if o := ctx.Env.obs; o != nil {
+			if err := o.Sync(); err != nil {
+				return fmt.Errorf("script: %s: %w", s.Render(), err)
+			}
+		}
 		if err := s.Do(ctx.Env); err != nil {
 			return fmt.Errorf("script: %s: %w", s.Render(), err)
 		}

@@ -358,3 +358,79 @@ func TestRenderProgram(t *testing.T) {
 		}
 	}
 }
+
+// traceObserver records what an Env tells its observer, and fails reads of
+// one name.
+type traceObserver struct {
+	events  []string
+	failing string
+}
+
+var errObserved = errors.New("observer: read failed")
+
+func (o *traceObserver) Read(name string) error {
+	o.events = append(o.events, "read "+name)
+	if name == o.failing {
+		return errObserved
+	}
+	return nil
+}
+func (o *traceObserver) Write(name string) { o.events = append(o.events, "write "+name) }
+func (o *traceObserver) Sync() error       { o.events = append(o.events, "sync"); return nil }
+
+// TestObserverHearsAccessesBeforeTheyHappen pins the observer protocol: every
+// lookup and every assignment is announced by name, an ordinary statement is
+// announced before its closure runs, and a log statement nobody listens to is
+// not evaluated at all.
+func TestObserverHearsAccessesBeforeTheyHappen(t *testing.T) {
+	env := NewEnv()
+	obs := &traceObserver{}
+	env.Observe(obs)
+	env.Set("s", &value.String{V: "x"})
+	env.SetInt("n", 1)   // binds
+	env.SetInt("n", 2)   // assigns in place
+	env.SetFloat("f", 1) // binds
+	env.SetFloat("f", 2) // assigns in place
+	env.Get("s")
+	env.MustGet("s")
+	env.Int("n")
+	env.Float("f")
+	ctx := &Ctx{Env: env}
+	stmts := []Stmt{
+		ExprMethod("s", "touch", nil, func(e *Env) error { obs.events = append(obs.events, "do"); return nil }),
+		LogStmt("unheard", func(e *Env) (string, error) { return "", errors.New("evaluated with no listener") }),
+	}
+	if err := ExecStmts(ctx, stmts); err != nil {
+		t.Fatal(err)
+	}
+	want := "write s|write n|write n|write f|write f|read s|read s|read n|read f|sync|do"
+	if got := strings.Join(obs.events, "|"); got != want {
+		t.Fatalf("observer heard\n %s\nwant\n %s", got, want)
+	}
+}
+
+// TestFailedReadFailsTheLogStatement: Env.Get and MustGet cannot return the
+// observer's error, so the environment latches it and ExecStmt returns it in
+// place of the line the statement computed from state it did not get — once;
+// the next statement starts clean.
+func TestFailedReadFailsTheLogStatement(t *testing.T) {
+	env := NewEnv()
+	env.SetInt("good", 1)
+	env.SetInt("bad", 2)
+	env.Observe(&traceObserver{failing: "bad"})
+	var lines []string
+	ctx := &Ctx{Env: env, Log: func(l string) { lines = append(lines, l) }}
+	read := func(name string) Stmt {
+		return LogStmt(name, func(e *Env) (string, error) { return fmt.Sprint(e.Int(name)), nil })
+	}
+	bad, good := read("bad"), read("good")
+	if err := ExecStmt(ctx, &bad); !errors.Is(err, errObserved) || !strings.Contains(err.Error(), `log "bad"`) {
+		t.Fatalf("ExecStmt = %v, want the observer's error out of log statement bad", err)
+	}
+	if err := ExecStmt(ctx, &good); err != nil {
+		t.Fatalf("statement after the failed one: %v", err)
+	}
+	if len(lines) != 1 || lines[0] != "good: 1" {
+		t.Fatalf("emitted %v, want only the good statement's line", lines)
+	}
+}

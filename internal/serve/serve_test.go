@@ -15,11 +15,13 @@ import (
 	"testing"
 	"time"
 
+	"flor.dev/flor/internal/ckptfmt"
 	"flor.dev/flor/internal/codec"
 	"flor.dev/flor/internal/core"
 	"flor.dev/flor/internal/replay"
 	"flor.dev/flor/internal/script"
 	"flor.dev/flor/internal/serve"
+	"flor.dev/flor/internal/store"
 	"flor.dev/flor/internal/tensor"
 	"flor.dev/flor/internal/value"
 	"flor.dev/flor/internal/xrand"
@@ -511,25 +513,70 @@ func TestDaemonOversizedBodyIs413(t *testing.T) {
 	}
 }
 
-// TestDaemonCorruptFrameMidRestoreIsTypedError flips one byte in the middle
-// of a run's chunk pack, inside the frame of a mid-run checkpoint: restores
-// of earlier epochs succeed (into worker buffers that the failing read then
-// scribbles on) before one fails its CRC. The query must end as a typed
-// codec.ErrCorrupt — a 500 whose body is the error alone, with no log line of
-// the epochs that did restore — at every worker count, and the other run
-// keeps answering.
-func TestDaemonCorruptFrameMidRestoreIsTypedError(t *testing.T) {
-	// A 1-byte payload cache admits nothing: every restore reads the pack.
-	fx := startDaemon(t, serve.Options{Slots: 4, PayloadCacheBytes: 1})
-	packPath := filepath.Join(fx.dirs["run-a"], "CHUNKS")
+// flipSectionByte flips one byte inside the pack frame that holds the named
+// section of key's checkpoint, found through the checkpoint's segment
+// directory: the section's first chunk hash names the frame.
+func flipSectionByte(t *testing.T, dir string, key store.Key, section string) {
+	t.Helper()
+	st, err := store.OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, ok := st.Lookup(key)
+	if !ok {
+		t.Fatalf("no checkpoint %s", key)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("ckpt-%08d.bin", m.Seq)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, _, err := codec.Unframe(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sdir, err := ckptfmt.DecodeDirectory(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want ckptfmt.Hash
+	for _, sec := range sdir.Sections {
+		if sec.Name == section {
+			want = sec.Chunks[0].Hash
+		}
+	}
+	packPath := filepath.Join(dir, "CHUNKS")
 	pack, err := os.ReadFile(packPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pack[len(pack)/2] ^= 0xff
-	if err := os.WriteFile(packPath, pack, 0o644); err != nil {
-		t.Fatal(err)
+	for off := 0; off < len(pack); {
+		f, n, err := ckptfmt.Parse(pack[off:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Hash == want {
+			pack[off+n/2] ^= 0xff
+			if err := os.WriteFile(packPath, pack, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		off += n
 	}
+	t.Fatalf("no frame of section %q of %s in %s", section, key, packPath)
+}
+
+// TestDaemonCorruptFrameMidRestoreIsTypedError flips one byte of a run's chunk
+// pack inside the frame of a section the probe reads, in a mid-run checkpoint:
+// loads of earlier epochs succeed (into worker buffers that the failing read
+// then scribbles on) before one fails its CRC, inside the log statement that
+// asked for the state. The query must end as a typed codec.ErrCorrupt — a 500
+// whose body is the error alone, with no log line of the epochs that did load
+// — at every worker count, and the other run keeps answering.
+func TestDaemonCorruptFrameMidRestoreIsTypedError(t *testing.T) {
+	// A 1-byte payload cache admits nothing: every load reads the pack.
+	fx := startDaemon(t, serve.Options{Slots: 4, PayloadCacheBytes: 1})
+	flipSectionByte(t, fx.dirs["run-a"], store.Key{LoopID: "train", Exec: 4}, "w")
 	for _, workers := range []int{1, 2, 4} {
 		req := serve.ReplayRequest{Probe: "wnorm", Workers: workers}
 		if resp, err := fx.srv.Replay(context.Background(), "run-a", req); !errors.Is(err, codec.ErrCorrupt) || resp != nil {
@@ -547,6 +594,42 @@ func TestDaemonCorruptFrameMidRestoreIsTypedError(t *testing.T) {
 	}
 	if resp, body := fx.post(t, "/v1/runs/run-b/replay", serve.ReplayRequest{Probe: "wnorm", Workers: 2}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("intact run after the corrupt one: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestDaemonCorruptUnreadSectionIsNeverTouched is the converse: the flipped
+// byte lies in the frame of a section no statement of the query reads (the RNG
+// state, under the weight-norm probe). A skipped loop's checkpoint is loaded
+// on demand, section by section, so that frame is never fetched and the reply
+// is, line for line, the intact run's.
+func TestDaemonCorruptUnreadSectionIsNeverTouched(t *testing.T) {
+	fx := startDaemon(t, serve.Options{Slots: 4, PayloadCacheBytes: 1})
+	want := directReplay(t, fx.dirs["run-a"], fx.factories["run-a"])
+	flipSectionByte(t, fx.dirs["run-a"], store.Key{LoopID: "train", Exec: 4}, "rng")
+	for _, workers := range []int{1, 2, 4} {
+		resp, err := fx.srv.Replay(context.Background(), "run-a", serve.ReplayRequest{Probe: "wnorm", Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if strings.Join(resp.Logs, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("workers=%d: reply differs from the intact run's:\n got %v\nwant %v", workers, resp.Logs, want)
+		}
+	}
+	// The byte is corrupt all the same: a query whose statements do reach the
+	// RNG's section gets the typed error.
+	rec, err := core.LoadRecording(fx.dirs["run-a"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	readsRNG := func() *script.Program {
+		p := fx.factories["run-a"]()
+		p.Main.Body = script.AddLog(p.Main.Body, 1, script.LogStmt("rng", func(e *script.Env) (string, error) {
+			return fmt.Sprintf("%x", e.MustGet("rng").(*value.RNG).R.State()), nil
+		}))
+		return p
+	}
+	if _, err := replay.Replay(rec, readsRNG, replay.Options{}); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("replay reading the corrupt section = %v, want codec.ErrCorrupt", err)
 	}
 }
 

@@ -2,10 +2,14 @@ package serve_test
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"flor.dev/flor/internal/core"
+	"flor.dev/flor/internal/replay"
 	"flor.dev/flor/internal/script"
 	"flor.dev/flor/internal/serve"
 	"flor.dev/flor/internal/store"
@@ -83,6 +87,10 @@ func TestServeRefreshesStaleStoreAfterPackGC(t *testing.T) {
 	// train-loop checkpoint and expire the replaced generation. Compaction
 	// moves every live chunk to a new pack generation, so the cached store's
 	// whole index — not just the superseded key — goes stale.
+	stale, err := core.LoadRecordingShared(dir) // opened before the swap, like the daemon's cached store
+	if err != nil {
+		t.Fatal(err)
+	}
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -98,6 +106,15 @@ func TestServeRefreshesStaleStoreAfterPackGC(t *testing.T) {
 	}
 	last := store.Key{LoopID: "train", Exec: execs[len(execs)-1]}
 	supersedeAndExpire(t, st, store.Key{LoopID: "train", Exec: execs[0]}, last)
+
+	// A skipped loop's checkpoint is loaded when a statement reads its state,
+	// so the stale pack is met inside a log statement's Env.MustGet, which has
+	// no error return: the statement must fail with the typed error, and the
+	// replay with it — no panic, no partial log.
+	if res, err := replay.Replay(stale, withProbe(factory), replay.Options{}); !errors.Is(err, store.ErrStalePack) ||
+		!strings.Contains(err.Error(), `script: log "`) || res != nil {
+		t.Fatalf("library replay over the stale store = %v, %v; want store.ErrStalePack out of a log statement and no result", res, err)
+	}
 
 	// The cached store now resolves chunks in a deleted pack generation; the
 	// query must transparently refresh the store and succeed. (The replayed

@@ -59,8 +59,9 @@ func parseTraceSpans(t *testing.T, body []byte) []obs.Span {
 
 // TestReplayCostTierAttribution is the acceptance check for store-tier
 // attribution: a replay's response carries a QueryCost whose fetch snapshot
-// covers every restored checkpoint, and the trace's restore spans attribute
-// exactly the same bytes tier by tier.
+// covers every load of a skipped loop's state, and the trace's restore spans —
+// one per load — sum to exactly the same logical bytes and time and attribute
+// the same pack bytes tier by tier.
 func TestReplayCostTierAttribution(t *testing.T) {
 	fx := startDaemon(t, serve.Options{})
 
@@ -91,6 +92,29 @@ func TestReplayCostTierAttribution(t *testing.T) {
 	}
 	if fromSpans != rr.Cost.Fetch {
 		t.Fatalf("restore spans attribute %+v, response cost says %+v", fromSpans, rr.Cost.Fetch)
+	}
+	var spanBytes, spanNs, skipped int64
+	for _, sp := range spans {
+		switch sp.Name {
+		case "restore":
+			spanBytes += sp.Attrs["restored_bytes"]
+			spanNs += sp.DurNs
+		case "worker":
+			skipped += sp.Attrs["restored"]
+		}
+	}
+	if spanBytes != rr.Cost.RestoredBytes || spanNs != rr.Cost.RestoreNs {
+		t.Fatalf("restore spans sum to %d bytes in %d ns, response cost says %d in %d",
+			spanBytes, spanNs, rr.Cost.RestoredBytes, rr.Cost.RestoreNs)
+	}
+	// The probe reads w alone: the RNG section of a skipped epoch is never
+	// loaded, so fewer bytes are loaded than the skipped checkpoints hold.
+	ro, err := store.OpenReadOnly(fx.dirs["run-a"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if whole := skipped * ro.Metas()[0].Size; skipped == 0 || rr.Cost.RestoredBytes >= whole {
+		t.Fatalf("%d skipped executions loaded %d bytes; want less than their whole checkpoints' %d", skipped, rr.Cost.RestoredBytes, whole)
 	}
 	// Worker summary spans carry the same per-tier byte totals.
 	var workerBytes int64

@@ -64,12 +64,12 @@ func sgdProgram(epochs int, afterEpoch func(epoch int)) *script.Program {
 
 // TestRestoreSteadyStateAllocation is the allocation guard of the restore
 // path: with a payload cache too small to admit anything, so that every
-// restore reads and decodes its checkpoint, a restore after the second
-// allocates at most a tenth of the bytes it restores. The first restore
-// allocates the block's section buffers and the optimizer's velocity
-// tensors; from then on sections are read into those buffers, state decodes
-// to views over them, and the model and optimizer overwrite their own
-// tensors.
+// load reads and decodes its sections, an epoch's load after the second
+// allocates at most a tenth of the bytes it loads. The log statement reads
+// the model alone, so a load is the model's section — the optimizer's is
+// never fetched. The first load allocates the block's section buffer; from
+// then on the section is read into that buffer, state decodes to views over
+// it, and the model overwrites its own tensors.
 func TestRestoreSteadyStateAllocation(t *testing.T) {
 	const epochs = 24
 	p := sgdProgram(epochs, nil)

@@ -4,20 +4,29 @@
 //
 // A SkipBlock always applies the side-effects of its enclosed loop to the
 // program state, in one of two ways: by executing the loop, or by skipping
-// it and loading the memoized side-effects from its Loop End Checkpoint.
+// it and taking the memoized side-effects from its Loop End Checkpoint.
 // Which branch runs is parameterized by the execution state Flor is in:
 //
 //	ModeRecord      execute, then (subject to the adaptive-checkpointing
 //	                Joint Invariant) materialize the Loop End Checkpoint
-//	ModeReplayInit  skip: restore side-effects from the checkpoint
+//	ModeReplayInit  skip: take side-effects from the checkpoint
 //	                (re-execute only if the checkpoint was never
 //	                materialized — the sparse-checkpoint fallback)
 //	ModeReplayExec  skip unless the loop is probed by a hindsight log
 //	                statement, in which case re-execute to produce the logs
+//
+// A skip binds the checkpoint rather than loading it: the runtime observes
+// the environment (script.Observer) and moves bytes only when something is
+// about to look — a log statement's read loads that name and what it may
+// alias, any other statement loads everything bound, an assignment retires
+// its name, loads run in bind order, and a later skip of the same loop
+// supersedes whatever of the earlier one nobody read (docs/ARCHITECTURE.md
+// has the soundness argument).
 package skipblock
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"flor.dev/flor/internal/adapt"
@@ -26,6 +35,7 @@ import (
 	"flor.dev/flor/internal/obs"
 	"flor.dev/flor/internal/script"
 	"flor.dev/flor/internal/store"
+	"flor.dev/flor/internal/value"
 )
 
 // Mode is the execution state a SkipBlock runtime is in.
@@ -56,11 +66,11 @@ func (m Mode) String() string {
 // Stats counts what a SkipBlock did over a run.
 type Stats struct {
 	Executed      int // loop ran logically
-	Restored      int // loop skipped, side-effects loaded from checkpoint
+	Restored      int // loop skipped, its checkpoint bound in its place
 	Materialized  int // checkpoints handed to the materializer
 	ComputNs      int64
-	RestoreNs     int64
-	RestoredBytes int64 // logical payload bytes loaded by restores
+	RestoreNs     int64 // time in loads of bound checkpoints
+	RestoredBytes int64 // logical payload bytes those loads moved
 }
 
 // Block is the runtime state of one SkipBlock-enclosed loop.
@@ -71,12 +81,12 @@ type Block struct {
 
 	execIndex int // which execution of this loop is next
 	stats     Stats
-	// bufs is what the block's last restore read, kept so the next reads
-	// into the same section buffers: every execution of a loop checkpoints
-	// the same names at the same sizes. They are this block's alone — a
-	// Runtime runs on one goroutine, each restore is done with the payloads
-	// viewing them before it returns, and a buffer a shared payload cache
-	// admitted has been taken out (backmat.DecodeSectionsCached).
+	// bufs is what the block's loads have read, section by section, kept so
+	// the next load of a section reads into the same buffer: every execution
+	// of a loop checkpoints the same names at the same sizes. They are this
+	// block's alone — a Runtime runs on one goroutine, each load is done with
+	// the payloads viewing them before it returns, and a buffer a shared
+	// payload cache admitted has been taken out (backmat.DecodeSectionsCached).
 	bufs []store.Section
 
 	rt *Runtime
@@ -105,12 +115,18 @@ type Runtime struct {
 	// layers, datasets) decodes once per run instead of once per restore.
 	cache *backmat.PayloadCache
 	// tr/worker/fetch: optional query-trace plumbing. When a trace is set,
-	// every restore emits a "restore" span attributing its bytes to the
+	// every load emits a "restore" span attributing its bytes to the
 	// store fetch tier that served them; fetch accumulates the worker's
 	// per-tier totals for the query-cost summary.
 	tr     *obs.Trace
 	worker int
 	fetch  *store.FetchStats
+	// env is the environment observed once a loop has been skipped in it;
+	// bound holds, in bind order, the skipped executions not yet loaded in
+	// full; pulling marks the runtime's own lookups, which are not the program's.
+	env     *script.Env
+	bound   []*binding
+	pulling bool
 }
 
 // NewRuntime instruments a program's nested loops: every loop (other than
@@ -148,7 +164,9 @@ func (r *Runtime) SetMode(m Mode) { r.mode = m }
 // workers — and, for runs attached to a shared chunk pool, one cache per
 // *pool*, so content decoded for one sibling run's replay (the family's
 // frozen backbone) is served from memory to every other sibling's. The
-// cache key is content identity, which is pool-wide by construction.
+// cache key is content identity, which is pool-wide by construction. It
+// holds only sections some load asked for: content no statement reads is
+// never decoded, so never admitted.
 // (PayloadCache is safe for concurrent use, and cached payloads are
 // immutable by contract.) Call before execution starts; a nil cache is
 // ignored.
@@ -158,7 +176,7 @@ func (r *Runtime) SetCache(c *backmat.PayloadCache) {
 	}
 }
 
-// SetTrace attaches a query trace to the runtime: subsequent restores emit
+// SetTrace attaches a query trace to the runtime: subsequent loads emit
 // tier-attributed "restore" spans under the given worker id, and per-tier
 // fetch totals accumulate for FetchSnapshot. A nil trace disables both (the
 // default — record-mode runtimes stay unobserved).
@@ -214,9 +232,9 @@ func (b *Block) Apply(ctx *script.Ctx) error {
 	case ModeRecord:
 		return b.recordExec(ctx)
 	case ModeReplayInit:
-		return b.replayInit(ctx)
+		return b.replay(ctx, false)
 	case ModeReplayExec:
-		return b.replayExec(ctx)
+		return b.replay(ctx, b.Probed)
 	default:
 		return fmt.Errorf("skipblock: unknown mode %v", b.rt.mode)
 	}
@@ -249,14 +267,15 @@ func (b *Block) recordExec(ctx *script.Ctx) error {
 	return nil
 }
 
-// replayInit skips the loop by restoring its Loop End Checkpoint; if no
-// checkpoint was materialized for this execution (sparse/periodic
-// checkpointing), the loop is re-executed, which is always correct.
-func (b *Block) replayInit(ctx *script.Ctx) error {
-	exec := b.execIndex
-	key := store.Key{LoopID: b.Loop.ID, Exec: exec}
-	if !b.rt.st.Has(key) {
-		b.execIndex++
+// replay skips the loop by binding its Loop End Checkpoint, unless it must
+// run: replay-execution mode re-executes a probed loop (the hindsight log
+// statements inside it must produce their lines), and either mode re-executes
+// an execution that was never materialized (sparse/periodic checkpointing),
+// which is always correct.
+func (b *Block) replay(ctx *script.Ctx, probed bool) error {
+	key := store.Key{LoopID: b.Loop.ID, Exec: b.execIndex}
+	b.execIndex++
+	if probed || !b.rt.st.Has(key) {
 		t0 := time.Now()
 		if err := b.execute(ctx); err != nil {
 			return err
@@ -264,27 +283,8 @@ func (b *Block) replayInit(ctx *script.Ctx) error {
 		b.stats.ComputNs += time.Since(t0).Nanoseconds()
 		return nil
 	}
-	b.execIndex++
-	return b.restore(ctx, key)
-}
-
-// replayExec re-executes the loop if it is probed (the hindsight log
-// statements inside it must run); otherwise it skips via the checkpoint,
-// falling back to execution when the checkpoint is missing.
-func (b *Block) replayExec(ctx *script.Ctx) error {
-	exec := b.execIndex
-	key := store.Key{LoopID: b.Loop.ID, Exec: exec}
-	if b.Probed || !b.rt.st.Has(key) {
-		b.execIndex++
-		t0 := time.Now()
-		if err := b.execute(ctx); err != nil {
-			return err
-		}
-		b.stats.ComputNs += time.Since(t0).Nanoseconds()
-		return nil
-	}
-	b.execIndex++
-	return b.restore(ctx, key)
+	b.bind(ctx.Env, key)
+	return nil
 }
 
 // execute runs the loop logically (and advances nested SkipBlock execution
@@ -294,69 +294,172 @@ func (b *Block) execute(ctx *script.Ctx) error {
 	return script.ExecLoop(ctx, b.Loop)
 }
 
-// restore loads the Loop End Checkpoint and applies its side-effects.
-// Format-v2 checkpoints restore through the parallel path: chunk frames are
-// read and decoded across the worker pool into the block's own section
-// buffers (store.GetSectionsInto), bundle entries decode in parallel into
-// views over them (backmat.DecodeSectionsCached), and every value overwrites
-// its live state from its view — in steady state a restore allocates nothing
-// proportional to the checkpoint. Format-v1 and opaque checkpoints fall back
-// to the monolithic decode.
-func (b *Block) restore(ctx *script.Ctx, key store.Key) error {
+// bind skips an execution of the loop: from here on the names its Loop End
+// Checkpoint carries come from key, and none of its bytes move until
+// something needs them (see pull). A binding of the same loop that is still
+// waiting is superseded — every execution of a loop checkpoints the same
+// names, so whatever of it went unread will now never be read.
+func (b *Block) bind(env *script.Env, key store.Key) {
+	rt := b.rt
+	if rt.env != env {
+		rt.env = env
+		env.Observe(rt)
+	}
+	rt.bound = slices.DeleteFunc(rt.bound, func(bd *binding) bool { return bd.b == b })
+	rt.bound = append(rt.bound, &binding{b: b, key: key})
+	b.stats.Restored++
+	// Skipping the loop means nested SkipBlocks never saw their executions;
+	// keep their counters aligned.
+	rt.advanceNested(b.Loop, 1)
+}
+
+// binding is a skipped execution whose checkpoint has not been loaded in
+// full. done lists the names that no longer come from it: those loaded, and
+// those written since the bind (a load must not roll a write back).
+type binding struct {
+	b    *Block
+	key  store.Key
+	ck   *store.Checkpoint // resolved by the first load
+	done []string
+}
+
+// Read implements script.Observer: a log statement is about to look at name.
+func (r *Runtime) Read(name string) error { return r.pull(name) }
+
+// Write implements script.Observer: name is about to be assigned, which
+// retires it from every bound checkpoint.
+func (r *Runtime) Write(name string) {
+	for _, bd := range r.bound {
+		if !slices.Contains(bd.done, name) {
+			bd.done = append(bd.done, name)
+		}
+	}
+}
+
+// Sync implements script.Observer: an ordinary statement is about to run, and
+// its closure may reach any state.
+func (r *Runtime) Sync() error { return r.pull("") }
+
+// pull loads what is bound of name and of what name may alias — the closure
+// the record side checkpoints with it (analyze.Augment: an optimizer reaches
+// its model, a scheduler its optimizer), everything for an Opaque — or, for
+// "", everything. Bindings load oldest first: two loops may checkpoint one
+// name, and the younger's state must land last. A binding with nothing left
+// to give is dropped.
+func (r *Runtime) pull(name string) error {
+	if len(r.bound) == 0 || r.pulling {
+		return nil
+	}
+	r.pulling = true // the lookups below and the loads' own are not the program's
+	defer func() { r.pulling = false }()
+	var names []string // nil: every name
+	if name != "" {
+		v, ok := r.env.Get(name)
+		if !ok {
+			return nil
+		}
+		if _, opaque := v.(*value.Opaque); !opaque {
+			names = analyze.Augment([]string{name}, r.env)
+		}
+	}
+	var err error
+	r.bound = slices.DeleteFunc(r.bound, func(bd *binding) bool {
+		more := true // once a load has failed, the rest stay bound
+		if err == nil {
+			more, err = bd.b.load(bd, names)
+		}
+		return !more && err == nil
+	})
+	return err
+}
+
+// load moves the named part of a bound checkpoint (nil: all that is left of
+// it) into the live values — the one place in replay where checkpoint bytes
+// reach program state — and reports whether the binding has more to give.
+// Format-v2 checkpoints load through the parallel path: the wanted sections'
+// chunk frames are read and decoded across the worker pool into the block's
+// own section buffers (store.Checkpoint.ReadInto), bundle entries decode in
+// parallel into views over them (backmat.DecodeSectionsCached), and every
+// value overwrites its live state from its view — in steady state a load
+// allocates nothing proportional to the checkpoint. Format-v1 and opaque
+// checkpoints fall back to the monolithic decode of the whole checkpoint.
+func (b *Block) load(bd *binding, names []string) (more bool, err error) {
+	rt, key := b.rt, bd.key
 	t0 := time.Now()
-	spanStart := b.rt.tr.Now()
-	fetchBefore := b.rt.fetch.Snapshot()
+	spanStart := rt.tr.Now()
+	fetchBefore := rt.fetch.Snapshot()
+	fail := func(err error) (bool, error) { return false, fmt.Errorf("skipblock: %s: %w", key, err) }
+	if bd.ck == nil {
+		if bd.ck, err = rt.st.Resolve(key); err != nil {
+			return fail(err)
+		}
+	}
 	var items []backmat.NamedPayload
 	var restoredBytes int64
-	secs, ok, err := b.rt.st.GetSectionsInto(key, b.rt.cache.Contains, b.rt.fetch, b.bufs)
-	if err != nil {
-		return fmt.Errorf("skipblock: %s: %w", key, err)
-	}
-	if ok {
-		b.bufs = secs
-		for _, sec := range secs {
-			restoredBytes += int64(sec.RawLen)
+	if bd.ck.Sectioned() {
+		left := func(name string) bool { return !slices.Contains(bd.done, name) }
+		want := func(name string) bool { return left(name) && (names == nil || slices.Contains(names, name)) }
+		secs, err := bd.ck.ReadInto(want, rt.cache.Contains, rt.fetch, b.bufs)
+		if err != nil {
+			return fail(err)
 		}
-		if items, err = backmat.DecodeSectionsCached(b.rt.cache, secs); err != nil {
-			return fmt.Errorf("skipblock: %s: %w", key, err)
+		b.bufs = secs
+		var wanted []store.Section
+		for i := range secs {
+			if want(secs[i].Name) {
+				wanted = append(wanted, secs[i])
+				restoredBytes += int64(secs[i].RawLen)
+			} else if left(secs[i].Name) {
+				more = true
+			}
+		}
+		if len(wanted) == 0 {
+			return more, nil // the checkpoint has none of names left: not a load
+		}
+		if items, err = backmat.DecodeSectionsCached(rt.cache, wanted); err != nil {
+			return fail(err)
+		}
+		for i, j := 0, 0; i < len(secs); i++ {
+			if want(secs[i].Name) {
+				secs[i].Data = wanted[j].Data // nil where the cache took the buffer over
+				j++
+			}
 		}
 	} else {
-		raw, err := b.rt.st.Get(key)
+		raw, err := rt.st.Get(key)
 		if err != nil {
-			return fmt.Errorf("skipblock: %s: %w", key, err)
+			return fail(err)
 		}
 		restoredBytes = int64(len(raw))
 		if items, err = backmat.DecodeBundle(raw); err != nil {
-			return fmt.Errorf("skipblock: %s: %w", key, err)
+			return fail(err)
 		}
+		items = slices.DeleteFunc(items, func(it backmat.NamedPayload) bool { return slices.Contains(bd.done, it.Name) })
 	}
 	for _, it := range items {
-		v, ok := ctx.Env.Get(it.Name)
+		v, ok := rt.env.Get(it.Name)
 		if !ok {
-			return fmt.Errorf("skipblock: %s: checkpointed variable %q missing from environment (setup must define it)", key, it.Name)
+			return fail(fmt.Errorf("checkpointed variable %q missing from environment (setup must define it)", it.Name))
 		}
 		if err := v.Restore(it.Payload); err != nil {
-			return fmt.Errorf("skipblock: %s: restore %q: %w", key, it.Name, err)
+			return fail(fmt.Errorf("restore %q: %w", it.Name, err))
 		}
+		bd.done = append(bd.done, it.Name)
 	}
 	restoreNs := time.Since(t0).Nanoseconds()
-	b.stats.Restored++
 	b.stats.RestoreNs += restoreNs
 	b.stats.RestoredBytes += restoredBytes
-	if b.rt.tr != nil {
+	if rt.tr != nil {
 		attrs := map[string]int64{"exec": int64(key.Exec), "restored_bytes": restoredBytes}
-		b.rt.fetch.Snapshot().Sub(fetchBefore).Each(func(tier string, bytes, frames int64) {
+		rt.fetch.Snapshot().Sub(fetchBefore).Each(func(tier string, bytes, frames int64) {
 			attrs[tier+"_bytes"], attrs[tier+"_frames"] = bytes, frames
 		})
-		b.rt.tr.Add(obs.Span{Name: "restore", Worker: b.rt.worker, StartNs: spanStart, DurNs: restoreNs, Attrs: attrs})
+		rt.tr.Add(obs.Span{Name: "restore", Worker: rt.worker, StartNs: spanStart, DurNs: restoreNs, Attrs: attrs})
 	}
-	if meta, ok := b.rt.st.Lookup(key); ok {
-		b.rt.tracker.NoteRestoreLoop(b.Loop.ID, restoreNs, meta.MaterNs)
+	if meta, ok := rt.st.Lookup(key); ok {
+		rt.tracker.NoteRestoreLoop(b.Loop.ID, restoreNs, meta.MaterNs)
 	}
-	// Skipping the loop means nested SkipBlocks never saw their executions;
-	// keep their counters aligned.
-	b.rt.advanceNested(b.Loop, 1)
-	return nil
+	return more, nil
 }
 
 // resolveChangeset augments the static changeset at runtime (optimizer →

@@ -153,10 +153,11 @@ func TestFetchReadsEachNeededByteOnce(t *testing.T) {
 				// The needed records, from the directory and the chunk index: a
 				// record referenced twice is needed (and read) once, but decoded
 				// and accounted per reference.
-				_, sdir, err := s.segmentDir(key)
+				c, err := s.Resolve(key)
 				if err != nil {
 					t.Fatal(err)
 				}
+				sdir := c.dir
 				skipHash := map[ckptfmt.Hash]bool{}
 				seen := map[ckptfmt.Hash]bool{}
 				var need [][2]int64
@@ -321,10 +322,11 @@ func TestExecuteDeadBeforeStartOpensNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, sdir, err := s.segmentDir(key)
+	c, err := s.Resolve(key)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, sdir := c.m, c.dir
 	var jobs []chunkJob
 	byShard := map[int][]int{}
 	for _, ref := range sdir.Sections[0].Chunks {

@@ -299,11 +299,12 @@ func (p *Prefetcher) run() {
 // failure is swallowed after dropping the hint — prefetch is speculation,
 // and a real restore will surface any genuine fault with full context.
 func (p *Prefetcher) warm(key Key, st *hintState, cancelled bool) {
-	m, dir, err := p.s.segmentDir(key)
-	if err != nil || dir == nil || dir.Opaque {
+	c, err := p.s.Resolve(key)
+	if err != nil || !c.Sectioned() {
 		p.drop(key)
 		return
 	}
+	m, dir := c.m, c.dir
 	pool := p.s.pool
 	var jobs []chunkJob
 	byShard := map[int][]int{}

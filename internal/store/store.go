@@ -1552,10 +1552,11 @@ func (s *Store) appendManifestLocked(record []byte) error {
 // in parallel) into the exact byte stream Put or the bundle encoder
 // originally produced, so callers are format-agnostic.
 func (s *Store) Get(key Key) ([]byte, error) {
-	m, dir, err := s.segmentDir(key)
+	c, err := s.Resolve(key)
 	if err != nil {
 		return nil, err
 	}
+	m, dir := c.m, c.dir
 	if m.Format != FormatV2 {
 		raw, err := os.ReadFile(s.segmentPath(m.Seq))
 		if err != nil {
@@ -1570,7 +1571,7 @@ func (s *Store) Get(key Key) ([]byte, error) {
 		}
 		return payload, nil
 	}
-	secs, err := s.readSections(m, dir, nil, nil, nil)
+	secs, err := c.ReadInto(nil, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -1617,43 +1618,47 @@ func (s *Store) GetSectionsObserved(key Key, have func(ckptfmt.Hash) bool, fs *F
 }
 
 // GetSectionsInto is GetSectionsObserved reading into buffers the caller
-// already owns: a loaded section whose name matches reuse's section at the
-// same position, and whose Data is large enough, is read into that Data
-// instead of a fresh allocation. A restoring goroutine that passes back what
-// its previous call for the same loop returned — section names and sizes
-// repeat from one execution's checkpoint to the next — reads without
-// allocating section memory. The caller must own every Data it offers: no
-// view over it may still be in use, and a buffer whose view was handed to a
-// holder that outlives the restore (see backmat.PayloadCache) is that
-// holder's and must not be offered again. The buffers of reuse are
-// overwritten even when the call fails. With a nil reuse every returned Data
-// is freshly allocated and the caller's to retain.
+// already owns (see Checkpoint.ReadInto, which it calls for every section).
 func (s *Store) GetSectionsInto(key Key, have func(ckptfmt.Hash) bool, fs *FetchStats, reuse []Section) (secs []Section, ok bool, err error) {
-	m, dir, err := s.segmentDir(key)
+	c, err := s.Resolve(key)
 	if err != nil {
 		return nil, false, err
 	}
-	if m.Format != FormatV2 || dir.Opaque {
+	if !c.Sectioned() {
 		return nil, false, nil
 	}
-	secs, err = s.readSections(m, dir, have, fs, reuse)
+	secs, err = c.ReadInto(nil, have, fs, reuse)
 	if err != nil {
 		return nil, false, err
 	}
 	return secs, true, nil
 }
 
-// segmentDir resolves key to its meta and, for v2 checkpoints, its decoded
+// Checkpoint is a committed checkpoint resolved for reading: its metadata
+// and, for format v2, its decoded segment directory. Resolving costs one small
+// segment read; ReadInto then costs what the caller asks of it, as often as it
+// asks.
+type Checkpoint struct {
+	s   *Store
+	m   *Meta
+	dir *ckptfmt.Directory
+}
+
+// Sectioned reports whether the checkpoint is stored as named sections;
+// format-v1 and opaque checkpoints are not, and are read whole with Get.
+func (c *Checkpoint) Sectioned() bool { return c.m.Format == FormatV2 && !c.dir.Opaque }
+
+// Resolve looks key up and, for v2 checkpoints, reads and decodes its
 // segment directory.
-func (s *Store) segmentDir(key Key) (*Meta, *ckptfmt.Directory, error) {
+func (s *Store) Resolve(key Key) (*Checkpoint, error) {
 	s.mu.Lock()
 	m, ok := s.index[key]
 	s.mu.Unlock()
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", ErrNotFound, key)
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
 	if m.Format != FormatV2 {
-		return m, nil, nil
+		return &Checkpoint{s: s, m: m}, nil
 	}
 	raw, err := os.ReadFile(s.segmentPath(m.Seq))
 	if err != nil {
@@ -1663,62 +1668,86 @@ func (s *Store) segmentDir(key Key) (*Meta, *ckptfmt.Directory, error) {
 		// gone. The index is stale, not corrupt — reopening resolves the
 		// successor checkpoint.
 		if s.readOnly && errors.Is(err, os.ErrNotExist) {
-			return nil, nil, fmt.Errorf("%w: segment %d for %s", ErrStalePack, m.Seq, key)
+			return nil, fmt.Errorf("%w: segment %d for %s", ErrStalePack, m.Seq, key)
 		}
-		return nil, nil, fmt.Errorf("store: read segment %d: %w", m.Seq, err)
+		return nil, fmt.Errorf("store: read segment %d: %w", m.Seq, err)
 	}
 	payload, _, err := codec.Unframe(raw)
 	if err != nil {
-		return nil, nil, fmt.Errorf("store: segment %d: %w", m.Seq, err)
+		return nil, fmt.Errorf("store: segment %d: %w", m.Seq, err)
 	}
 	dir, err := ckptfmt.DecodeDirectory(payload)
 	if err != nil {
-		return nil, nil, fmt.Errorf("store: segment %d directory: %w", m.Seq, err)
+		return nil, fmt.Errorf("store: segment %d directory: %w", m.Seq, err)
 	}
-	return m, dir, nil
+	return &Checkpoint{s: s, m: m, dir: dir}, nil
 }
 
-// readSections materializes sections of a v2 directory: chunk frames are
+// ReadInto materializes sections of a v2 checkpoint: chunk frames are
 // fetched and decoded by the pool's one read pipeline (see fetch.go) — runs
 // of neighbouring frames read concurrently across shards, each run decoded
-// the moment its bytes land. Sections whose identity the optional have
-// callback claims are skipped (returned with nil Data).
+// the moment its bytes land. The result has one entry per section, in the
+// checkpoint's order.
+//
+// Two callbacks, both optional, keep sections on disk. A section whose name
+// want declines is not the caller's business this time: nothing about it is
+// resolved, fetched or counted, and its entry is reuse's at that position
+// when the names match (the caller's buffer stays the caller's), bare-named
+// otherwise. A wanted section whose content identity have claims is a
+// payload-cache hit: it comes back with nil Data (Hash and RawLen set), its
+// chunks are never read — the disk, CRC, and reassembly cost of repeated
+// content (frozen layers restored epoch after epoch) drops to the directory
+// read — and the attribution records the logical bytes that skip saved.
 //
 // A loaded section's Data is the one owned copy of its bytes: the kernel
 // read lands in it directly (large raw frames) or decode copies into it out
-// of transient arena spans. It is taken from reuse when the caller offers a
-// fitting buffer (see GetSectionsInto) and freshly allocated otherwise; either
-// way it belongs to the caller on return, and any payload view built over it
-// stays valid for as long as the caller leaves it alone.
+// of transient arena spans. It is reuse's Data at the same position when the
+// names match and it is large enough — a restoring goroutine that passes
+// back what its previous call for the same loop returned reads without
+// allocating section memory — and freshly allocated, the caller's to retain,
+// otherwise. The caller must own every Data it offers: no view over it may
+// still be in use, and a buffer whose view was handed to a holder that
+// outlives the restore (see backmat.PayloadCache) is that holder's and must
+// not be offered again. Wanted sections' buffers are overwritten even when
+// the call fails.
 //
-// The have callback is invoked without any store lock held, and each
-// shard's lock is taken only briefly to resolve chunk locations: concurrent
-// readers from many server goroutines must not serialize on each other's
-// cache probes.
-func (s *Store) readSections(m *Meta, dir *ckptfmt.Directory, have func(ckptfmt.Hash) bool, fs *FetchStats, reuse []Section) ([]Section, error) {
+// Both callbacks are invoked without any store lock held, and each shard's
+// lock is taken only briefly to resolve chunk locations: concurrent readers
+// from many server goroutines must not serialize on each other's cache
+// probes.
+func (c *Checkpoint) ReadInto(want func(name string) bool, have func(ckptfmt.Hash) bool, fs *FetchStats, reuse []Section) ([]Section, error) {
+	dir, p := c.dir, c.s.pool
 	secs := make([]Section, len(dir.Sections))
-	// Phase 1, lock-free: compute each section's content identity and ask
-	// the caller which sections it already holds. A section the caller holds
-	// is a payload-cache hit: its chunks are never read, and the attribution
-	// records the logical bytes that skip saved.
+	// Phase 1, lock-free: compute each wanted section's content identity and
+	// ask the caller which of them it already holds.
 	var load []int
 	for i := range dir.Sections {
 		ds := &dir.Sections[i]
+		if want != nil && !want(ds.Name) {
+			if i < len(reuse) && reuse[i].Name == ds.Name {
+				secs[i] = reuse[i]
+			} else {
+				secs[i].Name = ds.Name
+			}
+			continue
+		}
 		hs := make([]ckptfmt.Hash, len(ds.Chunks))
 		for j, ref := range ds.Chunks {
 			hs[j] = ref.Hash
 		}
 		secs[i] = Section{Name: ds.Name, Hash: ckptfmt.HashOfHashes(hs), RawLen: ds.RawLen()}
 		if have != nil && have(secs[i].Hash) {
-			s.pool.countFetch(tierCache, int64(secs[i].RawLen), int64(len(ds.Chunks)), fs)
+			p.countFetch(tierCache, int64(secs[i].RawLen), int64(len(ds.Chunks)), fs)
 			continue
 		}
 		load = append(load, i)
 	}
+	if len(load) == 0 {
+		return secs, nil
+	}
 	// Phase 2: build the fetch jobs, then resolve chunk locations from the
 	// pool's two-level dedup index, locking each involved shard exactly
 	// once.
-	p := s.pool
 	nchunks := 0
 	for _, i := range load {
 		nchunks += len(dir.Sections[i].Chunks)
@@ -1743,7 +1772,7 @@ func (s *Store) readSections(m *Meta, dir *ckptfmt.Directory, have func(ckptfmt.
 			jobs = append(jobs, j)
 		}
 	}
-	if err := p.resolve(jobs, byShard, m.Seq); err != nil {
+	if err := p.resolve(jobs, byShard, c.m.Seq); err != nil {
 		return nil, err
 	}
 	if len(jobs) == 0 {

@@ -273,6 +273,57 @@ func TestTornManifestTailWithV2Records(t *testing.T) {
 	}
 }
 
+// TestReadIntoLeavesUnwantedSectionsAlone pins the want callback of
+// Checkpoint.ReadInto: a declined section is neither fetched nor counted on
+// any tier, and comes back as the caller's own entry at that position, buffer
+// included, or bare-named when there is none.
+func TestReadIntoLeavesUnwantedSectionsAlone(t *testing.T) {
+	s := openTemp(t)
+	key := Key{LoopID: "train", Exec: 0}
+	stored := []Section{
+		{Name: "net", Data: noise(ckptfmt.DefaultChunkSize+100, 1)}, // two chunks
+		{Name: "opt", Data: noise(70<<10, 2)},
+		{Name: "lr", Data: noise(9, 3)},
+	}
+	if _, err := s.PutSections(key, stored, 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.Resolve(key)
+	if err != nil || !c.Sectioned() {
+		t.Fatalf("Resolve: sectioned=%v err=%v", c != nil && c.Sectioned(), err)
+	}
+	only := func(name string) func(string) bool { return func(n string) bool { return n == name } }
+
+	var fs FetchStats
+	first, err := c.ReadInto(only("opt"), nil, &fs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 3 || !bytes.Equal(first[1].Data, stored[1].Data) || first[1].RawLen != len(stored[1].Data) {
+		t.Fatalf("wanted section opt not read back as stored: %d sections", len(first))
+	}
+	for _, i := range []int{0, 2} {
+		if first[i].Name != stored[i].Name || first[i].Data != nil || first[i].RawLen != 0 || first[i].Hash != (ckptfmt.Hash{}) {
+			t.Fatalf("declined section %q came back as %+v, want its bare name", stored[i].Name, first[i])
+		}
+	}
+	if got := fs.Snapshot().TotalFrames(); got != 1 {
+		t.Fatalf("reading opt alone counted %d frames, want its 1", got)
+	}
+
+	// The caller's entries for declined sections pass through untouched.
+	second, err := c.ReadInto(only("net"), nil, &fs, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(second[0].Data, stored[0].Data) || &second[1].Data[0] != &first[1].Data[0] || second[2].Data != nil {
+		t.Fatal("reading net with opt's buffer offered: net differs, or opt's entry was not passed through")
+	}
+	if got := fs.Snapshot().TotalFrames(); got != 3 {
+		t.Fatalf("reading opt, then net, counted %d frames, want 1 + 2", got)
+	}
+}
+
 // TestFlippedPackByteSurfacesErrCorrupt flips every byte of the chunk pack
 // in turn; reads of the affected checkpoint must fail with codec.ErrCorrupt
 // rather than return garbage state — also when the read lands in buffers the

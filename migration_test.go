@@ -9,7 +9,9 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	flor "flor.dev/flor"
 	"flor.dev/flor/internal/core"
@@ -337,6 +339,22 @@ func TestUnknownFormatMarkersRefuseCleanly(t *testing.T) {
 	}
 }
 
+// uploadTwin uploads the run in dir to a fresh in-memory object store and
+// fetches its control plane into a new directory — a "different machine" that
+// holds no pack byte: every one travels a ranged GET.
+func uploadTwin(t *testing.T, dir string) (mem *remote.MemStore, ctl string) {
+	t.Helper()
+	mem = remote.NewMemStore()
+	if n, err := remote.UploadRun(mem, dir, "runs/twin"); err != nil || n == 0 {
+		t.Fatalf("upload: n=%d err=%v", n, err)
+	}
+	ctl = filepath.Join(t.TempDir(), "ctl")
+	if _, err := remote.FetchControlPlane(mem, "runs/twin", ctl); err != nil {
+		t.Fatalf("fetch control plane: %v", err)
+	}
+	return mem, ctl
+}
+
 // TestMigrationRemoteTwinByteIdentical is the local run's remote twin: the
 // same recording uploaded to an object store and replayed statelessly —
 // control plane fetched to a fresh directory, pack bytes arriving as ranged
@@ -359,16 +377,7 @@ func TestMigrationRemoteTwinByteIdentical(t *testing.T) {
 		t.Fatalf("local anomalies %v", local.Anomalies)
 	}
 
-	// Upload, then restore on a "different machine": only the control plane
-	// is fetched locally; every pack byte travels a ranged GET.
-	mem := remote.NewMemStore()
-	if n, err := remote.UploadRun(mem, dir, "runs/twin"); err != nil || n == 0 {
-		t.Fatalf("upload: n=%d err=%v", n, err)
-	}
-	ctl := filepath.Join(t.TempDir(), "ctl")
-	if _, err := remote.FetchControlPlane(mem, "runs/twin", ctl); err != nil {
-		t.Fatalf("fetch control plane: %v", err)
-	}
+	mem, ctl := uploadTwin(t, dir)
 	cache, err := cachetier.NewWithBlockSize("", 32<<20, 64<<10)
 	if err != nil {
 		t.Fatal(err)
@@ -606,4 +615,149 @@ func TestChangeAwareCaptureMatchesBaselineMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDemandLoadMatrixMatchesUninstrumentedRun is the equivalence matrix of
+// demand-driven checkpoint loading: one program recorded into each writer
+// layout and uploaded as a remote twin, replayed with a hindsight probe that
+// reads one checkpointed name (the other name of every skipped epoch is never
+// loaded) and with one that reads every checkpointed name (everything is, as
+// it was when a skip loaded its whole checkpoint), at each worker count and
+// initialization mode. Every replay must log, byte for byte, what running the
+// probed program with no instrumentation at all logs.
+func TestDemandLoadMatrixMatchesUninstrumentedRun(t *testing.T) {
+	factory := compressibleFactory(7, 2)
+	probe := func(label string, eval func(e *flor.Env) (string, error)) func() *flor.Program {
+		return func() *flor.Program {
+			p := factory()
+			p.Main.Body = flor.AddLog(p.Main.Body, 1, flor.LogStmt(label, eval))
+			return p
+		}
+	}
+	norm := func(e *flor.Env) string {
+		return fmt.Sprintf("%.17g", e.MustGet("emb").(*flor.TensorVal).T.Norm())
+	}
+	probes := []struct {
+		name    string
+		factory func() *flor.Program
+	}{
+		{"one-name", probe("hs", func(e *flor.Env) (string, error) { return norm(e), nil })},
+		{"every-name", probe("hs", func(e *flor.Env) (string, error) {
+			return fmt.Sprintf("%s rng=%x", norm(e), e.MustGet("rng").(*flor.RNGVal).R.State()), nil
+		})},
+	}
+
+	poolRoot := filepath.Join(t.TempDir(), "POOL")
+	layouts := []struct {
+		name string
+		opts []flor.Option
+	}{
+		{"private", nil},
+		{"sharded", []flor.Option{flor.Shards(8)}},
+		{"pooled", []flor.Option{flor.Pool(poolRoot), flor.Shards(4)}},
+	}
+	type opener struct {
+		name string
+		open func() (*replay.Recording, error)
+	}
+	var stores []opener
+	for _, l := range layouts {
+		dir := t.TempDir()
+		if _, err := flor.Record(dir, factory, append([]flor.Option{flor.DisableAdaptiveCheckpointing()}, l.opts...)...); err != nil {
+			t.Fatalf("%s: record: %v", l.name, err)
+		}
+		stores = append(stores, opener{l.name, func() (*replay.Recording, error) { return core.LoadRecordingShared(dir) }})
+		if l.name != "sharded" {
+			continue
+		}
+		mem, ctl := uploadTwin(t, dir)
+		cache, err := cachetier.NewWithBlockSize("", 1<<20, 16<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores = append(stores, opener{"remote twin", func() (*replay.Recording, error) {
+			backend := remote.NewObjectBackend(mem, remote.PacksPrefix("runs/twin"), cache)
+			return core.LoadRecordingWith(ctl, store.Options{ReadOnly: true, Backend: backend})
+		}})
+	}
+
+	for _, pr := range probes {
+		want, _, err := flor.Vanilla(pr.factory)
+		if err != nil {
+			t.Fatalf("%s: uninstrumented run: %v", pr.name, err)
+		}
+		for _, s := range stores {
+			rec, err := s.open()
+			if err != nil {
+				t.Fatalf("%s: open: %v", s.name, err)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				for _, init := range []replay.InitMode{replay.Weak, replay.Strong} {
+					res, err := replay.Replay(rec, pr.factory, replay.Options{Workers: workers, Init: init})
+					if err != nil {
+						t.Fatalf("%s %s workers=%d init=%v: %v", pr.name, s.name, workers, init, err)
+					}
+					if len(res.Anomalies) != 0 {
+						t.Fatalf("%s %s workers=%d init=%v: anomalies %v", pr.name, s.name, workers, init, res.Anomalies)
+					}
+					if err := sameLogs(want, res.Logs); err != nil {
+						t.Fatalf("%s %s workers=%d init=%v: replay differs from the uninstrumented run: %v",
+							pr.name, s.name, workers, init, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRemoteReadFaultFailsTheStatementTyped is the remote half of the load
+// error path: every GET of the twin's object store faults and the retries run
+// out, inside the load a log statement's Env.MustGet triggered. The statement,
+// and with it the replay or the sample, fails with the typed error — no
+// panic, no result carrying the lines of epochs that had loaded.
+func TestRemoteReadFaultFailsTheStatementTyped(t *testing.T) {
+	factory := compressibleFactory(5, 2)
+	dir := t.TempDir()
+	if _, err := flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing(), flor.Shards(4)); err != nil {
+		t.Fatalf("record: %v", err)
+	}
+	mem, ctl := uploadTwin(t, dir)
+	policy := remote.Policy{Attempts: 2, BaseDelay: 50 * time.Microsecond, MaxDelay: time.Millisecond, Timeout: time.Second}
+	// The first reads succeed, so an epoch has loaded before one fails.
+	fb := faultbackend.WrapObject(mem, faultbackend.Config{ReadErrNth: 1})
+	gate := &gatedObject{ObjectStore: mem, faulty: fb, after: 2}
+	backend := remote.NewObjectBackend(remote.Retry(gate, policy), remote.PacksPrefix("runs/twin"), nil)
+	rec, err := core.LoadRecordingWith(ctl, store.Options{ReadOnly: true, Backend: backend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	typed := func(err error) bool {
+		return err != nil && (errors.Is(err, remote.ErrExhausted) || errors.Is(err, faultbackend.ErrInjected)) &&
+			strings.Contains(err.Error(), `script: log "`)
+	}
+	if res, err := replay.Replay(rec, factory, replay.Options{Workers: 1}); !typed(err) || res != nil {
+		t.Fatalf("replay over the faulting store = %v, %v; want the typed fault out of a log statement and no result", res, err)
+	}
+	if res, err := replay.ReplaySample(rec, factory, []int{3}); !typed(err) || res != nil {
+		t.Fatalf("sample over the faulting store = %v, %v; want the typed fault out of a log statement and no result", res, err)
+	}
+	if fb.Injected() == 0 {
+		t.Fatalf("%d reads, no fault: the replay never got as far as a faulting read", gate.reads.Load())
+	}
+}
+
+// gatedObject serves the first `after` ranged reads from the intact store and
+// every later one from the faulty wrapper.
+type gatedObject struct {
+	remote.ObjectStore
+	faulty remote.ObjectStore
+	after  int64
+	reads  atomic.Int64
+}
+
+func (g *gatedObject) GetRange(key string, off, n int64) ([]byte, error) {
+	if g.reads.Add(1) > g.after {
+		return g.faulty.GetRange(key, off, n)
+	}
+	return g.ObjectStore.GetRange(key, off, n)
 }
