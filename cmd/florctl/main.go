@@ -17,9 +17,8 @@
 // top fetches every target's /v1/stats and renders one row per (target,
 // run): in-flight and queued queries, the age of the longest-running query,
 // query counts, slow-query counts, and the run's cumulative restored bytes
-// with their store-tier attribution summarized as a payload-cache share, the
-// bytes borrowed from other queries' in-flight remote GETs (SFLIGHT), and
-// the daemon's speculative-prefetch hit share (PF%, used/issued).
+// with their store-tier attribution summarized as a payload-cache share and
+// the bytes borrowed from other queries' in-flight remote GETs (SFLIGHT).
 //
 // Targets are host:port or full http(s) URLs; -timeout bounds each fetch.
 // A target that fails to respond is reported on stderr and skipped — a
@@ -126,7 +125,7 @@ func runScrape(client *http.Client, targets []string, w io.Writer) error {
 // runTop renders one fleet table from every target's /v1/stats.
 func runTop(client *http.Client, targets []string, w io.Writer) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "TARGET\tRUN\tINFL\tQUEUED\tOLDEST\tREPLAYS\tSAMPLES\tERRORS\tSLOW\tRESTORED\tCACHE%\tSFLIGHT\tPF%")
+	fmt.Fprintln(tw, "TARGET\tRUN\tINFL\tQUEUED\tOLDEST\tREPLAYS\tSAMPLES\tERRORS\tSLOW\tRESTORED\tCACHE%\tSFLIGHT")
 	var failed []string
 	for _, t := range targets {
 		st, err := fetchStats(client, t)
@@ -144,15 +143,8 @@ func runTop(client *http.Client, targets []string, w io.Writer) error {
 		if st.Draining {
 			label += " (draining)"
 		}
-		// Prefetch accounting is daemon-wide (speculation serves whichever
-		// query's restore front arrives first), so the hit share repeats on
-		// each of the target's rows: issued bytes a restore later consumed.
-		pfPct := "-"
-		if st.Prefetch != nil && st.Prefetch.IssuedBytes > 0 {
-			pfPct = fmt.Sprintf("%.0f%%", 100*float64(st.Prefetch.UsedBytes)/float64(st.Prefetch.IssuedBytes))
-		}
 		if len(ids) == 0 {
-			fmt.Fprintf(tw, "%s\t-\t-\t-\t-\t-\t-\t-\t-\t-\t-\t-\t%s\n", label, pfPct)
+			fmt.Fprintf(tw, "%s\t-\t-\t-\t-\t-\t-\t-\t-\t-\t-\t-\n", label)
 			continue
 		}
 		for _, id := range ids {
@@ -173,10 +165,10 @@ func runTop(client *http.Client, targets []string, w io.Writer) error {
 			if rs.Cost.Fetch.SingleflightBytes > 0 {
 				sflight = fmtBytes(rs.Cost.Fetch.SingleflightBytes)
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%s\t%d\t%d\t%d\t%d\t%s\t%s\t%s\t%s\n",
+			fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%s\t%d\t%d\t%d\t%d\t%s\t%s\t%s\n",
 				label, id, rs.Inflight, rs.Queued, oldest,
 				rs.Replays, rs.Samples, rs.Errors, rs.SlowQueries,
-				fmtBytes(rs.Cost.RestoredBytes), cachePct, sflight, pfPct)
+				fmtBytes(rs.Cost.RestoredBytes), cachePct, sflight)
 		}
 	}
 	if err := tw.Flush(); err != nil {

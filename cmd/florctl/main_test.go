@@ -147,7 +147,6 @@ func TestTopFleetTable(t *testing.T) {
 				},
 			},
 		},
-		Prefetch: &store.PrefetchSnapshot{IssuedBytes: 4 << 20, UsedBytes: 3 << 20},
 	}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/stats" {
@@ -168,10 +167,13 @@ func TestTopFleetTable(t *testing.T) {
 		t.Fatalf("top rendered %d lines, want header + 1 row:\n%s", len(lines), text)
 	}
 	// Cache share: 1MiB of the 2.5MiB tier-attributed total (scatter + cache
-	// + singleflight) = 40%. Prefetch hit share: 3MiB used of 4MiB issued.
-	for _, want := range []string{"alpha", "2.5s", "3.0MiB", "40%", "512.0KiB", "75%", "RESTORED", "OLDEST", "SFLIGHT", "PF%"} {
+	// + singleflight) = 40%.
+	for _, want := range []string{"alpha", "2.5s", "3.0MiB", "40%", "512.0KiB", "RESTORED", "OLDEST", "SFLIGHT"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("top output missing %q:\n%s", want, text)
 		}
+	}
+	if h, r := len(strings.Fields(lines[0])), len(strings.Fields(lines[1])); h != r {
+		t.Errorf("header has %d columns, row has %d:\n%s", h, r, text)
 	}
 }

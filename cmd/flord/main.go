@@ -24,11 +24,9 @@
 // runs are uploaded to the shared object pool (under a writer lease, so two
 // daemons cannot race an upload or compaction of the same prefix) and served
 // back through ranged GETs and a local read-through chunk-cache tier
-// (-cache-dir, -cache-max-bytes). -prefetch N additionally warms the cache
-// tier N main-loop iterations ahead of each replay worker's restore front
-// (plan-driven speculative readahead), and POST /v1/runs/{id}/warm pulls a
-// whole run's checkpoint content into the tier ahead of any query. -remote
-// is incompatible with -pool: pool-attached stores refuse backend overrides.
+// (-cache-dir, -cache-max-bytes); a restore reads only the ranges its
+// statements need, when it needs them. -remote is incompatible with -pool:
+// pool-attached stores refuse backend overrides.
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: the listener stops
 // accepting, queries begun after the signal get 503, in-flight replays
@@ -42,7 +40,6 @@
 //	                            recorded dir against a Table 3 workload; dirs are
 //	                            confined under -dir, and unknown store formats 400
 //	POST /v1/runs/{id}/replay   {"probe":"outer","workers":4,"init":"weak"}
-//	POST /v1/runs/{id}/warm     warm a remote run's chunk-cache tier (synchronous)
 //	GET  /v1/runs/{id}/logs?iters=3,7&probe=outer
 //	GET  /v1/runs/{id}/trace/{trace_id}
 //	GET  /v1/stats
@@ -98,7 +95,6 @@ func main() {
 	remoteRoot := flag.String("remote", "", "shared remote object-pool root: recorded runs upload there and serve through ranged GETs + the chunk-cache tier (incompatible with -pool)")
 	cacheDir := flag.String("cache-dir", "", "chunk-cache tier block directory for -remote (empty: in-memory blocks; cleared on startup)")
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 256<<20, "chunk-cache tier size budget for -remote (negative: no cache tier, every read goes remote)")
-	prefetch := flag.Int("prefetch", 0, "plan-driven readahead depth in main-loop iterations for remote-backed replays: workers warm the chunk-cache tier that far ahead of the restore front (0 disables)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain deadline on SIGINT/SIGTERM")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
 	metrics := flag.Bool("metrics", true, "enable the metrics registry served at /metrics")
@@ -201,7 +197,6 @@ func main() {
 		Remote:             *remoteRoot,
 		CacheDir:           *cacheDir,
 		CacheMaxBytes:      *cacheMaxBytes,
-		Prefetch:           *prefetch,
 	})
 	if err := srv.TraceStoreErr(); err != nil {
 		fatal("trace store open failed", "dir", *traceDir, "err", err)

@@ -169,10 +169,16 @@ func TestDocCommandsExist(t *testing.T) {
 	}
 }
 
+// docMetric matches a backticked metric name in the docs, bare or followed
+// by a label selector; group 1 is the name.
+var docMetric = regexp.MustCompile("`(flor_[a-z0-9_]+)[`{]")
+
 // TestMetricCatalogDocumented requires every metric in the obs catalog to
-// appear in docs/OBSERVABILITY.md: the registry's closed namespace means a
-// metric cannot exist without a catalog row, and this test means a catalog
-// row cannot exist without operator documentation.
+// appear in docs/OBSERVABILITY.md, and every metric name README.md and
+// docs/*.md show to be in the catalog: the registry's closed namespace means
+// a metric cannot exist without a catalog row, this test means a catalog row
+// cannot exist without operator documentation, and the docs cannot keep
+// describing a metric that was deleted.
 func TestMetricCatalogDocumented(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("docs", "OBSERVABILITY.md"))
 	if err != nil {
@@ -186,6 +192,27 @@ func TestMetricCatalogDocumented(t *testing.T) {
 		for _, l := range d.Labels {
 			if !strings.Contains(doc, "`"+l+"`") {
 				t.Errorf("metric %s label %q not mentioned in docs/OBSERVABILITY.md", d.Name, l)
+			}
+		}
+	}
+
+	mds, err := filepath.Glob(filepath.Join("docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, md := range append(mds, "README.md") {
+		raw, err := os.ReadFile(md)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range docMetric.FindAllStringSubmatch(string(raw), -1) {
+			// A histogram's exposition series carry suffixes the catalog omits.
+			name := m[1]
+			for _, suf := range []string{"_bucket", "_sum", "_count"} {
+				name = strings.TrimSuffix(name, suf)
+			}
+			if _, ok := obs.Lookup(name); !ok {
+				t.Errorf("%s: mentions metric %s, which is not in the obs catalog", md, m[1])
 			}
 		}
 	}

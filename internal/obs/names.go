@@ -7,7 +7,8 @@ package obs
 // scrape, and the CI grep ("no flor_* string literals outside this package")
 // honest: a metric cannot exist without a catalog row, and a catalog row
 // cannot exist without documentation (docs_test.go checks every catalog
-// name appears in docs/OBSERVABILITY.md).
+// name appears in docs/OBSERVABILITY.md, and every flor_* name the docs
+// mention is a catalog row).
 
 // Store-layer metric names (internal/store).
 const (
@@ -20,10 +21,6 @@ const (
 	MStoreSpoolArtifactBytes = "flor_store_spool_artifact_bytes"
 	MStoreFetchBytes         = "flor_store_fetch_bytes_total"
 	MStoreFetchFrames        = "flor_store_fetch_frames_total"
-	MStorePrefetchIssued     = "flor_store_prefetch_issued_bytes_total"
-	MStorePrefetchUsed       = "flor_store_prefetch_used_bytes_total"
-	MStorePrefetchWasted     = "flor_store_prefetch_wasted_bytes_total"
-	MStorePrefetchCancelled  = "flor_store_prefetch_cancelled_bytes_total"
 	MStoreGCPasses           = "flor_store_gc_passes_total"
 	MStoreGCMarkedChunks     = "flor_store_gc_marked_chunks_total"
 	MStoreGCDeadChunks       = "flor_store_gc_dead_chunks_total"
@@ -140,10 +137,6 @@ var Catalog = []Def{
 	{MStoreSpoolArtifactBytes, KindGauge, nil, "Compressed size of the spool artifacts after the last pass."},
 	{MStoreFetchBytes, KindCounter, []string{"tier"}, "Encoded pack bytes served to restores, by fetch tier (scatter|ranged|cache|remote|cache-tier|singleflight; cache counts logical bytes skipped via payload-cache hits)."},
 	{MStoreFetchFrames, KindCounter, []string{"tier"}, "Chunk frames served to restores, by fetch tier (scatter|ranged|cache|remote|cache-tier|singleflight)."},
-	{MStorePrefetchIssued, KindCounter, nil, "Encoded pack bytes the speculative prefetcher pulled toward the cache tier ahead of the decode front."},
-	{MStorePrefetchUsed, KindCounter, nil, "Prefetched bytes a restore later consumed (the speculation paid off)."},
-	{MStorePrefetchWasted, KindCounter, nil, "Prefetched bytes never consumed by a restore before the prefetcher shut down."},
-	{MStorePrefetchCancelled, KindCounter, nil, "Prefetch-hint bytes dropped before fetching because a lease steal or shutdown invalidated the plan."},
 	{MStoreGCPasses, KindCounter, nil, "Chunk-reclaiming GC passes."},
 	{MStoreGCMarkedChunks, KindCounter, nil, "Chunks marked live during GC mark phases."},
 	{MStoreGCDeadChunks, KindCounter, nil, "Superseded chunks compacted out of pack shards."},

@@ -105,14 +105,6 @@ type Options struct {
 	// work, and a closing per-worker summary carrying restore-vs-step time).
 	// Nil disables tracing at zero cost.
 	Trace *obs.Trace
-	// Prefetch, when positive, enables plan-driven speculative readahead on
-	// remote-backed stores: each worker hints the checkpoint keys of up to
-	// Prefetch main-loop iterations ahead of its restore front, background
-	// warm workers pull their chunk spans into the cache tier while the
-	// worker initializes and executes, and lease steals cancel speculation
-	// the victim no longer owns. Zero disables prefetching; stores whose
-	// reads are local ignore it (warming a local store buys nothing).
-	Prefetch int
 }
 
 // Recording is the artifact a record run leaves behind: the checkpoint
@@ -292,18 +284,6 @@ func Replay(rec *Recording, factory func() *script.Program, opts Options) (*Resu
 		}
 		return scale
 	})
-	if opts.Prefetch > 0 {
-		// NewPrefetcher returns nil for local stores, and a nil prefetcher
-		// no-ops everywhere, so the local path pays nothing for it.
-		env.prefetch = rec.Store.NewPrefetcher(0, opts.Trace)
-		defer env.prefetch.Close()
-		// A successful steal invalidates the victim's speculation for the
-		// stolen span; the thief re-hints what it still wants when it plans
-		// its own horizon (Hint revives a cancelled-but-queued key).
-		x.SetOnSteal(func(victimEnd, stolenStart, stolenEnd int) {
-			env.cancelIters(stolenStart, stolenEnd)
-		})
-	}
 
 	res := &Result{Probes: diff.Probes, NewLabels: diff.NewLabels}
 	t0 := time.Now()
@@ -378,14 +358,10 @@ type replayEnv struct {
 	st         *schedState
 	opts       Options // Ctx never nil
 	slotCostNs int64
-	// prefetch warms the checkpoint keys of planned iterations; nil unless
-	// opts.Prefetch > 0 and the recording's store reads remotely.
-	prefetch *store.Prefetcher
 }
 
 // iterKeys returns the checkpoint keys the instrumented loops materialize
-// during main-loop iteration e — the unit of anchoring, restore pricing and
-// prefetch planning.
+// during main-loop iteration e — the unit of anchoring and restore pricing.
 func (st *schedState) iterKeys(e int) []store.Key {
 	var keys []store.Key
 	for _, id := range st.ids {
@@ -395,43 +371,6 @@ func (st *schedState) iterKeys(e int) []store.Key {
 		}
 	}
 	return keys
-}
-
-// claimIter tells the prefetcher the restore front reached iteration e.
-func (env *replayEnv) claimIter(e int) {
-	if env.prefetch == nil {
-		return
-	}
-	for _, k := range env.st.iterKeys(e) {
-		env.prefetch.Claim(k)
-	}
-}
-
-// hintIters enqueues the given iterations' checkpoint keys for warming.
-// Re-hinting already-planned keys is free, so callers push their whole
-// current horizon every time it moves.
-func (env *replayEnv) hintIters(iters []int) {
-	if env.prefetch == nil || len(iters) == 0 {
-		return
-	}
-	var keys []store.Key
-	for _, e := range iters {
-		keys = append(keys, env.st.iterKeys(e)...)
-	}
-	env.prefetch.Hint(keys...)
-}
-
-// cancelIters drops speculation for iterations the plan no longer owns
-// (the stolen span of a lease).
-func (env *replayEnv) cancelIters(start, end int) {
-	if env.prefetch == nil {
-		return
-	}
-	var keys []store.Key
-	for e := start; e < end; e++ {
-		keys = append(keys, env.st.iterKeys(e)...)
-	}
-	env.prefetch.Cancel(keys...)
 }
 
 // acquireSlot blocks until the shared slot source grants a slot or ctx is
@@ -675,11 +614,6 @@ func workerLoop(env *replayEnv, x *sched.Executor, pid, n int) (*WorkerReport, [
 			w.report.Stolen++
 		}
 		start := lease.Start()
-		// Warm the lease's opening horizon while initialization replays
-		// toward it — the window where speculative fetch overlaps catch-up
-		// compute for free.
-		env.hintIters(lease.Horizon(env.opts.Prefetch))
-
 		if start != pos {
 			initFrom := 0
 			if !first || env.opts.Init == Weak {
@@ -701,10 +635,6 @@ func workerLoop(env *replayEnv, x *sched.Executor, pid, n int) (*WorkerReport, [
 			if !ok {
 				break
 			}
-			// The restore front reached e: settle its hints as used, slide
-			// the speculation window to the lease's new horizon.
-			env.claimIter(e)
-			env.hintIters(lease.Horizon(env.opts.Prefetch))
 			it0 := time.Now()
 			if err := w.runIteration(e); err != nil {
 				return nil, nil, err

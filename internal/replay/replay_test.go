@@ -388,7 +388,10 @@ func TestReplayStartsNoMaterializerGoroutines(t *testing.T) {
 		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond) // a worker past its last statement may not be gone yet
 		}
-		if after := runtime.NumGoroutine(); after != before {
+		// The count may drop: a goroutine counted before the replay can end
+		// during it (the runtime's finalizer goroutine, for one, counts only
+		// while it runs finalizers). Only a rise is the replay's.
+		if after := runtime.NumGoroutine(); after > before {
 			t.Fatalf("workers=%d: %d goroutines after the replay, %d before", workers, after, before)
 		}
 		if workers == 1 && peak.Load() != int64(before)+1 {

@@ -37,10 +37,6 @@ type Executor struct {
 	// observed, not estimated, costs once real timings exist.
 	workScale   float64
 	workSamples int
-	// onSteal, when set, is notified after a successful steal shrinks a
-	// lease: the victim's new end and the stolen span. Prefetchers use it to
-	// cancel speculation beyond iterations the victim no longer owns.
-	onSteal func(victimEnd, stolenStart, stolenEnd int)
 
 	mStealAttempts *obs.Counter
 	mLeaseSplits   *obs.Counter
@@ -129,19 +125,6 @@ func (x *Executor) SetRestoreScale(f func() float64) {
 	x.mu.Unlock()
 }
 
-// SetOnSteal installs a callback invoked after every successful steal with
-// the victim lease's new end and the stolen span [stolenStart, stolenEnd).
-// Plan-driven prefetchers hang cancellation off it: speculative fetches for
-// iterations past victimEnd now belong to the thief's plan, not the
-// victim's. Call before workers start; the callback runs without the
-// executor lock held (it may call back into the executor) but never
-// concurrently with itself for the same steal.
-func (x *Executor) SetOnSteal(f func(victimEnd, stolenStart, stolenEnd int)) {
-	x.mu.Lock()
-	x.onSteal = f
-	x.mu.Unlock()
-}
-
 // noteEwmaAlpha smooths the measured work-cost ratio; matches the tracker's
 // restore-factor smoothing so both feedback loops converge at the same pace.
 const noteEwmaAlpha = 0.3
@@ -216,6 +199,7 @@ func (x *Executor) workCost(s, e int) int64 {
 // lease has a profitable remainder.
 func (x *Executor) Steal() (*Lease, bool) {
 	x.mu.Lock()
+	defer x.mu.Unlock()
 	x.mStealAttempts.Inc()
 	scale := 1.0
 	if x.restoreScale != nil {
@@ -241,20 +225,13 @@ func (x *Executor) Steal() (*Lease, bool) {
 		}
 	}
 	if best == nil || bestProfit <= 0 {
-		x.mu.Unlock()
 		return nil, false
 	}
 	stolen := &Lease{x: x, start: bestMid, next: bestMid, end: best.end, claimed: true, stolen: true}
-	stolenEnd := best.end
 	best.end = bestMid
 	x.leases = append(x.leases, stolen)
 	x.steals++
 	x.mLeaseSplits.Inc()
-	onSteal := x.onSteal
-	x.mu.Unlock()
-	if onSteal != nil {
-		onSteal(bestMid, bestMid, stolenEnd)
-	}
 	return stolen, true
 }
 
@@ -285,27 +262,4 @@ func (l *Lease) Bounds() (int, int) {
 	l.x.mu.Lock()
 	defer l.x.mu.Unlock()
 	return l.start, l.end
-}
-
-// Horizon returns up to n iterations the lease still owns beyond its claim
-// front: [next, min(next+n, end)). This is the worker's committed near-term
-// plan — barring a steal, these iterations restore on this worker next —
-// which makes it exactly the span a prefetcher should warm. The snapshot is
-// advisory: a concurrent steal can shrink end after it returns (the steal
-// callback reports the shrink).
-func (l *Lease) Horizon(n int) []int {
-	l.x.mu.Lock()
-	defer l.x.mu.Unlock()
-	if n <= 0 || l.next >= l.end {
-		return nil
-	}
-	end := l.next + n
-	if end > l.end {
-		end = l.end
-	}
-	out := make([]int, 0, end-l.next)
-	for i := l.next; i < end; i++ {
-		out = append(out, i)
-	}
-	return out
 }

@@ -33,9 +33,6 @@ type RegisterRequest struct {
 //	                              iteration, chunked transfer encoding)
 //	                              instead of buffering the whole replay
 //	POST /v1/runs/{id}/logs       sample query (SampleRequest body)
-//	POST /v1/runs/{id}/warm       pull a remote run's checkpoint content into
-//	                              the chunk-cache tier ahead of queries
-//	                              (no-op for local runs; synchronous)
 //	GET  /v1/runs/{id}/trace/{trace_id}
 //	                              a completed query's span trace as NDJSON
 //	                              (trace_id from the replay or sample
@@ -115,14 +112,6 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		res, err := s.Replay(r.Context(), r.PathValue("id"), req)
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
-	}))
-	mux.HandleFunc("POST /v1/runs/{id}/warm", timed("warm", func(w http.ResponseWriter, r *http.Request) {
-		res, err := s.WarmRun(r.PathValue("id"))
 		if err != nil {
 			writeErr(w, err)
 			return

@@ -14,9 +14,26 @@ import (
 
 // TestServeRemoteRunStateless pins the daemon's stateless open path: a run
 // whose packs live only in the remote object pool is registered with just
-// its ID, queried with logs byte-identical to a local replay, and the
-// chunk-cache tier shows up in /v1/stats — warm on the second query.
+// its ID and queried with logs byte-identical to a local replay. With a
+// chunk-cache tier, the tier shows up in /v1/stats — warm on the second
+// query. Without one (CacheMaxBytes < 0), stats carry no tier and every
+// fetched byte is a ranged GET the restore issued itself.
 func TestServeRemoteRunStateless(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		cacheMaxBytes int64
+	}{
+		{"cache-tier", 64 << 20},
+		{"no-cache-tier", -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testServeRemoteRun(t, tc.cacheMaxBytes)
+		})
+	}
+}
+
+func testServeRemoteRun(t *testing.T, cacheMaxBytes int64) {
+	cached := cacheMaxBytes > 0
 	base := t.TempDir()
 	src := filepath.Join(base, "src")
 	factory := recordRun(t, src, 8, 3, 17)
@@ -36,7 +53,7 @@ func TestServeRemoteRunStateless(t *testing.T) {
 	srv := serve.New(serve.Options{
 		Remote:        pool,
 		CacheDir:      filepath.Join(base, "cache"),
-		CacheMaxBytes: 64 << 20,
+		CacheMaxBytes: cacheMaxBytes,
 	})
 	if err := srv.Register(serve.RunConfig{
 		ID:     "run-r",
@@ -79,6 +96,15 @@ func TestServeRemoteRunStateless(t *testing.T) {
 			}
 		}
 		st := fx.stats(t)
+		if !cached {
+			if st.CacheTier != nil {
+				t.Fatalf("%s: uncached daemon reports a cache tier: %+v", label, *st.CacheTier)
+			}
+			if f := rr.Cost.Fetch; f.CacheTierBytes != 0 || f.SingleflightBytes != 0 || (pass == 0 && f.RemoteBytes == 0) {
+				t.Fatalf("%s: uncached fetches not all remote: %+v", label, f)
+			}
+			continue
+		}
 		if st.CacheTier == nil {
 			t.Fatalf("%s: stats carry no cache_tier block", label)
 		}

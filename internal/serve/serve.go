@@ -188,12 +188,6 @@ type Options struct {
 	// CacheMaxBytes bounds the chunk-cache tier (default 256 MiB;
 	// negative disables the cache tier, every read goes remote).
 	CacheMaxBytes int64
-	// Prefetch is the plan-driven readahead depth, in main-loop iterations,
-	// for replay queries against remote-backed runs: each replay worker
-	// keeps the chunk-cache tier warm that many iterations ahead of its
-	// restore front, overlapping remote fetch with replay compute. Zero
-	// disables speculation. Local runs are unaffected either way.
-	Prefetch int
 }
 
 func (o *Options) fill() {
@@ -998,7 +992,7 @@ type served struct {
 // deadline, the trace, one retry on store.ErrStalePack, error
 // classification, stats and trace retention. run has replay.Replay's shape:
 // it executes the kind's replay with the daemon plumbing in opts (shared
-// pool, slot-wait context, payload cache, trace, prefetch depth) and reports
+// pool, slot-wait context, payload cache, trace) and reports
 // what the query cost.
 func (s *Server) query(ctx context.Context, kind, runID, probe string,
 	run func(rec *replay.Recording, factory func() *script.Program, opts replay.Options) (QueryCost, error)) (served, error) {
@@ -1033,7 +1027,7 @@ func (s *Server) query(ctx context.Context, kind, runID, probe string,
 	// its workers starve behind other queries' segments.
 	slotCtx, cancel := context.WithTimeout(ctx, s.opts.QueueTimeout)
 	defer cancel()
-	opts := replay.Options{Slots: s.pool, Ctx: slotCtx, Cache: ent.cache, Trace: obs.NewTrace(), Prefetch: s.opts.Prefetch}
+	opts := replay.Options{Slots: s.pool, Ctx: slotCtx, Cache: ent.cache, Trace: obs.NewTrace()}
 	t0 := time.Now()
 	sv.cost, err = run(ent.rec, factory, opts)
 	if err != nil && errors.Is(err, store.ErrStalePack) {
@@ -1169,52 +1163,6 @@ func (s *Server) sample(ctx context.Context, runID string, req SampleRequest, em
 	}, nil
 }
 
-// WarmResponse reports a warm-up request: how many checkpoint keys were
-// hinted to the prefetcher (0 for local runs, whose reads gain nothing from
-// warming).
-type WarmResponse struct {
-	RunID  string `json:"run_id"`
-	Hinted int    `json:"hinted"`
-}
-
-// WarmRun speculatively pulls a remote-backed run's entire committed
-// checkpoint set into the daemon's chunk-cache tier, so a later cold query
-// restores at cache speed instead of paying first-touch remote GETs. The
-// warm runs synchronously to completion as a background task (its spans are
-// visible at /v1/debug/tasks) but outside per-run admission control:
-// warming is maintenance and must not occupy the run's in-flight query
-// slots. Local runs warm nothing and report zero hints.
-func (s *Server) WarmRun(runID string) (*WarmResponse, error) {
-	done, err := s.beginQuery() // drain gating: a shutdown must not race a warm
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	r, err := s.run(runID)
-	if err != nil {
-		return nil, err
-	}
-	ent, _, err := s.open(r)
-	if err != nil {
-		return nil, err
-	}
-	task := obs.BeginTask("warm")
-	defer task.End()
-	pf := ent.rec.Store.NewPrefetcher(0, task.Trace())
-	if pf == nil {
-		return &WarmResponse{RunID: runID}, nil
-	}
-	defer pf.Close()
-	metas := ent.rec.Store.Metas()
-	keys := make([]store.Key, 0, len(metas))
-	for _, m := range metas {
-		keys = append(keys, m.Key)
-	}
-	pf.Hint(keys...)
-	pf.Drain()
-	return &WarmResponse{RunID: runID, Hinted: len(keys)}, nil
-}
-
 // RunInfo describes one registered run for listings.
 type RunInfo struct {
 	ID     string   `json:"id"`
@@ -1293,9 +1241,6 @@ type Stats struct {
 	// CacheTier reports the remote chunk-cache tier when a remote pool is
 	// configured with caching enabled.
 	CacheTier *cachetier.Stats `json:"cache_tier,omitempty"`
-	// Prefetch reports process-wide speculative-prefetch accounting (issued
-	// vs used vs wasted vs cancelled bytes) when a remote pool is configured.
-	Prefetch *store.PrefetchSnapshot `json:"prefetch,omitempty"`
 }
 
 // TraceStoreInfo describes the durable trace store in /v1/stats.
@@ -1320,10 +1265,6 @@ func (s *Server) Stats() Stats {
 	if s.chunkCache != nil {
 		ct := s.chunkCache.Stats()
 		out.CacheTier = &ct
-	}
-	if s.remote != nil {
-		ps := store.PrefetchTotals()
-		out.Prefetch = &ps
 	}
 	s.mu.Lock()
 	runs := make([]*run, 0, len(s.runs))

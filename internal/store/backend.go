@@ -57,16 +57,6 @@ type BackendReader interface {
 	io.Closer
 }
 
-// TieredBackend is an optional Backend capability implemented by backends
-// whose reads travel a network (S3-style object stores), possibly through a
-// local read-through cache tier. It is what makes speculative prefetch worth
-// starting (Store.NewPrefetcher); the restore path itself never consults it
-// — how a run is read follows from the opened reader's own capabilities.
-type TieredBackend interface {
-	// RemoteReads reports whether reads are served by a remote object store.
-	RemoteReads() bool
-}
-
 // TieredReader is an optional BackendReader capability: ReadAtTier is ReadAt
 // plus per-read tier attribution, reporting how many of the returned bytes
 // were served by a local cache tier, fetched from the remote store by this
@@ -75,17 +65,6 @@ type TieredBackend interface {
 // capability count as ranged.
 type TieredReader interface {
 	ReadAtTier(p []byte, off int64) (n int, cached, fetched, shared int64, err error)
-}
-
-// WarmReader is an optional BackendReader capability for speculative
-// readahead: WarmAt makes the blocks covering [off, off+n) resident in the
-// reader's cache tier without materializing them into a caller buffer — the
-// whole point of warming is that nobody reads the bytes yet, so the copy a
-// ReadAt would pay is pure waste. It returns how many bytes it fetched
-// remotely (already-resident blocks cost nothing). The prefetcher falls back
-// to plain ReadAt into a scratch buffer when the capability is absent.
-type WarmReader interface {
-	WarmAt(off, n int64) (fetched int64, err error)
 }
 
 // BackendWriter is a streaming write handle on one backend object: Close

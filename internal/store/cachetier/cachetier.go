@@ -81,9 +81,9 @@ type Cache struct {
 	mEntries           *obs.Gauge
 }
 
-// Stats is a point-in-time snapshot of the cache's accounting. Hit and miss
-// byte counts attribute the byte ranges callers asked for (so they sum to
-// the bytes served), not whole blocks.
+// Stats is a point-in-time snapshot of the cache's accounting. Hit, miss and
+// singleflight byte counts attribute the byte ranges callers asked for (so
+// they sum to the bytes served), not whole blocks.
 type Stats struct {
 	Hits              int64 `json:"hits"`               // block lookups served locally
 	Misses            int64 `json:"misses"`             // block lookups that went remote
@@ -198,44 +198,6 @@ func (c *Cache) ReadThrough(obj string, size, off int64, p []byte, fetch func(of
 	return cached, fetched, shared, nil
 }
 
-// Warm makes every block covering [off, off+n) of obj resident without
-// copying anything to a caller buffer: resident blocks are left untouched
-// (not even their LRU position moves — speculation must not displace blocks
-// real reads are keeping alive), missing blocks are fetched and admitted
-// exactly as a read-through miss would, including joining another reader's
-// in-flight fetch. It returns the bytes fetched remotely on this call;
-// already-resident and flight-joined blocks cost nothing. Fetched bytes
-// count in the miss/singleflight accounting like any other tier fill.
-func (c *Cache) Warm(obj string, size, off, n int64, fetch func(off, n int64) ([]byte, error)) (fetched int64, err error) {
-	if off < 0 || off+n > size {
-		return 0, fmt.Errorf("cachetier: warm [%d,%d) of %s beyond object length %d", off, off+n, obj, size)
-	}
-	for idx := off / c.blockSize; idx*c.blockSize < off+n; idx++ {
-		bOff := idx * c.blockSize
-		bLen := min64(c.blockSize, size-bOff)
-		key := blockKey{obj: obj, ver: size, idx: idx}
-		c.mu.Lock()
-		_, resident := c.entries[key]
-		c.mu.Unlock()
-		if resident {
-			continue
-		}
-		_, joined, ferr := c.fetchBlock(key, bOff, bLen, fetch)
-		if ferr != nil {
-			return fetched, ferr
-		}
-		if joined {
-			c.note(&c.stats.Singleflights, &c.stats.SingleflightBytes, bLen)
-			c.mSingleflightBytes.Add(bLen)
-		} else {
-			fetched += bLen
-			c.note(&c.stats.Misses, &c.stats.MissBytes, bLen)
-			c.mMissBytes.Add(bLen)
-		}
-	}
-	return fetched, nil
-}
-
 // fetchBlock resolves a cache miss for one block. The first reader of a
 // missing key becomes the flight leader: it runs fetch, publishes the result
 // to every waiter, and admits the block. Later readers join the flight and
@@ -313,9 +275,9 @@ func (c *Cache) lookup(key blockKey) ([]byte, bool) {
 //
 // Admission is idempotent per versioned key: the key and its budget are
 // reserved under the lock before the (out-of-lock) disk write, so a racing
-// admit of the same block — a prefetch warm and a read-through miss landing
-// together — bails out before writing anything and the budget never counts
-// the block twice, even transiently.
+// admit of the same block — two readers whose flight leader failed, each
+// fetching on its own — bails out before writing anything and the budget
+// never counts the block twice, even transiently.
 func (c *Cache) admit(key blockKey, block []byte) {
 	n := int64(len(block))
 	// Memory mode adopts the fetched slice outright: fetch's contract is a

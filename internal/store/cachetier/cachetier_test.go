@@ -61,6 +61,7 @@ func TestCacheTierPropertyQuick(t *testing.T) {
 				for i, sz := range sizes {
 					objs[i], fetchers[i], _ = source(sz, seed+int64(i))
 				}
+				var served int64
 				for r, rv := range reads {
 					oi := int(rv) % len(sizes)
 					size := sizes[oi]
@@ -76,6 +77,7 @@ func TestCacheTierPropertyQuick(t *testing.T) {
 						t.Logf("read %d: cached %d + fetched %d + shared %d != n %d", r, cached, fetched, shared, n)
 						return false
 					}
+					served += n
 					if !bytes.Equal(p, objs[oi][off:off+n]) {
 						t.Logf("read %d: bytes differ from source", r)
 						return false
@@ -84,6 +86,10 @@ func TestCacheTierPropertyQuick(t *testing.T) {
 						t.Logf("read %d: resident %d > budget %d", r, st.Bytes, budget)
 						return false
 					}
+				}
+				if st := c.Stats(); st.HitBytes+st.MissBytes+st.SingleflightBytes != served {
+					t.Logf("stats: hit %d + miss %d + singleflight %d != served %d", st.HitBytes, st.MissBytes, st.SingleflightBytes, served)
+					return false
 				}
 				return true
 			}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -99,23 +101,27 @@ func TestFaultShortReadAndTornPut(t *testing.T) {
 	}
 }
 
+// faultClasses are the fault mixes the remote-restore matrices run under.
+var faultClasses = []struct {
+	name string
+	cfg  faultbackend.Config
+}{
+	{"read-errors", faultbackend.Config{ReadErrNth: 3}},
+	{"short-reads", faultbackend.Config{ShortReadNth: 2}},
+	{"latency", faultbackend.Config{LatencyNth: 4, Latency: 2 * time.Millisecond}},
+	{"torn-puts", faultbackend.Config{TornPutNth: 2}},
+	{"everything", faultbackend.Config{ReadErrNth: 5, ShortReadNth: 7, LatencyNth: 6, Latency: time.Millisecond, TornPutNth: 3}},
+}
+
+// retryPolicy is generous enough that every fault class above is survivable.
+var retryPolicy = remote.Policy{Attempts: 6, BaseDelay: 100 * time.Microsecond, MaxDelay: 2 * time.Millisecond, Timeout: 5 * time.Second}
+
 // TestFaultMatrixRemoteRestore is the battery's centerpiece: a checkpoint
 // store written and restored over a faulty object store, per fault class and
 // seed. With retries in the stack every run must end byte-identical; with
 // retries exhausted it must fail typed, never return corrupt sections.
 func TestFaultMatrixRemoteRestore(t *testing.T) {
-	classes := []struct {
-		name string
-		cfg  faultbackend.Config
-	}{
-		{"read-errors", faultbackend.Config{ReadErrNth: 3}},
-		{"short-reads", faultbackend.Config{ShortReadNth: 2}},
-		{"latency", faultbackend.Config{LatencyNth: 4, Latency: 2 * time.Millisecond}},
-		{"torn-puts", faultbackend.Config{TornPutNth: 2}},
-		{"everything", faultbackend.Config{ReadErrNth: 5, ShortReadNth: 7, LatencyNth: 6, Latency: time.Millisecond, TornPutNth: 3}},
-	}
-	policy := remote.Policy{Attempts: 6, BaseDelay: 100 * time.Microsecond, MaxDelay: 2 * time.Millisecond, Timeout: 5 * time.Second}
-	for _, cl := range classes {
+	for _, cl := range faultClasses {
 		for _, seed := range []int64{1, 2, 3} {
 			cl, seed := cl, seed
 			t.Run(fmt.Sprintf("%s/seed%d", cl.name, seed), func(t *testing.T) {
@@ -128,7 +134,7 @@ func TestFaultMatrixRemoteRestore(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				backend := remote.NewObjectBackend(remote.Retry(fb, policy), "packs", cache)
+				backend := remote.NewObjectBackend(remote.Retry(fb, retryPolicy), "packs", cache)
 				dir := t.TempDir()
 				s, err := store.OpenWith(dir, store.Options{Backend: backend, ShardFanout: 2})
 				if err != nil {
@@ -158,6 +164,87 @@ func TestFaultMatrixRemoteRestore(t *testing.T) {
 				}
 				if fb.Injected() == 0 {
 					t.Fatal("battery ran but no faults fired")
+				}
+			})
+		}
+	}
+}
+
+// TestFaultMatrixConcurrentRemoteRestore is the matrix's concurrent pass: a
+// store written cleanly, then every key restored at once — two readers per
+// key — through one small-block cache tier over a faulty object store, so
+// readers race for the same blocks, join each other's fetches, and fall back
+// to their own when a flight leader's fetch fails. Every restore must come
+// back byte-identical, faults must have fired on the read path, and no
+// restore goroutine may outlive its restore. Not parallel: the goroutine
+// count is process-wide.
+func TestFaultMatrixConcurrentRemoteRestore(t *testing.T) {
+	for _, cl := range faultClasses {
+		cfg := cl.cfg
+		cfg.TornPutNth = 0 // the fixture is written cleanly; only reads fault
+		if cfg == (faultbackend.Config{}) {
+			continue
+		}
+		for _, seed := range []int64{1, 2, 3} {
+			t.Run(fmt.Sprintf("%s/seed%d", cl.name, seed), func(t *testing.T) {
+				const nKeys = 5
+				mem := remote.NewMemStore()
+				dir := t.TempDir()
+				w, err := store.OpenWith(dir, store.Options{Backend: remote.NewObjectBackend(mem, "packs", nil), ShardFanout: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := map[int][]byte{}
+				for i := 0; i < nKeys; i++ {
+					want[i] = faultPayload(48<<10, uint64(seed)*100+uint64(i))
+					if _, err := w.PutSections(store.Key{LoopID: "train", Exec: i}, []store.Section{{Name: "w", Data: want[i]}}, 0, 0, 0); err != nil {
+						t.Fatalf("put %d: %v", i, err)
+					}
+				}
+
+				cfg := cfg
+				cfg.Seed = seed
+				fb := faultbackend.WrapObject(mem, cfg)
+				cache, err := cachetier.NewWithBlockSize("", 4<<20, 8<<10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				backend := remote.NewObjectBackend(remote.Retry(fb, retryPolicy), "packs", cache)
+				ro, err := store.OpenWith(dir, store.Options{ReadOnly: true, Backend: backend})
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				before := runtime.NumGoroutine()
+				var wg sync.WaitGroup
+				for i, data := range want {
+					for r := 0; r < 2; r++ {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							secs, ok, err := ro.GetSections(store.Key{LoopID: "train", Exec: i}, nil)
+							if err != nil || !ok {
+								t.Errorf("restore %d through faults: ok=%v err=%v", i, ok, err)
+								return
+							}
+							if !bytes.Equal(secs[0].Data, data) {
+								t.Errorf("restore %d: bytes differ under concurrent faulty reads", i)
+							}
+						}()
+					}
+				}
+				wg.Wait()
+				if fb.Injected() == 0 {
+					t.Fatal("battery ran but no faults fired")
+				}
+				// Allow the runtime a moment to retire exited goroutines before
+				// declaring a leak.
+				deadline := time.Now().Add(2 * time.Second)
+				for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+					time.Sleep(10 * time.Millisecond)
+				}
+				if n := runtime.NumGoroutine(); n > before {
+					t.Fatalf("%d goroutines outlived their restores (started with %d)", n-before, before)
 				}
 			})
 		}

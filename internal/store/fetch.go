@@ -2,8 +2,8 @@ package store
 
 // fetch.go is the restore read path: one planner that cuts a shard's chunk
 // jobs into bounded runs, and one executor that reads each run with a single
-// call and decodes its frames the moment the bytes land. Every restore and
-// every prefetch warm goes through it, whatever the backend.
+// call and decodes its frames the moment the bytes land. Every restore goes
+// through it, whatever the backend.
 //
 // How a run's bytes are obtained depends only on what the opened pack reader
 // exposes:
@@ -11,8 +11,7 @@ package store
 //   - a file descriptor (local packs on Linux): one vectored preadv whose
 //     large raw payloads land straight in their destination buffers;
 //   - anything else (remote objects, wrapped backends, other platforms): one
-//     ReadAt — ReadAtTier when offered — of the run into an arena span;
-//   - no destination (warming): WarmAt when offered, else read and drop.
+//     ReadAt — ReadAtTier when offered — of the run into an arena span.
 //
 // The strategies are byte-identical by construction: both decode the same
 // records into the same buffers and check the same CRCs and content hashes.
@@ -33,7 +32,7 @@ import (
 
 // chunkJob is one frame to fetch and decode while materializing sections.
 type chunkJob struct {
-	dst []byte // decode destination within the section's owned buffer; nil when warming
+	dst []byte // decode destination within the section's owned buffer
 	loc chunkLoc
 	ref ckptfmt.ChunkRef
 }
@@ -130,7 +129,6 @@ type fetchRun struct {
 	start, end int64
 	members    []int // indices into jobs, in offset order
 	scratch    int   // run bytes that are not direct payload: gaps, frame overhead, staged records
-	enc        int64 // sum of the members' record lengths
 }
 
 // rawOverhead returns the header+trailer byte count j's record carries around
@@ -163,7 +161,6 @@ func planRuns(pf BackendReader, obj string, jobs []chunkJob, idxs []int) []fetch
 		j := &jobs[ji]
 		if cur != nil && j.loc.Off < cur.end {
 			cur.members = cur.members[:len(cur.members)+1]
-			cur.enc += int64(j.loc.EncLen)
 			continue
 		}
 		scratch, direct := j.loc.EncLen, 0
@@ -187,23 +184,19 @@ func planRuns(pf BackendReader, obj string, jobs []chunkJob, idxs []int) []fetch
 		cur.scratch += scratch
 		payload += direct
 		cur.end = j.loc.Off + int64(j.loc.EncLen)
-		cur.enc += int64(j.loc.EncLen)
 	}
 	return runs
 }
 
-// execute opens the pack object of every involved shard, plans each shard's
-// runs, and drives do over the runs on up to width workers. It stops handing
-// out runs after the first error — or once live (optional) reports false —
-// and returns the encoded bytes of the runs that completed. Jobs of one shard
-// always share a generation (locations were resolved atomically under the
-// shard lock). A missing pack object surfaces ErrStalePack: the generation
-// was compacted away and deleted after its grace period, so the caller's
-// resolved locations are stale, not corrupt.
-func (p *ChunkPool) execute(jobs []chunkJob, byShard map[int][]int, width int, live func() bool, do func(*fetchRun) error) (int64, error) {
-	if live != nil && !live() {
-		return 0, nil // dead before it began: not even the opens (remote HEADs) are paid
-	}
+// fetch reads and decodes every job into its destination buffer: the whole
+// restore below chunk-location resolution. It opens the pack object of every
+// involved shard, plans each shard's runs, and reads them on up to
+// fetchWorkers workers, handing out no run after the first error. Jobs of one
+// shard always share a generation (locations were resolved atomically under
+// the shard lock). A missing pack object surfaces ErrStalePack: the
+// generation was compacted away and deleted after its grace period, so the
+// caller's resolved locations are stale, not corrupt.
+func (p *ChunkPool) fetch(jobs []chunkJob, byShard map[int][]int, fs *FetchStats) error {
 	shards := make([]int, 0, len(byShard))
 	for si := range byShard {
 		shards = append(shards, si)
@@ -233,32 +226,38 @@ func (p *ChunkPool) execute(jobs []chunkJob, byShard map[int][]int, width int, l
 	var runs []fetchRun
 	for k, si := range shards {
 		if errs[k] != nil {
-			return 0, errs[k]
+			return errs[k]
 		}
 		runs = append(runs, planRuns(packs[k], objs[k], jobs, byShard[si])...)
 	}
 
+	bdgt := newByteBudget(restoreInflightBudget)
+	read := func(r *fetchRun) error {
+		if fd, ok := packFd(r.pf); ok {
+			return p.readRunVectored(fd, r, jobs, fs, bdgt)
+		}
+		return p.readRunStaged(r, jobs, fs, bdgt)
+	}
 	var (
-		next, done atomic.Int64
-		failed     atomic.Bool
-		errOnce    sync.Once
-		firstErr   error
+		next     atomic.Int64
+		failed   atomic.Bool
+		errOnce  sync.Once
+		firstErr error
 	)
 	work := func() {
-		for !failed.Load() && (live == nil || live()) {
+		for !failed.Load() {
 			i := int(next.Add(1)) - 1
 			if i >= len(runs) {
 				return
 			}
-			if err := do(&runs[i]); err != nil {
+			if err := read(&runs[i]); err != nil {
 				errOnce.Do(func() { firstErr = err })
 				failed.Store(true)
 				return
 			}
-			done.Add(runs[i].enc)
 		}
 	}
-	if width = min(width, len(runs)); width <= 1 {
+	if width := min(fetchWorkers(), len(runs)); width <= 1 {
 		work()
 	} else {
 		var wg sync.WaitGroup
@@ -271,35 +270,7 @@ func (p *ChunkPool) execute(jobs []chunkJob, byShard map[int][]int, width int, l
 		}
 		wg.Wait()
 	}
-	return done.Load(), firstErr
-}
-
-// fetch reads and decodes every job into its destination buffer: the whole
-// restore below chunk-location resolution.
-func (p *ChunkPool) fetch(jobs []chunkJob, byShard map[int][]int, fs *FetchStats) error {
-	bdgt := newByteBudget(restoreInflightBudget)
-	_, err := p.execute(jobs, byShard, fetchWorkers(), nil, func(r *fetchRun) error {
-		if fd, ok := packFd(r.pf); ok {
-			return p.readRunVectored(fd, r, jobs, fs, bdgt)
-		}
-		return p.readRunStaged(r, jobs, fs, bdgt)
-	})
-	return err
-}
-
-// warmRun makes one run's blocks resident in the reader's cache tier — no
-// decode, no destination. The tier admits the blocks directly from the remote
-// fetch when the reader can warm; otherwise the bytes are read and dropped.
-func warmRun(r *fetchRun) error {
-	n := r.end - r.start
-	if w, ok := r.pf.(WarmReader); ok {
-		_, err := w.WarmAt(r.start, n)
-		return err
-	}
-	buf := ckptfmt.Shared.Get(int(n))
-	defer ckptfmt.Shared.Put(buf)
-	_, err := r.pf.ReadAt(buf, r.start)
-	return err
+	return firstErr
 }
 
 // readErr wraps a failed run read. A vanished object is a stale index; a pack

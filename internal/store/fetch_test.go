@@ -22,13 +22,9 @@ type countingBackend struct {
 	mu    sync.Mutex
 	reads [][2]int64 // [start, end) of every ReadAt
 	fds   int        // Fd() calls: one per vectored run
-	opens int
 }
 
 func (b *countingBackend) Open(name string) (BackendReader, error) {
-	b.mu.Lock()
-	b.opens++
-	b.mu.Unlock()
 	r, err := b.Backend.Open(name)
 	if err != nil {
 		return nil, err
@@ -297,52 +293,5 @@ func TestFetchVectoredWrongRawGuessRereads(t *testing.T) {
 	}
 	if snap := fs.Snapshot(); snap.RangedFrames != 1 || snap.ScatterFrames != 0 || snap.TotalBytes() != int64(locs[0].EncLen) {
 		t.Fatalf("wrong-guess frame misattributed: %+v", snap)
-	}
-}
-
-// TestExecuteDeadBeforeStartOpensNothing: a warm whose hint died between
-// sizing and dispatch pays no Open (a size/HEAD round trip per shard on a
-// remote backend), let alone a read.
-func TestExecuteDeadBeforeStartOpensNothing(t *testing.T) {
-	dir := t.TempDir()
-	w, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := Key{LoopID: "train", Exec: 0}
-	if _, err := w.PutSections(key, []Section{{Name: "a", Data: testPayload(600<<10, 1)}}, 0, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	db, err := NewDirBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb := &countingBackend{Backend: db}
-	s, err := OpenWith(dir, Options{ReadOnly: true, Backend: cb})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := s.Resolve(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, sdir := c.m, c.dir
-	var jobs []chunkJob
-	byShard := map[int][]int{}
-	for _, ref := range sdir.Sections[0].Chunks {
-		si := s.pool.shardOf(ref.Hash)
-		byShard[si] = append(byShard[si], len(jobs))
-		jobs = append(jobs, chunkJob{ref: ref})
-	}
-	if err := s.pool.resolve(jobs, byShard, m.Seq); err != nil {
-		t.Fatal(err)
-	}
-	opens := cb.opens
-	n, err := s.pool.execute(jobs, byShard, 1, func() bool { return false }, warmRun)
-	if n != 0 || err != nil || cb.opens != opens || len(cb.reads) != 0 {
-		t.Fatalf("dead warm: issued=%d err=%v opens=%d reads=%d, want nothing", n, err, cb.opens-opens, len(cb.reads))
-	}
-	if n, err := s.pool.execute(jobs, byShard, 1, nil, warmRun); err != nil || n == 0 || cb.opens == opens {
-		t.Fatalf("live warm: issued=%d err=%v opens=%d", n, err, cb.opens-opens)
 	}
 }

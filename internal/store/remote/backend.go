@@ -15,8 +15,7 @@ import (
 // MANIFEST, segments) stays in a local run directory. Its readers expose no
 // file descriptor, so the restore path reads each coalesced run as one
 // ranged GET, several in flight, and attributes the bytes to the "remote",
-// "cache-tier" and "singleflight" fetch tiers (store.TieredReader). It
-// implements store.TieredBackend so replays start a prefetcher over it.
+// "cache-tier" and "singleflight" fetch tiers (store.TieredReader).
 //
 // Reads go through an optional cachetier.Cache; pack appends and wholesale
 // replacements invalidate the touched object's cached blocks (correctness
@@ -34,12 +33,11 @@ type ObjectBackend struct {
 	cache  *cachetier.Cache
 }
 
-// Compile-time checks: ObjectBackend is a tiered store.Backend.
+// Compile-time checks: ObjectBackend is a store.Backend whose readers
+// attribute their bytes to fetch tiers.
 var (
-	_ store.Backend       = (*ObjectBackend)(nil)
-	_ store.TieredBackend = (*ObjectBackend)(nil)
-	_ store.TieredReader  = (*objReader)(nil)
-	_ store.WarmReader    = (*objReader)(nil)
+	_ store.Backend      = (*ObjectBackend)(nil)
+	_ store.TieredReader = (*objReader)(nil)
 )
 
 // NewObjectBackend returns a backend whose objects live under prefix in st
@@ -58,9 +56,6 @@ func (b *ObjectBackend) key(name string) string {
 	}
 	return b.prefix + "/" + name
 }
-
-// RemoteReads implements store.TieredBackend.
-func (b *ObjectBackend) RemoteReads() bool { return true }
 
 // Size implements store.Backend (absent objects are 0, not an error).
 func (b *ObjectBackend) Size(name string) (int64, error) {
@@ -153,25 +148,6 @@ func (r *objReader) ReadAtTier(p []byte, off int64) (n int, cached, fetched, sha
 		return len(want), cached, fetched, shared, io.EOF
 	}
 	return len(want), cached, fetched, shared, nil
-}
-
-// WarmAt implements store.WarmReader: it drives the blocks covering
-// [off, off+n) into the cache tier without a destination buffer. Without a
-// cache tier there is nothing to warm into, so it is a no-op — fetching
-// bytes only to drop them would charge the remote for nothing.
-func (r *objReader) WarmAt(off, n int64) (int64, error) {
-	if r.b.cache == nil {
-		return 0, nil
-	}
-	if off < 0 || off >= r.size {
-		return 0, fmt.Errorf("remote: warm %s at %d: out of range [0,%d)", r.key, off, r.size)
-	}
-	if off+n > r.size {
-		n = r.size - off
-	}
-	return r.b.cache.Warm(r.key, r.size, off, n, func(bOff, bLen int64) ([]byte, error) {
-		return r.b.store.GetRange(r.key, bOff, bLen)
-	})
 }
 
 // Close implements io.Closer.

@@ -50,7 +50,7 @@
 //     (package ckptfmt): the checkpoint's named sections and, per section,
 //     the ordered content hashes of the chunks holding its bytes. The chunk
 //     bytes themselves live in the CHUNKS pack as independent frames —
-//     style byte (raw or deflate), CRC-32C, 128-bit content hash — written
+//     style byte (raw, deflate or lz4), CRC-32C, 128-bit content hash — written
 //     once per distinct hash and shared by every checkpoint of the run that
 //     references them (cross-checkpoint dedup: frozen layers, datasets, and
 //     configuration are stored once). Frames encode and decode in parallel
@@ -78,21 +78,24 @@
 //
 // # Restore read path
 //
-// Every restore — any layout, local or remote — and every prefetch warm runs
-// one pipeline (fetch.go): a planner offset-sorts each shard's wanted frame
-// records and cuts them into bounded runs (neighbours merge across gaps up
-// to 256 KiB), and an executor reads the runs of all shards on one bounded
+// Every restore — any layout, local or remote — runs one pipeline
+// (fetch.go): a planner offset-sorts each shard's wanted frame records and
+// cuts them into bounded runs (neighbours merge across gaps up to 256 KiB),
+// and an executor reads the runs of all shards on one bounded
 // worker group, one read call per run, decoding and hash-checking a run's
 // frames the moment its bytes land and handing out no further runs after the
 // first error. How a run's bytes are obtained follows from what the opened
 // BackendReader offers, never from a setting: a file descriptor gets one
 // vectored preadv that puts large raw payloads straight into their section
 // buffers; anything else gets one ReadAt (ReadAtTier when offered) into an
-// arena span; a warm gets WarmAt, or a read that is dropped. The results are
-// byte-identical whichever way the bytes came. Section buffers are the
-// caller's: freshly allocated and retainable from GetSections, or the ones a
-// restoring worker offers back through GetSectionsInto, so that a loop's
-// next checkpoint is read over its previous one without allocating.
+// arena span. The results are byte-identical whichever way the bytes came.
+// Replay resolves a checkpoint once (Resolve, one segment-directory read)
+// and then reads only the sections its statements touch through
+// Checkpoint.ReadInto. Section buffers are the caller's: freshly allocated
+// and retainable, or the ones a restoring worker offers back through
+// ReadInto's reuse, so that a loop's next checkpoint is read over its
+// previous one without allocating. GetSections and GetSectionsInto wrap the
+// same call for readers that want every section.
 //
 // # Manifest and crash consistency
 //
