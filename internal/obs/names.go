@@ -144,12 +144,12 @@ var Catalog = []Def{
 	{MStoreGCTombstonedPacks, KindCounter, nil, "Replaced pack generations scheduled as grace-period tombstones."},
 	{MStoreGCDeletedPacks, KindCounter, nil, "Tombstoned pack generations deleted after their grace period."},
 	// cache tier (remote-backed stores)
-	{MCacheTierHitBytes, KindCounter, nil, "Requested bytes the remote chunk-cache tier served locally."},
-	{MCacheTierMissBytes, KindCounter, nil, "Requested bytes the remote chunk-cache tier fetched from the object store."},
-	{MCacheTierSingleflightBytes, KindCounter, nil, "Requested bytes served by waiting on another reader's in-flight fetch of the same block (deduped GETs)."},
-	{MCacheTierEvictions, KindCounter, nil, "Blocks evicted from the remote chunk-cache tier to stay within budget."},
-	{MCacheTierBytes, KindGauge, nil, "Block bytes currently resident in the remote chunk-cache tier."},
-	{MCacheTierEntries, KindGauge, nil, "Blocks currently resident in the remote chunk-cache tier."},
+	{MCacheTierHitBytes, KindCounter, nil, "Extent bytes the remote chunk-cache tier served locally."},
+	{MCacheTierMissBytes, KindCounter, nil, "Extent bytes the remote chunk-cache tier fetched from the object store."},
+	{MCacheTierSingleflightBytes, KindCounter, nil, "Extent bytes served by waiting on another reader's in-flight fetch of the same extent (deduped GETs)."},
+	{MCacheTierEvictions, KindCounter, nil, "Extents evicted from the remote chunk-cache tier to stay within budget."},
+	{MCacheTierBytes, KindGauge, nil, "Extent bytes currently resident in the remote chunk-cache tier."},
+	{MCacheTierEntries, KindGauge, nil, "Extents currently resident in the remote chunk-cache tier."},
 	// sched
 	{MSchedSlotAcquires, KindCounter, nil, "Slot acquisitions from the shared worker pool."},
 	{MSchedSlotWaits, KindCounter, nil, "Slot acquisitions that had to queue."},

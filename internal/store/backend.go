@@ -57,15 +57,25 @@ type BackendReader interface {
 	io.Closer
 }
 
-// TieredReader is an optional BackendReader capability: ReadAtTier is ReadAt
-// plus per-read tier attribution, reporting how many of the returned bytes
-// were served by a local cache tier, fetched from the remote store by this
-// read, or shared from another reader's concurrent in-flight fetch of the
-// same blocks (the singleflight tier). Reads through readers without the
-// capability count as ranged.
-type TieredReader interface {
-	ReadAtTier(p []byte, off int64) (n int, cached, fetched, shared int64, err error)
+// ExtentReader is an optional BackendReader capability of readers whose
+// bytes already sit in memory once fetched (remote objects): ReadExtent
+// returns exactly bytes [off, off+n) as a slice the reader lends — resident
+// in a cache tier and possibly shared with other readers, so the caller only
+// reads it — and the fetch tier that served them. The restore path decodes
+// straight out of the slice; readers without the capability are read with
+// ReadAt into an arena span and count as ranged.
+type ExtentReader interface {
+	ReadExtent(off, n int64) ([]byte, ExtentTier, error)
 }
+
+// ExtentTier is where an ExtentReader found an extent.
+type ExtentTier int
+
+const (
+	ExtentRemote       ExtentTier = tierRemote       // this read's own ranged GET
+	ExtentCacheTier    ExtentTier = tierCacheTier    // resident in a local cache tier
+	ExtentSingleflight ExtentTier = tierSingleflight // another reader's in-flight GET of the same extent
+)
 
 // BackendWriter is a streaming write handle on one backend object: Close
 // commits the object atomically; Abort abandons the write, leaving any

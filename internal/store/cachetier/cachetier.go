@@ -1,17 +1,18 @@
 // Package cachetier implements the local read-through chunk cache that sits
 // between a remote object backend and the checkpoint store's restore path.
-// Remote pack reads land here block by block: a hit is served from local
-// disk (or memory), a miss fetches the block from the remote store and —
+// Remote pack reads land here extent by extent — an extent is exactly the
+// byte range of one frame run a restore planned: a hit is served from local
+// disk (or memory), a miss fetches the extent from the remote store and —
 // subject to size-bounded admission control — keeps it for the next restore.
 // The cache is what makes a stateless serving daemon cheap to re-point at a
 // shared remote pool: the first restore of a run pays remote ranged-GET
 // latency once, every later restore streams from the cache tier.
 //
-// Entries are keyed by (object, object length, block index). Pack objects
+// Entries are keyed by (object, object length, offset, length). Pack objects
 // are append-only and generations are immutable once written, so versioning
 // the key by the object's length at read time makes stale hits structurally
 // impossible: an appended-to object reads under a new length and simply
-// re-fetches its tail, while the old version's blocks age out via LRU.
+// re-fetches, while the old version's extents age out via LRU.
 package cachetier
 
 import (
@@ -23,33 +24,33 @@ import (
 	"flor.dev/flor/internal/obs"
 )
 
-// DefaultBlockSize is the cache's block granularity: large enough that one
-// block amortizes a remote round-trip, small enough that sparse restores do
-// not drag whole packs into the cache.
+// DefaultBlockSize is the fixed block granularity the cache read at before
+// it kept extents. Nothing in the cache uses it; it stays exported because
+// the benchmark still estimates evicted bytes as evictions × this constant,
+// until that row reads Stats.EvictedBytes.
 const DefaultBlockSize = 1 << 20
 
-// blockKey identifies one cached block: the object, the object length the
-// block was read under (the version), and the block index.
-type blockKey struct {
-	obj string
-	ver int64
-	idx int64
+// extentKey identifies one cached extent: the object, the object length the
+// extent was read under (the version), and the extent's byte range.
+type extentKey struct {
+	obj    string
+	ver    int64
+	off, n int64
 }
 
-// entry is one resident block. Exactly one of data/path is set: data for
+// entry is one resident extent. Exactly one of data/path is set: data for
 // memory-backed caches, path for disk-backed ones.
 type entry struct {
-	key  blockKey
-	size int64
+	key  extentKey
 	data []byte
 	path string
 	// LRU intrusive list, most recent at head.
 	prev, next *entry
 }
 
-// flight is one in-progress remote fetch of a block. Concurrent readers of
-// the same versioned key join the flight instead of issuing their own GET:
-// the leader fetches, everyone waits on done, and the waiters' bytes are
+// flight is one in-progress remote fetch of an extent. Concurrent readers of
+// the same extent key join the flight instead of issuing their own GET: the
+// leader fetches, everyone waits on done, and the waiters' bytes are
 // attributed to the singleflight tier.
 type flight struct {
 	done chan struct{}
@@ -57,20 +58,28 @@ type flight struct {
 	err  error
 }
 
-// Cache is a size-bounded read-through block cache. Safe for concurrent use.
+// Source says where ReadExtent found an extent's bytes.
+type Source int
+
+const (
+	Fetched Source = iota // this caller's own remote fetch
+	Hit                   // resident in the cache
+	Shared                // another reader's in-flight fetch of the same extent
+)
+
+// Cache is a size-bounded read-through extent cache. Safe for concurrent use.
 type Cache struct {
-	dir       string // "" = memory-backed blocks
-	maxBytes  int64
-	blockSize int64
+	dir      string // "" = memory-backed extents
+	maxBytes int64
 
 	mu        sync.Mutex
-	entries   map[blockKey]*entry
-	flights   map[blockKey]*flight // in-progress fetches, one leader per key
-	admitting map[blockKey]bool    // keys reserved by an in-progress admit
-	head      *entry               // most recently used
-	tail      *entry               // least recently used
+	entries   map[extentKey]*entry
+	flights   map[extentKey]*flight // in-progress fetches, one leader per key
+	admitting map[extentKey]bool    // keys reserved by an in-progress admit
+	head      *entry                // most recently used
+	tail      *entry                // least recently used
 	bytes     int64
-	seq       int64 // disk-mode block file names
+	seq       int64 // disk-mode extent file names
 	stats     Stats
 
 	mHitBytes          *obs.Counter
@@ -82,41 +91,32 @@ type Cache struct {
 }
 
 // Stats is a point-in-time snapshot of the cache's accounting. Hit, miss and
-// singleflight byte counts attribute the byte ranges callers asked for (so
-// they sum to the bytes served), not whole blocks.
+// singleflight byte counts sum to the bytes served.
 type Stats struct {
-	Hits              int64 `json:"hits"`               // block lookups served locally
-	Misses            int64 `json:"misses"`             // block lookups that went remote
-	Singleflights     int64 `json:"singleflights"`      // block lookups that joined another reader's fetch
-	HitBytes          int64 `json:"hit_bytes"`          // requested bytes served locally
-	MissBytes         int64 `json:"miss_bytes"`         // requested bytes fetched remotely
-	SingleflightBytes int64 `json:"singleflight_bytes"` // requested bytes served by a shared in-flight fetch
-	Admitted          int64 `json:"admitted"`           // blocks admitted to the cache
-	Rejected          int64 `json:"rejected"`           // blocks denied admission (too large)
-	Evictions         int64 `json:"evictions"`          // blocks evicted to make room
-	Bytes             int64 `json:"bytes"`              // resident block bytes
-	Entries           int64 `json:"entries"`            // resident blocks
+	Hits              int64 `json:"hits"`               // extent lookups served locally
+	Misses            int64 `json:"misses"`             // extent lookups that went remote
+	Singleflights     int64 `json:"singleflights"`      // extent lookups that joined another reader's fetch
+	HitBytes          int64 `json:"hit_bytes"`          // bytes served locally
+	MissBytes         int64 `json:"miss_bytes"`         // bytes fetched remotely
+	SingleflightBytes int64 `json:"singleflight_bytes"` // bytes served by a shared in-flight fetch
+	Admitted          int64 `json:"admitted"`           // extents admitted to the cache
+	Rejected          int64 `json:"rejected"`           // extents denied admission (too large)
+	Evictions         int64 `json:"evictions"`          // extents evicted to make room
+	EvictedBytes      int64 `json:"evicted_bytes"`      // bytes of the evicted extents
+	Bytes             int64 `json:"bytes"`              // resident extent bytes
+	Entries           int64 `json:"entries"`            // resident extents
 	MaxBytes          int64 `json:"max_bytes"`          // admission budget
 }
 
-// New returns a cache bounded to maxBytes. With a non-empty dir, blocks are
+// New returns a cache bounded to maxBytes. With a non-empty dir, extents are
 // kept as files under it (the directory is created and any previous contents
 // cleared — a cache directory holds nothing durable); with an empty dir,
-// blocks live in memory. maxBytes <= 0 disables caching entirely: every read
+// extents live in memory. maxBytes <= 0 disables caching entirely: every read
 // passes through to the remote fetch.
 func New(dir string, maxBytes int64) (*Cache, error) {
-	return NewWithBlockSize(dir, maxBytes, DefaultBlockSize)
-}
-
-// NewWithBlockSize is New with an explicit block granularity (tests shrink
-// it to exercise multi-block reads cheaply).
-func NewWithBlockSize(dir string, maxBytes, blockSize int64) (*Cache, error) {
-	if blockSize <= 0 {
-		return nil, fmt.Errorf("cachetier: block size %d: want > 0", blockSize)
-	}
 	if dir != "" {
 		// A cache directory is disposable by definition; clearing it on open
-		// keeps stale blocks from a previous process out of the accounting.
+		// keeps stale extents from a previous process out of the accounting.
 		if err := os.RemoveAll(dir); err != nil {
 			return nil, fmt.Errorf("cachetier: clear cache dir: %w", err)
 		}
@@ -127,10 +127,9 @@ func NewWithBlockSize(dir string, maxBytes, blockSize int64) (*Cache, error) {
 	return &Cache{
 		dir:                dir,
 		maxBytes:           maxBytes,
-		blockSize:          blockSize,
-		entries:            map[blockKey]*entry{},
-		flights:            map[blockKey]*flight{},
-		admitting:          map[blockKey]bool{},
+		entries:            map[extentKey]*entry{},
+		flights:            map[extentKey]*flight{},
+		admitting:          map[extentKey]bool{},
 		mHitBytes:          obs.C(obs.MCacheTierHitBytes),
 		mMissBytes:         obs.C(obs.MCacheTierMissBytes),
 		mSingleflightBytes: obs.C(obs.MCacheTierSingleflightBytes),
@@ -143,68 +142,47 @@ func NewWithBlockSize(dir string, maxBytes, blockSize int64) (*Cache, error) {
 // MaxBytes returns the admission budget.
 func (c *Cache) MaxBytes() int64 { return c.maxBytes }
 
-// BlockSize returns the cache's block granularity.
-func (c *Cache) BlockSize() int64 { return c.blockSize }
-
-// ReadThrough fills p with bytes [off, off+len(p)) of object obj, whose
-// committed length is size (the version key; off+len(p) must not exceed it).
-// Blocks already resident are copied out of the cache; missing blocks are
-// fetched with fetch(blockOff, blockLen) — which must return exactly
-// blockLen bytes of the object at blockOff, in a freshly allocated slice the
-// cache may retain (every remote GET materializes a new buffer, so admission
-// adopts it instead of paying a second copy of every fetched byte) — served
-// to the caller, and admitted to the cache when they fit the budget. Concurrent readers of the
-// same missing block are deduped: one leader runs fetch, the rest wait on
-// its result. It returns how many of the requested bytes came from the
-// cache, from this caller's own fetches, and from fetches shared with
-// another in-flight reader (cached+fetched+shared == len(p) on success).
-func (c *Cache) ReadThrough(obj string, size, off int64, p []byte, fetch func(off, n int64) ([]byte, error)) (cached, fetched, shared int64, err error) {
-	if off < 0 || off+int64(len(p)) > size {
-		return 0, 0, 0, fmt.Errorf("cachetier: read [%d,%d) of %s beyond object length %d", off, off+int64(len(p)), obj, size)
+// ReadExtent returns bytes [off, off+n) of object obj, whose committed length
+// is size (the version key), and where they came from. The slice is
+// read-only and may be shared with other readers: a hit returns the resident
+// extent itself, which is never written after admission. A miss runs
+// fetch(off, n) — which must return exactly n bytes of the object at off, in
+// a freshly allocated slice the cache may retain (every remote GET
+// materializes a new buffer, so admission adopts it instead of copying) —
+// and admits the result when it fits the budget. Concurrent readers of the
+// same missing extent are deduped: one leader runs fetch, the rest wait on
+// its result.
+func (c *Cache) ReadExtent(obj string, size, off, n int64, fetch func(off, n int64) ([]byte, error)) ([]byte, Source, error) {
+	if off < 0 || n < 0 || off+n > size {
+		return nil, 0, fmt.Errorf("cachetier: read [%d,%d) of %s beyond object length %d", off, off+n, obj, size)
 	}
-	for len(p) > 0 {
-		idx := off / c.blockSize
-		bOff := idx * c.blockSize
-		bLen := min64(c.blockSize, size-bOff)
-		// The caller's slice of this block.
-		within := off - bOff
-		n := min64(bLen-within, int64(len(p)))
-
-		key := blockKey{obj: obj, ver: size, idx: idx}
-		if block, ok := c.lookup(key); ok {
-			copy(p[:n], block[within:within+n])
-			cached += n
-			c.note(&c.stats.Hits, &c.stats.HitBytes, n)
-			c.mHitBytes.Add(n)
-		} else {
-			block, joined, ferr := c.fetchBlock(key, bOff, bLen, fetch)
-			if ferr != nil {
-				return cached, fetched, shared, ferr
-			}
-			copy(p[:n], block[within:within+n])
-			if joined {
-				shared += n
-				c.note(&c.stats.Singleflights, &c.stats.SingleflightBytes, n)
-				c.mSingleflightBytes.Add(n)
-			} else {
-				fetched += n
-				c.note(&c.stats.Misses, &c.stats.MissBytes, n)
-				c.mMissBytes.Add(n)
-			}
-		}
-		p = p[n:]
-		off += n
+	key := extentKey{obj: obj, ver: size, off: off, n: n}
+	if data, ok := c.lookup(key); ok {
+		c.note(&c.stats.Hits, &c.stats.HitBytes, n)
+		c.mHitBytes.Add(n)
+		return data, Hit, nil
 	}
-	return cached, fetched, shared, nil
+	data, joined, err := c.fetchExtent(key, fetch)
+	switch {
+	case err != nil:
+		return nil, 0, err
+	case joined:
+		c.note(&c.stats.Singleflights, &c.stats.SingleflightBytes, n)
+		c.mSingleflightBytes.Add(n)
+		return data, Shared, nil
+	}
+	c.note(&c.stats.Misses, &c.stats.MissBytes, n)
+	c.mMissBytes.Add(n)
+	return data, Fetched, nil
 }
 
-// fetchBlock resolves a cache miss for one block. The first reader of a
-// missing key becomes the flight leader: it runs fetch, publishes the result
-// to every waiter, and admits the block. Later readers join the flight and
-// report joined=true. A waiter whose leader failed falls back to its own
-// fetch rather than inheriting the error — the leader may have hit a
-// transient fault the retry layer already burned its attempts on.
-func (c *Cache) fetchBlock(key blockKey, bOff, bLen int64, fetch func(off, n int64) ([]byte, error)) (block []byte, joined bool, err error) {
+// fetchExtent resolves a cache miss. The first reader of a missing key
+// becomes the flight leader: it runs fetch, publishes the result to every
+// waiter, and admits the extent. Later readers join the flight and report
+// joined=true. A waiter whose leader failed falls back to its own fetch
+// rather than inheriting the error — the leader may have hit a transient
+// fault the retry layer already burned its attempts on.
+func (c *Cache) fetchExtent(key extentKey, fetch func(off, n int64) ([]byte, error)) (data []byte, joined bool, err error) {
 	c.mu.Lock()
 	if f, ok := c.flights[key]; ok {
 		c.mu.Unlock()
@@ -216,39 +194,39 @@ func (c *Cache) fetchBlock(key blockKey, bOff, bLen int64, fetch func(off, n int
 		f := &flight{done: make(chan struct{})}
 		c.flights[key] = f
 		c.mu.Unlock()
-		block, err = c.runFetch(key, bOff, bLen, fetch)
-		f.data, f.err = block, err
+		data, err = c.runFetch(key, fetch)
+		f.data, f.err = data, err
 		c.mu.Lock()
 		delete(c.flights, key)
 		c.mu.Unlock()
 		close(f.done)
-		return block, false, err
+		return data, false, err
 	}
 	// Leader failed; fetch independently (no flight: racing fallbacks are
 	// rare and re-registering here could strand waiters behind another
 	// failure chain).
-	block, err = c.runFetch(key, bOff, bLen, fetch)
-	return block, false, err
+	data, err = c.runFetch(key, fetch)
+	return data, false, err
 }
 
-// runFetch performs the remote fetch for one block, validates its length,
+// runFetch performs the remote fetch for one extent, validates its length,
 // and admits it on success.
-func (c *Cache) runFetch(key blockKey, bOff, bLen int64, fetch func(off, n int64) ([]byte, error)) ([]byte, error) {
-	block, err := fetch(bOff, bLen)
+func (c *Cache) runFetch(key extentKey, fetch func(off, n int64) ([]byte, error)) ([]byte, error) {
+	data, err := fetch(key.off, key.n)
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(block)) != bLen {
-		return nil, fmt.Errorf("cachetier: fetch of %s [%d,%d) returned %d bytes", key.obj, bOff, bOff+bLen, len(block))
+	if int64(len(data)) != key.n {
+		return nil, fmt.Errorf("cachetier: fetch of %s [%d,%d) returned %d bytes", key.obj, key.off, key.off+key.n, len(data))
 	}
-	c.admit(key, block)
-	return block, nil
+	c.admit(key, data)
+	return data, nil
 }
 
-// lookup returns the block's bytes on a hit, touching its LRU position. In
-// disk mode the file read runs outside the lock; a block evicted between
+// lookup returns the extent's bytes on a hit, touching its LRU position. In
+// disk mode the file read runs outside the lock; an extent evicted between
 // lookup and read degrades to a miss.
-func (c *Cache) lookup(key blockKey) ([]byte, bool) {
+func (c *Cache) lookup(key extentKey) ([]byte, bool) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {
@@ -262,27 +240,24 @@ func (c *Cache) lookup(key blockKey) ([]byte, bool) {
 		return data, true
 	}
 	raw, err := os.ReadFile(path)
-	if want := min64(c.blockSize, key.ver-key.idx*c.blockSize); err != nil || int64(len(raw)) != want {
+	if err != nil || int64(len(raw)) != key.n {
 		// Evicted (or truncated) between lookup and read: treat as a miss.
 		return nil, false
 	}
 	return raw, true
 }
 
-// admit inserts a fetched block, evicting least-recently-used blocks until
-// it fits. Blocks larger than the whole budget are rejected (read-through
+// admit inserts a fetched extent, evicting least-recently-used extents until
+// it fits. Extents larger than the whole budget are rejected (read-through
 // still served them); a zero-or-negative budget rejects everything.
 //
-// Admission is idempotent per versioned key: the key and its budget are
-// reserved under the lock before the (out-of-lock) disk write, so a racing
-// admit of the same block — two readers whose flight leader failed, each
-// fetching on its own — bails out before writing anything and the budget
-// never counts the block twice, even transiently.
-func (c *Cache) admit(key blockKey, block []byte) {
-	n := int64(len(block))
-	// Memory mode adopts the fetched slice outright: fetch's contract is a
-	// freshly allocated buffer, and blocks are immutable once admitted, so
-	// copying here would only double the fetch path's per-byte CPU cost.
+// Admission is idempotent per key: the key and its budget are reserved under
+// the lock before the (out-of-lock) disk write, so a racing admit of the same
+// extent — two readers whose flight leader failed, each fetching on its own —
+// bails out before writing anything and the budget never counts the extent
+// twice, even transiently. Memory mode adopts the fetched slice outright.
+func (c *Cache) admit(key extentKey, data []byte) {
+	n := key.n
 	c.mu.Lock()
 	if n > c.maxBytes {
 		c.stats.Rejected++
@@ -290,36 +265,29 @@ func (c *Cache) admit(key blockKey, block []byte) {
 		return
 	}
 	if _, dup := c.entries[key]; dup || c.admitting[key] {
-		// Already resident, or a concurrent admit holds the reservation;
-		// either way this copy would only double-count the block.
 		c.mu.Unlock()
 		return
 	}
 	for c.bytes+n > c.maxBytes && c.tail != nil {
 		c.evictLocked(c.tail)
 	}
-	if c.bytes+n > c.maxBytes {
+	if c.bytes+n > c.maxBytes { // the rest is reserved by in-progress disk admits
 		c.stats.Rejected++
 		c.mu.Unlock()
 		return
 	}
 	c.bytes += n
 	if c.dir == "" {
-		e := &entry{key: key, size: n, data: block}
-		c.entries[key] = e
-		c.pushFront(e)
-		c.stats.Admitted++
-		c.mBytes.Set(c.bytes)
-		c.mEntries.Set(int64(len(c.entries)))
+		c.insertLocked(&entry{key: key, data: data})
 		c.mu.Unlock()
 		return
 	}
 	c.admitting[key] = true
 	c.seq++
-	path := filepath.Join(c.dir, fmt.Sprintf("b-%d", c.seq))
+	path := filepath.Join(c.dir, fmt.Sprintf("e-%d", c.seq))
 	c.mu.Unlock()
 
-	werr := os.WriteFile(path, block, 0o644)
+	werr := os.WriteFile(path, data, 0o644)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.admitting, key)
@@ -329,15 +297,18 @@ func (c *Cache) admit(key blockKey, block []byte) {
 		c.mBytes.Set(c.bytes)
 		return
 	}
-	e := &entry{key: key, size: n, path: path}
-	c.entries[key] = e
+	c.insertLocked(&entry{key: key, path: path})
+}
+
+func (c *Cache) insertLocked(e *entry) {
+	c.entries[e.key] = e
 	c.pushFront(e)
 	c.stats.Admitted++
 	c.mBytes.Set(c.bytes)
 	c.mEntries.Set(int64(len(c.entries)))
 }
 
-// Invalidate drops every resident block of obj (all versions), freeing their
+// Invalidate drops every resident extent of obj (all versions), freeing their
 // budget. Remote object replacement and deletion call it; correctness does
 // not depend on it (keys are length-versioned), it just frees dead space.
 func (c *Cache) Invalidate(obj string) {
@@ -371,8 +342,9 @@ func (c *Cache) note(count, bytes *int64, n int64) {
 func (c *Cache) evictLocked(e *entry) {
 	delete(c.entries, e.key)
 	c.unlink(e)
-	c.bytes -= e.size
+	c.bytes -= e.key.n
 	c.stats.Evictions++
+	c.stats.EvictedBytes += e.key.n
 	c.mEvictions.Inc()
 	c.mBytes.Set(c.bytes)
 	c.mEntries.Set(int64(len(c.entries)))
@@ -412,11 +384,4 @@ func (c *Cache) unlink(e *entry) {
 		c.tail = e.prev
 	}
 	e.prev, e.next = nil, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

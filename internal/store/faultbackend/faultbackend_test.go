@@ -130,7 +130,7 @@ func TestFaultMatrixRemoteRestore(t *testing.T) {
 				cfg.Seed = seed
 				mem := remote.NewMemStore()
 				fb := faultbackend.WrapObject(mem, cfg)
-				cache, err := cachetier.NewWithBlockSize("", 4<<20, 8<<10)
+				cache, err := cachetier.New("", 4<<20)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -205,7 +205,7 @@ func TestFaultMatrixConcurrentRemoteRestore(t *testing.T) {
 				cfg := cfg
 				cfg.Seed = seed
 				fb := faultbackend.WrapObject(mem, cfg)
-				cache, err := cachetier.NewWithBlockSize("", 4<<20, 8<<10)
+				cache, err := cachetier.New("", 4<<20)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -10,10 +10,13 @@ package store
 //
 //   - a file descriptor (local packs on Linux): one vectored preadv whose
 //     large raw payloads land straight in their destination buffers;
-//   - anything else (remote objects, wrapped backends, other platforms): one
-//     ReadAt — ReadAtTier when offered — of the run into an arena span.
+//   - an ExtentReader (remote objects): the run's exact extent, lent by the
+//     reader — resident in the cache tier or a fresh ranged GET — and
+//     decoded where it lies;
+//   - anything else (wrapped backends, other platforms): one ReadAt of the
+//     run into an arena span.
 //
-// The strategies are byte-identical by construction: both decode the same
+// The strategies are byte-identical by construction: all decode the same
 // records into the same buffers and check the same CRCs and content hashes.
 
 import (
@@ -400,32 +403,36 @@ func (p *ChunkPool) readRunVectored(fd uintptr, r *fetchRun, jobs []chunkJob, fs
 	return nil
 }
 
-// readRunStaged reads a run with one ReadAt into an arena span and decodes
-// every member out of it. When the reader attributes its bytes (a remote
-// object behind a cache tier), the run's encoded frame bytes — not the raw
-// span bytes, which include coalescing gaps — are split across the
-// "cache-tier", "singleflight" and "remote" tiers in proportion to where the
-// reader got the span from, so per-tier byte sums still reproduce the
-// restore's encoded volume. Readers that attribute nothing count as ranged.
+// readRunStaged obtains a run's bytes with one call and decodes every member
+// out of them. An ExtentReader (a remote object, behind a cache tier or not)
+// lends the run's exact extent, which is decoded where it lies and whose
+// encoded frame bytes all count to the one tier that served it. Any other
+// reader is read with ReadAt into an arena span, counted as ranged.
 func (p *ChunkPool) readRunStaged(r *fetchRun, jobs []chunkJob, fs *FetchStats, bdgt *byteBudget) error {
 	granted := bdgt.acquire(r.end - r.start)
 	defer bdgt.release(granted)
-	buf := ckptfmt.Shared.Get(int(r.end - r.start))
-	defer ckptfmt.Shared.Put(buf)
 
-	var n int
-	var cached, fetched, shared int64
+	var buf []byte
 	var err error
-	tr, tiered := r.pf.(TieredReader)
-	if tiered {
-		n, cached, fetched, shared, err = tr.ReadAtTier(buf, r.start)
+	tier := tierRanged
+	if er, ok := r.pf.(ExtentReader); ok {
+		var t ExtentTier
+		buf, t, err = er.ReadExtent(r.start, r.end-r.start)
+		tier = int(t)
 	} else {
-		n, err = r.pf.ReadAt(buf, r.start)
-	}
-	if n < len(buf) {
-		if err == nil {
+		buf = ckptfmt.Shared.Get(int(r.end - r.start))
+		defer ckptfmt.Shared.Put(buf)
+		var n int
+		if n, err = r.pf.ReadAt(buf, r.start); n == len(buf) {
+			err = nil // io.EOF at the object's very end still filled the run
+		} else if err == nil {
 			err = io.ErrUnexpectedEOF
 		}
+	}
+	if err == nil && int64(len(buf)) != r.end-r.start {
+		err = io.ErrUnexpectedEOF // an extent of the wrong length
+	}
+	if err != nil {
 		return r.readErr(err)
 	}
 
@@ -437,23 +444,6 @@ func (p *ChunkPool) readRunStaged(r *fetchRun, jobs []chunkJob, fs *FetchStats, 
 		}
 		encB += int64(j.loc.EncLen)
 	}
-	frames := int64(len(r.members))
-	total := cached + fetched + shared
-	switch {
-	case !tiered:
-		p.countFetch(tierRanged, encB, frames, fs)
-	case total <= 0:
-		p.countFetch(tierCacheTier, encB, frames, fs)
-	default:
-		cb, cf := encB*cached/total, frames*cached/total
-		sb, sf := encB*shared/total, frames*shared/total
-		if cb > 0 || cf > 0 {
-			p.countFetch(tierCacheTier, cb, cf, fs)
-		}
-		if sb > 0 || sf > 0 {
-			p.countFetch(tierSingleflight, sb, sf, fs)
-		}
-		p.countFetch(tierRemote, encB-cb-sb, frames-cf-sf, fs)
-	}
+	p.countFetch(tier, encB, int64(len(r.members)), fs)
 	return nil
 }

@@ -12,15 +12,17 @@ import (
 
 // ObjectBackend adapts an ObjectStore to store.Backend, so a run's chunk
 // packs can live in a shared remote pool while the control plane (FORMAT,
-// MANIFEST, segments) stays in a local run directory. Its readers expose no
-// file descriptor, so the restore path reads each coalesced run as one
-// ranged GET, several in flight, and attributes the bytes to the "remote",
-// "cache-tier" and "singleflight" fetch tiers (store.TieredReader).
+// MANIFEST, segments) stays in a local run directory. Its readers lend
+// extents (store.ExtentReader): the restore path asks for each planned frame
+// run's exact byte range, several in flight, and decodes it where it lies —
+// a cache-tier extent, another reader's shared fetch, or the fresh buffer of
+// one ranged GET — counting the run to the "cache-tier", "singleflight" or
+// "remote" fetch tier.
 //
-// Reads go through an optional cachetier.Cache; pack appends and wholesale
-// replacements invalidate the touched object's cached blocks (correctness
-// never depends on that — cache keys are versioned by object length — it
-// just frees dead space promptly).
+// Reads go through an optional cachetier.Cache, which keeps those extents;
+// pack appends and wholesale replacements invalidate the touched object's
+// cached extents (correctness never depends on that — cache keys are
+// versioned by object length — it just frees dead space promptly).
 //
 // Append is a read-modify-write full PUT: correct under the store's
 // per-shard append serialization, but O(object) per call. Remote-backed
@@ -33,11 +35,11 @@ type ObjectBackend struct {
 	cache  *cachetier.Cache
 }
 
-// Compile-time checks: ObjectBackend is a store.Backend whose readers
-// attribute their bytes to fetch tiers.
+// Compile-time checks: ObjectBackend is a store.Backend whose readers lend
+// extents.
 var (
 	_ store.Backend      = (*ObjectBackend)(nil)
-	_ store.TieredReader = (*objReader)(nil)
+	_ store.ExtentReader = (*objReader)(nil)
 )
 
 // NewObjectBackend returns a backend whose objects live under prefix in st
@@ -88,7 +90,7 @@ func (b *ObjectBackend) Append(name string, p []byte) error {
 
 // Open implements store.Backend. The returned reader snapshots the object's
 // length at open (matching how a local file handle keeps serving the bytes
-// it had), and implements store.TieredReader for cached/remote attribution.
+// it had), and implements store.ExtentReader.
 func (b *ObjectBackend) Open(name string) (store.BackendReader, error) {
 	key := b.key(name)
 	size, err := b.store.Size(key)
@@ -107,47 +109,49 @@ type objReader struct {
 	size int64
 }
 
-// ReadAt implements io.ReaderAt.
+// ReadAt implements io.ReaderAt: a copy of the extent ReadExtent lends.
 func (r *objReader) ReadAt(p []byte, off int64) (int, error) {
-	n, _, _, _, err := r.ReadAtTier(p, off)
-	return n, err
-}
-
-// ReadAtTier implements store.TieredReader: ReadAt plus how many of the
-// returned bytes were cache-tier hits, remote fetches this read initiated,
-// or bytes shared from another reader's in-flight fetch (singleflight).
-func (r *objReader) ReadAtTier(p []byte, off int64) (n int, cached, fetched, shared int64, err error) {
 	if off < 0 || off >= r.size {
 		if off == r.size {
-			return 0, 0, 0, 0, io.EOF
+			return 0, io.EOF
 		}
-		return 0, 0, 0, 0, fmt.Errorf("remote: read %s at %d: out of range [0,%d)", r.key, off, r.size)
+		return 0, fmt.Errorf("remote: read %s at %d: out of range [0,%d)", r.key, off, r.size)
 	}
-	want := p
-	var short bool
-	if off+int64(len(p)) > r.size {
-		want = p[:r.size-off]
-		short = true
+	n := min(int64(len(p)), r.size-off)
+	data, _, err := r.ReadExtent(off, n)
+	if err != nil {
+		return 0, err
 	}
-	if r.b.cache != nil {
-		cached, fetched, shared, err = r.b.cache.ReadThrough(r.key, r.size, off, want, func(bOff, bLen int64) ([]byte, error) {
-			return r.b.store.GetRange(r.key, bOff, bLen)
-		})
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-	} else {
-		data, gerr := r.b.store.GetRange(r.key, off, int64(len(want)))
-		if gerr != nil {
-			return 0, 0, 0, 0, gerr
-		}
-		copy(want, data)
-		fetched = int64(len(want))
+	copy(p, data)
+	if n < int64(len(p)) {
+		return int(n), io.EOF
 	}
-	if short {
-		return len(want), cached, fetched, shared, io.EOF
+	return int(n), nil
+}
+
+// extentTier maps where the cache tier found an extent to the fetch tier it
+// counts to.
+var extentTier = [...]store.ExtentTier{
+	cachetier.Fetched: store.ExtentRemote,
+	cachetier.Hit:     store.ExtentCacheTier,
+	cachetier.Shared:  store.ExtentSingleflight,
+}
+
+// ReadExtent implements store.ExtentReader: exactly one ranged GET per
+// missing extent, whose fresh buffer is handed over (and, behind a cache
+// tier, admitted) without a copy. A range beyond the length the reader
+// was opened at is a short object, reported as io.ErrUnexpectedEOF.
+func (r *objReader) ReadExtent(off, n int64) ([]byte, store.ExtentTier, error) {
+	if off < 0 || n < 0 || off+n > r.size {
+		return nil, 0, fmt.Errorf("remote: read %s [%d,%d) of %d bytes: %w", r.key, off, off+n, r.size, io.ErrUnexpectedEOF)
 	}
-	return len(want), cached, fetched, shared, nil
+	get := func(off, n int64) ([]byte, error) { return r.b.store.GetRange(r.key, off, n) }
+	if r.b.cache == nil {
+		data, err := get(off, n)
+		return data, store.ExtentRemote, err
+	}
+	data, src, err := r.b.cache.ReadExtent(r.key, r.size, off, n, get)
+	return data, extentTier[src], err
 }
 
 // Close implements io.Closer.

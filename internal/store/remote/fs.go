@@ -87,6 +87,14 @@ func (s *FSStore) GetRange(key string, off, n int64) ([]byte, error) {
 		return nil, fmt.Errorf("remote: get range %s: %w", key, err)
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("remote: get range %s: %w", key, err)
+	}
+	// Check before allocating: a corrupt location must not size the buffer.
+	if off < 0 || n < 0 || off+n > st.Size() {
+		return nil, fmt.Errorf("remote: get range %s [%d,%d): beyond object length %d", key, off, off+n, st.Size())
+	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(io.NewSectionReader(f, off, n), buf); err != nil {
 		return nil, fmt.Errorf("remote: get range %s [%d,%d): %w", key, off, off+n, err)

@@ -11,22 +11,36 @@ import (
 
 	"flor.dev/flor/internal/store"
 	"flor.dev/flor/internal/store/cachetier"
+	"flor.dev/flor/internal/store/faultbackend"
 	"flor.dev/flor/internal/store/remote"
 )
 
-// stores returns the bundled ObjectStore implementations under test.
+// stores returns the bundled ObjectStore implementations under test, and the
+// wrappers a daemon stacks on them: Retry (over a filesystem store, where a
+// bad range once panicked inside the attempt goroutine) and a fault injector
+// with no faults configured.
 func stores(t *testing.T) map[string]remote.ObjectStore {
 	t.Helper()
-	fs, err := remote.NewFSStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	fsStore := func() remote.ObjectStore {
+		fs, err := remote.NewFSStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fs
 	}
-	return map[string]remote.ObjectStore{"fs": fs, "mem": remote.NewMemStore()}
+	fast := remote.Policy{Attempts: 2, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond, Timeout: time.Second}
+	return map[string]remote.ObjectStore{
+		"fs":    fsStore(),
+		"mem":   remote.NewMemStore(),
+		"retry": remote.Retry(fsStore(), fast),
+		"fault": faultbackend.WrapObject(remote.NewMemStore(), faultbackend.Config{}),
+	}
 }
 
-// TestRemoteObjectStoreConformance pins the object-API contract both bundled
-// implementations must share: typed absence, exact ranged reads, atomic
-// replacement, sorted listing, idempotent deletes.
+// TestRemoteObjectStoreConformance pins the object-API contract the bundled
+// implementations and their wrappers must share: typed absence, exact ranged
+// reads that refuse bad ranges before reading, atomic replacement, sorted
+// listing, idempotent deletes.
 func TestRemoteObjectStoreConformance(t *testing.T) {
 	for name, st := range stores(t) {
 		t.Run(name, func(t *testing.T) {
@@ -52,8 +66,15 @@ func TestRemoteObjectStoreConformance(t *testing.T) {
 			if got, err := st.GetRange("a/obj", 4, 6); err != nil || string(got) != "456789" {
 				t.Fatalf("range = %q, %v", got, err)
 			}
-			if _, err := st.GetRange("a/obj", 10, 10); err == nil {
-				t.Fatal("range beyond end should error")
+			// A bad range is an error, never a panic or an allocation sized by
+			// a corrupt location.
+			for _, r := range [][2]int64{{10, 10}, {-1, 2}, {0, -1}, {4, -5}, {17, 0}, {0, 1 << 50}} {
+				if got, err := st.GetRange("a/obj", r[0], r[1]); err == nil {
+					t.Fatalf("range [%d,%d) of a %d-byte object = %q, want an error", r[0], r[0]+r[1], len(data), got)
+				}
+			}
+			if got, err := st.GetRange("a/obj", 16, 0); err != nil || len(got) != 0 {
+				t.Fatalf("empty range at the end = %q, %v", got, err)
 			}
 
 			// Put replaces wholesale.
@@ -88,6 +109,35 @@ func TestRemoteObjectStoreConformance(t *testing.T) {
 			}
 			if _, err := st.Get("a/obj"); !errors.Is(err, remote.ErrNotFound) {
 				t.Fatalf("get after delete: %v", err)
+			}
+		})
+	}
+}
+
+// TestRemoteGetRangeBufferIsTheCallers pins GetRange's buffer contract, which
+// the cache tier and the restore path rely on when they adopt a GET's buffer
+// without copying it: every call returns a fresh slice, so writing into one
+// changes neither the object nor what a later GetRange returns.
+func TestRemoteGetRangeBufferIsTheCallers(t *testing.T) {
+	for name, st := range stores(t) {
+		t.Run(name, func(t *testing.T) {
+			data := []byte("0123456789abcdef")
+			if err := st.Put("k", data); err != nil {
+				t.Fatal(err)
+			}
+			first, err := st.GetRange("k", 2, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range first {
+				first[i] ^= 0xff
+			}
+			again, err := st.GetRange("k", 2, 8)
+			if err != nil || !bytes.Equal(again, data[2:10]) {
+				t.Fatalf("after writing into an earlier result, GetRange = %q, %v", again, err)
+			}
+			if whole, err := st.Get("k"); err != nil || !bytes.Equal(whole, data) {
+				t.Fatalf("after writing into a GetRange result, the object = %q, %v", whole, err)
 			}
 		})
 	}
@@ -304,7 +354,7 @@ func TestRemoteBackendStoreRoundTrip(t *testing.T) {
 			var cache *cachetier.Cache
 			if cached {
 				var err error
-				if cache, err = cachetier.NewWithBlockSize("", 8<<20, 4<<10); err != nil {
+				if cache, err = cachetier.New("", 8<<20); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -412,7 +462,7 @@ func TestRemoteUploadRestoreCycle(t *testing.T) {
 	if _, err := remote.FetchControlPlane(mem, "runs/r1", ctl); err != nil {
 		t.Fatal(err)
 	}
-	cache, err := cachetier.NewWithBlockSize("", 8<<20, 4<<10)
+	cache, err := cachetier.New("", 8<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

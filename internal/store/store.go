@@ -87,8 +87,9 @@
 // first error. How a run's bytes are obtained follows from what the opened
 // BackendReader offers, never from a setting: a file descriptor gets one
 // vectored preadv that puts large raw payloads straight into their section
-// buffers; anything else gets one ReadAt (ReadAtTier when offered) into an
-// arena span. The results are byte-identical whichever way the bytes came.
+// buffers; an ExtentReader lends the run's exact extent, decoded where it
+// lies; anything else gets one ReadAt into an arena span. The results are
+// byte-identical whichever way the bytes came.
 // Replay resolves a checkpoint once (Resolve, one segment-directory read)
 // and then reads only the sections its statements touch through
 // Checkpoint.ReadInto. Section buffers are the caller's: freshly allocated

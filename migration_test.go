@@ -378,7 +378,7 @@ func TestMigrationRemoteTwinByteIdentical(t *testing.T) {
 	}
 
 	mem, ctl := uploadTwin(t, dir)
-	cache, err := cachetier.NewWithBlockSize("", 32<<20, 64<<10)
+	cache, err := cachetier.New("", 32<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,7 +671,7 @@ func TestDemandLoadMatrixMatchesUninstrumentedRun(t *testing.T) {
 			continue
 		}
 		mem, ctl := uploadTwin(t, dir)
-		cache, err := cachetier.NewWithBlockSize("", 1<<20, 16<<10)
+		cache, err := cachetier.New("", 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
