@@ -173,10 +173,10 @@ const DefaultPayloadCacheBytes = 256 << 20
 // Replay restores largely identical state epoch after epoch (frozen layers,
 // datasets, configuration); since payloads are immutable by contract and
 // every Value.Restore copies out of them, one decode per distinct content
-// serves the whole run, shared by every worker of every query. A decoded
-// payload views the section buffer it was decoded from, so admitting a
-// payload takes that buffer over for good: it is the cache's from then on
-// and no restore may write to it again (DecodeSectionsCached hands it over).
+// serves the whole run, shared by every worker of every query. An admitted
+// payload views a buffer that is the cache's alone: the fresh section
+// buffer it was decoded from (DecodeSectionsCached), or a copy encoded from
+// the live value a section was read straight into (Offer).
 // The cache never evicts — once the byte budget is reached, new
 // content simply stops being cached. That keeps Contains answers stable,
 // which GetSections relies on when it skips loading content the cache has
@@ -279,9 +279,10 @@ func (c *PayloadCache) get(h ckptfmt.Hash) (value.Payload, bool) {
 	return e.p, ok
 }
 
-// put offers a decoded payload and reports whether the cache admitted it —
-// and with it took over the buffer the payload views.
-func (c *PayloadCache) put(h ckptfmt.Hash, p value.Payload, bytes int64) bool {
+// touch notes one more appearance of the content and reports whether the
+// cache would admit it now: its second touch or later, not yet held, and
+// within the byte budget.
+func (c *PayloadCache) touch(h ckptfmt.Hash, bytes int64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.m[h]; ok {
@@ -294,14 +295,49 @@ func (c *PayloadCache) put(h ckptfmt.Hash, p value.Payload, bytes int64) bool {
 		c.seen[h] = struct{}{}
 		return false
 	}
-	if c.size+bytes > c.cap {
-		return false
+	return c.size+bytes <= c.cap
+}
+
+// add admits a payload touch said the cache wanted, unless another restore
+// admitted the same content meanwhile or the budget filled up.
+func (c *PayloadCache) add(h ckptfmt.Hash, p value.Payload, bytes int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.m[h]; ok || c.size+bytes > c.cap {
+		return
 	}
 	c.m[h] = cachedPayload{p: p, bytes: bytes}
 	c.size += bytes
 	c.admits++
 	c.mAdmits.Inc()
-	return true
+}
+
+// Offer tells the cache that a section of content h and size bytes was read
+// straight into the live value v (value.Layout) — a miss, since the store
+// read it — and, when the cache would admit the content, hands it a payload
+// decoded from a copy of v encoded afresh: byte for byte the section v was
+// just restored from, and the cache's alone. That copy is the one an
+// admission costs; content the cache would not admit costs nothing more.
+func (c *PayloadCache) Offer(h ckptfmt.Hash, bytes int, v value.Value) error {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	c.misses++
+	c.mMisses.Inc()
+	c.mu.Unlock()
+	if !c.touch(h, int64(bytes)) {
+		return nil
+	}
+	w := codec.NewWriter()
+	w.Grow(bytes)
+	value.EncodeLive(w, v)
+	p, err := value.DecodeTaggedPayload(codec.NewReader(w.Bytes()))
+	if err != nil {
+		return err
+	}
+	c.add(h, p, int64(bytes))
+	return nil
 }
 
 // DecodeSectionsCached parses sections into bundle items, serving sections
@@ -309,12 +345,11 @@ func (c *PayloadCache) put(h ckptfmt.Hash, p value.Payload, bytes int64) bool {
 // store skipped loading them) and caching fresh decodes by content
 // identity. A nil cache degrades to DecodeSections.
 //
-// Ownership: decoded payloads view secs[i].Data. A section buffer stays the
-// caller's — to overwrite with its next restore once it is done with the
-// returned items — unless the cache admitted the payload decoded from it:
-// then the buffer is the cache's for good, and the call sets secs[i].Data to
-// nil so the caller cannot offer it again. Payloads served from the cache
-// view buffers admitted earlier and must be treated as read-only.
+// Ownership: decoded payloads view secs[i].Data, and a payload the cache
+// admits keeps its buffer for good — so the caller hands over buffers
+// nobody writes again (the fresh ones Checkpoint.ReadInto allocates).
+// Payloads served from the cache are shared and must be treated as
+// read-only.
 func DecodeSectionsCached(c *PayloadCache, secs []store.Section) ([]NamedPayload, error) {
 	if c == nil {
 		return DecodeSections(secs)
@@ -339,8 +374,8 @@ func DecodeSectionsCached(c *PayloadCache, secs []store.Section) ([]NamedPayload
 			return
 		}
 		items[i] = NamedPayload{Name: secs[i].Name, Payload: p}
-		if secs[i].Hash != zero && c.put(secs[i].Hash, p, int64(len(secs[i].Data))) {
-			secs[i].Data = nil
+		if n := int64(len(secs[i].Data)); secs[i].Hash != zero && c.touch(secs[i].Hash, n) {
+			c.add(secs[i].Hash, p, n)
 		}
 	})
 	for _, err := range errs {

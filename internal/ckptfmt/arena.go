@@ -26,12 +26,14 @@ func NewArena() *Arena { return &Arena{} }
 
 // Shared is the process-wide arena the store threads its scratch through. The
 // restore path stages span reads, frame headers and trailers, and small or
-// compressed records here and releases each span the moment a run's frames
-// are decoded; the write path stages a shard's fresh frames here for their
-// one pack append and releases the span when the append returns. Section
-// buffers never come from it or go to it: they belong to the restoring
-// worker (or to the payload cache once it admits a payload viewing them) on
-// the way in, and to the materializer on the way out.
+// compressed records here — and decodes a compressed frame whose
+// destination is in pieces here before scattering it — and releases each
+// span the moment a run's frames are decoded; the write path stages a shard's fresh frames here for their
+// one pack append and releases the span when the append returns. Restore
+// destinations never come from it or go to it: they are live tensors or
+// section buffers that belong to the restoring worker (or to the payload
+// cache once it admits a payload viewing them) on the way in, and to the
+// materializer on the way out.
 var Shared = NewArena()
 
 // Get returns a buffer of length n (capacity possibly larger). Contents are

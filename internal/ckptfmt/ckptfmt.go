@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"math/bits"
 
 	"flor.dev/flor/internal/codec"
@@ -342,53 +343,97 @@ func Parse(b []byte) (Frame, int, error) {
 }
 
 // ParseDecodeInto parses the frame at the front of b, decodes it into dst
-// (which must be exactly RawLen bytes), and verifies the frame CRC. For
-// raw-style frames the copy into dst runs first and the checksum then reads
-// the hot copy (plus the few header bytes), so the source is streamed
-// exactly once instead of once for the CRC and again for the copy. Other styles fall back to Parse +
-// DecodeIntoTrusted, whose decompression is already the second pass.
+// (which must be exactly RawLen bytes), and verifies the frame CRC: it is
+// ParseDecodeScatter with dst in one piece.
+func ParseDecodeInto(b, dst []byte) (Frame, error) { return ParseDecodeScatter(b, [][]byte{dst}) }
+
+// ParseDecodeScatter parses the frame at the front of b, decodes it into
+// dst, whose pieces, in order, tile the frame's RawLen bytes (one section
+// buffer's slice, or a section laid over live tensors, see value.Layout),
+// and verifies the frame CRC. A raw frame is copied piece by piece and the
+// checksum then reads the hot copies (plus the few header bytes), so the
+// source is streamed exactly once instead of once for the CRC and again for
+// the copy. Other styles are Parse + DecodeIntoTrusted, whose decompression
+// is already the second pass: straight into a destination in one piece, or
+// into arena scratch that is then scattered.
 //
-// Like DecodeIntoTrusted, the decoded bytes' content hash is not recomputed:
-// callers must match the returned frame's Hash against an independently
-// stored reference. On any error dst's contents are unspecified.
-func ParseDecodeInto(b, dst []byte) (Frame, error) {
+// Like DecodeIntoTrusted, the decoded bytes' content hash is not
+// recomputed: callers must match the returned frame's Hash against an
+// independently stored reference. A destination whose length is not the
+// frame's is codec.ErrCorrupt. On any error dst's contents are unspecified.
+func ParseDecodeScatter(b []byte, dst [][]byte) (Frame, error) {
 	f, hdrEnd, encEnd, err := parseHeader(b)
 	if err != nil {
 		return f, err
 	}
-	if f.Style != StyleRaw || len(f.Enc) != f.RawLen || len(dst) != f.RawLen {
-		ff, _, err := Parse(b)
-		if err != nil {
-			return ff, err
+	n := piecesLen(dst)
+	if f.Style == StyleRaw && len(f.Enc) == f.RawLen && n == f.RawLen {
+		scatter(dst, f.Enc)
+		if got, want := crcOf(b[:hdrEnd], dst), binary.LittleEndian.Uint32(b[encEnd:]); got != want {
+			return f, fmt.Errorf("%w: frame CRC mismatch (got %08x want %08x)", codec.ErrCorrupt, got, want)
 		}
-		if _, err := ff.DecodeIntoTrusted(dst); err != nil {
-			return ff, err
-		}
-		return ff, nil
+		return f, nil
 	}
-	copy(dst, f.Enc)
-	want := binary.LittleEndian.Uint32(b[encEnd:])
-	got := crc32.Update(crc32.Update(0, castagnoli, b[:hdrEnd]), castagnoli, dst)
-	if got != want {
-		return f, fmt.Errorf("%w: frame CRC mismatch (got %08x want %08x)", codec.ErrCorrupt, got, want)
+	ff, _, err := Parse(b)
+	if err != nil {
+		return ff, err
 	}
-	return f, nil
+	if n != ff.RawLen { // the directory that sized dst disagrees with its frame
+		return ff, fmt.Errorf("%w: destination is %d bytes, frame holds %d", codec.ErrCorrupt, n, ff.RawLen)
+	}
+	if len(dst) == 1 {
+		_, err := ff.DecodeIntoTrusted(dst[0])
+		return ff, err
+	}
+	tmp := Shared.Get(n)
+	defer Shared.Put(tmp)
+	if _, err := ff.DecodeIntoTrusted(tmp); err != nil {
+		return ff, err
+	}
+	scatter(dst, tmp)
+	return ff, nil
+}
+
+// piecesLen is the total length of a piece list.
+func piecesLen(ps [][]byte) int {
+	n := 0
+	for _, p := range ps {
+		n += len(p)
+	}
+	return n
+}
+
+// crcOf is the frame CRC of a header followed by payload pieces.
+func crcOf(hdr []byte, pieces [][]byte) uint32 {
+	crc := crc32.Update(0, castagnoli, hdr)
+	for _, p := range pieces {
+		crc = crc32.Update(crc, castagnoli, p)
+	}
+	return crc
+}
+
+// scatter copies src across dst's pieces in order; the lengths must agree.
+func scatter(dst [][]byte, src []byte) {
+	for _, p := range dst {
+		src = src[copy(p, src):]
+	}
 }
 
 // DecodeGatheredRaw verifies a raw-style frame whose record was scatter-read
 // in pieces by vectored IO: hdr holds the on-disk header bytes, dst the
-// payload (already in its final buffer), tail the 4-byte CRC trailer.
+// payload (already in its final pieces, in order), tail the 4-byte CRC
+// trailer.
 // ok=false reports that the bytes are not the plain raw frame of dst's
 // length the caller assumed when splitting the record — the caller must
 // re-read through a general path for a verdict; an error means the shape
 // matched but the checksum did not: the record is corrupt.
-func DecodeGatheredRaw(hdr, dst, tail []byte) (Hash, bool, error) {
+func DecodeGatheredRaw(hdr []byte, dst [][]byte, tail []byte) (Hash, bool, error) {
 	f, encLen, hdrLen, err := parseHeaderPrefix(hdr)
-	if err != nil || f.Style != StyleRaw || encLen != len(dst) || f.RawLen != len(dst) || hdrLen != len(hdr) {
+	n := piecesLen(dst)
+	if err != nil || f.Style != StyleRaw || encLen != n || f.RawLen != n || hdrLen != len(hdr) {
 		return Hash{}, false, nil
 	}
-	got := crc32.Update(crc32.Update(0, castagnoli, hdr), castagnoli, dst)
-	if want := binary.LittleEndian.Uint32(tail); got != want {
+	if got, want := crcOf(hdr, dst), binary.LittleEndian.Uint32(tail); got != want {
 		return Hash{}, false, fmt.Errorf("%w: frame CRC mismatch (got %08x want %08x)", codec.ErrCorrupt, got, want)
 	}
 	return f.Hash, true, nil
@@ -590,8 +635,10 @@ func DecodeDirectory(b []byte) (*Directory, error) {
 		return nil, fmt.Errorf("%w: implausible section count %d", codec.ErrCorrupt, ns)
 	}
 	d.Sections = make([]SectionRef, 0, ns)
+	total := 0
 	for i := uint64(0); i < ns; i++ {
 		var s SectionRef
+		secLen := 0
 		if s.Name, err = r.String(); err != nil {
 			return nil, err
 		}
@@ -617,7 +664,15 @@ func DecodeDirectory(b []byte) (*Directory, error) {
 			if err != nil {
 				return nil, err
 			}
+			// Readers size buffers and lay sections over live memory by
+			// these lengths: a section, and the whole directory, must add
+			// up to a length that fits an int.
+			if rl > math.MaxInt-uint64(secLen) || rl > math.MaxInt-uint64(total) {
+				return nil, fmt.Errorf("%w: section %q chunk length %d overflows", codec.ErrCorrupt, s.Name, rl)
+			}
 			c.RawLen = int(rl)
+			secLen += c.RawLen
+			total += c.RawLen
 			s.Chunks = append(s.Chunks, c)
 		}
 		d.Sections = append(d.Sections, s)

@@ -3,6 +3,7 @@ package ckptfmt
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -335,6 +336,108 @@ func TestBuildHashedDoesNotRehash(t *testing.T) {
 		marker := Hash{0xAB, 0xCD}
 		if f := BuildHashed(raw, marker, style); f.Hash != marker {
 			t.Fatalf("style %d: frame carries %s, not the hash it was handed", style, f.Hash)
+		}
+	}
+}
+
+// TestDecodeDirectoryRejectsLengthsThatDoNotFit pins the directory decoder's
+// length check: a chunk length of 2^63 or more (negative as an int), and
+// lengths whose section or directory sum overflows, are codec.ErrCorrupt at
+// decode time — no reader ever sizes a buffer or a layout by them.
+func TestDecodeDirectoryRejectsLengthsThatDoNotFit(t *testing.T) {
+	enc := func(lens ...[]uint64) []byte {
+		w := codec.NewWriter()
+		w.String(dirMagic)
+		w.Bool(false)
+		w.Uvarint(uint64(len(lens)))
+		for i, sec := range lens {
+			w.String(fmt.Sprint("s", i))
+			w.Uvarint(uint64(len(sec)))
+			for _, n := range sec {
+				h := HashChunk([]byte{byte(n)})
+				w.RawBytes(h[:])
+				w.Uvarint(n)
+			}
+		}
+		return w.Bytes()
+	}
+	const big = uint64(math.MaxInt)
+	for name, b := range map[string][]byte{
+		"negative chunk":      enc([]uint64{8}, []uint64{1 << 63}),
+		"max uint64 chunk":    enc([]uint64{^uint64(0)}),
+		"section sum":         enc([]uint64{big, 1}),
+		"directory sum":       enc([]uint64{big / 2}, []uint64{big/2 + 2}),
+		"section sum at wrap": enc([]uint64{big, big, 2}),
+	} {
+		if d, err := DecodeDirectory(b); !errors.Is(err, codec.ErrCorrupt) {
+			t.Errorf("%s: decoded %+v, err %v; want codec.ErrCorrupt", name, d, err)
+		}
+	}
+	d, err := DecodeDirectory(enc([]uint64{big / 2}, []uint64{big / 2}))
+	if err != nil || d.RawLen() != int64(big/2)*2 {
+		t.Fatalf("lengths that fit: %+v, %v", d, err)
+	}
+}
+
+// TestDecodeLengthDisagreementIsCorrupt pins that a destination sized by a
+// directory whose chunk length disagrees with the frame it resolves to — by
+// a few bytes either way, in one piece or in several — is reported as
+// codec.ErrCorrupt, for every frame style.
+func TestDecodeLengthDisagreementIsCorrupt(t *testing.T) {
+	raw := make([]byte, 100000)
+	for i := range raw {
+		raw[i] = byte(i * 7 / 5)
+	}
+	for _, style := range []byte{StyleRaw, StyleLZ4, StyleDeflate} {
+		f := BuildStyle(raw, style)
+		wire := f.Marshal()
+		for _, delta := range []int{-8, 8} {
+			n := len(raw) + delta
+			if _, err := ParseDecodeInto(wire, make([]byte, n)); !errors.Is(err, codec.ErrCorrupt) {
+				t.Errorf("style %d, %+d bytes: ParseDecodeInto: %v, want codec.ErrCorrupt", f.Style, delta, err)
+			}
+			buf := make([]byte, n)
+			pieces := [][]byte{buf[:10], buf[10:10], buf[10 : n/2], buf[n/2:]}
+			if _, err := ParseDecodeScatter(wire, pieces); !errors.Is(err, codec.ErrCorrupt) {
+				t.Errorf("style %d, %+d bytes: ParseDecodeScatter: %v, want codec.ErrCorrupt", f.Style, delta, err)
+			}
+			if f.Style != StyleRaw {
+				continue
+			}
+			if _, ok, err := DecodeGatheredRaw(wire[:len(wire)-f.RawLen-4], pieces, wire[len(wire)-4:]); ok || err != nil {
+				t.Errorf("style %d, %+d bytes: DecodeGatheredRaw accepted the shape (ok=%v, %v)", f.Style, delta, ok, err)
+			}
+		}
+	}
+}
+
+// TestParseDecodeScatterAllStyles pins the scatter decode: for every style,
+// a frame decoded into pieces — empty ones included — leaves the pieces
+// holding the frame's bytes in order, and any single flipped byte of the
+// frame is codec.ErrCorrupt.
+func TestParseDecodeScatterAllStyles(t *testing.T) {
+	raw := make([]byte, 5000)
+	for i := range raw {
+		raw[i] = byte(i % 251 / 3)
+	}
+	for _, style := range []byte{StyleRaw, StyleLZ4, StyleDeflate} {
+		f := BuildStyle(raw, style)
+		if f.Style != style {
+			t.Fatalf("style %d: built style %d", style, f.Style)
+		}
+		wire := f.Marshal()
+		buf := make([]byte, len(raw))
+		pieces := [][]byte{buf[:0], buf[:1], buf[1:4096], buf[4096:4096], buf[4096:]}
+		g, err := ParseDecodeScatter(wire, pieces)
+		if err != nil || g.Hash != f.Hash || !bytes.Equal(buf, raw) {
+			t.Fatalf("style %d: ParseDecodeScatter: err %v, bytes equal %v", style, err, bytes.Equal(buf, raw))
+		}
+		for i := range wire {
+			mut := bytes.Clone(wire)
+			mut[i] ^= 0x10
+			if _, err := ParseDecodeScatter(mut, pieces); !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("style %d: flipped byte %d: %v, want codec.ErrCorrupt", style, i, err)
+			}
 		}
 	}
 }

@@ -126,3 +126,53 @@ func TestFuzzSeedsDecode(t *testing.T) {
 		}
 	}
 }
+
+// directorySeeds returns encoded directories: empty, opaque, and sectioned
+// with empty, single-chunk and multi-chunk sections.
+func directorySeeds() [][]byte {
+	dirs := []*Directory{
+		{},
+		{Opaque: true, Sections: []SectionRef{{Name: "", Chunks: []ChunkRef{{Hash: HashChunk([]byte("blob")), RawLen: 4}}}}},
+		{Sections: []SectionRef{
+			{Name: "net", Chunks: []ChunkRef{{Hash: HashChunk([]byte("a")), RawLen: DefaultChunkSize}, {Hash: HashChunk([]byte("b")), RawLen: 100}}},
+			{Name: "opt"},
+			{Name: "lr", Chunks: []ChunkRef{{Hash: HashChunk([]byte("c")), RawLen: 9}}},
+		}},
+	}
+	var seeds [][]byte
+	for _, d := range dirs {
+		seeds = append(seeds, EncodeDirectory(d))
+	}
+	return seeds
+}
+
+// FuzzDecodeDirectory asserts the segment-directory decoder's contract on
+// arbitrary input: it never panics, any failure surfaces codec.ErrCorrupt,
+// every length it returns is non-negative and sums without overflow, and a
+// directory that decodes re-encodes to the bytes it was decoded from.
+func FuzzDecodeDirectory(f *testing.F) {
+	for _, seed := range directorySeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		d, err := DecodeDirectory(b)
+		if err != nil {
+			if !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("DecodeDirectory error is not ErrCorrupt: %v", err)
+			}
+			return
+		}
+		total := 0
+		for _, s := range d.Sections {
+			for _, c := range s.Chunks {
+				if c.RawLen < 0 || total+c.RawLen < total {
+					t.Fatalf("section %q: chunk length %d after %d", s.Name, c.RawLen, total)
+				}
+				total += c.RawLen
+			}
+		}
+		if enc := EncodeDirectory(d); !bytes.HasPrefix(b, enc) {
+			t.Fatalf("decoded directory re-encodes to %x, not a prefix of %x", enc, b)
+		}
+	})
+}

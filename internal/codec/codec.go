@@ -57,6 +57,19 @@ type Writer struct {
 	old     []byte
 	granule int
 	dirty   []bool
+
+	// layout is set by NewLayoutWriter: Tensor records its float block in
+	// views instead of writing it.
+	layout bool
+	views  []View
+}
+
+// View is a float block a layout Writer recorded instead of writing it: B is
+// the byte view of the tensor's own backing array, and At the stream length
+// written before it, float blocks excluded.
+type View struct {
+	At int
+	B  []byte
 }
 
 // NewWriter returns an empty Writer.
@@ -70,6 +83,19 @@ func NewWriter() *Writer { return &Writer{} }
 func NewWriterInto(buf []byte, granule int) *Writer {
 	return &Writer{buf: buf[:0], old: buf, granule: granule, dirty: make([]bool, (len(buf)+granule-1)/granule)}
 }
+
+// NewLayoutWriter returns a Writer that lays a stream out instead of writing
+// it whole: every encoder writes its bytes as usual, except Tensor, whose
+// float block is recorded as a View of the tensor's backing array — the
+// stream is Bytes with each view spliced in at its At. A read can then land
+// in the tensor itself. tensors sizes the view list. ok is false on
+// big-endian hosts, where no backing array holds its wire bytes.
+func NewLayoutWriter(tensors int) (w *Writer, ok bool) {
+	return &Writer{layout: true, views: make([]View, 0, tensors)}, hostLittleEndian
+}
+
+// Views returns the float blocks a layout Writer recorded, in stream order.
+func (w *Writer) Views() []View { return w.views }
 
 // Clean reports, for each granule of the stream written so far, whether it is
 // byte for byte the granule the handed buffer held at that index before:
@@ -202,7 +228,12 @@ func (w *Writer) Tensor(t *tensor.Tensor) {
 	// written straight from memory — IEEE-754 little-endian is both the
 	// in-memory and the wire representation.
 	if hostLittleEndian {
-		w.write(unsafe.Slice((*byte)(unsafe.Pointer(&data[0])), 8*len(data)))
+		b := unsafe.Slice((*byte)(unsafe.Pointer(&data[0])), 8*len(data))
+		if w.layout {
+			w.views = append(w.views, View{At: len(w.buf), B: b})
+			return
+		}
+		w.write(b)
 		return
 	}
 	w.Grow(8 * len(data))
@@ -334,18 +365,29 @@ func (r *Reader) TensorView() (shape []int, raw []byte, err error) {
 		return nil, nil, fmt.Errorf("%w: implausible tensor rank %d", ErrCorrupt, dims)
 	}
 	shape = make([]int, dims)
-	limit := uint64(r.Remaining()) / 8
-	n := uint64(1)
 	for i := range shape {
 		d, err := r.Uvarint()
 		if err != nil {
 			return nil, nil, err
 		}
-		if d > math.MaxInt || (n != 0 && d != 0 && n > limit/d) {
-			return nil, nil, fmt.Errorf("%w: tensor dimension %d exceeds the %d bytes left at offset %d", ErrCorrupt, d, r.Remaining(), r.off)
+		if d > math.MaxInt {
+			return nil, nil, fmt.Errorf("%w: tensor dimension %d at offset %d does not fit an int", ErrCorrupt, d, r.off)
 		}
 		shape[i] = int(d)
-		n *= d
+	}
+	// A zero dimension anywhere makes the tensor empty, however large the
+	// others; otherwise every partial product stays within the bytes left.
+	limit := uint64(r.Remaining()) / 8
+	n := uint64(1)
+	if !slices.Contains(shape, 0) {
+		for _, d := range shape {
+			if n > limit/uint64(d) {
+				return nil, nil, fmt.Errorf("%w: tensor shape %v exceeds the %d bytes left at offset %d", ErrCorrupt, shape, r.Remaining(), r.off)
+			}
+			n *= uint64(d)
+		}
+	} else {
+		n = 0
 	}
 	if uint64(r.Remaining())/8 < n {
 		return nil, nil, fmt.Errorf("%w: truncated tensor payload at offset %d", ErrCorrupt, r.off)

@@ -368,11 +368,14 @@ func TestTensorViewRejectsOverflowingShape(t *testing.T) {
 			t.Fatalf("dims %v: Tensor err = %v, want ErrCorrupt", dims, err)
 		}
 	}
-	// An empty tensor is still a tensor.
-	w := NewWriter()
-	w.Tensor(tensor.New(0, 5))
-	if shape, raw, err := NewReader(w.Bytes()).TensorView(); err != nil || len(raw) != 0 || len(shape) != 2 {
-		t.Fatalf("empty tensor: shape=%v raw=%d err=%v", shape, len(raw), err)
+	// An empty tensor is still a tensor, wherever its zero dimension is and
+	// however few bytes follow it.
+	for _, shape := range [][]int{{0, 5}, {21, 0}, {7, 0, 9}, {1 << 40, 0}} {
+		w := NewWriter()
+		w.Tensor(tensor.New(shape...))
+		if got, raw, err := NewReader(w.Bytes()).TensorView(); err != nil || len(raw) != 0 || !slices.Equal(got, shape) {
+			t.Fatalf("empty tensor %v: shape=%v raw=%d err=%v", shape, got, len(raw), err)
+		}
 	}
 }
 

@@ -11,18 +11,19 @@ import (
 
 // Linear is a fully connected layer: y = xW + b with W shaped (in, out).
 type Linear struct {
-	name string
-	W    *autograd.Var
-	B    *autograd.Var
+	wName, bName string // parameter names, built once: Params runs on every restore and step
+	W            *autograd.Var
+	B            *autograd.Var
 }
 
 // NewLinear constructs a Xavier-initialized linear layer.
 func NewLinear(name string, rng *xrand.RNG, in, out int) *Linear {
 	w := tensor.Transpose(tensor.XavierUniform(rng, in, out)) // (in, out)
 	return &Linear{
-		name: name,
-		W:    autograd.NewParam(w),
-		B:    autograd.NewParam(tensor.New(out)),
+		wName: name + ".w",
+		bName: name + ".b",
+		W:     autograd.NewParam(w),
+		B:     autograd.NewParam(tensor.New(out)),
 	}
 }
 
@@ -34,22 +35,22 @@ func (l *Linear) Forward(t *autograd.Tape, x *autograd.Var) *autograd.Var {
 // Params implements Module.
 func (l *Linear) Params() []Param {
 	return []Param{
-		{Name: l.name + ".w", Var: l.W},
-		{Name: l.name + ".b", Var: l.B},
+		{Name: l.wName, Var: l.W},
+		{Name: l.bName, Var: l.B},
 	}
 }
 
 // Embedding maps integer ids to dense rows of a (vocab, dim) table.
 type Embedding struct {
-	name  string
-	Table *autograd.Var
+	tableName string
+	Table     *autograd.Var
 }
 
 // NewEmbedding constructs a N(0, 0.02²)-initialized embedding table.
 func NewEmbedding(name string, rng *xrand.RNG, vocab, dim int) *Embedding {
 	return &Embedding{
-		name:  name,
-		Table: autograd.NewParam(tensor.Randn(rng, 0.02, vocab, dim)),
+		tableName: name + ".table",
+		Table:     autograd.NewParam(tensor.Randn(rng, 0.02, vocab, dim)),
 	}
 }
 
@@ -60,24 +61,25 @@ func (e *Embedding) Forward(t *autograd.Tape, ids []int) *autograd.Var {
 
 // Params implements Module.
 func (e *Embedding) Params() []Param {
-	return []Param{{Name: e.name + ".table", Var: e.Table}}
+	return []Param{{Name: e.tableName, Var: e.Table}}
 }
 
 // LayerNorm normalizes rows and applies learned gain/bias.
 type LayerNorm struct {
-	name string
-	Gain *autograd.Var
-	Bias *autograd.Var
-	Eps  float64
+	gainName, biasName string
+	Gain               *autograd.Var
+	Bias               *autograd.Var
+	Eps                float64
 }
 
 // NewLayerNorm constructs a layer norm over width-dim rows.
 func NewLayerNorm(name string, dim int) *LayerNorm {
 	return &LayerNorm{
-		name: name,
-		Gain: autograd.NewParam(tensor.Full(1, dim)),
-		Bias: autograd.NewParam(tensor.New(dim)),
-		Eps:  1e-5,
+		gainName: name + ".gain",
+		biasName: name + ".bias",
+		Gain:     autograd.NewParam(tensor.Full(1, dim)),
+		Bias:     autograd.NewParam(tensor.New(dim)),
+		Eps:      1e-5,
 	}
 }
 
@@ -89,8 +91,8 @@ func (l *LayerNorm) Forward(t *autograd.Tape, x *autograd.Var) *autograd.Var {
 // Params implements Module.
 func (l *LayerNorm) Params() []Param {
 	return []Param{
-		{Name: l.name + ".gain", Var: l.Gain},
-		{Name: l.name + ".bias", Var: l.Bias},
+		{Name: l.gainName, Var: l.Gain},
+		{Name: l.biasName, Var: l.Bias},
 	}
 }
 
@@ -215,19 +217,21 @@ func (b *TransformerBlock) Params() []Param {
 
 // RNNCell is a vanilla tanh recurrent cell: h' = tanh(xWx + hWh + b).
 type RNNCell struct {
-	name string
-	wx   *autograd.Var
-	wh   *autograd.Var
-	b    *autograd.Var
+	wxName, whName, bName string
+	wx                    *autograd.Var
+	wh                    *autograd.Var
+	b                     *autograd.Var
 }
 
 // NewRNNCell constructs a cell mapping in-dim inputs to hidden-dim state.
 func NewRNNCell(name string, rng *xrand.RNG, in, hidden int) *RNNCell {
 	return &RNNCell{
-		name: name,
-		wx:   autograd.NewParam(tensor.Transpose(tensor.XavierUniform(rng, in, hidden))),
-		wh:   autograd.NewParam(tensor.Transpose(tensor.XavierUniform(rng, hidden, hidden))),
-		b:    autograd.NewParam(tensor.New(hidden)),
+		wxName: name + ".wx",
+		whName: name + ".wh",
+		bName:  name + ".b",
+		wx:     autograd.NewParam(tensor.Transpose(tensor.XavierUniform(rng, in, hidden))),
+		wh:     autograd.NewParam(tensor.Transpose(tensor.XavierUniform(rng, hidden, hidden))),
+		b:      autograd.NewParam(tensor.New(hidden)),
 	}
 }
 
@@ -239,24 +243,24 @@ func (c *RNNCell) Step(t *autograd.Tape, x, h *autograd.Var) *autograd.Var {
 // Params implements Module.
 func (c *RNNCell) Params() []Param {
 	return []Param{
-		{Name: c.name + ".wx", Var: c.wx},
-		{Name: c.name + ".wh", Var: c.wh},
-		{Name: c.name + ".b", Var: c.b},
+		{Name: c.wxName, Var: c.wx},
+		{Name: c.whName, Var: c.wh},
+		{Name: c.bName, Var: c.b},
 	}
 }
 
 // Conv1DLayer holds a bank of 1-D kernels applied to row signals.
 type Conv1DLayer struct {
-	name    string
-	Kernels *autograd.Var
+	kernelsName string
+	Kernels     *autograd.Var
 }
 
 // NewConv1DLayer constructs numKernels kernels of length klen.
 func NewConv1DLayer(name string, rng *xrand.RNG, numKernels, klen int) *Conv1DLayer {
 	std := 1 / math.Sqrt(float64(klen))
 	return &Conv1DLayer{
-		name:    name,
-		Kernels: autograd.NewParam(tensor.Randn(rng, std, numKernels, klen)),
+		kernelsName: name + ".kernels",
+		Kernels:     autograd.NewParam(tensor.Randn(rng, std, numKernels, klen)),
 	}
 }
 
@@ -267,7 +271,7 @@ func (c *Conv1DLayer) Forward(t *autograd.Tape, x *autograd.Var) *autograd.Var {
 
 // Params implements Module.
 func (c *Conv1DLayer) Params() []Param {
-	return []Param{{Name: c.name + ".kernels", Var: c.Kernels}}
+	return []Param{{Name: c.kernelsName, Var: c.Kernels}}
 }
 
 // Accuracy returns the fraction of rows of logits whose argmax matches the

@@ -57,16 +57,18 @@ func stateFactory(epochs int) func() *script.Program {
 	}
 }
 
-// TestSharedCacheNeverViewsRecycledBuffer pins the ownership rule of restore
-// buffers: a worker overwrites its section buffers restore after restore,
-// except one whose payload the shared cache admitted, which it gives up for
-// good. Replays at three widths share one cache (two-touch admission, so the
-// same content is decoded by several workers before one of them hands its
-// buffer over) for three rounds; every log must match the record log, and
-// afterwards every cached payload must re-encode to the bytes a fresh read of
-// its checkpoint returns. A buffer recycled while the cache still views it
-// shows up as a cached payload holding another epoch's state, and under
-// -race as a write racing the other replays' reads.
+// TestSharedCacheNeverViewsRecycledBuffer pins the ownership rule of what the
+// shared payload cache admits: its own bytes, which no restore writes again —
+// the fresh section buffer an optimizer section was read into, or, for the
+// model section read straight into a worker's live tensors, a copy encoded
+// from them right after the restore. Replays at three widths share one cache
+// (two-touch admission, so the same content is loaded by several workers
+// before one of them hands it over) for three rounds; every log must match
+// the record log, and afterwards every cached payload must re-encode to the
+// bytes a fresh read of its checkpoint returns. A cached payload viewing
+// memory a later restore writes — a recycled buffer, or a worker's live
+// tensors — shows up as a cached payload holding another epoch's state, and
+// under -race as a write racing the other replays' reads.
 func TestSharedCacheNeverViewsRecycledBuffer(t *testing.T) {
 	factory := stateFactory(12)
 	rec := record(t, factory)

@@ -64,12 +64,11 @@ func sgdProgram(epochs int, afterEpoch func(epoch int)) *script.Program {
 
 // TestRestoreSteadyStateAllocation is the allocation guard of the restore
 // path: with a payload cache too small to admit anything, so that every
-// load reads and decodes its sections, an epoch's load after the second
-// allocates at most a tenth of the bytes it loads. The log statement reads
-// the model alone, so a load is the model's section — the optimizer's is
-// never fetched. The first load allocates the block's section buffer; from
-// then on the section is read into that buffer, state decodes to views over
-// it, and the model overwrites its own tensors.
+// load reads its sections, an epoch's load after the second allocates at
+// most a tenth of the bytes it loads. The log statement reads the model
+// alone, so a load is the model's section — the optimizer's is never
+// fetched — and the section is read straight into the model's tensors
+// (value.LiveLayout): no section buffer, no decoded payload.
 func TestRestoreSteadyStateAllocation(t *testing.T) {
 	const epochs = 24
 	p := sgdProgram(epochs, nil)
@@ -124,6 +123,53 @@ func TestRestoreSteadyStateAllocation(t *testing.T) {
 		worst = max(worst, got)
 	}
 	t.Logf("restores of %d bytes: the second allocated %d, the worst after it %d", perRestore, allocated[1]-allocated[0], worst)
+}
+
+// TestFirstRestoreAllocation pins that a fresh worker's first cold load
+// allocates under a tenth of the bytes it restores: the model section lands
+// in the live tensors, so nothing section-sized is allocated even once. A
+// first replay warms what the process keeps across workers (the fetch
+// arena); the measured one starts from a new runtime, a new environment
+// and a new model, as every query's workers do.
+func TestFirstRestoreAllocation(t *testing.T) {
+	skipUnderRace(t)
+	const epochs = 4
+	p := sgdProgram(epochs, nil)
+	rt, st, mat, tracker := newHarness(t, p, backmat.Fork)
+	runProgram(t, p, rt, func(string) {})
+	if err := mat.Close(); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // the arena is a sync.Pool, as above
+	replay := func(afterEpoch func(int)) *Runtime {
+		p := sgdProgram(epochs, afterEpoch)
+		rt := NewRuntime(p, tracker, nil, st)
+		rt.SetCache(backmat.NewPayloadCache(1))
+		rt.SetMode(ModeReplayExec)
+		rt.SetProbes(map[string]bool{"main": true})
+		runProgram(t, p, rt, func(string) {})
+		return rt
+	}
+	replay(nil)
+	var ms runtime.MemStats
+	allocated := make([]uint64, epochs)
+	rt2 := replay(func(epoch int) {
+		runtime.ReadMemStats(&ms)
+		allocated[epoch] = ms.TotalAlloc
+	})
+	b, _ := rt2.Block("train")
+	perRestore := uint64(b.Stats().RestoredBytes) / epochs
+	if perRestore < 256<<10 {
+		t.Fatalf("checkpoints hold %d bytes; too small for the guard to mean anything", perRestore)
+	}
+	// The hook runs as epoch e's log statement starts, before it reads the
+	// model: epoch 0's load falls between allocated[0] and allocated[1].
+	if got := allocated[1] - allocated[0]; got > perRestore/10 {
+		t.Fatalf("the first restore allocated %d bytes to restore %d (%.0f%%); it must stay under 10%%",
+			got, perRestore, 100*float64(got)/float64(perRestore))
+	} else {
+		t.Logf("the first restore of %d bytes allocated %d", perRestore, got)
+	}
 }
 
 // skipUnderRace skips an allocation guard when the race detector is on:

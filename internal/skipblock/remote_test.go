@@ -34,6 +34,17 @@ func (c *countedObjects) GetRange(key string, off, n int64) ([]byte, error) {
 // total size of the uploaded packs.
 func remoteTwin(t *testing.T, dir string) (*store.Store, *countedObjects, int64) {
 	t.Helper()
+	cache, err := cachetier.New("", 64<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return remoteTwinWith(t, dir, cache)
+}
+
+// remoteTwinWith is remoteTwin behind the given cache tier (nil: none, so
+// every extent is a fresh ranged GET).
+func remoteTwinWith(t *testing.T, dir string, cache *cachetier.Cache) (*store.Store, *countedObjects, int64) {
+	t.Helper()
 	mem := remote.NewMemStore()
 	if _, err := remote.UploadRun(mem, dir, "runs/q0"); err != nil {
 		t.Fatal(err)
@@ -53,10 +64,6 @@ func remoteTwin(t *testing.T, dir string) (*store.Store, *countedObjects, int64)
 			t.Fatal(err)
 		}
 		packBytes += n
-	}
-	cache, err := cachetier.New("", 64<<20)
-	if err != nil {
-		t.Fatal(err)
 	}
 	objs := &countedObjects{ObjectStore: mem}
 	st, err := store.OpenWith(ctl, store.Options{ReadOnly: true, Backend: remote.NewObjectBackend(objs, remote.PacksPrefix("runs/q0"), cache)})

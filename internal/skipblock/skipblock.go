@@ -127,6 +127,9 @@ type Runtime struct {
 	env     *script.Env
 	bound   []*binding
 	pulling bool
+	// layouts keeps, by name, the layout a load laid a section over, for
+	// the next load of that name while it still fits the value.
+	layouts map[string]*value.Layout
 }
 
 // NewRuntime instruments a program's nested loops: every loop (other than
@@ -140,6 +143,7 @@ func NewRuntime(p *script.Program, tracker *adapt.Tracker, mat *backmat.Material
 		mat:     mat,
 		st:      st,
 		cache:   backmat.NewPayloadCache(0),
+		layouts: map[string]*value.Layout{},
 	}
 	for _, l := range p.Loops() {
 		if p.Main != nil && l.ID == p.Main.ID {
@@ -377,12 +381,17 @@ func (r *Runtime) pull(name string) error {
 // it) into the live values — the one place in replay where checkpoint bytes
 // reach program state — and reports whether the binding has more to give.
 // Format-v2 checkpoints load through the parallel path: the wanted sections'
-// chunk frames are read and decoded across the worker pool into the block's
-// own section buffers (store.Checkpoint.ReadInto), bundle entries decode in
-// parallel into views over them (backmat.DecodeSectionsCached), and every
-// value overwrites its live state from its view — in steady state a load
-// allocates nothing proportional to the checkpoint. Format-v1 and opaque
-// checkpoints fall back to the monolithic decode of the whole checkpoint.
+// chunk frames are read and decoded across the worker pool
+// (store.Checkpoint.ReadInto). A section whose live value is a model or a
+// tensor is laid over that value (value.LiveLayout), so the read itself is
+// the restore: its float blocks land in the live tensors and only its
+// structure bytes in scratch, checked against the value's own. Every other
+// section — other kinds, a layout whose structure or length does not match,
+// memory another laid-out section already covers — lands in a fresh buffer
+// and takes the general path: bundle entries decode in parallel into views
+// over their buffers (backmat.DecodeSectionsCached) and every value
+// overwrites its live state from its view. Format-v1 and opaque checkpoints
+// fall back to the monolithic decode of the whole checkpoint.
 func (b *Block) load(bd *binding, names []string) (more bool, err error) {
 	rt, key := b.rt, bd.key
 	t0 := time.Now()
@@ -399,31 +408,62 @@ func (b *Block) load(bd *binding, names []string) (more bool, err error) {
 	if bd.ck.Sectioned() {
 		left := func(name string) bool { return !slices.Contains(bd.done, name) }
 		want := func(name string) bool { return left(name) && (names == nil || slices.Contains(names, name)) }
-		secs, err := bd.ck.ReadInto(want, rt.cache.Contains, rt.fetch, b.bufs)
+		var laid []laidOut
+		into := func(name string, rawLen int) [][]byte {
+			v, ok := rt.env.Get(name)
+			if !ok {
+				return nil
+			}
+			l := rt.layouts[name]
+			if l == nil || !l.Fits(v) {
+				if l = value.LiveLayout(v); l != nil {
+					rt.layouts[name] = l
+				}
+			}
+			if l == nil || l.Len() != rawLen {
+				return nil
+			}
+			for _, o := range laid {
+				if !l.Disjoint(o.l) {
+					return nil // restored after the read, so still after the earlier section
+				}
+			}
+			laid = append(laid, laidOut{name, v, l})
+			return l.Pieces
+		}
+		secs, err := bd.ck.ReadInto(want, rt.cache.Contains, rt.fetch, into)
 		if err != nil {
 			return fail(err)
 		}
-		b.bufs = secs
 		var wanted []store.Section
+		loaded := 0
 		for i := range secs {
-			if want(secs[i].Name) {
-				wanted = append(wanted, secs[i])
-				restoredBytes += int64(secs[i].RawLen)
-			} else if left(secs[i].Name) {
-				more = true
+			sec := &secs[i]
+			if !want(sec.Name) {
+				more = more || left(sec.Name)
+				continue
+			}
+			loaded++
+			restoredBytes += int64(sec.RawLen)
+			k := slices.IndexFunc(laid, func(o laidOut) bool { return o.name == sec.Name })
+			switch {
+			case k < 0:
+				wanted = append(wanted, *sec)
+			case laid[k].l.Matches():
+				if err := rt.cache.Offer(sec.Hash, sec.RawLen, laid[k].v); err != nil {
+					return fail(fmt.Errorf("cache %q: %w", sec.Name, err))
+				}
+				bd.done = append(bd.done, sec.Name)
+			default: // not the value's structure: what was read takes the general path
+				sec.Data = laid[k].l.Bytes()
+				wanted = append(wanted, *sec)
 			}
 		}
-		if len(wanted) == 0 {
+		if loaded == 0 {
 			return more, nil // the checkpoint has none of names left: not a load
 		}
 		if items, err = backmat.DecodeSectionsCached(rt.cache, wanted); err != nil {
 			return fail(err)
-		}
-		for i, j := 0, 0; i < len(secs); i++ {
-			if want(secs[i].Name) {
-				secs[i].Data = wanted[j].Data // nil where the cache took the buffer over
-				j++
-			}
 		}
 	} else {
 		raw, err := rt.st.Get(key)
@@ -460,6 +500,13 @@ func (b *Block) load(bd *binding, names []string) (more bool, err error) {
 		rt.tracker.NoteRestoreLoop(b.Loop.ID, restoreNs, meta.MaterNs)
 	}
 	return more, nil
+}
+
+// laidOut is a section a load laid over the live value it restores.
+type laidOut struct {
+	name string
+	v    value.Value
+	l    *value.Layout
 }
 
 // resolveChangeset augments the static changeset at runtime (optimizer →

@@ -9,7 +9,7 @@ package store
 // exposes:
 //
 //   - a file descriptor (local packs on Linux): one vectored preadv whose
-//     large raw payloads land straight in their destination buffers;
+//     large raw payloads land straight in their destination pieces;
 //   - an ExtentReader (remote objects): the run's exact extent, lent by the
 //     reader — resident in the cache tier or a fresh ranged GET — and
 //     decoded where it lies;
@@ -17,7 +17,10 @@ package store
 //     run into an arena span.
 //
 // The strategies are byte-identical by construction: all decode the same
-// records into the same buffers and check the same CRCs and content hashes.
+// records into the same destinations and check the same CRCs and content
+// hashes. A destination is a list of pieces — one section buffer's slice, or
+// the slices of live tensors and structure scratch a caller laid the section
+// over (Checkpoint.ReadInto) — and every strategy fills it in order.
 
 import (
 	"encoding/binary"
@@ -35,7 +38,7 @@ import (
 
 // chunkJob is one frame to fetch and decode while materializing sections.
 type chunkJob struct {
-	dst []byte // decode destination within the section's owned buffer
+	dst [][]byte // decode destination: pieces tiling the frame's raw bytes, in order
 	loc chunkLoc
 	ref ckptfmt.ChunkRef
 }
@@ -49,20 +52,20 @@ const maxCoalesceGap = 256 << 10
 
 // directReadMin is the frame-record size from which a raw frame's payload is
 // read straight into its decode destination instead of through scratch: one
-// kernel copy into the owned buffer, then a checksum over the hot copy.
+// kernel copy into the destination pieces, then a checksum over the hot copy.
 // Below the threshold the extra vector entries stop amortizing and the whole
 // record is staged.
 const directReadMin = 64 << 10
 
-// Run bounds. A run is read by one call, so its frame count is capped by
-// IOV_MAX (at most three vector entries per frame), the scratch it may burn
-// on gaps, frame overhead and staged records is bounded, and so is its
-// direct payload: each run is checksummed right after its read, so a
-// cache-sized batch keeps the verify pass streaming bytes the kernel copy
-// just made hot.
+// Run bounds. A run is read by one call, so its vector entries are capped by
+// IOV_MAX (a direct frame takes one for the scratch before it and one per
+// destination piece; a frame with more pieces than fit is staged whole), the
+// scratch it may burn on gaps, frame overhead and staged records is bounded,
+// and so is its direct payload: each run is checksummed right after its
+// read, so a cache-sized batch keeps the verify pass streaming bytes the
+// kernel copy just made hot.
 const (
 	iovMax        = 1024 // IOV_MAX: vector length limit of one preadv call
-	maxRunFrames  = iovMax / 3
 	maxRunScratch = 1 << 20
 	maxRunPayload = 2 << 20
 )
@@ -132,16 +135,18 @@ type fetchRun struct {
 	start, end int64
 	members    []int // indices into jobs, in offset order
 	scratch    int   // run bytes that are not direct payload: gaps, frame overhead, staged records
+	iovs       int   // vector entries a vectored read of the run takes
 }
 
 // rawOverhead returns the header+trailer byte count j's record carries around
-// its payload if it is the plain raw frame its directory ref implies and is
-// large enough to be worth splitting, or -1 when the record is staged whole.
+// its payload if it is the plain raw frame its directory ref implies, large
+// enough to be worth splitting, and its pieces fit one vectored read; or -1
+// when the record is staged whole.
 func rawOverhead(j *chunkJob) int {
 	ov := j.loc.EncLen - j.ref.RawLen
 	// A canonical raw header is 1 style byte, two equal uvarints (at least
 	// one byte each), and the 16-byte hash; plus the 4-byte trailer.
-	if j.loc.EncLen < directReadMin || ov < 1+1+1+16+4 || ov > 1+2*binary.MaxVarintLen64+16+4 {
+	if j.loc.EncLen < directReadMin || ov < 1+1+1+16+4 || ov > 1+2*binary.MaxVarintLen64+16+4 || len(j.dst)+2 > iovMax {
 		return -1
 	}
 	return ov
@@ -166,13 +171,13 @@ func planRuns(pf BackendReader, obj string, jobs []chunkJob, idxs []int) []fetch
 			cur.members = cur.members[:len(cur.members)+1]
 			continue
 		}
-		scratch, direct := j.loc.EncLen, 0
+		scratch, direct, iovs := j.loc.EncLen, 0, 0
 		if ov := rawOverhead(j); ov >= 0 {
-			scratch, direct = ov, j.ref.RawLen
+			scratch, direct, iovs = ov, j.ref.RawLen, 1+len(j.dst)
 		}
 		if cur != nil {
 			gap := j.loc.Off - cur.end
-			if gap > maxCoalesceGap || len(cur.members) == maxRunFrames ||
+			if gap > maxCoalesceGap || cur.iovs+iovs > iovMax ||
 				cur.scratch+int(gap)+scratch > maxRunScratch || payload+direct > maxRunPayload {
 				cur = nil
 			} else {
@@ -180,11 +185,12 @@ func planRuns(pf BackendReader, obj string, jobs []chunkJob, idxs []int) []fetch
 			}
 		}
 		if cur == nil {
-			runs = append(runs, fetchRun{pf: pf, obj: obj, start: j.loc.Off, members: sorted[k:k]})
+			runs = append(runs, fetchRun{pf: pf, obj: obj, start: j.loc.Off, members: sorted[k:k], iovs: 1})
 			cur, payload = &runs[len(runs)-1], 0
 		}
 		cur.members = cur.members[:len(cur.members)+1] // a run is a window of sorted
 		cur.scratch += scratch
+		cur.iovs += iovs
 		payload += direct
 		cur.end = j.loc.Off + int64(j.loc.EncLen)
 	}
@@ -290,13 +296,13 @@ func (r *fetchRun) readErr(err error) error {
 	return fmt.Errorf("store: shard %s: read [%d,%d): %w", r.obj, r.start, r.end, err)
 }
 
-// decodeRecord decodes one staged frame record into j's destination buffer
+// decodeRecord decodes one staged frame record into j's destination pieces
 // and checks it holds the content the directory asked for. The CRC covers
 // the whole frame and the directory pins the content hash, so the decode
 // skips the redundant hash recompute: deterministic decoding of CRC-clean
 // bytes into the checked hash's frame cannot diverge.
 func (r *fetchRun) decodeRecord(rec []byte, j *chunkJob) error {
-	frame, err := ckptfmt.ParseDecodeInto(rec, j.dst)
+	frame, err := ckptfmt.ParseDecodeScatter(rec, j.dst)
 	if err != nil {
 		return fmt.Errorf("store: shard %s frame at %d: %w", r.obj, j.loc.Off, err)
 	}
@@ -313,7 +319,7 @@ func (r *fetchRun) checkHash(j *chunkJob, got ckptfmt.Hash) error {
 
 // readRunVectored reads a run with one vectored pread. The payload of every
 // record planned as a large raw frame lands straight in its destination
-// buffer; everything between payloads — gaps, headers, trailers, whole small
+// pieces; everything between payloads — gaps, headers, trailers, whole small
 // and compressed records — is contiguous in the file and lands contiguously
 // in one arena scratch span. A record whose bytes turn out not to hold the
 // assumed raw shape (a compressed frame of coincidental size) is re-read
@@ -326,7 +332,7 @@ func (p *ChunkPool) readRunVectored(fd uintptr, r *fetchRun, jobs []chunkJob, fs
 	scratch := ckptfmt.Shared.Get(r.scratch)
 	defer ckptfmt.Shared.Put(scratch)
 
-	iovs := make([][]byte, 0, 2*len(r.members)+1)
+	iovs := make([][]byte, 0, r.iovs)
 	recAt := make([]int, len(r.members)) // scratch offset of each record's first byte
 	pos, sOff, seg := r.start, 0, 0
 	for k, ji := range r.members {
@@ -339,7 +345,8 @@ func (p *ChunkPool) readRunVectored(fd uintptr, r *fetchRun, jobs []chunkJob, fs
 		recAt[k] = sOff
 		if ov := rawOverhead(j); ov >= 0 {
 			sOff += ov - 4
-			iovs = append(iovs, scratch[seg:sOff], j.dst)
+			iovs = append(iovs, scratch[seg:sOff])
+			iovs = append(iovs, j.dst...)
 			seg = sOff
 			sOff += 4
 		} else {
@@ -372,7 +379,7 @@ func (p *ChunkPool) readRunVectored(fd uintptr, r *fetchRun, jobs []chunkJob, fs
 			raB, raN = raB+int64(j.loc.EncLen), raN+1
 			continue
 		case first != nil:
-			copy(j.dst, first.dst) // checked against this same ref when first was decoded
+			copyPieces(j.dst, first.dst) // checked against this same ref when first was decoded
 		default:
 			var hash ckptfmt.Hash
 			var err error
@@ -446,4 +453,19 @@ func (p *ChunkPool) readRunStaged(r *fetchRun, jobs []chunkJob, fs *FetchStats, 
 	}
 	p.countFetch(tier, encB, int64(len(r.members)), fs)
 	return nil
+}
+
+// copyPieces copies one piece list onto another of the same total length;
+// the two may be cut at different points.
+func copyPieces(dst, src [][]byte) {
+	var cur []byte
+	for _, d := range dst {
+		for len(d) > 0 {
+			for len(cur) == 0 {
+				cur, src = src[0], src[1:]
+			}
+			n := copy(d, cur)
+			d, cur = d[n:], cur[n:]
+		}
+	}
 }

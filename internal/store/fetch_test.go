@@ -279,7 +279,7 @@ func TestFetchVectoredWrongRawGuessRereads(t *testing.T) {
 	}
 	w.pool.publish([]ckptfmt.Frame{f}, locs)
 
-	job := chunkJob{dst: make([]byte, len(raw)), loc: locs[0], ref: ckptfmt.ChunkRef{Hash: f.Hash, RawLen: len(raw)}}
+	job := chunkJob{dst: [][]byte{make([]byte, len(raw))}, loc: locs[0], ref: ckptfmt.ChunkRef{Hash: f.Hash, RawLen: len(raw)}}
 	if rawOverhead(&job) < 0 {
 		t.Fatalf("record of %d bytes for %d raw bytes is not raw-shaped; the test no longer provokes the guess", locs[0].EncLen, len(raw))
 	}
@@ -288,7 +288,7 @@ func TestFetchVectoredWrongRawGuessRereads(t *testing.T) {
 	if err := w.pool.fetch(jobs, map[int][]int{0: {0}}, &fs); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(jobs[0].dst, raw) {
+	if !bytes.Equal(jobs[0].dst[0], raw) {
 		t.Fatal("re-read frame decoded to different bytes")
 	}
 	if snap := fs.Snapshot(); snap.RangedFrames != 1 || snap.ScatterFrames != 0 || snap.TotalBytes() != int64(locs[0].EncLen) {

@@ -86,17 +86,16 @@
 // frames the moment its bytes land and handing out no further runs after the
 // first error. How a run's bytes are obtained follows from what the opened
 // BackendReader offers, never from a setting: a file descriptor gets one
-// vectored preadv that puts large raw payloads straight into their section
-// buffers; an ExtentReader lends the run's exact extent, decoded where it
+// vectored preadv that puts large raw payloads straight into their
+// destinations; an ExtentReader lends the run's exact extent, decoded where it
 // lies; anything else gets one ReadAt into an arena span. The results are
 // byte-identical whichever way the bytes came.
 // Replay resolves a checkpoint once (Resolve, one segment-directory read)
 // and then reads only the sections its statements touch through
-// Checkpoint.ReadInto. Section buffers are the caller's: freshly allocated
-// and retainable, or the ones a restoring worker offers back through
-// ReadInto's reuse, so that a loop's next checkpoint is read over its
-// previous one without allocating. GetSections and GetSectionsInto wrap the
-// same call for readers that want every section.
+// Checkpoint.ReadInto. A section lands where the caller laid it out — over
+// live tensors, so that the kernel read is the restore — or in a freshly
+// allocated buffer the caller may retain. GetSections wraps the same call
+// for readers that want every section.
 //
 // # Manifest and crash consistency
 //
@@ -1618,12 +1617,6 @@ func (s *Store) GetSections(key Key, have func(ckptfmt.Hash) bool) (secs []Secti
 // payload-cache hit skips) is accounted to its fetch tier in fs. A nil fs is
 // exactly GetSections — the hot path pays no observation cost.
 func (s *Store) GetSectionsObserved(key Key, have func(ckptfmt.Hash) bool, fs *FetchStats) (secs []Section, ok bool, err error) {
-	return s.GetSectionsInto(key, have, fs, nil)
-}
-
-// GetSectionsInto is GetSectionsObserved reading into buffers the caller
-// already owns (see Checkpoint.ReadInto, which it calls for every section).
-func (s *Store) GetSectionsInto(key Key, have func(ckptfmt.Hash) bool, fs *FetchStats, reuse []Section) (secs []Section, ok bool, err error) {
 	c, err := s.Resolve(key)
 	if err != nil {
 		return nil, false, err
@@ -1631,7 +1624,7 @@ func (s *Store) GetSectionsInto(key Key, have func(ckptfmt.Hash) bool, fs *Fetch
 	if !c.Sectioned() {
 		return nil, false, nil
 	}
-	secs, err = c.ReadInto(nil, have, fs, reuse)
+	secs, err = c.ReadInto(nil, have, fs, nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -1695,31 +1688,31 @@ func (s *Store) Resolve(key Key) (*Checkpoint, error) {
 //
 // Two callbacks, both optional, keep sections on disk. A section whose name
 // want declines is not the caller's business this time: nothing about it is
-// resolved, fetched or counted, and its entry is reuse's at that position
-// when the names match (the caller's buffer stays the caller's), bare-named
-// otherwise. A wanted section whose content identity have claims is a
-// payload-cache hit: it comes back with nil Data (Hash and RawLen set), its
-// chunks are never read — the disk, CRC, and reassembly cost of repeated
-// content (frozen layers restored epoch after epoch) drops to the directory
-// read — and the attribution records the logical bytes that skip saved.
+// resolved, fetched or counted, and its entry is bare-named. A wanted
+// section whose content identity have claims is a payload-cache hit: it
+// comes back with nil Data (Hash and RawLen set), its chunks are never read
+// — the disk, CRC, and reassembly cost of repeated content (frozen layers
+// restored epoch after epoch) drops to the directory read — and the
+// attribution records the logical bytes that skip saved.
 //
-// A loaded section's Data is the one owned copy of its bytes: the kernel
-// read lands in it directly (large raw frames) or decode copies into it out
-// of transient arena spans. It is reuse's Data at the same position when the
-// names match and it is large enough — a restoring goroutine that passes
-// back what its previous call for the same loop returned reads without
-// allocating section memory — and freshly allocated, the caller's to retain,
-// otherwise. The caller must own every Data it offers: no view over it may
-// still be in use, and a buffer whose view was handed to a holder that
-// outlives the restore (see backmat.PayloadCache) is that holder's and must
-// not be offered again. Wanted sections' buffers are overwritten even when
-// the call fails.
+// Where a loaded section's bytes land is the caller's to say, and every
+// byte lands once: the kernel read puts a large raw frame's payload there
+// directly, and anything staged (small or compressed records, other
+// backends' spans, lent extents) is decoded there straight out of transient
+// arena spans. into, when non-nil, is asked for each section about to load;
+// pieces it returns must tile exactly rawLen bytes of memory the caller owns
+// and nothing else touches until ReadInto returns (a section laid over the
+// live tensors it restores, see value.Layout). The section is read into
+// them, in order, and comes back with nil Data. Where into is nil or returns
+// nil the section lands in a freshly allocated Data, the caller's to retain.
+// Every wanted section's destination is written even when the call fails, so
+// a failed read may leave pieces holding anything.
 //
 // Both callbacks are invoked without any store lock held, and each shard's
 // lock is taken only briefly to resolve chunk locations: concurrent readers
 // from many server goroutines must not serialize on each other's cache
 // probes.
-func (c *Checkpoint) ReadInto(want func(name string) bool, have func(ckptfmt.Hash) bool, fs *FetchStats, reuse []Section) ([]Section, error) {
+func (c *Checkpoint) ReadInto(want func(name string) bool, have func(ckptfmt.Hash) bool, fs *FetchStats, into func(name string, rawLen int) [][]byte) ([]Section, error) {
 	dir, p := c.dir, c.s.pool
 	secs := make([]Section, len(dir.Sections))
 	// Phase 1, lock-free: compute each wanted section's content identity and
@@ -1728,11 +1721,7 @@ func (c *Checkpoint) ReadInto(want func(name string) bool, have func(ckptfmt.Has
 	for i := range dir.Sections {
 		ds := &dir.Sections[i]
 		if want != nil && !want(ds.Name) {
-			if i < len(reuse) && reuse[i].Name == ds.Name {
-				secs[i] = reuse[i]
-			} else {
-				secs[i].Name = ds.Name
-			}
+			secs[i].Name = ds.Name
 			continue
 		}
 		hs := make([]ckptfmt.Hash, len(ds.Chunks))
@@ -1749,9 +1738,9 @@ func (c *Checkpoint) ReadInto(want func(name string) bool, have func(ckptfmt.Has
 	if len(load) == 0 {
 		return secs, nil
 	}
-	// Phase 2: build the fetch jobs, then resolve chunk locations from the
-	// pool's two-level dedup index, locking each involved shard exactly
-	// once.
+	// Phase 2: lay each section's destination out over its chunks, then
+	// resolve chunk locations from the pool's two-level dedup index,
+	// locking each involved shard exactly once.
 	nchunks := 0
 	for _, i := range load {
 		nchunks += len(dir.Sections[i].Chunks)
@@ -1760,20 +1749,22 @@ func (c *Checkpoint) ReadInto(want func(name string) bool, have func(ckptfmt.Has
 	byShard := map[int][]int{} // shard -> indices into jobs
 	for _, i := range load {
 		ds := &dir.Sections[i]
-		var buf []byte
-		if i < len(reuse) && reuse[i].Name == ds.Name && cap(reuse[i].Data) >= secs[i].RawLen {
-			buf = reuse[i].Data[:secs[i].RawLen]
-		} else {
-			buf = make([]byte, secs[i].RawLen)
+		var pieces [][]byte
+		if into != nil {
+			pieces = into(ds.Name, secs[i].RawLen)
 		}
-		secs[i].Data = buf
-		off := 0
-		for _, ref := range ds.Chunks {
+		if pieces == nil {
+			secs[i].Data = make([]byte, secs[i].RawLen)
+			pieces = [][]byte{secs[i].Data}
+		}
+		dsts, err := cutPieces(pieces, ds)
+		if err != nil {
+			return nil, err
+		}
+		for k, ref := range ds.Chunks {
 			si := p.shardOf(ref.Hash)
-			j := chunkJob{ref: ref, dst: buf[off : off+ref.RawLen]}
-			off += ref.RawLen
 			byShard[si] = append(byShard[si], len(jobs))
-			jobs = append(jobs, j)
+			jobs = append(jobs, chunkJob{ref: ref, dst: dsts[k]})
 		}
 	}
 	if err := p.resolve(jobs, byShard, c.m.Seq); err != nil {
@@ -1782,11 +1773,41 @@ func (c *Checkpoint) ReadInto(want func(name string) bool, have func(ckptfmt.Has
 	if len(jobs) == 0 {
 		return secs, nil
 	}
-	// Phase 3: fetch and decode every frame into its section buffer.
+	// Phase 3: fetch and decode every frame into its destination.
 	if err := p.fetch(jobs, byShard, fs); err != nil {
 		return nil, err
 	}
 	return secs, nil
+}
+
+// cutPieces cuts a section's destination pieces at its chunk boundaries:
+// the k-th result is the pieces, in order, that chunk k's raw bytes land
+// in. Empty pieces are dropped. The pieces must tile exactly the section.
+func cutPieces(pieces [][]byte, ds *ckptfmt.SectionRef) ([][][]byte, error) {
+	total := 0
+	for _, pc := range pieces {
+		total += len(pc)
+	}
+	if total != ds.RawLen() {
+		return nil, fmt.Errorf("store: section %q is %d bytes, its destination %d", ds.Name, ds.RawLen(), total)
+	}
+	// Each chunk boundary splits at most one piece in two.
+	flat := make([][]byte, 0, len(pieces)+len(ds.Chunks))
+	out := make([][][]byte, len(ds.Chunks))
+	var cur []byte
+	for k, ref := range ds.Chunks {
+		start := len(flat)
+		for need := ref.RawLen; need > 0; {
+			for len(cur) == 0 {
+				cur, pieces = pieces[0], pieces[1:]
+			}
+			n := min(need, len(cur))
+			flat = append(flat, cur[:n:n])
+			cur, need = cur[n:], need-n
+		}
+		out[k] = flat[start:len(flat):len(flat)]
+	}
+	return out, nil
 }
 
 // Has reports whether a committed checkpoint exists for key.

@@ -60,12 +60,34 @@ func TestPutSectionsGetSectionsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGetSectionsIntoBufferOwnership pins who owns section memory on reads: a
-// read offered no buffers returns fresh ones the caller may retain (a later
-// read never touches them), a read offered the sections of an earlier one
-// lands in their buffers where name and size fit, and allocates where they
-// do not — another name at that position, too small a buffer, no buffer.
-func TestGetSectionsIntoBufferOwnership(t *testing.T) {
+// laidOut returns an into callback for Checkpoint.ReadInto that lays every
+// section over fresh memory cut into pieces at cut's offsets (clamped to the
+// section, empty pieces included), and the memory of each section it laid
+// out, by name.
+func laidOut(cut ...int) (func(string, int) [][]byte, map[string][]byte) {
+	mem := map[string][]byte{}
+	return func(name string, n int) [][]byte {
+		buf := make([]byte, n)
+		mem[name] = buf
+		var pieces [][]byte
+		at := 0
+		for _, c := range cut {
+			c = min(max(c, at), n)
+			pieces = append(pieces, buf[at:c])
+			at = c
+		}
+		return append(pieces, buf[at:])
+	}, mem
+}
+
+// TestReadIntoDestinationOwnership pins who owns section memory on reads: a
+// read with no destination returns fresh buffers the caller may retain (a
+// later read never touches them); a read whose into callback lays a section
+// out lands every byte in those pieces — cut anywhere, across chunk
+// boundaries, empty pieces included — and returns that section with nil
+// Data; a section into declines gets a fresh buffer; and pieces that do not
+// tile the section are an error, not a short or overlong read.
+func TestReadIntoDestinationOwnership(t *testing.T) {
 	s := openTemp(t)
 	content := func(seed uint64) []Section {
 		return []Section{
@@ -80,57 +102,73 @@ func TestGetSectionsIntoBufferOwnership(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	read := func(k Key, reuse []Section) []Section {
+	resolve := func(k Key) *Checkpoint {
 		t.Helper()
-		secs, ok, err := s.GetSectionsInto(k, nil, nil, reuse)
-		if err != nil || !ok {
-			t.Fatalf("read %s: ok=%v err=%v", k, ok, err)
+		c, err := s.Resolve(k)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return secs
-	}
-	same := func(a, b []byte) bool { return &a[0] == &b[0] }
-	check := func(what string, got, want []Section) {
-		t.Helper()
-		for i := range want {
-			if got[i].Name != want[i].Name || !bytes.Equal(got[i].Data, want[i].Data) {
-				t.Fatalf("%s: section %q differs from what was stored", what, want[i].Name)
-			}
-		}
+		return c
 	}
 
-	// No buffers offered: fresh, retainable memory every time.
+	// No destination: fresh, retainable memory every time.
 	first, _, err := s.GetSectionsObserved(k0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second := read(k1, nil)
-	check("retained read", first, content(1))
-	check("fresh read", second, content(2))
-	for i := range first {
-		if same(first[i].Data, second[i].Data) {
-			t.Fatalf("section %q of two unbuffered reads shares memory", first[i].Name)
+	second, err := resolve(k1).ReadInto(nil, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range content(1) {
+		if !bytes.Equal(first[i].Data, want.Data) || !bytes.Equal(second[i].Data, content(2)[i].Data) {
+			t.Fatalf("section %q differs from what was stored", want.Name)
+		}
+		if &first[i].Data[0] == &second[i].Data[0] {
+			t.Fatalf("section %q of two unbuffered reads shares memory", want.Name)
 		}
 	}
 
-	// The previous read's sections offered: every section lands in place.
-	third := read(k1, first)
-	check("read into offered buffers", third, content(2))
-	for i := range third {
-		if !same(third[i].Data, first[i].Data) {
-			t.Fatalf("section %q was offered a fitting buffer but allocated", third[i].Name)
+	// Laid out: every byte lands in the caller's pieces, one boundary just
+	// before the chunk edge, one on it, one inside the second chunk.
+	edge := ckptfmt.DefaultChunkSize
+	into, mem := laidOut(0, 5, 5, edge-3, edge, edge+50)
+	third, err := resolve(k1).ReadInto(nil, nil, nil, into)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range content(2) {
+		if third[i].Data != nil || third[i].RawLen != len(want.Data) || !bytes.Equal(mem[want.Name], want.Data) {
+			t.Fatalf("section %q laid out: Data %d bytes, RawLen %d; pieces hold what was stored: %v",
+				want.Name, len(third[i].Data), third[i].RawLen, bytes.Equal(mem[want.Name], want.Data))
 		}
 	}
+	check := func(what string, got []Section, want []Section) {
+		t.Helper()
+		for i := range want {
+			if !bytes.Equal(got[i].Data, want[i].Data) {
+				t.Fatalf("%s: section %q differs from what was stored", what, want[i].Name)
+			}
+		}
+	}
+	check("retained read after a laid-out one", first, content(1))
 
-	// Misfits allocate: a renamed slot, a short buffer, a missing one.
-	offered := []Section{{Name: "other", Data: third[0].Data}, {Name: "opt", Data: third[1].Data[:10:10]}}
-	fourth := read(k0, offered)
-	check("read past misfit buffers", fourth, content(1))
-	for i := range fourth {
-		if same(fourth[i].Data, third[i].Data) {
-			t.Fatalf("section %q reused a buffer that does not fit it", fourth[i].Name)
+	// A section into declines gets a buffer; one it lays out short fails.
+	declined, err := resolve(k0).ReadInto(nil, nil, nil, func(name string, n int) [][]byte {
+		if name == "opt" {
+			return nil
+		}
+		return [][]byte{make([]byte, n)}
+	})
+	if err != nil || declined[1].Data == nil || !bytes.Equal(declined[1].Data, content(1)[1].Data) || declined[0].Data != nil {
+		t.Fatalf("into declining opt: err %v, opt Data %d bytes, net Data %d bytes", err, len(declined[1].Data), len(declined[0].Data))
+	}
+	for _, delta := range []int{-1, 1} {
+		secs, err := resolve(k0).ReadInto(nil, nil, nil, func(name string, n int) [][]byte { return [][]byte{make([]byte, n+delta)} })
+		if err == nil || secs != nil {
+			t.Fatalf("pieces of %+d bytes against the section: %d sections, err %v", delta, len(secs), err)
 		}
 	}
-	check("buffers not taken stay intact", third, content(2))
 }
 
 func TestGetSectionsFallsBackForOpaqueAndV1(t *testing.T) {
@@ -311,13 +349,17 @@ func TestReadIntoLeavesUnwantedSectionsAlone(t *testing.T) {
 		t.Fatalf("reading opt alone counted %d frames, want its 1", got)
 	}
 
-	// The caller's entries for declined sections pass through untouched.
-	second, err := c.ReadInto(only("net"), nil, &fs, first)
+	// A second call for net alone declines what the first read, and the
+	// first call's buffer is the caller's, untouched.
+	second, err := c.ReadInto(only("net"), nil, &fs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(second[0].Data, stored[0].Data) || &second[1].Data[0] != &first[1].Data[0] || second[2].Data != nil {
-		t.Fatal("reading net with opt's buffer offered: net differs, or opt's entry was not passed through")
+	if !bytes.Equal(second[0].Data, stored[0].Data) || second[1].Data != nil || second[1].RawLen != 0 || second[2].Data != nil {
+		t.Fatal("reading net alone: net differs, or a declined section came back with more than its name")
+	}
+	if !bytes.Equal(first[1].Data, stored[1].Data) {
+		t.Fatal("the first read's buffer changed under a second read")
 	}
 	if got := fs.Snapshot().TotalFrames(); got != 3 {
 		t.Fatalf("reading opt, then net, counted %d frames, want 1 + 2", got)
@@ -326,18 +368,26 @@ func TestReadIntoLeavesUnwantedSectionsAlone(t *testing.T) {
 
 // TestFlippedPackByteSurfacesErrCorrupt flips every byte of the chunk pack
 // in turn; reads of the affected checkpoint must fail with codec.ErrCorrupt
-// rather than return garbage state — also when the read lands in buffers the
-// caller offered for reuse, which a failed read may scribble on but must
-// never hand back as sections.
+// rather than return garbage state — also when the read lands in pieces the
+// caller laid the section out over, which a failed read may scribble on but
+// must never report as read.
 func TestFlippedPackByteSurfacesErrCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	key := Key{LoopID: "L", Exec: 0}
 	want := noise(512, 2)
 	s.PutSections(key, []Section{{Name: "w", Data: want}}, 0, 0, 0)
-	reuse, ok, err := s.GetSections(key, nil)
-	if err != nil || !ok {
+	if _, ok, err := s.GetSections(key, nil); err != nil || !ok {
 		t.Fatalf("intact read: ok=%v err=%v", ok, err)
+	}
+	laidOutRead := func(s *Store) ([]Section, []byte, error) {
+		c, err := s.Resolve(key)
+		if err != nil {
+			return nil, nil, err
+		}
+		into, mem := laidOut(3, 3, 200, 511)
+		secs, err := c.ReadInto(nil, nil, nil, into)
+		return secs, mem["w"], err
 	}
 	packPath := filepath.Join(dir, "CHUNKS")
 	pack, err := os.ReadFile(packPath)
@@ -355,22 +405,17 @@ func TestFlippedPackByteSurfacesErrCorrupt(t *testing.T) {
 		if _, _, err := s2.GetSections(key, nil); !errors.Is(err, codec.ErrCorrupt) {
 			t.Fatalf("byte %d: error %v is not codec.ErrCorrupt", i, err)
 		}
-		if secs, _, err := s2.GetSectionsInto(key, nil, nil, reuse); !errors.Is(err, codec.ErrCorrupt) || secs != nil {
-			t.Fatalf("byte %d, into reused buffers: %d sections, error %v; want none and codec.ErrCorrupt", i, len(secs), err)
+		if secs, _, err := laidOutRead(s2); !errors.Is(err, codec.ErrCorrupt) || secs != nil {
+			t.Fatalf("byte %d, laid out in pieces: %d sections, error %v; want none and codec.ErrCorrupt", i, len(secs), err)
 		}
 	}
 	os.WriteFile(packPath, pack, 0o644)
-	// The same buffers serve the next intact read.
 	s3, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := s3.GetSectionsInto(key, nil, nil, reuse)
-	if err != nil || !ok || !bytes.Equal(got[0].Data, want) {
-		t.Fatalf("intact read into reused buffers: ok=%v err=%v", ok, err)
-	}
-	if &got[0].Data[0] != &reuse[0].Data[0] {
-		t.Fatal("a fitting buffer was offered but the read allocated a new one")
+	if _, got, err := laidOutRead(s3); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("intact read laid out in pieces: err=%v", err)
 	}
 }
 

@@ -16,8 +16,12 @@
 package value
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
+	"strings"
+	"unsafe"
 
 	"flor.dev/flor/internal/codec"
 	"flor.dev/flor/internal/nn"
@@ -328,6 +332,159 @@ func EncodeLive(w *codec.Writer, v Value) {
 		p = v.Snapshot()
 	}
 	EncodePayload(w, p)
+}
+
+// Layout lays a section's bytes over a live value, so that a read lands in
+// the value instead of in a buffer it would then be copied out of. Pieces,
+// in order, tile the section: the structure bytes (kind tag, counts, names,
+// shapes) land in scratch owned by the layout, and each float block in the
+// backing array of the live tensor it restores. A read into the pieces is a
+// restore exactly when the structure read is the structure EncodeLive writes
+// for the value (Matches); otherwise Bytes reassembles what was read for the
+// general decode-and-Restore path. A layout serves any number of reads, one
+// at a time, for as long as it Fits its value.
+type Layout struct {
+	Pieces [][]byte
+
+	scratch, want []byte
+	spans         []span // the float blocks' memory, sorted, disjoint
+	n             int
+	kind          Kind
+	of            []laidTensor // what was laid out, in Params order
+}
+
+// span is the address range [lo, hi) of one float block.
+type span struct{ lo, hi uintptr }
+
+// laidTensor is one tensor a layout lays a float block over, by name.
+type laidTensor struct {
+	name string
+	t    *tensor.Tensor
+}
+
+// LiveLayout returns the layout of v's EncodeLive bytes, or nil where a read
+// cannot be a restore: v is neither a *Model nor a *Tensor (the kinds whose
+// Restore is only a copy per tensor), a model has two parameters of one name
+// or two that share memory, or the host is big-endian.
+func LiveLayout(v Value) *Layout {
+	var w *codec.Writer
+	var of []laidTensor
+	ok := false
+	switch b := v.(type) {
+	case *Tensor:
+		of = []laidTensor{{t: b.T}}
+		if w, ok = codec.NewLayoutWriter(1); ok {
+			EncodePayload(w, TensorPayload{T: b.T})
+		}
+	case *Model:
+		// EncodeLive's bytes, without the state map it builds: a state of no
+		// scalars and the parameters in name order.
+		ps := b.M.Params()
+		of = make([]laidTensor, len(ps))
+		for i, p := range ps {
+			of[i] = laidTensor{p.Name, p.Var.Value}
+		}
+		sorted := slices.SortedFunc(slices.Values(of), func(x, y laidTensor) int { return strings.Compare(x.name, y.name) })
+		for i := 1; i < len(sorted); i++ {
+			if sorted[i].name == sorted[i-1].name {
+				return nil // Restore copies one entry into each; a read lands in one
+			}
+		}
+		if w, ok = codec.NewLayoutWriter(len(sorted)); ok {
+			w.Uvarint(uint64(KindState))
+			w.Uvarint(0)
+			w.Uvarint(uint64(len(sorted)))
+			for _, p := range sorted {
+				w.String(p.name)
+				w.Tensor(p.t)
+			}
+		}
+	}
+	if !ok {
+		return nil
+	}
+	views := w.Views()
+	l := &Layout{want: w.Bytes(), Pieces: make([][]byte, 0, 2*len(views)+1), spans: make([]span, len(views)), kind: v.Kind(), of: of}
+	l.scratch = make([]byte, len(l.want))
+	at := 0
+	for i, vw := range views {
+		if vw.At > at {
+			l.Pieces = append(l.Pieces, l.scratch[at:vw.At])
+			at = vw.At
+		}
+		l.Pieces = append(l.Pieces, vw.B)
+		l.n += len(vw.B)
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(vw.B)))
+		l.spans[i] = span{lo, lo + uintptr(len(vw.B))}
+	}
+	if at < len(l.scratch) {
+		l.Pieces = append(l.Pieces, l.scratch[at:])
+	}
+	l.n += len(l.scratch)
+	slices.SortFunc(l.spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	for i := 1; i < len(l.spans); i++ {
+		if l.spans[i].lo < l.spans[i-1].hi {
+			return nil // tied parameters: two reads into one tensor
+		}
+	}
+	return l
+}
+
+// Fits reports whether the layout still lays out v's encoding: v is the
+// kind it was built for and holds the same tensors under the same names, in
+// the same order. A tensor's shape and backing array are fixed for its
+// lifetime, so that is every byte the layout depends on.
+func (l *Layout) Fits(v Value) bool {
+	switch b := v.(type) {
+	case *Tensor:
+		return l.kind == KindTensor && l.of[0].t == b.T
+	case *Model:
+		ps := b.M.Params()
+		if l.kind != KindState || len(ps) != len(l.of) {
+			return false
+		}
+		for i, p := range ps {
+			if p.Name != l.of[i].name || p.Var.Value != l.of[i].t {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// Len is the section length the layout tiles.
+func (l *Layout) Len() int { return l.n }
+
+// Matches reports whether the structure bytes read into the layout are those
+// EncodeLive writes for the value: then the read restored it.
+func (l *Layout) Matches() bool { return bytes.Equal(l.scratch, l.want) }
+
+// Disjoint reports whether no float block of l shares memory with one of o.
+// Two layouts read concurrently must be disjoint.
+func (l *Layout) Disjoint(o *Layout) bool {
+	a, b := l.spans, o.spans
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0].hi <= b[0].lo:
+			a = a[1:]
+		case b[0].hi <= a[0].lo:
+			b = b[1:]
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// Bytes returns the section bytes read into the layout, assembled into a
+// fresh buffer.
+func (l *Layout) Bytes() []byte {
+	out := make([]byte, 0, l.n)
+	for _, p := range l.Pieces {
+		out = append(out, p...)
+	}
+	return out
 }
 
 // DecodeTaggedPayload reads a kind tag then the payload body.
