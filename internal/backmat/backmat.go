@@ -182,11 +182,16 @@ const DefaultPayloadCacheBytes = 256 << 20
 // which GetSections relies on when it skips loading content the cache has
 // promised to serve (an evicting cache could break that promise between the
 // skip decision and the decode).
+//
+// The budget also pays for memory held beside the cache: a replay park's
+// programs (replay.Park) reserve their bytes from it, so cached plus parked
+// bytes never exceed the cap.
 type PayloadCache struct {
-	mu   sync.Mutex
-	cap  int64
-	size int64
-	m    map[ckptfmt.Hash]cachedPayload
+	mu     sync.Mutex
+	cap    int64
+	size   int64
+	parked int64 // bytes reserved by Reserve and not yet released
+	m      map[ckptfmt.Hash]cachedPayload
 	// seen implements two-touch admission: content is cached only on its
 	// second appearance, so a stream of never-repeating checkpoints (a
 	// fully mutating model) doesn't pin one-shot payloads in memory.
@@ -205,10 +210,12 @@ type PayloadCache struct {
 type PayloadCacheStats struct {
 	CapBytes  int64 `json:"cap_bytes"`
 	SizeBytes int64 `json:"size_bytes"`
-	Entries   int   `json:"entries"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Admits    int64 `json:"admits"`
+	// ParkedBytes is what parked replay programs hold against the same cap.
+	ParkedBytes int64 `json:"parked_bytes"`
+	Entries     int   `json:"entries"`
+	Hits        int64 `json:"hits"`
+	Misses      int64 `json:"misses"`
+	Admits      int64 `json:"admits"`
 }
 
 // Stats returns a snapshot taken under the cache lock, so the counters are
@@ -220,12 +227,13 @@ func (c *PayloadCache) Stats() PayloadCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return PayloadCacheStats{
-		CapBytes:  c.cap,
-		SizeBytes: c.size,
-		Entries:   len(c.m),
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Admits:    c.admits,
+		CapBytes:    c.cap,
+		SizeBytes:   c.size,
+		ParkedBytes: c.parked,
+		Entries:     len(c.m),
+		Hits:        c.hits,
+		Misses:      c.misses,
+		Admits:      c.admits,
 	}
 }
 
@@ -295,7 +303,7 @@ func (c *PayloadCache) touch(h ckptfmt.Hash, bytes int64) bool {
 		c.seen[h] = struct{}{}
 		return false
 	}
-	return c.size+bytes <= c.cap
+	return c.size+c.parked+bytes <= c.cap
 }
 
 // add admits a payload touch said the cache wanted, unless another restore
@@ -303,13 +311,39 @@ func (c *PayloadCache) touch(h ckptfmt.Hash, bytes int64) bool {
 func (c *PayloadCache) add(h ckptfmt.Hash, p value.Payload, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.m[h]; ok || c.size+bytes > c.cap {
+	if _, ok := c.m[h]; ok || c.size+c.parked+bytes > c.cap {
 		return
 	}
 	c.m[h] = cachedPayload{p: p, bytes: bytes}
 	c.size += bytes
 	c.admits++
 	c.mAdmits.Inc()
+}
+
+// Reserve takes n bytes of the budget for memory held outside the cache,
+// reporting false — and taking nothing — when they do not fit beside what the
+// cache and earlier reservations hold. A nil cache reserves nothing.
+func (c *PayloadCache) Reserve(n int64) bool {
+	if c == nil {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.size+c.parked+n > c.cap {
+		return false
+	}
+	c.parked += n
+	return true
+}
+
+// Release returns n bytes an earlier Reserve took.
+func (c *PayloadCache) Release(n int64) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.parked -= n
+	c.mu.Unlock()
 }
 
 // Offer tells the cache that a section of content h and size bytes was read

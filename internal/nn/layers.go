@@ -11,20 +11,17 @@ import (
 
 // Linear is a fully connected layer: y = xW + b with W shaped (in, out).
 type Linear struct {
-	wName, bName string // parameter names, built once: Params runs on every restore and step
-	W            *autograd.Var
-	B            *autograd.Var
+	W      *autograd.Var
+	B      *autograd.Var
+	params []Param
 }
 
 // NewLinear constructs a Xavier-initialized linear layer.
 func NewLinear(name string, rng *xrand.RNG, in, out int) *Linear {
 	w := tensor.Transpose(tensor.XavierUniform(rng, in, out)) // (in, out)
-	return &Linear{
-		wName: name + ".w",
-		bName: name + ".b",
-		W:     autograd.NewParam(w),
-		B:     autograd.NewParam(tensor.New(out)),
-	}
+	l := &Linear{W: autograd.NewParam(w), B: autograd.NewParam(tensor.New(out))}
+	l.params = []Param{{Name: name + ".w", Var: l.W}, {Name: name + ".b", Var: l.B}}
+	return l
 }
 
 // Forward applies the layer to x (batch, in).
@@ -33,25 +30,19 @@ func (l *Linear) Forward(t *autograd.Tape, x *autograd.Var) *autograd.Var {
 }
 
 // Params implements Module.
-func (l *Linear) Params() []Param {
-	return []Param{
-		{Name: l.wName, Var: l.W},
-		{Name: l.bName, Var: l.B},
-	}
-}
+func (l *Linear) Params() []Param { return clip(l.params) }
 
 // Embedding maps integer ids to dense rows of a (vocab, dim) table.
 type Embedding struct {
-	tableName string
-	Table     *autograd.Var
+	Table  *autograd.Var
+	params []Param
 }
 
 // NewEmbedding constructs a N(0, 0.02²)-initialized embedding table.
 func NewEmbedding(name string, rng *xrand.RNG, vocab, dim int) *Embedding {
-	return &Embedding{
-		tableName: name + ".table",
-		Table:     autograd.NewParam(tensor.Randn(rng, 0.02, vocab, dim)),
-	}
+	e := &Embedding{Table: autograd.NewParam(tensor.Randn(rng, 0.02, vocab, dim))}
+	e.params = []Param{{Name: name + ".table", Var: e.Table}}
+	return e
 }
 
 // Forward gathers the rows for ids.
@@ -60,27 +51,25 @@ func (e *Embedding) Forward(t *autograd.Tape, ids []int) *autograd.Var {
 }
 
 // Params implements Module.
-func (e *Embedding) Params() []Param {
-	return []Param{{Name: e.tableName, Var: e.Table}}
-}
+func (e *Embedding) Params() []Param { return clip(e.params) }
 
 // LayerNorm normalizes rows and applies learned gain/bias.
 type LayerNorm struct {
-	gainName, biasName string
-	Gain               *autograd.Var
-	Bias               *autograd.Var
-	Eps                float64
+	Gain   *autograd.Var
+	Bias   *autograd.Var
+	Eps    float64
+	params []Param
 }
 
 // NewLayerNorm constructs a layer norm over width-dim rows.
 func NewLayerNorm(name string, dim int) *LayerNorm {
-	return &LayerNorm{
-		gainName: name + ".gain",
-		biasName: name + ".bias",
-		Gain:     autograd.NewParam(tensor.Full(1, dim)),
-		Bias:     autograd.NewParam(tensor.New(dim)),
-		Eps:      1e-5,
+	l := &LayerNorm{
+		Gain: autograd.NewParam(tensor.Full(1, dim)),
+		Bias: autograd.NewParam(tensor.New(dim)),
+		Eps:  1e-5,
 	}
+	l.params = []Param{{Name: name + ".gain", Var: l.Gain}, {Name: name + ".bias", Var: l.Bias}}
+	return l
 }
 
 // Forward normalizes x (batch, dim).
@@ -89,30 +78,28 @@ func (l *LayerNorm) Forward(t *autograd.Tape, x *autograd.Var) *autograd.Var {
 }
 
 // Params implements Module.
-func (l *LayerNorm) Params() []Param {
-	return []Param{
-		{Name: l.gainName, Var: l.Gain},
-		{Name: l.biasName, Var: l.Bias},
-	}
-}
+func (l *LayerNorm) Params() []Param { return clip(l.params) }
 
 // ResidualBlock is Linear→ReLU→Linear with a skip connection; the building
 // block of the deep "ResNet-152" analogue.
 type ResidualBlock struct {
-	name string
-	fc1  *Linear
-	fc2  *Linear
-	ln   *LayerNorm
+	name   string
+	fc1    *Linear
+	fc2    *Linear
+	ln     *LayerNorm
+	params []Param
 }
 
 // NewResidualBlock constructs a width-preserving residual block.
 func NewResidualBlock(name string, rng *xrand.RNG, dim, hidden int) *ResidualBlock {
-	return &ResidualBlock{
+	r := &ResidualBlock{
 		name: name,
 		fc1:  NewLinear(name+".fc1", rng, dim, hidden),
 		fc2:  NewLinear(name+".fc2", rng, hidden, dim),
 		ln:   NewLayerNorm(name+".ln", dim),
 	}
+	r.params = collect(r.fc1, r.fc2, r.ln)
+	return r
 }
 
 // Forward applies the block to x (batch, dim).
@@ -122,28 +109,23 @@ func (r *ResidualBlock) Forward(t *autograd.Tape, x *autograd.Var) *autograd.Var
 }
 
 // Params implements Module.
-func (r *ResidualBlock) Params() []Param {
-	var out []Param
-	out = append(out, r.fc1.Params()...)
-	out = append(out, r.fc2.Params()...)
-	out = append(out, r.ln.Params()...)
-	return out
-}
+func (r *ResidualBlock) Params() []Param { return clip(r.params) }
 
 // SelfAttention is a single-head scaled dot-product self-attention layer
 // operating on one sequence at a time: x is (seqLen, dim).
 type SelfAttention struct {
-	name string
-	wq   *Linear
-	wk   *Linear
-	wv   *Linear
-	wo   *Linear
-	dim  int
+	name   string
+	wq     *Linear
+	wk     *Linear
+	wv     *Linear
+	wo     *Linear
+	dim    int
+	params []Param
 }
 
 // NewSelfAttention constructs an attention layer of the given width.
 func NewSelfAttention(name string, rng *xrand.RNG, dim int) *SelfAttention {
-	return &SelfAttention{
+	a := &SelfAttention{
 		name: name,
 		wq:   NewLinear(name+".wq", rng, dim, dim),
 		wk:   NewLinear(name+".wk", rng, dim, dim),
@@ -151,6 +133,8 @@ func NewSelfAttention(name string, rng *xrand.RNG, dim int) *SelfAttention {
 		wo:   NewLinear(name+".wo", rng, dim, dim),
 		dim:  dim,
 	}
+	a.params = collect(a.wq, a.wk, a.wv, a.wo)
+	return a
 }
 
 // Forward applies attention to a (seqLen, dim) sequence.
@@ -165,29 +149,23 @@ func (a *SelfAttention) Forward(t *autograd.Tape, x *autograd.Var) *autograd.Var
 }
 
 // Params implements Module.
-func (a *SelfAttention) Params() []Param {
-	var out []Param
-	out = append(out, a.wq.Params()...)
-	out = append(out, a.wk.Params()...)
-	out = append(out, a.wv.Params()...)
-	out = append(out, a.wo.Params()...)
-	return out
-}
+func (a *SelfAttention) Params() []Param { return clip(a.params) }
 
 // TransformerBlock is attention + feed-forward with layer norms and skips.
 type TransformerBlock struct {
-	name string
-	attn *SelfAttention
-	ln1  *LayerNorm
-	ff1  *Linear
-	ff2  *Linear
-	ln2  *LayerNorm
+	name   string
+	attn   *SelfAttention
+	ln1    *LayerNorm
+	ff1    *Linear
+	ff2    *Linear
+	ln2    *LayerNorm
+	params []Param
 }
 
 // NewTransformerBlock constructs a block of the given width and FF hidden
 // size.
 func NewTransformerBlock(name string, rng *xrand.RNG, dim, hidden int) *TransformerBlock {
-	return &TransformerBlock{
+	b := &TransformerBlock{
 		name: name,
 		attn: NewSelfAttention(name+".attn", rng, dim),
 		ln1:  NewLayerNorm(name+".ln1", dim),
@@ -195,6 +173,8 @@ func NewTransformerBlock(name string, rng *xrand.RNG, dim, hidden int) *Transfor
 		ff2:  NewLinear(name+".ff2", rng, hidden, dim),
 		ln2:  NewLayerNorm(name+".ln2", dim),
 	}
+	b.params = collect(b.attn, b.ln1, b.ff1, b.ff2, b.ln2)
+	return b
 }
 
 // Forward applies the block to a (seqLen, dim) sequence.
@@ -205,34 +185,25 @@ func (b *TransformerBlock) Forward(t *autograd.Tape, x *autograd.Var) *autograd.
 }
 
 // Params implements Module.
-func (b *TransformerBlock) Params() []Param {
-	var out []Param
-	out = append(out, b.attn.Params()...)
-	out = append(out, b.ln1.Params()...)
-	out = append(out, b.ff1.Params()...)
-	out = append(out, b.ff2.Params()...)
-	out = append(out, b.ln2.Params()...)
-	return out
-}
+func (b *TransformerBlock) Params() []Param { return clip(b.params) }
 
 // RNNCell is a vanilla tanh recurrent cell: h' = tanh(xWx + hWh + b).
 type RNNCell struct {
-	wxName, whName, bName string
-	wx                    *autograd.Var
-	wh                    *autograd.Var
-	b                     *autograd.Var
+	wx     *autograd.Var
+	wh     *autograd.Var
+	b      *autograd.Var
+	params []Param
 }
 
 // NewRNNCell constructs a cell mapping in-dim inputs to hidden-dim state.
 func NewRNNCell(name string, rng *xrand.RNG, in, hidden int) *RNNCell {
-	return &RNNCell{
-		wxName: name + ".wx",
-		whName: name + ".wh",
-		bName:  name + ".b",
-		wx:     autograd.NewParam(tensor.Transpose(tensor.XavierUniform(rng, in, hidden))),
-		wh:     autograd.NewParam(tensor.Transpose(tensor.XavierUniform(rng, hidden, hidden))),
-		b:      autograd.NewParam(tensor.New(hidden)),
+	c := &RNNCell{
+		wx: autograd.NewParam(tensor.Transpose(tensor.XavierUniform(rng, in, hidden))),
+		wh: autograd.NewParam(tensor.Transpose(tensor.XavierUniform(rng, hidden, hidden))),
+		b:  autograd.NewParam(tensor.New(hidden)),
 	}
+	c.params = []Param{{Name: name + ".wx", Var: c.wx}, {Name: name + ".wh", Var: c.wh}, {Name: name + ".b", Var: c.b}}
+	return c
 }
 
 // Step advances the cell: x is (batch, in), h is (batch, hidden).
@@ -241,27 +212,20 @@ func (c *RNNCell) Step(t *autograd.Tape, x, h *autograd.Var) *autograd.Var {
 }
 
 // Params implements Module.
-func (c *RNNCell) Params() []Param {
-	return []Param{
-		{Name: c.wxName, Var: c.wx},
-		{Name: c.whName, Var: c.wh},
-		{Name: c.bName, Var: c.b},
-	}
-}
+func (c *RNNCell) Params() []Param { return clip(c.params) }
 
 // Conv1DLayer holds a bank of 1-D kernels applied to row signals.
 type Conv1DLayer struct {
-	kernelsName string
-	Kernels     *autograd.Var
+	Kernels *autograd.Var
+	params  []Param
 }
 
 // NewConv1DLayer constructs numKernels kernels of length klen.
 func NewConv1DLayer(name string, rng *xrand.RNG, numKernels, klen int) *Conv1DLayer {
 	std := 1 / math.Sqrt(float64(klen))
-	return &Conv1DLayer{
-		kernelsName: name + ".kernels",
-		Kernels:     autograd.NewParam(tensor.Randn(rng, std, numKernels, klen)),
-	}
+	c := &Conv1DLayer{Kernels: autograd.NewParam(tensor.Randn(rng, std, numKernels, klen))}
+	c.params = []Param{{Name: name + ".kernels", Var: c.Kernels}}
+	return c
 }
 
 // Forward convolves input (batch, inLen) with the kernel bank.
@@ -270,9 +234,7 @@ func (c *Conv1DLayer) Forward(t *autograd.Tape, x *autograd.Var) *autograd.Var {
 }
 
 // Params implements Module.
-func (c *Conv1DLayer) Params() []Param {
-	return []Param{{Name: c.kernelsName, Var: c.Kernels}}
-}
+func (c *Conv1DLayer) Params() []Param { return clip(c.params) }
 
 // Accuracy returns the fraction of rows of logits whose argmax matches the
 // label.

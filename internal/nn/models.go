@@ -16,9 +16,10 @@ type Classifier interface {
 // ConvNet is the "Squeezenet" analogue (workloads Cifr and ImgN): a 1-D
 // convolutional feature extractor followed by a linear classifier.
 type ConvNet struct {
-	conv1 *Conv1DLayer
-	conv2 *Conv1DLayer
-	head  *Linear
+	conv1  *Conv1DLayer
+	conv2  *Conv1DLayer
+	head   *Linear
+	params []Param
 
 	inLen   int
 	k1, l1  int
@@ -33,7 +34,7 @@ func NewConvNet(rng *xrand.RNG, inLen, kernels1, klen1, kernels2, klen2, classes
 	out1 := inLen - klen1 + 1
 	out2 := out1 - klen2 + 1
 	headIn := kernels1 * kernels2 * out2
-	return &ConvNet{
+	c := &ConvNet{
 		conv1:   NewConv1DLayer("conv1", rng, kernels1, klen1),
 		conv2:   NewConv1DLayer("conv2", rng, kernels2, klen2),
 		head:    NewLinear("head", rng, headIn, classes),
@@ -45,6 +46,8 @@ func NewConvNet(rng *xrand.RNG, inLen, kernels1, klen1, kernels2, klen2, classes
 		headIn:  headIn,
 		classes: classes,
 	}
+	c.params = collect(c.conv1, c.conv2, c.head)
+	return c
 }
 
 // Forward maps x (batch, inLen) to logits (batch, classes).
@@ -57,13 +60,7 @@ func (c *ConvNet) Forward(t *autograd.Tape, x *autograd.Var) *autograd.Var {
 }
 
 // Params implements Module.
-func (c *ConvNet) Params() []Param {
-	var out []Param
-	out = append(out, c.conv1.Params()...)
-	out = append(out, c.conv2.Params()...)
-	out = append(out, c.head.Params()...)
-	return out
-}
+func (c *ConvNet) Params() []Param { return clip(c.params) }
 
 // ResidualMLP is the "ResNet-152" analogue (workload RsNt): a deep stack of
 // width-preserving residual blocks over a linear stem.
@@ -71,6 +68,7 @@ type ResidualMLP struct {
 	stem   *Linear
 	blocks []*ResidualBlock
 	head   *Linear
+	params []Param
 }
 
 // NewResidualMLP constructs depth residual blocks of the given width.
@@ -82,6 +80,11 @@ func NewResidualMLP(rng *xrand.RNG, in, width, hidden, depth, classes int) *Resi
 	for i := 0; i < depth; i++ {
 		m.blocks = append(m.blocks, NewResidualBlock(blockName("block", i), rng, width, hidden))
 	}
+	m.params = collect(m.stem)
+	for _, b := range m.blocks {
+		m.params = append(m.params, b.Params()...)
+	}
+	m.params = append(m.params, m.head.Params()...)
 	return m
 }
 
@@ -101,15 +104,7 @@ func (m *ResidualMLP) Forward(t *autograd.Tape, x *autograd.Var) *autograd.Var {
 }
 
 // Params implements Module.
-func (m *ResidualMLP) Params() []Param {
-	var out []Param
-	out = append(out, m.stem.Params()...)
-	for _, b := range m.blocks {
-		out = append(out, b.Params()...)
-	}
-	out = append(out, m.head.Params()...)
-	return out
-}
+func (m *ResidualMLP) Params() []Param { return clip(m.params) }
 
 // Transformer is the "RoBERTa" analogue. It serves three workloads:
 // Wiki (language modeling over token streams), and RTE/CoLA (fine-tuning:
@@ -119,6 +114,7 @@ type Transformer struct {
 	pos    *Embedding
 	blocks []*TransformerBlock
 	head   *Linear
+	params []Param
 
 	seqLen int
 	dim    int
@@ -137,6 +133,11 @@ func NewTransformer(rng *xrand.RNG, vocab, seqLen, dim, hidden, depth, classes i
 	for i := 0; i < depth; i++ {
 		m.blocks = append(m.blocks, NewTransformerBlock(blockName("backbone.block", i), rng, dim, hidden))
 	}
+	m.params = collect(m.embed, m.pos)
+	for _, b := range m.blocks {
+		m.params = append(m.params, b.Params()...)
+	}
+	m.params = append(m.params, m.head.Params()...)
 	return m
 }
 
@@ -175,23 +176,15 @@ func (m *Transformer) LMLogits(t *autograd.Tape, tokens []int) *autograd.Var {
 }
 
 // Params implements Module.
-func (m *Transformer) Params() []Param {
-	var out []Param
-	out = append(out, m.embed.Params()...)
-	out = append(out, m.pos.Params()...)
-	for _, b := range m.blocks {
-		out = append(out, b.Params()...)
-	}
-	out = append(out, m.head.Params()...)
-	return out
-}
+func (m *Transformer) Params() []Param { return clip(m.params) }
 
 // ConvSpeech is the "Jasper" analogue (workload Jasp): a deep stack of 1-D
 // convolutions over audio-like frames with a per-utterance classifier.
 type ConvSpeech struct {
-	convs []*Conv1DLayer
-	pool  *Linear
-	head  *Linear
+	convs  []*Conv1DLayer
+	pool   *Linear
+	head   *Linear
+	params []Param
 
 	inLen   int
 	poolIn  int
@@ -212,6 +205,10 @@ func NewConvSpeech(rng *xrand.RNG, inLen, widthKernels, klen, depth, hidden, cla
 	m.poolIn = length
 	m.pool = NewLinear("pool", rng, length, hidden)
 	m.head = NewLinear("head", rng, hidden, classes)
+	for _, c := range m.convs {
+		m.params = append(m.params, c.Params()...)
+	}
+	m.params = append(m.params, collect(m.pool, m.head)...)
 	return m
 }
 
@@ -230,15 +227,7 @@ func (m *ConvSpeech) Forward(t *autograd.Tape, x *autograd.Var) *autograd.Var {
 }
 
 // Params implements Module.
-func (m *ConvSpeech) Params() []Param {
-	var out []Param
-	for _, c := range m.convs {
-		out = append(out, c.Params()...)
-	}
-	out = append(out, m.pool.Params()...)
-	out = append(out, m.head.Params()...)
-	return out
-}
+func (m *ConvSpeech) Params() []Param { return clip(m.params) }
 
 // RNNAttention is the "RNN with attention" analogue (workload RnnT): an
 // encoder RNN over source tokens, a decoder RNN with dot-product attention
@@ -250,11 +239,12 @@ type RNNAttention struct {
 	decoder  *RNNCell
 	head     *Linear
 	hidden   int
+	params   []Param
 }
 
 // NewRNNAttention constructs the seq2seq model.
 func NewRNNAttention(rng *xrand.RNG, vocab, dim, hidden int) *RNNAttention {
-	return &RNNAttention{
+	m := &RNNAttention{
 		srcEmbed: NewEmbedding("src.embed", rng, vocab, dim),
 		tgtEmbed: NewEmbedding("tgt.embed", rng, vocab, dim),
 		encoder:  NewRNNCell("encoder", rng, dim, hidden),
@@ -262,6 +252,8 @@ func NewRNNAttention(rng *xrand.RNG, vocab, dim, hidden int) *RNNAttention {
 		head:     NewLinear("head", rng, 2*hidden, vocab),
 		hidden:   hidden,
 	}
+	m.params = collect(m.srcEmbed, m.tgtEmbed, m.encoder, m.decoder, m.head)
+	return m
 }
 
 // Logits teacher-forces the decoder over tgt given src, returning
@@ -293,12 +285,4 @@ func (m *RNNAttention) Logits(t *autograd.Tape, src, tgt []int) *autograd.Var {
 }
 
 // Params implements Module.
-func (m *RNNAttention) Params() []Param {
-	var out []Param
-	out = append(out, m.srcEmbed.Params()...)
-	out = append(out, m.tgtEmbed.Params()...)
-	out = append(out, m.encoder.Params()...)
-	out = append(out, m.decoder.Params()...)
-	out = append(out, m.head.Params()...)
-	return out
-}
+func (m *RNNAttention) Params() []Param { return clip(m.params) }

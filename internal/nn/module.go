@@ -27,9 +27,25 @@ type Param struct {
 // Module is anything exposing an ordered list of named parameters.
 type Module interface {
 	// Params returns the module's parameters in a deterministic order with
-	// unique names.
+	// unique names. Callers range over the slice or append it to their own;
+	// they never write to it.
 	Params() []Param
 }
+
+// collect concatenates the parameters of ms, in order. Modules build their
+// list once, in the constructor, because Params runs on every restore,
+// optimizer step and weight norm.
+func collect(ms ...Module) []Param {
+	var out []Param
+	for _, m := range ms {
+		out = append(out, m.Params()...)
+	}
+	return out
+}
+
+// clip returns ps with its capacity cut to its length, so that a caller's
+// append copies instead of writing past the end into a module's own list.
+func clip(ps []Param) []Param { return ps[:len(ps):len(ps)] }
 
 // NumParams returns the total element count across all parameters of m.
 func NumParams(m Module) int {

@@ -42,6 +42,35 @@ func TestParamNamesUnique(t *testing.T) {
 	}
 }
 
+// TestParamsBuiltOnceAndAppendSafe pins that every model hands out the one
+// list its constructor built — no allocation per call — and that a caller's
+// append copies rather than writing into the model's list.
+func TestParamsBuiltOnceAndAppendSafe(t *testing.T) {
+	models := map[string]Module{
+		"convnet": NewConvNet(xrand.New(1), 32, 4, 5, 3, 3, 10),
+		"resmlp":  NewResidualMLP(xrand.New(2), 16, 32, 32, 3, 10),
+		"xform":   NewTransformer(xrand.New(3), 50, 8, 16, 32, 2, 4),
+		"speech":  NewConvSpeech(xrand.New(4), 40, 2, 5, 3, 16, 8),
+		"rnnatt":  NewRNNAttention(xrand.New(5), 30, 8, 12),
+		"linear":  NewLinear("fc", xrand.New(6), 4, 3),
+	}
+	for name, m := range models {
+		a, b := m.Params(), m.Params()
+		if len(a) == 0 || &a[0] != &b[0] || len(a) != len(b) {
+			t.Fatalf("%s: Params returned different slices on two calls", name)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _ = m.Params() }); allocs != 0 {
+			t.Fatalf("%s: Params allocates %.0f times per call, want 0", name, allocs)
+		}
+		first := a[0]
+		grown := append(a, Param{Name: "intruder"})
+		grown[0].Name = "renamed"
+		if c := m.Params(); len(c) != len(a) || c[0] != first {
+			t.Fatalf("%s: appending to Params wrote into the model's list: %q", name, c[0].Name)
+		}
+	}
+}
+
 func TestParamOrderDeterministic(t *testing.T) {
 	a := NewResidualMLP(xrand.New(2), 16, 32, 32, 12, 10)
 	b := NewResidualMLP(xrand.New(2), 16, 32, 32, 12, 10)

@@ -11,8 +11,10 @@
 // replay) is one worker over the requested one-iteration spans, ascending.
 // Both read the recording's one memoized loop/anchor table (schedState).
 // Every worker executes the same instrumented program from the beginning:
-// setup runs logically (imports, data loading, model construction), then the
-// generator drives the main loop through two phases —
+// setup runs logically (imports, data loading, model construction) — or, for
+// a program an earlier query left in a Park, the program is rebound to the
+// state setup left — then the generator drives the main loop through two
+// phases —
 //
 //	init_sgmnt: iterations replayed in SkipBlock initialization mode, which
 //	            skips nested loops by restoring their Loop End Checkpoints.
@@ -101,6 +103,11 @@ type Options struct {
 	// cache with a shared one, so a run's restored content stays hot across
 	// queries (and across the workers of one replay).
 	Cache *backmat.PayloadCache
+	// Park, when non-nil, supplies workers with programs earlier queries over
+	// the same recording and probed program set up, and takes this query's
+	// programs back when it succeeds (see Park). Nil builds and sets up a
+	// fresh program per worker and drops it after.
+	Park *Park
 	// Trace, when non-nil, collects per-worker phase spans (setup, init,
 	// work, and a closing per-worker summary carrying restore-vs-step time).
 	// Nil disables tracing at zero cost.
@@ -236,7 +243,8 @@ func MaxSpeedup(n, g int) float64 {
 
 // Replay performs a hindsight-logging replay of a recorded run. factory must
 // build a fresh instance of the (possibly probed) program on every call;
-// each worker gets its own instance, environment, and SkipBlock runtime.
+// each worker gets its own instance, environment, and SkipBlock runtime —
+// fresh, or taken from opts.Park.
 func Replay(rec *Recording, factory func() *script.Program, opts Options) (*Result, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 1
@@ -298,14 +306,16 @@ func Replay(rec *Recording, factory func() *script.Program, opts Options) (*Resu
 	if !opts.SkipDeferredCheck {
 		res.Anomalies = runlog.DeferredCheck(rec.RecordLog, res.Logs, diff.NewLabels)
 	}
+	env.parkPrograms()
 	obs.C(obs.MReplayReplays).Inc()
 	recordReplayMetrics(n, res.Workers)
 	return res, nil
 }
 
 // newReplayEnv builds what a full replay and a sample share: the probed
-// program's diff against the recording (returning the instance it diffed),
-// the recording's memoized loop/anchor table, and one adaptive tracker. The
+// program's diff against the recording (returning the instance it diffed,
+// which the first worker to miss the park sets up), the recording's memoized
+// loop/anchor table, and one adaptive tracker. The
 // tracker is shared by the scheduler's cost model and every worker: restores
 // measured early refine the restore/materialize factor c mid-replay
 // (skipblock.restore → adapt.NoteRestore), and the executor reprices later
@@ -319,6 +329,9 @@ func newReplayEnv(rec *Recording, factory func() *script.Program, opts Options) 
 	if p.Main == nil {
 		return nil, nil, fmt.Errorf("replay: program has no main loop")
 	}
+	if opts.Park != nil && opts.Park.rec != rec {
+		return nil, nil, fmt.Errorf("replay: park belongs to another recording")
+	}
 	tracker := adapt.New(adapt.DefaultEpsilon)
 	if rec.Timings != nil && rec.Timings.C > 0 {
 		tracker.SeedC(rec.Timings.C)
@@ -327,7 +340,7 @@ func newReplayEnv(rec *Recording, factory func() *script.Program, opts Options) 
 		opts.Ctx = context.Background()
 	}
 	return &replayEnv{rec: rec, factory: factory, diff: diff, tracker: tracker,
-		st: rec.schedStateFor(p), opts: opts}, p, nil
+		st: rec.schedStateFor(p), opts: opts, spare: p}, p, nil
 }
 
 // recordReplayMetrics folds a finished query's worker reports — a replay's,
@@ -358,6 +371,34 @@ type replayEnv struct {
 	st         *schedState
 	opts       Options // Ctx never nil
 	slotCostNs int64
+
+	// mu guards spare, the diffed instance no worker has set up yet, and
+	// used, every program a worker of this query ran.
+	mu    sync.Mutex
+	spare *script.Program
+	used  []*program
+}
+
+// fresh returns an instance of the program nobody has set up: the diffed
+// one first, then the factory's.
+func (env *replayEnv) fresh() *script.Program {
+	env.mu.Lock()
+	p := env.spare
+	env.spare = nil
+	env.mu.Unlock()
+	if p == nil {
+		p = env.factory()
+	}
+	return p
+}
+
+// parkPrograms hands the query's programs to the park once it has
+// succeeded — unless its context ended meanwhile: a cancelled query parks
+// nothing.
+func (env *replayEnv) parkPrograms() {
+	if env.opts.Ctx.Err() == nil {
+		env.opts.Park.put(env.used)
+	}
 }
 
 // iterKeys returns the checkpoint keys the instrumented loops materialize
@@ -459,30 +500,52 @@ type worker struct {
 	tr     *obs.Trace // nil when the replay is untraced
 }
 
-// newWorker builds a worker over a fresh program instance p and runs phase
-// 1: every statement before the main loop (imports, data loading, model
-// construction — §5.4.2 "the first part"). Workers share the query's tracker
-// (restore observations feed the scheduler's cost model) and, when
-// configured, a cross-query payload cache. A replay never records, so the
-// SkipBlock runtime gets no materializer.
-func newWorker(env *replayEnv, pid int, p *script.Program) (*worker, error) {
-	rt := skipblock.NewRuntime(p, env.tracker, nil, env.rec.Store)
-	rt.SetCache(env.opts.Cache)
-	rt.SetTrace(env.opts.Trace, pid)
-	rt.SetProbes(env.diff.Probes)
-	w := &worker{
-		p: p, rt: rt, mult: env.st.mult, pid: pid,
-		ctx:    &script.Ctx{Env: script.NewEnv(), LoopHook: rt.Hook},
-		report: &WorkerReport{PID: pid},
-		tr:     env.opts.Trace,
-	}
-	t0 := w.tr.Now()
+// newWorker gives a worker its program as of the end of phase 1, every
+// statement before the main loop (imports, data loading, model construction
+// — §5.4.2 "the first part"): a parked program rebound to look fresh, or,
+// when the park has none, a fresh instance whose setup runs here. Workers
+// share the query's tracker (restore observations feed the scheduler's cost
+// model) and, when configured, a cross-query payload cache. A replay never
+// records, so the SkipBlock runtime gets no materializer.
+func newWorker(env *replayEnv, pid int) (*worker, error) {
+	t0 := env.opts.Trace.Now()
 	s0 := time.Now()
-	if err := script.ExecStmts(w.ctx, p.Setup); err != nil {
-		return nil, fmt.Errorf("replay: worker %d setup: %w", pid, err)
+	w := &worker{mult: env.st.mult, pid: pid, report: &WorkerReport{PID: pid}, tr: env.opts.Trace}
+	prog, setup := env.opts.Park.take()
+	var penv *script.Env
+	if prog != nil {
+		w.p, w.rt, penv = prog.p, prog.rt, prog.env
+		penv.Reset(prog.setup)
+		w.rt.Reset(env.tracker, env.opts.Cache)
+		w.rt.BindSetup(penv, setup)
+	} else {
+		w.p, penv = env.fresh(), script.NewEnv()
+		w.rt = skipblock.NewRuntime(w.p, env.tracker, nil, env.rec.Store)
+		w.rt.SetCache(env.opts.Cache)
+	}
+	w.rt.SetTrace(env.opts.Trace, pid)
+	w.rt.SetProbes(env.diff.Probes)
+	w.ctx = &script.Ctx{Env: penv, LoopHook: w.rt.Hook}
+	parked := int64(1)
+	if prog == nil {
+		parked = 0
+		if err := script.ExecStmts(w.ctx, w.p.Setup); err != nil {
+			return nil, fmt.Errorf("replay: worker %d setup: %w", pid, err)
+		}
+		if setup, ok := env.opts.Park.admit(w.p, penv); ok {
+			prog = &program{p: w.p, rt: w.rt, env: penv, setup: setup}
+		}
+	}
+	if prog != nil {
+		env.mu.Lock()
+		env.used = append(env.used, prog)
+		env.mu.Unlock()
 	}
 	w.report.SetupNs = time.Since(s0).Nanoseconds()
-	w.tr.Add(obs.Span{Name: "setup", Worker: pid, StartNs: t0, DurNs: w.report.SetupNs})
+	if w.tr != nil {
+		w.tr.Add(obs.Span{Name: "setup", Worker: pid, StartNs: t0, DurNs: w.report.SetupNs,
+			Attrs: map[string]int64{"parked": parked}})
+	}
 	return w, nil
 }
 
@@ -601,7 +664,7 @@ func workerLoop(env *replayEnv, x *sched.Executor, pid, n int) (*WorkerReport, [
 	if lease == nil {
 		return nil, nil, nil
 	}
-	w, err := newWorker(env, pid, env.factory())
+	w, err := newWorker(env, pid)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -25,6 +25,8 @@ type SampleOptions struct {
 	Slots sched.SlotSource
 	// Ctx bounds the slot wait; nil means context.Background().
 	Ctx context.Context
+	// Park supplies and takes back the sample's program (see Options.Park).
+	Park *Park
 	// Trace, when non-nil, collects the worker's spans exactly like a full
 	// replay's trace — slot wait, setup, init (the catch-up from anchor to
 	// sampled point), one work span per sampled iteration, tier-attributed
@@ -85,7 +87,7 @@ func ReplaySampleWith(rec *Recording, factory func() *script.Program, iterations
 // still aggregates everything emitted.
 func ReplaySampleStream(rec *Recording, factory func() *script.Program, iterations []int, sopts SampleOptions, emit func(iteration int, logs []string) error) (*SampleResult, error) {
 	env, p, err := newReplayEnv(rec, factory, Options{
-		Cache: sopts.Cache, Slots: sopts.Slots, Ctx: sopts.Ctx, Trace: sopts.Trace})
+		Cache: sopts.Cache, Slots: sopts.Slots, Ctx: sopts.Ctx, Park: sopts.Park, Trace: sopts.Trace})
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +118,7 @@ func ReplaySampleStream(rec *Recording, factory func() *script.Program, iteratio
 	defer env.releaseSlot()
 
 	t0 := time.Now()
-	w, err := newWorker(env, 0, p)
+	w, err := newWorker(env, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -147,6 +149,7 @@ func ReplaySampleStream(rec *Recording, factory func() *script.Program, iteratio
 		}
 	}
 	rep := w.finish()
+	env.parkPrograms()
 	recordReplayMetrics(len(sample), []WorkerReport{*rep})
 	return &SampleResult{
 		Iterations:    sample,

@@ -16,6 +16,8 @@ package script
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 
@@ -132,6 +134,35 @@ func (e *Env) Names() []string {
 	out := make([]string, len(e.order))
 	copy(out, e.order)
 	return out
+}
+
+// Frame is a saved name→object map of an environment (Env.Frame), which
+// Env.Reset returns the environment to.
+type Frame struct {
+	vars  map[string]value.Value
+	order []string
+}
+
+// Frame returns which object each name is bound to now. The objects are
+// shared, not copied: a Reset rebinds them, whatever state they hold.
+func (e *Env) Frame() Frame {
+	return Frame{vars: maps.Clone(e.vars), order: slices.Clone(e.order)}
+}
+
+// Reset binds exactly f's names to f's objects — a name bound since f was
+// taken goes away — detaches the observer and forgets a latched read failure.
+func (e *Env) Reset(f Frame) {
+	clear(e.vars)
+	maps.Copy(e.vars, f.vars)
+	e.order = append(e.order[:0], f.order...)
+	e.obs, e.err = nil, nil
+}
+
+// Each calls fn for every name of the frame, in first-bind order.
+func (f Frame) Each(fn func(name string, v value.Value)) {
+	for _, name := range f.order {
+		fn(name, f.vars[name])
+	}
 }
 
 // Pattern is the statically visible shape of a statement, mirroring the

@@ -100,6 +100,36 @@ func TestEnvOrderAndAccessors(t *testing.T) {
 	}
 }
 
+// TestEnvResetReturnsToFrame pins what a reused program's environment goes
+// back to: the names and objects of the frame, in its order — not the
+// objects' state, and not a name bound since.
+func TestEnvResetReturnsToFrame(t *testing.T) {
+	e := NewEnv()
+	e.SetInt("a", 1)
+	e.SetFloat("b", 2)
+	box := e.MustGet("a")
+	f := e.Frame()
+	e.SetInt("a", 5)
+	e.Set("b", &value.Float{V: 9})
+	e.SetInt("later", 3)
+	e.Observe(&traceObserver{})
+	e.Reset(f)
+	if names := e.Names(); len(names) != 2 || names[0] != "a" || names[1] != "b" {
+		t.Fatalf("Names after Reset = %v", names)
+	}
+	if e.MustGet("a") != box || e.Int("a") != 5 || e.Float("b") != 2 {
+		t.Fatalf("after Reset: a=%d (same box %v), b=%v", e.Int("a"), e.MustGet("a") == box, e.Float("b"))
+	}
+	if e.obs != nil {
+		t.Fatal("Reset kept the observer")
+	}
+	var walked []string
+	f.Each(func(name string, _ value.Value) { walked = append(walked, name) })
+	if len(walked) != 2 || walked[0] != "a" || walked[1] != "b" {
+		t.Fatalf("Frame.Each walked %v", walked)
+	}
+}
+
 func TestSetIntReusesBox(t *testing.T) {
 	e := NewEnv()
 	e.SetInt("x", 1)

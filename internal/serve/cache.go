@@ -20,6 +20,12 @@ import (
 // cache, shared by every sibling run of the project: content is addressed
 // by hash, so a backbone decoded for one run's replay serves its whole
 // fine-tuning family.
+//
+// parks keeps, per probe, the programs of finished queries over this entry's
+// store (replay.Park), paid for from cache's budget. They belong to the
+// entry: eviction closes them and returns their bytes to the budget, which
+// for a pool-attached run outlives the entry, and a refreshed store starts
+// with empty parks, so no query reuses a program reading a superseded store.
 type cacheEntry struct {
 	runID    string
 	poolRoot string // "" for private-pack runs
@@ -28,6 +34,39 @@ type cacheEntry struct {
 
 	openedAt  time.Time // when this entry entered the LRU
 	lastTouch time.Time // last hit (guarded by storeCache.mu)
+
+	parkMu  sync.Mutex
+	parks   map[string]*replay.Park // by probe name
+	evicted bool
+}
+
+// park returns the entry's park for a probe, nil once the entry is evicted.
+func (e *cacheEntry) park(probe string) *replay.Park {
+	e.parkMu.Lock()
+	defer e.parkMu.Unlock()
+	if e.evicted {
+		return nil
+	}
+	pk, ok := e.parks[probe]
+	if !ok {
+		if e.parks == nil {
+			e.parks = map[string]*replay.Park{}
+		}
+		pk = replay.NewPark(e.rec, e.cache)
+		e.parks[probe] = pk
+	}
+	return pk
+}
+
+// closeParks closes every park of an entry leaving the LRU.
+func (e *cacheEntry) closeParks() {
+	e.parkMu.Lock()
+	defer e.parkMu.Unlock()
+	e.evicted = true
+	for _, pk := range e.parks {
+		pk.Close()
+	}
+	e.parks = nil
 }
 
 // storeCache is an LRU of open stores keyed by run ID, plus the per-pool
@@ -119,7 +158,7 @@ func (c *storeCache) get(runID, poolRoot string, load func() (*replay.Recording,
 	c.mu.Lock()
 	delete(c.opening, runID)
 	close(opened)
-	var evicted []string
+	var evicted []*cacheEntry
 	if ent != nil {
 		c.entries[runID] = c.lru.PushFront(ent)
 		for c.lru.Len() > c.cap {
@@ -129,15 +168,16 @@ func (c *storeCache) get(runID, poolRoot string, load func() (*replay.Recording,
 			delete(c.entries, old.runID)
 			c.evictions++
 			c.mEvictions.Inc()
-			evicted = append(evicted, old.runID)
+			evicted = append(evicted, old)
 		}
 		c.mOpen.Set(int64(c.lru.Len()))
 	}
 	hook := c.onEvict
 	c.mu.Unlock()
-	if hook != nil {
-		for _, id := range evicted {
-			hook(id)
+	for _, old := range evicted {
+		old.closeParks()
+		if hook != nil {
+			hook(old.runID)
 		}
 	}
 	return ent, false, err
@@ -178,7 +218,11 @@ func (c *storeCache) drop(runID string) {
 	}
 	hook := c.onEvict
 	c.mu.Unlock()
-	if ok && hook != nil {
+	if !ok {
+		return
+	}
+	el.Value.(*cacheEntry).closeParks()
+	if hook != nil {
 		hook(runID)
 	}
 }
@@ -189,8 +233,9 @@ func (c *storeCache) drop(runID string) {
 func (c *storeCache) clear() {
 	c.mu.Lock()
 	var evicted []string
-	for id := range c.entries {
+	for id, el := range c.entries {
 		evicted = append(evicted, id)
+		el.Value.(*cacheEntry).closeParks()
 	}
 	c.entries = map[string]*list.Element{}
 	c.lru = list.New()

@@ -992,8 +992,8 @@ type served struct {
 // deadline, the trace, one retry on store.ErrStalePack, error
 // classification, stats and trace retention. run has replay.Replay's shape:
 // it executes the kind's replay with the daemon plumbing in opts (shared
-// pool, slot-wait context, payload cache, trace) and reports
-// what the query cost.
+// pool, slot-wait context, payload cache, the entry's park for the probe,
+// trace) and reports what the query cost.
 func (s *Server) query(ctx context.Context, kind, runID, probe string,
 	run func(rec *replay.Recording, factory func() *script.Program, opts replay.Options) (QueryCost, error)) (served, error) {
 
@@ -1011,6 +1011,9 @@ func (s *Server) query(ctx context.Context, kind, runID, probe string,
 	if err != nil {
 		return sv, err
 	}
+	if probe == "" {
+		probe = "base"
+	}
 	release, queueNs, err := s.admit(ctx, r)
 	if err != nil {
 		return sv, err
@@ -1027,13 +1030,13 @@ func (s *Server) query(ctx context.Context, kind, runID, probe string,
 	// its workers starve behind other queries' segments.
 	slotCtx, cancel := context.WithTimeout(ctx, s.opts.QueueTimeout)
 	defer cancel()
-	opts := replay.Options{Slots: s.pool, Ctx: slotCtx, Cache: ent.cache, Trace: obs.NewTrace()}
+	opts := replay.Options{Slots: s.pool, Ctx: slotCtx, Cache: ent.cache, Park: ent.park(probe), Trace: obs.NewTrace()}
 	t0 := time.Now()
 	sv.cost, err = run(ent.rec, factory, opts)
 	if err != nil && errors.Is(err, store.ErrStalePack) {
 		if fresh, rerr := s.refreshStale(r); rerr == nil {
 			ent, sv.storeHit = fresh, false
-			opts.Cache = ent.cache
+			opts.Cache, opts.Park = ent.cache, ent.park(probe)
 			sv.cost, err = run(ent.rec, factory, opts)
 		}
 	}
@@ -1136,7 +1139,7 @@ func (s *Server) sample(ctx context.Context, runID string, req SampleRequest, em
 	var res *replay.SampleResult
 	sv, err := s.query(ctx, "sample", runID, req.Probe, func(rec *replay.Recording, factory func() *script.Program, opts replay.Options) (cost QueryCost, err error) {
 		res, err = replay.ReplaySampleStream(rec, factory, req.Iterations, replay.SampleOptions{
-			Cache: opts.Cache, Slots: opts.Slots, Ctx: opts.Ctx, Trace: opts.Trace}, rawEmit)
+			Cache: opts.Cache, Slots: opts.Slots, Ctx: opts.Ctx, Park: opts.Park, Trace: opts.Trace}, rawEmit)
 		if err != nil {
 			if emitted > 0 && errors.Is(err, store.ErrStalePack) {
 				// Chunks already delivered must not be re-emitted by a second

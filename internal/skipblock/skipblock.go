@@ -127,6 +127,9 @@ type Runtime struct {
 	env     *script.Env
 	bound   []*binding
 	pulling bool
+	// setup is the binding BindSetup made, while the runtime has one: every
+	// name a checkpoint load restores is retired from it (supplied).
+	setup *binding
 	// layouts keeps, by name, the layout a load laid a section over, for
 	// the next load of that name while it still fits the value.
 	layouts map[string]*value.Layout
@@ -156,6 +159,23 @@ func NewRuntime(p *script.Program, tracker *adapt.Tracker, mat *backmat.Material
 		rt.blocks[l.ID] = &Block{Loop: l, Changeset: a.Changeset, rt: rt}
 	}
 	return rt
+}
+
+// Reset readies a runtime whose program already ran for another query:
+// bindings, execution indexes, block counters and fetch totals go, tracker
+// replaces the last query's, and cache replaces the runtime's payload cache
+// (nil: a private one, as NewRuntime gives). What earlier loads read into
+// and laid out stays, to be reused. Set the query's trace and probes after.
+func (r *Runtime) Reset(tracker *adapt.Tracker, cache *backmat.PayloadCache) {
+	r.mode, r.tracker, r.fetch = ModeRecord, tracker, nil
+	r.env, r.bound, r.pulling, r.setup = nil, nil, false, nil
+	if cache == nil {
+		cache = backmat.NewPayloadCache(0)
+	}
+	r.cache = cache
+	for _, b := range r.blocks {
+		b.execIndex, b.stats = 0, Stats{}
+	}
 }
 
 // SetMode switches every SkipBlock's parameterized branch (paper Figure 9,
@@ -318,13 +338,64 @@ func (b *Block) bind(env *script.Env, key store.Key) {
 }
 
 // binding is a skipped execution whose checkpoint has not been loaded in
-// full. done lists the names that no longer come from it: those loaded, and
-// those written since the bind (a load must not roll a write back).
+// full, or a reused program's setup state (setup set, b nil). done lists the
+// names that no longer come from it: those loaded, those written since the
+// bind (a load must not roll a write back) and, for the setup binding, those
+// a checkpoint load restored.
 type binding struct {
-	b    *Block
-	key  store.Key
-	ck   *store.Checkpoint // resolved by the first load
-	done []string
+	b     *Block
+	key   store.Key
+	ck    *store.Checkpoint // resolved by the first load
+	setup *Setup
+	done  []string
+}
+
+// Setup is a program's state right after its setup statements ran: a
+// snapshot of every value setup bound. A program that already served a query
+// binds it (BindSetup) to look like a freshly set-up one. Its payloads are
+// immutable and every Restore copies out of them, so one Setup serves any
+// number of programs of the same setup at once.
+type Setup struct {
+	names    []string
+	payloads []value.Payload
+	bytes    int64
+}
+
+// SnapshotSetup snapshots the values of f, taken when setup had just
+// finished.
+func SnapshotSetup(f script.Frame) *Setup {
+	s := &Setup{}
+	f.Each(func(name string, v value.Value) {
+		p := v.Snapshot()
+		s.names = append(s.names, name)
+		s.payloads = append(s.payloads, p)
+		s.bytes += int64(p.SizeBytes())
+	})
+	return s
+}
+
+// Bytes is the snapshot's size.
+func (s *Setup) Bytes() int64 { return s.bytes }
+
+// BindSetup binds s as the oldest binding of env, which a reset runtime
+// (Reset) of a program whose setup s snapshots observes from here on. A name
+// read before any checkpoint supplies it gets its setup value. A name a
+// checkpoint load restores, or a later binding carries, is that checkpoint's
+// to supply: its setup value never lands over the checkpoint's.
+func (r *Runtime) BindSetup(env *script.Env, s *Setup) {
+	r.env = env
+	env.Observe(r)
+	r.setup = &binding{setup: s}
+	r.bound = append(r.bound, r.setup)
+}
+
+// supplied retires name from the setup binding: a checkpoint load restored
+// it, and what a checkpoint restores is younger than setup. A format-v1 or
+// opaque checkpoint restores every name it holds, asked for or not.
+func (r *Runtime) supplied(name string) {
+	if r.setup != nil && !slices.Contains(r.setup.done, name) {
+		r.setup.done = append(r.setup.done, name)
+	}
 }
 
 // Read implements script.Observer: a log statement is about to look at name.
@@ -369,12 +440,71 @@ func (r *Runtime) pull(name string) error {
 	var err error
 	r.bound = slices.DeleteFunc(r.bound, func(bd *binding) bool {
 		more := true // once a load has failed, the rest stay bound
-		if err == nil {
+		switch {
+		case err != nil:
+		case bd.setup != nil:
+			more, err = r.loadSetup(bd, names)
+		default:
 			more, err = bd.b.load(bd, names)
 		}
 		return !more && err == nil
 	})
 	return err
+}
+
+// loadSetup restores the named part (nil: all) of the setup binding, the
+// oldest, and reports whether it has more to give. A name some younger
+// binding's sectioned checkpoint carries is retired instead: that binding
+// loads after this one and overwrites it whole, so the setup payload need not
+// move. (What a format-v1 or opaque checkpoint holds is known only once it is
+// read: its names are restored here, then overwritten and retired by the
+// load.)
+func (r *Runtime) loadSetup(bd *binding, names []string) (more bool, err error) {
+	for i, name := range bd.setup.names {
+		if slices.Contains(bd.done, name) {
+			continue
+		}
+		if names != nil && !slices.Contains(names, name) {
+			more = true
+			continue
+		}
+		carried, err := r.carriedLater(name)
+		if err != nil {
+			return false, err
+		}
+		if !carried {
+			v, ok := r.env.Get(name)
+			if !ok {
+				return false, fmt.Errorf("skipblock: setup variable %q missing from environment", name)
+			}
+			if err := v.Restore(bd.setup.payloads[i]); err != nil {
+				return false, fmt.Errorf("skipblock: restore setup %q: %w", name, err)
+			}
+		}
+		bd.done = append(bd.done, name)
+	}
+	return more, nil
+}
+
+// carriedLater reports whether a checkpoint binding carries name. It
+// resolves a binding not yet resolved, as its first load would.
+func (r *Runtime) carriedLater(name string) (bool, error) {
+	for _, bd := range r.bound {
+		if bd.setup != nil {
+			continue
+		}
+		if bd.ck == nil {
+			ck, err := r.st.Resolve(bd.key)
+			if err != nil {
+				return false, fmt.Errorf("skipblock: %s: %w", bd.key, err)
+			}
+			bd.ck = ck
+		}
+		if bd.ck.Carries(name) {
+			return true, nil
+		}
+	}
+	return false, nil
 }
 
 // load moves the named part of a bound checkpoint (nil: all that is left of
@@ -454,6 +584,7 @@ func (b *Block) load(bd *binding, names []string) (more bool, err error) {
 					return fail(fmt.Errorf("cache %q: %w", sec.Name, err))
 				}
 				bd.done = append(bd.done, sec.Name)
+				rt.supplied(sec.Name)
 			default: // not the value's structure: what was read takes the general path
 				sec.Data = laid[k].l.Bytes()
 				wanted = append(wanted, *sec)
@@ -485,6 +616,7 @@ func (b *Block) load(bd *binding, names []string) (more bool, err error) {
 			return fail(fmt.Errorf("restore %q: %w", it.Name, err))
 		}
 		bd.done = append(bd.done, it.Name)
+		rt.supplied(it.Name)
 	}
 	restoreNs := time.Since(t0).Nanoseconds()
 	b.stats.RestoreNs += restoreNs

@@ -1645,6 +1645,13 @@ type Checkpoint struct {
 // format-v1 and opaque checkpoints are not, and are read whole with Get.
 func (c *Checkpoint) Sectioned() bool { return c.m.Format == FormatV2 && !c.dir.Opaque }
 
+// Carries reports whether the checkpoint is sectioned and has a section of
+// the given name. (What an unsectioned checkpoint carries is known only by
+// reading it whole.)
+func (c *Checkpoint) Carries(name string) bool {
+	return c.Sectioned() && slices.ContainsFunc(c.dir.Sections, func(s ckptfmt.SectionRef) bool { return s.Name == name })
+}
+
 // Resolve looks key up and, for v2 checkpoints, reads and decodes its
 // segment directory.
 func (s *Store) Resolve(key Key) (*Checkpoint, error) {
