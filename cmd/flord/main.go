@@ -93,8 +93,8 @@ func main() {
 	workers := flag.Int("workers", 2, "default replay parallelism per query")
 	pool := flag.Bool("pool", false, "record the workloads into one shared chunk pool (<dir>/POOL): sibling runs dedup chunks and share decoded payloads")
 	remoteRoot := flag.String("remote", "", "shared remote object-pool root: recorded runs upload there and serve through ranged GETs + the chunk-cache tier (incompatible with -pool)")
-	cacheDir := flag.String("cache-dir", "", "chunk-cache tier block directory for -remote (empty: in-memory blocks; cleared on startup)")
-	cacheMaxBytes := flag.Int64("cache-max-bytes", 256<<20, "chunk-cache tier size budget for -remote (negative: no cache tier, every read goes remote)")
+	cacheDir := flag.String("cache-dir", "", "cache-tier extent directory for -remote (empty: in-memory extents; cleared on startup)")
+	cacheMaxBytes := flag.Int64("cache-max-bytes", 256<<20, "cache-tier budget in bytes of resident extents for -remote (negative: no cache tier, every read goes remote)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain deadline on SIGINT/SIGTERM")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
 	metrics := flag.Bool("metrics", true, "enable the metrics registry served at /metrics")

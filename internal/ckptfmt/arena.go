@@ -17,6 +17,8 @@ import "sync"
 // Contract: a buffer handed to Put must not be referenced afterwards —
 // callers that return decoded data to their own callers must either copy it
 // out first or skip the Put. Get returns buffers with undefined contents.
+// Race builds poison every released buffer (race.go), so a read after Put
+// fails a frame CRC or a content hash instead of passing silently.
 type Arena struct {
 	pool sync.Pool
 }
@@ -26,15 +28,20 @@ func NewArena() *Arena { return &Arena{} }
 
 // Shared is the process-wide arena the store threads its scratch through. The
 // restore path stages span reads, frame headers and trailers, and small or
-// compressed records here — and decodes a compressed frame whose
-// destination is in pieces here before scattering it — and releases each
-// span the moment a run's frames are decoded; the write path stages a shard's fresh frames here for their
-// one pack append and releases the span when the append returns. Restore
-// destinations never come from it or go to it: they are live tensors or
-// section buffers that belong to the restoring worker (or to the payload
-// cache once it admits a payload viewing them) on the way in, and to the
-// materializer on the way out.
+// compressed records here — and decodes a compressed frame whose destination
+// is in pieces here before scattering it — and releases each span the moment
+// a run's frames are decoded; the write path stages a shard's fresh frames
+// here for their one pack append and releases the span when the append
+// returns. Remote extents come from it too: a ranged GET reads into a span,
+// which goes back when the extent's last holder (the cache tier, or the last
+// reader decoding out of it) lets go. Restore destinations never come from it
+// or go to it: they are live tensors or section buffers that belong to the
+// restoring worker (or to the payload cache once it admits a payload viewing
+// them) on the way in, and to the materializer on the way out.
 var Shared = NewArena()
+
+// poison, when set, overwrites a buffer on its way into the pool.
+var poison func([]byte)
 
 // Get returns a buffer of length n (capacity possibly larger). Contents are
 // undefined.
@@ -54,6 +61,9 @@ func (a *Arena) Get(n int) []byte {
 func (a *Arena) Put(b []byte) {
 	if cap(b) == 0 {
 		return
+	}
+	if poison != nil {
+		poison(b[:cap(b)])
 	}
 	b = b[:0]
 	a.pool.Put(&b)

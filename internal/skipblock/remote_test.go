@@ -183,3 +183,52 @@ func TestRemoteRestoreSteadyStateAllocation(t *testing.T) {
 	}
 	t.Logf("warm remote restores of %d bytes: the second allocated %d, the worst after it %d", perRestore, allocated[1]-allocated[0], worst)
 }
+
+// TestRemoteColdRestoreAllocation is TestRemoteRestoreSteadyStateAllocation
+// with every restore missing the cache tier: behind a tier smaller than one
+// extent, each load GETs its frame runs afresh, and a GET reads into an
+// arena span that goes back once the run is decoded — so in steady state a
+// cold remote restore allocates, like a local one, under a tenth of the bytes
+// it GETs.
+func TestRemoteColdRestoreAllocation(t *testing.T) {
+	skipUnderRace(t)
+	const epochs = 24
+	p := sgdProgram(epochs, nil)
+	rt, st, mat, tracker := newHarness(t, p, backmat.Fork)
+	runProgram(t, p, rt, func(string) {})
+	if err := mat.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tier, err := cachetier.New("", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, objs, _ := remoteTwinWith(t, st.Dir(), tier)
+
+	// One P, as in the local guard: the arena is a sync.Pool.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	allocated := make([]uint64, epochs)
+	fetched := make([]int64, epochs)
+	replayModelOnly(t, twin, tracker, epochs, false, func(epoch int) {
+		runtime.ReadMemStats(&ms)
+		allocated[epoch], fetched[epoch] = ms.TotalAlloc, objs.bytes.Load()
+	})
+	if s := tier.Stats(); s.Hits != 0 || s.Admitted != 0 {
+		t.Fatalf("the cache tier served or kept extents: %+v", s)
+	}
+	var worst uint64
+	for e := 2; e < epochs; e++ {
+		got, gets := allocated[e]-allocated[e-1], uint64(fetched[e]-fetched[e-1])
+		if gets < 256<<10 {
+			t.Fatalf("restore %d GETs %d bytes; too small for the guard to mean anything", e, gets)
+		}
+		if got > gets/10 {
+			t.Fatalf("cold remote restore %d allocated %d bytes for %d bytes of GETs (%.0f%%); steady state must stay under 10%%",
+				e, got, gets, 100*float64(got)/float64(gets))
+		}
+		worst = max(worst, got)
+	}
+	t.Logf("cold remote restores of %d GET bytes: the second allocated %d, the worst after it %d",
+		fetched[epochs-1]-fetched[epochs-2], allocated[1]-allocated[0], worst)
+}

@@ -61,11 +61,14 @@ type BackendReader interface {
 // bytes already sit in memory once fetched (remote objects): ReadExtent
 // returns exactly bytes [off, off+n) as a slice the reader lends — resident
 // in a cache tier and possibly shared with other readers, so the caller only
-// reads it — and the fetch tier that served them. The restore path decodes
-// straight out of the slice; readers without the capability are read with
-// ReadAt into an arena span and count as ranged.
+// reads it — a release the caller calls once it no longer reads the slice
+// (the lent span goes back to ckptfmt.Shared when its last holder lets go),
+// and the fetch tier that served them. On error there is nothing to release.
+// The restore path decodes straight out of the slice, copying every payload
+// into its destination; readers without the capability are read with ReadAt
+// into an arena span and count as ranged.
 type ExtentReader interface {
-	ReadExtent(off, n int64) ([]byte, ExtentTier, error)
+	ReadExtent(off, n int64) (data []byte, release func(), tier ExtentTier, err error)
 }
 
 // ExtentTier is where an ExtentReader found an extent.

@@ -13,16 +13,31 @@
 // the key by the object's length at read time makes stale hits structurally
 // impossible: an appended-to object reads under a new length and simply
 // re-fetches, while the old version's extents age out via LRU.
+//
+// A fetched extent is a counted lease on a ckptfmt.Shared span: the cache
+// holds one reference while the extent is resident, and every reader it was
+// handed to — the flight leader, each reader that joined the flight, each
+// memory-mode hit — holds one until it calls the release ReadExtent returned.
+// Whichever holder lets go last puts the span back in the arena, so remote
+// reads recycle their buffers the way local reads recycle their scratch, and
+// an extent evicted under a reader stays intact until that reader is done.
 package cachetier
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
+	"flor.dev/flor/internal/ckptfmt"
 	"flor.dev/flor/internal/obs"
 )
+
+// put returns a buffer to the arena once its last holder lets go; tests
+// observe it.
+var put = ckptfmt.Shared.Put
 
 // DefaultBlockSize is the fixed block granularity the cache read at before
 // it kept extents. Nothing in the cache uses it; it stays exported because
@@ -38,12 +53,36 @@ type extentKey struct {
 	off, n int64
 }
 
-// entry is one resident extent. Exactly one of data/path is set: data for
-// memory-backed caches, path for disk-backed ones.
+// lease is one extent buffer and the count of its holders. Every increment
+// happens under Cache.mu while another holder is known to keep the count
+// above zero (the resident entry, or the leader of a registered flight); the
+// holder whose release takes it to zero puts the buffer.
+type lease struct {
+	data []byte
+	refs atomic.Int32
+}
+
+func newLease(data []byte) *lease {
+	l := &lease{data: data}
+	l.refs.Store(1)
+	return l
+}
+
+func (l *lease) release() {
+	if l.refs.Add(-1) == 0 && l.data != nil {
+		put(l.data)
+	}
+}
+
+// entry is one resident extent. Exactly one of ext/path is set: ext for
+// memory-backed caches (the entry holds one of its references), path for
+// disk-backed ones. cost is what the entry holds against the budget: its
+// buffer's capacity in memory, its file's length on disk.
 type entry struct {
 	key  extentKey
-	data []byte
+	ext  *lease
 	path string
+	cost int64
 	// LRU intrusive list, most recent at head.
 	prev, next *entry
 }
@@ -51,10 +90,11 @@ type entry struct {
 // flight is one in-progress remote fetch of an extent. Concurrent readers of
 // the same extent key join the flight instead of issuing their own GET: the
 // leader fetches, everyone waits on done, and the waiters' bytes are
-// attributed to the singleflight tier.
+// attributed to the singleflight tier. ext counts the leader and every
+// joiner from the moment it joins; its data is set before done closes.
 type flight struct {
 	done chan struct{}
-	data []byte
+	ext  *lease
 	err  error
 }
 
@@ -103,7 +143,7 @@ type Stats struct {
 	Rejected          int64 `json:"rejected"`           // extents denied admission (too large)
 	Evictions         int64 `json:"evictions"`          // extents evicted to make room
 	EvictedBytes      int64 `json:"evicted_bytes"`      // bytes of the evicted extents
-	Bytes             int64 `json:"bytes"`              // resident extent bytes
+	Bytes             int64 `json:"bytes"`              // bytes resident extents hold (buffer capacity in memory mode)
 	Entries           int64 `json:"entries"`            // resident extents
 	MaxBytes          int64 `json:"max_bytes"`          // admission budget
 }
@@ -143,123 +183,163 @@ func New(dir string, maxBytes int64) (*Cache, error) {
 func (c *Cache) MaxBytes() int64 { return c.maxBytes }
 
 // ReadExtent returns bytes [off, off+n) of object obj, whose committed length
-// is size (the version key), and where they came from. The slice is
-// read-only and may be shared with other readers: a hit returns the resident
-// extent itself, which is never written after admission. A miss runs
+// is size (the version key), a release the caller must call once it no
+// longer reads them, and where they came from. The slice is read-only and
+// may be shared with other readers: a memory-mode hit returns the resident
+// extent itself, which is never written while anyone holds it. A miss runs
 // fetch(off, n) — which must return exactly n bytes of the object at off, in
-// a freshly allocated slice the cache may retain (every remote GET
-// materializes a new buffer, so admission adopts it instead of copying) —
-// and admits the result when it fits the budget. Concurrent readers of the
-// same missing extent are deduped: one leader runs fetch, the rest wait on
-// its result.
-func (c *Cache) ReadExtent(obj string, size, off, n int64, fetch func(off, n int64) ([]byte, error)) ([]byte, Source, error) {
+// a slice that becomes the cache's (a remote GET reads into a
+// ckptfmt.Shared span, so admission adopts it instead of copying unless the
+// span is over twice the extent, and its last holder puts it back) — and
+// admits the result when it fits the budget.
+// Concurrent readers of the same missing extent are deduped: one leader runs
+// fetch, the rest wait on its result. On error there is nothing to release.
+func (c *Cache) ReadExtent(obj string, size, off, n int64, fetch func(off, n int64) ([]byte, error)) (data []byte, release func(), src Source, err error) {
 	if off < 0 || n < 0 || off+n > size {
-		return nil, 0, fmt.Errorf("cachetier: read [%d,%d) of %s beyond object length %d", off, off+n, obj, size)
+		return nil, nil, 0, fmt.Errorf("cachetier: read [%d,%d) of %s beyond object length %d", off, off+n, obj, size)
 	}
 	key := extentKey{obj: obj, ver: size, off: off, n: n}
-	if data, ok := c.lookup(key); ok {
+	if ext := c.lookup(key); ext != nil {
 		c.note(&c.stats.Hits, &c.stats.HitBytes, n)
 		c.mHitBytes.Add(n)
-		return data, Hit, nil
+		return ext.data, ext.release, Hit, nil
 	}
-	data, joined, err := c.fetchExtent(key, fetch)
+	ext, joined, err := c.fetchExtent(key, fetch)
 	switch {
 	case err != nil:
-		return nil, 0, err
+		return nil, nil, 0, err
 	case joined:
 		c.note(&c.stats.Singleflights, &c.stats.SingleflightBytes, n)
 		c.mSingleflightBytes.Add(n)
-		return data, Shared, nil
+		return ext.data, ext.release, Shared, nil
 	}
 	c.note(&c.stats.Misses, &c.stats.MissBytes, n)
 	c.mMissBytes.Add(n)
-	return data, Fetched, nil
+	return ext.data, ext.release, Fetched, nil
 }
 
 // fetchExtent resolves a cache miss. The first reader of a missing key
 // becomes the flight leader: it runs fetch, publishes the result to every
-// waiter, and admits the extent. Later readers join the flight and report
-// joined=true. A waiter whose leader failed falls back to its own fetch
-// rather than inheriting the error — the leader may have hit a transient
-// fault the retry layer already burned its attempts on.
-func (c *Cache) fetchExtent(key extentKey, fetch func(off, n int64) ([]byte, error)) (data []byte, joined bool, err error) {
+// waiter, and admits the extent. Later readers join the flight — taking
+// their reference under the lock, while the leader's keeps the lease alive —
+// and report joined=true. A waiter whose leader failed drops its reference
+// and falls back to its own fetch rather than inheriting the error — the
+// leader may have hit a transient fault the retry layer already burned its
+// attempts on.
+func (c *Cache) fetchExtent(key extentKey, fetch func(off, n int64) ([]byte, error)) (ext *lease, joined bool, err error) {
 	c.mu.Lock()
 	if f, ok := c.flights[key]; ok {
+		f.ext.refs.Add(1)
 		c.mu.Unlock()
 		<-f.done
 		if f.err == nil {
-			return f.data, true, nil
+			return f.ext, true, nil
 		}
+		f.ext.release()
 	} else {
-		f := &flight{done: make(chan struct{})}
+		f := &flight{done: make(chan struct{}), ext: newLease(nil)}
 		c.flights[key] = f
 		c.mu.Unlock()
-		data, err = c.runFetch(key, fetch)
-		f.data, f.err = data, err
+		f.err = c.runFetch(key, f.ext, fetch)
 		c.mu.Lock()
 		delete(c.flights, key)
 		c.mu.Unlock()
 		close(f.done)
-		return data, false, err
+		if f.err != nil {
+			f.ext.release()
+			return nil, false, f.err
+		}
+		return f.ext, false, nil
 	}
 	// Leader failed; fetch independently (no flight: racing fallbacks are
 	// rare and re-registering here could strand waiters behind another
 	// failure chain).
-	data, err = c.runFetch(key, fetch)
-	return data, false, err
+	ext = newLease(nil)
+	if err := c.runFetch(key, ext, fetch); err != nil {
+		ext.release()
+		return nil, false, err
+	}
+	return ext, false, nil
 }
 
-// runFetch performs the remote fetch for one extent, validates its length,
-// and admits it on success.
-func (c *Cache) runFetch(key extentKey, fetch func(off, n int64) ([]byte, error)) ([]byte, error) {
+// runFetch performs the remote fetch for one extent into ext, whose
+// reference the caller holds throughout, validates its length, and admits it
+// on success. A buffer of the wrong length is nobody else's: it goes
+// straight back.
+func (c *Cache) runFetch(key extentKey, ext *lease, fetch func(off, n int64) ([]byte, error)) error {
 	data, err := fetch(key.off, key.n)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if int64(len(data)) != key.n {
-		return nil, fmt.Errorf("cachetier: fetch of %s [%d,%d) returned %d bytes", key.obj, key.off, key.off+key.n, len(data))
+		put(data)
+		return fmt.Errorf("cachetier: fetch of %s [%d,%d) returned %d bytes", key.obj, key.off, key.off+key.n, len(data))
 	}
-	c.admit(key, data)
-	return data, nil
+	ext.data = data
+	c.admit(key, ext)
+	return nil
 }
 
-// lookup returns the extent's bytes on a hit, touching its LRU position. In
-// disk mode the file read runs outside the lock; an extent evicted between
-// lookup and read degrades to a miss.
-func (c *Cache) lookup(key extentKey) ([]byte, bool) {
+// lookup returns a held lease on the extent on a hit, touching its LRU
+// position. A memory-mode hit shares the resident lease; a disk-mode hit
+// reads the extent's file, outside the lock, into an arena span of its own.
+// An extent evicted between lookup and read degrades to a miss.
+func (c *Cache) lookup(key extentKey) *lease {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {
 		c.mu.Unlock()
-		return nil, false
+		return nil
 	}
 	c.touch(e)
-	data, path := e.data, e.path
+	if e.ext != nil {
+		e.ext.refs.Add(1)
+		c.mu.Unlock()
+		return e.ext
+	}
+	path := e.path
 	c.mu.Unlock()
-	if data != nil {
-		return data, true
+	f, err := os.Open(path)
+	if err != nil {
+		return nil // evicted between lookup and read: a miss
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil || int64(len(raw)) != key.n {
-		// Evicted (or truncated) between lookup and read: treat as a miss.
-		return nil, false
+	defer f.Close()
+	buf := ckptfmt.Shared.Get(int(key.n))
+	if _, err := io.ReadFull(f, buf); err != nil { // truncated: a miss
+		put(buf)
+		return nil
 	}
-	return raw, true
+	return newLease(buf)
 }
 
 // admit inserts a fetched extent, evicting least-recently-used extents until
 // it fits. Extents larger than the whole budget are rejected (read-through
 // still served them); a zero-or-negative budget rejects everything.
 //
+// The budget bounds what the entries keep alive, so a memory-mode entry is
+// charged its buffer's capacity, not the extent's length. A fetched span can
+// be an arena buffer a far larger read pooled; one whose capacity is over
+// twice the extent is not adopted — the entry keeps an exact copy, and the
+// span goes back to the arena with its last reader.
+//
 // Admission is idempotent per key: the key and its budget are reserved under
 // the lock before the (out-of-lock) disk write, so a racing admit of the same
 // extent — two readers whose flight leader failed, each fetching on its own —
 // bails out before writing anything and the budget never counts the extent
-// twice, even transiently. Memory mode adopts the fetched slice outright.
-func (c *Cache) admit(key extentKey, data []byte) {
-	n := key.n
+// twice, even transiently. A memory-mode entry takes a reference of its own
+// on the lease it keeps; the disk write needs none, because the caller holds
+// its reference on ext until admit returns.
+func (c *Cache) admit(key extentKey, ext *lease) {
+	n, cost := key.n, key.n
+	var exact []byte
+	if c.dir == "" && n <= c.maxBytes {
+		if cost = int64(cap(ext.data)); cost > 2*n {
+			exact, cost = make([]byte, n), n
+			copy(exact, ext.data)
+		}
+	}
 	c.mu.Lock()
-	if n > c.maxBytes {
+	if cost > c.maxBytes {
 		c.stats.Rejected++
 		c.mu.Unlock()
 		return
@@ -268,17 +348,23 @@ func (c *Cache) admit(key extentKey, data []byte) {
 		c.mu.Unlock()
 		return
 	}
-	for c.bytes+n > c.maxBytes && c.tail != nil {
+	for c.bytes+cost > c.maxBytes && c.tail != nil {
 		c.evictLocked(c.tail)
 	}
-	if c.bytes+n > c.maxBytes { // the rest is reserved by in-progress disk admits
+	if c.bytes+cost > c.maxBytes { // the rest is reserved by in-progress disk admits
 		c.stats.Rejected++
 		c.mu.Unlock()
 		return
 	}
-	c.bytes += n
+	c.bytes += cost
 	if c.dir == "" {
-		c.insertLocked(&entry{key: key, data: data})
+		held := ext
+		if exact != nil {
+			held = newLease(exact)
+		} else {
+			ext.refs.Add(1)
+		}
+		c.insertLocked(&entry{key: key, ext: held, cost: cost})
 		c.mu.Unlock()
 		return
 	}
@@ -287,17 +373,17 @@ func (c *Cache) admit(key extentKey, data []byte) {
 	path := filepath.Join(c.dir, fmt.Sprintf("e-%d", c.seq))
 	c.mu.Unlock()
 
-	werr := os.WriteFile(path, data, 0o644)
+	werr := os.WriteFile(path, ext.data, 0o644)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.admitting, key)
 	if werr != nil {
 		// Cache disk full etc.: release the reservation, stay a pass-through.
-		c.bytes -= n
+		c.bytes -= cost
 		c.mBytes.Set(c.bytes)
 		return
 	}
-	c.insertLocked(&entry{key: key, path: path})
+	c.insertLocked(&entry{key: key, path: path, cost: cost})
 }
 
 func (c *Cache) insertLocked(e *entry) {
@@ -342,13 +428,15 @@ func (c *Cache) note(count, bytes *int64, n int64) {
 func (c *Cache) evictLocked(e *entry) {
 	delete(c.entries, e.key)
 	c.unlink(e)
-	c.bytes -= e.key.n
+	c.bytes -= e.cost
 	c.stats.Evictions++
 	c.stats.EvictedBytes += e.key.n
 	c.mEvictions.Inc()
 	c.mBytes.Set(c.bytes)
 	c.mEntries.Set(int64(len(c.entries)))
-	if e.path != "" {
+	if e.ext != nil {
+		e.ext.release()
+	} else {
 		os.Remove(e.path)
 	}
 }

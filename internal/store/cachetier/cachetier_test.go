@@ -13,9 +13,17 @@ import (
 	"flor.dev/flor/internal/store/cachetier"
 )
 
+// exact copies b into a buffer whose capacity is its length, as a remote GET
+// reads into one: the cache charges an extent its buffer's capacity.
+func exact(b []byte) []byte {
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out
+}
+
 // source builds a deterministic backing object and a fetch function over it
-// that counts remote reads. Like every remote GET, fetch returns a freshly
-// allocated copy, which the cache may adopt.
+// that counts remote reads. Like every remote GET, fetch returns a buffer of
+// its own, which the cache may adopt and give to the arena.
 func source(size int64, seed int64) ([]byte, func(off, n int64) ([]byte, error), *int64) {
 	data := make([]byte, size)
 	rng := rand.New(rand.NewSource(seed))
@@ -26,7 +34,7 @@ func source(size int64, seed int64) ([]byte, func(off, n int64) ([]byte, error),
 		if off < 0 || n < 0 || off+n > size {
 			return nil, errors.New("out of range")
 		}
-		return append([]byte(nil), data[off:off+n]...), nil
+		return exact(data[off : off+n]), nil
 	}
 	return data, fetch, &fetches
 }
@@ -36,7 +44,8 @@ func source(size int64, seed int64) ([]byte, func(off, n int64) ([]byte, error),
 // an extent's bytes equal the backing object's, hit + miss + singleflight
 // bytes account for exactly the bytes served, resident bytes never exceed
 // the budget, and a slice handed out earlier still holds the source's bytes
-// after later reads and evictions — a resident extent is never written.
+// after later reads and evictions while its reader holds it — an extent is
+// never written while anyone holds it.
 func TestCacheTierPropertyQuick(t *testing.T) {
 	for _, disk := range []bool{false, true} {
 		name := "memory"
@@ -71,15 +80,16 @@ func TestCacheTierPropertyQuick(t *testing.T) {
 					}
 				}
 				type held struct {
-					e    extent
-					data []byte
+					e       extent
+					data    []byte
+					release func()
 				}
 				var out []held
 				var served int64
 				for r, rv := range reads {
 					e := table[int(rv)%len(table)]
 					size := sizes[e.obj]
-					data, _, err := c.ReadExtent(string(rune('a'+e.obj)), size, e.off, e.n, fetchers[e.obj])
+					data, release, _, err := c.ReadExtent(string(rune('a'+e.obj)), size, e.off, e.n, fetchers[e.obj])
 					if err != nil {
 						t.Logf("read %d: %v", r, err)
 						return false
@@ -89,7 +99,7 @@ func TestCacheTierPropertyQuick(t *testing.T) {
 						return false
 					}
 					served += e.n
-					out = append(out, held{e, data})
+					out = append(out, held{e, data, release})
 					if st := c.Stats(); st.Bytes > budget {
 						t.Logf("read %d: resident %d > budget %d", r, st.Bytes, budget)
 						return false
@@ -100,6 +110,7 @@ func TestCacheTierPropertyQuick(t *testing.T) {
 						t.Logf("read %d: its slice changed after later reads", i)
 						return false
 					}
+					h.release()
 				}
 				st := c.Stats()
 				if st.HitBytes+st.MissBytes+st.SingleflightBytes != served {
@@ -135,24 +146,28 @@ func TestCacheTierHitServesRemoteBytes(t *testing.T) {
 		return fetch(off, n)
 	}
 	size := int64(len(data))
-	first, src, err := c.ReadExtent("o", size, 1000, 5000, counted)
+	first, release, src, err := c.ReadExtent("o", size, 1000, 5000, counted)
 	if err != nil || src != cachetier.Fetched || !bytes.Equal(first, data[1000:6000]) {
 		t.Fatalf("cold: source %v, err %v", src, err)
 	}
-	if _, src, err = c.ReadExtent("o", size, 3000, 100, counted); err != nil || src != cachetier.Fetched {
+	release()
+	_, release, src, err = c.ReadExtent("o", size, 3000, 100, counted)
+	if err != nil || src != cachetier.Fetched {
 		t.Fatalf("overlapping extent: source %v, err %v; want its own fetch", src, err)
 	}
+	release()
 	if want := [][2]int64{{1000, 5000}, {3000, 100}}; len(asked) != 2 || asked[0] != want[0] || asked[1] != want[1] {
 		t.Fatalf("fetched %v, want exactly %v", asked, want)
 	}
-	again, src, err := c.ReadExtent("o", size, 1000, 5000, counted)
+	again, release, src, err := c.ReadExtent("o", size, 1000, 5000, counted)
 	if err != nil || src != cachetier.Hit || len(asked) != 2 {
 		t.Fatalf("warm: source %v, err %v, %d fetches", src, err, len(asked))
 	}
 	if &again[0] != &first[0] {
 		t.Fatal("a memory-mode hit copied the resident extent")
 	}
-	if _, _, err := c.ReadExtent("o", size, size-10, 11, counted); err == nil {
+	release()
+	if _, _, _, err := c.ReadExtent("o", size, size-10, 11, counted); err == nil {
 		t.Fatal("an extent past the object's length was served")
 	}
 	st := c.Stats()
@@ -172,9 +187,11 @@ func TestCacheTierAdmissionEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := small.ReadExtent("o", size, 0, ext, fetch); err != nil {
+	_, release, _, err := small.ReadExtent("o", size, 0, ext, fetch)
+	if err != nil {
 		t.Fatal(err)
 	}
+	release()
 	if st := small.Stats(); st.Rejected != 1 || st.Bytes != 0 {
 		t.Fatalf("oversized extent admitted: %+v", st)
 	}
@@ -185,23 +202,79 @@ func TestCacheTierAdmissionEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 3; i++ {
-		if _, _, err := c.ReadExtent("o", size, i*ext, ext, fetch); err != nil {
+		_, release, _, err := c.ReadExtent("o", size, i*ext, ext, fetch)
+		if err != nil {
 			t.Fatal(err)
 		}
+		release()
 	}
 	st := c.Stats()
 	if st.Bytes > budget || st.Evictions != 1 || st.EvictedBytes != ext {
 		t.Fatalf("after overflow: %+v, want one eviction of %d bytes", st, ext)
 	}
 	// The least recently used extent went: the first is a miss again.
-	if _, src, err := c.ReadExtent("o", size, 0, ext, fetch); err != nil || src != cachetier.Fetched {
+	_, release, src, err := c.ReadExtent("o", size, 0, ext, fetch)
+	if err != nil || src != cachetier.Fetched {
 		t.Fatalf("evicted extent: source %v, err %v", src, err)
 	}
+	release()
 
 	// Invalidate drops residency to zero.
 	c.Invalidate("o")
 	if st := c.Stats(); st.Bytes != 0 || st.Entries != 0 {
 		t.Fatalf("after invalidate: %+v", st)
+	}
+}
+
+// TestCacheTierBudgetBoundsResidentMemory pins that the budget bounds the
+// memory resident extents keep alive, not just their lengths. A remote GET
+// reads into an arena span that may be far larger than its extent: a span
+// over twice the extent is not pinned (the entry keeps an exact copy), and
+// one within that is charged its whole capacity.
+func TestCacheTierBudgetBoundsResidentMemory(t *testing.T) {
+	const ext, budget = 1 << 10, 4 << 10
+	data := make([]byte, 8*ext)
+	rand.New(rand.NewSource(9)).Read(data)
+	size := int64(len(data))
+	for _, tc := range []struct {
+		slack     int64 // the fetched span's capacity, in extents
+		resident  int   // extents the budget then holds
+		keptBytes int   // capacity of each resident extent's buffer
+	}{{64, 4, ext}, {2, 2, 2 * ext}} {
+		c, err := cachetier.New("", budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fetch := func(off, n int64) ([]byte, error) {
+			b := make([]byte, n, tc.slack*n)
+			copy(b, data[off:off+n])
+			return b, nil
+		}
+		for i := int64(0); i < 8; i++ {
+			_, release, _, err := c.ReadExtent("o", size, i*ext, ext, fetch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			release()
+		}
+		st := c.Stats()
+		// The resident extents are the most recently read; a hit hands out
+		// the very buffer the cache keeps.
+		held := 0
+		for i := int64(7); i >= 8-int64(tc.resident); i-- {
+			got, release, src, err := c.ReadExtent("o", size, i*ext, ext, fetch)
+			if err != nil || src != cachetier.Hit || !bytes.Equal(got, data[i*ext:(i+1)*ext]) {
+				t.Fatalf("slack %d: extent %d: source %v, err %v", tc.slack, i, src, err)
+			}
+			if cap(got) != tc.keptBytes {
+				t.Errorf("slack %d: extent %d keeps a %d-byte buffer, want %d", tc.slack, i, cap(got), tc.keptBytes)
+			}
+			held += cap(got)
+			release()
+		}
+		if st.Entries != int64(tc.resident) || st.Bytes != int64(held) || held > budget {
+			t.Fatalf("slack %d: %+v, resident buffers hold %d bytes; want %d entries within %d", tc.slack, st, held, tc.resident, budget)
+		}
 	}
 }
 
@@ -214,15 +287,18 @@ func TestCacheTierVersioning(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1, fetch1, _ := source(8<<10, 3)
-	if _, _, err := c.ReadExtent("o", int64(len(v1)), 0, int64(len(v1)), fetch1); err != nil {
-		t.Fatal(err)
-	}
-	// Same name, one byte longer, different content.
-	v2, fetch2, _ := source(8<<10+1, 4)
-	got, src, err := c.ReadExtent("o", int64(len(v2)), 0, int64(len(v1)), fetch2)
+	_, release, _, err := c.ReadExtent("o", int64(len(v1)), 0, int64(len(v1)), fetch1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	release()
+	// Same name, one byte longer, different content.
+	v2, fetch2, _ := source(8<<10+1, 4)
+	got, release, src, err := c.ReadExtent("o", int64(len(v2)), 0, int64(len(v1)), fetch2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
 	if src == cachetier.Hit {
 		t.Fatal("new version served a stale cached extent")
 	}
@@ -251,7 +327,7 @@ func TestCacheTierSingleflightSharedFetch(t *testing.T) {
 			close(leaderIn)
 			<-gate // hold the flight open so followers can join it
 		}
-		return append([]byte(nil), data[off:off+n]...), nil
+		return exact(data[off : off+n]), nil
 	}
 
 	const readers = 8
@@ -259,7 +335,7 @@ func TestCacheTierSingleflightSharedFetch(t *testing.T) {
 	var bySource [3]atomic.Int64
 	start := func() {
 		defer wg.Done()
-		got, src, err := c.ReadExtent("o", size, 0, size, fetch)
+		got, release, src, err := c.ReadExtent("o", size, 0, size, fetch)
 		if err != nil {
 			t.Error(err)
 			return
@@ -267,6 +343,7 @@ func TestCacheTierSingleflightSharedFetch(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Error("reader got wrong bytes")
 		}
+		release()
 		bySource[src].Add(size)
 	}
 	wg.Add(1)
@@ -319,12 +396,12 @@ func TestCacheTierSingleflightLeaderFailure(t *testing.T) {
 			<-gate
 			return nil, errors.New("injected leader failure")
 		}
-		return append([]byte(nil), data[off:off+n]...), nil
+		return exact(data[off : off+n]), nil
 	}
 
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.ReadExtent("o", size, 0, size, fetch)
+		_, _, _, err := c.ReadExtent("o", size, 0, size, fetch)
 		leaderErr <- err
 	}()
 	<-leaderIn
@@ -335,10 +412,13 @@ func TestCacheTierSingleflightLeaderFailure(t *testing.T) {
 	for i := 0; i < followers; i++ {
 		go func() {
 			defer wg.Done()
-			if got, _, err := c.ReadExtent("o", size, 0, size, fetch); err != nil {
+			if got, release, _, err := c.ReadExtent("o", size, 0, size, fetch); err != nil {
 				t.Errorf("follower: %v", err)
-			} else if !bytes.Equal(got, data) {
-				t.Error("follower got wrong bytes")
+			} else {
+				if !bytes.Equal(got, data) {
+					t.Error("follower got wrong bytes")
+				}
+				release()
 			}
 		}()
 	}
@@ -358,8 +438,9 @@ func TestCacheTierSingleflightLeaderFailure(t *testing.T) {
 	}
 	// The extent is genuinely resident: a fresh read is a pure hit.
 	before := fetches.Load()
-	got, src, err := c.ReadExtent("o", size, 0, size, fetch)
+	got, release, src, err := c.ReadExtent("o", size, 0, size, fetch)
 	if err != nil || src != cachetier.Hit || fetches.Load() != before || !bytes.Equal(got, data) {
 		t.Fatalf("post-fallback read not served from cache: source %v, err %v", src, err)
 	}
+	release()
 }

@@ -412,9 +412,11 @@ func (p *ChunkPool) readRunVectored(fd uintptr, r *fetchRun, jobs []chunkJob, fs
 
 // readRunStaged obtains a run's bytes with one call and decodes every member
 // out of them. An ExtentReader (a remote object, behind a cache tier or not)
-// lends the run's exact extent, which is decoded where it lies and whose
-// encoded frame bytes all count to the one tier that served it. Any other
-// reader is read with ReadAt into an arena span, counted as ranged.
+// lends the run's exact extent, which is decoded where it lies, released
+// once the decode loop is done, and whose encoded frame bytes all count to
+// the one tier that served it. Any other reader is read with ReadAt into an
+// arena span, counted as ranged. Either way the decode only copies out of
+// the bytes, so nothing that outlives this call views them.
 func (p *ChunkPool) readRunStaged(r *fetchRun, jobs []chunkJob, fs *FetchStats, bdgt *byteBudget) error {
 	granted := bdgt.acquire(r.end - r.start)
 	defer bdgt.release(granted)
@@ -423,8 +425,12 @@ func (p *ChunkPool) readRunStaged(r *fetchRun, jobs []chunkJob, fs *FetchStats, 
 	var err error
 	tier := tierRanged
 	if er, ok := r.pf.(ExtentReader); ok {
+		var release func()
 		var t ExtentTier
-		buf, t, err = er.ReadExtent(r.start, r.end-r.start)
+		buf, release, t, err = er.ReadExtent(r.start, r.end-r.start)
+		if err == nil {
+			defer release()
+		}
 		tier = int(t)
 	} else {
 		buf = ckptfmt.Shared.Get(int(r.end - r.start))

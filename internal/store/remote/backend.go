@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"flor.dev/flor/internal/ckptfmt"
 	"flor.dev/flor/internal/store"
 	"flor.dev/flor/internal/store/cachetier"
 )
@@ -15,9 +16,9 @@ import (
 // MANIFEST, segments) stays in a local run directory. Its readers lend
 // extents (store.ExtentReader): the restore path asks for each planned frame
 // run's exact byte range, several in flight, and decodes it where it lies —
-// a cache-tier extent, another reader's shared fetch, or the fresh buffer of
+// a cache-tier extent, another reader's shared fetch, or the arena span of
 // one ranged GET — counting the run to the "cache-tier", "singleflight" or
-// "remote" fetch tier.
+// "remote" fetch tier, and releases it when the decode is done.
 //
 // Reads go through an optional cachetier.Cache, which keeps those extents;
 // pack appends and wholesale replacements invalidate the touched object's
@@ -118,11 +119,12 @@ func (r *objReader) ReadAt(p []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("remote: read %s at %d: out of range [0,%d)", r.key, off, r.size)
 	}
 	n := min(int64(len(p)), r.size-off)
-	data, _, err := r.ReadExtent(off, n)
+	data, release, _, err := r.ReadExtent(off, n)
 	if err != nil {
 		return 0, err
 	}
 	copy(p, data)
+	release()
 	if n < int64(len(p)) {
 		return int(n), io.EOF
 	}
@@ -138,20 +140,26 @@ var extentTier = [...]store.ExtentTier{
 }
 
 // ReadExtent implements store.ExtentReader: exactly one ranged GET per
-// missing extent, whose fresh buffer is handed over (and, behind a cache
-// tier, admitted) without a copy. A range beyond the length the reader
-// was opened at is a short object, reported as io.ErrUnexpectedEOF.
-func (r *objReader) ReadExtent(off, n int64) ([]byte, store.ExtentTier, error) {
+// missing extent, whose buffer is handed over (and, behind a cache tier,
+// admitted) without a copy. Without a cache tier the caller is the GET
+// buffer's only holder and release puts it back in ckptfmt.Shared; behind
+// one, release drops the caller's reference on the cache tier's lease. A
+// range beyond the length the reader was opened at is a short object,
+// reported as io.ErrUnexpectedEOF.
+func (r *objReader) ReadExtent(off, n int64) ([]byte, func(), store.ExtentTier, error) {
 	if off < 0 || n < 0 || off+n > r.size {
-		return nil, 0, fmt.Errorf("remote: read %s [%d,%d) of %d bytes: %w", r.key, off, off+n, r.size, io.ErrUnexpectedEOF)
+		return nil, nil, 0, fmt.Errorf("remote: read %s [%d,%d) of %d bytes: %w", r.key, off, off+n, r.size, io.ErrUnexpectedEOF)
 	}
 	get := func(off, n int64) ([]byte, error) { return r.b.store.GetRange(r.key, off, n) }
 	if r.b.cache == nil {
 		data, err := get(off, n)
-		return data, store.ExtentRemote, err
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		return data, func() { ckptfmt.Shared.Put(data) }, store.ExtentRemote, nil
 	}
-	data, src, err := r.b.cache.ReadExtent(r.key, r.size, off, n, get)
-	return data, extentTier[src], err
+	data, release, src, err := r.b.cache.ReadExtent(r.key, r.size, off, n, get)
+	return data, release, extentTier[src], err
 }
 
 // Close implements io.Closer.

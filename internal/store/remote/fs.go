@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"flor.dev/flor/internal/ckptfmt"
 )
 
 // FSStore is an ObjectStore rooted at a local directory — the "remote" for
@@ -95,8 +97,9 @@ func (s *FSStore) GetRange(key string, off, n int64) ([]byte, error) {
 	if off < 0 || n < 0 || off+n > st.Size() {
 		return nil, fmt.Errorf("remote: get range %s [%d,%d): beyond object length %d", key, off, off+n, st.Size())
 	}
-	buf := make([]byte, n)
+	buf := ckptfmt.Shared.Get(int(n))
 	if _, err := io.ReadFull(io.NewSectionReader(f, off, n), buf); err != nil {
+		ckptfmt.Shared.Put(buf)
 		return nil, fmt.Errorf("remote: get range %s [%d,%d): %w", key, off, off+n, err)
 	}
 	return buf, nil

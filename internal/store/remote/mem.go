@@ -5,11 +5,14 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"flor.dev/flor/internal/ckptfmt"
 )
 
 // MemStore is an in-memory ObjectStore: the reference implementation tests
 // and the fault-injection battery build on. All operations copy, so callers
-// can never alias the store's internal buffers.
+// can never alias the store's internal buffers; GetRange copies into a
+// ckptfmt.Shared span, as FSStore reads into one.
 type MemStore struct {
 	mu      sync.RWMutex
 	objects map[string][]byte
@@ -53,7 +56,9 @@ func (s *MemStore) GetRange(key string, off, n int64) ([]byte, error) {
 	if off < 0 || n < 0 || off+n > int64(len(data)) {
 		return nil, fmt.Errorf("remote: get range %s [%d,%d): beyond object length %d", key, off, off+n, len(data))
 	}
-	return append([]byte(nil), data[off:off+n]...), nil
+	buf := ckptfmt.Shared.Get(int(n))
+	copy(buf, data[off:off+n])
+	return buf, nil
 }
 
 // Put implements ObjectStore.

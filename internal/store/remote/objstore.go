@@ -36,11 +36,13 @@ type ObjectStore interface {
 	Size(key string) (int64, error)
 	// Get returns the whole object.
 	Get(key string) ([]byte, error)
-	// GetRange returns exactly n bytes of the object starting at off, in a
-	// freshly allocated slice that becomes the caller's: the cache tier
-	// admits it and the restore path decodes out of it without a copy, so an
-	// implementation may neither keep nor reuse it. A negative off or n, or a
-	// range past the object's end, is an error.
+	// GetRange returns exactly n bytes of the object starting at off. The
+	// slice is the caller's, who may hand it to ckptfmt.Shared once nothing
+	// reads it: the cache tier admits it and the restore path decodes out of
+	// it without a copy, and its last holder returns it to the arena, so an
+	// implementation may neither keep nor reuse it. The bundled stores read
+	// into an arena span. A negative off or n, or a range past the object's
+	// end, is an error.
 	GetRange(key string, off, n int64) ([]byte, error)
 	// Put atomically replaces the object with data: a reader sees either the
 	// previous object or the new one, never a mix.

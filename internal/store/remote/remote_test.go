@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"flor.dev/flor/internal/ckptfmt"
 	"flor.dev/flor/internal/store"
 	"flor.dev/flor/internal/store/cachetier"
 	"flor.dev/flor/internal/store/faultbackend"
@@ -116,8 +117,10 @@ func TestRemoteObjectStoreConformance(t *testing.T) {
 
 // TestRemoteGetRangeBufferIsTheCallers pins GetRange's buffer contract, which
 // the cache tier and the restore path rely on when they adopt a GET's buffer
-// without copying it: every call returns a fresh slice, so writing into one
-// changes neither the object nor what a later GetRange returns.
+// without copying it: every call returns a slice no one else holds, so
+// writing into one changes neither the object nor what a later GetRange
+// returns, and the caller may give it to ckptfmt.Shared for a later GET to
+// read into.
 func TestRemoteGetRangeBufferIsTheCallers(t *testing.T) {
 	for name, st := range stores(t) {
 		t.Run(name, func(t *testing.T) {
@@ -138,6 +141,11 @@ func TestRemoteGetRangeBufferIsTheCallers(t *testing.T) {
 			}
 			if whole, err := st.Get("k"); err != nil || !bytes.Equal(whole, data) {
 				t.Fatalf("after writing into a GetRange result, the object = %q, %v", whole, err)
+			}
+			ckptfmt.Shared.Put(first)
+			ckptfmt.Shared.Put(again)
+			if got, err := st.GetRange("k", 4, 6); err != nil || !bytes.Equal(got, data[4:10]) {
+				t.Fatalf("after giving earlier results to the arena, GetRange = %q, %v", got, err)
 			}
 		})
 	}

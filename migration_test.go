@@ -362,7 +362,10 @@ func uploadTwin(t *testing.T, dir string) (mem *remote.MemStore, ctl string) {
 // the local replay. The cold pass (empty cache) and warm pass (populated
 // cache) must agree with each other too, and the fetch-tier accounting must
 // show the warm pass serving at least 90% of its pack bytes from the cache
-// tier.
+// tier. Two more passes read with no cache tier and through one that admits
+// nothing, so every extent's reader is its last holder and hands the GET's
+// arena span back the moment its decode is done — in a race build the arena
+// poisons it there, and a decode that outlived its release would fail.
 func TestMigrationRemoteTwinByteIdentical(t *testing.T) {
 	factory := compressibleFactory(5, 2)
 	dir := t.TempDir()
@@ -382,12 +385,12 @@ func TestMigrationRemoteTwinByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	open := func() (*replay.Recording, error) {
+	open := func(cache *cachetier.Cache) (*replay.Recording, error) {
 		backend := remote.NewObjectBackend(mem, remote.PacksPrefix("runs/twin"), cache)
 		return core.LoadRecordingWith(ctl, store.Options{ReadOnly: true, Backend: backend})
 	}
-	run := func(label string) store.FetchSnapshot {
-		rec, err := open()
+	run := func(label string, cache *cachetier.Cache) store.FetchSnapshot {
+		rec, err := open(cache)
 		if err != nil {
 			t.Fatalf("%s: open remote recording: %v", label, err)
 		}
@@ -416,14 +419,26 @@ func TestMigrationRemoteTwinByteIdentical(t *testing.T) {
 		return fetch
 	}
 
-	cold := run("cold")
+	cold := run("cold", cache)
 	if cold.RemoteBytes == 0 {
 		t.Fatalf("cold replay fetched nothing remotely: %+v", cold)
 	}
-	warm := run("warm")
+	warm := run("warm", cache)
 	total := warm.RemoteBytes + warm.CacheTierBytes
 	if total == 0 || warm.CacheTierBytes*10 < total*9 {
 		t.Fatalf("warm replay served %d of %d pack bytes from the cache tier, want >= 90%%", warm.CacheTierBytes, total)
+	}
+	admitsNothing, err := cachetier.New("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pass := range []struct {
+		label string
+		cache *cachetier.Cache
+	}{{"uncached", nil}, {"admits nothing", admitsNothing}} {
+		if f := run(pass.label, pass.cache); f.CacheTierBytes != 0 || f.RemoteBytes+f.SingleflightBytes == 0 {
+			t.Fatalf("%s: fetch tiers %+v, want every byte read remotely", pass.label, f)
+		}
 	}
 }
 
