@@ -43,7 +43,7 @@
 //	GET  /v1/runs/{id}/logs?iters=3,7&probe=outer
 //	GET  /v1/runs/{id}/trace/{trace_id}
 //	GET  /v1/stats
-//	GET  /v1/debug/tasks        background-task traces (GC, spool passes)
+//	GET  /v1/debug/tasks        background-task traces (GC passes)
 //	GET  /v1/debug/slow?limit=N slow-query log (404 without -trace-dir)
 //	GET  /metrics               Prometheus text format (unless -metrics=false)
 //

@@ -112,14 +112,47 @@ var (
 	docExp       = regexp.MustCompile(`-exp[ =]([A-Za-z0-9_,-]+)`)
 	docBenchFile = regexp.MustCompile(`\bBENCH\w*\.json\b`)
 	docWorkload  = regexp.MustCompile(`--workload[ =]([A-Za-z0-9_-]+)`)
+	docTestName  = regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z0-9_]\w*`)
+	ciRunArg     = regexp.MustCompile(`-(?:run|fuzz)[ =]('[^']*'|"[^"]*"|[^\s'"]+)`)
+	testFunc     = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
 )
+
+// testFuncs returns the name of every Test and Fuzz function in the
+// repository's _test.go files (hidden directories, such as build scratch,
+// excluded).
+func testFuncs(t *testing.T) map[string]bool {
+	t.Helper()
+	funcs := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		for _, m := range testFunc.FindAllSubmatch(raw, -1) {
+			funcs[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return funcs
+}
 
 // TestDocCommandsExist keeps README.md and docs/*.md from naming things that
 // are gone: every `-exp <name>` they show is an experiment florbench accepts
 // (bench.Experiments, the list cmd/florbench validates against), every
-// BENCH*.json they mention exists at the repository root, and every
-// `--workload <name>` is a workload BENCHMARK.json declares.
+// BENCH*.json they mention exists at the repository root, every
+// `--workload <name>` is a workload BENCHMARK.json declares, and every
+// Test*/Fuzz* name they cite is a function of that name. The CI workflow is
+// held to the same: each plain test name in a `-run` or `-fuzz` pattern
+// selects at least one function, since a pattern naming a deleted test
+// selects nothing and passes.
 func TestDocCommandsExist(t *testing.T) {
+	funcs := testFuncs(t)
 	exps := map[string]bool{"all": true}
 	for _, e := range bench.Experiments {
 		exps[e.Name] = true
@@ -164,6 +197,33 @@ func TestDocCommandsExist(t *testing.T) {
 		for _, m := range docWorkload.FindAllStringSubmatch(doc, -1) {
 			if !workloads[m[1]] {
 				t.Errorf("%s: shows `--workload %s`, which BENCHMARK.json does not declare", md, m[1])
+			}
+		}
+		for _, name := range docTestName.FindAllString(doc, -1) {
+			if !funcs[name] {
+				t.Errorf("%s: cites %s, which no _test.go file defines", md, name)
+			}
+		}
+	}
+
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range ciRunArg.FindAllStringSubmatch(string(ci), -1) {
+		for _, alt := range strings.Split(strings.Trim(m[1], `'"`), "|") {
+			if docTestName.FindString(alt) != alt {
+				continue // a regular expression, not a test name
+			}
+			selects := false
+			for f := range funcs {
+				if strings.Contains(f, alt) {
+					selects = true
+					break
+				}
+			}
+			if !selects {
+				t.Errorf("ci.yml: `%s` names %s, which selects no test", m[0], alt)
 			}
 		}
 	}

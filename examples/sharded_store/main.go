@@ -1,5 +1,5 @@
 // Sharded checkpoint store: spread a run's chunk packs over several root
-// directories (one device or mount per root), spool checkpoints into them
+// directories (one device or mount per root), write checkpoints into them
 // from concurrent writers, and read everything back through the flag-free
 // open path.
 //
@@ -7,22 +7,20 @@
 //
 // The demo drives the store API directly (record-time integration is one
 // option away: flor.Record(dir, factory, flor.Shards(16))). It shows the
-// three things the sharded layout buys:
+// two things the sharded layout buys:
 //
 //  1. Scale-out past one disk: packs land across multiple roots, chosen
 //     here as ./shard-a and ./shard-b next to the run directory. The root
 //     list persists in the run directory's SHARDS file, so replay, the
 //     serving daemon, and this program's read-back phase all find the
 //     packs with a plain store.Open / store.OpenReadOnly.
-//  2. Concurrent spooling: several goroutines PutSections at once; shards
+//  2. Concurrent writes: several goroutines PutSections at once; shards
 //     serialize their own appends, so writers contend per shard instead of
 //     on one global pack lock.
-//  3. Incremental background spool: Spool() recompresses only the shards
-//     that grew since the last pass — on a frozen-backbone workload that is
-//     one or two shards per epoch, not the whole pack.
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 	"os"
@@ -73,7 +71,7 @@ func main() {
 	// fine-tuning-family shape (RTE/CoLA share frozen backbones).
 	backbone := payload(8*ckptfmt.DefaultChunkSize, 0xBACB01)
 
-	// Concurrent spooling: four writers materialize checkpoints at once.
+	// Concurrent writes: four writers materialize checkpoints at once.
 	// PutSections is safe for concurrent use — each shard serializes its
 	// own appends, and the manifest commit is atomic per checkpoint.
 	const writers, epochs = 4, 3
@@ -104,24 +102,8 @@ func main() {
 		}
 	}
 	d := st.Dedup()
-	fmt.Printf("spooled %d checkpoints from %d concurrent writers: %.1f MB logical, %.1f MB stored (dedup %.1fx)\n",
+	fmt.Printf("wrote %d checkpoints from %d concurrent writers: %.1f MB logical, %.1f MB stored (dedup %.1fx)\n",
 		writers*epochs, writers, float64(d.LogicalBytes)/(1<<20), float64(d.StoredEncBytes)/(1<<20), d.Ratio())
-
-	// Background spool to gzip: the first pass covers every shard; a second
-	// pass after one small checkpoint touches only the dirtied shards.
-	if _, err := st.Spool(); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := st.PutSections(store.Key{LoopID: "tune-0", Exec: epochs}, []store.Section{
-		{Name: "backbone", Data: backbone},
-		{Name: "step", Data: []byte("one more epoch")},
-	}, 0, 0, 0); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := st.Spool(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("incremental spool done: second pass recompressed only the shards the new checkpoint dirtied")
 
 	// Where did the packs land? Count per root.
 	for _, root := range []string{runDir, shardA, shardB} {
@@ -135,20 +117,26 @@ func main() {
 		fmt.Printf("  %-8s %2d shard packs\n", filepath.Base(root), packs)
 	}
 
-	// Read back through the daemon's flag-free shared open path: the SHARDS
-	// file tells the store where the packs live.
+	// Read back through the daemon's flag-free shared open path (the SHARDS
+	// file tells the store where the packs live), the way replay reads: one
+	// Resolve per checkpoint, then ReadInto for the sections it wants.
 	ro, err := store.OpenReadOnly(runDir)
 	if err != nil {
 		log.Fatal(err)
 	}
 	for w := 0; w < writers; w++ {
 		for e := 0; e < epochs; e++ {
-			secs, ok, err := ro.GetSections(store.Key{LoopID: fmt.Sprintf("tune-%d", w), Exec: e}, nil)
-			if err != nil || !ok {
-				log.Fatalf("read back tune-%d@%d: ok=%v err=%v", w, e, ok, err)
+			key := store.Key{LoopID: fmt.Sprintf("tune-%d", w), Exec: e}
+			c, err := ro.Resolve(key)
+			if err != nil {
+				log.Fatalf("resolve %s: %v", key, err)
 			}
-			if len(secs[0].Data) != len(backbone) {
-				log.Fatalf("tune-%d@%d: backbone came back %d bytes", w, e, len(secs[0].Data))
+			secs, err := c.ReadInto(func(name string) bool { return name == "backbone" }, nil, nil, nil)
+			if err != nil {
+				log.Fatalf("read back %s: %v", key, err)
+			}
+			if !bytes.Equal(secs[0].Data, backbone) {
+				log.Fatalf("%s: backbone came back wrong (%d bytes)", key, len(secs[0].Data))
 			}
 		}
 	}

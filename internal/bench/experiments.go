@@ -1,9 +1,14 @@
 package bench
 
 import (
+	"compress/gzip"
 	"fmt"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"flor.dev/flor/internal/adapt"
@@ -254,7 +259,7 @@ func (s *Session) Table4() (*Table4Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		gz, err := wr.Record.Recording.Store.Spool()
+		gz, err := gzipFootprint(wr.Record.Recording.Store.Dir())
 		if err != nil {
 			return nil, err
 		}
@@ -273,6 +278,62 @@ func (s *Session) Table4() (*Table4Report, error) {
 			cluster.FormatDollars(r.CostPerMo), r.Checkpoints)
 	}
 	return rep, nil
+}
+
+// gzipFootprint returns what the paper's background process would ship to
+// S3 for the run at dir (§6: checkpoints were "compressed by a background
+// process, before being spooled to an S3 bucket"): the gzip size, at the
+// default level, of each segment file and each non-empty chunk pack in the
+// run directory, compressed one file at a time. It streams the files
+// through gzip into a counter and writes nothing.
+func gzipFootprint(dir string) (int64, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, err
+	}
+	var total int64
+	for _, e := range entries {
+		name := e.Name()
+		seg, _ := filepath.Match("ckpt-*.bin", name)
+		pack := strings.HasPrefix(name, "CHUNKS") && filepath.Ext(name) != ".gz" && filepath.Ext(name) != ".tmp"
+		if e.IsDir() || !seg && !pack {
+			continue
+		}
+		n, err := gzipSize(filepath.Join(dir, name))
+		if err != nil {
+			return 0, err
+		}
+		total += n
+	}
+	return total, nil
+}
+
+// gzipSize returns the length of the file at path as one gzip stream, 0 for
+// an empty file.
+func gzipSize(path string) (int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	if st, err := f.Stat(); err != nil || st.Size() == 0 {
+		return 0, err
+	}
+	var n byteCounter
+	zw := gzip.NewWriter(&n)
+	if _, err := io.Copy(zw, f); err != nil {
+		return 0, err
+	}
+	err = zw.Close()
+	return int64(n), err
+}
+
+// byteCounter is an io.Writer that keeps only the number of bytes written.
+type byteCounter int64
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	*c += byteCounter(len(p))
+	return len(p), nil
 }
 
 func fmtBytes(b int64) string {

@@ -1,6 +1,6 @@
 // Package codec implements the self-describing binary encoding used for
 // checkpoint payloads: primitive framing, tensor encoding, CRC-32C integrity
-// frames, and gzip compression helpers.
+// frames.
 //
 // The encoding plays the role that cloudpickle serialization plays in the
 // paper's Flor (§5.1): it is the dominant cost of materialization, so the
@@ -10,12 +10,10 @@ package codec
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"slices"
 	"unsafe"
@@ -600,48 +598,4 @@ func SampleEntropy(b []byte) float64 {
 		h -= p * math.Log2(p)
 	}
 	return h
-}
-
-// Compress gzips b at the default compression level.
-func Compress(b []byte) ([]byte, error) {
-	var out bytes.Buffer
-	zw := gzip.NewWriter(&out)
-	if _, err := zw.Write(b); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
-}
-
-// Decompress gunzips b. Any malformed input — a bad header, a stream
-// truncated mid-deflate, or a missing/mismatched CRC trailer — surfaces
-// ErrCorrupt rather than a silently short payload: the read drains to the
-// stream's end so gzip's own digest check always runs before bytes are
-// returned.
-func Decompress(b []byte) ([]byte, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(b))
-	if err != nil {
-		return nil, fmt.Errorf("%w: gzip header: %v", ErrCorrupt, err)
-	}
-	defer zr.Close()
-	out, err := io.ReadAll(zr)
-	if err != nil {
-		// io.ReadAll only stops early on a real error: truncation surfaces
-		// io.ErrUnexpectedEOF and a drained-but-wrong digest surfaces
-		// gzip.ErrChecksum. Either way the bytes cannot be trusted.
-		return nil, fmt.Errorf("%w: gzip stream: %v", ErrCorrupt, err)
-	}
-	return out, nil
-}
-
-// CompressedSize returns len(Compress(b)); used for the paper's Table 4
-// storage accounting, which reports gzip-compressed checkpoint sizes.
-func CompressedSize(b []byte) (int, error) {
-	c, err := Compress(b)
-	if err != nil {
-		return 0, err
-	}
-	return len(c), nil
 }

@@ -171,35 +171,6 @@ func TestFramesConcatenate(t *testing.T) {
 	}
 }
 
-func TestCompressRoundTrip(t *testing.T) {
-	data := bytes.Repeat([]byte("abcdefgh"), 1000)
-	c, err := Compress(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c) >= len(data) {
-		t.Fatalf("compressible data did not shrink: %d -> %d", len(data), len(c))
-	}
-	d, err := Decompress(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(d, data) {
-		t.Fatal("compression round trip mismatch")
-	}
-}
-
-func TestCompressedSize(t *testing.T) {
-	data := bytes.Repeat([]byte{0}, 10000)
-	n, err := CompressedSize(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n <= 0 || n >= len(data)/10 {
-		t.Fatalf("compressed size %d implausible for 10000 zero bytes", n)
-	}
-}
-
 func TestQuickIntRoundTrip(t *testing.T) {
 	f := func(v int64) bool {
 		w := NewWriter()
@@ -290,30 +261,6 @@ func TestQuickSplitChunksReassemble(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDecompressTruncatedIsCorrupt(t *testing.T) {
-	payload := bytes.Repeat([]byte("flor hindsight logging "), 512)
-	c, err := Compress(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every truncation point — inside the header, mid-deflate, inside the
-	// CRC/length trailer — must yield ErrCorrupt, never a short payload.
-	for cut := 0; cut < len(c); cut += 1 + len(c)/97 {
-		if _, err := Decompress(c[:cut]); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("truncated at %d/%d: err = %v, want ErrCorrupt", cut, len(c), err)
-		}
-	}
-	// A corrupted trailer (wrong digest over intact deflate data) too.
-	bad := append([]byte(nil), c...)
-	bad[len(bad)-5] ^= 0xff
-	if _, err := Decompress(bad); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("flipped CRC: err = %v, want ErrCorrupt", err)
-	}
-	if got, err := Decompress(c); err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("intact stream failed: %v", err)
 	}
 }
 

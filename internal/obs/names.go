@@ -16,9 +16,6 @@ const (
 	MStoreChunksWritten      = "flor_store_chunks_written_total"
 	MStoreChunkBytesWritten  = "flor_store_chunk_bytes_written_total"
 	MStoreShardAppendSeconds = "flor_store_shard_append_seconds"
-	MStoreSpoolPasses        = "flor_store_spool_passes_total"
-	MStoreSpoolSeconds       = "flor_store_spool_seconds"
-	MStoreSpoolArtifactBytes = "flor_store_spool_artifact_bytes"
 	MStoreFetchBytes         = "flor_store_fetch_bytes_total"
 	MStoreFetchFrames        = "flor_store_fetch_frames_total"
 	MStoreGCPasses           = "flor_store_gc_passes_total"
@@ -132,9 +129,6 @@ var Catalog = []Def{
 	{MStoreChunksWritten, KindCounter, nil, "Fresh chunks appended to pack shards."},
 	{MStoreChunkBytesWritten, KindCounter, nil, "Encoded bytes appended to pack shards."},
 	{MStoreShardAppendSeconds, KindHistogram, nil, "Latency of fanning one checkpoint's fresh frames across pack shards."},
-	{MStoreSpoolPasses, KindCounter, nil, "Spool passes (segment + dirty-shard pack compression)."},
-	{MStoreSpoolSeconds, KindHistogram, nil, "Spool pass latency."},
-	{MStoreSpoolArtifactBytes, KindGauge, nil, "Compressed size of the spool artifacts after the last pass."},
 	{MStoreFetchBytes, KindCounter, []string{"tier"}, "Encoded pack bytes served to restores, by fetch tier (scatter|ranged|cache|remote|cache-tier|singleflight; cache counts logical bytes skipped via payload-cache hits)."},
 	{MStoreFetchFrames, KindCounter, []string{"tier"}, "Chunk frames served to restores, by fetch tier (scatter|ranged|cache|remote|cache-tier|singleflight)."},
 	{MStoreGCPasses, KindCounter, nil, "Chunk-reclaiming GC passes."},
@@ -187,7 +181,7 @@ var Catalog = []Def{
 	{MObsTraceStoreSampledOut, KindCounter, nil, "Traces dropped by head sampling before reaching the trace store."},
 	{MObsTraceStorePruned, KindCounter, nil, "Trace-store segments pruned by size or age retention."},
 	{MObsTraceStoreBytes, KindGauge, nil, "Bytes currently held by the trace store's segments."},
-	{MObsTaskRuns, KindCounter, []string{"task"}, "Completed background tasks (GC passes, spool passes), by task name."},
+	{MObsTaskRuns, KindCounter, []string{"task"}, "Completed background tasks (GC passes), by task name."},
 	{MObsTaskSeconds, KindHistogram, []string{"task"}, "Background-task latency, by task name."},
 }
 

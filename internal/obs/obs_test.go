@@ -267,7 +267,7 @@ func TestBackgroundTasks(t *testing.T) {
 	a.End()
 	a.End() // idempotent
 
-	b := BeginTask("spool")
+	b := BeginTask("filler")
 	b.End()
 
 	recs = Tasks()
@@ -275,8 +275,8 @@ func TestBackgroundTasks(t *testing.T) {
 		t.Fatalf("tasks = %d, want 2", len(recs))
 	}
 	// Completed, newest first.
-	if recs[0].Name != "spool" || recs[1].Name != "gc" {
-		t.Fatalf("order = %s, %s; want spool, gc", recs[0].Name, recs[1].Name)
+	if recs[0].Name != "filler" || recs[1].Name != "gc" {
+		t.Fatalf("order = %s, %s; want filler, gc", recs[0].Name, recs[1].Name)
 	}
 	if !recs[0].Done || !recs[1].Done {
 		t.Fatal("completed tasks must report Done")

@@ -1,7 +1,7 @@
 package obs
 
 // Background-task tracing. Long-running maintenance work — GC passes with
-// their mark/sweep/rewrite phases, spool passes — runs outside any query, so
+// their mark/sweep/rewrite phases — runs outside any query, so
 // query traces never see it. BeginTask gives such work its own trace and a
 // place in a small package-level ring that flord serves at /v1/debug/tasks,
 // answering "what has the daemon been doing to itself?" without logs.

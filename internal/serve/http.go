@@ -42,9 +42,8 @@ type RegisterRequest struct {
 //	GET  /v1/stats                pool, store-cache, per-run and chunk-pool
 //	                              stats (incl. per-query cost attribution and
 //	                              oldest in-flight query age)
-//	GET  /v1/debug/tasks          background-task traces (GC phases, spool
-//	                              passes): active tasks first, then recent
-//	                              completions
+//	GET  /v1/debug/tasks          background-task traces (GC phases): active
+//	                              tasks first, then recent completions
 //	GET  /v1/debug/slow?limit=N   slow-query log entries, newest first (404
 //	                              unless a trace store is configured)
 //	GET  /metrics                 Prometheus text exposition of the metrics

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 )
 
 // Backend abstracts where a store's chunk-pack bytes live. The sharded
@@ -19,7 +18,7 @@ import (
 // ranged remote stores can offer:
 //
 //   - Objects are named by flat string keys ("CHUNKS", "CHUNKS-03",
-//     "CHUNKS-03.gz"); the backend owns the mapping from name to location.
+//     "CHUNKS-03.g2"); the backend owns the mapping from name to location.
 //   - Append is the only mutation the hot write path uses. The store
 //     serializes appends per object (per-shard append locks), so backends
 //     need not make concurrent appends to the same object atomic — but
@@ -28,7 +27,7 @@ import (
 //     (offset, length) from the run's manifest, which maps directly onto a
 //     ranged GET against a remote object.
 //   - Create streams a wholesale object replacement (commit on Close, Abort
-//     to discard); only cold-path artifacts (spooled .gz objects) use it.
+//     to discard); GC compaction writes each new pack generation through it.
 //
 // All methods must be safe for concurrent use on distinct names.
 type Backend interface {
@@ -41,8 +40,8 @@ type Backend interface {
 	// object does not exist.
 	Open(name string) (BackendReader, error)
 	// Create returns a streaming writer that atomically replaces the named
-	// object on Close: spooling compresses whole packs through it without
-	// buffering the compressed object in memory. Abort discards the
+	// object on Close: compaction writes a shard's survivors into the next
+	// pack generation through it, chunk by chunk. Abort discards the
 	// in-progress write, leaving any existing object untouched.
 	Create(name string) (BackendWriter, error)
 	// Remove deletes the named object; removing an absent object is not an
@@ -114,18 +113,14 @@ func NewDirBackend(roots ...string) (*DirBackend, error) {
 	return &DirBackend{roots: append([]string(nil), roots...)}, nil
 }
 
-// Roots returns the backend's root directories.
-func (b *DirBackend) Roots() []string { return append([]string(nil), b.roots...) }
-
-// path maps an object name to its file. Placement hashes the name with any
-// ".gz" suffix trimmed, so a spooled object always lands next to the pack it
-// was spooled from.
+// path maps an object name to its file: with several roots, placement
+// hashes the name.
 func (b *DirBackend) path(name string) string {
 	if len(b.roots) == 1 {
 		return filepath.Join(b.roots[0], name)
 	}
 	h := fnv.New32a()
-	h.Write([]byte(strings.TrimSuffix(name, ".gz")))
+	h.Write([]byte(name))
 	return filepath.Join(b.roots[int(h.Sum32())%len(b.roots)], name)
 }
 

@@ -243,7 +243,7 @@ func TestReopenAfterCrashedCompaction(t *testing.T) {
 	// Crash window (a): a stray higher-generation pack object with garbage
 	// content (the atomic Create of a crashed pass would have left a
 	// committed object; a torn temp file never lands under the real name —
-	// mirror the spool pattern by planting a committed-but-unreferenced
+	// mirror that by planting a committed-but-unreferenced
 	// object).
 	if err := os.WriteFile(filepath.Join(dir, packObjName(packFile, 1)), []byte("leftover"), 0o644); err != nil {
 		t.Fatal(err)

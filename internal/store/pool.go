@@ -3,8 +3,8 @@ package store
 // pool.go implements the ChunkPool: the run-agnostic chunk layer under the
 // checkpoint store. A pool owns the hash-prefix shard table — per-shard
 // append locks, the content-addressed dedup index, pack objects behind a
-// Backend, incremental spool state — plus refcount-style garbage collection
-// of superseded chunks via generational pack compaction.
+// Backend — plus refcount-style garbage collection of superseded chunks via
+// generational pack compaction.
 //
 // Every v2 store runs on a pool. A run's private pack is simply a
 // single-tenant pool whose chunk records are persisted in the run's own
@@ -37,11 +37,9 @@ package store
 
 import (
 	"bytes"
-	"compress/gzip"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -93,12 +91,10 @@ type chunkLoc struct {
 type poolShard struct {
 	name string // base pack object name within the backend
 
-	mu         sync.Mutex
-	gen        int // active pack generation
-	chunks     map[ckptfmt.Hash]chunkLoc
-	packLen    int64 // committed length of the active generation's object
-	spooledLen int64 // pack length covered by the last spool
-	spooledGz  int64 // compressed size of that spool artifact
+	mu      sync.Mutex
+	gen     int // active pack generation
+	chunks  map[ckptfmt.Hash]chunkLoc
+	packLen int64 // committed length of the active generation's object
 	// broken latches the first append failure whose length resync also
 	// failed: packLen can no longer be trusted, and appending at an unknown
 	// offset would commit wrong-offset chunk records. Reads stay valid.
@@ -132,7 +128,7 @@ type PoolStats struct {
 // I/O and GC. It is safe for concurrent use by many stores.
 type ChunkPool struct {
 	root   string // pool root directory; "" for a private (single-run) pool
-	ctlDir string // directory for SPOOL/PACKGC state (run dir or pool root)
+	ctlDir string // directory holding PACKGC (run dir or pool root)
 	shared bool
 	fanout int
 
@@ -144,10 +140,6 @@ type ChunkPool struct {
 	// miss a chunk an in-flight checkpoint is about to reference. Lock
 	// order: gcMu before any shard.mu or Store.mu.
 	gcMu sync.RWMutex
-
-	// spoolMu serializes whole Spool passes and excludes them from
-	// compaction (which replaces the objects a spool would read).
-	spoolMu sync.Mutex
 
 	mu       sync.Mutex
 	readOnly bool
@@ -447,145 +439,6 @@ func (p *ChunkPool) resolve(jobs []chunkJob, byShard map[int][]int, seq int) err
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// Spool
-
-// spool compresses each dirty shard's pack to its .gz sibling, shards in
-// parallel, and persists coverage state; it returns the compressed total of
-// the pool's current spool artifacts.
-func (p *ChunkPool) spool() (int64, error) {
-	if p.isReadOnly() {
-		return 0, ErrReadOnly
-	}
-	p.spoolMu.Lock()
-	defer p.spoolMu.Unlock()
-	task := obs.BeginTask("spool")
-	defer task.End()
-	ttr := task.Trace()
-	sizes := make([]int64, len(p.shardTab))
-	errs := make([]error, len(p.shardTab))
-	var wg sync.WaitGroup
-	for i, sh := range p.shardTab {
-		wg.Add(1)
-		go func(i int, sh *poolShard) {
-			defer wg.Done()
-			t0 := ttr.Now()
-			sizes[i], errs[i] = p.spoolShard(sh)
-			ttr.Add(obs.Span{Name: "shard", Worker: i, StartNs: t0, DurNs: ttr.Now() - t0,
-				Attrs: map[string]int64{"gz_bytes": sizes[i]}})
-		}(i, sh)
-	}
-	wg.Wait()
-	var total int64
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	for _, n := range sizes {
-		total += n
-	}
-	if err := p.saveSpoolState(); err != nil {
-		return 0, err
-	}
-	return total, nil
-}
-
-// spoolShard compresses one shard's active pack to its .gz sibling unless
-// the pack has not grown since the last spool. It returns the compressed
-// size of the shard's current spool artifact (0 for an empty shard).
-func (p *ChunkPool) spoolShard(sh *poolShard) (int64, error) {
-	sh.mu.Lock()
-	obj := sh.obj()
-	plen, slen, sgz := sh.packLen, sh.spooledLen, sh.spooledGz
-	sh.mu.Unlock()
-	if plen == 0 {
-		return 0, nil
-	}
-	if plen == slen && sgz > 0 {
-		if n, err := p.backend.Size(obj + ".gz"); err == nil && n == sgz {
-			return sgz, nil // clean: spooled artifact still covers the pack
-		}
-	}
-	pf, err := p.backend.Open(obj)
-	if err != nil {
-		return 0, fmt.Errorf("store: spool shard %s: %w", obj, err)
-	}
-	defer pf.Close()
-	// Stream pack → gzip → backend: a pack holds the pool's whole distinct
-	// chunk volume, so buffering its compressed form in memory would cost
-	// O(pack) heap per spool tick (worse at high fanout, where dirty shards
-	// compress concurrently).
-	out, err := p.backend.Create(obj + ".gz")
-	if err != nil {
-		return 0, fmt.Errorf("store: spool shard %s: %w", obj, err)
-	}
-	cw := &countingWriter{w: out}
-	zw := gzip.NewWriter(cw)
-	if _, err := io.Copy(zw, io.NewSectionReader(pf, 0, plen)); err != nil {
-		out.Abort() // keep the previous intact spool artifact, if any
-		return 0, fmt.Errorf("store: spool shard %s: %w", obj, err)
-	}
-	if err := zw.Close(); err != nil {
-		out.Abort()
-		return 0, fmt.Errorf("store: spool shard %s: %w", obj, err)
-	}
-	if err := out.Close(); err != nil {
-		return 0, fmt.Errorf("store: spool shard %s: %w", obj, err)
-	}
-	sh.mu.Lock()
-	sh.spooledLen = plen
-	sh.spooledGz = cw.n
-	sh.mu.Unlock()
-	return cw.n, nil
-}
-
-func (p *ChunkPool) spoolStatePath() string { return filepath.Join(p.ctlDir, spoolStateFile) }
-
-// saveSpoolState persists per-shard spool coverage ("object spooledLen
-// gzSize" lines) so incremental spooling survives reopen.
-func (p *ChunkPool) saveSpoolState() error {
-	var b strings.Builder
-	for _, sh := range p.shardTab {
-		sh.mu.Lock()
-		if sh.spooledLen > 0 {
-			fmt.Fprintf(&b, "%s %d %d\n", sh.obj(), sh.spooledLen, sh.spooledGz)
-		}
-		sh.mu.Unlock()
-	}
-	if err := writeFileAtomic(p.spoolStatePath(), []byte(b.String())); err != nil {
-		return fmt.Errorf("store: save spool state: %w", err)
-	}
-	return nil
-}
-
-// loadSpoolState restores per-shard spool coverage at open. Stale or
-// unparsable entries (including entries naming a compacted-away pack
-// generation) are ignored: the worst case is one redundant recompression on
-// the next spool.
-func (p *ChunkPool) loadSpoolState() {
-	raw, err := os.ReadFile(p.spoolStatePath())
-	if err != nil {
-		return
-	}
-	byObj := map[string]*poolShard{}
-	for _, sh := range p.shardTab {
-		byObj[sh.obj()] = sh
-	}
-	for _, ln := range strings.Split(string(raw), "\n") {
-		var obj string
-		var slen, sgz int64
-		if _, err := fmt.Sscanf(ln, "%s %d %d", &obj, &slen, &sgz); err != nil {
-			continue
-		}
-		if sh := byObj[obj]; sh != nil && slen <= sh.packLen {
-			sh.mu.Lock()
-			sh.spooledLen, sh.spooledGz = slen, sgz
-			sh.mu.Unlock()
-		}
-	}
-}
-
 func (p *ChunkPool) isReadOnly() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -710,7 +563,7 @@ func openSharedPool(root string, fanout int, readOnly bool) (*ChunkPool, error) 
 	p.initShards()
 	// One backend for the pool's whole lifetime: a read-only→writable
 	// upgrade must not swap the field under concurrent readers (restores
-	// and spool read it without locks). The root exists — the marker was
+	// read it without locks). The root exists — the marker was
 	// just read or written — so the plain DirBackend needs no MkdirAll.
 	p.backend = &DirBackend{roots: []string{key}}
 	if err := p.replayIndex(); err != nil {
@@ -719,7 +572,6 @@ func openSharedPool(root string, fanout int, readOnly bool) (*ChunkPool, error) 
 	if err := p.finishOpen(); err != nil {
 		return nil, err
 	}
-	p.loadSpoolState()
 	poolRegistry.m[key] = p
 	return p, nil
 }
@@ -1110,8 +962,8 @@ func (p *ChunkPool) writePackGC(sched map[string]int64) error {
 // any checkpoint that deduplicated against an indexed chunk has its segment
 // on disk by the time mark looks. persist atomically commits the
 // post-compaction chunk records (the run MANIFEST for private pools, the
-// pool INDEX for shared ones). gc excludes writers (gcMu) and spooling for
-// its whole duration.
+// pool INDEX for shared ones). gc excludes writers (gcMu) for its whole
+// duration.
 func (p *ChunkPool) gc(mark func() (map[ckptfmt.Hash]bool, error), o GCOptions, persist func([]poolChunkRec) error) (GCResult, error) {
 	var res GCResult
 	if p.isReadOnly() {
@@ -1119,8 +971,6 @@ func (p *ChunkPool) gc(mark func() (map[ckptfmt.Hash]bool, error), o GCOptions, 
 	}
 	p.gcMu.Lock()
 	defer p.gcMu.Unlock()
-	p.spoolMu.Lock()
-	defer p.spoolMu.Unlock()
 
 	// The pass runs outside any query, so it records itself as a background
 	// task: each phase becomes a span, served at /v1/debug/tasks.
@@ -1169,12 +1019,11 @@ func (p *ChunkPool) gc(mark func() (map[ckptfmt.Hash]bool, error), o GCOptions, 
 		if err := p.backend.Remove(name); err != nil {
 			return res, fmt.Errorf("store: gc: remove retired pack %s: %w", name, err)
 		}
-		// The spool sibling must go too before the schedule entry is
-		// dropped, or a failed removal would leak the artifact with nothing
-		// left to retry it. (A re-run tolerates the already-deleted pack:
-		// Remove on an absent object is not an error.)
+		// The gzip twin an older build may have written beside the pack goes
+		// too, before the schedule entry is dropped, or a failed removal
+		// would leave it with nothing to retry it.
 		if err := p.backend.Remove(name + ".gz"); err != nil {
-			return res, fmt.Errorf("store: gc: remove retired spool %s.gz: %w", name, err)
+			return res, fmt.Errorf("store: gc: remove %s.gz: %w", name, err)
 		}
 		delete(sched, name)
 		res.DeletedPacks++
@@ -1340,7 +1189,6 @@ func (p *ChunkPool) gc(mark func() (map[ckptfmt.Hash]bool, error), o GCOptions, 
 		sh.gen = sw.newGen
 		sh.chunks = sw.newMap
 		sh.packLen = sw.newLen
-		sh.spooledLen, sh.spooledGz = 0, 0
 		sh.mu.Unlock()
 		sched[sw.oldObj] = now.Add(o.retention()).UnixNano()
 		res.CompactedShards++

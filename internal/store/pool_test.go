@@ -184,9 +184,6 @@ func TestPooledReadOnlyOpen(t *testing.T) {
 	if _, err := ro.PutSections(Key{LoopID: "train", Exec: 1}, familySections(7, 8, 1), 0, 0, 0); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("write on read-only pooled store: %v", err)
 	}
-	if _, err := ro.Spool(); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("spool on read-only pooled store: %v", err)
-	}
 
 	// A writable sibling can still attach while the read-only open is live
 	// (the in-process pool upgrades to writable).
@@ -282,9 +279,6 @@ func TestPoolConcurrentSiblingRecordReplay(t *testing.T) {
 					errs <- err
 					return
 				}
-			}
-			if _, err := st.Spool(); err != nil {
-				errs <- err
 			}
 		}(w)
 	}

@@ -27,8 +27,8 @@ import (
 //
 // Append is a read-modify-write full PUT: correct under the store's
 // per-shard append serialization, but O(object) per call. Remote-backed
-// stores are meant to be written locally and uploaded by spool pass
-// (UploadRun), then served read-only; Append exists so the Backend contract
+// stores are meant to be written locally and uploaded (UploadRun), then
+// served read-only; Append exists so the Backend contract
 // holds, not as a hot write path.
 type ObjectBackend struct {
 	store  ObjectStore

@@ -1,6 +1,6 @@
 // Package remote implements the S3-shaped object backend the store.Backend
 // interface was designed for: run checkpoints live in a shared object store
-// as whole-object uploads (the spool pass is the atomic upload unit), and
+// as whole-object uploads (UploadRun; the object is the atomic unit), and
 // replay restores them with parallel ranged GETs through a local
 // read-through chunk cache (internal/store/cachetier). The package speaks a
 // minimal object API — GET, ranged GET, PUT, LIST, DELETE — deliberately

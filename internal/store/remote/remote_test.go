@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -487,6 +491,81 @@ func TestRemoteUploadRestoreCycle(t *testing.T) {
 	}
 	if cache.Stats().MissBytes == 0 {
 		t.Fatal("restore never touched the cache tier")
+	}
+}
+
+// TestRemoteUploadSkipsLeftBehindFiles: what an older build's gzip pass left
+// in a run directory and its shard roots — ".gz" twins of segments and packs
+// and its SPOOL state — is no part of the run. UploadRun ships every segment
+// and pack and none of those, and FetchControlPlane does not write them out
+// of a prefix an older upload filled.
+func TestRemoteUploadSkipsLeftBehindFiles(t *testing.T) {
+	src, extra := t.TempDir(), t.TempDir()
+	s, err := store.OpenWith(src, store.Options{ShardFanout: 4, ShardDirs: []string{extra}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		data := testRemotePayload(64<<10, uint64(200+i))
+		if _, err := s.PutSections(store.Key{LoopID: "train", Exec: i}, []store.Section{{Name: "w", Data: data}}, 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string]bool{} // every run file a restore needs, by key
+	plant := func(dir, name string) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("left behind"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, dir := range []string{src, extra} {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			name := e.Name()
+			sub := "ctl"
+			if strings.HasPrefix(name, "CHUNKS") {
+				sub = "packs"
+			}
+			want["runs/r2/"+sub+"/"+name] = true
+			if strings.HasPrefix(name, "ckpt-") || strings.HasPrefix(name, "CHUNKS") {
+				plant(dir, name+".gz")
+			}
+		}
+	}
+	plant(src, "SPOOL")
+
+	mem := remote.NewMemStore()
+	if _, err := remote.UploadRun(mem, src, "runs/r2"); err != nil {
+		t.Fatal(err)
+	}
+	keys, err := mem.List("runs/r2/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, k := range keys {
+		got[k] = true
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("uploaded %v, want %v", keys, slices.Sorted(maps.Keys(want)))
+	}
+
+	// A prefix an older upload filled: its twins stay remote.
+	for _, name := range []string{"ckpt-00000000.bin.gz", "SPOOL"} {
+		if err := mem.Put("runs/r2/ctl/"+name, []byte("left behind")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctl := filepath.Join(t.TempDir(), "ctl")
+	if _, err := remote.FetchControlPlane(mem, "runs/r2", ctl); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"ckpt-00000000.bin.gz", "SPOOL"} {
+		if _, err := os.Stat(filepath.Join(ctl, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("FetchControlPlane wrote %s (stat: %v)", name, err)
+		}
 	}
 }
 

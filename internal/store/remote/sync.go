@@ -16,7 +16,7 @@ import (
 //	                       PROGRAM, record.log, timings.log, segments —
 //	                       every run-directory file that is not pack bytes
 //	<prefix>/packs/<obj>   pack objects by backend name (CHUNKS, CHUNKS-xx,
-//	                       CHUNKS-xx.g<n>, spooled .gz twins)
+//	                       CHUNKS-xx.g<n>)
 //	<prefix>/LEASE         the writer lease (lease.go)
 const (
 	ctlDir   = "ctl"
@@ -36,17 +36,26 @@ func LeaseKey(prefix string) string { return path.Join(prefix, LeaseObject) }
 // objects) rather than control plane.
 func isPackName(name string) bool { return strings.HasPrefix(name, "CHUNKS") }
 
+// leftBehind reports whether a run-directory file is no part of the run: a
+// temp file of an interrupted write, or what an older build's gzip pass
+// left beside the run (".gz" twins of segments and packs, its SPOOL state).
+// No reader opens them, so they are neither uploaded nor fetched.
+func leftBehind(name string) bool {
+	return strings.HasSuffix(name, ".tmp") || strings.HasSuffix(name, ".gz") || name == "SPOOL"
+}
+
 // UploadRun uploads the run at dir to the object store under prefix, control
 // plane to <prefix>/ctl/ and pack objects (from the run directory and any
 // SHARDS extra roots) to <prefix>/packs/. Uploads are whole-object PUTs —
-// the spool pass is the atomic upload unit; there is no partial-object sync
-// — and idempotent: objects whose remote length already matches the local
-// file are skipped, so re-running after a crash only moves what is missing.
-// It returns how many objects were uploaded (not skipped).
+// there is no partial-object sync — and idempotent: objects whose remote
+// length already matches the local file are skipped, so re-running after a
+// crash only moves what is missing. Files that are no part of the run
+// (leftBehind) are not uploaded. It returns how many objects were uploaded
+// (not skipped).
 //
-// The caller is responsible for quiescence (upload after recording finishes
-// or between spool passes) and, when the prefix is shared between daemons,
-// for holding its writer lease.
+// The caller is responsible for quiescence (upload after recording
+// finishes) and, when the prefix is shared between daemons, for holding its
+// writer lease.
 func UploadRun(st ObjectStore, dir, prefix string) (int, error) {
 	uploaded := 0
 	up := func(local, key string) error {
@@ -73,7 +82,7 @@ func UploadRun(st ObjectStore, dir, prefix string) (int, error) {
 		return 0, fmt.Errorf("remote: upload run: %w", err)
 	}
 	for _, e := range entries {
-		if e.IsDir() || strings.HasSuffix(e.Name(), ".tmp") {
+		if e.IsDir() || leftBehind(e.Name()) {
 			continue
 		}
 		sub := ctlDir
@@ -97,7 +106,7 @@ func UploadRun(st ObjectStore, dir, prefix string) (int, error) {
 			return uploaded, fmt.Errorf("remote: upload shard root: %w", err)
 		}
 		for _, e := range rents {
-			if e.IsDir() || !isPackName(e.Name()) {
+			if e.IsDir() || !isPackName(e.Name()) || leftBehind(e.Name()) {
 				continue
 			}
 			if err := up(filepath.Join(root, e.Name()), path.Join(prefix, packsDir, e.Name())); err != nil {
@@ -112,8 +121,9 @@ func UploadRun(st ObjectStore, dir, prefix string) (int, error) {
 // into dir (created if needed), returning how many files it wrote. The
 // SHARDS file is skipped: it names shard roots on the machine that recorded
 // the run, and a remote-backed open routes every pack read through the
-// ObjectBackend instead. Pack objects are never downloaded — that is the
-// cache tier's job, block by block, on demand.
+// ObjectBackend instead; so are files an older upload shipped that are no
+// part of the run (leftBehind). Pack objects are never downloaded — that is
+// the cache tier's job, block by block, on demand.
 func FetchControlPlane(st ObjectStore, prefix, dir string) (int, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("remote: fetch control plane: %w", err)
@@ -129,7 +139,7 @@ func FetchControlPlane(st ObjectStore, prefix, dir string) (int, error) {
 	fetched := 0
 	for _, key := range keys {
 		name := strings.TrimPrefix(key, ctl)
-		if strings.Contains(name, "/") || name == "SHARDS" {
+		if strings.Contains(name, "/") || name == "SHARDS" || leftBehind(name) {
 			continue
 		}
 		data, err := st.Get(key)

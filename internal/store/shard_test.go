@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -384,82 +383,6 @@ func TestDetectLayoutVariants(t *testing.T) {
 		}
 		if l.String() != c.want {
 			t.Fatalf("DetectLayout(%s) = %s, want %s", c.dir, l, c.want)
-		}
-	}
-}
-
-// TestIncrementalShardSpool pins the dirty-shard spool contract: a second
-// Spool with no intervening writes recompresses nothing, and a small write
-// recompresses only the shards it touched.
-func TestIncrementalShardSpool(t *testing.T) {
-	s, dir := openSharded(t, 16)
-	big := noise(8*ckptfmt.DefaultChunkSize, 31)
-	if _, err := s.PutSections(Key{LoopID: "L", Exec: 0}, []Section{{Name: "net", Data: big}}, 0, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	total1, err := s.Spool()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total1 <= 0 {
-		t.Fatalf("spool total = %d", total1)
-	}
-	mtimes := func() map[string]int64 {
-		out := map[string]int64{}
-		entries, _ := os.ReadDir(dir)
-		for _, e := range entries {
-			if filepath.Ext(e.Name()) == ".gz" {
-				info, _ := e.Info()
-				out[e.Name()] = info.ModTime().UnixNano()
-			}
-		}
-		return out
-	}
-	first := mtimes()
-	total2, err := s.Spool() // clean: nothing grew
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total2 != total1 {
-		t.Fatalf("clean re-spool total %d != %d", total2, total1)
-	}
-	for name, mt := range mtimes() {
-		if first[name] != mt {
-			t.Fatalf("clean re-spool rewrote %s", name)
-		}
-	}
-
-	// One small fresh chunk dirties at most a couple of shards.
-	if _, err := s.PutSections(Key{LoopID: "L", Exec: 1}, []Section{
-		{Name: "net", Data: big},
-		{Name: "step", Data: []byte("epoch-1")},
-	}, 0, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Spool(); err != nil {
-		t.Fatal(err)
-	}
-	rewrote := 0
-	for name, mt := range mtimes() {
-		if n, ok := first[name]; ok && n != mt && strings.HasPrefix(name, "CHUNKS-") {
-			rewrote++
-		}
-	}
-	if rewrote > 2 {
-		t.Fatalf("incremental spool rewrote %d shard packs, want <= 2", rewrote)
-	}
-
-	// Spool coverage survives reopen: SPOOL state for shard packs, artifact
-	// existence for immutable segments — a clean post-restart spool rewrites
-	// nothing at all.
-	s2 := mustReopen(t, dir)
-	after := mtimes()
-	if _, err := s2.Spool(); err != nil {
-		t.Fatal(err)
-	}
-	for name, mt := range mtimes() {
-		if after[name] != mt {
-			t.Fatalf("post-reopen clean spool rewrote %s", name)
 		}
 	}
 }

@@ -16,10 +16,13 @@
 //	                          (private-pack stores) dedup chunk records;
 //	                          pooled runs lead with a pool-reference record
 //	<dir>/ckpt-<seq>.bin      one segment file per checkpoint
-//	<dir>/ckpt-<seq>.bin.gz   optional spooled (gzip) copy, the "S3 object"
 //	<dir>/SHARDS              sharded stores only: extra backend root dirs
-//	<dir>/SPOOL               incremental-spool state (pack coverage)
 //	<dir>/PACKGC              retired pack generations awaiting expiry
+//
+// Nothing derived is persisted: a run leaves the machine as these files
+// (remote.UploadRun), not as a compressed copy of them. Gzip twins
+// ("*.gz") and a SPOOL file that older builds wrote beside them are inert:
+// no read path opens them.
 //
 // Chunk bytes live in pack objects addressed through a Backend (local
 // directories today; the interface is shaped so S3-style ranged backends
@@ -68,13 +71,10 @@
 // # Sharding and concurrency
 //
 // Each shard has its own append lock and its own dedup map (the two-level
-// index: shard, then hash), so record-time spooling fans a checkpoint's
-// fresh chunks out across shards concurrently, and replay-time restores of
+// index: shard, then hash), so concurrent PutSections calls fan a
+// checkpoint's fresh chunks out across shards, and replay-time restores of
 // independent sections read their shards' packs concurrently instead of
-// serializing on one file descriptor. Spooling to gzip is incremental per
-// shard: only shards whose pack grew since the last spool are recompressed,
-// so a background spool cadence touches the few shards a new checkpoint
-// dirtied rather than one ever-growing pack.
+// serializing on one file descriptor.
 //
 // # Restore read path
 //
@@ -136,10 +136,8 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -184,11 +182,10 @@ const (
 
 // Control-plane file names inside a run directory.
 const (
-	formatFile     = "FORMAT"
-	manifestFile   = "MANIFEST"
-	packFile       = "CHUNKS"
-	shardDirsFile  = "SHARDS"
-	spoolStateFile = "SPOOL"
+	formatFile    = "FORMAT"
+	manifestFile  = "MANIFEST"
+	packFile      = "CHUNKS"
+	shardDirsFile = "SHARDS"
 )
 
 // Key identifies a checkpoint: the side-effects of execution number Exec of
@@ -208,7 +205,6 @@ type Meta struct {
 	Key      Key
 	Seq      int   // segment sequence number
 	Size     int64 // uncompressed payload size in bytes
-	GzSize   int64 // compressed (spooled) size; 0 until spooled
 	MaterNs  int64 // observed materialization time (serialize+write), ns
 	SnapNs   int64 // observed snapshot (training-thread) time, ns
 	ComputNs int64 // observed loop computation time, ns
@@ -281,8 +277,8 @@ func (d DedupStats) Ratio() float64 {
 
 // Store is a checkpoint store rooted at a run directory. It is safe for
 // concurrent use: record's background materializer (or several concurrent
-// spoolers) write while the training thread queries stats, and replay
-// workers read in parallel.
+// PutSections callers) write while the training thread queries stats, and
+// replay workers read in parallel.
 //
 // Chunk bytes live in the store's ChunkPool. A plain v2 store runs on a
 // private single-tenant pool over the run's own backend (chunk records in
@@ -322,11 +318,6 @@ type Store struct {
 	index   map[Key]*Meta // latest committed checkpoint per key
 	metas   []*Meta       // commit order
 	dedup   DedupStats
-
-	// spoolMu serializes whole Spool passes: overlapping passes (a periodic
-	// spool tick firing while a slow one still compresses) would race their
-	// gz rewrites of segments that grew in between.
-	spoolMu sync.Mutex
 }
 
 // ErrNotFound is returned when no checkpoint exists for a key.
@@ -424,7 +415,7 @@ func Open(dir string) (*Store, error) {
 // OpenReadOnly opens an existing recorded run for shared read-only use — the
 // serving daemon's open path. It touches nothing on disk: the FORMAT marker
 // is not (re)written, a torn manifest tail is skipped rather than truncated,
-// and every write operation (Put, PutSections, Spool, GC) fails with
+// and every write operation (Put, PutSections, GC) fails with
 // ErrReadOnly. The returned store is safe for concurrent Get/GetSections
 // from many goroutines.
 func OpenReadOnly(dir string) (*Store, error) {
@@ -509,7 +500,6 @@ func OpenWith(dir string, o Options) (*Store, error) {
 		s.dedup.ChunksStored = st.Chunks
 		s.dedup.StoredRawBytes = st.StoredRawBytes
 		s.dedup.StoredEncBytes = st.StoredEncBytes
-		s.pool.loadSpoolState()
 	}
 	if s.pool != nil {
 		if dropped := s.pool.droppedPacks(); !s.readOnly && len(dropped) > 0 {
@@ -1148,7 +1138,7 @@ func encodeMeta(m *Meta) []byte {
 	w.Int(m.Key.Exec)
 	w.Int(m.Seq)
 	w.Int(int(m.Size))
-	w.Int(int(m.GzSize))
+	w.Int(0) // gzSize: a slot older builds filled; ignored on read
 	w.Int(int(m.MaterNs))
 	w.Int(int(m.SnapNs))
 	w.Int(int(m.ComputNs))
@@ -1165,7 +1155,8 @@ func decodeMeta(b []byte) (*Meta, error) {
 	if m.Key.LoopID, err = r.String(); err != nil {
 		return nil, err
 	}
-	fields := []*int64{nil, &m.Size, &m.GzSize, &m.MaterNs, &m.SnapNs, &m.ComputNs}
+	var ignored int64 // the gzSize slot older builds filled
+	fields := []*int64{nil, &m.Size, &ignored, &m.MaterNs, &m.SnapNs, &m.ComputNs}
 	if m.Key.Exec, err = r.Int(); err != nil {
 		return nil, err
 	}
@@ -1826,9 +1817,7 @@ func (s *Store) Has(key Key) bool {
 }
 
 // Lookup returns the metadata for key if committed. The returned Meta is a
-// snapshot copy: the store's own record can be concurrently updated (Spool
-// fills GzSize), and handing out the shared pointer would race readers
-// against that write.
+// copy the caller may keep or modify without touching the store's record.
 func (s *Store) Lookup(key Key) (*Meta, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1840,8 +1829,8 @@ func (s *Store) Lookup(key Key) (*Meta, bool) {
 	return &cp, true
 }
 
-// Metas returns snapshot copies of all committed checkpoints' metadata in
-// commit order (see Lookup for why copies).
+// Metas returns copies of all committed checkpoints' metadata in commit
+// order.
 func (s *Store) Metas() []*Meta {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1875,112 +1864,6 @@ func (s *Store) ExecsFor(loopID string) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// Spool compresses the run's durable artifacts to .gz siblings (the
-// simulated S3 spooling of paper §6; checkpoints were "compressed by a
-// background process, before being spooled to an S3 bucket"): every
-// committed segment, plus the chunk packs, since segment files hold only
-// directories. Spooling is incremental: segments already spooled are skipped, and a shard pack is recompressed only when it grew
-// since the last spool, so on a periodic spool cadence a sharded store
-// touches only the shards new checkpoints dirtied instead of one
-// ever-growing pack. Shards spool concurrently. Spool returns the total
-// compressed size of the run's current spool artifacts and updates
-// per-checkpoint GzSize metadata.
-func (s *Store) Spool() (int64, error) {
-	if s.readOnly {
-		return 0, ErrReadOnly
-	}
-	s.spoolMu.Lock()
-	defer s.spoolMu.Unlock()
-	p0 := time.Now()
-	var total int64
-	for _, m := range s.Metas() {
-		gzPath := s.segmentPath(m.Seq) + ".gz"
-		// Segments are immutable once committed, so an intact spool artifact
-		// is always current — including across restarts, where the
-		// manifest-committed GzSize is still 0 and only the artifact itself
-		// records that the segment was spooled. "Intact" is verified via the
-		// gzip ISIZE trailer (this build writes artifacts atomically, but
-		// older builds could leave torn ones behind a crash).
-		if st, err := os.Stat(gzPath); err == nil {
-			if seg, serr := os.Stat(s.segmentPath(m.Seq)); serr == nil && gzTrailerMatches(gzPath, seg.Size()) {
-				s.mu.Lock()
-				if live, ok := s.index[m.Key]; ok && live.Seq == m.Seq && live.GzSize == 0 {
-					live.GzSize = st.Size()
-				}
-				s.mu.Unlock()
-				total += st.Size()
-				continue
-			}
-		}
-		raw, err := os.ReadFile(s.segmentPath(m.Seq))
-		if err != nil {
-			return 0, fmt.Errorf("store: spool read: %w", err)
-		}
-		gz, err := codec.Compress(raw)
-		if err != nil {
-			return 0, fmt.Errorf("store: spool compress: %w", err)
-		}
-		// Atomic, because the skip check above treats existence as
-		// completeness: a torn artifact must never land under the final name.
-		if err := writeFileAtomic(gzPath, gz); err != nil {
-			return 0, fmt.Errorf("store: spool write: %w", err)
-		}
-		// Metas returned a snapshot; commit GzSize to the live record.
-		s.mu.Lock()
-		if live, ok := s.index[m.Key]; ok && live.Seq == m.Seq {
-			live.GzSize = int64(len(gz))
-		}
-		s.mu.Unlock()
-		total += int64(len(gz))
-	}
-	// Packs hold every distinct chunk of the run (or, for a shared pool, of
-	// the whole run family), so unlike segments they can be far larger than
-	// any one checkpoint; the pool streams each dirty shard through gzip,
-	// shards in parallel.
-	n, err := s.pool.spool()
-	if err != nil {
-		return 0, err
-	}
-	total += n
-	obs.C(obs.MStoreSpoolPasses).Inc()
-	obs.H(obs.MStoreSpoolSeconds).ObserveNs(time.Since(p0).Nanoseconds())
-	obs.G(obs.MStoreSpoolArtifactBytes).Set(total)
-	return total, nil
-}
-
-// gzTrailerMatches reports whether the gzip artifact's ISIZE trailer (last
-// four bytes: uncompressed length mod 2^32) matches the source's size — a
-// cheap completeness probe that rejects truncated artifacts without
-// decompressing anything.
-func gzTrailerMatches(gzPath string, rawSize int64) bool {
-	f, err := os.Open(gzPath)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil || st.Size() < 4 {
-		return false
-	}
-	var tr [4]byte
-	if _, err := f.ReadAt(tr[:], st.Size()-4); err != nil {
-		return false
-	}
-	return binary.LittleEndian.Uint32(tr[:]) == uint32(rawSize)
-}
-
-// countingWriter counts bytes forwarded to the underlying writer.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // TotalSize returns the uncompressed byte total of all committed
@@ -2128,7 +2011,7 @@ func (s *Store) sweepSegments() (int, error) {
 			if err := os.Remove(filepath.Join(s.dir, name)); err != nil {
 				return removed, fmt.Errorf("store: gc remove: %w", err)
 			}
-			os.Remove(filepath.Join(s.dir, name+".gz"))
+			os.Remove(filepath.Join(s.dir, name+".gz")) // an older build's gzip twin
 			removed++
 		}
 	}

@@ -234,32 +234,6 @@ func TestExecsForSorted(t *testing.T) {
 	}
 }
 
-func TestSpoolProducesCompressedSiblings(t *testing.T) {
-	s := openTemp(t)
-	payload := bytes.Repeat([]byte("weights "), 1000)
-	m, _ := s.Put(Key{LoopID: "train", Exec: 0}, payload, 0, 0, 0)
-	total, err := s.Spool()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total <= 0 || total >= int64(len(payload)) {
-		t.Fatalf("spooled size %d implausible for compressible payload %d", total, len(payload))
-	}
-	gzPath := filepath.Join(s.Dir(), fmt.Sprintf("ckpt-%08d.bin.gz", m.Seq))
-	if _, err := os.Stat(gzPath); err != nil {
-		t.Fatalf("spooled file missing: %v", err)
-	}
-	// In format v2 the total also covers the shared CHUNKS pack, so the
-	// per-checkpoint GzSize (directory only) is a strict component of it.
-	mm, _ := s.Lookup(Key{LoopID: "train", Exec: 0})
-	if mm.GzSize <= 0 || mm.GzSize > total {
-		t.Fatalf("GzSize %d implausible against spooled total %d", mm.GzSize, total)
-	}
-	if _, err := os.Stat(filepath.Join(s.Dir(), "CHUNKS.gz")); err != nil {
-		t.Fatalf("spooled pack missing: %v", err)
-	}
-}
-
 func TestTotalSize(t *testing.T) {
 	s := openTemp(t)
 	s.Put(Key{LoopID: "a", Exec: 0}, make([]byte, 100), 0, 0, 0)

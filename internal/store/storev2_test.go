@@ -508,9 +508,6 @@ func TestV1StoreReadableAndRefusesWrites(t *testing.T) {
 	if _, err := s.PutSections(Key{LoopID: "train", Exec: 6}, []Section{{Name: "w", Data: []byte("more")}}, 0, 0, 0); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("PutSections on a v1 store: %v, want ErrReadOnly", err)
 	}
-	if _, err := s.Spool(); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Spool on a v1 store: %v, want ErrReadOnly", err)
-	}
 	if _, err := s.GC(); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("GC on a v1 store: %v, want ErrReadOnly", err)
 	}

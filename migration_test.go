@@ -183,6 +183,79 @@ func TestV1RunServedAndNeverWritten(t *testing.T) {
 	}
 }
 
+// TestLegacyGzipTwinsAreInert opens what older builds' Store.Spool left in a
+// run directory: testdata/gztwins is counterFactory(6, 3) recorded and then,
+// by the last build that wrote gzip twins, spooled, given a throwaway
+// scratch@0 checkpoint overwritten twice around a compacting GC, and spooled
+// again. It holds a ".gz" twin of every segment and pack, the SPOOL state, a
+// superseded segment (seq 7) with its twin, a retired pack generation
+// (CHUNKS, its grace period long over) with its twin, and a MANIFEST whose
+// compaction rewrite wrote meta records with a non-zero gzSize. The run must
+// open writable and read-only and replay byte-identically to a fresh
+// recording of the program, and GC must take the twins of what it deletes.
+func TestLegacyGzipTwinsAreInert(t *testing.T) {
+	factory := counterFactory(6, 3)
+	probed := func() *flor.Program {
+		p := factory()
+		train := p.Main.Body[0].Loop
+		train.Body = flor.AddLog(train.Body, 1, flor.LogStmt("hs", func(e *flor.Env) (string, error) {
+			return fmt.Sprintf("%.17g", e.MustGet("w").(*flor.TensorVal).T.Norm()), nil
+		}))
+		return p
+	}
+	replay := func(dir string) []string {
+		t.Helper()
+		if base, err := flor.Replay(dir, factory, flor.Workers(2)); err != nil || len(base.Anomalies) != 0 {
+			t.Fatalf("replay %s: %v, %+v", dir, err, base)
+		}
+		hs, err := flor.Replay(dir, probed, flor.Workers(3), flor.Init(flor.WeakInit))
+		if err != nil || len(hs.Anomalies) != 0 {
+			t.Fatalf("probed replay %s: %v, %+v", dir, err, hs)
+		}
+		return hs.Logs
+	}
+	fresh := t.TempDir()
+	if _, err := flor.Record(fresh, factory, flor.DisableAdaptiveCheckpointing()); err != nil {
+		t.Fatal(err)
+	}
+	want := replay(fresh)
+
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "gztwins"))); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := store.OpenReadOnly(dir)
+	if err != nil {
+		t.Fatalf("read-only open: %v", err)
+	}
+	if n := len(ro.Metas()); n != 8 {
+		t.Fatalf("read-only open sees %d checkpoints, want 8", n)
+	}
+	if err := sameLogs(replay(dir), want); err != nil {
+		t.Fatalf("replay beside gzip twins differs from a fresh recording's: %v", err)
+	}
+
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatalf("writable open: %v", err)
+	}
+	res, err := st.GCWith(store.GCOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Segments != 1 || res.DeletedPacks != 1 {
+		t.Fatalf("gc = %+v, want the superseded segment swept and the retired pack deleted", res)
+	}
+	for _, name := range []string{"ckpt-00000007.bin", "ckpt-00000007.bin.gz", "CHUNKS", "CHUNKS.gz"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("gc left %s (stat: %v)", name, err)
+		}
+	}
+	if err := sameLogs(replay(dir), want); err != nil {
+		t.Fatalf("replay after gc differs from a fresh recording's: %v", err)
+	}
+}
+
 // compressibleFactory builds a program whose checkpoint payloads compress
 // well: a mostly-zero embedding table with a handful of entries touched per
 // step. Long zero runs give LZ4 real matches, so forced-LZ4 recordings
