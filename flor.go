@@ -42,7 +42,6 @@ import (
 
 	"flor.dev/flor/internal/adapt"
 	"flor.dev/flor/internal/backmat"
-	"flor.dev/flor/internal/ckptfmt"
 	"flor.dev/flor/internal/core"
 	"flor.dev/flor/internal/replay"
 	"flor.dev/flor/internal/runlog"
@@ -204,31 +203,6 @@ func ShardDirs(dirs ...string) Option {
 // matching option — the run's manifest records the attachment.
 func Pool(dir string) Option {
 	return func(o *options) { o.rec.Pool = dir }
-}
-
-// Chunk-frame encodings for WithFrameStyle (docs/FORMATS.md describes the
-// wire formats).
-const (
-	// FrameStyleAuto is the adaptive default: deflate when it shrinks the
-	// chunk, raw otherwise.
-	FrameStyleAuto = ckptfmt.StyleAuto
-	// FrameStyleDeflate compresses every chunk with DEFLATE — smallest
-	// packs, slowest decode.
-	FrameStyleDeflate = ckptfmt.StyleDeflate
-	// FrameStyleLZ4 compresses with an LZ4-style block format — packs
-	// slightly larger than deflate, decode several times faster. Chunks it
-	// cannot shrink fall back to raw frames.
-	FrameStyleLZ4 = ckptfmt.StyleLZ4
-)
-
-// WithFrameStyle forces the chunk-frame encoding for new v2 checkpoints
-// (default: adaptive). Restore-latency-sensitive runs pick FrameStyleLZ4;
-// storage-bound runs keep deflate. Replay needs no matching option — each
-// frame carries its style, and the run directory's FORMAT marker makes
-// builds without LZ4 support refuse the store cleanly rather than
-// misdecode it.
-func WithFrameStyle(s byte) Option {
-	return func(o *options) { o.rec.FrameStyle = s }
 }
 
 // Workers sets the degree of hindsight parallelism G for replay.

@@ -10,12 +10,13 @@
 //   - A checkpoint payload is split into frames: one section per environment
 //     entry, with large tensor payloads chunked further (codec.SplitChunks).
 //   - Each frame is independently encodable and decodable. It carries its
-//     own style byte (StyleRaw or StyleDeflate chosen by a size/entropy
-//     heuristic, or the opt-in StyleLZ4 block style whose decode runs near
-//     memcpy speed), its own CRC-32C over the encoded bytes, and a 128-bit
-//     content hash of the raw bytes.
-//   - Because frames are independent, encode and decode fan out across a
-//     worker pool (ParallelDo); results are bit-identical regardless of how
+//     own style byte, its own CRC-32C over the encoded bytes, and a 128-bit
+//     content hash of the raw bytes. Stores write StyleRaw only; StyleDeflate
+//     and StyleLZ4 frames, which older builds wrote, are read-compat: every
+//     decoder accepts them, and BuildStyle still encodes them for tests and
+//     codec measurements.
+//   - Because frames are independent, chunk hashing and frame decode fan out
+//     across a worker pool (ParallelDo); results are bit-identical regardless of how
 //     work is distributed over goroutines.
 //   - The content hash makes chunks addressable: the store keeps one copy of
 //     each distinct chunk per run, so checkpoints that repeat state across
@@ -42,28 +43,15 @@ import (
 
 // Frame styles: how raw chunk bytes are encoded on disk.
 const (
-	// StyleRaw stores chunk bytes verbatim.
+	// StyleRaw stores chunk bytes verbatim: the only style stores write.
 	StyleRaw byte = 0
 	// StyleDeflate stores chunk bytes DEFLATE-compressed (BestSpeed).
+	// Read-compat.
 	StyleDeflate byte = 1
-	// StyleLZ4 stores chunk bytes as a hand-rolled LZ4 block (lz4.go):
-	// match-copy decompression with no entropy stage, so decode runs near
-	// memcpy speed on the restore hot path. Stores that write LZ4 frames
-	// flag it in their FORMAT marker so older builds refuse cleanly.
+	// StyleLZ4 stores chunk bytes as a hand-rolled LZ4 block (lz4.go).
+	// Read-compat: stores holding LZ4 frames carry an "lz4" token in their
+	// FORMAT marker, so builds that predate the style refuse them cleanly.
 	StyleLZ4 byte = 2
-
-	// StyleAuto is not a wire style: passed to BuildStyle it selects the
-	// raw/deflate size-and-entropy heuristic (the default Build behaviour).
-	StyleAuto byte = 0xff
-)
-
-// Style-selection heuristic: chunks smaller than minDeflateSize never pay
-// for a deflate stream's overhead, and chunks whose sampled byte entropy
-// exceeds maxDeflateEntropy bits/byte (trained float tensors, already
-// compressed data) are stored raw rather than burning CPU for ~0 gain.
-const (
-	minDeflateSize    = 128
-	maxDeflateEntropy = 6.5
 )
 
 // Hash is a 128-bit content hash; chunks are deduplicated by it.
@@ -149,35 +137,29 @@ type Frame struct {
 	Style  byte
 	RawLen int    // decoded length
 	Hash   Hash   // content hash of the raw bytes
-	Enc    []byte // encoded bytes (verbatim or deflate, per Style)
+	Enc    []byte // encoded bytes: verbatim, deflate or LZ4, per Style
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Build encodes one raw chunk into a frame, choosing the style by the
-// size/entropy heuristic and keeping the raw encoding whenever deflate fails
-// to actually shrink the chunk.
-func Build(raw []byte) Frame { return BuildStyle(raw, StyleAuto) }
+// BuildHashed is the frame a store writes: the raw frame over a chunk whose
+// content hash the caller already holds — the store's put hashes every chunk
+// to probe the dedup index and hands the hash of each fresh one here, so a
+// chunk's bytes are hashed once. h must be HashChunk(raw); it is trusted, not
+// recomputed. The frame's Enc aliases raw.
+func BuildHashed(raw []byte, h Hash) Frame {
+	return Frame{Style: StyleRaw, RawLen: len(raw), Hash: h, Enc: raw}
+}
 
-// BuildStyle encodes one raw chunk with an explicit style preference,
-// hashing it first; see BuildHashed, which it wraps, for the style rules.
-func BuildStyle(raw []byte, style byte) Frame { return BuildHashed(raw, HashChunk(raw), style) }
-
-// BuildHashed is BuildStyle for a caller that already holds the chunk's
-// content hash — the store's put hashes every chunk to probe the dedup index
-// and hands the hash of each fresh one here, so a chunk's bytes are hashed
-// once. h must be HashChunk(raw); it is trusted, not recomputed.
-//
-// StyleAuto applies the raw/deflate heuristic; an explicit StyleDeflate or
-// StyleLZ4 skips the entropy gate but still falls back to StyleRaw whenever
-// the compressed encoding fails to shrink the chunk, so a style preference
-// can never make a frame larger than the verbatim one. A raw-style frame's
-// Enc aliases raw.
-func BuildHashed(raw []byte, h Hash, style byte) Frame {
-	f := Frame{Style: StyleRaw, RawLen: len(raw), Hash: h, Enc: raw}
+// BuildStyle encodes one raw chunk in an explicit style, hashing it first.
+// Stores write only raw frames; the deflate and LZ4 encoders exist to
+// produce the read-compat frames older builds wrote, for tests and codec
+// measurements. A compressing style falls back to StyleRaw whenever its
+// encoding fails to shrink the chunk, so a frame is never larger than the
+// verbatim one.
+func BuildStyle(raw []byte, style byte) Frame {
+	f := BuildHashed(raw, HashChunk(raw))
 	switch style {
-	case StyleRaw:
-		return f
 	case StyleLZ4:
 		if len(raw) < lz4MFLimit+1 {
 			return f
@@ -187,43 +169,23 @@ func BuildHashed(raw []byte, h Hash, style byte) Frame {
 			f.Style = StyleLZ4
 			f.Enc = enc
 		}
-		return f
 	case StyleDeflate:
-		return buildDeflate(f, raw)
-	default: // StyleAuto
-		if len(raw) < minDeflateSize || codec.SampleEntropy(raw) > maxDeflateEntropy {
-			return f
+		// NewWriter fails only on a bad level, and the writer only when its
+		// destination does, which a bytes.Buffer never does.
+		var buf bytes.Buffer
+		zw, _ := flate.NewWriter(&buf, flate.BestSpeed)
+		zw.Write(raw)
+		zw.Close()
+		if buf.Len() < len(raw) {
+			f.Style = StyleDeflate
+			f.Enc = buf.Bytes()
 		}
-		return buildDeflate(f, raw)
-	}
-}
-
-// buildDeflate attempts the deflate encoding, keeping raw on any failure or
-// non-shrinking result.
-func buildDeflate(f Frame, raw []byte) Frame {
-	var buf bytes.Buffer
-	zw, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return f
-	}
-	if _, err := zw.Write(raw); err != nil {
-		return f
-	}
-	if err := zw.Close(); err != nil {
-		return f
-	}
-	if buf.Len() < len(raw) {
-		f.Style = StyleDeflate
-		f.Enc = buf.Bytes()
 	}
 	return f
 }
 
-// EncodeChunks builds a frame per raw chunk, in parallel across the worker
-// pool. Output order matches input order.
-func EncodeChunks(chunks [][]byte) []Frame { return EncodeChunksStyle(chunks, StyleAuto) }
-
-// EncodeChunksStyle is EncodeChunks with an explicit style preference.
+// EncodeChunksStyle builds a frame per raw chunk in an explicit style, in
+// parallel across the worker pool. Output order matches input order.
 func EncodeChunksStyle(chunks [][]byte, style byte) []Frame {
 	frames := make([]Frame, len(chunks))
 	ParallelDo(len(chunks), func(i int) {

@@ -27,9 +27,9 @@ func randomBytes(n int, seed uint64) []byte {
 
 func TestFrameRoundTripRaw(t *testing.T) {
 	raw := randomBytes(4096, 7)
-	f := Build(raw)
+	f := BuildStyle(raw, StyleRaw)
 	if f.Style != StyleRaw {
-		t.Fatalf("high-entropy chunk got style %d, want raw", f.Style)
+		t.Fatalf("raw chunk got style %d, want raw", f.Style)
 	}
 	wire := f.Marshal()
 	g, consumed, err := Parse(wire)
@@ -50,7 +50,7 @@ func TestFrameRoundTripRaw(t *testing.T) {
 
 func TestFrameRoundTripDeflate(t *testing.T) {
 	raw := bytes.Repeat([]byte("frozen layer weights "), 1000)
-	f := Build(raw)
+	f := BuildStyle(raw, StyleDeflate)
 	if f.Style != StyleDeflate {
 		t.Fatalf("compressible chunk got style %d, want deflate", f.Style)
 	}
@@ -70,23 +70,28 @@ func TestFrameRoundTripDeflate(t *testing.T) {
 	}
 }
 
+// TestTinyChunksStayRaw: a compressing style cannot shrink a tiny chunk, so
+// its encoder falls back to the verbatim frame.
 func TestTinyChunksStayRaw(t *testing.T) {
-	f := Build([]byte("short"))
-	if f.Style != StyleRaw {
-		t.Fatalf("tiny chunk got style %d, want raw", f.Style)
+	for _, style := range []byte{StyleDeflate, StyleLZ4} {
+		if f := BuildStyle([]byte("short"), style); f.Style != StyleRaw {
+			t.Fatalf("style %d: tiny chunk got style %d, want raw", style, f.Style)
+		}
 	}
 }
 
 func TestZeroFilledTensorCompresses(t *testing.T) {
-	// A freshly initialized tensor is all zero bytes — the best case for the
-	// entropy heuristic.
+	// A freshly initialized tensor is all zero bytes — the best case for
+	// either compressing encoder.
 	raw := make([]byte, 64<<10)
-	f := Build(raw)
-	if f.Style != StyleDeflate {
-		t.Fatalf("zero chunk got style %d, want deflate", f.Style)
-	}
-	if len(f.Enc) > len(raw)/100 {
-		t.Fatalf("zero chunk barely compressed: %d bytes", len(f.Enc))
+	for _, style := range []byte{StyleDeflate, StyleLZ4} {
+		f := BuildStyle(raw, style)
+		if f.Style != style {
+			t.Fatalf("zero chunk got style %d, want %d", f.Style, style)
+		}
+		if len(f.Enc) > len(raw)/100 {
+			t.Fatalf("style %d: zero chunk barely compressed: %d bytes", style, len(f.Enc))
+		}
 	}
 }
 
@@ -94,11 +99,10 @@ func TestZeroFilledTensorCompresses(t *testing.T) {
 // in a frame — header, hash, body, or CRC — must surface codec.ErrCorrupt
 // from Parse or Decode, never garbage data.
 func TestEveryFlippedByteDetected(t *testing.T) {
-	for _, raw := range [][]byte{
-		randomBytes(512, 3),                  // raw style
-		bytes.Repeat([]byte("weights"), 200), // deflate style
+	for _, f := range []Frame{
+		BuildStyle(randomBytes(512, 3), StyleRaw),
+		BuildStyle(bytes.Repeat([]byte("weights"), 200), StyleDeflate),
 	} {
-		f := Build(raw)
 		wire := f.Marshal()
 		for i := range wire {
 			mut := bytes.Clone(wire)
@@ -118,7 +122,7 @@ func TestEveryFlippedByteDetected(t *testing.T) {
 }
 
 func TestTruncatedFrameDetected(t *testing.T) {
-	f := Build(randomBytes(256, 9))
+	f := BuildStyle(randomBytes(256, 9), StyleRaw)
 	wire := f.Marshal()
 	for cut := 0; cut < len(wire); cut++ {
 		if _, _, err := Parse(wire[:cut]); !errors.Is(err, codec.ErrCorrupt) {
@@ -146,10 +150,10 @@ func TestEncodeChunksMatchesSerialBuild(t *testing.T) {
 	for i := range chunks {
 		chunks[i] = randomBytes(1000+i*13, uint64(i)+1)
 	}
-	parallel := EncodeChunks(chunks)
+	parallel := EncodeChunksStyle(chunks, StyleDeflate)
 	old := Workers
 	Workers = 1
-	serial := EncodeChunks(chunks)
+	serial := EncodeChunksStyle(chunks, StyleDeflate)
 	Workers = old
 	for i := range chunks {
 		if !bytes.Equal(parallel[i].Marshal(), serial[i].Marshal()) {
@@ -168,7 +172,7 @@ func TestEncodeChunksMatchesSerialBuild(t *testing.T) {
 }
 
 func TestDecodeAllSurfacesCorruption(t *testing.T) {
-	frames := EncodeChunks([][]byte{randomBytes(300, 2), randomBytes(300, 3)})
+	frames := EncodeChunksStyle([][]byte{randomBytes(300, 2), randomBytes(300, 3)}, StyleRaw)
 	frames[1].Enc = bytes.Clone(frames[1].Enc)
 	frames[1].Enc[10] ^= 0xff
 	if _, err := DecodeAll(frames); !errors.Is(err, codec.ErrCorrupt) {
@@ -222,13 +226,17 @@ func TestDirectoryRejectsGarbage(t *testing.T) {
 
 func TestQuickFrameRoundTrip(t *testing.T) {
 	f := func(raw []byte) bool {
-		fr := Build(raw)
-		parsed, consumed, err := Parse(fr.Marshal())
-		if err != nil || consumed != len(fr.Marshal()) {
-			return false
+		for _, style := range []byte{StyleRaw, StyleDeflate, StyleLZ4} {
+			fr := BuildStyle(raw, style)
+			parsed, consumed, err := Parse(fr.Marshal())
+			if err != nil || consumed != len(fr.Marshal()) {
+				return false
+			}
+			if got, err := parsed.Decode(); err != nil || !bytes.Equal(got, raw) {
+				return false
+			}
 		}
-		got, err := parsed.Decode()
-		return err == nil && bytes.Equal(got, raw)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -244,25 +252,6 @@ func TestParallelDoCoversAllIndices(t *testing.T) {
 				t.Fatalf("n=%d: index %d hit %d times", n, i, h)
 			}
 		}
-	}
-}
-
-func TestSampleEntropyBounds(t *testing.T) {
-	if h := codec.SampleEntropy(randomBytes(64<<10, 5)); h < 7.5 {
-		t.Fatalf("random data entropy %f, want near 8", h)
-	}
-	if h := codec.SampleEntropy(make([]byte, 1024)); h != 0 {
-		t.Fatalf("zero data entropy %f, want 0", h)
-	}
-	if h := codec.SampleEntropy(nil); h != 0 {
-		t.Fatalf("empty entropy %f", h)
-	}
-	uniform := make([]byte, 256)
-	for i := range uniform {
-		uniform[i] = byte(i)
-	}
-	if h := codec.SampleEntropy(uniform); math.Abs(h-8) > 1e-9 {
-		t.Fatalf("uniform entropy %f, want exactly 8", h)
 	}
 }
 
@@ -307,7 +296,7 @@ func TestParseDecodeIntoAllStyles(t *testing.T) {
 func TestWireLenIsWhatAppendWrites(t *testing.T) {
 	for _, n := range []int{0, 1, 127, 128, 129, 16383, 16384, 16385, DefaultChunkSize, 1<<21 - 1, 1 << 21} {
 		for _, raw := range [][]byte{randomBytes(n, uint64(n)+1), make([]byte, n)} {
-			for _, style := range []byte{StyleAuto, StyleRaw, StyleDeflate, StyleLZ4} {
+			for _, style := range []byte{StyleRaw, StyleDeflate, StyleLZ4} {
 				f := BuildStyle(raw, style)
 				if got := len(f.Marshal()); got != f.WireLen() {
 					t.Fatalf("%d raw bytes, style %d: WireLen = %d, Marshal wrote %d", n, f.Style, f.WireLen(), got)
@@ -323,20 +312,21 @@ func TestWireLenIsWhatAppendWrites(t *testing.T) {
 
 // TestBuildHashedDoesNotRehash: the store hashes a chunk once, to probe its
 // dedup index, and frame building must take that hash as given — a frame
-// built from a hash is the frame BuildStyle builds, and the hash it carries is
-// the one it was handed, not a second pass over the bytes.
+// built from a hash is the raw frame BuildStyle builds, its bytes are the
+// chunk's own, and the hash it carries is the one it was handed, not a second
+// pass over the bytes.
 func TestBuildHashedDoesNotRehash(t *testing.T) {
-	raw := randomBytes(4096, 33)
-	for _, style := range []byte{StyleAuto, StyleRaw, StyleDeflate, StyleLZ4} {
-		want := BuildStyle(raw, style)
-		got := BuildHashed(raw, HashChunk(raw), style)
-		if !bytes.Equal(got.Marshal(), want.Marshal()) {
-			t.Fatalf("style %d: BuildHashed and BuildStyle disagree", style)
-		}
-		marker := Hash{0xAB, 0xCD}
-		if f := BuildHashed(raw, marker, style); f.Hash != marker {
-			t.Fatalf("style %d: frame carries %s, not the hash it was handed", style, f.Hash)
-		}
+	raw := bytes.Repeat([]byte("layer.0.weight"), 300) // compressible: raw by choice, not by fallback
+	got := BuildHashed(raw, HashChunk(raw))
+	if want := BuildStyle(raw, StyleRaw); !bytes.Equal(got.Marshal(), want.Marshal()) {
+		t.Fatal("BuildHashed and BuildStyle(StyleRaw) disagree")
+	}
+	if got.Style != StyleRaw || &got.Enc[0] != &raw[0] {
+		t.Fatalf("BuildHashed built style %d (aliasing the chunk: %v), want the raw frame over the chunk", got.Style, &got.Enc[0] == &raw[0])
+	}
+	marker := Hash{0xAB, 0xCD}
+	if f := BuildHashed(raw, marker); f.Hash != marker {
+		t.Fatalf("frame carries %s, not the hash it was handed", f.Hash)
 	}
 }
 

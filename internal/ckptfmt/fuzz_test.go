@@ -8,17 +8,20 @@ import (
 	"flor.dev/flor/internal/codec"
 )
 
-// fuzzSeeds returns valid encoded frames spanning both styles and several
+// fuzzSeeds returns valid encoded frames spanning every style and several
 // payload shapes, so the fuzzer starts from the structured format rather
-// than random noise.
+// than random noise. Stores write only raw frames, but the decoders still
+// read deflate and LZ4 ones, so each payload is seeded in all three styles
+// (a compressing style that cannot shrink a payload falls back to raw).
 func fuzzSeeds() [][]byte {
 	var seeds [][]byte
 	payloads := [][]byte{
 		{},
 		[]byte("x"),
 		[]byte("hello hindsight logging"),
-		bytes.Repeat([]byte{0}, 4096), // compressible → deflate style
+		bytes.Repeat([]byte{0}, 4096), // compressible
 		bytes.Repeat([]byte{0xA5, 0x5A, 0x13, 7}, 1024), // patterned
+		bytes.Repeat([]byte("ab"), 2048),                // overlapping LZ4 matches (RLE mode)
 	}
 	// A high-entropy payload that stays raw.
 	noisy := make([]byte, 1024)
@@ -29,20 +32,11 @@ func fuzzSeeds() [][]byte {
 	}
 	payloads = append(payloads, noisy)
 	for _, p := range payloads {
-		f := Build(p)
-		seeds = append(seeds, f.Marshal())
-		// Build never picks LZ4 on its own (the default heuristic keeps
-		// raw/deflate), so seed explicit LZ4 frames too — the fuzzer must
-		// exercise the match-copy decoder, not just the flate one.
-		if g := BuildStyle(p, StyleLZ4); g.Style == StyleLZ4 {
-			seeds = append(seeds, g.Marshal())
+		for _, style := range []byte{StyleRaw, StyleDeflate, StyleLZ4} {
+			if f := BuildStyle(p, style); f.Style == style {
+				seeds = append(seeds, f.Marshal())
+			}
 		}
-	}
-	// A hand-built LZ4 frame with overlapping matches (RLE mode), which the
-	// heuristic fallback path would otherwise rarely hit.
-	rle := bytes.Repeat([]byte("ab"), 2048)
-	if g := BuildStyle(rle, StyleLZ4); g.Style == StyleLZ4 {
-		seeds = append(seeds, g.Marshal())
 	}
 	return seeds
 }
@@ -80,9 +74,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		if HashChunk(raw) != frame.Hash {
 			t.Fatal("decoded bytes do not match the frame's content hash")
 		}
-		// A clean frame round-trips: rebuilding from the decoded bytes and
-		// decoding again yields the same payload.
-		again := Build(raw)
+		// A clean frame round-trips: rebuilding from the decoded bytes in
+		// the frame's own style and decoding again yields the same payload.
+		again := BuildStyle(raw, frame.Style)
 		raw2, err := again.Decode()
 		if err != nil || !bytes.Equal(raw, raw2) {
 			t.Fatalf("round-trip mismatch: %v", err)

@@ -14,13 +14,13 @@ import (
 // 2-byte little-endian match offset, and the match-length extension. The
 // final sequence carries literals only. Unlike DEFLATE there is no entropy
 // stage: compression is a single hash-table pass and decompression is pure
-// byte copying, which is what makes the style usable on the restore hot path
-// — decode runs near memcpy speed while still collapsing repeated runs
-// (zero-initialized optimizer state, embedding padding, repeated headers).
+// byte copying. Stores no longer write the style; the decoder reads the LZ4
+// frames older builds wrote, and the encoder produces such frames for tests
+// and codec measurements.
 //
 // The encoder is deterministic: one fixed hash table, greedy matching, no
 // randomized or time-dependent choices — the same raw bytes always produce
-// the same frame bytes, which the content-addressed store relies on.
+// the same frame bytes.
 const (
 	lz4MinMatch = 4
 	lz4HashLog  = 14

@@ -567,35 +567,3 @@ func SplitChunks(b []byte, chunkSize int) [][]byte {
 	}
 	return append(out, b)
 }
-
-// entropySampleLimit bounds how many bytes SampleEntropy inspects; a 64 KiB
-// prefix is representative enough to classify a chunk as compressible.
-const entropySampleLimit = 64 << 10
-
-// SampleEntropy estimates the Shannon entropy of b in bits per byte from a
-// bounded prefix sample. Already-compressed or high-precision numeric data
-// scores near 8.0; zero-filled or textual data scores far lower. Format v2's
-// style heuristic uses this to skip deflate where it cannot pay for itself.
-func SampleEntropy(b []byte) float64 {
-	if len(b) == 0 {
-		return 0
-	}
-	sample := b
-	if len(sample) > entropySampleLimit {
-		sample = sample[:entropySampleLimit]
-	}
-	var hist [256]int
-	for _, c := range sample {
-		hist[c]++
-	}
-	n := float64(len(sample))
-	h := 0.0
-	for _, c := range hist {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / n
-		h -= p * math.Log2(p)
-	}
-	return h
-}

@@ -54,11 +54,6 @@ type RecordOptions struct {
 	// families sharing a frozen backbone store it once. Replay needs no
 	// matching option: the run's manifest records the attachment.
 	Pool string
-	// FrameStyle forces the chunk-frame encoding for new v2 checkpoints
-	// (ckptfmt.StyleDeflate, ckptfmt.StyleLZ4, or ckptfmt.StyleAuto to make
-	// the adaptive choice explicit); 0 keeps the adaptive default. See
-	// store.Options.FrameStyle.
-	FrameStyle byte
 }
 
 // RecordResult is the outcome of a record run.
@@ -85,7 +80,6 @@ func Record(dir string, factory func() *script.Program, opts RecordOptions) (*Re
 		ShardFanout: opts.ShardFanout,
 		ShardDirs:   opts.ShardDirs,
 		Pool:        opts.Pool,
-		FrameStyle:  opts.FrameStyle,
 	})
 	if err != nil {
 		return nil, err

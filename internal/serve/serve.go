@@ -1214,16 +1214,13 @@ type ChunkPoolStats struct {
 	Runs []string `json:"runs"` // registered run IDs attached to the pool
 	// Open reports whether the pool is resident (some run opened it);
 	// storage figures below are only populated then.
-	Open           bool  `json:"open"`
-	Leases         int   `json:"leases,omitempty"`
-	Chunks         int64 `json:"chunks,omitempty"`
+	Open   bool  `json:"open"`
+	Leases int   `json:"leases,omitempty"`
+	Chunks int64 `json:"chunks,omitempty"`
+	// StoredRawBytes is the pool's distinct chunk bytes: cross-run dedup
+	// shows up as it staying near one family member's footprint.
 	StoredRawBytes int64 `json:"stored_raw_bytes,omitempty"`
 	StoredEncBytes int64 `json:"stored_enc_bytes,omitempty"`
-	// CompressionRatio is raw chunk bytes per encoded pack byte — the
-	// pool's frame-style encoding win, deliberately not named dedup_ratio:
-	// cross-run dedup shows up as StoredRawBytes staying near one family
-	// member's footprint, and the per-run dedup figures live elsewhere.
-	CompressionRatio float64 `json:"compression_ratio,omitempty"`
 }
 
 // Stats is the daemon-wide accounting snapshot served at /v1/stats.
@@ -1319,9 +1316,6 @@ func (s *Server) Stats() Stats {
 			ps.Chunks = live.Chunks
 			ps.StoredRawBytes = live.StoredRawBytes
 			ps.StoredEncBytes = live.StoredEncBytes
-			if live.StoredEncBytes > 0 {
-				ps.CompressionRatio = float64(live.StoredRawBytes) / float64(live.StoredEncBytes)
-			}
 		}
 		out.ChunkPools[root] = ps
 	}

@@ -1,6 +1,7 @@
 package skipblock
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -95,11 +96,11 @@ func directProgram(spec []tensorSpec, epochs int, seed uint64) *script.Program {
 	}
 }
 
-// recordIn records p into a fresh store at dir written in the given frame
-// style, a checkpoint every epoch, and returns the record log.
-func recordIn(t *testing.T, dir string, p *script.Program, style byte) []string {
+// recordIn records p into a fresh store at dir, a checkpoint every epoch,
+// and returns the record log.
+func recordIn(t *testing.T, dir string, p *script.Program) []string {
 	t.Helper()
-	st, err := store.OpenWith(dir, store.Options{FrameStyle: style})
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +202,9 @@ func generalPath(t *testing.T, st *store.Store, spec []tensorSpec, epochs int) [
 const chunk = ckptfmt.DefaultChunkSize
 
 // directCase is one input of the direct-load property: the recorded model's
-// parameters, the frame style it is recorded in, and what the generator
-// aimed for.
+// parameters and what the generator aimed for.
 type directCase struct {
 	Kind    string
-	Style   byte
 	Tensors []tensorSpec
 	Seed    uint64
 }
@@ -217,12 +216,9 @@ type directCase struct {
 // parameter's name and shape — or runs across it; "iov" is 1200–1400 tiny
 // parameters with a 64 KiB one every 100, so that a run of two chunks holds
 // more pieces than one vectored read takes, then 1200–1500 with one every
-// 600, so that one chunk does. Compressing
-// styles draw most parameters on four levels, so frames of one section mix
-// styles.
-func genCase(kind string, style byte, r *rand.Rand) directCase {
-	c := directCase{Kind: kind, Style: style, Seed: r.Uint64()}
-	quant := func() bool { return style != 0 && r.Intn(4) > 0 }
+// 600, so that one chunk does.
+func genCase(kind string, r *rand.Rand) directCase {
+	c := directCase{Kind: kind, Seed: r.Uint64()}
 	names := map[string]bool{}
 	name := func() string {
 		for {
@@ -244,7 +240,7 @@ func genCase(kind string, style byte, r *rand.Rand) directCase {
 					shape[j] = 0
 				}
 			}
-			c.Tensors = append(c.Tensors, tensorSpec{Name: name(), Shape: shape, Quant: quant()})
+			c.Tensors = append(c.Tensors, tensorSpec{Name: name(), Shape: shape})
 		}
 	}
 	switch kind {
@@ -263,8 +259,8 @@ func genCase(kind string, style byte, r *rand.Rand) directCase {
 			k += 1 + r.Intn(1000)
 		}
 		c.Tensors = append(c.Tensors,
-			tensorSpec{Name: "0", Shape: []int{k}, Quant: quant()},
-			tensorSpec{Name: "1" + strings.Repeat("x", 12), Shape: []int{3, 2}, Quant: quant()})
+			tensorSpec{Name: "0", Shape: []int{k}},
+			tensorSpec{Name: "1" + strings.Repeat("x", 12), Shape: []int{3, 2}})
 	case "iov":
 		first := 1200 + r.Intn(200)
 		for i, n := 0, first+1200+r.Intn(300); i < n; i++ {
@@ -275,7 +271,7 @@ func genCase(kind string, style byte, r *rand.Rand) directCase {
 			if i%every == every-1 {
 				shape = []int{8 << 10}
 			}
-			c.Tensors = append(c.Tensors, tensorSpec{Name: fmt.Sprintf("t%05d", i), Shape: shape, Quant: quant()})
+			c.Tensors = append(c.Tensors, tensorSpec{Name: fmt.Sprintf("t%05d", i), Shape: shape})
 		}
 	}
 	r.Shuffle(len(c.Tensors), func(i, j int) { c.Tensors[i], c.Tensors[j] = c.Tensors[j], c.Tensors[i] })
@@ -332,32 +328,64 @@ func chunkPieces(m paramList) []int {
 	return counts
 }
 
+// checkDirectLoad checks one recording of p in dir, a checkpoint per epoch,
+// whose record logged recorded: the general path restores the recorded
+// state, and a replay that loads each epoch's
+// checkpoint straight into the live model logs it too, on every read
+// strategy (vectored, staged through a wrapped backend, extents with and
+// without a cache tier). Then a single flipped byte of the pack, picked by
+// seed, fails every strategy with codec.ErrCorrupt: never a panic, never a
+// success.
+func checkDirectLoad(t *testing.T, what, dir string, p *script.Program, spec []tensorSpec, recorded []string, seed uint64) bool {
+	t.Helper()
+	paths := readPaths(t, dir)
+	if general := generalPath(t, paths["vectored"], spec, len(recorded)); !slices.Equal(general, recorded) {
+		t.Errorf("%s: the general path restores %v, the record logged %v", what, general, recorded)
+		return false
+	}
+	for name, st := range paths {
+		if logs, err := replayOver(st, p); err != nil || !slices.Equal(logs, recorded) {
+			t.Errorf("%s, %s: replay logged %v (err %v), the record %v", what, name, logs, err, recorded)
+			return false
+		}
+	}
+
+	pack := filepath.Join(dir, "CHUNKS")
+	raw, err := os.ReadFile(pack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := int(seed % uint64(len(raw)))
+	raw[at] ^= 1 << (seed % 8)
+	if err := os.WriteFile(pack, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range readPaths(t, dir) {
+		if logs, err := replayOver(st, p); !errors.Is(err, codec.ErrCorrupt) {
+			t.Errorf("%s, %s: byte %d of %d flipped: logged %d lines, err %v; want codec.ErrCorrupt", what, name, at, len(raw), len(logs), err)
+			return false
+		}
+	}
+	return true
+}
+
 // TestQuickDirectLoadMatchesGeneralPath is the property of the direct load
-// path: whatever the model — random shapes with zero-length tensors, chunk
-// boundaries inside structure bytes or inside float blocks, more tensors in
-// one chunk than one vectored read takes — whatever the frame style (raw,
-// lz4, deflate, mixed within a section) and whatever the read strategy
-// (vectored, staged through a wrapped backend, extents with and without a
-// cache tier), a replay that loads each epoch's checkpoint straight into the
-// live model logs the state the record logged, which is byte for byte what
-// the general path (section buffer, decode, Restore) restores. Then a single
-// flipped byte in any frame of the pack fails every strategy with
-// codec.ErrCorrupt: never a panic, never a success.
+// path (checkDirectLoad) on the raw frames a store writes, whatever the
+// model: random shapes with zero-length tensors, chunk boundaries inside
+// structure bytes or inside float blocks, more tensors in one chunk than one
+// vectored read takes.
 func TestQuickDirectLoadMatchesGeneralPath(t *testing.T) {
 	const epochs = 2
-	styles := []byte{0, ckptfmt.StyleLZ4, ckptfmt.StyleDeflate}
 	for _, kind := range []string{"random", "structure boundary", "float boundary", "iov"} {
-		n := 0
 		cfg := &quick.Config{
-			MaxCount: len(styles),
+			MaxCount: 3,
 			Rand:     rand.New(rand.NewSource(int64(len(kind)))),
 			Values: func(args []reflect.Value, r *rand.Rand) {
-				args[0] = reflect.ValueOf(genCase(kind, styles[n%len(styles)], r))
-				n++
+				args[0] = reflect.ValueOf(genCase(kind, r))
 			},
 		}
 		prop := func(c directCase) bool {
-			what := fmt.Sprintf("%s, style %d, %d tensors", c.Kind, c.Style, len(c.Tensors))
+			what := fmt.Sprintf("%s, %d tensors", c.Kind, len(c.Tensors))
 			if s, f := boundaryPieces(buildModel(c.Tensors)); (c.Kind == "structure boundary" && !s) || (c.Kind == "float boundary" && !f) {
 				t.Errorf("%s: the generator missed its boundary (in structure %v, in floats %v)", what, s, f)
 				return false
@@ -378,40 +406,67 @@ func TestQuickDirectLoadMatchesGeneralPath(t *testing.T) {
 			}
 			dir := t.TempDir()
 			p := directProgram(c.Tensors, epochs, c.Seed)
-			recorded := recordIn(t, dir, p, c.Style)
-			paths := readPaths(t, dir)
-			if general := generalPath(t, paths["vectored"], c.Tensors, epochs); !slices.Equal(general, recorded) {
-				t.Errorf("%s: the general path restores %v, the record logged %v", what, general, recorded)
-				return false
-			}
-			for name, st := range paths {
-				if logs, err := replayOver(st, p); err != nil || !slices.Equal(logs, recorded) {
-					t.Errorf("%s, %s: replay logged %v (err %v), the record %v", what, name, logs, err, recorded)
-					return false
-				}
-			}
-
-			pack := filepath.Join(dir, "CHUNKS")
-			raw, err := os.ReadFile(pack)
-			if err != nil {
-				t.Fatal(err)
-			}
-			at := int(c.Seed % uint64(len(raw)))
-			raw[at] ^= 1 << (c.Seed % 8)
-			if err := os.WriteFile(pack, raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			for name, st := range readPaths(t, dir) {
-				if logs, err := replayOver(st, p); !errors.Is(err, codec.ErrCorrupt) {
-					t.Errorf("%s, %s: byte %d of %d flipped: logged %d lines, err %v; want codec.ErrCorrupt", what, name, at, len(raw), len(logs), err)
-					return false
-				}
-			}
-			return true
+			return checkDirectLoad(t, what, dir, p, c.Tensors, recordIn(t, dir, p), c.Seed)
 		}
 		if err := quick.Check(prop, cfg); err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
+	}
+}
+
+// TestDirectLoadReadsCompressedFixtures runs checkDirectLoad over the
+// read-compat frame styles. Stores write raw frames only, so the deflate and
+// LZ4 recordings are committed: testdata/direct/{deflate,lz4}/<kind> were
+// recorded by the last build that wrote those styles, forced to the style,
+// from the "random", "structure boundary" and "float boundary" cases the
+// property's generator drew for them (its second and third draw of each
+// kind), with every tensor quantized to four levels so the frames compress.
+// testdata/direct/cases.json holds each case and the log its record wrote.
+// No compressed "iov" case: a compressed frame is always staged whole, so it
+// never reaches the vector limit.
+func TestDirectLoadReadsCompressedFixtures(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "direct", "cases.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []struct {
+		Style, Kind string
+		Tensors     []tensorSpec
+		Seed        uint64
+		Logs        []string
+	}
+	if err := json.Unmarshal(raw, &cases); err != nil {
+		t.Fatal(err)
+	}
+	styles := map[string]byte{"deflate": ckptfmt.StyleDeflate, "lz4": ckptfmt.StyleLZ4}
+	if len(cases) != 6 {
+		t.Fatalf("cases.json holds %d cases, want 3 kinds in 2 styles", len(cases))
+	}
+	for _, c := range cases {
+		what := fmt.Sprintf("%s, %s, %d tensors", c.Kind, c.Style, len(c.Tensors))
+		dir := t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "direct", c.Style, strings.ReplaceAll(c.Kind, " ", "-")))); err != nil {
+			t.Fatal(err)
+		}
+		pack, err := os.ReadFile(filepath.Join(dir, "CHUNKS"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		compressed := 0
+		for off := 0; off < len(pack); {
+			f, n, err := ckptfmt.Parse(pack[off:])
+			if err != nil {
+				t.Fatalf("%s: frame at %d: %v", what, off, err)
+			}
+			if f.Style == styles[c.Style] {
+				compressed++
+			}
+			off += n
+		}
+		if compressed == 0 {
+			t.Fatalf("%s: the fixture's pack holds no %s frame", what, c.Style)
+		}
+		checkDirectLoad(t, what, dir, directProgram(c.Tensors, len(c.Logs), c.Seed), c.Tensors, c.Logs, c.Seed)
 	}
 }
 
@@ -438,7 +493,7 @@ func TestDirectLoadMismatchIsTodaysResult(t *testing.T) {
 		"extra checkpoint tensor": with(func(s []tensorSpec) []tensorSpec { return s[1:] }),
 	}
 	dir := t.TempDir()
-	recorded := recordIn(t, dir, directProgram(rec, epochs, 3), 0)
+	recorded := recordIn(t, dir, directProgram(rec, epochs, 3))
 	for name, spec := range cases {
 		for path, st := range readPaths(t, dir) {
 			want := generalPath(t, st, spec, epochs)
@@ -474,7 +529,7 @@ func TestDirectLoadBesideFirstTouchMoments(t *testing.T) {
 		return p
 	}
 	dir := t.TempDir()
-	recorded := recordIn(t, dir, program(), 0)
+	recorded := recordIn(t, dir, program())
 	for path, st := range readPaths(t, dir) {
 		if logs, err := replayOver(st, program()); err != nil || !slices.Equal(logs, recorded) {
 			t.Errorf("%s: replay logged %v, err %v; the record %v", path, logs, err, recorded)

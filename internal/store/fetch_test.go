@@ -256,9 +256,10 @@ func TestFetchVectoredWrongRawGuessRereads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hand-append one deflate frame that does not shrink its chunk (the
-	// store's own writer would have fallen back to raw): stored-block deflate
-	// of 100 KiB adds 10 bytes, which fits the uvarint slack of a raw header.
+	// Hand-append one deflate frame that does not shrink its chunk (no
+	// writer ever emitted one: older builds fell back to raw): stored-block
+	// deflate of 100 KiB adds 10 bytes, which fits the uvarint slack of a
+	// raw header.
 	raw := testPayload(100<<10, 7)
 	f := ckptfmt.BuildStyle(raw, ckptfmt.StyleRaw)
 	var enc bytes.Buffer

@@ -479,7 +479,7 @@ func TestPoolUpgradeAdoptsForeignAppends(t *testing.T) {
 	// Simulate the other process's sequential writes at the file level:
 	// one fresh chunk appended to its shard pack plus its INDEX record.
 	foreign := testPayload(64<<10, 999)
-	frames := ckptfmt.EncodeChunks([][]byte{foreign})
+	frames := []ckptfmt.Frame{ckptfmt.BuildHashed(foreign, ckptfmt.HashChunk(foreign))}
 	p, err := openSharedPool(pool, 0, true)
 	if err != nil {
 		t.Fatal(err)

@@ -53,11 +53,11 @@
 //     (package ckptfmt): the checkpoint's named sections and, per section,
 //     the ordered content hashes of the chunks holding its bytes. The chunk
 //     bytes themselves live in the CHUNKS pack as independent frames —
-//     style byte (raw, deflate or lz4), CRC-32C, 128-bit content hash — written
-//     once per distinct hash and shared by every checkpoint of the run that
-//     references them (cross-checkpoint dedup: frozen layers, datasets, and
-//     configuration are stored once). Frames encode and decode in parallel
-//     across a worker pool.
+//     style byte, CRC-32C, 128-bit content hash — written raw (the deflate
+//     and LZ4 frames older builds wrote are read-compat), once per distinct
+//     hash, and shared by every checkpoint of the run that references them
+//     (cross-checkpoint dedup: frozen layers, datasets, and configuration
+//     are stored once). Frames decode in parallel across a worker pool.
 //   - v2-sharded (marker "2 shards=N"): the v2 encoding with the pack and
 //     the dedup index split into N shards (power of two, 2..256) by the top
 //     byte of each chunk's content hash: chunk h lives in shard h[0] mod N,
@@ -303,15 +303,11 @@ type Store struct {
 	// gcMarked mirrors the FORMAT marker's "gc" flag: the manifest may name
 	// pack generations, so pre-GC builds must refuse the directory.
 	gcMarked bool
-	// lz4Marked mirrors the marker's "lz4" flag: packs may hold LZ4-style
-	// frames, which pre-LZ4 builds cannot decode, so they must refuse.
-	// Latched (and the marker rewritten) the first time an LZ4 frame is
-	// about to be committed — see putV2.
+	// lz4Marked mirrors the marker's "lz4" flag: packs may hold the LZ4
+	// frames older builds wrote, which pre-LZ4 builds cannot decode, so they
+	// must refuse. Nothing sets it any more; a reopen writes it back as read.
 	lz4Marked bool
-	// frameStyle is the style preference handed to frame encoding
-	// (ckptfmt.StyleAuto unless Options.FrameStyle overrides it).
-	frameStyle byte
-	sawPRec    bool // manifest already holds the pool-reference record
+	sawPRec   bool // manifest already holds the pool-reference record
 
 	mu      sync.Mutex
 	nextSeq int
@@ -394,13 +390,6 @@ type Options struct {
 	// ReadOnly opens the store for shared read-only use: nothing on disk is
 	// touched and every write operation fails with ErrReadOnly.
 	ReadOnly bool
-	// FrameStyle forces the compression style for newly written v2 frames:
-	// ckptfmt.StyleDeflate or ckptfmt.StyleLZ4 (each falling back to raw per
-	// chunk when compression does not shrink it). 0 keeps the default
-	// adaptive choice. The first committed LZ4 frame latches an "lz4" token
-	// onto the FORMAT marker so pre-LZ4 builds refuse the directory instead
-	// of misreading the frames.
-	FrameStyle byte
 }
 
 // Open opens (or creates) a store at dir, replaying the manifest to rebuild
@@ -443,15 +432,7 @@ func OpenWith(dir string, o Options) (*Store, error) {
 		(o.ShardFanout > 1 && o.ShardFanout&(o.ShardFanout-1) != 0) {
 		return nil, fmt.Errorf("store: shard fanout %d: want a power of two in [2, %d]", o.ShardFanout, maxShardFanout)
 	}
-	switch o.FrameStyle {
-	case 0, ckptfmt.StyleDeflate, ckptfmt.StyleLZ4, ckptfmt.StyleAuto:
-	default:
-		return nil, fmt.Errorf("store: unknown frame style %d", o.FrameStyle)
-	}
-	s := &Store{dir: dir, readOnly: o.ReadOnly, index: map[Key]*Meta{}, frameStyle: ckptfmt.StyleAuto}
-	if o.FrameStyle != 0 {
-		s.frameStyle = o.FrameStyle
-	}
+	s := &Store{dir: dir, readOnly: o.ReadOnly, index: map[Key]*Meta{}}
 	if err := s.resolveLayout(o); err != nil {
 		return nil, err
 	}
@@ -1344,12 +1325,11 @@ func verifyOffered(chunk []byte, h ckptfmt.Hash, offered bool) error {
 // byte is touched three times: hashed once — unless its chunk came with a hash
 // its writer vouches for (PutSectionsKnown), the only way a chunk skips
 // HashChunk — the hash probing the dedup index and, for a fresh chunk, being
-// the one its frame carries; style-sampled or compressed where the frame style
-// asks; and copied once into the staging span of its shard's pack append
-// (appendFrames), together with the CRC pass over that copy. putV2 never
-// decides a hash is reusable: it takes offers and hands every chunk's hash
-// back, and a []Section put twice is hashed in full twice. Chunks and
-// raw-style frames alias secs[i].Data throughout; every alias is dropped by
+// the one its raw frame carries; and copied once into the staging span of its
+// shard's pack append (appendFrames), together with the CRC pass over that
+// copy. putV2 never decides a hash is reusable: it takes offers and hands
+// every chunk's hash back, and a []Section put twice is hashed in full twice.
+// Chunks and frames alias secs[i].Data throughout; every alias is dropped by
 // the time putV2 returns.
 func (s *Store) putV2(key Key, secs []Section, known []KnownChunks, opaque bool, snapNs, serNs, computNs int64) (*Meta, error) {
 	s.mu.Lock()
@@ -1416,35 +1396,12 @@ func (s *Store) putV2(key Key, secs []Section, known []KnownChunks, opaque bool,
 	// the first committed record wins at replay.
 	newIdx := p.filterFresh(hashes)
 	obs.C(obs.MStoreChunkDedupHits).Add(int64(len(flat) - len(newIdx)))
-	// Frames for the fresh chunks only, each built from the hash settled above:
-	// a chunk's bytes are hashed at most once per put, whether it dedups or not.
+	// Raw frames for the fresh chunks only, each carrying the hash settled
+	// above: a chunk's bytes are hashed at most once per put, whether it
+	// dedups or not.
 	frames := make([]ckptfmt.Frame, len(newIdx))
-	ckptfmt.ParallelDo(len(newIdx), func(i int) {
-		frames[i] = ckptfmt.BuildHashed(flat[newIdx[i]], hashes[newIdx[i]], s.frameStyle)
-	})
-
-	// Latch the "lz4" FORMAT token before any LZ4 frame can become readable:
-	// the marker must hit disk ahead of the records that commit such frames,
-	// or a pre-LZ4 build could open the run and misread them. Holding s.mu
-	// across the write serializes the one-time latch against concurrent puts.
-	hasLZ4 := false
-	for i := range frames {
-		if frames[i].Style == ckptfmt.StyleLZ4 {
-			hasLZ4 = true
-			break
-		}
-	}
-	if hasLZ4 {
-		s.mu.Lock()
-		if !s.lz4Marked {
-			s.lz4Marked = true
-			if err := s.writeMarker(); err != nil {
-				s.lz4Marked = false
-				s.mu.Unlock()
-				return nil, err
-			}
-		}
-		s.mu.Unlock()
+	for i, j := range newIdx {
+		frames[i] = ckptfmt.BuildHashed(flat[j], hashes[j])
 	}
 
 	// Segment file: the CRC-framed directory. Written before the manifest

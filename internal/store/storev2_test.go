@@ -585,10 +585,10 @@ func TestGCKeepsSharedChunksReadable(t *testing.T) {
 
 // TestPackBytesAreFreshFramesInDirectoryOrder pins what the append routine
 // writes, whatever it stages the bytes in: a shard's pack is the
-// concatenation of Frame.Marshal() over the chunks that were fresh when their
-// checkpoint was put, in directory order, checkpoint after checkpoint —
-// frozen content once, compressible content in its compressed style — for the
-// single pack and for a sharded one.
+// concatenation of the raw frames (BuildHashed) of the chunks that were fresh
+// when their checkpoint was put, in directory order, checkpoint after
+// checkpoint — frozen content once, and compressible content raw like the
+// rest — for the single pack, a sharded one and a pooled one.
 func TestPackBytesAreFreshFramesInDirectoryOrder(t *testing.T) {
 	frozen := noise(2*ckptfmt.DefaultChunkSize+77, 1)
 	checkpoints := make([][]Section, 6)
@@ -596,13 +596,23 @@ func TestPackBytesAreFreshFramesInDirectoryOrder(t *testing.T) {
 		checkpoints[e] = []Section{
 			{Name: "frozen", Data: frozen},
 			{Name: "hot", Data: noise(3*ckptfmt.DefaultChunkSize, uint64(100+e))},
-			{Name: "zeros", Data: make([]byte, 4096+e)}, // deflates under the automatic style
+			{Name: "zeros", Data: make([]byte, 4096+e)}, // compressible, written raw all the same
 			{Name: "lr", Data: noise(9, uint64(200+e))},
 			{Name: "empty"},
 		}
 	}
-	for _, fanout := range []int{1, 4} {
-		s, dir := openSharded(t, fanout)
+	for _, layout := range []struct {
+		name string
+		open func() (s *Store, packDir string)
+	}{
+		{"private", func() (*Store, string) { return openSharded(t, 1) }},
+		{"sharded", func() (*Store, string) { return openSharded(t, 4) }},
+		{"pooled", func() (*Store, string) {
+			pool := filepath.Join(t.TempDir(), "POOL")
+			return openPooled(t, filepath.Join(t.TempDir(), "run"), pool), pool
+		}},
+	} {
+		s, dir := layout.open()
 		want := map[int][]byte{} // shard -> expected pack bytes
 		seen := map[ckptfmt.Hash]bool{}
 		for e, secs := range checkpoints {
@@ -611,37 +621,35 @@ func TestPackBytesAreFreshFramesInDirectoryOrder(t *testing.T) {
 			}
 			for _, sec := range secs {
 				for _, chunk := range codec.SplitChunks(sec.Data, ckptfmt.DefaultChunkSize) {
-					f := ckptfmt.Build(chunk)
+					f := ckptfmt.BuildHashed(chunk, ckptfmt.HashChunk(chunk))
 					if seen[f.Hash] {
 						continue
 					}
 					seen[f.Hash] = true
-					shard := int(f.Hash[0]) & (fanout - 1)
+					shard := s.pool.shardOf(f.Hash)
 					want[shard] = append(want[shard], f.Marshal()...)
 				}
 			}
 		}
-		styles := map[byte]bool{}
 		for shard, sh := range s.pool.shardTab {
-			got, err := os.ReadFile(filepath.Join(dir, sh.name))
+			got, err := os.ReadFile(filepath.Join(dir, sh.obj()))
 			if err != nil && len(want[shard]) > 0 {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want[shard]) {
-				t.Fatalf("fanout %d: pack %s holds %d bytes that are not its fresh frames in directory order (%d bytes)",
-					fanout, sh.name, len(got), len(want[shard]))
+				t.Fatalf("%s: pack %s holds %d bytes that are not its fresh chunks' raw frames in directory order (%d bytes)",
+					layout.name, sh.obj(), len(got), len(want[shard]))
 			}
 			for off := 0; off < len(got); {
 				f, n, err := ckptfmt.Parse(got[off:])
 				if err != nil {
 					t.Fatal(err)
 				}
-				styles[f.Style] = true
+				if f.Style != ckptfmt.StyleRaw {
+					t.Fatalf("%s: pack %s holds a frame of style %d at offset %d; every frame a store writes is raw", layout.name, sh.obj(), f.Style, off)
+				}
 				off += n
 			}
-		}
-		if !styles[ckptfmt.StyleRaw] || !styles[ckptfmt.StyleDeflate] {
-			t.Fatalf("fanout %d: packs hold styles %v, want raw and deflate frames both", fanout, styles)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	flor "flor.dev/flor"
+	"flor.dev/flor/internal/ckptfmt"
 	"flor.dev/flor/internal/core"
 	"flor.dev/flor/internal/obs"
 	"flor.dev/flor/internal/replay"
@@ -258,9 +259,10 @@ func TestLegacyGzipTwinsAreInert(t *testing.T) {
 
 // compressibleFactory builds a program whose checkpoint payloads compress
 // well: a mostly-zero embedding table with a handful of entries touched per
-// step. Long zero runs give LZ4 real matches, so forced-LZ4 recordings
-// commit actual LZ4 frames instead of falling back to raw — which is what
-// the restore matrix needs to exercise the LZ4 decode path.
+// step. Long zero runs give LZ4 real matches, so the forced-LZ4 recording
+// in testdata/framestyles/lz4 holds actual LZ4 frames instead of raw
+// fallbacks — which is what the restore matrix needs to exercise the LZ4
+// decode path.
 func compressibleFactory(epochs, steps int) func() *flor.Program {
 	return func() *flor.Program {
 		train := &flor.Loop{ID: "train", IterVar: "step", Iters: steps, Body: []flor.Stmt{
@@ -297,12 +299,15 @@ func compressibleFactory(epochs, steps int) func() *flor.Program {
 }
 
 // TestRestoreMatrixByteIdentical is the frame-style × IO-path × parallelism
-// matrix: the same program recorded under each frame style (adaptive,
-// forced deflate, forced LZ4) must replay byte-identical logs whether the
-// pack bytes arrive through vectored reads of a file descriptor or staged
-// ranged reads, and at any worker count. It also pins the LZ4 marker latch: only
-// the store that committed LZ4 frames carries the "lz4" FORMAT token that
-// makes older builds refuse it.
+// matrix. Stores write raw frames only; deflate and LZ4 are read-compat, and
+// testdata/framestyles/{deflate,lz4} are compressibleFactory(5, 2) recorded
+// by the last build that wrote those styles, each forced to its style. A
+// fresh raw recording and a copy of each fixture must replay byte-identical
+// logs whether the pack bytes arrive through vectored reads of a file
+// descriptor or staged ranged reads, and at any worker count. It also pins
+// the "lz4" FORMAT token: a fresh recording has none, and the lz4 fixture
+// keeps its "2 lz4" through a writable reopen and an appended checkpoint,
+// which adds only raw frames and leaves the replay byte-identical.
 func TestRestoreMatrixByteIdentical(t *testing.T) {
 	factory := compressibleFactory(5, 2)
 	probed := func() *flor.Program {
@@ -313,36 +318,43 @@ func TestRestoreMatrixByteIdentical(t *testing.T) {
 		}))
 		return p
 	}
-
-	styles := []struct {
-		name    string
-		opts    []flor.Option
-		wantLZ4 bool
-	}{
-		{"auto", nil, false},
-		{"deflate", []flor.Option{flor.WithFrameStyle(flor.FrameStyleDeflate)}, false},
-		{"lz4", []flor.Option{flor.WithFrameStyle(flor.FrameStyleLZ4)}, true},
+	marker := func(dir string) string {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(dir, "FORMAT"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	// packStyles parses the pack's frames from byte off on and counts them
+	// by style.
+	packStyles := func(dir string, off int) map[byte]int {
+		t.Helper()
+		pack, err := os.ReadFile(filepath.Join(dir, "CHUNKS"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		styles := map[byte]int{}
+		for off < len(pack) {
+			f, n, err := ckptfmt.Parse(pack[off:])
+			if err != nil {
+				t.Fatalf("%s: frame at %d: %v", dir, off, err)
+			}
+			styles[f.Style]++
+			off += n
+		}
+		return styles
 	}
 
 	var ref []string
-	for _, sv := range styles {
-		dir := t.TempDir()
-		opts := append([]flor.Option{flor.DisableAdaptiveCheckpointing()}, sv.opts...)
-		if _, err := flor.Record(dir, factory, opts...); err != nil {
-			t.Fatalf("%s: record: %v", sv.name, err)
-		}
-		marker, err := os.ReadFile(filepath.Join(dir, "FORMAT"))
-		if err != nil {
-			t.Fatalf("%s: read marker: %v", sv.name, err)
-		}
-		if hasLZ4 := strings.Contains(string(marker), "lz4"); hasLZ4 != sv.wantLZ4 {
-			t.Fatalf("%s: marker %q lz4 token = %v, want %v", sv.name, marker, hasLZ4, sv.wantLZ4)
-		}
-		// The IO axis is chosen the way production chooses it — by what the
-		// backend's pack readers can do: the plain directory backend hands out
-		// files (vectored preadv on Linux), the same backend behind a
-		// zero-fault wrapper hands out readers with no descriptor (staged
-		// ReadAt spans).
+	// matrix replays dir on every IO path and worker count and compares the
+	// logs to the first replay's. The IO axis is chosen the way production
+	// chooses it — by what the backend's pack readers can do: the plain
+	// directory backend hands out files (vectored preadv on Linux), the same
+	// backend behind a zero-fault wrapper hands out readers with no
+	// descriptor (staged ReadAt spans).
+	matrix := func(name, dir string) {
+		t.Helper()
 		ios := []struct {
 			name    string
 			backend func() store.Backend
@@ -360,23 +372,81 @@ func TestRestoreMatrixByteIdentical(t *testing.T) {
 			for _, workers := range []int{1, 3} {
 				rec, err := core.LoadRecordingWith(dir, store.Options{ReadOnly: true, Backend: iom.backend()})
 				if err != nil {
-					t.Fatalf("%s io=%s: open: %v", sv.name, iom.name, err)
+					t.Fatalf("%s io=%s: open: %v", name, iom.name, err)
 				}
 				res, err := replay.Replay(rec, probed, replay.Options{Workers: workers, Init: replay.Weak})
 				if err != nil {
-					t.Fatalf("%s io=%s workers=%d: replay: %v", sv.name, iom.name, workers, err)
+					t.Fatalf("%s io=%s workers=%d: replay: %v", name, iom.name, workers, err)
 				}
 				if len(res.Anomalies) != 0 {
-					t.Fatalf("%s io=%s workers=%d: anomalies %v", sv.name, iom.name, workers, res.Anomalies)
+					t.Fatalf("%s io=%s workers=%d: anomalies %v", name, iom.name, workers, res.Anomalies)
 				}
 				if ref == nil {
 					ref = res.Logs
 				} else if err := sameLogs(ref, res.Logs); err != nil {
-					t.Fatalf("%s io=%s workers=%d: logs diverge: %v", sv.name, iom.name, workers, err)
+					t.Fatalf("%s io=%s workers=%d: logs diverge from the fresh raw recording's: %v", name, iom.name, workers, err)
 				}
 			}
 		}
 	}
+
+	fresh := t.TempDir()
+	if _, err := flor.Record(fresh, factory, flor.DisableAdaptiveCheckpointing()); err != nil {
+		t.Fatal(err)
+	}
+	if m := marker(fresh); strings.Contains(m, "lz4") {
+		t.Fatalf("fresh recording's marker %q carries the lz4 token", m)
+	}
+	if styles := packStyles(fresh, 0); len(styles) != 1 || styles[ckptfmt.StyleRaw] == 0 {
+		t.Fatalf("fresh recording's pack holds frames by style %v, want raw only", styles)
+	}
+	matrix("raw", fresh)
+
+	dirs := map[string]string{}
+	for _, fx := range []struct {
+		name   string
+		style  byte
+		marker string
+	}{
+		{"deflate", ckptfmt.StyleDeflate, "2\n"},
+		{"lz4", ckptfmt.StyleLZ4, "2 lz4\n"},
+	} {
+		dir := t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "framestyles", fx.name))); err != nil {
+			t.Fatal(err)
+		}
+		if m := marker(dir); m != fx.marker {
+			t.Fatalf("%s fixture: marker %q, want %q", fx.name, m, fx.marker)
+		}
+		if styles := packStyles(dir, 0); styles[fx.style] == 0 {
+			t.Fatalf("%s fixture: pack holds frames by style %v, none of style %d", fx.name, styles, fx.style)
+		}
+		matrix(fx.name, dir)
+		dirs[fx.name] = dir
+	}
+
+	// A writable reopen of the lz4 fixture and one more checkpoint: the
+	// token stays (the pack still holds LZ4 frames), and what the put
+	// appends is raw — compressible bytes included.
+	dir := dirs["lz4"]
+	before, err := os.Stat(filepath.Join(dir, "CHUNKS"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatalf("writable reopen: %v", err)
+	}
+	if _, err := st.PutSections(store.Key{LoopID: "scratch", Exec: 0}, []store.Section{{Name: "zeros", Data: make([]byte, 64<<10)}}, 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if m, want := marker(dir), "2 lz4\n"; m != want {
+		t.Fatalf("lz4 fixture after a writable reopen and a put: marker %q, want %q", m, want)
+	}
+	if styles := packStyles(dir, int(before.Size())); len(styles) != 1 || styles[ckptfmt.StyleRaw] == 0 {
+		t.Fatalf("the appended checkpoint wrote frames by style %v, want raw only", styles)
+	}
+	matrix("lz4+raw", dir)
 }
 
 // TestUnknownFormatMarkersRefuseCleanly pins the forward-compatibility
