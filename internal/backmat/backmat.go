@@ -171,17 +171,20 @@ const DefaultPayloadCacheBytes = 256 << 20
 
 // PayloadCache memoizes decoded section payloads by content identity.
 // Replay restores largely identical state epoch after epoch (frozen layers,
-// datasets, configuration); since payloads are immutable by contract and
-// every Value.Restore copies out of them, one decode per distinct content
-// serves the whole run, shared by every worker of every query. An admitted
-// payload views a buffer that is the cache's alone: the fresh section
-// buffer it was decoded from (DecodeSectionsCached), or a copy encoded from
-// the live value a section was read straight into (Offer).
+// datasets, configuration); since payloads are immutable by contract, one
+// decode per distinct content serves the whole run, shared by every worker
+// of every query. Every Value.Restore copies out of a cached payload, and a
+// log statement's view (value.View) reads its tensors where they lie.
+// An admitted payload is materialized: every tensor in it is a
+// *tensor.Tensor of the cache's own (value.Materialize at admission in
+// DecodeSectionsCached, a snapshot of the live value in Offer), so the
+// cache keeps no caller's buffer, and a view is a pointer, not a cast.
 // The cache never evicts — once the byte budget is reached, new
 // content simply stops being cached. That keeps Contains answers stable,
-// which GetSections relies on when it skips loading content the cache has
-// promised to serve (an evicting cache could break that promise between the
-// skip decision and the decode).
+// which Checkpoint.ReadInto relies on when it skips loading content the
+// cache has promised to serve (an evicting cache could break that promise
+// between the skip decision and the decode), and makes a lent payload safe
+// to read for as long as the cache lives.
 //
 // The budget also pays for memory held beside the cache: a replay park's
 // programs (replay.Park) reserve their bytes from it, so cached plus parked
@@ -261,7 +264,7 @@ func NewPayloadCache(capBytes int64) *PayloadCache {
 }
 
 // Contains reports whether the cache holds a payload for the identity; it
-// is the `have` callback for store.GetSections, letting the store skip
+// is the `have` callback for Checkpoint.ReadInto, letting the store skip
 // loading content the cache will serve anyway.
 func (c *PayloadCache) Contains(h ckptfmt.Hash) bool {
 	if c == nil {
@@ -274,15 +277,36 @@ func (c *PayloadCache) Contains(h ckptfmt.Hash) bool {
 }
 
 func (c *PayloadCache) get(h ckptfmt.Hash) (value.Payload, bool) {
+	p, ok := c.Lend(h)
+	if !ok {
+		c.miss()
+	}
+	return p, ok
+}
+
+// miss counts one lookup whose content had to be read and decoded.
+func (c *PayloadCache) miss() {
+	c.mu.Lock()
+	c.misses++
+	c.mMisses.Inc()
+	c.mu.Unlock()
+}
+
+// Lend returns the payload the cache holds for the identity, counting one
+// hit, for a reader to read in place (value.View). A lookup that finds
+// nothing is a probe, not a miss: the caller goes on to load as if it had
+// never asked, and that load counts. The payload's tensors are shared and
+// must not be written.
+func (c *PayloadCache) Lend(h ckptfmt.Hash) (value.Payload, bool) {
+	if c == nil {
+		return nil, false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.m[h]
 	if ok {
 		c.hits++
 		c.mHits.Inc()
-	} else {
-		c.misses++
-		c.mMisses.Inc()
 	}
 	return e.p, ok
 }
@@ -348,30 +372,18 @@ func (c *PayloadCache) Release(n int64) {
 
 // Offer tells the cache that a section of content h and size bytes was read
 // straight into the live value v (value.Layout) — a miss, since the store
-// read it — and, when the cache would admit the content, hands it a payload
-// decoded from a copy of v encoded afresh: byte for byte the section v was
-// just restored from, and the cache's alone. That copy is the one an
-// admission costs; content the cache would not admit costs nothing more.
-func (c *PayloadCache) Offer(h ckptfmt.Hash, bytes int, v value.Value) error {
+// read it — and, when the cache would admit the content, hands it v's
+// snapshot: the state v was just restored to, in tensors that are the
+// cache's alone. That copy is the one an admission costs; content the cache
+// would not admit costs nothing more.
+func (c *PayloadCache) Offer(h ckptfmt.Hash, bytes int, v value.Value) {
 	if c == nil {
-		return nil
+		return
 	}
-	c.mu.Lock()
-	c.misses++
-	c.mMisses.Inc()
-	c.mu.Unlock()
-	if !c.touch(h, int64(bytes)) {
-		return nil
+	c.miss()
+	if c.touch(h, int64(bytes)) {
+		c.add(h, v.Snapshot(), int64(bytes))
 	}
-	w := codec.NewWriter()
-	w.Grow(bytes)
-	value.EncodeLive(w, v)
-	p, err := value.DecodeTaggedPayload(codec.NewReader(w.Bytes()))
-	if err != nil {
-		return err
-	}
-	c.add(h, p, int64(bytes))
-	return nil
 }
 
 // DecodeSectionsCached parses sections into bundle items, serving sections
@@ -379,11 +391,12 @@ func (c *PayloadCache) Offer(h ckptfmt.Hash, bytes int, v value.Value) error {
 // store skipped loading them) and caching fresh decodes by content
 // identity. A nil cache degrades to DecodeSections.
 //
-// Ownership: decoded payloads view secs[i].Data, and a payload the cache
-// admits keeps its buffer for good — so the caller hands over buffers
-// nobody writes again (the fresh ones Checkpoint.ReadInto allocates).
-// Payloads served from the cache are shared and must be treated as
-// read-only.
+// Ownership: a payload decoded and not admitted views secs[i].Data, for the
+// caller's restore; one the cache admits is materialized first
+// (value.Materialize), a one-off copy per distinct content, so the cache
+// never keeps a caller's buffer and the caller may reuse its buffers as
+// soon as its restores are done. Payloads served from the cache are shared
+// and must be treated as read-only.
 func DecodeSectionsCached(c *PayloadCache, secs []store.Section) ([]NamedPayload, error) {
 	if c == nil {
 		return DecodeSections(secs)
@@ -407,10 +420,11 @@ func DecodeSectionsCached(c *PayloadCache, secs []store.Section) ([]NamedPayload
 			errs[i] = fmt.Errorf("backmat: decode %q: %w", secs[i].Name, err)
 			return
 		}
-		items[i] = NamedPayload{Name: secs[i].Name, Payload: p}
 		if n := int64(len(secs[i].Data)); secs[i].Hash != zero && c.touch(secs[i].Hash, n) {
+			p = value.Materialize(p)
 			c.add(secs[i].Hash, p, n)
 		}
+		items[i] = NamedPayload{Name: secs[i].Name, Payload: p}
 	})
 	for _, err := range errs {
 		if err != nil {

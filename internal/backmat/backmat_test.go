@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"flor.dev/flor/internal/ckptfmt"
+	"flor.dev/flor/internal/codec"
 	"flor.dev/flor/internal/store"
 	"flor.dev/flor/internal/tensor"
 	"flor.dev/flor/internal/value"
@@ -82,6 +84,59 @@ func TestSectionsRoundTripAndBundleEquivalence(t *testing.T) {
 		if !tensor.Equal(it.Payload.(value.TensorPayload).Tensor(), items[i].Payload.(value.TensorPayload).Tensor()) {
 			t.Fatalf("item %d tensor mismatch", i)
 		}
+	}
+}
+
+// TestCacheAdmitsMaterializedPayloads pins the payload cache's one form: a
+// decode the cache admits is materialized, so the cached payload keeps no
+// reference to the caller's section buffer, which may be scribbled on as soon
+// as DecodeSectionsCached returns; Lend serves it with one hit and counts
+// nothing for content it does not hold.
+func TestCacheAdmitsMaterializedPayloads(t *testing.T) {
+	vals := sampleValues(2, 64)
+	items := make([]NamedPayload, len(vals))
+	for i, nv := range vals {
+		items[i] = NamedPayload{Name: nv.Name, Payload: nv.V.Snapshot()}
+	}
+	c := NewPayloadCache(0)
+	for touch := 0; touch < 2; touch++ { // admission takes two touches
+		secs := EncodeSections(items)
+		for i := range secs {
+			secs[i].Hash = ckptfmt.HashOfHashes([]ckptfmt.Hash{ckptfmt.HashChunk(secs[i].Data)})
+		}
+		if _, err := DecodeSectionsCached(c, secs); err != nil {
+			t.Fatal(err)
+		}
+		for i := range secs {
+			clear(secs[i].Data)
+		}
+	}
+	if st := c.Stats(); st.Admits != int64(len(items)) {
+		t.Fatalf("cache stats %+v, want every section admitted", st)
+	}
+	for _, sec := range EncodeSections(items) {
+		h := ckptfmt.HashOfHashes([]ckptfmt.Hash{ckptfmt.HashChunk(sec.Data)})
+		hits := c.Stats().Hits
+		p, ok := c.Lend(h)
+		if !ok || c.Stats().Hits != hits+1 {
+			t.Fatalf("Lend(%s) = %v, hits %d → %d, want one hit", sec.Name, ok, hits, c.Stats().Hits)
+		}
+		tp := p.(value.TensorPayload)
+		if tp.T == nil {
+			t.Fatalf("cached %s is a view, not materialized", sec.Name)
+		}
+		w := codec.NewWriter()
+		value.EncodePayload(w, p)
+		if !bytes.Equal(w.Bytes(), sec.Data) {
+			t.Fatalf("cached %s changed when its section buffer was cleared", sec.Name)
+		}
+	}
+	before := c.Stats()
+	if _, ok := c.Lend(ckptfmt.Hash{1}); ok {
+		t.Fatal("Lend served content never cached")
+	}
+	if after := c.Stats(); after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Fatalf("a failed Lend moved the counters: %+v → %+v", before, after)
 	}
 }
 

@@ -58,10 +58,10 @@ func stateFactory(epochs int) func() *script.Program {
 }
 
 // TestSharedCacheNeverViewsRecycledBuffer pins the ownership rule of what the
-// shared payload cache admits: its own bytes, which no restore writes again —
-// the fresh section buffer an optimizer section was read into, or, for the
-// model section read straight into a worker's live tensors, a copy encoded
-// from them right after the restore. Replays at three widths share one cache
+// shared payload cache admits: its own tensors, which no restore writes
+// again — an optimizer section's decode materialized out of the buffer it
+// was read into, or, for the model section read straight into a worker's
+// live tensors, their snapshot right after the restore. Replays at three widths share one cache
 // (two-touch admission, so the same content is loaded by several workers
 // before one of them hands it over) for three rounds; every log must match
 // the record log, and afterwards every cached payload must re-encode to the

@@ -32,8 +32,10 @@ type Env struct {
 	order []string
 	// obs, when set, hears of every access by name; err latches the first
 	// failure it reports from a read, which has no error return of its own.
-	obs Observer
-	err error
+	// logging is set while a log statement's expression is evaluated.
+	obs     Observer
+	err     error
+	logging bool
 }
 
 // Observer is told of an environment's accesses before they happen. Its one
@@ -47,10 +49,18 @@ type Observer interface {
 	// Sync precedes every ordinary statement: its closure may reach any state
 	// through Go pointers the environment never sees.
 	Sync() error
+	// Logged follows every evaluated log statement, failed or not: what the
+	// statement's reads set up for it alone ends here. An error fails the
+	// statement.
+	Logged() error
 }
 
 // Observe attaches o to the environment (nil detaches).
 func (e *Env) Observe(o Observer) { e.obs = o }
+
+// Logging reports whether a log statement's expression is being evaluated:
+// a read now is an observer's, which may not write what it reads.
+func (e *Env) Logging() bool { return e.logging }
 
 func (e *Env) read(name string) {
 	if e.obs == nil {
@@ -155,7 +165,7 @@ func (e *Env) Reset(f Frame) {
 	clear(e.vars)
 	maps.Copy(e.vars, f.vars)
 	e.order = append(e.order[:0], f.order...)
-	e.obs, e.err = nil, nil
+	e.obs, e.err, e.logging = nil, nil, false
 }
 
 // Each calls fn for every name of the frame, in first-bind order.
@@ -312,11 +322,20 @@ func ExecStmt(ctx *Ctx, s *Stmt) error {
 		if ctx.Log == nil {
 			return nil // a side-effect-free expression whose result nobody takes
 		}
-		line, err := s.EvalLog(ctx.Env)
+		env := ctx.Env
+		env.logging = true
+		line, err := s.EvalLog(env)
+		env.logging = false
 		// A read that failed inside the expression outranks whatever it went
-		// on to compute from the state it did not get.
-		if ctx.Env.err != nil {
-			err, ctx.Env.err = ctx.Env.err, nil
+		// on to compute from the state it did not get, and the observer's
+		// verdict on the statement outranks both.
+		if env.err != nil {
+			err, env.err = env.err, nil
+		}
+		if env.obs != nil {
+			if oerr := env.obs.Logged(); oerr != nil {
+				err = oerr
+			}
 		}
 		if err != nil {
 			return fmt.Errorf("script: log %q: %w", s.Label, err)

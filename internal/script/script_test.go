@@ -389,17 +389,22 @@ func TestRenderProgram(t *testing.T) {
 	}
 }
 
-// traceObserver records what an Env tells its observer, and fails reads of
-// one name.
+// traceObserver records what an Env tells its observer — a read during a
+// log statement's evaluation when env is set — and fails reads of one name.
 type traceObserver struct {
 	events  []string
 	failing string
+	env     *Env
 }
 
 var errObserved = errors.New("observer: read failed")
 
 func (o *traceObserver) Read(name string) error {
-	o.events = append(o.events, "read "+name)
+	ev := "read " + name
+	if o.env != nil && o.env.Logging() {
+		ev = "log-read " + name
+	}
+	o.events = append(o.events, ev)
 	if name == o.failing {
 		return errObserved
 	}
@@ -407,14 +412,16 @@ func (o *traceObserver) Read(name string) error {
 }
 func (o *traceObserver) Write(name string) { o.events = append(o.events, "write "+name) }
 func (o *traceObserver) Sync() error       { o.events = append(o.events, "sync"); return nil }
+func (o *traceObserver) Logged() error     { o.events = append(o.events, "logged"); return nil }
 
 // TestObserverHearsAccessesBeforeTheyHappen pins the observer protocol: every
 // lookup and every assignment is announced by name, an ordinary statement is
-// announced before its closure runs, and a log statement nobody listens to is
-// not evaluated at all.
+// announced before its closure runs, a log statement nobody listens to is
+// not evaluated at all, and one that is evaluated reads as a log statement
+// and is announced once it has been.
 func TestObserverHearsAccessesBeforeTheyHappen(t *testing.T) {
 	env := NewEnv()
-	obs := &traceObserver{}
+	obs := &traceObserver{env: env}
 	env.Observe(obs)
 	env.Set("s", &value.String{V: "x"})
 	env.SetInt("n", 1)   // binds
@@ -433,7 +440,13 @@ func TestObserverHearsAccessesBeforeTheyHappen(t *testing.T) {
 	if err := ExecStmts(ctx, stmts); err != nil {
 		t.Fatal(err)
 	}
-	want := "write s|write n|write n|write f|write f|read s|read s|read n|read f|sync|do"
+	ctx.Log = func(string) {}
+	heard := LogStmt("heard", func(e *Env) (string, error) { return fmt.Sprint(e.Int("n")), nil })
+	if err := ExecStmt(ctx, &heard); err != nil {
+		t.Fatal(err)
+	}
+	env.Get("n")
+	want := "write s|write n|write n|write f|write f|read s|read s|read n|read f|sync|do|log-read n|logged|read n"
 	if got := strings.Join(obs.events, "|"); got != want {
 		t.Fatalf("observer heard\n %s\nwant\n %s", got, want)
 	}

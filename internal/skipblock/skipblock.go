@@ -22,6 +22,14 @@
 // its name, loads run in bind order, and a later skip of the same loop
 // supersedes whatever of the earlier one nobody read (docs/ARCHITECTURE.md
 // has the soundness argument).
+//
+// A bound name is in one of three states: bound, loaded, or viewed. A log
+// statement's read of a bound model or tensor whose pull closure is that name
+// alone, and whose youngest binding's section the payload cache holds, moves
+// nothing: the live value's tensors point at the cached payload's until the
+// statement ends, or until something that could write them or load over
+// them comes first (view.go). Race builds check that nothing wrote through a
+// view.
 package skipblock
 
 import (
@@ -69,8 +77,10 @@ type Stats struct {
 	Restored      int // loop skipped, its checkpoint bound in its place
 	Materialized  int // checkpoints handed to the materializer
 	ComputNs      int64
-	RestoreNs     int64 // time in loads of bound checkpoints
-	RestoredBytes int64 // logical payload bytes those loads moved
+	RestoreNs     int64 // time in loads and views of bound checkpoints
+	RestoredBytes int64 // logical payload bytes the loads moved
+	Viewed        int   // reads served by a view of a cached payload
+	ViewedBytes   int64 // logical payload bytes those views showed in place
 }
 
 // Block is the runtime state of one SkipBlock-enclosed loop.
@@ -81,13 +91,6 @@ type Block struct {
 
 	execIndex int // which execution of this loop is next
 	stats     Stats
-	// bufs is what the block's loads have read, section by section, kept so
-	// the next load of a section reads into the same buffer: every execution
-	// of a loop checkpoints the same names at the same sizes. They are this
-	// block's alone — a Runtime runs on one goroutine, each load is done with
-	// the payloads viewing them before it returns, and a buffer a shared
-	// payload cache admitted has been taken out (backmat.DecodeSectionsCached).
-	bufs []store.Section
 
 	rt *Runtime
 }
@@ -133,6 +136,10 @@ type Runtime struct {
 	// layouts keeps, by name, the layout a load laid a section over, for
 	// the next load of that name while it still fits the value.
 	layouts map[string]*value.Layout
+	// views are the running log statement's views, in the order taken;
+	// viewErr latches a write through one, for Logged to return.
+	views   []viewing
+	viewErr error
 }
 
 // NewRuntime instruments a program's nested loops: every loop (other than
@@ -167,7 +174,8 @@ func NewRuntime(p *script.Program, tracker *adapt.Tracker, mat *backmat.Material
 // (nil: a private one, as NewRuntime gives). What earlier loads read into
 // and laid out stays, to be reused. Set the query's trace and probes after.
 func (r *Runtime) Reset(tracker *adapt.Tracker, cache *backmat.PayloadCache) {
-	r.mode, r.tracker, r.fetch = ModeRecord, tracker, nil
+	r.unview()
+	r.mode, r.tracker, r.fetch, r.viewErr = ModeRecord, tracker, nil, nil
 	r.env, r.bound, r.pulling, r.setup = nil, nil, false, nil
 	if cache == nil {
 		cache = backmat.NewPayloadCache(0)
@@ -345,9 +353,12 @@ func (b *Block) bind(env *script.Env, key store.Key) {
 type binding struct {
 	b     *Block
 	key   store.Key
-	ck    *store.Checkpoint // resolved by the first load
+	ck    *store.Checkpoint // resolved by whatever needs it first
 	setup *Setup
 	done  []string
+	// resolveNs is the time of a directory read (resolve) made outside a
+	// load or a view, for the next one to count.
+	resolveNs int64
 }
 
 // Setup is a program's state right after its setup statements ran: a
@@ -401,9 +412,10 @@ func (r *Runtime) supplied(name string) {
 // Read implements script.Observer: a log statement is about to look at name.
 func (r *Runtime) Read(name string) error { return r.pull(name) }
 
-// Write implements script.Observer: name is about to be assigned, which
-// retires it from every bound checkpoint.
+// Write implements script.Observer: name is about to be assigned, which ends
+// every view and retires name from every bound checkpoint.
 func (r *Runtime) Write(name string) {
+	r.unview()
 	for _, bd := range r.bound {
 		if !slices.Contains(bd.done, name) {
 			bd.done = append(bd.done, name)
@@ -420,7 +432,9 @@ func (r *Runtime) Sync() error { return r.pull("") }
 // its model, a scheduler its optimizer), everything for an Opaque — or, for
 // "", everything. Bindings load oldest first: two loops may checkpoint one
 // name, and the younger's state must land last. A binding with nothing left
-// to give is dropped.
+// to give is dropped. A log statement's read of a model or tensor whose
+// closure is the name alone is first offered to a view (view); a pull that
+// may load a viewed name ends the views before it loads.
 func (r *Runtime) pull(name string) error {
 	if len(r.bound) == 0 || r.pulling {
 		return nil
@@ -436,6 +450,14 @@ func (r *Runtime) pull(name string) error {
 		if _, opaque := v.(*value.Opaque); !opaque {
 			names = analyze.Augment([]string{name}, r.env)
 		}
+		if r.env.Logging() && len(names) == 1 && names[0] == name {
+			if viewed, err := r.view(name, v); viewed || err != nil {
+				return err
+			}
+		}
+	}
+	if r.viewed(names) {
+		r.unview()
 	}
 	var err error
 	r.bound = slices.DeleteFunc(r.bound, func(bd *binding) bool {
@@ -493,18 +515,30 @@ func (r *Runtime) carriedLater(name string) (bool, error) {
 		if bd.setup != nil {
 			continue
 		}
-		if bd.ck == nil {
-			ck, err := r.st.Resolve(bd.key)
-			if err != nil {
-				return false, fmt.Errorf("skipblock: %s: %w", bd.key, err)
-			}
-			bd.ck = ck
+		if err := r.resolve(bd); err != nil {
+			return false, err
 		}
 		if bd.ck.Carries(name) {
 			return true, nil
 		}
 	}
 	return false, nil
+}
+
+// resolve reads bd's segment directory, once: every load of the binding
+// needs it. Whoever asks first, the binding's next load or view counts the
+// time.
+func (r *Runtime) resolve(bd *binding) error {
+	if bd.ck != nil {
+		return nil
+	}
+	t0 := time.Now()
+	ck, err := r.st.Resolve(bd.key)
+	if err != nil {
+		return fmt.Errorf("skipblock: %s: %w", bd.key, err)
+	}
+	bd.ck, bd.resolveNs = ck, time.Since(t0).Nanoseconds()
+	return nil
 }
 
 // load moves the named part of a bound checkpoint (nil: all that is left of
@@ -527,12 +561,12 @@ func (b *Block) load(bd *binding, names []string) (more bool, err error) {
 	t0 := time.Now()
 	spanStart := rt.tr.Now()
 	fetchBefore := rt.fetch.Snapshot()
-	fail := func(err error) (bool, error) { return false, fmt.Errorf("skipblock: %s: %w", key, err) }
-	if bd.ck == nil {
-		if bd.ck, err = rt.st.Resolve(key); err != nil {
-			return fail(err)
-		}
+	resolved := bd.resolveNs // a view's probe read the directory before this load
+	if err := rt.resolve(bd); err != nil {
+		return false, err
 	}
+	bd.resolveNs = 0
+	fail := func(err error) (bool, error) { return false, fmt.Errorf("skipblock: %s: %w", key, err) }
 	var items []backmat.NamedPayload
 	var restoredBytes int64
 	if bd.ck.Sectioned() {
@@ -580,9 +614,7 @@ func (b *Block) load(bd *binding, names []string) (more bool, err error) {
 			case k < 0:
 				wanted = append(wanted, *sec)
 			case laid[k].l.Matches():
-				if err := rt.cache.Offer(sec.Hash, sec.RawLen, laid[k].v); err != nil {
-					return fail(fmt.Errorf("cache %q: %w", sec.Name, err))
-				}
+				rt.cache.Offer(sec.Hash, sec.RawLen, laid[k].v)
 				bd.done = append(bd.done, sec.Name)
 				rt.supplied(sec.Name)
 			default: // not the value's structure: what was read takes the general path
@@ -597,6 +629,7 @@ func (b *Block) load(bd *binding, names []string) (more bool, err error) {
 			return fail(err)
 		}
 	} else {
+		rt.unview() // what the checkpoint holds is known only once it is read
 		raw, err := rt.st.Get(key)
 		if err != nil {
 			return fail(err)
@@ -618,7 +651,7 @@ func (b *Block) load(bd *binding, names []string) (more bool, err error) {
 		bd.done = append(bd.done, it.Name)
 		rt.supplied(it.Name)
 	}
-	restoreNs := time.Since(t0).Nanoseconds()
+	restoreNs := time.Since(t0).Nanoseconds() + resolved
 	b.stats.RestoreNs += restoreNs
 	b.stats.RestoredBytes += restoredBytes
 	if rt.tr != nil {

@@ -1600,6 +1600,31 @@ func (c *Checkpoint) Carries(name string) bool {
 	return c.Sectioned() && slices.ContainsFunc(c.dir.Sections, func(s ckptfmt.SectionRef) bool { return s.Name == name })
 }
 
+// Section returns the named section's content identity and logical length,
+// computed from the segment directory alone as ReadInto does before it reads
+// anything: no pack byte is read, and nothing is fetched or counted. ok is
+// false when the checkpoint has no such section or is not sectioned.
+func (c *Checkpoint) Section(name string) (s Section, ok bool) {
+	if !c.Sectioned() {
+		return Section{}, false
+	}
+	i := slices.IndexFunc(c.dir.Sections, func(s ckptfmt.SectionRef) bool { return s.Name == name })
+	if i < 0 {
+		return Section{}, false
+	}
+	ds := &c.dir.Sections[i]
+	return Section{Name: name, Hash: contentHash(ds), RawLen: ds.RawLen()}, true
+}
+
+// contentHash is a section's content identity: the hash of its chunk hashes.
+func contentHash(ds *ckptfmt.SectionRef) ckptfmt.Hash {
+	hs := make([]ckptfmt.Hash, len(ds.Chunks))
+	for j, ref := range ds.Chunks {
+		hs[j] = ref.Hash
+	}
+	return ckptfmt.HashOfHashes(hs)
+}
+
 // Resolve looks key up and, for v2 checkpoints, reads and decodes its
 // segment directory.
 func (s *Store) Resolve(key Key) (*Checkpoint, error) {
@@ -1679,11 +1704,7 @@ func (c *Checkpoint) ReadInto(want func(name string) bool, have func(ckptfmt.Has
 			secs[i].Name = ds.Name
 			continue
 		}
-		hs := make([]ckptfmt.Hash, len(ds.Chunks))
-		for j, ref := range ds.Chunks {
-			hs[j] = ref.Hash
-		}
-		secs[i] = Section{Name: ds.Name, Hash: ckptfmt.HashOfHashes(hs), RawLen: ds.RawLen()}
+		secs[i] = Section{Name: ds.Name, Hash: contentHash(ds), RawLen: ds.RawLen()}
 		if have != nil && have(secs[i].Hash) {
 			p.countFetch(tierCache, int64(secs[i].RawLen), int64(len(ds.Chunks)), fs)
 			continue

@@ -366,6 +366,44 @@ func TestReadIntoLeavesUnwantedSectionsAlone(t *testing.T) {
 	}
 }
 
+// TestSectionIdentityComesFromTheDirectory pins Checkpoint.Section: the
+// identity and length ReadInto reports for a section, read from the segment
+// directory without fetching or counting a frame, and nothing for a name the
+// checkpoint does not carry.
+func TestSectionIdentityComesFromTheDirectory(t *testing.T) {
+	s := openTemp(t)
+	key := Key{LoopID: "train", Exec: 0}
+	stored := []Section{
+		{Name: "net", Data: noise(ckptfmt.DefaultChunkSize+100, 1)}, // two chunks
+		{Name: "lr", Data: noise(9, 3)},
+	}
+	if _, err := s.PutSections(key, stored, 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.Resolve(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fs FetchStats
+	read, err := c.ReadInto(nil, nil, &fs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := fs.Snapshot().TotalFrames()
+	for _, r := range read {
+		sec, ok := c.Section(r.Name)
+		if !ok || sec.Name != r.Name || sec.Hash != r.Hash || sec.RawLen != r.RawLen || sec.Data != nil {
+			t.Fatalf("Section(%q) = %+v, %v; ReadInto reported hash %x, length %d", r.Name, sec, ok, r.Hash, r.RawLen)
+		}
+	}
+	if _, ok := c.Section("opt"); ok {
+		t.Fatal("Section found a name the checkpoint does not carry")
+	}
+	if got := fs.Snapshot().TotalFrames(); got != frames {
+		t.Fatalf("Section counted %d frames", got-frames)
+	}
+}
+
 // TestFlippedPackByteSurfacesErrCorrupt flips every byte of the chunk pack
 // in turn; reads of the affected checkpoint must fail with codec.ErrCorrupt
 // rather than return garbage state — also when the read lands in pieces the

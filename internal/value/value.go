@@ -147,8 +147,9 @@ func (BoolPayload) SizeBytes() int { return 1 }
 // TensorPayload carries a dense tensor in codec.Dense's two forms: Snapshot
 // builds the materialized one (T set), DecodePayload the view over the
 // decoded section buffer, which Restore copies straight into the live
-// tensor's backing array. Whoever holds a decoded payload beyond the restore
-// it was decoded for (a backmat.PayloadCache) owns that buffer from then on.
+// tensor's backing array. A decoded payload kept beyond the restore it was
+// decoded for is materialized first (Materialize), as a
+// backmat.PayloadCache does at admission, so nothing outlives its buffer.
 type TensorPayload codec.Dense
 
 // Kind implements Payload.
@@ -485,6 +486,88 @@ func (l *Layout) Bytes() []byte {
 		out = append(out, p...)
 	}
 	return out
+}
+
+// Materialize returns p with every tensor in codec.Dense's materialized
+// form: a decoded payload's views over its section buffer become tensors of
+// their own, so the result keeps no reference to that buffer. A tensor
+// already materialized is kept, not copied; the other kinds hold no buffer
+// and come back as they are.
+func Materialize(p Payload) Payload {
+	switch q := p.(type) {
+	case TensorPayload:
+		return TensorPayload{T: codec.Dense(q).Tensor()}
+	case StatePayload:
+		st := &opt.State{Scalars: q.S.Scalars, Tensors: make(map[string]codec.Dense, len(q.S.Tensors))}
+		for k, d := range q.S.Tensors {
+			st.Tensors[k] = codec.Dense{T: d.Tensor()}
+		}
+		return StatePayload{S: st}
+	}
+	return p
+}
+
+// View points a live model's parameters, or a live tensor value, at the
+// tensors of a materialized payload — the state Restore would copy in —
+// without moving a byte, until End points them back at their own. The
+// payload's tensors are not the view's to write (a payload cache lends one
+// payload to every reader), so nothing may write through the value while
+// the view lasts.
+type View struct {
+	params []nn.Param       // a model's parameters, in Params order
+	tv     *Tensor          // or the tensor value
+	own    []*tensor.Tensor // what each held before the view
+	Lent   []*tensor.Tensor // what each holds during it
+}
+
+// NewView starts a view of p through v. It reports false, and leaves v as
+// it was, where p cannot stand in for v's state: v is neither a *Model nor
+// a *Tensor, p is not v's kind in materialized form, or an entry Restore
+// would copy from is missing or shaped unlike the tensor it would overwrite.
+func NewView(v Value, p Payload) (*View, bool) {
+	switch b := v.(type) {
+	case *Tensor:
+		tp, ok := p.(TensorPayload)
+		if !ok || tp.T == nil || !slices.Equal(tp.T.Shape(), b.T.Shape()) {
+			return nil, false
+		}
+		w := &View{tv: b, own: []*tensor.Tensor{b.T}, Lent: []*tensor.Tensor{tp.T}}
+		b.T = tp.T
+		return w, true
+	case *Model:
+		sp, ok := p.(StatePayload)
+		if !ok {
+			return nil, false
+		}
+		ps := b.M.Params()
+		w := &View{params: ps, own: make([]*tensor.Tensor, len(ps)), Lent: make([]*tensor.Tensor, len(ps))}
+		for i, param := range ps {
+			d, ok := sp.S.Tensors[param.Name]
+			if !ok || d.T == nil || !slices.Equal(d.T.Shape(), param.Var.Value.Shape()) {
+				return nil, false
+			}
+			w.Lent[i] = d.T
+		}
+		// Tied parameters share a Var: its last entry lands last, as Restore
+		// leaves it, and End goes backwards so the Var gets its own back.
+		for i, param := range ps {
+			w.own[i], param.Var.Value = param.Var.Value, w.Lent[i]
+		}
+		return w, true
+	}
+	return nil, false
+}
+
+// End points the value back at its own tensors, as they were before the
+// view began.
+func (w *View) End() {
+	if w.tv != nil {
+		w.tv.T = w.own[0]
+		return
+	}
+	for i := len(w.params) - 1; i >= 0; i-- {
+		w.params[i].Var.Value = w.own[i]
+	}
 }
 
 // DecodeTaggedPayload reads a kind tag then the payload body.

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	flor "flor.dev/flor"
+	"flor.dev/flor/internal/backmat"
 	"flor.dev/flor/internal/ckptfmt"
 	"flor.dev/flor/internal/core"
 	"flor.dev/flor/internal/obs"
@@ -781,8 +782,11 @@ func TestChangeAwareCaptureMatchesBaselineMatrix(t *testing.T) {
 // reads one checkpointed name (the other name of every skipped epoch is never
 // loaded) and with one that reads every checkpointed name (everything is, as
 // it was when a skip loaded its whole checkpoint), at each worker count and
-// initialization mode. Every replay must log, byte for byte, what running the
-// probed program with no instrumentation at all logs.
+// initialization mode, each worker with a private payload cache and then all
+// of them sharing one: from the third replay on the shared cache holds what
+// the one-name probe reads, so its reads are views of the cached tensors.
+// Every replay must log, byte for byte, what running the probed program with
+// no instrumentation at all logs.
 func TestDemandLoadMatrixMatchesUninstrumentedRun(t *testing.T) {
 	factory := compressibleFactory(7, 2)
 	probe := func(label string, eval func(e *flor.Env) (string, error)) func() *flor.Program {
@@ -849,18 +853,20 @@ func TestDemandLoadMatrixMatchesUninstrumentedRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: open: %v", s.name, err)
 			}
-			for _, workers := range []int{1, 2, 4} {
-				for _, init := range []replay.InitMode{replay.Weak, replay.Strong} {
-					res, err := replay.Replay(rec, pr.factory, replay.Options{Workers: workers, Init: init})
-					if err != nil {
-						t.Fatalf("%s %s workers=%d init=%v: %v", pr.name, s.name, workers, init, err)
-					}
-					if len(res.Anomalies) != 0 {
-						t.Fatalf("%s %s workers=%d init=%v: anomalies %v", pr.name, s.name, workers, init, res.Anomalies)
-					}
-					if err := sameLogs(want, res.Logs); err != nil {
-						t.Fatalf("%s %s workers=%d init=%v: replay differs from the uninstrumented run: %v",
-							pr.name, s.name, workers, init, err)
+			for _, cache := range []*backmat.PayloadCache{nil, backmat.NewPayloadCache(0)} {
+				for _, workers := range []int{1, 2, 4} {
+					for _, init := range []replay.InitMode{replay.Weak, replay.Strong} {
+						res, err := replay.Replay(rec, pr.factory, replay.Options{Workers: workers, Init: init, Cache: cache})
+						if err != nil {
+							t.Fatalf("%s %s workers=%d init=%v shared cache=%v: %v", pr.name, s.name, workers, init, cache != nil, err)
+						}
+						if len(res.Anomalies) != 0 {
+							t.Fatalf("%s %s workers=%d init=%v shared cache=%v: anomalies %v", pr.name, s.name, workers, init, cache != nil, res.Anomalies)
+						}
+						if err := sameLogs(want, res.Logs); err != nil {
+							t.Fatalf("%s %s workers=%d init=%v shared cache=%v: replay differs from the uninstrumented run: %v",
+								pr.name, s.name, workers, init, cache != nil, err)
+						}
 					}
 				}
 			}
