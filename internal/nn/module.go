@@ -13,6 +13,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"flor.dev/flor/internal/autograd"
 	"flor.dev/flor/internal/tensor"
@@ -93,33 +94,27 @@ func ZeroGrads(m Module) {
 
 // GradNorm returns the L2 norm of the concatenated gradients of all
 // trainable parameters; a standard training-health diagnostic and the value
-// Alice probes in the paper's §2.1 scenario.
+// Alice probes in the paper's §2.1 scenario. It adds each gradient's
+// SumSquares in parameter order and takes one square root.
 func GradNorm(m Module) float64 {
 	sum := 0.0
 	for _, p := range m.Params() {
 		if !p.Var.RequiresGrad() || p.Var.Grad == nil {
 			continue
 		}
-		n := p.Var.Grad.Norm()
-		sum += n * n
+		sum += p.Var.Grad.SumSquares()
 	}
-	return sqrt(sum)
+	return math.Sqrt(sum)
 }
 
-// WeightNorm returns the L2 norm of the concatenated parameter values.
+// WeightNorm returns the L2 norm of the concatenated parameter values, in
+// the same one-pass order as GradNorm.
 func WeightNorm(m Module) float64 {
 	sum := 0.0
 	for _, p := range m.Params() {
-		n := p.Var.Value.Norm()
-		sum += n * n
+		sum += p.Var.Value.SumSquares()
 	}
-	return sqrt(sum)
-}
-
-func sqrt(x float64) float64 {
-	// Newton's method is unnecessary; defer to math through tensor to keep
-	// import surface minimal here.
-	return tensor.Scalar(x).Norm()
+	return math.Sqrt(sum)
 }
 
 // CloneState deep-copies every parameter value of m into a name-keyed map;

@@ -6,6 +6,22 @@
 // replayed from a checkpoint reproduces the recorded run bit-for-bit. This
 // property is what lets Flor's deferred correctness checks (paper §5.2.2)
 // compare record and replay logs with exact equality.
+//
+// There are two accumulation orders:
+//
+//   - Norm and SumSquares sum squares in four positional lanes: for n
+//     elements and m = n - n%4, element i < m adds to lane i%4 in index
+//     order, the tail elements m..n-1 then add to lane 0 in index order,
+//     and the result is (s0+s1)+(s2+s3). Each square is rounded before its
+//     add (never fused). The order depends only on the values and their
+//     indices — not on address, alignment, GOMAXPROCS or GOARCH — so a
+//     live tensor, its Clone and a view of a cached copy give the same bits.
+//     Four independent chains run at memory speed, not add latency; these
+//     are the log statements' reductions (weight and gradient norms).
+//   - Every other reduction (Sum, Mean, the dot products in MatMul, …) is
+//     a left fold in index order. Training depends on these — autograd's
+//     mean loss, and the committed fixtures' recorded sums — so they keep
+//     the order they were recorded with.
 package tensor
 
 import (
