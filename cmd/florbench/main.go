@@ -6,8 +6,8 @@
 //
 //	florbench [-exp all|<name>[,<name>...]] [-scale full|smoke] [-dir DIR]
 //
-// An unknown experiment name is an error (exit status 2) before any work
-// starts.
+// An unknown experiment name or scale is an error (exit status 2) before any
+// work starts.
 package main
 
 import (
@@ -52,22 +52,43 @@ func selectExperiments(list string) ([]bench.Experiment, error) {
 	return sel, nil
 }
 
-func main() {
-	exp := flag.String("exp", "all", "experiments to run, comma separated: "+strings.Join(expNames(), ", "))
-	scale := flag.String("scale", "full", "workload scale: full (paper epoch counts) or smoke")
-	dir := flag.String("dir", "", "run directory (default: a temp directory)")
-	flag.Parse()
+// config is a parsed florbench command line.
+type config struct {
+	sel   []bench.Experiment
+	scale workloads.Scale
+	dir   string
+}
 
-	sel, err := selectExperiments(*exp)
+// parseArgs parses florbench's flags. An unknown experiment or scale is an
+// error naming the accepted values.
+func parseArgs(args []string) (*config, error) {
+	fs := flag.NewFlagSet("florbench", flag.ContinueOnError)
+	exp := fs.String("exp", "all", "experiments to run, comma separated: "+strings.Join(expNames(), ", "))
+	scale := fs.String("scale", "full", "workload scale: full (paper epoch counts) or smoke")
+	dir := fs.String("dir", "", "run directory (default: a temp directory)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	cfg := &config{dir: *dir}
+	var err error
+	if cfg.sel, err = selectExperiments(*exp); err != nil {
+		return nil, err
+	}
+	if cfg.scale, err = workloads.ParseScale(*scale); err != nil {
+		return nil, err
+	}
+	return cfg, nil
+}
+
+func main() {
+	cfg, err := parseArgs(os.Args[1:])
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "florbench:", err)
+		if err != flag.ErrHelp {
+			fmt.Fprintln(os.Stderr, "florbench:", err)
+		}
 		os.Exit(2)
 	}
-	sc := workloads.Full
-	if *scale == "smoke" {
-		sc = workloads.Smoke
-	}
-	base := *dir
+	base := cfg.dir
 	if base == "" {
 		tmp, err := os.MkdirTemp("", "florbench-*")
 		if err != nil {
@@ -76,8 +97,8 @@ func main() {
 		defer os.RemoveAll(tmp)
 		base = tmp
 	}
-	s := bench.NewSession(base, sc, os.Stdout)
-	for _, e := range sel {
+	s := bench.NewSession(base, cfg.scale, os.Stdout)
+	for _, e := range cfg.sel {
 		if err := e.Run(s); err != nil {
 			log.Fatalf("%s: %v", e.Name, err)
 		}

@@ -3,6 +3,9 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"flor.dev/flor/internal/bench"
+	"flor.dev/flor/internal/workloads"
 )
 
 func TestSelectExperiments(t *testing.T) {
@@ -25,6 +28,23 @@ func TestSelectExperiments(t *testing.T) {
 	for _, name := range expNames() {
 		if !strings.Contains(err.Error(), name) {
 			t.Fatalf("error %q does not name accepted experiment %q", err, name)
+		}
+	}
+}
+
+func TestParseArgsRejectsUnknownScale(t *testing.T) {
+	cfg, err := parseArgs([]string{"-exp", "fig10", "-scale", "smoke"})
+	if err != nil || cfg.scale != workloads.Smoke || len(cfg.sel) != 1 {
+		t.Fatalf("-scale smoke: %+v, %v", cfg, err)
+	}
+	if cfg, err = parseArgs(nil); err != nil || cfg.scale != workloads.Full || len(cfg.sel) != len(bench.Experiments) {
+		t.Fatalf("defaults: %+v, %v", cfg, err)
+	}
+	// A typo must not pick a scale: "Smoke" is not smoke, and not full.
+	for _, bad := range []string{"Smoke", "ful", ""} {
+		_, err := parseArgs([]string{"-scale", bad})
+		if err == nil || !strings.Contains(err.Error(), "smoke") || !strings.Contains(err.Error(), "full") {
+			t.Fatalf("-scale %q: err %v, want one naming the accepted scales", bad, err)
 		}
 	}
 }

@@ -114,6 +114,11 @@ func main() {
 		os.Exit(1)
 	}
 	logger.SetLevel(level)
+	sc, err := workloads.ParseScale(*scale)
+	if err != nil {
+		logger.Error("bad -scale", "err", err)
+		os.Exit(2)
+	}
 	fatal := func(msg string, kv ...any) {
 		logger.Error(msg, kv...)
 		os.Exit(1)
@@ -132,10 +137,6 @@ func main() {
 	}
 	if names == "" {
 		fatal("nothing to serve; pass -demo or -record <workloads>")
-	}
-	sc := workloads.Smoke
-	if *scale == "full" {
-		sc = workloads.Full
 	}
 	base := *dir
 	if base == "" {

@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	flor "flor.dev/flor"
 	"flor.dev/flor/internal/workloads"
@@ -38,9 +39,10 @@ func main() {
 	if !ok {
 		log.Fatalf("florreplay: unknown workload %q (have %v)", *name, workloads.Names())
 	}
-	sc := workloads.Full
-	if *scale == "smoke" {
-		sc = workloads.Smoke
+	sc, err := workloads.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "florreplay:", err)
+		os.Exit(2)
 	}
 	factory := spec.Build(sc)
 	switch *probe {

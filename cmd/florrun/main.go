@@ -46,9 +46,10 @@ func main() {
 	if !ok {
 		log.Fatalf("florrun: unknown workload %q (have %v)", *name, workloads.Names())
 	}
-	sc := workloads.Full
-	if *scale == "smoke" {
-		sc = workloads.Smoke
+	sc, err := workloads.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "florrun:", err)
+		os.Exit(2)
 	}
 
 	opts := []flor.Option{}

@@ -13,16 +13,16 @@ import (
 	"path/filepath"
 	"sort"
 
-	"flor.dev/flor/internal/cluster"
 	"flor.dev/flor/internal/core"
 	"flor.dev/flor/internal/replay"
+	"flor.dev/flor/internal/sched"
 	"flor.dev/flor/internal/script"
-	"flor.dev/flor/internal/store"
 	"flor.dev/flor/internal/workloads"
 )
 
 // WorkloadRun caches everything the experiments need about one workload:
-// the vanilla baseline, the record run, and derived per-iteration costs.
+// the vanilla baseline, the record run, replay's plans for it, and the c its
+// replay measured.
 type WorkloadRun struct {
 	Spec    *workloads.Spec
 	Factory func() *script.Program
@@ -32,32 +32,24 @@ type WorkloadRun struct {
 	VanillaLogs []string
 	Record      *core.RecordResult
 
-	// Derived measurements.
-	EpochComputNs []int64 // per-epoch train-loop compute (gaps filled with mean)
-	EvalNs        int64   // per-epoch non-train cost (eval + logging)
-	MeanRestoreNs int64
-	SetupNs       int64
+	// Inner and Outer are what replay.Plan returns for the program under
+	// the inner probe (every iteration re-executes) and the outer probe
+	// (nested loops restore): the prices a replay schedules with, from the
+	// recording's timings and checkpoint metadata. Anchors are the
+	// recording's anchored iterations.
+	Inner, Outer *sched.Costs
+	Anchors      []int
+	// CFactor is the restore/materialize factor c after one probe-free
+	// replay of the recording: the replay tracker's, refined by the
+	// restores the replay measured (replay.Result.CFactor).
+	CFactor float64
 }
 
-// Epochs returns the workload's main-loop iteration count for this run.
-func (wr *WorkloadRun) Epochs() int { return len(wr.EpochComputNs) }
-
-// IterationCosts converts the measurements into the cluster simulator's
-// input: per-iteration compute = train compute + eval cost. The restore cost
-// of an iteration is the measured mean checkpoint restore when its Loop End
-// Checkpoint was materialized, and the full compute cost otherwise (sparse
-// workloads re-execute unmaterialized epochs); the eval always re-executes.
-func (wr *WorkloadRun) IterationCosts() *cluster.IterationCosts {
-	c := &cluster.IterationCosts{SetupNs: wr.SetupNs}
-	for i, e := range wr.EpochComputNs {
-		c.ComputNs = append(c.ComputNs, e+wr.EvalNs)
-		if wr.Record.Recording.Store.Has(store.Key{LoopID: "train", Exec: i}) {
-			c.RestoreNs = append(c.RestoreNs, wr.MeanRestoreNs+wr.EvalNs)
-		} else {
-			c.RestoreNs = append(c.RestoreNs, e+wr.EvalNs)
-		}
-	}
-	return c
+// sequentialNs is the virtual time of one worker re-executing a run: setup
+// plus every iteration's work under the inner probe's plan, where every
+// iteration re-executes.
+func sequentialNs(inner *sched.Costs) int64 {
+	return inner.SetupNs + inner.WorkCostNs(0, inner.N())
 }
 
 // Session runs experiments, caching workload runs so that one florbench
@@ -180,47 +172,22 @@ func (s *Session) Run(name string) (*WorkloadRun, error) {
 	return wr, nil
 }
 
-// derive computes per-epoch costs from the record store and a sequential
-// unprobed replay (which measures setup and restore costs directly).
+// derive takes replay's plans for the recording, then runs one probe-free
+// sequential replay of it and keeps the c its tracker ends with.
 func (s *Session) derive(wr *WorkloadRun) error {
-	epochs := wr.Spec.Epochs(s.Scale)
-	perEpoch := make([]int64, epochs)
-	var sum, n int64
-	for _, m := range wr.Record.Recording.Store.Metas() {
-		if m.Key.LoopID == "train" && m.Key.Exec < epochs && m.ComputNs > 0 {
-			perEpoch[m.Key.Exec] = m.ComputNs
-			sum += m.ComputNs
-			n++
-		}
+	rec, name := wr.Record.Recording, wr.Spec.Name
+	var err error
+	if wr.Inner, wr.Anchors, err = replay.Plan(rec, workloads.WithInnerProbe(wr.Factory)); err != nil {
+		return fmt.Errorf("bench: %s inner-probe plan: %w", name, err)
 	}
-	var mean int64
-	if n > 0 {
-		mean = sum / n
+	if wr.Outer, _, err = replay.Plan(rec, workloads.WithOuterProbe(wr.Factory)); err != nil {
+		return fmt.Errorf("bench: %s outer-probe plan: %w", name, err)
 	}
-	total := int64(0)
-	for i := range perEpoch {
-		if perEpoch[i] == 0 {
-			perEpoch[i] = mean
-		}
-		total += perEpoch[i]
-	}
-	wr.EpochComputNs = perEpoch
-	// Eval/log cost per epoch: the vanilla wall time not explained by the
-	// train loops, spread across epochs.
-	if rem := wr.VanillaNs - total; rem > 0 && epochs > 0 {
-		wr.EvalNs = rem / int64(epochs)
-	}
-
-	// One unprobed sequential replay measures setup and restore costs.
-	res, err := replay.Replay(wr.Record.Recording, wr.Factory, replay.Options{Workers: 1, SkipDeferredCheck: true})
+	res, err := replay.Replay(rec, wr.Factory, replay.Options{Workers: 1, SkipDeferredCheck: true})
 	if err != nil {
-		return fmt.Errorf("bench: %s probe-free replay: %w", wr.Spec.Name, err)
+		return fmt.Errorf("bench: %s probe-free replay: %w", name, err)
 	}
-	w := res.Workers[0]
-	wr.SetupNs = w.SetupNs
-	if w.Restored > 0 {
-		wr.MeanRestoreNs = w.RestoreNs / int64(w.Restored)
-	}
+	wr.CFactor = res.CFactor
 	return nil
 }
 

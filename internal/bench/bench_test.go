@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"flor.dev/flor/internal/backmat"
-	"flor.dev/flor/internal/cluster"
 	"flor.dev/flor/internal/core"
 	"flor.dev/flor/internal/replay"
+	"flor.dev/flor/internal/sched"
 	"flor.dev/flor/internal/workloads"
 )
 
@@ -48,23 +48,25 @@ func TestRunUnknownWorkload(t *testing.T) {
 	}
 }
 
+// TestDeriveFillsIterationCosts checks what a run hands the figures:
+// replay's plans, pricing every epoch, and the c of its probe-free replay.
 func TestDeriveFillsIterationCosts(t *testing.T) {
 	s := smokeSession(t)
 	wr, err := s.Run("Jasp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wr.Epochs() != wr.Spec.Epochs(workloads.Smoke) {
-		t.Fatalf("epochs = %d", wr.Epochs())
+	epochs := wr.Spec.Epochs(workloads.Smoke)
+	if wr.Inner.N() != epochs || wr.Outer.N() != epochs {
+		t.Fatalf("plans cover %d and %d epochs, want %d", wr.Inner.N(), wr.Outer.N(), epochs)
 	}
-	costs := wr.IterationCosts()
-	if len(costs.ComputNs) != wr.Epochs() {
-		t.Fatalf("cost vector length %d", len(costs.ComputNs))
-	}
-	for i, c := range costs.ComputNs {
+	for i, c := range wr.Inner.WorkNs {
 		if c <= 0 {
 			t.Fatalf("epoch %d has no compute cost", i)
 		}
+	}
+	if !(wr.CFactor > 0) {
+		t.Fatalf("c = %g", wr.CFactor)
 	}
 }
 
@@ -133,27 +135,29 @@ func TestFig7Shape(t *testing.T) {
 	}
 }
 
-// syntheticCosts is a fixed full-scale-shaped run: 24 uneven epochs of about
-// a tenth of a second, restores at a twentieth of that, a short setup. The
-// figures' shape claims are asserted over it, where the scheduler simulation
-// is deterministic; over costs measured at smoke scale (microsecond epochs
-// on a shared host) they are not claims the code can keep.
-func syntheticCosts() *cluster.IterationCosts {
-	c := &cluster.IterationCosts{SetupNs: 20e6}
+// syntheticCosts is a fixed full-scale-shaped inner-probe plan: 24 uneven
+// epochs of about a tenth of a second, restores at a twentieth of that, a
+// short setup, every epoch anchored. The figures' shape claims are asserted
+// over it, where the scheduler simulation is deterministic; over plans
+// measured at smoke scale (microsecond epochs on a shared host) they are
+// not claims the code can keep.
+func syntheticCosts() (*sched.Costs, []int) {
+	c := &sched.Costs{SetupNs: 20e6}
+	var anchors []int
 	for e := 0; e < 24; e++ {
-		c.ComputNs = append(c.ComputNs, 100e6+7e6*int64(e%5))
-		c.RestoreNs = append(c.RestoreNs, 5e6)
+		c.WorkNs = append(c.WorkNs, 100e6+7e6*int64(e%5))
+		c.CatchupNs = append(c.CatchupNs, 5e6)
+		anchors = append(anchors, e)
 	}
-	return c
+	return c, anchors
 }
 
 func TestFig10FractionsBounded(t *testing.T) {
 	const g = 4
-	costs := syntheticCosts()
-	strong := cluster.Simulate(costs, g, replay.Strong, true, nil)
-	weak := cluster.Simulate(costs, g, replay.Weak, true, nil)
-	strongFraction := float64(strong.MakespanNs) / float64(strong.SequentialNs)
-	weakFraction := float64(weak.MakespanNs) / float64(weak.SequentialNs)
+	costs, anchors := syntheticCosts()
+	seq := float64(sequentialNs(costs))
+	strongFraction := float64(sched.Simulate(costs, g, replay.Strong, anchors, nil).MakespanNs) / seq
+	weakFraction := float64(sched.Simulate(costs, g, replay.Weak, anchors, nil).MakespanNs) / seq
 	if floor := 1.0 / g; weakFraction < floor {
 		t.Fatalf("weak fraction %.3f below the ideal floor %.3f", weakFraction, floor)
 	}
@@ -180,18 +184,18 @@ func TestFig10FractionsBounded(t *testing.T) {
 }
 
 func TestFig13NearIdealVirtualScaling(t *testing.T) {
-	costs := syntheticCosts()
-	n := len(costs.ComputNs)
+	costs, anchors := syntheticCosts()
+	n := costs.N()
 	prev := 0.0
 	for _, g := range []int{1, 4, 8, 12, 16} {
-		speedup := cluster.Simulate(costs, g, replay.Weak, true, nil).SpeedupFactor
-		if ideal := replay.MaxSpeedup(n, g); speedup > ideal*1.001 {
-			t.Fatalf("G=%d speedup %.2f exceeds ideal %.2f", g, speedup, ideal)
+		s := speedup(sequentialNs(costs), sched.Simulate(costs, g, replay.Weak, anchors, nil))
+		if ideal := replay.MaxSpeedup(n, g); s > ideal*1.001 {
+			t.Fatalf("G=%d speedup %.2f exceeds ideal %.2f", g, s, ideal)
 		}
-		if speedup < prev*0.999 {
-			t.Fatalf("speedup not monotone: G=%d %.2f after %.2f", g, speedup, prev)
+		if s < prev*0.999 {
+			t.Fatalf("speedup not monotone: G=%d %.2f after %.2f", g, s, prev)
 		}
-		prev = speedup
+		prev = s
 	}
 	// 24 epochs on 16 GPUs run in two waves: ideal is 12x.
 	if prev < 8 {
@@ -214,11 +218,11 @@ func TestFig13NearIdealVirtualScaling(t *testing.T) {
 }
 
 func TestFig14CostsComparable(t *testing.T) {
-	costs := syntheticCosts()
-	serial := cluster.Simulate(costs, 1, replay.Weak, true, nil)
-	_, serialCost := cluster.ReplayCost(serial, cluster.P32xLarge())
-	par := cluster.Simulate(costs, paperGPUPool, replay.Weak, true, nil)
-	machines, parCost := cluster.ReplayCost(par, cluster.P38xLarge())
+	costs, anchors := syntheticCosts()
+	serial := sched.Simulate(costs, 1, replay.Weak, anchors, nil)
+	_, serialCost := replayCost(1, serial.MakespanNs, p32xLarge)
+	par := sched.Simulate(costs, paperGPUPool, replay.Weak, anchors, nil)
+	machines, parCost := replayCost(paperGPUPool, par.MakespanNs, p38xLarge)
 	if par.MakespanNs >= serial.MakespanNs {
 		t.Fatalf("parallel replay (%d) not faster than serial (%d)", par.MakespanNs, serial.MakespanNs)
 	}
@@ -250,12 +254,15 @@ func TestFig12OuterProbeIsPartialReplay(t *testing.T) {
 	// every nested loop restoring, so its replay is partial — faster than
 	// re-executing, before any parallelism — and an inner probe re-executes
 	// everything, so only the pool speeds it up.
-	costs := syntheticCosts()
-	if outer := cluster.Simulate(costs, 1, replay.Weak, false, nil); outer.SpeedupFactor <= 1 {
-		t.Fatalf("sequential outer-probe replay is not partial: speedup %.2f", outer.SpeedupFactor)
+	costs, anchors := syntheticCosts()
+	seq := sequentialNs(costs)
+	// The outer probe's plan prices work as catch-up: every epoch restores.
+	outerCosts := &sched.Costs{WorkNs: costs.CatchupNs, CatchupNs: costs.CatchupNs, SetupNs: costs.SetupNs}
+	if outer := speedup(seq, sched.Simulate(outerCosts, 1, replay.Weak, anchors, nil)); outer <= 1 {
+		t.Fatalf("sequential outer-probe replay is not partial: speedup %.2f", outer)
 	}
-	if inner := cluster.Simulate(costs, paperGPUPool, replay.Weak, true, nil); inner.SpeedupFactor < 1 {
-		t.Fatalf("virtual parallel replay slower than sequential: %.2f", inner.SpeedupFactor)
+	if inner := speedup(seq, sched.Simulate(costs, paperGPUPool, replay.Weak, anchors, nil)); inner < 1 {
+		t.Fatalf("virtual parallel replay slower than sequential: %.2f", inner)
 	}
 
 	// Over measured costs: one well-formed row per workload.

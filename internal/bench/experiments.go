@@ -13,7 +13,6 @@ import (
 
 	"flor.dev/flor/internal/adapt"
 	"flor.dev/flor/internal/backmat"
-	"flor.dev/flor/internal/cluster"
 	"flor.dev/flor/internal/core"
 	"flor.dev/flor/internal/nn"
 	"flor.dev/flor/internal/store"
@@ -266,7 +265,7 @@ func (s *Session) Table4() (*Table4Report, error) {
 		rep.Rows = append(rep.Rows, Table4Row{
 			Name:        name,
 			GzBytes:     gz,
-			CostPerMo:   cluster.CostModel{}.StorageCostPerMonth(gz),
+			CostPerMo:   storageCostPerMonth(gz),
 			Checkpoints: wr.Record.MatStats.Checkpoints,
 		})
 	}
@@ -275,7 +274,7 @@ func (s *Session) Table4() (*Table4Report, error) {
 	s.printf("%-5s %16s %14s %12s\n", "Name", "ckpt size", "cost/month", "checkpoints")
 	for _, r := range rep.Rows {
 		s.printf("%-5s %15s %14s %12d\n", r.Name, fmtBytes(r.GzBytes),
-			cluster.FormatDollars(r.CostPerMo), r.Checkpoints)
+			formatDollars(r.CostPerMo), r.Checkpoints)
 	}
 	return rep, nil
 }

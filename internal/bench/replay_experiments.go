@@ -5,15 +5,24 @@ import (
 	"runtime"
 
 	"flor.dev/flor/internal/backmat"
-	"flor.dev/flor/internal/cluster"
 	"flor.dev/flor/internal/core"
 	"flor.dev/flor/internal/replay"
+	"flor.dev/flor/internal/sched"
 	"flor.dev/flor/internal/workloads"
 )
 
 // paperGPUPool is the paper's replay resource pool: four P3.8xLarge
 // machines, four GPUs each.
 const paperGPUPool = 16
+
+// speedup is the virtual sequential re-execution time seqNs over a
+// simulated replay's makespan.
+func speedup(seqNs int64, sim *sched.SimResult) float64 {
+	if sim.MakespanNs <= 0 {
+		return 0
+	}
+	return float64(seqNs) / float64(sim.MakespanNs)
+}
 
 // Fig12Row is one workload's replay-latency measurement.
 type Fig12Row struct {
@@ -25,7 +34,8 @@ type Fig12Row struct {
 	InnerReplay2Ns int64 // inner probe, 2 workers (real wall clock)
 	// OuterParSpeedup is the virtual-time outer-probe replay speedup with
 	// parallelism over the pool (the paper's top plot combines partial AND
-	// parallel replay): vanilla time / parallel restore-replay makespan.
+	// parallel replay): virtual sequential re-execution / the outer-probe
+	// plan's parallel makespan.
 	OuterParSpeedup float64
 	// Virtual-time inner-probe replay on the paper's pool.
 	InnerWorkers      int
@@ -42,7 +52,7 @@ type Fig12Report struct {
 // The top half (outer probe → partial replay) is measured in real wall
 // clock. The bottom half (inner probe → full re-execution) is measured in
 // real wall clock at G=2 (the host's core count) and in virtual time on the
-// paper's 16-GPU pool, using per-iteration costs measured during record.
+// paper's 16-GPU pool: sched.Simulate over replay's own plan for each probe.
 func (s *Session) Fig12() (*Fig12Report, error) {
 	rep := &Fig12Report{}
 	for _, name := range workloads.Names() {
@@ -73,15 +83,12 @@ func (s *Session) Fig12() (*Fig12Report, error) {
 
 		// Virtual-time scale-out: as many workers as give parallelism gains,
 		// bounded by the paper's pool.
-		row.InnerWorkers = paperGPUPool
-		if e := wr.Epochs(); e < row.InnerWorkers {
-			row.InnerWorkers = e
-		}
-		vr := cluster.Simulate(wr.IterationCosts(), row.InnerWorkers, replay.Weak, true, nil)
-		row.InnerVirtSpeedup = vr.SpeedupFactor
+		row.InnerWorkers = min(paperGPUPool, wr.Inner.N())
+		seq := sequentialNs(wr.Inner)
+		vr := sched.Simulate(wr.Inner, row.InnerWorkers, replay.Weak, wr.Anchors, nil)
+		row.InnerVirtSpeedup = speedup(seq, vr)
 		row.InnerVirtReplayNs = vr.MakespanNs
-		outerPar := cluster.Simulate(wr.IterationCosts(), row.InnerWorkers, replay.Weak, false, nil)
-		row.OuterParSpeedup = outerPar.SpeedupFactor
+		row.OuterParSpeedup = speedup(seq, sched.Simulate(wr.Outer, row.InnerWorkers, replay.Weak, wr.Anchors, nil))
 		rep.Rows = append(rep.Rows, row)
 	}
 	s.printf("\nFigure 12: replay latency by probe position.\n")
@@ -116,7 +123,7 @@ type Fig10Report struct {
 
 // Fig10 reproduces Figure 10: parallel replay time of entire training jobs
 // as a fraction of a vanilla re-execution, on 4 GPUs, weak vs strong
-// initialization (virtual time from measured costs).
+// initialization (virtual time over replay's inner-probe plan).
 func (s *Session) Fig10() (*Fig10Report, error) {
 	const g = 4
 	rep := &Fig10Report{Workers: g}
@@ -125,15 +132,16 @@ func (s *Session) Fig10() (*Fig10Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		costs := wr.IterationCosts()
-		strong := cluster.Simulate(costs, g, replay.Strong, true, nil)
-		weak := cluster.Simulate(costs, g, replay.Weak, true, nil)
-		n := wr.Epochs()
+		costs, anchors := wr.Inner, wr.Anchors
+		seq := float64(sequentialNs(costs))
+		strong := sched.Simulate(costs, g, replay.Strong, anchors, nil)
+		weak := sched.Simulate(costs, g, replay.Weak, anchors, nil)
+		n := costs.N()
 		per := (n + g - 1) / g
 		rep.Rows = append(rep.Rows, Fig10Row{
 			Name:           name,
-			StrongFraction: float64(strong.MakespanNs) / float64(strong.SequentialNs),
-			WeakFraction:   float64(weak.MakespanNs) / float64(weak.SequentialNs),
+			StrongFraction: float64(strong.MakespanNs) / seq,
+			WeakFraction:   float64(weak.MakespanNs) / seq,
 			FloorFraction:  float64(per) / float64(n),
 		})
 	}
@@ -165,13 +173,12 @@ func (s *Session) Fig13() (*Fig13Report, error) {
 		return nil, err
 	}
 	rep := &Fig13Report{Workload: "RsNt"}
-	costs := wr.IterationCosts()
-	n := wr.Epochs()
+	costs, anchors := wr.Inner, wr.Anchors
 	for _, g := range []int{1, 4, 8, 12, 16} {
-		vr := cluster.Simulate(costs, g, replay.Weak, true, nil)
+		vr := sched.Simulate(costs, g, replay.Weak, anchors, nil)
 		rep.GPUs = append(rep.GPUs, g)
-		rep.Speedup = append(rep.Speedup, vr.SpeedupFactor)
-		rep.Ideal = append(rep.Ideal, replay.MaxSpeedup(n, g))
+		rep.Speedup = append(rep.Speedup, speedup(sequentialNs(costs), vr))
+		rep.Ideal = append(rep.Ideal, replay.MaxSpeedup(costs.N(), g))
 	}
 	// Real 2-worker anchor.
 	seq, err := replay.Replay(wr.Record.Recording, workloads.WithInnerProbe(wr.Factory),
@@ -220,16 +227,13 @@ func (s *Session) Fig14() (*Fig14Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		costs := wr.IterationCosts()
-		serial := cluster.Simulate(costs, 1, replay.Weak, true, nil)
-		_, serialCost := cluster.ReplayCost(serial, cluster.P32xLarge())
+		costs, anchors := wr.Inner, wr.Anchors
+		serial := sched.Simulate(costs, 1, replay.Weak, anchors, nil)
+		_, serialCost := replayCost(1, serial.MakespanNs, p32xLarge)
 
-		g := paperGPUPool
-		if e := wr.Epochs(); e < g {
-			g = e
-		}
-		par := cluster.Simulate(costs, g, replay.Weak, true, nil)
-		machines, parCost := cluster.ReplayCost(par, cluster.P38xLarge())
+		g := min(paperGPUPool, costs.N())
+		par := sched.Simulate(costs, g, replay.Weak, anchors, nil)
+		machines, parCost := replayCost(g, par.MakespanNs, p38xLarge)
 		rep.Rows = append(rep.Rows, Fig14Row{
 			Name:     name,
 			SerialNs: serial.MakespanNs, SerialCost: serialCost,
@@ -242,8 +246,8 @@ func (s *Session) Fig14() (*Fig14Report, error) {
 		"Name", "serial time", "cost", "parallel time", "cost", "machines")
 	for _, r := range rep.Rows {
 		s.printf("%-5s %12.3fs %11s %15.3fs %13s %6d x4GPU\n",
-			r.Name, sec(r.SerialNs), cluster.FormatDollars(r.SerialCost),
-			sec(r.ParallelNs), cluster.FormatDollars(r.ParallelCost), r.Machines)
+			r.Name, sec(r.SerialNs), formatDollars(r.SerialCost),
+			sec(r.ParallelNs), formatDollars(r.ParallelCost), r.Machines)
 	}
 	return rep, nil
 }
@@ -305,8 +309,10 @@ func (s *Session) SerVsIO(names []string) (*SerVsIOReport, error) {
 	return rep, nil
 }
 
-// CFactor reports the measured restore/materialize scaling factor c across
-// all workloads (paper §5.3.2: measured average 1.38, seeded at 1.0).
+// CFactor reports the restore/materialize scaling factor c across all
+// workloads (paper §5.3.2: measured average 1.38, seeded at 1.0): the mean
+// of each workload's probe-free replay c, the factor replay's tracker
+// re-prices steals with.
 func (s *Session) CFactor() (float64, error) {
 	var sum float64
 	var n int
@@ -315,21 +321,10 @@ func (s *Session) CFactor() (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		// Replay refined the tracker during derive(); use the mean restore
-		// vs mean materialization of the run's checkpoints.
-		metas := wr.Record.Recording.Store.Metas()
-		var materSum, materN int64
-		for _, m := range metas {
-			if m.MaterNs > 0 {
-				materSum += m.MaterNs
-				materN++
-			}
+		if wr.CFactor > 0 {
+			sum += wr.CFactor
+			n++
 		}
-		if materN == 0 || wr.MeanRestoreNs == 0 {
-			continue
-		}
-		sum += float64(wr.MeanRestoreNs) / (float64(materSum) / float64(materN))
-		n++
 	}
 	if n == 0 {
 		return 0, fmt.Errorf("bench: no c observations")

@@ -38,9 +38,6 @@ type RecordOptions struct {
 	// DisableAdaptive materializes every loop execution regardless of cost,
 	// reproducing the "adaptivity disabled" configuration of Figure 7.
 	DisableAdaptive bool
-	// DisableBackground forces the Baseline strategy (serialization and
-	// write on the training thread), reproducing §5.1's comparison.
-	DisableBackground bool
 	// ShardFanout requests a hash-prefix sharded chunk store for new runs
 	// (power of two in [2, 256]); 0 keeps the single-pack v2 layout.
 	ShardFanout int
@@ -87,13 +84,9 @@ func Record(dir string, factory func() *script.Program, opts RecordOptions) (*Re
 	if st.ReadOnly() {
 		return nil, fmt.Errorf("core: record into %s: a legacy v1 run directory is read-compat only: %w", dir, store.ErrReadOnly)
 	}
-	strategy := opts.Strategy
-	if opts.DisableBackground {
-		strategy = backmat.Baseline
-	}
 	tracker := adapt.New(opts.Epsilon)
 	tracker.SetDisabled(opts.DisableAdaptive)
-	mat := backmat.New(st, strategy)
+	mat := backmat.New(st, opts.Strategy)
 	mat.SetObserver(tracker.NoteMaterialized)
 	rt := skipblock.NewRuntime(p, tracker, mat, st)
 

@@ -138,7 +138,7 @@ func TestVanillaMatchesRecordLogs(t *testing.T) {
 
 func TestDisableBackgroundUsesBaseline(t *testing.T) {
 	res, err := core.Record(t.TempDir(), counter(3, 2),
-		core.RecordOptions{DisableAdaptive: true, DisableBackground: true})
+		core.RecordOptions{DisableAdaptive: true, Strategy: backmat.Baseline})
 	if err != nil {
 		t.Fatal(err)
 	}

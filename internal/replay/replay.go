@@ -51,7 +51,7 @@ import (
 )
 
 // InitMode selects the worker initialization strategy (paper §5.4.2); it is
-// the scheduler's Init so replay and the cluster simulator price it alike.
+// the scheduler's Init so replay and sched.Simulate price it alike.
 type InitMode = sched.Init
 
 // Strong initialization replays every iteration preceding the work segment
@@ -157,22 +157,54 @@ func (rec *Recording) schedStateFor(p *script.Program) *schedState {
 	return rec.sched
 }
 
-// costsFor returns the memoized cost model for the probedInner variant.
-// Cached costs are priced with the recording's persisted c prior, which
-// every query's fresh tracker starts from, so the first and the hundredth
-// query see the same model; sched.Costs is read-only to its consumers and
-// safe to share across concurrent replays.
-func (rec *Recording) costsFor(st *schedState, p *script.Program, probedInner bool, tracker *adapt.Tracker) *sched.Costs {
+// Plan returns the replay planner's input for the probed program factory
+// builds: the scheduler's cost model and the recording's anchored
+// iterations — exactly what Replay partitions and steals with, since both
+// read them through one memo on rec. The paper-figure simulations
+// (internal/bench) run sched.Simulate over it, so they price iterations the
+// way replay does. The returned values are shared and must not be modified.
+func Plan(rec *Recording, factory func() *script.Program) (*sched.Costs, []int, error) {
+	p, diff, err := diffProbed(rec, factory)
+	if err != nil {
+		return nil, nil, err
+	}
+	costs, anchors := rec.plan(p, diff)
+	return costs, anchors, nil
+}
+
+// plan returns the memoized cost model and anchors for p, whose diff against
+// the recording is diff. The one query-dependent bit is whether an
+// instrumented (restorable) loop is probed: only then do work iterations
+// re-execute at compute cost; an outer-only probe leaves every nested loop
+// restoring, so work is priced as catch-up. Cached costs are priced with the
+// recording's persisted c prior, which every query's fresh tracker starts
+// from, so the first and the hundredth query see the same model;
+// sched.Costs is read-only to its consumers and safe to share across
+// concurrent replays.
+func (rec *Recording) plan(p *script.Program, diff *script.DiffResult) (*sched.Costs, []int) {
+	st := rec.schedStateFor(p)
 	idx := 0
-	if probedInner {
-		idx = 1
+	for _, id := range st.ids {
+		if diff.Probes[id] {
+			idx = 1
+		}
 	}
 	rec.schedMu.Lock()
 	defer rec.schedMu.Unlock()
 	if st.costs[idx] == nil {
-		st.costs[idx] = schedCosts(rec, p, st, probedInner, tracker)
+		st.costs[idx] = schedCosts(rec, p, st, idx == 1)
 	}
-	return st.costs[idx]
+	return st.costs[idx], st.anchors
+}
+
+// newTracker returns a fresh adaptive tracker seeded with the recording's
+// persisted restore/materialize factor c.
+func (rec *Recording) newTracker() *adapt.Tracker {
+	tracker := adapt.New(adapt.DefaultEpsilon)
+	if rec.Timings != nil && rec.Timings.C > 0 {
+		tracker.SeedC(rec.Timings.C)
+	}
+	return tracker
 }
 
 // WorkerReport describes one parallel worker's replay. Only workers that
@@ -254,26 +286,16 @@ func Replay(rec *Recording, factory func() *script.Program, opts Options) (*Resu
 		return nil, err
 	}
 	n := probeProgram.Main.Iters
-	st, diff, tracker := env.st, env.diff, env.tracker
+	diff, tracker := env.diff, env.tracker
 	priorC := tracker.C()
-
-	// Work iterations re-execute at compute cost only when an instrumented
-	// (restorable) loop itself is probed; an outer-only probe leaves every
-	// nested loop restoring, so work is priced as catch-up.
-	probedInner := false
-	for _, id := range st.ids {
-		if diff.Probes[id] {
-			probedInner = true
-		}
-	}
-	costs := rec.costsFor(st, probeProgram, probedInner, tracker)
+	costs, anchors := rec.plan(probeProgram, diff)
 	// Every worker queues for its slot at the same price, the modeled
 	// per-worker share of the replay: which lease a worker will run is
 	// only decided once it holds the slot.
 	env.slotCostNs = costs.SetupNs + costs.WorkCostNs(0, n)/int64(opts.Workers)
 
 	x := sched.NewExecutor(costs,
-		sched.PartitionBalancedAnchored(costs, opts.Workers, opts.Init, st.anchors), st.anchors)
+		sched.PartitionBalancedAnchored(costs, opts.Workers, opts.Init, anchors), anchors)
 	// Feedback: steal profitability rescales modeled catch-up by how far the
 	// measured restore/materialize factor has drifted from the prior the
 	// cost model was priced with. The scale is clamped: measured restores
@@ -321,6 +343,23 @@ func Replay(rec *Recording, factory func() *script.Program, opts Options) (*Resu
 // (skipblock.restore → adapt.NoteRestore), and the executor reprices later
 // catch-up estimates through it (cost-model feedback, paper §5.3.2).
 func newReplayEnv(rec *Recording, factory func() *script.Program, opts Options) (*replayEnv, *script.Program, error) {
+	p, diff, err := diffProbed(rec, factory)
+	if err != nil {
+		return nil, nil, err
+	}
+	if opts.Park != nil && opts.Park.rec != rec {
+		return nil, nil, fmt.Errorf("replay: park belongs to another recording")
+	}
+	if opts.Ctx == nil {
+		opts.Ctx = context.Background()
+	}
+	return &replayEnv{rec: rec, factory: factory, diff: diff, tracker: rec.newTracker(),
+		st: rec.schedStateFor(p), opts: opts, spare: p}, p, nil
+}
+
+// diffProbed builds one instance of the probed program and diffs it against
+// the recording.
+func diffProbed(rec *Recording, factory func() *script.Program) (*script.Program, *script.DiffResult, error) {
 	p := factory()
 	diff, err := script.DiffHindsight(rec.Shape, p)
 	if err != nil {
@@ -329,18 +368,7 @@ func newReplayEnv(rec *Recording, factory func() *script.Program, opts Options) 
 	if p.Main == nil {
 		return nil, nil, fmt.Errorf("replay: program has no main loop")
 	}
-	if opts.Park != nil && opts.Park.rec != rec {
-		return nil, nil, fmt.Errorf("replay: park belongs to another recording")
-	}
-	tracker := adapt.New(adapt.DefaultEpsilon)
-	if rec.Timings != nil && rec.Timings.C > 0 {
-		tracker.SeedC(rec.Timings.C)
-	}
-	if opts.Ctx == nil {
-		opts.Ctx = context.Background()
-	}
-	return &replayEnv{rec: rec, factory: factory, diff: diff, tracker: tracker,
-		st: rec.schedStateFor(p), opts: opts, spare: p}, p, nil
+	return p, diff, nil
 }
 
 // recordReplayMetrics folds a finished query's worker reports — a replay's,
@@ -763,11 +791,11 @@ iterations:
 // materialize scaling factor the record phase measured (§5.3.2, persisted
 // with the timings). Recordings made before timing capture fall back to
 // checkpoint metadata, and to a uniform model when no cost data exists.
-// tracker prices restore predictions; Replay passes the shared per-replay
-// tracker so the same c-factor prior prices scheduling and is later refined
-// by the workers' measured restores.
-func schedCosts(rec *Recording, p *script.Program, st *schedState, probed bool, tracker *adapt.Tracker) *sched.Costs {
+// Restores are priced by a fresh tracker at the recording's c prior, the
+// one every query's tracker starts from before its workers refine it.
+func schedCosts(rec *Recording, p *script.Program, st *schedState, probed bool) *sched.Costs {
 	n := p.Main.Iters
+	tracker := rec.newTracker()
 
 	// Per-iteration compute — recorded wall times, else store metadata — and
 	// restore estimate from materialization metadata.

@@ -21,8 +21,9 @@
 //     minus the thief's checkpoint re-initialization) — and comes back for
 //     another when it runs dry.
 //   - sim.go — Simulate: the same Executor driven under a virtual clock, so
-//     the makespans behind Figures 10, 13 and 14 (internal/cluster) are
-//     decisions of the scheduler replay runs, not of a second model of it.
+//     the makespans behind Figures 10, 12, 13 and 14 (internal/bench, over
+//     replay.Plan) are decisions of the scheduler replay runs, not of a
+//     second model of it.
 //
 // pool.go adds the serving tier above single replays: Pool is a global
 // worker-slot budget shared by every concurrent query of a serving daemon.
@@ -65,7 +66,7 @@ func (m Init) String() string {
 
 // Costs is the scheduler's cost model over one main loop of n iterations,
 // derived from timings the record phase measured (runlog.Timings, store
-// metadata) or synthesized by the cluster simulator.
+// metadata) by replay.Plan.
 type Costs struct {
 	// WorkNs[e] estimates the cost of iteration e during the work phase of a
 	// replay: compute time when the inner loop is probed (it re-executes),
@@ -181,19 +182,14 @@ func (c *Costs) Makespan(segs [][2]int, init Init, anchors []int) int64 {
 //
 // An "anchored" iteration is a main-loop iteration whose instrumented loops
 // all have materialized checkpoints for every execution during it, so the
-// whole iteration can be replayed by restoration alone. A nil anchor slice
-// means every iteration is anchored (the cluster simulator's idealized
-// default, matching its pre-existing weak-init model); an empty non-nil
-// slice means none is. Anchor slices are sorted ascending.
+// whole iteration can be replayed by restoration alone. Anchor slices are
+// sorted ascending; nil and empty both mean no iteration is anchored.
 
 // AnchorBefore returns the largest anchored iteration ≤ target, or 0 when
 // none exists (the strong-initialization fallback).
 func AnchorBefore(anchors []int, target int) int {
 	if target <= 0 {
 		return 0
-	}
-	if anchors == nil {
-		return target
 	}
 	i := sort.SearchInts(anchors, target+1) - 1
 	if i < 0 {
@@ -208,9 +204,6 @@ func AnchorBefore(anchors []int, target int) int {
 // worker may fall back to iteration 0, but a worker carrying state from
 // another segment may not).
 func hasAnchorAtOrBefore(anchors []int, target int) bool {
-	if anchors == nil {
-		return true
-	}
 	return len(anchors) > 0 && anchors[0] <= target
 }
 
@@ -218,9 +211,6 @@ func hasAnchorAtOrBefore(anchors []int, target int) bool {
 // restore of catch-up: b is the loop start, or iteration b-1 is anchored.
 func freeBoundary(anchors []int, b int) bool {
 	if b <= 0 {
-		return true
-	}
-	if anchors == nil {
 		return true
 	}
 	i := sort.SearchInts(anchors, b-1)
@@ -231,12 +221,6 @@ func freeBoundary(anchors []int, b int) bool {
 // interval (lo, hi), preferring the smaller on ties; ok is false when the
 // interval contains no free boundary.
 func nearestFree(anchors []int, want, lo, hi int) (int, bool) {
-	if anchors == nil {
-		if want > lo && want < hi {
-			return want, true
-		}
-		return 0, false
-	}
 	best, found := 0, false
 	better := func(b int) {
 		if b <= lo || b >= hi {
@@ -351,7 +335,7 @@ func segmentsNeeded(work []int64, t int64) int {
 // Boundaries with no free boundary nearby stay put; snapping preserves
 // contiguity and coverage, and collapsed (empty) segments are dropped.
 func SnapToAnchors(segs [][2]int, anchors []int) [][2]int {
-	if len(segs) <= 1 || anchors == nil {
+	if len(segs) <= 1 || len(anchors) == 0 {
 		return segs
 	}
 	n := segs[len(segs)-1][1]

@@ -62,6 +62,16 @@ func checkSegments(t *testing.T, segs [][2]int, n int) {
 	}
 }
 
+// allAnchored returns the anchor slice of an n-iteration loop whose every
+// iteration was materialized.
+func allAnchored(n int) []int {
+	anchors := make([]int, n)
+	for i := range anchors {
+		anchors[i] = i
+	}
+	return anchors
+}
+
 // uniformSplit is the reference the partitioner is held against: the paper's
 // §5.4.1 split of n iterations into at most g contiguous segments whose sizes
 // differ by at most one, blind to cost.
@@ -231,8 +241,8 @@ func TestAnchorBefore(t *testing.T) {
 			t.Fatalf("AnchorBefore(%v, %d) = %d, want %d", anchors, tc.target, got, tc.want)
 		}
 	}
-	if got := AnchorBefore(nil, 7); got != 7 {
-		t.Fatalf("nil anchors mean every iteration is anchored; got %d", got)
+	if got := AnchorBefore(nil, 7); got != 0 {
+		t.Fatalf("nil anchors are no anchors and fall back to 0; got %d", got)
 	}
 	if got := AnchorBefore([]int{}, 7); got != 0 {
 		t.Fatalf("no anchors fall back to 0; got %d", got)
@@ -246,12 +256,13 @@ func TestMakespanInitAccounting(t *testing.T) {
 		SetupNs:   100,
 	}
 	segs := [][2]int{{0, 2}, {2, 4}}
+	all := allAnchored(4)
 	// Weak with all anchored: second worker pays one catch-up (iteration 1).
-	if got := c.Makespan(segs, Weak, nil); got != 100+2+20 {
+	if got := c.Makespan(segs, Weak, all); got != 100+2+20 {
 		t.Fatalf("weak makespan = %d, want 122", got)
 	}
 	// Strong: second worker pays catch-up 0 and 1.
-	if got := c.Makespan(segs, Strong, nil); got != 100+1+2+20 {
+	if got := c.Makespan(segs, Strong, all); got != 100+1+2+20 {
 		t.Fatalf("strong makespan = %d, want 123", got)
 	}
 	// Weak with an anchor only at 0: catch-up covers [0, 2).
@@ -263,9 +274,9 @@ func TestMakespanInitAccounting(t *testing.T) {
 func TestSimulateUniformMatchesBalanced(t *testing.T) {
 	c := Uniform(64)
 	c.SetupNs = 5
-	sim := Simulate(c, 8, Weak, nil, nil)
+	sim := Simulate(c, 8, Weak, allAnchored(64), nil)
 	segs := PartitionBalanced(c, 8)
-	want := c.Makespan(segs, Weak, nil)
+	want := c.Makespan(segs, Weak, allAnchored(64))
 	if sim.MakespanNs != want {
 		t.Fatalf("uniform makespan %d != balanced partition's %d", sim.MakespanNs, want)
 	}
@@ -285,8 +296,8 @@ func TestSimulateBeatsUniformSplitOnSkew(t *testing.T) {
 			c.WorkNs[i] = 100
 		}
 	}
-	staticSpan := c.Makespan(uniformSplit(128, 8), Weak, nil)
-	sim := Simulate(c, 8, Weak, nil, nil)
+	staticSpan := c.Makespan(uniformSplit(128, 8), Weak, allAnchored(128))
+	sim := Simulate(c, 8, Weak, allAnchored(128), nil)
 	if sim.MakespanNs*2 > staticSpan {
 		t.Fatalf("makespan %d not at least 2x better than the uniform split's %d", sim.MakespanNs, staticSpan)
 	}
@@ -313,11 +324,12 @@ func TestSimulateScaleoutBars(t *testing.T) {
 		zipf.WorkNs = append(zipf.WorkNs, int64(w*float64(computNs*n)/norm))
 		zipf.CatchupNs = append(zipf.CatchupNs, restoreNs)
 	}
+	all := allAnchored(n)
 	for _, g := range []int{4, 8, 16} {
-		if got, ref := Simulate(uniform, g, Weak, nil, nil).MakespanNs, uniform.Makespan(uniformSplit(n, g), Weak, nil); got > ref {
+		if got, ref := Simulate(uniform, g, Weak, all, nil).MakespanNs, uniform.Makespan(uniformSplit(n, g), Weak, all); got > ref {
 			t.Errorf("uniform G=%d: makespan %d worse than the uniform split's %d", g, got, ref)
 		}
-		got, ref := Simulate(zipf, g, Weak, nil, nil).MakespanNs, zipf.Makespan(uniformSplit(n, g), Weak, nil)
+		got, ref := Simulate(zipf, g, Weak, all, nil).MakespanNs, zipf.Makespan(uniformSplit(n, g), Weak, all)
 		if got > ref {
 			t.Errorf("zipf G=%d: makespan %d worse than the uniform split's %d", g, got, ref)
 		}
@@ -334,8 +346,8 @@ func TestSimulateDeterministic(t *testing.T) {
 		c.WorkNs[i] = int64(r.Intn(1000)) + 1
 		c.CatchupNs[i] = int64(r.Intn(10)) + 1
 	}
-	a := Simulate(c, 6, Weak, nil, nil)
-	b := Simulate(c, 6, Weak, nil, nil)
+	a := Simulate(c, 6, Weak, allAnchored(200), nil)
+	b := Simulate(c, 6, Weak, allAnchored(200), nil)
 	if a.MakespanNs != b.MakespanNs || a.Steals != b.Steals || !reflect.DeepEqual(a.WorkerNs, b.WorkerNs) {
 		t.Fatalf("simulation is not deterministic: %+v vs %+v", a, b)
 	}
@@ -383,10 +395,10 @@ func TestSimulateAgreesWithExecutor(t *testing.T) {
 		init    Init
 		anchors []int
 	}{
-		{"dense-weak", 1, 96, 5, Weak, nil},
-		{"dense-strong", 2, 64, 4, Strong, nil},
+		{"dense-weak", 1, 96, 5, Weak, allAnchored(96)},
+		{"dense-strong", 2, 64, 4, Strong, allAnchored(64)},
 		{"sparse-weak", 3, 120, 6, Weak, []int{0, 9, 10, 31, 32, 33, 70, 71, 100}},
-		{"more-workers-than-segments", 4, 5, 9, Weak, nil},
+		{"more-workers-than-segments", 4, 5, 9, Weak, allAnchored(5)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(tc.seed))

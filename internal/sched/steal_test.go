@@ -66,11 +66,11 @@ func TestExecutorStress(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		n, g    int
-		anchors []int // nil = all anchored
+		anchors []int
 	}{
-		{"tiny-leases", 512, 16, nil},
-		{"more-workers-than-work", 8, 16, nil},
-		{"single-worker", 64, 1, nil},
+		{"tiny-leases", 512, 16, allAnchored(512)},
+		{"more-workers-than-work", 8, 16, allAnchored(8)},
+		{"single-worker", 64, 1, allAnchored(64)},
 		{"sparse-anchors", 300, 8, []int{0, 17, 50, 51, 52, 123, 200, 250}},
 		{"no-anchors", 100, 8, []int{}},
 	} {
@@ -115,7 +115,7 @@ func TestExecutorStealCounts(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		c.WorkNs[i] = 1000
 	}
-	x := NewExecutor(c, PartitionBalanced(c, 1), nil)
+	x := NewExecutor(c, PartitionBalanced(c, 1), allAnchored(256))
 	leases := []*Lease{x.Claim(0)}
 	for w := 1; w < 8; w++ {
 		l := x.Claim(0)
@@ -158,7 +158,7 @@ func TestNoteIterDoneRepricesSteals(t *testing.T) {
 	}
 
 	fresh := func() *Executor {
-		return NewExecutor(c, [][2]int{{0, n}}, nil) // all iterations anchored
+		return NewExecutor(c, [][2]int{{0, n}}, allAnchored(n))
 	}
 
 	// Baseline: with the model untouched, stealing half the lease is
@@ -187,7 +187,7 @@ func TestNoteIterDoneRepricesSteals(t *testing.T) {
 // times, iterations with no modeled cost) leave the scale at its neutral 1.0.
 func TestNoteIterDoneIgnoresJunk(t *testing.T) {
 	c := Uniform(8)
-	x := NewExecutor(c, [][2]int{{0, 8}}, nil)
+	x := NewExecutor(c, [][2]int{{0, 8}}, allAnchored(8))
 	x.NoteIterDone(3, 0)
 	x.NoteIterDone(3, -5)
 	x.NoteIterDone(-1, 100)
@@ -203,7 +203,7 @@ func TestNoteIterDoneIgnoresJunk(t *testing.T) {
 func TestClaimOrder(t *testing.T) {
 	c := Uniform(40)
 	segs := [][2]int{{0, 10}, {10, 20}, {20, 30}, {30, 40}}
-	x := NewExecutor(c, segs, nil)
+	x := NewExecutor(c, segs, allAnchored(40))
 	a := x.Claim(0)
 	b := x.Claim(0) // a second fresh worker: lease 0 is taken, next unclaimed
 	if s, _ := a.Bounds(); s != 0 || a.Stolen() {

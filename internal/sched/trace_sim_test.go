@@ -1,4 +1,4 @@
-package cluster
+package sched
 
 import (
 	"bytes"
@@ -6,29 +6,28 @@ import (
 	"testing"
 
 	"flor.dev/flor/internal/obs"
-	"flor.dev/flor/internal/replay"
 	"flor.dev/flor/internal/xrand"
 )
 
 // seededCosts builds a skewed cost vector from a seeded RNG — "same seed"
 // means two independently built vectors are identical, so two simulations
 // over them must be too.
-func seededCosts(n int, seed uint64) *IterationCosts {
+func seededCosts(n int, seed uint64) *Costs {
 	rng := xrand.New(seed)
-	c := &IterationCosts{SetupNs: 2_000_000}
+	c := &Costs{SetupNs: 2_000_000}
 	for i := 0; i < n; i++ {
-		c.ComputNs = append(c.ComputNs, 1_000_000+int64(rng.Float64()*9_000_000))
-		c.RestoreNs = append(c.RestoreNs, 500_000+int64(rng.Float64()*500_000))
+		c.WorkNs = append(c.WorkNs, 1_000_000+int64(rng.Float64()*9_000_000))
+		c.CatchupNs = append(c.CatchupNs, 500_000+int64(rng.Float64()*500_000))
 	}
 	return c
 }
 
 // simNDJSON runs one traced virtual-time simulation and returns the
 // canonical NDJSON span log.
-func simNDJSON(t *testing.T, costs *IterationCosts, g int) []byte {
+func simNDJSON(t *testing.T, costs *Costs, g int) []byte {
 	t.Helper()
 	tr := obs.NewVirtualTrace()
-	vr := Simulate(costs, g, replay.Weak, true, tr)
+	vr := Simulate(costs, g, Weak, allAnchored(costs.N()), tr)
 	if vr.MakespanNs <= 0 {
 		t.Fatalf("simulation produced no makespan: %+v", vr)
 	}
@@ -63,7 +62,7 @@ func TestSimTraceDeterministic(t *testing.T) {
 func TestSimTraceAccounting(t *testing.T) {
 	costs := seededCosts(64, 7)
 	tr := obs.NewVirtualTrace()
-	vr := Simulate(costs, 5, replay.Weak, true, tr)
+	vr := Simulate(costs, 5, Weak, allAnchored(64), tr)
 
 	covered := make([]int, 64)
 	stolenWork := 0
@@ -104,7 +103,7 @@ func TestSimTraceAccounting(t *testing.T) {
 func TestSimTraceSpansWellFormed(t *testing.T) {
 	costs := seededCosts(32, 3)
 	tr := obs.NewVirtualTrace()
-	vr := Simulate(costs, 4, replay.Weak, true, tr)
+	vr := Simulate(costs, 4, Weak, allAnchored(32), tr)
 	var buf bytes.Buffer
 	if err := tr.WriteNDJSON(&buf); err != nil {
 		t.Fatal(err)

@@ -54,6 +54,18 @@ type Spec struct {
 	Build func(sc Scale) func() *script.Program
 }
 
+// ParseScale returns the scale a command line names: "smoke" or "full".
+// Any other value is an error that lists both.
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "smoke":
+		return Smoke, nil
+	case "full":
+		return Full, nil
+	}
+	return 0, fmt.Errorf("unknown scale %q; accepted: smoke, full", name)
+}
+
 // Epochs returns the main-loop iteration count at the given scale.
 func (s *Spec) Epochs(sc Scale) int {
 	if sc == Smoke {

@@ -12,6 +12,30 @@ import (
 	"flor.dev/flor/internal/workloads"
 )
 
+func TestParseScale(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want workloads.Scale
+		ok   bool
+	}{
+		{"smoke", workloads.Smoke, true},
+		{"full", workloads.Full, true},
+		{"Smoke", 0, false},
+		{"FULL", 0, false},
+		{" smoke", 0, false},
+		{"", 0, false},
+		{"paper", 0, false},
+	} {
+		got, err := workloads.ParseScale(tc.name)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v, ok=%v", tc.name, got, err, tc.want, tc.ok)
+		}
+		if err != nil && (!strings.Contains(err.Error(), "smoke") || !strings.Contains(err.Error(), "full")) {
+			t.Errorf("ParseScale(%q) error %q does not name the accepted scales", tc.name, err)
+		}
+	}
+}
+
 func TestRegistryMatchesTable3(t *testing.T) {
 	want := []struct {
 		name, bench, model, dataset, mode string
