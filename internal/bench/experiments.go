@@ -282,9 +282,10 @@ func (s *Session) Table4() (*Table4Report, error) {
 // gzipFootprint returns what the paper's background process would ship to
 // S3 for the run at dir (§6: checkpoints were "compressed by a background
 // process, before being spooled to an S3 bucket"): the gzip size, at the
-// default level, of each segment file and each non-empty chunk pack in the
-// run directory, compressed one file at a time. It streams the files
-// through gzip into a counter and writes nothing.
+// default level, of the MANIFEST (which carries every checkpoint's
+// directory) and each non-empty chunk pack in the run directory, compressed
+// one file at a time. It streams the files through gzip into a counter and
+// writes nothing.
 func gzipFootprint(dir string) (int64, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -293,9 +294,8 @@ func gzipFootprint(dir string) (int64, error) {
 	var total int64
 	for _, e := range entries {
 		name := e.Name()
-		seg, _ := filepath.Match("ckpt-*.bin", name)
 		pack := strings.HasPrefix(name, "CHUNKS") && filepath.Ext(name) != ".gz" && filepath.Ext(name) != ".tmp"
-		if e.IsDir() || !seg && !pack {
+		if e.IsDir() || name != "MANIFEST" && !pack {
 			continue
 		}
 		n, err := gzipSize(filepath.Join(dir, name))

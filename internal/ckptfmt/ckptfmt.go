@@ -23,8 +23,8 @@
 //     executions (frozen layers, datasets, configuration) store it once and
 //     reference it by hash thereafter (cross-checkpoint dedup).
 //
-// The package defines the frame wire format and the segment directory that
-// maps named sections to chunk references; internal/store owns where frame
+// The package defines the frame wire format and the checkpoint directory
+// that maps named sections to chunk references; internal/store owns where frame
 // bytes live on disk (the chunk pack) and the run-level dedup index.
 package ckptfmt
 
@@ -507,7 +507,7 @@ func DecodeAll(frames []Frame) ([][]byte, error) {
 	return chunks, nil
 }
 
-// ---------- segment directory ----------
+// ---------- checkpoint directory ----------
 
 // DefaultChunkSize is the chunking granularity for large sections: big
 // enough to amortize per-frame overhead, small enough that a multi-MB model
@@ -536,9 +536,10 @@ func (s *SectionRef) RawLen() int {
 	return n
 }
 
-// Directory is the content of a format-v2 segment file: it maps a
-// checkpoint's named sections to the content-addressed chunks holding their
-// bytes. Opaque marks payloads stored through the blob API (no section
+// Directory is a format-v2 checkpoint's index entry, carried by its
+// manifest meta record (older stores wrote it to a segment file): it maps
+// the checkpoint's named sections to the content-addressed chunks holding
+// their bytes. Opaque marks payloads stored through the blob API (no section
 // structure) so reads can reassemble them verbatim.
 type Directory struct {
 	Opaque   bool
@@ -554,7 +555,7 @@ func (d *Directory) RawLen() int64 {
 	return n
 }
 
-// dirMagic heads every encoded directory, versioning the segment format.
+// dirMagic heads every encoded directory, versioning its format.
 const dirMagic = "FLV2"
 
 // EncodeDirectory serializes a directory.
@@ -583,7 +584,7 @@ func DecodeDirectory(b []byte) (*Directory, error) {
 		return nil, err
 	}
 	if magic != dirMagic {
-		return nil, fmt.Errorf("%w: segment directory magic %q", codec.ErrCorrupt, magic)
+		return nil, fmt.Errorf("%w: checkpoint directory magic %q", codec.ErrCorrupt, magic)
 	}
 	d := &Directory{}
 	if d.Opaque, err = r.Bool(); err != nil {

@@ -531,16 +531,18 @@ func Frame(payload []byte) []byte {
 }
 
 // Unframe verifies and strips a Frame, returning the payload and the number
-// of bytes consumed from b.
+// of bytes consumed from b. Only the shortest encoding of the length — the
+// one Frame writes — is accepted, so a frame that unframes re-frames to the
+// bytes it was read from.
 func Unframe(b []byte) (payload []byte, consumed int, err error) {
 	length, n := binary.Uvarint(b)
-	if n <= 0 {
+	if n <= 0 || (n > 1 && b[n-1] == 0) {
 		return nil, 0, fmt.Errorf("%w: bad frame length", ErrCorrupt)
 	}
-	total := n + int(length) + 4
-	if len(b) < total {
-		return nil, 0, fmt.Errorf("%w: truncated frame (need %d bytes, have %d)", ErrCorrupt, total, len(b))
+	if length > uint64(len(b)) || len(b)-int(length) < n+4 {
+		return nil, 0, fmt.Errorf("%w: truncated frame (length %d, have %d bytes)", ErrCorrupt, length, len(b))
 	}
+	total := n + int(length) + 4
 	payload = b[n : n+int(length)]
 	want := binary.LittleEndian.Uint32(b[n+int(length):])
 	if got := crc32.Checksum(payload, castagnoli); got != want {

@@ -152,10 +152,22 @@ func TestFrameDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestFrameDetectsTruncation also pins the length prefix's edge cases: a
+// length past the end of the input (up to 2^64-1, which must not wrap the
+// bounds check into a slice panic) and a length in a longer encoding than
+// Frame writes, which would not re-frame to the bytes it was read from.
 func TestFrameDetectsTruncation(t *testing.T) {
 	framed := Frame([]byte("checkpoint payload"))
-	if _, _, err := Unframe(framed[:len(framed)-2]); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("truncated frame error = %v, want ErrCorrupt", err)
+	overlong := append([]byte{framed[0] | 0x80, 0x00}, framed[1:]...)
+	for _, bad := range [][]byte{
+		framed[:len(framed)-2],
+		append([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, framed...),
+		append([]byte{0xfb, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, framed...),
+		overlong,
+	} {
+		if _, _, err := Unframe(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("frame %x: error = %v, want ErrCorrupt", bad[:min(len(bad), 12)], err)
+		}
 	}
 }
 

@@ -77,13 +77,13 @@ func withLog(factory func() *script.Program, label string, eval func(*script.Env
 // that reads the optimizer (and through it the model) it loads every section,
 // as every replay did before loads were deferred. And a sampled iteration
 // loads that iteration's sections alone: the catch-up iteration before it
-// binds a checkpoint that the sampled one supersedes unread, whose segment
-// file — deleted here — is never opened.
+// binds a checkpoint that the sampled one supersedes unread, whose model
+// section's shard pack — deleted here — is never opened.
 func TestRestoredBytesCountOnlyWhatStatementsRead(t *testing.T) {
-	const epochs = 6
+	const epochs, fanout = 6, 256
 	factory := sgdFactory(epochs)
 	dir := t.TempDir()
-	if _, err := core.Record(dir, factory, core.RecordOptions{DisableAdaptive: true}); err != nil {
+	if _, err := core.Record(dir, factory, core.RecordOptions{DisableAdaptive: true, ShardFanout: fanout}); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := core.LoadRecordingShared(dir)
@@ -131,14 +131,32 @@ func TestRestoredBytesCountOnlyWhatStatementsRead(t *testing.T) {
 		}
 	}
 
+	// Every section is one chunk, so a section's bytes name its chunk and
+	// the chunk its shard pack.
 	const sampled = 4
-	m, _ := rec.Store.Lookup(store.Key{LoopID: "train", Exec: sampled - 1})
-	if err := os.Remove(filepath.Join(dir, fmt.Sprintf("ckpt-%08d.bin", m.Seq))); err != nil {
+	pack := func(exec int, section string) string {
+		secs, _, err := rec.Store.GetSections(store.Key{LoopID: "train", Exec: exec}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range secs {
+			if s.Name == section {
+				return fmt.Sprintf("CHUNKS-%02x", int(ckptfmt.HashChunk(s.Data)[0])%fanout)
+			}
+		}
+		t.Fatalf("train@%d has no section %s", exec, section)
+		return ""
+	}
+	unread := pack(sampled-1, "net")
+	if unread == pack(sampled, "net") || unread == pack(sampled, "avg_loss") {
+		t.Fatalf("epoch %d's model shares shard pack %s with what epoch %d's sample reads", sampled-1, unread, sampled)
+	}
+	if err := os.Remove(filepath.Join(dir, unread)); err != nil {
 		t.Fatal(err)
 	}
 	full, err := replay.Replay(rec, wnorm, replay.Options{Workers: 1, Init: replay.Weak, SkipDeferredCheck: true})
 	if err == nil {
-		t.Fatalf("a replay that reads epoch %d's checkpoint succeeded without its segment file: %v", sampled-1, full.Logs)
+		t.Fatalf("a replay that reads epoch %d's checkpoint succeeded without its model's pack: %v", sampled-1, full.Logs)
 	}
 	res, err := replay.ReplaySampleWith(rec, wnorm, []int{sampled}, replay.SampleOptions{Trace: obs.NewTrace()})
 	if err != nil {

@@ -514,34 +514,27 @@ func TestDaemonOversizedBodyIs413(t *testing.T) {
 }
 
 // flipSectionByte flips one byte inside the pack frame that holds the named
-// section of key's checkpoint, found through the checkpoint's segment
-// directory: the section's first chunk hash names the frame.
+// section of key's checkpoint: the section's first chunk — its first
+// ckptfmt.DefaultChunkSize bytes, read through Resolve — names the frame by
+// its content hash.
 func flipSectionByte(t *testing.T, dir string, key store.Key, section string) {
 	t.Helper()
 	st, err := store.OpenReadOnly(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, ok := st.Lookup(key)
-	if !ok {
-		t.Fatalf("no checkpoint %s", key)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("ckpt-%08d.bin", m.Seq)))
+	c, err := st.Resolve(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, _, err := codec.Unframe(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sdir, err := ckptfmt.DecodeDirectory(payload)
+	secs, err := c.ReadInto(func(name string) bool { return name == section }, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want ckptfmt.Hash
-	for _, sec := range sdir.Sections {
+	for _, sec := range secs {
 		if sec.Name == section {
-			want = sec.Chunks[0].Hash
+			want = ckptfmt.HashChunk(sec.Data[:min(len(sec.Data), ckptfmt.DefaultChunkSize)])
 		}
 	}
 	packPath := filepath.Join(dir, "CHUNKS")

@@ -1,6 +1,7 @@
 package skipblock
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -10,6 +11,7 @@ import (
 
 	"flor.dev/flor/internal/adapt"
 	"flor.dev/flor/internal/backmat"
+	"flor.dev/flor/internal/codec"
 	"flor.dev/flor/internal/script"
 	"flor.dev/flor/internal/store"
 	"flor.dev/flor/internal/tensor"
@@ -254,18 +256,18 @@ func TestSparseSectionedCheckpointsFallBackAfterLoading(t *testing.T) {
 
 // TestSupersededBindingIsNeverRead pins what binding is for: in init mode no
 // log statement is evaluated, so every epoch's binding is superseded by the
-// next one unread — its segment file is never opened (they are deleted here)
-// and no byte of it is loaded. Only the last epoch's is read, by the test.
+// next one unread — its checkpoint is never resolved (a Resolve of it fails:
+// its directory is broken here) and no byte of it is loaded. Only the last
+// epoch's is read, by the test.
 func TestSupersededBindingIsNeverRead(t *testing.T) {
 	st, recorded := recordTwoLoops(t, 4)
+	breakDirectories(t, st.Dir(), func(k store.Key) bool { return k.Exec < 3 })
 	ro, err := store.OpenWith(st.Dir(), store.Options{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range ro.Metas() {
-		if m.Key.Exec < 3 {
-			removeSegment(t, ro, m.Key)
-		}
+	if _, err := ro.Resolve(store.Key{LoopID: "grow", Exec: 2}); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("Resolve of a broken directory: %v, want codec.ErrCorrupt", err)
 	}
 	p := twoLoopProgram(4)
 	rt := NewRuntime(p, newTracker(), nil, ro)
@@ -285,14 +287,17 @@ func TestSupersededBindingIsNeverRead(t *testing.T) {
 // TestFailedLoadFailsTheLogStatement is the error path of a load that runs
 // inside a log statement's Env.MustGet, which has no error return: the
 // statement fails with the store's typed error, emits no line, and the
-// binding stays bound.
+// binding stays bound. The load fails because the run's pack is deleted
+// after the store was opened, as a GC in another process would retire it.
 func TestFailedLoadFailsTheLogStatement(t *testing.T) {
 	st, _ := recordTwoLoops(t, 2)
 	ro, err := store.OpenWith(st.Dir(), store.Options{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	removeSegment(t, ro, store.Key{LoopID: "scale", Exec: 0})
+	if err := os.Remove(filepath.Join(st.Dir(), "CHUNKS")); err != nil {
+		t.Fatal(err)
+	}
 	p := twoLoopProgram(2)
 	rt := NewRuntime(p, newTracker(), nil, ro)
 	rt.SetMode(ModeReplayExec)
@@ -312,15 +317,34 @@ func TestFailedLoadFailsTheLogStatement(t *testing.T) {
 
 func newTracker() *adapt.Tracker { return adapt.New(adapt.DefaultEpsilon) }
 
-// removeSegment deletes the segment file (the directory) of key's checkpoint:
-// any attempt to load from it then fails with store.ErrStalePack.
-func removeSegment(t *testing.T, st *store.Store, key store.Key) {
+// breakDirectories rewrites, CRC-valid, the manifest meta records of the
+// checkpoints broken selects so that their directories do not decode: a store
+// opened afterwards fails a Resolve of one with codec.ErrCorrupt.
+func breakDirectories(t *testing.T, dir string, broken func(store.Key) bool) {
 	t.Helper()
-	m, ok := st.Lookup(key)
-	if !ok {
-		t.Fatalf("no checkpoint %s", key)
+	path := filepath.Join(dir, "MANIFEST")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(st.Dir(), fmt.Sprintf("ckpt-%08d.bin", m.Seq))); err != nil {
+	var out []byte
+	for off := 0; off < len(raw); {
+		payload, n, err := codec.Unframe(raw[off:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		off += n
+		if payload[0] == 'M' {
+			r := codec.NewReader(payload[1:])
+			loop, _ := r.String()
+			exec, _ := r.Int()
+			if broken(store.Key{LoopID: loop, Exec: exec}) {
+				payload = bytes.Replace(bytes.Clone(payload), []byte("FLV2"), []byte("FLV?"), 1)
+			}
+		}
+		out = append(out, codec.Frame(payload)...)
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -356,9 +356,6 @@ type binding struct {
 	ck    *store.Checkpoint // resolved by whatever needs it first
 	setup *Setup
 	done  []string
-	// resolveNs is the time of a directory read (resolve) made outside a
-	// load or a view, for the next one to count.
-	resolveNs int64
 }
 
 // Setup is a program's state right after its setup statements ran: a
@@ -525,19 +522,17 @@ func (r *Runtime) carriedLater(name string) (bool, error) {
 	return false, nil
 }
 
-// resolve reads bd's segment directory, once: every load of the binding
-// needs it. Whoever asks first, the binding's next load or view counts the
-// time.
+// resolve looks bd's checkpoint up, once: every load of the binding needs
+// it. The lookup touches no file, so whatever span asks first absorbs it.
 func (r *Runtime) resolve(bd *binding) error {
 	if bd.ck != nil {
 		return nil
 	}
-	t0 := time.Now()
 	ck, err := r.st.Resolve(bd.key)
 	if err != nil {
 		return fmt.Errorf("skipblock: %s: %w", bd.key, err)
 	}
-	bd.ck, bd.resolveNs = ck, time.Since(t0).Nanoseconds()
+	bd.ck = ck
 	return nil
 }
 
@@ -561,11 +556,9 @@ func (b *Block) load(bd *binding, names []string) (more bool, err error) {
 	t0 := time.Now()
 	spanStart := rt.tr.Now()
 	fetchBefore := rt.fetch.Snapshot()
-	resolved := bd.resolveNs // a view's probe read the directory before this load
 	if err := rt.resolve(bd); err != nil {
 		return false, err
 	}
-	bd.resolveNs = 0
 	fail := func(err error) (bool, error) { return false, fmt.Errorf("skipblock: %s: %w", key, err) }
 	var items []backmat.NamedPayload
 	var restoredBytes int64
@@ -651,7 +644,7 @@ func (b *Block) load(bd *binding, names []string) (more bool, err error) {
 		bd.done = append(bd.done, it.Name)
 		rt.supplied(it.Name)
 	}
-	restoreNs := time.Since(t0).Nanoseconds() + resolved
+	restoreNs := time.Since(t0).Nanoseconds()
 	b.stats.RestoreNs += restoreNs
 	b.stats.RestoredBytes += restoredBytes
 	if rt.tr != nil {

@@ -66,15 +66,13 @@ func (r *Runtime) view(name string, v value.Value) (bool, error) {
 		}
 	}
 	r.views = append(r.views, vw)
-	resolved := bd.resolveNs // read just now, most likely, by youngestCarrier
-	bd.resolveNs = 0
-	ns := time.Since(t0).Nanoseconds() + resolved
+	ns := time.Since(t0).Nanoseconds()
 	st := &bd.b.stats
 	st.Viewed++
 	st.ViewedBytes += int64(sec.RawLen)
 	st.RestoreNs += ns
 	if r.tr != nil {
-		r.tr.Add(obs.Span{Name: "restore", Worker: r.worker, StartNs: spanStart - resolved, DurNs: ns,
+		r.tr.Add(obs.Span{Name: "restore", Worker: r.worker, StartNs: spanStart, DurNs: ns,
 			Attrs: map[string]int64{"exec": int64(bd.key.Exec), "restored_bytes": 0, "viewed_bytes": int64(sec.RawLen)}})
 	}
 	return true, nil

@@ -153,7 +153,7 @@ func TestFetchReadsEachNeededByteOnce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sdir := c.dir
+				sdir := c.e.dir
 				skipHash := map[ckptfmt.Hash]bool{}
 				seen := map[ckptfmt.Hash]bool{}
 				var need [][2]int64

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"flor.dev/flor/internal/ckptfmt"
 	"flor.dev/flor/internal/codec"
 )
 
@@ -38,8 +40,8 @@ func TestGCCompactsSupersededChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Segments != 2 {
-		t.Fatalf("segments removed = %d, want 2", res.Segments)
+	if res.Superseded != 2 {
+		t.Fatalf("superseded checkpoints dropped = %d, want 2", res.Superseded)
 	}
 	if res.DeadChunks == 0 || res.CompactedShards == 0 || res.ReclaimedBytes == 0 {
 		t.Fatalf("no chunks compacted: %+v", res)
@@ -249,7 +251,7 @@ func TestReopenAfterCrashedCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash window (b): marker already carries the gc flag.
-	if err := writeFileAtomic(filepath.Join(dir, formatFile), formatMarker(1, false, true, false)); err != nil {
+	if err := writeFileAtomic(filepath.Join(dir, formatFile), formatMarker(1, false, true, false, true)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -336,26 +338,35 @@ func TestGCPoolRefcountReleaseOnRunDelete(t *testing.T) {
 	}
 }
 
-// TestGCPoolSparesInFlightSegments pins the mark source: chunks referenced
-// only by a segment file whose manifest commit never happened (a crashed
-// materialization) are still treated as live — segments land on disk before
-// pack bytes, so the file is the earliest durable evidence of a reference.
-func TestGCPoolSparesInFlightSegments(t *testing.T) {
+// TestGCPoolReclaimsUncommittedChunks pins the mark source: a run's
+// manifest. A checkpoint whose meta record never made it — a crashed
+// materialization, whose chunks reached the packs and the pool INDEX but
+// whose commit did not — references nothing, so GCPool reports its chunks
+// dead, and re-putting the same content afterwards stores it again and
+// reads it back byte-identically.
+func TestGCPoolReclaimsUncommittedChunks(t *testing.T) {
 	base := t.TempDir()
 	pool := filepath.Join(base, "POOL")
 	run := filepath.Join(base, "run")
 	s := openPooled(t, run, pool)
-	if _, err := s.PutSections(Key{LoopID: "train", Exec: 0}, familySections(1, 1, 0), 0, 0, 0); err != nil {
+	key := Key{LoopID: "train", Exec: 0}
+	secs := familySections(1, 1, 0)
+	if _, err := s.PutSections(key, secs, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
+	orphans := map[ckptfmt.Hash]bool{}
+	for _, sec := range secs {
+		for _, c := range codec.SplitChunks(sec.Data, ckptfmt.DefaultChunkSize) {
+			orphans[ckptfmt.HashChunk(c)] = true
+		}
+	}
 	// Simulate the crash: drop the manifest's tail (the meta record) so the
-	// checkpoint is uncommitted, while its segment file and chunks exist.
+	// checkpoint is uncommitted, while its chunks exist.
 	manifest := filepath.Join(run, manifestFile)
 	raw, err := os.ReadFile(manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Find the last record boundary (the meta record is last).
 	off, last := 0, 0
 	for off < len(raw) {
 		_, consumed, err := codec.Unframe(raw[off:])
@@ -369,28 +380,27 @@ func TestGCPoolSparesInFlightSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := GCPool(pool, GCOptions{PackRetention: time.Hour}); err != nil {
+	res, err := GCPool(pool, GCOptions{PackRetention: time.Hour})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The chunks survived: a reopen (which truncation-recovers the torn
-	// manifest) can re-commit or re-read; at minimum the pool still holds
-	// the segment's chunks.
-	live := map[string]bool{}
-	_ = live
+	if res.DeadChunks != len(orphans) {
+		t.Fatalf("GCPool reclaimed %d chunks, want the uncommitted checkpoint's %d", res.DeadChunks, len(orphans))
+	}
 	resetPoolRegistry()
 	st, err := Open(run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The meta record is gone (manifest truncated), so the checkpoint is
-	// not indexed — but re-putting the same content must dedup against the
-	// spared chunks without corruption.
-	if _, err := st.PutSections(Key{LoopID: "train", Exec: 0}, familySections(1, 1, 0), 0, 0, 0); err != nil {
+	if st.Has(key) {
+		t.Fatal("the uncommitted checkpoint is indexed")
+	}
+	if _, err := st.PutSections(key, secs, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	secs, ok, err := st.GetSections(Key{LoopID: "train", Exec: 0}, nil)
-	if err != nil || !ok || !bytes.Equal(secs[0].Data, familySections(1, 1, 0)[0].Data) {
-		t.Fatalf("read after spared-segment GC: ok=%v err=%v", ok, err)
+	got, ok, err := st.GetSections(key, nil)
+	if err != nil || !ok || !bytes.Equal(got[0].Data, secs[0].Data) || !bytes.Equal(got[1].Data, secs[1].Data) {
+		t.Fatalf("re-put after the orphans were reclaimed: ok=%v err=%v", ok, err)
 	}
 }
 
@@ -412,71 +422,58 @@ func TestGCReadOnlyRefused(t *testing.T) {
 	}
 }
 
-// TestGCSparesSegmentsBeyondSnapshot pins the seq horizon: a segment file
-// whose sequence number postdates GC's index snapshot belongs to an
-// in-flight put, not a superseded checkpoint — the sweep must not delete it
-// and the chunk mark must count its references.
-func TestGCSparesSegmentsBeyondSnapshot(t *testing.T) {
-	dir := t.TempDir()
+// TestGCMarkFailsClosed pins the mark's fail-closed contract: a directory
+// GC cannot read aborts the pass — no compaction, no manifest rewrite, no
+// file touched — instead of counting as referencing nothing. Store.GC meets
+// it as a flipped byte in a legacy segment file of a copy of the committed
+// gztwins store; GCPool as a leased run's CRC-valid meta record whose
+// directory does not decode.
+func TestGCMarkFailsClosed(t *testing.T) {
+	dir := legacyFixture(t, "gztwins")
+	seg := filepath.Join(dir, "ckpt-00000003.bin")
+	raw, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0xff
+	if err := os.WriteFile(seg, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirBytes(t, dir)
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.PutSections(Key{LoopID: "train", Exec: 0}, mutatingSections(50), 0, 0, 0); err != nil {
-		t.Fatal(err)
+	if _, err := s.GCWith(GCOptions{PackRetention: time.Hour}); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("GC with an unreadable directory: %v, want codec.ErrCorrupt", err)
 	}
-	// Simulate a put that raced past the snapshot: its segment (seq 5, far
-	// beyond nextSeq's committed range) is on disk, its manifest record is
-	// not yet. The segment references the same chunks as the committed
-	// checkpoint — exactly what a dedup hit would pin.
-	src, err := os.ReadFile(s.segmentPath(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.segmentPath(5), src, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.GCWith(GCOptions{PackRetention: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Segments != 0 {
-		t.Fatalf("swept %d segments; the in-flight segment must be spared", res.Segments)
-	}
-	if _, err := os.Stat(s.segmentPath(5)); err != nil {
-		t.Fatalf("in-flight segment deleted: %v", err)
+	if after := dirBytes(t, dir); !maps.Equal(before, after) {
+		t.Fatal("the aborted GC changed the run directory")
 	}
 	if _, ok, err := s.GetSections(Key{LoopID: "train", Exec: 0}, nil); err != nil || !ok {
-		t.Fatalf("committed checkpoint unreadable after GC: ok=%v err=%v", ok, err)
+		t.Fatalf("checkpoint unreadable after aborted GC: ok=%v err=%v", ok, err)
 	}
-}
 
-// TestGCMarkFailsClosed pins collectLiveChunks' fail-closed contract: a
-// segment GC's mark cannot decode must abort the pass (no compaction)
-// instead of being treated as referencing nothing.
-func TestGCMarkFailsClosed(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := t.TempDir()
+	pool := filepath.Join(base, "POOL")
+	run := filepath.Join(base, "run")
+	ps := openPooled(t, run, pool)
 	key := Key{LoopID: "train", Exec: 0}
 	for i := 0; i < 2; i++ {
-		if _, err := s.PutSections(key, mutatingSections(uint64(60+i)), 0, 0, 0); err != nil {
+		if _, err := ps.PutSections(key, mutatingSections(uint64(60+i)), 0, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Plant an undecodable segment beyond the committed range (a torn
-	// future write cannot happen — segments commit by rename — but a
-	// corrupted file must still fail the mark, not silently unpin chunks).
-	if err := os.WriteFile(s.segmentPath(7), []byte("garbage"), 0o644); err != nil {
+	rewriteDirectory(t, run, key, func(d *ckptfmt.Directory) { d.Sections[0].Chunks[0].RawLen = -8 })
+	index, err := os.ReadFile(filepath.Join(pool, poolIndexFile))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.GCWith(GCOptions{PackRetention: time.Hour}); err == nil {
-		t.Fatal("GC succeeded with an undecodable segment in the mark set")
+	if _, err := GCPool(pool, GCOptions{PackRetention: time.Hour}); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("GCPool with an undecodable directory: %v, want codec.ErrCorrupt", err)
 	}
-	if _, ok, err := s.GetSections(key, nil); err != nil || !ok {
-		t.Fatalf("checkpoint unreadable after aborted GC: ok=%v err=%v", ok, err)
+	if after, _ := os.ReadFile(filepath.Join(pool, poolIndexFile)); !bytes.Equal(after, index) {
+		t.Fatal("the aborted GCPool rewrote the pool INDEX")
 	}
 }
 

@@ -111,17 +111,16 @@ func TestOfferedHashThatIsNotTheChunksFailsThePut(t *testing.T) {
 }
 
 // TestWriteFileAtomicLeavesNoTmp: whichever step fails, the temporary sibling
-// is gone. The write is made to fail by a directory squatting on the tmp path.
+// is gone. The write is made to fail by a directory squatting on the tmp path:
+// the FORMAT marker's, which the first put of a fresh store rewrites with its
+// "dirs" token before any record carries a directory.
 func TestWriteFileAtomicLeavesNoTmp(t *testing.T) {
 	s := openTemp(t)
-	if _, err := s.PutSections(Key{LoopID: "l", Exec: 0}, []Section{{Name: "w", Data: []byte("x")}}, 0, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Mkdir(s.segmentPath(1)+".tmp", 0o755); err != nil {
+	if err := os.Mkdir(s.formatPath()+".tmp", 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.PutSections(Key{LoopID: "l", Exec: 1}, []Section{{Name: "w", Data: []byte("y")}}, 0, 0, 0); err == nil {
-		t.Fatal("segment written through a directory")
+		t.Fatal("FORMAT written through a directory")
 	}
 	// The rename step: a non-empty directory squats on the destination.
 	dst := filepath.Join(s.Dir(), "dst")
@@ -141,9 +140,12 @@ func TestWriteFileAtomicLeavesNoTmp(t *testing.T) {
 		}
 	}
 	if s.Has(Key{LoopID: "l", Exec: 1}) {
-		t.Fatal("checkpoint with no segment committed")
+		t.Fatal("checkpoint committed before its FORMAT token")
 	}
 	if _, err := s.PutSections(Key{LoopID: "l", Exec: 2}, []Section{{Name: "w", Data: []byte("y")}}, 0, 0, 0); err != nil {
-		t.Fatalf("store unusable after a failed segment write: %v", err)
+		t.Fatalf("store unusable after a failed marker write: %v", err)
+	}
+	if m, err := os.ReadFile(s.formatPath()); err != nil || string(m) != "2 dirs\n" {
+		t.Fatalf("FORMAT %q, %v; want the dirs token", m, err)
 	}
 }

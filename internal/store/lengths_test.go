@@ -2,9 +2,6 @@ package store
 
 import (
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -12,43 +9,11 @@ import (
 	"flor.dev/flor/internal/codec"
 )
 
-// rewriteDirectory replaces the segment directory of key's checkpoint with
-// what edit makes of it, re-framed so that its CRC holds: the directory a
-// reader decodes is exactly the edited one.
-func rewriteDirectory(t *testing.T, dir string, key Key, edit func(*ckptfmt.Directory)) {
-	t.Helper()
-	s, err := OpenReadOnly(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, ok := s.Lookup(key)
-	if !ok {
-		t.Fatalf("no checkpoint %s", key)
-	}
-	path := filepath.Join(dir, fmt.Sprintf("ckpt-%08d.bin", m.Seq))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, _, err := codec.Unframe(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := ckptfmt.DecodeDirectory(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edit(d)
-	if err := os.WriteFile(path, codec.Frame(ckptfmt.EncodeDirectory(d)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestNegativeChunkLengthIsCorruptAtResolve pins the directory decoder's
-// length check end to end: a one-section store whose segment directory was
-// rewritten, CRC-valid, to claim a chunk length of -8 (a uvarint of 2^64-8)
-// fails Resolve with codec.ErrCorrupt — before any reader sizes a buffer or
-// lays a section out by it — and so does every read through it.
+// length check end to end: a one-section store whose directory was rewritten
+// in its meta record, CRC-valid, to claim a chunk length of -8 (a uvarint of
+// 2^64-8) fails Resolve with codec.ErrCorrupt — before any reader sizes a
+// buffer or lays a section out by it — and so does every read through it.
 func TestNegativeChunkLengthIsCorruptAtResolve(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)

@@ -1,0 +1,361 @@
+package store
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"flor.dev/flor/internal/ckptfmt"
+	"flor.dev/flor/internal/codec"
+)
+
+// legacyFixture copies a store committed under the repository's testdata
+// (recorded by an older build: one segment file per checkpoint, meta records
+// without directories) into a fresh directory.
+func legacyFixture(t *testing.T, name string) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("..", "..", "testdata", name))); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// manifestRecords splits a run's MANIFEST into its framed records and their
+// decodings.
+func manifestRecords(t *testing.T, dir string) (raw [][]byte, recs []manifestRecord) {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, manifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < len(b); {
+		rec, n, err := decodeManifestRecord(b[off:], false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, recs = append(raw, b[off:off+n]), append(recs, rec)
+		off += n
+	}
+	return raw, recs
+}
+
+// encodeRecord is decodeManifestRecord's inverse.
+func encodeRecord(rec manifestRecord) []byte {
+	switch rec.tag {
+	case recMeta:
+		return frameTagged(recMeta, encodeMeta(rec.e))
+	case recChunk:
+		return frameTagged(recChunk, encodeChunkRecord(rec.hash, rec.loc))
+	default:
+		return frameTagged(recPool, encodePoolRef(rec.ref, rec.fanout))
+	}
+}
+
+// rewriteDirectory replaces the directory in the meta record of key's
+// latest checkpoint with what edit makes of it, re-framed so that its CRC
+// holds: the directory a reader decodes is exactly the edited one.
+func rewriteDirectory(t *testing.T, dir string, key Key, edit func(*ckptfmt.Directory)) {
+	t.Helper()
+	raw, recs := manifestRecords(t, dir)
+	hit := -1
+	for i, rec := range recs {
+		if rec.tag == recMeta && rec.e.Key == key {
+			hit = i
+		}
+	}
+	if hit < 0 || recs[hit].e.dir == nil {
+		t.Fatalf("no meta record with a directory for %s", key)
+	}
+	edit(recs[hit].e.dir)
+	raw[hit] = encodeRecord(recs[hit])
+	if err := os.WriteFile(filepath.Join(dir, manifestFile), bytes.Join(raw, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recordLayouts puts the same three checkpoints — sectioned, opaque, and a
+// superseding one — into a fresh private, sharded and pooled store, and
+// returns each run directory and what a read of each key must return.
+func recordLayouts(t testing.TB, base string) (dirs map[string]string, want map[Key][]Section) {
+	want = map[Key][]Section{
+		{LoopID: "train", Exec: 0}: {{Name: "w", Data: noise(300<<10, 1)}, {Name: "b", Data: []byte("bias")}},
+		{LoopID: "train", Exec: 1}: {{Name: "w", Data: noise(4096, 2)}, {Name: "b", Data: []byte("bias")}},
+	}
+	dirs = map[string]string{}
+	for _, layout := range []struct {
+		name string
+		o    Options
+	}{
+		{"v2", Options{}},
+		{"v2-sharded", Options{ShardFanout: 16}},
+		{"v2-pooled", Options{Pool: filepath.Join(base, "POOL"), ShardFanout: 4}},
+	} {
+		dir := filepath.Join(base, layout.name)
+		s, err := OpenWith(dir, layout.o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []Key{{LoopID: "train", Exec: 0}, {LoopID: "train", Exec: 1}, {LoopID: "train", Exec: 1}} {
+			if _, err := s.PutSections(k, want[k], 0, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Put(Key{LoopID: "blob", Exec: 0}, []byte("opaque"), 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		dirs[layout.name] = dir
+	}
+	want[Key{LoopID: "blob", Exec: 0}] = []Section{{Data: []byte("opaque")}}
+	return dirs, want
+}
+
+// TestNewStoresWriteNoSegmentFiles pins the write form on every writer
+// layout: a checkpoint is its manifest records, so no run directory holds a
+// ckpt-*.bin file, and the FORMAT marker carries the "dirs" token that makes
+// older builds — which would count every checkpoint as missing its segment
+// file — refuse the store. Marker tokens keep their grammar order.
+func TestNewStoresWriteNoSegmentFiles(t *testing.T) {
+	dirs, _ := recordLayouts(t, t.TempDir())
+	for layout, dir := range dirs {
+		if segs, _ := filepath.Glob(filepath.Join(dir, "ckpt-*")); len(segs) > 0 {
+			t.Errorf("%s: segment files %v", layout, segs)
+		}
+		marker, err := os.ReadFile(filepath.Join(dir, formatFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, err := parseFormatMarker(marker); err != nil || !m.dirs || !strings.HasSuffix(string(marker), " dirs\n") {
+			t.Errorf("%s: FORMAT %q (%+v, %v), want the dirs token last", layout, marker, m, err)
+		}
+	}
+	if m, err := parseFormatMarker([]byte("2 dirs gc\n")); err == nil {
+		t.Fatalf("out-of-order marker parsed as %+v", m)
+	}
+}
+
+// TestResolveDoesNoFileIO pins that a checkpoint's directory lives in the
+// index: after a read-only open, every file of the run but its packs is
+// deleted — MANIFEST, FORMAT, and for a pooled run the pool's INDEX, marker
+// and leases — and Resolve plus ReadInto of every key still returns
+// byte-identical sections on every writer layout.
+func TestResolveDoesNoFileIO(t *testing.T) {
+	base := t.TempDir()
+	dirs, want := recordLayouts(t, base)
+	resetPoolRegistry()
+	stores := map[string]*Store{}
+	for layout, dir := range dirs {
+		s, err := OpenReadOnly(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[layout] = s
+	}
+	for _, d := range []string{dirs["v2"], dirs["v2-sharded"], dirs["v2-pooled"], filepath.Join(base, "POOL")} {
+		entries, _ := os.ReadDir(d)
+		for _, e := range entries {
+			if !strings.HasPrefix(e.Name(), packFile) {
+				if err := os.RemoveAll(filepath.Join(d, e.Name())); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for layout, s := range stores {
+		for key, secs := range want {
+			c, err := s.Resolve(key)
+			if err != nil {
+				t.Fatalf("%s: Resolve(%s) with only packs left: %v", layout, key, err)
+			}
+			got, err := c.ReadInto(nil, nil, nil, nil)
+			if err != nil || len(got) != len(secs) {
+				t.Fatalf("%s: ReadInto(%s): %d sections, %v", layout, key, len(got), err)
+			}
+			for i := range secs {
+				if got[i].Name != secs[i].Name || !bytes.Equal(got[i].Data, secs[i].Data) {
+					t.Fatalf("%s: %s section %d differs from what was put", layout, key, i)
+				}
+			}
+		}
+	}
+}
+
+// TestLegacySegmentsReadAtOpenAndRemovedByGC pins the read-compat seam on a
+// copy of the committed gztwins store (meta records without directories,
+// one segment file each): open reads each directory once, so a read-only
+// open keeps resolving after the files are gone; a put on a writable open
+// adds a record with its directory and no file; and GC rewrites the
+// manifest so that every record carries its directory, removes every
+// segment file, and leaves a store that reopens with each checkpoint's
+// directory unchanged.
+func TestLegacySegmentsReadAtOpenAndRemovedByGC(t *testing.T) {
+	dir := legacyFixture(t, "gztwins")
+	ro, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := Key{LoopID: "train", Exec: 6}
+	if _, err := st.PutSections(key, []Section{{Name: "w", Data: noise(1000, 3)}}, 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.bin")); len(segs) != 8 {
+		t.Fatalf("a put into a legacy store left %d segment files, want the fixture's 8", len(segs))
+	}
+	res, err := st.GCWith(GCOptions{PackRetention: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Superseded != 1 {
+		t.Fatalf("GC dropped %d superseded checkpoints, want 1", res.Superseded)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "ckpt-*")); len(segs) > 0 {
+		t.Fatalf("GC left %v", segs)
+	}
+	_, recs := manifestRecords(t, dir)
+	metas := 0
+	for _, rec := range recs {
+		if rec.tag == recMeta {
+			metas++
+			if rec.e.dir == nil {
+				t.Fatalf("rewritten record of %s carries no directory", rec.e.Key)
+			}
+		}
+	}
+	if metas != 8 {
+		t.Fatalf("rewritten manifest holds %d meta records, want 8 (7 live and the put)", metas)
+	}
+	re, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, e := range ro.index {
+		if got := re.index[k]; got == nil || !bytes.Equal(ckptfmt.EncodeDirectory(got.dir), ckptfmt.EncodeDirectory(e.dir)) {
+			t.Fatalf("%s: directory changed through the rewrite", k)
+		}
+		if _, ok, err := ro.GetSections(k, nil); err != nil || !ok {
+			t.Fatalf("read-only open of the legacy form, files gone: %s: ok=%v err=%v", k, ok, err)
+		}
+	}
+}
+
+// TestGCPoolMarksLegacyRecordsFromTheirFiles pins GCPool's mark on a leased
+// run whose meta records carry no directory (the form older builds wrote,
+// made here by moving a fresh pooled run's directories out to segment
+// files): each record's chunks stay live through its file, and a record
+// whose file is gone is dropped, as open drops it, so its chunks die.
+func TestGCPoolMarksLegacyRecordsFromTheirFiles(t *testing.T) {
+	base := t.TempDir()
+	pool := filepath.Join(base, "POOL")
+	run := filepath.Join(base, "run")
+	s := openPooled(t, run, pool)
+	key := Key{LoopID: "train", Exec: 0}
+	for i := 0; i < 2; i++ {
+		if _, err := s.PutSections(key, mutatingSections(uint64(70+i)), 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, recs := manifestRecords(t, run)
+	var first *entry
+	for i, rec := range recs {
+		if rec.tag != recMeta {
+			continue
+		}
+		if first == nil {
+			first = rec.e
+		}
+		if err := os.WriteFile(segmentPath(run, rec.e.Seq), codec.Frame(ckptfmt.EncodeDirectory(rec.e.dir)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec.e.dir = nil
+		raw[i] = encodeRecord(rec)
+	}
+	if err := os.WriteFile(filepath.Join(run, manifestFile), bytes.Join(raw, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := GCPool(pool, GCOptions{PackRetention: time.Hour}); err != nil || res.DeadChunks != 0 {
+		t.Fatalf("GCPool over legacy records: %+v, %v; want every chunk live", res, err)
+	}
+	if err := os.Remove(segmentPath(run, first.Seq)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := GCPool(pool, GCOptions{PackRetention: time.Hour})
+	if err != nil || res.DeadChunks != 2 {
+		t.Fatalf("GCPool with the superseded record's file gone: %+v, %v; want its 2 chunks dead", res, err)
+	}
+	resetPoolRegistry()
+	st, err := OpenReadOnly(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, ok, err := st.GetSections(key, nil)
+	if err != nil || !ok || !bytes.Equal(secs[0].Data, mutatingSections(71)[0].Data) {
+		t.Fatalf("live legacy checkpoint after GCPool: ok=%v err=%v", ok, err)
+	}
+}
+
+// FuzzManifestRecord asserts the manifest record decoder's contract on
+// arbitrary input: it never panics, every failure (and every directory a
+// meta record carries that does not decode) is codec.ErrCorrupt, and a
+// record that decodes re-encodes to exactly the bytes it consumed. Seeds are
+// the record payloads of stores recorded on every writer layout —
+// pool-reference, chunk (with and without a pack generation) and meta
+// records, sectioned and opaque — and the directory-less meta records of the
+// committed gztwins store. Each input is decoded as it stands and CRC-framed,
+// so that mutations reach the record bodies behind the CRC.
+func FuzzManifestRecord(f *testing.F) {
+	base := f.TempDir()
+	dirs, _ := recordLayouts(f, base)
+	s, err := Open(dirs["v2"])
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := s.GC(); err != nil {
+		f.Fatal(err)
+	}
+	resetPoolRegistry()
+	for _, dir := range []string{dirs["v2"], dirs["v2-pooled"], filepath.Join("..", "..", "testdata", "gztwins")} {
+		b, err := os.ReadFile(filepath.Join(dir, manifestFile))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for off := 0; off < len(b); {
+			payload, n, err := codec.Unframe(b[off:])
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(payload)
+			off += n
+		}
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		for _, b := range [][]byte{payload, codec.Frame(payload)} {
+			rec, n, err := decodeManifestRecord(b, false)
+			if err != nil {
+				if !errors.Is(err, codec.ErrCorrupt) {
+					t.Fatalf("decode error is not codec.ErrCorrupt: %v", err)
+				}
+				continue
+			}
+			if n <= 0 || n > len(b) {
+				t.Fatalf("decoded record consumed %d of %d bytes", n, len(b))
+			}
+			if rec.tag == recMeta && rec.e.dirErr != nil {
+				if !errors.Is(rec.e.dirErr, codec.ErrCorrupt) {
+					t.Fatalf("directory error is not codec.ErrCorrupt: %v", rec.e.dirErr)
+				}
+				continue
+			}
+			if enc := encodeRecord(rec); !bytes.Equal(enc, b[:n]) {
+				t.Fatalf("record re-encodes to %x, not the %x it was decoded from", enc, b[:n])
+			}
+		}
+	})
+}

@@ -37,11 +37,13 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -66,12 +68,11 @@ const (
 const DefaultPackRetention = 10 * time.Minute
 
 // ErrStalePack reports a read through an index that GC in another process
-// has outrun: either a pack generation whose grace period expired after the
-// reader resolved chunk locations, or a superseded checkpoint's segment file
-// removed by the (grace-free) segment sweep. The reader's in-memory index is
-// stale, not the data — re-opening the store resolves the current generation
-// and the successor checkpoints. Long-lived readers (the serving daemon's
-// store cache) catch this to refresh and retry.
+// has outrun: a pack generation whose grace period expired after the reader
+// resolved chunk locations. The reader's in-memory index is stale, not the
+// data — re-opening the store resolves the current generation and the
+// successor checkpoints. Long-lived readers (the serving daemon's store
+// cache) catch this to refresh and retry.
 var ErrStalePack = errors.New("store: pack generation retired by gc")
 
 // chunkLoc locates one content-addressed frame inside its shard's pack
@@ -135,10 +136,11 @@ type ChunkPool struct {
 	backend Backend
 
 	// gcMu fences compaction against the chunk write path: a put holds the
-	// read side from fresh-chunk filtering through manifest/index commit, so
-	// GC's mark phase (which scans committed segment directories) can never
-	// miss a chunk an in-flight checkpoint is about to reference. Lock
-	// order: gcMu before any shard.mu or Store.mu.
+	// read side from fresh-chunk filtering through its manifest commit, and
+	// GC the write side for its whole pass, so GC's mark (which reads
+	// committed directories) can never miss a chunk an in-flight checkpoint
+	// is about to reference. Lock order: gcMu before any shard.mu or
+	// Store.mu.
 	gcMu sync.RWMutex
 
 	mu       sync.Mutex
@@ -215,12 +217,17 @@ func (p *ChunkPool) shardOf(h ckptfmt.Hash) int {
 }
 
 // adopt installs one replayed chunk record (first record wins, matching
-// write-order dedup). Used while replaying a run manifest or a pool INDEX,
-// before the pool is shared.
+// write-order dedup) and counts it stored. Used while replaying a run
+// manifest or a pool INDEX; the caller holds p.mu or has the pool to itself.
 func (p *ChunkPool) adopt(h ckptfmt.Hash, loc chunkLoc) {
 	sh := p.shardTab[p.shardOf(h)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if _, dup := sh.chunks[h]; !dup {
 		sh.chunks[h] = loc
+		p.stored.Chunks++
+		p.stored.StoredRawBytes += int64(loc.RawLen)
+		p.stored.StoredEncBytes += int64(loc.EncLen)
 	}
 	if loc.Gen > sh.gen {
 		sh.gen = loc.Gen
@@ -399,29 +406,17 @@ func (p *ChunkPool) appendFrames(frames []ckptfmt.Frame) ([]chunkLoc, error) {
 // publish installs committed chunk locations into the dedup index (first
 // location wins) and accumulates the pool's storage accounting.
 func (p *ChunkPool) publish(frames []ckptfmt.Frame, locs []chunkLoc) {
-	var chunks, raw, enc int64
-	for i := range frames {
-		sh := p.shardTab[p.shardOf(frames[i].Hash)]
-		sh.mu.Lock()
-		if _, dup := sh.chunks[frames[i].Hash]; !dup {
-			sh.chunks[frames[i].Hash] = locs[i]
-		}
-		sh.mu.Unlock()
-		chunks++
-		raw += int64(locs[i].RawLen)
-		enc += int64(locs[i].EncLen)
-	}
 	p.mu.Lock()
-	p.stored.Chunks += chunks
-	p.stored.StoredRawBytes += raw
-	p.stored.StoredEncBytes += enc
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	for i := range frames {
+		p.adopt(frames[i].Hash, locs[i])
+	}
 }
 
 // resolve fills each job's chunk location from the dedup index, locking
-// each involved shard exactly once. seq names the requesting segment for
+// each involved shard exactly once. key names the requesting checkpoint for
 // error messages.
-func (p *ChunkPool) resolve(jobs []chunkJob, byShard map[int][]int, seq int) error {
+func (p *ChunkPool) resolve(jobs []chunkJob, byShard map[int][]int, key Key) error {
 	for si, idxs := range byShard {
 		sh := p.shardTab[si]
 		sh.mu.Lock()
@@ -429,20 +424,14 @@ func (p *ChunkPool) resolve(jobs []chunkJob, byShard map[int][]int, seq int) err
 			loc, ok := sh.chunks[jobs[ji].ref.Hash]
 			if !ok {
 				sh.mu.Unlock()
-				return fmt.Errorf("%w: segment %d references chunk %s absent from shard %s (pack missing, truncated, or collected?)",
-					codec.ErrCorrupt, seq, jobs[ji].ref.Hash, sh.name)
+				return fmt.Errorf("%w: checkpoint %s references chunk %s absent from shard %s (pack missing, truncated, or collected?)",
+					codec.ErrCorrupt, key, jobs[ji].ref.Hash, sh.name)
 			}
 			jobs[ji].loc = loc
 		}
 		sh.mu.Unlock()
 	}
 	return nil
-}
-
-func (p *ChunkPool) isReadOnly() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.readOnly
 }
 
 // ---------------------------------------------------------------------------
@@ -566,7 +555,7 @@ func openSharedPool(root string, fanout int, readOnly bool) (*ChunkPool, error) 
 	// read it without locks). The root exists — the marker was
 	// just read or written — so the plain DirBackend needs no MkdirAll.
 	p.backend = &DirBackend{roots: []string{key}}
-	if err := p.replayIndex(); err != nil {
+	if err := p.replayIndex(0); err != nil {
 		return nil, err
 	}
 	if err := p.finishOpen(); err != nil {
@@ -592,42 +581,10 @@ func (p *ChunkPool) upgradeWritable() error {
 	if !p.readOnly {
 		return nil
 	}
-	raw, err := os.ReadFile(p.indexPath())
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("store: read pool index: %w", err)
-	}
-	off := int(p.indexLen)
-	if off > len(raw) {
-		off = len(raw)
-	}
-	for off < len(raw) {
-		payload, consumed, uerr := codec.Unframe(raw[off:])
-		if uerr != nil || len(payload) == 0 || payload[0] != recChunk {
-			break
-		}
-		hash, loc, derr := decodeChunkRecord(payload[1:])
-		if derr != nil {
-			break
-		}
-		sh := p.shardTab[p.shardOf(hash)]
-		sh.mu.Lock()
-		if loc.Gen > sh.gen {
-			sh.gen = loc.Gen
-		}
-		if _, dup := sh.chunks[hash]; !dup {
-			sh.chunks[hash] = loc
-			p.stored.Chunks++
-			p.stored.StoredRawBytes += int64(loc.RawLen)
-			p.stored.StoredEncBytes += int64(loc.EncLen)
-		}
-		sh.mu.Unlock()
-		off += consumed
-	}
-	p.indexLen = int64(off)
-	if int64(len(raw)) > p.indexLen {
-		if err := os.Truncate(p.indexPath(), p.indexLen); err != nil {
-			return fmt.Errorf("store: truncate torn pool index: %w", err)
-		}
+	p.readOnly = false
+	if err := p.replayIndex(p.indexLen); err != nil {
+		p.readOnly = true
+		return err
 	}
 	for _, sh := range p.shardTab {
 		sh.mu.Lock()
@@ -636,7 +593,6 @@ func (p *ChunkPool) upgradeWritable() error {
 		}
 		sh.mu.Unlock()
 	}
-	p.readOnly = false
 	return nil
 }
 
@@ -650,37 +606,26 @@ func resetPoolRegistry() {
 
 func (p *ChunkPool) indexPath() string { return filepath.Join(p.root, poolIndexFile) }
 
-// replayIndex rebuilds the dedup index from the pool's INDEX log. Torn
-// tails are truncated (writable) or skipped (read-only).
-func (p *ChunkPool) replayIndex() error {
+// replayIndex adopts the pool's INDEX records from byte from on: all of them
+// at open, and on a read-only→writable upgrade those another writer appended
+// since. Torn tails are truncated (writable) or skipped (read-only).
+func (p *ChunkPool) replayIndex(from int64) error {
 	raw, err := os.ReadFile(p.indexPath())
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("store: read pool index: %w", err)
 	}
-	off := 0
-	validated := 0
+	off := int(min(from, int64(len(raw))))
 	for off < len(raw) {
-		payload, consumed, err := codec.Unframe(raw[off:])
-		if err != nil {
+		rec, consumed, err := decodeManifestRecord(raw[off:], false)
+		if err != nil || rec.tag != recChunk {
 			break // torn tail
 		}
-		if len(payload) == 0 || payload[0] != recChunk {
-			break
-		}
-		hash, loc, derr := decodeChunkRecord(payload[1:])
-		if derr != nil {
-			break
-		}
-		p.adopt(hash, loc)
+		p.adopt(rec.hash, rec.loc)
 		off += consumed
-		validated = off
 	}
-	p.indexLen = int64(validated)
-	if validated < len(raw) && !p.readOnly {
-		if err := os.Truncate(p.indexPath(), int64(validated)); err != nil {
+	p.indexLen = int64(off)
+	if off < len(raw) && !p.readOnly {
+		if err := os.Truncate(p.indexPath(), int64(off)); err != nil {
 			return fmt.Errorf("store: truncate torn pool index: %w", err)
 		}
 	}
@@ -791,7 +736,7 @@ func findLease(poolRoot, entry string) (path string, ok bool) {
 
 // writeLease records a run's attachment to the pool (idempotent): the lease
 // is the run's refcount — pool GC treats every chunk referenced by a leased
-// run's segments as live.
+// run's committed checkpoints as live.
 func (p *ChunkPool) writeLease(runDir string) error {
 	entry, err := leaseEntry(p.root, runDir)
 	if err != nil {
@@ -873,9 +818,6 @@ func (p *ChunkPool) leases() ([]string, error) {
 
 // GCOptions configures a chunk-reclaiming GC pass.
 type GCOptions struct {
-	// SkipChunks limits GC to superseded segment files (the pre-pool
-	// behavior): packs are left untouched.
-	SkipChunks bool
 	// PackRetention overrides how long replaced pack generations stay on
 	// disk for concurrent readers (DefaultPackRetention when zero). A later
 	// GC pass deletes generations whose retention expired. Size it above
@@ -897,8 +839,9 @@ func (o GCOptions) retention() time.Duration {
 
 // GCResult reports what a GC pass reclaimed.
 type GCResult struct {
-	// Segments is the number of superseded segment files removed.
-	Segments int
+	// Superseded is the number of superseded checkpoints whose meta records
+	// the manifest rewrite dropped.
+	Superseded int
 	// DeadChunks is the number of superseded chunks compacted away.
 	DeadChunks int
 	// ReclaimedBytes is the encoded pack volume those chunks occupied; the
@@ -957,20 +900,13 @@ func (p *ChunkPool) writePackGC(sched map[string]int64) error {
 
 // gc is the chunk-reclaiming GC pass shared by private stores (Store.GCWith)
 // and shared pools (GCPool). mark builds the live set — every chunk hash
-// still referenced by a live checkpoint — and MUST scan durable state
-// (segment files): it runs after gc has fenced off the chunk write path, so
-// any checkpoint that deduplicated against an indexed chunk has its segment
-// on disk by the time mark looks. persist atomically commits the
+// still referenced by a committed checkpoint. The caller holds p.gcMu for
+// the whole pass, so any checkpoint that deduplicated against an indexed
+// chunk is committed by the time mark looks. persist atomically commits the
 // post-compaction chunk records (the run MANIFEST for private pools, the
-// pool INDEX for shared ones). gc excludes writers (gcMu) for its whole
-// duration.
+// pool INDEX for shared ones); it runs only when some chunk is dead.
 func (p *ChunkPool) gc(mark func() (map[ckptfmt.Hash]bool, error), o GCOptions, persist func([]poolChunkRec) error) (GCResult, error) {
 	var res GCResult
-	if p.isReadOnly() {
-		return res, ErrReadOnly
-	}
-	p.gcMu.Lock()
-	defer p.gcMu.Unlock()
 
 	// The pass runs outside any query, so it records itself as a background
 	// task: each phase becomes a span, served at /v1/debug/tasks.
@@ -984,7 +920,7 @@ func (p *ChunkPool) gc(mark func() (map[ckptfmt.Hash]bool, error), o GCOptions, 
 		phaseStart = now
 	}
 
-	// Mark inside the fence: a put's filter→segment→commit span holds the
+	// Mark inside the fence: a put's filter→append→commit span holds the
 	// read side, so marking before the lock could miss a checkpoint that
 	// deduplicated against a chunk this pass is about to drop.
 	liveSet, err := mark()
@@ -1045,7 +981,8 @@ func (p *ChunkPool) gc(mark func() (map[ckptfmt.Hash]bool, error), o GCOptions, 
 	// Phase 2: sweep each shard's index against the live set.
 	type plan struct {
 		sh        *poolShard
-		dead      []ckptfmt.Hash
+		keep      []poolChunkRec // the survivors, in pack order
+		dead      int
 		deadBytes int64
 	}
 	var plans []*plan
@@ -1053,18 +990,21 @@ func (p *ChunkPool) gc(mark func() (map[ckptfmt.Hash]bool, error), o GCOptions, 
 		sh.mu.Lock()
 		pl := &plan{sh: sh}
 		for h, loc := range sh.chunks {
-			if !live(h) {
-				pl.dead = append(pl.dead, h)
+			if live(h) {
+				pl.keep = append(pl.keep, poolChunkRec{h, loc})
+			} else {
+				pl.dead++
 				pl.deadBytes += int64(loc.EncLen)
 			}
 		}
 		sh.mu.Unlock()
-		if len(pl.dead) > 0 {
+		if pl.dead > 0 {
+			slices.SortFunc(pl.keep, func(a, b poolChunkRec) int { return cmp.Compare(a.loc.Off, b.loc.Off) })
 			plans = append(plans, pl)
 		}
 	}
 	phase("sweep", map[string]int64{"dirty_shards": int64(len(plans))})
-	if len(plans) == 0 || o.SkipChunks {
+	if len(plans) == 0 {
 		if err := p.writePackGC(sched); err != nil {
 			return res, err
 		}
@@ -1085,27 +1025,10 @@ func (p *ChunkPool) gc(mark func() (map[ckptfmt.Hash]bool, error), o GCOptions, 
 	}
 	var swaps []*swap
 	for _, pl := range plans {
-		sh := pl.sh
-		deadSet := make(map[ckptfmt.Hash]bool, len(pl.dead))
-		for _, h := range pl.dead {
-			deadSet[h] = true
-		}
-		type survivor struct {
-			h   ckptfmt.Hash
-			loc chunkLoc
-		}
-		var keep []survivor
+		sh, keep := pl.sh, pl.keep
 		sh.mu.Lock()
-		for h, loc := range sh.chunks {
-			if !deadSet[h] {
-				keep = append(keep, survivor{h, loc})
-			}
-		}
-		oldObj, oldGen := sh.obj(), sh.gen
+		oldObj, newGen := sh.obj(), sh.gen+1
 		sh.mu.Unlock()
-		sort.Slice(keep, func(i, j int) bool { return keep[i].loc.Off < keep[j].loc.Off })
-
-		newGen := oldGen + 1
 		newMap := make(map[ckptfmt.Hash]chunkLoc, len(keep))
 		var newLen int64
 		if len(keep) > 0 {
@@ -1131,7 +1054,7 @@ func (p *ChunkPool) gc(mark func() (map[ckptfmt.Hash]bool, error), o GCOptions, 
 				if _, err := dst.Write(buf); err != nil {
 					return fail(fmt.Errorf("store: gc: write pack %s: %w", packObjName(sh.name, newGen), err))
 				}
-				newMap[sv.h] = chunkLoc{Gen: newGen, Off: newLen, EncLen: sv.loc.EncLen, RawLen: sv.loc.RawLen, Style: sv.loc.Style}
+				newMap[sv.hash] = chunkLoc{Gen: newGen, Off: newLen, EncLen: sv.loc.EncLen, RawLen: sv.loc.RawLen, Style: sv.loc.Style}
 				newLen += int64(sv.loc.EncLen)
 			}
 			src.Close()
@@ -1140,43 +1063,17 @@ func (p *ChunkPool) gc(mark func() (map[ckptfmt.Hash]bool, error), o GCOptions, 
 			}
 		}
 		swaps = append(swaps, &swap{sh: sh, newGen: newGen, newLen: newLen, newMap: newMap,
-			oldObj: oldObj, removed: len(pl.dead), bytes: pl.deadBytes})
+			oldObj: oldObj, removed: pl.dead, bytes: pl.deadBytes})
 	}
 	phase("rewrite", map[string]int64{"rewritten_shards": int64(len(swaps))})
 
 	// Phase 4: commit — atomically rewrite the chunk records. Until this
 	// succeeds, disk and memory both still describe the old generations.
-	var recs []poolChunkRec
-	for _, sh := range p.shardTab {
-		var sw *swap
-		for _, c := range swaps {
-			if c.sh == sh {
-				sw = c
-				break
-			}
-		}
-		if sw != nil {
-			for h, loc := range sw.newMap {
-				recs = append(recs, poolChunkRec{h, loc})
-			}
-			continue
-		}
-		sh.mu.Lock()
-		for h, loc := range sh.chunks {
-			recs = append(recs, poolChunkRec{h, loc})
-		}
-		sh.mu.Unlock()
+	next := make(map[*poolShard]map[ckptfmt.Hash]chunkLoc, len(swaps))
+	for _, sw := range swaps {
+		next[sw.sh] = sw.newMap
 	}
-	// Deterministic record order keeps rewritten manifests reproducible.
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].loc.Gen != recs[j].loc.Gen {
-			return recs[i].loc.Gen < recs[j].loc.Gen
-		}
-		if recs[i].loc.Off != recs[j].loc.Off {
-			return recs[i].loc.Off < recs[j].loc.Off
-		}
-		return bytes.Compare(recs[i].hash[:], recs[j].hash[:]) < 0
-	})
+	recs := p.records(next)
 	if err := persist(recs); err != nil {
 		return res, err
 	}
@@ -1196,19 +1093,13 @@ func (p *ChunkPool) gc(mark func() (map[ckptfmt.Hash]bool, error), o GCOptions, 
 		res.DeadChunks += sw.removed
 		res.ReclaimedBytes += sw.bytes
 	}
-	// Rebuild the stored-chunk accounting from the surviving index.
-	var liveChunks, liveRaw, liveEnc int64
-	for _, sh := range p.shardTab {
-		sh.mu.Lock()
-		for _, loc := range sh.chunks {
-			liveChunks++
-			liveRaw += int64(loc.RawLen)
-			liveEnc += int64(loc.EncLen)
-		}
-		sh.mu.Unlock()
-	}
+	// Rebuild the stored-chunk accounting from the records just persisted.
 	p.mu.Lock()
-	p.stored.Chunks, p.stored.StoredRawBytes, p.stored.StoredEncBytes = liveChunks, liveRaw, liveEnc
+	p.stored.Chunks, p.stored.StoredRawBytes, p.stored.StoredEncBytes = int64(len(recs)), 0, 0
+	for _, cr := range recs {
+		p.stored.StoredRawBytes += int64(cr.loc.RawLen)
+		p.stored.StoredEncBytes += int64(cr.loc.EncLen)
+	}
 	p.mu.Unlock()
 	if err := p.writePackGC(sched); err != nil {
 		return res, err
@@ -1217,8 +1108,31 @@ func (p *ChunkPool) gc(mark func() (map[ckptfmt.Hash]bool, error), o GCOptions, 
 	return res, nil
 }
 
+// records lists the pool's chunk records, a shard's from next where it has
+// an entry there (a compaction's new generation) and from the live index
+// otherwise, in a deterministic order that keeps rewritten manifests
+// reproducible.
+func (p *ChunkPool) records(next map[*poolShard]map[ckptfmt.Hash]chunkLoc) []poolChunkRec {
+	var recs []poolChunkRec
+	for _, sh := range p.shardTab {
+		sh.mu.Lock()
+		chunks, ok := next[sh]
+		if !ok {
+			chunks = sh.chunks
+		}
+		for h, loc := range chunks {
+			recs = append(recs, poolChunkRec{h, loc})
+		}
+		sh.mu.Unlock()
+	}
+	slices.SortFunc(recs, func(a, b poolChunkRec) int {
+		return cmp.Or(cmp.Compare(a.loc.Gen, b.loc.Gen), cmp.Compare(a.loc.Off, b.loc.Off), bytes.Compare(a.hash[:], b.hash[:]))
+	})
+	return recs
+}
+
 // GCPool runs a refcounted GC pass over a shared pool: every chunk
-// referenced by a segment of any leased run is live; everything else is
+// referenced by a committed checkpoint of any leased run is live; everything else is
 // compacted away, with replaced pack generations retained for the grace
 // period (see GCOptions.PackRetention). Leases whose run directory no
 // longer exists are released — deleting a run's directory and lease (see
@@ -1238,6 +1152,8 @@ func GCPool(root string, o GCOptions) (GCResult, error) {
 	if err != nil {
 		return GCResult{}, err
 	}
+	p.gcMu.Lock()
+	defer p.gcMu.Unlock()
 	mark := func() (map[ckptfmt.Hash]bool, error) {
 		live := map[ckptfmt.Hash]bool{}
 		leases, err := p.leases()
@@ -1252,7 +1168,7 @@ func GCPool(root string, o GCOptions) (GCResult, error) {
 				}
 				continue
 			}
-			if err := collectLiveChunks(runDir, live); err != nil {
+			if err := markRun(runDir, live); err != nil {
 				return nil, fmt.Errorf("store: pool gc: %s: %w", runDir, err)
 			}
 		}
@@ -1266,47 +1182,49 @@ func GCPool(root string, o GCOptions) (GCResult, error) {
 	return res, err
 }
 
-// collectLiveChunks accumulates every chunk hash referenced by the run
-// directory's segment files. Segments are written before their chunks are
-// appended, so a checkpoint mid-materialization already pins its chunks.
-//
-// The mark is the sole safety input to an irreversible compaction, so any
-// failure to read or decode a segment fails the whole GC pass (retry
-// later) rather than silently treating the segment as referencing nothing
-// — the one exception being a segment deleted between listing and read,
-// which is a completed segment GC, not a lost reference.
-func collectLiveChunks(runDir string, live map[ckptfmt.Hash]bool) error {
-	entries, err := os.ReadDir(runDir)
-	if err != nil {
-		return err
+// markRun adds every chunk a run's committed checkpoints reference to live.
+// It decodes the run's MANIFEST with the record decoder open uses (a legacy
+// record reads its segment file, and is dropped when that is missing, as at
+// open) and stops where open would, at a torn tail. The mark is the sole
+// safety input to an irreversible compaction, so a directory it cannot read
+// fails the whole pass (retry later) rather than counting as referencing
+// nothing.
+func markRun(runDir string, live map[ckptfmt.Hash]bool) error {
+	raw, err := os.ReadFile(filepath.Join(runDir, manifestFile))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "ckpt-") || !strings.HasSuffix(name, ".bin") {
+	if err != nil {
+		return fmt.Errorf("gc mark: %w", err)
+	}
+	for off := 0; off < len(raw); {
+		rec, n, err := decodeManifestRecord(raw[off:], false)
+		if err != nil {
+			break
+		}
+		off += n
+		if rec.tag != recMeta || (rec.e.dir == nil && rec.e.dirErr == nil && !loadSegment(runDir, rec.e)) {
 			continue
 		}
-		raw, err := os.ReadFile(filepath.Join(runDir, name))
-		if errors.Is(err, os.ErrNotExist) {
-			continue
+		if rec.e.dirErr != nil {
+			return fmt.Errorf("gc mark: %w", rec.e.dirErr)
 		}
-		if err != nil {
-			return fmt.Errorf("gc mark: read segment %s: %w", name, err)
-		}
-		payload, _, err := codec.Unframe(raw)
-		if err != nil {
-			return fmt.Errorf("gc mark: segment %s: %w", name, err)
-		}
-		dir, err := ckptfmt.DecodeDirectory(payload)
-		if err != nil {
-			return fmt.Errorf("gc mark: segment %s directory: %w", name, err)
-		}
-		for _, sec := range dir.Sections {
-			for _, ref := range sec.Chunks {
-				live[ref.Hash] = true
-			}
-		}
+		markDirectory(rec.e.dir, live)
 	}
 	return nil
+}
+
+// markDirectory adds every chunk a directory references to live (none for
+// the nil directory of a format-v1 checkpoint).
+func markDirectory(d *ckptfmt.Directory, live map[ckptfmt.Hash]bool) {
+	if d == nil {
+		return
+	}
+	for _, sec := range d.Sections {
+		for _, ref := range sec.Chunks {
+			live[ref.Hash] = true
+		}
+	}
 }
 
 // PoolStatsAt reports a shared pool's storage accounting if the pool is

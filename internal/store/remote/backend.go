@@ -13,7 +13,7 @@ import (
 
 // ObjectBackend adapts an ObjectStore to store.Backend, so a run's chunk
 // packs can live in a shared remote pool while the control plane (FORMAT,
-// MANIFEST, segments) stays in a local run directory. Its readers lend
+// MANIFEST) stays in a local run directory. Its readers lend
 // extents (store.ExtentReader): the restore path asks for each planned frame
 // run's exact byte range, several in flight, and decodes it where it lies —
 // a cache-tier extent, another reader's shared fetch, or the arena span of

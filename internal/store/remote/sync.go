@@ -12,9 +12,11 @@ import (
 
 // Remote layout of one run under its key prefix (see docs/FORMATS.md):
 //
-//	<prefix>/ctl/<file>    the run's control plane: FORMAT, MANIFEST,
-//	                       PROGRAM, record.log, timings.log, segments —
-//	                       every run-directory file that is not pack bytes
+//	<prefix>/ctl/<file>    the run's control plane: FORMAT, MANIFEST (which
+//	                       carries every checkpoint's directory), PROGRAM,
+//	                       record.log, timings.log — every run-directory
+//	                       file that is not pack bytes, so a run recorded
+//	                       by an older build ships its segment files too
 //	<prefix>/packs/<obj>   pack objects by backend name (CHUNKS, CHUNKS-xx,
 //	                       CHUNKS-xx.g<n>)
 //	<prefix>/LEASE         the writer lease (lease.go)
@@ -38,7 +40,8 @@ func isPackName(name string) bool { return strings.HasPrefix(name, "CHUNKS") }
 
 // leftBehind reports whether a run-directory file is no part of the run: a
 // temp file of an interrupted write, or what an older build's gzip pass
-// left beside the run (".gz" twins of segments and packs, its SPOOL state).
+// left beside the run (".gz" twins of segment files and packs, its SPOOL
+// state).
 // No reader opens them, so they are neither uploaded nor fetched.
 func leftBehind(name string) bool {
 	return strings.HasSuffix(name, ".tmp") || strings.HasSuffix(name, ".gz") || name == "SPOOL"

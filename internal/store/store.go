@@ -1,28 +1,30 @@
 // Package store implements the on-disk checkpoint store backing Flor record
-// and replay: manifest-committed segments, and a run-agnostic ChunkPool
-// layer owning the content-addressed chunk packs (optionally sharded by
-// hash prefix across pluggable backends), the dedup index, and refcounted
-// GC/compaction of superseded chunks. A run's private pack is a
-// single-tenant pool; a shared pool at a project-level root is attached by
-// many runs, which then deduplicate chunks against each other (fine-tuning
-// families re-checkpointing one frozen backbone store it once).
+// and replay: a manifest that commits each checkpoint in one record, and a
+// run-agnostic ChunkPool layer owning the content-addressed chunk packs
+// (optionally sharded by hash prefix across pluggable backends), the dedup
+// index, and refcounted GC/compaction of superseded chunks. A run's private
+// pack is a single-tenant pool; a shared pool at a project-level root is
+// attached by many runs, which then deduplicate chunks against each other
+// (fine-tuning families re-checkpointing one frozen backbone store it once).
 //
 // # Run-directory layout
 //
 // A run directory always holds the store's control plane:
 //
 //	<dir>/FORMAT              format marker; absent in legacy v1 runs
-//	<dir>/MANIFEST            append-only log of committed checkpoints and
+//	<dir>/MANIFEST            append-only log of committed checkpoints (each
+//	                          meta record carries its directory) and
 //	                          (private-pack stores) dedup chunk records;
 //	                          pooled runs lead with a pool-reference record
-//	<dir>/ckpt-<seq>.bin      one segment file per checkpoint
 //	<dir>/SHARDS              sharded stores only: extra backend root dirs
 //	<dir>/PACKGC              retired pack generations awaiting expiry
 //
 // Nothing derived is persisted: a run leaves the machine as these files
-// (remote.UploadRun), not as a compressed copy of them. Gzip twins
-// ("*.gz") and a SPOOL file that older builds wrote beside them are inert:
-// no read path opens them.
+// (remote.UploadRun), not as a compressed copy of them. Runs recorded by
+// older builds also hold one segment file per checkpoint; they are read
+// once, at open, and GC removes them (legacy.go). Gzip twins ("*.gz") and a
+// SPOOL file that older builds wrote beside them are inert: no read path
+// opens them.
 //
 // Chunk bytes live in pack objects addressed through a Backend (local
 // directories today; the interface is shaped so S3-style ranged backends
@@ -41,23 +43,25 @@
 //
 // One encoding is written — v2 — over a private or shared chunk pool at some
 // fanout; four layouts are readable (docs/FORMATS.md has the byte-level
-// detail). v2-pooled (marker "2 pool shards=N") stores segments like v2 but
-// resolves every chunk through the shared pool named by its manifest:
+// detail). v2-pooled (marker "2 pool shards=N") commits checkpoints like v2
+// but resolves every chunk through the shared pool named by its manifest:
 //
-//   - v1 (legacy, read-only): one monolithic CRC-framed blob per segment,
-//     untyped manifest records, no pack. Detected from the absence of the
-//     FORMAT marker on a directory that holds a manifest; a v1 run opens
-//     read-only whatever the options say — it replays byte-identically and
-//     every write fails with ErrReadOnly. No build writes v1 any more.
-//   - v2 (marker "2"): a segment file holds only a CRC-framed *directory*
-//     (package ckptfmt): the checkpoint's named sections and, per section,
-//     the ordered content hashes of the chunks holding its bytes. The chunk
-//     bytes themselves live in the CHUNKS pack as independent frames —
-//     style byte, CRC-32C, 128-bit content hash — written raw (the deflate
-//     and LZ4 frames older builds wrote are read-compat), once per distinct
-//     hash, and shared by every checkpoint of the run that references them
-//     (cross-checkpoint dedup: frozen layers, datasets, and configuration
-//     are stored once). Frames decode in parallel across a worker pool.
+//   - v1 (legacy, read-only): one monolithic CRC-framed blob per checkpoint
+//     in a segment file, untyped manifest records, no pack. Detected from
+//     the absence of the FORMAT marker on a directory that holds a
+//     manifest; a v1 run opens read-only whatever the options say — it
+//     replays byte-identically and every write fails with ErrReadOnly. No
+//     build writes v1 any more.
+//   - v2 (marker "2"): a checkpoint is its *directory* (package ckptfmt),
+//     carried by its manifest meta record: the checkpoint's named sections
+//     and, per section, the ordered content hashes of the chunks holding its
+//     bytes. The chunk bytes themselves live in the CHUNKS pack as
+//     independent frames — style byte, CRC-32C, 128-bit content hash —
+//     written raw (the deflate and LZ4 frames older builds wrote are
+//     read-compat), once per distinct hash, and shared by every checkpoint
+//     of the run that references them (cross-checkpoint dedup: frozen
+//     layers, datasets, and configuration are stored once). Frames decode
+//     in parallel across a worker pool.
 //   - v2-sharded (marker "2 shards=N"): the v2 encoding with the pack and
 //     the dedup index split into N shards (power of two, 2..256) by the top
 //     byte of each chunk's content hash: chunk h lives in shard h[0] mod N,
@@ -90,12 +94,12 @@
 // destinations; an ExtentReader lends the run's exact extent, decoded where it
 // lies; anything else gets one ReadAt into an arena span. The results are
 // byte-identical whichever way the bytes came.
-// Replay resolves a checkpoint once (Resolve, one segment-directory read)
-// and then reads only the sections its statements touch through
-// Checkpoint.ReadInto. A section lands where the caller laid it out — over
-// live tensors, so that the kernel read is the restore — or in a freshly
-// allocated buffer the caller may retain. GetSections wraps the same call
-// for readers that want every section.
+// Replay resolves a checkpoint (Resolve, an index lookup: every directory was
+// decoded once, at open or put) and then reads only the sections its
+// statements touch through Checkpoint.ReadInto. A section lands where the
+// caller laid it out — over live tensors, so that the kernel read is the
+// restore — or in a freshly allocated buffer the caller may retain.
+// GetSections wraps the same call for readers that want every section.
 //
 // # Manifest and crash consistency
 //
@@ -106,20 +110,20 @@
 //	                  compaction) the pack generation — an entry of the
 //	                  run's dedup chunk index; absent in pooled runs,
 //	                  whose records live in the pool INDEX
-//	'M' meta record   a committed checkpoint (key, segment seq, sizes,
-//	                  timings, format)
+//	'M' meta record   a committed checkpoint (key, seq, sizes, timings,
+//	                  format) and its encoded directory
 //	'P' pool record   pooled runs only, always first: the shared pool's
 //	                  root (relative paths resolve against the run dir)
 //	                  and fanout
 //
-// Chunk records precede the meta record of the checkpoint that introduced
-// them, and pack bytes are written before either, so a crash at any point
-// leaves a prefix-consistent run: opening a store replays the manifest,
-// verifying each record's CRC and ignoring any torn tail. The design
-// follows write-ahead-log discipline adapted to a redo-only workload (paper
-// §7, "Recovery and Replay Systems"): segment files and pack bytes are
-// written first, then a manifest record commits them, so a crash
-// mid-materialization never yields a checkpoint that replay could
+// A checkpoint's pack bytes are written first, then its chunk records and
+// its meta record in one manifest append, so a crash at any point leaves a
+// prefix-consistent run: opening a store replays the manifest, verifying
+// each record's CRC and ignoring any torn tail (a flipped manifest byte is a
+// torn tail too: the records from it on are lost). The design follows
+// write-ahead-log discipline adapted to a redo-only workload (paper §7,
+// "Recovery and Replay Systems"): one log record commits a checkpoint, so a
+// crash mid-materialization never yields a checkpoint that replay could
 // half-trust.
 //
 // # Compatibility guarantees
@@ -128,8 +132,8 @@
 // layout, and pooled runs find their pool through the manifest's
 // pool-reference record. v1, unsharded-v2, and sharded-v2 directories
 // recorded by any earlier build open and replay byte-identically. Unknown
-// or corrupt FORMAT markers — including the pooled and gc-flagged markers
-// on builds that predate them — surface ErrUnknownFormat (with the
+// or corrupt FORMAT markers — including the pooled, gc- and dirs-flagged
+// markers on builds that predate them — surface ErrUnknownFormat (with the
 // offending marker) rather than risking misparse-and-truncate of a future
 // layout's manifest.
 package store
@@ -152,9 +156,9 @@ import (
 	"flor.dev/flor/internal/obs"
 )
 
-// Format identifies a segment encoding.
+// Format identifies a checkpoint encoding.
 const (
-	// FormatV1 is the legacy single-blob-per-segment encoding; it is only
+	// FormatV1 is the legacy single-blob-per-checkpoint encoding; it is only
 	// read (see resolveLayout).
 	FormatV1 = 1
 	// FormatV2 is the frame-based, deduplicated encoding (package ckptfmt),
@@ -203,16 +207,27 @@ func (k Key) String() string { return fmt.Sprintf("%s@%d", k.LoopID, k.Exec) }
 // Meta describes a committed checkpoint.
 type Meta struct {
 	Key      Key
-	Seq      int   // segment sequence number
+	Seq      int   // commit sequence number (names a legacy segment file)
 	Size     int64 // uncompressed payload size in bytes
 	MaterNs  int64 // observed materialization time (serialize+write), ns
 	SnapNs   int64 // observed snapshot (training-thread) time, ns
 	ComputNs int64 // observed loop computation time, ns
-	Format   int   // segment format (FormatV2; FormatV1 in legacy runs)
+	Format   int   // checkpoint format (FormatV2; FormatV1 in legacy runs)
 	// StoredBytes is the number of pack bytes this checkpoint added (encoded
 	// size of its previously unseen chunks). Dedup hits make it smaller than
 	// Size; it is Size itself for a legacy v1 checkpoint.
 	StoredBytes int64
+}
+
+// entry is a committed checkpoint as the index holds it: its meta record
+// and, for format v2, its directory, decoded once when the record was
+// replayed or written. Directories are immutable, so this is the index, not
+// a cache. dirErr is why a directory could not be read; Resolve returns it.
+type entry struct {
+	Meta
+	dir    *ckptfmt.Directory
+	dirErr error
+	gzSize int64 // the slot older builds filled, carried so a record re-encodes as read
 }
 
 // Section is one named slice of a checkpoint payload — the encoded bytes of
@@ -307,12 +322,15 @@ type Store struct {
 	// frames older builds wrote, which pre-LZ4 builds cannot decode, so they
 	// must refuse. Nothing sets it any more; a reopen writes it back as read.
 	lz4Marked bool
-	sawPRec   bool // manifest already holds the pool-reference record
+	// dirsMarked mirrors the marker's "dirs" flag: meta records carry their
+	// directories, and builds that look for segment files must refuse.
+	dirsMarked bool
+	sawPRec    bool // manifest already holds the pool-reference record
 
 	mu      sync.Mutex
 	nextSeq int
-	index   map[Key]*Meta // latest committed checkpoint per key
-	metas   []*Meta       // commit order
+	index   map[Key]*entry // latest committed checkpoint per key
+	metas   []*entry       // commit order
 	dedup   DedupStats
 }
 
@@ -366,8 +384,8 @@ type Options struct {
 	// SHARDS rewrite cannot redirect their reads.
 	PinShardDirs bool
 	// Backend overrides pack storage entirely (ShardDirs is then ignored).
-	// The control plane (FORMAT, MANIFEST, segments) stays in the run
-	// directory regardless.
+	// The control plane (FORMAT, MANIFEST) stays in the run directory
+	// regardless.
 	Backend Backend
 	// Pool attaches the run to a shared chunk pool at this root (created at
 	// ShardFanout — DefaultShardFanout when 0 — if absent; relative paths
@@ -393,10 +411,12 @@ type Options struct {
 }
 
 // Open opens (or creates) a store at dir, replaying the manifest to rebuild
-// the checkpoint index and the dedup chunk index. Torn or corrupt manifest
-// tails are truncated away; segments whose files are missing or corrupt are
-// dropped from the index. New stores are created at format v2; directories
-// recorded before the FORMAT marker existed open as v1, read-only.
+// the checkpoint index, with every checkpoint's directory decoded, and the
+// dedup chunk index. Torn or corrupt manifest tails are truncated away. A
+// directory that does not decode stays in the index with its error, which
+// Resolve returns; a legacy record whose segment file is missing is
+// dropped. New stores are created at format v2; directories recorded before
+// the FORMAT marker existed open as v1, read-only.
 func Open(dir string) (*Store, error) {
 	return OpenWith(dir, Options{})
 }
@@ -432,7 +452,7 @@ func OpenWith(dir string, o Options) (*Store, error) {
 		(o.ShardFanout > 1 && o.ShardFanout&(o.ShardFanout-1) != 0) {
 		return nil, fmt.Errorf("store: shard fanout %d: want a power of two in [2, %d]", o.ShardFanout, maxShardFanout)
 	}
-	s := &Store{dir: dir, readOnly: o.ReadOnly, index: map[Key]*Meta{}}
+	s := &Store{dir: dir, readOnly: o.ReadOnly, index: map[Key]*entry{}}
 	if err := s.resolveLayout(o); err != nil {
 		return nil, err
 	}
@@ -464,8 +484,10 @@ func OpenWith(dir string, o Options) (*Store, error) {
 			s.pool.ctlDir = s.dir
 		}
 	}
-	if err := s.writeMarker(); err != nil {
-		return nil, err
+	if !s.readOnly {
+		if err := s.writeMarker(s.gcMarked, s.dirsMarked); err != nil {
+			return nil, err
+		}
 	}
 	if err := s.replayManifest(); err != nil {
 		return nil, err
@@ -477,10 +499,7 @@ func OpenWith(dir string, o Options) (*Store, error) {
 		if err := s.pool.finishOpen(); err != nil {
 			return nil, err
 		}
-		st := s.pool.Stats()
-		s.dedup.ChunksStored = st.Chunks
-		s.dedup.StoredRawBytes = st.StoredRawBytes
-		s.dedup.StoredEncBytes = st.StoredEncBytes
+		s.adoptPoolStats()
 	}
 	if s.pool != nil {
 		if dropped := s.pool.droppedPacks(); !s.readOnly && len(dropped) > 0 {
@@ -633,15 +652,17 @@ type markerInfo struct {
 	pooled bool
 	gc     bool
 	lz4    bool
+	dirs   bool
 }
 
 // parseFormatMarker decodes a FORMAT file. The grammar is
-// "2[ pool][ shards=N][ gc][ lz4]" in that order: "2" (unsharded v2),
+// "2[ pool][ shards=N][ gc][ lz4][ dirs]" in that order: "2" (unsharded v2),
 // "2 shards=N" (hash-prefix sharded at N, a power of two in [2, 256]),
 // "2 pool shards=N" (chunks live in a shared pool at fanout N ≥ 1), with a
 // trailing "gc" on stores whose chunk records name compacted pack
-// generations and "lz4" on stores holding LZ4-style frames — flags older
-// builds cannot honor, so they refuse.
+// generations, "lz4" on stores holding LZ4-style frames, and "dirs" on
+// stores whose meta records carry their directories — flags older builds
+// cannot honor, so they refuse.
 func parseFormatMarker(raw []byte) (markerInfo, error) {
 	marker := strings.TrimSpace(string(raw))
 	fields := strings.Fields(marker)
@@ -671,13 +692,14 @@ func parseFormatMarker(raw []byte) (markerInfo, error) {
 	} else if m.pooled {
 		return bad() // pooled markers always carry the fanout
 	}
-	if len(rest) > 0 && rest[0] == "gc" {
-		m.gc = true
-		rest = rest[1:]
-	}
-	if len(rest) > 0 && rest[0] == "lz4" {
-		m.lz4 = true
-		rest = rest[1:]
+	for _, flag := range []struct {
+		name string
+		on   *bool
+	}{{"gc", &m.gc}, {"lz4", &m.lz4}, {"dirs", &m.dirs}} {
+		if len(rest) > 0 && rest[0] == flag.name {
+			*flag.on = true
+			rest = rest[1:]
+		}
 	}
 	if len(rest) > 0 {
 		return bad()
@@ -685,7 +707,7 @@ func parseFormatMarker(raw []byte) (markerInfo, error) {
 	return m, nil
 }
 
-func formatMarker(fanout int, pooled, gc, lz4 bool) []byte {
+func formatMarker(fanout int, pooled, gc, lz4, dirs bool) []byte {
 	var b strings.Builder
 	b.WriteString("2")
 	if pooled {
@@ -698,6 +720,9 @@ func formatMarker(fanout int, pooled, gc, lz4 bool) []byte {
 	}
 	if lz4 {
 		b.WriteString(" lz4")
+	}
+	if dirs {
+		b.WriteString(" dirs")
 	}
 	b.WriteString("\n")
 	return []byte(b.String())
@@ -724,8 +749,7 @@ func (s *Store) resolveLayout(o Options) error {
 		return nil
 	}
 	fanout, pooled := l.ShardFanout, l.Pooled
-	s.gcMarked = m.gc
-	s.lz4Marked = m.lz4
+	s.gcMarked, s.lz4Marked, s.dirsMarked = m.gc, m.lz4, m.dirs
 	// A requested fanout may only disagree with a directory that has no
 	// committed state (a fresh one takes it): opening a sharded manifest as
 	// unsharded would misplace every chunk.
@@ -749,20 +773,21 @@ func (s *Store) resolveLayout(o Options) error {
 	return nil
 }
 
-// writeMarker persists the FORMAT marker for writable v2 stores, only when
-// absent or different, and via write-then-rename: rewriting it in place on
-// every open would leave a crash window in which a torn marker bricks an
-// otherwise intact run behind the UnknownFormatError refusal.
-func (s *Store) writeMarker() error {
-	if s.readOnly {
-		return nil
-	}
-	want := formatMarker(s.fanout, s.pooled, s.gcMarked, s.lz4Marked)
+// writeMarker persists the FORMAT marker of a writable v2 store with the
+// given gc and dirs flags, and the store adopts them once they are on disk.
+// It writes only when the marker is absent or different, and via
+// write-then-rename: rewriting it in place on every open would leave a crash
+// window in which a torn marker bricks an otherwise intact run behind the
+// UnknownFormatError refusal. Callers exclude each other: open runs before
+// the store is shared, a put holds the store lock and GC the pool's fence.
+func (s *Store) writeMarker(gc, dirs bool) error {
+	want := formatMarker(s.fanout, s.pooled, gc, s.lz4Marked, dirs)
 	if cur, err := os.ReadFile(s.formatPath()); err != nil || !bytes.Equal(cur, want) {
 		if err := writeFileAtomic(s.formatPath(), want); err != nil {
 			return fmt.Errorf("store: write format marker: %w", err)
 		}
 	}
+	s.gcMarked, s.dirsMarked = gc, dirs
 	return nil
 }
 
@@ -933,17 +958,17 @@ func peekPoolRef(dir string) (ref string, fanout int, err error) {
 	if err != nil {
 		return "", 0, fmt.Errorf("store: read manifest: %w", err)
 	}
-	payload, _, err := codec.Unframe(raw)
+	rec, _, err := decodeManifestRecord(raw, false)
 	if err != nil {
 		// A torn first record (crash during the attachment append) reads as
 		// "no reference yet": writable opens truncate the tail and re-append
 		// from Options.Pool.
 		return "", 0, nil
 	}
-	if len(payload) == 0 || payload[0] != recPool {
+	if rec.tag != recPool {
 		return "", 0, fmt.Errorf("%w: pooled run %s: manifest does not start with a pool-reference record", codec.ErrCorrupt, dir)
 	}
-	return decodePoolRef(payload[1:])
+	return rec.ref, rec.fanout, nil
 }
 
 // PoolRef reports the shared chunk pool a run directory is attached to: the
@@ -1015,10 +1040,6 @@ func (s *Store) formatPath() string    { return filepath.Join(s.dir, formatFile)
 func (s *Store) manifestPath() string  { return filepath.Join(s.dir, manifestFile) }
 func (s *Store) shardDirsPath() string { return filepath.Join(s.dir, shardDirsFile) }
 
-func (s *Store) segmentPath(seq int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("ckpt-%08d.bin", seq))
-}
-
 func (s *Store) replayManifest() error {
 	raw, err := os.ReadFile(s.manifestPath())
 	if errors.Is(err, os.ErrNotExist) {
@@ -1028,143 +1049,171 @@ func (s *Store) replayManifest() error {
 		return fmt.Errorf("store: read manifest: %w", err)
 	}
 	off := 0
-	validated := 0
 	for off < len(raw) {
-		payload, consumed, err := codec.Unframe(raw[off:])
+		rec, n, err := decodeManifestRecord(raw[off:], s.format == FormatV1)
 		if err != nil {
-			// Torn tail: truncate the manifest back to the last good record.
-			break
+			break // torn tail: truncate the manifest back to the last good record
 		}
-		if !s.applyRecord(payload) {
-			break
-		}
-		off += consumed
-		validated = off
+		s.applyRecord(rec)
+		off += n
 	}
-	if validated < len(raw) && !s.readOnly {
-		if err := os.Truncate(s.manifestPath(), int64(validated)); err != nil {
+	if off < len(raw) && !s.readOnly {
+		if err := os.Truncate(s.manifestPath(), int64(off)); err != nil {
 			return fmt.Errorf("store: truncate torn manifest: %w", err)
 		}
 	}
 	return nil
 }
 
-// applyRecord replays one manifest record payload into the in-memory state,
-// returning false when the record is undecodable (treated as a torn tail).
+// applyRecord replays one decoded manifest record into the in-memory state.
 // It runs single-threaded at open, before the store is shared.
-func (s *Store) applyRecord(payload []byte) bool {
-	body := payload
-	tag := byte(recMeta)
-	if s.format == FormatV2 {
-		if len(payload) == 0 {
-			return false
-		}
-		tag = payload[0]
-		body = payload[1:]
-	}
-	switch tag {
+func (s *Store) applyRecord(rec manifestRecord) {
+	switch rec.tag {
 	case recChunk:
-		hash, loc, err := decodeChunkRecord(body)
-		if err != nil {
-			return false
+		// Pooled manifests carry no chunk records (they live in the pool
+		// INDEX); tolerate and ignore rather than truncate. Validation
+		// against the pack's real length happens after the full replay
+		// (ChunkPool.finishOpen), once the active generation is known.
+		if !s.pooled {
+			s.pool.adopt(rec.hash, rec.loc)
 		}
-		if s.pooled {
-			// Pooled manifests carry no chunk records (they live in the pool
-			// INDEX); tolerate and ignore rather than truncate.
-			return true
-		}
-		// Validation against the pack's real length happens after the full
-		// replay (ChunkPool.finishOpen), once the active generation is known.
-		s.pool.adopt(hash, loc)
 	case recPool:
-		ref, fanout, err := decodePoolRef(body)
-		if err != nil {
-			return false
-		}
 		// The reference was already resolved by attachPool's peek; replay
 		// just confirms its presence (and sanity) so reopen skips re-adding.
-		if s.pooled && ref != "" && fanout == s.fanout {
+		if s.pooled && rec.ref != "" && rec.fanout == s.fanout {
 			s.sawPRec = true
 		}
 	case recMeta:
-		m, err := decodeMeta(body)
-		if err != nil {
-			return false
+		e := rec.e
+		if e.Seq >= s.nextSeq {
+			s.nextSeq = e.Seq + 1
 		}
-		// A manifest record only counts if its segment survived intact.
-		if _, statErr := os.Stat(s.segmentPath(m.Seq)); statErr == nil {
-			s.commitLocked(m)
+		// A record without a directory is a legacy one, and only counts if
+		// its segment file survived.
+		if e.dir != nil || e.dirErr != nil || loadSegment(s.dir, e) {
+			s.commitLocked(e)
 		}
-		if m.Seq >= s.nextSeq {
-			s.nextSeq = m.Seq + 1
-		}
+	}
+}
+
+// commitLocked installs an entry into the index and accumulates dedup stats.
+func (s *Store) commitLocked(e *entry) {
+	s.index[e.Key] = e
+	s.metas = append(s.metas, e)
+	if e.Format == FormatV2 {
+		s.dedup.LogicalBytes += e.Size
+	}
+}
+
+// manifestRecord is one decoded manifest (or pool INDEX) record; tag says
+// which of the other fields hold it.
+type manifestRecord struct {
+	tag    byte
+	e      *entry       // recMeta
+	hash   ckptfmt.Hash // recChunk
+	loc    chunkLoc
+	ref    string // recPool
+	fanout int
+}
+
+// decodeManifestRecord unframes and decodes the record at the head of b — a
+// tagged v2 MANIFEST or pool INDEX record, or with v1 an untagged legacy meta
+// record — and reports the bytes it took. Any error is a torn tail, and
+// whatever decodes re-encodes to exactly those bytes. A meta record's
+// directory is no part of that verdict: one that does not decode rides along
+// as the entry's dirErr, so that a CRC-valid record is never taken for a
+// tail.
+func decodeManifestRecord(b []byte, v1 bool) (rec manifestRecord, n int, err error) {
+	payload, n, err := codec.Unframe(b)
+	if err != nil {
+		return rec, 0, err
+	}
+	if v1 {
+		rec.tag = recMeta
+		rec.e, err = decodeMeta(payload, true)
+		return rec, n, err
+	}
+	if len(payload) == 0 {
+		return rec, 0, fmt.Errorf("%w: empty manifest record", codec.ErrCorrupt)
+	}
+	rec.tag = payload[0]
+	body := payload[1:]
+	switch rec.tag {
+	case recMeta:
+		rec.e, err = decodeMeta(body, false)
+	case recChunk:
+		rec.hash, rec.loc, err = decodeChunkRecord(body)
+	case recPool:
+		rec.ref, rec.fanout, err = decodePoolRef(body)
 	default:
-		return false
+		err = fmt.Errorf("%w: manifest record tag 0x%02x", codec.ErrCorrupt, rec.tag)
 	}
-	return true
+	return rec, n, err
 }
 
-// commitLocked installs a meta into the index and accumulates dedup stats.
-func (s *Store) commitLocked(m *Meta) {
-	s.index[m.Key] = m
-	s.metas = append(s.metas, m)
-	if m.Format == FormatV2 {
-		s.dedup.LogicalBytes += m.Size
-	}
-}
-
-func encodeMeta(m *Meta) []byte {
+func encodeMeta(e *entry) []byte {
 	w := codec.NewWriter()
-	w.String(m.Key.LoopID)
-	w.Int(m.Key.Exec)
-	w.Int(m.Seq)
-	w.Int(int(m.Size))
-	w.Int(0) // gzSize: a slot older builds filled; ignored on read
-	w.Int(int(m.MaterNs))
-	w.Int(int(m.SnapNs))
-	w.Int(int(m.ComputNs))
+	w.String(e.Key.LoopID)
+	w.Int(e.Key.Exec)
+	w.Int(e.Seq)
+	w.Int(int(e.Size))
+	w.Int(int(e.gzSize)) // a slot older builds filled; 0 in new records, ignored on read
+	w.Int(int(e.MaterNs))
+	w.Int(int(e.SnapNs))
+	w.Int(int(e.ComputNs))
 	// Trailing fields added with format v2; v1 decoders never read this far.
-	w.Int(m.Format)
-	w.Int(int(m.StoredBytes))
+	w.Int(e.Format)
+	w.Int(int(e.StoredBytes))
+	// The directory closes the record; records without one are legacy.
+	if e.dir != nil {
+		w.RawAppend(ckptfmt.EncodeDirectory(e.dir))
+	}
 	return w.Bytes()
 }
 
-func decodeMeta(b []byte) (*Meta, error) {
+// decodeMeta decodes a meta record body. v1 records may end before the
+// format fields; v2 records may not, and whatever follows their format
+// fields is the checkpoint's directory, encoded exactly as
+// ckptfmt.EncodeDirectory would.
+func decodeMeta(b []byte, v1 bool) (*entry, error) {
 	r := codec.NewReader(b)
-	m := &Meta{}
+	e := &entry{}
 	var err error
-	if m.Key.LoopID, err = r.String(); err != nil {
+	if e.Key.LoopID, err = r.String(); err != nil {
 		return nil, err
 	}
-	var ignored int64 // the gzSize slot older builds filled
-	fields := []*int64{nil, &m.Size, &ignored, &m.MaterNs, &m.SnapNs, &m.ComputNs}
-	if m.Key.Exec, err = r.Int(); err != nil {
+	ints := func(fs ...*int64) error {
+		for _, f := range fs {
+			v, err := r.Int()
+			if err != nil {
+				return err
+			}
+			*f = int64(v)
+		}
+		return nil
+	}
+	var exec, seq, format, stored int64
+	if err := ints(&exec, &seq, &e.Size, &e.gzSize, &e.MaterNs, &e.SnapNs, &e.ComputNs); err != nil {
 		return nil, err
 	}
-	if m.Seq, err = r.Int(); err != nil {
+	if v1 && r.Remaining() == 0 {
+		format, stored = FormatV1, e.Size // records written before format v2 end here
+	} else if err := ints(&format, &stored); err != nil {
 		return nil, err
 	}
-	for _, f := range fields[1:] {
-		v, err := r.Int()
+	e.Key.Exec, e.Seq, e.Format, e.StoredBytes = int(exec), int(seq), int(format), stored
+	if rest := b[len(b)-r.Remaining():]; !v1 && len(rest) > 0 {
+		d, err := ckptfmt.DecodeDirectory(rest)
+		if err == nil && !bytes.Equal(ckptfmt.EncodeDirectory(d), rest) {
+			err = fmt.Errorf("%w: bytes past its end", codec.ErrCorrupt)
+		}
 		if err != nil {
-			return nil, err
+			e.dirErr = fmt.Errorf("store: %s directory: %w", e.Key, err)
+		} else {
+			e.dir = d
 		}
-		*f = int64(v)
 	}
-	// Records written before format v2 end here.
-	m.Format = FormatV1
-	m.StoredBytes = m.Size
-	if r.Remaining() > 0 {
-		if m.Format, err = r.Int(); err != nil {
-			return nil, err
-		}
-		sb, err := r.Int()
-		if err != nil {
-			return nil, err
-		}
-		m.StoredBytes = int64(sb)
-	}
-	return m, nil
+	return e, nil
 }
 
 func encodeChunkRecord(hash ckptfmt.Hash, loc chunkLoc) []byte {
@@ -1201,6 +1250,9 @@ func decodePoolRef(b []byte) (ref string, fanout int, err error) {
 	if fanout, err = r.Int(); err != nil {
 		return "", 0, err
 	}
+	if r.Remaining() > 0 {
+		return "", 0, fmt.Errorf("%w: %d bytes past a pool record", codec.ErrCorrupt, r.Remaining())
+	}
 	return ref, fanout, nil
 }
 
@@ -1228,15 +1280,23 @@ func decodeChunkRecord(b []byte) (hash ckptfmt.Hash, loc chunkLoc, err error) {
 	if err != nil {
 		return hash, loc, err
 	}
+	if style > 0xff {
+		return hash, loc, fmt.Errorf("%w: chunk record style %d", codec.ErrCorrupt, style)
+	}
 	loc.Off = int64(off)
 	loc.Style = byte(style)
-	if r.Remaining() > 0 {
-		gen, err := r.Uvarint()
-		if err != nil {
-			return hash, loc, err
-		}
-		loc.Gen = int(gen)
+	if r.Remaining() == 0 {
+		return hash, loc, nil
 	}
+	// The pack generation, written only when it is not 0, ends the record.
+	gen, err := r.Uvarint()
+	if err == nil && (gen == 0 || r.Remaining() > 0) {
+		err = fmt.Errorf("%w: chunk record generation %d, then %d bytes", codec.ErrCorrupt, gen, r.Remaining())
+	}
+	if err != nil {
+		return hash, loc, err
+	}
+	loc.Gen = int(gen)
 	return hash, loc, nil
 }
 
@@ -1268,8 +1328,8 @@ func (s *Store) Put(key Key, payload []byte, snapNs, serNs, computNs int64) (*Me
 
 // PutSections durably stores a checkpoint as named sections. Sections are
 // chunked, frames for previously unseen chunks are encoded in parallel and
-// appended to their hash shards' packs (concurrently across shards), and the
-// segment directory plus manifest records commit the checkpoint. PutSections is safe to call from several
+// appended to their hash shards' packs (concurrently across shards), and one
+// manifest append commits the checkpoint. PutSections is safe to call from several
 // goroutines at once: shards serialize their own appends and the manifest
 // commit is atomic per checkpoint. The sections' Data is only read, and only
 // until PutSections returns — nothing of it stays referenced from the store,
@@ -1332,11 +1392,6 @@ func verifyOffered(chunk []byte, h ckptfmt.Hash, offered bool) error {
 // Chunks and frames alias secs[i].Data throughout; every alias is dropped by
 // the time putV2 returns.
 func (s *Store) putV2(key Key, secs []Section, known []KnownChunks, opaque bool, snapNs, serNs, computNs int64) (*Meta, error) {
-	s.mu.Lock()
-	seq := s.nextSeq
-	s.nextSeq++
-	s.mu.Unlock()
-
 	w0 := time.Now()
 
 	// Chunk every section and hash, in parallel, every chunk that did not come
@@ -1382,8 +1437,8 @@ func (s *Store) putV2(key Key, secs []Section, known []KnownChunks, opaque bool,
 
 	// The pool's GC fence: holding the read side from fresh-chunk filtering
 	// through the manifest commit means a compaction pass can never reclaim
-	// a chunk this checkpoint deduplicated against — the segment directory
-	// below is on disk (and thus visible to GC's mark phase) before the
+	// a chunk this checkpoint deduplicated against — its directory is in the
+	// index and the manifest (where GC's mark reads directories) before the
 	// fence releases.
 	p := s.pool
 	p.gcMu.RLock()
@@ -1404,14 +1459,6 @@ func (s *Store) putV2(key Key, secs []Section, known []KnownChunks, opaque bool,
 		frames[i] = ckptfmt.BuildHashed(flat[j], hashes[j])
 	}
 
-	// Segment file: the CRC-framed directory. Written before the manifest
-	// record so a crash never commits a directory-less checkpoint — and
-	// before the pack appends, so GC's mark phase (which scans segment
-	// files) always sees a materializing checkpoint's chunk references.
-	if err := s.writeSegment(seq, codec.Frame(ckptfmt.EncodeDirectory(&dir))); err != nil {
-		return nil, err
-	}
-
 	// Fan the fresh frames out across their hash shards (concurrently); for
 	// shared pools this also durably appends the chunk records to the pool
 	// INDEX and publishes them to sibling runs.
@@ -1423,14 +1470,21 @@ func (s *Store) putV2(key Key, secs []Section, known []KnownChunks, opaque bool,
 	obs.H(obs.MStoreShardAppendSeconds).ObserveNs(time.Since(a0).Nanoseconds())
 	obs.C(obs.MStoreChunksWritten).Add(int64(len(frames)))
 
-	// Commit under the store lock: chunk records (private pools only — a
-	// shared pool's records live in its INDEX), then the meta record — the
-	// manifest never references bytes that aren't on disk. Private-pool
-	// chunk locations publish to the shard indexes only now, so concurrent
-	// puts never dedup against a chunk whose manifest record could still be
-	// lost to a crash.
+	// Commit under the store lock, in one manifest append: chunk records
+	// (private pools only — a shared pool's records live in its INDEX), then
+	// the meta record carrying the directory — the manifest never references
+	// bytes that aren't on disk. Private-pool chunk locations publish to the
+	// shard indexes only now, so concurrent puts never dedup against a chunk
+	// whose manifest record could still be lost to a crash.
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if !s.dirsMarked {
+		// The "dirs" token lands before the first record that carries a
+		// directory: an older build would find no segment file for it.
+		if err := s.writeMarker(s.gcMarked, true); err != nil {
+			return nil, err
+		}
+	}
 	var record []byte
 	var stored int64
 	for i := range frames {
@@ -1445,20 +1499,22 @@ func (s *Store) putV2(key Key, secs []Section, known []KnownChunks, opaque bool,
 	s.dedup.ChunkRefs += int64(len(flat))
 	obs.C(obs.MStoreChunkBytesWritten).Add(stored)
 	writeNs := time.Since(w0).Nanoseconds()
-	m := &Meta{
-		Key: key, Seq: seq, Size: logical,
+	e := &entry{Meta: Meta{
+		Key: key, Seq: s.nextSeq, Size: logical,
 		MaterNs: snapNs + serNs + writeNs, SnapNs: snapNs, ComputNs: computNs,
 		Format: FormatV2, StoredBytes: stored,
-	}
-	record = append(record, frameTagged(recMeta, encodeMeta(m))...)
+	}, dir: &dir}
+	record = append(record, frameTagged(recMeta, encodeMeta(e))...)
 	if err := s.appendManifestLocked(record); err != nil {
 		return nil, err
 	}
+	s.nextSeq++
 	if !p.shared {
 		p.publish(frames, locs)
 	}
-	s.commitLocked(m)
-	return m, nil
+	s.commitLocked(e)
+	m := e.Meta
+	return &m, nil
 }
 
 // writeFileAtomic commits data to path via write-then-rename, so readers
@@ -1473,14 +1529,6 @@ func writeFileAtomic(path string, data []byte) error {
 		os.Remove(tmp) // best effort: the write's or the rename's error is the one to report
 	}
 	return err
-}
-
-// writeSegment commits framed bytes to segment seq via write-then-rename.
-func (s *Store) writeSegment(seq int, framed []byte) error {
-	if err := writeFileAtomic(s.segmentPath(seq), framed); err != nil {
-		return fmt.Errorf("store: write segment: %w", err)
-	}
-	return nil
 }
 
 func (s *Store) appendManifestLocked(record []byte) error {
@@ -1507,21 +1555,10 @@ func (s *Store) Get(key Key) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, dir := c.m, c.dir
-	if m.Format != FormatV2 {
-		raw, err := os.ReadFile(s.segmentPath(m.Seq))
-		if err != nil {
-			if s.readOnly && errors.Is(err, os.ErrNotExist) {
-				return nil, fmt.Errorf("%w: segment %d for %s", ErrStalePack, m.Seq, key)
-			}
-			return nil, fmt.Errorf("store: read segment %d: %w", m.Seq, err)
-		}
-		payload, _, err := codec.Unframe(raw)
-		if err != nil {
-			return nil, fmt.Errorf("store: segment %d: %w", m.Seq, err)
-		}
-		return payload, nil
+	if c.e.Format != FormatV2 {
+		return s.readV1(c.e)
 	}
+	dir := c.e.dir
 	secs, err := c.ReadInto(nil, nil, nil, nil)
 	if err != nil {
 		return nil, err
@@ -1554,8 +1591,8 @@ func (s *Store) Get(key Key) ([]byte, error) {
 // When have is non-nil, sections whose content identity it reports as
 // already held are returned with nil Data (Hash and RawLen still set) and
 // their chunks are never read — the disk, CRC, and reassembly cost of
-// repeated content (frozen layers restored epoch after epoch) drops to a
-// directory read.
+// repeated content (frozen layers restored epoch after epoch) drops to an
+// index lookup.
 func (s *Store) GetSections(key Key, have func(ckptfmt.Hash) bool) (secs []Section, ok bool, err error) {
 	return s.GetSectionsObserved(key, have, nil)
 }
@@ -1580,39 +1617,37 @@ func (s *Store) GetSectionsObserved(key Key, have func(ckptfmt.Hash) bool, fs *F
 }
 
 // Checkpoint is a committed checkpoint resolved for reading: its metadata
-// and, for format v2, its decoded segment directory. Resolving costs one small
-// segment read; ReadInto then costs what the caller asks of it, as often as it
-// asks.
+// and, for format v2, its directory. Resolving costs an index lookup;
+// ReadInto then costs what the caller asks of it, as often as it asks.
 type Checkpoint struct {
-	s   *Store
-	m   *Meta
-	dir *ckptfmt.Directory
+	s *Store
+	e *entry
 }
 
 // Sectioned reports whether the checkpoint is stored as named sections;
 // format-v1 and opaque checkpoints are not, and are read whole with Get.
-func (c *Checkpoint) Sectioned() bool { return c.m.Format == FormatV2 && !c.dir.Opaque }
+func (c *Checkpoint) Sectioned() bool { return c.e.Format == FormatV2 && !c.e.dir.Opaque }
 
 // Carries reports whether the checkpoint is sectioned and has a section of
 // the given name. (What an unsectioned checkpoint carries is known only by
 // reading it whole.)
 func (c *Checkpoint) Carries(name string) bool {
-	return c.Sectioned() && slices.ContainsFunc(c.dir.Sections, func(s ckptfmt.SectionRef) bool { return s.Name == name })
+	return c.Sectioned() && slices.ContainsFunc(c.e.dir.Sections, func(s ckptfmt.SectionRef) bool { return s.Name == name })
 }
 
 // Section returns the named section's content identity and logical length,
-// computed from the segment directory alone as ReadInto does before it reads
+// computed from the directory alone as ReadInto does before it reads
 // anything: no pack byte is read, and nothing is fetched or counted. ok is
 // false when the checkpoint has no such section or is not sectioned.
 func (c *Checkpoint) Section(name string) (s Section, ok bool) {
 	if !c.Sectioned() {
 		return Section{}, false
 	}
-	i := slices.IndexFunc(c.dir.Sections, func(s ckptfmt.SectionRef) bool { return s.Name == name })
+	i := slices.IndexFunc(c.e.dir.Sections, func(s ckptfmt.SectionRef) bool { return s.Name == name })
 	if i < 0 {
 		return Section{}, false
 	}
-	ds := &c.dir.Sections[i]
+	ds := &c.e.dir.Sections[i]
 	return Section{Name: name, Hash: contentHash(ds), RawLen: ds.RawLen()}, true
 }
 
@@ -1625,39 +1660,21 @@ func contentHash(ds *ckptfmt.SectionRef) ckptfmt.Hash {
 	return ckptfmt.HashOfHashes(hs)
 }
 
-// Resolve looks key up and, for v2 checkpoints, reads and decodes its
-// segment directory.
+// Resolve looks key up in the index: a map lookup under the store lock, with
+// no file I/O, since every directory was decoded when its record was
+// replayed or written. A checkpoint whose directory could not be read
+// fails here, with the error that read met.
 func (s *Store) Resolve(key Key) (*Checkpoint, error) {
 	s.mu.Lock()
-	m, ok := s.index[key]
+	e, ok := s.index[key]
 	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	if m.Format != FormatV2 {
-		return &Checkpoint{s: s, m: m}, nil
+	if e.dirErr != nil {
+		return nil, e.dirErr
 	}
-	raw, err := os.ReadFile(s.segmentPath(m.Seq))
-	if err != nil {
-		// A read-only open's index says this segment exists; a writer in
-		// another process superseding the key and sweeping the old segment
-		// (GC's segment sweep has no grace period) is the only way it can be
-		// gone. The index is stale, not corrupt — reopening resolves the
-		// successor checkpoint.
-		if s.readOnly && errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("%w: segment %d for %s", ErrStalePack, m.Seq, key)
-		}
-		return nil, fmt.Errorf("store: read segment %d: %w", m.Seq, err)
-	}
-	payload, _, err := codec.Unframe(raw)
-	if err != nil {
-		return nil, fmt.Errorf("store: segment %d: %w", m.Seq, err)
-	}
-	dir, err := ckptfmt.DecodeDirectory(payload)
-	if err != nil {
-		return nil, fmt.Errorf("store: segment %d directory: %w", m.Seq, err)
-	}
-	return &Checkpoint{s: s, m: m, dir: dir}, nil
+	return &Checkpoint{s: s, e: e}, nil
 }
 
 // ReadInto materializes sections of a v2 checkpoint: chunk frames are
@@ -1672,7 +1689,7 @@ func (s *Store) Resolve(key Key) (*Checkpoint, error) {
 // section whose content identity have claims is a payload-cache hit: it
 // comes back with nil Data (Hash and RawLen set), its chunks are never read
 // — the disk, CRC, and reassembly cost of repeated content (frozen layers
-// restored epoch after epoch) drops to the directory read — and the
+// restored epoch after epoch) drops to the index lookup — and the
 // attribution records the logical bytes that skip saved.
 //
 // Where a loaded section's bytes land is the caller's to say, and every
@@ -1693,7 +1710,7 @@ func (s *Store) Resolve(key Key) (*Checkpoint, error) {
 // from many server goroutines must not serialize on each other's cache
 // probes.
 func (c *Checkpoint) ReadInto(want func(name string) bool, have func(ckptfmt.Hash) bool, fs *FetchStats, into func(name string, rawLen int) [][]byte) ([]Section, error) {
-	dir, p := c.dir, c.s.pool
+	dir, p := c.e.dir, c.s.pool
 	secs := make([]Section, len(dir.Sections))
 	// Phase 1, lock-free: compute each wanted section's content identity and
 	// ask the caller which of them it already holds.
@@ -1743,7 +1760,7 @@ func (c *Checkpoint) ReadInto(want func(name string) bool, have func(ckptfmt.Has
 			jobs = append(jobs, chunkJob{ref: ref, dst: dsts[k]})
 		}
 	}
-	if err := p.resolve(jobs, byShard, c.m.Seq); err != nil {
+	if err := p.resolve(jobs, byShard, c.e.Key); err != nil {
 		return nil, err
 	}
 	if len(jobs) == 0 {
@@ -1799,11 +1816,11 @@ func (s *Store) Has(key Key) bool {
 func (s *Store) Lookup(key Key) (*Meta, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, ok := s.index[key]
+	e, ok := s.index[key]
 	if !ok {
 		return nil, false
 	}
-	cp := *m
+	cp := e.Meta
 	return &cp, true
 }
 
@@ -1813,8 +1830,8 @@ func (s *Store) Metas() []*Meta {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]*Meta, len(s.metas))
-	for i, m := range s.metas {
-		cp := *m
+	for i, e := range s.metas {
+		cp := e.Meta
 		out[i] = &cp
 	}
 	return out
@@ -1854,10 +1871,13 @@ func (s *Store) TotalSize() int64 {
 	return total
 }
 
-// GC reclaims space from superseded materializations: segment files that
-// are no longer the latest checkpoint for their key are deleted, and —
-// private-pack stores — chunks referenced only by those superseded checkpoints are compacted out of the packs (GCWith for the
-// knobs and full accounting). It returns the number of segments removed.
+// GC reclaims space from superseded materializations: the manifest is
+// rewritten from the live index, without the meta records of checkpoints no
+// longer the latest for their key, and — private-pack stores — chunks
+// referenced only by those superseded checkpoints are compacted out of the
+// packs (GCWith for the knobs and full accounting). Segment files an older
+// build wrote go too: the rewritten manifest carries every directory. It
+// returns the number of superseded checkpoints dropped.
 //
 // Compaction is safe under concurrent readers: packs are never rewritten in
 // place. Survivors move to a new pack generation, the manifest's chunk
@@ -1867,11 +1887,11 @@ func (s *Store) TotalSize() int64 {
 // including a concurrent OpenReadOnly store — keeps reading valid bytes. A
 // later GC pass deletes expired generations.
 //
-// Pooled runs GC only their segments here; their chunks are shared with
-// sibling runs and are reclaimed by GCPool, which consults every lease.
+// Pooled runs only rewrite their manifest here; their chunks are shared
+// with sibling runs and are reclaimed by GCPool, which consults every lease.
 func (s *Store) GC() (int, error) {
 	res, err := s.GCWith(GCOptions{})
-	return res.Segments, err
+	return res.Superseded, err
 }
 
 // GCWith is GC with explicit options and full reclamation accounting.
@@ -1880,66 +1900,57 @@ func (s *Store) GCWith(o GCOptions) (GCResult, error) {
 	if s.readOnly {
 		return res, ErrReadOnly
 	}
-	if s.pooled {
-		// Pooled runs GC only their segments here (chunks are shared;
-		// GCPool reclaims them, so SkipChunks changes nothing) — but the
-		// sweep always runs under the pool's GC fence: a segment deleted
-		// mid-put would hide its chunk references from a concurrent GCPool
-		// mark.
-		s.pool.gcMu.Lock()
-		defer s.pool.gcMu.Unlock()
-		n, err := s.sweepSegments()
-		res.Segments = n
-		return res, err
-	}
-	if o.SkipChunks {
-		// Chunk-skipping private GC: just the segment sweep. With no chunk
-		// mark downstream, sweeping a racing put's segment costs at most that
-		// one checkpoint's readability, never pack bytes.
-		n, err := s.sweepSegments()
-		res.Segments = n
-		return res, err
-	}
-
-	// Private v2: the segment sweep AND the chunk mark run inside the
-	// pool's GC fence (the mark callback executes under gcMu). Puts hold
-	// the fence's read side from before their segment write to after their
-	// manifest commit, so under the write lock every on-disk segment is
-	// either committed (and its meta live or superseded in the index) or an
-	// orphan of a failed put — never a mid-flight checkpoint the sweep
-	// could vanish before the mark counts its chunk references.
-	mark := func() (map[ckptfmt.Hash]bool, error) {
-		n, err := s.sweepSegments()
-		if err != nil {
-			return nil, err
-		}
-		res.Segments = n
-		liveChunks := map[ckptfmt.Hash]bool{}
-		if err := collectLiveChunks(s.dir, liveChunks); err != nil {
-			return nil, fmt.Errorf("store: gc: %w", err)
-		}
-		obs.C(obs.MStoreGCMarkedChunks).Add(int64(len(liveChunks)))
-		return liveChunks, nil
-	}
-	cres, err := s.pool.gc(mark, o, s.persistCompaction)
-	res.DeadChunks = cres.DeadChunks
-	res.ReclaimedBytes = cres.ReclaimedBytes
-	res.CompactedShards = cres.CompactedShards
-	res.RetiredPacks = cres.RetiredPacks
-	res.DeletedPacks = cres.DeletedPacks
+	// The whole pass runs inside the pool's GC fence: puts hold its read
+	// side from fresh-chunk filtering to their manifest commit, so the index
+	// the mark reads and the manifest rewrite drops records from is every
+	// committed checkpoint, never one mid-flight.
+	p := s.pool
+	p.gcMu.Lock()
+	defer p.gcMu.Unlock()
+	live, err := s.liveEntries()
 	if err != nil {
 		return res, err
 	}
-	if cres.DeadChunks > 0 {
+	if s.pooled {
+		res.Superseded, err = s.rewriteManifest(live, nil)
+		return res, err
+	}
+	mark := func() (map[ckptfmt.Hash]bool, error) {
+		marked := map[ckptfmt.Hash]bool{}
+		for _, e := range live {
+			markDirectory(e.dir, marked)
+		}
+		obs.C(obs.MStoreGCMarkedChunks).Add(int64(len(marked)))
+		return marked, nil
+	}
+	compacted, superseded := false, 0
+	persist := func(recs []poolChunkRec) (err error) {
+		compacted = true
+		superseded, err = s.rewriteManifest(live, recs)
+		return err
+	}
+	res, err = p.gc(mark, o, persist)
+	if err == nil && !compacted {
+		err = persist(p.records(nil))
+	}
+	res.Superseded = superseded
+	if err != nil {
+		return res, err
+	}
+	if res.DeadChunks > 0 {
 		s.mu.Lock()
-		st := s.pool.Stats()
-		s.dedup.ChunksStored = st.Chunks
-		s.dedup.StoredRawBytes = st.StoredRawBytes
-		s.dedup.StoredEncBytes = st.StoredEncBytes
+		s.adoptPoolStats()
 		s.mu.Unlock()
 	}
 	recordGCMetrics(res)
 	return res, nil
+}
+
+// adoptPoolStats takes a private pool's stored-chunk accounting over as the
+// run's. The caller holds s.mu or has the store to itself.
+func (s *Store) adoptPoolStats() {
+	st := s.pool.Stats()
+	s.dedup.ChunksStored, s.dedup.StoredRawBytes, s.dedup.StoredEncBytes = st.Chunks, st.StoredRawBytes, st.StoredEncBytes
 }
 
 // recordGCMetrics folds one GC pass's accounting into the registry.
@@ -1951,74 +1962,55 @@ func recordGCMetrics(res GCResult) {
 	obs.C(obs.MStoreGCDeletedPacks).Add(int64(res.DeletedPacks))
 }
 
-// sweepSegments deletes segment files that are no longer the latest
-// checkpoint for their key, returning the number removed. The caller
-// provides the concurrency fence (see GCWith); the seq horizon additionally
-// spares segments allocated after the index snapshot on the unfenced paths.
-func (s *Store) sweepSegments() (int, error) {
-	s.mu.Lock()
-	live := map[int]bool{}
-	for _, m := range s.index {
-		live[m.Seq] = true
-	}
-	seqHorizon := s.nextSeq
-	var kept []*Meta
-	for _, m := range s.metas {
-		if live[m.Seq] {
-			kept = append(kept, m)
-		}
-	}
-	s.metas = kept
-	s.mu.Unlock()
-
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0, fmt.Errorf("store: gc: %w", err)
-	}
-	removed := 0
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "ckpt-") || !strings.HasSuffix(name, ".bin") {
-			continue
-		}
-		var seq int
-		if _, err := fmt.Sscanf(name, "ckpt-%d.bin", &seq); err != nil {
-			continue
-		}
-		if !live[seq] && seq < seqHorizon {
-			if err := os.Remove(filepath.Join(s.dir, name)); err != nil {
-				return removed, fmt.Errorf("store: gc remove: %w", err)
-			}
-			os.Remove(filepath.Join(s.dir, name+".gz")) // an older build's gzip twin
-			removed++
-		}
-	}
-	return removed, nil
-}
-
-// persistCompaction is the private-pool compaction commit: the FORMAT
-// marker gains the "gc" flag (pre-GC builds must refuse before the
-// manifest starts naming pack generations they would resolve against the
-// wrong object), then the manifest is atomically rewritten — the surviving
-// chunk records at their new locations, then the live meta records.
-func (s *Store) persistCompaction(recs []poolChunkRec) error {
-	if !s.gcMarked {
-		s.gcMarked = true
-		if err := s.writeMarker(); err != nil {
-			return err
-		}
-	}
+// liveEntries returns each key's latest checkpoint, in commit order. It
+// fails closed on one whose directory could not be read: GC's mark would
+// count no chunk references for it, and a manifest rewrite would have no
+// directory to carry.
+func (s *Store) liveEntries() ([]*entry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var live []*entry
+	for _, e := range s.metas {
+		if s.index[e.Key] != e {
+			continue
+		}
+		if e.dirErr != nil {
+			return nil, fmt.Errorf("store: gc: checkpoint %s: %w", e.Key, e.dirErr)
+		}
+		live = append(live, e)
+	}
+	return live, nil
+}
+
+// rewriteManifest is GC's commit. The manifest is atomically rewritten from
+// the live index: the pool-reference record first on pooled runs, then recs
+// (a private pool's chunk records), then the live meta records, each with
+// its directory. Then every segment file goes, now redundant. The FORMAT
+// marker first gains "gc" when a record names a pack generation (pre-GC
+// builds would resolve it against the wrong object) and "dirs". It returns
+// how many superseded checkpoints the rewrite dropped. The caller holds the
+// pool's GC fence.
+func (s *Store) rewriteManifest(live []*entry, recs []poolChunkRec) (int, error) {
+	gc := s.gcMarked || slices.ContainsFunc(recs, func(cr poolChunkRec) bool { return cr.loc.Gen > 0 })
+	if err := s.writeMarker(gc, true); err != nil {
+		return 0, err
+	}
 	var buf []byte
+	if s.pooled {
+		buf = frameTagged(recPool, encodePoolRef(s.poolRef, s.fanout))
+	}
 	for _, cr := range recs {
 		buf = append(buf, frameTagged(recChunk, encodeChunkRecord(cr.hash, cr.loc))...)
 	}
-	for _, m := range s.metas {
-		buf = append(buf, frameTagged(recMeta, encodeMeta(m))...)
+	for _, e := range live {
+		buf = append(buf, frameTagged(recMeta, encodeMeta(e))...)
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := writeFileAtomic(s.manifestPath(), buf); err != nil {
-		return fmt.Errorf("store: rewrite manifest: %w", err)
+		return 0, fmt.Errorf("store: rewrite manifest: %w", err)
 	}
-	return nil
+	dropped := len(s.metas) - len(live)
+	s.metas = live
+	return dropped, removeSegments(s.dir)
 }

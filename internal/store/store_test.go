@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"testing/quick"
+
+	"flor.dev/flor/internal/codec"
 )
 
 func openTemp(t *testing.T) *Store {
@@ -183,35 +185,52 @@ func TestCrashAtAnyManifestPrefixIsConsistent(t *testing.T) {
 	}
 }
 
+// TestCorruptSegmentDetected pins a legacy segment file's CRC on a copy of
+// the committed gztwins store: a flipped byte fails the read of that
+// checkpoint with codec.ErrCorrupt, and only that one.
 func TestCorruptSegmentDetected(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir)
-	key := Key{LoopID: "train", Exec: 0}
-	m, _ := s.Put(key, []byte("precious state"), 0, 0, 0)
-	// Flip a byte in the segment payload region.
-	path := filepath.Join(dir, fmt.Sprintf("ckpt-%08d.bin", m.Seq))
-	raw, _ := os.ReadFile(path)
+	dir := legacyFixture(t, "gztwins")
+	path := filepath.Join(dir, "ckpt-00000002.bin")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	raw[len(raw)/2] ^= 0xff
-	os.WriteFile(path, raw, 0o644)
-	if _, err := s.Get(key); err == nil {
-		t.Fatal("corrupt segment read succeeded")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := s.Lookup(Key{LoopID: "train", Exec: 2})
+	if m == nil || m.Seq != 2 {
+		t.Fatalf("train@2 is %+v, want segment 2", m)
+	}
+	if _, err := s.Get(m.Key); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("corrupt segment read: %v, want codec.ErrCorrupt", err)
+	}
+	if _, err := s.Get(Key{LoopID: "train", Exec: 3}); err != nil {
+		t.Fatalf("intact checkpoint beside the corrupt one: %v", err)
 	}
 }
 
+// TestMissingSegmentDroppedOnReopen pins the legacy open rule on a copy of
+// the committed gztwins store: a meta record whose segment file is gone
+// does not count.
 func TestMissingSegmentDroppedOnReopen(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir)
-	m, _ := s.Put(Key{LoopID: "train", Exec: 0}, []byte("x"), 0, 0, 0)
-	s.Put(Key{LoopID: "train", Exec: 1}, []byte("y"), 0, 0, 0)
-	os.Remove(filepath.Join(dir, fmt.Sprintf("ckpt-%08d.bin", m.Seq)))
+	dir := legacyFixture(t, "gztwins")
+	if err := os.Remove(filepath.Join(dir, "ckpt-00000001.bin")); err != nil {
+		t.Fatal(err)
+	}
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Has(Key{LoopID: "train", Exec: 0}) {
+	if s2.Has(Key{LoopID: "train", Exec: 1}) {
 		t.Fatal("checkpoint with missing segment still indexed")
 	}
-	if !s2.Has(Key{LoopID: "train", Exec: 1}) {
+	if !s2.Has(Key{LoopID: "train", Exec: 2}) {
 		t.Fatal("intact checkpoint lost")
 	}
 }

@@ -457,22 +457,32 @@ func TestFlippedPackByteSurfacesErrCorrupt(t *testing.T) {
 	}
 }
 
+// TestFlippedSegmentDirectoryByteDetected pins the CRC of a legacy segment
+// directory on a copy of the committed gztwins store: whichever byte of the
+// file is flipped, the open that reads it keeps the checkpoint, and every
+// read of it fails with codec.ErrCorrupt.
 func TestFlippedSegmentDirectoryByteDetected(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir)
-	key := Key{LoopID: "L", Exec: 0}
-	m, _ := s.PutSections(key, []Section{{Name: "w", Data: noise(256, 4)}}, 0, 0, 0)
-	segPath := filepath.Join(dir, fmt.Sprintf("ckpt-%08d.bin", m.Seq))
-	seg, _ := os.ReadFile(segPath)
+	dir := legacyFixture(t, "gztwins")
+	key := Key{LoopID: "train", Exec: 0}
+	segPath := filepath.Join(dir, "ckpt-00000000.bin")
+	seg, err := os.ReadFile(segPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range seg {
 		mut := bytes.Clone(seg)
 		mut[i] ^= 0xff
-		os.WriteFile(segPath, mut, 0o644)
+		if err := os.WriteFile(segPath, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenReadOnly(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, _, err := s.GetSections(key, nil); !errors.Is(err, codec.ErrCorrupt) {
 			t.Fatalf("byte %d: error %v is not codec.ErrCorrupt", i, err)
 		}
 	}
-	os.WriteFile(segPath, seg, 0o644)
 }
 
 // v1Fixture copies the repository's committed legacy run (testdata/v1run at

@@ -16,6 +16,7 @@ import (
 	flor "flor.dev/flor"
 	"flor.dev/flor/internal/backmat"
 	"flor.dev/flor/internal/ckptfmt"
+	"flor.dev/flor/internal/codec"
 	"flor.dev/flor/internal/core"
 	"flor.dev/flor/internal/obs"
 	"flor.dev/flor/internal/replay"
@@ -112,6 +113,9 @@ func TestMigrationMatrixByteIdenticalReplay(t *testing.T) {
 		if l.String() != v.layout {
 			t.Fatalf("%s: layout = %s, want %s", v.name, l, v.layout)
 		}
+		if v.name != "v1" {
+			committedInManifest(t, dir)
+		}
 		// Unprobed replay reproduces the record log; probed replay adds the
 		// hindsight lines. Both go through the flag-free open path.
 		base, err := flor.Replay(dir, factory, flor.Workers(2))
@@ -148,6 +152,19 @@ func TestMigrationMatrixByteIdenticalReplay(t *testing.T) {
 		if err := sameLogs(ref.hs, r.hs); err != nil {
 			t.Fatalf("probed replay logs diverge between %s and %s: %v", ref.name, r.name, err)
 		}
+	}
+}
+
+// committedInManifest fails the test unless the run at dir is in the form
+// new recordings take: no segment file, and the "dirs" token last on its
+// FORMAT marker.
+func committedInManifest(t *testing.T, dir string) {
+	t.Helper()
+	if segs, _ := filepath.Glob(filepath.Join(dir, "ckpt-*")); len(segs) > 0 {
+		t.Fatalf("%s: segment files %v", dir, segs)
+	}
+	if m, err := os.ReadFile(filepath.Join(dir, "FORMAT")); err != nil || !strings.HasSuffix(string(m), " dirs\n") {
+		t.Fatalf("%s: FORMAT %q (%v), want the dirs token last", dir, m, err)
 	}
 }
 
@@ -245,8 +262,8 @@ func TestLegacyGzipTwinsAreInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Segments != 1 || res.DeletedPacks != 1 {
-		t.Fatalf("gc = %+v, want the superseded segment swept and the retired pack deleted", res)
+	if res.Superseded != 1 || res.DeletedPacks != 1 {
+		t.Fatalf("gc = %+v, want the superseded checkpoint dropped and the retired pack deleted", res)
 	}
 	for _, name := range []string{"ckpt-00000007.bin", "ckpt-00000007.bin.gz", "CHUNKS", "CHUNKS.gz"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
@@ -255,6 +272,92 @@ func TestLegacyGzipTwinsAreInert(t *testing.T) {
 	}
 	if err := sameLogs(replay(dir), want); err != nil {
 		t.Fatalf("replay after gc differs from a fresh recording's: %v", err)
+	}
+}
+
+// TestMixedFormStoresResolveGCAndReplay runs the committed stores older
+// builds recorded — testdata/framestyles/{deflate,lz4} and testdata/gztwins,
+// each a meta record without a directory and a segment file per checkpoint —
+// through the move of directories into the manifest. A writable open re-puts
+// the last checkpoint with its own sections, so one key has a legacy record
+// superseded by a record carrying its directory; a read-only reopen then
+// resolves old and new checkpoints alike; GC leaves no segment file and the
+// "dirs" token on the marker; and the run replays byte-identically to a
+// fresh recording of its program, before GC and after.
+func TestMixedFormStoresResolveGCAndReplay(t *testing.T) {
+	probe := func(factory func() *flor.Program, name string) func() *flor.Program {
+		return func() *flor.Program {
+			p := factory()
+			train := p.Main.Body[0].Loop
+			train.Body = flor.AddLog(train.Body, 1, flor.LogStmt("hs", func(e *flor.Env) (string, error) {
+				return fmt.Sprintf("%.17g", e.MustGet(name).(*flor.TensorVal).T.Norm()), nil
+			}))
+			return p
+		}
+	}
+	replayLogs := func(dir string, factory func() *flor.Program) []string {
+		t.Helper()
+		res, err := flor.Replay(dir, factory, flor.Workers(3), flor.Init(flor.WeakInit))
+		if err != nil || len(res.Anomalies) != 0 {
+			t.Fatalf("replay %s: %v, %+v", dir, err, res)
+		}
+		return res.Logs
+	}
+	for _, fx := range []struct {
+		fixture string
+		factory func() *flor.Program
+		tensor  string
+	}{
+		{"framestyles/deflate", compressibleFactory(5, 2), "emb"},
+		{"framestyles/lz4", compressibleFactory(5, 2), "emb"},
+		{"gztwins", counterFactory(6, 3), "w"},
+	} {
+		probed := probe(fx.factory, fx.tensor)
+		fresh := t.TempDir()
+		if _, err := flor.Record(fresh, fx.factory, flor.DisableAdaptiveCheckpointing()); err != nil {
+			t.Fatal(err)
+		}
+		want := replayLogs(fresh, probed)
+
+		dir := t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", fx.fixture))); err != nil {
+			t.Fatal(err)
+		}
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatalf("%s: writable open: %v", fx.fixture, err)
+		}
+		execs := st.ExecsFor("train")
+		last := store.Key{LoopID: "train", Exec: execs[len(execs)-1]}
+		secs, ok, err := st.GetSections(last, nil)
+		if err != nil || !ok {
+			t.Fatalf("%s: read %s: ok=%v err=%v", fx.fixture, last, ok, err)
+		}
+		if _, err := st.PutSections(last, secs, 0, 0, 0); err != nil {
+			t.Fatalf("%s: put: %v", fx.fixture, err)
+		}
+		ro, err := store.OpenReadOnly(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ro.Metas() {
+			if _, err := ro.Resolve(m.Key); err != nil {
+				t.Fatalf("%s: Resolve(%s) beside the re-put: %v", fx.fixture, m.Key, err)
+			}
+		}
+		if m, _ := ro.Lookup(last); m == nil || m.Seq != st.Metas()[len(st.Metas())-1].Seq {
+			t.Fatalf("%s: %s resolves to %+v, not the re-put", fx.fixture, last, m)
+		}
+		if err := sameLogs(replayLogs(dir, probed), want); err != nil {
+			t.Fatalf("%s: mixed-form replay differs from a fresh recording's: %v", fx.fixture, err)
+		}
+		if _, err := st.GC(); err != nil {
+			t.Fatalf("%s: gc: %v", fx.fixture, err)
+		}
+		committedInManifest(t, dir)
+		if err := sameLogs(replayLogs(dir, probed), want); err != nil {
+			t.Fatalf("%s: replay after gc differs from a fresh recording's: %v", fx.fixture, err)
+		}
 	}
 }
 
@@ -427,7 +530,8 @@ func TestRestoreMatrixByteIdentical(t *testing.T) {
 	}
 
 	// A writable reopen of the lz4 fixture and one more checkpoint: the
-	// token stays (the pack still holds LZ4 frames), and what the put
+	// token stays (the pack still holds LZ4 frames) and "dirs" follows it
+	// (the put's meta record carries its directory), and what the put
 	// appends is raw — compressible bytes included.
 	dir := dirs["lz4"]
 	before, err := os.Stat(filepath.Join(dir, "CHUNKS"))
@@ -441,7 +545,7 @@ func TestRestoreMatrixByteIdentical(t *testing.T) {
 	if _, err := st.PutSections(store.Key{LoopID: "scratch", Exec: 0}, []store.Section{{Name: "zeros", Data: make([]byte, 64<<10)}}, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if m, want := marker(dir), "2 lz4\n"; m != want {
+	if m, want := marker(dir), "2 lz4 dirs\n"; m != want {
 		t.Fatalf("lz4 fixture after a writable reopen and a put: marker %q, want %q", m, want)
 	}
 	if styles := packStyles(dir, int(before.Size())); len(styles) != 1 || styles[ckptfmt.StyleRaw] == 0 {
@@ -458,9 +562,13 @@ func TestRestoreMatrixByteIdentical(t *testing.T) {
 // markers below include shapes a future build might plausibly write.
 func TestUnknownFormatMarkersRefuseCleanly(t *testing.T) {
 	factory := counterFactory(3, 2)
-	for _, marker := range []string{"3", "2 shards=banana", "2 pool", "2 pool shards=16 v3", "2 gc shards=16", "2 lz4 gc", "2 lz4x"} {
+	for _, marker := range []string{"3", "2 shards=banana", "2 pool", "2 pool shards=16 v3", "2 gc shards=16", "2 lz4 gc", "2 lz4x", "2 dirs lz4"} {
 		dir := t.TempDir()
 		if _, err := flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing()); err != nil {
+			t.Fatal(err)
+		}
+		real, err := os.ReadFile(filepath.Join(dir, "FORMAT"))
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(dir, "FORMAT"), []byte(marker+"\n"), 0o644); err != nil {
@@ -474,7 +582,7 @@ func TestUnknownFormatMarkersRefuseCleanly(t *testing.T) {
 		}
 		// The refusal destroyed nothing: restoring the real marker restores
 		// the run.
-		if err := os.WriteFile(filepath.Join(dir, "FORMAT"), []byte("2\n"), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "FORMAT"), real, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if res, err := flor.Replay(dir, factory); err != nil || len(res.Anomalies) != 0 {
@@ -524,7 +632,12 @@ func TestMigrationRemoteTwinByteIdentical(t *testing.T) {
 		t.Fatalf("local anomalies %v", local.Anomalies)
 	}
 
+	committedInManifest(t, dir)
 	mem, ctl := uploadTwin(t, dir)
+	committedInManifest(t, ctl)
+	if keys, err := mem.List("runs/twin/ctl/"); err != nil || slices.ContainsFunc(keys, func(k string) bool { return strings.Contains(k, "ckpt-") }) {
+		t.Fatalf("uploaded control plane %v (%v) ships segment files", keys, err)
+	}
 	cache, err := cachetier.New("", 32<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -672,9 +785,10 @@ func changingFactory(epochs int) func() *flor.Program {
 // buffer from one checkpoint to the next and hashes every byte, on each of
 // the three writer layouts. Everything on disk must be Baseline's byte for
 // byte, except the two files that hold stopwatch readings — timings.log, and
-// the manifest, whose meta records are compared field for field without
-// theirs — and a replay that restores every checkpoint must log what
-// Baseline's replay logs.
+// the manifest, whose records (every directory included) are compared byte
+// for byte with the meta records' three stopwatch fields zeroed — and a
+// replay that restores every checkpoint must log what Baseline's replay
+// logs.
 func TestChangeAwareCaptureMatchesBaselineMatrix(t *testing.T) {
 	const epochs = 5
 	factory := changingFactory(epochs)
@@ -762,8 +876,16 @@ func TestChangeAwareCaptureMatchesBaselineMatrix(t *testing.T) {
 					if !ok {
 						t.Fatalf("%s did not write %s", strat, name)
 					}
-					if stopwatch := filepath.Base(name) == "MANIFEST" || filepath.Base(name) == "timings.log"; !stopwatch && g != w {
-						t.Fatalf("%s: %s differs from Baseline's (%d vs %d bytes)", strat, name, len(g), len(w))
+					switch filepath.Base(name) {
+					case "timings.log":
+					case "MANIFEST":
+						if !slices.Equal(manifestSansStopwatch(t, g), manifestSansStopwatch(t, w)) {
+							t.Fatalf("%s: %s differs from Baseline's beyond its stopwatch fields", strat, name)
+						}
+					default:
+						if g != w {
+							t.Fatalf("%s: %s differs from Baseline's (%d vs %d bytes)", strat, name, len(g), len(w))
+						}
 					}
 				}
 				for _, logs := range [][2][]string{{got.recordLog, want.recordLog}, {got.base, want.base}, {got.hs, want.hs}} {
@@ -774,6 +896,43 @@ func TestChangeAwareCaptureMatchesBaselineMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// manifestSansStopwatch returns a MANIFEST's record payloads, each meta
+// record with its materNs, snapNs and computNs — the fields that hold
+// stopwatch readings — zeroed, and every other byte, directories included,
+// as written.
+func manifestSansStopwatch(t *testing.T, manifest string) []string {
+	t.Helper()
+	var out []string
+	for b := []byte(manifest); len(b) > 0; {
+		payload, n, err := codec.Unframe(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = b[n:]
+		if payload[0] == 'M' {
+			r, w := codec.NewReader(payload[1:]), codec.NewWriter()
+			w.RawAppend([]byte{'M'})
+			loop, err := r.String()
+			w.String(loop)
+			// exec, seq, size, gzSize, then the three stopwatch fields
+			for i := 0; i < 7 && err == nil; i++ {
+				var v int
+				if v, err = r.Int(); i >= 4 {
+					v = 0
+				}
+				w.Int(v)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.RawAppend(payload[len(payload)-r.Remaining():])
+			payload = w.Bytes()
+		}
+		out = append(out, string(payload))
+	}
+	return out
 }
 
 // TestDemandLoadMatrixMatchesUninstrumentedRun is the equivalence matrix of
