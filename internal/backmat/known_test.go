@@ -190,11 +190,11 @@ func recordChanging(t *testing.T, strat Strategy, opts func(string) store.Option
 		meta := *meta
 		meta.MaterNs, meta.SnapNs = 0, 0
 		metas = append(metas, meta)
-		raw, err := st.Get(meta.Key)
+		secs, err := readAll(st, meta.Key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bundles = append(bundles, raw)
+		bundles = append(bundles, BundleBytes(secs))
 	}
 	files = map[string]string{}
 	err = filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {

@@ -536,13 +536,11 @@ func (s *SectionRef) RawLen() int {
 	return n
 }
 
-// Directory is a format-v2 checkpoint's index entry, carried by its
-// manifest meta record (older stores wrote it to a segment file): it maps
-// the checkpoint's named sections to the content-addressed chunks holding
-// their bytes. Opaque marks payloads stored through the blob API (no section
-// structure) so reads can reassemble them verbatim.
+// Directory is a checkpoint's index entry, carried by its manifest meta
+// record (older stores wrote it to a segment file; a format-v1 store's is
+// built at open): it maps the checkpoint's named sections to the
+// content-addressed chunks holding their bytes.
 type Directory struct {
-	Opaque   bool
 	Sections []SectionRef
 }
 
@@ -562,7 +560,7 @@ const dirMagic = "FLV2"
 func EncodeDirectory(d *Directory) []byte {
 	w := codec.NewWriter()
 	w.String(dirMagic)
-	w.Bool(d.Opaque)
+	w.Bool(false) // the opaque flag of older builds: a 1 no reader accepts
 	w.Uvarint(uint64(len(d.Sections)))
 	for i := range d.Sections {
 		s := &d.Sections[i]
@@ -586,10 +584,12 @@ func DecodeDirectory(b []byte) (*Directory, error) {
 	if magic != dirMagic {
 		return nil, fmt.Errorf("%w: checkpoint directory magic %q", codec.ErrCorrupt, magic)
 	}
-	d := &Directory{}
-	if d.Opaque, err = r.Bool(); err != nil {
+	if opaque, err := r.Bool(); err != nil {
 		return nil, err
+	} else if opaque {
+		return nil, fmt.Errorf("%w: opaque checkpoint directory (flag byte 1)", codec.ErrCorrupt)
 	}
+	d := &Directory{}
 	ns, err := r.Uvarint()
 	if err != nil {
 		return nil, err

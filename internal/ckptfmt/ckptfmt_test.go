@@ -193,7 +193,7 @@ func TestDirectoryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Opaque || len(got.Sections) != 3 {
+	if len(got.Sections) != 3 {
 		t.Fatalf("directory = %+v", got)
 	}
 	if got.Sections[0].Name != "net" || len(got.Sections[0].Chunks) != 2 {
@@ -205,14 +205,28 @@ func TestDirectoryRoundTrip(t *testing.T) {
 	if got.RawLen() != 159 {
 		t.Fatalf("RawLen = %d, want 159", got.RawLen())
 	}
+}
 
-	op := &Directory{Opaque: true, Sections: []SectionRef{{Name: "", Chunks: []ChunkRef{{Hash: HashChunk(nil), RawLen: 5}}}}}
-	got2, err := DecodeDirectory(EncodeDirectory(op))
-	if err != nil {
-		t.Fatal(err)
+// flagged returns an encoded directory with its flag byte set to v. Older
+// builds set it to 1 on opaque checkpoints, which no reader accepts now.
+func flagged(enc []byte, v byte) []byte {
+	b := bytes.Clone(enc)
+	b[1+len(dirMagic)] = v
+	return b
+}
+
+// TestDirectoryFlagByteIsAlwaysZero pins the flag byte: every directory
+// encodes it as 0, and a directory carrying any other value is corrupt.
+func TestDirectoryFlagByteIsAlwaysZero(t *testing.T) {
+	d := &Directory{Sections: []SectionRef{{Name: "", Chunks: []ChunkRef{{Hash: HashChunk(nil), RawLen: 5}}}}}
+	enc := EncodeDirectory(d)
+	if !bytes.Equal(enc, flagged(enc, 0)) {
+		t.Fatalf("directory encodes flag byte %d, want 0", enc[1+len(dirMagic)])
 	}
-	if !got2.Opaque {
-		t.Fatal("opaque flag lost")
+	for _, v := range []byte{1, 2} {
+		if _, err := DecodeDirectory(flagged(enc, v)); !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("flag byte %d: %v, want codec.ErrCorrupt", v, err)
+		}
 	}
 }
 

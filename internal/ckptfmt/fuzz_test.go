@@ -121,12 +121,13 @@ func TestFuzzSeedsDecode(t *testing.T) {
 	}
 }
 
-// directorySeeds returns encoded directories: empty, opaque, and sectioned
-// with empty, single-chunk and multi-chunk sections.
+// directorySeeds returns encoded directories: empty, sectioned with empty,
+// single-chunk and multi-chunk sections, and one whose flag byte is the 1 an
+// older build wrote on an opaque checkpoint.
 func directorySeeds() [][]byte {
 	dirs := []*Directory{
 		{},
-		{Opaque: true, Sections: []SectionRef{{Name: "", Chunks: []ChunkRef{{Hash: HashChunk([]byte("blob")), RawLen: 4}}}}},
+		{Sections: []SectionRef{{Name: "", Chunks: []ChunkRef{{Hash: HashChunk([]byte("blob")), RawLen: 4}}}}},
 		{Sections: []SectionRef{
 			{Name: "net", Chunks: []ChunkRef{{Hash: HashChunk([]byte("a")), RawLen: DefaultChunkSize}, {Hash: HashChunk([]byte("b")), RawLen: 100}}},
 			{Name: "opt"},
@@ -137,7 +138,7 @@ func directorySeeds() [][]byte {
 	for _, d := range dirs {
 		seeds = append(seeds, EncodeDirectory(d))
 	}
-	return seeds
+	return append(seeds, flagged(seeds[1], 1))
 }
 
 // FuzzDecodeDirectory asserts the segment-directory decoder's contract on

@@ -98,9 +98,9 @@ func TestSharedCacheNeverViewsRecycledBuffer(t *testing.T) {
 
 	st := rec.Recording.Store
 	for _, m := range st.Metas() {
-		secs, ok, err := st.GetSections(m.Key, nil)
-		if err != nil || !ok {
-			t.Fatalf("read %s: ok=%v err=%v", m.Key, ok, err)
+		secs, err := readAll(st, m.Key)
+		if err != nil {
+			t.Fatalf("read %s: %v", m.Key, err)
 		}
 		fresh := make([][]byte, len(secs))
 		for i := range secs {

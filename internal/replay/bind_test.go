@@ -90,9 +90,9 @@ func TestRestoredBytesCountOnlyWhatStatementsRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	secs, ok, err := rec.Store.GetSections(store.Key{LoopID: "train", Exec: 0}, nil)
-	if err != nil || !ok {
-		t.Fatalf("read train@0: ok=%v err=%v", ok, err)
+	secs, err := readAll(rec.Store, store.Key{LoopID: "train", Exec: 0})
+	if err != nil {
+		t.Fatalf("read train@0: %v", err)
 	}
 	size := map[string]int64{}
 	for _, s := range secs {
@@ -135,7 +135,7 @@ func TestRestoredBytesCountOnlyWhatStatementsRead(t *testing.T) {
 	// the chunk its shard pack.
 	const sampled = 4
 	pack := func(exec int, section string) string {
-		secs, _, err := rec.Store.GetSections(store.Key{LoopID: "train", Exec: exec}, nil)
+		secs, err := readAll(rec.Store, store.Key{LoopID: "train", Exec: exec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,4 +166,14 @@ func TestRestoredBytesCountOnlyWhatStatementsRead(t *testing.T) {
 		t.Fatalf("sample skipped %d executions and loaded %d bytes in %d frames, want 2 (catch-up and sampled), %d and 2",
 			res.Restored, res.RestoredBytes, res.Fetch.TotalFrames(), want)
 	}
+}
+
+// readAll reads every section of key's checkpoint into fresh buffers:
+// Resolve, then ReadInto with no callback.
+func readAll(st *store.Store, key store.Key) ([]store.Section, error) {
+	c, err := st.Resolve(key)
+	if err != nil {
+		return nil, err
+	}
+	return c.ReadInto(nil, nil, nil, nil)
 }

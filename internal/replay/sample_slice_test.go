@@ -26,9 +26,9 @@ func thin(t *testing.T, rec *replay.Recording, keep func(epoch int) bool) *repla
 		if !keep(m.Key.Exec) {
 			continue
 		}
-		secs, ok, err := rec.Store.GetSections(m.Key, nil)
-		if err != nil || !ok {
-			t.Fatalf("read %v: ok=%v err=%v", m.Key, ok, err)
+		secs, err := readAll(rec.Store, m.Key)
+		if err != nil {
+			t.Fatalf("read %v: %v", m.Key, err)
 		}
 		if _, err := st.PutSections(m.Key, secs, 0, m.MaterNs, m.ComputNs); err != nil {
 			t.Fatal(err)

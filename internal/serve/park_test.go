@@ -406,35 +406,6 @@ func v1ParkProbes(base func() *script.Program) map[string]func() *script.Program
 	}
 }
 
-// rewriteOpaque stores every checkpoint of the run in dir again, whole, as
-// one opaque section (store.Put): what the run's checkpoints hold is then
-// known only by reading each one in full.
-func rewriteOpaque(t *testing.T, dir string) {
-	t.Helper()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range st.Metas() {
-		raw, err := st.Get(m.Key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := st.Put(m.Key, raw, 0, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, m := range st.Metas() {
-		ck, err := st.Resolve(m.Key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ck.Sectioned() {
-			t.Fatalf("%v is still sectioned after the rewrite", m.Key)
-		}
-	}
-}
-
 // TestParkedProgramIsIndistinguishableFromFresh pins that a program reused
 // from a park answers exactly as a freshly set-up one: before every query
 // each program instance ever built — the parked ones among them — is
@@ -442,9 +413,9 @@ func rewriteOpaque(t *testing.T, dir string) {
 // epoch logs before any loop binds it, the main loop's own name), and every
 // reply must still match the uninstrumented program line for line, across
 // replay, sample and stream × workers 1/2/4 × weak/strong init × an outer
-// and an inner probe. It does so for a sectioned run, a run whose
-// checkpoints are opaque and the committed format-v1 run: checkpoints of
-// the last two are read whole, so a load restores names no log asked for.
+// and an inner probe. It does so for a run recorded now and for the
+// committed format-v1 run, whose checkpoints the store splits into sections
+// at open.
 // It also pins that a query that errors or whose caller cancels parks
 // nothing, and that after a stale-store refresh no query takes a program
 // whose runtime reads the superseded store.
@@ -456,20 +427,6 @@ func TestParkedProgramIsIndistinguishableFromFresh(t *testing.T) {
 	probes := recordParkRun(t, srv, runID, t.TempDir(), reg, &cancel, core.RecordOptions{DisableAdaptive: true})
 	ctx := context.Background()
 	parkMatrix(t, srv, runID, probes, reg, "outer", "inner")
-
-	// Opaque checkpoints: "post" reads loss, then "hs_outer" reads net, and
-	// the ordinary statement after them reaches everything.
-	opaqueDir := t.TempDir()
-	if _, err := core.Record(opaqueDir, parkFactory(&parkRegistry{}, 6, 2), core.RecordOptions{DisableAdaptive: true}); err != nil {
-		t.Fatal(err)
-	}
-	rewriteOpaque(t, opaqueDir)
-	opaqueReg := &parkRegistry{}
-	opaqueProbes := parkProbes(parkFactory(opaqueReg, 6, 2), nil)
-	if err := srv.Register(serve.RunConfig{ID: "parked-opaque", Dir: opaqueDir, Factories: opaqueProbes}); err != nil {
-		t.Fatal(err)
-	}
-	parkMatrix(t, srv, "parked-opaque", opaqueProbes, opaqueReg, "outer", "inner")
 
 	// The format-v1 run.
 	v1Dir := t.TempDir()

@@ -36,8 +36,9 @@
 // directories under Options.RegisterRoot, so remote clients cannot point
 // the daemon at arbitrary server-side paths). Registration
 // validates the directory's store layout eagerly via store.DetectLayout:
-// v1, unsharded v2, and hash-prefix-sharded v2 directories (docs/FORMATS.md)
-// all serve through the same lazily opened read-only path, while a
+// v1, unsharded, hash-prefix-sharded and pooled v2 directories
+// (docs/FORMATS.md) all serve through the same lazily opened read-only
+// path and the same checkpoint reads, while a
 // directory recorded by a future layout — store.ErrUnknownFormat, carrying
 // the unrecognized FORMAT marker — is rejected as a client error (HTTP 400)
 // at registration instead of surfacing as a 500 from the first query. The

@@ -22,9 +22,9 @@ import (
 // pack object that no longer exists on disk.
 func supersedeAndExpire(t *testing.T, st *store.Store, victim, donor store.Key) {
 	t.Helper()
-	secs, ok, err := st.GetSections(donor, nil)
-	if err != nil || !ok {
-		t.Fatalf("read donor %v: ok=%v err=%v", donor, ok, err)
+	secs, err := readAll(st, donor)
+	if err != nil {
+		t.Fatalf("read donor %v: %v", donor, err)
 	}
 	if _, err := st.PutSections(victim, secs, 0, 0, 0); err != nil {
 		t.Fatalf("supersede %v: %v", victim, err)
@@ -153,4 +153,14 @@ func TestServeRefreshesStaleStoreAfterPackGC(t *testing.T) {
 	if drops != 2 {
 		t.Fatalf("eviction hook fired %d times for %s, want 2 (evicted: %v)", drops, runID, evicted)
 	}
+}
+
+// readAll reads every section of key's checkpoint into fresh buffers:
+// Resolve, then ReadInto with no callback.
+func readAll(st *store.Store, key store.Key) ([]store.Section, error) {
+	c, err := st.Resolve(key)
+	if err != nil {
+		return nil, err
+	}
+	return c.ReadInto(nil, nil, nil, nil)
 }

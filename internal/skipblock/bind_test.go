@@ -234,9 +234,9 @@ func TestSparseSectionedCheckpointsFallBackAfterLoading(t *testing.T) {
 		if m.Key == (store.Key{LoopID: "grow", Exec: 1}) {
 			continue
 		}
-		secs, ok, err := full.GetSections(m.Key, nil)
-		if err != nil || !ok {
-			t.Fatalf("read %s: ok=%v err=%v", m.Key, ok, err)
+		secs, err := readAll(full, m.Key)
+		if err != nil {
+			t.Fatalf("read %s: %v", m.Key, err)
 		}
 		if _, err := sparse.PutSections(m.Key, secs, 0, 0, 0); err != nil {
 			t.Fatal(err)

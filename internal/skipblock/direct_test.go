@@ -175,9 +175,9 @@ func generalPath(t *testing.T, st *store.Store, spec []tensorSpec, epochs int) [
 	t.Helper()
 	var out []string
 	for e := 0; e < epochs; e++ {
-		secs, ok, err := st.GetSections(store.Key{LoopID: "train", Exec: e}, nil)
-		if err != nil || !ok {
-			t.Fatalf("epoch %d: ok=%v err=%v", e, ok, err)
+		secs, err := readAll(st, store.Key{LoopID: "train", Exec: e})
+		if err != nil {
+			t.Fatalf("epoch %d: %v", e, err)
 		}
 		items, err := backmat.DecodeSections(secs)
 		if err != nil {
@@ -535,4 +535,14 @@ func TestDirectLoadBesideFirstTouchMoments(t *testing.T) {
 			t.Errorf("%s: replay logged %v, err %v; the record %v", path, logs, err, recorded)
 		}
 	}
+}
+
+// readAll reads every section of key's checkpoint into fresh buffers:
+// Resolve, then ReadInto with no callback.
+func readAll(st *store.Store, key store.Key) ([]store.Section, error) {
+	c, err := st.Resolve(key)
+	if err != nil {
+		return nil, err
+	}
+	return c.ReadInto(nil, nil, nil, nil)
 }

@@ -398,8 +398,7 @@ func (r *Runtime) BindSetup(env *script.Env, s *Setup) {
 }
 
 // supplied retires name from the setup binding: a checkpoint load restored
-// it, and what a checkpoint restores is younger than setup. A format-v1 or
-// opaque checkpoint restores every name it holds, asked for or not.
+// it, and what a checkpoint restores is younger than setup.
 func (r *Runtime) supplied(name string) {
 	if r.setup != nil && !slices.Contains(r.setup.done, name) {
 		r.setup.done = append(r.setup.done, name)
@@ -473,11 +472,8 @@ func (r *Runtime) pull(name string) error {
 
 // loadSetup restores the named part (nil: all) of the setup binding, the
 // oldest, and reports whether it has more to give. A name some younger
-// binding's sectioned checkpoint carries is retired instead: that binding
-// loads after this one and overwrites it whole, so the setup payload need not
-// move. (What a format-v1 or opaque checkpoint holds is known only once it is
-// read: its names are restored here, then overwritten and retired by the
-// load.)
+// binding's checkpoint carries is retired instead: that binding loads after
+// this one and overwrites it whole, so the setup payload need not move.
 func (r *Runtime) loadSetup(bd *binding, names []string) (more bool, err error) {
 	for i, name := range bd.setup.names {
 		if slices.Contains(bd.done, name) {
@@ -539,18 +535,16 @@ func (r *Runtime) resolve(bd *binding) error {
 // load moves the named part of a bound checkpoint (nil: all that is left of
 // it) into the live values — the one place in replay where checkpoint bytes
 // reach program state — and reports whether the binding has more to give.
-// Format-v2 checkpoints load through the parallel path: the wanted sections'
-// chunk frames are read and decoded across the worker pool
-// (store.Checkpoint.ReadInto). A section whose live value is a model or a
-// tensor is laid over that value (value.LiveLayout), so the read itself is
+// The wanted sections' chunk frames are read and decoded across the worker
+// pool (store.Checkpoint.ReadInto). A section whose live value is a model or
+// a tensor is laid over that value (value.LiveLayout), so the read itself is
 // the restore: its float blocks land in the live tensors and only its
 // structure bytes in scratch, checked against the value's own. Every other
 // section — other kinds, a layout whose structure or length does not match,
 // memory another laid-out section already covers — lands in a fresh buffer
 // and takes the general path: bundle entries decode in parallel into views
 // over their buffers (backmat.DecodeSectionsCached) and every value
-// overwrites its live state from its view. Format-v1 and opaque checkpoints
-// fall back to the monolithic decode of the whole checkpoint.
+// overwrites its live state from its view.
 func (b *Block) load(bd *binding, names []string) (more bool, err error) {
 	rt, key := b.rt, bd.key
 	t0 := time.Now()
@@ -560,78 +554,65 @@ func (b *Block) load(bd *binding, names []string) (more bool, err error) {
 		return false, err
 	}
 	fail := func(err error) (bool, error) { return false, fmt.Errorf("skipblock: %s: %w", key, err) }
-	var items []backmat.NamedPayload
+	left := func(name string) bool { return !slices.Contains(bd.done, name) }
+	want := func(name string) bool { return left(name) && (names == nil || slices.Contains(names, name)) }
+	var laid []laidOut
+	into := func(name string, rawLen int) [][]byte {
+		v, ok := rt.env.Get(name)
+		if !ok {
+			return nil
+		}
+		l := rt.layouts[name]
+		if l == nil || !l.Fits(v) {
+			if l = value.LiveLayout(v); l != nil {
+				rt.layouts[name] = l
+			}
+		}
+		if l == nil || l.Len() != rawLen {
+			return nil
+		}
+		for _, o := range laid {
+			if !l.Disjoint(o.l) {
+				return nil // restored after the read, so still after the earlier section
+			}
+		}
+		laid = append(laid, laidOut{name, v, l})
+		return l.Pieces
+	}
+	secs, err := bd.ck.ReadInto(want, rt.cache.Contains, rt.fetch, into)
+	if err != nil {
+		return fail(err)
+	}
+	var wanted []store.Section
 	var restoredBytes int64
-	if bd.ck.Sectioned() {
-		left := func(name string) bool { return !slices.Contains(bd.done, name) }
-		want := func(name string) bool { return left(name) && (names == nil || slices.Contains(names, name)) }
-		var laid []laidOut
-		into := func(name string, rawLen int) [][]byte {
-			v, ok := rt.env.Get(name)
-			if !ok {
-				return nil
-			}
-			l := rt.layouts[name]
-			if l == nil || !l.Fits(v) {
-				if l = value.LiveLayout(v); l != nil {
-					rt.layouts[name] = l
-				}
-			}
-			if l == nil || l.Len() != rawLen {
-				return nil
-			}
-			for _, o := range laid {
-				if !l.Disjoint(o.l) {
-					return nil // restored after the read, so still after the earlier section
-				}
-			}
-			laid = append(laid, laidOut{name, v, l})
-			return l.Pieces
+	loaded := 0
+	for i := range secs {
+		sec := &secs[i]
+		if !want(sec.Name) {
+			more = more || left(sec.Name)
+			continue
 		}
-		secs, err := bd.ck.ReadInto(want, rt.cache.Contains, rt.fetch, into)
-		if err != nil {
-			return fail(err)
+		loaded++
+		restoredBytes += int64(sec.RawLen)
+		k := slices.IndexFunc(laid, func(o laidOut) bool { return o.name == sec.Name })
+		switch {
+		case k < 0:
+			wanted = append(wanted, *sec)
+		case laid[k].l.Matches():
+			rt.cache.Offer(sec.Hash, sec.RawLen, laid[k].v)
+			bd.done = append(bd.done, sec.Name)
+			rt.supplied(sec.Name)
+		default: // not the value's structure: what was read takes the general path
+			sec.Data = laid[k].l.Bytes()
+			wanted = append(wanted, *sec)
 		}
-		var wanted []store.Section
-		loaded := 0
-		for i := range secs {
-			sec := &secs[i]
-			if !want(sec.Name) {
-				more = more || left(sec.Name)
-				continue
-			}
-			loaded++
-			restoredBytes += int64(sec.RawLen)
-			k := slices.IndexFunc(laid, func(o laidOut) bool { return o.name == sec.Name })
-			switch {
-			case k < 0:
-				wanted = append(wanted, *sec)
-			case laid[k].l.Matches():
-				rt.cache.Offer(sec.Hash, sec.RawLen, laid[k].v)
-				bd.done = append(bd.done, sec.Name)
-				rt.supplied(sec.Name)
-			default: // not the value's structure: what was read takes the general path
-				sec.Data = laid[k].l.Bytes()
-				wanted = append(wanted, *sec)
-			}
-		}
-		if loaded == 0 {
-			return more, nil // the checkpoint has none of names left: not a load
-		}
-		if items, err = backmat.DecodeSectionsCached(rt.cache, wanted); err != nil {
-			return fail(err)
-		}
-	} else {
-		rt.unview() // what the checkpoint holds is known only once it is read
-		raw, err := rt.st.Get(key)
-		if err != nil {
-			return fail(err)
-		}
-		restoredBytes = int64(len(raw))
-		if items, err = backmat.DecodeBundle(raw); err != nil {
-			return fail(err)
-		}
-		items = slices.DeleteFunc(items, func(it backmat.NamedPayload) bool { return slices.Contains(bd.done, it.Name) })
+	}
+	if loaded == 0 {
+		return more, nil // the checkpoint has none of names left: not a load
+	}
+	items, err := backmat.DecodeSectionsCached(rt.cache, wanted)
+	if err != nil {
+		return fail(err)
 	}
 	for _, it := range items {
 		v, ok := rt.env.Get(it.Name)

@@ -79,9 +79,8 @@ func (r *Runtime) view(name string, v value.Value) (bool, error) {
 }
 
 // youngestCarrier returns the youngest checkpoint binding that carries name
-// when it is sectioned and has name left to give, resolving bindings as
-// their first load needs; nil when there is none, or when a younger
-// binding's checkpoint is not sectioned, so what it carries is unknown.
+// when it has name left to give, resolving bindings as their first load
+// needs; nil when there is none.
 func (r *Runtime) youngestCarrier(name string) (*binding, error) {
 	for i := len(r.bound) - 1; i >= 0; i-- {
 		bd := r.bound[i]
@@ -90,9 +89,6 @@ func (r *Runtime) youngestCarrier(name string) (*binding, error) {
 		}
 		if err := r.resolve(bd); err != nil {
 			return nil, err
-		}
-		if !bd.ck.Sectioned() {
-			return nil, nil
 		}
 		if bd.ck.Carries(name) {
 			if slices.Contains(bd.done, name) {

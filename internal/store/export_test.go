@@ -11,6 +11,7 @@ import (
 var (
 	FetchWorkers = fetchWorkers // the restore worker-group width
 	TestPayload  = testPayload
+	SplitBundle  = splitBundle // the open-time v1 parser
 )
 
 // VerifyOffers installs, until the test ends, a putHook that re-hashes every
@@ -29,4 +30,30 @@ func VerifyOffers(t testing.TB) (hashed *atomic.Int64) {
 	}
 	t.Cleanup(func() { putHook = prev })
 	return hashed
+}
+
+// ReadAll reads every section of key's checkpoint into fresh buffers:
+// Resolve, then ReadInto with have as its only callback.
+func ReadAll(s *Store, key Key, have func(ckptfmt.Hash) bool) ([]Section, error) {
+	c, err := s.Resolve(key)
+	if err != nil {
+		return nil, err
+	}
+	return c.ReadInto(nil, have, nil, nil)
+}
+
+// putBlob puts payload as a checkpoint of one section, named "".
+func putBlob(s *Store, key Key, payload []byte, snapNs, serNs, computNs int64) (*Meta, error) {
+	return s.PutSections(key, []Section{{Data: payload}}, snapNs, serNs, computNs)
+}
+
+// getBlob reads key's checkpoint back as its sections' bytes, concatenated:
+// what putBlob put.
+func getBlob(s *Store, key Key) ([]byte, error) {
+	secs, err := ReadAll(s, key, nil)
+	var out []byte
+	for _, sec := range secs {
+		out = append(out, sec.Data...)
+	}
+	return out, err
 }

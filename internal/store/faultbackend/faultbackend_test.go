@@ -154,9 +154,9 @@ func TestFaultMatrixRemoteRestore(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, data := range want {
-					secs, ok, err := ro.GetSections(store.Key{LoopID: "train", Exec: i}, nil)
-					if err != nil || !ok {
-						t.Fatalf("restore %d through faults: ok=%v err=%v", i, ok, err)
+					secs, err := readAll(ro, store.Key{LoopID: "train", Exec: i})
+					if err != nil {
+						t.Fatalf("restore %d through faults: %v", i, err)
 					}
 					if !bytes.Equal(secs[0].Data, data) {
 						t.Fatalf("restore %d: bytes differ after retried faults", i)
@@ -222,9 +222,9 @@ func TestFaultMatrixConcurrentRemoteRestore(t *testing.T) {
 						wg.Add(1)
 						go func() {
 							defer wg.Done()
-							secs, ok, err := ro.GetSections(store.Key{LoopID: "train", Exec: i}, nil)
-							if err != nil || !ok {
-								t.Errorf("restore %d through faults: ok=%v err=%v", i, ok, err)
+							secs, err := readAll(ro, store.Key{LoopID: "train", Exec: i})
+							if err != nil {
+								t.Errorf("restore %d through faults: %v", i, err)
 								return
 							}
 							if !bytes.Equal(secs[0].Data, data) {
@@ -276,9 +276,9 @@ func TestFaultMatrixExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	secs, ok, err := ro.GetSections(store.Key{LoopID: "train", Exec: 0}, nil)
+	secs, err := readAll(ro, store.Key{LoopID: "train", Exec: 0})
 	if err == nil {
-		t.Fatalf("restore over dead store succeeded (ok=%v, %d sections)", ok, len(secs))
+		t.Fatalf("restore over dead store succeeded (%d sections)", len(secs))
 	}
 	if !errors.Is(err, remote.ErrExhausted) && !errors.Is(err, faultbackend.ErrInjected) {
 		t.Fatalf("restore error is untyped: %v", err)
@@ -338,9 +338,9 @@ func TestFaultMatrixGC(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, data := range want {
-				secs, ok, err := ro.GetSections(store.Key{LoopID: "train", Exec: i}, nil)
-				if err != nil || !ok {
-					t.Fatalf("post-gc read %d: ok=%v err=%v", i, ok, err)
+				secs, err := readAll(ro, store.Key{LoopID: "train", Exec: i})
+				if err != nil {
+					t.Fatalf("post-gc read %d: %v", i, err)
 				}
 				if !bytes.Equal(secs[0].Data, data) {
 					t.Fatalf("post-gc read %d: bytes differ", i)
@@ -351,4 +351,14 @@ func TestFaultMatrixGC(t *testing.T) {
 			}
 		})
 	}
+}
+
+// readAll reads every section of key's checkpoint into fresh buffers:
+// Resolve, then ReadInto with no callback.
+func readAll(st *store.Store, key store.Key) ([]store.Section, error) {
+	c, err := st.Resolve(key)
+	if err != nil {
+		return nil, err
+	}
+	return c.ReadInto(nil, nil, nil, nil)
 }

@@ -59,7 +59,7 @@ func TestFetchStopsDispatchingAfterFirstError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := ro.GetSections(key, have)
+		got, err := store.ReadAll(ro, key, have)
 		return got, err
 	}
 	all, err := restore(objs, nil)

@@ -52,9 +52,9 @@ func TestGCCompactsSupersededChunks(t *testing.T) {
 	}
 
 	// The live checkpoint still reads back, from the new pack generation.
-	secs, ok, err := s.GetSections(key, nil)
-	if err != nil || !ok {
-		t.Fatalf("post-GC read: ok=%v err=%v", ok, err)
+	secs, err := ReadAll(s, key, nil)
+	if err != nil {
+		t.Fatalf("post-GC read: %v", err)
 	}
 	if !bytes.Equal(secs[0].Data, mutatingSections(3)[0].Data) {
 		t.Fatal("post-GC payload mismatch")
@@ -66,9 +66,9 @@ func TestGCCompactsSupersededChunks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen after GC: %v", err)
 	}
-	secs, ok, err = s2.GetSections(key, nil)
-	if err != nil || !ok || !bytes.Equal(secs[0].Data, mutatingSections(3)[0].Data) {
-		t.Fatalf("reopen read: ok=%v err=%v", ok, err)
+	secs, err = ReadAll(s2, key, nil)
+	if err != nil || !bytes.Equal(secs[0].Data, mutatingSections(3)[0].Data) {
+		t.Fatalf("reopen read: %v", err)
 	}
 	raw, _ := os.ReadFile(filepath.Join(dir, formatFile))
 	if m, err := parseFormatMarker(raw); err != nil || !m.gc {
@@ -79,8 +79,8 @@ func TestGCCompactsSupersededChunks(t *testing.T) {
 	if _, err := s2.PutSections(Key{LoopID: "train", Exec: 1}, mutatingSections(9), 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := s2.GetSections(Key{LoopID: "train", Exec: 1}, nil); err != nil || !ok {
-		t.Fatalf("post-GC write read-back: ok=%v err=%v", ok, err)
+	if _, err := ReadAll(s2, Key{LoopID: "train", Exec: 1}, nil); err != nil {
+		t.Fatalf("post-GC write read-back: %v", err)
 	}
 }
 
@@ -112,9 +112,9 @@ func TestGCRetainsPacksForConcurrentReader(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	secs, ok, err := ro.GetSections(key, nil)
-	if err != nil || !ok {
-		t.Fatalf("pre-GC reader after compaction: ok=%v err=%v", ok, err)
+	secs, err := ReadAll(ro, key, nil)
+	if err != nil {
+		t.Fatalf("pre-GC reader after compaction: %v", err)
 	}
 	if !bytes.Equal(secs[0].Data, mutatingSections(21)[0].Data) {
 		t.Fatal("pre-GC reader got wrong bytes")
@@ -125,8 +125,8 @@ func TestGCRetainsPacksForConcurrentReader(t *testing.T) {
 	if res, err := s.GCWith(GCOptions{PackRetention: time.Hour}); err != nil || res.DeletedPacks != 0 {
 		t.Fatalf("pack deleted before its deadline: %+v err=%v", res, err)
 	}
-	if secs, ok, err := ro.GetSections(key, nil); err != nil || !ok || !bytes.Equal(secs[0].Data, mutatingSections(21)[0].Data) {
-		t.Fatalf("pre-GC reader after second pass: ok=%v err=%v", ok, err)
+	if secs, err := ReadAll(ro, key, nil); err != nil || !bytes.Equal(secs[0].Data, mutatingSections(21)[0].Data) {
+		t.Fatalf("pre-GC reader after second pass: %v", err)
 	}
 }
 
@@ -167,8 +167,8 @@ func TestGCDeletesExpiredPackGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if secs, ok, err := ro.GetSections(key, nil); err != nil || !ok || !bytes.Equal(secs[0].Data, mutatingSections(41)[0].Data) {
-		t.Fatalf("post-expiry reader: ok=%v err=%v", ok, err)
+	if secs, err := ReadAll(ro, key, nil); err != nil || !bytes.Equal(secs[0].Data, mutatingSections(41)[0].Data) {
+		t.Fatalf("post-expiry reader: %v", err)
 	}
 }
 
@@ -199,9 +199,9 @@ func TestGCRacesConcurrentReads(t *testing.T) {
 					return
 				default:
 				}
-				secs, ok, err := s.GetSections(live, nil)
-				if err != nil || !ok || !bytes.Equal(secs[0].Data, want) {
-					errs <- fmt.Errorf("concurrent read: ok=%v err=%v", ok, err)
+				secs, err := ReadAll(s, live, nil)
+				if err != nil || !bytes.Equal(secs[0].Data, want) {
+					errs <- fmt.Errorf("concurrent read: %v", err)
 					return
 				}
 			}
@@ -259,9 +259,9 @@ func TestReopenAfterCrashedCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen after crashed compaction: %v", err)
 	}
-	secs, ok, err := s2.GetSections(key, nil)
-	if err != nil || !ok || !bytes.Equal(secs[0].Data, mutatingSections(31)[0].Data) {
-		t.Fatalf("read after crashed compaction: ok=%v err=%v", ok, err)
+	secs, err := ReadAll(s2, key, nil)
+	if err != nil || !bytes.Equal(secs[0].Data, mutatingSections(31)[0].Data) {
+		t.Fatalf("read after crashed compaction: %v", err)
 	}
 
 	// A later GC completes: the real compaction atomically replaces the
@@ -273,8 +273,8 @@ func TestReopenAfterCrashedCompaction(t *testing.T) {
 	if res.DeadChunks == 0 {
 		t.Fatalf("crashed-over GC reclaimed nothing: %+v", res)
 	}
-	if _, ok, err := s2.GetSections(key, nil); err != nil || !ok {
-		t.Fatalf("read after recovery GC: ok=%v err=%v", ok, err)
+	if _, err := ReadAll(s2, key, nil); err != nil {
+		t.Fatalf("read after recovery GC: %v", err)
 	}
 	if _, err := Open(dir); err != nil {
 		t.Fatalf("final reopen: %v", err)
@@ -319,17 +319,17 @@ func TestGCPoolRefcountReleaseOnRunDelete(t *testing.T) {
 	}
 
 	// The surviving sibling still reads everything, live, and after reopen.
-	secs, ok, err := a.GetSections(key, nil)
-	if err != nil || !ok || !bytes.Equal(secs[0].Data, familySections(1, 100, 0)[0].Data) {
-		t.Fatalf("sibling read after pool GC: ok=%v err=%v", ok, err)
+	secs, err := ReadAll(a, key, nil)
+	if err != nil || !bytes.Equal(secs[0].Data, familySections(1, 100, 0)[0].Data) {
+		t.Fatalf("sibling read after pool GC: %v", err)
 	}
 	resetPoolRegistry()
 	a2, err := Open(keep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := a2.GetSections(key, nil); err != nil || !ok {
-		t.Fatalf("sibling reopen after pool GC: ok=%v err=%v", ok, err)
+	if _, err := ReadAll(a2, key, nil); err != nil {
+		t.Fatalf("sibling reopen after pool GC: %v", err)
 	}
 
 	// A second run of GCPool with nothing dead is a no-op, not an error.
@@ -398,9 +398,9 @@ func TestGCPoolReclaimsUncommittedChunks(t *testing.T) {
 	if _, err := st.PutSections(key, secs, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := st.GetSections(key, nil)
-	if err != nil || !ok || !bytes.Equal(got[0].Data, secs[0].Data) || !bytes.Equal(got[1].Data, secs[1].Data) {
-		t.Fatalf("re-put after the orphans were reclaimed: ok=%v err=%v", ok, err)
+	got, err := ReadAll(st, key, nil)
+	if err != nil || !bytes.Equal(got[0].Data, secs[0].Data) || !bytes.Equal(got[1].Data, secs[1].Data) {
+		t.Fatalf("re-put after the orphans were reclaimed: %v", err)
 	}
 }
 
@@ -450,8 +450,8 @@ func TestGCMarkFailsClosed(t *testing.T) {
 	if after := dirBytes(t, dir); !maps.Equal(before, after) {
 		t.Fatal("the aborted GC changed the run directory")
 	}
-	if _, ok, err := s.GetSections(Key{LoopID: "train", Exec: 0}, nil); err != nil || !ok {
-		t.Fatalf("checkpoint unreadable after aborted GC: ok=%v err=%v", ok, err)
+	if _, err := ReadAll(s, Key{LoopID: "train", Exec: 0}, nil); err != nil {
+		t.Fatalf("checkpoint unreadable after aborted GC: %v", err)
 	}
 
 	base := t.TempDir()
@@ -516,17 +516,17 @@ func TestGCPoolRetiredPackReusedAfterReopen(t *testing.T) {
 	if _, err := GCPool(pool, GCOptions{PackRetention: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
-	secs, ok, err := s2.GetSections(key, nil)
-	if err != nil || !ok || !bytes.Equal(secs[0].Data, familySections(8, 8, 0)[0].Data) {
-		t.Fatalf("read after stale-retirement GC: ok=%v err=%v (active pack deleted?)", ok, err)
+	secs, err := ReadAll(s2, key, nil)
+	if err != nil || !bytes.Equal(secs[0].Data, familySections(8, 8, 0)[0].Data) {
+		t.Fatalf("read after stale-retirement GC: %v (active pack deleted?)", err)
 	}
 	resetPoolRegistry()
 	s3, err := Open(keep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := s3.GetSections(key, nil); err != nil || !ok {
-		t.Fatalf("reopen read after stale-retirement GC: ok=%v err=%v", ok, err)
+	if _, err := ReadAll(s3, key, nil); err != nil {
+		t.Fatalf("reopen read after stale-retirement GC: %v", err)
 	}
 }
 
@@ -560,9 +560,9 @@ func TestGCPoolSurvivesProjectRelocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	secs, ok, err := st.GetSections(key, nil)
-	if err != nil || !ok || !bytes.Equal(secs[0].Data, familySections(3, 4, 0)[0].Data) {
-		t.Fatalf("relocated run unreadable after pool GC: ok=%v err=%v", ok, err)
+	secs, err := ReadAll(st, key, nil)
+	if err != nil || !bytes.Equal(secs[0].Data, familySections(3, 4, 0)[0].Data) {
+		t.Fatalf("relocated run unreadable after pool GC: %v", err)
 	}
 }
 

@@ -70,7 +70,7 @@ func TestPutSectionsKnownTakesOffersOnceAndOnlyFromTheCaller(t *testing.T) {
 		}
 	}
 	for exec := 0; exec < 6; exec++ {
-		got, _, err := s.GetSections(Key{LoopID: "l", Exec: exec}, nil)
+		got, err := ReadAll(s, Key{LoopID: "l", Exec: exec}, nil)
 		if err != nil || !bytes.Equal(got[0].Data, secs[0].Data) || !bytes.Equal(got[1].Data, secs[1].Data) {
 			t.Fatalf("checkpoint %d reads back wrong (%v)", exec, err)
 		}

@@ -2,9 +2,11 @@ package store
 
 // legacy.go is the read-compat seam for segment files, the one place that
 // names them. Older builds wrote one ckpt-<seq>.bin per checkpoint (a
-// CRC-framed directory in v2, the whole checkpoint in v1) beside a meta
-// record that carries no directory. Open reads a v2 one into the index once;
-// GC's manifest rewrite carries every directory, and removes the files.
+// CRC-framed directory in v2, the whole checkpoint as a bundle in v1) beside
+// a meta record that carries no directory. Open reads each one once, into
+// the directory the index holds: a v2 one decoded, a v1 one split into its
+// entries and hashed. GC's manifest rewrite carries every v2 directory, and
+// removes the files; v1 runs are read-only and keep theirs.
 
 import (
 	"errors"
@@ -14,6 +16,7 @@ import (
 
 	"flor.dev/flor/internal/ckptfmt"
 	"flor.dev/flor/internal/codec"
+	"flor.dev/flor/internal/value"
 )
 
 func segmentPath(runDir string, seq int) string {
@@ -22,25 +25,16 @@ func segmentPath(runDir string, seq int) string {
 
 // loadSegment completes an entry whose meta record carries no directory. It
 // reports false when the checkpoint's segment file is missing: the
-// checkpoint is dropped. A v2 segment is read into e.dir, or e.dirErr says
-// why it could not be; a v1 segment is the whole checkpoint, left on disk
-// for readV1.
+// checkpoint is dropped. Otherwise e.dir is the segment's directory, or
+// e.dirErr says why it could not be read.
 func loadSegment(runDir string, e *entry) bool {
-	path := segmentPath(runDir, e.Seq)
-	if e.Format != FormatV2 {
-		_, err := os.Stat(path)
-		return err == nil
-	}
-	raw, err := os.ReadFile(path)
+	payload, err := readSegment(runDir, e.Seq)
 	if errors.Is(err, os.ErrNotExist) {
 		return false
 	}
-	if err != nil {
-		e.dirErr = fmt.Errorf("store: read segment %d: %w", e.Seq, err)
-		return true
-	}
-	payload, _, err := codec.Unframe(raw)
-	if err == nil {
+	if err == nil && e.Format == FormatV1 {
+		e.dir, e.segOffs, err = splitBundle(payload)
+	} else if err == nil {
 		e.dir, err = ckptfmt.DecodeDirectory(payload)
 	}
 	if err != nil {
@@ -49,17 +43,89 @@ func loadSegment(runDir string, e *entry) bool {
 	return true
 }
 
-// readV1 returns a format-v1 checkpoint's payload: its whole segment file.
-func (s *Store) readV1(e *entry) ([]byte, error) {
-	raw, err := os.ReadFile(segmentPath(s.dir, e.Seq))
+// readSegment returns a segment file's payload, its CRC checked.
+func readSegment(runDir string, seq int) ([]byte, error) {
+	raw, err := os.ReadFile(segmentPath(runDir, seq))
 	if err != nil {
-		return nil, fmt.Errorf("store: read segment %d: %w", e.Seq, err)
+		return nil, err
 	}
 	payload, _, err := codec.Unframe(raw)
-	if err != nil {
-		return nil, fmt.Errorf("store: segment %d: %w", e.Seq, err)
+	return payload, err
+}
+
+// splitBundle splits a v1 checkpoint — a uvarint entry count, then (name,
+// tagged payload) pairs — into one section per entry, in bundle order, each
+// section's bytes exactly its payload's encoding. The directory is the one a
+// v2 put of those sections records; offs[i] is where section i starts in b.
+// Only bytes that are the bundle of their sections split, so every failure
+// is codec.ErrCorrupt.
+func splitBundle(b []byte) (dir *ckptfmt.Directory, offs []int, err error) {
+	r := codec.NewReader(b)
+	n, err := r.Uvarint()
+	if err == nil && n > uint64(r.Remaining()) {
+		err = fmt.Errorf("%w: implausible entry count %d", codec.ErrCorrupt, n)
 	}
-	return payload, nil
+	if err != nil {
+		return nil, nil, err
+	}
+	dir = &ckptfmt.Directory{Sections: make([]ckptfmt.SectionRef, 0, n)}
+	for i := uint64(0); i < n; i++ {
+		name, err := r.String()
+		if err != nil {
+			return nil, nil, err
+		}
+		off := len(b) - r.Remaining()
+		if _, err := value.DecodeTaggedPayload(r); err != nil {
+			return nil, nil, fmt.Errorf("%w: v1 entry %q: %w", codec.ErrCorrupt, name, err)
+		}
+		chunks := codec.SplitChunks(b[off:len(b)-r.Remaining()], ckptfmt.DefaultChunkSize)
+		sec := ckptfmt.SectionRef{Name: name, Chunks: make([]ckptfmt.ChunkRef, len(chunks))}
+		for j, c := range chunks {
+			sec.Chunks[j] = ckptfmt.ChunkRef{Hash: ckptfmt.HashChunk(c), RawLen: len(c)}
+		}
+		dir.Sections = append(dir.Sections, sec)
+		offs = append(offs, off)
+	}
+	if r.Remaining() > 0 {
+		return nil, nil, fmt.Errorf("%w: %d bytes past a v1 bundle", codec.ErrCorrupt, r.Remaining())
+	}
+	return dir, offs, nil
+}
+
+// fill puts every job's chunk bytes into its destination; jobs are the
+// chunks of the sections load names, in order. This is the read path's one
+// format branch. A v2 checkpoint's chunks are resolved in the pool's dedup
+// index, locking each involved shard once, then fetched and decoded by the
+// one read pipeline. A v1 checkpoint's come from one CRC-checked read of its
+// segment, attributed to the ranged tier.
+func (c *Checkpoint) fill(load []int, jobs []chunkJob, byShard map[int][]int, fs *FetchStats) error {
+	p := c.s.pool
+	if c.e.Format != FormatV1 {
+		if err := p.resolve(jobs, byShard, c.e.Key); err != nil || len(jobs) == 0 {
+			return err
+		}
+		return p.fetch(jobs, byShard, fs)
+	}
+	payload, err := readSegment(c.s.dir, c.e.Seq)
+	if err != nil {
+		return fmt.Errorf("store: segment %d: %w", c.e.Seq, err)
+	}
+	var n int64
+	k := 0
+	for _, i := range load {
+		off := c.e.segOffs[i]
+		for _, ref := range c.e.dir.Sections[i].Chunks {
+			if off+ref.RawLen > len(payload) {
+				return fmt.Errorf("%w: segment %d ends at %d, inside section %q", codec.ErrCorrupt, c.e.Seq, len(payload), c.e.dir.Sections[i].Name)
+			}
+			copyPieces(jobs[k].dst, [][]byte{payload[off : off+ref.RawLen]})
+			off += ref.RawLen
+			n += int64(ref.RawLen)
+			k++
+		}
+	}
+	p.countFetch(tierRanged, n, int64(len(jobs)), fs)
+	return nil
 }
 
 // removeSegments deletes every segment file of a run, with the gzip twin an

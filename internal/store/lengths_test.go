@@ -32,11 +32,8 @@ func TestNegativeChunkLengthIsCorruptAtResolve(t *testing.T) {
 	if c, err := r.Resolve(key); !errors.Is(err, codec.ErrCorrupt) {
 		t.Fatalf("Resolve: checkpoint %v, err %v; want codec.ErrCorrupt", c, err)
 	}
-	if _, _, err := r.GetSections(key, nil); !errors.Is(err, codec.ErrCorrupt) {
-		t.Fatalf("GetSections: err %v; want codec.ErrCorrupt", err)
-	}
-	if _, err := r.Get(key); !errors.Is(err, codec.ErrCorrupt) {
-		t.Fatalf("Get: err %v; want codec.ErrCorrupt", err)
+	if _, err := ReadAll(r, key, nil); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("read: err %v; want codec.ErrCorrupt", err)
 	}
 }
 

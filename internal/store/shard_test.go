@@ -38,9 +38,9 @@ func TestShardedRoundTripAndReopen(t *testing.T) {
 	if _, err := s.PutSections(key, secs, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := s.GetSections(key, nil)
-	if err != nil || !ok {
-		t.Fatalf("GetSections: ok=%v err=%v", ok, err)
+	got, err := ReadAll(s, key, nil)
+	if err != nil {
+		t.Fatalf("read: %v", err)
 	}
 	if !bytes.Equal(got[0].Data, big) || string(got[1].Data) != "rng state" {
 		t.Fatal("section data mismatch")
@@ -68,9 +68,9 @@ func TestShardedRoundTripAndReopen(t *testing.T) {
 	if s2.ShardFanout() != 16 {
 		t.Fatalf("reopened fanout = %d", s2.ShardFanout())
 	}
-	got, ok, err = s2.GetSections(key, nil)
-	if err != nil || !ok || !bytes.Equal(got[0].Data, big) {
-		t.Fatalf("reopen read: ok=%v err=%v", ok, err)
+	got, err = ReadAll(s2, key, nil)
+	if err != nil || !bytes.Equal(got[0].Data, big) {
+		t.Fatalf("reopen read: %v", err)
 	}
 	m, err := s2.PutSections(Key{LoopID: "train", Exec: 1}, secs, 0, 0, 0)
 	if err != nil {
@@ -85,9 +85,9 @@ func TestShardedRoundTripAndReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err = ro.GetSections(key, nil)
-	if err != nil || !ok || !bytes.Equal(got[0].Data, big) {
-		t.Fatalf("read-only read: ok=%v err=%v", ok, err)
+	got, err = ReadAll(ro, key, nil)
+	if err != nil || !bytes.Equal(got[0].Data, big) {
+		t.Fatalf("read-only read: %v", err)
 	}
 	if _, err := ro.PutSections(key, secs, 0, 0, 0); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("read-only write err = %v", err)
@@ -154,9 +154,9 @@ func TestShardedConcurrentPuts(t *testing.T) {
 		for w := 0; w < writers; w++ {
 			for e := 0; e < epochs; e++ {
 				want := noise(3*ckptfmt.DefaultChunkSize+w*17, uint64(100+w*10+e))
-				secs, ok, err := st.GetSections(Key{LoopID: fmt.Sprintf("w%d", w), Exec: e}, nil)
-				if err != nil || !ok {
-					t.Fatalf("w%d@%d: ok=%v err=%v", w, e, ok, err)
+				secs, err := ReadAll(st, Key{LoopID: fmt.Sprintf("w%d", w), Exec: e}, nil)
+				if err != nil {
+					t.Fatalf("w%d@%d: %v", w, e, err)
 				}
 				if !bytes.Equal(secs[0].Data, want) || !bytes.Equal(secs[1].Data, shared) {
 					t.Fatalf("w%d@%d: data mismatch", w, e)
@@ -211,9 +211,9 @@ func TestShardDirsSpreadAndPersist(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		secs, ok, err := s2.GetSections(key, nil)
-		if err != nil || !ok || !bytes.Equal(secs[0].Data, big) {
-			t.Fatalf("reopen via SHARDS file: ok=%v err=%v", ok, err)
+		secs, err := ReadAll(s2, key, nil)
+		if err != nil || !bytes.Equal(secs[0].Data, big) {
+			t.Fatalf("reopen via SHARDS file: %v", err)
 		}
 	}
 }
@@ -253,9 +253,9 @@ func TestShardDirRelocationRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		secs, ok, err := s2.GetSections(key, nil)
-		if err != nil || !ok || !bytes.Equal(secs[0].Data, big) {
-			t.Fatalf("reopen after refusals: ok=%v err=%v", ok, err)
+		secs, err := ReadAll(s2, key, nil)
+		if err != nil || !bytes.Equal(secs[0].Data, big) {
+			t.Fatalf("reopen after refusals: %v", err)
 		}
 	}
 }
@@ -300,7 +300,7 @@ func TestMissingShardPackNamesShard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read-only open with missing shard must degrade gracefully: %v", err)
 	}
-	_, _, err = s2.GetSections(key, nil)
+	_, err = ReadAll(s2, key, nil)
 	if !errors.Is(err, codec.ErrCorrupt) {
 		t.Fatalf("read error %v is not codec.ErrCorrupt", err)
 	}
@@ -312,7 +312,7 @@ func TestMissingShardPackNamesShard(t *testing.T) {
 func TestUnknownFormatMarkerTyped(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
-	s.Put(Key{LoopID: "L", Exec: 0}, []byte("precious"), 0, 0, 0)
+	putBlob(s, Key{LoopID: "L", Exec: 0}, []byte("precious"), 0, 0, 0)
 	os.WriteFile(filepath.Join(dir, "FORMAT"), []byte("9 quantum=yes\n"), 0o644)
 
 	for _, open := range []func() (*Store, error){
@@ -338,7 +338,7 @@ func TestUnknownFormatMarkerTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := s2.Get(Key{LoopID: "L", Exec: 0}); err != nil || string(got) != "precious" {
+	if got, err := getBlob(s2, Key{LoopID: "L", Exec: 0}); err != nil || string(got) != "precious" {
 		t.Fatalf("data lost under unknown marker: %q, %v", got, err)
 	}
 }

@@ -35,8 +35,8 @@ func populateRun(t *testing.T, dir string) *Store {
 
 // TestOpenReadOnlySharedConcurrentReads is the -race regression test for the
 // daemon's shared-store path: one read-only *Store hammered by many
-// goroutines doing Get, GetSections (with a concurrently mutated have
-// callback), Lookup, Has, Metas, and Dedup.
+// goroutines doing whole and have-filtered reads (Resolve + ReadInto, with a
+// concurrently mutated have callback), Lookup, Has, Metas, and Dedup.
 func TestOpenReadOnlySharedConcurrentReads(t *testing.T) {
 	dir := t.TempDir()
 	populateRun(t, dir)
@@ -49,13 +49,13 @@ func TestOpenReadOnlySharedConcurrentReads(t *testing.T) {
 		t.Fatal("OpenReadOnly store not marked read-only")
 	}
 
-	want, err := ro.Get(Key{LoopID: "train", Exec: 3})
+	want, err := getBlob(ro, Key{LoopID: "train", Exec: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// A tiny concurrent "payload cache": its Contains runs inside
-	// GetSections from every reader goroutine at once.
+	// ReadInto from every reader goroutine at once.
 	var cacheMu sync.Mutex
 	cached := map[ckptfmt.Hash]bool{}
 	have := func(h ckptfmt.Hash) bool {
@@ -72,13 +72,9 @@ func TestOpenReadOnlySharedConcurrentReads(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				key := Key{LoopID: "train", Exec: (g + i) % 6}
-				secs, ok, err := ro.GetSections(key, have)
+				secs, err := ReadAll(ro, key, have)
 				if err != nil {
 					errc <- err
-					return
-				}
-				if !ok {
-					errc <- fmt.Errorf("GetSections %s: not v2", key)
 					return
 				}
 				cacheMu.Lock()
@@ -88,7 +84,7 @@ func TestOpenReadOnlySharedConcurrentReads(t *testing.T) {
 					}
 				}
 				cacheMu.Unlock()
-				got, err := ro.Get(Key{LoopID: "train", Exec: 3})
+				got, err := getBlob(ro, Key{LoopID: "train", Exec: 3})
 				if err != nil {
 					errc <- err
 					return
@@ -97,7 +93,7 @@ func TestOpenReadOnlySharedConcurrentReads(t *testing.T) {
 					errc <- fmt.Errorf("concurrent Get diverged on iteration %d", i)
 					return
 				}
-				if m, ok := ro.Lookup(key); !ok || m.Size == 0 {
+				if m, ok := ro.Lookup(key); m.Size == 0 {
 					errc <- fmt.Errorf("Lookup %s: ok=%v", key, ok)
 					return
 				}
@@ -120,9 +116,6 @@ func TestOpenReadOnlyRejectsWrites(t *testing.T) {
 	ro, err := OpenReadOnly(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := ro.Put(Key{LoopID: "x", Exec: 0}, []byte("p"), 0, 0, 0); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Put err = %v, want ErrReadOnly", err)
 	}
 	if _, err := ro.PutSections(Key{LoopID: "x", Exec: 0}, []Section{{Data: []byte("p")}}, 0, 0, 0); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("PutSections err = %v, want ErrReadOnly", err)

@@ -46,12 +46,14 @@
 // detail). v2-pooled (marker "2 pool shards=N") commits checkpoints like v2
 // but resolves every chunk through the shared pool named by its manifest:
 //
-//   - v1 (legacy, read-only): one monolithic CRC-framed blob per checkpoint
-//     in a segment file, untyped manifest records, no pack. Detected from
-//     the absence of the FORMAT marker on a directory that holds a
-//     manifest; a v1 run opens read-only whatever the options say — it
-//     replays byte-identically and every write fails with ErrReadOnly. No
-//     build writes v1 any more.
+//   - v1 (legacy, read-only): one CRC-framed bundle per checkpoint in a
+//     segment file, untyped manifest records, no pack. Detected from the
+//     absence of the FORMAT marker on a directory that holds a manifest; a
+//     v1 run opens read-only whatever the options say — it replays
+//     byte-identically and every write fails with ErrReadOnly. Open splits
+//     each bundle into one section per entry and hashes it into the
+//     directory a v2 put of those sections records (legacy.go), so a v1
+//     checkpoint reads like any other. No build writes v1 any more.
 //   - v2 (marker "2"): a checkpoint is its *directory* (package ckptfmt),
 //     carried by its manifest meta record: the checkpoint's named sections
 //     and, per section, the ordered content hashes of the chunks holding its
@@ -82,10 +84,10 @@
 //
 // # Restore read path
 //
-// Every restore — any layout, local or remote — runs one pipeline
-// (fetch.go): a planner offset-sorts each shard's wanted frame records and
-// cuts them into bounded runs (neighbours merge across gaps up to 256 KiB),
-// and an executor reads the runs of all shards on one bounded
+// Every restore of a pack's chunks — any layout, local or remote — runs one
+// pipeline (fetch.go): a planner offset-sorts each shard's wanted frame
+// records and cuts them into bounded runs (neighbours merge across gaps up to
+// 256 KiB), and an executor reads the runs of all shards on one bounded
 // worker group, one read call per run, decoding and hash-checking a run's
 // frames the moment its bytes land and handing out no further runs after the
 // first error. How a run's bytes are obtained follows from what the opened
@@ -93,13 +95,14 @@
 // vectored preadv that puts large raw payloads straight into their
 // destinations; an ExtentReader lends the run's exact extent, decoded where it
 // lies; anything else gets one ReadAt into an arena span. The results are
-// byte-identical whichever way the bytes came.
+// byte-identical whichever way the bytes came. (A v1 checkpoint has no pack:
+// its chunks are copied out of one read of its segment, legacy.go.)
 // Replay resolves a checkpoint (Resolve, an index lookup: every directory was
 // decoded once, at open or put) and then reads only the sections its
-// statements touch through Checkpoint.ReadInto. A section lands where the
-// caller laid it out — over live tensors, so that the kernel read is the
-// restore — or in a freshly allocated buffer the caller may retain.
-// GetSections wraps the same call for readers that want every section.
+// statements touch through Checkpoint.ReadInto, the one read entry point. A
+// section lands where the caller laid it out — over live tensors, so that
+// the kernel read is the restore — or in a freshly allocated buffer the
+// caller may retain.
 //
 // # Manifest and crash consistency
 //
@@ -220,14 +223,16 @@ type Meta struct {
 }
 
 // entry is a committed checkpoint as the index holds it: its meta record
-// and, for format v2, its directory, decoded once when the record was
-// replayed or written. Directories are immutable, so this is the index, not
-// a cache. dirErr is why a directory could not be read; Resolve returns it.
+// and its directory, decoded once when the record was replayed or written
+// (for format v1, split out of the segment at open). Directories are
+// immutable, so this is the index, not a cache. dirErr is why a directory
+// could not be read; Resolve returns it.
 type entry struct {
 	Meta
-	dir    *ckptfmt.Directory
-	dirErr error
-	gzSize int64 // the slot older builds filled, carried so a record re-encodes as read
+	dir     *ckptfmt.Directory
+	dirErr  error
+	segOffs []int // format v1: each section's offset in the segment (legacy.go)
+	gzSize  int64 // the slot older builds filled, carried so a record re-encodes as read
 }
 
 // Section is one named slice of a checkpoint payload — the encoded bytes of
@@ -239,8 +244,7 @@ type entry struct {
 type Section struct {
 	Name string
 	Data []byte
-	// Hash is the section's content identity on read paths (zero on writes
-	// and for format-v1 fallbacks).
+	// Hash is the section's content identity on read paths (zero on writes).
 	Hash ckptfmt.Hash
 	// RawLen is the section's logical byte length, valid even when Data was
 	// skipped at the caller's request.
@@ -308,9 +312,10 @@ type Store struct {
 	backend  Backend
 	readOnly bool
 
-	// pool is the chunk layer (nil for v1 stores). pooled marks a shared,
-	// multi-run pool; poolRoot is its resolved root and poolRef the path as
-	// recorded in (or destined for) the manifest's pool-reference record.
+	// pool is the chunk layer (an empty one for v1 stores). pooled marks a
+	// shared, multi-run pool; poolRoot is its resolved root and poolRef the
+	// path as recorded in (or destined for) the manifest's pool-reference
+	// record.
 	pool     *ChunkPool
 	pooled   bool
 	poolRoot string
@@ -424,9 +429,9 @@ func Open(dir string) (*Store, error) {
 // OpenReadOnly opens an existing recorded run for shared read-only use — the
 // serving daemon's open path. It touches nothing on disk: the FORMAT marker
 // is not (re)written, a torn manifest tail is skipped rather than truncated,
-// and every write operation (Put, PutSections, GC) fails with
-// ErrReadOnly. The returned store is safe for concurrent Get/GetSections
-// from many goroutines.
+// and every write operation (PutSections, GC) fails with ErrReadOnly. The
+// returned store is safe for concurrent Resolve and ReadInto from many
+// goroutines.
 func OpenReadOnly(dir string) (*Store, error) {
 	return OpenWith(dir, Options{ReadOnly: true})
 }
@@ -479,10 +484,8 @@ func OpenWith(dir string, o Options) (*Store, error) {
 		if err := s.initBackend(o); err != nil {
 			return nil, err
 		}
-		if s.format == FormatV2 {
-			s.pool = newPrivatePool(s.backend, s.fanout, s.readOnly)
-			s.pool.ctlDir = s.dir
-		}
+		s.pool = newPrivatePool(s.backend, s.fanout, s.readOnly)
+		s.pool.ctlDir = s.dir
 	}
 	if !s.readOnly {
 		if err := s.writeMarker(s.gcMarked, s.dirsMarked); err != nil {
@@ -1309,23 +1312,6 @@ func frameTagged(tag byte, body []byte) []byte {
 	return codec.Frame(payload)
 }
 
-// Put durably stores payload for key and commits it to the manifest.
-// snapNs and serNs are the observed snapshot and serialization times for
-// this checkpoint; Put measures its own write time and records
-// MaterNs = snapNs + serNs + writeNs, the full materialization cost used by
-// adaptive checkpointing (paper Table 2's M_i). computNs is the loop
-// execution time being memoized (C_i).
-//
-// The payload is stored as a single opaque section — chunked, content-addressed,
-// and deduplicated like any other checkpoint, but with no per-entry structure. PutSections is the structured (and more parallel)
-// write path.
-func (s *Store) Put(key Key, payload []byte, snapNs, serNs, computNs int64) (*Meta, error) {
-	if s.readOnly {
-		return nil, ErrReadOnly
-	}
-	return s.putV2(key, []Section{{Data: payload}}, nil, true, snapNs, serNs, computNs)
-}
-
 // PutSections durably stores a checkpoint as named sections. Sections are
 // chunked, frames for previously unseen chunks are encoded in parallel and
 // appended to their hash shards' packs (concurrently across shards), and one
@@ -1335,7 +1321,13 @@ func (s *Store) Put(key Key, payload []byte, snapNs, serNs, computNs int64) (*Me
 // until PutSections returns — nothing of it stays referenced from the store,
 // so the caller may overwrite the buffers with its next checkpoint. Every
 // chunk is hashed, every time: the store remembers nothing about a []Section
-// between puts. See Put for the timing parameters.
+// between puts.
+//
+// snapNs and serNs are the observed snapshot and serialization times for
+// this checkpoint; the put measures its own write time and records
+// MaterNs = snapNs + serNs + writeNs, the full materialization cost used by
+// adaptive checkpointing (paper Table 2's M_i). computNs is the loop
+// execution time being memoized (C_i).
 func (s *Store) PutSections(key Key, secs []Section, snapNs, serNs, computNs int64) (*Meta, error) {
 	return s.PutSectionsKnown(key, secs, nil, snapNs, serNs, computNs)
 }
@@ -1361,7 +1353,7 @@ func (s *Store) PutSectionsKnown(key Key, secs []Section, known []KnownChunks, s
 	if known != nil && len(known) != len(secs) {
 		return nil, fmt.Errorf("store: %d sections put with known chunks of %d", len(secs), len(known))
 	}
-	return s.putV2(key, secs, known, false, snapNs, serNs, computNs)
+	return s.putV2(key, secs, known, snapNs, serNs, computNs)
 }
 
 // putHook is nil outside tests and race builds (VerifyOffers in export_test.go, race.go).
@@ -1391,13 +1383,13 @@ func verifyOffered(chunk []byte, h ckptfmt.Hash, offered bool) error {
 // every chunk's hash back, and a []Section put twice is hashed in full twice.
 // Chunks and frames alias secs[i].Data throughout; every alias is dropped by
 // the time putV2 returns.
-func (s *Store) putV2(key Key, secs []Section, known []KnownChunks, opaque bool, snapNs, serNs, computNs int64) (*Meta, error) {
+func (s *Store) putV2(key Key, secs []Section, known []KnownChunks, snapNs, serNs, computNs int64) (*Meta, error) {
 	w0 := time.Now()
 
 	// Chunk every section and hash, in parallel, every chunk that did not come
 	// with its hash; the directory is fully determined by content before any
 	// byte hits disk.
-	dir := ckptfmt.Directory{Opaque: opaque, Sections: make([]ckptfmt.SectionRef, len(secs))}
+	dir := ckptfmt.Directory{Sections: make([]ckptfmt.SectionRef, len(secs))}
 	var flat [][]byte
 	var hashes []ckptfmt.Hash
 	var offered []bool // hashes[i] came with flat[i]
@@ -1546,103 +1538,36 @@ func (s *Store) appendManifestLocked(record []byte) error {
 	return nil
 }
 
-// Get returns the payload of the latest committed checkpoint for key. For
-// format v2 checkpoints the payload is reassembled from its frames (decoded
-// in parallel) into the exact byte stream Put or the bundle encoder
-// originally produced, so callers are format-agnostic.
-func (s *Store) Get(key Key) ([]byte, error) {
-	c, err := s.Resolve(key)
-	if err != nil {
-		return nil, err
-	}
-	if c.e.Format != FormatV2 {
-		return s.readV1(c.e)
-	}
-	dir := c.e.dir
-	secs, err := c.ReadInto(nil, nil, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	if dir.Opaque {
-		if len(secs) == 1 {
-			return secs[0].Data, nil
-		}
-		var out []byte
-		for _, sec := range secs {
-			out = append(out, sec.Data...)
-		}
-		return out, nil
-	}
-	// Reassemble the v1 bundle encoding: count, then (name, payload) pairs —
-	// byte-identical to what the bundle encoder originally produced.
-	w := codec.NewWriter()
-	w.Uvarint(uint64(len(secs)))
-	for _, sec := range secs {
-		w.String(sec.Name)
-		w.RawAppend(sec.Data)
-	}
-	return w.Bytes(), nil
-}
-
-// GetSections returns the named sections of a format-v2 checkpoint, decoded
-// in parallel. ok is false when the checkpoint is stored in format v1 or as
-// an opaque blob; callers fall back to Get + whole-payload decoding.
-//
-// When have is non-nil, sections whose content identity it reports as
-// already held are returned with nil Data (Hash and RawLen still set) and
-// their chunks are never read — the disk, CRC, and reassembly cost of
-// repeated content (frozen layers restored epoch after epoch) drops to an
-// index lookup.
-func (s *Store) GetSections(key Key, have func(ckptfmt.Hash) bool) (secs []Section, ok bool, err error) {
-	return s.GetSectionsObserved(key, have, nil)
-}
-
-// GetSectionsObserved is GetSections with per-tier fetch attribution: when fs
-// is non-nil, every chunk frame the read touches (and every frame a
-// payload-cache hit skips) is accounted to its fetch tier in fs. A nil fs is
-// exactly GetSections — the hot path pays no observation cost.
+// GetSectionsObserved is Resolve + ReadInto(nil, have, fs, nil): every
+// section of key's checkpoint, in fresh buffers. ok is always true. It stays
+// only for the benchmark module's store row (cmd/florperf), and goes once
+// that row reads through Resolve.
 func (s *Store) GetSectionsObserved(key Key, have func(ckptfmt.Hash) bool, fs *FetchStats) (secs []Section, ok bool, err error) {
 	c, err := s.Resolve(key)
-	if err != nil {
-		return nil, false, err
+	if err == nil {
+		secs, err = c.ReadInto(nil, have, fs, nil)
 	}
-	if !c.Sectioned() {
-		return nil, false, nil
-	}
-	secs, err = c.ReadInto(nil, have, fs, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	return secs, true, nil
+	return secs, err == nil, err
 }
 
 // Checkpoint is a committed checkpoint resolved for reading: its metadata
-// and, for format v2, its directory. Resolving costs an index lookup;
-// ReadInto then costs what the caller asks of it, as often as it asks.
+// and its directory. Resolving costs an index lookup; ReadInto then costs
+// what the caller asks of it, as often as it asks.
 type Checkpoint struct {
 	s *Store
 	e *entry
 }
 
-// Sectioned reports whether the checkpoint is stored as named sections;
-// format-v1 and opaque checkpoints are not, and are read whole with Get.
-func (c *Checkpoint) Sectioned() bool { return c.e.Format == FormatV2 && !c.e.dir.Opaque }
-
-// Carries reports whether the checkpoint is sectioned and has a section of
-// the given name. (What an unsectioned checkpoint carries is known only by
-// reading it whole.)
+// Carries reports whether the checkpoint has a section of the given name.
 func (c *Checkpoint) Carries(name string) bool {
-	return c.Sectioned() && slices.ContainsFunc(c.e.dir.Sections, func(s ckptfmt.SectionRef) bool { return s.Name == name })
+	return slices.ContainsFunc(c.e.dir.Sections, func(s ckptfmt.SectionRef) bool { return s.Name == name })
 }
 
 // Section returns the named section's content identity and logical length,
 // computed from the directory alone as ReadInto does before it reads
 // anything: no pack byte is read, and nothing is fetched or counted. ok is
-// false when the checkpoint has no such section or is not sectioned.
+// false when the checkpoint has no such section.
 func (c *Checkpoint) Section(name string) (s Section, ok bool) {
-	if !c.Sectioned() {
-		return Section{}, false
-	}
 	i := slices.IndexFunc(c.e.dir.Sections, func(s ckptfmt.SectionRef) bool { return s.Name == name })
 	if i < 0 {
 		return Section{}, false
@@ -1677,10 +1602,11 @@ func (s *Store) Resolve(key Key) (*Checkpoint, error) {
 	return &Checkpoint{s: s, e: e}, nil
 }
 
-// ReadInto materializes sections of a v2 checkpoint: chunk frames are
-// fetched and decoded by the pool's one read pipeline (see fetch.go) — runs
-// of neighbouring frames read concurrently across shards, each run decoded
-// the moment its bytes land. The result has one entry per section, in the
+// ReadInto materializes sections of a checkpoint: chunk frames are fetched
+// and decoded by the pool's one read pipeline (see fetch.go) — runs of
+// neighbouring frames read concurrently across shards, each run decoded the
+// moment its bytes land — or, for format v1, copied out of one read of the
+// segment (legacy.go). The result has one entry per section, in the
 // checkpoint's order.
 //
 // Two callbacks, both optional, keep sections on disk. A section whose name
@@ -1731,9 +1657,8 @@ func (c *Checkpoint) ReadInto(want func(name string) bool, have func(ckptfmt.Has
 	if len(load) == 0 {
 		return secs, nil
 	}
-	// Phase 2: lay each section's destination out over its chunks, then
-	// resolve chunk locations from the pool's two-level dedup index,
-	// locking each involved shard exactly once.
+	// Phase 2: lay each section's destination out over its chunks, and
+	// group the chunks by the shard that holds them.
 	nchunks := 0
 	for _, i := range load {
 		nchunks += len(dir.Sections[i].Chunks)
@@ -1760,14 +1685,8 @@ func (c *Checkpoint) ReadInto(want func(name string) bool, have func(ckptfmt.Has
 			jobs = append(jobs, chunkJob{ref: ref, dst: dsts[k]})
 		}
 	}
-	if err := p.resolve(jobs, byShard, c.e.Key); err != nil {
-		return nil, err
-	}
-	if len(jobs) == 0 {
-		return secs, nil
-	}
-	// Phase 3: fetch and decode every frame into its destination.
-	if err := p.fetch(jobs, byShard, fs); err != nil {
+	// Phase 3: fill every destination with its chunk's bytes.
+	if err := c.fill(load, jobs, byShard, fs); err != nil {
 		return nil, err
 	}
 	return secs, nil

@@ -25,10 +25,10 @@ func TestPutGetRoundTrip(t *testing.T) {
 	s := openTemp(t)
 	key := Key{LoopID: "train", Exec: 3}
 	payload := []byte("epoch three side effects")
-	if _, err := s.Put(key, payload, 10, 20, 30); err != nil {
+	if _, err := putBlob(s, key, payload, 10, 20, 30); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get(key)
+	got, err := getBlob(s, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestGetMissingKey(t *testing.T) {
 	s := openTemp(t)
-	if _, err := s.Get(Key{LoopID: "train", Exec: 0}); !errors.Is(err, ErrNotFound) {
+	if _, err := getBlob(s, Key{LoopID: "train", Exec: 0}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("error = %v, want ErrNotFound", err)
 	}
 	if s.Has(Key{LoopID: "train", Exec: 0}) {
@@ -50,9 +50,9 @@ func TestGetMissingKey(t *testing.T) {
 func TestLatestWinsForSameKey(t *testing.T) {
 	s := openTemp(t)
 	key := Key{LoopID: "train", Exec: 1}
-	s.Put(key, []byte("old"), 0, 0, 0)
-	s.Put(key, []byte("new"), 0, 0, 0)
-	got, err := s.Get(key)
+	putBlob(s, key, []byte("old"), 0, 0, 0)
+	putBlob(s, key, []byte("new"), 0, 0, 0)
+	got, err := getBlob(s, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestReopenRebuildsIndex(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		key := Key{LoopID: "train", Exec: i}
-		if _, err := s.Put(key, []byte(fmt.Sprintf("payload-%d", i)), 1, 2, 3); err != nil {
+		if _, err := putBlob(s, key, []byte(fmt.Sprintf("payload-%d", i)), 1, 2, 3); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -78,7 +78,7 @@ func TestReopenRebuildsIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		got, err := s2.Get(Key{LoopID: "train", Exec: i})
+		got, err := getBlob(s2, Key{LoopID: "train", Exec: i})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestMetaTimingsPersist(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	key := Key{LoopID: "train", Exec: 0}
-	s.Put(key, []byte("x"), 111, 222, 333)
+	putBlob(s, key, []byte("x"), 111, 222, 333)
 	s2, _ := Open(dir)
 	m, ok := s2.Lookup(key)
 	if !ok {
@@ -117,8 +117,8 @@ func TestMetaTimingsPersist(t *testing.T) {
 func TestTornManifestTailIgnored(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
-	s.Put(Key{LoopID: "train", Exec: 0}, []byte("good"), 0, 0, 0)
-	s.Put(Key{LoopID: "train", Exec: 1}, []byte("also good"), 0, 0, 0)
+	putBlob(s, Key{LoopID: "train", Exec: 0}, []byte("good"), 0, 0, 0)
+	putBlob(s, Key{LoopID: "train", Exec: 1}, []byte("also good"), 0, 0, 0)
 	// Simulate a crash mid-append: garbage at the manifest tail.
 	f, err := os.OpenFile(filepath.Join(dir, "MANIFEST"), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -135,7 +135,7 @@ func TestTornManifestTailIgnored(t *testing.T) {
 		t.Fatal("good records lost after torn tail")
 	}
 	// The store must remain writable after tail truncation.
-	if _, err := s2.Put(Key{LoopID: "train", Exec: 2}, []byte("post-crash"), 0, 0, 0); err != nil {
+	if _, err := putBlob(s2, Key{LoopID: "train", Exec: 2}, []byte("post-crash"), 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	s3, _ := Open(dir)
@@ -150,7 +150,7 @@ func TestCrashAtAnyManifestPrefixIsConsistent(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	for i := 0; i < 4; i++ {
-		s.Put(Key{LoopID: "L", Exec: i}, bytes.Repeat([]byte{byte(i)}, 50), 0, 0, 0)
+		putBlob(s, Key{LoopID: "L", Exec: i}, bytes.Repeat([]byte{byte(i)}, 50), 0, 0, 0)
 	}
 	manifest, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
 	if err != nil {
@@ -173,7 +173,7 @@ func TestCrashAtAnyManifestPrefixIsConsistent(t *testing.T) {
 			t.Fatalf("cut %d: open failed: %v", cut, err)
 		}
 		for _, m := range sc.Metas() {
-			got, err := sc.Get(m.Key)
+			got, err := getBlob(sc, m.Key)
 			if err != nil {
 				t.Fatalf("cut %d: indexed checkpoint unreadable: %v", cut, err)
 			}
@@ -207,10 +207,10 @@ func TestCorruptSegmentDetected(t *testing.T) {
 	if m == nil || m.Seq != 2 {
 		t.Fatalf("train@2 is %+v, want segment 2", m)
 	}
-	if _, err := s.Get(m.Key); !errors.Is(err, codec.ErrCorrupt) {
+	if _, err := getBlob(s, m.Key); !errors.Is(err, codec.ErrCorrupt) {
 		t.Fatalf("corrupt segment read: %v, want codec.ErrCorrupt", err)
 	}
-	if _, err := s.Get(Key{LoopID: "train", Exec: 3}); err != nil {
+	if _, err := getBlob(s, Key{LoopID: "train", Exec: 3}); err != nil {
 		t.Fatalf("intact checkpoint beside the corrupt one: %v", err)
 	}
 }
@@ -238,9 +238,9 @@ func TestMissingSegmentDroppedOnReopen(t *testing.T) {
 func TestExecsForSorted(t *testing.T) {
 	s := openTemp(t)
 	for _, e := range []int{5, 1, 3} {
-		s.Put(Key{LoopID: "train", Exec: e}, []byte("x"), 0, 0, 0)
+		putBlob(s, Key{LoopID: "train", Exec: e}, []byte("x"), 0, 0, 0)
 	}
-	s.Put(Key{LoopID: "other", Exec: 9}, []byte("x"), 0, 0, 0)
+	putBlob(s, Key{LoopID: "other", Exec: 9}, []byte("x"), 0, 0, 0)
 	got := s.ExecsFor("train")
 	want := []int{1, 3, 5}
 	if len(got) != 3 {
@@ -255,8 +255,8 @@ func TestExecsForSorted(t *testing.T) {
 
 func TestTotalSize(t *testing.T) {
 	s := openTemp(t)
-	s.Put(Key{LoopID: "a", Exec: 0}, make([]byte, 100), 0, 0, 0)
-	s.Put(Key{LoopID: "b", Exec: 0}, make([]byte, 50), 0, 0, 0)
+	putBlob(s, Key{LoopID: "a", Exec: 0}, make([]byte, 100), 0, 0, 0)
+	putBlob(s, Key{LoopID: "b", Exec: 0}, make([]byte, 50), 0, 0, 0)
 	if got := s.TotalSize(); got != 150 {
 		t.Fatalf("TotalSize = %d, want 150", got)
 	}
@@ -265,8 +265,8 @@ func TestTotalSize(t *testing.T) {
 func TestGCRemovesSupersededSegments(t *testing.T) {
 	s := openTemp(t)
 	key := Key{LoopID: "train", Exec: 0}
-	s.Put(key, []byte("v1"), 0, 0, 0)
-	s.Put(key, []byte("v2"), 0, 0, 0)
+	putBlob(s, key, []byte("v1"), 0, 0, 0)
+	putBlob(s, key, []byte("v2"), 0, 0, 0)
 	removed, err := s.GC()
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +274,7 @@ func TestGCRemovesSupersededSegments(t *testing.T) {
 	if removed != 1 {
 		t.Fatalf("GC removed %d segments, want 1", removed)
 	}
-	got, err := s.Get(key)
+	got, err := getBlob(s, key)
 	if err != nil || string(got) != "v2" {
 		t.Fatalf("latest checkpoint lost after GC: %q, %v", got, err)
 	}
@@ -289,10 +289,10 @@ func TestQuickPutGetAnyPayload(t *testing.T) {
 	f := func(payload []byte) bool {
 		exec++
 		key := Key{LoopID: "q", Exec: exec}
-		if _, err := s.Put(key, payload, 0, 0, 0); err != nil {
+		if _, err := putBlob(s, key, payload, 0, 0, 0); err != nil {
 			return false
 		}
-		got, err := s.Get(key)
+		got, err := getBlob(s, key)
 		return err == nil && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

@@ -202,6 +202,53 @@ func TestV1RunServedAndNeverWritten(t *testing.T) {
 	}
 }
 
+// TestV1ReplayLoadsOnlyWhatStatementsRead pins demand loading on the
+// committed format-v1 run, the way replay's
+// TestRestoredBytesCountOnlyWhatStatementsRead pins it on v2. The run
+// replays with its own program, whose one log statement reads w, and
+// analyze.Augment adds nothing to w. So every restore loads w's section
+// alone, from one read of its segment, and no byte of rng's.
+func TestV1ReplayLoadsOnlyWhatStatementsRead(t *testing.T) {
+	dir := t.TempDir()
+	if err := copyV1Fixture(dir); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := core.LoadRecordingShared(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := rec.Store.Resolve(store.Key{LoopID: "train", Exec: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ := c.Section("w")
+	rng, _ := c.Section("rng")
+	if w.RawLen != 259 || rng.RawLen != 18 {
+		t.Fatalf("train@0 sections: w %d bytes, rng %d bytes; want 259 and 18", w.RawLen, rng.RawLen)
+	}
+	tr := obs.NewTrace()
+	res, err := replay.Replay(rec, counterFactory(6, 3), replay.Options{Workers: 1, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Anomalies) != 0 {
+		t.Fatalf("anomalies %v", res.Anomalies)
+	}
+	restores := 0
+	for _, sp := range tr.Spans() {
+		if sp.Name != "restore" {
+			continue
+		}
+		restores++
+		if sp.Attrs["restored_bytes"] != 259 || sp.Attrs["ranged_bytes"] != 259 || sp.Attrs["ranged_frames"] != 1 {
+			t.Fatalf("restore of exec %d: %v, want w's 259 bytes in one ranged read", sp.Attrs["exec"], sp.Attrs)
+		}
+	}
+	if rw := res.Workers[0]; restores != 6 || rw.Restored != 6 || rw.RestoredBytes != 6*259 {
+		t.Fatalf("%d restore spans, %d skipped executions, %d bytes loaded; want 6, 6 and %d", restores, rw.Restored, rw.RestoredBytes, 6*259)
+	}
+}
+
 // TestLegacyGzipTwinsAreInert opens what older builds' Store.Spool left in a
 // run directory: testdata/gztwins is counterFactory(6, 3) recorded and then,
 // by the last build that wrote gzip twins, spooled, given a throwaway
@@ -329,9 +376,9 @@ func TestMixedFormStoresResolveGCAndReplay(t *testing.T) {
 		}
 		execs := st.ExecsFor("train")
 		last := store.Key{LoopID: "train", Exec: execs[len(execs)-1]}
-		secs, ok, err := st.GetSections(last, nil)
-		if err != nil || !ok {
-			t.Fatalf("%s: read %s: ok=%v err=%v", fx.fixture, last, ok, err)
+		secs, err := readAll(st, last)
+		if err != nil {
+			t.Fatalf("%s: read %s: %v", fx.fixture, last, err)
 		}
 		if _, err := st.PutSections(last, secs, 0, 0, 0); err != nil {
 			t.Fatalf("%s: put: %v", fx.fixture, err)
@@ -1083,4 +1130,14 @@ func (g *gatedObject) GetRange(key string, off, n int64) ([]byte, error) {
 		return g.faulty.GetRange(key, off, n)
 	}
 	return g.ObjectStore.GetRange(key, off, n)
+}
+
+// readAll reads every section of key's checkpoint into fresh buffers:
+// Resolve, then ReadInto with no callback.
+func readAll(st *store.Store, key store.Key) ([]store.Section, error) {
+	c, err := st.Resolve(key)
+	if err != nil {
+		return nil, err
+	}
+	return c.ReadInto(nil, nil, nil, nil)
 }
