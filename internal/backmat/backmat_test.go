@@ -129,7 +129,7 @@ func TestCacheAdmitsMaterializedPayloads(t *testing.T) {
 		h := ckptfmt.HashOfHashes([]ckptfmt.Hash{ckptfmt.HashChunk(sec.Data)})
 		hits := c.Stats().Hits
 		p, ok := c.Lend(h)
-		if c.Stats().Hits != hits+1 {
+		if !ok || c.Stats().Hits != hits+1 {
 			t.Fatalf("Lend(%s) = %v, hits %d → %d, want one hit", sec.Name, ok, hits, c.Stats().Hits)
 		}
 		tp := p.(value.TensorPayload)

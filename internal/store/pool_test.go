@@ -84,7 +84,7 @@ func TestPooledRoundTripAndReopen(t *testing.T) {
 		t.Fatalf("layout = %s (pooled=%v)", l, l.Pooled)
 	}
 	root, ok, err := PoolRef(runA)
-	if err != nil {
+	if err != nil || !ok {
 		t.Fatalf("PoolRef: %v ok=%v", err, ok)
 	}
 	want, _ := resolvePoolRoot(pool)
@@ -441,7 +441,7 @@ func TestLeaseCollisionKeepsBothRunsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	pathA2, ok := findLease(pool, entryA)
-	if pathA2 == aPath {
+	if !ok || pathA2 == aPath {
 		t.Fatalf("collision fallback not used: ok=%v path=%q", ok, pathA2)
 	}
 	// Both entries now resolve; GC keeps both runs' chunks.

@@ -93,7 +93,7 @@ func TestOpenReadOnlySharedConcurrentReads(t *testing.T) {
 					errc <- fmt.Errorf("concurrent Get diverged on iteration %d", i)
 					return
 				}
-				if m, ok := ro.Lookup(key); m.Size == 0 {
+				if m, ok := ro.Lookup(key); !ok || m.Size == 0 {
 					errc <- fmt.Errorf("Lookup %s: ok=%v", key, ok)
 					return
 				}

@@ -504,11 +504,9 @@ func OpenWith(dir string, o Options) (*Store, error) {
 		}
 		s.adoptPoolStats()
 	}
-	if s.pool != nil {
-		if dropped := s.pool.droppedPacks(); !s.readOnly && len(dropped) > 0 {
-			return nil, fmt.Errorf("%w: shard pack %s is missing or truncated (committed chunk records point past its end); writable open refused — repair or open read-only",
-				codec.ErrCorrupt, strings.Join(dropped, ", "))
-		}
+	if dropped := s.pool.droppedPacks(); !s.readOnly && len(dropped) > 0 {
+		return nil, fmt.Errorf("%w: shard pack %s is missing or truncated (committed chunk records point past its end); writable open refused — repair or open read-only",
+			codec.ErrCorrupt, strings.Join(dropped, ", "))
 	}
 	if s.pooled && !s.readOnly {
 		// Make the attachment durable: the pool-reference record is the

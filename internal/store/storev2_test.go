@@ -426,7 +426,7 @@ func TestSectionIdentityComesFromTheDirectory(t *testing.T) {
 	frames := fs.Snapshot().TotalFrames()
 	for _, r := range read {
 		sec, ok := c.Section(r.Name)
-		if sec.Name != r.Name || sec.Hash != r.Hash || sec.RawLen != r.RawLen || sec.Data != nil {
+		if !ok || sec.Name != r.Name || sec.Hash != r.Hash || sec.RawLen != r.RawLen || sec.Data != nil {
 			t.Fatalf("Section(%q) = %+v, %v; ReadInto reported hash %x, length %d", r.Name, sec, ok, r.Hash, r.RawLen)
 		}
 	}
