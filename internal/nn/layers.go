@@ -18,8 +18,7 @@ type Linear struct {
 
 // NewLinear constructs a Xavier-initialized linear layer.
 func NewLinear(name string, rng *xrand.RNG, in, out int) *Linear {
-	w := tensor.Transpose(tensor.XavierUniform(rng, in, out)) // (in, out)
-	l := &Linear{W: autograd.NewParam(w), B: autograd.NewParam(tensor.New(out))}
+	l := &Linear{W: autograd.NewParam(tensor.XavierUniform(rng, in, out)), B: autograd.NewParam(tensor.New(out))}
 	l.params = []Param{{Name: name + ".w", Var: l.W}, {Name: name + ".b", Var: l.B}}
 	return l
 }
@@ -198,8 +197,8 @@ type RNNCell struct {
 // NewRNNCell constructs a cell mapping in-dim inputs to hidden-dim state.
 func NewRNNCell(name string, rng *xrand.RNG, in, hidden int) *RNNCell {
 	c := &RNNCell{
-		wx: autograd.NewParam(tensor.Transpose(tensor.XavierUniform(rng, in, hidden))),
-		wh: autograd.NewParam(tensor.Transpose(tensor.XavierUniform(rng, hidden, hidden))),
+		wx: autograd.NewParam(tensor.XavierUniform(rng, in, hidden)),
+		wh: autograd.NewParam(tensor.XavierUniform(rng, hidden, hidden)),
 		b:  autograd.NewParam(tensor.New(hidden)),
 	}
 	c.params = []Param{{Name: name + ".wx", Var: c.wx}, {Name: name + ".wh", Var: c.wh}, {Name: name + ".b", Var: c.b}}

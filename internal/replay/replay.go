@@ -662,16 +662,15 @@ func (w *worker) finish() *WorkerReport {
 	}
 	w.report.Fetch = w.rt.FetchSnapshot()
 	if w.tr != nil {
-		attrs := map[string]int64{
-			"setup_ns":       w.report.SetupNs,
-			"init_ns":        w.report.InitNs,
-			"work_ns":        w.report.WorkNs,
-			"restore_ns":     w.report.RestoreNs,
-			"restored":       int64(w.report.Restored),
-			"restored_bytes": w.report.RestoredBytes,
-			"executed":       int64(w.report.Executed),
-		}
-		w.report.Fetch.Each(func(tier string, bytes, _ int64) { attrs[tier+"_bytes"] = bytes })
+		attrs := make(map[string]int64, 7+store.FetchTiers)
+		attrs["setup_ns"] = w.report.SetupNs
+		attrs["init_ns"] = w.report.InitNs
+		attrs["work_ns"] = w.report.WorkNs
+		attrs["restore_ns"] = w.report.RestoreNs
+		attrs["restored"] = int64(w.report.Restored)
+		attrs["restored_bytes"] = w.report.RestoredBytes
+		attrs["executed"] = int64(w.report.Executed)
+		w.report.Fetch.Each(func(bytesKey, _ string, bytes, _ int64) { attrs[bytesKey] = bytes })
 		w.tr.Add(obs.Span{Name: "worker", Worker: w.pid, StartNs: w.tr.Now(),
 			DurNs: w.report.SetupNs + w.report.InitNs + w.report.WorkNs, Attrs: attrs})
 	}

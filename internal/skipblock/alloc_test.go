@@ -7,8 +7,10 @@ import (
 
 	"flor.dev/flor/internal/backmat"
 	"flor.dev/flor/internal/nn"
+	"flor.dev/flor/internal/obs"
 	"flor.dev/flor/internal/opt"
 	"flor.dev/flor/internal/script"
+	"flor.dev/flor/internal/store"
 	"flor.dev/flor/internal/tensor"
 	"flor.dev/flor/internal/value"
 	"flor.dev/flor/internal/xrand"
@@ -231,4 +233,75 @@ func TestMaterializeSteadyStateAllocation(t *testing.T) {
 	}
 	t.Logf("checkpoints of %d bytes: the second to the fourth allocated %d, the worst after them %d",
 		perCheckpoint, allocated[3]-allocated[0], worst)
+}
+
+// attrSink keeps the reference map of TestTracedLoadAllocation alive, so the
+// compiler cannot build it on the stack.
+var attrSink map[string]int64
+
+// TestTracedLoadAllocation pins what a trace adds to a load: the restore
+// span and its attribute map, made at its final size with keys the store's
+// tier table spells once — not a name built per tier on every load, nor a
+// map grown entry by entry. The same model-only load runs untraced and
+// traced under testing.AllocsPerRun; the difference may be at most what
+// building a map of the span's keys alone allocates, plus one for the
+// trace's span list growing.
+func TestTracedLoadAllocation(t *testing.T) {
+	skipUnderRace(t)
+	const epochs = 4
+	p := sgdProgram(epochs, nil)
+	rt, st, mat, tracker := newHarness(t, p, backmat.Fork)
+	runProgram(t, p, rt, func(string) {})
+	if err := mat.Close(); err != nil {
+		t.Fatal(err)
+	}
+	load := func(tr *obs.Trace) float64 {
+		rt, _ := replayModelOnly(t, st, tracker, epochs, false, nil)
+		rt.SetTrace(tr, 0)
+		b, _ := rt.Block("train")
+		bd := &binding{b: b, key: store.Key{LoopID: "train", Exec: 1}}
+		names := []string{"net"}
+		return testing.AllocsPerRun(50, func() {
+			bd.done = bd.done[:0]
+			if _, err := b.load(bd, names); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	untraced := load(nil)
+	tr := obs.NewTrace()
+	traced := load(tr)
+
+	spans := tr.Spans()
+	if len(spans) == 0 || spans[len(spans)-1].Name != "restore" {
+		t.Fatalf("the traced loads left no restore span: %v", spans)
+	}
+	attrs := spans[len(spans)-1].Attrs
+	want := []string{"exec", "restored_bytes"}
+	for _, tier := range []string{"scatter", "ranged", "cache", "remote", "cache_tier", "singleflight"} {
+		want = append(want, tier+"_bytes", tier+"_frames")
+	}
+	if len(attrs) != len(want) {
+		t.Fatalf("restore span attributes %v, want the keys %v", attrs, want)
+	}
+	for _, k := range want {
+		if _, ok := attrs[k]; !ok {
+			t.Fatalf("restore span attributes %v lack %q", attrs, k)
+		}
+	}
+	if attrs["restored_bytes"] <= 0 || attrs["exec"] != 1 {
+		t.Fatalf("restore span attributes %v: want exec 1 and the model's bytes", attrs)
+	}
+	mapAllocs := testing.AllocsPerRun(50, func() {
+		m := make(map[string]int64, len(want))
+		for _, k := range want {
+			m[k] = 1
+		}
+		attrSink = m
+	})
+	if traced-untraced > mapAllocs+1 {
+		t.Fatalf("a traced load allocates %v times, an untraced one %v: tracing may add the span's map (%v) and one more",
+			traced, untraced, mapAllocs)
+	}
+	t.Logf("a load allocates %v times untraced and %v traced; the span's map alone %v", untraced, traced, mapAllocs)
 }

@@ -629,9 +629,10 @@ func (b *Block) load(bd *binding, names []string) (more bool, err error) {
 	b.stats.RestoreNs += restoreNs
 	b.stats.RestoredBytes += restoredBytes
 	if rt.tr != nil {
-		attrs := map[string]int64{"exec": int64(key.Exec), "restored_bytes": restoredBytes}
-		rt.fetch.Snapshot().Sub(fetchBefore).Each(func(tier string, bytes, frames int64) {
-			attrs[tier+"_bytes"], attrs[tier+"_frames"] = bytes, frames
+		attrs := make(map[string]int64, 2+2*store.FetchTiers)
+		attrs["exec"], attrs["restored_bytes"] = int64(key.Exec), restoredBytes
+		rt.fetch.Snapshot().Sub(fetchBefore).Each(func(bytesKey, framesKey string, bytes, frames int64) {
+			attrs[bytesKey], attrs[framesKey] = bytes, frames
 		})
 		rt.tr.Add(obs.Span{Name: "restore", Worker: rt.worker, StartNs: spanStart, DurNs: restoreNs, Attrs: attrs})
 	}

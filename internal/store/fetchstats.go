@@ -16,21 +16,26 @@ const (
 	numTiers
 )
 
-// tierTable is the one place a tier is spelled out: its metric label value,
-// its span-attribute and JSON key prefix, and its FetchSnapshot fields.
-// Everything per-tier — counters, snapshots, snapshot algebra, span
-// attributes — loops over it.
+// FetchTiers is the number of fetch tiers: a span that carries both
+// attributes of every tier carries 2*FetchTiers of them.
+const FetchTiers = numTiers
+
+// tierTable is the one place a tier's names are spelled out: its metric
+// label value and its span-attribute and JSON keys. Everything per-tier —
+// counters, snapshots, snapshot algebra, span attributes — loops over it,
+// reaching a tier's FetchSnapshot fields through FetchSnapshot.counts. The
+// keys are spelled whole, not built per call: every traced load writes them.
 var tierTable = [numTiers]struct {
-	label string
-	key   string
-	field func(*FetchSnapshot) (bytes, frames *int64)
+	label     string
+	bytesKey  string
+	framesKey string
 }{
-	tierScatter:      {"scatter", "scatter", func(s *FetchSnapshot) (*int64, *int64) { return &s.ScatterBytes, &s.ScatterFrames }},
-	tierRanged:       {"ranged", "ranged", func(s *FetchSnapshot) (*int64, *int64) { return &s.RangedBytes, &s.RangedFrames }},
-	tierCache:        {"cache", "cache", func(s *FetchSnapshot) (*int64, *int64) { return &s.CacheBytes, &s.CacheFrames }},
-	tierRemote:       {"remote", "remote", func(s *FetchSnapshot) (*int64, *int64) { return &s.RemoteBytes, &s.RemoteFrames }},
-	tierCacheTier:    {"cache-tier", "cache_tier", func(s *FetchSnapshot) (*int64, *int64) { return &s.CacheTierBytes, &s.CacheTierFrames }},
-	tierSingleflight: {"singleflight", "singleflight", func(s *FetchSnapshot) (*int64, *int64) { return &s.SingleflightBytes, &s.SingleflightFrames }},
+	tierScatter:      {"scatter", "scatter_bytes", "scatter_frames"},
+	tierRanged:       {"ranged", "ranged_bytes", "ranged_frames"},
+	tierCache:        {"cache", "cache_bytes", "cache_frames"},
+	tierRemote:       {"remote", "remote_bytes", "remote_frames"},
+	tierCacheTier:    {"cache-tier", "cache_tier_bytes", "cache_tier_frames"},
+	tierSingleflight: {"singleflight", "singleflight_bytes", "singleflight_frames"},
 }
 
 // FetchStats accumulates per-tier fetch accounting for one observer — a
@@ -59,7 +64,7 @@ func (f *FetchStats) Snapshot() FetchSnapshot {
 		return s
 	}
 	for t := range tierTable {
-		b, n := tierTable[t].field(&s)
+		b, n := s.counts(t)
 		*b, *n = f.bytes[t].Load(), f.frames[t].Load()
 	}
 	return s
@@ -92,20 +97,42 @@ type FetchSnapshot struct {
 	SingleflightFrames int64 `json:"singleflight_frames"`
 }
 
-// Each calls f once per fetch tier with the tier's key — the prefix of its
-// span attributes and JSON fields ("scatter", "cache_tier", …) — and counts.
-func (s FetchSnapshot) Each(f func(tier string, bytes, frames int64)) {
+// counts returns tier t's FetchSnapshot fields. A method rather than a
+// func-valued tierTable column: a call through a func value would move
+// every snapshot the algebra below takes the address of to the heap.
+func (s *FetchSnapshot) counts(t int) (bytes, frames *int64) {
+	switch t {
+	case tierScatter:
+		return &s.ScatterBytes, &s.ScatterFrames
+	case tierRanged:
+		return &s.RangedBytes, &s.RangedFrames
+	case tierCache:
+		return &s.CacheBytes, &s.CacheFrames
+	case tierRemote:
+		return &s.RemoteBytes, &s.RemoteFrames
+	case tierCacheTier:
+		return &s.CacheTierBytes, &s.CacheTierFrames
+	case tierSingleflight:
+		return &s.SingleflightBytes, &s.SingleflightFrames
+	}
+	panic("store: unknown fetch tier")
+}
+
+// Each calls f once per fetch tier with the tier's counts and the keys they
+// go under in span attributes and JSON fields ("scatter_bytes",
+// "cache_tier_frames", …).
+func (s FetchSnapshot) Each(f func(bytesKey, framesKey string, bytes, frames int64)) {
 	for t := range tierTable {
-		b, n := tierTable[t].field(&s)
-		f(tierTable[t].key, *b, *n)
+		b, n := s.counts(t)
+		f(tierTable[t].bytesKey, tierTable[t].framesKey, *b, *n)
 	}
 }
 
 // Sub returns the delta s - prev (both from the same FetchStats).
 func (s FetchSnapshot) Sub(prev FetchSnapshot) FetchSnapshot {
 	for t := range tierTable {
-		b, n := tierTable[t].field(&s)
-		pb, pn := tierTable[t].field(&prev)
+		b, n := s.counts(t)
+		pb, pn := prev.counts(t)
 		*b, *n = *b-*pb, *n-*pn
 	}
 	return s
@@ -114,8 +141,8 @@ func (s FetchSnapshot) Sub(prev FetchSnapshot) FetchSnapshot {
 // Add returns the element-wise sum s + o.
 func (s FetchSnapshot) Add(o FetchSnapshot) FetchSnapshot {
 	for t := range tierTable {
-		b, n := tierTable[t].field(&s)
-		ob, on := tierTable[t].field(&o)
+		b, n := s.counts(t)
+		ob, on := o.counts(t)
 		*b, *n = *b+*ob, *n+*on
 	}
 	return s
@@ -123,12 +150,12 @@ func (s FetchSnapshot) Add(o FetchSnapshot) FetchSnapshot {
 
 // TotalBytes returns the snapshot's byte total across all tiers.
 func (s FetchSnapshot) TotalBytes() (total int64) {
-	s.Each(func(_ string, b, _ int64) { total += b })
+	s.Each(func(_, _ string, b, _ int64) { total += b })
 	return total
 }
 
 // TotalFrames returns the snapshot's frame total across all tiers.
 func (s FetchSnapshot) TotalFrames() (total int64) {
-	s.Each(func(_ string, _, n int64) { total += n })
+	s.Each(func(_, _ string, _, n int64) { total += n })
 	return total
 }

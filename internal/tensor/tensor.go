@@ -22,6 +22,13 @@
 //     a left fold in index order. Training depends on these — autograd's
 //     mean loss, and the committed fixtures' recorded sums — so they keep
 //     the order they were recorded with.
+//
+// Initializers are pinned the same way. XavierUniform returns the
+// (fanIn, fanOut) matrix a layer multiplies by, drawing its values in the
+// order recorded runs drew them — row-major over (fanOut, fanIn) — and
+// writing each to its transposed place, so a replay worker builds the
+// recorded weights bit for bit without building and transposing a second
+// matrix.
 package tensor
 
 import (
@@ -97,11 +104,22 @@ func Uniform(rng *xrand.RNG, lo, hi float64, shape ...int) *Tensor {
 	return t
 }
 
-// XavierUniform returns a (fanOut, fanIn)-shaped weight matrix initialized
-// with the Glorot/Xavier uniform scheme.
+// XavierUniform returns a (fanIn, fanOut)-shaped weight matrix, the layout
+// y = xW multiplies by, initialized with the Glorot/Xavier uniform scheme.
+// It draws its U(-limit, limit) values in row-major order over (fanOut,
+// fanIn), one output unit's fan-in after another, and writes each straight
+// to its place in the (fanIn, fanOut) matrix: the result is the transpose
+// of Uniform(rng, -limit, limit, fanOut, fanIn), bit for bit, and leaves
+// rng where that call would.
 func XavierUniform(rng *xrand.RNG, fanIn, fanOut int) *Tensor {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
-	return Uniform(rng, -limit, limit, fanOut, fanIn)
+	t := New(fanIn, fanOut)
+	for o := 0; o < fanOut; o++ {
+		for i := o; i < len(t.data); i += fanOut {
+			t.data[i] = -limit + 2*limit*rng.Float64() // Uniform's lo + (hi-lo)*u
+		}
+	}
+	return t
 }
 
 // Shape returns the tensor's dimensions. The returned slice must not be

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -282,8 +283,64 @@ func TestXavierUniformBounds(t *testing.T) {
 			t.Fatalf("Xavier value %g outside [-%g, %g)", v, limit, limit)
 		}
 	}
-	if w.Dim(0) != 20 || w.Dim(1) != 30 {
-		t.Fatalf("Xavier shape %v, want [20 30]", w.Shape())
+	if w.Dim(0) != 30 || w.Dim(1) != 20 {
+		t.Fatalf("Xavier shape %v, want [30 20]", w.Shape())
+	}
+}
+
+// xavierReference is XavierUniform's draw order written out: values drawn
+// one output unit's fan-in after another, row-major over (fanOut, fanIn),
+// each landing at its transposed place in the (fanIn, fanOut) matrix.
+func xavierReference(rng *xrand.RNG, fanIn, fanOut int) []float64 {
+	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
+	lo, hi := -limit, limit
+	out := make([]float64, fanIn*fanOut)
+	for o := 0; o < fanOut; o++ {
+		for i := 0; i < fanIn; i++ {
+			out[i*fanOut+o] = lo + (hi-lo)*rng.Float64()
+		}
+	}
+	return out
+}
+
+// TestXavierUniformDrawOrder pins XavierUniform bit for bit against the
+// reference loop, and pins that it leaves the generator where the loop
+// does: the weights a replayed program builds must be the recorded ones.
+func TestXavierUniformDrawOrder(t *testing.T) {
+	shapes := [][2]int{{1, 9}, {9, 1}, {1, 64}, {64, 1}, {3, 7}, {32, 64}, {64, 64}, {2048, 1024}}
+	for _, seed := range []uint64{0, 1, 42, 0xC1F4} {
+		for _, s := range shapes {
+			fanIn, fanOut := s[0], s[1]
+			rng, ref := xrand.New(seed), xrand.New(seed)
+			w := XavierUniform(rng, fanIn, fanOut)
+			want := xavierReference(ref, fanIn, fanOut)
+			if w.Dims() != 2 || w.Dim(0) != fanIn || w.Dim(1) != fanOut {
+				t.Fatalf("XavierUniform(%d, %d) has shape %v", fanIn, fanOut, w.Shape())
+			}
+			for i, v := range w.Data() {
+				if math.Float64bits(v) != math.Float64bits(want[i]) {
+					t.Fatalf("seed %d, %dx%d: element %d is %v, the reference loop drew %v", seed, fanIn, fanOut, i, v, want[i])
+				}
+			}
+			if rng.Uint64() != ref.Uint64() {
+				t.Fatalf("seed %d, %dx%d: XavierUniform left the generator elsewhere than the reference loop", seed, fanIn, fanOut)
+			}
+		}
+	}
+}
+
+// BenchmarkXavierUniform times the initializer on the shapes of the
+// benchmark's models (64x64, 32x64) and on two large ones, where the
+// transposed write's cache behaviour shows.
+func BenchmarkXavierUniform(b *testing.B) {
+	for _, s := range [][2]int{{64, 64}, {32, 64}, {512, 512}, {2048, 1024}} {
+		b.Run(fmt.Sprintf("%dx%d", s[0], s[1]), func(b *testing.B) {
+			b.ReportAllocs()
+			rng := xrand.New(1)
+			for b.Loop() {
+				XavierUniform(rng, s[0], s[1])
+			}
+		})
 	}
 }
 
