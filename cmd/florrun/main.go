@@ -6,14 +6,13 @@
 //
 //	florrun -workload RsNt -dir ./run-rsnt [-scale smoke|full]
 //	        [-epsilon 0.0667] [-no-adaptive] [-strategy fork|baseline|queue|plasma]
-//	        [-shards 16] [-shard-dirs /mnt/a,/mnt/b] [-pool ./project/POOL]
+//	        [-pool ./project/POOL]
 //
-// -shards records into a hash-prefix sharded checkpoint store (see
-// docs/FORMATS.md); -shard-dirs spreads its packs over extra root
-// directories. -pool records into a shared chunk pool, deduplicating
-// checkpoint chunks against every other run attached to the same pool
-// (fine-tuning families over one frozen backbone store it once). Replay
-// needs no matching flags — the layout is detected from the run directory.
+// -pool records into a shared chunk pool, deduplicating checkpoint chunks
+// against every other run attached to the same pool (fine-tuning families
+// over one frozen backbone store it once); without it the run keeps its
+// chunks in a private pack. Replay needs no matching flags — the layout is
+// detected from the run directory.
 package main
 
 import (
@@ -21,7 +20,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	flor "flor.dev/flor"
 	"flor.dev/flor/internal/workloads"
@@ -34,8 +32,6 @@ func main() {
 	epsilon := flag.Float64("epsilon", 0, "record overhead tolerance (default 1/15)")
 	noAdaptive := flag.Bool("no-adaptive", false, "materialize every loop execution")
 	strategy := flag.String("strategy", "fork", "materialization strategy: fork, baseline, queue, plasma")
-	shards := flag.Int("shards", 0, "hash-prefix shard fanout for the checkpoint store (power of two in [2,256]; 0 = single pack)")
-	shardDirs := flag.String("shard-dirs", "", "comma-separated extra root dirs for shard packs (requires -shards)")
 	pool := flag.String("pool", "", "shared chunk-pool root: dedup checkpoint chunks across every run attached to the same pool")
 	flag.Parse()
 
@@ -70,24 +66,6 @@ func main() {
 		opts = append(opts, flor.WithStrategy(flor.StrategyPlasma))
 	default:
 		log.Fatalf("florrun: unknown strategy %q", *strategy)
-	}
-	if *shards > 0 {
-		opts = append(opts, flor.Shards(*shards))
-	}
-	if *shardDirs != "" {
-		if *shards <= 1 {
-			log.Fatal("florrun: -shard-dirs requires -shards")
-		}
-		if *pool != "" {
-			log.Fatal("florrun: -shard-dirs and -pool are mutually exclusive (pooled packs live in the pool)")
-		}
-		var dirs []string
-		for _, d := range strings.Split(*shardDirs, ",") {
-			if d = strings.TrimSpace(d); d != "" {
-				dirs = append(dirs, d)
-			}
-		}
-		opts = append(opts, flor.ShardDirs(dirs...))
 	}
 	if *pool != "" {
 		opts = append(opts, flor.Pool(*pool))

@@ -173,24 +173,6 @@ func DisableAdaptiveCheckpointing() Option {
 	return func(o *options) { o.rec.DisableAdaptive = true }
 }
 
-// Shards records into a hash-prefix sharded checkpoint store at the given
-// fanout (a power of two in [2, 256]; store.DefaultShardFanout is 16).
-// Sharding splits the chunk pack and dedup index by content-hash prefix so
-// checkpoint writes fan out across shards concurrently and replay issues
-// per-shard reads; see docs/FORMATS.md. Replay needs no matching option —
-// the layout is detected from the run directory.
-func Shards(fanout int) Option {
-	return func(o *options) { o.rec.ShardFanout = fanout }
-}
-
-// ShardDirs spreads a sharded store's packs over extra root directories
-// (one device or mount per directory). Only meaningful together with
-// Shards; the directory list is persisted in the run directory so replay
-// and serving find the packs without options.
-func ShardDirs(dirs ...string) Option {
-	return func(o *options) { o.rec.ShardDirs = dirs }
-}
-
 // Pool records into a shared chunk pool rooted at dir (created on first
 // use; relative paths resolve against the process working directory, while
 // the run's manifest records a run-dir-relative reference so a project
@@ -198,9 +180,9 @@ func ShardDirs(dirs ...string) Option {
 // the same pool — a fine-tuning family over one frozen backbone, a swept
 // hyperparameter grid — deduplicate checkpoint chunks against each other,
 // so shared state is stored once per project instead of once per run, and
-// concurrent replays of sibling runs share decoded payloads. Combine with
-// Shards to pick the pool's shard fanout at creation. Replay needs no
-// matching option — the run's manifest records the attachment.
+// concurrent replays of sibling runs share decoded payloads. A new pool
+// splits its packs into store.DefaultShardFanout hash-prefix shards. Replay
+// needs no matching option — the run's manifest records the attachment.
 func Pool(dir string) Option {
 	return func(o *options) { o.rec.Pool = dir }
 }

@@ -155,15 +155,26 @@ func TestCaptureVouchesOnlyForChunksItFoundUnchanged(t *testing.T) {
 	}
 }
 
-// layouts are the three writer layouts a recording can have.
+// layouts are the three layouts a recording can have: the two this build
+// creates, and a fanout-16 private store an older build created (its FORMAT
+// marker planted in base/run before the first open).
 var layouts = []struct {
 	name string
-	opts func(base string) store.Options
+	opts func(t testing.TB, base string) store.Options
 }{
-	{"private", func(string) store.Options { return store.Options{} }},
-	{"sharded", func(string) store.Options { return store.Options{ShardFanout: 16} }},
-	{"pooled", func(base string) store.Options {
-		return store.Options{Pool: filepath.Join(base, "pool"), ShardFanout: 16}
+	{"private", func(testing.TB, string) store.Options { return store.Options{} }},
+	{"sharded", func(t testing.TB, base string) store.Options {
+		run := filepath.Join(base, "run")
+		if err := os.MkdirAll(run, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(run, "FORMAT"), []byte("2 shards=16\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return store.Options{}
+	}},
+	{"pooled", func(_ testing.TB, base string) store.Options {
+		return store.Options{Pool: filepath.Join(base, "pool")}
 	}},
 }
 
@@ -171,10 +182,10 @@ var layouts = []struct {
 // strat into base/run (and base/pool) and returns every file written, by path
 // relative to base, the committed metas with their stopwatch fields zeroed,
 // and each checkpoint as it reads back.
-func recordChanging(t *testing.T, strat Strategy, opts func(string) store.Options, checkpoints int) (files map[string]string, metas []store.Meta, bundles [][]byte) {
+func recordChanging(t *testing.T, strat Strategy, opts func(testing.TB, string) store.Options, checkpoints int) (files map[string]string, metas []store.Meta, bundles [][]byte) {
 	t.Helper()
 	base := t.TempDir()
-	st, err := store.OpenWith(filepath.Join(base, "run"), opts(base))
+	st, err := store.OpenWith(filepath.Join(base, "run"), opts(t, base))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,13 +38,6 @@ type RecordOptions struct {
 	// DisableAdaptive materializes every loop execution regardless of cost,
 	// reproducing the "adaptivity disabled" configuration of Figure 7.
 	DisableAdaptive bool
-	// ShardFanout requests a hash-prefix sharded chunk store for new runs
-	// (power of two in [2, 256]); 0 keeps the single-pack v2 layout.
-	ShardFanout int
-	// ShardDirs spreads the sharded store's packs over extra root
-	// directories (persisted in the run directory, so replay and serving
-	// find them without options).
-	ShardDirs []string
 	// Pool attaches the run to a shared chunk pool at this root (created on
 	// first use; see store.Options.Pool). Runs of one project attached to
 	// the same pool deduplicate chunks against each other — fine-tuning
@@ -73,11 +66,7 @@ type RecordResult struct {
 // checkpoints into dir. The returned Recording is everything replay needs.
 func Record(dir string, factory func() *script.Program, opts RecordOptions) (*RecordResult, error) {
 	p := factory()
-	st, err := store.OpenWith(dir, store.Options{
-		ShardFanout: opts.ShardFanout,
-		ShardDirs:   opts.ShardDirs,
-		Pool:        opts.Pool,
-	})
+	st, err := store.OpenWith(dir, store.Options{Pool: opts.Pool})
 	if err != nil {
 		return nil, err
 	}

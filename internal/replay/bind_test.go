@@ -82,8 +82,11 @@ func withLog(factory func() *script.Program, label string, eval func(*script.Env
 func TestRestoredBytesCountOnlyWhatStatementsRead(t *testing.T) {
 	const epochs, fanout = 6, 256
 	factory := sgdFactory(epochs)
-	dir := t.TempDir()
-	if _, err := core.Record(dir, factory, core.RecordOptions{DisableAdaptive: true, ShardFanout: fanout}); err != nil {
+	dir := t.TempDir() // a fanout-256 store, as an older build created it
+	if err := os.WriteFile(filepath.Join(dir, "FORMAT"), []byte(fmt.Sprintf("2 shards=%d\n", fanout)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Record(dir, factory, core.RecordOptions{DisableAdaptive: true}); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := core.LoadRecordingShared(dir)

@@ -14,11 +14,18 @@ import (
 )
 
 // recordShardedRun records miniFactory into dir with a fanout-16 sharded
-// checkpoint store and returns the factory.
+// checkpoint store, as an older build created one (its FORMAT marker planted
+// before the first open), and returns the factory.
 func recordShardedRun(t *testing.T, dir string, epochs, steps int, seed uint64) func() *script.Program {
 	t.Helper()
 	factory := miniFactory(epochs, steps, seed)
-	if _, err := core.Record(dir, factory, core.RecordOptions{DisableAdaptive: true, ShardFanout: 16}); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "FORMAT"), []byte("2 shards=16\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Record(dir, factory, core.RecordOptions{DisableAdaptive: true}); err != nil {
 		t.Fatal(err)
 	}
 	return factory

@@ -9,10 +9,10 @@ import (
 	"path/filepath"
 )
 
-// Backend abstracts where a store's chunk-pack bytes live. The sharded
-// checkpoint store addresses every pack through this interface, so shard
-// packs can be spread across directories (and, later, devices or S3-style
-// object stores) without the read or write paths knowing.
+// Backend abstracts where a store's chunk-pack bytes live. The checkpoint
+// store addresses every pack through this interface, so packs can live in
+// local directories or an S3-style object store (remote.ObjectBackend)
+// without the read or write paths knowing.
 //
 // The contract is shaped by what an append-only pack needs and by what
 // ranged remote stores can offer:
@@ -91,10 +91,9 @@ type BackendWriter interface {
 }
 
 // DirBackend stores objects as plain files spread over one or more root
-// directories. With a single root it reproduces the classic run-directory
-// layout; with several, shard packs fan out across the roots (one device or
-// mount per root), so concurrent shard appends and reads hit independent
-// directories.
+// directories. A store this build creates has a single root, its run
+// directory; an older build could spread a sharded store's packs over
+// several (legacy.go), and they stay where it put them.
 type DirBackend struct {
 	roots []string
 }
@@ -114,14 +113,15 @@ func NewDirBackend(roots ...string) (*DirBackend, error) {
 }
 
 // path maps an object name to its file: with several roots, placement
-// hashes the name.
+// hashes the name. The arithmetic stays in uint32 so that every build, 32-
+// or 64-bit, places an object on the root a 64-bit build always has.
 func (b *DirBackend) path(name string) string {
 	if len(b.roots) == 1 {
 		return filepath.Join(b.roots[0], name)
 	}
 	h := fnv.New32a()
 	h.Write([]byte(name))
-	return filepath.Join(b.roots[int(h.Sum32())%len(b.roots)], name)
+	return filepath.Join(b.roots[h.Sum32()%uint32(len(b.roots))], name)
 }
 
 // Size implements Backend.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -136,7 +138,7 @@ func TestFaultMatrixRemoteRestore(t *testing.T) {
 				}
 				backend := remote.NewObjectBackend(remote.Retry(fb, retryPolicy), "packs", cache)
 				dir := t.TempDir()
-				s, err := store.OpenWith(dir, store.Options{Backend: backend, ShardFanout: 2})
+				s, err := openFanout2(t, dir, backend)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -190,7 +192,7 @@ func TestFaultMatrixConcurrentRemoteRestore(t *testing.T) {
 				const nKeys = 5
 				mem := remote.NewMemStore()
 				dir := t.TempDir()
-				w, err := store.OpenWith(dir, store.Options{Backend: remote.NewObjectBackend(mem, "packs", nil), ShardFanout: 2})
+				w, err := openFanout2(t, dir, remote.NewObjectBackend(mem, "packs", nil))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -261,7 +263,7 @@ func TestFaultMatrixExhaustion(t *testing.T) {
 	// Write cleanly...
 	clean := remote.NewObjectBackend(remote.Retry(mem, policy), "packs", nil)
 	dir := t.TempDir()
-	s, err := store.OpenWith(dir, store.Options{Backend: clean, ShardFanout: 2})
+	s, err := openFanout2(t, dir, clean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +306,7 @@ func TestFaultMatrixGC(t *testing.T) {
 			}
 			fb := faultbackend.WrapBackend(db, faultbackend.Config{Seed: seed, ReadErrNth: 2, ShortReadNth: 3})
 			dir := t.TempDir()
-			s, err := store.OpenWith(dir, store.Options{Backend: fb, ShardFanout: 2})
+			s, err := openFanout2(t, dir, fb)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -361,4 +363,15 @@ func readAll(st *store.Store, key store.Key) ([]store.Section, error) {
 		return nil, err
 	}
 	return c.ReadInto(nil, nil, nil, nil)
+}
+
+// openFanout2 opens a store over backend in dir, a directory an older build
+// made a fanout-2 store of: its FORMAT marker is planted before the first
+// open, which adopts it.
+func openFanout2(t testing.TB, dir string, backend store.Backend) (*store.Store, error) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, "FORMAT"), []byte("2 shards=2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return store.OpenWith(dir, store.Options{Backend: backend})
 }

@@ -46,7 +46,7 @@ func TestFetchStopsDispatchingAfterFirstError(t *testing.T) {
 	objs := &countingObjects{ObjectStore: remote.NewMemStore()}
 	dir := t.TempDir()
 	key := store.Key{LoopID: "train", Exec: 0}
-	w, err := store.OpenWith(dir, store.Options{Backend: remote.NewObjectBackend(objs, "packs", nil), ShardFanout: 1})
+	w, err := store.OpenWith(dir, store.Options{Backend: remote.NewObjectBackend(objs, "packs", nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

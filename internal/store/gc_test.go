@@ -61,7 +61,8 @@ func TestGCCompactsSupersededChunks(t *testing.T) {
 	}
 
 	// And survives reopen: the rewritten manifest carries generation
-	// records, the marker carries the gc flag, pre-GC markers still parse.
+	// records, and the marker carries "dirs", which every build that
+	// predates generations refuses — the open wrote it, and GC left it.
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatalf("reopen after GC: %v", err)
@@ -71,8 +72,8 @@ func TestGCCompactsSupersededChunks(t *testing.T) {
 		t.Fatalf("reopen read: %v", err)
 	}
 	raw, _ := os.ReadFile(filepath.Join(dir, formatFile))
-	if m, err := parseFormatMarker(raw); err != nil || !m.gc {
-		t.Fatalf("marker %q: parsed %+v err=%v, want gc flag", raw, m, err)
+	if string(raw) != "2 dirs\n" {
+		t.Fatalf("marker %q after a compacting GC, want %q", raw, "2 dirs\n")
 	}
 
 	// New writes after compaction land in the new generation and read back.
@@ -226,9 +227,9 @@ func TestGCRacesConcurrentReads(t *testing.T) {
 
 // TestReopenAfterCrashedCompaction simulates the two crash windows of a
 // compaction pass: (a) the new-generation pack was written but the commit
-// (manifest rewrite) never happened, and (b) the marker gained the gc flag
-// but the manifest was not rewritten. Both must reopen cleanly, and a later
-// GC must complete over the leftovers.
+// (manifest rewrite) never happened, and (b) an older build's pass had
+// added the gc flag to the marker but not rewritten the manifest. Both must
+// reopen cleanly, and a later GC must complete over the leftovers.
 func TestReopenAfterCrashedCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -251,7 +252,7 @@ func TestReopenAfterCrashedCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash window (b): marker already carries the gc flag.
-	if err := writeFileAtomic(filepath.Join(dir, formatFile), formatMarker(1, false, true, false, true)); err != nil {
+	if err := writeFileAtomic(filepath.Join(dir, formatFile), formatMarker(1, false, true, false)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -439,11 +440,11 @@ func TestGCMarkFailsClosed(t *testing.T) {
 	if err := os.WriteFile(seg, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	before := dirBytes(t, dir)
-	s, err := Open(dir)
+	s, err := Open(dir) // settles the marker: "2 gc" gains "dirs"
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := dirBytes(t, dir)
 	if _, err := s.GCWith(GCOptions{PackRetention: time.Hour}); !errors.Is(err, codec.ErrCorrupt) {
 		t.Fatalf("GC with an unreadable directory: %v, want codec.ErrCorrupt", err)
 	}

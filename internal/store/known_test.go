@@ -112,25 +112,25 @@ func TestOfferedHashThatIsNotTheChunksFailsThePut(t *testing.T) {
 
 // TestWriteFileAtomicLeavesNoTmp: whichever step fails, the temporary sibling
 // is gone. The write is made to fail by a directory squatting on the tmp path:
-// the FORMAT marker's, which the first put of a fresh store rewrites with its
-// "dirs" token before any record carries a directory.
+// the FORMAT marker's, which a writable open of a fresh directory writes
+// before anything else.
 func TestWriteFileAtomicLeavesNoTmp(t *testing.T) {
-	s := openTemp(t)
-	if err := os.Mkdir(s.formatPath()+".tmp", 0o755); err != nil {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, formatFile+".tmp"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.PutSections(Key{LoopID: "l", Exec: 1}, []Section{{Name: "w", Data: []byte("y")}}, 0, 0, 0); err == nil {
+	if _, err := Open(dir); err == nil {
 		t.Fatal("FORMAT written through a directory")
 	}
 	// The rename step: a non-empty directory squats on the destination.
-	dst := filepath.Join(s.Dir(), "dst")
+	dst := filepath.Join(dir, "dst")
 	if err := os.MkdirAll(filepath.Join(dst, "child"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeFileAtomic(dst, []byte("z")); err == nil {
 		t.Fatal("file renamed over a non-empty directory")
 	}
-	entries, err := os.ReadDir(s.Dir())
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +139,12 @@ func TestWriteFileAtomicLeavesNoTmp(t *testing.T) {
 			t.Fatalf("%s left behind", e.Name())
 		}
 	}
-	if s.Has(Key{LoopID: "l", Exec: 1}) {
-		t.Fatal("checkpoint committed before its FORMAT token")
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("store unusable after a failed marker write: %v", err)
 	}
 	if _, err := s.PutSections(Key{LoopID: "l", Exec: 2}, []Section{{Name: "w", Data: []byte("y")}}, 0, 0, 0); err != nil {
-		t.Fatalf("store unusable after a failed marker write: %v", err)
+		t.Fatal(err)
 	}
 	if m, err := os.ReadFile(s.formatPath()); err != nil || string(m) != "2 dirs\n" {
 		t.Fatalf("FORMAT %q, %v; want the dirs token", m, err)

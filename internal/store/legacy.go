@@ -1,18 +1,27 @@
 package store
 
-// legacy.go is the read-compat seam for segment files, the one place that
-// names them. Older builds wrote one ckpt-<seq>.bin per checkpoint (a
-// CRC-framed directory in v2, the whole checkpoint as a bundle in v1) beside
-// a meta record that carries no directory. Open reads each one once, into
-// the directory the index holds: a v2 one decoded, a v1 one split into its
-// entries and hashed. GC's manifest rewrite carries every v2 directory, and
-// removes the files; v1 runs are read-only and keep theirs.
+// legacy.go is the read-compat seam for what older builds left in a run
+// directory and this one never writes, the one place that names it:
+//
+//   - Segment files. Older builds wrote one ckpt-<seq>.bin per checkpoint (a
+//     CRC-framed directory in v2, the whole checkpoint as a bundle in v1)
+//     beside a meta record that carries no directory. Open reads each one
+//     once, into the directory the index holds: a v2 one decoded, a v1 one
+//     split into its entries and hashed. GC's manifest rewrite carries every
+//     v2 directory, and removes the files; v1 runs are read-only and keep
+//     theirs.
+//   - Extra pack roots. Older builds could spread a sharded store's packs
+//     over more directories than the run's own, listed one per line in its
+//     SHARDS file; DirBackend places each pack object on a root by hashing
+//     its name, so the list and its order are fixed for the store's life.
 
 import (
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"flor.dev/flor/internal/ckptfmt"
 	"flor.dev/flor/internal/codec"
@@ -142,4 +151,47 @@ func removeSegments(runDir string) error {
 		}
 	}
 	return nil
+}
+
+// ShardRoots returns the extra pack roots a plain open of dir uses: the
+// entries of its SHARDS file, relative ones resolved against dir; none for a
+// directory without one (every store this build creates). Registration paths
+// that confine run directories confine these roots too, and pin them
+// (Options.ShardDirs).
+func ShardRoots(dir string) ([]string, error) {
+	raw, err := os.ReadFile(filepath.Join(dir, "SHARDS"))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: read shard dirs: %w", err)
+	}
+	var roots []string
+	for _, ln := range strings.Split(string(raw), "\n") {
+		if ln = strings.TrimSpace(ln); ln != "" {
+			roots = append(roots, resolveRunPath(dir, ln))
+		}
+	}
+	return roots, nil
+}
+
+// packRoots returns the root directories of a store's local backend: the
+// run directory, then its ShardRoots. A pin (Options.ShardDirs, or an empty
+// one with PinShardDirs) must name exactly those roots, in order: adopting
+// any other list would relocate every pack lookup away from the real packs.
+func packRoots(dir string, o Options) ([]string, error) {
+	roots, err := ShardRoots(dir)
+	if err != nil {
+		return nil, err
+	}
+	if len(o.ShardDirs) > 0 || o.PinShardDirs {
+		pin := make([]string, len(o.ShardDirs))
+		for i, d := range o.ShardDirs {
+			pin[i] = resolveRunPath(dir, d)
+		}
+		if !slices.Equal(pin, roots) {
+			return nil, fmt.Errorf("store: cannot relocate shard packs of %s (its shard dirs are %q, not %q)", dir, roots, o.ShardDirs)
+		}
+	}
+	return append([]string{dir}, roots...), nil
 }

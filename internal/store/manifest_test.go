@@ -87,13 +87,15 @@ func recordLayouts(t testing.TB, base string) (dirs map[string]string, want map[
 		{LoopID: "train", Exec: 1}: {{Name: "w", Data: noise(4096, 2)}, {Name: "b", Data: []byte("bias")}},
 	}
 	dirs = map[string]string{}
+	PlantLayout(t, filepath.Join(base, "v2-sharded"), 16)
+	PlantPool(t, filepath.Join(base, "POOL"), 4)
 	for _, layout := range []struct {
 		name string
 		o    Options
 	}{
 		{"v2", Options{}},
-		{"v2-sharded", Options{ShardFanout: 16}},
-		{"v2-pooled", Options{Pool: filepath.Join(base, "POOL"), ShardFanout: 4}},
+		{"v2-sharded", Options{}},
+		{"v2-pooled", Options{Pool: filepath.Join(base, "POOL")}},
 	} {
 		dir := filepath.Join(base, layout.name)
 		s, err := OpenWith(dir, layout.o)

@@ -133,7 +133,9 @@ func TestPooledFamilyStoresThreeTimesLess(t *testing.T) {
 	var logical int64
 	var private DedupStats
 	for r := 0; r < runs; r++ {
-		priv, err := OpenWith(filepath.Join(base, fmt.Sprintf("private-%d", r)), Options{ShardFanout: DefaultShardFanout})
+		privDir := filepath.Join(base, fmt.Sprintf("private-%d", r))
+		PlantLayout(t, privDir, DefaultShardFanout)
+		priv, err := Open(privDir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,11 +217,22 @@ func TestPooledOpenRefusals(t *testing.T) {
 		t.Fatal("Pool+ShardDirs must be refused")
 	}
 
-	// Fanout conflicts with an existing pool are refused.
-	if _, err := OpenWith(filepath.Join(base, "a"), Options{Pool: pool, ShardFanout: 4}); err != nil {
+	// A recorded pooled run whose marker disagrees with its pool's fanout
+	// is refused: its chunks would be looked up in the wrong shards.
+	planted := filepath.Join(base, "POOL4")
+	PlantPool(t, planted, 4)
+	a := filepath.Join(base, "a")
+	pa := openPooled(t, a, planted)
+	if pa.ShardFanout() != 4 {
+		t.Fatalf("run attached to a fanout-4 pool has fanout %d", pa.ShardFanout())
+	}
+	if _, err := pa.PutSections(Key{LoopID: "train", Exec: 0}, familySections(1, 4, 0), 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenWith(filepath.Join(base, "b"), Options{Pool: pool, ShardFanout: 8}); err == nil {
+	if err := os.WriteFile(filepath.Join(a, formatFile), []byte("2 pool shards=8 dirs\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(a); err == nil {
 		t.Fatal("conflicting pool fanout must be refused")
 	}
 

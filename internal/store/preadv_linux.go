@@ -41,7 +41,9 @@ func preadvFull(fd uintptr, iovs [][]byte, off int64) error {
 			}
 			part := b[skip:]
 			skip = 0
-			iv = append(iv, syscall.Iovec{Base: &part[0], Len: uint64(len(part))})
+			v := syscall.Iovec{Base: &part[0]}
+			v.SetLen(len(part))
+			iv = append(iv, v)
 			if len(iv) == iovMax {
 				break
 			}

@@ -372,7 +372,8 @@ func TestRemoteBackendStoreRoundTrip(t *testing.T) {
 			}
 			backend := remote.NewObjectBackend(mem, "packs", cache)
 			dir := t.TempDir()
-			s, err := store.OpenWith(dir, store.Options{Backend: backend, ShardFanout: 4})
+			plantLayout(t, dir, 4)
+			s, err := store.OpenWith(dir, store.Options{Backend: backend})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -440,9 +441,10 @@ func TestRemoteBackendStoreRoundTrip(t *testing.T) {
 // through the object backend, all checkpoints byte-identical. Uploads are
 // idempotent.
 func TestRemoteUploadRestoreCycle(t *testing.T) {
-	// Record locally (plain DirBackend layout, sharded).
+	// Record locally (plain DirBackend layout, sharded by an older build).
 	src := t.TempDir()
-	s, err := store.OpenWith(src, store.Options{ShardFanout: 4})
+	plantLayout(t, src, 4)
+	s, err := store.Open(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +503,8 @@ func TestRemoteUploadRestoreCycle(t *testing.T) {
 // of a prefix an older upload filled.
 func TestRemoteUploadSkipsLeftBehindFiles(t *testing.T) {
 	src, extra := t.TempDir(), t.TempDir()
-	s, err := store.OpenWith(src, store.Options{ShardFanout: 4, ShardDirs: []string{extra}})
+	plantLayout(t, src, 4, extra)
+	s, err := store.Open(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,4 +594,20 @@ func readAll(st *store.Store, key store.Key) ([]store.Section, error) {
 		return nil, err
 	}
 	return c.ReadInto(nil, nil, nil, nil)
+}
+
+// plantLayout leaves dir as an older build left a store it created at the
+// given fanout over the run directory plus roots, before the first put:
+// FORMAT "2 shards=fanout", and a SHARDS file when there are roots. The next
+// open adopts both.
+func plantLayout(t testing.TB, dir string, fanout int, roots ...string) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, "FORMAT"), []byte(fmt.Sprintf("2 shards=%d\n", fanout)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if len(roots) > 0 {
+		if err := os.WriteFile(filepath.Join(dir, "SHARDS"), []byte(strings.Join(roots, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

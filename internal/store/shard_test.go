@@ -13,10 +13,12 @@ import (
 	"flor.dev/flor/internal/codec"
 )
 
+// openSharded opens a store an older build created at the given fanout.
 func openSharded(t *testing.T, fanout int) (*Store, string) {
 	t.Helper()
 	dir := t.TempDir()
-	s, err := OpenWith(dir, Options{ShardFanout: fanout})
+	PlantLayout(t, dir, fanout)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,13 +177,15 @@ func mustReopen(t *testing.T, dir string) *Store {
 	return s
 }
 
-// TestShardDirsSpreadAndPersist opens a sharded store whose packs spread
-// over extra root directories, and checks that plain and read-only reopens
-// find them through the persisted SHARDS file.
+// TestShardDirsSpreadAndPersist opens a sharded store an older build
+// spread over extra root directories, and checks that its packs spread over
+// them and that plain and read-only reopens find them through the SHARDS
+// file.
 func TestShardDirsSpreadAndPersist(t *testing.T) {
 	dir := t.TempDir()
 	extraA, extraB := t.TempDir(), t.TempDir()
-	s, err := OpenWith(dir, Options{ShardFanout: 16, ShardDirs: []string{extraA, extraB}})
+	PlantLayout(t, dir, 16, extraA, extraB)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +225,12 @@ func TestShardDirsSpreadAndPersist(t *testing.T) {
 // TestShardDirRelocationRefused pins that a recorded store's root list is
 // immutable: reopening with different (or reordered, or newly added) shard
 // dirs must be refused — silently adopting them would relocate every pack
-// lookup away from the real packs and rewrite SHARDS to match.
+// lookup away from the real packs.
 func TestShardDirRelocationRefused(t *testing.T) {
 	dir := t.TempDir()
 	extraA, extraB := t.TempDir(), t.TempDir()
-	s, err := OpenWith(dir, Options{ShardFanout: 16, ShardDirs: []string{extraA, extraB}})
+	PlantLayout(t, dir, 16, extraA, extraB)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,34 +348,13 @@ func TestUnknownFormatMarkerTyped(t *testing.T) {
 	}
 }
 
-func TestReshardRefusedOnRecordedStore(t *testing.T) {
-	s, dir := openSharded(t, 8)
-	if _, err := s.PutSections(Key{LoopID: "L", Exec: 0}, []Section{{Name: "w", Data: noise(512, 3)}}, 0, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenWith(dir, Options{ShardFanout: 16}); err == nil {
-		t.Fatal("resharding a recorded store succeeded")
-	}
-	if _, err := OpenWith(dir, Options{ShardFanout: 8}); err != nil {
-		t.Fatalf("matching fanout refused: %v", err)
-	}
-	// Fanout validation.
-	if _, err := OpenWith(t.TempDir(), Options{ShardFanout: 12}); err == nil {
-		t.Fatal("non-power-of-two fanout accepted")
-	}
-	// Extra roots without a sharded layout would relocate the single CHUNKS
-	// pack while the FORMAT marker still claims plain v2 — refuse.
-	if _, err := OpenWith(t.TempDir(), Options{ShardDirs: []string{t.TempDir()}}); err == nil {
-		t.Fatal("shard dirs accepted on an unsharded store")
-	}
-}
-
 func TestDetectLayoutVariants(t *testing.T) {
 	v1dir := v1Fixture(t)
 	v2dir := t.TempDir()
 	Open(v2dir)
 	shdir := t.TempDir()
-	OpenWith(shdir, Options{ShardFanout: 16})
+	PlantLayout(t, shdir, 16)
+	Open(shdir)
 
 	cases := []struct {
 		dir  string

@@ -1,11 +1,11 @@
 // Package store implements the on-disk checkpoint store backing Flor record
 // and replay: a manifest that commits each checkpoint in one record, and a
 // run-agnostic ChunkPool layer owning the content-addressed chunk packs
-// (optionally sharded by hash prefix across pluggable backends), the dedup
-// index, and refcounted GC/compaction of superseded chunks. A run's private
-// pack is a single-tenant pool; a shared pool at a project-level root is
-// attached by many runs, which then deduplicate chunks against each other
-// (fine-tuning families re-checkpointing one frozen backbone store it once).
+// (split by hash prefix into shards), the dedup index, and refcounted
+// GC/compaction of superseded chunks. A run's private pack is a
+// single-tenant pool; a shared pool at a project-level root is attached by
+// many runs, which then deduplicate chunks against each other (fine-tuning
+// families re-checkpointing one frozen backbone store it once).
 //
 // # Run-directory layout
 //
@@ -16,22 +16,21 @@
 //	                          meta record carries its directory) and
 //	                          (private-pack stores) dedup chunk records;
 //	                          pooled runs lead with a pool-reference record
-//	<dir>/SHARDS              sharded stores only: extra backend root dirs
 //	<dir>/PACKGC              retired pack generations awaiting expiry
 //
 // Nothing derived is persisted: a run leaves the machine as these files
 // (remote.UploadRun), not as a compressed copy of them. Runs recorded by
-// older builds also hold one segment file per checkpoint; they are read
-// once, at open, and GC removes them (legacy.go). Gzip twins ("*.gz") and a
-// SPOOL file that older builds wrote beside them are inert: no read path
-// opens them.
+// older builds also hold one segment file per checkpoint, or a list of extra
+// pack roots; both are read at open (legacy.go), and GC removes the segment
+// files. Gzip twins ("*.gz") and a SPOOL file that older builds wrote beside
+// them are inert: no read path opens them.
 //
 // Chunk bytes live in pack objects addressed through a Backend (local
-// directories today; the interface is shaped so S3-style ranged backends
-// slot in later):
+// directories, or a remote object store):
 //
-//	CHUNKS                    unsharded v2: the single chunk pack
-//	CHUNKS-00 .. CHUNKS-ff    sharded v2: one pack per hash-prefix shard
+//	CHUNKS                    a private pack: the single chunk pack
+//	CHUNKS-00 .. CHUNKS-ff    a shared pool (or an older sharded run): one
+//	                          pack per hash-prefix shard
 //	CHUNKS-xx.g<n>            generation n of a shard's pack, after GC
 //	                          compaction rewrote it (see pool.go)
 //
@@ -41,10 +40,12 @@
 //
 // # Formats
 //
-// One encoding is written — v2 — over a private or shared chunk pool at some
-// fanout; four layouts are readable (docs/FORMATS.md has the byte-level
-// detail). v2-pooled (marker "2 pool shards=N") commits checkpoints like v2
-// but resolves every chunk through the shared pool named by its manifest:
+// One layout is written, and its shape is not a choice: format v2 over a
+// private pack at fanout 1 (marker "2 dirs") or, with Options.Pool, over a
+// shared pool (marker "2 pool shards=N dirs", N = DefaultShardFanout for a
+// new pool). Every other layout an older build left is read-compat — it
+// opens, replays, serves, GCs and takes appends through the same code, but
+// nothing new can choose it (docs/FORMATS.md has the byte-level detail):
 //
 //   - v1 (legacy, read-only): one CRC-framed bundle per checkpoint in a
 //     segment file, untyped manifest records, no pack. Detected from the
@@ -54,25 +55,25 @@
 //     each bundle into one section per entry and hashes it into the
 //     directory a v2 put of those sections records (legacy.go), so a v1
 //     checkpoint reads like any other. No build writes v1 any more.
-//   - v2 (marker "2"): a checkpoint is its *directory* (package ckptfmt),
-//     carried by its manifest meta record: the checkpoint's named sections
-//     and, per section, the ordered content hashes of the chunks holding its
-//     bytes. The chunk bytes themselves live in the CHUNKS pack as
-//     independent frames — style byte, CRC-32C, 128-bit content hash —
-//     written raw (the deflate and LZ4 frames older builds wrote are
-//     read-compat), once per distinct hash, and shared by every checkpoint
-//     of the run that references them (cross-checkpoint dedup: frozen
-//     layers, datasets, and configuration are stored once). Frames decode
-//     in parallel across a worker pool.
-//   - v2-sharded (marker "2 shards=N"): the v2 encoding with the pack and
-//     the dedup index split into N shards (power of two, 2..256) by the top
-//     byte of each chunk's content hash: chunk h lives in shard h[0] mod N,
-//     pack object "CHUNKS-<shard in hex>". Because the shard is a pure
-//     function of the hash, manifest chunk records are byte-identical to
-//     unsharded v2 — only the interpretation of their offsets (relative to
-//     the shard's pack, not one global pack) differs, which is why the
-//     FORMAT marker changes: builds that predate sharding refuse the
-//     marker instead of misreading shard-relative offsets.
+//   - v2: a checkpoint is its *directory* (package ckptfmt), carried by its
+//     manifest meta record: the checkpoint's named sections and, per
+//     section, the ordered content hashes of the chunks holding its bytes.
+//     The chunk bytes themselves live in the packs as independent frames —
+//     style byte, CRC-32C, 128-bit content hash — written raw (the deflate
+//     and LZ4 frames older builds wrote are read-compat), once per distinct
+//     hash, and shared by every checkpoint of the run that references them
+//     (cross-checkpoint dedup: frozen layers, datasets, and configuration
+//     are stored once). Frames decode in parallel across a worker pool.
+//   - v2-sharded (marker "2 shards=N", read-compat): a private pack split
+//     into N shards (power of two, 2..256) by the top byte of each chunk's
+//     content hash: chunk h lives in shard h[0] mod N, pack object
+//     "CHUNKS-<shard in hex>", offsets relative to the shard's pack. A
+//     shared pool splits its packs the same way.
+//
+// The marker is settled once per writable open (writeMarker): the layout's
+// tokens, the "gc" and "lz4" tokens as read, and "dirs", which every build
+// that cannot read a directory-carrying meta record refuses. Puts and GC
+// never touch it.
 //
 // # Sharding and concurrency
 //
@@ -133,12 +134,12 @@
 //
 // Stores open without flags: the FORMAT marker (or its absence) selects the
 // layout, and pooled runs find their pool through the manifest's
-// pool-reference record. v1, unsharded-v2, and sharded-v2 directories
-// recorded by any earlier build open and replay byte-identically. Unknown
-// or corrupt FORMAT markers — including the pooled, gc- and dirs-flagged
-// markers on builds that predate them — surface ErrUnknownFormat (with the
-// offending marker) rather than risking misparse-and-truncate of a future
-// layout's manifest.
+// pool-reference record. v1, unsharded-v2, sharded-v2 and multi-root
+// directories recorded by any earlier build open and replay
+// byte-identically. Unknown or corrupt FORMAT markers — including the
+// pooled, gc- and dirs-flagged markers on builds that predate them —
+// surface ErrUnknownFormat (with the offending marker) rather than risking
+// misparse-and-truncate of a future layout's manifest.
 package store
 
 import (
@@ -169,10 +170,9 @@ const (
 	FormatV2 = 2
 )
 
-// Shard-fanout bounds for the v2-sharded layout.
+// Shard-fanout bounds.
 const (
-	// DefaultShardFanout is the shard count used when sharding is requested
-	// without an explicit fanout.
+	// DefaultShardFanout is the shard count of a new shared pool.
 	DefaultShardFanout = 16
 	// maxShardFanout bounds the fanout to what one hash byte can address.
 	maxShardFanout = 256
@@ -189,10 +189,9 @@ const (
 
 // Control-plane file names inside a run directory.
 const (
-	formatFile    = "FORMAT"
-	manifestFile  = "MANIFEST"
-	packFile      = "CHUNKS"
-	shardDirsFile = "SHARDS"
+	formatFile   = "FORMAT"
+	manifestFile = "MANIFEST"
+	packFile     = "CHUNKS"
 )
 
 // Key identifies a checkpoint: the side-effects of execution number Exec of
@@ -320,17 +319,11 @@ type Store struct {
 	pooled   bool
 	poolRoot string
 	poolRef  string
-	// gcMarked mirrors the FORMAT marker's "gc" flag: the manifest may name
-	// pack generations, so pre-GC builds must refuse the directory.
-	gcMarked bool
-	// lz4Marked mirrors the marker's "lz4" flag: packs may hold the LZ4
-	// frames older builds wrote, which pre-LZ4 builds cannot decode, so they
-	// must refuse. Nothing sets it any more; a reopen writes it back as read.
-	lz4Marked bool
-	// dirsMarked mirrors the marker's "dirs" flag: meta records carry their
-	// directories, and builds that look for segment files must refuse.
-	dirsMarked bool
-	sawPRec    bool // manifest already holds the pool-reference record
+	// marker is the FORMAT marker as read at open. Its "gc" and "lz4"
+	// tokens, which older builds set, are written back as read: the packs
+	// may hold generations or LZ4 frames that builds predating them misread.
+	marker  markerInfo
+	sawPRec bool // manifest already holds the pool-reference record
 
 	mu      sync.Mutex
 	nextSeq int
@@ -371,38 +364,31 @@ func (e *UnknownFormatError) Is(target error) bool { return target == ErrUnknown
 // Options configures OpenWith. The zero value reproduces Open: auto-detect
 // the layout, single local directory, read-write.
 type Options struct {
-	// ShardFanout selects the chunk-pack layout for new v2 stores: 0 keeps
-	// the existing layout (single pack for new directories), 1 explicitly
-	// requests the single pack, and a power of two in [2, 256] requests
-	// hash-prefix sharding at that fanout. Opening an existing store with a
-	// conflicting non-zero fanout is refused.
-	ShardFanout int
-	// ShardDirs adds extra root directories to the default local backend:
-	// shard packs spread across the run directory plus these roots. The
-	// list is persisted in the run directory's SHARDS file so later opens
-	// (including OpenReadOnly) find the packs without options.
+	// ShardDirs pins the extra pack roots of a store an older build spread
+	// over several directories (ShardRoots): the open fails unless they are
+	// exactly the roots the run directory lists (resolved, in order). Nothing
+	// can add a root to a store, so a non-empty ShardDirs on a store that
+	// lists none — a fresh directory too — is refused.
 	ShardDirs []string
-	// PinShardDirs makes ShardDirs authoritative even when empty: the open
-	// fails unless the directory's persisted SHARDS list matches ShardDirs
-	// exactly (resolved), instead of adopting whatever the file says.
-	// Servers pin the roots they validated at registration so a later
-	// SHARDS rewrite cannot redirect their reads.
+	// PinShardDirs makes ShardDirs authoritative even when empty. Servers
+	// pin the roots they validated at registration so that a later rewrite
+	// of the list cannot redirect their reads.
 	PinShardDirs bool
 	// Backend overrides pack storage entirely (ShardDirs is then ignored).
 	// The control plane (FORMAT, MANIFEST) stays in the run directory
 	// regardless.
 	Backend Backend
 	// Pool attaches the run to a shared chunk pool at this root (created at
-	// ShardFanout — DefaultShardFanout when 0 — if absent; relative paths
-	// resolve against the process working directory, while the manifest
-	// records a run-dir-relative reference so a project tree relocates as a
-	// unit). The run's chunks are published to
-	// and read from the pool, deduplicated against every sibling run
-	// attached to it; a pool-reference record in the manifest plus a LEASE
-	// entry under the pool root make the attachment durable. Only fresh
-	// directories can attach; a recorded private-pack run cannot be
-	// relocated into a pool (nor a pooled run out of one). Reopens need no
-	// Pool option — the manifest record names the pool.
+	// DefaultShardFanout if absent; relative paths resolve against the
+	// process working directory, while the manifest records a
+	// run-dir-relative reference so a project tree relocates as a unit). The
+	// run's chunks are published to and read from the pool, deduplicated
+	// against every sibling run attached to it; a pool-reference record in
+	// the manifest plus a LEASE entry under the pool root make the
+	// attachment durable. Only fresh directories can attach; a recorded
+	// private-pack run cannot be relocated into a pool (nor a pooled run out
+	// of one). Reopens need no Pool option — the manifest record names the
+	// pool.
 	Pool string
 	// PinPool makes Pool authoritative even when empty: the open fails
 	// unless the run's recorded pool attachment matches Pool exactly
@@ -453,10 +439,6 @@ func OpenWith(dir string, o Options) (*Store, error) {
 			return nil, fmt.Errorf("store: open: %w", err)
 		}
 	}
-	if o.ShardFanout < 0 || o.ShardFanout > maxShardFanout ||
-		(o.ShardFanout > 1 && o.ShardFanout&(o.ShardFanout-1) != 0) {
-		return nil, fmt.Errorf("store: shard fanout %d: want a power of two in [2, %d]", o.ShardFanout, maxShardFanout)
-	}
 	s := &Store{dir: dir, readOnly: o.ReadOnly, index: map[Key]*entry{}}
 	if err := s.resolveLayout(o); err != nil {
 		return nil, err
@@ -472,15 +454,6 @@ func OpenWith(dir string, o Options) (*Store, error) {
 		if o.PinPool && o.Pool != "" {
 			return nil, fmt.Errorf("store: %s is not attached to a pool (pinned to %s)", s.dir, o.Pool)
 		}
-		// Extra roots are a sharded-layout feature: relocating the unsharded
-		// CHUNKS pack (or a v1 store) out of the run directory would leave
-		// the plain "2" marker lying to pre-sharding builds, which would
-		// misread the run (empty pack, dropped chunk records) instead of
-		// refusing. (Pinning an empty root list onto an unsharded store is
-		// fine — that is exactly what the layout declares.)
-		if len(o.ShardDirs) > 0 && s.fanout <= 1 {
-			return nil, fmt.Errorf("store: shard dirs require a sharded store (fanout %d); pass ShardFanout", s.fanout)
-		}
 		if err := s.initBackend(o); err != nil {
 			return nil, err
 		}
@@ -488,7 +461,7 @@ func OpenWith(dir string, o Options) (*Store, error) {
 		s.pool.ctlDir = s.dir
 	}
 	if !s.readOnly {
-		if err := s.writeMarker(s.gcMarked, s.dirsMarked); err != nil {
+		if err := s.writeMarker(); err != nil {
 			return nil, err
 		}
 	}
@@ -540,9 +513,6 @@ type Layout struct {
 	Recorded bool
 }
 
-// Sharded reports whether the layout splits the pack by hash prefix.
-func (l Layout) Sharded() bool { return l.ShardFanout > 1 }
-
 // String renders the layout for listings ("v1", "v2", "v2-sharded/16",
 // "v2-pooled/16").
 func (l Layout) String() string {
@@ -551,56 +521,11 @@ func (l Layout) String() string {
 		return "v1"
 	case l.Pooled:
 		return fmt.Sprintf("v2-pooled/%d", l.ShardFanout)
-	case l.Sharded():
+	case l.ShardFanout > 1:
 		return fmt.Sprintf("v2-sharded/%d", l.ShardFanout)
 	default:
 		return "v2"
 	}
-}
-
-// readShardDirsFile returns the SHARDS file's entries as persisted (not
-// resolved); nil when the file is absent. The single parser behind both
-// ShardRoots and the open path, so confinement checks and actual opens can
-// never disagree about what the file says.
-func readShardDirsFile(dir string) ([]string, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, shardDirsFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: read shard dirs: %w", err)
-	}
-	var entries []string
-	for _, ln := range strings.Split(string(raw), "\n") {
-		if ln = strings.TrimSpace(ln); ln != "" {
-			entries = append(entries, ln)
-		}
-	}
-	return entries, nil
-}
-
-// resolveShardRoot resolves one SHARDS entry against the run directory.
-func resolveShardRoot(dir, entry string) string {
-	if !filepath.IsAbs(entry) {
-		return filepath.Join(dir, entry)
-	}
-	return entry
-}
-
-// ShardRoots returns the extra backend root directories a plain open of dir
-// would use (the persisted SHARDS list, relative entries resolved against
-// dir); empty for unsharded and v1 stores. Registration paths that confine
-// run directories use it to confine the shard roots too.
-func ShardRoots(dir string) ([]string, error) {
-	entries, err := readShardDirsFile(dir)
-	if err != nil {
-		return nil, err
-	}
-	roots := make([]string, len(entries))
-	for i, e := range entries {
-		roots[i] = resolveShardRoot(dir, e)
-	}
-	return roots, nil
 }
 
 // DetectLayout inspects a run directory's FORMAT marker (and, absent one,
@@ -708,7 +633,9 @@ func parseFormatMarker(raw []byte) (markerInfo, error) {
 	return m, nil
 }
 
-func formatMarker(fanout int, pooled, gc, lz4, dirs bool) []byte {
+// formatMarker renders the marker a writable open leaves: the layout, the
+// gc and lz4 tokens as given, and "dirs".
+func formatMarker(fanout int, pooled, gc, lz4 bool) []byte {
 	var b strings.Builder
 	b.WriteString("2")
 	if pooled {
@@ -722,17 +649,15 @@ func formatMarker(fanout int, pooled, gc, lz4, dirs bool) []byte {
 	if lz4 {
 		b.WriteString(" lz4")
 	}
-	if dirs {
-		b.WriteString(" dirs")
-	}
-	b.WriteString("\n")
+	b.WriteString(" dirs\n")
 	return []byte(b.String())
 }
 
 // resolveLayout resolves the store's format, shard fanout, and pool
 // attachment from the FORMAT marker, the options, and (for unmarked
-// directories) the presence of a manifest. The marker itself is written
-// later (writeMarker), after a pool attachment has fixed the fanout.
+// directories) the presence of a manifest. A fresh directory takes fanout 1,
+// or a pool's. The marker itself is written later (writeMarker), after a
+// pool attachment has fixed the fanout.
 func (s *Store) resolveLayout(o Options) error {
 	l, m, err := detectDir(s.dir)
 	if err != nil {
@@ -743,102 +668,54 @@ func (s *Store) resolveLayout(o Options) error {
 	if l.Format == FormatV1 {
 		// v1 is read-compat only: nothing writes that encoding any more, so
 		// a legacy run opens read-only however it was asked for.
-		if o.ShardFanout > 1 || o.Pool != "" {
-			return fmt.Errorf("store: %s is a legacy v1 run (read-only): it cannot be sharded or attached to a chunk pool", s.dir)
+		if o.Pool != "" {
+			return fmt.Errorf("store: %s is a legacy v1 run (read-only): it cannot be attached to a chunk pool", s.dir)
 		}
 		s.readOnly = true
 		return nil
 	}
-	fanout, pooled := l.ShardFanout, l.Pooled
-	s.gcMarked, s.lz4Marked, s.dirsMarked = m.gc, m.lz4, m.dirs
-	// A requested fanout may only disagree with a directory that has no
-	// committed state (a fresh one takes it): opening a sharded manifest as
-	// unsharded would misplace every chunk.
-	if o.ShardFanout != 0 && !pooled && o.ShardFanout != fanout {
-		if l.Recorded {
-			return fmt.Errorf("store: cannot reshard %s to fanout %d (recorded at fanout %d)", s.dir, o.ShardFanout, fanout)
-		}
-		fanout = o.ShardFanout
-	}
+	s.fanout, s.pooled, s.marker = l.ShardFanout, l.Pooled, m
 	// Pool attachment: only fresh directories can attach — moving a
 	// recorded run's chunks into (or out of) a pool would strand every
 	// committed chunk record.
 	if o.Pool != "" {
-		if l.Recorded && !pooled {
+		if l.Recorded && !s.pooled {
 			return fmt.Errorf("store: cannot attach recorded run %s to pool %s (recorded with a private pack)", s.dir, o.Pool)
 		}
-		pooled = true
+		s.pooled = true
 	}
-	s.fanout = fanout
-	s.pooled = pooled
 	return nil
 }
 
-// writeMarker persists the FORMAT marker of a writable v2 store with the
-// given gc and dirs flags, and the store adopts them once they are on disk.
-// It writes only when the marker is absent or different, and via
-// write-then-rename: rewriting it in place on every open would leave a crash
-// window in which a torn marker bricks an otherwise intact run behind the
-// UnknownFormatError refusal. Callers exclude each other: open runs before
-// the store is shared, a put holds the store lock and GC the pool's fence.
-func (s *Store) writeMarker(gc, dirs bool) error {
-	want := formatMarker(s.fanout, s.pooled, gc, s.lz4Marked, dirs)
+// writeMarker settles the FORMAT marker of a writable v2 store, once, at
+// open: the layout, the gc and lz4 tokens as read, and "dirs" — meta records
+// carry their directories, and builds that look for segment files must
+// refuse. Puts and GC never touch the marker, so a checkpoint's commit is its
+// pack append and its manifest append. It writes only when the marker is
+// absent or different, and via write-then-rename: rewriting it in place on
+// every open would leave a crash window in which a torn marker bricks an
+// otherwise intact run behind the UnknownFormatError refusal.
+func (s *Store) writeMarker() error {
+	want := formatMarker(s.fanout, s.pooled, s.marker.gc, s.marker.lz4)
 	if cur, err := os.ReadFile(s.formatPath()); err != nil || !bytes.Equal(cur, want) {
 		if err := writeFileAtomic(s.formatPath(), want); err != nil {
 			return fmt.Errorf("store: write format marker: %w", err)
 		}
 	}
-	s.gcMarked, s.dirsMarked = gc, dirs
 	return nil
 }
 
 // initBackend selects the pack backend: an explicit one from the options,
-// or a local-directory backend over the run directory plus any extra shard
-// roots (from the options for new stores, from the SHARDS file for
-// reopens).
+// or a local-directory backend over the run directory plus the extra roots
+// an older build may have spread it over (packRoots).
 func (s *Store) initBackend(o Options) error {
 	if o.Backend != nil {
 		s.backend = o.Backend
 		return nil
 	}
-	persisted, err := readShardDirsFile(s.dir)
+	roots, err := packRoots(s.dir, o)
 	if err != nil {
 		return err
-	}
-	extra := o.ShardDirs
-	if len(extra) == 0 && !o.PinShardDirs {
-		extra = persisted
-	} else {
-		// Pack placement is a function of the root list (order included), so
-		// a recorded store's roots are immutable: silently adopting a
-		// different list would relocate every lookup away from the real
-		// packs — and rewriting SHARDS would make even plain opens stay
-		// broken. Refuse, like a conflicting shard fanout. Comparison is on
-		// resolved roots, so callers may pin the roots a registration-time
-		// ShardRoots reported and a later SHARDS rewrite fails the open
-		// instead of silently redirecting reads.
-		resolve := func(entries []string) []string {
-			out := make([]string, len(entries))
-			for i, e := range entries {
-				out[i] = resolveShardRoot(s.dir, e)
-			}
-			return out
-		}
-		same := slices.Equal(resolve(extra), resolve(persisted))
-		if s.recorded && !same {
-			return fmt.Errorf("store: cannot relocate shard packs of %s (recorded with shard dirs %q, got %q)",
-				s.dir, persisted, extra)
-		}
-		if !s.readOnly && !same {
-			// Persist the extra roots so later plain opens find the packs.
-			if err := writeFileAtomic(s.shardDirsPath(), []byte(strings.Join(extra, "\n")+"\n")); err != nil {
-				return fmt.Errorf("store: write shard dirs: %w", err)
-			}
-		}
-	}
-	roots := []string{s.dir}
-	for _, d := range extra {
-		roots = append(roots, resolveShardRoot(s.dir, d))
 	}
 	if s.readOnly {
 		s.backend = &DirBackend{roots: roots}
@@ -852,9 +729,10 @@ func (s *Store) initBackend(o Options) error {
 	return nil
 }
 
-// resolvePoolPath resolves a pool reference against the run directory
-// (relative references keep run families relocatable as a unit).
-func resolvePoolPath(dir, entry string) string {
+// resolveRunPath resolves a path a run directory records — its pool
+// reference, an extra pack root — against the directory (relative paths keep
+// run families relocatable as a unit).
+func resolveRunPath(dir, entry string) string {
 	if !filepath.IsAbs(entry) {
 		return filepath.Join(dir, entry)
 	}
@@ -876,7 +754,7 @@ func (s *Store) attachPool(o Options) error {
 	var root string
 	switch {
 	case recordedRef != "":
-		root = resolvePoolPath(s.dir, recordedRef)
+		root = resolveRunPath(s.dir, recordedRef)
 		s.poolRef = recordedRef
 		if o.Pool != "" || o.PinPool {
 			// Pinning compares resolved roots, so callers may pin the root a
@@ -902,10 +780,11 @@ func (s *Store) attachPool(o Options) error {
 	default:
 		return fmt.Errorf("store: %s is marked pooled but its manifest carries no pool reference (pass Options.Pool)", s.dir)
 	}
-	// On recorded pooled runs the marker's fanout is the pool's; a
-	// conflicting explicit request is refused by openSharedPool.
-	want := o.ShardFanout
-	if want == 0 && s.recorded {
+	// On recorded pooled runs the marker's fanout is the pool's, and
+	// openSharedPool refuses a pool that disagrees; a fresh run takes the
+	// pool's.
+	want := 0
+	if s.recorded {
 		want = s.fanout
 	}
 	p, err := openSharedPool(root, want, s.readOnly)
@@ -992,7 +871,7 @@ func PoolRef(dir string) (root string, ok bool, err error) {
 	}
 	// Canonicalize so callers grouping runs by pool root compare equal
 	// strings regardless of how each run recorded the reference.
-	root, err = resolvePoolRoot(resolvePoolPath(dir, ref))
+	root, err = resolvePoolRoot(resolveRunPath(dir, ref))
 	if err != nil {
 		return "", false, err
 	}
@@ -1029,17 +908,8 @@ func (s *Store) PoolStats() (PoolStats, bool) {
 	return s.pool.Stats(), true
 }
 
-// Layout returns the store's detected layout.
-func (s *Store) Layout() Layout {
-	s.mu.Lock()
-	recorded := len(s.metas) > 0
-	s.mu.Unlock()
-	return Layout{Format: s.format, ShardFanout: s.ShardFanout(), Pooled: s.pooled, Recorded: recorded}
-}
-
-func (s *Store) formatPath() string    { return filepath.Join(s.dir, formatFile) }
-func (s *Store) manifestPath() string  { return filepath.Join(s.dir, manifestFile) }
-func (s *Store) shardDirsPath() string { return filepath.Join(s.dir, shardDirsFile) }
+func (s *Store) formatPath() string   { return filepath.Join(s.dir, formatFile) }
+func (s *Store) manifestPath() string { return filepath.Join(s.dir, manifestFile) }
 
 func (s *Store) replayManifest() error {
 	raw, err := os.ReadFile(s.manifestPath())
@@ -1226,8 +1096,8 @@ func encodeChunkRecord(hash ckptfmt.Hash, loc chunkLoc) []byte {
 	w.Uvarint(uint64(loc.Style))
 	// The pack generation is a trailing optional field: generation 0 is
 	// omitted, keeping never-compacted manifests byte-identical to the
-	// pre-pool encoding. Stores with generation records carry the "gc"
-	// FORMAT flag so pre-GC builds refuse instead of reading the wrong pack.
+	// pre-pool encoding. Builds that predate generations refuse the store
+	// on its "dirs" marker token instead of reading the wrong pack.
 	if loc.Gen > 0 {
 		w.Uvarint(uint64(loc.Gen))
 	}
@@ -1468,13 +1338,6 @@ func (s *Store) putV2(key Key, secs []Section, known []KnownChunks, snapNs, serN
 	// whose manifest record could still be lost to a crash.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.dirsMarked {
-		// The "dirs" token lands before the first record that carries a
-		// directory: an older build would find no segment file for it.
-		if err := s.writeMarker(s.gcMarked, true); err != nil {
-			return nil, err
-		}
-	}
 	var record []byte
 	var stored int64
 	for i := range frames {
@@ -1902,16 +1765,12 @@ func (s *Store) liveEntries() ([]*entry, error) {
 // rewriteManifest is GC's commit. The manifest is atomically rewritten from
 // the live index: the pool-reference record first on pooled runs, then recs
 // (a private pool's chunk records), then the live meta records, each with
-// its directory. Then every segment file goes, now redundant. The FORMAT
-// marker first gains "gc" when a record names a pack generation (pre-GC
-// builds would resolve it against the wrong object) and "dirs". It returns
-// how many superseded checkpoints the rewrite dropped. The caller holds the
-// pool's GC fence.
+// its directory. Then every segment file goes, now redundant. A record that
+// names a pack generation needs no marker token of its own: every build that
+// predates generations also predates "dirs", which the open wrote, and
+// refuses the store. It returns how many superseded checkpoints the rewrite
+// dropped. The caller holds the pool's GC fence.
 func (s *Store) rewriteManifest(live []*entry, recs []poolChunkRec) (int, error) {
-	gc := s.gcMarked || slices.ContainsFunc(recs, func(cr poolChunkRec) bool { return cr.loc.Gen > 0 })
-	if err := s.writeMarker(gc, true); err != nil {
-		return 0, err
-	}
 	var buf []byte
 	if s.pooled {
 		buf = frameTagged(recPool, encodePoolRef(s.poolRef, s.fanout))

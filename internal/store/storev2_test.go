@@ -566,8 +566,8 @@ func TestV1StoreReadableAndRefusesWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l := s.Layout(); l.Format != FormatV1 || !s.ReadOnly() {
-		t.Fatalf("opened as %s, read-only=%v; want v1, read-only", l, s.ReadOnly())
+	if s.ShardFanout() != 0 || !s.ReadOnly() {
+		t.Fatalf("opened at fanout %d, read-only=%v; want v1 (fanout 0), read-only", s.ShardFanout(), s.ReadOnly())
 	}
 	if len(s.Metas()) != 6 {
 		t.Fatalf("v1 run lists %d checkpoints, want 6", len(s.Metas()))
@@ -591,16 +591,13 @@ func TestV1StoreReadableAndRefusesWrites(t *testing.T) {
 }
 
 // TestFormatMismatchRefusedWithoutDataLoss pins the open guard: write-layout
-// options that disagree with a recorded directory's format (sharding or
-// pooling a legacy v1 run) and a FORMAT marker this build does not know must
+// options that disagree with a recorded directory's format (pooling a legacy
+// v1 run) and a FORMAT marker this build does not know must
 // error out, never misparse the manifest as a torn tail and truncate the run
 // away.
 func TestFormatMismatchRefusedWithoutDataLoss(t *testing.T) {
 	v1dir := v1Fixture(t)
 	before := dirBytes(t, v1dir)
-	if _, err := OpenWith(v1dir, Options{ShardFanout: 4}); err == nil {
-		t.Fatal("sharding a v1 directory succeeded")
-	}
 	if _, err := OpenWith(v1dir, Options{Pool: filepath.Join(t.TempDir(), "POOL")}); err == nil {
 		t.Fatal("attaching a v1 directory to a pool succeeded")
 	}
@@ -629,8 +626,8 @@ func TestFormatMismatchRefusedWithoutDataLoss(t *testing.T) {
 
 func TestNewStoresDefaultToV2(t *testing.T) {
 	s := openTemp(t)
-	if l := s.Layout(); l.Format != FormatV2 || s.ReadOnly() {
-		t.Fatalf("new store opened as %s, read-only=%v; want writable v2", l, s.ReadOnly())
+	if s.ShardFanout() != 1 || s.ReadOnly() {
+		t.Fatalf("new store opened at fanout %d, read-only=%v; want writable v2 at fanout 1", s.ShardFanout(), s.ReadOnly())
 	}
 	m, _ := putBlob(s, Key{LoopID: "L", Exec: 0}, []byte("x"), 0, 0, 0)
 	if m.Format != FormatV2 {

@@ -36,6 +36,25 @@ func copyV1Fixture(dir string) error {
 	return os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "v1run")))
 }
 
+// plantMarker leaves dir (the run directory, or a pool root for the POOL
+// marker) as a build that could still choose a store's layout left it before
+// the first put: FORMAT "2 shards=N" makes a fanout-N private store, POOL
+// "pool1 shards=N" a fanout-N pool. The next open adopts it, as it adopts
+// every store such a build recorded.
+func plantMarker(t testing.TB, dir, file string, fanout int) {
+	t.Helper()
+	marker := fmt.Sprintf("2 shards=%d\n", fanout)
+	if file == "POOL" {
+		marker = fmt.Sprintf("pool1 shards=%d\n", fanout)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, file), []byte(marker), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // dirBytes reads every file under dir, keyed by relative path.
 func dirBytes(t *testing.T, dir string) map[string]string {
 	t.Helper()
@@ -86,11 +105,12 @@ func TestMigrationMatrixByteIdenticalReplay(t *testing.T) {
 			return err
 		}, "v2"},
 		{"v2-sharded", func(dir string) error {
-			_, err := flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing(), flor.Shards(16))
+			plantMarker(t, dir, "FORMAT", 16)
+			_, err := flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing())
 			return err
 		}, "v2-sharded/16"},
 		{"v2-pooled", func(dir string) error {
-			_, err := flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing(), flor.Pool(poolRoot), flor.Shards(16))
+			_, err := flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing(), flor.Pool(poolRoot))
 			return err
 		}, "v2-pooled/16"},
 	}
@@ -668,7 +688,8 @@ func uploadTwin(t *testing.T, dir string) (mem *remote.MemStore, ctl string) {
 func TestMigrationRemoteTwinByteIdentical(t *testing.T) {
 	factory := compressibleFactory(5, 2)
 	dir := t.TempDir()
-	if _, err := flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing(), flor.Shards(8)); err != nil {
+	plantMarker(t, dir, "FORMAT", 8)
+	if _, err := flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing()); err != nil {
 		t.Fatalf("record: %v", err)
 	}
 	local, err := flor.Replay(dir, factory, flor.Workers(2))
@@ -856,11 +877,11 @@ func TestChangeAwareCaptureMatchesBaselineMatrix(t *testing.T) {
 		base, hs  []string
 		recordLog []string
 	}
-	record := func(t *testing.T, strat flor.Strategy, layout func(base string) []flor.Option) recorded {
+	record := func(t *testing.T, strat flor.Strategy, layout func(t testing.TB, base string) []flor.Option) recorded {
 		t.Helper()
 		base := t.TempDir()
 		dir := filepath.Join(base, "run")
-		opts := append(layout(base), flor.DisableAdaptiveCheckpointing(), flor.WithStrategy(strat))
+		opts := append(layout(t, base), flor.DisableAdaptiveCheckpointing(), flor.WithStrategy(strat))
 		rec, err := flor.Record(dir, factory, opts...)
 		if err != nil {
 			t.Fatalf("%s: record: %v", strat, err)
@@ -900,12 +921,15 @@ func TestChangeAwareCaptureMatchesBaselineMatrix(t *testing.T) {
 
 	for _, l := range []struct {
 		name   string
-		layout func(base string) []flor.Option
+		layout func(t testing.TB, base string) []flor.Option
 	}{
-		{"v2", func(string) []flor.Option { return nil }},
-		{"v2-sharded", func(string) []flor.Option { return []flor.Option{flor.Shards(16)} }},
-		{"v2-pooled", func(base string) []flor.Option {
-			return []flor.Option{flor.Pool(filepath.Join(base, "POOL")), flor.Shards(16)}
+		{"v2", func(testing.TB, string) []flor.Option { return nil }},
+		{"v2-sharded", func(t testing.TB, base string) []flor.Option {
+			plantMarker(t, filepath.Join(base, "run"), "FORMAT", 16)
+			return nil
+		}},
+		{"v2-pooled", func(_ testing.TB, base string) []flor.Option {
+			return []flor.Option{flor.Pool(filepath.Join(base, "POOL"))}
 		}},
 	} {
 		t.Run(l.name, func(t *testing.T) {
@@ -1016,13 +1040,15 @@ func TestDemandLoadMatrixMatchesUninstrumentedRun(t *testing.T) {
 	}
 
 	poolRoot := filepath.Join(t.TempDir(), "POOL")
+	plantMarker(t, poolRoot, "POOL", 4)
 	layouts := []struct {
-		name string
-		opts []flor.Option
+		name   string
+		fanout int // of a private store an older build created, planted
+		opts   []flor.Option
 	}{
-		{"private", nil},
-		{"sharded", []flor.Option{flor.Shards(8)}},
-		{"pooled", []flor.Option{flor.Pool(poolRoot), flor.Shards(4)}},
+		{"private", 0, nil},
+		{"sharded", 8, nil},
+		{"pooled", 0, []flor.Option{flor.Pool(poolRoot)}},
 	}
 	type opener struct {
 		name string
@@ -1031,6 +1057,9 @@ func TestDemandLoadMatrixMatchesUninstrumentedRun(t *testing.T) {
 	var stores []opener
 	for _, l := range layouts {
 		dir := t.TempDir()
+		if l.fanout > 0 {
+			plantMarker(t, dir, "FORMAT", l.fanout)
+		}
 		if _, err := flor.Record(dir, factory, append([]flor.Option{flor.DisableAdaptiveCheckpointing()}, l.opts...)...); err != nil {
 			t.Fatalf("%s: record: %v", l.name, err)
 		}
@@ -1088,7 +1117,8 @@ func TestDemandLoadMatrixMatchesUninstrumentedRun(t *testing.T) {
 func TestRemoteReadFaultFailsTheStatementTyped(t *testing.T) {
 	factory := compressibleFactory(5, 2)
 	dir := t.TempDir()
-	if _, err := flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing(), flor.Shards(4)); err != nil {
+	plantMarker(t, dir, "FORMAT", 4)
+	if _, err := flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing()); err != nil {
 		t.Fatalf("record: %v", err)
 	}
 	mem, ctl := uploadTwin(t, dir)
