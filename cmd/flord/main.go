@@ -18,14 +18,14 @@
 //	flord -demo -log-level debug        # structured key=value logs to stderr
 //	flord -demo -debug-addr :6060       # pprof profiling listener
 //	flord -demo -trace-dir traces -slow-query 250ms -trace-sample 10
-//	flord -demo -remote /mnt/pool -cache-dir cache -cache-max-bytes 268435456
+//	flord -demo -remote /mnt/pool -cache-max-bytes 268435456
 //
 // With -remote the daemon is stateless with respect to pack bytes: recorded
 // runs are uploaded to the shared object pool (under a writer lease, so two
-// daemons cannot race an upload or compaction of the same prefix) and served
-// back through ranged GETs and a local read-through chunk-cache tier
-// (-cache-dir, -cache-max-bytes); a restore reads only the ranges its
-// statements need, when it needs them. -remote is incompatible with -pool:
+// daemons cannot race an upload of the same prefix) and served back
+// read-only through ranged GETs and an in-memory read-through chunk-cache
+// tier (-cache-max-bytes); a restore reads only the ranges its statements
+// need, when it needs them. -remote is incompatible with -pool:
 // pool-attached stores refuse backend overrides.
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: the listener stops
@@ -93,7 +93,6 @@ func main() {
 	workers := flag.Int("workers", 2, "default replay parallelism per query")
 	pool := flag.Bool("pool", false, "record the workloads into one shared chunk pool (<dir>/POOL): sibling runs dedup chunks and share decoded payloads")
 	remoteRoot := flag.String("remote", "", "shared remote object-pool root: recorded runs upload there and serve through ranged GETs + the chunk-cache tier (incompatible with -pool)")
-	cacheDir := flag.String("cache-dir", "", "cache-tier extent directory for -remote (empty: in-memory extents; cleared on startup)")
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 256<<20, "cache-tier budget in bytes of resident extents for -remote (negative: no cache tier, every read goes remote)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain deadline on SIGINT/SIGTERM")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
@@ -196,7 +195,6 @@ func main() {
 		TraceStoreMaxBytes: *traceMaxBytes,
 		TraceStoreMaxAge:   *traceMaxAge,
 		Remote:             *remoteRoot,
-		CacheDir:           *cacheDir,
 		CacheMaxBytes:      *cacheMaxBytes,
 	})
 	if err := srv.TraceStoreErr(); err != nil {
@@ -227,9 +225,10 @@ func main() {
 		cfg := serve.RunConfig{ID: name, Dir: runDir, Factories: library[name]}
 		if remotePool != nil {
 			// Upload under the run's writer lease so a second daemon pointed
-			// at the same pool cannot race this upload (or a later
-			// compaction) of the prefix. Uploads are idempotent: objects the
-			// pool already holds at the right size are skipped.
+			// at the same pool cannot race this upload of the prefix. Uploads
+			// are idempotent: objects the pool already holds at the right
+			// size are skipped. The pool is written only here; the served
+			// copy reads it and never writes.
 			host, _ := os.Hostname()
 			lease, err := remote.AcquireLease(remotePool, remote.LeaseKey(name), remote.LeaseConfig{
 				Owner: fmt.Sprintf("%s:%d", host, os.Getpid()),

@@ -170,6 +170,13 @@ func (w *Writer) Int(v int) {
 	w.write(binary.AppendVarint(tmp[:0], int64(v)))
 }
 
+// Int64 appends a signed 64-bit integer as a zig-zag varint: the bytes Int
+// writes for the same value, on any build.
+func (w *Writer) Int64(v int64) {
+	var tmp [binary.MaxVarintLen64]byte
+	w.write(binary.AppendVarint(tmp[:0], v))
+}
+
 // Float64 appends an IEEE-754 little-endian float.
 func (w *Writer) Float64(v float64) {
 	var tmp [8]byte
@@ -272,14 +279,25 @@ func (r *Reader) Uvarint() (uint64, error) {
 	return v, nil
 }
 
-// Int reads a zig-zag varint (shortest encoding only, like Uvarint).
+// Int reads a zig-zag varint (shortest encoding only, like Uvarint). A value
+// that does not fit an int (on a 32-bit build) is corrupt, not truncated.
 func (r *Reader) Int() (int, error) {
+	v, n := binary.Varint(r.buf[r.off:])
+	if n <= 0 || (n > 1 && r.buf[r.off+n-1] == 0) || int64(int(v)) != v {
+		return 0, fmt.Errorf("%w: bad varint at offset %d", ErrCorrupt, r.off)
+	}
+	r.off += n
+	return int(v), nil
+}
+
+// Int64 reads a zig-zag varint (shortest encoding only, like Uvarint).
+func (r *Reader) Int64() (int64, error) {
 	v, n := binary.Varint(r.buf[r.off:])
 	if n <= 0 || (n > 1 && r.buf[r.off+n-1] == 0) {
 		return 0, fmt.Errorf("%w: bad varint at offset %d", ErrCorrupt, r.off)
 	}
 	r.off += n
-	return int(v), nil
+	return v, nil
 }
 
 // Float64 reads an IEEE-754 float.

@@ -329,7 +329,7 @@ func TestTensorViewRejectsOverflowingShape(t *testing.T) {
 	}
 	// An empty tensor is still a tensor, wherever its zero dimension is and
 	// however few bytes follow it.
-	for _, shape := range [][]int{{0, 5}, {21, 0}, {7, 0, 9}, {1 << 40, 0}} {
+	for _, shape := range [][]int{{0, 5}, {21, 0}, {7, 0, 9}, {1 << 30, 0}} {
 		w := NewWriter()
 		w.Tensor(tensor.New(shape...))
 		if got, raw, err := NewReader(w.Bytes()).TensorView(); err != nil || len(raw) != 0 || !slices.Equal(got, shape) {
@@ -385,5 +385,34 @@ func TestReaderRejectsPaddedVarints(t *testing.T) {
 	}
 	if v, err := NewReader([]byte{0x00}).Uvarint(); err != nil || v != 0 {
 		t.Fatalf("zero: v=%d err=%v", v, err)
+	}
+}
+
+// TestInt64RoundTripsAndIntRefusesOverflow pins the two signed readers: Int64
+// reads back every int64 in the bytes Int writes for the same value, and Int
+// reads a value beyond int's range (reachable on 32-bit builds) as corrupt,
+// never truncated.
+func TestInt64RoundTripsAndIntRefusesOverflow(t *testing.T) {
+	for _, v := range []int64{0, -1, math.MaxInt32, math.MaxInt32 + 1, math.MinInt32 - 1, math.MinInt64, math.MaxInt64} {
+		w := NewWriter()
+		w.Int64(v)
+		if got, err := NewReader(w.Bytes()).Int64(); err != nil || got != v {
+			t.Fatalf("Int64 %d read back as %d, %v", v, got, err)
+		}
+		got, err := NewReader(w.Bytes()).Int()
+		if v < math.MinInt || v > math.MaxInt {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Int read %d beyond int's range as %d, %v; want ErrCorrupt", v, got, err)
+			}
+			continue
+		}
+		if err != nil || int64(got) != v {
+			t.Fatalf("Int read %d as %d, %v", v, got, err)
+		}
+		iw := NewWriter()
+		iw.Int(int(v))
+		if !bytes.Equal(iw.Bytes(), w.Bytes()) {
+			t.Fatalf("Int and Int64 encode %d differently: %x vs %x", v, iw.Bytes(), w.Bytes())
+		}
 	}
 }

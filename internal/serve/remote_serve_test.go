@@ -52,7 +52,6 @@ func testServeRemoteRun(t *testing.T, cacheMaxBytes int64) {
 
 	srv := serve.New(serve.Options{
 		Remote:        pool,
-		CacheDir:      filepath.Join(base, "cache"),
 		CacheMaxBytes: cacheMaxBytes,
 	})
 	if err := srv.Register(serve.RunConfig{

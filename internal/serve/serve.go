@@ -183,10 +183,7 @@ type Options struct {
 	// bundled filesystem store, the pool's root directory. Empty disables
 	// remote serving; RunConfig.Remote registrations then fail.
 	Remote string
-	// CacheDir is where the remote chunk-cache tier keeps its blocks;
-	// empty keeps blocks in memory. The directory is cleared on startup.
-	CacheDir string
-	// CacheMaxBytes bounds the chunk-cache tier (default 256 MiB;
+	// CacheMaxBytes bounds the in-memory chunk-cache tier (default 256 MiB;
 	// negative disables the cache tier, every read goes remote).
 	CacheMaxBytes int64
 }
@@ -476,7 +473,7 @@ func New(opts Options) *Server {
 		} else {
 			s.remote = remote.Retry(fs, remote.Policy{})
 			if opts.CacheMaxBytes > 0 {
-				cache, err := cachetier.New(opts.CacheDir, opts.CacheMaxBytes)
+				cache, err := cachetier.New("", opts.CacheMaxBytes)
 				if err != nil {
 					s.remote, s.remoteErr = nil, err
 				} else {

@@ -12,7 +12,10 @@ import (
 // Backend abstracts where a store's chunk-pack bytes live. The checkpoint
 // store addresses every pack through this interface, so packs can live in
 // local directories or an S3-style object store (remote.ObjectBackend)
-// without the read or write paths knowing.
+// without the read path knowing. Only local backends are written: a run
+// reaches an object store whole, through remote.UploadRun, and a remote
+// backend serves read-only opens — its Append, Create and Remove fail with
+// ErrReadOnly.
 //
 // The contract is shaped by what an append-only pack needs and by what
 // ranged remote stores can offer:

@@ -1,9 +1,9 @@
 // Package cachetier implements the local read-through chunk cache that sits
 // between a remote object backend and the checkpoint store's restore path.
 // Remote pack reads land here extent by extent — an extent is exactly the
-// byte range of one frame run a restore planned: a hit is served from local
-// disk (or memory), a miss fetches the extent from the remote store and —
-// subject to size-bounded admission control — keeps it for the next restore.
+// byte range of one frame run a restore planned: a hit is served from
+// memory, a miss fetches the extent from the remote store and — subject to
+// size-bounded admission control — keeps it for the next restore.
 // The cache is what makes a stateless serving daemon cheap to re-point at a
 // shared remote pool: the first restore of a run pays remote ranged-GET
 // latency once, every later restore streams from the cache tier.
@@ -14,20 +14,21 @@
 // impossible: an appended-to object reads under a new length and simply
 // re-fetches, while the old version's extents age out via LRU.
 //
+// The tier is a performance cache and is never persisted: extents live in
+// memory only, and a process starts with an empty tier.
+//
 // A fetched extent is a counted lease on a ckptfmt.Shared span: the cache
 // holds one reference while the extent is resident, and every reader it was
 // handed to — the flight leader, each reader that joined the flight, each
-// memory-mode hit — holds one until it calls the release ReadExtent returned.
+// hit — holds one until it calls the release ReadExtent returned.
 // Whichever holder lets go last puts the span back in the arena, so remote
 // reads recycle their buffers the way local reads recycle their scratch, and
 // an extent evicted under a reader stays intact until that reader is done.
 package cachetier
 
 import (
+	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -74,14 +75,11 @@ func (l *lease) release() {
 	}
 }
 
-// entry is one resident extent. Exactly one of ext/path is set: ext for
-// memory-backed caches (the entry holds one of its references), path for
-// disk-backed ones. cost is what the entry holds against the budget: its
-// buffer's capacity in memory, its file's length on disk.
+// entry is one resident extent: the entry holds one of ext's references,
+// and cost is what it holds against the budget, its buffer's capacity.
 type entry struct {
 	key  extentKey
 	ext  *lease
-	path string
 	cost int64
 	// LRU intrusive list, most recent at head.
 	prev, next *entry
@@ -109,18 +107,15 @@ const (
 
 // Cache is a size-bounded read-through extent cache. Safe for concurrent use.
 type Cache struct {
-	dir      string // "" = memory-backed extents
 	maxBytes int64
 
-	mu        sync.Mutex
-	entries   map[extentKey]*entry
-	flights   map[extentKey]*flight // in-progress fetches, one leader per key
-	admitting map[extentKey]bool    // keys reserved by an in-progress admit
-	head      *entry                // most recently used
-	tail      *entry                // least recently used
-	bytes     int64
-	seq       int64 // disk-mode extent file names
-	stats     Stats
+	mu      sync.Mutex
+	entries map[extentKey]*entry
+	flights map[extentKey]*flight // in-progress fetches, one leader per key
+	head    *entry                // most recently used
+	tail    *entry                // least recently used
+	bytes   int64
+	stats   Stats
 
 	mHitBytes          *obs.Counter
 	mMissBytes         *obs.Counter
@@ -143,33 +138,24 @@ type Stats struct {
 	Rejected          int64 `json:"rejected"`           // extents denied admission (too large)
 	Evictions         int64 `json:"evictions"`          // extents evicted to make room
 	EvictedBytes      int64 `json:"evicted_bytes"`      // bytes of the evicted extents
-	Bytes             int64 `json:"bytes"`              // bytes resident extents hold (buffer capacity in memory mode)
+	Bytes             int64 `json:"bytes"`              // bytes resident extents hold (their buffers' capacity)
 	Entries           int64 `json:"entries"`            // resident extents
 	MaxBytes          int64 `json:"max_bytes"`          // admission budget
 }
 
-// New returns a cache bounded to maxBytes. With a non-empty dir, extents are
-// kept as files under it (the directory is created and any previous contents
-// cleared — a cache directory holds nothing durable); with an empty dir,
-// extents live in memory. maxBytes <= 0 disables caching entirely: every read
-// passes through to the remote fetch.
+// New returns an in-memory cache bounded to maxBytes. maxBytes <= 0
+// disables caching entirely: every read passes through to the remote fetch.
+// dir must be empty: the tier keeps no files. The parameter stays only
+// because the benchmark module calls New("", …); the next change to the
+// benchmark drops it.
 func New(dir string, maxBytes int64) (*Cache, error) {
 	if dir != "" {
-		// A cache directory is disposable by definition; clearing it on open
-		// keeps stale extents from a previous process out of the accounting.
-		if err := os.RemoveAll(dir); err != nil {
-			return nil, fmt.Errorf("cachetier: clear cache dir: %w", err)
-		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("cachetier: cache dir: %w", err)
-		}
+		return nil, errors.New("cachetier: extents are kept in memory only; dir must be empty")
 	}
 	return &Cache{
-		dir:                dir,
 		maxBytes:           maxBytes,
 		entries:            map[extentKey]*entry{},
 		flights:            map[extentKey]*flight{},
-		admitting:          map[extentKey]bool{},
 		mHitBytes:          obs.C(obs.MCacheTierHitBytes),
 		mMissBytes:         obs.C(obs.MCacheTierMissBytes),
 		mSingleflightBytes: obs.C(obs.MCacheTierSingleflightBytes),
@@ -179,14 +165,11 @@ func New(dir string, maxBytes int64) (*Cache, error) {
 	}, nil
 }
 
-// MaxBytes returns the admission budget.
-func (c *Cache) MaxBytes() int64 { return c.maxBytes }
-
 // ReadExtent returns bytes [off, off+n) of object obj, whose committed length
 // is size (the version key), a release the caller must call once it no
 // longer reads them, and where they came from. The slice is read-only and
-// may be shared with other readers: a memory-mode hit returns the resident
-// extent itself, which is never written while anyone holds it. A miss runs
+// may be shared with other readers: a hit returns the resident extent
+// itself, which is never written while anyone holds it. A miss runs
 // fetch(off, n) — which must return exactly n bytes of the object at off, in
 // a slice that becomes the cache's (a remote GET reads into a
 // ckptfmt.Shared span, so admission adopts it instead of copying unless the
@@ -195,7 +178,7 @@ func (c *Cache) MaxBytes() int64 { return c.maxBytes }
 // Concurrent readers of the same missing extent are deduped: one leader runs
 // fetch, the rest wait on its result. On error there is nothing to release.
 func (c *Cache) ReadExtent(obj string, size, off, n int64, fetch func(off, n int64) ([]byte, error)) (data []byte, release func(), src Source, err error) {
-	if off < 0 || n < 0 || off+n > size {
+	if off < 0 || n < 0 || n > size-off {
 		return nil, nil, 0, fmt.Errorf("cachetier: read [%d,%d) of %s beyond object length %d", off, off+n, obj, size)
 	}
 	key := extentKey{obj: obj, ver: size, off: off, n: n}
@@ -280,131 +263,67 @@ func (c *Cache) runFetch(key extentKey, ext *lease, fetch func(off, n int64) ([]
 	return nil
 }
 
-// lookup returns a held lease on the extent on a hit, touching its LRU
-// position. A memory-mode hit shares the resident lease; a disk-mode hit
-// reads the extent's file, outside the lock, into an arena span of its own.
-// An extent evicted between lookup and read degrades to a miss.
+// lookup returns a held lease on the resident extent on a hit, touching
+// its LRU position.
 func (c *Cache) lookup(key extentKey) *lease {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok {
-		c.mu.Unlock()
 		return nil
 	}
 	c.touch(e)
-	if e.ext != nil {
-		e.ext.refs.Add(1)
-		c.mu.Unlock()
-		return e.ext
-	}
-	path := e.path
-	c.mu.Unlock()
-	f, err := os.Open(path)
-	if err != nil {
-		return nil // evicted between lookup and read: a miss
-	}
-	defer f.Close()
-	buf := ckptfmt.Shared.Get(int(key.n))
-	if _, err := io.ReadFull(f, buf); err != nil { // truncated: a miss
-		put(buf)
-		return nil
-	}
-	return newLease(buf)
+	e.ext.refs.Add(1)
+	return e.ext
 }
 
 // admit inserts a fetched extent, evicting least-recently-used extents until
 // it fits. Extents larger than the whole budget are rejected (read-through
 // still served them); a zero-or-negative budget rejects everything.
 //
-// The budget bounds what the entries keep alive, so a memory-mode entry is
-// charged its buffer's capacity, not the extent's length. A fetched span can
-// be an arena buffer a far larger read pooled; one whose capacity is over
-// twice the extent is not adopted — the entry keeps an exact copy, and the
-// span goes back to the arena with its last reader.
+// The budget bounds what the entries keep alive, so an entry is charged its
+// buffer's capacity, not the extent's length. A fetched span can be an arena
+// buffer a far larger read pooled; one whose capacity is over twice the
+// extent is not adopted — the entry keeps an exact copy, and the span goes
+// back to the arena with its last reader.
 //
-// Admission is idempotent per key: the key and its budget are reserved under
-// the lock before the (out-of-lock) disk write, so a racing admit of the same
-// extent — two readers whose flight leader failed, each fetching on its own —
-// bails out before writing anything and the budget never counts the extent
-// twice, even transiently. A memory-mode entry takes a reference of its own
-// on the lease it keeps; the disk write needs none, because the caller holds
-// its reference on ext until admit returns.
+// Admission is idempotent per key: two readers whose flight leader failed,
+// each fetching on its own, admit the extent once. The entry takes a
+// reference of its own on the lease it keeps.
 func (c *Cache) admit(key extentKey, ext *lease) {
 	n, cost := key.n, key.n
 	var exact []byte
-	if c.dir == "" && n <= c.maxBytes {
+	if n <= c.maxBytes {
 		if cost = int64(cap(ext.data)); cost > 2*n {
 			exact, cost = make([]byte, n), n
 			copy(exact, ext.data)
 		}
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if cost > c.maxBytes {
 		c.stats.Rejected++
-		c.mu.Unlock()
 		return
 	}
-	if _, dup := c.entries[key]; dup || c.admitting[key] {
-		c.mu.Unlock()
+	if _, dup := c.entries[key]; dup {
 		return
 	}
-	for c.bytes+cost > c.maxBytes && c.tail != nil {
+	for c.bytes+cost > c.maxBytes {
 		c.evictLocked(c.tail)
 	}
-	if c.bytes+cost > c.maxBytes { // the rest is reserved by in-progress disk admits
-		c.stats.Rejected++
-		c.mu.Unlock()
-		return
+	held := ext
+	if exact != nil {
+		held = newLease(exact)
+	} else {
+		ext.refs.Add(1)
 	}
 	c.bytes += cost
-	if c.dir == "" {
-		held := ext
-		if exact != nil {
-			held = newLease(exact)
-		} else {
-			ext.refs.Add(1)
-		}
-		c.insertLocked(&entry{key: key, ext: held, cost: cost})
-		c.mu.Unlock()
-		return
-	}
-	c.admitting[key] = true
-	c.seq++
-	path := filepath.Join(c.dir, fmt.Sprintf("e-%d", c.seq))
-	c.mu.Unlock()
-
-	werr := os.WriteFile(path, ext.data, 0o644)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.admitting, key)
-	if werr != nil {
-		// Cache disk full etc.: release the reservation, stay a pass-through.
-		c.bytes -= cost
-		c.mBytes.Set(c.bytes)
-		return
-	}
-	c.insertLocked(&entry{key: key, path: path, cost: cost})
-}
-
-func (c *Cache) insertLocked(e *entry) {
-	c.entries[e.key] = e
+	e := &entry{key: key, ext: held, cost: cost}
+	c.entries[key] = e
 	c.pushFront(e)
 	c.stats.Admitted++
 	c.mBytes.Set(c.bytes)
 	c.mEntries.Set(int64(len(c.entries)))
-}
-
-// Invalidate drops every resident extent of obj (all versions), freeing their
-// budget. Remote object replacement and deletion call it; correctness does
-// not depend on it (keys are length-versioned), it just frees dead space.
-func (c *Cache) Invalidate(obj string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for key, e := range c.entries {
-		if key.obj == obj {
-			c.evictLocked(e)
-		}
-	}
 }
 
 // Stats returns a snapshot of the cache's accounting.
@@ -434,11 +353,7 @@ func (c *Cache) evictLocked(e *entry) {
 	c.mEvictions.Inc()
 	c.mBytes.Set(c.bytes)
 	c.mEntries.Set(int64(len(c.entries)))
-	if e.ext != nil {
-		e.ext.release()
-	} else {
-		os.Remove(e.path)
-	}
+	e.ext.release()
 }
 
 func (c *Cache) touch(e *entry) {

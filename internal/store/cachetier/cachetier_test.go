@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,95 +41,85 @@ func source(size int64, seed int64) ([]byte, func(off, n int64) ([]byte, error),
 	return data, fetch, &fetches
 }
 
-// TestCacheTierPropertyQuick drives random extent schedules through disk and
-// memory caches and checks the invariants that make the tier safe to trust:
+// TestCacheTierPropertyQuick drives random extent schedules through the
+// cache and checks the invariants that make the tier safe to trust:
 // an extent's bytes equal the backing object's, hit + miss + singleflight
 // bytes account for exactly the bytes served, resident bytes never exceed
 // the budget, and a slice handed out earlier still holds the source's bytes
 // after later reads and evictions while its reader holds it — an extent is
 // never written while anyone holds it.
 func TestCacheTierPropertyQuick(t *testing.T) {
-	for _, disk := range []bool{false, true} {
-		name := "memory"
-		if disk {
-			name = "disk"
-		}
-		t.Run(name, func(t *testing.T) {
-			prop := func(seed int64, reads [24]uint8) bool {
-				dir := ""
-				if disk {
-					dir = t.TempDir()
-				}
-				const budget = 16 << 10
-				c, err := cachetier.New(dir, budget)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Two objects sharing the cache, each with six extents (they
-				// may overlap) that together overflow the budget, so hits,
-				// misses and evictions all happen.
-				type extent struct{ obj, off, n int64 }
-				sizes := []int64{12<<10 + 37, 9<<10 + 1}
-				objs := make([][]byte, len(sizes))
-				fetchers := make([]func(off, n int64) ([]byte, error), len(sizes))
-				var table []extent
-				rng := rand.New(rand.NewSource(seed))
-				for i, sz := range sizes {
-					objs[i], fetchers[i], _ = source(sz, seed+int64(i))
-					for k := 0; k < 6; k++ {
-						off := rng.Int63n(sz)
-						table = append(table, extent{int64(i), off, 1 + rng.Int63n(min(sz-off, 6<<10))})
-					}
-				}
-				type held struct {
-					e       extent
-					data    []byte
-					release func()
-				}
-				var out []held
-				var served int64
-				for r, rv := range reads {
-					e := table[int(rv)%len(table)]
-					size := sizes[e.obj]
-					data, release, _, err := c.ReadExtent(string(rune('a'+e.obj)), size, e.off, e.n, fetchers[e.obj])
-					if err != nil {
-						t.Logf("read %d: %v", r, err)
-						return false
-					}
-					if !bytes.Equal(data, objs[e.obj][e.off:e.off+e.n]) {
-						t.Logf("read %d: bytes differ from source", r)
-						return false
-					}
-					served += e.n
-					out = append(out, held{e, data, release})
-					if st := c.Stats(); st.Bytes > budget {
-						t.Logf("read %d: resident %d > budget %d", r, st.Bytes, budget)
-						return false
-					}
-				}
-				for i, h := range out {
-					if !bytes.Equal(h.data, objs[h.e.obj][h.e.off:h.e.off+h.e.n]) {
-						t.Logf("read %d: its slice changed after later reads", i)
-						return false
-					}
-					h.release()
-				}
-				st := c.Stats()
-				if st.HitBytes+st.MissBytes+st.SingleflightBytes != served {
-					t.Logf("stats: hit %d + miss %d + singleflight %d != served %d", st.HitBytes, st.MissBytes, st.SingleflightBytes, served)
-					return false
-				}
-				if st.Evictions > 0 && st.EvictedBytes <= 0 {
-					t.Logf("stats: %d evictions of %d bytes", st.Evictions, st.EvictedBytes)
-					return false
-				}
-				return true
-			}
-			if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+	t.Run("memory", func(t *testing.T) {
+		prop := func(seed int64, reads [24]uint8) bool {
+			const budget = 16 << 10
+			c, err := cachetier.New("", budget)
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-	}
+			// Two objects sharing the cache, each with six extents (they
+			// may overlap) that together overflow the budget, so hits,
+			// misses and evictions all happen.
+			type extent struct{ obj, off, n int64 }
+			sizes := []int64{12<<10 + 37, 9<<10 + 1}
+			objs := make([][]byte, len(sizes))
+			fetchers := make([]func(off, n int64) ([]byte, error), len(sizes))
+			var table []extent
+			rng := rand.New(rand.NewSource(seed))
+			for i, sz := range sizes {
+				objs[i], fetchers[i], _ = source(sz, seed+int64(i))
+				for k := 0; k < 6; k++ {
+					off := rng.Int63n(sz)
+					table = append(table, extent{int64(i), off, 1 + rng.Int63n(min(sz-off, 6<<10))})
+				}
+			}
+			type held struct {
+				e       extent
+				data    []byte
+				release func()
+			}
+			var out []held
+			var served int64
+			for r, rv := range reads {
+				e := table[int(rv)%len(table)]
+				size := sizes[e.obj]
+				data, release, _, err := c.ReadExtent(string(rune('a'+e.obj)), size, e.off, e.n, fetchers[e.obj])
+				if err != nil {
+					t.Logf("read %d: %v", r, err)
+					return false
+				}
+				if !bytes.Equal(data, objs[e.obj][e.off:e.off+e.n]) {
+					t.Logf("read %d: bytes differ from source", r)
+					return false
+				}
+				served += e.n
+				out = append(out, held{e, data, release})
+				if st := c.Stats(); st.Bytes > budget {
+					t.Logf("read %d: resident %d > budget %d", r, st.Bytes, budget)
+					return false
+				}
+			}
+			for i, h := range out {
+				if !bytes.Equal(h.data, objs[h.e.obj][h.e.off:h.e.off+h.e.n]) {
+					t.Logf("read %d: its slice changed after later reads", i)
+					return false
+				}
+				h.release()
+			}
+			st := c.Stats()
+			if st.HitBytes+st.MissBytes+st.SingleflightBytes != served {
+				t.Logf("stats: hit %d + miss %d + singleflight %d != served %d", st.HitBytes, st.MissBytes, st.SingleflightBytes, served)
+				return false
+			}
+			if st.Evictions > 0 && st.EvictedBytes <= 0 {
+				t.Logf("stats: %d evictions of %d bytes", st.Evictions, st.EvictedBytes)
+				return false
+			}
+			return true
+		}
+		if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestCacheTierHitServesRemoteBytes pins the unit of remote traffic: a miss
@@ -218,11 +210,17 @@ func TestCacheTierAdmissionEviction(t *testing.T) {
 		t.Fatalf("evicted extent: source %v, err %v", src, err)
 	}
 	release()
+}
 
-	// Invalidate drops residency to zero.
-	c.Invalidate("o")
-	if st := c.Stats(); st.Bytes != 0 || st.Entries != 0 {
-		t.Fatalf("after invalidate: %+v", st)
+// TestCacheTierKeepsNoFiles pins that the tier lives in memory only: New
+// refuses a directory and creates none.
+func TestCacheTierKeepsNoFiles(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	if c, err := cachetier.New(dir, 1<<20); err == nil || c != nil {
+		t.Fatalf("New(%q) = %v, %v; want an error", dir, c, err)
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("New made %s (stat: %v)", dir, err)
 	}
 }
 
@@ -377,12 +375,11 @@ func TestCacheTierSingleflightSharedFetch(t *testing.T) {
 // TestCacheTierSingleflightLeaderFailure pins two behaviors at once: a
 // follower whose leader's fetch failed falls back to its own fetch rather
 // than caching the error, and the concurrent fallback admissions that
-// result never double-count the extent in the budget (idempotent admit,
-// exercised on the disk path where the write happens outside the lock).
+// result never double-count the extent in the budget (idempotent admit).
 func TestCacheTierSingleflightLeaderFailure(t *testing.T) {
 	const size = 4 << 10
 	data, _, _ := source(size, 9)
-	c, err := cachetier.New(t.TempDir(), 1<<20)
+	c, err := cachetier.New("", 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

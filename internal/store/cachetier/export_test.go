@@ -8,3 +8,13 @@ func SetPut(f func([]byte)) (restore func()) {
 	put = f
 	return func() { put = old }
 }
+
+// EvictAll evicts every resident extent through the path LRU eviction
+// takes: the cache drops its references, and readers keep theirs.
+func EvictAll(c *Cache) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.tail != nil {
+		c.evictLocked(c.tail)
+	}
+}

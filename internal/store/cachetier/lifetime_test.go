@@ -100,10 +100,11 @@ func (l *ledger) read(c *cachetier.Cache, off, n int64, during func()) error {
 	return nil
 }
 
-// settle drops the cache's own references and checks that every buffer a
+// settle evicts every resident extent, dropping the cache's own
+// references, and checks that every buffer a
 // fetch produced or a reader was handed went back exactly once.
 func (l *ledger) settle(c *cachetier.Cache) {
-	c.Invalidate("o")
+	cachetier.EvictAll(c)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, set := range []map[*byte]bool{l.fetched, l.lent} {
@@ -143,8 +144,8 @@ func (l *ledger) readers(c *cachetier.Cache, g, k int, extents [][2]int64) {
 // fetch produced goes back to the arena exactly once, and never while a
 // reader still holds it — under overlapping concurrent readers, fetched
 // spans larger than their extents, a budget of one extent (every admission
-// evicts), Invalidate mid-read, a failing flight leader, a zero budget and
-// disk mode. CI runs it under -race -count=20.
+// evicts), the whole tier evicted mid-read, a failing flight leader and a
+// zero budget. CI runs it under -race -count=20.
 func TestCacheTierExtentLifetime(t *testing.T) {
 	const ext = 2 << 10
 	// Overlapping extents of several sizes over a 12 KiB object.
@@ -198,19 +199,7 @@ func TestCacheTierExtentLifetime(t *testing.T) {
 		}
 		l.settle(c)
 	})
-	t.Run("disk", func(t *testing.T) {
-		l := newLedger(t, 12<<10)
-		c, err := cachetier.New(t.TempDir(), 4*ext)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.readers(c, 6, 40, overlapping)
-		if st := c.Stats(); st.Hits == 0 || st.Evictions == 0 {
-			t.Fatalf("disk schedule saw no hit or no eviction: %+v", st)
-		}
-		l.settle(c)
-	})
-	t.Run("invalidate mid-read", func(t *testing.T) {
+	t.Run("evict mid-read", func(t *testing.T) {
 		l := newLedger(t, 12<<10)
 		c, err := cachetier.New("", 1<<20)
 		if err != nil {
@@ -221,7 +210,7 @@ func TestCacheTierExtentLifetime(t *testing.T) {
 		if err := l.read(c, 0, ext, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.read(c, 0, ext, func() { c.Invalidate("o") }); err != nil {
+		if err := l.read(c, 0, ext, func() { cachetier.EvictAll(c) }); err != nil {
 			t.Fatal(err)
 		}
 		// And concurrently with readers of every extent.
@@ -234,7 +223,7 @@ func TestCacheTierExtentLifetime(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					c.Invalidate("o")
+					cachetier.EvictAll(c)
 					runtime.Gosched()
 				}
 			}

@@ -118,10 +118,11 @@ var faultClasses = []struct {
 // retryPolicy is generous enough that every fault class above is survivable.
 var retryPolicy = remote.Policy{Attempts: 6, BaseDelay: 100 * time.Microsecond, MaxDelay: 2 * time.Millisecond, Timeout: 5 * time.Second}
 
-// TestFaultMatrixRemoteRestore is the battery's centerpiece: a checkpoint
-// store written and restored over a faulty object store, per fault class and
-// seed. With retries in the stack every run must end byte-identical; with
-// retries exhausted it must fail typed, never return corrupt sections.
+// TestFaultMatrixRemoteRestore is the battery's centerpiece: a run recorded
+// locally, shipped with UploadRun through a faulty object store and restored
+// over it, per fault class and seed — the path every remote run takes. With
+// retries in the stack every run must end byte-identical; with retries
+// exhausted it must fail typed, never return corrupt sections.
 func TestFaultMatrixRemoteRestore(t *testing.T) {
 	for _, cl := range faultClasses {
 		for _, seed := range []int64{1, 2, 3} {
@@ -130,27 +131,18 @@ func TestFaultMatrixRemoteRestore(t *testing.T) {
 				t.Parallel()
 				cfg := cl.cfg
 				cfg.Seed = seed
-				mem := remote.NewMemStore()
-				fb := faultbackend.WrapObject(mem, cfg)
+				dir := t.TempDir()
+				want := recordFanout2(t, dir, 4, uint64(seed)*10)
+				fb := faultbackend.WrapObject(remote.NewMemStore(), cfg)
+				objs := remote.Retry(fb, retryPolicy)
+				if _, err := remote.UploadRun(objs, dir, "run"); err != nil {
+					t.Fatalf("upload through faults: %v", err)
+				}
 				cache, err := cachetier.New("", 4<<20)
 				if err != nil {
 					t.Fatal(err)
 				}
-				backend := remote.NewObjectBackend(remote.Retry(fb, retryPolicy), "packs", cache)
-				dir := t.TempDir()
-				s, err := openFanout2(t, dir, backend)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := map[int][]byte{}
-				for i := 0; i < 4; i++ {
-					data := faultPayload(48<<10, uint64(seed)*10+uint64(i))
-					want[i] = data
-					key := store.Key{LoopID: "train", Exec: i}
-					if _, err := s.PutSections(key, []store.Section{{Name: "w", Data: data}}, 0, 0, 0); err != nil {
-						t.Fatalf("put %d through faults: %v", i, err)
-					}
-				}
+				backend := remote.NewObjectBackend(objs, remote.PacksPrefix("run"), cache)
 				ro, err := store.OpenWith(dir, store.Options{ReadOnly: true, Backend: backend})
 				if err != nil {
 					t.Fatal(err)
@@ -173,7 +165,7 @@ func TestFaultMatrixRemoteRestore(t *testing.T) {
 }
 
 // TestFaultMatrixConcurrentRemoteRestore is the matrix's concurrent pass: a
-// store written cleanly, then every key restored at once — two readers per
+// run recorded and uploaded cleanly, then every key restored at once — two readers per
 // key — through one small-block cache tier over a faulty object store, so
 // readers race for the same blocks, join each other's fetches, and fall back
 // to their own when a flight leader's fetch fails. Every restore must come
@@ -189,19 +181,11 @@ func TestFaultMatrixConcurrentRemoteRestore(t *testing.T) {
 		}
 		for _, seed := range []int64{1, 2, 3} {
 			t.Run(fmt.Sprintf("%s/seed%d", cl.name, seed), func(t *testing.T) {
-				const nKeys = 5
-				mem := remote.NewMemStore()
 				dir := t.TempDir()
-				w, err := openFanout2(t, dir, remote.NewObjectBackend(mem, "packs", nil))
-				if err != nil {
+				want := recordFanout2(t, dir, 5, uint64(seed)*100)
+				mem := remote.NewMemStore()
+				if _, err := remote.UploadRun(mem, dir, "run"); err != nil {
 					t.Fatal(err)
-				}
-				want := map[int][]byte{}
-				for i := 0; i < nKeys; i++ {
-					want[i] = faultPayload(48<<10, uint64(seed)*100+uint64(i))
-					if _, err := w.PutSections(store.Key{LoopID: "train", Exec: i}, []store.Section{{Name: "w", Data: want[i]}}, 0, 0, 0); err != nil {
-						t.Fatalf("put %d: %v", i, err)
-					}
 				}
 
 				cfg := cfg
@@ -211,7 +195,7 @@ func TestFaultMatrixConcurrentRemoteRestore(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				backend := remote.NewObjectBackend(remote.Retry(fb, retryPolicy), "packs", cache)
+				backend := remote.NewObjectBackend(remote.Retry(fb, retryPolicy), remote.PacksPrefix("run"), cache)
 				ro, err := store.OpenWith(dir, store.Options{ReadOnly: true, Backend: backend})
 				if err != nil {
 					t.Fatal(err)
@@ -258,22 +242,17 @@ func TestFaultMatrixConcurrentRemoteRestore(t *testing.T) {
 // exhaustion error — it does not hang and it does not hand back partial or
 // corrupt sections.
 func TestFaultMatrixExhaustion(t *testing.T) {
-	mem := remote.NewMemStore()
 	policy := remote.Policy{Attempts: 3, BaseDelay: 50 * time.Microsecond, MaxDelay: time.Millisecond, Timeout: time.Second}
-	// Write cleanly...
-	clean := remote.NewObjectBackend(remote.Retry(mem, policy), "packs", nil)
+	// Record and upload cleanly...
 	dir := t.TempDir()
-	s, err := openFanout2(t, dir, clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := faultPayload(32<<10, 9)
-	if _, err := s.PutSections(store.Key{LoopID: "train", Exec: 0}, []store.Section{{Name: "w", Data: data}}, 0, 0, 0); err != nil {
+	recordFanout2(t, dir, 1, 9)
+	mem := remote.NewMemStore()
+	if _, err := remote.UploadRun(mem, dir, "run"); err != nil {
 		t.Fatal(err)
 	}
 	// ...then read through a store where every ranged GET faults.
 	fb := faultbackend.WrapObject(mem, faultbackend.Config{Seed: 5, ReadErrNth: 1})
-	faulty := remote.NewObjectBackend(remote.Retry(fb, policy), "packs", nil)
+	faulty := remote.NewObjectBackend(remote.Retry(fb, policy), remote.PacksPrefix("run"), nil)
 	ro, err := store.OpenWith(dir, store.Options{ReadOnly: true, Backend: faulty})
 	if err != nil {
 		t.Fatal(err)
@@ -365,13 +344,31 @@ func readAll(st *store.Store, key store.Key) ([]store.Section, error) {
 	return c.ReadInto(nil, nil, nil, nil)
 }
 
-// openFanout2 opens a store over backend in dir, a directory an older build
-// made a fanout-2 store of: its FORMAT marker is planted before the first
-// open, which adopts it.
+// openFanout2 opens a store over backend (nil: its run directory) in dir, a
+// directory an older build made a fanout-2 store of: its FORMAT marker is
+// planted before the first open, which adopts it.
 func openFanout2(t testing.TB, dir string, backend store.Backend) (*store.Store, error) {
 	t.Helper()
 	if err := os.WriteFile(filepath.Join(dir, "FORMAT"), []byte("2 shards=2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return store.OpenWith(dir, store.Options{Backend: backend})
+}
+
+// recordFanout2 records n one-section checkpoints of 48 KiB, seeded from
+// seed, into a fanout-2 store in dir and returns them by exec.
+func recordFanout2(t testing.TB, dir string, n int, seed uint64) map[int][]byte {
+	t.Helper()
+	s, err := openFanout2(t, dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int][]byte{}
+	for i := 0; i < n; i++ {
+		want[i] = faultPayload(48<<10, seed+uint64(i))
+		if _, err := s.PutSections(store.Key{LoopID: "train", Exec: i}, []store.Section{{Name: "w", Data: want[i]}}, 0, 0, 0); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	return want
 }

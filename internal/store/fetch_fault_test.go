@@ -43,19 +43,24 @@ func TestFetchStopsDispatchingAfterFirstError(t *testing.T) {
 			store.Section{Name: fmt.Sprintf("need%02d", i), Data: store.TestPayload(4<<10, uint64(2*i+1))},
 			store.Section{Name: fmt.Sprintf("fill%02d", i), Data: store.TestPayload(300<<10, uint64(2*i+2))})
 	}
-	objs := &countingObjects{ObjectStore: remote.NewMemStore()}
+	// Recorded locally and shipped with UploadRun, then read back through
+	// the object backend, as a remote run is.
 	dir := t.TempDir()
 	key := store.Key{LoopID: "train", Exec: 0}
-	w, err := store.OpenWith(dir, store.Options{Backend: remote.NewObjectBackend(objs, "packs", nil)})
+	w, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.PutSections(key, secs, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
+	objs := &countingObjects{ObjectStore: remote.NewMemStore()}
+	if _, err := remote.UploadRun(objs, dir, "run"); err != nil {
+		t.Fatal(err)
+	}
 
 	restore := func(st remote.ObjectStore, have func(ckptfmt.Hash) bool) ([]store.Section, error) {
-		ro, err := store.OpenWith(dir, store.Options{ReadOnly: true, Backend: remote.NewObjectBackend(st, "packs", nil)})
+		ro, err := store.OpenWith(dir, store.Options{ReadOnly: true, Backend: remote.NewObjectBackend(st, remote.PacksPrefix("run"), nil)})
 		if err != nil {
 			t.Fatal(err)
 		}

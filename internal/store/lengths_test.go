@@ -1,7 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"errors"
+	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -77,5 +81,131 @@ func TestChunkLengthDisagreementIsCorrupt(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// rewriteChunkRecords applies edit to the location of every chunk record in
+// the record log at path (a run's MANIFEST or a pool's INDEX), re-framed so
+// that each CRC holds.
+func rewriteChunkRecords(t *testing.T, path string, edit func(*chunkLoc)) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	for off := 0; off < len(b); {
+		rec, n, err := decodeManifestRecord(b[off:], false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := b[off : off+n]
+		if rec.tag == recChunk {
+			edit(&rec.loc)
+			raw = frameTagged(recChunk, encodeChunkRecord(rec.hash, rec.loc))
+		}
+		out = append(out, raw...)
+		off += n
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInvalidChunkRecordIsDroppedAtOpen pins the verdict on a CRC-valid
+// chunk record whose offset or lengths cannot locate a frame in its pack — a
+// negative field, or an extent whose end overflows int64: open drops it as
+// it drops a record pointing past the pack's end. A read-only read of its
+// checkpoint is codec.ErrCorrupt, never a panic, and a writable open is
+// refused — in a private store (MANIFEST records) and a shared pool (INDEX
+// records, read at open or adopted when a writable attach upgrades a pool
+// this process opened read-only).
+func TestInvalidChunkRecordIsDroppedAtOpen(t *testing.T) {
+	edits := map[string]func(*chunkLoc){
+		"negative offset":  func(l *chunkLoc) { l.Off = -1 },
+		"negative enc len": func(l *chunkLoc) { l.EncLen = -40 },
+		"negative raw len": func(l *chunkLoc) { l.RawLen = -8 },
+		"end overflows":    func(l *chunkLoc) { l.Off = math.MaxInt64 - 8 },
+	}
+	key := Key{LoopID: "L", Exec: 0}
+	data := noise(100000, 4)
+	for name, edit := range edits {
+		for _, pooled := range []bool{false, true} {
+			base := t.TempDir()
+			dir, pool := filepath.Join(base, "run"), filepath.Join(base, "POOL")
+			o, records := Options{}, filepath.Join(dir, manifestFile)
+			if pooled {
+				o, records = Options{Pool: pool}, filepath.Join(pool, poolIndexFile)
+			}
+			s, err := OpenWith(dir, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.PutSections(key, []Section{{Name: "w", Data: data}}, 0, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			resetPoolRegistry()
+			rewriteChunkRecords(t, records, edit)
+
+			r, err := OpenReadOnly(dir)
+			if err != nil {
+				t.Fatalf("%s, pooled=%v: read-only open: %v", name, pooled, err)
+			}
+			if secs, err := ReadAll(r, key, nil); !errors.Is(err, codec.ErrCorrupt) {
+				t.Errorf("%s, pooled=%v: read: %d sections, err %v; want codec.ErrCorrupt", name, pooled, len(secs), err)
+			}
+			resetPoolRegistry()
+			if _, err := OpenWith(dir, o); !errors.Is(err, codec.ErrCorrupt) {
+				t.Errorf("%s, pooled=%v: writable open: %v; want codec.ErrCorrupt", name, pooled, err)
+			}
+			resetPoolRegistry()
+		}
+	}
+	// A record another process appends to the pool's INDEX after this
+	// process opened it read-only is checked when a writable attach upgrades
+	// the pool in place.
+	base := t.TempDir()
+	pool := filepath.Join(base, "POOL")
+	s, err := OpenWith(filepath.Join(base, "run1"), Options{Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PutSections(key, []Section{{Name: "w", Data: data}}, 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	resetPoolRegistry()
+	defer resetPoolRegistry()
+	if _, err := OpenReadOnly(filepath.Join(base, "run1")); err != nil {
+		t.Fatal(err)
+	}
+	foreign := noise(4096, 5)
+	h := ckptfmt.HashChunk(foreign)
+	idx, err := os.OpenFile(filepath.Join(pool, poolIndexFile), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := idx.Write(frameTagged(recChunk, encodeChunkRecord(h, chunkLoc{EncLen: -40, RawLen: len(foreign)}))); err != nil {
+		t.Fatal(err)
+	}
+	idx.Close()
+	if _, err := OpenWith(filepath.Join(base, "run2"), Options{Pool: pool}); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("writable attach after a foreign invalid INDEX record: %v; want codec.ErrCorrupt", err)
+	}
+
+	// The unedited store reads back: what fails above is the edit.
+	dir := t.TempDir()
+	if s, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PutSections(key, []Section{{Name: "w", Data: data}}, 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	rewriteChunkRecords(t, filepath.Join(dir, manifestFile), func(*chunkLoc) {})
+	r, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if secs, err := ReadAll(r, key, nil); err != nil || !bytes.Equal(secs[0].Data, data) {
+		t.Fatalf("unedited store: %v", err)
 	}
 }

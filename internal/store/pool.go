@@ -102,6 +102,13 @@ type poolShard struct {
 	broken error
 }
 
+// within reports whether loc locates an extent inside a pack of packLen
+// bytes: no field negative, and no end past the pack's (compared without
+// overflow).
+func (loc chunkLoc) within(packLen int64) bool {
+	return loc.Off >= 0 && loc.EncLen >= 0 && loc.RawLen >= 0 && int64(loc.EncLen) <= packLen-loc.Off
+}
+
 // packObjName maps (base name, generation) to the backend object name.
 func packObjName(name string, gen int) string {
 	if gen == 0 {
@@ -146,7 +153,7 @@ type ChunkPool struct {
 	mu       sync.Mutex
 	readOnly bool
 	stored   PoolStats // Chunks/StoredRawBytes/StoredEncBytes upkeep
-	dropped  []string  // packs whose records point past the pack's real end
+	dropped  []string  // packs whose records are invalid or point past the pack's real end
 	indexLen int64     // validated INDEX prefix length (shared pools)
 
 	shardTab []*poolShard // two-level dedup index: shardTab[shardOf(h)].chunks[h]
@@ -236,9 +243,9 @@ func (p *ChunkPool) adopt(h ckptfmt.Hash, loc chunkLoc) {
 
 // finishOpen completes initialization after records were adopted: resolves
 // each shard's active generation and pack length, drops records from stale
-// generations or pointing past their pack's end (remembering the pack in
-// dropped), and rebuilds the stored-chunk accounting. Runs single-threaded
-// at open.
+// generations, with a negative offset or length, or pointing past their
+// pack's end (remembering the pack in dropped), and rebuilds the stored-chunk
+// accounting. Runs single-threaded at open.
 func (p *ChunkPool) finishOpen() error {
 	p.stored.Fanout = p.fanout
 	p.stored.Root = p.root
@@ -251,11 +258,12 @@ func (p *ChunkPool) finishOpen() error {
 		sh.packLen = n
 		bad := false
 		for h, loc := range sh.chunks {
-			if loc.Gen != sh.gen || loc.Off+int64(loc.EncLen) > sh.packLen {
-				// A record from a superseded generation, or pointing past the
-				// pack's real end (pack lost or truncated — never a crash
-				// artifact, since pack bytes land before records). Drop it and
-				// let reads of referencing checkpoints surface ErrCorrupt.
+			if loc.Gen != sh.gen || !loc.within(sh.packLen) {
+				// A record from a superseded generation, with a negative
+				// field, or pointing past the pack's real end (pack lost or
+				// truncated — never a crash artifact, since pack bytes land
+				// before records). Drop it and let reads of referencing
+				// checkpoints surface ErrCorrupt.
 				delete(sh.chunks, h)
 				bad = true
 				continue
@@ -273,7 +281,8 @@ func (p *ChunkPool) finishOpen() error {
 }
 
 // droppedPacks names packs whose committed chunk records pointed past the
-// pack's real end at open (pack lost or truncated). Read-only opens degrade
+// pack's real end at open (pack lost or truncated), or held a negative
+// offset or length. Read-only opens degrade
 // gracefully; writable opens refuse, because appending to a rewound pack
 // would re-commit hashes at offsets the old records still claim.
 func (p *ChunkPool) droppedPacks() []string {
@@ -573,8 +582,9 @@ func openSharedPool(root string, fanout int, readOnly bool) (*ChunkPool, error) 
 // tail — blindly truncating to the old validated length would destroy the
 // other writer's commits) and resyncs every shard's pack length, without
 // which our next append would commit offsets short of the packs' real
-// ends. The backend is shared as-is (see openSharedPool). Caller holds the
-// registry lock.
+// ends. An adopted record that does not fit its pack is dropped as at open,
+// which refuses the writable open. The backend is shared as-is (see
+// openSharedPool). Caller holds the registry lock.
 func (p *ChunkPool) upgradeWritable() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -590,6 +600,16 @@ func (p *ChunkPool) upgradeWritable() error {
 		sh.mu.Lock()
 		if n, serr := p.backend.Size(sh.obj()); serr == nil && n > sh.packLen {
 			sh.packLen = n
+		}
+		bad := false
+		for h, loc := range sh.chunks {
+			if loc.Gen == sh.gen && !loc.within(sh.packLen) {
+				delete(sh.chunks, h)
+				bad = true
+			}
+		}
+		if bad {
+			p.dropped = append(p.dropped, sh.obj())
 		}
 		sh.mu.Unlock()
 	}

@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -11,25 +10,20 @@ import (
 	"flor.dev/flor/internal/store/cachetier"
 )
 
-// ObjectBackend adapts an ObjectStore to store.Backend, so a run's chunk
-// packs can live in a shared remote pool while the control plane (FORMAT,
-// MANIFEST) stays in a local run directory. Its readers lend
-// extents (store.ExtentReader): the restore path asks for each planned frame
-// run's exact byte range, several in flight, and decodes it where it lies —
-// a cache-tier extent, another reader's shared fetch, or the arena span of
-// one ranged GET — counting the run to the "cache-tier", "singleflight" or
-// "remote" fetch tier, and releases it when the decode is done.
+// ObjectBackend adapts an ObjectStore to store.Backend for reading a run
+// whose chunk packs live in a shared remote pool, while its control plane
+// (FORMAT, MANIFEST) sits in a local run directory. A run reaches the pool
+// one way only: it is recorded locally and shipped whole by UploadRun. This
+// backend only reads; its write methods fail with store.ErrReadOnly and touch
+// no object.
 //
-// Reads go through an optional cachetier.Cache, which keeps those extents;
-// pack appends and wholesale replacements invalidate the touched object's
-// cached extents (correctness never depends on that — cache keys are
-// versioned by object length — it just frees dead space promptly).
-//
-// Append is a read-modify-write full PUT: correct under the store's
-// per-shard append serialization, but O(object) per call. Remote-backed
-// stores are meant to be written locally and uploaded (UploadRun), then
-// served read-only; Append exists so the Backend contract
-// holds, not as a hot write path.
+// Its readers lend extents (store.ExtentReader): the restore path asks for
+// each planned frame run's exact byte range, several in flight, and decodes
+// it where it lies — a cache-tier extent, another reader's shared fetch, or
+// the arena span of one ranged GET — counting the run to the "cache-tier",
+// "singleflight" or "remote" fetch tier, and releases it when the decode is
+// done. Reads go through an optional cachetier.Cache, which keeps those
+// extents in memory.
 type ObjectBackend struct {
 	store  ObjectStore
 	prefix string
@@ -50,9 +44,6 @@ func NewObjectBackend(st ObjectStore, prefix string, cache *cachetier.Cache) *Ob
 	return &ObjectBackend{store: st, prefix: prefix, cache: cache}
 }
 
-// Cache returns the backend's cache tier (nil when uncached).
-func (b *ObjectBackend) Cache() *cachetier.Cache { return b.cache }
-
 func (b *ObjectBackend) key(name string) string {
 	if b.prefix == "" {
 		return name
@@ -67,26 +58,6 @@ func (b *ObjectBackend) Size(name string) (int64, error) {
 		return 0, nil
 	}
 	return n, err
-}
-
-// Append implements store.Backend as a read-modify-write whole-object PUT.
-// The store serializes appends per object, so the read and the put cannot
-// interleave with another append to the same object.
-func (b *ObjectBackend) Append(name string, p []byte) error {
-	key := b.key(name)
-	cur, err := b.store.Get(key)
-	if errors.Is(err, ErrNotFound) {
-		cur = nil
-	} else if err != nil {
-		return fmt.Errorf("remote: append %s: %w", name, err)
-	}
-	if err := b.store.Put(key, append(cur, p...)); err != nil {
-		return fmt.Errorf("remote: append %s: %w", name, err)
-	}
-	if b.cache != nil {
-		b.cache.Invalidate(key)
-	}
-	return nil
 }
 
 // Open implements store.Backend. The returned reader snapshots the object's
@@ -147,7 +118,7 @@ var extentTier = [...]store.ExtentTier{
 // range beyond the length the reader was opened at is a short object,
 // reported as io.ErrUnexpectedEOF.
 func (r *objReader) ReadExtent(off, n int64) ([]byte, func(), store.ExtentTier, error) {
-	if off < 0 || n < 0 || off+n > r.size {
+	if off < 0 || n < 0 || n > r.size-off {
 		return nil, nil, 0, fmt.Errorf("remote: read %s [%d,%d) of %d bytes: %w", r.key, off, off+n, r.size, io.ErrUnexpectedEOF)
 	}
 	get := func(off, n int64) ([]byte, error) { return r.b.store.GetRange(r.key, off, n) }
@@ -165,53 +136,14 @@ func (r *objReader) ReadExtent(off, n int64) ([]byte, func(), store.ExtentTier, 
 // Close implements io.Closer.
 func (r *objReader) Close() error { return nil }
 
-// Create implements store.Backend: writes buffer locally and commit as one
-// atomic PUT on Close — the remote either has the old object or the new one.
+// Append, Create and Remove implement store.Backend: the pool is written
+// only by UploadRun.
+func (b *ObjectBackend) Append(name string, _ []byte) error { return b.readOnly("append", name) }
 func (b *ObjectBackend) Create(name string) (store.BackendWriter, error) {
-	return &putOnClose{b: b, key: b.key(name), name: name}, nil
+	return nil, b.readOnly("create", name)
 }
+func (b *ObjectBackend) Remove(name string) error { return b.readOnly("remove", name) }
 
-type putOnClose struct {
-	b       *ObjectBackend
-	key     string
-	name    string
-	buf     bytes.Buffer
-	aborted bool
-}
-
-func (w *putOnClose) Write(p []byte) (int, error) {
-	if w.aborted {
-		return 0, fmt.Errorf("remote: write %s: writer aborted", w.name)
-	}
-	return w.buf.Write(p)
-}
-
-func (w *putOnClose) Close() error {
-	if w.aborted {
-		return nil
-	}
-	if err := w.b.store.Put(w.key, w.buf.Bytes()); err != nil {
-		return fmt.Errorf("remote: commit %s: %w", w.name, err)
-	}
-	if w.b.cache != nil {
-		w.b.cache.Invalidate(w.key)
-	}
-	return nil
-}
-
-func (w *putOnClose) Abort() {
-	w.aborted = true
-	w.buf.Reset()
-}
-
-// Remove implements store.Backend.
-func (b *ObjectBackend) Remove(name string) error {
-	key := b.key(name)
-	if err := b.store.Delete(key); err != nil {
-		return fmt.Errorf("remote: remove %s: %w", name, err)
-	}
-	if b.cache != nil {
-		b.cache.Invalidate(key)
-	}
-	return nil
+func (b *ObjectBackend) readOnly(op, name string) error {
+	return fmt.Errorf("remote: %s %s: %w", op, name, store.ErrReadOnly)
 }

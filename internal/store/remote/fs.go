@@ -94,7 +94,7 @@ func (s *FSStore) GetRange(key string, off, n int64) ([]byte, error) {
 		return nil, fmt.Errorf("remote: get range %s: %w", key, err)
 	}
 	// Check before allocating: a corrupt location must not size the buffer.
-	if off < 0 || n < 0 || off+n > st.Size() {
+	if off < 0 || n < 0 || n > st.Size()-off {
 		return nil, fmt.Errorf("remote: get range %s [%d,%d): beyond object length %d", key, off, off+n, st.Size())
 	}
 	buf := ckptfmt.Shared.Get(int(n))

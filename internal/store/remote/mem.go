@@ -53,7 +53,7 @@ func (s *MemStore) GetRange(key string, off, n int64) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	if off < 0 || n < 0 || off+n > int64(len(data)) {
+	if off < 0 || n < 0 || n > int64(len(data))-off {
 		return nil, fmt.Errorf("remote: get range %s [%d,%d): beyond object length %d", key, off, off+n, len(data))
 	}
 	buf := ckptfmt.Shared.Get(int(n))

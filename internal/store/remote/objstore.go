@@ -1,8 +1,10 @@
 // Package remote implements the S3-shaped object backend the store.Backend
 // interface was designed for: run checkpoints live in a shared object store
 // as whole-object uploads (UploadRun; the object is the atomic unit), and
-// replay restores them with parallel ranged GETs through a local
-// read-through chunk cache (internal/store/cachetier). The package speaks a
+// replay restores them with parallel ranged GETs through an in-memory
+// read-through chunk cache (internal/store/cachetier). UploadRun is the only
+// writer of run objects; the store.Backend over a pool (ObjectBackend) only
+// reads. The package speaks a
 // minimal object API — GET, ranged GET, PUT, LIST, DELETE — deliberately
 // the lowest common denominator of S3-compatible stores; the two bundled
 // implementations (filesystem-rooted FSStore and in-memory MemStore) keep
@@ -13,7 +15,7 @@
 // exponential backoff, and the fault-injection battery in
 // internal/store/faultbackend exercises exactly those paths. Cross-process
 // writer coordination uses lease objects on the remote root (lease.go) so
-// two daemons cannot both compact a shared pool.
+// two daemons cannot race an upload to the same prefix.
 package remote
 
 import (

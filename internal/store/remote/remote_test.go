@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -352,7 +353,8 @@ func TestRemoteLeaseExclusion(t *testing.T) {
 }
 
 // TestRemoteBackendStoreRoundTrip runs a checkpoint store end to end over the
-// object backend: writes land as remote objects, reads come back
+// object backend, the way a run reaches it: recorded locally, shipped with
+// UploadRun, and opened read-only through the backend. Reads come back
 // byte-identical through ranged GETs, and the fetch accounting attributes
 // every byte to the remote/cache-tier pair.
 func TestRemoteBackendStoreRoundTrip(t *testing.T) {
@@ -362,18 +364,9 @@ func TestRemoteBackendStoreRoundTrip(t *testing.T) {
 			name = "cached"
 		}
 		t.Run(name, func(t *testing.T) {
-			mem := remote.NewMemStore()
-			var cache *cachetier.Cache
-			if cached {
-				var err error
-				if cache, err = cachetier.New("", 8<<20); err != nil {
-					t.Fatal(err)
-				}
-			}
-			backend := remote.NewObjectBackend(mem, "packs", cache)
-			dir := t.TempDir()
-			plantLayout(t, dir, 4)
-			s, err := store.OpenWith(dir, store.Options{Backend: backend})
+			src := t.TempDir()
+			plantLayout(t, src, 4)
+			s, err := store.Open(src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -386,14 +379,30 @@ func TestRemoteBackendStoreRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			mem := remote.NewMemStore()
+			if _, err := remote.UploadRun(mem, src, "runs/rt"); err != nil {
+				t.Fatal(err)
+			}
 			// Pack objects actually live remotely.
-			if keys, _ := mem.List("packs/"); len(keys) == 0 {
+			if keys, _ := mem.List("runs/rt/packs/"); len(keys) == 0 {
 				t.Fatal("no pack objects in the object store")
 			}
+			var cache *cachetier.Cache
+			if cached {
+				if cache, err = cachetier.New("", 8<<20); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-			// A fresh read-only open restores byte-identically, attributing
-			// every encoded byte to the remote-shaped tiers.
-			ro, err := store.OpenWith(dir, store.Options{ReadOnly: true, Backend: backend})
+			// A read-only open over a fetched control plane restores
+			// byte-identically, attributing every encoded byte to the
+			// remote-shaped tiers.
+			ctl := filepath.Join(t.TempDir(), "ctl")
+			if _, err := remote.FetchControlPlane(mem, "runs/rt", ctl); err != nil {
+				t.Fatal(err)
+			}
+			backend := remote.NewObjectBackend(mem, remote.PacksPrefix("runs/rt"), cache)
+			ro, err := store.OpenWith(ctl, store.Options{ReadOnly: true, Backend: backend})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -433,6 +442,58 @@ func TestRemoteBackendStoreRoundTrip(t *testing.T) {
 				t.Fatalf("uncached backend attributed cache-tier bytes: %+v", snap)
 			}
 		})
+	}
+}
+
+// writeCounter counts the writes that reach an object store.
+type writeCounter struct {
+	remote.ObjectStore
+	puts, deletes atomic.Int64
+}
+
+func (w *writeCounter) Put(key string, data []byte) error {
+	w.puts.Add(1)
+	return w.ObjectStore.Put(key, data)
+}
+
+func (w *writeCounter) Delete(key string) error {
+	w.deletes.Add(1)
+	return w.ObjectStore.Delete(key)
+}
+
+// TestObjectBackendIsReadOnly pins that UploadRun is the one way into the
+// object store: an ObjectBackend's Append, Create and Remove fail with
+// store.ErrReadOnly — called directly or through a writable store's put —
+// and not one PUT or DELETE reaches the object store behind it.
+func TestObjectBackendIsReadOnly(t *testing.T) {
+	objs := &writeCounter{ObjectStore: remote.NewMemStore()}
+	cache, err := cachetier.New("", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := remote.NewObjectBackend(objs, "packs", cache)
+	if err := backend.Append("CHUNKS", []byte("frame")); !errors.Is(err, store.ErrReadOnly) {
+		t.Fatalf("Append: %v, want store.ErrReadOnly", err)
+	}
+	if w, err := backend.Create("CHUNKS.g1"); w != nil || !errors.Is(err, store.ErrReadOnly) {
+		t.Fatalf("Create: writer %v, err %v; want none and store.ErrReadOnly", w, err)
+	}
+	if err := backend.Remove("CHUNKS"); !errors.Is(err, store.ErrReadOnly) {
+		t.Fatalf("Remove: %v, want store.ErrReadOnly", err)
+	}
+	s, err := store.OpenWith(t.TempDir(), store.Options{Backend: backend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.PutSections(store.Key{LoopID: "train", Exec: 0}, []store.Section{{Name: "w", Data: testRemotePayload(4<<10, 1)}}, 0, 0, 0)
+	if !errors.Is(err, store.ErrReadOnly) {
+		t.Fatalf("put through the backend: %v, want store.ErrReadOnly", err)
+	}
+	if p, d := objs.puts.Load(), objs.deletes.Load(); p != 0 || d != 0 {
+		t.Fatalf("the object store saw %d PUTs and %d DELETEs, want none", p, d)
+	}
+	if keys, _ := objs.List(""); len(keys) != 0 {
+		t.Fatalf("the object store holds %v", keys)
 	}
 }
 

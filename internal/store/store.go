@@ -478,7 +478,7 @@ func OpenWith(dir string, o Options) (*Store, error) {
 		s.adoptPoolStats()
 	}
 	if dropped := s.pool.droppedPacks(); !s.readOnly && len(dropped) > 0 {
-		return nil, fmt.Errorf("%w: shard pack %s is missing or truncated (committed chunk records point past its end); writable open refused — repair or open read-only",
+		return nil, fmt.Errorf("%w: shard pack %s is missing or truncated, or its committed chunk records are invalid; writable open refused — repair or open read-only",
 			codec.ErrCorrupt, strings.Join(dropped, ", "))
 	}
 	if s.pooled && !s.readOnly {

@@ -103,7 +103,7 @@ type IntPayload int64
 func (IntPayload) Kind() Kind { return KindInt }
 
 // Encode implements Payload.
-func (p IntPayload) Encode(w *codec.Writer) { w.Int(int(p)) }
+func (p IntPayload) Encode(w *codec.Writer) { w.Int64(int64(p)) }
 
 // SizeBytes implements Payload.
 func (IntPayload) SizeBytes() int { return 9 }
@@ -211,7 +211,7 @@ func (RNGPayload) SizeBytes() int { return 17 }
 func DecodePayload(r *codec.Reader, k Kind) (Payload, error) {
 	switch k {
 	case KindInt:
-		v, err := r.Int()
+		v, err := r.Int64()
 		if err != nil {
 			return nil, err
 		}
@@ -607,6 +607,9 @@ func (b *Int) Restore(p Payload) error {
 	ip, ok := p.(IntPayload)
 	if !ok {
 		return restoreMismatch(b, p)
+	}
+	if int64(int(ip)) != int64(ip) {
+		return fmt.Errorf("value: int payload %d does not fit an int", int64(ip))
 	}
 	b.V = int(ip)
 	return nil

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -296,6 +297,23 @@ func TestQuickIntPayloadRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIntRestoreRefusesPayloadsBeyondInt pins that an int payload is
+// restored exactly or refused: on a 32-bit build a value outside int's range
+// fails the restore and leaves the box as it was, never truncated.
+func TestIntRestoreRefusesPayloadsBeyondInt(t *testing.T) {
+	for _, v := range []int64{0, -1, math.MaxInt32, math.MinInt32, math.MaxInt32 + 1, math.MinInt32 - 1, math.MaxInt64, math.MinInt64} {
+		b := &Int{V: 7}
+		err := b.Restore(IntPayload(v))
+		if v >= math.MinInt && v <= math.MaxInt {
+			if err != nil || int64(b.V) != v {
+				t.Fatalf("restore %d: V=%d err=%v", v, b.V, err)
+			}
+		} else if err == nil || b.V != 7 {
+			t.Fatalf("restore %d into an int: V=%d err=%v; want refused and untouched", v, b.V, err)
+		}
 	}
 }
 

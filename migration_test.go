@@ -342,6 +342,81 @@ func TestLegacyGzipTwinsAreInert(t *testing.T) {
 	}
 }
 
+// TestShardedFixtureOpensReplaysAndSurvivesGC pins the committed sharded
+// store: testdata/sharded is counterFactory(6, 3) recorded, adaptive
+// checkpointing off, into a directory whose FORMAT marker was planted as
+// "2 shards=4" — the layout older builds wrote when asked for four shards —
+// so its packs are CHUNKS-00 … CHUNKS-03. On a copy, it must open read-only
+// without touching a byte and writable, replay byte-identically to its
+// record.log, and still do so after a GC pass drops a superseded checkpoint.
+func TestShardedFixtureOpensReplaysAndSurvivesGC(t *testing.T) {
+	factory := counterFactory(6, 3)
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "sharded"))); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "record.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	replayed := func(when string) {
+		t.Helper()
+		res, err := flor.Replay(dir, factory, flor.Workers(2))
+		if err != nil || len(res.Anomalies) != 0 {
+			t.Fatalf("replay %s: %v, %+v", when, err, res)
+		}
+		if err := sameLogs(res.Logs, want); err != nil {
+			t.Fatalf("replay %s differs from record.log: %v", when, err)
+		}
+	}
+	if l, err := store.DetectLayout(dir); err != nil || l.String() != "v2-sharded/4" {
+		t.Fatalf("layout = %v (%v), want v2-sharded/4", l, err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("CHUNKS-%02d", i))); err != nil {
+			t.Fatalf("fixture shard pack: %v", err)
+		}
+	}
+
+	before := dirBytes(t, dir)
+	ro, err := store.OpenReadOnly(dir)
+	if err != nil {
+		t.Fatalf("read-only open: %v", err)
+	}
+	if n := len(ro.Metas()); n != 6 {
+		t.Fatalf("read-only open sees %d checkpoints, want 6", n)
+	}
+	if after := dirBytes(t, dir); !maps.Equal(before, after) {
+		t.Fatal("a read-only open changed the fixture")
+	}
+	replayed("read-only")
+
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatalf("writable open: %v", err)
+	}
+	last := store.Key{LoopID: "train", Exec: st.ExecsFor("train")[len(st.ExecsFor("train"))-1]}
+	secs, err := readAll(st, last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.PutSections(last, secs, 0, 0, 0); err != nil {
+		t.Fatalf("put into the sharded store: %v", err)
+	}
+	res, err := st.GCWith(store.GCOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Superseded != 1 {
+		t.Fatalf("gc = %+v, want the superseded checkpoint dropped", res)
+	}
+	if m, err := os.ReadFile(filepath.Join(dir, "FORMAT")); err != nil || string(m) != "2 shards=4 dirs\n" {
+		t.Fatalf("FORMAT after gc = %q (%v)", m, err)
+	}
+	replayed("after gc")
+}
+
 // TestMixedFormStoresResolveGCAndReplay runs the committed stores older
 // builds recorded — testdata/framestyles/{deflate,lz4} and testdata/gztwins,
 // each a meta record without a directory and a segment file per checkpoint —
