@@ -5,6 +5,7 @@
 //
 //	florctl scrape host1:7707 host2:7707   # one merged Prometheus scrape
 //	florctl top host1:7707 host2:7707      # fleet table from /v1/stats
+//	florctl migrate old-run new-run [pool] # copy a run into a writable layout
 //
 // scrape fetches every target's /metrics and emits a single Prometheus
 // text-format document: counters and gauges with identical series labels are
@@ -23,6 +24,14 @@
 // Targets are host:port or full http(s) URLs; -timeout bounds each fetch.
 // A target that fails to respond is reported on stderr and skipped — a
 // half-down fleet still renders — but florctl exits nonzero.
+//
+// migrate copies a recorded run (core.Migrate) into a fresh directory in a
+// layout this build writes — a private store, or a run of the shared pool
+// named third — reading the source read-only and never writing it. A run an
+// older build left (format v1, a sharded or multi-root store, a pool at
+// another fanout, a manifest with segment-file checkpoints) opens read-only
+// everywhere; this is the one way to record into, or GC, its checkpoints
+// again.
 package main
 
 import (
@@ -37,6 +46,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"flor.dev/flor/internal/core"
 	"flor.dev/flor/internal/serve"
 )
 
@@ -44,6 +54,7 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   florctl scrape [-timeout 5s] <target>...   merged Prometheus scrape
   florctl top    [-timeout 5s] <target>...   fleet view of /v1/stats
+  florctl migrate <src> <dst> [pool]         copy a run into a writable layout
 
 targets are host:port or http(s) URLs of flord daemons
 `)
@@ -55,6 +66,21 @@ func main() {
 		os.Exit(2)
 	}
 	cmd, rest := os.Args[1], os.Args[2:]
+	if cmd == "migrate" {
+		if len(rest) < 2 || len(rest) > 3 {
+			usage()
+			os.Exit(2)
+		}
+		pool := ""
+		if len(rest) == 3 {
+			pool = rest[2]
+		}
+		if err := core.Migrate(rest[0], rest[1], pool); err != nil {
+			fmt.Fprintln(os.Stderr, "florctl:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	timeout := fs.Duration("timeout", 5*time.Second, "per-target fetch deadline")
 	fs.Parse(rest)

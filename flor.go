@@ -181,8 +181,10 @@ func DisableAdaptiveCheckpointing() Option {
 // hyperparameter grid — deduplicate checkpoint chunks against each other,
 // so shared state is stored once per project instead of once per run, and
 // concurrent replays of sibling runs share decoded payloads. A new pool
-// splits its packs into store.DefaultShardFanout hash-prefix shards. Replay
-// needs no matching option — the run's manifest records the attachment.
+// splits its packs into store.DefaultShardFanout hash-prefix shards; a pool
+// an older build made at another fanout is read-only, and recording into it
+// fails with store.ErrLegacyLayout. Replay needs no matching option — the
+// run's manifest records the attachment.
 func Pool(dir string) Option {
 	return func(o *options) { o.rec.Pool = dir }
 }
@@ -251,9 +253,10 @@ type ReplayResult struct {
 // Replay re-executes the recorded run in dir against factory's (possibly
 // probed) program: loops without new log statements are skipped by restoring
 // their checkpoints; probed loops re-execute across Workers(g) parallel
-// workers.
+// workers. A replay only reads the run: it opens it read-only, in any layout
+// a build ever recorded, and writes nothing to it.
 func Replay(dir string, factory func() *Program, opts ...Option) (*ReplayResult, error) {
-	rec, err := core.LoadRecording(dir)
+	rec, err := core.LoadRecordingShared(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -335,9 +338,10 @@ type SampleResult struct {
 
 // ReplaySampled replays only the chosen main-loop iterations (paper §8's
 // iteration sampling): checkpoints give random access to any iteration, so
-// point queries and binary searches over the past need not scan it.
+// point queries and binary searches over the past need not scan it. Like
+// Replay, it only reads the run.
 func ReplaySampled(dir string, factory func() *Program, iterations []int) (*SampleResult, error) {
-	rec, err := core.LoadRecording(dir)
+	rec, err := core.LoadRecordingShared(dir)
 	if err != nil {
 		return nil, err
 	}

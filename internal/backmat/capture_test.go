@@ -22,10 +22,7 @@ import (
 func openOver(t *testing.T, wrap func(store.Backend) store.Backend) (*store.Store, string) {
 	t.Helper()
 	dir := t.TempDir()
-	local, err := store.NewDirBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	local := store.DirBackendAt(dir)
 	st, err := store.OpenWith(dir, store.Options{Backend: wrap(local)})
 	if err != nil {
 		t.Fatal(err)

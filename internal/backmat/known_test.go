@@ -155,24 +155,13 @@ func TestCaptureVouchesOnlyForChunksItFoundUnchanged(t *testing.T) {
 	}
 }
 
-// layouts are the three layouts a recording can have: the two this build
-// creates, and a fanout-16 private store an older build created (its FORMAT
-// marker planted in base/run before the first open).
+// layouts are the two layouts a recording can have: a private pack, and a
+// run of a shared pool (sharded at its fanout).
 var layouts = []struct {
 	name string
 	opts func(t testing.TB, base string) store.Options
 }{
 	{"private", func(testing.TB, string) store.Options { return store.Options{} }},
-	{"sharded", func(t testing.TB, base string) store.Options {
-		run := filepath.Join(base, "run")
-		if err := os.MkdirAll(run, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(run, "FORMAT"), []byte("2 shards=16\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return store.Options{}
-	}},
 	{"pooled", func(_ testing.TB, base string) store.Options {
 		return store.Options{Pool: filepath.Join(base, "pool")}
 	}},

@@ -221,6 +221,11 @@ func (f *Frame) WireLen() int {
 	return 1 + uvarintLen(uint64(f.RawLen)) + uvarintLen(uint64(len(f.Enc))) + len(f.Hash) + len(f.Enc) + 4
 }
 
+// RawWireLen is the WireLen of a raw frame of rawLen bytes.
+func RawWireLen(rawLen int) int {
+	return 1 + 2*uvarintLen(uint64(rawLen)) + len(Hash{}) + rawLen + 4
+}
+
 // uvarintLen is the length of binary.PutUvarint's encoding of v.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 

@@ -1,10 +1,12 @@
 // Package core orchestrates Flor record and replay sessions end-to-end
 // (paper §3): instrumentation, the record phase with background
 // materialization and adaptive checkpointing, persistence of the program
-// structure and record log, and the entry point replay consumes.
+// structure and record log, the entry point replay consumes, and Migrate,
+// the one way a run in a layout this build only reads becomes writable.
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -63,15 +65,15 @@ type RecordResult struct {
 }
 
 // Record executes the program with Flor instrumentation, materializing
-// checkpoints into dir. The returned Recording is everything replay needs.
+// checkpoints into dir: a fresh directory, or a store in one of the two
+// layouts this build writes — any other fails with store.ErrLegacyLayout
+// before a byte is written (Migrate copies such a run forward). The
+// returned Recording is everything replay needs.
 func Record(dir string, factory func() *script.Program, opts RecordOptions) (*RecordResult, error) {
 	p := factory()
 	st, err := store.OpenWith(dir, store.Options{Pool: opts.Pool})
 	if err != nil {
-		return nil, err
-	}
-	if st.ReadOnly() {
-		return nil, fmt.Errorf("core: record into %s: a legacy v1 run directory is read-compat only: %w", dir, store.ErrReadOnly)
+		return nil, fmt.Errorf("core: record into %s: %w", dir, err)
 	}
 	tracker := adapt.New(opts.Epsilon)
 	tracker.SetDisabled(opts.DisableAdaptive)
@@ -164,20 +166,12 @@ func IsRecording(dir string) bool {
 	return true
 }
 
-// LoadRecording opens a run directory produced by Record.
-func LoadRecording(dir string) (*replay.Recording, error) {
-	st, err := store.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	return loadRecording(dir, st)
-}
-
-// LoadRecordingShared opens a run directory for shared read-only serving:
-// the store rejects writes, the open touches nothing on disk, and the
-// resulting Recording may be handed to many concurrent replay and sample
-// queries (the daemon's open path — the manifest is replayed once here, not
-// per query).
+// LoadRecordingShared opens a run directory produced by Record, in any
+// layout a build ever recorded, read-only: the store rejects writes, the
+// open touches nothing on disk, and the resulting Recording may be handed to
+// many concurrent replay and sample queries (the daemon's open path — the
+// manifest is replayed once here, not per query). Hindsight replay opens
+// every run this way.
 func LoadRecordingShared(dir string) (*replay.Recording, error) {
 	st, err := store.OpenReadOnly(dir)
 	if err != nil {
@@ -193,26 +187,24 @@ func LoadRecordingShared(dir string) (*replay.Recording, error) {
 // pooled"), so a server that validated both at registration time cannot be
 // redirected by a later SHARDS or manifest rewrite.
 func LoadRecordingSharedPinned(dir string, shardDirs []string, pool string) (*replay.Recording, error) {
-	opts := store.Options{ReadOnly: true, Pool: pool, PinPool: true}
+	opts := store.Options{Pool: pool, PinPool: true}
 	if pool == "" {
 		// ShardDirs and Pool are mutually exclusive on pooled stores; pin
 		// whichever axis the layout actually has.
 		opts.ShardDirs = shardDirs
 		opts.PinShardDirs = true
 	}
-	st, err := store.OpenWith(dir, opts)
-	if err != nil {
-		return nil, err
-	}
-	return loadRecording(dir, st)
+	return LoadRecordingWith(dir, opts)
 }
 
-// LoadRecordingWith opens a run directory with explicit store options — the
-// remote-backed serving path: the caller fetches the run's control plane
-// into dir (remote.FetchControlPlane) and passes Options{ReadOnly: true,
-// Backend: <ObjectBackend>} so every pack read routes through the remote
-// object store and its cache tier.
+// LoadRecordingWith opens a run directory read-only with explicit store
+// options — the remote-backed serving path: the caller fetches the run's
+// control plane into dir (remote.FetchControlPlane) and passes
+// Options{Backend: <ObjectBackend>} so every pack read routes through the
+// remote object store and its cache tier. The open is read-only whatever
+// opts says: a recording is what hindsight reads.
 func LoadRecordingWith(dir string, opts store.Options) (*replay.Recording, error) {
+	opts.ReadOnly = true
 	st, err := store.OpenWith(dir, opts)
 	if err != nil {
 		return nil, err
@@ -242,4 +234,56 @@ func loadRecording(dir string, st *store.Store) (*replay.Recording, error) {
 		}
 	}
 	return &replay.Recording{Store: st, Shape: shape, RecordLog: logs, Timings: timings}, nil
+}
+
+// Migrate copies the run at src into dst, a fresh directory, in a layout this
+// build writes: a private store, or a run of the shared pool at pool when
+// pool is not empty. It reads every live checkpoint of src read-only
+// (Resolve + ReadInto) and puts it under its key, in commit order, with its
+// recorded timings; then it copies the program structure, the record log
+// and the iteration timings. Section hashes are over raw bytes, so every
+// migrated directory names the chunks its source names, and the migrated run
+// replays as its source does. src — and the pool it may be attached to — is
+// never written. A failed migration can leave dst partly written: remove it
+// before trying again.
+func Migrate(src, dst, pool string) error {
+	from, err := store.OpenReadOnly(src)
+	if err != nil {
+		return fmt.Errorf("core: migrate: %w", err)
+	}
+	if ents, err := os.ReadDir(dst); err == nil && len(ents) > 0 {
+		return fmt.Errorf("core: migrate: %s is not empty", dst)
+	}
+	to, err := store.OpenWith(dst, store.Options{Pool: pool})
+	if err != nil {
+		return fmt.Errorf("core: migrate: %w", err)
+	}
+	for _, m := range from.Metas() {
+		if live, _ := from.Lookup(m.Key); live.Seq != m.Seq {
+			continue // superseded
+		}
+		c, err := from.Resolve(m.Key)
+		if err == nil {
+			var secs []store.Section
+			if secs, err = c.ReadInto(nil, nil, nil, nil); err == nil {
+				_, err = to.PutSectionsKnown(m.Key, secs, nil, m.SnapNs, m.MaterNs-m.SnapNs, m.ComputNs)
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("core: migrate %s: %w", m.Key, err)
+		}
+	}
+	for _, name := range []string{programFile, recordLogFile, timingsFile} {
+		raw, err := os.ReadFile(filepath.Join(src, name))
+		if errors.Is(err, os.ErrNotExist) && name == timingsFile {
+			continue // recorded before timing capture
+		}
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dst, name), raw, 0o644)
+		}
+		if err != nil {
+			return fmt.Errorf("core: migrate: %w", err)
+		}
+	}
+	return nil
 }

@@ -87,7 +87,7 @@ func TestLoadRecordingRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec2, err := core.LoadRecording(dir)
+	rec2, err := core.LoadRecordingShared(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestLoadRecordingRoundTrip(t *testing.T) {
 }
 
 func TestLoadRecordingMissingDir(t *testing.T) {
-	if _, err := core.LoadRecording(filepath.Join(t.TempDir(), "ghost")); err == nil {
+	if _, err := core.LoadRecordingShared(filepath.Join(t.TempDir(), "ghost")); err == nil {
 		t.Fatal("loading an empty directory succeeded")
 	}
 }
@@ -116,7 +116,7 @@ func TestLoadRecordingCorruptProgram(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "PROGRAM"), []byte{0xff, 0x00}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.LoadRecording(dir); err == nil {
+	if _, err := core.LoadRecordingShared(dir); err == nil {
 		t.Fatal("corrupt PROGRAM accepted")
 	}
 }

@@ -80,13 +80,11 @@ func withLog(factory func() *script.Program, label string, eval func(*script.Env
 // binds a checkpoint that the sampled one supersedes unread, whose model
 // section's shard pack — deleted here — is never opened.
 func TestRestoredBytesCountOnlyWhatStatementsRead(t *testing.T) {
-	const epochs, fanout = 6, 256
+	const epochs = 6
 	factory := sgdFactory(epochs)
-	dir := t.TempDir() // a fanout-256 store, as an older build created it
-	if err := os.WriteFile(filepath.Join(dir, "FORMAT"), []byte(fmt.Sprintf("2 shards=%d\n", fanout)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := core.Record(dir, factory, core.RecordOptions{DisableAdaptive: true}); err != nil {
+	// A run of a shared pool, whose packs are split into hash-prefix shards.
+	dir, pool := t.TempDir(), filepath.Join(t.TempDir(), "POOL")
+	if _, err := core.Record(dir, factory, core.RecordOptions{DisableAdaptive: true, Pool: pool}); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := core.LoadRecordingShared(dir)
@@ -144,7 +142,7 @@ func TestRestoredBytesCountOnlyWhatStatementsRead(t *testing.T) {
 		}
 		for _, s := range secs {
 			if s.Name == section {
-				return fmt.Sprintf("CHUNKS-%02x", int(ckptfmt.HashChunk(s.Data)[0])%fanout)
+				return fmt.Sprintf("CHUNKS-%02x", int(ckptfmt.HashChunk(s.Data)[0])%rec.Store.ShardFanout())
 			}
 		}
 		t.Fatalf("train@%d has no section %s", exec, section)
@@ -154,7 +152,7 @@ func TestRestoredBytesCountOnlyWhatStatementsRead(t *testing.T) {
 	if unread == pack(sampled, "net") || unread == pack(sampled, "avg_loss") {
 		t.Fatalf("epoch %d's model shares shard pack %s with what epoch %d's sample reads", sampled-1, unread, sampled)
 	}
-	if err := os.Remove(filepath.Join(dir, unread)); err != nil {
+	if err := os.Remove(filepath.Join(pool, unread)); err != nil {
 		t.Fatal(err)
 	}
 	full, err := replay.Replay(rec, wnorm, replay.Options{Workers: 1, Init: replay.Weak, SkipDeferredCheck: true})

@@ -27,7 +27,7 @@ func TestPlanIsWhatReplayPartitions(t *testing.T) {
 	}
 	load := func(t *testing.T, dir string) *replay.Recording {
 		t.Helper()
-		rec, err := core.LoadRecording(dir)
+		rec, err := core.LoadRecordingShared(dir)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -327,7 +327,7 @@ func TestLoadRecordingRoundTrip(t *testing.T) {
 	if _, err := core.Record(dir, factory, core.RecordOptions{DisableAdaptive: true}); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := core.LoadRecording(dir)
+	rec, err := core.LoadRecordingShared(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

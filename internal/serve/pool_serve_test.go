@@ -81,7 +81,7 @@ func TestServePooledRunsGroupedWithSharedCache(t *testing.T) {
 				errs <- err
 				return
 			}
-			rec, err := core.LoadRecording(dirs[i])
+			rec, err := core.LoadRecordingShared(dirs[i])
 			if err != nil {
 				errs <- err
 				return

@@ -2,33 +2,62 @@ package serve_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"flor.dev/flor/internal/core"
 	"flor.dev/flor/internal/script"
 	"flor.dev/flor/internal/serve"
+	"flor.dev/flor/internal/tensor"
+	"flor.dev/flor/internal/value"
+	"flor.dev/flor/internal/xrand"
 )
 
-// recordShardedRun records miniFactory into dir with a fanout-16 sharded
-// checkpoint store, as an older build created one (its FORMAT marker planted
-// before the first open), and returns the factory.
-func recordShardedRun(t *testing.T, dir string, epochs, steps int, seed uint64) func() *script.Program {
+// copyFixture copies the committed store testdata/<name> into a fresh
+// directory and returns it, with the program every committed store records:
+// the root package's counterFactory(6, 3), the API quickstart's program.
+func copyFixture(t *testing.T, name string) (string, func() *script.Program) {
 	t.Helper()
-	factory := miniFactory(epochs, steps, seed)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("..", "..", "testdata", name))); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "FORMAT"), []byte("2 shards=16\n"), 0o644); err != nil {
-		t.Fatal(err)
+	return dir, func() *script.Program {
+		train := &script.Loop{ID: "train", IterVar: "step", Iters: 3, Body: []script.Stmt{
+			script.AssignMethod([]string{"w"}, "rng", "perturb", []string{"w"}, func(e *script.Env) error {
+				w := e.MustGet("w").(*value.Tensor).T
+				rng := e.MustGet("rng").(*value.RNG).R
+				for pass := 0; pass < 30; pass++ {
+					for i := 0; i < w.Len(); i++ {
+						w.Data()[i] += rng.Float64() * 0.001
+					}
+				}
+				return nil
+			}),
+		}}
+		return &script.Program{
+			Name: "api-quickstart",
+			Setup: []script.Stmt{
+				script.AssignFunc([]string{"w"}, "zeros", nil, func(e *script.Env) error {
+					e.Set("w", &value.Tensor{T: tensor.New(32)})
+					return nil
+				}),
+				script.AssignFunc([]string{"rng"}, "RNG", nil, func(e *script.Env) error {
+					e.Set("rng", &value.RNG{R: xrand.New(11)})
+					return nil
+				}),
+			},
+			Main: &script.Loop{ID: "main", IterVar: "epoch", Iters: 6, Body: []script.Stmt{
+				script.LoopStmt(train),
+				script.LogStmt("sum", func(e *script.Env) (string, error) {
+					return fmt.Sprintf("%.17g", e.MustGet("w").(*value.Tensor).T.Sum()), nil
+				}),
+			}},
+		}
 	}
-	if _, err := core.Record(dir, factory, core.RecordOptions{DisableAdaptive: true}); err != nil {
-		t.Fatal(err)
-	}
-	return factory
 }
 
 // TestHTTPRegistrationAndUnknownFormat400 drives POST /v1/runs end to end:
@@ -154,14 +183,15 @@ func TestRegisterWithoutLibrary400(t *testing.T) {
 	}
 }
 
-// TestShardRootsPinnedAtRegistration pins the TOCTOU defense: the shard
-// roots validated at registration are passed back to every store open, so
-// rewriting a registered run's SHARDS file afterwards fails the query
-// instead of redirecting the daemon's pack reads elsewhere.
+// TestShardRootsPinnedAtRegistration pins the TOCTOU defense on the
+// committed store an older build spread over extra roots
+// (testdata/multiroot): the shard roots validated at registration are passed
+// back to every store open, so rewriting a registered run's SHARDS file
+// afterwards fails the query instead of redirecting the daemon's pack reads
+// elsewhere.
 func TestShardRootsPinnedAtRegistration(t *testing.T) {
-	base := t.TempDir()
-	dir := filepath.Join(base, "sharded")
-	factory := recordShardedRun(t, dir, 6, 2, 13)
+	base, factory := copyFixture(t, "multiroot")
+	dir := filepath.Join(base, "run")
 	fx := startDaemon(t, serve.Options{Slots: 2})
 	if err := fx.srv.Register(serve.RunConfig{
 		ID:        "pinned",
@@ -183,12 +213,11 @@ func TestShardRootsPinnedAtRegistration(t *testing.T) {
 	}
 }
 
-// TestRunsListingReportsShardedLayout registers a sharded recording and
-// checks the listing reports its layout.
+// TestRunsListingReportsShardedLayout registers the committed sharded store
+// (testdata/sharded) and checks the listing reports its layout.
 func TestRunsListingReportsShardedLayout(t *testing.T) {
 	fx := startDaemon(t, serve.Options{Slots: 2})
-	dir := filepath.Join(t.TempDir(), "sharded")
-	factory := recordShardedRun(t, dir, 6, 2, 9)
+	dir, factory := copyFixture(t, "sharded")
 	if err := fx.srv.Register(serve.RunConfig{
 		ID:        "sharded",
 		Dir:       dir,
@@ -198,7 +227,7 @@ func TestRunsListingReportsShardedLayout(t *testing.T) {
 	}
 	for _, r := range fx.srv.Runs() {
 		if r.ID == "sharded" {
-			if r.Format != "v2-sharded/16" || r.Shards != 16 {
+			if r.Format != "v2-sharded/4" || r.Shards != 4 {
 				t.Fatalf("sharded run layout = %q/%d", r.Format, r.Shards)
 			}
 			return

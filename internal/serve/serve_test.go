@@ -173,7 +173,7 @@ func (fx *daemonFixture) stats(t *testing.T) serve.Stats {
 // directReplay computes the single-process ground truth for a probed replay.
 func directReplay(t *testing.T, dir string, factory func() *script.Program) []string {
 	t.Helper()
-	rec, err := core.LoadRecording(dir)
+	rec, err := core.LoadRecordingShared(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestDaemonConcurrentQueriesByteIdentical(t *testing.T) {
 	}
 	// Ground truth for the sample query: direct ReplaySample on the same
 	// iterations.
-	recA, err := core.LoadRecording(fx.dirs["run-a"])
+	recA, err := core.LoadRecordingShared(fx.dirs["run-a"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +610,7 @@ func TestDaemonCorruptUnreadSectionIsNeverTouched(t *testing.T) {
 	}
 	// The byte is corrupt all the same: a query whose statements do reach the
 	// RNG's section gets the typed error.
-	rec, err := core.LoadRecording(fx.dirs["run-a"])
+	rec, err := core.LoadRecordingShared(fx.dirs["run-a"])
 	if err != nil {
 		t.Fatal(err)
 	}

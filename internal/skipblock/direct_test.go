@@ -150,10 +150,7 @@ func readPaths(t *testing.T, dir string) map[string]*store.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := store.NewDirBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := store.DirBackendAt(dir)
 	staged, err := store.OpenWith(dir, store.Options{ReadOnly: true, Backend: noFdBackend{db}})
 	if err != nil {
 		t.Fatal(err)

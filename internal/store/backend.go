@@ -94,25 +94,17 @@ type BackendWriter interface {
 }
 
 // DirBackend stores objects as plain files spread over one or more root
-// directories. A store this build creates has a single root, its run
-// directory; an older build could spread a sharded store's packs over
-// several (legacy.go), and they stay where it put them.
+// directories. A writable store has a single root, its run directory; an
+// older build could spread a sharded store's packs over several (legacy.go),
+// which only a read-only open accepts.
 type DirBackend struct {
 	roots []string
 }
 
-// NewDirBackend returns a backend over the given root directories, creating
-// any that do not exist. At least one root is required.
-func NewDirBackend(roots ...string) (*DirBackend, error) {
-	if len(roots) == 0 {
-		return nil, errors.New("store: dir backend needs at least one root")
-	}
-	for _, r := range roots {
-		if err := os.MkdirAll(r, 0o755); err != nil {
-			return nil, fmt.Errorf("store: dir backend root: %w", err)
-		}
-	}
-	return &DirBackend{roots: append([]string(nil), roots...)}, nil
+// DirBackendAt returns the backend a store opened at dir keeps its packs in:
+// plain files in dir, which must exist.
+func DirBackendAt(dir string) *DirBackend {
+	return &DirBackend{roots: []string{dir}}
 }
 
 // path maps an object name to its file: with several roots, placement

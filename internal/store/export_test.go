@@ -1,10 +1,8 @@
 package store
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -62,30 +60,8 @@ func getBlob(s *Store, key Key) ([]byte, error) {
 	return out, err
 }
 
-// PlantLayout leaves dir as a build that could still choose a store's layout
-// left a fresh one before its first put: FORMAT "2 shards=fanout" ("2" at
-// fanout 1) and, with roots, a SHARDS file listing them one per line
-// (relative entries resolve against dir). The next open adopts both, as it
-// adopts a store that build recorded.
-func PlantLayout(t testing.TB, dir string, fanout int, roots ...string) {
-	t.Helper()
-	marker := "2\n"
-	if fanout > 1 {
-		marker = fmt.Sprintf("2 shards=%d\n", fanout)
-	}
-	plant(t, dir, formatFile, marker)
-	if len(roots) > 0 {
-		plant(t, dir, "SHARDS", strings.Join(roots, "\n")+"\n")
-	}
-}
-
-// PlantPool leaves root as such a build left a new shared pool at the given
-// fanout: its POOL marker. The next run attached to root adopts it.
-func PlantPool(t testing.TB, root string, fanout int) {
-	t.Helper()
-	plant(t, root, poolMarkerFile, string(poolMarker(fanout)))
-}
-
+// plant writes a file named name holding content into dir, creating dir:
+// a file as an older build, or damage, left it.
 func plant(t testing.TB, dir, name, content string) {
 	t.Helper()
 	if err := os.MkdirAll(dir, 0o755); err != nil {

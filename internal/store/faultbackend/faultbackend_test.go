@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -132,7 +130,7 @@ func TestFaultMatrixRemoteRestore(t *testing.T) {
 				cfg := cl.cfg
 				cfg.Seed = seed
 				dir := t.TempDir()
-				want := recordFanout2(t, dir, 4, uint64(seed)*10)
+				want := recordRun(t, dir, 4, uint64(seed)*10)
 				fb := faultbackend.WrapObject(remote.NewMemStore(), cfg)
 				objs := remote.Retry(fb, retryPolicy)
 				if _, err := remote.UploadRun(objs, dir, "run"); err != nil {
@@ -182,7 +180,7 @@ func TestFaultMatrixConcurrentRemoteRestore(t *testing.T) {
 		for _, seed := range []int64{1, 2, 3} {
 			t.Run(fmt.Sprintf("%s/seed%d", cl.name, seed), func(t *testing.T) {
 				dir := t.TempDir()
-				want := recordFanout2(t, dir, 5, uint64(seed)*100)
+				want := recordRun(t, dir, 5, uint64(seed)*100)
 				mem := remote.NewMemStore()
 				if _, err := remote.UploadRun(mem, dir, "run"); err != nil {
 					t.Fatal(err)
@@ -245,7 +243,7 @@ func TestFaultMatrixExhaustion(t *testing.T) {
 	policy := remote.Policy{Attempts: 3, BaseDelay: 50 * time.Microsecond, MaxDelay: time.Millisecond, Timeout: time.Second}
 	// Record and upload cleanly...
 	dir := t.TempDir()
-	recordFanout2(t, dir, 1, 9)
+	recordRun(t, dir, 1, 9)
 	mem := remote.NewMemStore()
 	if _, err := remote.UploadRun(mem, dir, "run"); err != nil {
 		t.Fatal(err)
@@ -279,13 +277,10 @@ func TestFaultMatrixGC(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			packs := t.TempDir()
-			db, err := store.NewDirBackend(packs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			db := store.DirBackendAt(packs)
 			fb := faultbackend.WrapBackend(db, faultbackend.Config{Seed: seed, ReadErrNth: 2, ShortReadNth: 3})
 			dir := t.TempDir()
-			s, err := openFanout2(t, dir, fb)
+			s, err := openRun(t, dir, fb)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -310,10 +305,7 @@ func TestFaultMatrixGC(t *testing.T) {
 			}
 			// Integrity check through a clean backend: the latest version of
 			// every key must read back byte-identical, GC success or not.
-			cleanDB, err := store.NewDirBackend(packs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cleanDB := store.DirBackendAt(packs)
 			ro, err := store.OpenWith(dir, store.Options{ReadOnly: true, Backend: cleanDB})
 			if err != nil {
 				t.Fatal(err)
@@ -344,22 +336,18 @@ func readAll(st *store.Store, key store.Key) ([]store.Section, error) {
 	return c.ReadInto(nil, nil, nil, nil)
 }
 
-// openFanout2 opens a store over backend (nil: its run directory) in dir, a
-// directory an older build made a fanout-2 store of: its FORMAT marker is
-// planted before the first open, which adopts it.
-func openFanout2(t testing.TB, dir string, backend store.Backend) (*store.Store, error) {
+// openRun opens a fresh store over backend (nil: its run directory) in dir,
+// in the layout every run this build records has: a private pack.
+func openRun(t testing.TB, dir string, backend store.Backend) (*store.Store, error) {
 	t.Helper()
-	if err := os.WriteFile(filepath.Join(dir, "FORMAT"), []byte("2 shards=2\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	return store.OpenWith(dir, store.Options{Backend: backend})
 }
 
-// recordFanout2 records n one-section checkpoints of 48 KiB, seeded from
-// seed, into a fanout-2 store in dir and returns them by exec.
-func recordFanout2(t testing.TB, dir string, n int, seed uint64) map[int][]byte {
+// recordRun records n one-section checkpoints of 48 KiB, seeded from seed,
+// into a fresh store in dir and returns them by exec.
+func recordRun(t testing.TB, dir string, n int, seed uint64) map[int][]byte {
 	t.Helper()
-	s, err := openFanout2(t, dir, nil)
+	s, err := openRun(t, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

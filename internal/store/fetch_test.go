@@ -137,10 +137,7 @@ func TestFetchReadsEachNeededByteOnce(t *testing.T) {
 				if fd && runtime.GOOS != "linux" {
 					continue // no preadv: every reader takes the staged strategy
 				}
-				db, err := NewDirBackend(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
+				db := DirBackendAt(dir)
 				cb := &countingBackend{Backend: db, fd: fd}
 				s, err := OpenWith(dir, Options{ReadOnly: true, Backend: cb})
 				if err != nil {

@@ -225,11 +225,11 @@ func TestGCRacesConcurrentReads(t *testing.T) {
 	}
 }
 
-// TestReopenAfterCrashedCompaction simulates the two crash windows of a
-// compaction pass: (a) the new-generation pack was written but the commit
-// (manifest rewrite) never happened, and (b) an older build's pass had
-// added the gc flag to the marker but not rewritten the manifest. Both must
-// reopen cleanly, and a later GC must complete over the leftovers.
+// TestReopenAfterCrashedCompaction simulates the crash window of a
+// compaction pass: the new-generation pack was written but the commit
+// (manifest rewrite) never happened. The store must reopen cleanly, and a
+// later GC must complete over the leftover. (Older builds' passes also
+// added a "gc" token to the marker; a store carrying one is read-only now.)
 func TestReopenAfterCrashedCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -243,16 +243,12 @@ func TestReopenAfterCrashedCompaction(t *testing.T) {
 		}
 	}
 
-	// Crash window (a): a stray higher-generation pack object with garbage
+	// The crash window: a stray higher-generation pack object with garbage
 	// content (the atomic Create of a crashed pass would have left a
 	// committed object; a torn temp file never lands under the real name —
 	// mirror that by planting a committed-but-unreferenced
 	// object).
 	if err := os.WriteFile(filepath.Join(dir, packObjName(packFile, 1)), []byte("leftover"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Crash window (b): marker already carries the gc flag.
-	if err := writeFileAtomic(filepath.Join(dir, formatFile), formatMarker(1, false, true, false)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -425,25 +421,22 @@ func TestGCReadOnlyRefused(t *testing.T) {
 
 // TestGCMarkFailsClosed pins the mark's fail-closed contract: a directory
 // GC cannot read aborts the pass — no compaction, no manifest rewrite, no
-// file touched — instead of counting as referencing nothing. Store.GC meets
-// it as a flipped byte in a legacy segment file of a copy of the committed
-// gztwins store; GCPool as a leased run's CRC-valid meta record whose
-// directory does not decode.
+// file touched — instead of counting as referencing nothing. Store.GC and
+// GCPool each meet it as a CRC-valid meta record whose directory does not
+// decode: the run's own, or a leased run's. (Segment-file checkpoints, whose
+// directories a flipped byte can also make unreadable, live only in stores a
+// writable open refuses.)
 func TestGCMarkFailsClosed(t *testing.T) {
-	dir := legacyFixture(t, "gztwins")
-	seg := filepath.Join(dir, "ckpt-00000003.bin")
-	raw, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	s := mustReopen(t, dir, false)
+	intact, broken := Key{LoopID: "train", Exec: 0}, Key{LoopID: "train", Exec: 1}
+	for i, key := range []Key{intact, broken, broken} {
+		if _, err := s.PutSections(key, mutatingSections(uint64(50+i)), 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(seg, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir) // settles the marker: "2 gc" gains "dirs"
-	if err != nil {
-		t.Fatal(err)
-	}
+	rewriteDirectory(t, dir, broken, func(d *ckptfmt.Directory) { d.Sections[0].Chunks[0].RawLen = -8 })
+	s = mustReopen(t, dir, false)
 	before := dirBytes(t, dir)
 	if _, err := s.GCWith(GCOptions{PackRetention: time.Hour}); !errors.Is(err, codec.ErrCorrupt) {
 		t.Fatalf("GC with an unreadable directory: %v, want codec.ErrCorrupt", err)
@@ -451,7 +444,7 @@ func TestGCMarkFailsClosed(t *testing.T) {
 	if after := dirBytes(t, dir); !maps.Equal(before, after) {
 		t.Fatal("the aborted GC changed the run directory")
 	}
-	if _, err := ReadAll(s, Key{LoopID: "train", Exec: 0}, nil); err != nil {
+	if _, err := ReadAll(s, intact, nil); err != nil {
 		t.Fatalf("checkpoint unreadable after aborted GC: %v", err)
 	}
 

@@ -3,37 +3,35 @@ package store
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"flor.dev/flor/internal/ckptfmt"
+	"flor.dev/flor/internal/codec"
 )
 
 // TestFormatMarkerWrittenOnceAtOpen pins when the FORMAT marker is written:
-// by a writable open, once, and never by a put or a GC pass — after either,
-// the marker is the same file with the same bytes. A fresh store's marker is
-// "2 dirs"; a store an older build left keeps its layout and its gc and lz4
-// tokens, and gains "dirs".
+// by a writable open, once, and never by a put, a GC pass or a reopen —
+// after each, the marker is the same file with the same bytes. A fresh
+// store's marker is "2 dirs", a fresh pooled run's "2 pool shards=16 dirs".
+// A store an older build left keeps its marker, and every other byte: its
+// writable open is refused before anything is written.
 func TestFormatMarkerWrittenOnceAtOpen(t *testing.T) {
 	base := t.TempDir()
-	sharded := filepath.Join(base, "sharded")
-	PlantLayout(t, sharded, 16)
-	lz4 := filepath.Join(base, "lz4")
-	if err := os.CopyFS(lz4, os.DirFS(filepath.Join("..", "..", "testdata", "framestyles", "lz4"))); err != nil {
-		t.Fatal(err)
-	}
 	for _, c := range []struct {
 		name, dir string
 		o         Options
 		want      string
 	}{
-		{"fresh", filepath.Join(base, "fresh"), Options{}, "2 dirs\n"},
-		{"pooled", filepath.Join(base, "pooled"), Options{Pool: filepath.Join(base, "POOL")}, "2 pool shards=16 dirs\n"},
-		{"sharded", sharded, Options{}, "2 shards=16 dirs\n"},
-		{"gc", legacyFixture(t, "gztwins"), Options{}, "2 gc dirs\n"},
-		{"lz4", lz4, Options{}, "2 lz4 dirs\n"},
+		{"fresh", filepath.Join(base, "fresh"), Options{}, markerPrivate},
+		{"pooled", filepath.Join(base, "pooled"), Options{Pool: filepath.Join(base, "POOL")}, markerPooled},
+		{"sharded", legacyFixture(t, "sharded"), Options{}, "2 shards=4 dirs\n"},
+		{"gc", legacyFixture(t, "gztwins"), Options{}, "2 gc\n"},
+		{"lz4", legacyFixture(t, filepath.Join("framestyles", "lz4")), Options{}, "2 lz4\n"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			path := filepath.Join(c.dir, formatFile)
@@ -48,6 +46,17 @@ func TestFormatMarkerWrittenOnceAtOpen(t *testing.T) {
 					t.Fatal(err)
 				}
 				return fi, string(raw)
+			}
+			if c.want != markerPrivate && c.want != markerPooled {
+				opened, _ := marker()
+				before := dirBytes(t, c.dir)
+				if _, err := OpenWith(c.dir, c.o); !errors.Is(err, ErrLegacyLayout) {
+					t.Fatalf("writable open: %v, want ErrLegacyLayout", err)
+				}
+				if fi, raw := marker(); !os.SameFile(opened, fi) || raw != c.want || !maps.Equal(before, dirBytes(t, c.dir)) {
+					t.Fatalf("the refused open changed the store (FORMAT %q)", raw)
+				}
+				return
 			}
 			s, err := OpenWith(c.dir, c.o)
 			if err != nil {
@@ -93,125 +102,120 @@ func TestFormatMarkerWrittenOnceAtOpen(t *testing.T) {
 	}
 }
 
-// TestLegacyLayoutsStayWritable takes the layouts only an older build could
-// create — a fanout-16 private store, a fanout-4 one whose packs spread over
-// the run directory and two more roots, and a run in a fanout-4 pool, each
-// planted as that build left it before its first put — through record,
-// writable reopen, append, GC and replay. Each keeps its layout and reads
-// back what a fresh fanout-1 store given the same puts reads back, byte for
-// byte, with the same metas. A fresh directory cannot be given extra roots.
-func TestLegacyLayoutsStayWritable(t *testing.T) {
-	base := t.TempDir()
-	record := func(t *testing.T, dir string, o Options) (*Store, []Meta, map[Key][]Section) {
-		t.Helper()
-		s, err := OpenWith(dir, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		put := func(s *Store, exec int, secs []Section) {
-			t.Helper()
-			if _, err := s.PutSections(Key{LoopID: "train", Exec: exec}, secs, 0, 0, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		put(s, 0, mutatingSections(1))
-		put(s, 1, mutatingSections(2))
-		if s, err = Open(dir); err != nil {
-			t.Fatalf("writable reopen: %v", err)
-		}
-		put(s, 1, mutatingSections(3))
-		put(s, 2, []Section{{Name: "w", Data: mutatingSections(1)[0].Data}, {Name: "b", Data: []byte("bias")}})
-		if _, err := s.GCWith(GCOptions{PackRetention: time.Hour}); err != nil {
-			t.Fatal(err)
-		}
-		if s.Pooled() {
-			if _, err := GCPool(s.PoolRoot(), GCOptions{PackRetention: time.Hour}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ro, err := OpenReadOnly(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var metas []Meta
-		secs := map[Key][]Section{}
-		for _, m := range ro.Metas() {
-			m.MaterNs, m.SnapNs = 0, 0
-			metas = append(metas, *m)
-			if secs[m.Key], err = ReadAll(ro, m.Key, nil); err != nil {
-				t.Fatalf("%s: %v", m.Key, err)
-			}
-		}
-		return ro, metas, secs
+// TestLegacyLayoutsRefuseWritableOpens takes every layout this build reads
+// but does not write — each committed fixture, the markers older builds
+// planted in a fresh directory before its first put (with a SHARDS file of
+// extra roots, and a pool at fanout 4), and stores under a canonical marker
+// whose manifest still holds segment-file checkpoints, private and pooled —
+// through Open and OpenWith: each fails with ErrLegacyLayout, naming the
+// migrate command, and leaves every byte where it was, and GCPool refuses
+// the fanout-4 pools. A read-only open still reads every checkpoint.
+func TestLegacyLayoutsRefuseWritableOpens(t *testing.T) {
+	type layout struct {
+		name, run, tree string // the run directory, and the tree that must not change
+		o               Options
 	}
-	_, wantMetas, wantSecs := record(t, filepath.Join(base, "fresh"), Options{})
-	if len(wantMetas) != 3 {
-		t.Fatalf("fresh store holds %d live checkpoints, want 3", len(wantMetas))
+	var cases []layout
+	for _, fx := range []string{"v1run", "framestyles/deflate", "framestyles/lz4", "gztwins", "sharded"} {
+		dir := legacyFixture(t, filepath.FromSlash(fx))
+		cases = append(cases, layout{fx, dir, dir, Options{}})
 	}
+	multi := legacyFixture(t, "multiroot")
+	pool4 := legacyFixture(t, "pool4")
+	cases = append(cases,
+		layout{"multiroot", filepath.Join(multi, "run"), multi, Options{}},
+		layout{"pool4", filepath.Join(pool4, "run"), pool4, Options{}},
+		layout{"pool4 attach", filepath.Join(t.TempDir(), "run"), pool4, Options{Pool: pool4}},
+	)
+	for _, marker := range []string{"2", "2 gc", "2 lz4", "2 shards=8", "2 shards=8 dirs", "2 gc dirs", "2 lz4 dirs", "2 pool shards=4 dirs"} {
+		dir := t.TempDir()
+		plant(t, dir, formatFile, marker+"\n")
+		cases = append(cases, layout{"planted " + marker, dir, dir, Options{}})
+	}
+	roots := t.TempDir()
+	plant(t, filepath.Join(roots, "run"), "SHARDS", "../rootA\n")
+	cases = append(cases, layout{"planted SHARDS", filepath.Join(roots, "run"), roots, Options{}})
+	planted := t.TempDir()
+	plant(t, planted, poolMarkerFile, "pool1 shards=4\n")
+	cases = append(cases, layout{"planted pool1 shards=4", filepath.Join(t.TempDir(), "run"), planted, Options{Pool: planted}})
 
-	pool := filepath.Join(base, "POOL4")
-	PlantPool(t, pool, 4)
-	for _, l := range []struct {
-		name   string
-		plant  func(dir string)
-		o      Options
-		fanout int
-		marker string
-	}{
-		{"fanout-16", func(dir string) { PlantLayout(t, dir, 16) }, Options{}, 16, "2 shards=16 dirs\n"},
-		{"multi-root", func(dir string) { PlantLayout(t, dir, 4, "../rootA", "../rootB") }, Options{}, 4, "2 shards=4 dirs\n"},
-		{"fanout-4-pool", func(string) {}, Options{Pool: pool}, 4, "2 pool shards=4 dirs\n"},
-	} {
-		t.Run(l.name, func(t *testing.T) {
-			dir := filepath.Join(base, l.name, "run")
-			l.plant(dir)
-			ro, metas, secs := record(t, dir, l.o)
-			if ro.ShardFanout() != l.fanout {
-				t.Fatalf("fanout %d after reopen, want %d", ro.ShardFanout(), l.fanout)
+	// A canonical marker over segment-file checkpoints: the gztwins store
+	// under "2 dirs", and a run of a fresh pool whose directories were moved
+	// out to segment files, the form older builds wrote.
+	segs := legacyFixture(t, "gztwins")
+	plant(t, segs, formatFile, markerPrivate)
+	cases = append(cases, layout{"2 dirs over segments", segs, segs, Options{}})
+	pooledSegs := t.TempDir()
+	run := filepath.Join(pooledSegs, "run")
+	s := openPooled(t, run, filepath.Join(pooledSegs, "POOL"))
+	if _, err := s.PutSections(Key{LoopID: "train", Exec: 0}, mutatingSections(7), 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	raw, recs := manifestRecords(t, run)
+	for i, rec := range recs {
+		if rec.tag == recMeta {
+			plant(t, run, filepath.Base(segmentPath(run, rec.e.Seq)), string(codec.Frame(ckptfmt.EncodeDirectory(rec.e.dir))))
+			rec.e.dir = nil
+			raw[i] = encodeRecord(rec)
+		}
+	}
+	plant(t, run, manifestFile, string(bytes.Join(raw, nil)))
+	resetPoolRegistry()
+	cases = append(cases, layout{"pooled over segments", run, pooledSegs, Options{}})
+
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before := dirBytes(t, c.tree)
+			_, statErr := os.Stat(c.run)
+			opens := []func() (*Store, error){func() (*Store, error) { return OpenWith(c.run, c.o) }}
+			if c.o.Pool == "" {
+				opens = append(opens, func() (*Store, error) { return Open(c.run) })
 			}
-			if raw, _ := os.ReadFile(filepath.Join(dir, formatFile)); string(raw) != l.marker {
-				t.Fatalf("FORMAT %q, want %q", raw, l.marker)
-			}
-			if !slices.Equal(metas, wantMetas) {
-				t.Fatalf("metas\n%+v\nfresh store's\n%+v", metas, wantMetas)
-			}
-			for k, want := range wantSecs {
-				got := secs[k]
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d sections, want %d", k, len(got), len(want))
-				}
-				for i := range want {
-					if got[i].Name != want[i].Name || !bytes.Equal(got[i].Data, want[i].Data) {
-						t.Fatalf("%s section %d: %q differs from the fresh store's %q", k, i, got[i].Name, want[i].Name)
-					}
+			for _, open := range opens {
+				_, err := open()
+				if !errors.Is(err, ErrLegacyLayout) || !errors.Is(err, ErrReadOnly) || !strings.Contains(err.Error(), "florctl migrate") {
+					t.Fatalf("writable open: %v, want ErrLegacyLayout naming florctl migrate", err)
 				}
 			}
-			if l.name == "multi-root" {
-				if raw, _ := os.ReadFile(filepath.Join(dir, "SHARDS")); string(raw) != "../rootA\n../rootB\n" {
-					t.Fatalf("SHARDS %q changed", raw)
+			if c.o.Pool != "" {
+				if _, err := GCPool(c.o.Pool, GCOptions{}); !errors.Is(err, ErrLegacyLayout) {
+					t.Fatalf("GCPool: %v, want ErrLegacyLayout", err)
 				}
-				packs := 0
-				for _, root := range []string{dir, filepath.Join(dir, "..", "rootA"), filepath.Join(dir, "..", "rootB")} {
-					if m, _ := filepath.Glob(filepath.Join(root, "CHUNKS-*")); len(m) > 0 {
-						packs++
-					}
+			}
+			if !maps.Equal(before, dirBytes(t, c.tree)) {
+				t.Fatal("a refused writable open changed the store")
+			}
+			if _, err := os.Stat(c.run); errors.Is(statErr, os.ErrNotExist) && !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("a refused writable open created the run directory: %v", err)
+			}
+			if _, err := os.Stat(filepath.Join(roots, "rootA")); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("a refused open made a pack root: %v", err)
+			}
+			if _, err := os.Stat(filepath.Join(c.run, manifestFile)); err != nil {
+				return // nothing recorded at c.run
+			}
+			ro, err := OpenReadOnly(c.run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range ro.Metas() {
+				if live, _ := ro.Lookup(m.Key); live.Seq != m.Seq {
+					continue
 				}
-				if packs < 2 {
-					t.Fatalf("packs in %d of the 3 roots, want them spread", packs)
+				if _, err := ReadAll(ro, m.Key, nil); err != nil {
+					t.Fatalf("read-only read of %s: %v", m.Key, err)
 				}
 			}
 		})
 	}
-	if raw, _ := os.ReadFile(filepath.Join(pool, poolMarkerFile)); string(raw) != "pool1 shards=4\n" {
-		t.Fatalf("POOL %q changed", raw)
-	}
 
-	// Nothing can add a root to a store, a fresh one included.
-	fresh, root := filepath.Join(base, "refused"), filepath.Join(base, "rootX")
+	// Nothing can add a root to a store, a fresh one included: Options.ShardDirs
+	// on a fresh directory is refused and creates nothing.
+	fresh, root := filepath.Join(t.TempDir(), "refused"), filepath.Join(t.TempDir(), "rootX")
 	if _, err := OpenWith(fresh, Options{ShardDirs: []string{root}}); err == nil || !strings.Contains(err.Error(), "shard") {
 		t.Fatalf("fresh directory given shard dirs: %v, want a refusal", err)
 	}
-	for _, p := range []string{filepath.Join(fresh, "SHARDS"), filepath.Join(fresh, formatFile), root} {
+	for _, p := range []string{filepath.Join(fresh, "SHARDS"), filepath.Join(fresh, formatFile), fresh, root} {
 		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
 			t.Fatalf("refused open left %s: %v", p, err)
 		}
@@ -254,4 +258,46 @@ func TestDirBackendPlacementPinned(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzFormatMarker fuzzes the layout files a writable open reads before it
+// writes anything — a run's FORMAT marker and SHARDS list, and a pool's
+// POOL marker — through their parsers and the classification that decides
+// whether the layout is one this build writes. Nothing panics; only the two
+// run markers a writable open leaves ("2 dirs", "2 pool shards=16 dirs") and
+// the pool marker "pool1 shards=16" classify writable, whatever the
+// whitespace around their tokens; every SHARDS root is a non-empty path, and
+// any root makes a run legacy.
+func FuzzFormatMarker(f *testing.F) {
+	for _, seed := range [][3]string{
+		{markerPrivate, "pool1 shards=16\n", ""},
+		{markerPooled, "pool1 shards=4\n", "../rootA\n../rootB\n"},
+		{"2 shards=4 dirs\n", "pool1 shards=1", "/abs\n\n rel \n"},
+		{"2 gc\n", "pool1 shards=16 gc", ""},
+		{"2 lz4 dirs", "pool1", "\n"},
+		{"2 pool shards=4 dirs", "pool1 shards=256", ""},
+		{"2", "pool1 shards=016", ""},
+		{"2 pool shards=16", "pool2 shards=16", ""},
+		{"", "", ""},
+	} {
+		f.Add([]byte(seed[0]), []byte(seed[1]), []byte(seed[2]))
+	}
+	norm := func(b []byte) string { return strings.Join(strings.Fields(string(b)), " ") }
+	f.Fuzz(func(t *testing.T, format, pool, shards []byte) {
+		if m, err := parseFormatMarker(format); err == nil && m.canonical() {
+			if n := norm(format); n != "2 dirs" && n != "2 pool shards=16 dirs" {
+				t.Fatalf("FORMAT %q classifies writable", format)
+			}
+		} else if err == nil && (norm(format) == "2 dirs" || norm(format) == "2 pool shards=16 dirs") {
+			t.Fatalf("FORMAT %q parses to %+v, not writable", format, m)
+		}
+		if fanout, err := parsePoolMarker(pool); err == nil && (fanout == DefaultShardFanout) != (norm(pool) == "pool1 shards=16") {
+			t.Fatalf("POOL %q (fanout %d) classifies writable=%v", pool, fanout, fanout == DefaultShardFanout)
+		}
+		for _, root := range parseShardRoots("run", shards) {
+			if root == "" {
+				t.Fatalf("SHARDS %q yields root %q", shards, root)
+			}
+		}
+	})
 }

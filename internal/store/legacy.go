@@ -1,15 +1,16 @@
 package store
 
 // legacy.go is the read-compat seam for what older builds left in a run
-// directory and this one never writes, the one place that names it:
+// directory and this one never writes, the one place that names it. A store
+// holding either is read-only: a writable open fails with ErrLegacyLayout,
+// and core.Migrate copies the run into a store of a layout this build
+// writes.
 //
 //   - Segment files. Older builds wrote one ckpt-<seq>.bin per checkpoint (a
 //     CRC-framed directory in v2, the whole checkpoint as a bundle in v1)
 //     beside a meta record that carries no directory. Open reads each one
 //     once, into the directory the index holds: a v2 one decoded, a v1 one
-//     split into its entries and hashed. GC's manifest rewrite carries every
-//     v2 directory, and removes the files; v1 runs are read-only and keep
-//     theirs.
+//     split into its entries and hashed.
 //   - Extra pack roots. Older builds could spread a sharded store's packs
 //     over more directories than the run's own, listed one per line in its
 //     SHARDS file; DirBackend places each pack object on a root by hashing
@@ -137,22 +138,6 @@ func (c *Checkpoint) fill(load []int, jobs []chunkJob, byShard map[int][]int, fs
 	return nil
 }
 
-// removeSegments deletes every segment file of a run, with the gzip twin an
-// older build may have written beside it. Only GC calls it, once the
-// manifest it rewrote carries every live directory.
-func removeSegments(runDir string) error {
-	paths, err := filepath.Glob(filepath.Join(runDir, "ckpt-*.bin*"))
-	if err != nil {
-		return err
-	}
-	for _, path := range paths {
-		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("store: gc remove: %w", err)
-		}
-	}
-	return nil
-}
-
 // ShardRoots returns the extra pack roots a plain open of dir uses: the
 // entries of its SHARDS file, relative ones resolved against dir; none for a
 // directory without one (every store this build creates). Registration paths
@@ -166,13 +151,19 @@ func ShardRoots(dir string) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: read shard dirs: %w", err)
 	}
+	return parseShardRoots(dir, raw), nil
+}
+
+// parseShardRoots reads a SHARDS file: one root per non-blank line, relative
+// ones resolved against dir.
+func parseShardRoots(dir string, raw []byte) []string {
 	var roots []string
 	for _, ln := range strings.Split(string(raw), "\n") {
 		if ln = strings.TrimSpace(ln); ln != "" {
 			roots = append(roots, resolveRunPath(dir, ln))
 		}
 	}
-	return roots, nil
+	return roots
 }
 
 // packRoots returns the root directories of a store's local backend: the

@@ -48,7 +48,7 @@ func v1Segment(t testing.TB, dir string, seq int) []byte {
 // destination receives the section's bytes.
 func TestV1ReadIntoReturnsTheBundlesSections(t *testing.T) {
 	dir := v1Run(t)
-	s, err := store.Open(dir)
+	s, err := store.OpenReadOnly(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestV1ReadIntoReturnsTheBundlesSections(t *testing.T) {
 // neighbours still read.
 func TestV1SegmentFaults(t *testing.T) {
 	dir := v1Run(t)
-	intact, err := store.Open(dir)
+	intact, err := store.OpenReadOnly(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestV1SegmentFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := store.Open(dir)
+	s, err := store.OpenReadOnly(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -62,10 +63,7 @@ func TestChunkLengthDisagreementIsCorrupt(t *testing.T) {
 				t.Fatal(err)
 			}
 			rewriteDirectory(t, dir, key, func(d *ckptfmt.Directory) { d.Sections[0].Chunks[0].RawLen += delta })
-			db, err := NewDirBackend(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
+			db := DirBackendAt(dir)
 			r, err := OpenWith(dir, Options{ReadOnly: true, Backend: &countingBackend{Backend: db, fd: fd}})
 			if err != nil {
 				t.Fatal(err)
@@ -207,5 +205,77 @@ func TestInvalidChunkRecordIsDroppedAtOpen(t *testing.T) {
 	}
 	if secs, err := ReadAll(r, key, nil); err != nil || !bytes.Equal(secs[0].Data, data) {
 		t.Fatalf("unedited store: %v", err)
+	}
+}
+
+// TestInflatedRawLenIsDroppedAtOpen pins the raw-length check at open: a
+// CRC-valid chunk record rewritten to claim 1 TiB of raw bytes (the most an
+// int holds, on a 32-bit build) is dropped, as a record its pack cannot hold
+// is — through the length a raw frame's encoded length implies, and, for a
+// record of another style, through the length the live directory that names
+// its hash gives. A writable open is refused without a byte changing, a
+// read-only read of the checkpoint is codec.ErrCorrupt, and the stored-byte
+// accounting is the surviving records': the claimed terabyte never enters
+// it. Private store (MANIFEST records) and shared pool (INDEX records).
+func TestInflatedRawLenIsDroppedAtOpen(t *testing.T) {
+	const inflated = int(min(1<<40, math.MaxInt))
+	key := Key{LoopID: "L", Exec: 0}
+	data := noise(3*ckptfmt.DefaultChunkSize, 6)
+	for _, style := range []byte{ckptfmt.StyleRaw, ckptfmt.StyleLZ4} {
+		for _, pooled := range []bool{false, true} {
+			base := t.TempDir()
+			dir, pool := filepath.Join(base, "run"), filepath.Join(base, "POOL")
+			o, records := Options{}, filepath.Join(dir, manifestFile)
+			if pooled {
+				o, records = Options{Pool: pool}, filepath.Join(pool, poolIndexFile)
+			}
+			s, err := OpenWith(dir, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.PutSections(key, []Section{{Name: "w", Data: data}}, 0, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			stored := func(s *Store) int64 {
+				if ps, ok := s.PoolStats(); ok {
+					return ps.StoredRawBytes
+				}
+				return s.Dedup().StoredRawBytes
+			}
+			resetPoolRegistry()
+			ro, err := OpenReadOnly(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := stored(ro)
+			edited := false
+			rewriteChunkRecords(t, records, func(l *chunkLoc) {
+				if !edited {
+					want -= int64(l.RawLen)
+					l.RawLen, l.Style, edited = inflated, style, true
+				}
+			})
+			before := dirBytes(t, base)
+
+			resetPoolRegistry()
+			if _, err := OpenWith(dir, o); !errors.Is(err, codec.ErrCorrupt) {
+				t.Errorf("style %d, pooled=%v: writable open: %v; want codec.ErrCorrupt", style, pooled, err)
+			}
+			if !maps.Equal(before, dirBytes(t, base)) {
+				t.Errorf("style %d, pooled=%v: the refused open changed the store", style, pooled)
+			}
+			resetPoolRegistry()
+			r, err := OpenReadOnly(dir)
+			if err != nil {
+				t.Fatalf("style %d, pooled=%v: read-only open: %v", style, pooled, err)
+			}
+			if got := stored(r); got != want {
+				t.Errorf("style %d, pooled=%v: %d raw bytes stored, want the surviving records' %d", style, pooled, got, want)
+			}
+			if _, err := ReadAll(r, key, nil); !errors.Is(err, codec.ErrCorrupt) {
+				t.Errorf("style %d, pooled=%v: read: %v; want codec.ErrCorrupt", style, pooled, err)
+			}
+			resetPoolRegistry()
+		}
 	}
 }

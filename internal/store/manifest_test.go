@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -79,22 +80,20 @@ func rewriteDirectory(t *testing.T, dir string, key Key, edit func(*ckptfmt.Dire
 }
 
 // recordLayouts puts the same three checkpoints — two sections, one unnamed
-// section, and a superseding one — into a fresh private, sharded and pooled store, and
-// returns each run directory and what a read of each key must return.
+// section, and a superseding one — into a fresh store of each writer layout,
+// private and pooled, and returns each run directory and what a read of each
+// key must return.
 func recordLayouts(t testing.TB, base string) (dirs map[string]string, want map[Key][]Section) {
 	want = map[Key][]Section{
 		{LoopID: "train", Exec: 0}: {{Name: "w", Data: noise(300<<10, 1)}, {Name: "b", Data: []byte("bias")}},
 		{LoopID: "train", Exec: 1}: {{Name: "w", Data: noise(4096, 2)}, {Name: "b", Data: []byte("bias")}},
 	}
 	dirs = map[string]string{}
-	PlantLayout(t, filepath.Join(base, "v2-sharded"), 16)
-	PlantPool(t, filepath.Join(base, "POOL"), 4)
 	for _, layout := range []struct {
 		name string
 		o    Options
 	}{
 		{"v2", Options{}},
-		{"v2-sharded", Options{}},
 		{"v2-pooled", Options{Pool: filepath.Join(base, "POOL")}},
 	} {
 		dir := filepath.Join(base, layout.name)
@@ -131,8 +130,8 @@ func TestNewStoresWriteNoSegmentFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m, err := parseFormatMarker(marker); err != nil || !m.dirs || !strings.HasSuffix(string(marker), " dirs\n") {
-			t.Errorf("%s: FORMAT %q (%+v, %v), want the dirs token last", layout, marker, m, err)
+		if m, err := parseFormatMarker(marker); err != nil || !m.canonical() {
+			t.Errorf("%s: FORMAT %q (%+v, %v), want a marker this build writes", layout, marker, m, err)
 		}
 	}
 	if m, err := parseFormatMarker([]byte("2 dirs gc\n")); err == nil {
@@ -209,7 +208,7 @@ func TestResolveDoesNoFileIO(t *testing.T) {
 		}
 		stores[layout] = s
 	}
-	for _, d := range []string{dirs["v2"], dirs["v2-sharded"], dirs["v2-pooled"], filepath.Join(base, "POOL")} {
+	for _, d := range []string{dirs["v2"], dirs["v2-pooled"], filepath.Join(base, "POOL")} {
 		entries, _ := os.ReadDir(d)
 		for _, e := range entries {
 			if !strings.HasPrefix(e.Name(), packFile) {
@@ -238,64 +237,50 @@ func TestResolveDoesNoFileIO(t *testing.T) {
 	}
 }
 
-// TestLegacySegmentsReadAtOpenAndRemovedByGC pins the read-compat seam on a
-// copy of the committed gztwins store (meta records without directories,
+// TestLegacySegmentsReadAtOpenAndRefuseWrites pins the read-compat seam on
+// a copy of the committed gztwins store (meta records without directories,
 // one segment file each): open reads each directory once, so a read-only
-// open keeps resolving after the files are gone; a put on a writable open
-// adds a record with its directory and no file; and GC rewrites the
-// manifest so that every record carries its directory, removes every
-// segment file, and leaves a store that reopens with each checkpoint's
-// directory unchanged.
-func TestLegacySegmentsReadAtOpenAndRemovedByGC(t *testing.T) {
+// open keeps resolving and reading after the files are gone; and a writable
+// open — under the store's own marker, and under the "2 dirs" a store of
+// this build carries — is refused with ErrLegacyLayout before it writes, so
+// nothing can append a record beside the segment-file ones or GC them away.
+// Migrating is the way forward (core.Migrate, pinned in the root package).
+func TestLegacySegmentsReadAtOpenAndRefuseWrites(t *testing.T) {
 	dir := legacyFixture(t, "gztwins")
 	ro, err := OpenReadOnly(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	if len(ro.index) != 7 {
+		t.Fatalf("%d live checkpoints, want 7", len(ro.index))
 	}
-	key := Key{LoopID: "train", Exec: 6}
-	if _, err := st.PutSections(key, []Section{{Name: "w", Data: noise(1000, 3)}}, 0, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if segs, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.bin")); len(segs) != 8 {
-		t.Fatalf("a put into a legacy store left %d segment files, want the fixture's 8", len(segs))
-	}
-	res, err := st.GCWith(GCOptions{PackRetention: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Superseded != 1 {
-		t.Fatalf("GC dropped %d superseded checkpoints, want 1", res.Superseded)
-	}
-	if segs, _ := filepath.Glob(filepath.Join(dir, "ckpt-*")); len(segs) > 0 {
-		t.Fatalf("GC left %v", segs)
-	}
-	_, recs := manifestRecords(t, dir)
-	metas := 0
-	for _, rec := range recs {
-		if rec.tag == recMeta {
-			metas++
-			if rec.e.dir == nil {
-				t.Fatalf("rewritten record of %s carries no directory", rec.e.Key)
-			}
+	for _, marker := range []string{"", markerPrivate} {
+		if marker != "" {
+			plant(t, dir, formatFile, marker)
+		}
+		before := dirBytes(t, dir)
+		if _, err := Open(dir); !errors.Is(err, ErrLegacyLayout) {
+			t.Fatalf("writable open under marker %q: %v, want ErrLegacyLayout", marker, err)
+		}
+		if !maps.Equal(before, dirBytes(t, dir)) {
+			t.Fatalf("the refused open under marker %q changed the store", marker)
 		}
 	}
-	if metas != 8 {
-		t.Fatalf("rewritten manifest holds %d meta records, want 8 (7 live and the put)", metas)
+	segs, _ := filepath.Glob(filepath.Join(dir, "ckpt-*"))
+	if len(segs) != 16 {
+		t.Fatalf("%d segment files and twins, want the fixture's 16", len(segs))
 	}
-	re, err := OpenReadOnly(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, e := range ro.index {
-		if got := re.index[k]; got == nil || !bytes.Equal(ckptfmt.EncodeDirectory(got.dir), ckptfmt.EncodeDirectory(e.dir)) {
-			t.Fatalf("%s: directory changed through the rewrite", k)
+	for _, seg := range segs {
+		if err := os.Remove(seg); err != nil {
+			t.Fatal(err)
 		}
+	}
+	for k := range ro.index {
 		if _, err := ReadAll(ro, k, nil); err != nil {
 			t.Fatalf("read-only open of the legacy form, files gone: %s: %v", k, err)
+		}
+		if _, err := ro.Resolve(k); err != nil {
+			t.Fatalf("Resolve(%s) with the files gone: %v", k, err)
 		}
 	}
 }
@@ -361,8 +346,9 @@ func TestGCPoolMarksLegacyRecordsFromTheirFiles(t *testing.T) {
 // record that decodes re-encodes to exactly the bytes it consumed. Seeds are
 // the record payloads of stores recorded on every writer layout —
 // pool-reference, chunk (with and without a pack generation) and meta
-// records, sectioned and opaque — and the directory-less meta records of the
-// committed gztwins store. Each input is decoded as it stands and CRC-framed,
+// records, sectioned and opaque — the directory-less meta records of the
+// committed gztwins store, and the records of the committed sharded and
+// fanout-4 pooled stores. Each input is decoded as it stands and CRC-framed,
 // so that mutations reach the record bodies behind the CRC.
 func FuzzManifestRecord(f *testing.F) {
 	base := f.TempDir()
@@ -375,7 +361,8 @@ func FuzzManifestRecord(f *testing.F) {
 		f.Fatal(err)
 	}
 	resetPoolRegistry()
-	for _, dir := range []string{dirs["v2"], dirs["v2-pooled"], filepath.Join("..", "..", "testdata", "gztwins")} {
+	fixture := func(name string) string { return filepath.Join("..", "..", "testdata", filepath.FromSlash(name)) }
+	for _, dir := range []string{dirs["v2"], dirs["v2-pooled"], fixture("gztwins"), fixture("sharded"), fixture("pool4/run")} {
 		b, err := os.ReadFile(filepath.Join(dir, manifestFile))
 		if err != nil {
 			f.Fatal(err)

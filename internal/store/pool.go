@@ -45,7 +45,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -102,11 +101,12 @@ type poolShard struct {
 	broken error
 }
 
-// within reports whether loc locates an extent inside a pack of packLen
-// bytes: no field negative, and no end past the pack's (compared without
-// overflow).
-func (loc chunkLoc) within(packLen int64) bool {
-	return loc.Off >= 0 && loc.EncLen >= 0 && loc.RawLen >= 0 && int64(loc.EncLen) <= packLen-loc.Off
+// valid reports whether loc can be a frame inside a pack of packLen bytes:
+// no field negative, no end past the pack's (compared without overflow),
+// and for a raw frame the raw length its encoded length implies.
+func (loc chunkLoc) valid(packLen int64) bool {
+	return loc.Off >= 0 && loc.EncLen >= 0 && loc.RawLen >= 0 && int64(loc.EncLen) <= packLen-loc.Off &&
+		(loc.Style != ckptfmt.StyleRaw || loc.EncLen == ckptfmt.RawWireLen(loc.RawLen))
 }
 
 // packObjName maps (base name, generation) to the backend object name.
@@ -243,9 +243,9 @@ func (p *ChunkPool) adopt(h ckptfmt.Hash, loc chunkLoc) {
 
 // finishOpen completes initialization after records were adopted: resolves
 // each shard's active generation and pack length, drops records from stale
-// generations, with a negative offset or length, or pointing past their
-// pack's end (remembering the pack in dropped), and rebuilds the stored-chunk
-// accounting. Runs single-threaded at open.
+// generations and records that are not valid in their pack (remembering the
+// pack in dropped), and rebuilds the stored-chunk accounting. Runs
+// single-threaded at open.
 func (p *ChunkPool) finishOpen() error {
 	p.stored.Fanout = p.fanout
 	p.stored.Root = p.root
@@ -258,12 +258,13 @@ func (p *ChunkPool) finishOpen() error {
 		sh.packLen = n
 		bad := false
 		for h, loc := range sh.chunks {
-			if loc.Gen != sh.gen || !loc.within(sh.packLen) {
+			if loc.Gen != sh.gen || !loc.valid(sh.packLen) {
 				// A record from a superseded generation, with a negative
-				// field, or pointing past the pack's real end (pack lost or
-				// truncated — never a crash artifact, since pack bytes land
-				// before records). Drop it and let reads of referencing
-				// checkpoints surface ErrCorrupt.
+				// field or a raw length its frame cannot hold, or pointing
+				// past the pack's real end (pack lost or truncated — never
+				// a crash artifact, since pack bytes land before records).
+				// Drop it and let reads of referencing checkpoints surface
+				// ErrCorrupt.
 				delete(sh.chunks, h)
 				bad = true
 				continue
@@ -280,11 +281,43 @@ func (p *ChunkPool) finishOpen() error {
 	return nil
 }
 
+// dropMismatched drops every chunk record whose raw length disagrees with
+// the one a directory in dirs gives its hash, as finishOpen drops a record
+// its pack cannot hold: the pack goes into dropped, and the record out of
+// the index and the stored-chunk accounting.
+func (p *ChunkPool) dropMismatched(dirs []*ckptfmt.Directory) {
+	for _, d := range dirs {
+		for _, sec := range d.Sections {
+			for _, ref := range sec.Chunks {
+				sh := p.shardTab[p.shardOf(ref.Hash)]
+				sh.mu.Lock()
+				loc, ok := sh.chunks[ref.Hash]
+				bad, obj := ok && loc.RawLen != ref.RawLen, sh.obj()
+				if bad {
+					delete(sh.chunks, ref.Hash)
+				}
+				sh.mu.Unlock()
+				if bad {
+					p.mu.Lock()
+					p.stored.Chunks--
+					p.stored.StoredRawBytes -= int64(loc.RawLen)
+					p.stored.StoredEncBytes -= int64(loc.EncLen)
+					if !slices.Contains(p.dropped, obj) {
+						p.dropped = append(p.dropped, obj)
+					}
+					p.mu.Unlock()
+				}
+			}
+		}
+	}
+}
+
 // droppedPacks names packs whose committed chunk records pointed past the
-// pack's real end at open (pack lost or truncated), or held a negative
-// offset or length. Read-only opens degrade
-// gracefully; writable opens refuse, because appending to a rewound pack
-// would re-commit hashes at offsets the old records still claim.
+// pack's real end at open (pack lost or truncated), held a negative offset
+// or length, or gave a raw length that their frame or a live directory
+// contradicts. Read-only opens degrade gracefully; writable opens refuse,
+// because appending to a rewound pack would re-commit hashes at offsets the
+// old records still claim.
 func (p *ChunkPool) droppedPacks() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -493,9 +526,8 @@ func poolMarker(fanout int) []byte {
 func parsePoolMarker(raw []byte) (fanout int, err error) {
 	marker := strings.TrimSpace(string(raw))
 	fields := strings.Fields(marker)
-	if len(fields) == 2 && fields[0] == "pool1" && strings.HasPrefix(fields[1], "shards=") {
-		n, perr := strconv.Atoi(strings.TrimPrefix(fields[1], "shards="))
-		if perr == nil && n >= 1 && n <= maxShardFanout && (n == 1 || n&(n-1) == 0) {
+	if len(fields) == 2 && fields[0] == "pool1" {
+		if n, ok := parseShards(fields[1]); ok {
 			return n, nil
 		}
 	}
@@ -506,7 +538,8 @@ func parsePoolMarker(raw []byte) (fanout int, err error) {
 // directory (writable opens only) or replaying its INDEX on first use.
 // fanout 0 adopts the existing pool's fanout (DefaultShardFanout for new
 // pools); a conflicting non-zero fanout is refused. A writable open of a
-// pool first opened read-only upgrades it in place.
+// pool at any other fanout fails with ErrLegacyLayout before it writes; one
+// of a pool first opened read-only upgrades it in place.
 func openSharedPool(root string, fanout int, readOnly bool) (*ChunkPool, error) {
 	key, err := resolvePoolRoot(root)
 	if err != nil {
@@ -519,6 +552,9 @@ func openSharedPool(root string, fanout int, readOnly bool) (*ChunkPool, error) 
 			return nil, fmt.Errorf("store: pool %s has fanout %d (fanout %d requested)", key, p.fanout, fanout)
 		}
 		if !readOnly {
+			if p.fanout != DefaultShardFanout {
+				return nil, legacyLayout(key, fmt.Sprintf("a chunk pool at fanout %d", p.fanout))
+			}
 			if err := p.upgradeWritable(); err != nil {
 				return nil, err
 			}
@@ -536,17 +572,15 @@ func openSharedPool(root string, fanout int, readOnly bool) (*ChunkPool, error) 
 		if fanout != 0 && fanout != got {
 			return nil, fmt.Errorf("store: pool %s has fanout %d (fanout %d requested)", key, got, fanout)
 		}
+		if !readOnly && got != DefaultShardFanout {
+			return nil, legacyLayout(key, fmt.Sprintf("a chunk pool at fanout %d", got))
+		}
 		fanout = got
 	case errors.Is(merr, os.ErrNotExist):
 		if readOnly {
 			return nil, fmt.Errorf("store: pool %s: no POOL marker (not a chunk pool)", key)
 		}
-		if fanout == 0 {
-			fanout = DefaultShardFanout
-		}
-		if fanout > 1 && (fanout > maxShardFanout || fanout&(fanout-1) != 0) {
-			return nil, fmt.Errorf("store: pool fanout %d: want a power of two in [1, %d]", fanout, maxShardFanout)
-		}
+		fanout = DefaultShardFanout
 		if err := os.MkdirAll(filepath.Join(key, poolLeaseDir), 0o755); err != nil {
 			return nil, fmt.Errorf("store: create pool: %w", err)
 		}
@@ -603,7 +637,7 @@ func (p *ChunkPool) upgradeWritable() error {
 		}
 		bad := false
 		for h, loc := range sh.chunks {
-			if loc.Gen == sh.gen && !loc.within(sh.packLen) {
+			if loc.Gen == sh.gen && !loc.valid(sh.packLen) {
 				delete(sh.chunks, h)
 				bad = true
 			}
@@ -974,12 +1008,6 @@ func (p *ChunkPool) gc(mark func() (map[ckptfmt.Hash]bool, error), o GCOptions, 
 		}
 		if err := p.backend.Remove(name); err != nil {
 			return res, fmt.Errorf("store: gc: remove retired pack %s: %w", name, err)
-		}
-		// The gzip twin an older build may have written beside the pack goes
-		// too, before the schedule entry is dropped, or a failed removal
-		// would leave it with nothing to retry it.
-		if err := p.backend.Remove(name + ".gz"); err != nil {
-			return res, fmt.Errorf("store: gc: remove %s.gz: %w", name, err)
 		}
 		delete(sched, name)
 		res.DeletedPacks++

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sync"
@@ -133,9 +134,7 @@ func TestPooledFamilyStoresThreeTimesLess(t *testing.T) {
 	var logical int64
 	var private DedupStats
 	for r := 0; r < runs; r++ {
-		privDir := filepath.Join(base, fmt.Sprintf("private-%d", r))
-		PlantLayout(t, privDir, DefaultShardFanout)
-		priv, err := Open(privDir)
+		priv, err := Open(filepath.Join(base, fmt.Sprintf("private-%d", r)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,22 +216,29 @@ func TestPooledOpenRefusals(t *testing.T) {
 		t.Fatal("Pool+ShardDirs must be refused")
 	}
 
-	// A recorded pooled run whose marker disagrees with its pool's fanout
-	// is refused: its chunks would be looked up in the wrong shards.
-	planted := filepath.Join(base, "POOL4")
-	PlantPool(t, planted, 4)
-	a := filepath.Join(base, "a")
-	pa := openPooled(t, a, planted)
-	if pa.ShardFanout() != 4 {
-		t.Fatalf("run attached to a fanout-4 pool has fanout %d", pa.ShardFanout())
+	// A new run cannot attach to a pool an older build made at another
+	// fanout: the pool is read-only, and nothing of it changes.
+	pool4 := legacyFixture(t, "pool4")
+	before := dirBytes(t, pool4)
+	if _, err := OpenWith(filepath.Join(base, "a"), Options{Pool: pool4}); !errors.Is(err, ErrLegacyLayout) {
+		t.Fatalf("attaching to a fanout-4 pool: %v, want ErrLegacyLayout", err)
 	}
+	if !maps.Equal(before, dirBytes(t, pool4)) {
+		t.Fatal("the refused attach changed the fanout-4 pool")
+	}
+
+	// A recorded pooled run whose marker disagrees with its pool's fanout
+	// is refused, read-only too: its chunks would be looked up in the wrong
+	// shards.
+	a := filepath.Join(base, "a")
+	pa := openPooled(t, a, pool)
 	if _, err := pa.PutSections(Key{LoopID: "train", Exec: 0}, familySections(1, 4, 0), 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(a, formatFile), []byte("2 pool shards=8 dirs\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(a); err == nil {
+	if _, err := OpenReadOnly(a); err == nil {
 		t.Fatal("conflicting pool fanout must be refused")
 	}
 

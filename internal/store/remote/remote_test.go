@@ -365,7 +365,6 @@ func TestRemoteBackendStoreRoundTrip(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			src := t.TempDir()
-			plantLayout(t, src, 4)
 			s, err := store.Open(src)
 			if err != nil {
 				t.Fatal(err)
@@ -502,9 +501,8 @@ func TestObjectBackendIsReadOnly(t *testing.T) {
 // through the object backend, all checkpoints byte-identical. Uploads are
 // idempotent.
 func TestRemoteUploadRestoreCycle(t *testing.T) {
-	// Record locally (plain DirBackend layout, sharded by an older build).
+	// Record locally.
 	src := t.TempDir()
-	plantLayout(t, src, 4)
 	s, err := store.Open(src)
 	if err != nil {
 		t.Fatal(err)
@@ -559,29 +557,24 @@ func TestRemoteUploadRestoreCycle(t *testing.T) {
 
 // TestRemoteUploadSkipsLeftBehindFiles: what an older build's gzip pass left
 // in a run directory and its shard roots — ".gz" twins of segments and packs
-// and its SPOOL state — is no part of the run. UploadRun ships every segment
-// and pack and none of those, and FetchControlPlane does not write them out
-// of a prefix an older upload filled.
+// and its SPOOL state — is no part of the run. On a copy of the committed
+// store an older build spread over two extra roots (testdata/multiroot),
+// UploadRun ships every control-plane file and pack of all three roots and
+// none of those, and FetchControlPlane does not write them out of a prefix
+// an older upload filled.
 func TestRemoteUploadSkipsLeftBehindFiles(t *testing.T) {
-	src, extra := t.TempDir(), t.TempDir()
-	plantLayout(t, src, 4, extra)
-	s, err := store.Open(src)
-	if err != nil {
+	base := t.TempDir()
+	if err := os.CopyFS(base, os.DirFS(filepath.Join("..", "..", "..", "testdata", "multiroot"))); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		data := testRemotePayload(64<<10, uint64(200+i))
-		if _, err := s.PutSections(store.Key{LoopID: "train", Exec: i}, []store.Section{{Name: "w", Data: data}}, 0, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
+	src := filepath.Join(base, "run")
 	want := map[string]bool{} // every run file a restore needs, by key
 	plant := func(dir, name string) {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("left behind"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, dir := range []string{src, extra} {
+	for _, dir := range []string{src, filepath.Join(base, "rootA"), filepath.Join(base, "rootB")} {
 		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -655,20 +648,4 @@ func readAll(st *store.Store, key store.Key) ([]store.Section, error) {
 		return nil, err
 	}
 	return c.ReadInto(nil, nil, nil, nil)
-}
-
-// plantLayout leaves dir as an older build left a store it created at the
-// given fanout over the run directory plus roots, before the first put:
-// FORMAT "2 shards=fanout", and a SHARDS file when there are roots. The next
-// open adopts both.
-func plantLayout(t testing.TB, dir string, fanout int, roots ...string) {
-	t.Helper()
-	if err := os.WriteFile(filepath.Join(dir, "FORMAT"), []byte(fmt.Sprintf("2 shards=%d\n", fanout)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if len(roots) > 0 {
-		if err := os.WriteFile(filepath.Join(dir, "SHARDS"), []byte(strings.Join(roots, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 }

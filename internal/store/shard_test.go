@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sync"
@@ -13,20 +14,18 @@ import (
 	"flor.dev/flor/internal/codec"
 )
 
-// openSharded opens a store an older build created at the given fanout.
-func openSharded(t *testing.T, fanout int) (*Store, string) {
+// openSharded opens a fresh run of a fresh shared pool, the one sharded
+// layout this build writes, and returns it with the run directory and the
+// pool root, where its shard packs live.
+func openSharded(t *testing.T) (s *Store, dir, pool string) {
 	t.Helper()
-	dir := t.TempDir()
-	PlantLayout(t, dir, fanout)
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, dir
+	base := t.TempDir()
+	dir, pool = filepath.Join(base, "run"), filepath.Join(base, "POOL")
+	return openPooled(t, dir, pool), dir, pool
 }
 
 func TestShardedRoundTripAndReopen(t *testing.T) {
-	s, dir := openSharded(t, 16)
+	s, dir, pool := openSharded(t)
 	if s.ShardFanout() != 16 {
 		t.Fatalf("fanout = %d, want 16", s.ShardFanout())
 	}
@@ -50,19 +49,22 @@ func TestShardedRoundTripAndReopen(t *testing.T) {
 	// Chunks actually spread across more than one shard pack.
 	packs := 0
 	for i := 0; i < 16; i++ {
-		if st, err := os.Stat(filepath.Join(dir, fmt.Sprintf("CHUNKS-%02x", i))); err == nil && st.Size() > 0 {
+		if st, err := os.Stat(filepath.Join(pool, fmt.Sprintf("CHUNKS-%02x", i))); err == nil && st.Size() > 0 {
 			packs++
 		}
 	}
 	if packs < 2 {
 		t.Fatalf("chunks landed in %d shard packs, want spread", packs)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "CHUNKS")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("sharded store grew an unsharded CHUNKS pack")
+	for _, d := range []string{dir, pool} {
+		if _, err := os.Stat(filepath.Join(d, "CHUNKS")); !errors.Is(err, os.ErrNotExist) {
+			t.Fatal("sharded store grew an unsharded CHUNKS pack")
+		}
 	}
 
-	// A plain reopen (no options) must detect the sharded layout and read
-	// everything back; the dedup index must survive.
+	// A plain reopen (no options), from disk, must detect the sharded layout
+	// and read everything back; the dedup index must survive.
+	resetPoolRegistry()
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +99,7 @@ func TestShardedRoundTripAndReopen(t *testing.T) {
 }
 
 func TestShardedDedupAcrossCheckpoints(t *testing.T) {
-	s, _ := openSharded(t, 8)
+	s, _, _ := openSharded(t)
 	frozen := noise(4*ckptfmt.DefaultChunkSize, 7)
 	var later int64
 	for e := 0; e < 4; e++ {
@@ -124,7 +126,7 @@ func TestShardedDedupAcrossCheckpoints(t *testing.T) {
 // per-shard append locks must keep packs, index, and manifest consistent,
 // and every checkpoint must read back intact after a reopen.
 func TestShardedConcurrentPuts(t *testing.T) {
-	s, dir := openSharded(t, 16)
+	s, dir, _ := openSharded(t)
 	const writers, epochs = 4, 3
 	shared := noise(2*ckptfmt.DefaultChunkSize, 77) // cross-writer dedup races
 	var wg sync.WaitGroup
@@ -152,7 +154,7 @@ func TestShardedConcurrentPuts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, st := range []*Store{s, mustReopen(t, dir)} {
+	for _, st := range []*Store{s, mustReopen(t, dir, true)} {
 		for w := 0; w < writers; w++ {
 			for e := 0; e < epochs; e++ {
 				want := noise(3*ckptfmt.DefaultChunkSize+w*17, uint64(100+w*10+e))
@@ -168,8 +170,13 @@ func TestShardedConcurrentPuts(t *testing.T) {
 	}
 }
 
-func mustReopen(t *testing.T, dir string) *Store {
+// mustReopen opens dir writable, and with fromDisk first forgets every pool
+// this process opened, so that a pooled run's pool is read back from disk.
+func mustReopen(t *testing.T, dir string, fromDisk bool) *Store {
 	t.Helper()
+	if fromDisk {
+		resetPoolRegistry()
+	}
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -177,48 +184,61 @@ func mustReopen(t *testing.T, dir string) *Store {
 	return s
 }
 
-// TestShardDirsSpreadAndPersist opens a sharded store an older build
-// spread over extra root directories, and checks that its packs spread over
-// them and that plain and read-only reopens find them through the SHARDS
-// file.
+// multirootFixture copies testdata/multiroot — counterFactory(6, 3)
+// recorded by an older build into a fanout-4 store whose SHARDS file lists
+// ../rootA and ../rootB — and returns the run directory and its two extra
+// roots.
+func multirootFixture(t *testing.T) (dir, rootA, rootB string) {
+	t.Helper()
+	base := legacyFixture(t, "multiroot")
+	return filepath.Join(base, "run"), filepath.Join(base, "rootA"), filepath.Join(base, "rootB")
+}
+
+// TestShardDirsSpreadAndPersist opens the committed store an older build
+// spread over extra root directories: its packs lie in all three roots, a
+// read-only open finds them through the SHARDS file and reads every
+// checkpoint as the committed single-root store of the same recording
+// (testdata/sharded) reads it, and a writable open is refused without a
+// byte changing.
 func TestShardDirsSpreadAndPersist(t *testing.T) {
-	dir := t.TempDir()
-	extraA, extraB := t.TempDir(), t.TempDir()
-	PlantLayout(t, dir, 16, extraA, extraB)
-	s, err := Open(dir)
+	dir, extraA, extraB := multirootFixture(t)
+	for _, root := range []string{dir, extraA, extraB} {
+		if m, _ := filepath.Glob(filepath.Join(root, "CHUNKS-0?")); len(m) == 0 {
+			t.Fatalf("no pack in root %s", root)
+		}
+	}
+	before := dirBytes(t, filepath.Dir(dir))
+	if _, err := Open(dir); !errors.Is(err, ErrLegacyLayout) {
+		t.Fatalf("writable open of a multi-root store: %v, want ErrLegacyLayout", err)
+	}
+	ro, err := OpenReadOnly(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := noise(8*ckptfmt.DefaultChunkSize, 5)
-	key := Key{LoopID: "L", Exec: 0}
-	if _, err := s.PutSections(key, []Section{{Name: "net", Data: big}}, 0, 0, 0); err != nil {
+	single, err := OpenReadOnly(legacyFixture(t, "sharded"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	spread := 0
-	for _, root := range []string{dir, extraA, extraB} {
-		entries, _ := os.ReadDir(root)
-		for _, e := range entries {
-			if len(e.Name()) == len("CHUNKS-00") && e.Name()[:7] == "CHUNKS-" {
-				spread++
-				break
-			}
-		}
+	if len(ro.Metas()) != 6 || len(single.Metas()) != 6 {
+		t.Fatalf("%d and %d checkpoints, want 6 each", len(ro.Metas()), len(single.Metas()))
 	}
-	if spread < 2 {
-		t.Fatalf("packs landed in %d roots, want spread over several", spread)
-	}
-	for _, open := range []func() (*Store, error){
-		func() (*Store, error) { return Open(dir) },
-		func() (*Store, error) { return OpenReadOnly(dir) },
-	} {
-		s2, err := open()
+	for _, m := range single.Metas() {
+		want, err := ReadAll(single, m.Key, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		secs, err := ReadAll(s2, key, nil)
-		if err != nil || !bytes.Equal(secs[0].Data, big) {
-			t.Fatalf("reopen via SHARDS file: %v", err)
+		got, err := ReadAll(ro, m.Key, nil)
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("%s via SHARDS file: %d sections, %v", m.Key, len(got), err)
 		}
+		for i := range want {
+			if got[i].Name != want[i].Name || !bytes.Equal(got[i].Data, want[i].Data) {
+				t.Fatalf("%s section %q differs from the single-root store's", m.Key, want[i].Name)
+			}
+		}
+	}
+	if !maps.Equal(before, dirBytes(t, filepath.Dir(dir))) {
+		t.Fatal("the opens changed the multi-root fixture")
 	}
 }
 
@@ -227,39 +247,24 @@ func TestShardDirsSpreadAndPersist(t *testing.T) {
 // dirs must be refused — silently adopting them would relocate every pack
 // lookup away from the real packs.
 func TestShardDirRelocationRefused(t *testing.T) {
-	dir := t.TempDir()
-	extraA, extraB := t.TempDir(), t.TempDir()
-	PlantLayout(t, dir, 16, extraA, extraB)
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big := noise(8*ckptfmt.DefaultChunkSize, 41)
-	key := Key{LoopID: "L", Exec: 0}
-	if _, err := s.PutSections(key, []Section{{Name: "net", Data: big}}, 0, 0, 0); err != nil {
-		t.Fatal(err)
-	}
+	dir, extraA, extraB := multirootFixture(t)
 	for _, bad := range [][]string{
 		{t.TempDir()},         // different roots
 		{extraB, extraA},      // reordered (placement is order-sensitive)
 		{extraA},              // dropped
 		{extraA, extraB, dir}, // grown
 	} {
-		if _, err := OpenWith(dir, Options{ShardDirs: bad}); err == nil {
+		if _, err := OpenWith(dir, Options{ReadOnly: true, ShardDirs: bad}); err == nil {
 			t.Fatalf("reopen with shard dirs %v succeeded, want refusal", bad)
 		}
 	}
 	// The matching list still opens, and plain opens are untouched.
-	for _, open := range []func() (*Store, error){
-		func() (*Store, error) { return OpenWith(dir, Options{ShardDirs: []string{extraA, extraB}}) },
-		func() (*Store, error) { return Open(dir) },
-	} {
-		s2, err := open()
+	for _, o := range []Options{{ReadOnly: true, ShardDirs: []string{extraA, extraB}}, {ReadOnly: true}} {
+		s2, err := OpenWith(dir, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		secs, err := ReadAll(s2, key, nil)
-		if err != nil || !bytes.Equal(secs[0].Data, big) {
+		if _, err := ReadAll(s2, Key{LoopID: "train", Exec: 5}, nil); err != nil {
 			t.Fatalf("reopen after refusals: %v", err)
 		}
 	}
@@ -271,7 +276,7 @@ func TestShardDirRelocationRefused(t *testing.T) {
 // keeps serving what survives) and reads touching the shard fail with an
 // error naming it.
 func TestMissingShardPackNamesShard(t *testing.T) {
-	s, dir := openSharded(t, 4)
+	s, dir, pool := openSharded(t)
 	big := noise(8*ckptfmt.DefaultChunkSize, 13)
 	key := Key{LoopID: "L", Exec: 0}
 	if _, err := s.PutSections(key, []Section{{Name: "net", Data: big}}, 0, 0, 0); err != nil {
@@ -279,9 +284,9 @@ func TestMissingShardPackNamesShard(t *testing.T) {
 	}
 	// Find a populated shard pack and remove it.
 	var victim string
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 16; i++ {
 		name := fmt.Sprintf("CHUNKS-%02x", i)
-		if st, err := os.Stat(filepath.Join(dir, name)); err == nil && st.Size() > 0 {
+		if st, err := os.Stat(filepath.Join(pool, name)); err == nil && st.Size() > 0 {
 			victim = name
 			break
 		}
@@ -289,10 +294,11 @@ func TestMissingShardPackNamesShard(t *testing.T) {
 	if victim == "" {
 		t.Fatal("no populated shard pack found")
 	}
-	if err := os.Remove(filepath.Join(dir, victim)); err != nil {
+	if err := os.Remove(filepath.Join(pool, victim)); err != nil {
 		t.Fatal(err)
 	}
-	// Writable open: refused, naming the shard.
+	// Writable open, from disk: refused, naming the shard.
+	resetPoolRegistry()
 	_, err := Open(dir)
 	if !errors.Is(err, codec.ErrCorrupt) {
 		t.Fatalf("writable open with missing shard: err = %v, want codec.ErrCorrupt refusal", err)
@@ -301,6 +307,7 @@ func TestMissingShardPackNamesShard(t *testing.T) {
 		t.Fatalf("refusal %q does not name the missing shard %s", err, victim)
 	}
 	// Read-only open: graceful; reads touching the shard name it.
+	resetPoolRegistry()
 	s2, err := OpenReadOnly(dir)
 	if err != nil {
 		t.Fatalf("read-only open with missing shard must degrade gracefully: %v", err)
@@ -338,7 +345,7 @@ func TestUnknownFormatMarkerTyped(t *testing.T) {
 	}
 	// The refusal must not have truncated anything: restoring the marker
 	// restores the run.
-	os.WriteFile(filepath.Join(dir, "FORMAT"), []byte("2\n"), 0o644)
+	os.WriteFile(filepath.Join(dir, "FORMAT"), []byte(markerPrivate), 0o644)
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -352,14 +359,17 @@ func TestDetectLayoutVariants(t *testing.T) {
 	v1dir := v1Fixture(t)
 	v2dir := t.TempDir()
 	Open(v2dir)
-	shdir := t.TempDir()
-	PlantLayout(t, shdir, 16)
-	Open(shdir)
+	pooled, _, _ := openSharded(t)
+	multi, _, _ := multirootFixture(t)
 
 	cases := []struct {
 		dir  string
 		want string
-	}{{v1dir, "v1"}, {v2dir, "v2"}, {shdir, "v2-sharded/16"}}
+	}{
+		{v1dir, "v1"}, {v2dir, "v2"}, {pooled.Dir(), "v2-pooled/16"},
+		{legacyFixture(t, "sharded"), "v2-sharded/4"}, {multi, "v2-sharded/4"},
+		{filepath.Join(legacyFixture(t, "pool4"), "run"), "v2-pooled/4"},
+	}
 	for _, c := range cases {
 		l, err := DetectLayout(c.dir)
 		if err != nil {

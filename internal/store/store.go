@@ -1,145 +1,64 @@
 // Package store implements the on-disk checkpoint store backing Flor record
 // and replay: a manifest that commits each checkpoint in one record, and a
-// run-agnostic ChunkPool layer owning the content-addressed chunk packs
-// (split by hash prefix into shards), the dedup index, and refcounted
+// run-agnostic ChunkPool layer (pool.go) owning the content-addressed chunk
+// packs (split by hash prefix into shards), the dedup index, and refcounted
 // GC/compaction of superseded chunks. A run's private pack is a
 // single-tenant pool; a shared pool at a project-level root is attached by
 // many runs, which then deduplicate chunks against each other (fine-tuning
 // families re-checkpointing one frozen backbone store it once).
+// docs/FORMATS.md specifies every byte.
 //
-// # Run-directory layout
+// # Run directory
 //
-// A run directory always holds the store's control plane:
+//	<dir>/FORMAT      format marker; absent in legacy v1 runs
+//	<dir>/MANIFEST    append-only, CRC-framed records: 'M' commits a
+//	                  checkpoint and carries its directory (package
+//	                  ckptfmt: its sections and their chunk hashes); 'C'
+//	                  locates a chunk in a private pack (a pooled run's
+//	                  live in its pool's INDEX); 'P', first in a pooled
+//	                  run, names the pool
+//	<dir>/CHUNKS      a private pack of raw chunk frames (CHUNKS.g<n>
+//	                  after GC compaction rewrote it)
+//	<dir>/PACKGC      retired pack generations awaiting expiry
 //
-//	<dir>/FORMAT              format marker; absent in legacy v1 runs
-//	<dir>/MANIFEST            append-only log of committed checkpoints (each
-//	                          meta record carries its directory) and
-//	                          (private-pack stores) dedup chunk records;
-//	                          pooled runs lead with a pool-reference record
-//	<dir>/PACKGC              retired pack generations awaiting expiry
+// A put writes its pack bytes first, then its chunk records and its meta
+// record in one manifest append, so a crash at any point leaves a
+// prefix-consistent run: open replays the manifest, checking each record's
+// CRC, and a torn tail (a flipped byte too) ends it — write-ahead-log
+// discipline for a redo-only workload (paper §7). Nothing derived is
+// persisted: a run leaves the machine as these files (remote.UploadRun).
 //
-// Nothing derived is persisted: a run leaves the machine as these files
-// (remote.UploadRun), not as a compressed copy of them. Runs recorded by
-// older builds also hold one segment file per checkpoint, or a list of extra
-// pack roots; both are read at open (legacy.go), and GC removes the segment
-// files. Gzip twins ("*.gz") and a SPOOL file that older builds wrote beside
-// them are inert: no read path opens them.
+// # Layouts
 //
-// Chunk bytes live in pack objects addressed through a Backend (local
-// directories, or a remote object store):
+// Two layouts are written, and neither is a choice: format v2 over a private
+// pack at fanout 1 (marker "2 dirs") or, with Options.Pool, a run of a
+// shared pool at DefaultShardFanout (marker "2 pool shards=16 dirs", pool
+// marker "pool1 shards=16"). A writable open writes the marker once, into a
+// fresh directory (writeMarker); puts and GC never touch it. Its "dirs"
+// token makes every build that cannot read a directory-carrying meta record
+// refuse the store.
 //
-//	CHUNKS                    a private pack: the single chunk pack
-//	CHUNKS-00 .. CHUNKS-ff    a shared pool (or an older sharded run): one
-//	                          pack per hash-prefix shard
-//	CHUNKS-xx.g<n>            generation n of a shard's pack, after GC
-//	                          compaction rewrote it (see pool.go)
+// Every other layout an older build left is read-only: format v1 (a bundle
+// per checkpoint in a segment file), a private store sharded at N
+// ("2 shards=N") or spread over extra pack roots, a pool at another fanout,
+// the "gc" and "lz4" marker tokens, and a manifest that still holds
+// segment-file checkpoints (legacy.go reads those). It opens, replays and
+// serves through the same read code, and a writable open of it — Open,
+// OpenWith, GC, GCPool, and so record — fails with ErrLegacyLayout without
+// touching a byte; core.Migrate (florctl migrate) copies such a run into a
+// fresh store of a written layout. Unknown or corrupt markers surface
+// ErrUnknownFormat rather than risk misparsing and truncating a newer
+// layout's manifest.
 //
-// Shared pools keep the same pack objects plus their own control plane
-// (POOL marker, INDEX chunk-record log, LEASES/ refcount entries) under the
-// pool root; see pool.go and docs/FORMATS.md.
+// # Reads and concurrency
 //
-// # Formats
-//
-// One layout is written, and its shape is not a choice: format v2 over a
-// private pack at fanout 1 (marker "2 dirs") or, with Options.Pool, over a
-// shared pool (marker "2 pool shards=N dirs", N = DefaultShardFanout for a
-// new pool). Every other layout an older build left is read-compat — it
-// opens, replays, serves, GCs and takes appends through the same code, but
-// nothing new can choose it (docs/FORMATS.md has the byte-level detail):
-//
-//   - v1 (legacy, read-only): one CRC-framed bundle per checkpoint in a
-//     segment file, untyped manifest records, no pack. Detected from the
-//     absence of the FORMAT marker on a directory that holds a manifest; a
-//     v1 run opens read-only whatever the options say — it replays
-//     byte-identically and every write fails with ErrReadOnly. Open splits
-//     each bundle into one section per entry and hashes it into the
-//     directory a v2 put of those sections records (legacy.go), so a v1
-//     checkpoint reads like any other. No build writes v1 any more.
-//   - v2: a checkpoint is its *directory* (package ckptfmt), carried by its
-//     manifest meta record: the checkpoint's named sections and, per
-//     section, the ordered content hashes of the chunks holding its bytes.
-//     The chunk bytes themselves live in the packs as independent frames —
-//     style byte, CRC-32C, 128-bit content hash — written raw (the deflate
-//     and LZ4 frames older builds wrote are read-compat), once per distinct
-//     hash, and shared by every checkpoint of the run that references them
-//     (cross-checkpoint dedup: frozen layers, datasets, and configuration
-//     are stored once). Frames decode in parallel across a worker pool.
-//   - v2-sharded (marker "2 shards=N", read-compat): a private pack split
-//     into N shards (power of two, 2..256) by the top byte of each chunk's
-//     content hash: chunk h lives in shard h[0] mod N, pack object
-//     "CHUNKS-<shard in hex>", offsets relative to the shard's pack. A
-//     shared pool splits its packs the same way.
-//
-// The marker is settled once per writable open (writeMarker): the layout's
-// tokens, the "gc" and "lz4" tokens as read, and "dirs", which every build
-// that cannot read a directory-carrying meta record refuses. Puts and GC
-// never touch it.
-//
-// # Sharding and concurrency
-//
-// Each shard has its own append lock and its own dedup map (the two-level
-// index: shard, then hash), so concurrent PutSections calls fan a
-// checkpoint's fresh chunks out across shards, and replay-time restores of
-// independent sections read their shards' packs concurrently instead of
-// serializing on one file descriptor.
-//
-// # Restore read path
-//
-// Every restore of a pack's chunks — any layout, local or remote — runs one
-// pipeline (fetch.go): a planner offset-sorts each shard's wanted frame
-// records and cuts them into bounded runs (neighbours merge across gaps up to
-// 256 KiB), and an executor reads the runs of all shards on one bounded
-// worker group, one read call per run, decoding and hash-checking a run's
-// frames the moment its bytes land and handing out no further runs after the
-// first error. How a run's bytes are obtained follows from what the opened
-// BackendReader offers, never from a setting: a file descriptor gets one
-// vectored preadv that puts large raw payloads straight into their
-// destinations; an ExtentReader lends the run's exact extent, decoded where it
-// lies; anything else gets one ReadAt into an arena span. The results are
-// byte-identical whichever way the bytes came. (A v1 checkpoint has no pack:
-// its chunks are copied out of one read of its segment, legacy.go.)
-// Replay resolves a checkpoint (Resolve, an index lookup: every directory was
-// decoded once, at open or put) and then reads only the sections its
-// statements touch through Checkpoint.ReadInto, the one read entry point. A
-// section lands where the caller laid it out — over live tensors, so that
-// the kernel read is the restore — or in a freshly allocated buffer the
-// caller may retain.
-//
-// # Manifest and crash consistency
-//
-// The MANIFEST interleaves record kinds, each individually CRC-framed:
-//
-//	'C' chunk record  hash, pack offset (shard-relative when sharded),
-//	                  encoded length, raw length, style, and (after GC
-//	                  compaction) the pack generation — an entry of the
-//	                  run's dedup chunk index; absent in pooled runs,
-//	                  whose records live in the pool INDEX
-//	'M' meta record   a committed checkpoint (key, seq, sizes, timings,
-//	                  format) and its encoded directory
-//	'P' pool record   pooled runs only, always first: the shared pool's
-//	                  root (relative paths resolve against the run dir)
-//	                  and fanout
-//
-// A checkpoint's pack bytes are written first, then its chunk records and
-// its meta record in one manifest append, so a crash at any point leaves a
-// prefix-consistent run: opening a store replays the manifest, verifying
-// each record's CRC and ignoring any torn tail (a flipped manifest byte is a
-// torn tail too: the records from it on are lost). The design follows
-// write-ahead-log discipline adapted to a redo-only workload (paper §7,
-// "Recovery and Replay Systems"): one log record commits a checkpoint, so a
-// crash mid-materialization never yields a checkpoint that replay could
-// half-trust.
-//
-// # Compatibility guarantees
-//
-// Stores open without flags: the FORMAT marker (or its absence) selects the
-// layout, and pooled runs find their pool through the manifest's
-// pool-reference record. v1, unsharded-v2, sharded-v2 and multi-root
-// directories recorded by any earlier build open and replay
-// byte-identically. Unknown or corrupt FORMAT markers — including the
-// pooled, gc- and dirs-flagged markers on builds that predate them —
-// surface ErrUnknownFormat (with the offending marker) rather than risking
-// misparse-and-truncate of a future layout's manifest.
+// Replay resolves a checkpoint (Resolve, an index lookup: every directory
+// was decoded once, at open or put) and reads only the sections its
+// statements touch through Checkpoint.ReadInto, the one read entry point,
+// into buffers the caller laid out or fresh ones; every restore runs one
+// pipeline (fetch.go), whatever the layout or backend. Each shard has its
+// own append lock and dedup map, so concurrent puts fan fresh chunks out
+// across shards and restores read shard packs concurrently.
 package store
 
 import (
@@ -319,11 +238,7 @@ type Store struct {
 	pooled   bool
 	poolRoot string
 	poolRef  string
-	// marker is the FORMAT marker as read at open. Its "gc" and "lz4"
-	// tokens, which older builds set, are written back as read: the packs
-	// may hold generations or LZ4 frames that builds predating them misread.
-	marker  markerInfo
-	sawPRec bool // manifest already holds the pool-reference record
+	sawPRec  bool // manifest already holds the pool-reference record
 
 	mu      sync.Mutex
 	nextSeq int
@@ -361,6 +276,18 @@ func (e *UnknownFormatError) Error() string {
 // Is reports ErrUnknownFormat identity for errors.Is.
 func (e *UnknownFormatError) Is(target error) bool { return target == ErrUnknownFormat }
 
+// ErrLegacyLayout is returned by a writable open of a store or pool in a
+// layout this build reads but does not write: anything but the two layouts
+// of a fresh store (see Layouts in the package comment). The open touches
+// nothing; florctl migrate copies the run into a writable store. It is an
+// ErrReadOnly.
+var ErrLegacyLayout = fmt.Errorf("%w: legacy layout", ErrReadOnly)
+
+// legacyLayout is the refusal of a writable open of dir, which is what.
+func legacyLayout(dir, what string) error {
+	return fmt.Errorf("%w: %s is %s, a layout this build only reads; `florctl migrate <src> <dst> [pool]` copies a run into a writable store", ErrLegacyLayout, dir, what)
+}
+
 // Options configures OpenWith. The zero value reproduces Open: auto-detect
 // the layout, single local directory, read-write.
 type Options struct {
@@ -387,8 +314,9 @@ type Options struct {
 	// the manifest plus a LEASE entry under the pool root make the
 	// attachment durable. Only fresh directories can attach; a recorded
 	// private-pack run cannot be relocated into a pool (nor a pooled run out
-	// of one). Reopens need no Pool option — the manifest record names the
-	// pool.
+	// of one), and a writable open cannot attach to a pool an older build
+	// made at another fanout (ErrLegacyLayout). Reopens need no Pool option
+	// — the manifest record names the pool.
 	Pool string
 	// PinPool makes Pool authoritative even when empty: the open fails
 	// unless the run's recorded pool attachment matches Pool exactly
@@ -405,9 +333,9 @@ type Options struct {
 // the checkpoint index, with every checkpoint's directory decoded, and the
 // dedup chunk index. Torn or corrupt manifest tails are truncated away. A
 // directory that does not decode stays in the index with its error, which
-// Resolve returns; a legacy record whose segment file is missing is
-// dropped. New stores are created at format v2; directories recorded before
-// the FORMAT marker existed open as v1, read-only.
+// Resolve returns. New stores are created at format v2; a store in any
+// layout but the two this build writes fails with ErrLegacyLayout
+// (OpenReadOnly reads it).
 func Open(dir string) (*Store, error) {
 	return OpenWith(dir, Options{})
 }
@@ -434,14 +362,17 @@ func OpenWith(dir string, o Options) (*Store, error) {
 		} else if !st.IsDir() {
 			return nil, fmt.Errorf("store: open read-only: %s is not a directory", dir)
 		}
-	} else {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("store: open: %w", err)
-		}
 	}
 	s := &Store{dir: dir, readOnly: o.ReadOnly, index: map[Key]*entry{}}
 	if err := s.resolveLayout(o); err != nil {
 		return nil, err
+	}
+	recs, good, torn, err := s.readManifest()
+	if err != nil {
+		return nil, err
+	}
+	if !s.readOnly && slices.ContainsFunc(recs, segmentBacked) {
+		return nil, legacyLayout(dir, "a store whose manifest holds segment-file checkpoints")
 	}
 	if s.pooled {
 		if o.Backend != nil || len(o.ShardDirs) > 0 {
@@ -460,28 +391,45 @@ func OpenWith(dir string, o Options) (*Store, error) {
 		s.pool = newPrivatePool(s.backend, s.fanout, s.readOnly)
 		s.pool.ctlDir = s.dir
 	}
-	if !s.readOnly {
-		if err := s.writeMarker(); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.replayManifest(); err != nil {
-		return nil, err
+	for _, rec := range recs {
+		s.applyRecord(rec)
 	}
 	if s.format == FormatV2 && !s.pooled {
 		// The private pool adopted the manifest's chunk records; resolve
-		// pack generations and lengths, drop unreadable records, and take
-		// over the run's stored-chunk accounting from the surviving index.
+		// pack generations and lengths and drop unreadable records.
 		if err := s.pool.finishOpen(); err != nil {
 			return nil, err
 		}
+	}
+	if s.format == FormatV2 {
+		s.pool.dropMismatched(s.liveDirs())
+	}
+	if !s.pooled {
+		// The run's stored-chunk accounting is its private pool's surviving
+		// index.
 		s.adoptPoolStats()
 	}
-	if dropped := s.pool.droppedPacks(); !s.readOnly && len(dropped) > 0 {
+	if s.readOnly {
+		return s, nil
+	}
+	if dropped := s.pool.droppedPacks(); len(dropped) > 0 {
 		return nil, fmt.Errorf("%w: shard pack %s is missing or truncated, or its committed chunk records are invalid; writable open refused — repair or open read-only",
 			codec.ErrCorrupt, strings.Join(dropped, ", "))
 	}
-	if s.pooled && !s.readOnly {
+	// Every refusal is behind us: only now may a writable open create the
+	// run directory (detectDir reads a missing one as fresh).
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("store: open: %w", err)
+	}
+	if torn {
+		if err := os.Truncate(s.manifestPath(), good); err != nil {
+			return nil, fmt.Errorf("store: truncate torn manifest: %w", err)
+		}
+	}
+	if err := s.writeMarker(); err != nil {
+		return nil, err
+	}
+	if s.pooled {
 		// Make the attachment durable: the pool-reference record is the
 		// manifest's first record, and the LEASE entry is the pool-side
 		// refcount that keeps this run's chunks live under GCPool.
@@ -492,8 +440,7 @@ func OpenWith(dir string, o Options) (*Store, error) {
 	return s, nil
 }
 
-// ReadOnly reports whether the store rejects writes: it was opened read-only,
-// or it is a legacy v1 run.
+// ReadOnly reports whether the store rejects writes: it was opened read-only.
 func (s *Store) ReadOnly() bool { return s.readOnly }
 
 // Layout describes a run directory's on-disk store layout, detected without
@@ -576,9 +523,7 @@ type markerInfo struct {
 	format int
 	fanout int
 	pooled bool
-	gc     bool
-	lz4    bool
-	dirs   bool
+	text   string // the marker's tokens, single-spaced
 }
 
 // parseFormatMarker decodes a FORMAT file. The grammar is
@@ -598,19 +543,15 @@ func parseFormatMarker(raw []byte) (markerInfo, error) {
 	if len(fields) == 0 || fields[0] != "2" {
 		return bad()
 	}
-	m := markerInfo{format: FormatV2, fanout: 1}
+	m := markerInfo{format: FormatV2, fanout: 1, text: strings.Join(fields, " ")}
 	rest := fields[1:]
 	if len(rest) > 0 && rest[0] == "pool" {
 		m.pooled = true
 		rest = rest[1:]
 	}
 	if len(rest) > 0 && strings.HasPrefix(rest[0], "shards=") {
-		n, perr := strconv.Atoi(strings.TrimPrefix(rest[0], "shards="))
-		min := 2
-		if m.pooled {
-			min = 1 // a pool at fanout 1 is legal (single pack, still shared)
-		}
-		if perr != nil || n < min || n > maxShardFanout || (n > 1 && n&(n-1) != 0) {
+		n, ok := parseShards(rest[0])
+		if !ok || n == 1 && !m.pooled { // a pool at fanout 1 is legal (single pack, still shared)
 			return bad()
 		}
 		m.fanout = n
@@ -618,12 +559,8 @@ func parseFormatMarker(raw []byte) (markerInfo, error) {
 	} else if m.pooled {
 		return bad() // pooled markers always carry the fanout
 	}
-	for _, flag := range []struct {
-		name string
-		on   *bool
-	}{{"gc", &m.gc}, {"lz4", &m.lz4}, {"dirs", &m.dirs}} {
-		if len(rest) > 0 && rest[0] == flag.name {
-			*flag.on = true
+	for _, flag := range []string{"gc", "lz4", "dirs"} {
+		if len(rest) > 0 && rest[0] == flag {
 			rest = rest[1:]
 		}
 	}
@@ -633,31 +570,32 @@ func parseFormatMarker(raw []byte) (markerInfo, error) {
 	return m, nil
 }
 
-// formatMarker renders the marker a writable open leaves: the layout, the
-// gc and lz4 tokens as given, and "dirs".
-func formatMarker(fanout int, pooled, gc, lz4 bool) []byte {
-	var b strings.Builder
-	b.WriteString("2")
-	if pooled {
-		fmt.Fprintf(&b, " pool shards=%d", fanout)
-	} else if fanout > 1 {
-		fmt.Fprintf(&b, " shards=%d", fanout)
-	}
-	if gc {
-		b.WriteString(" gc")
-	}
-	if lz4 {
-		b.WriteString(" lz4")
-	}
-	b.WriteString(" dirs\n")
-	return []byte(b.String())
+// parseShards reads a marker's "shards=N" token: N a power of two in [1,
+// maxShardFanout], written as %d writes it.
+func parseShards(tok string) (int, bool) {
+	digits, ok := strings.CutPrefix(tok, "shards=")
+	n, err := strconv.Atoi(digits)
+	return n, ok && err == nil && strconv.Itoa(n) == digits && n >= 1 && n <= maxShardFanout && n&(n-1) == 0
+}
+
+// The two FORMAT markers this build writes: a private pack, and a run in a
+// shared pool at DefaultShardFanout.
+const (
+	markerPrivate = "2 dirs\n"
+	markerPooled  = "2 pool shards=16 dirs\n"
+)
+
+// canonical reports whether the parsed marker is, whitespace aside, one of
+// the two a writable open leaves.
+func (m markerInfo) canonical() bool {
+	return m.text+"\n" == markerPrivate || m.text+"\n" == markerPooled
 }
 
 // resolveLayout resolves the store's format, shard fanout, and pool
 // attachment from the FORMAT marker, the options, and (for unmarked
 // directories) the presence of a manifest. A fresh directory takes fanout 1,
-// or a pool's. The marker itself is written later (writeMarker), after a
-// pool attachment has fixed the fanout.
+// or a pool's. A writable open of any layout but the two this build writes
+// stops here, before anything is written.
 func (s *Store) resolveLayout(o Options) error {
 	l, m, err := detectDir(s.dir)
 	if err != nil {
@@ -665,16 +603,16 @@ func (s *Store) resolveLayout(o Options) error {
 	}
 	s.format = l.Format
 	s.recorded = l.Recorded
-	if l.Format == FormatV1 {
-		// v1 is read-compat only: nothing writes that encoding any more, so
-		// a legacy run opens read-only however it was asked for.
-		if o.Pool != "" {
-			return fmt.Errorf("store: %s is a legacy v1 run (read-only): it cannot be attached to a chunk pool", s.dir)
+	if !s.readOnly {
+		switch {
+		case l.Format == FormatV1:
+			return legacyLayout(s.dir, "a format-v1 run")
+		case m.format != 0 && !m.canonical():
+			raw, _ := os.ReadFile(s.formatPath())
+			return legacyLayout(s.dir, fmt.Sprintf("a store marked %q", strings.TrimSpace(string(raw))))
 		}
-		s.readOnly = true
-		return nil
 	}
-	s.fanout, s.pooled, s.marker = l.ShardFanout, l.Pooled, m
+	s.fanout, s.pooled = l.ShardFanout, l.Pooled
 	// Pool attachment: only fresh directories can attach — moving a
 	// recorded run's chunks into (or out of) a pool would strand every
 	// committed chunk record.
@@ -687,16 +625,18 @@ func (s *Store) resolveLayout(o Options) error {
 	return nil
 }
 
-// writeMarker settles the FORMAT marker of a writable v2 store, once, at
-// open: the layout, the gc and lz4 tokens as read, and "dirs" — meta records
-// carry their directories, and builds that look for segment files must
-// refuse. Puts and GC never touch the marker, so a checkpoint's commit is its
-// pack append and its manifest append. It writes only when the marker is
-// absent or different, and via write-then-rename: rewriting it in place on
-// every open would leave a crash window in which a torn marker bricks an
-// otherwise intact run behind the UnknownFormatError refusal.
+// writeMarker settles the FORMAT marker of a writable store, once, at open:
+// markerPrivate or markerPooled. Puts and GC never touch it, so a
+// checkpoint's commit is its pack append and its manifest append. It writes
+// only when the marker is absent or different, and via write-then-rename:
+// rewriting it in place on every open would leave a crash window in which a
+// torn marker bricks an otherwise intact run behind the UnknownFormatError
+// refusal.
 func (s *Store) writeMarker() error {
-	want := formatMarker(s.fanout, s.pooled, s.marker.gc, s.marker.lz4)
+	want := []byte(markerPrivate)
+	if s.pooled {
+		want = []byte(markerPooled)
+	}
 	if cur, err := os.ReadFile(s.formatPath()); err != nil || !bytes.Equal(cur, want) {
 		if err := writeFileAtomic(s.formatPath(), want); err != nil {
 			return fmt.Errorf("store: write format marker: %w", err)
@@ -707,7 +647,8 @@ func (s *Store) writeMarker() error {
 
 // initBackend selects the pack backend: an explicit one from the options,
 // or a local-directory backend over the run directory plus the extra roots
-// an older build may have spread it over (packRoots).
+// an older build may have spread it over (packRoots), which only a
+// read-only open accepts.
 func (s *Store) initBackend(o Options) error {
 	if o.Backend != nil {
 		s.backend = o.Backend
@@ -717,15 +658,10 @@ func (s *Store) initBackend(o Options) error {
 	if err != nil {
 		return err
 	}
-	if s.readOnly {
-		s.backend = &DirBackend{roots: roots}
-		return nil
+	if !s.readOnly && len(roots) > 1 {
+		return legacyLayout(s.dir, "a store spread over extra pack roots")
 	}
-	b, err := NewDirBackend(roots...)
-	if err != nil {
-		return err
-	}
-	s.backend = b
+	s.backend = &DirBackend{roots: roots}
 	return nil
 }
 
@@ -911,29 +847,33 @@ func (s *Store) PoolStats() (PoolStats, bool) {
 func (s *Store) formatPath() string   { return filepath.Join(s.dir, formatFile) }
 func (s *Store) manifestPath() string { return filepath.Join(s.dir, manifestFile) }
 
-func (s *Store) replayManifest() error {
+// readManifest decodes the manifest's records up to the first that does not
+// decode: a torn tail, which starts at byte good and exists when torn is
+// set. A writable open truncates it once it has refused nothing.
+func (s *Store) readManifest() (recs []manifestRecord, good int64, torn bool, err error) {
 	raw, err := os.ReadFile(s.manifestPath())
 	if errors.Is(err, os.ErrNotExist) {
-		return nil
+		return nil, 0, false, nil
 	}
 	if err != nil {
-		return fmt.Errorf("store: read manifest: %w", err)
+		return nil, 0, false, fmt.Errorf("store: read manifest: %w", err)
 	}
 	off := 0
 	for off < len(raw) {
 		rec, n, err := decodeManifestRecord(raw[off:], s.format == FormatV1)
 		if err != nil {
-			break // torn tail: truncate the manifest back to the last good record
+			break
 		}
-		s.applyRecord(rec)
+		recs = append(recs, rec)
 		off += n
 	}
-	if off < len(raw) && !s.readOnly {
-		if err := os.Truncate(s.manifestPath(), int64(off)); err != nil {
-			return fmt.Errorf("store: truncate torn manifest: %w", err)
-		}
-	}
-	return nil
+	return recs, int64(off), off < len(raw), nil
+}
+
+// segmentBacked reports whether rec is a meta record without a directory:
+// its checkpoint lives in a segment file an older build wrote (legacy.go).
+func segmentBacked(rec manifestRecord) bool {
+	return rec.tag == recMeta && rec.e.dir == nil && rec.e.dirErr == nil
 }
 
 // applyRecord replays one decoded manifest record into the in-memory state.
@@ -959,12 +899,23 @@ func (s *Store) applyRecord(rec manifestRecord) {
 		if e.Seq >= s.nextSeq {
 			s.nextSeq = e.Seq + 1
 		}
-		// A record without a directory is a legacy one, and only counts if
-		// its segment file survived.
-		if e.dir != nil || e.dirErr != nil || loadSegment(s.dir, e) {
+		// A segment-backed record only counts if its file survived.
+		if !segmentBacked(rec) || loadSegment(s.dir, e) {
 			s.commitLocked(e)
 		}
 	}
+}
+
+// liveDirs returns the directories of the checkpoints the index holds. It
+// runs at open, before the store is shared.
+func (s *Store) liveDirs() []*ckptfmt.Directory {
+	dirs := make([]*ckptfmt.Directory, 0, len(s.index))
+	for _, e := range s.index {
+		if e.dir != nil {
+			dirs = append(dirs, e.dir)
+		}
+	}
+	return dirs
 }
 
 // commitLocked installs an entry into the index and accumulates dedup stats.
@@ -1655,9 +1606,8 @@ func (s *Store) TotalSize() int64 {
 // rewritten from the live index, without the meta records of checkpoints no
 // longer the latest for their key, and — private-pack stores — chunks
 // referenced only by those superseded checkpoints are compacted out of the
-// packs (GCWith for the knobs and full accounting). Segment files an older
-// build wrote go too: the rewritten manifest carries every directory. It
-// returns the number of superseded checkpoints dropped.
+// packs (GCWith for the knobs and full accounting). It returns the number of
+// superseded checkpoints dropped.
 //
 // Compaction is safe under concurrent readers: packs are never rewritten in
 // place. Survivors move to a new pack generation, the manifest's chunk
@@ -1765,11 +1715,10 @@ func (s *Store) liveEntries() ([]*entry, error) {
 // rewriteManifest is GC's commit. The manifest is atomically rewritten from
 // the live index: the pool-reference record first on pooled runs, then recs
 // (a private pool's chunk records), then the live meta records, each with
-// its directory. Then every segment file goes, now redundant. A record that
-// names a pack generation needs no marker token of its own: every build that
-// predates generations also predates "dirs", which the open wrote, and
-// refuses the store. It returns how many superseded checkpoints the rewrite
-// dropped. The caller holds the pool's GC fence.
+// its directory. A record that names a pack generation needs no marker token
+// of its own: every build that predates generations also predates "dirs",
+// and refuses the store. It returns how many superseded checkpoints the
+// rewrite dropped. The caller holds the pool's GC fence.
 func (s *Store) rewriteManifest(live []*entry, recs []poolChunkRec) (int, error) {
 	var buf []byte
 	if s.pooled {
@@ -1788,5 +1737,5 @@ func (s *Store) rewriteManifest(live []*entry, recs []poolChunkRec) (int, error)
 	}
 	dropped := len(s.metas) - len(live)
 	s.metas = live
-	return dropped, removeSegments(s.dir)
+	return dropped, nil
 }

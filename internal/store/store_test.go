@@ -223,7 +223,7 @@ func TestMissingSegmentDroppedOnReopen(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "ckpt-00000001.bin")); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(dir)
+	s2, err := OpenReadOnly(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

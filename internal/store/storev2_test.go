@@ -7,6 +7,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"flor.dev/flor/internal/ckptfmt"
@@ -532,28 +533,30 @@ func v1Fixture(t *testing.T) string {
 	return dir
 }
 
-// dirBytes reads every file directly under dir, keyed by name.
+// dirBytes reads every file under dir, keyed by its path relative to dir.
 func dirBytes(t *testing.T, dir string) map[string]string {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(dir, path)
+		out[rel] = string(raw)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	out := map[string]string{}
-	for _, e := range entries {
-		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[e.Name()] = string(raw)
 	}
 	return out
 }
 
 // TestV1StoreReadableAndRefusesWrites pins backward compatibility: a run
 // directory recorded in format v1 (no FORMAT marker) opens as v1 without
-// being asked to, serves its checkpoints, and is read-only — every write
-// fails with ErrReadOnly and no open or refused write touches a byte of it.
+// being asked to, serves its checkpoints, and is read-only — a writable open
+// fails with ErrLegacyLayout, every write of a read-only one with
+// ErrReadOnly, and no open or refused write touches a byte of it.
 // (legacy_test.go pins what its reads return.)
 func TestV1StoreReadableAndRefusesWrites(t *testing.T) {
 	dir := v1Fixture(t)
@@ -562,7 +565,10 @@ func TestV1StoreReadableAndRefusesWrites(t *testing.T) {
 	if l, err := DetectLayout(dir); err != nil || l.String() != "v1" {
 		t.Fatalf("DetectLayout = %s, %v, want v1", l, err)
 	}
-	s, err := Open(dir) // a plain writable open must pick v1, read-only
+	if _, err := Open(dir); !errors.Is(err, ErrLegacyLayout) || !strings.Contains(err.Error(), "florctl migrate") {
+		t.Fatalf("writable open of a v1 run: %v, want ErrLegacyLayout naming florctl migrate", err)
+	}
+	s, err := OpenReadOnly(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,7 +620,7 @@ func TestFormatMismatchRefusedWithoutDataLoss(t *testing.T) {
 	if _, err := Open(dir); err == nil {
 		t.Fatal("unknown format marker opened")
 	}
-	os.WriteFile(filepath.Join(dir, "FORMAT"), []byte("2\n"), 0o644)
+	os.WriteFile(filepath.Join(dir, "FORMAT"), []byte(markerPrivate), 0o644)
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -659,7 +665,7 @@ func TestGCKeepsSharedChunksReadable(t *testing.T) {
 // concatenation of the raw frames (BuildHashed) of the chunks that were fresh
 // when their checkpoint was put, in directory order, checkpoint after
 // checkpoint — frozen content once, and compressible content raw like the
-// rest — for the single pack, a sharded one and a pooled one.
+// rest — for the single pack and a pooled one, sharded at its fanout.
 func TestPackBytesAreFreshFramesInDirectoryOrder(t *testing.T) {
 	frozen := noise(2*ckptfmt.DefaultChunkSize+77, 1)
 	checkpoints := make([][]Section, 6)
@@ -676,11 +682,13 @@ func TestPackBytesAreFreshFramesInDirectoryOrder(t *testing.T) {
 		name string
 		open func() (s *Store, packDir string)
 	}{
-		{"private", func() (*Store, string) { return openSharded(t, 1) }},
-		{"sharded", func() (*Store, string) { return openSharded(t, 4) }},
+		{"private", func() (*Store, string) {
+			dir := t.TempDir()
+			return mustReopen(t, dir, false), dir
+		}},
 		{"pooled", func() (*Store, string) {
-			pool := filepath.Join(t.TempDir(), "POOL")
-			return openPooled(t, filepath.Join(t.TempDir(), "run"), pool), pool
+			s, _, pool := openSharded(t)
+			return s, pool
 		}},
 	} {
 		s, dir := layout.open()

@@ -36,23 +36,16 @@ func copyV1Fixture(dir string) error {
 	return os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "v1run")))
 }
 
-// plantMarker leaves dir (the run directory, or a pool root for the POOL
-// marker) as a build that could still choose a store's layout left it before
-// the first put: FORMAT "2 shards=N" makes a fanout-N private store, POOL
-// "pool1 shards=N" a fanout-N pool. The next open adopts it, as it adopts
-// every store such a build recorded.
-func plantMarker(t testing.TB, dir, file string, fanout int) {
+// copyFixture copies the committed store testdata/<name> — a run directory,
+// or for multiroot and pool4 the tree holding the run at run/ — into a fresh
+// directory and returns the copy's root.
+func copyFixture(t testing.TB, name string) string {
 	t.Helper()
-	marker := fmt.Sprintf("2 shards=%d\n", fanout)
-	if file == "POOL" {
-		marker = fmt.Sprintf("pool1 shards=%d\n", fanout)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", filepath.FromSlash(name)))); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, file), []byte(marker), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return dir
 }
 
 // dirBytes reads every file under dir, keyed by relative path.
@@ -75,11 +68,12 @@ func dirBytes(t *testing.T, dir string) map[string]string {
 }
 
 // TestMigrationMatrixByteIdenticalReplay is the layout-compatibility
-// matrix: the same program as a legacy v1 run (the committed fixture), and
-// recorded into an unsharded v2 store, a hash-prefix sharded v2 store, and a
-// pooled store (shared chunk pool) must open through the same API — no
-// flags, no layout hints — and replay byte-identical logs, with the legacy
-// run's replay as the reference. In particular the pooled run is the
+// matrix: the same program as a legacy v1 run, a hash-prefix sharded v2
+// store, one spread over extra pack roots and a run of a fanout-4 pool (the
+// committed fixtures older builds left), and recorded now into a private v2
+// store and a pooled one (shared chunk pool), must open through the same API
+// — no flags, no layout hints — and replay byte-identical logs, with the
+// legacy run's replay as the reference. In particular the pooled run is the
 // private-pack run's twin: same program, same probes, byte-identical replay
 // output.
 func TestMigrationMatrixByteIdenticalReplay(t *testing.T) {
@@ -105,14 +99,18 @@ func TestMigrationMatrixByteIdenticalReplay(t *testing.T) {
 			return err
 		}, "v2"},
 		{"v2-sharded", func(dir string) error {
-			plantMarker(t, dir, "FORMAT", 16)
-			_, err := flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing())
-			return err
-		}, "v2-sharded/16"},
+			return os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "sharded")))
+		}, "v2-sharded/4"},
+		{"v2-multiroot", func(dir string) error {
+			return os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "multiroot")))
+		}, "v2-sharded/4"},
 		{"v2-pooled", func(dir string) error {
 			_, err := flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing(), flor.Pool(poolRoot))
 			return err
 		}, "v2-pooled/16"},
+		{"v2-pooled-4", func(dir string) error {
+			return os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "pool4")))
+		}, "v2-pooled/4"},
 	}
 
 	type result struct {
@@ -125,6 +123,9 @@ func TestMigrationMatrixByteIdenticalReplay(t *testing.T) {
 		dir := t.TempDir()
 		if err := v.record(dir); err != nil {
 			t.Fatalf("%s: record: %v", v.name, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "run")); err == nil {
+			dir = filepath.Join(dir, "run") // a fixture tree: the run and its pool or extra roots
 		}
 		l, err := store.DetectLayout(dir)
 		if err != nil {
@@ -190,8 +191,9 @@ func committedInManifest(t *testing.T, dir string) {
 
 // TestV1RunServedAndNeverWritten pins the write side of v1 read-compat: the
 // legacy fixture registers with the serving daemon as layout "v1" and answers
-// a replay there, recording into it fails at open with ErrReadOnly and a
-// message naming the directory, and none of that touches a byte of it.
+// a replay there, recording into it fails at open with ErrLegacyLayout (an
+// ErrReadOnly) and a message naming the directory, and none of that touches
+// a byte of it.
 func TestV1RunServedAndNeverWritten(t *testing.T) {
 	factory := counterFactory(6, 3)
 	dir := t.TempDir()
@@ -214,8 +216,8 @@ func TestV1RunServedAndNeverWritten(t *testing.T) {
 	}
 
 	_, err = flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing())
-	if !errors.Is(err, store.ErrReadOnly) || !strings.Contains(err.Error(), dir) {
-		t.Fatalf("record into a v1 run: err = %v, want ErrReadOnly naming %s", err, dir)
+	if !errors.Is(err, store.ErrLegacyLayout) || !errors.Is(err, store.ErrReadOnly) || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("record into a v1 run: err = %v, want ErrLegacyLayout naming %s", err, dir)
 	}
 	if after := dirBytes(t, dir); !maps.Equal(before, after) {
 		t.Fatal("serving and the refused record changed the v1 run directory")
@@ -277,8 +279,9 @@ func TestV1ReplayLoadsOnlyWhatStatementsRead(t *testing.T) {
 // superseded segment (seq 7) with its twin, a retired pack generation
 // (CHUNKS, its grace period long over) with its twin, and a MANIFEST whose
 // compaction rewrite wrote meta records with a non-zero gzSize. The run must
-// open writable and read-only and replay byte-identically to a fresh
-// recording of the program, and GC must take the twins of what it deletes.
+// open read-only and replay byte-identically to a fresh recording of the
+// program; a writable open is refused; and its migration carries no twin,
+// SPOOL or segment file over and replays alike.
 func TestLegacyGzipTwinsAreInert(t *testing.T) {
 	factory := counterFactory(6, 3)
 	probed := func() *flor.Program {
@@ -321,46 +324,38 @@ func TestLegacyGzipTwinsAreInert(t *testing.T) {
 		t.Fatalf("replay beside gzip twins differs from a fresh recording's: %v", err)
 	}
 
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatalf("writable open: %v", err)
+	before := dirBytes(t, dir)
+	if _, err := store.Open(dir); !errors.Is(err, store.ErrLegacyLayout) {
+		t.Fatalf("writable open: %v, want ErrLegacyLayout", err)
 	}
-	res, err := st.GCWith(store.GCOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Superseded != 1 || res.DeletedPacks != 1 {
-		t.Fatalf("gc = %+v, want the superseded checkpoint dropped and the retired pack deleted", res)
-	}
-	for _, name := range []string{"ckpt-00000007.bin", "ckpt-00000007.bin.gz", "CHUNKS", "CHUNKS.gz"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
-			t.Fatalf("gc left %s (stat: %v)", name, err)
+	dst := migrated(t, dir, "")
+	for _, pattern := range []string{"*.gz", "SPOOL", "ckpt-*", "CHUNKS.g*"} {
+		if m, _ := filepath.Glob(filepath.Join(dst, pattern)); len(m) > 0 {
+			t.Fatalf("migration carried %v over", m)
 		}
 	}
-	if err := sameLogs(replay(dir), want); err != nil {
-		t.Fatalf("replay after gc differs from a fresh recording's: %v", err)
+	if err := sameLogs(replay(dst), want); err != nil {
+		t.Fatalf("replay of the migrated run differs from a fresh recording's: %v", err)
+	}
+	if !maps.Equal(before, dirBytes(t, dir)) {
+		t.Fatal("the refused open, the replays or the migration changed the run")
 	}
 }
 
-// TestShardedFixtureOpensReplaysAndSurvivesGC pins the committed sharded
+// TestShardedFixtureReadsEverywhereAndMigrates pins the committed sharded
 // store: testdata/sharded is counterFactory(6, 3) recorded, adaptive
 // checkpointing off, into a directory whose FORMAT marker was planted as
 // "2 shards=4" — the layout older builds wrote when asked for four shards —
 // so its packs are CHUNKS-00 … CHUNKS-03. On a copy, it must open read-only
-// without touching a byte and writable, replay byte-identically to its
-// record.log, and still do so after a GC pass drops a superseded checkpoint.
-func TestShardedFixtureOpensReplaysAndSurvivesGC(t *testing.T) {
+// and replay byte-identically to its record.log without touching a byte, and
+// refuse a writable open; its migration is a private store that replays
+// alike, takes a put, and survives a GC pass that drops the superseded
+// checkpoint.
+func TestShardedFixtureReadsEverywhereAndMigrates(t *testing.T) {
 	factory := counterFactory(6, 3)
-	dir := t.TempDir()
-	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "sharded"))); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "record.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	replayed := func(when string) {
+	dir := copyFixture(t, "sharded")
+	want := recordLog(t, dir)
+	replayed := func(dir, when string) {
 		t.Helper()
 		res, err := flor.Replay(dir, factory, flor.Workers(2))
 		if err != nil || len(res.Anomalies) != 0 {
@@ -387,14 +382,19 @@ func TestShardedFixtureOpensReplaysAndSurvivesGC(t *testing.T) {
 	if n := len(ro.Metas()); n != 6 {
 		t.Fatalf("read-only open sees %d checkpoints, want 6", n)
 	}
-	if after := dirBytes(t, dir); !maps.Equal(before, after) {
-		t.Fatal("a read-only open changed the fixture")
+	replayed(dir, "read-only")
+	if _, err := store.Open(dir); !errors.Is(err, store.ErrLegacyLayout) {
+		t.Fatalf("writable open: %v, want ErrLegacyLayout", err)
 	}
-	replayed("read-only")
+	if after := dirBytes(t, dir); !maps.Equal(before, after) {
+		t.Fatal("a read-only open, a replay or a refused open changed the fixture")
+	}
 
-	st, err := store.Open(dir)
+	dst := migrated(t, dir, "")
+	replayed(dst, "of the migrated run")
+	st, err := store.Open(dst)
 	if err != nil {
-		t.Fatalf("writable open: %v", err)
+		t.Fatalf("writable open of the migrated run: %v", err)
 	}
 	last := store.Key{LoopID: "train", Exec: st.ExecsFor("train")[len(st.ExecsFor("train"))-1]}
 	secs, err := readAll(st, last)
@@ -402,7 +402,7 @@ func TestShardedFixtureOpensReplaysAndSurvivesGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := st.PutSections(last, secs, 0, 0, 0); err != nil {
-		t.Fatalf("put into the sharded store: %v", err)
+		t.Fatalf("put into the migrated store: %v", err)
 	}
 	res, err := st.GCWith(store.GCOptions{})
 	if err != nil {
@@ -411,22 +411,23 @@ func TestShardedFixtureOpensReplaysAndSurvivesGC(t *testing.T) {
 	if res.Superseded != 1 {
 		t.Fatalf("gc = %+v, want the superseded checkpoint dropped", res)
 	}
-	if m, err := os.ReadFile(filepath.Join(dir, "FORMAT")); err != nil || string(m) != "2 shards=4 dirs\n" {
+	if m, err := os.ReadFile(filepath.Join(dst, "FORMAT")); err != nil || string(m) != "2 dirs\n" {
 		t.Fatalf("FORMAT after gc = %q (%v)", m, err)
 	}
-	replayed("after gc")
+	replayed(dst, "after gc")
 }
 
-// TestMixedFormStoresResolveGCAndReplay runs the committed stores older
-// builds recorded — testdata/framestyles/{deflate,lz4} and testdata/gztwins,
-// each a meta record without a directory and a segment file per checkpoint —
-// through the move of directories into the manifest. A writable open re-puts
-// the last checkpoint with its own sections, so one key has a legacy record
-// superseded by a record carrying its directory; a read-only reopen then
-// resolves old and new checkpoints alike; GC leaves no segment file and the
-// "dirs" token on the marker; and the run replays byte-identically to a
-// fresh recording of its program, before GC and after.
-func TestMixedFormStoresResolveGCAndReplay(t *testing.T) {
+// TestSegmentFileStoresResolveReplayAndMigrate runs the committed stores
+// older builds recorded — testdata/framestyles/{deflate,lz4} and
+// testdata/gztwins, each a meta record without a directory and a segment
+// file per checkpoint — through the move of directories into the manifest,
+// which is now a migration. A read-only open resolves every checkpoint and
+// the run replays byte-identically to a fresh recording of its program; a
+// writable open is refused under the store's own marker and under "2 dirs"
+// alike, since its manifest still holds segment-file checkpoints; and the
+// migrated run leaves no segment file, carries "dirs" on its marker, replays
+// alike, and does so again after a GC pass.
+func TestSegmentFileStoresResolveReplayAndMigrate(t *testing.T) {
 	probe := func(factory func() *flor.Program, name string) func() *flor.Program {
 		return func() *flor.Program {
 			p := factory()
@@ -461,43 +462,42 @@ func TestMixedFormStoresResolveGCAndReplay(t *testing.T) {
 		}
 		want := replayLogs(fresh, probed)
 
-		dir := t.TempDir()
-		if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", fx.fixture))); err != nil {
-			t.Fatal(err)
-		}
-		st, err := store.Open(dir)
-		if err != nil {
-			t.Fatalf("%s: writable open: %v", fx.fixture, err)
-		}
-		execs := st.ExecsFor("train")
-		last := store.Key{LoopID: "train", Exec: execs[len(execs)-1]}
-		secs, err := readAll(st, last)
-		if err != nil {
-			t.Fatalf("%s: read %s: %v", fx.fixture, last, err)
-		}
-		if _, err := st.PutSections(last, secs, 0, 0, 0); err != nil {
-			t.Fatalf("%s: put: %v", fx.fixture, err)
-		}
+		dir := copyFixture(t, fx.fixture)
 		ro, err := store.OpenReadOnly(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, m := range ro.Metas() {
 			if _, err := ro.Resolve(m.Key); err != nil {
-				t.Fatalf("%s: Resolve(%s) beside the re-put: %v", fx.fixture, m.Key, err)
+				t.Fatalf("%s: Resolve(%s): %v", fx.fixture, m.Key, err)
 			}
 		}
-		if m, _ := ro.Lookup(last); m == nil || m.Seq != st.Metas()[len(st.Metas())-1].Seq {
-			t.Fatalf("%s: %s resolves to %+v, not the re-put", fx.fixture, last, m)
-		}
 		if err := sameLogs(replayLogs(dir, probed), want); err != nil {
-			t.Fatalf("%s: mixed-form replay differs from a fresh recording's: %v", fx.fixture, err)
+			t.Fatalf("%s: replay differs from a fresh recording's: %v", fx.fixture, err)
+		}
+		canonical := copyFixture(t, fx.fixture)
+		if err := os.WriteFile(filepath.Join(canonical, "FORMAT"), []byte("2 dirs\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range []string{dir, canonical} {
+			if _, err := store.Open(d); !errors.Is(err, store.ErrLegacyLayout) {
+				t.Fatalf("%s: writable open: %v, want ErrLegacyLayout", fx.fixture, err)
+			}
+		}
+
+		dst := migrated(t, dir, "")
+		committedInManifest(t, dst)
+		if err := sameLogs(replayLogs(dst, probed), want); err != nil {
+			t.Fatalf("%s: replay of the migrated run differs from a fresh recording's: %v", fx.fixture, err)
+		}
+		st, err := store.Open(dst)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if _, err := st.GC(); err != nil {
 			t.Fatalf("%s: gc: %v", fx.fixture, err)
 		}
-		committedInManifest(t, dir)
-		if err := sameLogs(replayLogs(dir, probed), want); err != nil {
+		if err := sameLogs(replayLogs(dst, probed), want); err != nil {
 			t.Fatalf("%s: replay after gc differs from a fresh recording's: %v", fx.fixture, err)
 		}
 	}
@@ -552,8 +552,8 @@ func compressibleFactory(epochs, steps int) func() *flor.Program {
 // logs whether the pack bytes arrive through vectored reads of a file
 // descriptor or staged ranged reads, and at any worker count. It also pins
 // the "lz4" FORMAT token: a fresh recording has none, and the lz4 fixture
-// keeps its "2 lz4" through a writable reopen and an appended checkpoint,
-// which adds only raw frames and leaves the replay byte-identical.
+// keeps its "2 lz4" — a writable open is refused — while its migration holds
+// raw frames only and replays byte-identically.
 func TestRestoreMatrixByteIdentical(t *testing.T) {
 	factory := compressibleFactory(5, 2)
 	probed := func() *flor.Program {
@@ -607,10 +607,7 @@ func TestRestoreMatrixByteIdentical(t *testing.T) {
 		}{
 			{"vectored", func() store.Backend { return nil }},
 			{"staged", func() store.Backend {
-				db, err := store.NewDirBackend(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
+				db := store.DirBackendAt(dir)
 				return faultbackend.WrapBackend(db, faultbackend.Config{})
 			}},
 		}
@@ -671,29 +668,21 @@ func TestRestoreMatrixByteIdentical(t *testing.T) {
 		dirs[fx.name] = dir
 	}
 
-	// A writable reopen of the lz4 fixture and one more checkpoint: the
-	// token stays (the pack still holds LZ4 frames) and "dirs" follows it
-	// (the put's meta record carries its directory), and what the put
-	// appends is raw — compressible bytes included.
+	// The lz4 fixture refuses a writable open and keeps its token; its
+	// migration re-puts every checkpoint, and what a put writes is raw —
+	// compressible bytes included.
 	dir := dirs["lz4"]
-	before, err := os.Stat(filepath.Join(dir, "CHUNKS"))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := store.Open(dir); !errors.Is(err, store.ErrLegacyLayout) {
+		t.Fatalf("writable open of the lz4 fixture: %v, want ErrLegacyLayout", err)
 	}
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatalf("writable reopen: %v", err)
+	if m := marker(dir); m != "2 lz4\n" {
+		t.Fatalf("lz4 fixture after a refused writable open: marker %q", m)
 	}
-	if _, err := st.PutSections(store.Key{LoopID: "scratch", Exec: 0}, []store.Section{{Name: "zeros", Data: make([]byte, 64<<10)}}, 0, 0, 0); err != nil {
-		t.Fatal(err)
+	dst := migrated(t, dir, "")
+	if styles := packStyles(dst, 0); len(styles) != 1 || styles[ckptfmt.StyleRaw] == 0 {
+		t.Fatalf("the migrated lz4 fixture holds frames by style %v, want raw only", styles)
 	}
-	if m, want := marker(dir), "2 lz4 dirs\n"; m != want {
-		t.Fatalf("lz4 fixture after a writable reopen and a put: marker %q, want %q", m, want)
-	}
-	if styles := packStyles(dir, int(before.Size())); len(styles) != 1 || styles[ckptfmt.StyleRaw] == 0 {
-		t.Fatalf("the appended checkpoint wrote frames by style %v, want raw only", styles)
-	}
-	matrix("lz4+raw", dir)
+	matrix("lz4 migrated", dst)
 }
 
 // TestUnknownFormatMarkersRefuseCleanly pins the forward-compatibility
@@ -763,7 +752,6 @@ func uploadTwin(t *testing.T, dir string) (mem *remote.MemStore, ctl string) {
 func TestMigrationRemoteTwinByteIdentical(t *testing.T) {
 	factory := compressibleFactory(5, 2)
 	dir := t.TempDir()
-	plantMarker(t, dir, "FORMAT", 8)
 	if _, err := flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing()); err != nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -926,7 +914,7 @@ func changingFactory(epochs int) func() *flor.Program {
 // and with Plasma — which compare before they copy and offer the store the
 // hashes of chunks they found unchanged — against Baseline, which owns no
 // buffer from one checkpoint to the next and hashes every byte, on each of
-// the three writer layouts. Everything on disk must be Baseline's byte for
+// the two writer layouts. Everything on disk must be Baseline's byte for
 // byte, except the two files that hold stopwatch readings — timings.log, and
 // the manifest, whose records (every directory included) are compared byte
 // for byte with the meta records' three stopwatch fields zeroed — and a
@@ -999,10 +987,6 @@ func TestChangeAwareCaptureMatchesBaselineMatrix(t *testing.T) {
 		layout func(t testing.TB, base string) []flor.Option
 	}{
 		{"v2", func(testing.TB, string) []flor.Option { return nil }},
-		{"v2-sharded", func(t testing.TB, base string) []flor.Option {
-			plantMarker(t, filepath.Join(base, "run"), "FORMAT", 16)
-			return nil
-		}},
 		{"v2-pooled", func(_ testing.TB, base string) []flor.Option {
 			return []flor.Option{flor.Pool(filepath.Join(base, "POOL"))}
 		}},
@@ -1115,15 +1099,12 @@ func TestDemandLoadMatrixMatchesUninstrumentedRun(t *testing.T) {
 	}
 
 	poolRoot := filepath.Join(t.TempDir(), "POOL")
-	plantMarker(t, poolRoot, "POOL", 4)
 	layouts := []struct {
-		name   string
-		fanout int // of a private store an older build created, planted
-		opts   []flor.Option
+		name string
+		opts []flor.Option
 	}{
-		{"private", 0, nil},
-		{"sharded", 8, nil},
-		{"pooled", 0, []flor.Option{flor.Pool(poolRoot)}},
+		{"private", nil},
+		{"pooled", []flor.Option{flor.Pool(poolRoot)}},
 	}
 	type opener struct {
 		name string
@@ -1132,14 +1113,11 @@ func TestDemandLoadMatrixMatchesUninstrumentedRun(t *testing.T) {
 	var stores []opener
 	for _, l := range layouts {
 		dir := t.TempDir()
-		if l.fanout > 0 {
-			plantMarker(t, dir, "FORMAT", l.fanout)
-		}
 		if _, err := flor.Record(dir, factory, append([]flor.Option{flor.DisableAdaptiveCheckpointing()}, l.opts...)...); err != nil {
 			t.Fatalf("%s: record: %v", l.name, err)
 		}
 		stores = append(stores, opener{l.name, func() (*replay.Recording, error) { return core.LoadRecordingShared(dir) }})
-		if l.name != "sharded" {
+		if l.name != "private" {
 			continue
 		}
 		mem, ctl := uploadTwin(t, dir)
@@ -1192,7 +1170,6 @@ func TestDemandLoadMatrixMatchesUninstrumentedRun(t *testing.T) {
 func TestRemoteReadFaultFailsTheStatementTyped(t *testing.T) {
 	factory := compressibleFactory(5, 2)
 	dir := t.TempDir()
-	plantMarker(t, dir, "FORMAT", 4)
 	if _, err := flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing()); err != nil {
 		t.Fatalf("record: %v", err)
 	}
