@@ -220,10 +220,17 @@ func (w *Writer) shape(shape []int) {
 
 // Tensor appends a shape-prefixed dense tensor. It only reads t, for the
 // duration of the call: encoding a live tensor is the one copy its checkpoint
-// needs.
+// needs. A layout Writer reads nothing: it records t's memory, a pending
+// initializer draw neither drawn nor dropped (tensor.Storage); the caller
+// drops it when it issues the read that lands there.
 func (w *Writer) Tensor(t *tensor.Tensor) {
 	w.shape(t.Shape())
-	data := t.Data()
+	var data []float64
+	if w.layout {
+		data = t.Storage()
+	} else {
+		data = t.Data()
+	}
 	if len(data) == 0 {
 		return
 	}
@@ -480,7 +487,8 @@ func (d Dense) Tensor() *tensor.Tensor {
 	return t
 }
 
-// CopyInto overwrites dst's elements with d's; the shapes must match.
+// CopyInto overwrites dst's elements with d's, dropping a pending
+// initializer draw of dst's rather than drawing it; the shapes must match.
 func (d Dense) CopyInto(dst *tensor.Tensor) error {
 	if !slices.Equal(dst.Shape(), d.Shape()) {
 		return fmt.Errorf("codec: tensor shape mismatch %v vs %v", dst.Shape(), d.Shape())
@@ -488,7 +496,7 @@ func (d Dense) CopyInto(dst *tensor.Tensor) error {
 	if d.T != nil {
 		dst.CopyFrom(d.T)
 	} else {
-		PutFloats(dst.Data(), d.raw)
+		PutFloats(dst.Overwrite(), d.raw)
 	}
 	return nil
 }

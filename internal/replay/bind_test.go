@@ -24,6 +24,11 @@ import (
 // model section, an equally large optimizer section and the avg_loss scalar,
 // and a "metrics" log per epoch that reads only the scalar.
 func sgdFactory(epochs int) func() *script.Program {
+	return sgdModelFactory(epochs, func(rng *xrand.RNG) nn.Module { return nn.NewResidualMLP(rng, 16, 64, 64, 2, 4) })
+}
+
+// sgdModelFactory is sgdFactory over the model build makes.
+func sgdModelFactory(epochs int, build func(*xrand.RNG) nn.Module) func() *script.Program {
 	return func() *script.Program {
 		train := &script.Loop{ID: "train", IterVar: "step", Iters: 1, Body: []script.Stmt{
 			script.AssignFunc([]string{"avg_loss"}, "train_batch", []string{"net"}, func(e *script.Env) error {
@@ -44,7 +49,7 @@ func sgdFactory(epochs int) func() *script.Program {
 			Name: "sgdquery",
 			Setup: []script.Stmt{
 				script.AssignFunc([]string{"net", "optimizer", "avg_loss"}, "build", nil, func(e *script.Env) error {
-					m := nn.NewResidualMLP(xrand.New(7), 16, 64, 64, 2, 4)
+					m := build(xrand.New(7))
 					e.Set("net", &value.Model{M: m})
 					e.Set("optimizer", &value.Optimizer{O: opt.NewSGD(m, 0.05, 0.9, 1e-4)})
 					e.SetFloat("avg_loss", 0)

@@ -577,6 +577,7 @@ func (b *Block) load(bd *binding, names []string) (more bool, err error) {
 			}
 		}
 		laid = append(laid, laidOut{name, v, l})
+		l.Overwrite() // the read lands in every laid tensor: no initial draw to make
 		return l.Pieces
 	}
 	secs, err := bd.ck.ReadInto(want, rt.cache.Contains, rt.fetch, into)

@@ -14,6 +14,11 @@ import (
 // contested key. The error message names the holder.
 var ErrLeaseHeld = errors.New("remote: writer lease held")
 
+// ErrBadLeaseOwner is returned by AcquireLease for an owner the lease record
+// cannot carry: one with a line break, which would end its line early, or
+// with leading or trailing white space, which the parser trims.
+var ErrBadLeaseOwner = errors.New("remote: lease owner cannot be recorded")
+
 // LeaseConfig parameterizes lease acquisition. Owner is a human-readable
 // holder identity (host:pid is a good choice); TTL bounds how long a crashed
 // holder blocks others (default 5m); Now is the clock (default time.Now),
@@ -43,11 +48,19 @@ type Lease struct {
 }
 
 // leaseRecord is the wire form: three "k v" lines (owner, token, expires —
-// unix nanoseconds). See docs/FORMATS.md.
+// unix nanoseconds). See docs/FORMATS.md. It parses back to its fields when
+// owner and token are recordable.
 func leaseRecord(owner, token string, expires int64) []byte {
 	return []byte(fmt.Sprintf("owner %s\ntoken %s\nexpires %d\n", owner, token, expires))
 }
 
+// recordable reports whether a lease record's field reads back as written:
+// it has no line break and no white space at either end.
+func recordable(field string) bool {
+	return !strings.ContainsAny(field, "\r\n") && strings.TrimSpace(field) == field
+}
+
+// parseLease reads a lease record's fields, leaving zero any it cannot find.
 func parseLease(data []byte) (owner, token string, expires int64) {
 	for _, ln := range strings.Split(string(data), "\n") {
 		k, v, ok := strings.Cut(strings.TrimSpace(ln), " ")
@@ -68,7 +81,8 @@ func parseLease(data []byte) (owner, token string, expires int64) {
 
 // AcquireLease acquires the writer lease at key, failing with ErrLeaseHeld
 // while another holder's lease is live (unexpired). A crashed holder's lease
-// is taken over once its TTL passes.
+// is taken over once its TTL passes. An owner the record cannot carry fails
+// with ErrBadLeaseOwner before anything is read or written.
 func AcquireLease(st ObjectStore, key string, cfg LeaseConfig) (*Lease, error) {
 	if cfg.TTL <= 0 {
 		cfg.TTL = 5 * time.Minute
@@ -78,6 +92,9 @@ func AcquireLease(st ObjectStore, key string, cfg LeaseConfig) (*Lease, error) {
 	}
 	if cfg.Owner == "" {
 		cfg.Owner = "anonymous"
+	}
+	if !recordable(cfg.Owner) {
+		return nil, fmt.Errorf("%w: %q", ErrBadLeaseOwner, cfg.Owner)
 	}
 	now := cfg.Now()
 	if data, err := st.Get(key); err == nil {

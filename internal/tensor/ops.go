@@ -8,9 +8,10 @@ import (
 // Add returns a + b element-wise. Shapes must match.
 func Add(a, b *Tensor) *Tensor {
 	checkSameShape("Add", a, b)
+	ad, bd := a.vals(), b.vals()
 	out := New(a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] + b.data[i]
+	for i := range ad {
+		out.buf[i] = ad[i] + bd[i]
 	}
 	return out
 }
@@ -18,9 +19,10 @@ func Add(a, b *Tensor) *Tensor {
 // Sub returns a - b element-wise.
 func Sub(a, b *Tensor) *Tensor {
 	checkSameShape("Sub", a, b)
+	ad, bd := a.vals(), b.vals()
 	out := New(a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] - b.data[i]
+	for i := range ad {
+		out.buf[i] = ad[i] - bd[i]
 	}
 	return out
 }
@@ -28,18 +30,20 @@ func Sub(a, b *Tensor) *Tensor {
 // Mul returns a * b element-wise (Hadamard product).
 func Mul(a, b *Tensor) *Tensor {
 	checkSameShape("Mul", a, b)
+	ad, bd := a.vals(), b.vals()
 	out := New(a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] * b.data[i]
+	for i := range ad {
+		out.buf[i] = ad[i] * bd[i]
 	}
 	return out
 }
 
 // Scale returns a * s.
 func Scale(a *Tensor, s float64) *Tensor {
+	ad := a.vals()
 	out := New(a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] * s
+	for i := range ad {
+		out.buf[i] = ad[i] * s
 	}
 	return out
 }
@@ -47,23 +51,26 @@ func Scale(a *Tensor, s float64) *Tensor {
 // AddInPlace accumulates b into a.
 func AddInPlace(a, b *Tensor) {
 	checkSameShape("AddInPlace", a, b)
-	for i := range a.data {
-		a.data[i] += b.data[i]
+	ad, bd := a.vals(), b.vals()
+	for i := range ad {
+		ad[i] += bd[i]
 	}
 }
 
 // AxpyInPlace computes a += alpha * b.
 func AxpyInPlace(a *Tensor, alpha float64, b *Tensor) {
 	checkSameShape("AxpyInPlace", a, b)
-	for i := range a.data {
-		a.data[i] += alpha * b.data[i]
+	ad, bd := a.vals(), b.vals()
+	for i := range ad {
+		ad[i] += alpha * bd[i]
 	}
 }
 
 // ScaleInPlace multiplies every element of a by s.
 func ScaleInPlace(a *Tensor, s float64) {
-	for i := range a.data {
-		a.data[i] *= s
+	ad := a.vals()
+	for i := range ad {
+		ad[i] *= s
 	}
 }
 
@@ -77,18 +84,19 @@ func MatMul(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v x %v", a.shape, b.shape))
 	}
+	ad, bd := a.vals(), b.vals()
 	out := New(m, n)
 	// ikj loop order: streams through b and out rows for cache friendliness
 	// while keeping accumulation order fixed (determinism).
 	for i := 0; i < m; i++ {
-		arow := a.data[i*k : (i+1)*k]
-		orow := out.data[i*n : (i+1)*n]
+		arow := ad[i*k : (i+1)*k]
+		orow := out.buf[i*n : (i+1)*n]
 		for kk := 0; kk < k; kk++ {
 			av := arow[kk]
 			if av == 0 {
 				continue
 			}
-			brow := b.data[kk*n : (kk+1)*n]
+			brow := bd[kk*n : (kk+1)*n]
 			for j := 0; j < n; j++ {
 				orow[j] += av * brow[j]
 			}
@@ -107,16 +115,17 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulTransB inner dimension mismatch %v x %vᵀ", a.shape, b.shape))
 	}
+	ad, bd := a.vals(), b.vals()
 	out := New(m, n)
 	for i := 0; i < m; i++ {
-		arow := a.data[i*k : (i+1)*k]
+		arow := ad[i*k : (i+1)*k]
 		for j := 0; j < n; j++ {
-			brow := b.data[j*k : (j+1)*k]
+			brow := bd[j*k : (j+1)*k]
 			sum := 0.0
 			for kk := 0; kk < k; kk++ {
 				sum += arow[kk] * brow[kk]
 			}
-			out.data[i*n+j] = sum
+			out.buf[i*n+j] = sum
 		}
 	}
 	return out
@@ -132,16 +141,17 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulTransA inner dimension mismatch %vᵀ x %v", a.shape, b.shape))
 	}
+	ad, bd := a.vals(), b.vals()
 	out := New(m, n)
 	for kk := 0; kk < k; kk++ {
-		arow := a.data[kk*m : (kk+1)*m]
-		brow := b.data[kk*n : (kk+1)*n]
+		arow := ad[kk*m : (kk+1)*m]
+		brow := bd[kk*n : (kk+1)*n]
 		for i := 0; i < m; i++ {
 			av := arow[i]
 			if av == 0 {
 				continue
 			}
-			orow := out.data[i*n : (i+1)*n]
+			orow := out.buf[i*n : (i+1)*n]
 			for j := 0; j < n; j++ {
 				orow[j] += av * brow[j]
 			}
@@ -156,10 +166,11 @@ func Transpose(a *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: Transpose requires a 2-D tensor, got %v", a.shape))
 	}
 	m, n := a.shape[0], a.shape[1]
+	ad := a.vals()
 	out := New(n, m)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
-			out.data[j*m+i] = a.data[i*n+j]
+			out.buf[j*m+i] = ad[i*n+j]
 		}
 	}
 	return out
@@ -168,7 +179,7 @@ func Transpose(a *Tensor) *Tensor {
 // Sum returns the sum of all elements.
 func (t *Tensor) Sum() float64 {
 	s := 0.0
-	for _, v := range t.data {
+	for _, v := range t.vals() {
 		s += v
 	}
 	return s
@@ -176,10 +187,10 @@ func (t *Tensor) Sum() float64 {
 
 // Mean returns the arithmetic mean of all elements (0 for empty tensors).
 func (t *Tensor) Mean() float64 {
-	if len(t.data) == 0 {
+	if len(t.buf) == 0 {
 		return 0
 	}
-	return t.Sum() / float64(len(t.data))
+	return t.Sum() / float64(len(t.buf))
 }
 
 // Norm returns the L2 norm of the tensor viewed as a flat vector: the
@@ -189,7 +200,7 @@ func (t *Tensor) Norm() float64 { return math.Sqrt(t.SumSquares()) }
 // SumSquares returns the sum of the squares of all elements, in the
 // positional four-lane order the package comment states.
 func (t *Tensor) SumSquares() float64 {
-	x := t.data
+	x := t.vals()
 	var s0, s1, s2, s3 float64
 	for len(x) >= 4 {
 		// float64(…) rounds each product on its own, so no target fuses it
@@ -209,7 +220,7 @@ func (t *Tensor) SumSquares() float64 {
 // MaxAbs returns the largest absolute element value (0 for empty tensors).
 func (t *Tensor) MaxAbs() float64 {
 	m := 0.0
-	for _, v := range t.data {
+	for _, v := range t.vals() {
 		if a := math.Abs(v); a > m {
 			m = a
 		}
@@ -219,9 +230,10 @@ func (t *Tensor) MaxAbs() float64 {
 
 // Apply returns a new tensor with f applied to every element.
 func Apply(a *Tensor, f func(float64) float64) *Tensor {
+	ad := a.vals()
 	out := New(a.shape...)
-	for i := range a.data {
-		out.data[i] = f(a.data[i])
+	for i := range ad {
+		out.buf[i] = f(ad[i])
 	}
 	return out
 }
@@ -259,10 +271,11 @@ func SoftmaxRows(a *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: SoftmaxRows requires a 2-D tensor, got %v", a.shape))
 	}
 	m, n := a.shape[0], a.shape[1]
+	ad := a.vals()
 	out := New(m, n)
 	for i := 0; i < m; i++ {
-		row := a.data[i*n : (i+1)*n]
-		orow := out.data[i*n : (i+1)*n]
+		row := ad[i*n : (i+1)*n]
+		orow := out.buf[i*n : (i+1)*n]
 		maxv := math.Inf(-1)
 		for _, v := range row {
 			if v > maxv {
@@ -289,9 +302,10 @@ func LogSumExpRows(a *Tensor) []float64 {
 		panic(fmt.Sprintf("tensor: LogSumExpRows requires a 2-D tensor, got %v", a.shape))
 	}
 	m, n := a.shape[0], a.shape[1]
+	ad := a.vals()
 	out := make([]float64, m)
 	for i := 0; i < m; i++ {
-		row := a.data[i*n : (i+1)*n]
+		row := ad[i*n : (i+1)*n]
 		maxv := math.Inf(-1)
 		for _, v := range row {
 			if v > maxv {
@@ -314,9 +328,10 @@ func ArgmaxRows(a *Tensor) []int {
 		panic(fmt.Sprintf("tensor: ArgmaxRows requires a 2-D tensor, got %v", a.shape))
 	}
 	m, n := a.shape[0], a.shape[1]
+	ad := a.vals()
 	out := make([]int, m)
 	for i := 0; i < m; i++ {
-		row := a.data[i*n : (i+1)*n]
+		row := ad[i*n : (i+1)*n]
 		best, bestJ := math.Inf(-1), 0
 		for j, v := range row {
 			if v > best {
@@ -342,12 +357,13 @@ func Conv1D(input, kernels *Tensor) *Tensor {
 	if outLen <= 0 {
 		panic(fmt.Sprintf("tensor: Conv1D kernel length %d exceeds input length %d", klen, inLen))
 	}
+	id, kd := input.vals(), kernels.vals()
 	out := New(batch*nk, outLen)
 	for b := 0; b < batch; b++ {
-		in := input.data[b*inLen : (b+1)*inLen]
+		in := id[b*inLen : (b+1)*inLen]
 		for kidx := 0; kidx < nk; kidx++ {
-			ker := kernels.data[kidx*klen : (kidx+1)*klen]
-			orow := out.data[(b*nk+kidx)*outLen : (b*nk+kidx+1)*outLen]
+			ker := kd[kidx*klen : (kidx+1)*klen]
+			orow := out.buf[(b*nk+kidx)*outLen : (b*nk+kidx+1)*outLen]
 			for o := 0; o < outLen; o++ {
 				sum := 0.0
 				for j := 0; j < klen; j++ {
@@ -371,7 +387,7 @@ func Rows(a *Tensor, from, to int) *Tensor {
 	}
 	n := a.shape[1]
 	out := New(to-from, n)
-	copy(out.data, a.data[from*n:to*n])
+	copy(out.buf, a.vals()[from*n:to*n])
 	return out
 }
 

@@ -454,6 +454,15 @@ func (l *Layout) Fits(v Value) bool {
 	return false
 }
 
+// Overwrite drops the pending initializer draws of the tensors the layout
+// lays float blocks over (tensor.Overwrite). Call it when a read into
+// Pieces is issued: the read overwrites every one of them.
+func (l *Layout) Overwrite() {
+	for _, o := range l.of {
+		o.t.Overwrite()
+	}
+}
+
 // Len is the section length the layout tiles.
 func (l *Layout) Len() int { return l.n }
 

@@ -6,6 +6,13 @@
 // consume exactly the random stream it consumed on record. The standard
 // library generators do not expose their internal state, so we implement
 // PCG-XSH-RR 64/32 (O'Neill, 2014) with explicit state capture.
+//
+// A generator can also jump: Advance(n) moves it to where n single steps
+// would, in O(log n) multiplications (Brown, "Random Number Generation with
+// Arbitrary Strides", 1994; O'Neill's pcg_advance). Uint32 is one step, and
+// Uint64 and Float64 are two, so a caller that knows how many values a
+// fixed-count draw takes can skip it and draw it later from a copy of the
+// generator (tensor's pending initializers do).
 package xrand
 
 import (
@@ -50,6 +57,26 @@ func NewStream(seed, stream uint64) *RNG {
 
 func (r *RNG) step() {
 	r.state = r.state*pcgMult + r.inc
+}
+
+// Advance moves the generator n steps ahead, exactly as n calls to step
+// would, in O(log n) time. The step is the affine map s ↦ a·s + c mod 2^64;
+// its n-fold composition is s ↦ A·s + C, and A and C are built from the
+// binary digits of n by repeated squaring of (a, c). The map has period
+// 2^64, so n counts modulo 2^64: Advance(a) then Advance(b) is Advance(a+b)
+// even where a+b wraps.
+func (r *RNG) Advance(n uint64) {
+	accMult, accPlus := uint64(1), uint64(0)
+	curMult, curPlus := uint64(pcgMult), r.inc
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			accMult *= curMult
+			accPlus = accPlus*curMult + curPlus
+		}
+		curPlus = (curMult + 1) * curPlus
+		curMult *= curMult
+	}
+	r.state = accMult*r.state + accPlus
 }
 
 // Uint32 returns the next 32 bits of the stream.

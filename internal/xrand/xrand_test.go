@@ -207,3 +207,81 @@ func TestQuickStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// advanceStarts are the generators the Advance tests jump from: seeded
+// streams as the training stack makes them, and raw states with an even
+// increment no constructor produces (the jump must not rely on PCG's odd
+// increment).
+func advanceStarts() []*RNG {
+	starts := []*RNG{New(0), New(0xC1F4), NewStream(7, 3), NewStream(^uint64(0), ^uint64(0))}
+	for _, st := range [][2]uint64{{0x9E3779B97F4A7C15, 0x2545F4914F6CDD1C}, {1, 0}} {
+		r := &RNG{state: st[0], inc: st[1]}
+		starts = append(starts, r)
+	}
+	return starts
+}
+
+// TestAdvanceMatchesSingleSteps pins the jump against the step it skips:
+// from each start, Advance(n) lands where n single steps do, for every n up
+// to 2^20.
+func TestAdvanceMatchesSingleSteps(t *testing.T) {
+	const limit = 1 << 20
+	for si, start := range advanceStarts() {
+		walk := start.Clone()
+		for n := uint64(0); n <= limit; n++ {
+			jump := start.Clone()
+			jump.Advance(n)
+			if !jump.Equal(walk) {
+				t.Fatalf("start %d: Advance(%d) is at state %#x, %d single steps at %#x", si, n, jump.state, n, walk.state)
+			}
+			walk.step()
+		}
+	}
+}
+
+// TestQuickAdvanceComposes pins that jumps add, modulo the period 2^64:
+// Advance(a) then Advance(b) is Advance(a+b), whether or not a+b wraps, and
+// Advance(0) moves nothing. Float64 draws its two steps after a jump as it
+// would have after stepping there.
+func TestQuickAdvanceComposes(t *testing.T) {
+	f := func(state, inc, a, b uint64) bool {
+		two := &RNG{state: state, inc: inc}
+		two.Advance(a)
+		two.Advance(b)
+		one := &RNG{state: state, inc: inc}
+		one.Advance(a + b)
+		still := &RNG{state: state, inc: inc}
+		still.Advance(0)
+		return two.Equal(one) && still.state == state && two.Float64() == one.Float64()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	// Sums that wrap past 2^64, and the full period.
+	for _, start := range advanceStarts() {
+		for _, ab := range [][2]uint64{{^uint64(0), 1}, {^uint64(0), 2}, {1 << 63, 1 << 63}, {^uint64(0), ^uint64(0)}, {3, ^uint64(0) - 1}} {
+			two, one := start.Clone(), start.Clone()
+			two.Advance(ab[0])
+			two.Advance(ab[1])
+			one.Advance(ab[0] + ab[1])
+			if !two.Equal(one) {
+				t.Fatalf("Advance(%#x) then Advance(%#x) is not Advance(%#x)", ab[0], ab[1], ab[0]+ab[1])
+			}
+		}
+	}
+}
+
+// TestAdvanceSkipsDraws pins the use the tensor initializers make of it:
+// skipping 2n steps skips n Float64 draws.
+func TestAdvanceSkipsDraws(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 4096} {
+		drawn, jumped := New(11), New(11)
+		for range n {
+			drawn.Float64()
+		}
+		jumped.Advance(2 * uint64(n))
+		if drawn.Float64() != jumped.Float64() {
+			t.Fatalf("Advance(2·%d) does not skip %d Float64 draws", n, n)
+		}
+	}
+}
