@@ -283,8 +283,8 @@ func (s *Session) Table4() (*Table4Report, error) {
 // S3 for the run at dir (§6: checkpoints were "compressed by a background
 // process, before being spooled to an S3 bucket"): the gzip size, at the
 // default level, of the MANIFEST (which carries every checkpoint's
-// directory) and each non-empty chunk pack in the run directory, compressed
-// one file at a time. It streams the files through gzip into a counter and
+// directory), the INDEX (its chunk records) and each non-empty chunk pack in
+// the run directory, compressed one file at a time. It streams the files through gzip into a counter and
 // writes nothing.
 func gzipFootprint(dir string) (int64, error) {
 	entries, err := os.ReadDir(dir)
@@ -295,7 +295,7 @@ func gzipFootprint(dir string) (int64, error) {
 	for _, e := range entries {
 		name := e.Name()
 		pack := strings.HasPrefix(name, "CHUNKS") && filepath.Ext(name) != ".gz" && filepath.Ext(name) != ".tmp"
-		if e.IsDir() || name != "MANIFEST" && !pack {
+		if e.IsDir() || name != "MANIFEST" && name != "INDEX" && !pack {
 			continue
 		}
 		n, err := gzipSize(filepath.Join(dir, name))

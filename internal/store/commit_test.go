@@ -1,0 +1,362 @@
+package store
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+)
+
+// errInjected is the write failure the tests below substitute.
+var errInjected = errors.New("injected write failure")
+
+// commitRun returns, for a run at <base>/run on one of the two writer
+// layouts, the options a writable open takes and the INDEX its chunk
+// records are committed to: the run's own for a private store, the pool's
+// at <base>/POOL for a pooled run.
+func commitRun(base string, pooled bool) (dir string, o Options, index string) {
+	dir = filepath.Join(base, "run")
+	index = filepath.Join(dir, poolIndexFile)
+	if pooled {
+		o = Options{Pool: filepath.Join(base, "POOL")}
+		index = filepath.Join(base, "POOL", poolIndexFile)
+	}
+	return dir, o, index
+}
+
+// failLog makes every append to a log named name (MANIFEST or INDEX) write
+// the first n bytes of its record and fail; with latch it also closes the
+// file first, so that cutting the append back fails too. The returned func
+// puts the real writer back.
+func failLog(t *testing.T, name string, n int, latch bool) (restore func()) {
+	real := writeLog
+	restore = func() { writeLog = real }
+	t.Cleanup(restore)
+	writeLog = func(f *os.File, b []byte) (int, error) {
+		if filepath.Base(f.Name()) != name {
+			return real(f, b)
+		}
+		w, _ := real(f, b[:min(n, len(b))])
+		if latch {
+			f.Close()
+		}
+		return w, errInjected
+	}
+	return restore
+}
+
+// putOne puts one fresh section under key.
+func putOne(s *Store, key Key, seed uint64) error {
+	_, err := s.PutSections(key, []Section{{Name: "w", Data: noise(4096, seed)}}, 0, 0, 0)
+	return err
+}
+
+// holdsExactly fails the test unless the store's committed keys are want,
+// each reading back the section putOne put under the given seed, and
+// neither of the run's logs has a torn tail.
+func holdsExactly(t *testing.T, what string, s *Store, index string, want map[Key]uint64) {
+	t.Helper()
+	var keys []Key
+	for _, m := range s.Metas() {
+		keys = append(keys, m.Key)
+	}
+	if len(keys) != len(want) {
+		t.Fatalf("%s: committed %v, want %d keys", what, keys, len(want))
+	}
+	for key, seed := range want {
+		secs, err := ReadAll(s, key, nil)
+		if err != nil || !bytes.Equal(secs[0].Data, noise(4096, seed)) {
+			t.Fatalf("%s: %s reads back wrong: %v", what, key, err)
+		}
+	}
+	if _, _, torn, err := s.readManifest(); err != nil || torn {
+		t.Fatalf("%s: MANIFEST torn=%v, %v", what, torn, err)
+	}
+	raw, err := os.ReadFile(index)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		t.Fatal(err)
+	}
+	for off := 0; off < len(raw); {
+		_, n, err := decodeManifestRecord(raw[off:], false)
+		if err != nil {
+			t.Fatalf("%s: INDEX torn at byte %d of %d", what, off, len(raw))
+		}
+		off += n
+	}
+}
+
+// TestFailedAppendLeavesNoTornRecord pins the append of both logs, MANIFEST
+// and INDEX, on both writer layouts. A write that fails part-way through its
+// record fails the put and is cut back, so the next put appends a record
+// that replays: after a reopen, every put that returned success is there.
+// When the cut fails too, the log is latched broken — every later put fails
+// instead of landing behind the torn bytes — and a reopen truncates the
+// torn tail and shows exactly what committed before it.
+func TestFailedAppendLeavesNoTornRecord(t *testing.T) {
+	k0, k1, k2 := Key{LoopID: "train", Exec: 0}, Key{LoopID: "train", Exec: 1}, Key{LoopID: "train", Exec: 2}
+	for _, pooled := range []bool{false, true} {
+		for _, log := range []string{manifestFile, poolIndexFile} {
+			for _, latch := range []bool{false, true} {
+				what := func(step string) string {
+					return strings.Join([]string{map[bool]string{false: "private", true: "pooled"}[pooled], log, map[bool]string{false: "cut back", true: "latched"}[latch], step}, ", ")
+				}
+				dir, o, index := commitRun(t.TempDir(), pooled)
+				s, err := OpenWith(dir, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := putOne(s, k0, 1); err != nil {
+					t.Fatal(err)
+				}
+				restore := failLog(t, log, 3, latch)
+				if err := putOne(s, k1, 2); !errors.Is(err, errInjected) {
+					t.Fatalf("%s: %v, want the injected failure", what("put through the failing writer"), err)
+				}
+				restore()
+				err = putOne(s, k1, 3)
+				want := map[Key]uint64{k0: 1}
+				if latch {
+					if err == nil || !strings.Contains(err.Error(), "unusable after a failed append") {
+						t.Fatalf("%s: %v, want the log latched broken", what("put after a failed cut"), err)
+					}
+				} else {
+					if err != nil || !s.Has(k1) {
+						t.Fatalf("%s: %v", what("put after a cut-back failure"), err)
+					}
+					want[k1] = 3
+					holdsExactly(t, what("same store"), s, index, want)
+				}
+				resetPoolRegistry()
+				s, err = OpenWith(dir, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				holdsExactly(t, what("reopened"), s, index, want)
+				if err := putOne(s, k2, 4); err != nil {
+					t.Fatalf("%s: %v", what("put after reopen"), err)
+				}
+				want[k2] = 4
+				resetPoolRegistry()
+				ro, err := OpenReadOnly(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				holdsExactly(t, what("read-only"), ro, index, want)
+				resetPoolRegistry()
+			}
+		}
+	}
+}
+
+// packBytes sums the sizes of the pack objects under root.
+func packBytes(t *testing.T, root string) int64 {
+	t.Helper()
+	packs, _ := filepath.Glob(filepath.Join(root, packFile+"*"))
+	var n int64
+	for _, p := range packs {
+		st, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += st.Size()
+	}
+	return n
+}
+
+// TestCrashCutPutKeepsCommittedPrefix cuts a put, on both writer layouts, at
+// both points of the one commit order — after its pack append, and after its
+// INDEX append — and takes the run through a crash: the in-process pool is
+// dropped and the run reopened. Each time, a read-only and a writable reopen
+// hold exactly the committed prefix; a resumed put appends, and it and the
+// prefix read back after another reopen; and the next GC reclaims what the
+// cut left behind. Chunk records that made it into the INDEX are dead
+// chunks (GCResult.DeadChunks); frames that never got a record are pack
+// bytes no record locates, which compaction drops (GCResult.ReclaimedBytes).
+func TestCrashCutPutKeepsCommittedPrefix(t *testing.T) {
+	k0, k1 := Key{LoopID: "train", Exec: 0}, Key{LoopID: "train", Exec: 1}
+	for _, pooled := range []bool{false, true} {
+		for _, cut := range []string{poolIndexFile, manifestFile} {
+			what := func(step string) string {
+				return map[bool]string{false: "private", true: "pooled"}[pooled] + ", cut before the " + cut + " append, " + step
+			}
+			base := t.TempDir()
+			dir, o, index := commitRun(base, pooled)
+			packs := dir
+			if pooled {
+				packs = o.Pool
+			}
+			s, err := OpenWith(dir, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := putOne(s, k0, 10); err != nil {
+				t.Fatal(err)
+			}
+			before := packBytes(t, packs)
+			restore := failLog(t, cut, 0, false)
+			if err := putOne(s, k1, 11); !errors.Is(err, errInjected) {
+				t.Fatalf("%s: %v, want the cut", what("put"), err)
+			}
+			restore()
+			orphan := packBytes(t, packs) - before
+			if orphan <= 0 {
+				t.Fatalf("%s: the cut put appended no pack bytes", what("put"))
+			}
+
+			resetPoolRegistry()
+			prefix := map[Key]uint64{k0: 10}
+			ro, err := OpenReadOnly(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			holdsExactly(t, what("read-only reopen"), ro, index, prefix)
+			resetPoolRegistry()
+			s, err = OpenWith(dir, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			holdsExactly(t, what("writable reopen"), s, index, prefix)
+			if err := putOne(s, k1, 12); err != nil {
+				t.Fatalf("%s: %v", what("resumed put"), err)
+			}
+			resumed := map[Key]uint64{k0: 10, k1: 12}
+			resetPoolRegistry()
+			if s, err = OpenWith(dir, o); err != nil {
+				t.Fatal(err)
+			}
+			holdsExactly(t, what("reopen after the resumed put"), s, index, resumed)
+
+			var res GCResult
+			if pooled {
+				res, err = GCPool(o.Pool, GCOptions{PackRetention: time.Hour})
+			} else {
+				res, err = s.GCWith(GCOptions{PackRetention: time.Hour})
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", what("gc"), err)
+			}
+			if cut == manifestFile && res.DeadChunks == 0 {
+				t.Fatalf("%s: %+v, want the cut put's indexed chunks dead", what("gc"), res)
+			}
+			if res.ReclaimedBytes < orphan || res.CompactedShards == 0 {
+				t.Fatalf("%s: %+v, want the cut put's %d pack bytes reclaimed", what("gc"), res, orphan)
+			}
+			holdsExactly(t, what("after gc"), s, index, resumed)
+			resetPoolRegistry()
+			ro, err = OpenReadOnly(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			holdsExactly(t, what("reopen after gc"), ro, index, resumed)
+			resetPoolRegistry()
+		}
+	}
+}
+
+// TestChunkRecordsLiveInTheIndex pins where each writer layout commits its
+// records, before and after a compacting GC: a private store's MANIFEST
+// holds only meta records and its chunk records are in its own INDEX; a
+// pooled run's MANIFEST holds its pool-reference record, then only meta
+// records, and its chunk records are in the pool's INDEX — the run
+// directory has none. The GC supersedes a checkpoint first, so that the
+// private store compacts.
+func TestChunkRecordsLiveInTheIndex(t *testing.T) {
+	base := t.TempDir()
+	dirs, _ := recordLayouts(t, base)
+	tags := func(path string) string {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if errors.Is(err, os.ErrNotExist) {
+			return ""
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for off := 0; off < len(raw); {
+			rec, n, err := decodeManifestRecord(raw[off:], false)
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			b.WriteByte(rec.tag)
+			off += n
+		}
+		return b.String()
+	}
+	only := func(s string, tag byte) bool {
+		return s != "" && !slices.ContainsFunc([]byte(s), func(c byte) bool { return c != tag })
+	}
+	check := func(when string) {
+		t.Helper()
+		priv, pooled := dirs["v2"], dirs["v2-pooled"]
+		if m, idx := tags(filepath.Join(priv, manifestFile)), tags(filepath.Join(priv, poolIndexFile)); !only(m, recMeta) || !only(idx, recChunk) {
+			t.Fatalf("%s: private MANIFEST %q, INDEX %q; want meta records, and chunk records", when, m, idx)
+		}
+		m := tags(filepath.Join(pooled, manifestFile))
+		if len(m) < 2 || m[0] != recPool || !only(m[1:], recMeta) {
+			t.Fatalf("%s: pooled MANIFEST %q, want the pool record, then meta records", when, m)
+		}
+		if idx := tags(filepath.Join(pooled, poolIndexFile)); idx != "" {
+			t.Fatalf("%s: pooled run directory holds INDEX records %q", when, idx)
+		}
+		if idx := tags(filepath.Join(base, "POOL", poolIndexFile)); !only(idx, recChunk) {
+			t.Fatalf("%s: pool INDEX %q, want chunk records", when, idx)
+		}
+	}
+	check("recorded")
+	for _, dir := range dirs {
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.PutSections(Key{LoopID: "train", Exec: 0}, mutatingSections(5), 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := s.GCWith(GCOptions{PackRetention: time.Hour}); err != nil || !s.Pooled() && res.CompactedShards == 0 {
+			t.Fatalf("%s: gc %+v, %v", dir, res, err)
+		}
+	}
+	if _, err := GCPool(filepath.Join(base, "POOL"), GCOptions{PackRetention: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	check("after gc")
+	resetPoolRegistry()
+}
+
+// TestManifestChunkRecordsIgnoredUnderIndex pins that only a store an older
+// build left has its MANIFEST chunk records adopted: under "2 dirs index",
+// and in a pooled run, a chunk record planted in the MANIFEST — invalid in
+// its pack, which would refuse a writable open were it adopted — is ignored,
+// and every checkpoint reads back through the INDEX.
+func TestManifestChunkRecordsIgnoredUnderIndex(t *testing.T) {
+	key := Key{LoopID: "L", Exec: 0}
+	data := noise(100000, 4)
+	for _, layout := range []string{"index", "pool"} {
+		dir, o, records := plantedRecordLog(t, layout, key, data)
+		idx, err := os.ReadFile(records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		man, err := os.ReadFile(filepath.Join(dir, manifestFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plant(t, dir, manifestFile, string(man)+string(idx))
+		rewriteChunkRecords(t, filepath.Join(dir, manifestFile), func(l *chunkLoc) { l.Off = -1 })
+		for _, readOnly := range []bool{true, false} {
+			o.ReadOnly = readOnly
+			s, err := OpenWith(dir, o)
+			if err != nil {
+				t.Fatalf("%s, read-only=%v: open: %v", layout, readOnly, err)
+			}
+			if secs, err := ReadAll(s, key, nil); err != nil || !bytes.Equal(secs[0].Data, data) {
+				t.Fatalf("%s, read-only=%v: read: %v", layout, readOnly, err)
+			}
+			resetPoolRegistry()
+		}
+	}
+}

@@ -275,7 +275,6 @@ func TestFetchVectoredWrongRawGuessRereads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.pool.publish([]ckptfmt.Frame{f}, locs)
 
 	job := chunkJob{dst: [][]byte{make([]byte, len(raw))}, loc: locs[0], ref: ckptfmt.ChunkRef{Hash: f.Hash, RawLen: len(raw)}}
 	if rawOverhead(&job) < 0 {

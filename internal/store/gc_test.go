@@ -60,9 +60,9 @@ func TestGCCompactsSupersededChunks(t *testing.T) {
 		t.Fatal("post-GC payload mismatch")
 	}
 
-	// And survives reopen: the rewritten manifest carries generation
-	// records, and the marker carries "dirs", which every build that
-	// predates generations refuses — the open wrote it, and GC left it.
+	// And survives reopen: the rewritten INDEX carries generation records,
+	// and the marker carries "dirs", which every build that predates
+	// generations refuses — the open wrote it, and GC left it.
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatalf("reopen after GC: %v", err)
@@ -72,8 +72,8 @@ func TestGCCompactsSupersededChunks(t *testing.T) {
 		t.Fatalf("reopen read: %v", err)
 	}
 	raw, _ := os.ReadFile(filepath.Join(dir, formatFile))
-	if string(raw) != "2 dirs\n" {
-		t.Fatalf("marker %q after a compacting GC, want %q", raw, "2 dirs\n")
+	if string(raw) != markerPrivate {
+		t.Fatalf("marker %q after a compacting GC, want %q", raw, markerPrivate)
 	}
 
 	// New writes after compaction land in the new generation and read back.

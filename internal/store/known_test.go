@@ -146,7 +146,7 @@ func TestWriteFileAtomicLeavesNoTmp(t *testing.T) {
 	if _, err := s.PutSections(Key{LoopID: "l", Exec: 2}, []Section{{Name: "w", Data: []byte("y")}}, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := os.ReadFile(s.formatPath()); err != nil || string(m) != "2 dirs\n" {
-		t.Fatalf("FORMAT %q, %v; want the dirs token", m, err)
+	if m, err := os.ReadFile(s.formatPath()); err != nil || string(m) != markerPrivate {
+		t.Fatalf("FORMAT %q, %v; want %q", m, err, markerPrivate)
 	}
 }

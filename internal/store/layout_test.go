@@ -17,7 +17,8 @@ import (
 // TestFormatMarkerWrittenOnceAtOpen pins when the FORMAT marker is written:
 // by a writable open, once, and never by a put, a GC pass or a reopen —
 // after each, the marker is the same file with the same bytes. A fresh
-// store's marker is "2 dirs", a fresh pooled run's "2 pool shards=16 dirs".
+// store's marker is "2 dirs index", a fresh pooled run's
+// "2 pool shards=16 dirs".
 // A store an older build left keeps its marker, and every other byte: its
 // writable open is refused before anything is written.
 func TestFormatMarkerWrittenOnceAtOpen(t *testing.T) {
@@ -30,6 +31,7 @@ func TestFormatMarkerWrittenOnceAtOpen(t *testing.T) {
 		{"fresh", filepath.Join(base, "fresh"), Options{}, markerPrivate},
 		{"pooled", filepath.Join(base, "pooled"), Options{Pool: filepath.Join(base, "POOL")}, markerPooled},
 		{"sharded", legacyFixture(t, "sharded"), Options{}, "2 shards=4 dirs\n"},
+		{"manifest chunks", legacyFixture(t, "private2dirs"), Options{}, "2 dirs\n"},
 		{"gc", legacyFixture(t, "gztwins"), Options{}, "2 gc\n"},
 		{"lz4", legacyFixture(t, filepath.Join("framestyles", "lz4")), Options{}, "2 lz4\n"},
 	} {
@@ -116,7 +118,7 @@ func TestLegacyLayoutsRefuseWritableOpens(t *testing.T) {
 		o               Options
 	}
 	var cases []layout
-	for _, fx := range []string{"v1run", "framestyles/deflate", "framestyles/lz4", "gztwins", "sharded"} {
+	for _, fx := range []string{"v1run", "framestyles/deflate", "framestyles/lz4", "gztwins", "sharded", "private2dirs"} {
 		dir := legacyFixture(t, filepath.FromSlash(fx))
 		cases = append(cases, layout{fx, dir, dir, Options{}})
 	}
@@ -127,7 +129,7 @@ func TestLegacyLayoutsRefuseWritableOpens(t *testing.T) {
 		layout{"pool4", filepath.Join(pool4, "run"), pool4, Options{}},
 		layout{"pool4 attach", filepath.Join(t.TempDir(), "run"), pool4, Options{Pool: pool4}},
 	)
-	for _, marker := range []string{"2", "2 gc", "2 lz4", "2 shards=8", "2 shards=8 dirs", "2 gc dirs", "2 lz4 dirs", "2 pool shards=4 dirs"} {
+	for _, marker := range []string{"2", "2 gc", "2 lz4", "2 dirs", "2 shards=8", "2 shards=8 dirs", "2 shards=8 dirs index", "2 gc dirs", "2 lz4 dirs", "2 pool shards=4 dirs", "2 pool shards=16 dirs index"} {
 		dir := t.TempDir()
 		plant(t, dir, formatFile, marker+"\n")
 		cases = append(cases, layout{"planted " + marker, dir, dir, Options{}})
@@ -140,10 +142,11 @@ func TestLegacyLayoutsRefuseWritableOpens(t *testing.T) {
 	cases = append(cases, layout{"planted pool1 shards=4", filepath.Join(t.TempDir(), "run"), planted, Options{Pool: planted}})
 
 	// A canonical marker over segment-file checkpoints: the gztwins store
-	// under "2 dirs", and a run of a fresh pool whose directories were moved
-	// out to segment files, the form older builds wrote.
+	// with its chunk records moved to its INDEX under "2 dirs index", and a
+	// run of a fresh pool whose directories were moved out to segment files,
+	// the form older builds wrote.
 	segs := legacyFixture(t, "gztwins")
-	plant(t, segs, formatFile, markerPrivate)
+	chunksToIndex(t, segs)
 	cases = append(cases, layout{"2 dirs over segments", segs, segs, Options{}})
 	pooledSegs := t.TempDir()
 	run := filepath.Join(pooledSegs, "run")
@@ -264,7 +267,8 @@ func TestDirBackendPlacementPinned(t *testing.T) {
 // writes anything — a run's FORMAT marker and SHARDS list, and a pool's
 // POOL marker — through their parsers and the classification that decides
 // whether the layout is one this build writes. Nothing panics; only the two
-// run markers a writable open leaves ("2 dirs", "2 pool shards=16 dirs") and
+// run markers a writable open leaves ("2 dirs index", "2 pool shards=16
+// dirs") and
 // the pool marker "pool1 shards=16" classify writable, whatever the
 // whitespace around their tokens; every SHARDS root is a non-empty path, and
 // any root makes a run legacy.
@@ -275,6 +279,8 @@ func FuzzFormatMarker(f *testing.F) {
 		{"2 shards=4 dirs\n", "pool1 shards=1", "/abs\n\n rel \n"},
 		{"2 gc\n", "pool1 shards=16 gc", ""},
 		{"2 lz4 dirs", "pool1", "\n"},
+		{"2 dirs", "pool1 shards=16", ""},
+		{"2 pool shards=16 dirs index", "pool1 shards=16", ""},
 		{"2 pool shards=4 dirs", "pool1 shards=256", ""},
 		{"2", "pool1 shards=016", ""},
 		{"2 pool shards=16", "pool2 shards=16", ""},
@@ -285,10 +291,10 @@ func FuzzFormatMarker(f *testing.F) {
 	norm := func(b []byte) string { return strings.Join(strings.Fields(string(b)), " ") }
 	f.Fuzz(func(t *testing.T, format, pool, shards []byte) {
 		if m, err := parseFormatMarker(format); err == nil && m.canonical() {
-			if n := norm(format); n != "2 dirs" && n != "2 pool shards=16 dirs" {
+			if n := norm(format); n != "2 dirs index" && n != "2 pool shards=16 dirs" {
 				t.Fatalf("FORMAT %q classifies writable", format)
 			}
-		} else if err == nil && (norm(format) == "2 dirs" || norm(format) == "2 pool shards=16 dirs") {
+		} else if err == nil && (norm(format) == "2 dirs index" || norm(format) == "2 pool shards=16 dirs") {
 			t.Fatalf("FORMAT %q parses to %+v, not writable", format, m)
 		}
 		if fanout, err := parsePoolMarker(pool); err == nil && (fanout == DefaultShardFanout) != (norm(pool) == "pool1 shards=16") {

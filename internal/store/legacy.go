@@ -15,6 +15,10 @@ package store
 //     over more directories than the run's own, listed one per line in its
 //     SHARDS file; DirBackend places each pack object on a root by hashing
 //     its name, so the list and its order are fixed for the store's life.
+//   - Chunk records in a MANIFEST. Older builds committed a private store's
+//     chunk records ('C') in its MANIFEST, beside its meta records, where
+//     this build commits them to the run's INDEX (marker token "index").
+//     Open adopts them into the pool of one (adoptManifestChunks).
 
 import (
 	"errors"
@@ -28,6 +32,17 @@ import (
 	"flor.dev/flor/internal/codec"
 	"flor.dev/flor/internal/value"
 )
+
+// adoptManifestChunks installs the chunk records among a legacy private
+// store's MANIFEST records into its pool of one, as ChunkPool.open replays
+// an INDEX (first record wins). It runs at open, before finishOpen.
+func adoptManifestChunks(p *ChunkPool, recs []manifestRecord) {
+	for _, rec := range recs {
+		if rec.tag == recChunk {
+			p.adopt(rec.hash, rec.loc)
+		}
+	}
+}
 
 func segmentPath(runDir string, seq int) string {
 	return filepath.Join(runDir, fmt.Sprintf("ckpt-%08d.bin", seq))

@@ -83,8 +83,8 @@ func TestChunkLengthDisagreementIsCorrupt(t *testing.T) {
 }
 
 // rewriteChunkRecords applies edit to the location of every chunk record in
-// the record log at path (a run's MANIFEST or a pool's INDEX), re-framed so
-// that each CRC holds.
+// the record log at path (an INDEX, or the MANIFEST of a store an older
+// build left), re-framed so that each CRC holds.
 func rewriteChunkRecords(t *testing.T, path string, edit func(*chunkLoc)) {
 	t.Helper()
 	b, err := os.ReadFile(path)
@@ -115,9 +115,11 @@ func rewriteChunkRecords(t *testing.T, path string, edit func(*chunkLoc)) {
 // negative field, or an extent whose end overflows int64: open drops it as
 // it drops a record pointing past the pack's end. A read-only read of its
 // checkpoint is codec.ErrCorrupt, never a panic, and a writable open is
-// refused — in a private store (MANIFEST records) and a shared pool (INDEX
-// records, read at open or adopted when a writable attach upgrades a pool
-// this process opened read-only).
+// refused — in a private store (INDEX records), in a private store an older
+// build left (MANIFEST records: read-only, so the refusal is
+// ErrLegacyLayout) and in a shared pool (INDEX records, read at open or
+// adopted when a writable attach upgrades a pool this process opened
+// read-only).
 func TestInvalidChunkRecordIsDroppedAtOpen(t *testing.T) {
 	edits := map[string]func(*chunkLoc){
 		"negative offset":  func(l *chunkLoc) { l.Off = -1 },
@@ -128,33 +130,20 @@ func TestInvalidChunkRecordIsDroppedAtOpen(t *testing.T) {
 	key := Key{LoopID: "L", Exec: 0}
 	data := noise(100000, 4)
 	for name, edit := range edits {
-		for _, pooled := range []bool{false, true} {
-			base := t.TempDir()
-			dir, pool := filepath.Join(base, "run"), filepath.Join(base, "POOL")
-			o, records := Options{}, filepath.Join(dir, manifestFile)
-			if pooled {
-				o, records = Options{Pool: pool}, filepath.Join(pool, poolIndexFile)
-			}
-			s, err := OpenWith(dir, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.PutSections(key, []Section{{Name: "w", Data: data}}, 0, 0, 0); err != nil {
-				t.Fatal(err)
-			}
-			resetPoolRegistry()
+		for _, layout := range recordLogLayouts {
+			dir, o, records := plantedRecordLog(t, layout, key, data)
 			rewriteChunkRecords(t, records, edit)
 
 			r, err := OpenReadOnly(dir)
 			if err != nil {
-				t.Fatalf("%s, pooled=%v: read-only open: %v", name, pooled, err)
+				t.Fatalf("%s, %s: read-only open: %v", name, layout, err)
 			}
 			if secs, err := ReadAll(r, key, nil); !errors.Is(err, codec.ErrCorrupt) {
-				t.Errorf("%s, pooled=%v: read: %d sections, err %v; want codec.ErrCorrupt", name, pooled, len(secs), err)
+				t.Errorf("%s, %s: read: %d sections, err %v; want codec.ErrCorrupt", name, layout, len(secs), err)
 			}
 			resetPoolRegistry()
-			if _, err := OpenWith(dir, o); !errors.Is(err, codec.ErrCorrupt) {
-				t.Errorf("%s, pooled=%v: writable open: %v; want codec.ErrCorrupt", name, pooled, err)
+			if _, err := OpenWith(dir, o); !errors.Is(err, writableRefusal(layout)) {
+				t.Errorf("%s, %s: writable open: %v; want %v", name, layout, err, writableRefusal(layout))
 			}
 			resetPoolRegistry()
 		}
@@ -191,21 +180,60 @@ func TestInvalidChunkRecordIsDroppedAtOpen(t *testing.T) {
 	}
 
 	// The unedited store reads back: what fails above is the edit.
-	dir := t.TempDir()
-	if s, err = Open(dir); err != nil {
+	for _, layout := range recordLogLayouts {
+		dir, _, records := plantedRecordLog(t, layout, key, data)
+		rewriteChunkRecords(t, records, func(*chunkLoc) {})
+		r, err := OpenReadOnly(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if secs, err := ReadAll(r, key, nil); err != nil || !bytes.Equal(secs[0].Data, data) {
+			t.Fatalf("unedited %s store: %v", layout, err)
+		}
+		resetPoolRegistry()
+	}
+}
+
+// recordLogLayouts are the three places a chunk record can be read from: a
+// private store's INDEX, the MANIFEST of a private store an older build left
+// ("2 dirs"), and a shared pool's INDEX.
+var recordLogLayouts = []string{"index", "manifest", "pool"}
+
+// plantedRecordLog records data under key into a store of the given
+// recordLogLayouts layout, under a fresh base directory, and returns the run
+// directory, the options a writable open of it takes, and the log that holds
+// its chunk records. The pool registry is reset.
+func plantedRecordLog(t *testing.T, layout string, key Key, data []byte) (dir string, o Options, records string) {
+	t.Helper()
+	base := t.TempDir()
+	dir, pool := filepath.Join(base, "run"), filepath.Join(base, "POOL")
+	records = filepath.Join(dir, poolIndexFile)
+	if layout == "pool" {
+		o, records = Options{Pool: pool}, filepath.Join(pool, poolIndexFile)
+	}
+	s, err := OpenWith(dir, o)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.PutSections(key, []Section{{Name: "w", Data: data}}, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	rewriteChunkRecords(t, filepath.Join(dir, manifestFile), func(*chunkLoc) {})
-	r, err := OpenReadOnly(dir)
-	if err != nil {
-		t.Fatal(err)
+	resetPoolRegistry()
+	if layout == "manifest" {
+		chunksToManifest(t, dir)
+		records = filepath.Join(dir, manifestFile)
 	}
-	if secs, err := ReadAll(r, key, nil); err != nil || !bytes.Equal(secs[0].Data, data) {
-		t.Fatalf("unedited store: %v", err)
+	return dir, o, records
+}
+
+// writableRefusal is how a writable open refuses a store of the given
+// recordLogLayouts layout whose chunk records were edited invalid: a store
+// an older build left is refused for its layout before its records count.
+func writableRefusal(layout string) error {
+	if layout == "manifest" {
+		return ErrLegacyLayout
 	}
+	return codec.ErrCorrupt
 }
 
 // TestInflatedRawLenIsDroppedAtOpen pins the raw-length check at open: a
@@ -216,33 +244,23 @@ func TestInvalidChunkRecordIsDroppedAtOpen(t *testing.T) {
 // its hash gives. A writable open is refused without a byte changing, a
 // read-only read of the checkpoint is codec.ErrCorrupt, and the stored-byte
 // accounting is the surviving records': the claimed terabyte never enters
-// it. Private store (MANIFEST records) and shared pool (INDEX records).
+// it. Private store (INDEX records), private store an older build left
+// (MANIFEST records; its writable open is refused as ErrLegacyLayout) and
+// shared pool (INDEX records).
 func TestInflatedRawLenIsDroppedAtOpen(t *testing.T) {
 	const inflated = int(min(1<<40, math.MaxInt))
 	key := Key{LoopID: "L", Exec: 0}
 	data := noise(3*ckptfmt.DefaultChunkSize, 6)
 	for _, style := range []byte{ckptfmt.StyleRaw, ckptfmt.StyleLZ4} {
-		for _, pooled := range []bool{false, true} {
-			base := t.TempDir()
-			dir, pool := filepath.Join(base, "run"), filepath.Join(base, "POOL")
-			o, records := Options{}, filepath.Join(dir, manifestFile)
-			if pooled {
-				o, records = Options{Pool: pool}, filepath.Join(pool, poolIndexFile)
-			}
-			s, err := OpenWith(dir, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.PutSections(key, []Section{{Name: "w", Data: data}}, 0, 0, 0); err != nil {
-				t.Fatal(err)
-			}
+		for _, layout := range recordLogLayouts {
+			dir, o, records := plantedRecordLog(t, layout, key, data)
+			base := filepath.Dir(dir)
 			stored := func(s *Store) int64 {
 				if ps, ok := s.PoolStats(); ok {
 					return ps.StoredRawBytes
 				}
 				return s.Dedup().StoredRawBytes
 			}
-			resetPoolRegistry()
 			ro, err := OpenReadOnly(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -258,22 +276,22 @@ func TestInflatedRawLenIsDroppedAtOpen(t *testing.T) {
 			before := dirBytes(t, base)
 
 			resetPoolRegistry()
-			if _, err := OpenWith(dir, o); !errors.Is(err, codec.ErrCorrupt) {
-				t.Errorf("style %d, pooled=%v: writable open: %v; want codec.ErrCorrupt", style, pooled, err)
+			if _, err := OpenWith(dir, o); !errors.Is(err, writableRefusal(layout)) {
+				t.Errorf("style %d, %s: writable open: %v; want %v", style, layout, err, writableRefusal(layout))
 			}
 			if !maps.Equal(before, dirBytes(t, base)) {
-				t.Errorf("style %d, pooled=%v: the refused open changed the store", style, pooled)
+				t.Errorf("style %d, %s: the refused open changed the store", style, layout)
 			}
 			resetPoolRegistry()
 			r, err := OpenReadOnly(dir)
 			if err != nil {
-				t.Fatalf("style %d, pooled=%v: read-only open: %v", style, pooled, err)
+				t.Fatalf("style %d, %s: read-only open: %v", style, layout, err)
 			}
 			if got := stored(r); got != want {
-				t.Errorf("style %d, pooled=%v: %d raw bytes stored, want the surviving records' %d", style, pooled, got, want)
+				t.Errorf("style %d, %s: %d raw bytes stored, want the surviving records' %d", style, layout, got, want)
 			}
 			if _, err := ReadAll(r, key, nil); !errors.Is(err, codec.ErrCorrupt) {
-				t.Errorf("style %d, pooled=%v: read: %v; want codec.ErrCorrupt", style, pooled, err)
+				t.Errorf("style %d, %s: read: %v; want codec.ErrCorrupt", style, layout, err)
 			}
 			resetPoolRegistry()
 		}

@@ -45,6 +45,45 @@ func manifestRecords(t *testing.T, dir string) (raw [][]byte, recs []manifestRec
 	return raw, recs
 }
 
+// chunksToManifest puts a private store of this build into the layout older
+// builds left ("2 dirs", read-only): its INDEX records move into its
+// MANIFEST, ahead of its meta records, as an older build's GC left them.
+func chunksToManifest(t testing.TB, dir string) {
+	t.Helper()
+	idx, err := os.ReadFile(filepath.Join(dir, poolIndexFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := os.ReadFile(filepath.Join(dir, manifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plant(t, dir, manifestFile, string(idx)+string(man))
+	if err := os.Remove(filepath.Join(dir, poolIndexFile)); err != nil {
+		t.Fatal(err)
+	}
+	plant(t, dir, formatFile, "2 dirs\n")
+}
+
+// chunksToIndex is chunksToManifest's inverse: a private store an older
+// build left gets this build's marker, its MANIFEST chunk records moved to
+// its INDEX.
+func chunksToIndex(t *testing.T, dir string) {
+	t.Helper()
+	raw, recs := manifestRecords(t, dir)
+	var idx, man []byte
+	for i, rec := range recs {
+		if rec.tag == recChunk {
+			idx = append(idx, raw[i]...)
+		} else {
+			man = append(man, raw[i]...)
+		}
+	}
+	plant(t, dir, poolIndexFile, string(idx))
+	plant(t, dir, manifestFile, string(man))
+	plant(t, dir, formatFile, markerPrivate)
+}
+
 // encodeRecord is decodeManifestRecord's inverse.
 func encodeRecord(rec manifestRecord) []byte {
 	switch rec.tag {
@@ -241,8 +280,8 @@ func TestResolveDoesNoFileIO(t *testing.T) {
 // a copy of the committed gztwins store (meta records without directories,
 // one segment file each): open reads each directory once, so a read-only
 // open keeps resolving and reading after the files are gone; and a writable
-// open — under the store's own marker, and under the "2 dirs" a store of
-// this build carries — is refused with ErrLegacyLayout before it writes, so
+// open — under the store's own marker, and under the "2 dirs index" a store
+// of this build carries — is refused with ErrLegacyLayout before it writes, so
 // nothing can append a record beside the segment-file ones or GC them away.
 // Migrating is the way forward (core.Migrate, pinned in the root package).
 func TestLegacySegmentsReadAtOpenAndRefuseWrites(t *testing.T) {
@@ -345,10 +384,10 @@ func TestGCPoolMarksLegacyRecordsFromTheirFiles(t *testing.T) {
 // meta record carries that does not decode) is codec.ErrCorrupt, and a
 // record that decodes re-encodes to exactly the bytes it consumed. Seeds are
 // the record payloads of stores recorded on every writer layout —
-// pool-reference, chunk (with and without a pack generation) and meta
-// records, sectioned and opaque — the directory-less meta records of the
-// committed gztwins store, and the records of the committed sharded and
-// fanout-4 pooled stores. Each input is decoded as it stands and CRC-framed,
+// pool-reference and meta records, sectioned and opaque, and the chunk
+// records (with and without a pack generation) of their INDEXes — the
+// directory-less meta records of the committed gztwins store, and the
+// records of the committed private2dirs, sharded and fanout-4 pooled stores. Each input is decoded as it stands and CRC-framed,
 // so that mutations reach the record bodies behind the CRC.
 func FuzzManifestRecord(f *testing.F) {
 	base := f.TempDir()
@@ -362,8 +401,13 @@ func FuzzManifestRecord(f *testing.F) {
 	}
 	resetPoolRegistry()
 	fixture := func(name string) string { return filepath.Join("..", "..", "testdata", filepath.FromSlash(name)) }
-	for _, dir := range []string{dirs["v2"], dirs["v2-pooled"], fixture("gztwins"), fixture("sharded"), fixture("pool4/run")} {
-		b, err := os.ReadFile(filepath.Join(dir, manifestFile))
+	for _, log := range []string{
+		filepath.Join(dirs["v2"], manifestFile), filepath.Join(dirs["v2"], poolIndexFile),
+		filepath.Join(dirs["v2-pooled"], manifestFile), filepath.Join(base, "POOL", poolIndexFile),
+		filepath.Join(fixture("gztwins"), manifestFile), filepath.Join(fixture("private2dirs"), manifestFile),
+		filepath.Join(fixture("sharded"), manifestFile), filepath.Join(fixture("pool4/run"), manifestFile),
+	} {
+		b, err := os.ReadFile(log)
 		if err != nil {
 			f.Fatal(err)
 		}

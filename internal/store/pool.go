@@ -3,20 +3,21 @@ package store
 // pool.go implements the ChunkPool: the run-agnostic chunk layer under the
 // checkpoint store. A pool owns the hash-prefix shard table — per-shard
 // append locks, the content-addressed dedup index, pack objects behind a
-// Backend — plus refcount-style garbage collection of superseded chunks via
-// generational pack compaction.
+// Backend — the INDEX its chunk records are committed to, and refcount-style
+// garbage collection of superseded chunks via generational pack compaction.
 //
-// Every v2 store runs on a pool. A run's private pack is simply a
-// single-tenant pool whose chunk records are persisted in the run's own
-// MANIFEST (byte-identical to the pre-pool layouts). A *shared* pool lives
-// in its own directory (conventionally <project>/POOL) and is attached by
-// many runs of the same project:
+// Every v2 store runs on a pool, and every pool keeps its chunk records in
+// the INDEX at its root; a run's MANIFEST holds only its meta records (and a
+// pooled run's pool reference). A private store is a pool of one: its root
+// is the run directory, and that run is the only one it marks. A *shared*
+// pool lives in its own directory (conventionally <project>/POOL) and is
+// attached by many runs of the same project, each holding a lease:
 //
-//	<root>/POOL          marker: "pool1 shards=N"
+//	<root>/POOL          marker: "pool1 shards=N" (shared pools)
 //	<root>/INDEX         append-only CRC-framed chunk records ('C')
-//	<root>/LEASES/<id>   one lease file per attached run (its directory path)
+//	<root>/LEASES/<id>   one lease file per attached run (shared pools)
 //	<root>/PACKGC        retired pack generations awaiting expiry
-//	<root>/CHUNKS-xx[.gN] pack objects, generational after compaction
+//	<root>/CHUNKS[-xx][.gN] pack objects, generational after compaction
 //
 // Shared pools are process-wide singletons (an in-process registry keyed by
 // resolved root), so concurrent sibling-run record and replay share one
@@ -25,15 +26,15 @@ package store
 //
 // # GC and the grace period
 //
-// Compaction never mutates a pack in place: survivors of shard S at
-// generation g are rewritten into the pack object for generation g+1, the
-// chunk records are atomically rewritten (run MANIFEST for private pools,
-// pool INDEX for shared ones), and only then does the in-memory shard swap
-// to the new generation. The replaced object is a grace-period tombstone:
-// it stays on disk, readable by any store that resolved chunk locations
-// before the swap (including concurrent OpenReadOnly stores in other
-// processes), until a later GC pass finds its retirement deadline expired
-// in PACKGC and deletes it.
+// GC marks every chunk a committed checkpoint of one of the pool's runs
+// references, reading their MANIFESTs. Compaction never mutates a pack in
+// place: survivors of shard S at generation g are rewritten into the pack
+// object for generation g+1, the INDEX is atomically rewritten, and only
+// then does the in-memory shard swap to the new generation. The replaced
+// object is a grace-period tombstone: it stays on disk, readable by any
+// store that resolved chunk locations before the swap (including concurrent
+// OpenReadOnly stores in other processes), until a later GC pass finds its
+// retirement deadline expired in PACKGC and deletes it.
 
 import (
 	"bytes"
@@ -124,7 +125,7 @@ func (sh *poolShard) obj() string { return packObjName(sh.name, sh.gen) }
 // PoolStats is a chunk pool's storage accounting, pool-wide (for a private
 // pool this equals the run's own dedup accounting).
 type PoolStats struct {
-	Root           string `json:"root,omitempty"` // empty for private pools
+	Root           string `json:"root,omitempty"`
 	Fanout         int    `json:"fanout"`
 	Leases         int    `json:"leases"` // attached runs (shared pools only)
 	Chunks         int64  `json:"chunks"`
@@ -135,9 +136,8 @@ type PoolStats struct {
 // ChunkPool is the run-agnostic chunk layer: shard table, dedup index, pack
 // I/O and GC. It is safe for concurrent use by many stores.
 type ChunkPool struct {
-	root   string // pool root directory; "" for a private (single-run) pool
-	ctlDir string // directory holding PACKGC (run dir or pool root)
-	shared bool
+	root   string // holds INDEX and PACKGC: the run directory of a pool of one, a shared pool's own
+	shared bool   // attached by leased runs, and registered process-wide
 	fanout int
 
 	backend Backend
@@ -154,7 +154,8 @@ type ChunkPool struct {
 	readOnly bool
 	stored   PoolStats // Chunks/StoredRawBytes/StoredEncBytes upkeep
 	dropped  []string  // packs whose records are invalid or point past the pack's real end
-	indexLen int64     // validated INDEX prefix length (shared pools)
+	index    recordLog // INDEX; appends hold mu
+	indexLen int64     // validated INDEX prefix length
 
 	shardTab []*poolShard // two-level dedup index: shardTab[shardOf(h)].chunks[h]
 
@@ -165,13 +166,18 @@ type ChunkPool struct {
 	mFetchFrames [numTiers]*obs.Counter
 }
 
-// newPrivatePool builds the single-tenant pool over a run's own backend;
-// chunk records are adopted from the run manifest and finishOpen completes
-// initialization.
-func newPrivatePool(backend Backend, fanout int, readOnly bool) *ChunkPool {
-	p := &ChunkPool{fanout: fanout, backend: backend, readOnly: readOnly}
+// open builds the shard table and replays the chunk records: those a
+// read-only legacy store keeps in its MANIFEST (legacy.go; nil otherwise),
+// then the pool's INDEX. finishOpen then resolves pack generations and
+// lengths and drops records no pack holds.
+func (p *ChunkPool) open(manifest []manifestRecord) error {
 	p.initShards()
-	return p
+	p.index = recordLog{path: filepath.Join(p.root, poolIndexFile)}
+	adoptManifestChunks(p, manifest)
+	if err := p.replayIndex(0); err != nil {
+		return err
+	}
+	return p.finishOpen()
 }
 
 // shards is built once at pool construction and never resized; the slice
@@ -210,12 +216,6 @@ func (p *ChunkPool) countFetch(tier int, b, frames int64, fs *FetchStats) {
 // Fanout returns the pool's shard count.
 func (p *ChunkPool) Fanout() int { return p.fanout }
 
-// Shared reports whether the pool is a multi-run shared pool.
-func (p *ChunkPool) Shared() bool { return p.shared }
-
-// Root returns the shared pool's root directory ("" for private pools).
-func (p *ChunkPool) Root() string { return p.root }
-
 // shardOf maps a content hash to its shard index: the hash's top byte
 // masked to the fanout. The shard is a pure function of the hash, so chunk
 // records never need to name it.
@@ -224,8 +224,9 @@ func (p *ChunkPool) shardOf(h ckptfmt.Hash) int {
 }
 
 // adopt installs one replayed chunk record (first record wins, matching
-// write-order dedup) and counts it stored. Used while replaying a run
-// manifest or a pool INDEX; the caller holds p.mu or has the pool to itself.
+// write-order dedup) and counts it stored. Used while replaying an INDEX (or
+// a legacy MANIFEST) and publishing a put's records; the caller holds p.mu or
+// has the pool to itself.
 func (p *ChunkPool) adopt(h ckptfmt.Hash, loc chunkLoc) {
 	sh := p.shardTab[p.shardOf(h)]
 	sh.mu.Lock()
@@ -244,18 +245,17 @@ func (p *ChunkPool) adopt(h ckptfmt.Hash, loc chunkLoc) {
 // finishOpen completes initialization after records were adopted: resolves
 // each shard's active generation and pack length, drops records from stale
 // generations and records that are not valid in their pack (remembering the
-// pack in dropped), and rebuilds the stored-chunk accounting. Runs
-// single-threaded at open.
+// pack in dropped), and rebuilds the stored-chunk accounting. It runs at
+// open, and again under p.mu when a read-only pool turns writable.
 func (p *ChunkPool) finishOpen() error {
-	p.stored.Fanout = p.fanout
-	p.stored.Root = p.root
-	p.stored.Chunks, p.stored.StoredRawBytes, p.stored.StoredEncBytes = 0, 0, 0
+	p.stored = PoolStats{Root: p.root, Fanout: p.fanout}
 	for _, sh := range p.shardTab {
 		n, err := p.backend.Size(sh.obj())
 		if err != nil {
 			return fmt.Errorf("store: shard %s: %w", sh.obj(), err)
 		}
-		sh.packLen = n
+		sh.mu.Lock()
+		sh.packLen = max(sh.packLen, n)
 		bad := false
 		for h, loc := range sh.chunks {
 			if loc.Gen != sh.gen || !loc.valid(sh.packLen) {
@@ -273,7 +273,8 @@ func (p *ChunkPool) finishOpen() error {
 			p.stored.StoredRawBytes += int64(loc.RawLen)
 			p.stored.StoredEncBytes += int64(loc.EncLen)
 		}
-		if bad {
+		sh.mu.Unlock()
+		if bad && !slices.Contains(p.dropped, sh.obj()) {
 			p.dropped = append(p.dropped, sh.obj())
 		}
 	}
@@ -373,10 +374,9 @@ func (p *ChunkPool) filterFresh(hashes []ckptfmt.Hash) []int {
 // the ckptfmt.Shared scratch arena that goes back the moment the append
 // returns. Nothing section-sized stays reachable from the pool or its shards
 // after a put — a recording's store outlives its puts by the whole life of
-// the Recording. For shared pools it also appends the chunk records to the pool
-// INDEX and publishes the locations to the in-memory dedup index; private
-// pools defer publication to publish, after the run manifest commit.
-// Callers hold p.gcMu.RLock (via Store.putV2).
+// the Recording. It then appends the frames' chunk records to the INDEX and
+// publishes their locations to the in-memory dedup index. Callers hold
+// p.gcMu.RLock (via Store.putV2).
 func (p *ChunkPool) appendFrames(frames []ckptfmt.Frame) ([]chunkLoc, error) {
 	if len(frames) == 0 {
 		return nil, nil
@@ -433,26 +433,13 @@ func (p *ChunkPool) appendFrames(frames []ckptfmt.Frame) ([]chunkLoc, error) {
 			return nil, err
 		}
 	}
-	if p.shared {
-		// Durable record first, then in-memory publication: a chunk becomes
-		// dedup-visible to sibling runs only once its INDEX record can
-		// survive a crash.
-		if err := p.appendIndexRecords(frames, locs); err != nil {
-			return nil, err
-		}
-		p.publish(frames, locs)
+	// Durable record first, then in-memory publication: a chunk becomes
+	// dedup-visible to any put only once its INDEX record can survive a
+	// crash.
+	if err := p.appendIndexRecords(frames, locs); err != nil {
+		return nil, err
 	}
 	return locs, nil
-}
-
-// publish installs committed chunk locations into the dedup index (first
-// location wins) and accumulates the pool's storage accounting.
-func (p *ChunkPool) publish(frames []ckptfmt.Frame, locs []chunkLoc) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := range frames {
-		p.adopt(frames[i].Hash, locs[i])
-	}
 }
 
 // resolve fills each job's chunk location from the dedup index, locking
@@ -474,6 +461,68 @@ func (p *ChunkPool) resolve(jobs []chunkJob, byShard map[int][]int, key Key) err
 		sh.mu.Unlock()
 	}
 	return nil
+}
+
+// encodeChunkRecord encodes a chunk record's body: the one place a chunk
+// record is made (appendIndexRecords, persistIndex).
+func encodeChunkRecord(hash ckptfmt.Hash, loc chunkLoc) []byte {
+	w := codec.NewWriter()
+	w.RawBytes(hash[:])
+	w.Int(int(loc.Off))
+	w.Int(loc.EncLen)
+	w.Int(loc.RawLen)
+	w.Uvarint(uint64(loc.Style))
+	// The pack generation is a trailing optional field, omitted when 0.
+	if loc.Gen > 0 {
+		w.Uvarint(uint64(loc.Gen))
+	}
+	return w.Bytes()
+}
+
+// decodeChunkRecord decodes a chunk record's body (decodeManifestRecord
+// unframes it, from an INDEX or a legacy MANIFEST).
+func decodeChunkRecord(b []byte) (hash ckptfmt.Hash, loc chunkLoc, err error) {
+	r := codec.NewReader(b)
+	hb, err := r.RawBytes()
+	if err != nil {
+		return hash, loc, err
+	}
+	if len(hb) != 16 {
+		return hash, loc, fmt.Errorf("%w: chunk record hash length %d", codec.ErrCorrupt, len(hb))
+	}
+	copy(hash[:], hb)
+	off, err := r.Int()
+	if err != nil {
+		return hash, loc, err
+	}
+	if loc.EncLen, err = r.Int(); err != nil {
+		return hash, loc, err
+	}
+	if loc.RawLen, err = r.Int(); err != nil {
+		return hash, loc, err
+	}
+	style, err := r.Uvarint()
+	if err != nil {
+		return hash, loc, err
+	}
+	if style > 0xff {
+		return hash, loc, fmt.Errorf("%w: chunk record style %d", codec.ErrCorrupt, style)
+	}
+	loc.Off = int64(off)
+	loc.Style = byte(style)
+	if r.Remaining() == 0 {
+		return hash, loc, nil
+	}
+	// The pack generation, written only when it is not 0, ends the record.
+	gen, err := r.Uvarint()
+	if err == nil && (gen == 0 || r.Remaining() > 0) {
+		err = fmt.Errorf("%w: chunk record generation %d, then %d bytes", codec.ErrCorrupt, gen, r.Remaining())
+	}
+	if err != nil {
+		return hash, loc, err
+	}
+	loc.Gen = int(gen)
+	return hash, loc, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -591,17 +640,12 @@ func openSharedPool(root string, fanout int, readOnly bool) (*ChunkPool, error) 
 		return nil, fmt.Errorf("store: read pool marker: %w", merr)
 	}
 
-	p := &ChunkPool{root: key, ctlDir: key, shared: true, fanout: fanout, readOnly: readOnly}
-	p.initShards()
 	// One backend for the pool's whole lifetime: a read-only→writable
 	// upgrade must not swap the field under concurrent readers (restores
 	// read it without locks). The root exists — the marker was
 	// just read or written — so the plain DirBackend needs no MkdirAll.
-	p.backend = &DirBackend{roots: []string{key}}
-	if err := p.replayIndex(0); err != nil {
-		return nil, err
-	}
-	if err := p.finishOpen(); err != nil {
+	p := &ChunkPool{root: key, shared: true, fanout: fanout, readOnly: readOnly, backend: &DirBackend{roots: []string{key}}}
+	if err := p.open(nil); err != nil {
 		return nil, err
 	}
 	poolRegistry.m[key] = p
@@ -616,9 +660,9 @@ func openSharedPool(root string, fanout int, readOnly bool) (*ChunkPool, error) 
 // tail — blindly truncating to the old validated length would destroy the
 // other writer's commits) and resyncs every shard's pack length, without
 // which our next append would commit offsets short of the packs' real
-// ends. An adopted record that does not fit its pack is dropped as at open,
-// which refuses the writable open. The backend is shared as-is (see
-// openSharedPool). Caller holds the registry lock.
+// ends. An adopted record that does not fit its pack is dropped as at open
+// (finishOpen), which refuses the writable open. The backend is shared as-is
+// (see openSharedPool). Caller holds the registry lock.
 func (p *ChunkPool) upgradeWritable() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -626,28 +670,14 @@ func (p *ChunkPool) upgradeWritable() error {
 		return nil
 	}
 	p.readOnly = false
-	if err := p.replayIndex(p.indexLen); err != nil {
+	err := p.replayIndex(p.indexLen)
+	if err == nil {
+		err = p.finishOpen()
+	}
+	if err != nil {
 		p.readOnly = true
-		return err
 	}
-	for _, sh := range p.shardTab {
-		sh.mu.Lock()
-		if n, serr := p.backend.Size(sh.obj()); serr == nil && n > sh.packLen {
-			sh.packLen = n
-		}
-		bad := false
-		for h, loc := range sh.chunks {
-			if loc.Gen == sh.gen && !loc.valid(sh.packLen) {
-				delete(sh.chunks, h)
-				bad = true
-			}
-		}
-		if bad {
-			p.dropped = append(p.dropped, sh.obj())
-		}
-		sh.mu.Unlock()
-	}
-	return nil
+	return err
 }
 
 // resetPoolRegistry drops all registered pools (tests only: simulated
@@ -658,13 +688,11 @@ func resetPoolRegistry() {
 	poolRegistry.m = map[string]*ChunkPool{}
 }
 
-func (p *ChunkPool) indexPath() string { return filepath.Join(p.root, poolIndexFile) }
-
 // replayIndex adopts the pool's INDEX records from byte from on: all of them
 // at open, and on a read-only→writable upgrade those another writer appended
 // since. Torn tails are truncated (writable) or skipped (read-only).
 func (p *ChunkPool) replayIndex(from int64) error {
-	raw, err := os.ReadFile(p.indexPath())
+	raw, err := os.ReadFile(p.index.path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("store: read pool index: %w", err)
 	}
@@ -679,15 +707,16 @@ func (p *ChunkPool) replayIndex(from int64) error {
 	}
 	p.indexLen = int64(off)
 	if off < len(raw) && !p.readOnly {
-		if err := os.Truncate(p.indexPath(), int64(off)); err != nil {
+		if err := os.Truncate(p.index.path, int64(off)); err != nil {
 			return fmt.Errorf("store: truncate torn pool index: %w", err)
 		}
 	}
 	return nil
 }
 
-// appendIndexRecords durably appends chunk records for freshly stored
-// frames to the pool INDEX.
+// appendIndexRecords durably appends the chunk records of freshly stored
+// frames to the INDEX, in one append, and publishes their locations to the
+// dedup index (first location wins) and the pool's storage accounting.
 func (p *ChunkPool) appendIndexRecords(frames []ckptfmt.Frame, locs []chunkLoc) error {
 	var record []byte
 	for i := range frames {
@@ -695,26 +724,24 @@ func (p *ChunkPool) appendIndexRecords(frames []ckptfmt.Frame, locs []chunkLoc) 
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	f, err := os.OpenFile(p.indexPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: open pool index: %w", err)
-	}
-	defer f.Close()
-	if _, err := f.Write(record); err != nil {
-		return fmt.Errorf("store: append pool index: %w", err)
+	if err := p.index.append(record); err != nil {
+		return err
 	}
 	p.indexLen += int64(len(record))
+	for i := range frames {
+		p.adopt(frames[i].Hash, locs[i])
+	}
 	return nil
 }
 
 // persistIndex atomically rewrites the INDEX from the given records — the
-// commit point of shared-pool compaction.
+// commit point of compaction.
 func (p *ChunkPool) persistIndex(recs []poolChunkRec) error {
 	var buf []byte
 	for _, cr := range recs {
 		buf = append(buf, frameTagged(recChunk, encodeChunkRecord(cr.hash, cr.loc))...)
 	}
-	if err := writeFileAtomic(p.indexPath(), buf); err != nil {
+	if err := writeFileAtomic(p.index.path, buf); err != nil {
 		return fmt.Errorf("store: rewrite pool index: %w", err)
 	}
 	p.mu.Lock()
@@ -910,13 +937,13 @@ type GCResult struct {
 	DeletedPacks int
 }
 
-// poolChunkRec is one (hash, location) pair handed to a persist callback.
+// poolChunkRec is one chunk record: a hash and its location.
 type poolChunkRec struct {
 	hash ckptfmt.Hash
 	loc  chunkLoc
 }
 
-func (p *ChunkPool) packGCPath() string { return filepath.Join(p.ctlDir, packGCFile) }
+func (p *ChunkPool) packGCPath() string { return filepath.Join(p.root, packGCFile) }
 
 // readPackGC loads the retired-pack schedule: object name → deletion
 // deadline (unix nanoseconds).
@@ -952,14 +979,14 @@ func (p *ChunkPool) writePackGC(sched map[string]int64) error {
 	return nil
 }
 
-// gc is the chunk-reclaiming GC pass shared by private stores (Store.GCWith)
-// and shared pools (GCPool). mark builds the live set — every chunk hash
-// still referenced by a committed checkpoint. The caller holds p.gcMu for
-// the whole pass, so any checkpoint that deduplicated against an indexed
-// chunk is committed by the time mark looks. persist atomically commits the
-// post-compaction chunk records (the run MANIFEST for private pools, the
-// pool INDEX for shared ones); it runs only when some chunk is dead.
-func (p *ChunkPool) gc(mark func() (map[ckptfmt.Hash]bool, error), o GCOptions, persist func([]poolChunkRec) error) (GCResult, error) {
+// gc is the chunk-reclaiming GC pass, of a pool of one (Store.GCWith) and
+// of a shared pool (GCPool) alike. It marks every chunk hash a committed
+// checkpoint of one of the pool's runs references, reading their MANIFESTs
+// (markRun), compacts every shard holding a chunk or pack bytes nothing
+// live references, and commits by rewriting the INDEX. The caller holds
+// p.gcMu for the whole pass, so any checkpoint that deduplicated against an
+// indexed chunk is committed by the time the mark looks.
+func (p *ChunkPool) gc(o GCOptions) (GCResult, error) {
 	var res GCResult
 
 	// The pass runs outside any query, so it records itself as a background
@@ -977,10 +1004,17 @@ func (p *ChunkPool) gc(mark func() (map[ckptfmt.Hash]bool, error), o GCOptions, 
 	// Mark inside the fence: a put's filter→append→commit span holds the
 	// read side, so marking before the lock could miss a checkpoint that
 	// deduplicated against a chunk this pass is about to drop.
-	liveSet, err := mark()
+	runs, err := p.runs()
 	if err != nil {
 		return res, err
 	}
+	liveSet := map[ckptfmt.Hash]bool{}
+	for _, runDir := range runs {
+		if err := markRun(runDir, liveSet); err != nil {
+			return res, fmt.Errorf("store: gc: %s: %w", runDir, err)
+		}
+	}
+	obs.C(obs.MStoreGCMarkedChunks).Add(int64(len(liveSet)))
 	live := func(h ckptfmt.Hash) bool { return liveSet[h] }
 	phase("mark", map[string]int64{"live_chunks": int64(len(liveSet))})
 
@@ -1026,27 +1060,31 @@ func (p *ChunkPool) gc(mark func() (map[ckptfmt.Hash]bool, error), o GCOptions, 
 	}
 	phase("tombstone", map[string]int64{"deleted_packs": int64(res.DeletedPacks), "retired_packs": int64(res.RetiredPacks)})
 
-	// Phase 2: sweep each shard's index against the live set.
+	// Phase 2: sweep each shard's index against the live set. A shard is
+	// compacted when it indexes a dead chunk, or when its pack holds bytes
+	// no record locates: frames a put appended before a crash or a failed
+	// INDEX append cut it short, or the second copy of a chunk two
+	// concurrent puts both stored.
 	type plan struct {
 		sh        *poolShard
 		keep      []poolChunkRec // the survivors, in pack order
 		dead      int
-		deadBytes int64
+		deadBytes int64 // the pack bytes compaction drops
 	}
 	var plans []*plan
 	for _, sh := range p.shardTab {
 		sh.mu.Lock()
-		pl := &plan{sh: sh}
+		pl := &plan{sh: sh, deadBytes: sh.packLen}
 		for h, loc := range sh.chunks {
 			if live(h) {
 				pl.keep = append(pl.keep, poolChunkRec{h, loc})
+				pl.deadBytes -= int64(loc.EncLen)
 			} else {
 				pl.dead++
-				pl.deadBytes += int64(loc.EncLen)
 			}
 		}
 		sh.mu.Unlock()
-		if pl.dead > 0 {
+		if pl.deadBytes > 0 {
 			slices.SortFunc(pl.keep, func(a, b poolChunkRec) int { return cmp.Compare(a.loc.Off, b.loc.Off) })
 			plans = append(plans, pl)
 		}
@@ -1115,14 +1153,14 @@ func (p *ChunkPool) gc(mark func() (map[ckptfmt.Hash]bool, error), o GCOptions, 
 	}
 	phase("rewrite", map[string]int64{"rewritten_shards": int64(len(swaps))})
 
-	// Phase 4: commit — atomically rewrite the chunk records. Until this
-	// succeeds, disk and memory both still describe the old generations.
+	// Phase 4: commit — atomically rewrite the INDEX. Until this succeeds,
+	// disk and memory both still describe the old generations.
 	next := make(map[*poolShard]map[ckptfmt.Hash]chunkLoc, len(swaps))
 	for _, sw := range swaps {
 		next[sw.sh] = sw.newMap
 	}
 	recs := p.records(next)
-	if err := persist(recs); err != nil {
+	if err := p.persistIndex(recs); err != nil {
 		return res, err
 	}
 	phase("persist", map[string]int64{"records": int64(len(recs))})
@@ -1158,7 +1196,7 @@ func (p *ChunkPool) gc(mark func() (map[ckptfmt.Hash]bool, error), o GCOptions, 
 
 // records lists the pool's chunk records, a shard's from next where it has
 // an entry there (a compaction's new generation) and from the live index
-// otherwise, in a deterministic order that keeps rewritten manifests
+// otherwise, in a deterministic order that keeps a rewritten INDEX
 // reproducible.
 func (p *ChunkPool) records(next map[*poolShard]map[ckptfmt.Hash]chunkLoc) []poolChunkRec {
 	var recs []poolChunkRec
@@ -1180,11 +1218,11 @@ func (p *ChunkPool) records(next map[*poolShard]map[ckptfmt.Hash]chunkLoc) []poo
 }
 
 // GCPool runs a refcounted GC pass over a shared pool: every chunk
-// referenced by a committed checkpoint of any leased run is live; everything else is
-// compacted away, with replaced pack generations retained for the grace
-// period (see GCOptions.PackRetention). Leases whose run directory no
-// longer exists are released — deleting a run's directory and lease (see
-// DeleteRun) is how its chunks' refcounts drop.
+// referenced by a committed checkpoint of any leased run is live; everything
+// else is compacted away, with replaced pack generations retained for the
+// grace period (see GCOptions.PackRetention). Leases whose run directory no
+// longer exists are released (runs) — deleting a run's directory and lease
+// (see DeleteRun) is how its chunks' refcounts drop.
 func GCPool(root string, o GCOptions) (GCResult, error) {
 	// GC must never mint a pool: a writable open of a nonexistent root
 	// would create an empty pool tree, turning a typo'd path into a silent
@@ -1202,32 +1240,36 @@ func GCPool(root string, o GCOptions) (GCResult, error) {
 	}
 	p.gcMu.Lock()
 	defer p.gcMu.Unlock()
-	mark := func() (map[ckptfmt.Hash]bool, error) {
-		live := map[ckptfmt.Hash]bool{}
-		leases, err := p.leases()
-		if err != nil {
-			return nil, err
-		}
-		for _, runDir := range leases {
-			if _, serr := os.Stat(runDir); errors.Is(serr, os.ErrNotExist) {
-				// The run is gone; its lease no longer pins any chunks.
-				if err := p.removeLease(runDir); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			if err := markRun(runDir, live); err != nil {
-				return nil, fmt.Errorf("store: pool gc: %s: %w", runDir, err)
-			}
-		}
-		obs.C(obs.MStoreGCMarkedChunks).Add(int64(len(live)))
-		return live, nil
-	}
-	res, err := p.gc(mark, o, p.persistIndex)
+	res, err := p.gc(o)
 	if err == nil {
 		recordGCMetrics(res)
 	}
 	return res, err
+}
+
+// runs returns the run directories whose committed checkpoints keep the
+// pool's chunks live: a pool of one's own directory, or every leased run of
+// a shared pool. A lease whose run directory is gone no longer pins
+// anything, and is released.
+func (p *ChunkPool) runs() ([]string, error) {
+	if !p.shared {
+		return []string{p.root}, nil
+	}
+	leases, err := p.leases()
+	if err != nil {
+		return nil, err
+	}
+	runs := leases[:0]
+	for _, runDir := range leases {
+		if _, serr := os.Stat(runDir); errors.Is(serr, os.ErrNotExist) {
+			if err := p.removeLease(runDir); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		runs = append(runs, runDir)
+	}
+	return runs, nil
 }
 
 // markRun adds every chunk a run's committed checkpoints reference to live.
@@ -1257,18 +1299,13 @@ func markRun(runDir string, live map[ckptfmt.Hash]bool) error {
 		if rec.e.dirErr != nil {
 			return fmt.Errorf("gc mark: %w", rec.e.dirErr)
 		}
-		markDirectory(rec.e.dir, live)
-	}
-	return nil
-}
-
-// markDirectory adds every chunk a directory references to live.
-func markDirectory(d *ckptfmt.Directory, live map[ckptfmt.Hash]bool) {
-	for _, sec := range d.Sections {
-		for _, ref := range sec.Chunks {
-			live[ref.Hash] = true
+		for _, sec := range rec.e.dir.Sections {
+			for _, ref := range sec.Chunks {
+				live[ref.Hash] = true
+			}
 		}
 	}
+	return nil
 }
 
 // PoolStatsAt reports a shared pool's storage accounting if the pool is

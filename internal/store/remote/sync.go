@@ -13,8 +13,8 @@ import (
 // Remote layout of one run under its key prefix (see docs/FORMATS.md):
 //
 //	<prefix>/ctl/<file>    the run's control plane: FORMAT, MANIFEST (which
-//	                       carries every checkpoint's directory), PROGRAM,
-//	                       record.log, timings.log — every run-directory
+//	                       carries every checkpoint's directory), INDEX,
+//	                       PROGRAM, record.log, timings.log — every run-directory
 //	                       file that is not pack bytes, so a run recorded
 //	                       by an older build ships its segment files too
 //	<prefix>/packs/<obj>   pack objects by backend name (CHUNKS, CHUNKS-xx,

@@ -1,47 +1,51 @@
 // Package store implements the on-disk checkpoint store backing Flor record
-// and replay: a manifest that commits each checkpoint in one record, and a
+// and replay: a manifest that commits each checkpoint in one record, over a
 // run-agnostic ChunkPool layer (pool.go) owning the content-addressed chunk
-// packs (split by hash prefix into shards), the dedup index, and refcounted
-// GC/compaction of superseded chunks. A run's private pack is a
-// single-tenant pool; a shared pool at a project-level root is attached by
-// many runs, which then deduplicate chunks against each other (fine-tuning
-// families re-checkpointing one frozen backbone store it once).
-// docs/FORMATS.md specifies every byte.
+// packs (split by hash prefix into shards), the INDEX of chunk records, the
+// dedup index, and refcounted GC/compaction of superseded chunks. A private
+// store is a pool of one rooted at the run directory; a shared pool at a
+// project-level root is attached by many runs, which then deduplicate chunks
+// against each other (fine-tuning families re-checkpointing one frozen
+// backbone store it once). docs/FORMATS.md specifies every byte.
 //
 // # Run directory
 //
 //	<dir>/FORMAT      format marker; absent in legacy v1 runs
 //	<dir>/MANIFEST    append-only, CRC-framed records: 'M' commits a
 //	                  checkpoint and carries its directory (package
-//	                  ckptfmt: its sections and their chunk hashes); 'C'
-//	                  locates a chunk in a private pack (a pooled run's
-//	                  live in its pool's INDEX); 'P', first in a pooled
-//	                  run, names the pool
+//	                  ckptfmt: its sections and their chunk hashes); 'P',
+//	                  first in a pooled run, names the pool
+//	<dir>/INDEX       a private store's chunk records (pool.go; a pooled
+//	                  run's are in its pool's INDEX)
 //	<dir>/CHUNKS      a private pack of raw chunk frames (CHUNKS.g<n>
 //	                  after GC compaction rewrote it)
 //	<dir>/PACKGC      retired pack generations awaiting expiry
 //
-// A put writes its pack bytes first, then its chunk records and its meta
-// record in one manifest append, so a crash at any point leaves a
-// prefix-consistent run: open replays the manifest, checking each record's
-// CRC, and a torn tail (a flipped byte too) ends it — write-ahead-log
-// discipline for a redo-only workload (paper §7). Nothing derived is
-// persisted: a run leaves the machine as these files (remote.UploadRun).
+// Every put, private or pooled, commits in one order: its pack bytes, then
+// its chunk records in one INDEX append, then its meta record in one
+// MANIFEST append. A crash at any point leaves a prefix-consistent run: open
+// replays both logs, checking each record's CRC, and a torn tail (a flipped
+// byte too) ends a log — write-ahead-log discipline for a redo-only workload
+// (paper §7); what a cut put left behind is garbage the next GC reclaims.
+// Nothing derived is persisted: a run leaves the machine as these files
+// (remote.UploadRun).
 //
 // # Layouts
 //
 // Two layouts are written, and neither is a choice: format v2 over a private
-// pack at fanout 1 (marker "2 dirs") or, with Options.Pool, a run of a
+// pack at fanout 1 (marker "2 dirs index") or, with Options.Pool, a run of a
 // shared pool at DefaultShardFanout (marker "2 pool shards=16 dirs", pool
 // marker "pool1 shards=16"). A writable open writes the marker once, into a
 // fresh directory (writeMarker); puts and GC never touch it. Its "dirs"
 // token makes every build that cannot read a directory-carrying meta record
-// refuse the store.
+// refuse the store, and "index" every build that looks for a private
+// store's chunk records in its MANIFEST.
 //
 // Every other layout an older build left is read-only: format v1 (a bundle
-// per checkpoint in a segment file), a private store sharded at N
-// ("2 shards=N") or spread over extra pack roots, a pool at another fanout,
-// the "gc" and "lz4" marker tokens, and a manifest that still holds
+// per checkpoint in a segment file), a private store whose chunk records are
+// in its MANIFEST (legacy.go adopts them) — unsharded ("2 dirs") or sharded
+// at N ("2 shards=N") or spread over extra pack roots — a pool at another
+// fanout, the "gc" and "lz4" marker tokens, and a manifest that still holds
 // segment-file checkpoints (legacy.go reads those). It opens, replays and
 // serves through the same read code, and a writable open of it — Open,
 // OpenWith, GC, GCPool, and so record — fails with ErrLegacyLayout without
@@ -97,9 +101,12 @@ const (
 	maxShardFanout = 256
 )
 
-// Manifest record tags (legacy v1 manifests hold untagged meta records).
+// Record tags of a MANIFEST and an INDEX (legacy v1 manifests hold untagged
+// meta records).
 const (
-	recMeta  = 'M'
+	recMeta = 'M'
+	// recChunk locates a chunk in its pack: INDEX records (and a legacy
+	// private store's MANIFEST records, legacy.go).
 	recChunk = 'C'
 	// recPool is the pool-reference record: the first record of a pooled
 	// run's manifest, naming the shared chunk pool the run's chunks live in.
@@ -217,18 +224,17 @@ func (d DedupStats) Ratio() float64 {
 // PutSections callers) write while the training thread queries stats, and
 // replay workers read in parallel.
 //
-// Chunk bytes live in the store's ChunkPool. A plain v2 store runs on a
-// private single-tenant pool over the run's own backend (chunk records in
-// the run MANIFEST — byte-identical to pre-pool layouts); a pooled store
-// attaches to a shared pool named by its manifest's pool-reference record,
-// where sibling runs of the same project dedup against each other.
+// Chunk bytes live in the store's ChunkPool. A plain v2 store runs on a pool
+// of one over the run's own backend, rooted at the run directory; a pooled
+// store attaches to a shared pool named by its manifest's pool-reference
+// record, where sibling runs of the same project dedup against each other.
 type Store struct {
 	dir      string
 	format   int
 	fanout   int  // 0 for v1; 1 for unsharded v2; >1 for sharded/pooled v2
 	recorded bool // a manifest existed at open (detectDir's Layout.Recorded)
-	backend  Backend
 	readOnly bool
+	manifest recordLog // appends hold mu
 
 	// pool is the chunk layer (an empty one for v1 stores). pooled marks a
 	// shared, multi-run pool; poolRoot is its resolved root and poolRef the
@@ -364,7 +370,9 @@ func OpenWith(dir string, o Options) (*Store, error) {
 		}
 	}
 	s := &Store{dir: dir, readOnly: o.ReadOnly, index: map[Key]*entry{}}
-	if err := s.resolveLayout(o); err != nil {
+	s.manifest = recordLog{path: filepath.Join(dir, manifestFile)}
+	m, err := s.resolveLayout(o)
+	if err != nil {
 		return nil, err
 	}
 	recs, good, torn, err := s.readManifest()
@@ -375,40 +383,20 @@ func OpenWith(dir string, o Options) (*Store, error) {
 		return nil, legacyLayout(dir, "a store whose manifest holds segment-file checkpoints")
 	}
 	if s.pooled {
-		if o.Backend != nil || len(o.ShardDirs) > 0 {
-			return nil, fmt.Errorf("store: pooled stores place all packs in the pool (Backend/ShardDirs not applicable)")
-		}
-		if err := s.attachPool(o); err != nil {
-			return nil, err
-		}
+		err = s.attachPool(o)
 	} else {
-		if o.PinPool && o.Pool != "" {
-			return nil, fmt.Errorf("store: %s is not attached to a pool (pinned to %s)", s.dir, o.Pool)
-		}
-		if err := s.initBackend(o); err != nil {
-			return nil, err
-		}
-		s.pool = newPrivatePool(s.backend, s.fanout, s.readOnly)
-		s.pool.ctlDir = s.dir
+		err = s.openPrivatePool(o, m, recs)
+	}
+	if err != nil {
+		return nil, err
 	}
 	for _, rec := range recs {
 		s.applyRecord(rec)
 	}
-	if s.format == FormatV2 && !s.pooled {
-		// The private pool adopted the manifest's chunk records; resolve
-		// pack generations and lengths and drop unreadable records.
-		if err := s.pool.finishOpen(); err != nil {
-			return nil, err
-		}
-	}
 	if s.format == FormatV2 {
 		s.pool.dropMismatched(s.liveDirs())
 	}
-	if !s.pooled {
-		// The run's stored-chunk accounting is its private pool's surviving
-		// index.
-		s.adoptPoolStats()
-	}
+	s.adoptPoolStats()
 	if s.readOnly {
 		return s, nil
 	}
@@ -422,7 +410,7 @@ func OpenWith(dir string, o Options) (*Store, error) {
 		return nil, fmt.Errorf("store: open: %w", err)
 	}
 	if torn {
-		if err := os.Truncate(s.manifestPath(), good); err != nil {
+		if err := os.Truncate(s.manifest.path, good); err != nil {
 			return nil, fmt.Errorf("store: truncate torn manifest: %w", err)
 		}
 	}
@@ -523,17 +511,19 @@ type markerInfo struct {
 	format int
 	fanout int
 	pooled bool
+	index  bool   // a private store's chunk records are in its INDEX
 	text   string // the marker's tokens, single-spaced
 }
 
 // parseFormatMarker decodes a FORMAT file. The grammar is
-// "2[ pool][ shards=N][ gc][ lz4][ dirs]" in that order: "2" (unsharded v2),
-// "2 shards=N" (hash-prefix sharded at N, a power of two in [2, 256]),
-// "2 pool shards=N" (chunks live in a shared pool at fanout N ≥ 1), with a
-// trailing "gc" on stores whose chunk records name compacted pack
-// generations, "lz4" on stores holding LZ4-style frames, and "dirs" on
-// stores whose meta records carry their directories — flags older builds
-// cannot honor, so they refuse.
+// "2[ pool][ shards=N][ gc][ lz4][ dirs][ index]" in that order: "2"
+// (unsharded v2), "2 shards=N" (hash-prefix sharded at N, a power of two in
+// [2, 256]), "2 pool shards=N" (chunks live in a shared pool at fanout
+// N ≥ 1), with a trailing "gc" on stores whose chunk records name compacted
+// pack generations, "lz4" on stores holding LZ4-style frames, "dirs" on
+// stores whose meta records carry their directories, and "index" on private
+// stores whose chunk records are in the run's INDEX, not its MANIFEST —
+// flags older builds cannot honor, so they refuse.
 func parseFormatMarker(raw []byte) (markerInfo, error) {
 	marker := strings.TrimSpace(string(raw))
 	fields := strings.Fields(marker)
@@ -559,9 +549,10 @@ func parseFormatMarker(raw []byte) (markerInfo, error) {
 	} else if m.pooled {
 		return bad() // pooled markers always carry the fanout
 	}
-	for _, flag := range []string{"gc", "lz4", "dirs"} {
+	for _, flag := range []string{"gc", "lz4", "dirs", "index"} {
 		if len(rest) > 0 && rest[0] == flag {
 			rest = rest[1:]
+			m.index = flag == "index"
 		}
 	}
 	if len(rest) > 0 {
@@ -581,7 +572,7 @@ func parseShards(tok string) (int, bool) {
 // The two FORMAT markers this build writes: a private pack, and a run in a
 // shared pool at DefaultShardFanout.
 const (
-	markerPrivate = "2 dirs\n"
+	markerPrivate = "2 dirs index\n"
 	markerPooled  = "2 pool shards=16 dirs\n"
 )
 
@@ -593,23 +584,23 @@ func (m markerInfo) canonical() bool {
 
 // resolveLayout resolves the store's format, shard fanout, and pool
 // attachment from the FORMAT marker, the options, and (for unmarked
-// directories) the presence of a manifest. A fresh directory takes fanout 1,
-// or a pool's. A writable open of any layout but the two this build writes
-// stops here, before anything is written.
-func (s *Store) resolveLayout(o Options) error {
+// directories) the presence of a manifest, and returns the parsed marker. A
+// fresh directory takes fanout 1, or a pool's. A writable open of any layout
+// but the two this build writes stops here, before anything is written.
+func (s *Store) resolveLayout(o Options) (markerInfo, error) {
 	l, m, err := detectDir(s.dir)
 	if err != nil {
-		return err
+		return m, err
 	}
 	s.format = l.Format
 	s.recorded = l.Recorded
 	if !s.readOnly {
 		switch {
 		case l.Format == FormatV1:
-			return legacyLayout(s.dir, "a format-v1 run")
+			return m, legacyLayout(s.dir, "a format-v1 run")
 		case m.format != 0 && !m.canonical():
 			raw, _ := os.ReadFile(s.formatPath())
-			return legacyLayout(s.dir, fmt.Sprintf("a store marked %q", strings.TrimSpace(string(raw))))
+			return m, legacyLayout(s.dir, fmt.Sprintf("a store marked %q", strings.TrimSpace(string(raw))))
 		}
 	}
 	s.fanout, s.pooled = l.ShardFanout, l.Pooled
@@ -618,16 +609,16 @@ func (s *Store) resolveLayout(o Options) error {
 	// committed chunk record.
 	if o.Pool != "" {
 		if l.Recorded && !s.pooled {
-			return fmt.Errorf("store: cannot attach recorded run %s to pool %s (recorded with a private pack)", s.dir, o.Pool)
+			return m, fmt.Errorf("store: cannot attach recorded run %s to pool %s (recorded with a private pack)", s.dir, o.Pool)
 		}
 		s.pooled = true
 	}
-	return nil
+	return m, nil
 }
 
 // writeMarker settles the FORMAT marker of a writable store, once, at open:
 // markerPrivate or markerPooled. Puts and GC never touch it, so a
-// checkpoint's commit is its pack append and its manifest append. It writes
+// checkpoint's commit is its pack, INDEX and manifest appends. It writes
 // only when the marker is absent or different, and via write-then-rename:
 // rewriting it in place on every open would leave a crash window in which a
 // torn marker bricks an otherwise intact run behind the UnknownFormatError
@@ -645,24 +636,32 @@ func (s *Store) writeMarker() error {
 	return nil
 }
 
-// initBackend selects the pack backend: an explicit one from the options,
-// or a local-directory backend over the run directory plus the extra roots
-// an older build may have spread it over (packRoots), which only a
-// read-only open accepts.
-func (s *Store) initBackend(o Options) error {
-	if o.Backend != nil {
-		s.backend = o.Backend
-		return nil
+// openPrivatePool opens the run's pool of one, rooted at the run directory.
+// Its packs are behind an explicit backend from the options, or a
+// local-directory backend over the run directory plus the extra roots an
+// older build may have spread it over (packRoots), which only a read-only
+// open accepts. Its chunk records are in the run's INDEX — or, in a store
+// marked without "index" (read-only), in its MANIFEST records recs.
+func (s *Store) openPrivatePool(o Options, m markerInfo, recs []manifestRecord) error {
+	if o.PinPool && o.Pool != "" {
+		return fmt.Errorf("store: %s is not attached to a pool (pinned to %s)", s.dir, o.Pool)
 	}
-	roots, err := packRoots(s.dir, o)
-	if err != nil {
-		return err
+	backend := o.Backend
+	if backend == nil {
+		roots, err := packRoots(s.dir, o)
+		if err != nil {
+			return err
+		}
+		if !s.readOnly && len(roots) > 1 {
+			return legacyLayout(s.dir, "a store spread over extra pack roots")
+		}
+		backend = &DirBackend{roots: roots}
 	}
-	if !s.readOnly && len(roots) > 1 {
-		return legacyLayout(s.dir, "a store spread over extra pack roots")
+	if m.index {
+		recs = nil
 	}
-	s.backend = &DirBackend{roots: roots}
-	return nil
+	s.pool = &ChunkPool{root: s.dir, fanout: s.fanout, backend: backend, readOnly: s.readOnly}
+	return s.pool.open(recs)
 }
 
 // resolveRunPath resolves a path a run directory records — its pool
@@ -679,6 +678,9 @@ func resolveRunPath(dir, entry string) string {
 // pool-reference record names it for reopens; fresh directories take it
 // from Options.Pool.
 func (s *Store) attachPool(o Options) error {
+	if o.Backend != nil || len(o.ShardDirs) > 0 {
+		return fmt.Errorf("store: pooled stores place all packs in the pool (Backend/ShardDirs not applicable)")
+	}
 	recordedRef := ""
 	if s.recorded {
 		ref, _, err := peekPoolRef(s.dir)
@@ -750,7 +752,7 @@ func (s *Store) commitPoolAttachment() error {
 			}
 		}
 		s.mu.Lock()
-		err := s.appendManifestLocked(frameTagged(recPool, encodePoolRef(ref, s.fanout)))
+		err := s.manifest.append(frameTagged(recPool, encodePoolRef(ref, s.fanout)))
 		if err == nil {
 			s.sawPRec = true
 			s.poolRef = ref
@@ -844,14 +846,13 @@ func (s *Store) PoolStats() (PoolStats, bool) {
 	return s.pool.Stats(), true
 }
 
-func (s *Store) formatPath() string   { return filepath.Join(s.dir, formatFile) }
-func (s *Store) manifestPath() string { return filepath.Join(s.dir, manifestFile) }
+func (s *Store) formatPath() string { return filepath.Join(s.dir, formatFile) }
 
 // readManifest decodes the manifest's records up to the first that does not
 // decode: a torn tail, which starts at byte good and exists when torn is
 // set. A writable open truncates it once it has refused nothing.
 func (s *Store) readManifest() (recs []manifestRecord, good int64, torn bool, err error) {
-	raw, err := os.ReadFile(s.manifestPath())
+	raw, err := os.ReadFile(s.manifest.path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, 0, false, nil
 	}
@@ -876,18 +877,11 @@ func segmentBacked(rec manifestRecord) bool {
 	return rec.tag == recMeta && rec.e.dir == nil && rec.e.dirErr == nil
 }
 
-// applyRecord replays one decoded manifest record into the in-memory state.
-// It runs single-threaded at open, before the store is shared.
+// applyRecord replays one decoded manifest record into the in-memory state;
+// chunk records are the pool's (ChunkPool.open). It runs single-threaded at
+// open, before the store is shared.
 func (s *Store) applyRecord(rec manifestRecord) {
 	switch rec.tag {
-	case recChunk:
-		// Pooled manifests carry no chunk records (they live in the pool
-		// INDEX); tolerate and ignore rather than truncate. Validation
-		// against the pack's real length happens after the full replay
-		// (ChunkPool.finishOpen), once the active generation is known.
-		if !s.pooled {
-			s.pool.adopt(rec.hash, rec.loc)
-		}
 	case recPool:
 		// The reference was already resolved by attachPool's peek; replay
 		// just confirms its presence (and sanity) so reopen skips re-adding.
@@ -1038,23 +1032,6 @@ func decodeMeta(b []byte, v1 bool) (*entry, error) {
 	return e, nil
 }
 
-func encodeChunkRecord(hash ckptfmt.Hash, loc chunkLoc) []byte {
-	w := codec.NewWriter()
-	w.RawBytes(hash[:])
-	w.Int(int(loc.Off))
-	w.Int(loc.EncLen)
-	w.Int(loc.RawLen)
-	w.Uvarint(uint64(loc.Style))
-	// The pack generation is a trailing optional field: generation 0 is
-	// omitted, keeping never-compacted manifests byte-identical to the
-	// pre-pool encoding. Builds that predate generations refuse the store
-	// on its "dirs" marker token instead of reading the wrong pack.
-	if loc.Gen > 0 {
-		w.Uvarint(uint64(loc.Gen))
-	}
-	return w.Bytes()
-}
-
 // encodePoolRef encodes a pool-reference record: the pool root (relative
 // references resolve against the run directory) and the pool's fanout.
 func encodePoolRef(ref string, fanout int) []byte {
@@ -1078,50 +1055,6 @@ func decodePoolRef(b []byte) (ref string, fanout int, err error) {
 	return ref, fanout, nil
 }
 
-func decodeChunkRecord(b []byte) (hash ckptfmt.Hash, loc chunkLoc, err error) {
-	r := codec.NewReader(b)
-	hb, err := r.RawBytes()
-	if err != nil {
-		return hash, loc, err
-	}
-	if len(hb) != 16 {
-		return hash, loc, fmt.Errorf("%w: chunk record hash length %d", codec.ErrCorrupt, len(hb))
-	}
-	copy(hash[:], hb)
-	off, err := r.Int()
-	if err != nil {
-		return hash, loc, err
-	}
-	if loc.EncLen, err = r.Int(); err != nil {
-		return hash, loc, err
-	}
-	if loc.RawLen, err = r.Int(); err != nil {
-		return hash, loc, err
-	}
-	style, err := r.Uvarint()
-	if err != nil {
-		return hash, loc, err
-	}
-	if style > 0xff {
-		return hash, loc, fmt.Errorf("%w: chunk record style %d", codec.ErrCorrupt, style)
-	}
-	loc.Off = int64(off)
-	loc.Style = byte(style)
-	if r.Remaining() == 0 {
-		return hash, loc, nil
-	}
-	// The pack generation, written only when it is not 0, ends the record.
-	gen, err := r.Uvarint()
-	if err == nil && (gen == 0 || r.Remaining() > 0) {
-		err = fmt.Errorf("%w: chunk record generation %d, then %d bytes", codec.ErrCorrupt, gen, r.Remaining())
-	}
-	if err != nil {
-		return hash, loc, err
-	}
-	loc.Gen = int(gen)
-	return hash, loc, nil
-}
-
 // frameTagged wraps a record body with its type tag and CRC frame — the one
 // encoding shared by v2 manifest records and pool INDEX records.
 func frameTagged(tag byte, body []byte) []byte {
@@ -1133,8 +1066,9 @@ func frameTagged(tag byte, body []byte) []byte {
 
 // PutSections durably stores a checkpoint as named sections. Sections are
 // chunked, frames for previously unseen chunks are encoded in parallel and
-// appended to their hash shards' packs (concurrently across shards), and one
-// manifest append commits the checkpoint. PutSections is safe to call from several
+// appended to their hash shards' packs (concurrently across shards), their
+// chunk records to the pool's INDEX, and one manifest append commits the
+// checkpoint. PutSections is safe to call from several
 // goroutines at once: shards serialize their own appends and the manifest
 // commit is atomic per checkpoint. The sections' Data is only read, and only
 // until PutSections returns — nothing of it stays referenced from the store,
@@ -1270,9 +1204,11 @@ func (s *Store) putV2(key Key, secs []Section, known []KnownChunks, snapNs, serN
 		frames[i] = ckptfmt.BuildHashed(flat[j], hashes[j])
 	}
 
-	// Fan the fresh frames out across their hash shards (concurrently); for
-	// shared pools this also durably appends the chunk records to the pool
-	// INDEX and publishes them to sibling runs.
+	// Commit in the one order: the fresh frames fan out across their hash
+	// shards' packs (concurrently), their chunk records go to the pool's
+	// INDEX in one append, which publishes them to the dedup index, and only
+	// then does the meta record carrying the directory go to the manifest —
+	// neither log ever references bytes that aren't on disk.
 	a0 := time.Now()
 	locs, err := p.appendFrames(frames)
 	if err != nil {
@@ -1281,24 +1217,14 @@ func (s *Store) putV2(key Key, secs []Section, known []KnownChunks, snapNs, serN
 	obs.H(obs.MStoreShardAppendSeconds).ObserveNs(time.Since(a0).Nanoseconds())
 	obs.C(obs.MStoreChunksWritten).Add(int64(len(frames)))
 
-	// Commit under the store lock, in one manifest append: chunk records
-	// (private pools only — a shared pool's records live in its INDEX), then
-	// the meta record carrying the directory — the manifest never references
-	// bytes that aren't on disk. Private-pool chunk locations publish to the
-	// shard indexes only now, so concurrent puts never dedup against a chunk
-	// whose manifest record could still be lost to a crash.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var record []byte
 	var stored int64
 	for i := range frames {
 		stored += int64(locs[i].EncLen)
 		s.dedup.ChunksStored++
 		s.dedup.StoredRawBytes += int64(locs[i].RawLen)
 		s.dedup.StoredEncBytes += int64(locs[i].EncLen)
-		if !p.shared {
-			record = append(record, frameTagged(recChunk, encodeChunkRecord(frames[i].Hash, locs[i]))...)
-		}
 	}
 	s.dedup.ChunkRefs += int64(len(flat))
 	obs.C(obs.MStoreChunkBytesWritten).Add(stored)
@@ -1308,14 +1234,10 @@ func (s *Store) putV2(key Key, secs []Section, known []KnownChunks, snapNs, serN
 		MaterNs: snapNs + serNs + writeNs, SnapNs: snapNs, ComputNs: computNs,
 		Format: FormatV2, StoredBytes: stored,
 	}, dir: &dir}
-	record = append(record, frameTagged(recMeta, encodeMeta(e))...)
-	if err := s.appendManifestLocked(record); err != nil {
+	if err := s.manifest.append(frameTagged(recMeta, encodeMeta(e))); err != nil {
 		return nil, err
 	}
 	s.nextSeq++
-	if !p.shared {
-		p.publish(frames, locs)
-	}
 	s.commitLocked(e)
 	m := e.Meta
 	return &m, nil
@@ -1335,17 +1257,43 @@ func writeFileAtomic(path string, data []byte) error {
 	return err
 }
 
-func (s *Store) appendManifestLocked(record []byte) error {
-	f, err := os.OpenFile(s.manifestPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: open manifest: %w", err)
+// recordLog is an append-only log of CRC-framed records: a run's MANIFEST or
+// a pool's INDEX. An append lands whole or not at all. A write that fails
+// part-way is cut back to the log's length before it, since a torn record
+// would end the log at replay and take every later commit with it; if even
+// the cut fails, the log is latched broken, as poolShard.broken latches a
+// shard, and refuses every later append. Callers serialize appends.
+type recordLog struct {
+	path   string
+	broken error
+}
+
+// writeLog writes a record into an open log file. Tests substitute one that
+// fails part-way through.
+var writeLog = (*os.File).Write
+
+// append appends rec to the log.
+func (l *recordLog) append(rec []byte) error {
+	name := filepath.Base(l.path)
+	if l.broken != nil {
+		return fmt.Errorf("store: %s unusable after a failed append: %w", name, l.broken)
 	}
-	if _, err := f.Write(record); err != nil {
-		f.Close()
-		return fmt.Errorf("store: append manifest: %w", err)
+	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: open %s: %w", name, err)
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err == nil {
+		if _, err = writeLog(f, rec); err != nil && f.Truncate(st.Size()) != nil {
+			l.broken = err
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("store: append %s: %w", name, err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: close manifest: %w", err)
+		return fmt.Errorf("store: close %s: %w", name, err)
 	}
 	return nil
 }
@@ -1604,18 +1552,18 @@ func (s *Store) TotalSize() int64 {
 
 // GC reclaims space from superseded materializations: the manifest is
 // rewritten from the live index, without the meta records of checkpoints no
-// longer the latest for their key, and — private-pack stores — chunks
-// referenced only by those superseded checkpoints are compacted out of the
-// packs (GCWith for the knobs and full accounting). It returns the number of
+// longer the latest for their key, and — private stores — chunks referenced
+// only by those superseded checkpoints are compacted out of the packs
+// (GCWith for the knobs and full accounting). It returns the number of
 // superseded checkpoints dropped.
 //
 // Compaction is safe under concurrent readers: packs are never rewritten in
-// place. Survivors move to a new pack generation, the manifest's chunk
-// records are atomically rewritten to the new locations, and the replaced
-// generation stays on disk as a grace-period tombstone (GCOptions.
-// PackRetention) so a reader that resolved locations before the swap —
-// including a concurrent OpenReadOnly store — keeps reading valid bytes. A
-// later GC pass deletes expired generations.
+// place. Survivors move to a new pack generation, the INDEX is atomically
+// rewritten with the new locations, and the replaced generation stays on
+// disk as a grace-period tombstone (GCOptions.PackRetention) so a reader
+// that resolved locations before the swap — including a concurrent
+// OpenReadOnly store — keeps reading valid bytes. A later GC pass deletes
+// expired generations.
 //
 // Pooled runs only rewrite their manifest here; their chunks are shared
 // with sibling runs and are reclaimed by GCPool, which consults every lease.
@@ -1624,61 +1572,48 @@ func (s *Store) GC() (int, error) {
 	return res.Superseded, err
 }
 
-// GCWith is GC with explicit options and full reclamation accounting.
+// GCWith is GC with explicit options and full reclamation accounting. It
+// rewrites the manifest, then collects a private store's pool of one exactly
+// as GCPool collects a shared pool: the mark reads the rewritten manifest.
 func (s *Store) GCWith(o GCOptions) (GCResult, error) {
-	var res GCResult
 	if s.readOnly {
-		return res, ErrReadOnly
+		return GCResult{}, ErrReadOnly
 	}
 	// The whole pass runs inside the pool's GC fence: puts hold its read
 	// side from fresh-chunk filtering to their manifest commit, so the index
-	// the mark reads and the manifest rewrite drops records from is every
-	// committed checkpoint, never one mid-flight.
+	// the manifest rewrite drops records from, and the manifest the mark
+	// reads, hold every committed checkpoint, never one mid-flight.
 	p := s.pool
 	p.gcMu.Lock()
 	defer p.gcMu.Unlock()
 	live, err := s.liveEntries()
 	if err != nil {
-		return res, err
+		return GCResult{}, err
 	}
-	if s.pooled {
-		res.Superseded, err = s.rewriteManifest(live, nil)
-		return res, err
+	superseded, err := s.rewriteManifest(live)
+	if err != nil || s.pooled {
+		return GCResult{Superseded: superseded}, err
 	}
-	mark := func() (map[ckptfmt.Hash]bool, error) {
-		marked := map[ckptfmt.Hash]bool{}
-		for _, e := range live {
-			markDirectory(e.dir, marked)
-		}
-		obs.C(obs.MStoreGCMarkedChunks).Add(int64(len(marked)))
-		return marked, nil
-	}
-	compacted, superseded := false, 0
-	persist := func(recs []poolChunkRec) (err error) {
-		compacted = true
-		superseded, err = s.rewriteManifest(live, recs)
-		return err
-	}
-	res, err = p.gc(mark, o, persist)
-	if err == nil && !compacted {
-		err = persist(p.records(nil))
-	}
+	res, err := p.gc(o)
 	res.Superseded = superseded
 	if err != nil {
 		return res, err
 	}
-	if res.DeadChunks > 0 {
-		s.mu.Lock()
-		s.adoptPoolStats()
-		s.mu.Unlock()
-	}
+	s.mu.Lock()
+	s.adoptPoolStats()
+	s.mu.Unlock()
 	recordGCMetrics(res)
 	return res, nil
 }
 
-// adoptPoolStats takes a private pool's stored-chunk accounting over as the
-// run's. The caller holds s.mu or has the store to itself.
+// adoptPoolStats takes a pool of one's stored-chunk accounting over as the
+// run's: every chunk it holds is the run's. A shared pool's chunks are no
+// one run's, so a pooled run counts only the chunks it publishes (putV2).
+// The caller holds s.mu or has the store to itself.
 func (s *Store) adoptPoolStats() {
+	if s.pooled {
+		return
+	}
 	st := s.pool.Stats()
 	s.dedup.ChunksStored, s.dedup.StoredRawBytes, s.dedup.StoredEncBytes = st.Chunks, st.StoredRawBytes, st.StoredEncBytes
 }
@@ -1712,27 +1647,22 @@ func (s *Store) liveEntries() ([]*entry, error) {
 	return live, nil
 }
 
-// rewriteManifest is GC's commit. The manifest is atomically rewritten from
-// the live index: the pool-reference record first on pooled runs, then recs
-// (a private pool's chunk records), then the live meta records, each with
-// its directory. A record that names a pack generation needs no marker token
-// of its own: every build that predates generations also predates "dirs",
-// and refuses the store. It returns how many superseded checkpoints the
-// rewrite dropped. The caller holds the pool's GC fence.
-func (s *Store) rewriteManifest(live []*entry, recs []poolChunkRec) (int, error) {
+// rewriteManifest is GC's manifest commit. The manifest is atomically
+// rewritten from the live index: the pool-reference record first on pooled
+// runs, then the live meta records, each with its directory. It returns how
+// many superseded checkpoints the rewrite dropped. The caller holds the
+// pool's GC fence.
+func (s *Store) rewriteManifest(live []*entry) (int, error) {
 	var buf []byte
 	if s.pooled {
 		buf = frameTagged(recPool, encodePoolRef(s.poolRef, s.fanout))
-	}
-	for _, cr := range recs {
-		buf = append(buf, frameTagged(recChunk, encodeChunkRecord(cr.hash, cr.loc))...)
 	}
 	for _, e := range live {
 		buf = append(buf, frameTagged(recMeta, encodeMeta(e))...)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := writeFileAtomic(s.manifestPath(), buf); err != nil {
+	if err := writeFileAtomic(s.manifest.path, buf); err != nil {
 		return 0, fmt.Errorf("store: rewrite manifest: %w", err)
 	}
 	dropped := len(s.metas) - len(live)

@@ -26,6 +26,9 @@ import (
 //     frames, segment-file checkpoints;
 //   - gztwins: marker "2 gc", segment files, gzip twins and a retired pack;
 //   - sharded: marker "2 shards=4 dirs";
+//   - private2dirs: marker "2 dirs", chunk records in its MANIFEST, the
+//     program recorded twice into one directory, so every key is superseded
+//     once;
 //   - multiroot: a "2 shards=4 dirs" run at run/ whose SHARDS file spreads
 //     its packs over ../rootA and ../rootB;
 //   - pool4: a "pool1 shards=4" pool holding one run, at run/.
@@ -38,6 +41,7 @@ var legacyFixtures = []struct {
 	{"framestyles/lz4", compressibleFactory(5, 2)},
 	{"gztwins", counterFactory(6, 3)},
 	{"sharded", counterFactory(6, 3)},
+	{"private2dirs", counterFactory(6, 3)},
 	{"multiroot", counterFactory(6, 3)},
 	{"pool4", counterFactory(6, 3)},
 }
@@ -106,7 +110,7 @@ func migrated(t testing.TB, src, pool string) string {
 	if err := core.Migrate(src, dst, pool); err != nil {
 		t.Fatalf("migrate %s: %v", src, err)
 	}
-	want := "2 dirs\n"
+	want := "2 dirs index\n"
 	if pool != "" {
 		want = "2 pool shards=16 dirs\n"
 	}

@@ -176,16 +176,16 @@ func TestMigrationMatrixByteIdenticalReplay(t *testing.T) {
 	}
 }
 
-// committedInManifest fails the test unless the run at dir is in the form
-// new recordings take: no segment file, and the "dirs" token last on its
-// FORMAT marker.
+// committedInManifest fails the test unless the run at dir commits its
+// checkpoints in its manifest, as new recordings do: no segment file, and
+// the "dirs" token on its FORMAT marker.
 func committedInManifest(t *testing.T, dir string) {
 	t.Helper()
 	if segs, _ := filepath.Glob(filepath.Join(dir, "ckpt-*")); len(segs) > 0 {
 		t.Fatalf("%s: segment files %v", dir, segs)
 	}
-	if m, err := os.ReadFile(filepath.Join(dir, "FORMAT")); err != nil || !strings.HasSuffix(string(m), " dirs\n") {
-		t.Fatalf("%s: FORMAT %q (%v), want the dirs token last", dir, m, err)
+	if m, err := os.ReadFile(filepath.Join(dir, "FORMAT")); err != nil || !slices.Contains(strings.Fields(string(m)), "dirs") {
+		t.Fatalf("%s: FORMAT %q (%v), want the dirs token", dir, m, err)
 	}
 }
 
@@ -411,7 +411,7 @@ func TestShardedFixtureReadsEverywhereAndMigrates(t *testing.T) {
 	if res.Superseded != 1 {
 		t.Fatalf("gc = %+v, want the superseded checkpoint dropped", res)
 	}
-	if m, err := os.ReadFile(filepath.Join(dst, "FORMAT")); err != nil || string(m) != "2 dirs\n" {
+	if m, err := os.ReadFile(filepath.Join(dst, "FORMAT")); err != nil || string(m) != "2 dirs index\n" {
 		t.Fatalf("FORMAT after gc = %q (%v)", m, err)
 	}
 	replayed(dst, "after gc")
@@ -423,8 +423,9 @@ func TestShardedFixtureReadsEverywhereAndMigrates(t *testing.T) {
 // file per checkpoint — through the move of directories into the manifest,
 // which is now a migration. A read-only open resolves every checkpoint and
 // the run replays byte-identically to a fresh recording of its program; a
-// writable open is refused under the store's own marker and under "2 dirs"
-// alike, since its manifest still holds segment-file checkpoints; and the
+// writable open is refused under the store's own marker and under
+// "2 dirs index" alike, since its manifest still holds segment-file
+// checkpoints; and the
 // migrated run leaves no segment file, carries "dirs" on its marker, replays
 // alike, and does so again after a GC pass.
 func TestSegmentFileStoresResolveReplayAndMigrate(t *testing.T) {
@@ -476,7 +477,7 @@ func TestSegmentFileStoresResolveReplayAndMigrate(t *testing.T) {
 			t.Fatalf("%s: replay differs from a fresh recording's: %v", fx.fixture, err)
 		}
 		canonical := copyFixture(t, fx.fixture)
-		if err := os.WriteFile(filepath.Join(canonical, "FORMAT"), []byte("2 dirs\n"), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(canonical, "FORMAT"), []byte("2 dirs index\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		for _, d := range []string{dir, canonical} {
@@ -693,7 +694,7 @@ func TestRestoreMatrixByteIdentical(t *testing.T) {
 // markers below include shapes a future build might plausibly write.
 func TestUnknownFormatMarkersRefuseCleanly(t *testing.T) {
 	factory := counterFactory(3, 2)
-	for _, marker := range []string{"3", "2 shards=banana", "2 pool", "2 pool shards=16 v3", "2 gc shards=16", "2 lz4 gc", "2 lz4x", "2 dirs lz4"} {
+	for _, marker := range []string{"3", "2 shards=banana", "2 pool", "2 pool shards=16 v3", "2 gc shards=16", "2 lz4 gc", "2 lz4x", "2 dirs lz4", "2 index dirs", "2 dirs index gc"} {
 		dir := t.TempDir()
 		if _, err := flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing()); err != nil {
 			t.Fatal(err)
