@@ -78,7 +78,7 @@ type segment struct {
 	id     int
 	size   int64
 	newest int64 // max StartUnixNs seen, for age retention
-	keys   []string
+	keys   []traceKey
 }
 
 // Store is a durable, size/age-bounded trace store. Safe for concurrent use.
@@ -88,7 +88,7 @@ type Store struct {
 	mu      sync.Mutex
 	segs    []*segment // oldest first; the last is the active segment
 	w       *os.File   // active segment file
-	index   map[string]Entry
+	index   map[traceKey]Entry
 	lastSeq map[string]int
 	total   int64
 	nseen   int // head-sampling counter
@@ -103,7 +103,10 @@ type Store struct {
 	gBytes   *obs.Gauge
 }
 
-func key(run, traceID string) string { return run + "\x00" + traceID }
+// traceKey identifies a persisted trace. Run and trace IDs are arbitrary
+// strings, so no separator joining them into one string keeps every two
+// pairs apart.
+type traceKey struct{ run, traceID string }
 
 // Open loads the segments under opts.Dir (tolerating a torn tail line from a
 // crashed writer), starts a fresh active segment, and returns the store.
@@ -117,7 +120,7 @@ func Open(opts Options) (*Store, error) {
 	}
 	s := &Store{
 		opts:     opts,
-		index:    map[string]Entry{},
+		index:    map[traceKey]Entry{},
 		lastSeq:  map[string]int{},
 		slowPath: filepath.Join(opts.Dir, "slow.ndjson"),
 		mAppends: obs.C(obs.MObsTraceStoreAppends),
@@ -177,7 +180,7 @@ func (s *Store) load() error {
 
 // absorb indexes one loaded or appended entry under seg.
 func (s *Store) absorb(seg *segment, e Entry) {
-	k := key(e.Run, e.TraceID)
+	k := traceKey{e.Run, e.TraceID}
 	s.index[k] = e
 	seg.keys = append(seg.keys, k)
 	if e.StartUnixNs > seg.newest {
@@ -313,7 +316,7 @@ func (s *Store) appendSlow(line []byte) {
 func (s *Store) Get(run, traceID string) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.index[key(run, traceID)]
+	e, ok := s.index[traceKey{run, traceID}]
 	return e, ok
 }
 

@@ -1,9 +1,12 @@
 package tracestore
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -263,4 +266,51 @@ func TestAgeRetention(t *testing.T) {
 			t.Fatalf("stale trace t%06d survived age retention", i)
 		}
 	}
+}
+
+// FuzzTraceStoreSegment opens a store over arbitrary bytes written as a
+// segment file. Open never panics; every line that decodes as an entry comes
+// back from Get (the last such line for its run and trace ID), and LastSeq
+// is at least the sequence of each of their trace IDs.
+func FuzzTraceStoreSegment(f *testing.F) {
+	var seg []byte
+	for i := 1; i <= 3; i++ {
+		line, err := json.Marshal(entry("alpha", i, int64(i)*1e6, i == 2))
+		if err != nil {
+			f.Fatal(err)
+		}
+		seg = append(append(seg, line...), '\n')
+	}
+	f.Add(seg)
+	f.Add(append(seg[:len(seg):len(seg)], `{"trace_id":"t000009","run":"al`...)) // a torn tail
+	f.Add([]byte(`{"trace_id":"t000004","run":"a"}` + "\n" + `{"trace_id":"t000004","run":"a","kind":"sample"}` + "\n"))
+	f.Add([]byte(`{"trace_id":"c","run":"a\u0000b"}` + "\n" + `{"trace_id":"b\u0000c","run":"a"}` + "\n"))
+	f.Add([]byte(`{"trace_id":"t-5","run":"x"}` + "\n" + `{"trace_id":"t99999999999999999999","run":"x"}` + "\n" + `{"trace_id":"t+7","run":"x"}` + "\nnull\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "traces-00000001.ndjson"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		type id struct{ run, traceID string }
+		want := map[id]Entry{}
+		for _, line := range bytes.Split(data, []byte{'\n'}) {
+			var e Entry
+			if json.Unmarshal(line, &e) == nil {
+				want[id{e.Run, e.TraceID}] = e
+			}
+		}
+		for k, e := range want {
+			if got, ok := s.Get(k.run, k.traceID); !ok || !reflect.DeepEqual(got, e) {
+				t.Fatalf("Get(%q, %q) = %+v, %v; the segment holds %+v", k.run, k.traceID, got, ok, e)
+			}
+			if n, ok := parseSeq(k.traceID); ok && s.LastSeq(k.run) < n {
+				t.Fatalf("LastSeq(%q) = %d below the sequence %d of trace %q", k.run, s.LastSeq(k.run), n, k.traceID)
+			}
+		}
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"flor.dev/flor/internal/backmat"
 	"flor.dev/flor/internal/obs"
 	"flor.dev/flor/internal/replay"
+	"flor.dev/flor/internal/store"
 )
 
 // cacheEntry is one hot store: the recording opened read-only (manifest and
@@ -259,6 +260,23 @@ func (c *storeCache) contains(runID string) bool {
 	defer c.mu.Unlock()
 	_, ok := c.entries[runID]
 	return ok
+}
+
+// poolStats reports the pool-wide accounting of the most recently used
+// resident store attached to the pool at root; ok is false when none is.
+func (c *storeCache) poolStats(root string) (store.PoolStats, bool) {
+	var st *store.Store
+	c.mu.Lock()
+	for el := c.lru.Front(); el != nil && st == nil; el = el.Next() {
+		if ent := el.Value.(*cacheEntry); ent.poolRoot == root {
+			st = ent.rec.Store
+		}
+	}
+	c.mu.Unlock()
+	if st == nil {
+		return store.PoolStats{}, false
+	}
+	return st.PoolStats()
 }
 
 // StoreResidency describes one resident store's LRU tenure.

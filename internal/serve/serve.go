@@ -1205,12 +1205,12 @@ func (s *Server) Runs() []RunInfo {
 }
 
 // ChunkPoolStats describes one project's shared chunk pool in /v1/stats:
-// which runs are grouped under it and, when a query has opened it in this
-// process, its pool-wide storage accounting.
+// which runs are grouped under it and, when one of them is resident in the
+// store LRU, its pool-wide storage accounting as that store opened it.
 type ChunkPoolStats struct {
 	Root string   `json:"root"`
 	Runs []string `json:"runs"` // registered run IDs attached to the pool
-	// Open reports whether the pool is resident (some run opened it);
+	// Open reports whether a run of the pool is resident in the store LRU;
 	// storage figures below are only populated then.
 	Open   bool  `json:"open"`
 	Leases int   `json:"leases,omitempty"`
@@ -1292,8 +1292,8 @@ func (s *Server) Stats() Stats {
 		}
 		out.Runs[r.cfg.ID] = st
 	}
-	// Project groups: every pooled run under its pool root, with live pool
-	// accounting when the pool is open in-process.
+	// Project groups: every pooled run under its pool root, with the pool
+	// accounting of a resident store attached to it.
 	for _, r := range runs {
 		if r.poolRoot == "" {
 			continue
@@ -1308,7 +1308,7 @@ func (s *Server) Stats() Stats {
 	}
 	for root, ps := range out.ChunkPools {
 		sort.Strings(ps.Runs)
-		if live, ok := store.PoolStatsAt(root); ok {
+		if live, ok := s.stores.poolStats(root); ok {
 			ps.Open = true
 			ps.Leases = live.Leases
 			ps.Chunks = live.Chunks

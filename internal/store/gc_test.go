@@ -298,7 +298,7 @@ func TestGCPoolRefcountReleaseOnRunDelete(t *testing.T) {
 	if _, err := b.PutSections(key, familySections(1, 200, 0), 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := PoolStatsAt(pool)
+	before, _ := a.PoolStats()
 
 	if err := DeleteRun(gone); err != nil {
 		t.Fatal(err)
@@ -310,7 +310,7 @@ func TestGCPoolRefcountReleaseOnRunDelete(t *testing.T) {
 	if res.DeadChunks == 0 {
 		t.Fatalf("deleting a run reclaimed no chunks: %+v", res)
 	}
-	after, _ := PoolStatsAt(pool)
+	after, _ := a.PoolStats()
 	if after.Chunks >= before.Chunks {
 		t.Fatalf("pool chunks %d -> %d; want decrease", before.Chunks, after.Chunks)
 	}

@@ -118,8 +118,7 @@ func rewriteChunkRecords(t *testing.T, path string, edit func(*chunkLoc)) {
 // refused — in a private store (INDEX records), in a private store an older
 // build left (MANIFEST records: read-only, so the refusal is
 // ErrLegacyLayout) and in a shared pool (INDEX records, read at open or
-// adopted when a writable attach upgrades a pool this process opened
-// read-only).
+// when a writable attach reloads the pool instance this process holds).
 func TestInvalidChunkRecordIsDroppedAtOpen(t *testing.T) {
 	edits := map[string]func(*chunkLoc){
 		"negative offset":  func(l *chunkLoc) { l.Off = -1 },
@@ -148,9 +147,9 @@ func TestInvalidChunkRecordIsDroppedAtOpen(t *testing.T) {
 			resetPoolRegistry()
 		}
 	}
-	// A record another process appends to the pool's INDEX after this
-	// process opened it read-only is checked when a writable attach upgrades
-	// the pool in place.
+	// A record another process appends to the pool's INDEX while this
+	// process holds the pool writable is checked when a writable attach
+	// reloads the held instance.
 	base := t.TempDir()
 	pool := filepath.Join(base, "POOL")
 	s, err := OpenWith(filepath.Join(base, "run1"), Options{Pool: pool})
@@ -160,11 +159,7 @@ func TestInvalidChunkRecordIsDroppedAtOpen(t *testing.T) {
 	if _, err := s.PutSections(key, []Section{{Name: "w", Data: data}}, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	resetPoolRegistry()
 	defer resetPoolRegistry()
-	if _, err := OpenReadOnly(filepath.Join(base, "run1")); err != nil {
-		t.Fatal(err)
-	}
 	foreign := noise(4096, 5)
 	h := ckptfmt.HashChunk(foreign)
 	idx, err := os.OpenFile(filepath.Join(pool, poolIndexFile), os.O_WRONLY|os.O_APPEND, 0o644)

@@ -19,10 +19,14 @@ package store
 //	<root>/PACKGC        retired pack generations awaiting expiry
 //	<root>/CHUNKS[-xx][.gN] pack objects, generational after compaction
 //
-// Shared pools are process-wide singletons (an in-process registry keyed by
-// resolved root), so concurrent sibling-run record and replay share one
-// shard table and its locks. Cross-process concurrent *writers* against one
-// pool are not coordinated; serving and replay open pools read-only.
+// A pool's in-memory state is built one way, by open, from its files. A
+// read-only attach opens a snapshot of its own, as a read-only pool of one
+// does. Writers in one process share one instance per resolved root (the
+// registry), so concurrent sibling-run records share one shard table and
+// its locks; every writable attach reloads that instance from the files, so
+// it holds what another process committed before the attach. Cross-process
+// concurrent *writers* against one pool are not coordinated; serving and
+// replay open pools read-only.
 //
 // # GC and the grace period
 //
@@ -137,7 +141,7 @@ type PoolStats struct {
 // I/O and GC. It is safe for concurrent use by many stores.
 type ChunkPool struct {
 	root   string // holds INDEX and PACKGC: the run directory of a pool of one, a shared pool's own
-	shared bool   // attached by leased runs, and registered process-wide
+	shared bool   // attached by leased runs (writable instances are registered process-wide)
 	fanout int
 
 	backend Backend
@@ -155,7 +159,6 @@ type ChunkPool struct {
 	stored   PoolStats // Chunks/StoredRawBytes/StoredEncBytes upkeep
 	dropped  []string  // packs whose records are invalid or point past the pack's real end
 	index    recordLog // INDEX; appends hold mu
-	indexLen int64     // validated INDEX prefix length
 
 	shardTab []*poolShard // two-level dedup index: shardTab[shardOf(h)].chunks[h]
 
@@ -174,7 +177,7 @@ func (p *ChunkPool) open(manifest []manifestRecord) error {
 	p.initShards()
 	p.index = recordLog{path: filepath.Join(p.root, poolIndexFile)}
 	adoptManifestChunks(p, manifest)
-	if err := p.replayIndex(0); err != nil {
+	if err := p.replayIndex(); err != nil {
 		return err
 	}
 	return p.finishOpen()
@@ -245,8 +248,8 @@ func (p *ChunkPool) adopt(h ckptfmt.Hash, loc chunkLoc) {
 // finishOpen completes initialization after records were adopted: resolves
 // each shard's active generation and pack length, drops records from stale
 // generations and records that are not valid in their pack (remembering the
-// pack in dropped), and rebuilds the stored-chunk accounting. It runs at
-// open, and again under p.mu when a read-only pool turns writable.
+// pack in dropped), and rebuilds the stored-chunk accounting. It runs once,
+// at the end of open, before the pool is shared.
 func (p *ChunkPool) finishOpen() error {
 	p.stored = PoolStats{Root: p.root, Fanout: p.fanout}
 	for _, sh := range p.shardTab {
@@ -528,9 +531,9 @@ func decodeChunkRecord(b []byte) (hash ckptfmt.Hash, loc chunkLoc, err error) {
 // ---------------------------------------------------------------------------
 // Shared-pool persistence: marker, INDEX, leases, registry
 
-// poolRegistry makes shared pools process-wide singletons: every store
-// attaching to one resolved root shares the same shard table and locks, so
-// concurrent sibling-run record and replay coordinate correctly.
+// poolRegistry holds the process's one writable instance of each shared
+// pool, keyed by resolved root: sibling runs recording in one process share
+// its shard table and locks, so their appends never interleave offsets.
 var poolRegistry = struct {
 	sync.Mutex
 	m map[string]*ChunkPool
@@ -583,34 +586,24 @@ func parsePoolMarker(raw []byte) (fanout int, err error) {
 	return 0, fmt.Errorf("store: unknown pool marker %q (newer pool layout or corrupt POOL file)", marker)
 }
 
-// openSharedPool returns the process-wide pool for root, creating the pool
-// directory (writable opens only) or replaying its INDEX on first use.
-// fanout 0 adopts the existing pool's fanout (DefaultShardFanout for new
-// pools); a conflicting non-zero fanout is refused. A writable open of a
-// pool at any other fanout fails with ErrLegacyLayout before it writes; one
-// of a pool first opened read-only upgrades it in place.
+// openSharedPool opens the shared pool at root. A read-only attach opens a
+// snapshot of the pool's files and registers nothing. A writable attach
+// creates the pool directory on first use and returns the process's one
+// writable instance for the root, reloaded from the files (reload). fanout 0
+// adopts the existing pool's fanout (DefaultShardFanout for new pools); a
+// conflicting non-zero fanout is refused, and a writable attach of a pool at
+// any other fanout fails with ErrLegacyLayout before it writes.
 func openSharedPool(root string, fanout int, readOnly bool) (*ChunkPool, error) {
 	key, err := resolvePoolRoot(root)
 	if err != nil {
 		return nil, err
 	}
-	poolRegistry.Lock()
-	defer poolRegistry.Unlock()
-	if p, ok := poolRegistry.m[key]; ok {
-		if fanout != 0 && fanout != p.fanout {
-			return nil, fmt.Errorf("store: pool %s has fanout %d (fanout %d requested)", key, p.fanout, fanout)
-		}
-		if !readOnly {
-			if p.fanout != DefaultShardFanout {
-				return nil, legacyLayout(key, fmt.Sprintf("a chunk pool at fanout %d", p.fanout))
-			}
-			if err := p.upgradeWritable(); err != nil {
-				return nil, err
-			}
-		}
-		return p, nil
+	if !readOnly {
+		// The marker checks below run under the lock too: a writable attach
+		// must not race another one that is creating the pool.
+		poolRegistry.Lock()
+		defer poolRegistry.Unlock()
 	}
-
 	markerRaw, merr := os.ReadFile(filepath.Join(key, poolMarkerFile))
 	switch {
 	case merr == nil:
@@ -639,64 +632,57 @@ func openSharedPool(root string, fanout int, readOnly bool) (*ChunkPool, error) 
 	default:
 		return nil, fmt.Errorf("store: read pool marker: %w", merr)
 	}
-
-	// One backend for the pool's whole lifetime: a read-only→writable
-	// upgrade must not swap the field under concurrent readers (restores
-	// read it without locks). The root exists — the marker was
-	// just read or written — so the plain DirBackend needs no MkdirAll.
+	if !readOnly {
+		if held, ok := poolRegistry.m[key]; ok {
+			return held, held.reload()
+		}
+	}
+	// The root exists — the marker was just read or written — so the plain
+	// DirBackend needs no MkdirAll.
 	p := &ChunkPool{root: key, shared: true, fanout: fanout, readOnly: readOnly, backend: &DirBackend{roots: []string{key}}}
 	if err := p.open(nil); err != nil {
 		return nil, err
 	}
-	poolRegistry.m[key] = p
+	if !readOnly {
+		poolRegistry.m[key] = p
+	}
 	return p, nil
 }
 
-// upgradeWritable flips a read-only pool instance writable. The instance's
-// in-memory state may be stale: a sequential writer in another process (the
-// documented non-concurrent cross-process pattern) can have appended
-// committed INDEX records and pack bytes since our read-only replay. The
-// upgrade adopts those records (truncating only a genuinely undecodable
-// tail — blindly truncating to the old validated length would destroy the
-// other writer's commits) and resyncs every shard's pack length, without
-// which our next append would commit offsets short of the packs' real
-// ends. An adopted record that does not fit its pack is dropped as at open
-// (finishOpen), which refuses the writable open. The backend is shared as-is
-// (see openSharedPool). Caller holds the registry lock.
-func (p *ChunkPool) upgradeWritable() error {
+// reload rebuilds a registered pool's state from its files, so that it
+// holds what another process committed since this instance last read them:
+// open runs into a scratch pool over the same backend, and each shard's
+// generation, chunk index and pack length are installed under the shard's
+// lock. It holds the write side of gcMu, so no put of this process is
+// between its pack append and its INDEX append, and the files describe
+// every chunk this instance published. The caller holds the registry lock.
+func (p *ChunkPool) reload() error {
+	p.gcMu.Lock()
+	defer p.gcMu.Unlock()
+	fresh := &ChunkPool{root: p.root, shared: true, fanout: p.fanout, backend: p.backend}
+	if err := fresh.open(nil); err != nil {
+		return err
+	}
+	for i, sh := range p.shardTab {
+		f := fresh.shardTab[i]
+		sh.mu.Lock()
+		sh.gen, sh.chunks, sh.packLen = f.gen, f.chunks, f.packLen
+		sh.mu.Unlock()
+	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.readOnly {
-		return nil
-	}
-	p.readOnly = false
-	err := p.replayIndex(p.indexLen)
-	if err == nil {
-		err = p.finishOpen()
-	}
-	if err != nil {
-		p.readOnly = true
-	}
-	return err
+	p.stored, p.dropped = fresh.stored, fresh.dropped
+	p.mu.Unlock()
+	return nil
 }
 
-// resetPoolRegistry drops all registered pools (tests only: simulated
-// crashes reopen pools from disk).
-func resetPoolRegistry() {
-	poolRegistry.Lock()
-	defer poolRegistry.Unlock()
-	poolRegistry.m = map[string]*ChunkPool{}
-}
-
-// replayIndex adopts the pool's INDEX records from byte from on: all of them
-// at open, and on a read-only→writable upgrade those another writer appended
-// since. Torn tails are truncated (writable) or skipped (read-only).
-func (p *ChunkPool) replayIndex(from int64) error {
+// replayIndex adopts the pool's INDEX records. A torn tail is truncated
+// (writable) or skipped (read-only).
+func (p *ChunkPool) replayIndex() error {
 	raw, err := os.ReadFile(p.index.path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("store: read pool index: %w", err)
 	}
-	off := int(min(from, int64(len(raw))))
+	off := 0
 	for off < len(raw) {
 		rec, consumed, err := decodeManifestRecord(raw[off:], false)
 		if err != nil || rec.tag != recChunk {
@@ -705,7 +691,6 @@ func (p *ChunkPool) replayIndex(from int64) error {
 		p.adopt(rec.hash, rec.loc)
 		off += consumed
 	}
-	p.indexLen = int64(off)
 	if off < len(raw) && !p.readOnly {
 		if err := os.Truncate(p.index.path, int64(off)); err != nil {
 			return fmt.Errorf("store: truncate torn pool index: %w", err)
@@ -727,7 +712,6 @@ func (p *ChunkPool) appendIndexRecords(frames []ckptfmt.Frame, locs []chunkLoc) 
 	if err := p.index.append(record); err != nil {
 		return err
 	}
-	p.indexLen += int64(len(record))
 	for i := range frames {
 		p.adopt(frames[i].Hash, locs[i])
 	}
@@ -744,9 +728,6 @@ func (p *ChunkPool) persistIndex(recs []poolChunkRec) error {
 	if err := writeFileAtomic(p.index.path, buf); err != nil {
 		return fmt.Errorf("store: rewrite pool index: %w", err)
 	}
-	p.mu.Lock()
-	p.indexLen = int64(len(buf))
-	p.mu.Unlock()
 	return nil
 }
 
@@ -1308,22 +1289,6 @@ func markRun(runDir string, live map[ckptfmt.Hash]bool) error {
 	return nil
 }
 
-// PoolStatsAt reports a shared pool's storage accounting if the pool is
-// open in this process (serving stats; no disk replay is triggered).
-func PoolStatsAt(root string) (PoolStats, bool) {
-	key, err := resolvePoolRoot(root)
-	if err != nil {
-		return PoolStats{}, false
-	}
-	poolRegistry.Lock()
-	p := poolRegistry.m[key]
-	poolRegistry.Unlock()
-	if p == nil {
-		return PoolStats{}, false
-	}
-	return p.Stats(), true
-}
-
 // DeleteRun deletes a recorded run directory, then releases its pool lease
 // when the run is attached to a shared pool — the "refcount decrement" that
 // lets a later GCPool pass reclaim the chunks only this run referenced. The
@@ -1331,8 +1296,7 @@ func PoolStatsAt(root string) (PoolStats, bool) {
 // a missing run (harmless; the next GC releases it), whereas the reverse
 // order would leave a live run unpinned. The lease file is removed
 // directly, without opening the pool: a writable pool open would resurrect
-// an already-deleted pool directory and needlessly upgrade a read-only
-// in-process pool instance.
+// an already-deleted pool directory.
 func DeleteRun(dir string) error {
 	root, pooled, perr := PoolRef(dir)
 	var lease string

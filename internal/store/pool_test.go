@@ -133,12 +133,13 @@ func TestPooledFamilyStoresThreeTimesLess(t *testing.T) {
 	pool := filepath.Join(base, "POOL")
 	var logical int64
 	var private DedupStats
+	var pooled *Store
 	for r := 0; r < runs; r++ {
 		priv, err := Open(filepath.Join(base, fmt.Sprintf("private-%d", r)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pooled := openPooled(t, filepath.Join(base, fmt.Sprintf("pooled-%d", r)), pool)
+		pooled = openPooled(t, filepath.Join(base, fmt.Sprintf("pooled-%d", r)), pool)
 		for e := 0; e < epochs; e++ {
 			secs := familySections(1, uint64(100+r), e)
 			for _, st := range []*Store{priv, pooled} {
@@ -152,9 +153,9 @@ func TestPooledFamilyStoresThreeTimesLess(t *testing.T) {
 		private.StoredEncBytes += d.StoredEncBytes
 		private.StoredRawBytes += d.StoredRawBytes
 	}
-	ps, ok := PoolStatsAt(pool)
+	ps, ok := pooled.PoolStats()
 	if !ok {
-		t.Fatal("pool not open after the family was recorded")
+		t.Fatal("PoolStats not ok on pooled store")
 	}
 	if private.StoredEncBytes < 3*ps.StoredEncBytes {
 		t.Fatalf("family stores %d bytes private, %d pooled: %.2fx, acceptance bar is >= 3x",
@@ -187,7 +188,7 @@ func TestPooledReadOnlyOpen(t *testing.T) {
 	}
 
 	// A writable sibling can still attach while the read-only open is live
-	// (the in-process pool upgrades to writable).
+	// (the read-only open is a snapshot of its own).
 	sib := openPooled(t, filepath.Join(base, "run2"), pool)
 	if _, err := sib.PutSections(Key{LoopID: "train", Exec: 0}, familySections(7, 9, 0), 0, 0, 0); err != nil {
 		t.Fatal(err)
@@ -269,7 +270,9 @@ func TestPooledOpenRefusals(t *testing.T) {
 
 // TestPoolConcurrentSiblingRecordReplay is the pool-concurrency race test:
 // several sibling runs record into one pool while other goroutines replay
-// an already-committed sibling — the CI -race lane drives it.
+// an already-committed sibling, through read-only snapshots and through the
+// writable store that shares the registered instance, and further writable
+// attaches reload that instance under them — the CI -race lane drives it.
 func TestPoolConcurrentSiblingRecordReplay(t *testing.T) {
 	base := t.TempDir()
 	pool := filepath.Join(base, "POOL")
@@ -281,9 +284,9 @@ func TestPoolConcurrentSiblingRecordReplay(t *testing.T) {
 		}
 	}
 
-	const writers, readers, epochs = 3, 3, 4
+	const writers, readers, attachers, epochs = 3, 3, 2, 4
 	var wg sync.WaitGroup
-	errs := make(chan error, writers+readers)
+	errs := make(chan error, writers+2*readers+attachers)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -301,30 +304,58 @@ func TestPoolConcurrentSiblingRecordReplay(t *testing.T) {
 			}
 		}(w)
 	}
-	for r := 0; r < readers; r++ {
+	// Every attach reloads the registered instance while the writers put
+	// through it and the readers below resolve through it.
+	for a := 0; a < attachers; a++ {
 		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			for e := 0; e < epochs; e++ {
+				st, err := OpenWith(filepath.Join(base, fmt.Sprintf("attach-%d-%d", a, e)), Options{Pool: pool})
+				if err != nil {
+					errs <- err
+					return
+				}
+				if _, err := st.PutSections(Key{LoopID: "train", Exec: 0}, familySections(42, uint64(20+a), e), 0, 0, 0); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(a)
+	}
+	readSeed := func(st *Store) error {
+		for pass := 0; pass < 3; pass++ {
+			for e := 0; e < 4; e++ {
+				secs, err := ReadAll(st, Key{LoopID: "train", Exec: e}, nil)
+				if err != nil {
+					return fmt.Errorf("reader exec %d: %v", e, err)
+				}
+				want := familySections(42, 1, e)
+				for i := range secs {
+					if !bytes.Equal(secs[i].Data, want[i].Data) {
+						return fmt.Errorf("reader exec %d: section %q mismatch", e, secs[i].Name)
+					}
+				}
+			}
+		}
+		return nil
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
 			ro, err := OpenReadOnly(filepath.Join(base, "run-seed"))
+			if err == nil {
+				err = readSeed(ro)
+			}
 			if err != nil {
 				errs <- err
-				return
 			}
-			for pass := 0; pass < 3; pass++ {
-				for e := 0; e < 4; e++ {
-					secs, err := ReadAll(ro, Key{LoopID: "train", Exec: e}, nil)
-					if err != nil {
-						errs <- fmt.Errorf("reader exec %d: %v", e, err)
-						return
-					}
-					want := familySections(42, 1, e)
-					for i := range secs {
-						if !bytes.Equal(secs[i].Data, want[i].Data) {
-							errs <- fmt.Errorf("reader exec %d: section %q mismatch", e, secs[i].Name)
-							return
-						}
-					}
-				}
+		}()
+		go func() {
+			defer wg.Done()
+			if err := readSeed(seed); err != nil {
+				errs <- fmt.Errorf("writable %v", err)
 			}
 		}()
 	}
@@ -335,7 +366,7 @@ func TestPoolConcurrentSiblingRecordReplay(t *testing.T) {
 	}
 
 	// All writers' identical backbones deduplicated to one copy.
-	ps, _ := PoolStatsAt(pool)
+	ps, _ := seed.PoolStats()
 	if ps.StoredRawBytes >= 2<<20 {
 		t.Fatalf("pool stored %d raw bytes under concurrency; want < 2 MB", ps.StoredRawBytes)
 	}
@@ -474,88 +505,153 @@ func TestLeaseCollisionKeepsBothRunsPinned(t *testing.T) {
 	}
 }
 
-// TestPoolUpgradeAdoptsForeignAppends pins the read-only→writable upgrade
-// against the documented sequential cross-process pattern: records and pack
-// bytes appended by another process after this process's read-only open
-// must be adopted — not truncated away — and pack lengths must resync, or
-// the first local append would commit offsets short of the packs' real
-// ends.
-func TestPoolUpgradeAdoptsForeignAppends(t *testing.T) {
+// The four tests below run part of their work as another process sharing
+// the pool's files would (asAnotherProcess). A pool instance of this
+// process must then hold what those files commit: a read-only attach opens
+// a snapshot of them, and every writable attach reloads the one writable
+// instance from them.
+
+// putPayload puts payload as key's one section, named "w".
+func putPayload(t *testing.T, s *Store, key Key, payload []byte) *Meta {
+	t.Helper()
+	m, err := s.PutSections(key, []Section{{Name: "w", Data: payload}}, 0, 0, 0)
+	if err != nil {
+		t.Fatalf("put %s in %s: %v", key, s.Dir(), err)
+	}
+	return m
+}
+
+// checkPayload reads key's checkpoint from the run at dir, opened afresh as
+// a new process would, and compares it with payload.
+func checkPayload(t *testing.T, dir string, key Key, payload []byte) {
+	t.Helper()
+	s, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatalf("reopen %s: %v", dir, err)
+	}
+	secs, err := ReadAll(s, key, nil)
+	if err != nil {
+		t.Fatalf("read %s of %s: %v", key, dir, err)
+	}
+	if len(secs) != 1 || !bytes.Equal(secs[0].Data, payload) {
+		t.Fatalf("read %s of %s: payload mismatch", key, dir)
+	}
+}
+
+// TestAnotherProcessRecordedSiblingReadsReadOnly: a process that holds a
+// read-only open of run1 opens run2, which another process recorded into
+// the pool afterwards, and reads all of it.
+func TestAnotherProcessRecordedSiblingReadsReadOnly(t *testing.T) {
 	base := t.TempDir()
 	pool := filepath.Join(base, "POOL")
-	run1 := filepath.Join(base, "run1")
-	s1 := openPooled(t, run1, pool)
-	if _, err := s1.PutSections(Key{LoopID: "train", Exec: 0}, familySections(31, 1, 0), 0, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	// This "process" opens the pool read-only.
-	resetPoolRegistry()
+	run1, run2 := filepath.Join(base, "run1"), filepath.Join(base, "run2")
+	key := Key{LoopID: "train", Exec: 0}
+	asAnotherProcess(func() { putPayload(t, openPooled(t, run1, pool), key, testPayload(4<<20, 1)) })
 	if _, err := OpenReadOnly(run1); err != nil {
 		t.Fatal(err)
 	}
+	asAnotherProcess(func() { putPayload(t, openPooled(t, run2, pool), key, testPayload(4<<20, 2)) })
+	checkPayload(t, run2, key, testPayload(4<<20, 2))
+	checkPayload(t, run1, key, testPayload(4<<20, 1))
+}
 
-	// Simulate the other process's sequential writes at the file level:
-	// one fresh chunk appended to its shard pack plus its INDEX record.
-	foreign := testPayload(64<<10, 999)
-	frames := []ckptfmt.Frame{ckptfmt.BuildHashed(foreign, ckptfmt.HashChunk(foreign))}
-	p, err := openSharedPool(pool, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := p.shardTab[p.shardOf(frames[0].Hash)]
-	packPath := filepath.Join(pool, sh.obj())
-	f, err := os.OpenFile(packPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, _ := f.Stat()
-	wire := frames[0].Append(nil)
-	if _, err := f.Write(wire); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	loc := chunkLoc{Gen: sh.gen, Off: st.Size(), EncLen: len(wire), RawLen: frames[0].RawLen, Style: frames[0].Style}
-	idx, err := os.OpenFile(filepath.Join(pool, poolIndexFile), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := idx.Write(frameTagged(recChunk, encodeChunkRecord(frames[0].Hash, loc))); err != nil {
-		t.Fatal(err)
-	}
-	idx.Close()
+// TestAnotherProcessAppendsAdoptedByWritableAttach: a process holding a
+// writable instance records run3 after another process recorded run2. The
+// attach adopts run2's chunks (a put of run2's payload stores nothing) and
+// the packs' real lengths, so run3's fresh chunks land at the packs' ends
+// and every run reads back in a new process.
+func TestAnotherProcessAppendsAdoptedByWritableAttach(t *testing.T) {
+	base := t.TempDir()
+	pool := filepath.Join(base, "POOL")
+	run1, run2, run3 := filepath.Join(base, "run1"), filepath.Join(base, "run2"), filepath.Join(base, "run3")
+	k0, k1 := Key{LoopID: "train", Exec: 0}, Key{LoopID: "train", Exec: 1}
+	putPayload(t, openPooled(t, run1, pool), k0, testPayload(4<<20, 1))
+	asAnotherProcess(func() { putPayload(t, openPooled(t, run2, pool), k0, testPayload(4<<20, 2)) })
 
-	// Writable attach in this process: the registry pool upgrades and must
-	// see the foreign chunk (dedup hit, no second copy) and the grown pack.
-	run2 := filepath.Join(base, "run2")
-	s2 := openPooled(t, run2, pool)
-	key := Key{LoopID: "train", Exec: 0}
-	if _, err := s2.PutSections(key, []Section{{Name: "w", Data: foreign}}, 0, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if m, _ := s2.Lookup(key); m.StoredBytes != 0 {
-		t.Fatalf("foreign chunk re-stored (%d bytes); upgrade did not adopt the INDEX append", m.StoredBytes)
-	}
-	secs, err := ReadAll(s2, key, nil)
-	if err != nil || !bytes.Equal(secs[0].Data, foreign) {
-		t.Fatalf("read foreign-dedup'd checkpoint: %v", err)
-	}
-	// A genuinely new chunk must land at the pack's REAL end.
-	if _, err := s2.PutSections(Key{LoopID: "train", Exec: 1}, []Section{{Name: "w", Data: testPayload(32<<10, 1000)}}, 0, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if secs, err := ReadAll(s2, Key{LoopID: "train", Exec: 1}, nil); err != nil || !bytes.Equal(secs[0].Data, testPayload(32<<10, 1000)) {
-		t.Fatalf("read post-upgrade append: %v (stale packLen?)", err)
-	}
-	// Everything survives a fresh process.
+	s3 := openPooled(t, run3, pool)
+	deduped := putPayload(t, s3, k0, testPayload(4<<20, 2))
+	putPayload(t, s3, k1, testPayload(4<<20, 3))
 	resetPoolRegistry()
-	s3, err := Open(run2)
+	checkPayload(t, run1, k0, testPayload(4<<20, 1))
+	checkPayload(t, run2, k0, testPayload(4<<20, 2))
+	checkPayload(t, run3, k0, testPayload(4<<20, 2))
+	checkPayload(t, run3, k1, testPayload(4<<20, 3))
+	if deduped.StoredBytes != 0 {
+		t.Fatalf("run2's chunks stored again (%d bytes): the attach did not adopt another process's INDEX appends", deduped.StoredBytes)
+	}
+}
+
+// TestAnotherProcessGCThenAttachAndPut: another process compacts the pool
+// (Store.GCWith, then GCPool) while this one holds it, read-only or
+// writable. A run this process then attaches puts its chunks into the
+// packs' new generations, so they read back in a new process.
+func TestAnotherProcessGCThenAttachAndPut(t *testing.T) {
+	for _, held := range []string{"read-only", "writable"} {
+		t.Run(held, func(t *testing.T) {
+			base := t.TempDir()
+			pool := filepath.Join(base, "POOL")
+			run1, fresh := filepath.Join(base, "run1"), filepath.Join(base, "fresh")
+			key := Key{LoopID: "train", Exec: 0}
+			asAnotherProcess(func() {
+				s := openPooled(t, run1, pool)
+				putPayload(t, s, key, testPayload(8<<20, 1))
+				putPayload(t, s, key, testPayload(8<<20, 2))
+			})
+			var err error
+			if held == "read-only" {
+				_, err = OpenReadOnly(run1)
+			} else {
+				_, err = OpenWith(filepath.Join(base, "holder"), Options{Pool: pool})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			asAnotherProcess(func() {
+				s, err := Open(run1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.GCWith(GCOptions{PackRetention: time.Hour}); err != nil {
+					t.Fatal(err)
+				}
+				res, err := GCPool(pool, GCOptions{PackRetention: time.Hour})
+				if err != nil || res.CompactedShards == 0 {
+					t.Fatalf("GCPool: %+v, %v; want compacted shards", res, err)
+				}
+			})
+			putPayload(t, openPooled(t, fresh, pool), key, testPayload(8<<20, 3))
+			resetPoolRegistry()
+			checkPayload(t, fresh, key, testPayload(8<<20, 3))
+			checkPayload(t, run1, key, testPayload(8<<20, 2))
+		})
+	}
+}
+
+// TestAnotherProcessRecordedSiblingSurvivesGCPool: GCPool runs in a
+// process whose writable instance predates run2, which another process
+// recorded. The pass collects only run1's superseded checkpoint, and run2
+// still reads.
+func TestAnotherProcessRecordedSiblingSurvivesGCPool(t *testing.T) {
+	base := t.TempDir()
+	pool := filepath.Join(base, "POOL")
+	run1, run2 := filepath.Join(base, "run1"), filepath.Join(base, "run2")
+	key := Key{LoopID: "train", Exec: 0}
+	s1 := openPooled(t, run1, pool)
+	superseded := putPayload(t, s1, key, testPayload(4<<20, 1))
+	putPayload(t, s1, key, testPayload(4<<20, 2))
+	if _, err := s1.GC(); err != nil {
+		t.Fatal(err)
+	}
+	asAnotherProcess(func() { putPayload(t, openPooled(t, run2, pool), key, testPayload(4<<20, 3)) })
+
+	res, err := GCPool(pool, GCOptions{PackRetention: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for e := 0; e < 2; e++ {
-		if _, err := ReadAll(s3, Key{LoopID: "train", Exec: e}, nil); err != nil {
-			t.Fatalf("reopen exec %d: %v", e, err)
-		}
+	resetPoolRegistry()
+	checkPayload(t, run2, key, testPayload(4<<20, 3))
+	checkPayload(t, run1, key, testPayload(4<<20, 2))
+	if want := int(superseded.Size / ckptfmt.DefaultChunkSize); res.DeadChunks != want {
+		t.Fatalf("GCPool collected %d chunks, want the superseded checkpoint's %d", res.DeadChunks, want)
 	}
 }

@@ -236,15 +236,11 @@ type Store struct {
 	readOnly bool
 	manifest recordLog // appends hold mu
 
-	// pool is the chunk layer (an empty one for v1 stores). pooled marks a
-	// shared, multi-run pool; poolRoot is its resolved root and poolRef the
-	// path as recorded in (or destined for) the manifest's pool-reference
-	// record.
-	pool     *ChunkPool
-	pooled   bool
-	poolRoot string
-	poolRef  string
-	sawPRec  bool // manifest already holds the pool-reference record
+	// pool is the chunk layer (an empty one for v1 stores). poolRef is, for
+	// a run of a shared pool, the path its manifest's pool-reference record
+	// holds ("" until that record is written).
+	pool    *ChunkPool
+	poolRef string
 
 	mu      sync.Mutex
 	nextSeq int
@@ -382,8 +378,8 @@ func OpenWith(dir string, o Options) (*Store, error) {
 	if !s.readOnly && slices.ContainsFunc(recs, segmentBacked) {
 		return nil, legacyLayout(dir, "a store whose manifest holds segment-file checkpoints")
 	}
-	if s.pooled {
-		err = s.attachPool(o)
+	if m.pooled || o.Pool != "" {
+		err = s.attachPool(o, recs)
 	} else {
 		err = s.openPrivatePool(o, m, recs)
 	}
@@ -417,7 +413,7 @@ func OpenWith(dir string, o Options) (*Store, error) {
 	if err := s.writeMarker(); err != nil {
 		return nil, err
 	}
-	if s.pooled {
+	if s.pool.shared {
 		// Make the attachment durable: the pool-reference record is the
 		// manifest's first record, and the LEASE entry is the pool-side
 		// refcount that keeps this run's chunks live under GCPool.
@@ -603,15 +599,12 @@ func (s *Store) resolveLayout(o Options) (markerInfo, error) {
 			return m, legacyLayout(s.dir, fmt.Sprintf("a store marked %q", strings.TrimSpace(string(raw))))
 		}
 	}
-	s.fanout, s.pooled = l.ShardFanout, l.Pooled
+	s.fanout = l.ShardFanout
 	// Pool attachment: only fresh directories can attach — moving a
 	// recorded run's chunks into (or out of) a pool would strand every
 	// committed chunk record.
-	if o.Pool != "" {
-		if l.Recorded && !s.pooled {
-			return m, fmt.Errorf("store: cannot attach recorded run %s to pool %s (recorded with a private pack)", s.dir, o.Pool)
-		}
-		s.pooled = true
+	if o.Pool != "" && l.Recorded && !l.Pooled {
+		return m, fmt.Errorf("store: cannot attach recorded run %s to pool %s (recorded with a private pack)", s.dir, o.Pool)
 	}
 	return m, nil
 }
@@ -625,7 +618,7 @@ func (s *Store) resolveLayout(o Options) (markerInfo, error) {
 // refusal.
 func (s *Store) writeMarker() error {
 	want := []byte(markerPrivate)
-	if s.pooled {
+	if s.pool.shared {
 		want = []byte(markerPooled)
 	}
 	if cur, err := os.ReadFile(s.formatPath()); err != nil || !bytes.Equal(cur, want) {
@@ -674,26 +667,23 @@ func resolveRunPath(dir, entry string) string {
 	return entry
 }
 
-// attachPool connects a pooled store to its shared chunk pool: the recorded
-// pool-reference record names it for reopens; fresh directories take it
-// from Options.Pool.
-func (s *Store) attachPool(o Options) error {
+// attachPool connects a pooled store to its shared chunk pool. A recorded
+// run's pool is named by the pool-reference record that leads its manifest
+// records recs, at the marker's fanout; a fresh directory (or one whose
+// first record was torn) takes it from Options.Pool.
+func (s *Store) attachPool(o Options, recs []manifestRecord) error {
 	if o.Backend != nil || len(o.ShardDirs) > 0 {
 		return fmt.Errorf("store: pooled stores place all packs in the pool (Backend/ShardDirs not applicable)")
 	}
-	recordedRef := ""
-	if s.recorded {
-		ref, _, err := peekPoolRef(s.dir)
-		if err != nil {
-			return err
-		}
-		recordedRef = ref
-	}
 	var root string
 	switch {
-	case recordedRef != "":
-		root = resolveRunPath(s.dir, recordedRef)
-		s.poolRef = recordedRef
+	case len(recs) > 0:
+		ref := recs[0]
+		if ref.tag != recPool || ref.ref == "" || ref.fanout != s.fanout {
+			return fmt.Errorf("%w: pooled run %s: manifest does not start with a pool-reference record at fanout %d", codec.ErrCorrupt, s.dir, s.fanout)
+		}
+		root = resolveRunPath(s.dir, ref.ref)
+		s.poolRef = ref.ref
 		if o.Pool != "" || o.PinPool {
 			// Pinning compares resolved roots, so callers may pin the root a
 			// registration-time PoolRef reported and a later manifest rewrite
@@ -710,7 +700,7 @@ func (s *Store) attachPool(o Options) error {
 				}
 			}
 			if want != rec {
-				return fmt.Errorf("store: cannot repoint %s to pool %q (recorded against %q)", s.dir, o.Pool, recordedRef)
+				return fmt.Errorf("store: cannot repoint %s to pool %q (recorded against %q)", s.dir, o.Pool, ref.ref)
 			}
 		}
 	case o.Pool != "":
@@ -731,30 +721,28 @@ func (s *Store) attachPool(o Options) error {
 	}
 	s.pool = p
 	s.fanout = p.fanout
-	s.poolRoot = p.root
 	return nil
 }
 
 // commitPoolAttachment makes a writable pooled open durable: the manifest's
 // leading pool-reference record plus the pool-side LEASE entry.
 func (s *Store) commitPoolAttachment() error {
-	if !s.sawPRec {
+	if s.poolRef == "" {
 		// Prefer a run-dir-relative reference so a project tree (runs +
 		// POOL) can relocate as a unit; fall back to the canonical absolute
 		// root when no relative path exists.
-		ref := s.poolRoot
+		ref := s.pool.root
 		if absDir, err := filepath.Abs(s.dir); err == nil {
 			if resolved, rerr := filepath.EvalSymlinks(absDir); rerr == nil {
 				absDir = resolved
 			}
-			if rel, rerr := filepath.Rel(absDir, s.poolRoot); rerr == nil {
+			if rel, rerr := filepath.Rel(absDir, s.pool.root); rerr == nil {
 				ref = rel
 			}
 		}
 		s.mu.Lock()
 		err := s.manifest.append(frameTagged(recPool, encodePoolRef(ref, s.fanout)))
 		if err == nil {
-			s.sawPRec = true
 			s.poolRef = ref
 		}
 		s.mu.Unlock()
@@ -763,30 +751,6 @@ func (s *Store) commitPoolAttachment() error {
 		}
 	}
 	return s.pool.writeLease(s.dir)
-}
-
-// peekPoolRef reads the pool reference off a pooled run's manifest without
-// replaying it: the pool-reference record is always the manifest's first
-// record.
-func peekPoolRef(dir string) (ref string, fanout int, err error) {
-	raw, err := os.ReadFile(filepath.Join(dir, manifestFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return "", 0, nil
-	}
-	if err != nil {
-		return "", 0, fmt.Errorf("store: read manifest: %w", err)
-	}
-	rec, _, err := decodeManifestRecord(raw, false)
-	if err != nil {
-		// A torn first record (crash during the attachment append) reads as
-		// "no reference yet": writable opens truncate the tail and re-append
-		// from Options.Pool.
-		return "", 0, nil
-	}
-	if rec.tag != recPool {
-		return "", 0, fmt.Errorf("%w: pooled run %s: manifest does not start with a pool-reference record", codec.ErrCorrupt, dir)
-	}
-	return rec.ref, rec.fanout, nil
 }
 
 // PoolRef reports the shared chunk pool a run directory is attached to: the
@@ -800,16 +764,21 @@ func PoolRef(dir string) (root string, ok bool, err error) {
 	if !l.Pooled {
 		return "", false, nil
 	}
-	ref, _, err := peekPoolRef(dir)
-	if err != nil {
-		return "", false, err
+	// The pool-reference record leads the manifest, so only it is decoded.
+	raw, err := os.ReadFile(filepath.Join(dir, manifestFile))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return "", false, fmt.Errorf("store: read manifest: %w", err)
 	}
-	if ref == "" {
+	rec, _, derr := decodeManifestRecord(raw, false)
+	if derr == nil && rec.tag != recPool {
+		return "", false, fmt.Errorf("%w: pooled run %s: manifest does not start with a pool-reference record", codec.ErrCorrupt, dir)
+	}
+	if derr != nil || rec.ref == "" {
 		return "", false, fmt.Errorf("store: %s is marked pooled but has no manifest", dir)
 	}
 	// Canonicalize so callers grouping runs by pool root compare equal
 	// strings regardless of how each run recorded the reference.
-	root, err = resolvePoolRoot(resolveRunPath(dir, ref))
+	root, err = resolvePoolRoot(resolveRunPath(dir, rec.ref))
 	if err != nil {
 		return "", false, err
 	}
@@ -829,18 +798,23 @@ func (s *Store) ShardFanout() int {
 }
 
 // Pooled reports whether the run's chunks live in a shared pool.
-func (s *Store) Pooled() bool { return s.pooled }
+func (s *Store) Pooled() bool { return s.pool.shared }
 
 // PoolRoot returns the resolved root of the attached shared pool ("" for
 // private-pack stores).
-func (s *Store) PoolRoot() string { return s.poolRoot }
+func (s *Store) PoolRoot() string {
+	if !s.pool.shared {
+		return ""
+	}
+	return s.pool.root
+}
 
 // PoolStats returns the attached pool's pool-wide storage accounting;
 // ok is false for stores without a shared pool. (For per-run accounting see
 // Dedup; a pooled run's stored-bytes counters cover only chunks this store
 // instance published.)
 func (s *Store) PoolStats() (PoolStats, bool) {
-	if !s.pooled {
+	if !s.pool.shared {
 		return PoolStats{}, false
 	}
 	return s.pool.Stats(), true
@@ -877,26 +851,21 @@ func segmentBacked(rec manifestRecord) bool {
 	return rec.tag == recMeta && rec.e.dir == nil && rec.e.dirErr == nil
 }
 
-// applyRecord replays one decoded manifest record into the in-memory state;
-// chunk records are the pool's (ChunkPool.open). It runs single-threaded at
-// open, before the store is shared.
+// applyRecord replays one decoded manifest record into the in-memory state:
+// a meta record. Chunk records are the pool's (ChunkPool.open), and the
+// pool-reference record attachPool's. It runs single-threaded at open,
+// before the store is shared.
 func (s *Store) applyRecord(rec manifestRecord) {
-	switch rec.tag {
-	case recPool:
-		// The reference was already resolved by attachPool's peek; replay
-		// just confirms its presence (and sanity) so reopen skips re-adding.
-		if s.pooled && rec.ref != "" && rec.fanout == s.fanout {
-			s.sawPRec = true
-		}
-	case recMeta:
-		e := rec.e
-		if e.Seq >= s.nextSeq {
-			s.nextSeq = e.Seq + 1
-		}
-		// A segment-backed record only counts if its file survived.
-		if !segmentBacked(rec) || loadSegment(s.dir, e) {
-			s.commitLocked(e)
-		}
+	if rec.tag != recMeta {
+		return
+	}
+	e := rec.e
+	if e.Seq >= s.nextSeq {
+		s.nextSeq = e.Seq + 1
+	}
+	// A segment-backed record only counts if its file survived.
+	if !segmentBacked(rec) || loadSegment(s.dir, e) {
+		s.commitLocked(e)
 	}
 }
 
@@ -1591,7 +1560,7 @@ func (s *Store) GCWith(o GCOptions) (GCResult, error) {
 		return GCResult{}, err
 	}
 	superseded, err := s.rewriteManifest(live)
-	if err != nil || s.pooled {
+	if err != nil || p.shared {
 		return GCResult{Superseded: superseded}, err
 	}
 	res, err := p.gc(o)
@@ -1611,7 +1580,7 @@ func (s *Store) GCWith(o GCOptions) (GCResult, error) {
 // one run's, so a pooled run counts only the chunks it publishes (putV2).
 // The caller holds s.mu or has the store to itself.
 func (s *Store) adoptPoolStats() {
-	if s.pooled {
+	if s.pool.shared {
 		return
 	}
 	st := s.pool.Stats()
@@ -1654,7 +1623,7 @@ func (s *Store) liveEntries() ([]*entry, error) {
 // pool's GC fence.
 func (s *Store) rewriteManifest(live []*entry) (int, error) {
 	var buf []byte
-	if s.pooled {
+	if s.pool.shared {
 		buf = frameTagged(recPool, encodePoolRef(s.poolRef, s.fanout))
 	}
 	for _, e := range live {
