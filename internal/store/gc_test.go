@@ -7,6 +7,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -468,6 +469,97 @@ func TestGCMarkFailsClosed(t *testing.T) {
 	}
 	if after, _ := os.ReadFile(filepath.Join(pool, poolIndexFile)); !bytes.Equal(after, index) {
 		t.Fatal("the aborted GCPool rewrote the pool INDEX")
+	}
+}
+
+// TestGCPoolFailsClosedOnEmptyLease pins the lease half of the fail-closed
+// mark: a lease a torn write left empty names no run, so GCPool cannot know
+// which chunks it pins. GCPool fails with an error naming the file and
+// changes no byte of the pool, and the run still reads — also for a run
+// whose directory name, and so its lease file's, ends in ".tmp".
+func TestGCPoolFailsClosedOnEmptyLease(t *testing.T) {
+	for _, name := range []string{"run-torn", "run-torn.tmp"} {
+		t.Run(name, func(t *testing.T) {
+			base := t.TempDir()
+			pool := filepath.Join(base, "POOL")
+			keep, torn := filepath.Join(base, "run-keep"), filepath.Join(base, name)
+			key := Key{LoopID: "train", Exec: 0}
+			for i, run := range []string{keep, torn} {
+				if _, err := openPooled(t, run, pool).PutSections(key, familySections(1, uint64(100*(i+1)), 0), 0, 0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			entry, err := leaseEntry(pool, torn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lease, ok := findLease(pool, entry)
+			if !ok {
+				t.Fatal("the torn run has no lease")
+			}
+			if err := os.WriteFile(lease, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := dirBytes(t, pool)
+			if _, err := GCPool(pool, GCOptions{PackRetention: time.Hour}); err == nil || !strings.Contains(err.Error(), lease) {
+				t.Fatalf("GCPool over an empty lease: %v, want an error naming %s", err, lease)
+			}
+			if after := dirBytes(t, pool); !maps.Equal(before, after) {
+				t.Fatal("the aborted GCPool changed the pool")
+			}
+			resetPoolRegistry()
+			s, err := OpenWith(torn, Options{ReadOnly: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if secs, err := ReadAll(s, key, nil); err != nil || !bytes.Equal(secs[1].Data, familySections(1, 200, 0)[1].Data) {
+				t.Fatalf("the torn-lease run after the aborted GCPool: %v", err)
+			}
+		})
+	}
+}
+
+// TestGCPoolSkipsScratchLeases pins what a lease is: a file renamed into
+// place. The empty scratch copy a crash before writeLease's rename leaves
+// pins nothing and does not stop GCPool, while a run whose directory name
+// ends in ".tmp" stays pinned.
+func TestGCPoolSkipsScratchLeases(t *testing.T) {
+	base := t.TempDir()
+	pool := filepath.Join(base, "POOL")
+	run, gone := filepath.Join(base, "run.tmp"), filepath.Join(base, "run-gone")
+	key := Key{LoopID: "train", Exec: 0}
+	want := familySections(1, 100, 0)
+	s := openPooled(t, run, pool)
+	if _, err := s.PutSections(key, want, 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openPooled(t, gone, pool).PutSections(key, familySections(1, 200, 0), 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	lease := leaseCandidates(pool, "run-crashed")[0]
+	scratch := filepath.Join(filepath.Dir(lease), leaseScratchPrefix+filepath.Base(lease))
+	if err := os.WriteFile(scratch, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := DeleteRun(gone); err != nil {
+		t.Fatal(err)
+	}
+	res, err := GCPool(pool, GCOptions{PackRetention: time.Hour})
+	if err != nil {
+		t.Fatalf("GCPool beside an empty scratch lease: %v", err)
+	}
+	if res.DeadChunks == 0 {
+		t.Fatalf("the deleted run's chunks were not reclaimed: %+v", res)
+	}
+	resetPoolRegistry()
+	reopened, err := OpenWith(run, Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*Store{s, reopened} {
+		if secs, err := ReadAll(st, key, nil); err != nil || !bytes.Equal(secs[1].Data, want[1].Data) {
+			t.Fatalf("%s after GCPool: %v", run, err)
+		}
 	}
 }
 

@@ -767,6 +767,11 @@ func leaseFileName(entry string) string {
 	return fmt.Sprintf("%08x-%s", h.Sum32(), strings.Map(leaseNameRune, filepath.Base(entry)))
 }
 
+// leaseScratchPrefix starts the name of writeLease's scratch copy of a
+// lease. No lease name can start with it (leaseFileName starts each with a
+// hex hash), so a scratch copy a crash left behind is never read as a lease.
+const leaseScratchPrefix = "."
+
 // leaseCandidates returns the file paths a lease entry may occupy, in
 // probe order: the short-hash name, then a long-hash fallback used only
 // when two distinct entries collide under the short hash. A lease file is
@@ -818,7 +823,8 @@ func (p *ChunkPool) writeLease(runDir string) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: lease: %w", err)
 	}
-	if err := writeFileAtomic(path, []byte(entry+"\n")); err != nil {
+	scratch := filepath.Join(filepath.Dir(path), leaseScratchPrefix+filepath.Base(path))
+	if err := writeFileVia(scratch, path, []byte(entry+"\n")); err != nil {
 		return fmt.Errorf("store: write lease: %w", err)
 	}
 	return nil
@@ -842,9 +848,11 @@ func (p *ChunkPool) removeLease(runDir string) error {
 
 // leases returns the run directories currently attached to the pool
 // (relative entries resolved against the pool root). Like the GC mark it
-// feeds, it fails closed: an unreadable lease would silently unpin a live
-// run's chunks, so only a lease deleted mid-scan (a concurrent DeleteRun)
-// is skipped.
+// feeds, it fails closed: an unreadable or empty lease (writeLease never
+// writes one, so it is a crash's torn write) would silently unpin a live
+// run's chunks, so it is an error naming the file. Only a lease deleted
+// mid-scan (a concurrent DeleteRun) is skipped, and writeLease's scratch
+// copies: a lease exists only once it is renamed into place.
 func (p *ChunkPool) leases() ([]string, error) {
 	entries, err := os.ReadDir(filepath.Join(p.root, poolLeaseDir))
 	if errors.Is(err, os.ErrNotExist) {
@@ -855,7 +863,11 @@ func (p *ChunkPool) leases() ([]string, error) {
 	}
 	var dirs []string
 	for _, e := range entries {
-		raw, err := os.ReadFile(filepath.Join(p.root, poolLeaseDir, e.Name()))
+		if strings.HasPrefix(e.Name(), leaseScratchPrefix) {
+			continue
+		}
+		path := filepath.Join(p.root, poolLeaseDir, e.Name())
+		raw, err := os.ReadFile(path)
 		if errors.Is(err, os.ErrNotExist) {
 			continue
 		}
@@ -864,7 +876,7 @@ func (p *ChunkPool) leases() ([]string, error) {
 		}
 		dir := strings.TrimSpace(string(raw))
 		if dir == "" {
-			continue
+			return nil, fmt.Errorf("store: lease %s is empty: the run it pinned is unknown, so no chunk can be reclaimed", path)
 		}
 		if !filepath.IsAbs(dir) {
 			dir = filepath.Join(p.root, dir)

@@ -1215,7 +1215,11 @@ func (s *Store) putV2(key Key, secs []Section, known []KnownChunks, snapNs, serN
 // writeFileAtomic commits data to path via write-then-rename, so readers
 // (and existence-based skip checks) never observe a torn file.
 func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
+	return writeFileVia(path+".tmp", path, data)
+}
+
+// writeFileVia is writeFileAtomic with the scratch copy named tmp.
+func writeFileVia(tmp, path string, data []byte) error {
 	err := os.WriteFile(tmp, data, 0o644)
 	if err == nil {
 		err = os.Rename(tmp, path)

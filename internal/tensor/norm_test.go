@@ -1,6 +1,8 @@
 package tensor_test
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -16,18 +18,18 @@ import (
 	"flor.dev/flor/internal/xrand"
 )
 
-// laneSumSquares is the package comment's four-lane order, written out
+// laneSumSquares is the package comment's sixteen-lane order, written out
 // element by element.
 func laneSumSquares(x []float64) float64 {
-	var lane [4]float64
-	m := len(x) - len(x)%4
-	for i := 0; i < m; i++ {
-		lane[i%4] += float64(x[i] * x[i])
+	var lane [16]float64
+	for i, v := range x {
+		lane[i%16] += float64(v * v)
 	}
-	for _, v := range x[m:] {
-		lane[0] += float64(v * v)
+	var s [8]float64
+	for j := range s {
+		s[j] = lane[j] + lane[j+8]
 	}
-	return (lane[0] + lane[1]) + (lane[2] + lane[3])
+	return ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]))
 }
 
 // spread returns n values with full mantissas and magnitudes within 2^±4:
@@ -45,11 +47,12 @@ func spread(seed uint64, n int) []float64 {
 // TestNormOrderIsPositional pins the order Norm and SumSquares add in: the
 // same values give the same bits at every offset of a backing array, in a
 // Clone, and through a value.View of a cached copy, and those bits are the
-// element-by-element four-lane sum — for every tail length and for a tensor
-// the size of a query's model.
+// element-by-element sixteen-lane sum, on the host's kernel and on the
+// portable loop — for every tail length, up to two whole blocks and a tail,
+// and for a tensor the size of a query's model.
 func TestNormOrderIsPositional(t *testing.T) {
 	var lengths []int
-	for n := 0; n <= 9; n++ {
+	for n := 0; n <= 33; n++ {
 		for range 64 { // one draw may round alike in two orders; 64 will not
 			lengths = append(lengths, n)
 		}
@@ -60,7 +63,10 @@ func TestNormOrderIsPositional(t *testing.T) {
 		check := func(how string, x *tensor.Tensor) {
 			t.Helper()
 			if got := x.SumSquares(); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("n=%d %s: SumSquares = %x, four-lane order gives %x", n, how, math.Float64bits(got), math.Float64bits(want))
+				t.Fatalf("n=%d %s: SumSquares = %x, sixteen-lane order gives %x", n, how, math.Float64bits(got), math.Float64bits(want))
+			}
+			if got := x.SumSquaresOn(false); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d %s: portable SumSquares = %x, sixteen-lane order gives %x", n, how, math.Float64bits(got), math.Float64bits(want))
 			}
 			if got := x.Norm(); math.Float64bits(got) != math.Float64bits(math.Sqrt(want)) {
 				t.Fatalf("n=%d %s: Norm = %x, want √SumSquares = %x", n, how, math.Float64bits(got), math.Float64bits(math.Sqrt(want)))
@@ -86,6 +92,141 @@ func TestNormOrderIsPositional(t *testing.T) {
 		check("view", tv.T)
 		v.End()
 	}
+}
+
+// rawFloats is a SumSquares input that neither kernel may round apart:
+// raw bit patterns (subnormals, ±0, ±Inf, NaNs, values whose squares
+// overflow or vanish) mixed with ordinary ones, at lengths 0–40 and 70,000,
+// at an offset of 0–7 into a backing array.
+type rawFloats struct {
+	x   []float64
+	off int
+}
+
+// specialBits are the float64 patterns the cross-path checks start from.
+var specialBits = []uint64{
+	0, 1 << 63, // ±0
+	0x7ff0000000000000, 0xfff0000000000000, // ±Inf
+	0x7ff8000000000000, 0xfff8000000000001, // NaNs
+	1, 0x000fffffffffffff, 0x8000000000000001, // subnormals
+	0x0010000000000000, 0x1ff0000000000000, // smallest normal; a square that goes subnormal
+	0x5fe0000000000000, 0x5ff0000000000000, 0x7fefffffffffffff, // squares near, at and far past overflow
+	0x3ff0000000000000, 0xbff0000000000001, 0x3fb999999999999a, // ±1, 0.1
+}
+
+func (rawFloats) Generate(r *rand.Rand, _ int) reflect.Value {
+	n := r.Intn(41)
+	if r.Intn(16) == 0 {
+		n = 70_000
+	}
+	// One Inf or NaN decides the whole sum, so only a third of the inputs
+	// may hold one; the rest must leave every rounding visible.
+	raw := r.Intn(3)
+	x := make([]float64, n)
+	for i := range x {
+		switch k := r.Intn(8); {
+		case raw == 0 && k == 0:
+			x[i] = math.Float64frombits(r.Uint64())
+		case raw == 0 && k == 1:
+			x[i] = math.Float64frombits(specialBits[r.Intn(len(specialBits))])
+		case raw == 1 && k == 0:
+			x[i] = math.Float64frombits(r.Uint64() & 0x801fffffffffffff) // ±0, subnormal or tiny
+		default:
+			x[i] = math.Ldexp(r.NormFloat64(), r.Intn(41)-20)
+		}
+	}
+	return reflect.ValueOf(rawFloats{x, r.Intn(8)})
+}
+
+// GoString keeps a failing quick.Check's report to the input's shape: the
+// fixed seed reproduces the values.
+func (in rawFloats) GoString() string {
+	return fmt.Sprintf("rawFloats{n: %d, off: %d}", len(in.x), in.off)
+}
+
+// pathsAgree reports whether the AVX2 kernel and the portable loop give the
+// same SumSquares for x laid at off into a backing array: the same bits, or
+// a NaN on both (no log prints a NaN's payload).
+func pathsAgree(t *testing.T, x []float64, off int) bool {
+	t.Helper()
+	backing := make([]float64, off+len(x)+3)
+	copy(backing[off:], x)
+	v := tensor.FromSlice(backing[off:off+len(x)], len(x))
+	avx2, portable := v.SumSquaresOn(true), v.SumSquaresOn(false)
+	if math.Float64bits(avx2) == math.Float64bits(portable) || math.IsNaN(avx2) && math.IsNaN(portable) {
+		return true
+	}
+	t.Logf("n=%d off=%d: AVX2 SumSquares = %x, portable = %x", len(x), off, math.Float64bits(avx2), math.Float64bits(portable))
+	return false
+}
+
+// TestQuickSumSquaresPaths is the cross-path identity as a property: on
+// every rawFloats input the AVX2 kernel and the portable loop agree.
+func TestQuickSumSquaresPaths(t *testing.T) {
+	if !tensor.HaveAVX2() {
+		t.Skip("no AVX2 on this host: SumSquares runs the portable loop only")
+	}
+	f := func(in rawFloats) bool { return pathsAgree(t, in.x, in.off) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzSumSquaresPaths is the cross-path identity over arbitrary bytes: each
+// eight bytes are one float64's bits, and off%8 places them in a backing
+// array.
+func FuzzSumSquaresPaths(f *testing.F) {
+	if !tensor.HaveAVX2() {
+		f.Skip("no AVX2 on this host: SumSquares runs the portable loop only")
+	}
+	encode := func(x []float64) []byte {
+		b := make([]byte, 0, 8*len(x))
+		for _, v := range x {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	for n := 0; n <= 40; n++ {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = math.Float64frombits(specialBits[(i*7+n)%len(specialBits)])
+		}
+		f.Add(encode(x), uint8(n%8))
+		f.Add(encode(spread(uint64(n)+1, n)), uint8(n%7+1))
+	}
+	f.Add(encode(spread(1, 70_000)), uint8(3))
+	f.Fuzz(func(t *testing.T, raw []byte, off uint8) {
+		x := make([]float64, len(raw)/8)
+		for i := range x {
+			x[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		if !pathsAgree(t, x, int(off%8)) {
+			t.Fail()
+		}
+	})
+}
+
+// TestSumSquaresAllocatesNothing pins that the norms a probe reads allocate
+// nothing on either kernel: SumSquares' lanes stay on the stack (the AVX2
+// kernel is declared not to keep their address), and so do Norm's and
+// nn.WeightNorm's over a query-sized model.
+func TestSumSquaresAllocatesNothing(t *testing.T) {
+	m := nn.NewResidualMLP(xrand.New(7), 32, 64, 64, 8, 10)
+	x := tensor.FromSlice(spread(3, 70_000), 70_000)
+	check := func(kernel string) {
+		for name, f := range map[string]func(){
+			"SumSquares":    func() { x.SumSquares() },
+			"Norm":          func() { x.Norm() },
+			"nn.WeightNorm": func() { nn.WeightNorm(m) },
+		} {
+			if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
+				t.Errorf("%s: %s allocates %.0f times per call, want 0", kernel, name, allocs)
+			}
+		}
+	}
+	check(fmt.Sprintf("host kernel (AVX2 %v)", tensor.HaveAVX2()))
+	defer tensor.UsePortable()()
+	check("portable loop")
 }
 
 // TestWeightNormThroughAViewIsTheLiveNorm is the model half of the order
@@ -147,13 +288,15 @@ func (magnitudes) Generate(r *rand.Rand, _ int) reflect.Value {
 // TestSumSquaresIsAccurate checks SumSquares and Norm against an exact sum
 // of squares. Every term is non-negative, so the error of a lane that adds k
 // rounded squares is at most k·u of the exact sum (u = 2⁻⁵³, first order);
-// lane 0 adds at most ⌈n/4⌉+3 terms and the combine rounds twice, so the
-// bound stated is (⌈n/4⌉+6)·u for SumSquares and half that plus u for Norm.
+// lane 0 adds the most terms, ⌈n/16⌉, and the combine tree rounds four
+// times on every lane's path, so the bound stated is (⌈n/16⌉+4)·u for
+// SumSquares — at or below the (⌈n/4⌉+6)·u of the four-lane order it
+// replaced, for every n — and half that plus u for Norm.
 func TestSumSquaresIsAccurate(t *testing.T) {
 	const u = 0x1p-53
 	f := func(x magnitudes) bool {
 		exact := exactSumSquares(x)
-		bound := float64((len(x)+3)/4+6) * u
+		bound := float64((len(x)+15)/16+4) * u
 		ss := tensor.FromSlice(x, len(x)).SumSquares()
 		if e := relErr(ss, exact); e > bound {
 			t.Logf("n=%d: SumSquares relative error %g > %g", len(x), e, bound)
@@ -204,7 +347,8 @@ func TestSumAndMeanAreLeftToRight(t *testing.T) {
 // BenchmarkNorm measures the kernel over one query model's parameters (the
 // residual MLP florperf's query runs record, ~70 K floats, cache-resident)
 // and over 72 of them (three runs × 24 epochs, the ~39 MiB payload working
-// set a warm daemon's weight-norm queries stream).
+// set a warm daemon's weight-norm queries stream), on the host's kernel and
+// on the portable loop.
 func BenchmarkNorm(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -218,13 +362,18 @@ func BenchmarkNorm(b *testing.B) {
 				bytes += 8 * p.Var.Value.Len()
 			}
 		}
-		b.Run(c.name, func(b *testing.B) {
+		run := func(b *testing.B) {
 			b.SetBytes(int64(bytes))
 			for b.Loop() {
 				for _, x := range ts {
 					x.Norm()
 				}
 			}
+		}
+		b.Run(c.name, run)
+		b.Run(c.name+"/portable", func(b *testing.B) {
+			defer tensor.UsePortable()()
+			run(b)
 		})
 	}
 }

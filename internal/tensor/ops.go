@@ -198,24 +198,10 @@ func (t *Tensor) Mean() float64 {
 func (t *Tensor) Norm() float64 { return math.Sqrt(t.SumSquares()) }
 
 // SumSquares returns the sum of the squares of all elements, in the
-// positional four-lane order the package comment states.
-func (t *Tensor) SumSquares() float64 {
-	x := t.vals()
-	var s0, s1, s2, s3 float64
-	for len(x) >= 4 {
-		// float64(…) rounds each product on its own, so no target fuses it
-		// into the add (Go spec, "Floating-point operators").
-		s0 += float64(x[0] * x[0])
-		s1 += float64(x[1] * x[1])
-		s2 += float64(x[2] * x[2])
-		s3 += float64(x[3] * x[3])
-		x = x[4:]
-	}
-	for _, v := range x {
-		s0 += float64(v * v)
-	}
-	return (s0 + s1) + (s2 + s3)
-}
+// positional sixteen-lane order the package comment states. It allocates
+// nothing, and its bits do not depend on whether the host runs the AVX2
+// kernel.
+func (t *Tensor) SumSquares() float64 { return sumSquares(t.vals()) }
 
 // MaxAbs returns the largest absolute element value (0 for empty tensors).
 func (t *Tensor) MaxAbs() float64 {

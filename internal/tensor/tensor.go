@@ -9,15 +9,21 @@
 //
 // There are two accumulation orders:
 //
-//   - Norm and SumSquares sum squares in four positional lanes: for n
-//     elements and m = n - n%4, element i < m adds to lane i%4 in index
-//     order, the tail elements m..n-1 then add to lane 0 in index order,
-//     and the result is (s0+s1)+(s2+s3). Each square is rounded before its
-//     add (never fused). The order depends only on the values and their
-//     indices — not on address, alignment, GOMAXPROCS or GOARCH — so a
-//     live tensor, its Clone and a view of a cached copy give the same bits.
-//     Four independent chains run at memory speed, not add latency; these
-//     are the log statements' reductions (weight and gradient norms).
+//   - Norm and SumSquares sum squares in sixteen positional lanes: element
+//     i adds to lane i%16 in index order. The lanes combine in one fixed
+//     tree: s_j = l_j + l_(j+8) for j < 8, then
+//     ((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7)). Each square is rounded before
+//     its add (never fused). The order depends only on the values
+//     and their indices — not on address, alignment, GOMAXPROCS, GOARCH or
+//     CPU features — so a live tensor, its Clone and a view of a cached
+//     copy give the same bits, and a run recorded on one machine logs the
+//     same norms when it is replayed on another. On amd64 with AVX2 one
+//     assembly kernel fills the lanes, four YMM registers of four lanes
+//     each, from the whole blocks of 16; every other host runs a Go loop
+//     that fills the same lanes, and the tail (element m+k, m = n - n%16,
+//     adds to lane k) and the combine are shared Go code. Sixteen independent
+//     chains keep the loop at memory bandwidth, not add latency; these are
+//     the log statements' reductions (weight and gradient norms).
 //   - Every other reduction (Sum, Mean, the dot products in MatMul, …) is
 //     a left fold in index order. Training depends on these — autograd's
 //     mean loss, and the committed fixtures' recorded sums — so they keep

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	_ "unsafe" // go:linkname
 
 	flor "flor.dev/flor"
 	"flor.dev/flor/internal/backmat"
@@ -1077,7 +1078,21 @@ func manifestSansStopwatch(t *testing.T, manifest string) []string {
 // the one-name probe reads, so its reads are views of the cached tensors.
 // Every replay must log, byte for byte, what running the probed program with
 // no instrumentation at all logs.
-func TestDemandLoadMatrixMatchesUninstrumentedRun(t *testing.T) {
+func TestDemandLoadMatrixMatchesUninstrumentedRun(t *testing.T) { demandLoadMatrix(t, false) }
+
+// TestDemandLoadMatrixOnThePortableLoop is the matrix with every replay's
+// SumSquares on the portable loop, against recordings and uninstrumented
+// runs made on the host's kernel (AVX2 where the CPU has it): a run recorded
+// on an AVX2 machine logs the same norm bits when it is replayed on any
+// other.
+func TestDemandLoadMatrixOnThePortableLoop(t *testing.T) { demandLoadMatrix(t, true) }
+
+// tensorUseAVX2 is internal/tensor's kernel switch, set once at its init.
+//
+//go:linkname tensorUseAVX2 flor.dev/flor/internal/tensor.useAVX2
+var tensorUseAVX2 bool
+
+func demandLoadMatrix(t *testing.T, portableReplays bool) {
 	factory := compressibleFactory(7, 2)
 	probe := func(label string, eval func(e *flor.Env) (string, error)) func() *flor.Program {
 		return func() *flor.Program {
@@ -1092,11 +1107,12 @@ func TestDemandLoadMatrixMatchesUninstrumentedRun(t *testing.T) {
 	probes := []struct {
 		name    string
 		factory func() *flor.Program
+		want    []string
 	}{
-		{"one-name", probe("hs", func(e *flor.Env) (string, error) { return norm(e), nil })},
+		{"one-name", probe("hs", func(e *flor.Env) (string, error) { return norm(e), nil }), nil},
 		{"every-name", probe("hs", func(e *flor.Env) (string, error) {
 			return fmt.Sprintf("%s rng=%x", norm(e), e.MustGet("rng").(*flor.RNGVal).R.State()), nil
-		})},
+		}), nil},
 	}
 
 	poolRoot := filepath.Join(t.TempDir(), "POOL")
@@ -1132,11 +1148,18 @@ func TestDemandLoadMatrixMatchesUninstrumentedRun(t *testing.T) {
 		}})
 	}
 
-	for _, pr := range probes {
-		want, _, err := flor.Vanilla(pr.factory)
-		if err != nil {
+	for i, pr := range probes {
+		var err error
+		if probes[i].want, _, err = flor.Vanilla(pr.factory); err != nil {
 			t.Fatalf("%s: uninstrumented run: %v", pr.name, err)
 		}
+	}
+	if portableReplays {
+		host := tensorUseAVX2
+		tensorUseAVX2 = false
+		defer func() { tensorUseAVX2 = host }()
+	}
+	for _, pr := range probes {
 		for _, s := range stores {
 			rec, err := s.open()
 			if err != nil {
@@ -1152,7 +1175,7 @@ func TestDemandLoadMatrixMatchesUninstrumentedRun(t *testing.T) {
 						if len(res.Anomalies) != 0 {
 							t.Fatalf("%s %s workers=%d init=%v shared cache=%v: anomalies %v", pr.name, s.name, workers, init, cache != nil, res.Anomalies)
 						}
-						if err := sameLogs(want, res.Logs); err != nil {
+						if err := sameLogs(pr.want, res.Logs); err != nil {
 							t.Fatalf("%s %s workers=%d init=%v shared cache=%v: replay differs from the uninstrumented run: %v",
 								pr.name, s.name, workers, init, cache != nil, err)
 						}
