@@ -253,8 +253,9 @@ type ReplayResult struct {
 // Replay re-executes the recorded run in dir against factory's (possibly
 // probed) program: loops without new log statements are skipped by restoring
 // their checkpoints; probed loops re-execute across Workers(g) parallel
-// workers. A replay only reads the run: it opens it read-only, in any layout
-// a build ever recorded, and writes nothing to it.
+// workers. A replay only reads the run: it opens it read-only and writes
+// nothing to it. A run in a layout an older build left fails with
+// store.ErrLegacyLayout: migrate it first (florctl migrate), once.
 func Replay(dir string, factory func() *Program, opts ...Option) (*ReplayResult, error) {
 	rec, err := core.LoadRecordingShared(dir)
 	if err != nil {

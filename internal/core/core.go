@@ -2,7 +2,7 @@
 // (paper §3): instrumentation, the record phase with background
 // materialization and adaptive checkpointing, persistence of the program
 // structure and record log, the entry point replay consumes, and Migrate,
-// the one way a run in a layout this build only reads becomes writable.
+// the one way a run in a layout an older build left is read.
 package core
 
 import (
@@ -166,12 +166,12 @@ func IsRecording(dir string) bool {
 	return true
 }
 
-// LoadRecordingShared opens a run directory produced by Record, in any
-// layout a build ever recorded, read-only: the store rejects writes, the
-// open touches nothing on disk, and the resulting Recording may be handed to
-// many concurrent replay and sample queries (the daemon's open path — the
-// manifest is replayed once here, not per query). Hindsight replay opens
-// every run this way.
+// LoadRecordingShared opens a run directory produced by Record read-only:
+// the store rejects writes, the open touches nothing on disk, and the
+// resulting Recording may be handed to many concurrent replay and sample
+// queries (the daemon's open path — the manifest is replayed once here, not
+// per query). Hindsight replay opens every run this way. A run in a layout
+// an older build left fails with store.ErrLegacyLayout: Migrate it first.
 func LoadRecordingShared(dir string) (*replay.Recording, error) {
 	st, err := store.OpenReadOnly(dir)
 	if err != nil {
@@ -180,21 +180,12 @@ func LoadRecordingShared(dir string) (*replay.Recording, error) {
 	return loadRecording(dir, st)
 }
 
-// LoadRecordingSharedPinned is LoadRecordingShared with the store's
-// external roots pinned: the open fails unless the run directory's
-// persisted SHARDS list still matches shardDirs (empty means "no extra
-// roots") and its pool attachment still matches pool (empty means "not
-// pooled"), so a server that validated both at registration time cannot be
-// redirected by a later SHARDS or manifest rewrite.
-func LoadRecordingSharedPinned(dir string, shardDirs []string, pool string) (*replay.Recording, error) {
-	opts := store.Options{Pool: pool, PinPool: true}
-	if pool == "" {
-		// ShardDirs and Pool are mutually exclusive on pooled stores; pin
-		// whichever axis the layout actually has.
-		opts.ShardDirs = shardDirs
-		opts.PinShardDirs = true
-	}
-	return LoadRecordingWith(dir, opts)
+// LoadRecordingSharedPinned is LoadRecordingShared with the store's pool
+// attachment pinned: the open fails unless the run's pool attachment still
+// matches pool (empty means "not pooled"), so a server that validated it at
+// registration time cannot be redirected by a later manifest rewrite.
+func LoadRecordingSharedPinned(dir, pool string) (*replay.Recording, error) {
+	return LoadRecordingWith(dir, store.Options{Pool: pool, PinPool: true})
 }
 
 // LoadRecordingWith opens a run directory read-only with explicit store
@@ -238,40 +229,41 @@ func loadRecording(dir string, st *store.Store) (*replay.Recording, error) {
 
 // Migrate copies the run at src into dst, a fresh directory, in a layout this
 // build writes: a private store, or a run of the shared pool at pool when
-// pool is not empty. It reads every live checkpoint of src read-only
-// (Resolve + ReadInto) and puts it under its key, in commit order, with its
-// recorded timings; then it copies the program structure, the record log
-// and the iteration timings. Section hashes are over raw bytes, so every
-// migrated directory names the chunks its source names, and the migrated run
-// replays as its source does. src — and the pool it may be attached to — is
-// never written. A failed migration can leave dst partly written: remove it
-// before trying again.
+// pool is not empty. It reads src, in whatever layout a build recorded it,
+// through store.ReadLegacy — the one reader of every older layout — and puts
+// each live checkpoint under its key, in commit order, with its recorded
+// timings; then it copies the program structure, the record log and the
+// iteration timings. Section hashes are over raw bytes, so every migrated
+// directory names the chunks its source names, and the migrated run replays
+// as its source does. src — and the pool it may be attached to — is never
+// written, and dst is created only once src's layout has been read. A failed
+// migration can leave dst partly written: remove it before trying again.
 func Migrate(src, dst, pool string) error {
-	from, err := store.OpenReadOnly(src)
-	if err != nil {
-		return fmt.Errorf("core: migrate: %w", err)
-	}
 	if ents, err := os.ReadDir(dst); err == nil && len(ents) > 0 {
 		return fmt.Errorf("core: migrate: %s is not empty", dst)
 	}
-	to, err := store.OpenWith(dst, store.Options{Pool: pool})
-	if err != nil {
-		return fmt.Errorf("core: migrate: %w", err)
-	}
-	for _, m := range from.Metas() {
-		if live, _ := from.Lookup(m.Key); live.Seq != m.Seq {
-			continue // superseded
+	var to *store.Store
+	open := func() (err error) {
+		if to == nil {
+			to, err = store.OpenWith(dst, store.Options{Pool: pool})
 		}
-		c, err := from.Resolve(m.Key)
+		return err
+	}
+	err := store.ReadLegacy(src, func(m store.Meta, secs []store.Section) error {
+		err := open()
 		if err == nil {
-			var secs []store.Section
-			if secs, err = c.ReadInto(nil, nil, nil, nil); err == nil {
-				_, err = to.PutSectionsKnown(m.Key, secs, nil, m.SnapNs, m.MaterNs-m.SnapNs, m.ComputNs)
-			}
+			_, err = to.PutSectionsKnown(m.Key, secs, nil, m.SnapNs, m.MaterNs-m.SnapNs, m.ComputNs)
 		}
 		if err != nil {
-			return fmt.Errorf("core: migrate %s: %w", m.Key, err)
+			return fmt.Errorf("%s: %w", m.Key, err)
 		}
+		return nil
+	})
+	if err == nil {
+		err = open() // a run without checkpoints
+	}
+	if err != nil {
+		return fmt.Errorf("core: migrate: %w", err)
 	}
 	for _, name := range []string{programFile, recordLogFile, timingsFile} {
 		raw, err := os.ReadFile(filepath.Join(src, name))

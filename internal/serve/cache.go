@@ -263,20 +263,21 @@ func (c *storeCache) contains(runID string) bool {
 }
 
 // poolStats reports the pool-wide accounting of the most recently used
-// resident store attached to the pool at root; ok is false when none is.
-func (c *storeCache) poolStats(root string) (store.PoolStats, bool) {
-	var st *store.Store
+// resident store attached to the pool at root, and why its leases could not
+// be read (Store.PoolStats); ok is false when none is.
+func (c *storeCache) poolStats(root string) (st store.PoolStats, ok bool, leaseErr error) {
+	var resident *store.Store
 	c.mu.Lock()
-	for el := c.lru.Front(); el != nil && st == nil; el = el.Next() {
+	for el := c.lru.Front(); el != nil && resident == nil; el = el.Next() {
 		if ent := el.Value.(*cacheEntry); ent.poolRoot == root {
-			st = ent.rec.Store
+			resident = ent.rec.Store
 		}
 	}
 	c.mu.Unlock()
-	if st == nil {
-		return store.PoolStats{}, false
+	if resident == nil {
+		return store.PoolStats{}, false, nil
 	}
-	return st.PoolStats()
+	return resident.PoolStats()
 }
 
 // StoreResidency describes one resident store's LRU tenure.

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -414,8 +415,9 @@ func v1ParkProbes(base func() *script.Program) map[string]func() *script.Program
 // reply must still match the uninstrumented program line for line, across
 // replay, sample and stream × workers 1/2/4 × weak/strong init × an outer
 // and an inner probe. It does so for a run recorded now and for the
-// committed format-v1 run, whose checkpoints the store splits into sections
-// at open.
+// committed format-v1 run migrated (core.Migrate, which splits each v1
+// bundle into sections), after the v1 run itself is refused at
+// registration.
 // It also pins that a query that errors or whose caller cancels parks
 // nothing, and that after a stale-store refresh no query takes a program
 // whose runtime reads the superseded store.
@@ -428,14 +430,21 @@ func TestParkedProgramIsIndistinguishableFromFresh(t *testing.T) {
 	ctx := context.Background()
 	parkMatrix(t, srv, runID, probes, reg, "outer", "inner")
 
-	// The format-v1 run.
+	// The format-v1 run: refused as it stands, served once migrated.
 	v1Dir := t.TempDir()
 	if err := os.CopyFS(v1Dir, os.DirFS(filepath.Join("..", "..", "testdata", "v1run"))); err != nil {
 		t.Fatal(err)
 	}
 	v1Reg := &parkRegistry{}
 	v1Probes := v1ParkProbes(v1ParkFactory(v1Reg))
-	if err := srv.Register(serve.RunConfig{ID: "parked-v1", Dir: v1Dir, Factories: v1Probes}); err != nil {
+	if err := srv.Register(serve.RunConfig{ID: "parked-v1", Dir: v1Dir, Factories: v1Probes}); !errors.Is(err, serve.ErrBadRequest) || !errors.Is(err, store.ErrLegacyLayout) {
+		t.Fatalf("registering the v1 run: %v, want a bad request for its legacy layout", err)
+	}
+	migrated := filepath.Join(t.TempDir(), "v1")
+	if err := core.Migrate(v1Dir, migrated, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Register(serve.RunConfig{ID: "parked-v1", Dir: migrated, Factories: v1Probes}); err != nil {
 		t.Fatal(err)
 	}
 	parkMatrix(t, srv, "parked-v1", v1Probes, v1Reg, "outer", "inner")

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -116,6 +117,48 @@ func TestServePooledRunsGroupedWithSharedCache(t *testing.T) {
 	for root, ps := range st.ChunkPools {
 		if !strings.HasPrefix(root, base[:1]) || len(ps.Runs) != 2 || !ps.Open || ps.Chunks == 0 {
 			t.Fatalf("pool stats: root=%q %+v", root, ps)
+		}
+	}
+}
+
+// TestChunkPoolStatsNameAnEmptyLease pins the serving side of the
+// fail-closed lease read (store's TestGCPoolFailsClosedOnEmptyLease): over
+// a pool one of whose leases a torn write left empty, /v1/stats still
+// serves the pool's entry, counts no leases, and says why in lease_error,
+// naming the lease file — the same error that stops GCPool.
+func TestChunkPoolStatsNameAnEmptyLease(t *testing.T) {
+	_, dirs := recordPooledFamily(t, 2)
+	leases, err := filepath.Glob(filepath.Join(filepath.Dir(dirs[0]), "POOL", "LEASES", "*-run-1"))
+	if err != nil || len(leases) != 1 {
+		t.Fatalf("run-1's lease: %v, %v", leases, err)
+	}
+	if err := os.WriteFile(leases[0], nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fx := startDaemon(t, serve.Options{Slots: 2})
+	if err := fx.srv.Register(serve.RunConfig{ID: "run-0", Dir: dirs[0], Factories: map[string]func() *script.Program{"base": miniFactory(4, 3, 100)}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fx.srv.Replay(context.Background(), "run-0", serve.ReplayRequest{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := fx.get(t, "/v1/stats")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/stats: %d %s", resp.StatusCode, body)
+	}
+	var st struct {
+		ChunkPools map[string]map[string]any `json:"chunk_pools"`
+	}
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.ChunkPools) != 1 {
+		t.Fatalf("chunk pools in /v1/stats: %s", body)
+	}
+	for _, ps := range st.ChunkPools {
+		msg, _ := ps["lease_error"].(string)
+		if ps["open"] != true || ps["leases"] != nil || !strings.Contains(msg, leases[0]) {
+			t.Fatalf("chunk pool entry %v, want it open, no leases counted and a lease_error naming %s", ps, leases[0])
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package serve_test
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -9,8 +11,10 @@ import (
 	"strings"
 	"testing"
 
+	"flor.dev/flor/internal/core"
 	"flor.dev/flor/internal/script"
 	"flor.dev/flor/internal/serve"
+	"flor.dev/flor/internal/store"
 	"flor.dev/flor/internal/tensor"
 	"flor.dev/flor/internal/value"
 	"flor.dev/flor/internal/xrand"
@@ -183,55 +187,81 @@ func TestRegisterWithoutLibrary400(t *testing.T) {
 	}
 }
 
-// TestShardRootsPinnedAtRegistration pins the TOCTOU defense on the
-// committed store an older build spread over extra roots
-// (testdata/multiroot): the shard roots validated at registration are passed
-// back to every store open, so rewriting a registered run's SHARDS file
-// afterwards fails the query instead of redirecting the daemon's pack reads
-// elsewhere.
+// TestShardRootsPinnedAtRegistration pins that no SHARDS file can point
+// the daemon's pack reads at other directories. The committed store an
+// older build spread over extra roots (testdata/multiroot) is refused at
+// registration — Register with a bad request, POST /v1/runs with a 400,
+// each naming florctl migrate — and a SHARDS file planted in a registered
+// run after registration fails its next open instead of redirecting reads.
 func TestShardRootsPinnedAtRegistration(t *testing.T) {
 	base, factory := copyFixture(t, "multiroot")
 	dir := filepath.Join(base, "run")
-	fx := startDaemon(t, serve.Options{Slots: 2})
-	if err := fx.srv.Register(serve.RunConfig{
-		ID:        "pinned",
-		Dir:       dir,
-		Factories: map[string]func() *script.Program{"base": factory},
-	}); err != nil {
+	fx := startDaemon(t, serve.Options{
+		Slots:        2,
+		Library:      map[string]map[string]func() *script.Program{"quickstart": {"base": factory}},
+		RegisterRoot: base,
+	})
+	err := fx.srv.Register(serve.RunConfig{ID: "multiroot", Dir: dir, Factories: map[string]func() *script.Program{"base": factory}})
+	if !errors.Is(err, serve.ErrBadRequest) || !errors.Is(err, store.ErrLegacyLayout) || !strings.Contains(err.Error(), "florctl migrate") {
+		t.Fatalf("register a multi-root run: %v, want a bad request naming florctl migrate", err)
+	}
+	resp, body := fx.post(t, "/v1/runs", serve.RegisterRequest{ID: "multiroot", Dir: "run", Program: "quickstart"})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "florctl migrate") {
+		t.Fatalf("POST a multi-root run: %d %s, want 400 naming florctl migrate", resp.StatusCode, body)
+	}
+
+	// A SHARDS file planted after registration, before the first open.
+	victim := fx.dirs["run-a"]
+	if err := os.WriteFile(filepath.Join(victim, "SHARDS"), []byte(filepath.Join(base, "rootA")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// The SHARDS rewrite lands between registration and the first open.
-	if err := os.WriteFile(filepath.Join(dir, "SHARDS"), []byte("/somewhere/else\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	resp, body := fx.post(t, "/v1/runs/pinned/replay", serve.ReplayRequest{Workers: 1})
-	if resp.StatusCode == http.StatusOK {
-		t.Fatalf("replay succeeded against a rewritten SHARDS file: %s", body)
-	}
-	if !strings.Contains(string(body), "relocate") {
-		t.Fatalf("error %s does not surface the shard-root mismatch", body)
+	resp, body = fx.post(t, "/v1/runs/run-a/replay", serve.ReplayRequest{Workers: 1})
+	if resp.StatusCode == http.StatusOK || !strings.Contains(string(body), "florctl migrate") {
+		t.Fatalf("replay after a SHARDS file was planted: %d %s, want a refusal naming florctl migrate", resp.StatusCode, body)
 	}
 }
 
-// TestRunsListingReportsShardedLayout registers the committed sharded store
-// (testdata/sharded) and checks the listing reports its layout.
+// TestRunsListingReportsShardedLayout takes the committed sharded store
+// (testdata/sharded), refused at registration as a layout this build does
+// not write, through florctl migrate's path into a shared pool — the one
+// sharded layout a build writes — and checks the listing reports the
+// migrated run's layout, and that it serves what it recorded.
 func TestRunsListingReportsShardedLayout(t *testing.T) {
 	fx := startDaemon(t, serve.Options{Slots: 2})
 	dir, factory := copyFixture(t, "sharded")
-	if err := fx.srv.Register(serve.RunConfig{
-		ID:        "sharded",
-		Dir:       dir,
-		Factories: map[string]func() *script.Program{"base": factory},
-	}); err != nil {
+	cfg := serve.RunConfig{ID: "sharded", Dir: dir, Factories: map[string]func() *script.Program{"base": factory}}
+	if err := fx.srv.Register(cfg); !errors.Is(err, serve.ErrBadRequest) || !strings.Contains(err.Error(), "florctl migrate") {
+		t.Fatalf("register the sharded fixture: %v, want a bad request naming florctl migrate", err)
+	}
+	base := t.TempDir()
+	cfg.Dir = filepath.Join(base, "run")
+	if err := core.Migrate(dir, cfg.Dir, filepath.Join(base, "POOL")); err != nil {
 		t.Fatal(err)
 	}
+	if err := fx.srv.Register(cfg); err != nil {
+		t.Fatal(err)
+	}
+	found := false
 	for _, r := range fx.srv.Runs() {
 		if r.ID == "sharded" {
-			if r.Format != "v2-sharded/4" || r.Shards != 4 {
-				t.Fatalf("sharded run layout = %q/%d", r.Format, r.Shards)
+			found = true
+			if r.Format != "v2-pooled/16" || r.Shards != 16 {
+				t.Fatalf("migrated run layout = %q/%d, want v2-pooled/16", r.Format, r.Shards)
 			}
-			return
 		}
 	}
-	t.Fatal("sharded run missing from listing")
+	if !found {
+		t.Fatal("migrated run missing from listing")
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "record.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := fx.srv.Replay(context.Background(), "sharded", serve.ReplayRequest{Workers: 2})
+	if err != nil || resp.Anomalies != 0 {
+		t.Fatalf("replay of the migrated run: %+v, %v", resp, err)
+	}
+	if got, want := strings.Join(resp.Logs, "\n")+"\n", string(raw); got != want {
+		t.Fatalf("the migrated run replays\n%s\nits record.log holds\n%s", got, want)
+	}
 }

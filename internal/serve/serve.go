@@ -34,17 +34,13 @@
 // program name from Options.Library — probes are Go closures, so remote
 // clients can only name programs the embedder registered — and confined to
 // directories under Options.RegisterRoot, so remote clients cannot point
-// the daemon at arbitrary server-side paths). Registration
-// validates the directory's store layout eagerly via store.DetectLayout:
-// v1, unsharded, hash-prefix-sharded and pooled v2 directories
-// (docs/FORMATS.md) all serve through the same lazily opened read-only
-// path and the same checkpoint reads, while a
-// directory recorded by a future layout — store.ErrUnknownFormat, carrying
-// the unrecognized FORMAT marker — is rejected as a client error (HTTP 400)
-// at registration instead of surfacing as a 500 from the first query. The
-// detected layout is reported per run in /v1/runs listings. For sharded
-// stores the hot read path issues per-shard ranged reads; the store LRU
-// and payload caches need no layout-specific handling.
+// the daemon at arbitrary server-side paths). Registration validates the
+// directory's store layout eagerly via store.DetectLayout: both layouts
+// (docs/FORMATS.md) serve through the same lazily opened read-only path,
+// while a layout an older build left (store.ErrLegacyLayout, naming
+// florctl migrate) or a future one (store.ErrUnknownFormat, carrying the
+// marker) is a client error (HTTP 400) at registration, not a 500 from the
+// first query. The layout is reported per run in /v1/runs listings.
 package serve
 
 import (
@@ -274,11 +270,9 @@ const defaultTraceRing = 16
 type run struct {
 	cfg    RunConfig
 	layout store.Layout // validated at registration
-	// shardRoots pins the sharded store's pack roots as validated at
-	// registration: opens fail rather than follow a later SHARDS rewrite.
-	shardRoots []string
-	// poolRoot pins a pooled run's chunk-pool root the same way ("" for
-	// private-pack runs). Runs sharing a poolRoot form a project group:
+	// poolRoot pins a pooled run's chunk-pool root as validated at
+	// registration: opens fail rather than follow a later manifest rewrite
+	// ("" for private-pack runs). Runs sharing a poolRoot form a project group:
 	// their stores resolve chunks through one pool and their queries share
 	// one decoded-payload cache.
 	poolRoot string
@@ -513,20 +507,15 @@ func (s *Server) Register(cfg RunConfig) error {
 		if err := s.fetchRemoteRun(cfg); err != nil {
 			return err
 		}
-		// The fetched control plane has no SHARDS file (pack reads route
-		// through the object backend) and must not be pooled (pooled stores
-		// refuse backend overrides), so both pins are empty by construction.
-		return s.registerPinned(cfg, nil, "")
-	}
-	shardRoots, err := store.ShardRoots(cfg.Dir)
-	if err != nil {
-		return fmt.Errorf("%w: register %q: %v", ErrBadRequest, cfg.ID, err)
+		// The fetched control plane must not be pooled (pooled stores refuse
+		// backend overrides), so the pin is empty by construction.
+		return s.registerPinned(cfg, "")
 	}
 	poolRoot, _, err := store.PoolRef(cfg.Dir)
 	if err != nil {
-		return fmt.Errorf("%w: register %q: %v", ErrBadRequest, cfg.ID, err)
+		return fmt.Errorf("%w: register %q: %w", ErrBadRequest, cfg.ID, err)
 	}
-	return s.registerPinned(cfg, shardRoots, poolRoot)
+	return s.registerPinned(cfg, poolRoot)
 }
 
 // fetchRemoteRun materializes a remote run's control plane into cfg.Dir so
@@ -556,11 +545,10 @@ func (s *Server) fetchRemoteRun(cfg RunConfig) error {
 	return nil
 }
 
-// registerPinned is Register with the shard and pool roots already read
-// (exactly once): HTTP registration validates confinement and pins from the
-// same read, so a SHARDS or manifest rewrite between check and pin cannot
-// slip through.
-func (s *Server) registerPinned(cfg RunConfig, shardRoots []string, poolRoot string) error {
+// registerPinned is Register with the pool root already read (exactly
+// once): HTTP registration validates confinement and pins from the same
+// read, so a manifest rewrite between check and pin cannot slip through.
+func (s *Server) registerPinned(cfg RunConfig, poolRoot string) error {
 	if cfg.ID == "" {
 		return fmt.Errorf("%w: register: empty run ID", ErrBadRequest)
 	}
@@ -577,10 +565,9 @@ func (s *Server) registerPinned(cfg RunConfig, shardRoots []string, poolRoot str
 	}
 	layout, err := store.DetectLayout(cfg.Dir)
 	if err != nil {
-		if errors.Is(err, store.ErrUnknownFormat) {
-			// The typed error carries the detected marker; surface it so the
-			// client learns which layout the directory claims.
-			return fmt.Errorf("%w: register %q: %v", ErrBadRequest, cfg.ID, err)
+		if errors.Is(err, store.ErrUnknownFormat) || errors.Is(err, store.ErrLegacyLayout) {
+			// The typed error names the marker, or the way forward.
+			return fmt.Errorf("%w: register %q: %w", ErrBadRequest, cfg.ID, err)
 		}
 		return fmt.Errorf("serve: register %q: %w", cfg.ID, err)
 	}
@@ -601,7 +588,7 @@ func (s *Server) registerPinned(cfg RunConfig, shardRoots []string, poolRoot str
 	}
 	id := obs.L("run", cfg.ID)
 	rn := &run{
-		cfg: cfg, layout: layout, shardRoots: shardRoots, poolRoot: poolRoot,
+		cfg: cfg, layout: layout, poolRoot: poolRoot,
 		sem:            make(chan struct{}, s.opts.MaxInflightPerRun),
 		ringCap:        s.opts.TraceRing,
 		inflightAt:     map[int]time.Time{},
@@ -726,24 +713,14 @@ func (s *Server) RegisterByName(id, dir, program string) error {
 	if outside(abs) {
 		return fmt.Errorf("%w: register %q: directory missing or outside the register root", ErrBadRequest, id)
 	}
-	// A sharded run's packs live wherever its SHARDS file says, and a
-	// pooled run's wherever its manifest's pool reference says — confine
-	// those roots too, or a planted SHARDS file or manifest would point the
+	// A pooled run's packs live wherever its manifest's pool reference
+	// says — confine that root too, or a planted manifest would point the
 	// daemon's reads outside the register root. The same single read is
 	// what gets pinned: checking one read and pinning another would leave a
 	// window for a rewrite in between.
-	shardRoots, err := store.ShardRoots(abs)
-	if err != nil {
-		return fmt.Errorf("%w: register %q: %v", ErrBadRequest, id, err)
-	}
-	for _, r := range shardRoots {
-		if outside(r) {
-			return fmt.Errorf("%w: register %q: shard root %q outside the register root", ErrBadRequest, id, r)
-		}
-	}
 	poolRoot, pooled, err := store.PoolRef(abs)
 	if err != nil {
-		return fmt.Errorf("%w: register %q: %v", ErrBadRequest, id, err)
+		return fmt.Errorf("%w: register %q: %w", ErrBadRequest, id, err)
 	}
 	if pooled && outside(poolRoot) {
 		return fmt.Errorf("%w: register %q: pool root %q outside the register root", ErrBadRequest, id, poolRoot)
@@ -758,7 +735,7 @@ func (s *Server) RegisterByName(id, dir, program string) error {
 		sort.Strings(names)
 		return fmt.Errorf("%w: unknown program %q (library has %s)", ErrBadRequest, program, strings.Join(names, ", "))
 	}
-	return s.registerPinned(RunConfig{ID: id, Dir: dir, Factories: factories}, shardRoots, poolRoot)
+	return s.registerPinned(RunConfig{ID: id, Dir: dir, Factories: factories}, poolRoot)
 }
 
 func (s *Server) run(id string) (*run, error) {
@@ -844,7 +821,7 @@ func (s *Server) admit(ctx context.Context, r *run) (release func(), queueNs int
 }
 
 // open resolves the run's shared store entry through the LRU, folding the
-// hit/miss into the run's stats. Local runs open pinned to the roots
+// hit/miss into the run's stats. Local runs open pinned to the pool root
 // registration validated; remote runs open through the object backend and
 // the shared chunk-cache tier.
 func (s *Server) open(r *run) (*cacheEntry, bool, error) {
@@ -853,7 +830,7 @@ func (s *Server) open(r *run) (*cacheEntry, bool, error) {
 			backend := remote.NewObjectBackend(s.remote, remote.PacksPrefix(r.cfg.ID), s.chunkCache)
 			return core.LoadRecordingWith(r.cfg.Dir, store.Options{ReadOnly: true, Backend: backend})
 		}
-		return core.LoadRecordingSharedPinned(r.cfg.Dir, r.shardRoots, r.poolRoot)
+		return core.LoadRecordingSharedPinned(r.cfg.Dir, r.poolRoot)
 	}
 	ent, hit, err := s.stores.get(r.cfg.ID, r.poolRoot, load)
 	r.mu.Lock()
@@ -1170,10 +1147,10 @@ type RunInfo struct {
 	Dir    string   `json:"dir"`
 	Probes []string `json:"probes"`
 	Open   bool     `json:"open"` // store currently in the LRU
-	// Format is the store layout detected at registration ("v1", "v2",
-	// "v2-sharded/16", "v2-pooled/16").
+	// Format is the store layout detected at registration ("v2" for a
+	// private store, "v2-pooled/16" for a run of a shared pool).
 	Format string `json:"format"`
-	// Shards is the chunk-pack fanout (0 for v1, 1 for unsharded v2).
+	// Shards is the chunk-pack fanout (1 for a private store, 16 pooled).
 	Shards int `json:"shards"`
 	// Pool is the resolved chunk-pool root for pooled runs ("" otherwise);
 	// runs sharing it form one project group.
@@ -1219,6 +1196,10 @@ type ChunkPoolStats struct {
 	// shows up as it staying near one family member's footprint.
 	StoredRawBytes int64 `json:"stored_raw_bytes,omitempty"`
 	StoredEncBytes int64 `json:"stored_enc_bytes,omitempty"`
+	// LeaseError is why the pool's leases could not all be read: a torn
+	// lease names no run, so Leases counts none and GCPool refuses to run
+	// until the lease file it names is repaired.
+	LeaseError string `json:"lease_error,omitempty"`
 }
 
 // Stats is the daemon-wide accounting snapshot served at /v1/stats.
@@ -1308,8 +1289,11 @@ func (s *Server) Stats() Stats {
 	}
 	for root, ps := range out.ChunkPools {
 		sort.Strings(ps.Runs)
-		if live, ok := s.stores.poolStats(root); ok {
+		if live, ok, leaseErr := s.stores.poolStats(root); ok {
 			ps.Open = true
+			if leaseErr != nil {
+				ps.LeaseError = leaseErr.Error()
+			}
 			ps.Leases = live.Leases
 			ps.Chunks = live.Chunks
 			ps.StoredRawBytes = live.StoredRawBytes

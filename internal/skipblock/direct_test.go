@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -411,16 +412,21 @@ func TestQuickDirectLoadMatchesGeneralPath(t *testing.T) {
 	}
 }
 
-// TestDirectLoadReadsCompressedFixtures runs checkDirectLoad over the
-// read-compat frame styles. Stores write raw frames only, so the deflate and
-// LZ4 recordings are committed: testdata/direct/{deflate,lz4}/<kind> were
+// TestDirectLoadReadsCompressedFixtures takes the read-compat frame styles
+// through migration. Stores write raw frames only, so the deflate and LZ4
+// recordings are committed: testdata/direct/{deflate,lz4}/<kind> were
 // recorded by the last build that wrote those styles, forced to the style,
 // from the "random", "structure boundary" and "float boundary" cases the
 // property's generator drew for them (its second and third draw of each
-// kind), with every tensor quantized to four levels so the frames compress.
-// testdata/direct/cases.json holds each case and the log its record wrote.
-// No compressed "iov" case: a compressed frame is always staged whole, so it
-// never reaches the vector limit.
+// kind), with every tensor quantized to four levels so the frames compress;
+// each keeps its checkpoints in segment-file directories, a layout no open
+// reads. testdata/direct/cases.json holds each case and the log its record
+// wrote. Each fixture refuses a read-only open with store.ErrLegacyLayout
+// and keeps every byte; store.ReadLegacy decodes its compressed frames into
+// a fresh store (what florctl migrate does), whose sections keep their
+// content identities, and checkDirectLoad then holds on the migrated run.
+// Compressed frames on the restore path are pinned in the store package
+// (fetch_test.go).
 func TestDirectLoadReadsCompressedFixtures(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "direct", "cases.json"))
 	if err != nil {
@@ -441,11 +447,11 @@ func TestDirectLoadReadsCompressedFixtures(t *testing.T) {
 	}
 	for _, c := range cases {
 		what := fmt.Sprintf("%s, %s, %d tensors", c.Kind, c.Style, len(c.Tensors))
-		dir := t.TempDir()
-		if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "direct", c.Style, strings.ReplaceAll(c.Kind, " ", "-")))); err != nil {
+		src := t.TempDir()
+		if err := os.CopyFS(src, os.DirFS(filepath.Join("testdata", "direct", c.Style, strings.ReplaceAll(c.Kind, " ", "-")))); err != nil {
 			t.Fatal(err)
 		}
-		pack, err := os.ReadFile(filepath.Join(dir, "CHUNKS"))
+		pack, err := os.ReadFile(filepath.Join(src, "CHUNKS"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -463,8 +469,58 @@ func TestDirectLoadReadsCompressedFixtures(t *testing.T) {
 		if compressed == 0 {
 			t.Fatalf("%s: the fixture's pack holds no %s frame", what, c.Style)
 		}
+		before := treeBytes(t, src)
+		if _, err := store.OpenReadOnly(src); !errors.Is(err, store.ErrLegacyLayout) {
+			t.Fatalf("%s: read-only open: %v, want store.ErrLegacyLayout", what, err)
+		}
+
+		dir := t.TempDir()
+		dst, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = store.ReadLegacy(src, func(m store.Meta, secs []store.Section) error {
+			if _, err := dst.PutSections(m.Key, secs, m.SnapNs, m.MaterNs-m.SnapNs, m.ComputNs); err != nil {
+				return err
+			}
+			ck, err := dst.Resolve(m.Key)
+			if err != nil {
+				return err
+			}
+			for _, sec := range secs {
+				if got, _ := ck.Section(sec.Name); got.Hash != sec.Hash || got.RawLen != sec.RawLen {
+					return fmt.Errorf("%s section %q: migrated as %s (%d bytes), read as %s (%d bytes)", m.Key, sec.Name, got.Hash, got.RawLen, sec.Hash, sec.RawLen)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: migrate: %v", what, err)
+		}
+		if !maps.Equal(before, treeBytes(t, src)) {
+			t.Fatalf("%s: the refused open or the migration changed the fixture", what)
+		}
 		checkDirectLoad(t, what, dir, directProgram(c.Tensors, len(c.Logs), c.Seed), c.Tensors, c.Logs, c.Seed)
 	}
+}
+
+// treeBytes reads every file under dir, keyed by its path relative to dir.
+func treeBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(dir, path)
+		out[rel] = string(raw)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestDirectLoadMismatchIsTodaysResult pins the cases a layout does not fit:

@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -93,31 +92,18 @@ type BackendWriter interface {
 	Abort()
 }
 
-// DirBackend stores objects as plain files spread over one or more root
-// directories. A writable store has a single root, its run directory; an
-// older build could spread a sharded store's packs over several (legacy.go),
-// which only a read-only open accepts.
+// DirBackend stores objects as plain files in one directory: a private
+// store's run directory, or a shared pool's root.
 type DirBackend struct {
-	roots []string
+	root string
 }
 
 // DirBackendAt returns the backend a store opened at dir keeps its packs in:
 // plain files in dir, which must exist.
-func DirBackendAt(dir string) *DirBackend {
-	return &DirBackend{roots: []string{dir}}
-}
+func DirBackendAt(dir string) *DirBackend { return &DirBackend{root: dir} }
 
-// path maps an object name to its file: with several roots, placement
-// hashes the name. The arithmetic stays in uint32 so that every build, 32-
-// or 64-bit, places an object on the root a 64-bit build always has.
-func (b *DirBackend) path(name string) string {
-	if len(b.roots) == 1 {
-		return filepath.Join(b.roots[0], name)
-	}
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	return filepath.Join(b.roots[h.Sum32()%uint32(len(b.roots))], name)
-}
+// path maps an object name to its file.
+func (b *DirBackend) path(name string) string { return filepath.Join(b.root, name) }
 
 // Size implements Backend.
 func (b *DirBackend) Size(name string) (int64, error) {

@@ -81,7 +81,7 @@ func holdsExactly(t *testing.T, what string, s *Store, index string, want map[Ke
 		t.Fatal(err)
 	}
 	for off := 0; off < len(raw); {
-		_, n, err := decodeManifestRecord(raw[off:], false)
+		_, n, err := decodeManifestRecord(raw[off:])
 		if err != nil {
 			t.Fatalf("%s: INDEX torn at byte %d of %d", what, off, len(raw))
 		}
@@ -278,7 +278,7 @@ func TestChunkRecordsLiveInTheIndex(t *testing.T) {
 		}
 		var b strings.Builder
 		for off := 0; off < len(raw); {
-			rec, n, err := decodeManifestRecord(raw[off:], false)
+			rec, n, err := decodeManifestRecord(raw[off:])
 			if err != nil {
 				t.Fatalf("%s: %v", path, err)
 			}
@@ -327,11 +327,12 @@ func TestChunkRecordsLiveInTheIndex(t *testing.T) {
 	resetPoolRegistry()
 }
 
-// TestManifestChunkRecordsIgnoredUnderIndex pins that only a store an older
-// build left has its MANIFEST chunk records adopted: under "2 dirs index",
-// and in a pooled run, a chunk record planted in the MANIFEST — invalid in
-// its pack, which would refuse a writable open were it adopted — is ignored,
-// and every checkpoint reads back through the INDEX.
+// TestManifestChunkRecordsIgnoredUnderIndex pins that no open adopts a
+// MANIFEST chunk record (only ReadLegacy reads them, in a store an older
+// build left): under "2 dirs index", and in a pooled run, a chunk record
+// planted in the MANIFEST — invalid in its pack, which would refuse a
+// writable open were it adopted — is ignored, and every checkpoint reads
+// back through the INDEX.
 func TestManifestChunkRecordsIgnoredUnderIndex(t *testing.T) {
 	key := Key{LoopID: "L", Exec: 0}
 	data := noise(100000, 4)

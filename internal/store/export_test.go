@@ -11,9 +11,12 @@ import (
 
 // Handles for the external (store_test) tests.
 var (
-	FetchWorkers = fetchWorkers // the restore worker-group width
-	TestPayload  = testPayload
-	SplitBundle  = splitBundle // the open-time v1 parser
+	FetchWorkers          = fetchWorkers // the restore worker-group width
+	TestPayload           = testPayload
+	SplitBundle           = splitBundle       // ReadLegacy's v1 bundle parser
+	ParseLegacyMarker     = parseLegacyMarker // the FORMAT grammar older builds wrote
+	ParseLegacyPoolMarker = parseLegacyPoolMarker
+	ParseShardRoots       = parseShardRoots
 )
 
 // VerifyOffers installs, until the test ends, a putHook that re-hashes every

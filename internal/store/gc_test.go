@@ -299,7 +299,7 @@ func TestGCPoolRefcountReleaseOnRunDelete(t *testing.T) {
 	if _, err := b.PutSections(key, familySections(1, 200, 0), 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := a.PoolStats()
+	before, _, _ := a.PoolStats()
 
 	if err := DeleteRun(gone); err != nil {
 		t.Fatal(err)
@@ -311,7 +311,7 @@ func TestGCPoolRefcountReleaseOnRunDelete(t *testing.T) {
 	if res.DeadChunks == 0 {
 		t.Fatalf("deleting a run reclaimed no chunks: %+v", res)
 	}
-	after, _ := a.PoolStats()
+	after, _, _ := a.PoolStats()
 	if after.Chunks >= before.Chunks {
 		t.Fatalf("pool chunks %d -> %d; want decrease", before.Chunks, after.Chunks)
 	}
@@ -475,8 +475,9 @@ func TestGCMarkFailsClosed(t *testing.T) {
 // TestGCPoolFailsClosedOnEmptyLease pins the lease half of the fail-closed
 // mark: a lease a torn write left empty names no run, so GCPool cannot know
 // which chunks it pins. GCPool fails with an error naming the file and
-// changes no byte of the pool, and the run still reads — also for a run
-// whose directory name, and so its lease file's, ends in ".tmp".
+// changes no byte of the pool, the run still reads, and the pool's stats
+// (so /v1/stats, TestChunkPoolStatsNameAnEmptyLease) name the file — also
+// for a run whose directory name, and so its lease file's, ends in ".tmp".
 func TestGCPoolFailsClosedOnEmptyLease(t *testing.T) {
 	for _, name := range []string{"run-torn", "run-torn.tmp"} {
 		t.Run(name, func(t *testing.T) {
@@ -515,7 +516,62 @@ func TestGCPoolFailsClosedOnEmptyLease(t *testing.T) {
 			if secs, err := ReadAll(s, key, nil); err != nil || !bytes.Equal(secs[1].Data, familySections(1, 200, 0)[1].Data) {
 				t.Fatalf("the torn-lease run after the aborted GCPool: %v", err)
 			}
+			if st, _, err := s.PoolStats(); err == nil || !strings.Contains(err.Error(), lease) || st.Leases != 0 {
+				t.Fatalf("PoolStats over an empty lease: %d leases, %v; want none counted and an error naming %s", st.Leases, err, lease)
+			}
 		})
+	}
+}
+
+// TestGCPoolFailsClosedOnTornLease pins the lease check against a torn
+// write that leaves a lease non-empty but cut short: "../run-torn\n" cut by
+// two bytes reads "../run-tor", a run directory that does not exist, and
+// releasing it as a deleted run's lease would unpin run-torn's chunks. The
+// lease does not sit at a name its content hashes to, so GCPool fails with
+// an error naming the file, changes no byte of the pool, and the run still
+// reads.
+func TestGCPoolFailsClosedOnTornLease(t *testing.T) {
+	base := t.TempDir()
+	pool := filepath.Join(base, "POOL")
+	keep, torn := filepath.Join(base, "run-keep"), filepath.Join(base, "run-torn")
+	key := Key{LoopID: "train", Exec: 0}
+	for i, run := range []string{keep, torn} {
+		if _, err := openPooled(t, run, pool).PutSections(key, familySections(1, uint64(100*(i+1)), 0), 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entry, err := leaseEntry(pool, torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease, ok := findLease(pool, entry)
+	if !ok {
+		t.Fatal("the torn run has no lease")
+	}
+	fi, err := os.Stat(lease)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(lease, fi.Size()-2); err != nil {
+		t.Fatal(err)
+	}
+	before := dirBytes(t, pool)
+	if _, err := GCPool(pool, GCOptions{PackRetention: time.Hour}); err == nil || !strings.Contains(err.Error(), lease) {
+		t.Fatalf("GCPool over a torn lease: %v, want an error naming %s", err, lease)
+	}
+	if after := dirBytes(t, pool); !maps.Equal(before, after) {
+		t.Fatal("the aborted GCPool changed the pool")
+	}
+	resetPoolRegistry()
+	s, err := OpenReadOnly(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if secs, err := ReadAll(s, key, nil); err != nil || !bytes.Equal(secs[1].Data, familySections(1, 200, 0)[1].Data) {
+		t.Fatalf("the torn-lease run after the aborted GCPool: %v", err)
+	}
+	if _, _, err := s.PoolStats(); err == nil || !strings.Contains(err.Error(), lease) {
+		t.Fatalf("PoolStats over a torn lease: %v, want an error naming %s", err, lease)
 	}
 }
 

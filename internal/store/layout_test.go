@@ -104,14 +104,16 @@ func TestFormatMarkerWrittenOnceAtOpen(t *testing.T) {
 	}
 }
 
-// TestLegacyLayoutsRefuseWritableOpens takes every layout this build reads
-// but does not write — each committed fixture, the markers older builds
-// planted in a fresh directory before its first put (with a SHARDS file of
-// extra roots, and a pool at fanout 4), and stores under a canonical marker
-// whose manifest still holds segment-file checkpoints, private and pooled —
-// through Open and OpenWith: each fails with ErrLegacyLayout, naming the
-// migrate command, and leaves every byte where it was, and GCPool refuses
-// the fanout-4 pools. A read-only open still reads every checkpoint.
+// TestLegacyLayoutsRefuseWritableOpens takes every layout this build does
+// not write — each committed fixture, the markers older builds planted in a
+// fresh directory before its first put (with a SHARDS file of extra roots,
+// and a pool at fanout 4), and stores under a canonical marker whose
+// manifest still holds segment-file checkpoints, private and pooled —
+// through Open, OpenWith and OpenReadOnly: each fails with ErrLegacyLayout,
+// naming the migrate command, and leaves every byte where it was; GCPool
+// refuses the fanout-4 pools, and a fresh pool that leases a recorded one,
+// naming the run. ReadLegacy, the one reader of them, still reads every
+// checkpoint.
 func TestLegacyLayoutsRefuseWritableOpens(t *testing.T) {
 	type layout struct {
 		name, run, tree string // the run directory, and the tree that must not change
@@ -154,15 +156,7 @@ func TestLegacyLayoutsRefuseWritableOpens(t *testing.T) {
 	if _, err := s.PutSections(Key{LoopID: "train", Exec: 0}, mutatingSections(7), 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	raw, recs := manifestRecords(t, run)
-	for i, rec := range recs {
-		if rec.tag == recMeta {
-			plant(t, run, filepath.Base(segmentPath(run, rec.e.Seq)), string(codec.Frame(ckptfmt.EncodeDirectory(rec.e.dir))))
-			rec.e.dir = nil
-			raw[i] = encodeRecord(rec)
-		}
-	}
-	plant(t, run, manifestFile, string(bytes.Join(raw, nil)))
+	toSegments(t, run)
 	resetPoolRegistry()
 	cases = append(cases, layout{"pooled over segments", run, pooledSegs, Options{}})
 
@@ -170,14 +164,19 @@ func TestLegacyLayoutsRefuseWritableOpens(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			before := dirBytes(t, c.tree)
 			_, statErr := os.Stat(c.run)
-			opens := []func() (*Store, error){func() (*Store, error) { return OpenWith(c.run, c.o) }}
+			opens := []func() (*Store, error){
+				func() (*Store, error) { return OpenWith(c.run, c.o) },
+			}
 			if c.o.Pool == "" {
 				opens = append(opens, func() (*Store, error) { return Open(c.run) })
+			}
+			if statErr == nil {
+				opens = append(opens, func() (*Store, error) { return OpenReadOnly(c.run) })
 			}
 			for _, open := range opens {
 				_, err := open()
 				if !errors.Is(err, ErrLegacyLayout) || !errors.Is(err, ErrReadOnly) || !strings.Contains(err.Error(), "florctl migrate") {
-					t.Fatalf("writable open: %v, want ErrLegacyLayout naming florctl migrate", err)
+					t.Fatalf("open: %v, want ErrLegacyLayout naming florctl migrate", err)
 				}
 			}
 			if c.o.Pool != "" {
@@ -186,7 +185,7 @@ func TestLegacyLayoutsRefuseWritableOpens(t *testing.T) {
 				}
 			}
 			if !maps.Equal(before, dirBytes(t, c.tree)) {
-				t.Fatal("a refused writable open changed the store")
+				t.Fatal("a refused open changed the store")
 			}
 			if _, err := os.Stat(c.run); errors.Is(statErr, os.ErrNotExist) && !errors.Is(err, os.ErrNotExist) {
 				t.Fatalf("a refused writable open created the run directory: %v", err)
@@ -197,39 +196,53 @@ func TestLegacyLayoutsRefuseWritableOpens(t *testing.T) {
 			if _, err := os.Stat(filepath.Join(c.run, manifestFile)); err != nil {
 				return // nothing recorded at c.run
 			}
-			ro, err := OpenReadOnly(c.run)
+			leasing := filepath.Join(t.TempDir(), "POOL")
+			p, err := openSharedPool(leasing, false)
+			if err == nil {
+				err = p.writeLease(c.run)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, m := range ro.Metas() {
-				if live, _ := ro.Lookup(m.Key); live.Seq != m.Seq {
-					continue
-				}
-				if _, err := ReadAll(ro, m.Key, nil); err != nil {
-					t.Fatalf("read-only read of %s: %v", m.Key, err)
-				}
+			if _, err := GCPool(leasing, GCOptions{}); !errors.Is(err, ErrLegacyLayout) || !strings.Contains(err.Error(), c.run) {
+				t.Fatalf("GCPool over a pool leasing the run: %v, want ErrLegacyLayout naming %s", err, c.run)
+			}
+			n := 0
+			err = ReadLegacy(c.run, func(m Meta, secs []Section) error {
+				n++
+				return nil
+			})
+			if err != nil || n == 0 {
+				t.Fatalf("ReadLegacy read %d checkpoints: %v", n, err)
+			}
+			if !maps.Equal(before, dirBytes(t, c.tree)) {
+				t.Fatal("ReadLegacy changed the store")
 			}
 		})
 	}
-
-	// Nothing can add a root to a store, a fresh one included: Options.ShardDirs
-	// on a fresh directory is refused and creates nothing.
-	fresh, root := filepath.Join(t.TempDir(), "refused"), filepath.Join(t.TempDir(), "rootX")
-	if _, err := OpenWith(fresh, Options{ShardDirs: []string{root}}); err == nil || !strings.Contains(err.Error(), "shard") {
-		t.Fatalf("fresh directory given shard dirs: %v, want a refusal", err)
-	}
-	for _, p := range []string{filepath.Join(fresh, "SHARDS"), filepath.Join(fresh, formatFile), fresh, root} {
-		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
-			t.Fatalf("refused open left %s: %v", p, err)
-		}
-	}
 }
 
-// TestDirBackendPlacementPinned pins which root a multi-root DirBackend puts
-// each pack object on: the FNV-1a hash of its name modulo the root count, as
-// 64-bit builds have always placed them (values computed with the arithmetic
-// of earlier builds on amd64). A 32-bit build must agree, or it would look
-// for an older store's packs in the wrong directory.
+// toSegments moves the directories of a run's meta records out to segment
+// files, the form older builds wrote: each record then carries none.
+func toSegments(t *testing.T, run string) {
+	t.Helper()
+	raw, recs := manifestRecords(t, run)
+	for i, rec := range recs {
+		if rec.tag == recMeta {
+			plant(t, run, filepath.Base(segmentPath(run, rec.e.Seq)), string(codec.Frame(ckptfmt.EncodeDirectory(rec.e.dir))))
+			rec.e.dir = nil
+			raw[i] = encodeRecord(rec)
+		}
+	}
+	plant(t, run, manifestFile, string(bytes.Join(raw, nil)))
+}
+
+// TestDirBackendPlacementPinned pins which root ReadLegacy reads each pack
+// object of a store an older build spread over extra roots from: the FNV-1a
+// hash of its name modulo the root count, as 64-bit builds have always
+// placed them (values computed with the arithmetic of earlier builds on
+// amd64). A 32-bit build must agree, or it would look for an older store's
+// packs in the wrong directory.
 func TestDirBackendPlacementPinned(t *testing.T) {
 	for _, c := range []struct {
 		name     string
@@ -255,55 +268,66 @@ func TestDirBackendPlacementPinned(t *testing.T) {
 			if len(roots) == 3 {
 				want = c.of3
 			}
-			b := &DirBackend{roots: roots}
-			if got := b.path(c.name); got != filepath.Join(roots[want], c.name) {
+			r := &legacyRun{roots: roots}
+			if got := r.packPath(c.name); got != filepath.Join(roots[want], c.name) {
 				t.Errorf("%s over %d roots: %s, want root %d", c.name, len(roots), got, want)
 			}
 		}
 	}
 }
 
-// FuzzFormatMarker fuzzes the layout files a writable open reads before it
-// writes anything — a run's FORMAT marker and SHARDS list, and a pool's
-// POOL marker — through their parsers and the classification that decides
-// whether the layout is one this build writes. Nothing panics; only the two
-// run markers a writable open leaves ("2 dirs index", "2 pool shards=16
-// dirs") and
-// the pool marker "pool1 shards=16" classify writable, whatever the
-// whitespace around their tokens; every SHARDS root is a non-empty path, and
-// any root makes a run legacy.
+// FuzzFormatMarker fuzzes the layout files every open reads before anything
+// else — a run's FORMAT marker and a pool's POOL marker — through the
+// classification that decides whether the layout is one this build opens.
+// Nothing panics; only the two run markers a writable open leaves ("2 dirs
+// index", "2 pool shards=16 dirs") and the pool marker "pool1 shards=16"
+// open, whatever the whitespace around their tokens. Every other marker is
+// ErrLegacyLayout exactly when it is in the grammar older builds wrote
+// (legacy.go; FuzzLegacyMarker fuzzes that grammar), and ErrUnknownFormat
+// or an unknown-pool-marker error otherwise.
 func FuzzFormatMarker(f *testing.F) {
-	for _, seed := range [][3]string{
-		{markerPrivate, "pool1 shards=16\n", ""},
-		{markerPooled, "pool1 shards=4\n", "../rootA\n../rootB\n"},
-		{"2 shards=4 dirs\n", "pool1 shards=1", "/abs\n\n rel \n"},
-		{"2 gc\n", "pool1 shards=16 gc", ""},
-		{"2 lz4 dirs", "pool1", "\n"},
-		{"2 dirs", "pool1 shards=16", ""},
-		{"2 pool shards=16 dirs index", "pool1 shards=16", ""},
-		{"2 pool shards=4 dirs", "pool1 shards=256", ""},
-		{"2", "pool1 shards=016", ""},
-		{"2 pool shards=16", "pool2 shards=16", ""},
-		{"", "", ""},
+	for _, seed := range [][2]string{
+		{markerPrivate, "pool1 shards=16\n"},
+		{markerPooled, "pool1 shards=4\n"},
+		{"2 shards=4 dirs\n", "pool1 shards=1"},
+		{"2 gc\n", "pool1 shards=16 gc"},
+		{"2 lz4 dirs", "pool1"},
+		{"2 dirs", "pool1 shards=16"},
+		{"2 pool shards=16 dirs index", "pool1 shards=16"},
+		{"2 pool shards=4 dirs", "pool1 shards=256"},
+		{"2", "pool1 shards=016"},
+		{"2 pool shards=16", "pool2 shards=16"},
+		{"", ""},
 	} {
-		f.Add([]byte(seed[0]), []byte(seed[1]), []byte(seed[2]))
+		f.Add([]byte(seed[0]), []byte(seed[1]))
 	}
 	norm := func(b []byte) string { return strings.Join(strings.Fields(string(b)), " ") }
-	f.Fuzz(func(t *testing.T, format, pool, shards []byte) {
-		if m, err := parseFormatMarker(format); err == nil && m.canonical() {
-			if n := norm(format); n != "2 dirs index" && n != "2 pool shards=16 dirs" {
-				t.Fatalf("FORMAT %q classifies writable", format)
+	f.Fuzz(func(t *testing.T, format, pool []byte) {
+		l, err := parseFormatMarker("run", format)
+		switch n := norm(format); {
+		case n == "2 dirs index" || n == "2 pool shards=16 dirs":
+			if err != nil || l.Pooled != (n == "2 pool shards=16 dirs") {
+				t.Fatalf("FORMAT %q: %+v, %v; want it opened", format, l, err)
 			}
-		} else if err == nil && (norm(format) == "2 dirs index" || norm(format) == "2 pool shards=16 dirs") {
-			t.Fatalf("FORMAT %q parses to %+v, not writable", format, m)
-		}
-		if fanout, err := parsePoolMarker(pool); err == nil && (fanout == DefaultShardFanout) != (norm(pool) == "pool1 shards=16") {
-			t.Fatalf("POOL %q (fanout %d) classifies writable=%v", pool, fanout, fanout == DefaultShardFanout)
-		}
-		for _, root := range parseShardRoots("run", shards) {
-			if root == "" {
-				t.Fatalf("SHARDS %q yields root %q", shards, root)
+		case err == nil:
+			t.Fatalf("FORMAT %q opens as %+v", format, l)
+		default:
+			_, _, _, legacy := parseLegacyMarker(format)
+			if errors.Is(err, ErrLegacyLayout) != legacy || errors.Is(err, ErrUnknownFormat) == legacy {
+				t.Fatalf("FORMAT %q: %v; in the older grammar: %v", format, err, legacy)
 			}
+		}
+		err = checkPoolMarker("pool", pool)
+		_, legacy := parseLegacyPoolMarker(pool)
+		switch {
+		case norm(pool) == "pool1 shards=16":
+			if err != nil {
+				t.Fatalf("POOL %q: %v; want it opened", pool, err)
+			}
+		case err == nil:
+			t.Fatalf("POOL %q opens", pool)
+		case errors.Is(err, ErrLegacyLayout) != legacy:
+			t.Fatalf("POOL %q: %v; in the older grammar: %v", pool, err, legacy)
 		}
 	})
 }

@@ -1,31 +1,18 @@
 package store
 
-// legacy.go is the read-compat seam for what older builds left in a run
-// directory and this one never writes, the one place that names it. A store
-// holding either is read-only: a writable open fails with ErrLegacyLayout,
-// and core.Migrate copies the run into a store of a layout this build
-// writes.
-//
-//   - Segment files. Older builds wrote one ckpt-<seq>.bin per checkpoint (a
-//     CRC-framed directory in v2, the whole checkpoint as a bundle in v1)
-//     beside a meta record that carries no directory. Open reads each one
-//     once, into the directory the index holds: a v2 one decoded, a v1 one
-//     split into its entries and hashed.
-//   - Extra pack roots. Older builds could spread a sharded store's packs
-//     over more directories than the run's own, listed one per line in its
-//     SHARDS file; DirBackend places each pack object on a root by hashing
-//     its name, so the list and its order are fixed for the store's life.
-//   - Chunk records in a MANIFEST. Older builds committed a private store's
-//     chunk records ('C') in its MANIFEST, beside its meta records, where
-//     this build commits them to the run's INDEX (marker token "index").
-//     Open adopts them into the pool of one (adoptManifestChunks).
+// legacy.go holds every layout older builds left — format v1, segment
+// files, chunk records in a MANIFEST, the full marker grammar, SHARDS extra
+// pack roots — and their one reader, ReadLegacy, which only core.Migrate
+// calls; every open refuses them (ErrLegacyLayout). docs/FORMATS.md's
+// migration appendix specifies their bytes.
 
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
-	"slices"
+	"strconv"
 	"strings"
 
 	"flor.dev/flor/internal/ckptfmt"
@@ -33,39 +20,241 @@ import (
 	"flor.dev/flor/internal/value"
 )
 
-// adoptManifestChunks installs the chunk records among a legacy private
-// store's MANIFEST records into its pool of one, as ChunkPool.open replays
-// an INDEX (first record wins). It runs at open, before finishOpen.
-func adoptManifestChunks(p *ChunkPool, recs []manifestRecord) {
-	for _, rec := range recs {
-		if rec.tag == recChunk {
-			p.adopt(rec.hash, rec.loc)
+const (
+	formatV1       = 1        // the Meta.Format of a checkpoint a v1 segment holds whole
+	shardRootsFile = "SHARDS" // a legacy store's extra pack roots, one per line
+)
+
+// ReadLegacy reads the run at dir, in any layout a build ever recorded —
+// the two this build writes included — and calls fn with each live
+// checkpoint and all of its sections (Data, Hash, RawLen), in commit order:
+// one sequential pass, with no fetch pipeline, pool, cache, registry,
+// statistics or GC, that writes nothing. A checkpoint whose segment file is
+// missing was never committed; any other that cannot be read ends the pass
+// with its error, as does an error of fn.
+func ReadLegacy(dir string, fn func(Meta, []Section) error) error {
+	r, err := openLegacy(dir)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		for _, f := range r.packs {
+			f.Close()
+		}
+	}()
+	for _, e := range r.live {
+		secs, err := r.sections(e)
+		if err != nil {
+			return fmt.Errorf("store: %s: checkpoint %s: %w", dir, e.Key, err)
+		}
+		if err := fn(e.Meta, secs); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// legacyRun is a run directory opened by ReadLegacy.
+type legacyRun struct {
+	dir    string
+	fanout int
+	roots  []string                  // pack roots: the run's or its pool's, then SHARDS entries
+	chunks map[ckptfmt.Hash]chunkLoc // each shard's active generation's chunk records
+	live   []*entry                  // latest per key, in commit order
+	packs  map[string]*os.File       // the packs chunks holds records of, open until the pass ends
+}
+
+// openLegacy reads the run's marker, manifest and chunk records, opens its
+// packs, and finds which segment files survived.
+func openLegacy(dir string) (*legacyRun, error) {
+	if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+		return nil, fmt.Errorf("store: read %s: not a run directory (%v)", dir, err)
+	}
+	r := &legacyRun{dir: dir, fanout: 1, roots: []string{dir}, chunks: map[ckptfmt.Hash]chunkLoc{}, packs: map[string]*os.File{}}
+	decode, pooled, index := decodeManifestRecord, false, false
+	raw, err := os.ReadFile(filepath.Join(dir, formatFile))
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		decode = decodeV1Record
+	case err != nil:
+		return nil, fmt.Errorf("store: read format marker: %w", err)
+	default:
+		var ok bool
+		if r.fanout, pooled, index, ok = parseLegacyMarker(raw); !ok {
+			return nil, &UnknownFormatError{Dir: dir, Marker: strings.TrimSpace(string(raw))}
+		}
+	}
+	var recs []manifestRecord
+	collect := func(rec manifestRecord) error {
+		recs = append(recs, rec)
+		return nil
+	}
+	if _, _, err := scanLog(filepath.Join(dir, manifestFile), decode, collect); err != nil {
+		return nil, err
+	}
+	metas, index := recs, index || pooled
+	if pooled {
+		if len(recs) == 0 || recs[0].tag != recPool || recs[0].ref == "" || recs[0].fanout != r.fanout {
+			return nil, fmt.Errorf("%w: pooled run %s: manifest does not start with a pool-reference record at fanout %d", codec.ErrCorrupt, dir, r.fanout)
+		}
+		r.roots = []string{resolveRunPath(dir, recs[0].ref)}
+	} else {
+		extra, err := shardRoots(dir)
+		if err != nil {
+			return nil, err
+		}
+		r.roots = append(r.roots, extra...)
+	}
+	if index {
+		recs = nil
+		if _, _, err := scanLog(filepath.Join(r.roots[0], poolIndexFile), decodeIndexRecord, collect); err != nil {
+			return nil, err
+		}
+	}
+	r.adopt(recs)
+
+	// Commit: a segment-backed record counts only if its file survived.
+	latest := map[Key]*entry{}
+	var committed []*entry
+	for _, rec := range metas {
+		if e := rec.e; rec.tag == recMeta && (!dirless(rec) || segmentExists(dir, e.Seq)) {
+			latest[e.Key] = e
+			committed = append(committed, e)
+		}
+	}
+	for _, e := range committed {
+		if latest[e.Key] == e {
+			r.live = append(r.live, e)
+		}
+	}
+	return r, nil
+}
+
+// decodeV1Record decodes a v1 MANIFEST's untagged meta record: a v2 one's
+// fields, which may end before the format fields, and no directory.
+func decodeV1Record(b []byte) (rec manifestRecord, n int, err error) {
+	payload, n, err := codec.Unframe(b)
+	if err != nil {
+		return rec, 0, err
+	}
+	r := codec.NewReader(payload)
+	rec.tag = recMeta
+	if rec.e, err = decodeMetaHead(r); err == nil && r.Remaining() == 0 {
+		rec.e.Format, rec.e.StoredBytes = formatV1, rec.e.Size
+	} else if err == nil {
+		err = rec.e.decodeFormat(r)
+	}
+	return rec, n, err
+}
+
+// adopt installs the chunk records among recs (the first of a hash wins),
+// but, as a pool's open does (finishOpen), none of a generation older than
+// the newest its shard's records name and none that cannot locate a frame
+// inside its pack, so that no read is sized by such a record.
+func (r *legacyRun) adopt(recs []manifestRecord) {
+	gens := make([]int, r.fanout)
+	for _, rec := range recs {
+		if _, dup := r.chunks[rec.hash]; rec.tag == recChunk && !dup {
+			r.chunks[rec.hash] = rec.loc
+			si := shardIndex(rec.hash, r.fanout)
+			gens[si] = max(gens[si], rec.loc.Gen)
+		}
+	}
+	sizes := map[string]int64{} // each pack's, opened once here; -1 if it cannot be
+	for h, loc := range r.chunks {
+		obj := r.packObj(h, loc.Gen)
+		if _, ok := sizes[obj]; !ok {
+			sizes[obj] = -1
+			if f, err := os.Open(r.packPath(obj)); err == nil {
+				r.packs[obj] = f
+				if st, err := f.Stat(); err == nil {
+					sizes[obj] = st.Size()
+				}
+			}
+		}
+		if loc.Gen != gens[shardIndex(h, r.fanout)] || !loc.valid(sizes[obj]) {
+			delete(r.chunks, h)
+		}
+	}
+}
+
+// sections reads every section of a live checkpoint: a v1 one's out of its
+// segment's bundle, any other's chunk by chunk out of the packs, under the
+// directory its meta record or its segment file holds. Each segment file is
+// read and decoded once, here.
+func (r *legacyRun) sections(e *entry) ([]Section, error) {
+	if e.dirErr != nil {
+		return nil, e.dirErr
+	}
+	dir := e.dir
+	var bundle [][]byte // a v1 checkpoint's sections
+	if dir == nil {
+		payload, err := readSegment(r.dir, e.Seq)
+		if err == nil && e.Format == formatV1 {
+			dir, bundle, err = splitBundle(payload)
+		} else if err == nil {
+			dir, err = ckptfmt.DecodeDirectory(payload)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("segment %d: %w", e.Seq, err)
+		}
+	}
+	secs := make([]Section, len(dir.Sections))
+	for i := range dir.Sections {
+		ds := &dir.Sections[i]
+		secs[i] = Section{Name: ds.Name, Hash: contentHash(ds), RawLen: ds.RawLen()}
+		if bundle != nil {
+			secs[i].Data = bundle[i]
+			continue
+		}
+		for _, ref := range ds.Chunks { // before a buffer is sized by the directory
+			if loc, ok := r.chunks[ref.Hash]; !ok || loc.RawLen != ref.RawLen {
+				return nil, fmt.Errorf("%w: no chunk record holds %s's %d raw bytes", codec.ErrCorrupt, ref.Hash, ref.RawLen)
+			}
+		}
+		secs[i].Data = make([]byte, secs[i].RawLen)
+		off := 0
+		for _, ref := range ds.Chunks { // each frame's CRC checked, and that it holds ref's content
+			loc := r.chunks[ref.Hash]
+			obj, rec := r.packObj(ref.Hash, loc.Gen), make([]byte, loc.EncLen)
+			_, err := r.packs[obj].ReadAt(rec, loc.Off)
+			if err != nil {
+				err = fmt.Errorf("%w: read %d bytes: %v", codec.ErrCorrupt, loc.EncLen, err)
+			} else if frame, ferr := ckptfmt.ParseDecodeInto(rec, secs[i].Data[off:off+ref.RawLen]); ferr != nil {
+				err = ferr
+			} else if frame.Hash != ref.Hash {
+				err = fmt.Errorf("%w: holds %s, the directory wants %s", codec.ErrCorrupt, frame.Hash, ref.Hash)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("pack %s frame at %d: %w", obj, loc.Off, err)
+			}
+			off += ref.RawLen
+		}
+	}
+	return secs, nil
+}
+
+// packObj names the pack object of chunk h's shard at generation gen.
+func (r *legacyRun) packObj(h ckptfmt.Hash, gen int) string {
+	return packObjName(shardName(r.fanout, shardIndex(h, r.fanout)), gen)
+}
+
+// packPath places a pack object on a root: the FNV-1a hash of its name
+// modulo the root count, in uint32 arithmetic as 64-bit builds placed it.
+func (r *legacyRun) packPath(name string) string {
+	h := fnv.New32a()
+	h.Write([]byte(name))
+	return filepath.Join(r.roots[h.Sum32()%uint32(len(r.roots))], name)
 }
 
 func segmentPath(runDir string, seq int) string {
 	return filepath.Join(runDir, fmt.Sprintf("ckpt-%08d.bin", seq))
 }
 
-// loadSegment completes an entry whose meta record carries no directory. It
-// reports false when the checkpoint's segment file is missing: the
-// checkpoint is dropped. Otherwise e.dir is the segment's directory, or
-// e.dirErr says why it could not be read.
-func loadSegment(runDir string, e *entry) bool {
-	payload, err := readSegment(runDir, e.Seq)
-	if errors.Is(err, os.ErrNotExist) {
-		return false
-	}
-	if err == nil && e.Format == FormatV1 {
-		e.dir, e.segOffs, err = splitBundle(payload)
-	} else if err == nil {
-		e.dir, err = ckptfmt.DecodeDirectory(payload)
-	}
-	if err != nil {
-		e.dirErr = fmt.Errorf("store: segment %d: %w", e.Seq, err)
-	}
-	return true
+// segmentExists reports whether a segment file survived: a missing one uncommits.
+func segmentExists(runDir string, seq int) bool {
+	_, err := os.Stat(segmentPath(runDir, seq))
+	return !errors.Is(err, os.ErrNotExist)
 }
 
 // readSegment returns a segment file's payload, its CRC checked.
@@ -79,12 +268,10 @@ func readSegment(runDir string, seq int) ([]byte, error) {
 }
 
 // splitBundle splits a v1 checkpoint — a uvarint entry count, then (name,
-// tagged payload) pairs — into one section per entry, in bundle order, each
-// section's bytes exactly its payload's encoding. The directory is the one a
-// v2 put of those sections records; offs[i] is where section i starts in b.
-// Only bytes that are the bundle of their sections split, so every failure
-// is codec.ErrCorrupt.
-func splitBundle(b []byte) (dir *ckptfmt.Directory, offs []int, err error) {
+// tagged payload) pairs — into one section per entry, each exactly its
+// payload's encoding (data[i], aliasing b), under the directory a v2 put of
+// them records. Every failure is codec.ErrCorrupt.
+func splitBundle(b []byte) (dir *ckptfmt.Directory, data [][]byte, err error) {
 	r := codec.NewReader(b)
 	n, err := r.Uvarint()
 	if err == nil && n > uint64(r.Remaining()) {
@@ -103,63 +290,71 @@ func splitBundle(b []byte) (dir *ckptfmt.Directory, offs []int, err error) {
 		if _, err := value.DecodeTaggedPayload(r); err != nil {
 			return nil, nil, fmt.Errorf("%w: v1 entry %q: %w", codec.ErrCorrupt, name, err)
 		}
-		chunks := codec.SplitChunks(b[off:len(b)-r.Remaining()], ckptfmt.DefaultChunkSize)
+		data = append(data, b[off:len(b)-r.Remaining()])
+		chunks := codec.SplitChunks(data[i], ckptfmt.DefaultChunkSize)
 		sec := ckptfmt.SectionRef{Name: name, Chunks: make([]ckptfmt.ChunkRef, len(chunks))}
 		for j, c := range chunks {
 			sec.Chunks[j] = ckptfmt.ChunkRef{Hash: ckptfmt.HashChunk(c), RawLen: len(c)}
 		}
 		dir.Sections = append(dir.Sections, sec)
-		offs = append(offs, off)
 	}
 	if r.Remaining() > 0 {
 		return nil, nil, fmt.Errorf("%w: %d bytes past a v1 bundle", codec.ErrCorrupt, r.Remaining())
 	}
-	return dir, offs, nil
+	return dir, data, nil
 }
 
-// fill puts every job's chunk bytes into its destination; jobs are the
-// chunks of the sections load names, in order. This is the read path's one
-// format branch. A v2 checkpoint's chunks are resolved in the pool's dedup
-// index, locking each involved shard once, then fetched and decoded by the
-// one read pipeline. A v1 checkpoint's come from one CRC-checked read of its
-// segment, attributed to the ranged tier.
-func (c *Checkpoint) fill(load []int, jobs []chunkJob, byShard map[int][]int, fs *FetchStats) error {
-	p := c.s.pool
-	if c.e.Format != FormatV1 {
-		if err := p.resolve(jobs, byShard, c.e.Key); err != nil || len(jobs) == 0 {
-			return err
+// parseLegacyMarker decodes a FORMAT file in the grammar every build wrote,
+// "2[ pool][ shards=N][ gc][ lz4][ dirs][ index]", tokens in that order
+// (docs/FORMATS.md); the two markers this build writes are sentences of it.
+// index reports chunk records in the run's INDEX; ok is false for anything
+// else.
+func parseLegacyMarker(raw []byte) (fanout int, pooled, index, ok bool) {
+	fields := strings.Fields(string(raw))
+	if len(fields) == 0 || fields[0] != "2" {
+		return 0, false, false, false
+	}
+	fanout, rest := 1, fields[1:]
+	if len(rest) > 0 && rest[0] == "pool" {
+		pooled, rest = true, rest[1:]
+	}
+	if len(rest) > 0 && strings.HasPrefix(rest[0], "shards=") {
+		fanout, ok = parseShards(rest[0])
+		if !ok || fanout == 1 && !pooled { // a pool at fanout 1 is legal (single pack, still shared)
+			return 0, false, false, false
 		}
-		return p.fetch(jobs, byShard, fs)
+		rest = rest[1:]
+	} else if pooled {
+		return 0, false, false, false // pooled markers always carry the fanout
 	}
-	payload, err := readSegment(c.s.dir, c.e.Seq)
-	if err != nil {
-		return fmt.Errorf("store: segment %d: %w", c.e.Seq, err)
-	}
-	var n int64
-	k := 0
-	for _, i := range load {
-		off := c.e.segOffs[i]
-		for _, ref := range c.e.dir.Sections[i].Chunks {
-			if off+ref.RawLen > len(payload) {
-				return fmt.Errorf("%w: segment %d ends at %d, inside section %q", codec.ErrCorrupt, c.e.Seq, len(payload), c.e.dir.Sections[i].Name)
-			}
-			copyPieces(jobs[k].dst, [][]byte{payload[off : off+ref.RawLen]})
-			off += ref.RawLen
-			n += int64(ref.RawLen)
-			k++
+	for _, flag := range []string{"gc", "lz4", "dirs", "index"} {
+		if len(rest) > 0 && rest[0] == flag {
+			rest, index = rest[1:], flag == "index"
 		}
 	}
-	p.countFetch(tierRanged, n, int64(len(jobs)), fs)
-	return nil
+	return fanout, pooled, index, len(rest) == 0
 }
 
-// ShardRoots returns the extra pack roots a plain open of dir uses: the
-// entries of its SHARDS file, relative ones resolved against dir; none for a
-// directory without one (every store this build creates). Registration paths
-// that confine run directories confine these roots too, and pin them
-// (Options.ShardDirs).
-func ShardRoots(dir string) ([]string, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, "SHARDS"))
+// parseLegacyPoolMarker decodes a POOL marker: exactly "pool1 shards=N".
+func parseLegacyPoolMarker(raw []byte) (fanout int, ok bool) {
+	fields := strings.Fields(string(raw))
+	if len(fields) == 2 && fields[0] == "pool1" {
+		return parseShards(fields[1])
+	}
+	return 0, false
+}
+
+// parseShards reads a marker's "shards=N" token: N a power of two in [1,
+// 256] — what one hash byte can address — written as %d writes it.
+func parseShards(tok string) (int, bool) {
+	digits, ok := strings.CutPrefix(tok, "shards=")
+	n, err := strconv.Atoi(digits)
+	return n, ok && err == nil && strconv.Itoa(n) == digits && n >= 1 && n <= 256 && n&(n-1) == 0
+}
+
+// shardRoots returns the extra pack roots dir's SHARDS file lists, if any.
+func shardRoots(dir string) ([]string, error) {
+	raw, err := os.ReadFile(filepath.Join(dir, shardRootsFile))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
@@ -169,8 +364,8 @@ func ShardRoots(dir string) ([]string, error) {
 	return parseShardRoots(dir, raw), nil
 }
 
-// parseShardRoots reads a SHARDS file: one root per non-blank line, relative
-// ones resolved against dir.
+// parseShardRoots reads a SHARDS file: one root per non-blank line,
+// relative ones resolved against dir.
 func parseShardRoots(dir string, raw []byte) []string {
 	var roots []string
 	for _, ln := range strings.Split(string(raw), "\n") {
@@ -179,25 +374,4 @@ func parseShardRoots(dir string, raw []byte) []string {
 		}
 	}
 	return roots
-}
-
-// packRoots returns the root directories of a store's local backend: the
-// run directory, then its ShardRoots. A pin (Options.ShardDirs, or an empty
-// one with PinShardDirs) must name exactly those roots, in order: adopting
-// any other list would relocate every pack lookup away from the real packs.
-func packRoots(dir string, o Options) ([]string, error) {
-	roots, err := ShardRoots(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(o.ShardDirs) > 0 || o.PinShardDirs {
-		pin := make([]string, len(o.ShardDirs))
-		for i, d := range o.ShardDirs {
-			pin[i] = resolveRunPath(dir, d)
-		}
-		if !slices.Equal(pin, roots) {
-			return nil, fmt.Errorf("store: cannot relocate shard packs of %s (its shard dirs are %q, not %q)", dir, roots, o.ShardDirs)
-		}
-	}
-	return append([]string{dir}, roots...), nil
 }

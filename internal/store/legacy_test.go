@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"flor.dev/flor/internal/backmat"
@@ -40,102 +41,73 @@ func v1Segment(t testing.TB, dir string, seq int) []byte {
 	return payload
 }
 
-// TestV1ReadIntoReturnsTheBundlesSections pins the v1 read path: every v1
-// checkpoint resolves, and ReadInto returns its bundle's entries as
+// TestV1ReadLegacyReturnsTheBundlesSections pins the v1 read: ReadLegacy
+// yields every v1 checkpoint, in commit order, with its bundle's entries as
 // sections, in bundle order, whose bundle is the unframed segment byte for
 // byte. Each section has the content identity a v2 put of the same sections
-// records, a want of one name reads that name alone, and an into
-// destination receives the section's bytes.
-func TestV1ReadIntoReturnsTheBundlesSections(t *testing.T) {
+// records.
+func TestV1ReadLegacyReturnsTheBundlesSections(t *testing.T) {
 	dir := v1Run(t)
-	s, err := store.OpenReadOnly(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	v2, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	metas := s.Metas()
-	if len(metas) != 6 {
-		t.Fatalf("v1 run lists %d checkpoints, want 6", len(metas))
-	}
-	for _, m := range metas {
-		c, err := s.Resolve(m.Key)
-		if err != nil {
-			t.Fatalf("Resolve %s: %v", m.Key, err)
-		}
-		secs, err := c.ReadInto(nil, nil, nil, nil)
-		if err != nil {
-			t.Fatalf("ReadInto %s: %v", m.Key, err)
-		}
+	var seqs []int
+	err = store.ReadLegacy(dir, func(m store.Meta, secs []store.Section) error {
+		seqs = append(seqs, m.Seq)
 		if got, want := backmat.BundleBytes(secs), v1Segment(t, dir, m.Seq); !bytes.Equal(got, want) {
 			t.Fatalf("%s: the bundle of its sections is not its segment (%d vs %d bytes)", m.Key, len(got), len(want))
 		}
 		if _, err := v2.PutSections(m.Key, secs, 0, 0, 0); err != nil {
-			t.Fatal(err)
+			return err
 		}
-		c2, err := v2.Resolve(m.Key)
+		c, err := v2.Resolve(m.Key)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		for _, sec := range secs {
-			got, ok := c.Section(sec.Name)
-			want, _ := c2.Section(sec.Name)
-			if !ok || got.Hash != want.Hash || got.RawLen != len(sec.Data) || sec.Hash != want.Hash {
+			want, _ := c.Section(sec.Name)
+			if sec.Hash != want.Hash || sec.RawLen != len(sec.Data) || sec.RawLen != want.RawLen {
 				t.Fatalf("%s section %q: identity %s (%d bytes), a v2 put records %s (%d bytes)",
-					m.Key, sec.Name, got.Hash, got.RawLen, want.Hash, want.RawLen)
+					m.Key, sec.Name, sec.Hash, sec.RawLen, want.Hash, want.RawLen)
 			}
 		}
-
-		var fs store.FetchStats
-		only, err := c.ReadInto(func(name string) bool { return name == "w" }, nil, &fs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := slices.IndexFunc(secs, func(sec store.Section) bool { return sec.Name == "w" })
-		for i, sec := range only {
-			if sec.Name != secs[i].Name || (i == w) != (sec.Data != nil) || (i == w && !bytes.Equal(sec.Data, secs[w].Data)) {
-				t.Fatalf("%s: a read of w alone returned section %q with %d bytes", m.Key, sec.Name, len(sec.Data))
-			}
-		}
-		if snap := fs.Snapshot(); snap.RangedBytes != int64(len(secs[w].Data)) || snap.TotalBytes() != snap.RangedBytes {
-			t.Fatalf("%s: a read of w alone attributed %+v, want its %d bytes to the ranged tier", m.Key, snap, len(secs[w].Data))
-		}
-
-		dst := make([]byte, len(secs[w].Data))
-		into := func(name string, rawLen int) [][]byte {
-			if name != "w" {
-				return nil
-			}
-			return [][]byte{dst[:rawLen/2], dst[rawLen/2:]}
-		}
-		laid, err := c.ReadInto(nil, nil, nil, into)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if laid[w].Data != nil || !bytes.Equal(dst, secs[w].Data) || !bytes.Equal(backmat.BundleBytes(laid[:w]), backmat.BundleBytes(secs[:w])) {
-			t.Fatalf("%s: a read into a destination did not land there", m.Key)
-		}
-	}
-}
-
-// TestV1SegmentFaults pins the legacy open rules on v1: a checkpoint whose
-// segment file is missing is dropped, one whose segment has a flipped byte
-// stays indexed and fails Resolve with codec.ErrCorrupt, and their
-// neighbours still read.
-func TestV1SegmentFaults(t *testing.T) {
-	dir := v1Run(t)
-	intact, err := store.OpenReadOnly(dir)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	metas := intact.Metas()
-	missing, flipped := metas[2], metas[4]
-	if err := os.Remove(filepath.Join(dir, fmt.Sprintf("ckpt-%08d.bin", missing.Seq))); err != nil {
+	if !slices.Equal(seqs, []int{0, 1, 2, 3, 4, 5}) {
+		t.Fatalf("ReadLegacy yielded segments %v, want the run's 6 in commit order", seqs)
+	}
+}
+
+// TestV1SegmentFaults pins the legacy commit rules on v1: a checkpoint
+// whose segment file is missing was never committed, so ReadLegacy skips it
+// and yields its neighbours; one whose segment has a flipped byte fails the
+// read with codec.ErrCorrupt, naming it.
+func TestV1SegmentFaults(t *testing.T) {
+	dir := v1Run(t)
+	var keys []store.Key
+	if err := store.ReadLegacy(dir, func(m store.Meta, _ []store.Section) error {
+		keys = append(keys, m.Key)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	seg := filepath.Join(dir, fmt.Sprintf("ckpt-%08d.bin", flipped.Seq))
+	missing, flipped := 2, 4
+	if err := os.Remove(filepath.Join(dir, fmt.Sprintf("ckpt-%08d.bin", missing))); err != nil {
+		t.Fatal(err)
+	}
+	var read []store.Key
+	if err := store.ReadLegacy(dir, func(m store.Meta, _ []store.Section) error {
+		read = append(read, m.Key)
+		return nil
+	}); err != nil || !slices.Equal(read, slices.Delete(slices.Clone(keys), missing, missing+1)) {
+		t.Fatalf("a lost segment: read %v, %v; want every checkpoint but %s", read, err, keys[missing])
+	}
+
+	seg := filepath.Join(dir, fmt.Sprintf("ckpt-%08d.bin", flipped))
 	raw, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -144,31 +116,13 @@ func TestV1SegmentFaults(t *testing.T) {
 	if err := os.WriteFile(seg, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	s, err := store.OpenReadOnly(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range metas {
-		_, err := s.Resolve(m.Key)
-		switch m.Key {
-		case missing.Key:
-			if s.Has(m.Key) || !errors.Is(err, store.ErrNotFound) {
-				t.Fatalf("%s lost its segment: Has %v, Resolve %v; want dropped", m.Key, s.Has(m.Key), err)
-			}
-		case flipped.Key:
-			if !s.Has(m.Key) || !errors.Is(err, codec.ErrCorrupt) {
-				t.Fatalf("%s has a flipped segment byte: Has %v, Resolve %v; want indexed with codec.ErrCorrupt", m.Key, s.Has(m.Key), err)
-			}
-		default:
-			if _, err := store.ReadAll(s, m.Key, nil); err != nil {
-				t.Fatalf("neighbour %s: %v", m.Key, err)
-			}
-		}
+	err = store.ReadLegacy(dir, func(store.Meta, []store.Section) error { return nil })
+	if !errors.Is(err, codec.ErrCorrupt) || !strings.Contains(err.Error(), keys[flipped].String()) {
+		t.Fatalf("a flipped segment byte: %v; want codec.ErrCorrupt naming %s", err, keys[flipped])
 	}
 }
 
-// FuzzLegacyV1Segment fuzzes the open-time v1 parser, seeded with the
+// FuzzLegacyV1Segment fuzzes ReadLegacy's v1 bundle parser, seeded with the
 // committed run's segment files, each tried framed and unframed: it never
 // panics, every error wraps codec.ErrCorrupt, and a bundle that splits is
 // exactly the bundle of its sections, under a directory that re-encodes
@@ -191,7 +145,7 @@ func FuzzLegacyV1Segment(f *testing.F) {
 			t.Fatalf("Unframe error is not codec.ErrCorrupt: %v", err)
 		}
 		for _, p := range payloads {
-			dir, offs, err := store.SplitBundle(p)
+			dir, data, err := store.SplitBundle(p)
 			if err != nil {
 				if !errors.Is(err, codec.ErrCorrupt) {
 					t.Fatalf("split error is not codec.ErrCorrupt: %v", err)
@@ -201,7 +155,7 @@ func FuzzLegacyV1Segment(f *testing.F) {
 			secs := make([]store.Section, len(dir.Sections))
 			for i := range dir.Sections {
 				ds := &dir.Sections[i]
-				secs[i] = store.Section{Name: ds.Name, Data: p[offs[i] : offs[i]+ds.RawLen()]}
+				secs[i] = store.Section{Name: ds.Name, Data: data[i]}
 				chunks := codec.SplitChunks(secs[i].Data, ckptfmt.DefaultChunkSize)
 				if len(chunks) != len(ds.Chunks) {
 					t.Fatalf("section %q: %d chunk refs for %d chunks", ds.Name, len(ds.Chunks), len(chunks))
@@ -219,6 +173,57 @@ func FuzzLegacyV1Segment(f *testing.F) {
 			dec, err := ckptfmt.DecodeDirectory(enc)
 			if err != nil || !bytes.Equal(ckptfmt.EncodeDirectory(dec), enc) {
 				t.Fatalf("the split's directory does not re-encode exactly: %v", err)
+			}
+		}
+	})
+}
+
+// FuzzLegacyMarker fuzzes the layout files older builds wrote, as
+// ReadLegacy parses them: a FORMAT marker in the grammar
+// "2[ pool][ shards=N][ gc][ lz4][ dirs][ index]", a POOL marker
+// "pool1 shards=N" and a SHARDS list. Nothing panics; a marker that parses
+// has a fanout that is a power of two in [1, 256] — 1 in a store without a
+// shards token or in a pool — is pooled exactly when its second token is
+// "pool", and keeps its chunk records in an INDEX exactly when its last
+// token is "index"; the two markers this build writes parse. Every SHARDS
+// root is a non-empty path.
+func FuzzLegacyMarker(f *testing.F) {
+	for _, seed := range [][3]string{
+		{"2 dirs index\n", "pool1 shards=16\n", ""},
+		{"2 pool shards=16 dirs\n", "pool1 shards=4\n", "../rootA\n../rootB\n"},
+		{"2 shards=4 dirs\n", "pool1 shards=1", "/abs\n\n rel \n"},
+		{"2 gc\n", "pool1 shards=16 gc", ""},
+		{"2 lz4 dirs", "pool1", "\n"},
+		{"2 pool shards=4 gc lz4 dirs index", "pool1 shards=256", ""},
+		{"2", "pool1 shards=016", ""},
+		{"2 pool shards=16", "pool2 shards=16", ""},
+		{"", "", ""},
+	} {
+		f.Add([]byte(seed[0]), []byte(seed[1]), []byte(seed[2]))
+	}
+	for _, written := range []string{"2 dirs index", "2 pool shards=16 dirs"} {
+		if _, _, _, ok := store.ParseLegacyMarker([]byte(written)); !ok {
+			f.Fatalf("%q is not in the grammar", written)
+		}
+	}
+	power := func(n int) bool { return n >= 1 && n <= 256 && n&(n-1) == 0 }
+	f.Fuzz(func(t *testing.T, format, pool, shards []byte) {
+		if fanout, pooled, index, ok := store.ParseLegacyMarker(format); ok {
+			tok := strings.Fields(string(format))
+			sharded := slices.ContainsFunc(tok, func(s string) bool { return strings.HasPrefix(s, "shards=") })
+			if !power(fanout) || !sharded && fanout != 1 || sharded && !pooled && fanout == 1 {
+				t.Fatalf("FORMAT %q parses to fanout %d (pooled %v)", format, fanout, pooled)
+			}
+			if pooled != (len(tok) > 1 && tok[1] == "pool") || index != (tok[len(tok)-1] == "index") {
+				t.Fatalf("FORMAT %q parses to pooled=%v index=%v", format, pooled, index)
+			}
+		}
+		if fanout, ok := store.ParseLegacyPoolMarker(pool); ok && (!power(fanout) || strings.Join(strings.Fields(string(pool)), " ") != fmt.Sprintf("pool1 shards=%d", fanout)) {
+			t.Fatalf("POOL %q parses to fanout %d", pool, fanout)
+		}
+		for _, root := range store.ParseShardRoots("run", shards) {
+			if root == "" {
+				t.Fatalf("SHARDS %q yields root %q", shards, root)
 			}
 		}
 	})

@@ -83,8 +83,7 @@ func TestChunkLengthDisagreementIsCorrupt(t *testing.T) {
 }
 
 // rewriteChunkRecords applies edit to the location of every chunk record in
-// the record log at path (an INDEX, or the MANIFEST of a store an older
-// build left), re-framed so that each CRC holds.
+// the record log at path, re-framed so that each CRC holds.
 func rewriteChunkRecords(t *testing.T, path string, edit func(*chunkLoc)) {
 	t.Helper()
 	b, err := os.ReadFile(path)
@@ -93,7 +92,7 @@ func rewriteChunkRecords(t *testing.T, path string, edit func(*chunkLoc)) {
 	}
 	var out []byte
 	for off := 0; off < len(b); {
-		rec, n, err := decodeManifestRecord(b[off:], false)
+		rec, n, err := decodeManifestRecord(b[off:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,10 +114,8 @@ func rewriteChunkRecords(t *testing.T, path string, edit func(*chunkLoc)) {
 // negative field, or an extent whose end overflows int64: open drops it as
 // it drops a record pointing past the pack's end. A read-only read of its
 // checkpoint is codec.ErrCorrupt, never a panic, and a writable open is
-// refused — in a private store (INDEX records), in a private store an older
-// build left (MANIFEST records: read-only, so the refusal is
-// ErrLegacyLayout) and in a shared pool (INDEX records, read at open or
-// when a writable attach reloads the pool instance this process holds).
+// refused — in a private store and in a shared pool (read at open or when a
+// writable attach reloads the pool instance this process holds).
 func TestInvalidChunkRecordIsDroppedAtOpen(t *testing.T) {
 	edits := map[string]func(*chunkLoc){
 		"negative offset":  func(l *chunkLoc) { l.Off = -1 },
@@ -141,8 +138,8 @@ func TestInvalidChunkRecordIsDroppedAtOpen(t *testing.T) {
 				t.Errorf("%s, %s: read: %d sections, err %v; want codec.ErrCorrupt", name, layout, len(secs), err)
 			}
 			resetPoolRegistry()
-			if _, err := OpenWith(dir, o); !errors.Is(err, writableRefusal(layout)) {
-				t.Errorf("%s, %s: writable open: %v; want %v", name, layout, err, writableRefusal(layout))
+			if _, err := OpenWith(dir, o); !errors.Is(err, codec.ErrCorrupt) {
+				t.Errorf("%s, %s: writable open: %v; want codec.ErrCorrupt", name, layout, err)
 			}
 			resetPoolRegistry()
 		}
@@ -189,10 +186,81 @@ func TestInvalidChunkRecordIsDroppedAtOpen(t *testing.T) {
 	}
 }
 
-// recordLogLayouts are the three places a chunk record can be read from: a
-// private store's INDEX, the MANIFEST of a private store an older build left
-// ("2 dirs"), and a shared pool's INDEX.
-var recordLogLayouts = []string{"index", "manifest", "pool"}
+// TestReadLegacyRefusesInvalidRecords pins ReadLegacy — the one reader
+// core.Migrate takes every source through — on the CRC-valid edits the
+// opens above drop: a chunk record with a negative field, an extent past its
+// pack's end or overflowing int64, a raw length its frame cannot hold, and a
+// directory whose chunk length disagrees with its record. Each fails the
+// pass with codec.ErrCorrupt before any buffer is sized by it — never a
+// panic or an unbounded allocation — and changes no byte: in a private
+// store, in one an older build left with its chunk records in the MANIFEST
+// ("2 dirs"), and in a shared pool.
+func TestReadLegacyRefusesInvalidRecords(t *testing.T) {
+	const inflated = int(min(1<<40, math.MaxInt))
+	records := map[string]func(*chunkLoc){
+		"negative offset":      func(l *chunkLoc) { l.Off = -1 },
+		"negative enc len":     func(l *chunkLoc) { l.EncLen = -40 },
+		"negative raw len":     func(l *chunkLoc) { l.RawLen = -8 },
+		"end overflows":        func(l *chunkLoc) { l.Off = math.MaxInt64 - 8 },
+		"enc len past the end": func(l *chunkLoc) { l.EncLen = math.MaxInt32 },
+		"inflated raw len":     func(l *chunkLoc) { l.RawLen = inflated },
+		"inflated lz4 raw len": func(l *chunkLoc) { l.RawLen, l.Style = inflated, ckptfmt.StyleLZ4 },
+	}
+	directories := map[string]func(*ckptfmt.Directory){
+		"directory chunk -8":       func(d *ckptfmt.Directory) { d.Sections[0].Chunks[0].RawLen -= 8 },
+		"directory chunk +8":       func(d *ckptfmt.Directory) { d.Sections[0].Chunks[0].RawLen += 8 },
+		"directory chunk inflated": func(d *ckptfmt.Directory) { d.Sections[0].Chunks[0].RawLen = inflated },
+	}
+	key := Key{LoopID: "L", Exec: 0}
+	data := noise(3*ckptfmt.DefaultChunkSize, 6)
+	plantLegacy := func(layout string) (dir, records string) {
+		if layout != "manifest" {
+			dir, _, records = plantedRecordLog(t, layout, key, data)
+			return dir, records
+		}
+		dir, _, _ = plantedRecordLog(t, "index", key, data)
+		chunksToManifest(t, dir)
+		return dir, filepath.Join(dir, manifestFile)
+	}
+	check := func(what, layout, dir string, wantErr bool) {
+		t.Helper()
+		before := dirBytes(t, filepath.Dir(dir))
+		var got []byte
+		err := ReadLegacy(dir, func(m Meta, secs []Section) error {
+			got = secs[0].Data
+			return nil
+		})
+		switch {
+		case wantErr && !errors.Is(err, codec.ErrCorrupt):
+			t.Errorf("%s, %s: ReadLegacy: %v; want codec.ErrCorrupt", what, layout, err)
+		case !wantErr && (err != nil || !bytes.Equal(got, data)):
+			t.Errorf("%s, %s: ReadLegacy: %v", what, layout, err)
+		}
+		if !maps.Equal(before, dirBytes(t, filepath.Dir(dir))) {
+			t.Errorf("%s, %s: ReadLegacy changed the store", what, layout)
+		}
+	}
+	for _, layout := range []string{"index", "manifest", "pool"} {
+		for name, edit := range records {
+			dir, records := plantLegacy(layout)
+			rewriteChunkRecords(t, records, edit)
+			check(name, layout, dir, true)
+		}
+		for name, edit := range directories {
+			dir, _ := plantLegacy(layout)
+			rewriteDirectory(t, dir, key, edit)
+			check(name, layout, dir, true)
+		}
+		// The unedited store reads back: what fails above is the edit.
+		dir, records := plantLegacy(layout)
+		rewriteChunkRecords(t, records, func(*chunkLoc) {})
+		check("unedited", layout, dir, false)
+	}
+}
+
+// recordLogLayouts are the two places a chunk record is read from: a
+// private store's INDEX and a shared pool's INDEX.
+var recordLogLayouts = []string{"index", "pool"}
 
 // plantedRecordLog records data under key into a store of the given
 // recordLogLayouts layout, under a fresh base directory, and returns the run
@@ -214,21 +282,7 @@ func plantedRecordLog(t *testing.T, layout string, key Key, data []byte) (dir st
 		t.Fatal(err)
 	}
 	resetPoolRegistry()
-	if layout == "manifest" {
-		chunksToManifest(t, dir)
-		records = filepath.Join(dir, manifestFile)
-	}
 	return dir, o, records
-}
-
-// writableRefusal is how a writable open refuses a store of the given
-// recordLogLayouts layout whose chunk records were edited invalid: a store
-// an older build left is refused for its layout before its records count.
-func writableRefusal(layout string) error {
-	if layout == "manifest" {
-		return ErrLegacyLayout
-	}
-	return codec.ErrCorrupt
 }
 
 // TestInflatedRawLenIsDroppedAtOpen pins the raw-length check at open: a
@@ -239,9 +293,7 @@ func writableRefusal(layout string) error {
 // its hash gives. A writable open is refused without a byte changing, a
 // read-only read of the checkpoint is codec.ErrCorrupt, and the stored-byte
 // accounting is the surviving records': the claimed terabyte never enters
-// it. Private store (INDEX records), private store an older build left
-// (MANIFEST records; its writable open is refused as ErrLegacyLayout) and
-// shared pool (INDEX records).
+// it. Private store and shared pool.
 func TestInflatedRawLenIsDroppedAtOpen(t *testing.T) {
 	const inflated = int(min(1<<40, math.MaxInt))
 	key := Key{LoopID: "L", Exec: 0}
@@ -251,7 +303,7 @@ func TestInflatedRawLenIsDroppedAtOpen(t *testing.T) {
 			dir, o, records := plantedRecordLog(t, layout, key, data)
 			base := filepath.Dir(dir)
 			stored := func(s *Store) int64 {
-				if ps, ok := s.PoolStats(); ok {
+				if ps, ok, _ := s.PoolStats(); ok {
 					return ps.StoredRawBytes
 				}
 				return s.Dedup().StoredRawBytes
@@ -271,8 +323,8 @@ func TestInflatedRawLenIsDroppedAtOpen(t *testing.T) {
 			before := dirBytes(t, base)
 
 			resetPoolRegistry()
-			if _, err := OpenWith(dir, o); !errors.Is(err, writableRefusal(layout)) {
-				t.Errorf("style %d, %s: writable open: %v; want %v", style, layout, err, writableRefusal(layout))
+			if _, err := OpenWith(dir, o); !errors.Is(err, codec.ErrCorrupt) {
+				t.Errorf("style %d, %s: writable open: %v; want codec.ErrCorrupt", style, layout, err)
 			}
 			if !maps.Equal(before, dirBytes(t, base)) {
 				t.Errorf("style %d, %s: the refused open changed the store", style, layout)

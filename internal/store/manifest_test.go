@@ -26,6 +26,20 @@ func legacyFixture(t *testing.T, name string) string {
 	return dir
 }
 
+// readLegacy reads every live checkpoint of the run at dir through
+// ReadLegacy: their sections by key, and their keys in the order it
+// yielded them.
+func readLegacy(dir string) (map[Key][]Section, []Key, error) {
+	secs := map[Key][]Section{}
+	var order []Key
+	err := ReadLegacy(dir, func(m Meta, s []Section) error {
+		secs[m.Key] = s
+		order = append(order, m.Key)
+		return nil
+	})
+	return secs, order, err
+}
+
 // manifestRecords splits a run's MANIFEST into its framed records and their
 // decodings.
 func manifestRecords(t *testing.T, dir string) (raw [][]byte, recs []manifestRecord) {
@@ -35,7 +49,7 @@ func manifestRecords(t *testing.T, dir string) (raw [][]byte, recs []manifestRec
 		t.Fatal(err)
 	}
 	for off := 0; off < len(b); {
-		rec, n, err := decodeManifestRecord(b[off:], false)
+		rec, n, err := decodeManifestRecord(b[off:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,8 +60,8 @@ func manifestRecords(t *testing.T, dir string) (raw [][]byte, recs []manifestRec
 }
 
 // chunksToManifest puts a private store of this build into the layout older
-// builds left ("2 dirs", read-only): its INDEX records move into its
-// MANIFEST, ahead of its meta records, as an older build's GC left them.
+// builds left ("2 dirs"): its INDEX records move into its MANIFEST, ahead of
+// its meta records, as an older build's GC left them.
 func chunksToManifest(t testing.TB, dir string) {
 	t.Helper()
 	idx, err := os.ReadFile(filepath.Join(dir, poolIndexFile))
@@ -65,9 +79,8 @@ func chunksToManifest(t testing.TB, dir string) {
 	plant(t, dir, formatFile, "2 dirs\n")
 }
 
-// chunksToIndex is chunksToManifest's inverse: a private store an older
-// build left gets this build's marker, its MANIFEST chunk records moved to
-// its INDEX.
+// chunksToIndex gives a private store an older build left this build's
+// marker, its MANIFEST chunk records moved to its INDEX.
 func chunksToIndex(t *testing.T, dir string) {
 	t.Helper()
 	raw, recs := manifestRecords(t, dir)
@@ -169,12 +182,12 @@ func TestNewStoresWriteNoSegmentFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m, err := parseFormatMarker(marker); err != nil || !m.canonical() {
+		if m, err := parseFormatMarker(dir, marker); err != nil {
 			t.Errorf("%s: FORMAT %q (%+v, %v), want a marker this build writes", layout, marker, m, err)
 		}
 	}
-	if m, err := parseFormatMarker([]byte("2 dirs gc\n")); err == nil {
-		t.Fatalf("out-of-order marker parsed as %+v", m)
+	if m, err := parseFormatMarker("run", []byte("2 dirs gc\n")); !errors.Is(err, ErrUnknownFormat) {
+		t.Fatalf("out-of-order marker parsed as %+v, %v", m, err)
 	}
 }
 
@@ -276,106 +289,85 @@ func TestResolveDoesNoFileIO(t *testing.T) {
 	}
 }
 
-// TestLegacySegmentsReadAtOpenAndRefuseWrites pins the read-compat seam on
+// TestLegacySegmentsReadAtOpenAndRefuseWrites pins the segment-file form on
 // a copy of the committed gztwins store (meta records without directories,
-// one segment file each): open reads each directory once, so a read-only
-// open keeps resolving and reading after the files are gone; and a writable
-// open — under the store's own marker, and under the "2 dirs index" a store
-// of this build carries — is refused with ErrLegacyLayout before it writes, so
-// nothing can append a record beside the segment-file ones or GC them away.
-// Migrating is the way forward (core.Migrate, pinned in the root package).
+// one segment file each): every open — writable or read-only, under the
+// store's own marker and under the "2 dirs index" a store of this build
+// carries — is refused with ErrLegacyLayout before it reads a checkpoint or
+// writes a byte, so nothing can append a record beside the segment-file
+// ones or GC them away. ReadLegacy reads each directory once, when it opens
+// the run, and yields its seven live checkpoints; migrating is the way
+// forward (core.Migrate, pinned in the root package).
 func TestLegacySegmentsReadAtOpenAndRefuseWrites(t *testing.T) {
 	dir := legacyFixture(t, "gztwins")
-	ro, err := OpenReadOnly(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ro.index) != 7 {
-		t.Fatalf("%d live checkpoints, want 7", len(ro.index))
+	got, _, err := readLegacy(dir)
+	if err != nil || len(got) != 7 {
+		t.Fatalf("ReadLegacy: %d live checkpoints, %v; want 7", len(got), err)
 	}
 	for _, marker := range []string{"", markerPrivate} {
 		if marker != "" {
 			plant(t, dir, formatFile, marker)
 		}
 		before := dirBytes(t, dir)
-		if _, err := Open(dir); !errors.Is(err, ErrLegacyLayout) {
-			t.Fatalf("writable open under marker %q: %v, want ErrLegacyLayout", marker, err)
+		for _, ro := range []bool{false, true} {
+			if _, err := OpenWith(dir, Options{ReadOnly: ro}); !errors.Is(err, ErrLegacyLayout) {
+				t.Fatalf("open (read-only %v) under marker %q: %v, want ErrLegacyLayout", ro, marker, err)
+			}
 		}
 		if !maps.Equal(before, dirBytes(t, dir)) {
-			t.Fatalf("the refused open under marker %q changed the store", marker)
+			t.Fatalf("the refused opens under marker %q changed the store", marker)
 		}
 	}
 	segs, _ := filepath.Glob(filepath.Join(dir, "ckpt-*"))
 	if len(segs) != 16 {
 		t.Fatalf("%d segment files and twins, want the fixture's 16", len(segs))
 	}
-	for _, seg := range segs {
-		if err := os.Remove(seg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for k := range ro.index {
-		if _, err := ReadAll(ro, k, nil); err != nil {
-			t.Fatalf("read-only open of the legacy form, files gone: %s: %v", k, err)
-		}
-		if _, err := ro.Resolve(k); err != nil {
-			t.Fatalf("Resolve(%s) with the files gone: %v", k, err)
-		}
-	}
 }
 
-// TestGCPoolMarksLegacyRecordsFromTheirFiles pins GCPool's mark on a leased
-// run whose meta records carry no directory (the form older builds wrote,
-// made here by moving a fresh pooled run's directories out to segment
-// files): each record's chunks stay live through its file, and a record
-// whose file is gone is dropped, as open drops it, so its chunks die.
-func TestGCPoolMarksLegacyRecordsFromTheirFiles(t *testing.T) {
-	base := t.TempDir()
-	pool := filepath.Join(base, "POOL")
-	run := filepath.Join(base, "run")
-	s := openPooled(t, run, pool)
-	key := Key{LoopID: "train", Exec: 0}
-	for i := 0; i < 2; i++ {
-		if _, err := s.PutSections(key, mutatingSections(uint64(70+i)), 0, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	raw, recs := manifestRecords(t, run)
-	var first *entry
-	for i, rec := range recs {
-		if rec.tag != recMeta {
-			continue
-		}
-		if first == nil {
-			first = rec.e
-		}
-		if err := os.WriteFile(segmentPath(run, rec.e.Seq), codec.Frame(ckptfmt.EncodeDirectory(rec.e.dir)), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rec.e.dir = nil
-		raw[i] = encodeRecord(rec)
-	}
-	if err := os.WriteFile(filepath.Join(run, manifestFile), bytes.Join(raw, nil), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if res, err := GCPool(pool, GCOptions{PackRetention: time.Hour}); err != nil || res.DeadChunks != 0 {
-		t.Fatalf("GCPool over legacy records: %+v, %v; want every chunk live", res, err)
-	}
-	if err := os.Remove(segmentPath(run, first.Seq)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := GCPool(pool, GCOptions{PackRetention: time.Hour})
-	if err != nil || res.DeadChunks != 2 {
-		t.Fatalf("GCPool with the superseded record's file gone: %+v, %v; want its 2 chunks dead", res, err)
-	}
-	resetPoolRegistry()
-	st, err := OpenReadOnly(run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	secs, err := ReadAll(st, key, nil)
-	if err != nil || !bytes.Equal(secs[0].Data, mutatingSections(71)[0].Data) {
-		t.Fatalf("live legacy checkpoint after GCPool: %v", err)
+// TestGCPoolRefusesALeasedLegacyRun pins GCPool's mark over a pool one of
+// whose leased runs is in a layout an older build left — its meta records
+// carry no directory (made here by moving a fresh pooled run's directories
+// out to segment files), or its marker is one this build does not write:
+// the mark cannot read that run's checkpoints as an open would, so the pass
+// fails closed with ErrLegacyLayout naming the run and florctl migrate, no
+// byte of the pool changes, and the run's sibling still reads.
+func TestGCPoolRefusesALeasedLegacyRun(t *testing.T) {
+	for _, legacy := range []string{"segment files", "marker"} {
+		t.Run(legacy, func(t *testing.T) {
+			base := t.TempDir()
+			pool := filepath.Join(base, "POOL")
+			run, sibling := filepath.Join(base, "run"), filepath.Join(base, "sibling")
+			key := Key{LoopID: "train", Exec: 0}
+			for i, dir := range []string{run, sibling} {
+				s := openPooled(t, dir, pool)
+				for j := 0; j < 2; j++ {
+					if _, err := s.PutSections(key, mutatingSections(uint64(70+10*i+j)), 0, 0, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if legacy == "segment files" {
+				toSegments(t, run)
+			} else {
+				plant(t, run, formatFile, "2 pool shards=16 dirs index\n")
+			}
+			before := dirBytes(t, pool)
+			_, err := GCPool(pool, GCOptions{PackRetention: time.Hour})
+			if !errors.Is(err, ErrLegacyLayout) || !strings.Contains(err.Error(), run) || !strings.Contains(err.Error(), "florctl migrate") {
+				t.Fatalf("GCPool over a leased %s run: %v; want ErrLegacyLayout naming %s and florctl migrate", legacy, err, run)
+			}
+			if !maps.Equal(before, dirBytes(t, pool)) {
+				t.Fatal("the refused GCPool changed the pool")
+			}
+			resetPoolRegistry()
+			st, err := OpenReadOnly(sibling)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if secs, err := ReadAll(st, key, nil); err != nil || !bytes.Equal(secs[0].Data, mutatingSections(81)[0].Data) {
+				t.Fatalf("the sibling after the refused GCPool: %v", err)
+			}
+		})
 	}
 }
 
@@ -422,7 +414,7 @@ func FuzzManifestRecord(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		for _, b := range [][]byte{payload, codec.Frame(payload)} {
-			rec, n, err := decodeManifestRecord(b, false)
+			rec, n, err := decodeManifestRecord(b)
 			if err != nil {
 				if !errors.Is(err, codec.ErrCorrupt) {
 					t.Fatalf("decode error is not codec.ErrCorrupt: %v", err)

@@ -169,14 +169,11 @@ type ChunkPool struct {
 	mFetchFrames [numTiers]*obs.Counter
 }
 
-// open builds the shard table and replays the chunk records: those a
-// read-only legacy store keeps in its MANIFEST (legacy.go; nil otherwise),
-// then the pool's INDEX. finishOpen then resolves pack generations and
-// lengths and drops records no pack holds.
-func (p *ChunkPool) open(manifest []manifestRecord) error {
+// open builds the shard table and replays the pool's INDEX. finishOpen then
+// resolves pack generations and lengths and drops records no pack holds.
+func (p *ChunkPool) open() error {
 	p.initShards()
 	p.index = recordLog{path: filepath.Join(p.root, poolIndexFile)}
-	adoptManifestChunks(p, manifest)
 	if err := p.replayIndex(); err != nil {
 		return err
 	}
@@ -187,15 +184,20 @@ func (p *ChunkPool) open(manifest []manifestRecord) error {
 // itself is immutable (individual shards have their own locks).
 func (p *ChunkPool) initShards() {
 	p.initFetchMetrics()
-	if p.fanout <= 1 {
-		p.fanout = 1
-		p.shardTab = []*poolShard{{name: packFile, chunks: map[ckptfmt.Hash]chunkLoc{}}}
-		return
-	}
+	p.fanout = max(p.fanout, 1)
 	p.shardTab = make([]*poolShard, p.fanout)
 	for i := range p.shardTab {
-		p.shardTab[i] = &poolShard{name: fmt.Sprintf("%s-%02x", packFile, i), chunks: map[ckptfmt.Hash]chunkLoc{}}
+		p.shardTab[i] = &poolShard{name: shardName(p.fanout, i), chunks: map[ckptfmt.Hash]chunkLoc{}}
 	}
+}
+
+// shardName names shard i's pack object in a pool at fanout: "CHUNKS" for
+// a single shard, "CHUNKS-xx" otherwise.
+func shardName(fanout, i int) string {
+	if fanout == 1 {
+		return packFile
+	}
+	return fmt.Sprintf("%s-%02x", packFile, i)
 }
 
 // initFetchMetrics resolves the per-tier fetch counters; called from every
@@ -219,17 +221,16 @@ func (p *ChunkPool) countFetch(tier int, b, frames int64, fs *FetchStats) {
 // Fanout returns the pool's shard count.
 func (p *ChunkPool) Fanout() int { return p.fanout }
 
-// shardOf maps a content hash to its shard index: the hash's top byte
-// masked to the fanout. The shard is a pure function of the hash, so chunk
-// records never need to name it.
-func (p *ChunkPool) shardOf(h ckptfmt.Hash) int {
-	return int(h[0]) & (p.fanout - 1)
-}
+// shardOf and shardIndex map a content hash to its shard index: the hash's
+// top byte masked to the fanout, a power of two. The shard is a pure
+// function of the hash, so chunk records never need to name it.
+func (p *ChunkPool) shardOf(h ckptfmt.Hash) int { return shardIndex(h, p.fanout) }
+func shardIndex(h ckptfmt.Hash, fanout int) int { return int(h[0]) & (fanout - 1) }
 
 // adopt installs one replayed chunk record (first record wins, matching
-// write-order dedup) and counts it stored. Used while replaying an INDEX (or
-// a legacy MANIFEST) and publishing a put's records; the caller holds p.mu or
-// has the pool to itself.
+// write-order dedup) and counts it stored. Used while replaying an INDEX and
+// publishing a put's records; the caller holds p.mu or has the pool to
+// itself.
 func (p *ChunkPool) adopt(h ckptfmt.Hash, loc chunkLoc) {
 	sh := p.shardTab[p.shardOf(h)]
 	sh.mu.Lock()
@@ -328,18 +329,19 @@ func (p *ChunkPool) droppedPacks() []string {
 	return append([]string(nil), p.dropped...)
 }
 
-// Stats returns a snapshot of the pool's storage accounting (lease count
-// refreshed from disk for shared pools).
-func (p *ChunkPool) Stats() PoolStats {
+// Stats returns a snapshot of the pool's storage accounting, a shared
+// pool's lease count refreshed from disk; a lease that cannot be read
+// (leases) is the error, and Leases then counts none.
+func (p *ChunkPool) Stats() (PoolStats, error) {
 	p.mu.Lock()
 	st := p.stored
 	p.mu.Unlock()
-	if p.shared {
-		if leases, err := p.leases(); err == nil {
-			st.Leases = len(leases)
-		}
+	if !p.shared {
+		return st, nil
 	}
-	return st
+	leases, err := p.leases()
+	st.Leases = len(leases)
+	return st, err
 }
 
 // filterFresh probes the dedup index and returns, in ascending order, the
@@ -483,7 +485,7 @@ func encodeChunkRecord(hash ckptfmt.Hash, loc chunkLoc) []byte {
 }
 
 // decodeChunkRecord decodes a chunk record's body (decodeManifestRecord
-// unframes it, from an INDEX or a legacy MANIFEST).
+// unframes it).
 func decodeChunkRecord(b []byte) (hash ckptfmt.Hash, loc chunkLoc, err error) {
 	r := codec.NewReader(b)
 	hb, err := r.RawBytes()
@@ -566,34 +568,30 @@ func resolveExistingPrefix(p string) string {
 	return filepath.Join(resolveExistingPrefix(parent), filepath.Base(p))
 }
 
-// poolMarker renders the pool marker file contents.
-func poolMarker(fanout int) []byte {
-	return []byte(fmt.Sprintf("pool1 shards=%d\n", fanout))
-}
+// poolMarker is the POOL marker of every pool this build makes and opens.
+const poolMarker = "pool1 shards=16\n"
 
-// parsePoolMarker decodes a POOL marker file. The grammar is exactly
-// "pool1 shards=N" — trailing fields a future layout might add are
-// refused, like unknown FORMAT markers: misreading an extended pool would
+// checkPoolMarker classifies the POOL marker of the pool at key: the one
+// this build writes, whitespace aside; a pool at another fanout
+// (ErrLegacyLayout); or an unknown one — misreading an extended pool would
 // end in a writable open truncating INDEX records it cannot decode.
-func parsePoolMarker(raw []byte) (fanout int, err error) {
-	marker := strings.TrimSpace(string(raw))
-	fields := strings.Fields(marker)
-	if len(fields) == 2 && fields[0] == "pool1" {
-		if n, ok := parseShards(fields[1]); ok {
-			return n, nil
-		}
+func checkPoolMarker(key string, raw []byte) error {
+	marker := strings.Join(strings.Fields(string(raw)), " ")
+	if marker+"\n" == poolMarker {
+		return nil
 	}
-	return 0, fmt.Errorf("store: unknown pool marker %q (newer pool layout or corrupt POOL file)", marker)
+	if n, ok := parseLegacyPoolMarker(raw); ok {
+		return legacyLayout(key, fmt.Sprintf("a chunk pool at fanout %d", n))
+	}
+	return fmt.Errorf("store: unknown pool marker %q (newer pool layout or corrupt POOL file)", strings.TrimSpace(string(raw)))
 }
 
-// openSharedPool opens the shared pool at root. A read-only attach opens a
-// snapshot of the pool's files and registers nothing. A writable attach
-// creates the pool directory on first use and returns the process's one
-// writable instance for the root, reloaded from the files (reload). fanout 0
-// adopts the existing pool's fanout (DefaultShardFanout for new pools); a
-// conflicting non-zero fanout is refused, and a writable attach of a pool at
-// any other fanout fails with ErrLegacyLayout before it writes.
-func openSharedPool(root string, fanout int, readOnly bool) (*ChunkPool, error) {
+// openSharedPool opens the shared pool at root, at DefaultShardFanout. A
+// read-only attach opens a snapshot of the pool's files and registers
+// nothing. A writable attach creates the pool directory on first use and
+// returns the process's one writable instance for the root, reloaded from
+// the files (reload).
+func openSharedPool(root string, readOnly bool) (*ChunkPool, error) {
 	key, err := resolvePoolRoot(root)
 	if err != nil {
 		return nil, err
@@ -607,26 +605,17 @@ func openSharedPool(root string, fanout int, readOnly bool) (*ChunkPool, error) 
 	markerRaw, merr := os.ReadFile(filepath.Join(key, poolMarkerFile))
 	switch {
 	case merr == nil:
-		got, perr := parsePoolMarker(markerRaw)
-		if perr != nil {
-			return nil, perr
+		if err := checkPoolMarker(key, markerRaw); err != nil {
+			return nil, err
 		}
-		if fanout != 0 && fanout != got {
-			return nil, fmt.Errorf("store: pool %s has fanout %d (fanout %d requested)", key, got, fanout)
-		}
-		if !readOnly && got != DefaultShardFanout {
-			return nil, legacyLayout(key, fmt.Sprintf("a chunk pool at fanout %d", got))
-		}
-		fanout = got
 	case errors.Is(merr, os.ErrNotExist):
 		if readOnly {
 			return nil, fmt.Errorf("store: pool %s: no POOL marker (not a chunk pool)", key)
 		}
-		fanout = DefaultShardFanout
 		if err := os.MkdirAll(filepath.Join(key, poolLeaseDir), 0o755); err != nil {
 			return nil, fmt.Errorf("store: create pool: %w", err)
 		}
-		if err := writeFileAtomic(filepath.Join(key, poolMarkerFile), poolMarker(fanout)); err != nil {
+		if err := writeFileAtomic(filepath.Join(key, poolMarkerFile), []byte(poolMarker)); err != nil {
 			return nil, fmt.Errorf("store: write pool marker: %w", err)
 		}
 	default:
@@ -639,8 +628,8 @@ func openSharedPool(root string, fanout int, readOnly bool) (*ChunkPool, error) 
 	}
 	// The root exists — the marker was just read or written — so the plain
 	// DirBackend needs no MkdirAll.
-	p := &ChunkPool{root: key, shared: true, fanout: fanout, readOnly: readOnly, backend: &DirBackend{roots: []string{key}}}
-	if err := p.open(nil); err != nil {
+	p := &ChunkPool{root: key, shared: true, fanout: DefaultShardFanout, readOnly: readOnly, backend: DirBackendAt(key)}
+	if err := p.open(); err != nil {
 		return nil, err
 	}
 	if !readOnly {
@@ -660,7 +649,7 @@ func (p *ChunkPool) reload() error {
 	p.gcMu.Lock()
 	defer p.gcMu.Unlock()
 	fresh := &ChunkPool{root: p.root, shared: true, fanout: p.fanout, backend: p.backend}
-	if err := fresh.open(nil); err != nil {
+	if err := fresh.open(); err != nil {
 		return err
 	}
 	for i, sh := range p.shardTab {
@@ -678,25 +667,26 @@ func (p *ChunkPool) reload() error {
 // replayIndex adopts the pool's INDEX records. A torn tail is truncated
 // (writable) or skipped (read-only).
 func (p *ChunkPool) replayIndex() error {
-	raw, err := os.ReadFile(p.index.path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("store: read pool index: %w", err)
-	}
-	off := 0
-	for off < len(raw) {
-		rec, consumed, err := decodeManifestRecord(raw[off:], false)
-		if err != nil || rec.tag != recChunk {
-			break // torn tail
-		}
+	good, torn, err := scanLog(p.index.path, decodeIndexRecord, func(rec manifestRecord) error {
 		p.adopt(rec.hash, rec.loc)
-		off += consumed
-	}
-	if off < len(raw) && !p.readOnly {
-		if err := os.Truncate(p.index.path, int64(off)); err != nil {
+		return nil
+	})
+	if err == nil && torn && !p.readOnly {
+		if err := os.Truncate(p.index.path, good); err != nil {
 			return fmt.Errorf("store: truncate torn pool index: %w", err)
 		}
 	}
-	return nil
+	return err
+}
+
+// decodeIndexRecord decodes an INDEX record, a chunk record: any other
+// record ends the log as a torn tail does.
+func decodeIndexRecord(b []byte) (manifestRecord, int, error) {
+	rec, n, err := decodeManifestRecord(b)
+	if err == nil && rec.tag != recChunk {
+		err = fmt.Errorf("%w: index record tag 0x%02x", codec.ErrCorrupt, rec.tag)
+	}
+	return rec, n, err
 }
 
 // appendIndexRecords durably appends the chunk records of freshly stored
@@ -789,12 +779,16 @@ func leaseCandidates(poolRoot, entry string) [2]string {
 	}
 }
 
+// leaseContent is the entry a lease file holds: its bytes less writeLease's
+// newline, and nothing more — a run directory's name may end in a space.
+func leaseContent(raw []byte) string { return strings.TrimSuffix(string(raw), "\n") }
+
 // findLease locates the lease file whose content is exactly entry; ok is
 // false when none exists.
 func findLease(poolRoot, entry string) (path string, ok bool) {
 	for _, cand := range leaseCandidates(poolRoot, entry) {
 		raw, err := os.ReadFile(cand)
-		if err == nil && strings.TrimSpace(string(raw)) == entry {
+		if err == nil && leaseContent(raw) == entry {
 			return cand, true
 		}
 	}
@@ -814,9 +808,9 @@ func (p *ChunkPool) writeLease(runDir string) error {
 	}
 	cands := leaseCandidates(p.root, entry)
 	path := cands[0]
-	if raw, err := os.ReadFile(path); err == nil && strings.TrimSpace(string(raw)) != entry {
+	if raw, err := os.ReadFile(path); err == nil && leaseContent(raw) != entry {
 		path = cands[1] // short-hash collision with a different run
-		if raw, err := os.ReadFile(path); err == nil && strings.TrimSpace(string(raw)) != entry {
+		if raw, err := os.ReadFile(path); err == nil && leaseContent(raw) != entry {
 			return fmt.Errorf("store: lease name collision for %q (both candidates taken)", entry)
 		}
 	}
@@ -848,11 +842,11 @@ func (p *ChunkPool) removeLease(runDir string) error {
 
 // leases returns the run directories currently attached to the pool
 // (relative entries resolved against the pool root). Like the GC mark it
-// feeds, it fails closed: an unreadable or empty lease (writeLease never
-// writes one, so it is a crash's torn write) would silently unpin a live
-// run's chunks, so it is an error naming the file. Only a lease deleted
-// mid-scan (a concurrent DeleteRun) is skipped, and writeLease's scratch
-// copies: a lease exists only once it is renamed into place.
+// feeds, it fails closed: an unreadable or empty lease, or one not named
+// for its content (a torn write: "../run-tor" for "../run-torn" names no
+// live run, and releasing it would unpin run-torn's chunks), is an error
+// naming the file. Only a lease deleted mid-scan (a concurrent DeleteRun)
+// is skipped, and writeLease's scratch copies.
 func (p *ChunkPool) leases() ([]string, error) {
 	entries, err := os.ReadDir(filepath.Join(p.root, poolLeaseDir))
 	if errors.Is(err, os.ErrNotExist) {
@@ -874,9 +868,12 @@ func (p *ChunkPool) leases() ([]string, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: read lease %s: %w", e.Name(), err)
 		}
-		dir := strings.TrimSpace(string(raw))
+		dir := leaseContent(raw)
 		if dir == "" {
 			return nil, fmt.Errorf("store: lease %s is empty: the run it pinned is unknown, so no chunk can be reclaimed", path)
+		}
+		if cands := leaseCandidates(p.root, dir); e.Name() != filepath.Base(cands[0]) && e.Name() != filepath.Base(cands[1]) {
+			return nil, fmt.Errorf("store: lease %s holds %q but is not named for it (a torn write?): the run it pinned is unknown, so no chunk can be reclaimed", path, dir)
 		}
 		if !filepath.IsAbs(dir) {
 			dir = filepath.Join(p.root, dir)
@@ -1227,7 +1224,7 @@ func GCPool(root string, o GCOptions) (GCResult, error) {
 	if _, err := os.Stat(filepath.Join(key, poolMarkerFile)); err != nil {
 		return GCResult{}, fmt.Errorf("store: pool gc: %s is not a chunk pool: %w", key, err)
 	}
-	p, err := openSharedPool(root, 0, false)
+	p, err := openSharedPool(root, false)
 	if err != nil {
 		return GCResult{}, err
 	}
@@ -1265,40 +1262,33 @@ func (p *ChunkPool) runs() ([]string, error) {
 	return runs, nil
 }
 
-// markRun adds every chunk a run's committed checkpoints reference to live.
-// It decodes the run's MANIFEST with the record decoder open uses (a legacy
-// record reads its segment file, and is dropped when that is missing, as at
-// open) and stops where open would, at a torn tail. The mark is the sole
-// safety input to an irreversible compaction, so a directory it cannot read
-// fails the whole pass (retry later) rather than counting as referencing
+// markRun adds every chunk a run's committed checkpoints reference to live,
+// reading its MANIFEST as open does. The mark is the sole safety input to
+// an irreversible compaction, so a run it cannot read — a directory that
+// does not decode, or a layout an older build left (ErrLegacyLayout, naming
+// the run) — fails the whole pass rather than counting as referencing
 // nothing.
 func markRun(runDir string, live map[ckptfmt.Hash]bool) error {
-	raw, err := os.ReadFile(filepath.Join(runDir, manifestFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
+	if _, err := detectDir(runDir); err != nil {
+		return err
 	}
-	if err != nil {
-		return fmt.Errorf("gc mark: %w", err)
-	}
-	for off := 0; off < len(raw); {
-		rec, n, err := decodeManifestRecord(raw[off:], false)
-		if err != nil {
-			break
-		}
-		off += n
-		if rec.tag != recMeta || (rec.e.dir == nil && rec.e.dirErr == nil && !loadSegment(runDir, rec.e)) {
-			continue
-		}
-		if rec.e.dirErr != nil {
+	_, _, err := scanLog(filepath.Join(runDir, manifestFile), decodeManifestRecord, func(rec manifestRecord) error {
+		switch {
+		case dirless(rec):
+			return legacyLayout(runDir, "a store whose manifest holds segment-file checkpoints")
+		case rec.tag != recMeta:
+		case rec.e.dirErr != nil:
 			return fmt.Errorf("gc mark: %w", rec.e.dirErr)
-		}
-		for _, sec := range rec.e.dir.Sections {
-			for _, ref := range sec.Chunks {
-				live[ref.Hash] = true
+		default:
+			for _, sec := range rec.e.dir.Sections {
+				for _, ref := range sec.Chunks {
+					live[ref.Hash] = true
+				}
 			}
 		}
-	}
-	return nil
+		return nil
+	})
+	return err
 }
 
 // DeleteRun deletes a recorded run directory, then releases its pool lease

@@ -64,7 +64,7 @@ func TestPooledRoundTripAndReopen(t *testing.T) {
 
 	// The shared backbone is stored once pool-wide: run B's checkpoints
 	// added only head chunks.
-	ps, ok := b.PoolStats()
+	ps, ok, _ := b.PoolStats()
 	if !ok {
 		t.Fatal("PoolStats not ok on pooled store")
 	}
@@ -153,7 +153,7 @@ func TestPooledFamilyStoresThreeTimesLess(t *testing.T) {
 		private.StoredEncBytes += d.StoredEncBytes
 		private.StoredRawBytes += d.StoredRawBytes
 	}
-	ps, ok := pooled.PoolStats()
+	ps, ok, _ := pooled.PoolStats()
 	if !ok {
 		t.Fatal("PoolStats not ok on pooled store")
 	}
@@ -213,12 +213,12 @@ func TestPooledOpenRefusals(t *testing.T) {
 	}
 
 	// Pool options compose with nothing that moves packs elsewhere.
-	if _, err := OpenWith(filepath.Join(base, "x1"), Options{Pool: pool, ShardDirs: []string{filepath.Join(base, "extra")}}); err == nil {
-		t.Fatal("Pool+ShardDirs must be refused")
+	if _, err := OpenWith(filepath.Join(base, "x1"), Options{Pool: pool, Backend: DirBackendAt(base)}); err == nil {
+		t.Fatal("Pool+Backend must be refused")
 	}
 
 	// A new run cannot attach to a pool an older build made at another
-	// fanout: the pool is read-only, and nothing of it changes.
+	// fanout: the pool is migrated, not opened, and nothing of it changes.
 	pool4 := legacyFixture(t, "pool4")
 	before := dirBytes(t, pool4)
 	if _, err := OpenWith(filepath.Join(base, "a"), Options{Pool: pool4}); !errors.Is(err, ErrLegacyLayout) {
@@ -366,7 +366,7 @@ func TestPoolConcurrentSiblingRecordReplay(t *testing.T) {
 	}
 
 	// All writers' identical backbones deduplicated to one copy.
-	ps, _ := seed.PoolStats()
+	ps, _, _ := seed.PoolStats()
 	if ps.StoredRawBytes >= 2<<20 {
 		t.Fatalf("pool stored %d raw bytes under concurrency; want < 2 MB", ps.StoredRawBytes)
 	}
@@ -399,6 +399,50 @@ func TestPoolLeaseLifecycle(t *testing.T) {
 	}
 }
 
+// TestLeaseOfARunNamedWithEdgeSpaces pins the lease of a run directory
+// whose name begins or ends with white space: the lease holds the name
+// exactly, so re-attaching finds it rather than writing a second one,
+// GCPool and PoolStats read it as sitting at its name (not as a torn
+// write), and DeleteRun releases it.
+func TestLeaseOfARunNamedWithEdgeSpaces(t *testing.T) {
+	for _, name := range []string{"exp ", " exp", "exp\t"} {
+		base := t.TempDir()
+		pool := filepath.Join(base, "POOL")
+		run := filepath.Join(base, name)
+		for range 3 {
+			s := openPooled(t, run, pool)
+			if _, err := s.PutSections(Key{LoopID: "train", Exec: 0}, familySections(5, 6, 0), 0, 0, 0); err != nil {
+				t.Fatalf("%q: %v", name, err)
+			}
+			resetPoolRegistry()
+		}
+		leaseDir := filepath.Join(pool, poolLeaseDir)
+		if entries, err := os.ReadDir(leaseDir); err != nil || len(entries) != 1 {
+			t.Fatalf("%q: lease entries = %v, err %v; want exactly one after three attaches", name, entries, err)
+		}
+		if _, err := GCPool(pool, GCOptions{PackRetention: time.Hour}); err != nil {
+			t.Fatalf("%q: GCPool: %v", name, err)
+		}
+		s, err := OpenReadOnly(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, _, err := s.PoolStats(); err != nil || st.Leases != 1 {
+			t.Fatalf("%q: PoolStats: %d leases, %v; want 1 and no error", name, st.Leases, err)
+		}
+		if _, err := ReadAll(s, Key{LoopID: "train", Exec: 0}, nil); err != nil {
+			t.Fatalf("%q: read after GCPool: %v", name, err)
+		}
+		resetPoolRegistry()
+		if err := DeleteRun(run); err != nil {
+			t.Fatal(err)
+		}
+		if entries, err := os.ReadDir(leaseDir); err != nil || len(entries) != 0 {
+			t.Fatalf("%q: lease survived DeleteRun: %v, err %v", name, entries, err)
+		}
+	}
+}
+
 // TestPoolRegistryKeyStableAcrossSymlinks pins the registry-key contract: a
 // pool root named through a symlinked prefix before the root exists must
 // resolve to the same in-process pool as the real path afterward — two
@@ -428,7 +472,7 @@ func TestPoolRegistryKeyStableAcrossSymlinks(t *testing.T) {
 		t.Fatalf("registry split-brain: %q vs %q", a.PoolRoot(), b.PoolRoot())
 	}
 	// One instance means cross-run dedup: one backbone pool-wide.
-	ps, _ := a.PoolStats()
+	ps, _, _ := a.PoolStats()
 	if ps.StoredRawBytes >= 2<<20 {
 		t.Fatalf("pool stored %d raw bytes; the symlinked sibling missed the dedup index", ps.StoredRawBytes)
 	}
@@ -441,66 +485,62 @@ func TestPoolRegistryKeyStableAcrossSymlinks(t *testing.T) {
 }
 
 // TestLeaseCollisionKeepsBothRunsPinned pins the content-checked lease
-// protocol: two distinct entries forced onto one short-hash file name must
-// not merge refcounts — deleting one run may not unpin the other.
+// protocol on a real short-hash collision: the lease entries of the runs at
+// c1032789/exp and c1629192/exp beside the pool ("../c1032789/exp",
+// "../c1629192/exp") have one FNV-32a hash, so one short lease name. The
+// second run to attach finds that name holding the other's entry and takes
+// its long-hash name instead; each lease sits at one of its content's
+// candidate names, so GCPool reads both and keeps both runs' chunks, and
+// deleting one run releases its lease alone — the other stays pinned.
 func TestLeaseCollisionKeepsBothRunsPinned(t *testing.T) {
 	base := t.TempDir()
 	pool := filepath.Join(base, "POOL")
-	runA := filepath.Join(base, "exp")
+	runA, runB := filepath.Join(base, "c1032789", "exp"), filepath.Join(base, "c1629192", "exp")
+	key := Key{LoopID: "train", Exec: 0}
 	a := openPooled(t, runA, pool)
-	if _, err := a.PutSections(Key{LoopID: "train", Exec: 0}, familySections(21, 1, 0), 0, 0, 0); err != nil {
+	if _, err := a.PutSections(key, familySections(21, 1, 0), 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-
-	// Simulate a short-hash collision: plant run B's lease under run A's
-	// short-hash file name (the adversarial 2^-32 case), then attach B so
-	// writeLease must detect the occupied name and fall back.
-	entryA, err := leaseEntry(pool, runA)
+	b := openPooled(t, runB, pool)
+	if _, err := b.PutSections(key, familySections(21, 2, 0), 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	root := a.PoolRoot()
+	entryA, errA := leaseEntry(root, runA)
+	entryB, errB := leaseEntry(root, runB)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	candsA, candsB := leaseCandidates(root, entryA), leaseCandidates(root, entryB)
+	if entryA == entryB || candsA[0] != candsB[0] {
+		t.Fatalf("entries %q and %q do not collide on a short lease name (%s, %s)", entryA, entryB, candsA[0], candsB[0])
+	}
+	if path, ok := findLease(root, entryA); !ok || path != candsA[0] {
+		t.Fatalf("run A's lease at %q (%v), want its short name %s", path, ok, candsA[0])
+	}
+	if path, ok := findLease(root, entryB); !ok || path != candsB[1] {
+		t.Fatalf("run B's lease at %q (%v), want its long-hash name %s", path, ok, candsB[1])
+	}
+	if res, err := GCPool(pool, GCOptions{PackRetention: time.Hour}); err != nil || res.DeadChunks != 0 {
+		t.Fatalf("GCPool over both leases: %+v, %v; want every chunk live", res, err)
+	}
+	if err := DeleteRun(runA); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := findLease(root, entryB); !ok {
+		t.Fatal("deleting run A released run B's lease")
+	}
+	if res, err := GCPool(pool, GCOptions{PackRetention: time.Hour}); err != nil || res.DeadChunks == 0 {
+		t.Fatalf("GCPool after deleting run A: %+v, %v; want its own chunks reclaimed", res, err)
+	}
+	resetPoolRegistry()
+	reopened, err := OpenReadOnly(runB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runB := filepath.Join(base, "other", "exp")
-	bStore := openPooled(t, runB, pool)
-	if _, err := bStore.PutSections(Key{LoopID: "train", Exec: 0}, familySections(21, 2, 0), 0, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	entryB, err := leaseEntry(pool, runB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Overwrite B's lease layout with the collision: remove its real lease,
-	// then re-add it under A's short-hash name is impossible without hash
-	// control — instead verify the content-checked probe directly: planting
-	// B's entry under A's candidate name must not satisfy A's findLease,
-	// and a fresh writeLease for A must restore A's pin.
-	p, err := openSharedPool(pool, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aPath, ok := findLease(pool, entryA)
-	if !ok {
-		t.Fatal("run A lease missing")
-	}
-	if err := os.WriteFile(aPath, []byte(entryB+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := findLease(pool, entryA); ok {
-		t.Fatal("findLease matched a lease holding a different entry")
-	}
-	if err := p.writeLease(runA); err != nil {
-		t.Fatal(err)
-	}
-	pathA2, ok := findLease(pool, entryA)
-	if !ok || pathA2 == aPath {
-		t.Fatalf("collision fallback not used: ok=%v path=%q", ok, pathA2)
-	}
-	// Both entries now resolve; GC keeps both runs' chunks.
-	if _, err := GCPool(pool, GCOptions{PackRetention: time.Hour}); err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range []*Store{a, bStore} {
-		if _, err := ReadAll(st, Key{LoopID: "train", Exec: 0}, nil); err != nil {
-			t.Fatalf("post-GC read: %v", err)
+	for _, st := range []*Store{b, reopened} {
+		if secs, err := ReadAll(st, key, nil); err != nil || !bytes.Equal(secs[1].Data, familySections(21, 2, 0)[1].Data) {
+			t.Fatalf("run B after GCPool: %v", err)
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"flor.dev/flor/internal/ckptfmt"
+	"flor.dev/flor/internal/core"
 	"flor.dev/flor/internal/store"
 	"flor.dev/flor/internal/store/cachetier"
 	"flor.dev/flor/internal/store/faultbackend"
@@ -555,45 +556,54 @@ func TestRemoteUploadRestoreCycle(t *testing.T) {
 	}
 }
 
-// TestRemoteUploadSkipsLeftBehindFiles: what an older build's gzip pass left
-// in a run directory and its shard roots — ".gz" twins of segments and packs
-// and its SPOOL state — is no part of the run. On a copy of the committed
-// store an older build spread over two extra roots (testdata/multiroot),
-// UploadRun ships every control-plane file and pack of all three roots and
-// none of those, and FetchControlPlane does not write them out of a prefix
-// an older upload filled.
+// TestRemoteUploadSkipsLeftBehindFiles: a run in a layout an older build
+// left is migrated, not uploaded, and what an older build's gzip pass left
+// in a run directory — ".gz" twins of segments and packs and its SPOOL
+// state — is no part of the run. On a copy of the committed store an older
+// build spread over two extra roots (testdata/multiroot), UploadRun fails
+// with store.ErrLegacyLayout and uploads nothing. Migrated (core.Migrate),
+// with twins and SPOOL planted beside it, the run uploads every
+// control-plane file and pack and none of those; FetchControlPlane does not
+// write them out of a prefix an older upload filled, and the fetched run
+// reads every checkpoint back through the object backend.
 func TestRemoteUploadSkipsLeftBehindFiles(t *testing.T) {
 	base := t.TempDir()
 	if err := os.CopyFS(base, os.DirFS(filepath.Join("..", "..", "..", "testdata", "multiroot"))); err != nil {
 		t.Fatal(err)
 	}
-	src := filepath.Join(base, "run")
-	want := map[string]bool{} // every run file a restore needs, by key
-	plant := func(dir, name string) {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("left behind"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, dir := range []string{src, filepath.Join(base, "rootA"), filepath.Join(base, "rootB")} {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			name := e.Name()
-			sub := "ctl"
-			if strings.HasPrefix(name, "CHUNKS") {
-				sub = "packs"
-			}
-			want["runs/r2/"+sub+"/"+name] = true
-			if strings.HasPrefix(name, "ckpt-") || strings.HasPrefix(name, "CHUNKS") {
-				plant(dir, name+".gz")
-			}
-		}
-	}
-	plant(src, "SPOOL")
-
 	mem := remote.NewMemStore()
+	if _, err := remote.UploadRun(mem, filepath.Join(base, "run"), "runs/legacy"); !errors.Is(err, store.ErrLegacyLayout) || !strings.Contains(err.Error(), "florctl migrate") {
+		t.Fatalf("uploading a multi-root run: %v, want store.ErrLegacyLayout naming florctl migrate", err)
+	}
+	if keys, err := mem.List("runs/"); err != nil || len(keys) != 0 {
+		t.Fatalf("the refused upload left %v (%v)", keys, err)
+	}
+
+	src := filepath.Join(t.TempDir(), "run")
+	if err := core.Migrate(filepath.Join(base, "run"), src, ""); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{} // every run file a restore needs, by key
+	plant := func(name string) {
+		if err := os.WriteFile(filepath.Join(src, name), []byte("left behind"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		sub := "ctl"
+		if strings.HasPrefix(name, "CHUNKS") {
+			sub = "packs"
+			plant(name + ".gz")
+		}
+		want["runs/r2/"+sub+"/"+name] = true
+	}
+	plant("ckpt-00000000.bin.gz")
+	plant("SPOOL")
 	if _, err := remote.UploadRun(mem, src, "runs/r2"); err != nil {
 		t.Fatal(err)
 	}
@@ -622,6 +632,32 @@ func TestRemoteUploadSkipsLeftBehindFiles(t *testing.T) {
 	for _, name := range []string{"ckpt-00000000.bin.gz", "SPOOL"} {
 		if _, err := os.Stat(filepath.Join(ctl, name)); !errors.Is(err, os.ErrNotExist) {
 			t.Fatalf("FetchControlPlane wrote %s (stat: %v)", name, err)
+		}
+	}
+	local, err := store.OpenReadOnly(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, err := store.OpenWith(ctl, store.Options{ReadOnly: true, Backend: remote.NewObjectBackend(mem, remote.PacksPrefix("runs/r2"), nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(local.Metas()) != 6 {
+		t.Fatalf("the migrated run holds %d checkpoints, want 6", len(local.Metas()))
+	}
+	for _, m := range local.Metas() {
+		w, err := readAll(local, m.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := readAll(ro, m.Key)
+		if err != nil || len(g) != len(w) {
+			t.Fatalf("remote read of %s: %d sections, %v", m.Key, len(g), err)
+		}
+		for i := range w {
+			if !bytes.Equal(g[i].Data, w[i].Data) {
+				t.Fatalf("remote read of %s section %q differs", m.Key, w[i].Name)
+			}
 		}
 	}
 }

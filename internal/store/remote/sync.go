@@ -15,8 +15,7 @@ import (
 //	<prefix>/ctl/<file>    the run's control plane: FORMAT, MANIFEST (which
 //	                       carries every checkpoint's directory), INDEX,
 //	                       PROGRAM, record.log, timings.log — every run-directory
-//	                       file that is not pack bytes, so a run recorded
-//	                       by an older build ships its segment files too
+//	                       file that is not pack bytes
 //	<prefix>/packs/<obj>   pack objects by backend name (CHUNKS, CHUNKS-xx,
 //	                       CHUNKS-xx.g<n>)
 //	<prefix>/LEASE         the writer lease (lease.go)
@@ -48,18 +47,21 @@ func leftBehind(name string) bool {
 }
 
 // UploadRun uploads the run at dir to the object store under prefix, control
-// plane to <prefix>/ctl/ and pack objects (from the run directory and any
-// SHARDS extra roots) to <prefix>/packs/. Uploads are whole-object PUTs —
-// there is no partial-object sync — and idempotent: objects whose remote
-// length already matches the local file are skipped, so re-running after a
-// crash only moves what is missing. Files that are no part of the run
-// (leftBehind) are not uploaded. It returns how many objects were uploaded
-// (not skipped).
+// plane to <prefix>/ctl/ and pack objects to <prefix>/packs/. A run in a
+// layout an older build left is refused (store.ErrLegacyLayout): migrate it
+// first. Uploads are whole-object PUTs — there is no partial-object sync —
+// and idempotent: objects whose remote length already matches the local
+// file are skipped, so re-running after a crash only moves what is missing.
+// Files that are no part of the run (leftBehind) are not uploaded. It
+// returns how many objects were uploaded (not skipped).
 //
 // The caller is responsible for quiescence (upload after recording
 // finishes) and, when the prefix is shared between daemons, for holding its
 // writer lease.
 func UploadRun(st ObjectStore, dir, prefix string) (int, error) {
+	if _, err := store.DetectLayout(dir); err != nil {
+		return 0, fmt.Errorf("remote: upload run: %w", err)
+	}
 	uploaded := 0
 	up := func(local, key string) error {
 		fi, err := os.Stat(local)
@@ -96,37 +98,14 @@ func UploadRun(st ObjectStore, dir, prefix string) (int, error) {
 			return uploaded, err
 		}
 	}
-
-	// Pack objects spread over extra shard roots. Backend object names are
-	// unique across roots, so they flatten into one packs/ namespace.
-	roots, err := store.ShardRoots(dir)
-	if err != nil {
-		return uploaded, err
-	}
-	for _, root := range roots {
-		rents, err := os.ReadDir(root)
-		if err != nil {
-			return uploaded, fmt.Errorf("remote: upload shard root: %w", err)
-		}
-		for _, e := range rents {
-			if e.IsDir() || !isPackName(e.Name()) || leftBehind(e.Name()) {
-				continue
-			}
-			if err := up(filepath.Join(root, e.Name()), path.Join(prefix, packsDir, e.Name())); err != nil {
-				return uploaded, err
-			}
-		}
-	}
 	return uploaded, nil
 }
 
 // FetchControlPlane downloads the run's control plane from <prefix>/ctl/
-// into dir (created if needed), returning how many files it wrote. The
-// SHARDS file is skipped: it names shard roots on the machine that recorded
-// the run, and a remote-backed open routes every pack read through the
-// ObjectBackend instead; so are files an older upload shipped that are no
-// part of the run (leftBehind). Pack objects are never downloaded — that is
-// the cache tier's job, block by block, on demand.
+// into dir (created if needed), returning how many files it wrote. Files an
+// older upload shipped that are no part of the run (leftBehind) are
+// skipped. Pack objects are never downloaded — that is the cache tier's
+// job, block by block, on demand.
 func FetchControlPlane(st ObjectStore, prefix, dir string) (int, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("remote: fetch control plane: %w", err)
@@ -142,7 +121,7 @@ func FetchControlPlane(st ObjectStore, prefix, dir string) (int, error) {
 	fetched := 0
 	for _, key := range keys {
 		name := strings.TrimPrefix(key, ctl)
-		if strings.Contains(name, "/") || name == "SHARDS" || leftBehind(name) {
+		if strings.Contains(name, "/") || leftBehind(name) {
 			continue
 		}
 		data, err := st.Get(key)

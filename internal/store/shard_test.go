@@ -7,6 +7,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -194,12 +195,12 @@ func multirootFixture(t *testing.T) (dir, rootA, rootB string) {
 	return filepath.Join(base, "run"), filepath.Join(base, "rootA"), filepath.Join(base, "rootB")
 }
 
-// TestShardDirsSpreadAndPersist opens the committed store an older build
-// spread over extra root directories: its packs lie in all three roots, a
-// read-only open finds them through the SHARDS file and reads every
-// checkpoint as the committed single-root store of the same recording
-// (testdata/sharded) reads it, and a writable open is refused without a
-// byte changing.
+// TestShardDirsSpreadAndPersist takes the committed store an older build
+// spread over extra root directories: its packs lie in all three roots,
+// every open (writable and read-only) is refused with ErrLegacyLayout, and
+// ReadLegacy finds the packs through the SHARDS file and reads every
+// checkpoint as it reads the committed single-root store of the same
+// recording (testdata/sharded), without a byte changing.
 func TestShardDirsSpreadAndPersist(t *testing.T) {
 	dir, extraA, extraB := multirootFixture(t)
 	for _, root := range []string{dir, extraA, extraB} {
@@ -211,41 +212,41 @@ func TestShardDirsSpreadAndPersist(t *testing.T) {
 	if _, err := Open(dir); !errors.Is(err, ErrLegacyLayout) {
 		t.Fatalf("writable open of a multi-root store: %v, want ErrLegacyLayout", err)
 	}
-	ro, err := OpenReadOnly(dir)
+	if _, err := OpenReadOnly(dir); !errors.Is(err, ErrLegacyLayout) {
+		t.Fatalf("read-only open of a multi-root store: %v, want ErrLegacyLayout", err)
+	}
+	got, _, err := readLegacy(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := OpenReadOnly(legacyFixture(t, "sharded"))
+	want, _, err := readLegacy(legacyFixture(t, "sharded"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ro.Metas()) != 6 || len(single.Metas()) != 6 {
-		t.Fatalf("%d and %d checkpoints, want 6 each", len(ro.Metas()), len(single.Metas()))
+	if len(got) != 6 || len(want) != 6 {
+		t.Fatalf("%d and %d checkpoints, want 6 each", len(got), len(want))
 	}
-	for _, m := range single.Metas() {
-		want, err := ReadAll(single, m.Key, nil)
-		if err != nil {
-			t.Fatal(err)
+	for key, w := range want {
+		g := got[key]
+		if len(g) != len(w) {
+			t.Fatalf("%s via SHARDS file: %d sections, want %d", key, len(g), len(w))
 		}
-		got, err := ReadAll(ro, m.Key, nil)
-		if err != nil || len(got) != len(want) {
-			t.Fatalf("%s via SHARDS file: %d sections, %v", m.Key, len(got), err)
-		}
-		for i := range want {
-			if got[i].Name != want[i].Name || !bytes.Equal(got[i].Data, want[i].Data) {
-				t.Fatalf("%s section %q differs from the single-root store's", m.Key, want[i].Name)
+		for i := range w {
+			if g[i].Name != w[i].Name || !bytes.Equal(g[i].Data, w[i].Data) || g[i].Hash != w[i].Hash {
+				t.Fatalf("%s section %q differs from the single-root store's", key, w[i].Name)
 			}
 		}
 	}
 	if !maps.Equal(before, dirBytes(t, filepath.Dir(dir))) {
-		t.Fatal("the opens changed the multi-root fixture")
+		t.Fatal("the refused opens or the read changed the multi-root fixture")
 	}
 }
 
-// TestShardDirRelocationRefused pins that a recorded store's root list is
-// immutable: reopening with different (or reordered, or newly added) shard
-// dirs must be refused — silently adopting them would relocate every pack
-// lookup away from the real packs.
+// TestShardDirRelocationRefused pins that a multi-root store's root list is
+// part of its bytes: placement hashes each pack's name over the list, so
+// ReadLegacy reads the store only under the list it was written with — a
+// different, reordered, shortened or grown list fails the read, never
+// reads the wrong packs.
 func TestShardDirRelocationRefused(t *testing.T) {
 	dir, extraA, extraB := multirootFixture(t)
 	for _, bad := range [][]string{
@@ -254,19 +255,14 @@ func TestShardDirRelocationRefused(t *testing.T) {
 		{extraA},              // dropped
 		{extraA, extraB, dir}, // grown
 	} {
-		if _, err := OpenWith(dir, Options{ReadOnly: true, ShardDirs: bad}); err == nil {
-			t.Fatalf("reopen with shard dirs %v succeeded, want refusal", bad)
+		plant(t, dir, "SHARDS", strings.Join(bad, "\n")+"\n")
+		if _, _, err := readLegacy(dir); err == nil {
+			t.Fatalf("ReadLegacy with shard dirs %v succeeded, want a failure", bad)
 		}
 	}
-	// The matching list still opens, and plain opens are untouched.
-	for _, o := range []Options{{ReadOnly: true, ShardDirs: []string{extraA, extraB}}, {ReadOnly: true}} {
-		s2, err := OpenWith(dir, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadAll(s2, Key{LoopID: "train", Exec: 5}, nil); err != nil {
-			t.Fatalf("reopen after refusals: %v", err)
-		}
+	plant(t, dir, "SHARDS", "../rootA\n../rootB\n")
+	if got, _, err := readLegacy(dir); err != nil || len(got) != 6 {
+		t.Fatalf("ReadLegacy under the written list: %d checkpoints, %v", len(got), err)
 	}
 }
 
@@ -355,28 +351,29 @@ func TestUnknownFormatMarkerTyped(t *testing.T) {
 	}
 }
 
+// TestDetectLayoutVariants pins what DetectLayout reports: the two layouts
+// this build writes by name, and every committed fixture of an older one as
+// ErrLegacyLayout.
 func TestDetectLayoutVariants(t *testing.T) {
-	v1dir := v1Fixture(t)
 	v2dir := t.TempDir()
 	Open(v2dir)
 	pooled, _, _ := openSharded(t)
-	multi, _, _ := multirootFixture(t)
-
-	cases := []struct {
+	for _, c := range []struct {
 		dir  string
 		want string
-	}{
-		{v1dir, "v1"}, {v2dir, "v2"}, {pooled.Dir(), "v2-pooled/16"},
-		{legacyFixture(t, "sharded"), "v2-sharded/4"}, {multi, "v2-sharded/4"},
-		{filepath.Join(legacyFixture(t, "pool4"), "run"), "v2-pooled/4"},
-	}
-	for _, c := range cases {
+	}{{v2dir, "v2"}, {pooled.Dir(), "v2-pooled/16"}} {
 		l, err := DetectLayout(c.dir)
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || l.String() != c.want {
+			t.Fatalf("DetectLayout(%s) = %s, %v; want %s", c.dir, l, err, c.want)
 		}
-		if l.String() != c.want {
-			t.Fatalf("DetectLayout(%s) = %s, want %s", c.dir, l, c.want)
+	}
+	multi, _, _ := multirootFixture(t)
+	for _, dir := range []string{
+		v1Fixture(t), legacyFixture(t, "sharded"), multi,
+		filepath.Join(legacyFixture(t, "pool4"), "run"), legacyFixture(t, "private2dirs"),
+	} {
+		if l, err := DetectLayout(dir); !errors.Is(err, ErrLegacyLayout) {
+			t.Fatalf("DetectLayout(%s) = %s, %v; want ErrLegacyLayout", dir, l, err)
 		}
 	}
 }

@@ -10,7 +10,7 @@
 //
 // # Run directory
 //
-//	<dir>/FORMAT      format marker; absent in legacy v1 runs
+//	<dir>/FORMAT      format marker
 //	<dir>/MANIFEST    append-only, CRC-framed records: 'M' commits a
 //	                  checkpoint and carries its directory (package
 //	                  ckptfmt: its sections and their chunk hashes); 'P',
@@ -32,27 +32,19 @@
 //
 // # Layouts
 //
-// Two layouts are written, and neither is a choice: format v2 over a private
-// pack at fanout 1 (marker "2 dirs index") or, with Options.Pool, a run of a
-// shared pool at DefaultShardFanout (marker "2 pool shards=16 dirs", pool
-// marker "pool1 shards=16"). A writable open writes the marker once, into a
-// fresh directory (writeMarker); puts and GC never touch it. Its "dirs"
-// token makes every build that cannot read a directory-carrying meta record
-// refuse the store, and "index" every build that looks for a private
-// store's chunk records in its MANIFEST.
+// A store has one of two layouts, and neither is a choice: format v2 over a
+// private pack at fanout 1 (marker "2 dirs index") or, with Options.Pool, a
+// run of a shared pool at DefaultShardFanout (marker "2 pool shards=16
+// dirs", pool marker "pool1 shards=16"). A writable open writes the marker
+// once, into a fresh directory (writeMarker); puts and GC never touch it.
+// Its "dirs" and "index" tokens make older builds refuse the store.
 //
-// Every other layout an older build left is read-only: format v1 (a bundle
-// per checkpoint in a segment file), a private store whose chunk records are
-// in its MANIFEST (legacy.go adopts them) — unsharded ("2 dirs") or sharded
-// at N ("2 shards=N") or spread over extra pack roots — a pool at another
-// fanout, the "gc" and "lz4" marker tokens, and a manifest that still holds
-// segment-file checkpoints (legacy.go reads those). It opens, replays and
-// serves through the same read code, and a writable open of it — Open,
-// OpenWith, GC, GCPool, and so record — fails with ErrLegacyLayout without
-// touching a byte; core.Migrate (florctl migrate) copies such a run into a
-// fresh store of a written layout. Unknown or corrupt markers surface
-// ErrUnknownFormat rather than risk misparsing and truncating a newer
-// layout's manifest.
+// Those two are all an open reads: every layout an older build left fails
+// every open, read-only included, with ErrLegacyLayout, touching no byte.
+// Such a run is migrated, not served: core.Migrate (florctl migrate) reads
+// it once through ReadLegacy (legacy.go) into a fresh store. Unknown or
+// corrupt markers surface ErrUnknownFormat rather than risk misparsing and
+// truncating a newer layout's manifest.
 //
 // # Reads and concurrency
 //
@@ -60,9 +52,9 @@
 // was decoded once, at open or put) and reads only the sections its
 // statements touch through Checkpoint.ReadInto, the one read entry point,
 // into buffers the caller laid out or fresh ones; every restore runs one
-// pipeline (fetch.go), whatever the layout or backend. Each shard has its
-// own append lock and dedup map, so concurrent puts fan fresh chunks out
-// across shards and restores read shard packs concurrently.
+// pipeline (fetch.go), whatever the backend. Each shard has its own append
+// lock and dedup map, so concurrent puts fan fresh chunks out across shards
+// and restores read shard packs concurrently.
 package store
 
 import (
@@ -73,7 +65,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -83,30 +74,17 @@ import (
 	"flor.dev/flor/internal/obs"
 )
 
-// Format identifies a checkpoint encoding.
-const (
-	// FormatV1 is the legacy single-blob-per-checkpoint encoding; it is only
-	// read (see resolveLayout).
-	FormatV1 = 1
-	// FormatV2 is the frame-based, deduplicated encoding (package ckptfmt),
-	// with or without hash-prefix sharding.
-	FormatV2 = 2
-)
+// FormatV2 is the checkpoint encoding every put writes: frame-based and
+// deduplicated (package ckptfmt).
+const FormatV2 = 2
 
-// Shard-fanout bounds.
-const (
-	// DefaultShardFanout is the shard count of a new shared pool.
-	DefaultShardFanout = 16
-	// maxShardFanout bounds the fanout to what one hash byte can address.
-	maxShardFanout = 256
-)
+// DefaultShardFanout is the shard count of a shared pool.
+const DefaultShardFanout = 16
 
-// Record tags of a MANIFEST and an INDEX (legacy v1 manifests hold untagged
-// meta records).
+// Record tags of a MANIFEST and an INDEX.
 const (
 	recMeta = 'M'
-	// recChunk locates a chunk in its pack: INDEX records (and a legacy
-	// private store's MANIFEST records, legacy.go).
+	// recChunk locates a chunk in its pack: an INDEX record.
 	recChunk = 'C'
 	// recPool is the pool-reference record: the first record of a pooled
 	// run's manifest, naming the shared chunk pool the run's chunks live in.
@@ -135,29 +113,27 @@ func (k Key) String() string { return fmt.Sprintf("%s@%d", k.LoopID, k.Exec) }
 // Meta describes a committed checkpoint.
 type Meta struct {
 	Key      Key
-	Seq      int   // commit sequence number (names a legacy segment file)
+	Seq      int   // commit sequence number
 	Size     int64 // uncompressed payload size in bytes
 	MaterNs  int64 // observed materialization time (serialize+write), ns
 	SnapNs   int64 // observed snapshot (training-thread) time, ns
 	ComputNs int64 // observed loop computation time, ns
-	Format   int   // checkpoint format (FormatV2; FormatV1 in legacy runs)
+	Format   int   // checkpoint format: FormatV2 (ReadLegacy also yields older ones)
 	// StoredBytes is the number of pack bytes this checkpoint added (encoded
 	// size of its previously unseen chunks). Dedup hits make it smaller than
-	// Size; it is Size itself for a legacy v1 checkpoint.
+	// Size.
 	StoredBytes int64
 }
 
 // entry is a committed checkpoint as the index holds it: its meta record
-// and its directory, decoded once when the record was replayed or written
-// (for format v1, split out of the segment at open). Directories are
-// immutable, so this is the index, not a cache. dirErr is why a directory
-// could not be read; Resolve returns it.
+// and its directory, decoded once when the record was replayed or written.
+// Directories are immutable, so this is the index, not a cache. dirErr is
+// why a directory could not be read; Resolve returns it.
 type entry struct {
 	Meta
-	dir     *ckptfmt.Directory
-	dirErr  error
-	segOffs []int // format v1: each section's offset in the segment (legacy.go)
-	gzSize  int64 // the slot older builds filled, carried so a record re-encodes as read
+	dir    *ckptfmt.Directory
+	dirErr error
+	gzSize int64 // the slot older builds filled, carried so a record re-encodes as read
 }
 
 // Section is one named slice of a checkpoint payload — the encoded bytes of
@@ -230,15 +206,12 @@ func (d DedupStats) Ratio() float64 {
 // record, where sibling runs of the same project dedup against each other.
 type Store struct {
 	dir      string
-	format   int
-	fanout   int  // 0 for v1; 1 for unsharded v2; >1 for sharded/pooled v2
-	recorded bool // a manifest existed at open (detectDir's Layout.Recorded)
 	readOnly bool
 	manifest recordLog // appends hold mu
 
-	// pool is the chunk layer (an empty one for v1 stores). poolRef is, for
-	// a run of a shared pool, the path its manifest's pool-reference record
-	// holds ("" until that record is written).
+	// pool is the chunk layer. poolRef is, for a run of a shared pool, the
+	// path its manifest's pool-reference record holds ("" until that record
+	// is written).
 	pool    *ChunkPool
 	poolRef string
 
@@ -278,34 +251,22 @@ func (e *UnknownFormatError) Error() string {
 // Is reports ErrUnknownFormat identity for errors.Is.
 func (e *UnknownFormatError) Is(target error) bool { return target == ErrUnknownFormat }
 
-// ErrLegacyLayout is returned by a writable open of a store or pool in a
-// layout this build reads but does not write: anything but the two layouts
-// of a fresh store (see Layouts in the package comment). The open touches
-// nothing; florctl migrate copies the run into a writable store. It is an
-// ErrReadOnly.
+// ErrLegacyLayout is returned by every open of a store or pool in a layout
+// an older build left (see Layouts in the package comment), and by GCPool
+// over a pool with a leased run in one. The refusal touches nothing;
+// florctl migrate copies the run into a fresh store. It is an ErrReadOnly.
 var ErrLegacyLayout = fmt.Errorf("%w: legacy layout", ErrReadOnly)
 
-// legacyLayout is the refusal of a writable open of dir, which is what.
+// legacyLayout is the refusal of an open of dir, which is what.
 func legacyLayout(dir, what string) error {
-	return fmt.Errorf("%w: %s is %s, a layout this build only reads; `florctl migrate <src> <dst> [pool]` copies a run into a writable store", ErrLegacyLayout, dir, what)
+	return fmt.Errorf("%w: %s is %s, a layout this build does not open; `florctl migrate <src> <dst> [pool]` copies the run into a fresh store", ErrLegacyLayout, dir, what)
 }
 
 // Options configures OpenWith. The zero value reproduces Open: auto-detect
-// the layout, single local directory, read-write.
+// the layout, local packs, read-write.
 type Options struct {
-	// ShardDirs pins the extra pack roots of a store an older build spread
-	// over several directories (ShardRoots): the open fails unless they are
-	// exactly the roots the run directory lists (resolved, in order). Nothing
-	// can add a root to a store, so a non-empty ShardDirs on a store that
-	// lists none — a fresh directory too — is refused.
-	ShardDirs []string
-	// PinShardDirs makes ShardDirs authoritative even when empty. Servers
-	// pin the roots they validated at registration so that a later rewrite
-	// of the list cannot redirect their reads.
-	PinShardDirs bool
-	// Backend overrides pack storage entirely (ShardDirs is then ignored).
-	// The control plane (FORMAT, MANIFEST) stays in the run directory
-	// regardless.
+	// Backend overrides pack storage entirely. The control plane (FORMAT,
+	// MANIFEST, INDEX) stays in the run directory regardless.
 	Backend Backend
 	// Pool attaches the run to a shared chunk pool at this root (created at
 	// DefaultShardFanout if absent; relative paths resolve against the
@@ -316,8 +277,8 @@ type Options struct {
 	// the manifest plus a LEASE entry under the pool root make the
 	// attachment durable. Only fresh directories can attach; a recorded
 	// private-pack run cannot be relocated into a pool (nor a pooled run out
-	// of one), and a writable open cannot attach to a pool an older build
-	// made at another fanout (ErrLegacyLayout). Reopens need no Pool option
+	// of one), and no open attaches to a pool an older build made at
+	// another fanout (ErrLegacyLayout). Reopens need no Pool option
 	// — the manifest record names the pool.
 	Pool string
 	// PinPool makes Pool authoritative even when empty: the open fails
@@ -335,9 +296,7 @@ type Options struct {
 // the checkpoint index, with every checkpoint's directory decoded, and the
 // dedup chunk index. Torn or corrupt manifest tails are truncated away. A
 // directory that does not decode stays in the index with its error, which
-// Resolve returns. New stores are created at format v2; a store in any
-// layout but the two this build writes fails with ErrLegacyLayout
-// (OpenReadOnly reads it).
+// Resolve returns. New stores are created at format v2.
 func Open(dir string) (*Store, error) {
 	return OpenWith(dir, Options{})
 }
@@ -353,35 +312,38 @@ func OpenReadOnly(dir string) (*Store, error) {
 }
 
 // OpenWith opens (or, unless o.ReadOnly, creates) a store at dir under the
-// given options. See Options for the layout and backend knobs; Open and
-// OpenReadOnly are thin wrappers.
+// given options; Open and OpenReadOnly are thin wrappers. A store in any
+// layout but the two this build writes fails with ErrLegacyLayout.
 func OpenWith(dir string, o Options) (*Store, error) {
-	if o.ReadOnly {
-		// A read-only open must not mint an empty store out of a typo'd
-		// path: the directory has to exist already.
-		if st, err := os.Stat(dir); err != nil {
-			return nil, fmt.Errorf("store: open read-only: %w", err)
-		} else if !st.IsDir() {
-			return nil, fmt.Errorf("store: open read-only: %s is not a directory", dir)
-		}
-	}
 	s := &Store{dir: dir, readOnly: o.ReadOnly, index: map[Key]*entry{}}
 	s.manifest = recordLog{path: filepath.Join(dir, manifestFile)}
-	m, err := s.resolveLayout(o)
+	// Any layout but the two this build writes stops here, and a read-only
+	// open must not mint an empty store out of a typo'd path: the directory
+	// has to exist already (DetectLayout). Only fresh directories attach to
+	// a pool: moving a recorded run's chunks into (or out of) one would
+	// strand every committed chunk record.
+	detect := detectDir
+	if o.ReadOnly {
+		detect = DetectLayout
+	}
+	l, err := detect(dir)
 	if err != nil {
 		return nil, err
+	}
+	if o.Pool != "" && l.Recorded && !l.Pooled {
+		return nil, fmt.Errorf("store: cannot attach recorded run %s to pool %s (recorded with a private pack)", dir, o.Pool)
 	}
 	recs, good, torn, err := s.readManifest()
 	if err != nil {
 		return nil, err
 	}
-	if !s.readOnly && slices.ContainsFunc(recs, segmentBacked) {
+	if slices.ContainsFunc(recs, dirless) {
 		return nil, legacyLayout(dir, "a store whose manifest holds segment-file checkpoints")
 	}
-	if m.pooled || o.Pool != "" {
+	if l.Pooled || o.Pool != "" {
 		err = s.attachPool(o, recs)
 	} else {
-		err = s.openPrivatePool(o, m, recs)
+		err = s.openPrivatePool(o)
 	}
 	if err != nil {
 		return nil, err
@@ -389,9 +351,7 @@ func OpenWith(dir string, o Options) (*Store, error) {
 	for _, rec := range recs {
 		s.applyRecord(rec)
 	}
-	if s.format == FormatV2 {
-		s.pool.dropMismatched(s.liveDirs())
-	}
+	s.pool.dropMismatched(s.liveDirs())
 	s.adoptPoolStats()
 	if s.readOnly {
 		return s, nil
@@ -430,10 +390,7 @@ func (s *Store) ReadOnly() bool { return s.readOnly }
 // Layout describes a run directory's on-disk store layout, detected without
 // replaying its manifest.
 type Layout struct {
-	// Format is FormatV1 or FormatV2 (what a fresh open would use).
-	Format int
-	// ShardFanout is 0 for v1, 1 for unsharded v2, and the shard count for
-	// sharded v2 (the pool's fanout for pooled runs).
+	// ShardFanout is 1 for a private pack, DefaultShardFanout pooled.
 	ShardFanout int
 	// Pooled reports whether the run's chunks live in a shared chunk pool
 	// (the manifest's pool-reference record names it).
@@ -444,125 +401,78 @@ type Layout struct {
 	Recorded bool
 }
 
-// String renders the layout for listings ("v1", "v2", "v2-sharded/16",
-// "v2-pooled/16").
+// String renders the layout for listings ("v2", "v2-pooled/16").
 func (l Layout) String() string {
-	switch {
-	case l.Format == FormatV1:
-		return "v1"
-	case l.Pooled:
+	if l.Pooled {
 		return fmt.Sprintf("v2-pooled/%d", l.ShardFanout)
-	case l.ShardFanout > 1:
-		return fmt.Sprintf("v2-sharded/%d", l.ShardFanout)
-	default:
-		return "v2"
 	}
+	return "v2"
 }
 
 // DetectLayout inspects a run directory's FORMAT marker (and, absent one,
 // its manifest) and reports the layout a plain open would use, without
-// opening the store. Unknown markers surface ErrUnknownFormat; registration
-// paths use this to reject bad directories before any query touches them.
+// opening the store. An older build's layout surfaces ErrLegacyLayout and
+// an unknown marker ErrUnknownFormat; registration paths use this to reject
+// bad directories before any query touches them.
 func DetectLayout(dir string) (Layout, error) {
 	if st, err := os.Stat(dir); err != nil {
 		return Layout{}, fmt.Errorf("store: detect layout: %w", err)
 	} else if !st.IsDir() {
 		return Layout{}, fmt.Errorf("store: detect layout: %s is not a directory", dir)
 	}
-	l, _, err := detectDir(dir)
-	return l, err
+	return detectDir(dir)
 }
 
-// detectDir reads a directory's FORMAT marker (falling back on manifest
-// presence) and reports the detected layout and the parsed marker (zero when
-// absent) — the shared core of DetectLayout and Store.resolveLayout.
-func detectDir(dir string) (Layout, markerInfo, error) {
+// detectDir reports a directory's layout from its FORMAT marker and whether
+// it holds a manifest — the shared core of DetectLayout and OpenWith. A
+// recorded run without a marker (format v1) and a list of extra pack roots
+// are ErrLegacyLayout.
+func detectDir(dir string) (Layout, error) {
 	recorded := false
 	if _, merr := os.Stat(filepath.Join(dir, manifestFile)); merr == nil {
 		recorded = true
 	}
 	raw, err := os.ReadFile(filepath.Join(dir, formatFile))
+	var l Layout
 	switch {
 	case err == nil:
-		m, perr := parseFormatMarker(raw)
-		if perr != nil {
-			// An unknown marker means a newer (or corrupted) layout whose
-			// manifest records this build would misparse as a torn tail and
-			// truncate away — refuse rather than destroy.
-			return Layout{}, markerInfo{}, &UnknownFormatError{Dir: dir, Marker: strings.TrimSpace(string(raw))}
+		if l, err = parseFormatMarker(dir, raw); err != nil {
+			return Layout{}, err
 		}
-		return Layout{Format: m.format, ShardFanout: m.fanout, Pooled: m.pooled, Recorded: recorded}, m, nil
+		l.Recorded = recorded
 	case errors.Is(err, os.ErrNotExist):
 		if recorded {
-			return Layout{Format: FormatV1, Recorded: true}, markerInfo{}, nil // pre-FORMAT-marker run
+			return Layout{}, legacyLayout(dir, "a format-v1 run") // pre-FORMAT-marker run
 		}
-		return Layout{Format: FormatV2, ShardFanout: 1}, markerInfo{}, nil // fresh directory
+		l = Layout{ShardFanout: 1} // fresh directory
 	default:
-		return Layout{}, markerInfo{}, fmt.Errorf("store: read format marker: %w", err)
+		return Layout{}, fmt.Errorf("store: read format marker: %w", err)
 	}
-}
-
-// markerInfo is the parsed FORMAT marker.
-type markerInfo struct {
-	format int
-	fanout int
-	pooled bool
-	index  bool   // a private store's chunk records are in its INDEX
-	text   string // the marker's tokens, single-spaced
-}
-
-// parseFormatMarker decodes a FORMAT file. The grammar is
-// "2[ pool][ shards=N][ gc][ lz4][ dirs][ index]" in that order: "2"
-// (unsharded v2), "2 shards=N" (hash-prefix sharded at N, a power of two in
-// [2, 256]), "2 pool shards=N" (chunks live in a shared pool at fanout
-// N ≥ 1), with a trailing "gc" on stores whose chunk records name compacted
-// pack generations, "lz4" on stores holding LZ4-style frames, "dirs" on
-// stores whose meta records carry their directories, and "index" on private
-// stores whose chunk records are in the run's INDEX, not its MANIFEST —
-// flags older builds cannot honor, so they refuse.
-func parseFormatMarker(raw []byte) (markerInfo, error) {
-	marker := strings.TrimSpace(string(raw))
-	fields := strings.Fields(marker)
-	bad := func() (markerInfo, error) {
-		return markerInfo{}, fmt.Errorf("unknown format marker %q", marker)
-	}
-	if len(fields) == 0 || fields[0] != "2" {
-		return bad()
-	}
-	m := markerInfo{format: FormatV2, fanout: 1, text: strings.Join(fields, " ")}
-	rest := fields[1:]
-	if len(rest) > 0 && rest[0] == "pool" {
-		m.pooled = true
-		rest = rest[1:]
-	}
-	if len(rest) > 0 && strings.HasPrefix(rest[0], "shards=") {
-		n, ok := parseShards(rest[0])
-		if !ok || n == 1 && !m.pooled { // a pool at fanout 1 is legal (single pack, still shared)
-			return bad()
+	if extra, err := shardRoots(dir); err != nil || len(extra) > 0 {
+		if err == nil {
+			err = legacyLayout(dir, "a store spread over extra pack roots")
 		}
-		m.fanout = n
-		rest = rest[1:]
-	} else if m.pooled {
-		return bad() // pooled markers always carry the fanout
+		return Layout{}, err
 	}
-	for _, flag := range []string{"gc", "lz4", "dirs", "index"} {
-		if len(rest) > 0 && rest[0] == flag {
-			rest = rest[1:]
-			m.index = flag == "index"
-		}
-	}
-	if len(rest) > 0 {
-		return bad()
-	}
-	return m, nil
+	return l, nil
 }
 
-// parseShards reads a marker's "shards=N" token: N a power of two in [1,
-// maxShardFanout], written as %d writes it.
-func parseShards(tok string) (int, bool) {
-	digits, ok := strings.CutPrefix(tok, "shards=")
-	n, err := strconv.Atoi(digits)
-	return n, ok && err == nil && strconv.Itoa(n) == digits && n >= 1 && n <= maxShardFanout && n&(n-1) == 0
+// parseFormatMarker classifies the FORMAT marker raw of dir: one of the two
+// this build writes, whitespace aside; another in the grammar older builds
+// wrote (ErrLegacyLayout); or an unknown one (ErrUnknownFormat), whose
+// manifest this build would misparse as a torn tail and truncate away.
+func parseFormatMarker(dir string, raw []byte) (Layout, error) {
+	marker := strings.Join(strings.Fields(string(raw)), " ")
+	switch marker + "\n" {
+	case markerPrivate:
+		return Layout{ShardFanout: 1}, nil
+	case markerPooled:
+		return Layout{ShardFanout: DefaultShardFanout, Pooled: true}, nil
+	}
+	if _, _, _, ok := parseLegacyMarker(raw); ok {
+		return Layout{}, legacyLayout(dir, fmt.Sprintf("a store marked %q", marker))
+	}
+	return Layout{}, &UnknownFormatError{Dir: dir, Marker: strings.TrimSpace(string(raw))}
 }
 
 // The two FORMAT markers this build writes: a private pack, and a run in a
@@ -571,43 +481,6 @@ const (
 	markerPrivate = "2 dirs index\n"
 	markerPooled  = "2 pool shards=16 dirs\n"
 )
-
-// canonical reports whether the parsed marker is, whitespace aside, one of
-// the two a writable open leaves.
-func (m markerInfo) canonical() bool {
-	return m.text+"\n" == markerPrivate || m.text+"\n" == markerPooled
-}
-
-// resolveLayout resolves the store's format, shard fanout, and pool
-// attachment from the FORMAT marker, the options, and (for unmarked
-// directories) the presence of a manifest, and returns the parsed marker. A
-// fresh directory takes fanout 1, or a pool's. A writable open of any layout
-// but the two this build writes stops here, before anything is written.
-func (s *Store) resolveLayout(o Options) (markerInfo, error) {
-	l, m, err := detectDir(s.dir)
-	if err != nil {
-		return m, err
-	}
-	s.format = l.Format
-	s.recorded = l.Recorded
-	if !s.readOnly {
-		switch {
-		case l.Format == FormatV1:
-			return m, legacyLayout(s.dir, "a format-v1 run")
-		case m.format != 0 && !m.canonical():
-			raw, _ := os.ReadFile(s.formatPath())
-			return m, legacyLayout(s.dir, fmt.Sprintf("a store marked %q", strings.TrimSpace(string(raw))))
-		}
-	}
-	s.fanout = l.ShardFanout
-	// Pool attachment: only fresh directories can attach — moving a
-	// recorded run's chunks into (or out of) a pool would strand every
-	// committed chunk record.
-	if o.Pool != "" && l.Recorded && !l.Pooled {
-		return m, fmt.Errorf("store: cannot attach recorded run %s to pool %s (recorded with a private pack)", s.dir, o.Pool)
-	}
-	return m, nil
-}
 
 // writeMarker settles the FORMAT marker of a writable store, once, at open:
 // markerPrivate or markerPooled. Puts and GC never touch it, so a
@@ -629,37 +502,24 @@ func (s *Store) writeMarker() error {
 	return nil
 }
 
-// openPrivatePool opens the run's pool of one, rooted at the run directory.
-// Its packs are behind an explicit backend from the options, or a
-// local-directory backend over the run directory plus the extra roots an
-// older build may have spread it over (packRoots), which only a read-only
-// open accepts. Its chunk records are in the run's INDEX — or, in a store
-// marked without "index" (read-only), in its MANIFEST records recs.
-func (s *Store) openPrivatePool(o Options, m markerInfo, recs []manifestRecord) error {
+// openPrivatePool opens the run's pool of one, rooted at the run directory,
+// its chunk records in the run's INDEX and its packs behind the backend the
+// options name or in the run directory.
+func (s *Store) openPrivatePool(o Options) error {
 	if o.PinPool && o.Pool != "" {
 		return fmt.Errorf("store: %s is not attached to a pool (pinned to %s)", s.dir, o.Pool)
 	}
 	backend := o.Backend
 	if backend == nil {
-		roots, err := packRoots(s.dir, o)
-		if err != nil {
-			return err
-		}
-		if !s.readOnly && len(roots) > 1 {
-			return legacyLayout(s.dir, "a store spread over extra pack roots")
-		}
-		backend = &DirBackend{roots: roots}
+		backend = DirBackendAt(s.dir)
 	}
-	if m.index {
-		recs = nil
-	}
-	s.pool = &ChunkPool{root: s.dir, fanout: s.fanout, backend: backend, readOnly: s.readOnly}
-	return s.pool.open(recs)
+	s.pool = &ChunkPool{root: s.dir, fanout: 1, backend: backend, readOnly: s.readOnly}
+	return s.pool.open()
 }
 
 // resolveRunPath resolves a path a run directory records — its pool
-// reference, an extra pack root — against the directory (relative paths keep
-// run families relocatable as a unit).
+// reference — against the directory (relative paths keep run families
+// relocatable as a unit).
 func resolveRunPath(dir, entry string) string {
 	if !filepath.IsAbs(entry) {
 		return filepath.Join(dir, entry)
@@ -672,15 +532,15 @@ func resolveRunPath(dir, entry string) string {
 // records recs, at the marker's fanout; a fresh directory (or one whose
 // first record was torn) takes it from Options.Pool.
 func (s *Store) attachPool(o Options, recs []manifestRecord) error {
-	if o.Backend != nil || len(o.ShardDirs) > 0 {
-		return fmt.Errorf("store: pooled stores place all packs in the pool (Backend/ShardDirs not applicable)")
+	if o.Backend != nil {
+		return fmt.Errorf("store: pooled stores place all packs in the pool (Backend not applicable)")
 	}
 	var root string
 	switch {
 	case len(recs) > 0:
 		ref := recs[0]
-		if ref.tag != recPool || ref.ref == "" || ref.fanout != s.fanout {
-			return fmt.Errorf("%w: pooled run %s: manifest does not start with a pool-reference record at fanout %d", codec.ErrCorrupt, s.dir, s.fanout)
+		if ref.tag != recPool || ref.ref == "" || ref.fanout != DefaultShardFanout {
+			return fmt.Errorf("%w: pooled run %s: manifest does not start with a pool-reference record at fanout %d", codec.ErrCorrupt, s.dir, DefaultShardFanout)
 		}
 		root = resolveRunPath(s.dir, ref.ref)
 		s.poolRef = ref.ref
@@ -708,19 +568,11 @@ func (s *Store) attachPool(o Options, recs []manifestRecord) error {
 	default:
 		return fmt.Errorf("store: %s is marked pooled but its manifest carries no pool reference (pass Options.Pool)", s.dir)
 	}
-	// On recorded pooled runs the marker's fanout is the pool's, and
-	// openSharedPool refuses a pool that disagrees; a fresh run takes the
-	// pool's.
-	want := 0
-	if s.recorded {
-		want = s.fanout
-	}
-	p, err := openSharedPool(root, want, s.readOnly)
+	p, err := openSharedPool(root, s.readOnly)
 	if err != nil {
 		return err
 	}
 	s.pool = p
-	s.fanout = p.fanout
 	return nil
 }
 
@@ -741,7 +593,7 @@ func (s *Store) commitPoolAttachment() error {
 			}
 		}
 		s.mu.Lock()
-		err := s.manifest.append(frameTagged(recPool, encodePoolRef(ref, s.fanout)))
+		err := s.manifest.append(frameTagged(recPool, encodePoolRef(ref, s.pool.fanout)))
 		if err == nil {
 			s.poolRef = ref
 		}
@@ -757,7 +609,7 @@ func (s *Store) commitPoolAttachment() error {
 // resolved pool root and ok=true for pooled runs, ok=false otherwise.
 // Registration paths use it to validate and pin pool roots.
 func PoolRef(dir string) (root string, ok bool, err error) {
-	l, _, err := detectDir(dir)
+	l, err := detectDir(dir)
 	if err != nil {
 		return "", false, err
 	}
@@ -769,7 +621,7 @@ func PoolRef(dir string) (root string, ok bool, err error) {
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return "", false, fmt.Errorf("store: read manifest: %w", err)
 	}
-	rec, _, derr := decodeManifestRecord(raw, false)
+	rec, _, derr := decodeManifestRecord(raw)
 	if derr == nil && rec.tag != recPool {
 		return "", false, fmt.Errorf("%w: pooled run %s: manifest does not start with a pool-reference record", codec.ErrCorrupt, dir)
 	}
@@ -788,14 +640,9 @@ func PoolRef(dir string) (root string, ok bool, err error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// ShardFanout returns the chunk-pack shard count: 0 for v1 stores, 1 for
-// the unsharded v2 layout, the fanout for sharded and pooled stores.
-func (s *Store) ShardFanout() int {
-	if s.format != FormatV2 {
-		return 0
-	}
-	return s.pool.Fanout()
-}
+// ShardFanout returns the chunk-pack shard count: 1 for a private pack, the
+// pool's fanout for a pooled run.
+func (s *Store) ShardFanout() int { return s.pool.Fanout() }
 
 // Pooled reports whether the run's chunks live in a shared pool.
 func (s *Store) Pooled() bool { return s.pool.shared }
@@ -810,14 +657,16 @@ func (s *Store) PoolRoot() string {
 }
 
 // PoolStats returns the attached pool's pool-wide storage accounting;
-// ok is false for stores without a shared pool. (For per-run accounting see
-// Dedup; a pooled run's stored-bytes counters cover only chunks this store
-// instance published.)
-func (s *Store) PoolStats() (PoolStats, bool) {
+// ok is false for stores without a shared pool, and leaseErr is why the
+// pool's leases could not be counted (ChunkPool.Stats). (For per-run
+// accounting see Dedup; a pooled run's stored-bytes counters cover only
+// chunks this store instance published.)
+func (s *Store) PoolStats() (st PoolStats, ok bool, leaseErr error) {
 	if !s.pool.shared {
-		return PoolStats{}, false
+		return PoolStats{}, false, nil
 	}
-	return s.pool.Stats(), true
+	st, leaseErr = s.pool.Stats()
+	return st, true, leaseErr
 }
 
 func (s *Store) formatPath() string { return filepath.Join(s.dir, formatFile) }
@@ -826,28 +675,42 @@ func (s *Store) formatPath() string { return filepath.Join(s.dir, formatFile) }
 // decode: a torn tail, which starts at byte good and exists when torn is
 // set. A writable open truncates it once it has refused nothing.
 func (s *Store) readManifest() (recs []manifestRecord, good int64, torn bool, err error) {
-	raw, err := os.ReadFile(s.manifest.path)
+	good, torn, err = scanLog(s.manifest.path, decodeManifestRecord, func(rec manifestRecord) error {
+		recs = append(recs, rec)
+		return nil
+	})
+	return recs, good, torn, err
+}
+
+// scanLog hands each record of the log at path (a MANIFEST or an INDEX),
+// decoded by decode, to apply, up to a torn tail: the first record that
+// does not decode, at byte good when torn. A missing log is empty; an error
+// of apply ends the scan.
+func scanLog(path string, decode func([]byte) (manifestRecord, int, error), apply func(manifestRecord) error) (good int64, torn bool, err error) {
+	raw, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, false, nil
+		return 0, false, nil
 	}
 	if err != nil {
-		return nil, 0, false, fmt.Errorf("store: read manifest: %w", err)
+		return 0, false, fmt.Errorf("store: read %s: %w", filepath.Base(path), err)
 	}
 	off := 0
 	for off < len(raw) {
-		rec, n, err := decodeManifestRecord(raw[off:], s.format == FormatV1)
+		rec, n, err := decode(raw[off:])
 		if err != nil {
 			break
 		}
-		recs = append(recs, rec)
+		if err := apply(rec); err != nil {
+			return int64(off), false, err
+		}
 		off += n
 	}
-	return recs, int64(off), off < len(raw), nil
+	return int64(off), off < len(raw), nil
 }
 
-// segmentBacked reports whether rec is a meta record without a directory:
-// its checkpoint lives in a segment file an older build wrote (legacy.go).
-func segmentBacked(rec manifestRecord) bool {
+// dirless reports whether rec is a meta record without a directory: an
+// older build's, whose checkpoint is in a segment file (legacy.go).
+func dirless(rec manifestRecord) bool {
 	return rec.tag == recMeta && rec.e.dir == nil && rec.e.dirErr == nil
 }
 
@@ -859,14 +722,10 @@ func (s *Store) applyRecord(rec manifestRecord) {
 	if rec.tag != recMeta {
 		return
 	}
-	e := rec.e
-	if e.Seq >= s.nextSeq {
-		s.nextSeq = e.Seq + 1
+	if rec.e.Seq >= s.nextSeq {
+		s.nextSeq = rec.e.Seq + 1
 	}
-	// A segment-backed record only counts if its file survived.
-	if !segmentBacked(rec) || loadSegment(s.dir, e) {
-		s.commitLocked(e)
-	}
+	s.commitLocked(rec.e)
 }
 
 // liveDirs returns the directories of the checkpoints the index holds. It
@@ -885,9 +744,7 @@ func (s *Store) liveDirs() []*ckptfmt.Directory {
 func (s *Store) commitLocked(e *entry) {
 	s.index[e.Key] = e
 	s.metas = append(s.metas, e)
-	if e.Format == FormatV2 {
-		s.dedup.LogicalBytes += e.Size
-	}
+	s.dedup.LogicalBytes += e.Size
 }
 
 // manifestRecord is one decoded manifest (or pool INDEX) record; tag says
@@ -901,22 +758,16 @@ type manifestRecord struct {
 	fanout int
 }
 
-// decodeManifestRecord unframes and decodes the record at the head of b — a
-// tagged v2 MANIFEST or pool INDEX record, or with v1 an untagged legacy meta
-// record — and reports the bytes it took. Any error is a torn tail, and
-// whatever decodes re-encodes to exactly those bytes. A meta record's
-// directory is no part of that verdict: one that does not decode rides along
-// as the entry's dirErr, so that a CRC-valid record is never taken for a
-// tail.
-func decodeManifestRecord(b []byte, v1 bool) (rec manifestRecord, n int, err error) {
+// decodeManifestRecord unframes and decodes the tagged MANIFEST or INDEX
+// record at the head of b and reports the bytes it took. Any error is a torn
+// tail, and whatever decodes re-encodes to exactly those bytes. A meta
+// record's directory is no part of that verdict: one that does not decode
+// rides along as the entry's dirErr, so that a CRC-valid record is never
+// taken for a tail.
+func decodeManifestRecord(b []byte) (rec manifestRecord, n int, err error) {
 	payload, n, err := codec.Unframe(b)
 	if err != nil {
 		return rec, 0, err
-	}
-	if v1 {
-		rec.tag = recMeta
-		rec.e, err = decodeMeta(payload, true)
-		return rec, n, err
 	}
 	if len(payload) == 0 {
 		return rec, 0, fmt.Errorf("%w: empty manifest record", codec.ErrCorrupt)
@@ -925,7 +776,7 @@ func decodeManifestRecord(b []byte, v1 bool) (rec manifestRecord, n int, err err
 	body := payload[1:]
 	switch rec.tag {
 	case recMeta:
-		rec.e, err = decodeMeta(body, false)
+		rec.e, err = decodeMeta(body)
 	case recChunk:
 		rec.hash, rec.loc, err = decodeChunkRecord(body)
 	case recPool:
@@ -946,48 +797,30 @@ func encodeMeta(e *entry) []byte {
 	w.Int(int(e.MaterNs))
 	w.Int(int(e.SnapNs))
 	w.Int(int(e.ComputNs))
-	// Trailing fields added with format v2; v1 decoders never read this far.
 	w.Int(e.Format)
 	w.Int(int(e.StoredBytes))
-	// The directory closes the record; records without one are legacy.
+	// The directory closes the record; records without one are an older
+	// build's (legacy.go).
 	if e.dir != nil {
 		w.RawAppend(ckptfmt.EncodeDirectory(e.dir))
 	}
 	return w.Bytes()
 }
 
-// decodeMeta decodes a meta record body. v1 records may end before the
-// format fields; v2 records may not, and whatever follows their format
-// fields is the checkpoint's directory, encoded exactly as
-// ckptfmt.EncodeDirectory would.
-func decodeMeta(b []byte, v1 bool) (*entry, error) {
+// decodeMeta decodes a meta record body: its fields, then whatever follows
+// them is the checkpoint's directory, encoded exactly as
+// ckptfmt.EncodeDirectory would. An older build's record carries none
+// (legacy.go): its dir and dirErr are both nil.
+func decodeMeta(b []byte) (*entry, error) {
 	r := codec.NewReader(b)
-	e := &entry{}
-	var err error
-	if e.Key.LoopID, err = r.String(); err != nil {
+	e, err := decodeMetaHead(r)
+	if err == nil {
+		err = e.decodeFormat(r)
+	}
+	if err != nil {
 		return nil, err
 	}
-	ints := func(fs ...*int64) error {
-		for _, f := range fs {
-			v, err := r.Int()
-			if err != nil {
-				return err
-			}
-			*f = int64(v)
-		}
-		return nil
-	}
-	var exec, seq, format, stored int64
-	if err := ints(&exec, &seq, &e.Size, &e.gzSize, &e.MaterNs, &e.SnapNs, &e.ComputNs); err != nil {
-		return nil, err
-	}
-	if v1 && r.Remaining() == 0 {
-		format, stored = FormatV1, e.Size // records written before format v2 end here
-	} else if err := ints(&format, &stored); err != nil {
-		return nil, err
-	}
-	e.Key.Exec, e.Seq, e.Format, e.StoredBytes = int(exec), int(seq), int(format), stored
-	if rest := b[len(b)-r.Remaining():]; !v1 && len(rest) > 0 {
+	if rest := b[len(b)-r.Remaining():]; len(rest) > 0 {
 		d, err := ckptfmt.DecodeDirectory(rest)
 		if err == nil && !bytes.Equal(ckptfmt.EncodeDirectory(d), rest) {
 			err = fmt.Errorf("%w: bytes past its end", codec.ErrCorrupt)
@@ -999,6 +832,39 @@ func decodeMeta(b []byte, v1 bool) (*entry, error) {
 		}
 	}
 	return e, nil
+}
+
+// decodeMetaHead decodes the fields a meta record starts with: its key,
+// sequence number, size and timings.
+func decodeMetaHead(r *codec.Reader) (*entry, error) {
+	e := &entry{}
+	var exec, seq int64
+	var err error
+	if e.Key.LoopID, err = r.String(); err == nil {
+		err = readInts(r, &exec, &seq, &e.Size, &e.gzSize, &e.MaterNs, &e.SnapNs, &e.ComputNs)
+	}
+	e.Key.Exec, e.Seq = int(exec), int(seq)
+	return e, err
+}
+
+// decodeFormat decodes the format fields that follow a meta record's head.
+func (e *entry) decodeFormat(r *codec.Reader) error {
+	var format int64
+	err := readInts(r, &format, &e.StoredBytes)
+	e.Format = int(format)
+	return err
+}
+
+// readInts reads one varint into each of fs.
+func readInts(r *codec.Reader, fs ...*int64) error {
+	for _, f := range fs {
+		v, err := r.Int()
+		if err != nil {
+			return err
+		}
+		*f = int64(v)
+	}
+	return nil
 }
 
 // encodePoolRef encodes a pool-reference record: the pool root (relative
@@ -1338,8 +1204,7 @@ func (s *Store) Resolve(key Key) (*Checkpoint, error) {
 // ReadInto materializes sections of a checkpoint: chunk frames are fetched
 // and decoded by the pool's one read pipeline (see fetch.go) — runs of
 // neighbouring frames read concurrently across shards, each run decoded the
-// moment its bytes land — or, for format v1, copied out of one read of the
-// segment (legacy.go). The result has one entry per section, in the
+// moment its bytes land. The result has one entry per section, in the
 // checkpoint's order.
 //
 // Two callbacks, both optional, keep sections on disk. A section whose name
@@ -1418,8 +1283,13 @@ func (c *Checkpoint) ReadInto(want func(name string) bool, have func(ckptfmt.Has
 			jobs = append(jobs, chunkJob{ref: ref, dst: dsts[k]})
 		}
 	}
-	// Phase 3: fill every destination with its chunk's bytes.
-	if err := c.fill(load, jobs, byShard, fs); err != nil {
+	// Phase 3: resolve every chunk's location in the pool's dedup index,
+	// locking each involved shard once, and fill every destination with its
+	// chunk's bytes.
+	if err := p.resolve(jobs, byShard, c.e.Key); err != nil {
+		return nil, err
+	}
+	if err := p.fetch(jobs, byShard, fs); err != nil {
 		return nil, err
 	}
 	return secs, nil
@@ -1489,8 +1359,7 @@ func (s *Store) Metas() []*Meta {
 	return out
 }
 
-// Dedup returns a copy of the run's chunk-dedup accounting. Only format v2
-// checkpoints contribute.
+// Dedup returns a copy of the run's chunk-dedup accounting.
 func (s *Store) Dedup() DedupStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1587,7 +1456,7 @@ func (s *Store) adoptPoolStats() {
 	if s.pool.shared {
 		return
 	}
-	st := s.pool.Stats()
+	st, _ := s.pool.Stats() // a pool of one has no leases
 	s.dedup.ChunksStored, s.dedup.StoredRawBytes, s.dedup.StoredEncBytes = st.Chunks, st.StoredRawBytes, st.StoredEncBytes
 }
 
@@ -1628,7 +1497,7 @@ func (s *Store) liveEntries() ([]*entry, error) {
 func (s *Store) rewriteManifest(live []*entry) (int, error) {
 	var buf []byte
 	if s.pool.shared {
-		buf = frameTagged(recPool, encodePoolRef(s.poolRef, s.fanout))
+		buf = frameTagged(recPool, encodePoolRef(s.poolRef, s.pool.fanout))
 	}
 	for _, e := range live {
 		buf = append(buf, frameTagged(recMeta, encodeMeta(e))...)

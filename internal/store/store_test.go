@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -186,10 +188,20 @@ func TestCrashAtAnyManifestPrefixIsConsistent(t *testing.T) {
 }
 
 // TestCorruptSegmentDetected pins a legacy segment file's CRC on a copy of
-// the committed gztwins store: a flipped byte fails the read of that
-// checkpoint with codec.ErrCorrupt, and only that one.
+// the committed gztwins store: a flipped byte fails ReadLegacy with
+// codec.ErrCorrupt at that checkpoint, after the intact ones before it were
+// yielded.
 func TestCorruptSegmentDetected(t *testing.T) {
 	dir := legacyFixture(t, "gztwins")
+	_, order, err := readLegacy(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := Key{LoopID: "train", Exec: 2}
+	at := slices.Index(order, corrupt)
+	if at < 1 {
+		t.Fatalf("train@2 is checkpoint %d of %v", at, order)
+	}
 	path := filepath.Join(dir, "ckpt-00000002.bin")
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -199,38 +211,31 @@ func TestCorruptSegmentDetected(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenReadOnly(dir)
-	if err != nil {
-		t.Fatal(err)
+	got, order, err := readLegacy(dir)
+	if !errors.Is(err, codec.ErrCorrupt) || !strings.Contains(err.Error(), corrupt.String()) {
+		t.Fatalf("corrupt segment read: %v, want codec.ErrCorrupt naming %s", err, corrupt)
 	}
-	m, _ := s.Lookup(Key{LoopID: "train", Exec: 2})
-	if m == nil || m.Seq != 2 {
-		t.Fatalf("train@2 is %+v, want segment 2", m)
-	}
-	if _, err := getBlob(s, m.Key); !errors.Is(err, codec.ErrCorrupt) {
-		t.Fatalf("corrupt segment read: %v, want codec.ErrCorrupt", err)
-	}
-	if _, err := getBlob(s, Key{LoopID: "train", Exec: 3}); err != nil {
-		t.Fatalf("intact checkpoint beside the corrupt one: %v", err)
+	if len(order) != at || len(got) != at {
+		t.Fatalf("ReadLegacy yielded %v before failing, want the %d checkpoints before %s", order, at, corrupt)
 	}
 }
 
-// TestMissingSegmentDroppedOnReopen pins the legacy open rule on a copy of
-// the committed gztwins store: a meta record whose segment file is gone
-// does not count.
+// TestMissingSegmentDroppedOnReopen pins the legacy commit rule on a copy
+// of the committed gztwins store: a meta record whose segment file is gone
+// does not count, and ReadLegacy yields its neighbours.
 func TestMissingSegmentDroppedOnReopen(t *testing.T) {
 	dir := legacyFixture(t, "gztwins")
 	if err := os.Remove(filepath.Join(dir, "ckpt-00000001.bin")); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenReadOnly(dir)
+	got, _, err := readLegacy(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Has(Key{LoopID: "train", Exec: 1}) {
-		t.Fatal("checkpoint with missing segment still indexed")
+	if _, ok := got[Key{LoopID: "train", Exec: 1}]; ok {
+		t.Fatal("checkpoint with missing segment still read")
 	}
-	if !s2.Has(Key{LoopID: "train", Exec: 2}) {
+	if _, ok := got[Key{LoopID: "train", Exec: 2}]; !ok {
 		t.Fatal("intact checkpoint lost")
 	}
 }

@@ -494,11 +494,9 @@ func TestFlippedPackByteSurfacesErrCorrupt(t *testing.T) {
 
 // TestFlippedSegmentDirectoryByteDetected pins the CRC of a legacy segment
 // directory on a copy of the committed gztwins store: whichever byte of the
-// file is flipped, the open that reads it keeps the checkpoint, and every
-// read of it fails with codec.ErrCorrupt.
+// file is flipped, ReadLegacy fails with codec.ErrCorrupt.
 func TestFlippedSegmentDirectoryByteDetected(t *testing.T) {
 	dir := legacyFixture(t, "gztwins")
-	key := Key{LoopID: "train", Exec: 0}
 	segPath := filepath.Join(dir, "ckpt-00000000.bin")
 	seg, err := os.ReadFile(segPath)
 	if err != nil {
@@ -510,11 +508,7 @@ func TestFlippedSegmentDirectoryByteDetected(t *testing.T) {
 		if err := os.WriteFile(segPath, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := OpenReadOnly(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadAll(s, key, nil); !errors.Is(err, codec.ErrCorrupt) {
+		if _, _, err := readLegacy(dir); !errors.Is(err, codec.ErrCorrupt) {
 			t.Fatalf("byte %d: error %v is not codec.ErrCorrupt", i, err)
 		}
 	}
@@ -552,47 +546,37 @@ func dirBytes(t *testing.T, dir string) map[string]string {
 	return out
 }
 
-// TestV1StoreReadableAndRefusesWrites pins backward compatibility: a run
-// directory recorded in format v1 (no FORMAT marker) opens as v1 without
-// being asked to, serves its checkpoints, and is read-only — a writable open
-// fails with ErrLegacyLayout, every write of a read-only one with
-// ErrReadOnly, and no open or refused write touches a byte of it.
-// (legacy_test.go pins what its reads return.)
+// TestV1StoreReadableAndRefusesWrites pins what becomes of a run directory
+// recorded in format v1 (no FORMAT marker): DetectLayout, a writable open
+// and a read-only one each fail with ErrLegacyLayout naming florctl
+// migrate, ReadLegacy reads its six checkpoints, and none of it touches a
+// byte. (legacy_test.go pins what ReadLegacy returns.)
 func TestV1StoreReadableAndRefusesWrites(t *testing.T) {
 	dir := v1Fixture(t)
 	before := dirBytes(t, dir)
-
-	if l, err := DetectLayout(dir); err != nil || l.String() != "v1" {
-		t.Fatalf("DetectLayout = %s, %v, want v1", l, err)
-	}
-	if _, err := Open(dir); !errors.Is(err, ErrLegacyLayout) || !strings.Contains(err.Error(), "florctl migrate") {
-		t.Fatalf("writable open of a v1 run: %v, want ErrLegacyLayout naming florctl migrate", err)
-	}
-	s, err := OpenReadOnly(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.ShardFanout() != 0 || !s.ReadOnly() {
-		t.Fatalf("opened at fanout %d, read-only=%v; want v1 (fanout 0), read-only", s.ShardFanout(), s.ReadOnly())
-	}
-	if len(s.Metas()) != 6 {
-		t.Fatalf("v1 run lists %d checkpoints, want 6", len(s.Metas()))
-	}
-	for _, m := range s.Metas() {
-		secs, err := ReadAll(s, m.Key, nil)
-		if err != nil || len(secs) != 2 || secs[0].Name != "rng" || secs[1].Name != "w" {
-			t.Fatalf("v1 read of %s: %d sections, %v; want rng and w", m.Key, len(secs), err)
+	legacy := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrLegacyLayout) || !strings.Contains(err.Error(), "florctl migrate") {
+			t.Fatalf("%s of a v1 run: %v, want ErrLegacyLayout naming florctl migrate", what, err)
 		}
 	}
-
-	if _, err := s.PutSections(Key{LoopID: "train", Exec: 6}, []Section{{Name: "w", Data: []byte("more")}}, 0, 0, 0); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("PutSections on a v1 store: %v, want ErrReadOnly", err)
+	_, err := DetectLayout(dir)
+	legacy("DetectLayout", err)
+	_, err = Open(dir)
+	legacy("writable open", err)
+	_, err = OpenReadOnly(dir)
+	legacy("read-only open", err)
+	got, _, err := readLegacy(dir)
+	if err != nil || len(got) != 6 {
+		t.Fatalf("ReadLegacy: %d checkpoints, %v; want 6", len(got), err)
 	}
-	if _, err := s.GC(); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("GC on a v1 store: %v, want ErrReadOnly", err)
+	for key, secs := range got {
+		if len(secs) != 2 || secs[0].Name != "rng" || secs[1].Name != "w" {
+			t.Fatalf("v1 read of %s: %d sections; want rng and w", key, len(secs))
+		}
 	}
 	if after := dirBytes(t, dir); !maps.Equal(before, after) {
-		t.Fatal("opening a v1 run and refusing its writes changed the directory")
+		t.Fatal("refusing a v1 run's opens and reading it changed the directory")
 	}
 }
 

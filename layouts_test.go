@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	flor "flor.dev/flor"
+	"flor.dev/flor/internal/codec"
 	"flor.dev/flor/internal/core"
 	"flor.dev/flor/internal/replay"
 	"flor.dev/flor/internal/serve"
@@ -19,7 +20,8 @@ import (
 )
 
 // legacyFixtures are the committed stores older builds left, each in a
-// layout this build reads but does not write, with the program it records:
+// layout this build migrates but does not open, with the program it
+// records:
 //
 //   - v1run: format v1, one bundle per checkpoint in a segment file;
 //   - framestyles/{deflate,lz4}: marker "2" and "2 lz4", deflate and LZ4
@@ -70,7 +72,7 @@ func recordLog(t testing.TB, dir string) []string {
 
 // sectionIdentities returns, for every live checkpoint of the run at dir,
 // its sections' names, content identities (the hash of their chunk hashes)
-// and lengths, read from the directories alone.
+// and lengths, read from the directories alone through a read-only open.
 func sectionIdentities(t testing.TB, dir string) map[store.Key]string {
 	t.Helper()
 	st, err := store.OpenReadOnly(dir)
@@ -100,6 +102,25 @@ func sectionIdentities(t testing.TB, dir string) map[store.Key]string {
 	return out
 }
 
+// legacyIdentities is sectionIdentities of a run in any layout, read through
+// store.ReadLegacy, which is how a run an older build left is read.
+func legacyIdentities(t testing.TB, dir string) map[store.Key]string {
+	t.Helper()
+	out := map[store.Key]string{}
+	err := store.ReadLegacy(dir, func(m store.Meta, secs []store.Section) error {
+		var b strings.Builder
+		for _, sec := range secs {
+			fmt.Fprintf(&b, "%q %s %d; ", sec.Name, sec.Hash, sec.RawLen)
+		}
+		out[m.Key] = b.String()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // migrated migrates the run at src into a fresh directory — a private store,
 // or a run of the pool at pool — and returns it, once its FORMAT marker is
 // one of the two this build writes and every live checkpoint's sections
@@ -117,20 +138,91 @@ func migrated(t testing.TB, src, pool string) string {
 	if m, err := os.ReadFile(filepath.Join(dst, "FORMAT")); err != nil || string(m) != want {
 		t.Fatalf("migrated FORMAT %q (%v), want %q", m, err, want)
 	}
-	got, wantIDs := sectionIdentities(t, dst), sectionIdentities(t, src)
+	got, wantIDs := sectionIdentities(t, dst), legacyIdentities(t, src)
 	if len(got) == 0 || !maps.Equal(got, wantIDs) {
 		t.Fatalf("migrated sections\n%v\nsource's\n%v", got, wantIDs)
 	}
 	return dst
 }
 
-// TestLegacyLayoutsRefuseWritesAndStillRead takes a copy of every committed
-// fixture through every write and every read. Recording into it, recording a
-// new run into its pool, a writable store open and a pool GC each fail with
-// store.ErrLegacyLayout. Replay, sample, a served replay and, for the runs
-// with a private pack, a replay of the run uploaded with UploadRun and read
-// back through the object backend each log what its record.log holds. None
-// of it changes a byte of the copy.
+// TestMigrateRefusesTruncatedPacks pins core.Migrate's one source path on
+// packs cut short: chunk records that point past their pack's end fail the
+// migration with codec.ErrCorrupt — never a panic or an allocation sized by
+// the record — and leave the source's bytes as they were, for every
+// committed fixture that holds packs and for both layouts this build
+// writes.
+func TestMigrateRefusesTruncatedPacks(t *testing.T) {
+	type source struct {
+		run   string
+		trees []string // what the run's packs sit under
+	}
+	sources := map[string]source{}
+	for _, fx := range legacyFixtures {
+		root := copyFixture(t, fx.name)
+		run, _ := fixtureRun(root)
+		sources[fx.name] = source{run, []string{root}}
+	}
+	private := migrated(t, sources["private2dirs"].run, "")
+	pool := filepath.Join(t.TempDir(), "POOL")
+	pooled := migrated(t, sources["private2dirs"].run, pool)
+	sources["canonical private"] = source{private, []string{private}}
+	sources["canonical pool"] = source{pooled, []string{pooled, pool}}
+	for name, src := range sources {
+		trees := src.trees
+		var packs []string
+		for _, tree := range trees {
+			err := filepath.WalkDir(tree, func(path string, d os.DirEntry, err error) error {
+				if err == nil && !d.IsDir() && strings.HasPrefix(d.Name(), "CHUNKS") {
+					packs = append(packs, path)
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(packs) == 0 {
+			if name != "v1run" {
+				t.Fatalf("%s: no pack to truncate", name)
+			}
+			continue // every v1 checkpoint is its segment file
+		}
+		for _, pack := range packs {
+			fi, err := os.Stat(pack)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(pack, fi.Size()/2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := map[string]map[string]string{}
+		for _, tree := range trees {
+			before[tree] = dirBytes(t, tree)
+		}
+		err := core.Migrate(src.run, filepath.Join(t.TempDir(), "migrated"), "")
+		if !errors.Is(err, codec.ErrCorrupt) {
+			t.Errorf("%s: migrate over truncated packs: %v; want codec.ErrCorrupt", name, err)
+		}
+		for _, tree := range trees {
+			if !maps.Equal(before[tree], dirBytes(t, tree)) {
+				t.Errorf("%s: the failed migration changed %s", name, tree)
+			}
+		}
+	}
+}
+
+// TestLegacyLayoutsRefuseWritesAndStillRead takes a copy of every
+// committed fixture through every path that opens a run: writes are
+// refused, and so is every other open — the fixture is still read, once,
+// by its migration. Recording into it,
+// a writable and a read-only store open, replay, sample, registration with
+// the serving daemon (Register and, under a register root, RegisterByName:
+// a bad request, HTTP 400), UploadRun and, for the pool, recording a new
+// run into it and a pool GC each fail with store.ErrLegacyLayout naming
+// florctl migrate, and none of it changes a byte. Migrated, the run replays
+// what its record.log holds, served and through UploadRun's object store
+// too, and its sections keep the source's content identities.
 func TestLegacyLayoutsRefuseWritesAndStillRead(t *testing.T) {
 	for _, fx := range legacyFixtures {
 		t.Run(fx.name, func(t *testing.T) {
@@ -149,58 +241,77 @@ func TestLegacyLayoutsRefuseWritesAndStillRead(t *testing.T) {
 			legacy("record", err)
 			_, err = store.Open(run)
 			legacy("writable open", err)
+			_, err = store.OpenReadOnly(run)
+			legacy("read-only open", err)
+			_, err = flor.Replay(run, fx.factory, flor.Workers(2))
+			legacy("replay", err)
+			_, err = flor.ReplaySampled(run, fx.factory, []int{4, 1})
+			legacy("sample", err)
+			factories := map[string]func() *flor.Program{"": fx.factory}
+			srv := serve.New(serve.Options{Library: map[string]map[string]func() *flor.Program{"fx": factories}, RegisterRoot: root})
+			defer srv.Shutdown(context.Background())
+			err = srv.Register(serve.RunConfig{ID: "legacy", Dir: run, Factories: factories})
+			legacy("register", err)
+			if !errors.Is(err, serve.ErrBadRequest) {
+				t.Fatalf("register: %v, want a bad request", err)
+			}
+			err = srv.RegisterByName("legacy", run, "fx")
+			legacy("register by name", err)
+			if !errors.Is(err, serve.ErrBadRequest) {
+				t.Fatalf("register by name: %v, want a bad request", err)
+			}
+			_, err = remote.UploadRun(remote.NewMemStore(), run, "runs/legacy")
+			legacy("upload", err)
 			if pool != "" {
 				_, err = flor.Record(filepath.Join(t.TempDir(), "run"), fx.factory, flor.DisableAdaptiveCheckpointing(), flor.Pool(pool))
 				legacy("record into the pool", err)
 				_, err = store.GCPool(pool, store.GCOptions{})
 				legacy("pool GC", err)
 			}
+			if !maps.Equal(before, dirBytes(t, root)) {
+				t.Fatal("the refusals changed the fixture")
+			}
 
-			res, err := flor.Replay(run, fx.factory, flor.Workers(2))
+			dst := migrated(t, run, "")
+			res, err := flor.Replay(dst, fx.factory, flor.Workers(2))
 			if err != nil || len(res.Anomalies) != 0 {
-				t.Fatalf("replay: %v, %+v", err, res)
+				t.Fatalf("replay of the migrated run: %v, %+v", err, res)
 			}
 			if err := sameLogs(want, res.Logs); err != nil {
-				t.Fatalf("replay differs from record.log: %v", err)
+				t.Fatalf("the migrated run's replay differs from record.log: %v", err)
 			}
-			sampled, err := flor.ReplaySampled(run, fx.factory, []int{4, 1})
+			sampled, err := flor.ReplaySampled(dst, fx.factory, []int{4, 1})
 			if err != nil {
 				t.Fatalf("sample: %v", err)
 			}
 			if err := sameLogs([]string{want[1], want[4]}, sampled.Logs); err != nil {
-				t.Fatalf("sample differs from record.log's lines: %v", err)
+				t.Fatalf("the migrated run's sample differs from record.log's lines: %v", err)
 			}
-
-			srv := serve.New(serve.Options{})
-			defer srv.Shutdown(context.Background())
-			if err := srv.Register(serve.RunConfig{ID: "legacy", Dir: run, Factories: map[string]func() *flor.Program{"": fx.factory}}); err != nil {
-				t.Fatalf("register: %v", err)
+			if err := srv.Register(serve.RunConfig{ID: "migrated", Dir: dst, Factories: factories}); err != nil {
+				t.Fatalf("register the migrated run: %v", err)
 			}
-			resp, err := srv.Replay(context.Background(), "legacy", serve.ReplayRequest{Workers: 2})
+			resp, err := srv.Replay(context.Background(), "migrated", serve.ReplayRequest{Workers: 2})
 			if err != nil || resp.Anomalies != 0 {
 				t.Fatalf("served replay: %+v, %v", resp, err)
 			}
 			if err := sameLogs(want, resp.Logs); err != nil {
 				t.Fatalf("served replay differs from record.log: %v", err)
 			}
-
-			if pool == "" {
-				mem, ctl := uploadTwin(t, run)
-				backend := remote.NewObjectBackend(mem, remote.PacksPrefix("runs/twin"), nil)
-				rec, err := core.LoadRecordingWith(ctl, store.Options{ReadOnly: true, Backend: backend})
-				if err != nil {
-					t.Fatalf("open the uploaded run: %v", err)
-				}
-				res, err := replay.Replay(rec, fx.factory, replay.Options{Workers: 2})
-				if err != nil || len(res.Anomalies) != 0 {
-					t.Fatalf("remote replay: %v, %+v", err, res)
-				}
-				if err := sameLogs(want, res.Logs); err != nil {
-					t.Fatalf("remote replay differs from record.log: %v", err)
-				}
+			mem, ctl := uploadTwin(t, dst)
+			backend := remote.NewObjectBackend(mem, remote.PacksPrefix("runs/twin"), nil)
+			rec, err := core.LoadRecordingWith(ctl, store.Options{ReadOnly: true, Backend: backend})
+			if err != nil {
+				t.Fatalf("open the uploaded run: %v", err)
+			}
+			rres, err := replay.Replay(rec, fx.factory, replay.Options{Workers: 2})
+			if err != nil || len(rres.Anomalies) != 0 {
+				t.Fatalf("remote replay: %v, %+v", err, rres)
+			}
+			if err := sameLogs(want, rres.Logs); err != nil {
+				t.Fatalf("remote replay differs from record.log: %v", err)
 			}
 			if !maps.Equal(before, dirBytes(t, root)) {
-				t.Fatal("the refused writes or the reads changed the fixture")
+				t.Fatal("the migration changed its source")
 			}
 		})
 	}
@@ -274,10 +385,11 @@ func TestMigrateEveryFixtureReplaysIdentically(t *testing.T) {
 	}
 }
 
-// TestReplayNeverWrites replays and samples a copy of every committed
-// fixture and of two runs recorded now, one private and one in a shared
+// TestReplayNeverWrites replays and samples every committed fixture,
+// migrated, and two runs recorded now, one private and one in a shared
 // pool, and asserts that every file is byte-identical before and after: a
-// hindsight query only reads the run it asks about.
+// hindsight query only reads the run it asks about. (The fixtures
+// themselves refuse to open at all: TestLegacyLayoutsRefuseWritesAndStillRead.)
 func TestReplayNeverWrites(t *testing.T) {
 	type target struct {
 		name, root string
@@ -285,8 +397,15 @@ func TestReplayNeverWrites(t *testing.T) {
 	}
 	var targets []target
 	for _, fx := range legacyFixtures {
-		targets = append(targets, target{fx.name, copyFixture(t, fx.name), fx.factory})
+		run, _ := fixtureRun(copyFixture(t, fx.name))
+		targets = append(targets, target{fx.name, migrated(t, run, ""), fx.factory})
 	}
+	pooledFixture := filepath.Join(t.TempDir(), "tree")
+	run, _ := fixtureRun(copyFixture(t, "pool4"))
+	if err := core.Migrate(run, filepath.Join(pooledFixture, "run"), filepath.Join(pooledFixture, "POOL")); err != nil {
+		t.Fatal(err)
+	}
+	targets = append(targets, target{"pool4 migrated into a pool", pooledFixture, counterFactory(6, 3)})
 	factory := counterFactory(6, 3)
 	fresh, pooled := t.TempDir(), t.TempDir()
 	if _, err := flor.Record(fresh, factory, flor.DisableAdaptiveCheckpointing()); err != nil {

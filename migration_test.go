@@ -71,12 +71,14 @@ func dirBytes(t *testing.T, dir string) map[string]string {
 // TestMigrationMatrixByteIdenticalReplay is the layout-compatibility
 // matrix: the same program as a legacy v1 run, a hash-prefix sharded v2
 // store, one spread over extra pack roots and a run of a fanout-4 pool (the
-// committed fixtures older builds left), and recorded now into a private v2
-// store and a pooled one (shared chunk pool), must open through the same API
-// — no flags, no layout hints — and replay byte-identical logs, with the
-// legacy run's replay as the reference. In particular the pooled run is the
-// private-pack run's twin: same program, same probes, byte-identical replay
-// output.
+// committed fixtures older builds left, each refused by DetectLayout with
+// ErrLegacyLayout and migrated — the v1 run and the stores into private
+// stores, the pooled run into a fresh pool), and recorded now into a
+// private v2 store and a pooled one (shared chunk pool), must open through
+// the same API — no flags, no layout hints — and replay byte-identical
+// logs, with the migrated v1 run's replay as the reference. In particular
+// the pooled run is the private-pack run's twin: same program, same probes,
+// byte-identical replay output.
 func TestMigrationMatrixByteIdenticalReplay(t *testing.T) {
 	factory := counterFactory(6, 3)
 	poolRoot := filepath.Join(t.TempDir(), "POOL")
@@ -90,28 +92,29 @@ func TestMigrationMatrixByteIdenticalReplay(t *testing.T) {
 	}
 
 	variants := []struct {
-		name   string
-		record func(dir string) error
-		layout string
+		name    string
+		record  func(dir string) error
+		migrate string // "" for a run recorded now; else "private" or "pooled"
+		layout  string
 	}{
-		{"v1", copyV1Fixture, "v1"},
+		{"v1", copyV1Fixture, "private", "v2"},
 		{"v2", func(dir string) error {
 			_, err := flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing())
 			return err
-		}, "v2"},
+		}, "", "v2"},
 		{"v2-sharded", func(dir string) error {
 			return os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "sharded")))
-		}, "v2-sharded/4"},
+		}, "private", "v2"},
 		{"v2-multiroot", func(dir string) error {
 			return os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "multiroot")))
-		}, "v2-sharded/4"},
+		}, "private", "v2"},
 		{"v2-pooled", func(dir string) error {
 			_, err := flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing(), flor.Pool(poolRoot))
 			return err
-		}, "v2-pooled/16"},
+		}, "", "v2-pooled/16"},
 		{"v2-pooled-4", func(dir string) error {
 			return os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "pool4")))
-		}, "v2-pooled/4"},
+		}, "pooled", "v2-pooled/16"},
 	}
 
 	type result struct {
@@ -128,6 +131,16 @@ func TestMigrationMatrixByteIdenticalReplay(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, "run")); err == nil {
 			dir = filepath.Join(dir, "run") // a fixture tree: the run and its pool or extra roots
 		}
+		if v.migrate != "" {
+			if l, err := store.DetectLayout(dir); !errors.Is(err, store.ErrLegacyLayout) {
+				t.Fatalf("%s: detect layout: %s, %v; want ErrLegacyLayout", v.name, l, err)
+			}
+			pool := ""
+			if v.migrate == "pooled" {
+				pool = filepath.Join(t.TempDir(), "POOL")
+			}
+			dir = migrated(t, dir, pool)
+		}
 		l, err := store.DetectLayout(dir)
 		if err != nil {
 			t.Fatalf("%s: detect layout: %v", v.name, err)
@@ -135,9 +148,7 @@ func TestMigrationMatrixByteIdenticalReplay(t *testing.T) {
 		if l.String() != v.layout {
 			t.Fatalf("%s: layout = %s, want %s", v.name, l, v.layout)
 		}
-		if v.name != "v1" {
-			committedInManifest(t, dir)
-		}
+		committedInManifest(t, dir)
 		// Unprobed replay reproduces the record log; probed replay adds the
 		// hindsight lines. Both go through the flag-free open path.
 		base, err := flor.Replay(dir, factory, flor.Workers(2))
@@ -190,11 +201,12 @@ func committedInManifest(t *testing.T, dir string) {
 	}
 }
 
-// TestV1RunServedAndNeverWritten pins the write side of v1 read-compat: the
-// legacy fixture registers with the serving daemon as layout "v1" and answers
-// a replay there, recording into it fails at open with ErrLegacyLayout (an
-// ErrReadOnly) and a message naming the directory, and none of that touches
-// a byte of it.
+// TestV1RunServedAndNeverWritten pins the v1 path end to end: the legacy
+// fixture is refused at registration with the serving daemon (a bad
+// request naming florctl migrate), recording into it fails at open with
+// ErrLegacyLayout (an ErrReadOnly) and a message naming the directory, and
+// none of that touches a byte of it; migrated, it registers as layout "v2"
+// and answers a replay there with what its record.log holds.
 func TestV1RunServedAndNeverWritten(t *testing.T) {
 	factory := counterFactory(6, 3)
 	dir := t.TempDir()
@@ -205,38 +217,47 @@ func TestV1RunServedAndNeverWritten(t *testing.T) {
 
 	srv := serve.New(serve.Options{})
 	defer srv.Shutdown(context.Background())
-	if err := srv.Register(serve.RunConfig{ID: "legacy", Dir: dir, Factories: map[string]func() *flor.Program{"": factory}}); err != nil {
-		t.Fatalf("register v1 run: %v", err)
+	cfg := serve.RunConfig{ID: "legacy", Dir: dir, Factories: map[string]func() *flor.Program{"": factory}}
+	if err := srv.Register(cfg); !errors.Is(err, serve.ErrBadRequest) || !strings.Contains(err.Error(), "florctl migrate") {
+		t.Fatalf("register v1 run: %v, want a bad request naming florctl migrate", err)
 	}
-	if runs := srv.Runs(); len(runs) != 1 || runs[0].Format != "v1" {
-		t.Fatalf("registered runs = %+v, want one of format v1", runs)
-	}
-	resp, err := srv.Replay(context.Background(), "legacy", serve.ReplayRequest{Workers: 2})
-	if err != nil || resp.Anomalies != 0 || len(resp.Logs) == 0 {
-		t.Fatalf("served replay of the v1 run: %+v, %v", resp, err)
-	}
-
-	_, err = flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing())
+	_, err := flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing())
 	if !errors.Is(err, store.ErrLegacyLayout) || !errors.Is(err, store.ErrReadOnly) || !strings.Contains(err.Error(), dir) {
 		t.Fatalf("record into a v1 run: err = %v, want ErrLegacyLayout naming %s", err, dir)
 	}
 	if after := dirBytes(t, dir); !maps.Equal(before, after) {
-		t.Fatal("serving and the refused record changed the v1 run directory")
+		t.Fatal("the refused registration and record changed the v1 run directory")
+	}
+
+	cfg.Dir = migrated(t, dir, "")
+	if err := srv.Register(cfg); err != nil {
+		t.Fatalf("register the migrated v1 run: %v", err)
+	}
+	if runs := srv.Runs(); len(runs) != 1 || runs[0].Format != "v2" {
+		t.Fatalf("registered runs = %+v, want one of format v2", runs)
+	}
+	resp, err := srv.Replay(context.Background(), "legacy", serve.ReplayRequest{Workers: 2})
+	if err != nil || resp.Anomalies != 0 {
+		t.Fatalf("served replay of the migrated v1 run: %+v, %v", resp, err)
+	}
+	if err := sameLogs(recordLog(t, dir), resp.Logs); err != nil {
+		t.Fatalf("served replay of the migrated v1 run differs from record.log: %v", err)
 	}
 }
 
 // TestV1ReplayLoadsOnlyWhatStatementsRead pins demand loading on the
-// committed format-v1 run, the way replay's
-// TestRestoredBytesCountOnlyWhatStatementsRead pins it on v2. The run
-// replays with its own program, whose one log statement reads w, and
+// committed format-v1 run, migrated, the way replay's
+// TestRestoredBytesCountOnlyWhatStatementsRead pins it on a recording. The
+// run replays with its own program, whose one log statement reads w, and
 // analyze.Augment adds nothing to w. So every restore loads w's section
-// alone, from one read of its segment, and no byte of rng's.
+// alone — the 259 bytes the v1 bundle held, migration splitting each
+// bundle into its entries — in one frame, and no byte of rng's.
 func TestV1ReplayLoadsOnlyWhatStatementsRead(t *testing.T) {
 	dir := t.TempDir()
 	if err := copyV1Fixture(dir); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := core.LoadRecordingShared(dir)
+	rec, err := core.LoadRecordingShared(migrated(t, dir, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,8 +284,8 @@ func TestV1ReplayLoadsOnlyWhatStatementsRead(t *testing.T) {
 			continue
 		}
 		restores++
-		if sp.Attrs["restored_bytes"] != 259 || sp.Attrs["ranged_bytes"] != 259 || sp.Attrs["ranged_frames"] != 1 {
-			t.Fatalf("restore of exec %d: %v, want w's 259 bytes in one ranged read", sp.Attrs["exec"], sp.Attrs)
+		if sp.Attrs["restored_bytes"] != 259 || sp.Attrs["ranged_frames"] != 1 {
+			t.Fatalf("restore of exec %d: %v, want w's 259 bytes in one frame", sp.Attrs["exec"], sp.Attrs)
 		}
 	}
 	if rw := res.Workers[0]; restores != 6 || rw.Restored != 6 || rw.RestoredBytes != 6*259 {
@@ -279,10 +300,11 @@ func TestV1ReplayLoadsOnlyWhatStatementsRead(t *testing.T) {
 // again. It holds a ".gz" twin of every segment and pack, the SPOOL state, a
 // superseded segment (seq 7) with its twin, a retired pack generation
 // (CHUNKS, its grace period long over) with its twin, and a MANIFEST whose
-// compaction rewrite wrote meta records with a non-zero gzSize. The run must
-// open read-only and replay byte-identically to a fresh recording of the
-// program; a writable open is refused; and its migration carries no twin,
-// SPOOL or segment file over and replays alike.
+// compaction rewrite wrote meta records with a non-zero gzSize. Every open,
+// read-only too, and so a replay, is refused with ErrLegacyLayout;
+// ReadLegacy yields its seven live checkpoints; and its migration carries
+// no twin, SPOOL or segment file over and replays byte-identically to a
+// fresh recording of the program.
 func TestLegacyGzipTwinsAreInert(t *testing.T) {
 	factory := counterFactory(6, 3)
 	probed := func() *flor.Program {
@@ -314,18 +336,16 @@ func TestLegacyGzipTwinsAreInert(t *testing.T) {
 	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "gztwins"))); err != nil {
 		t.Fatal(err)
 	}
-	ro, err := store.OpenReadOnly(dir)
-	if err != nil {
-		t.Fatalf("read-only open: %v", err)
-	}
-	if n := len(ro.Metas()); n != 8 {
-		t.Fatalf("read-only open sees %d checkpoints, want 8", n)
-	}
-	if err := sameLogs(replay(dir), want); err != nil {
-		t.Fatalf("replay beside gzip twins differs from a fresh recording's: %v", err)
-	}
-
 	before := dirBytes(t, dir)
+	if n := len(legacyIdentities(t, dir)); n != 7 {
+		t.Fatalf("ReadLegacy yields %d checkpoints, want 7", n)
+	}
+	if _, err := store.OpenReadOnly(dir); !errors.Is(err, store.ErrLegacyLayout) {
+		t.Fatalf("read-only open: %v, want ErrLegacyLayout", err)
+	}
+	if _, err := flor.Replay(dir, factory); !errors.Is(err, store.ErrLegacyLayout) {
+		t.Fatalf("replay: %v, want ErrLegacyLayout", err)
+	}
 	if _, err := store.Open(dir); !errors.Is(err, store.ErrLegacyLayout) {
 		t.Fatalf("writable open: %v, want ErrLegacyLayout", err)
 	}
@@ -339,7 +359,7 @@ func TestLegacyGzipTwinsAreInert(t *testing.T) {
 		t.Fatalf("replay of the migrated run differs from a fresh recording's: %v", err)
 	}
 	if !maps.Equal(before, dirBytes(t, dir)) {
-		t.Fatal("the refused open, the replays or the migration changed the run")
+		t.Fatal("the refused opens or the migration changed the run")
 	}
 }
 
@@ -347,11 +367,11 @@ func TestLegacyGzipTwinsAreInert(t *testing.T) {
 // store: testdata/sharded is counterFactory(6, 3) recorded, adaptive
 // checkpointing off, into a directory whose FORMAT marker was planted as
 // "2 shards=4" — the layout older builds wrote when asked for four shards —
-// so its packs are CHUNKS-00 … CHUNKS-03. On a copy, it must open read-only
-// and replay byte-identically to its record.log without touching a byte, and
-// refuse a writable open; its migration is a private store that replays
-// alike, takes a put, and survives a GC pass that drops the superseded
-// checkpoint.
+// so its packs are CHUNKS-00 … CHUNKS-03. On a copy, DetectLayout, a
+// read-only open, a replay and a writable open are each refused with
+// ErrLegacyLayout without touching a byte; its migration is a private store
+// that replays byte-identically to its record.log, takes a put, and
+// survives a GC pass that drops the superseded checkpoint.
 func TestShardedFixtureReadsEverywhereAndMigrates(t *testing.T) {
 	factory := counterFactory(6, 3)
 	dir := copyFixture(t, "sharded")
@@ -366,8 +386,8 @@ func TestShardedFixtureReadsEverywhereAndMigrates(t *testing.T) {
 			t.Fatalf("replay %s differs from record.log: %v", when, err)
 		}
 	}
-	if l, err := store.DetectLayout(dir); err != nil || l.String() != "v2-sharded/4" {
-		t.Fatalf("layout = %v (%v), want v2-sharded/4", l, err)
+	if l, err := store.DetectLayout(dir); !errors.Is(err, store.ErrLegacyLayout) {
+		t.Fatalf("layout = %v (%v), want ErrLegacyLayout", l, err)
 	}
 	for i := 0; i < 4; i++ {
 		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("CHUNKS-%02d", i))); err != nil {
@@ -376,19 +396,20 @@ func TestShardedFixtureReadsEverywhereAndMigrates(t *testing.T) {
 	}
 
 	before := dirBytes(t, dir)
-	ro, err := store.OpenReadOnly(dir)
-	if err != nil {
-		t.Fatalf("read-only open: %v", err)
+	if n := len(legacyIdentities(t, dir)); n != 6 {
+		t.Fatalf("ReadLegacy yields %d checkpoints, want 6", n)
 	}
-	if n := len(ro.Metas()); n != 6 {
-		t.Fatalf("read-only open sees %d checkpoints, want 6", n)
+	if _, err := store.OpenReadOnly(dir); !errors.Is(err, store.ErrLegacyLayout) {
+		t.Fatalf("read-only open: %v, want ErrLegacyLayout", err)
 	}
-	replayed(dir, "read-only")
+	if _, err := flor.Replay(dir, factory); !errors.Is(err, store.ErrLegacyLayout) {
+		t.Fatalf("replay: %v, want ErrLegacyLayout", err)
+	}
 	if _, err := store.Open(dir); !errors.Is(err, store.ErrLegacyLayout) {
 		t.Fatalf("writable open: %v, want ErrLegacyLayout", err)
 	}
 	if after := dirBytes(t, dir); !maps.Equal(before, after) {
-		t.Fatal("a read-only open, a replay or a refused open changed the fixture")
+		t.Fatal("a refused open or replay, or ReadLegacy, changed the fixture")
 	}
 
 	dst := migrated(t, dir, "")
@@ -422,13 +443,12 @@ func TestShardedFixtureReadsEverywhereAndMigrates(t *testing.T) {
 // older builds recorded — testdata/framestyles/{deflate,lz4} and
 // testdata/gztwins, each a meta record without a directory and a segment
 // file per checkpoint — through the move of directories into the manifest,
-// which is now a migration. A read-only open resolves every checkpoint and
-// the run replays byte-identically to a fresh recording of its program; a
-// writable open is refused under the store's own marker and under
-// "2 dirs index" alike, since its manifest still holds segment-file
-// checkpoints; and the
-// migrated run leaves no segment file, carries "dirs" on its marker, replays
-// alike, and does so again after a GC pass.
+// which is now a migration. A writable and a read-only open are refused
+// under the store's own marker and under "2 dirs index" alike, since its
+// manifest still holds segment-file checkpoints; ReadLegacy reads every
+// checkpoint; and the migrated run leaves no segment file, carries "dirs"
+// on its marker, replays byte-identically to a fresh recording of its
+// program, and does so again after a GC pass.
 func TestSegmentFileStoresResolveReplayAndMigrate(t *testing.T) {
 	probe := func(factory func() *flor.Program, name string) func() *flor.Program {
 		return func() *flor.Program {
@@ -465,17 +485,8 @@ func TestSegmentFileStoresResolveReplayAndMigrate(t *testing.T) {
 		want := replayLogs(fresh, probed)
 
 		dir := copyFixture(t, fx.fixture)
-		ro, err := store.OpenReadOnly(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range ro.Metas() {
-			if _, err := ro.Resolve(m.Key); err != nil {
-				t.Fatalf("%s: Resolve(%s): %v", fx.fixture, m.Key, err)
-			}
-		}
-		if err := sameLogs(replayLogs(dir, probed), want); err != nil {
-			t.Fatalf("%s: replay differs from a fresh recording's: %v", fx.fixture, err)
+		if len(legacyIdentities(t, dir)) == 0 {
+			t.Fatalf("%s: ReadLegacy yields no checkpoint", fx.fixture)
 		}
 		canonical := copyFixture(t, fx.fixture)
 		if err := os.WriteFile(filepath.Join(canonical, "FORMAT"), []byte("2 dirs index\n"), 0o644); err != nil {
@@ -484,6 +495,9 @@ func TestSegmentFileStoresResolveReplayAndMigrate(t *testing.T) {
 		for _, d := range []string{dir, canonical} {
 			if _, err := store.Open(d); !errors.Is(err, store.ErrLegacyLayout) {
 				t.Fatalf("%s: writable open: %v, want ErrLegacyLayout", fx.fixture, err)
+			}
+			if _, err := store.OpenReadOnly(d); !errors.Is(err, store.ErrLegacyLayout) {
+				t.Fatalf("%s: read-only open: %v, want ErrLegacyLayout", fx.fixture, err)
 			}
 		}
 
@@ -549,13 +563,15 @@ func compressibleFactory(epochs, steps int) func() *flor.Program {
 // TestRestoreMatrixByteIdentical is the frame-style × IO-path × parallelism
 // matrix. Stores write raw frames only; deflate and LZ4 are read-compat, and
 // testdata/framestyles/{deflate,lz4} are compressibleFactory(5, 2) recorded
-// by the last build that wrote those styles, each forced to its style. A
-// fresh raw recording and a copy of each fixture must replay byte-identical
-// logs whether the pack bytes arrive through vectored reads of a file
-// descriptor or staged ranged reads, and at any worker count. It also pins
-// the "lz4" FORMAT token: a fresh recording has none, and the lz4 fixture
-// keeps its "2 lz4" — a writable open is refused — while its migration holds
-// raw frames only and replays byte-identically.
+// by the last build that wrote those styles, each forced to its style. Each
+// fixture is refused by every open, read-only too, and migrated; a fresh
+// raw recording and each migration must replay byte-identical logs whether
+// the pack bytes arrive through vectored reads of a file descriptor or
+// staged ranged reads, and at any worker count. It also pins the "lz4"
+// FORMAT token: a fresh recording has none, and the lz4 fixture keeps its
+// "2 lz4" — its opens are refused — while its migration holds raw frames
+// only. (Compressed frames on the restore path: the store package's
+// fetch_test.go.)
 func TestRestoreMatrixByteIdentical(t *testing.T) {
 	factory := compressibleFactory(5, 2)
 	probed := func() *flor.Program {
@@ -647,7 +663,6 @@ func TestRestoreMatrixByteIdentical(t *testing.T) {
 	}
 	matrix("raw", fresh)
 
-	dirs := map[string]string{}
 	for _, fx := range []struct {
 		name   string
 		style  byte
@@ -666,25 +681,22 @@ func TestRestoreMatrixByteIdentical(t *testing.T) {
 		if styles := packStyles(dir, 0); styles[fx.style] == 0 {
 			t.Fatalf("%s fixture: pack holds frames by style %v, none of style %d", fx.name, styles, fx.style)
 		}
-		matrix(fx.name, dir)
-		dirs[fx.name] = dir
+		for _, ro := range []bool{false, true} {
+			if _, err := store.OpenWith(dir, store.Options{ReadOnly: ro}); !errors.Is(err, store.ErrLegacyLayout) {
+				t.Fatalf("%s fixture: open (read-only %v): %v, want ErrLegacyLayout", fx.name, ro, err)
+			}
+		}
+		if m := marker(dir); m != fx.marker {
+			t.Fatalf("%s fixture after refused opens: marker %q", fx.name, m)
+		}
+		// The migration re-puts every checkpoint, and what a put writes is
+		// raw — compressible bytes included.
+		dst := migrated(t, dir, "")
+		if styles := packStyles(dst, 0); len(styles) != 1 || styles[ckptfmt.StyleRaw] == 0 {
+			t.Fatalf("the migrated %s fixture holds frames by style %v, want raw only", fx.name, styles)
+		}
+		matrix(fx.name+" migrated", dst)
 	}
-
-	// The lz4 fixture refuses a writable open and keeps its token; its
-	// migration re-puts every checkpoint, and what a put writes is raw —
-	// compressible bytes included.
-	dir := dirs["lz4"]
-	if _, err := store.Open(dir); !errors.Is(err, store.ErrLegacyLayout) {
-		t.Fatalf("writable open of the lz4 fixture: %v, want ErrLegacyLayout", err)
-	}
-	if m := marker(dir); m != "2 lz4\n" {
-		t.Fatalf("lz4 fixture after a refused writable open: marker %q", m)
-	}
-	dst := migrated(t, dir, "")
-	if styles := packStyles(dst, 0); len(styles) != 1 || styles[ckptfmt.StyleRaw] == 0 {
-		t.Fatalf("the migrated lz4 fixture holds frames by style %v, want raw only", styles)
-	}
-	matrix("lz4 migrated", dst)
 }
 
 // TestUnknownFormatMarkersRefuseCleanly pins the forward-compatibility
