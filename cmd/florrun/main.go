@@ -11,8 +11,10 @@
 // -pool records into a shared chunk pool, deduplicating checkpoint chunks
 // against every other run attached to the same pool (fine-tuning families
 // over one frozen backbone store it once); without it the run keeps its
-// chunks in a private pack. Replay needs no matching flags — the layout is
-// detected from the run directory.
+// chunks in a private pack. Several florrun processes may record into one
+// pool at once: each commit holds the pool's lock, an exclusive flock on the
+// pool directory. Replay needs no matching flags — the layout is detected
+// from the run directory.
 package main
 
 import (

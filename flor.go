@@ -182,9 +182,12 @@ func DisableAdaptiveCheckpointing() Option {
 // so shared state is stored once per project instead of once per run, and
 // concurrent replays of sibling runs share decoded payloads. A new pool
 // splits its packs into store.DefaultShardFanout hash-prefix shards; a pool
-// an older build made at another fanout is read-only, and recording into it
-// fails with store.ErrLegacyLayout. Replay needs no matching option — the
-// run's manifest records the attachment.
+// an older build made at another fanout is not opened, and recording into it
+// fails with store.ErrLegacyLayout. Any number of recordings, in one process
+// or (where the platform has flock) many, may record into one pool at once,
+// and GC may run beside them: each commit holds the pool's lock, an exclusive
+// flock on its directory, so every run replays as if it had recorded alone. Replay needs no matching option —
+// the run's manifest records the attachment.
 func Pool(dir string) Option {
 	return func(o *options) { o.rec.Pool = dir }
 }

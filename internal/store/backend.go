@@ -22,7 +22,7 @@ import (
 //   - Objects are named by flat string keys ("CHUNKS", "CHUNKS-03",
 //     "CHUNKS-03.g2"); the backend owns the mapping from name to location.
 //   - Append is the only mutation the hot write path uses. The store
-//     serializes appends per object (per-shard append locks), so backends
+//     serializes appends (the pool's commit lock), so backends
 //     need not make concurrent appends to the same object atomic — but
 //     appends to different objects run concurrently.
 //   - Open returns a ranged reader (io.ReaderAt): replay reads frames by
@@ -34,7 +34,8 @@ import (
 // All methods must be safe for concurrent use on distinct names.
 type Backend interface {
 	// Size returns the object's current length in bytes, 0 (not an error)
-	// when the object does not exist.
+	// when the object does not exist. A put appends at the offset it
+	// returns, so a written backend's Size must count every byte appended.
 	Size(name string) (int64, error)
 	// Append appends p to the named object, creating it if needed.
 	Append(name string, p []byte) error

@@ -130,7 +130,6 @@ func TestFailedAppendLeavesNoTornRecord(t *testing.T) {
 					want[k1] = 3
 					holdsExactly(t, what("same store"), s, index, want)
 				}
-				resetPoolRegistry()
 				s, err = OpenWith(dir, o)
 				if err != nil {
 					t.Fatal(err)
@@ -140,13 +139,11 @@ func TestFailedAppendLeavesNoTornRecord(t *testing.T) {
 					t.Fatalf("%s: %v", what("put after reopen"), err)
 				}
 				want[k2] = 4
-				resetPoolRegistry()
 				ro, err := OpenReadOnly(dir)
 				if err != nil {
 					t.Fatal(err)
 				}
 				holdsExactly(t, what("read-only"), ro, index, want)
-				resetPoolRegistry()
 			}
 		}
 	}
@@ -207,14 +204,12 @@ func TestCrashCutPutKeepsCommittedPrefix(t *testing.T) {
 				t.Fatalf("%s: the cut put appended no pack bytes", what("put"))
 			}
 
-			resetPoolRegistry()
 			prefix := map[Key]uint64{k0: 10}
 			ro, err := OpenReadOnly(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			holdsExactly(t, what("read-only reopen"), ro, index, prefix)
-			resetPoolRegistry()
 			s, err = OpenWith(dir, o)
 			if err != nil {
 				t.Fatal(err)
@@ -224,7 +219,6 @@ func TestCrashCutPutKeepsCommittedPrefix(t *testing.T) {
 				t.Fatalf("%s: %v", what("resumed put"), err)
 			}
 			resumed := map[Key]uint64{k0: 10, k1: 12}
-			resetPoolRegistry()
 			if s, err = OpenWith(dir, o); err != nil {
 				t.Fatal(err)
 			}
@@ -246,13 +240,11 @@ func TestCrashCutPutKeepsCommittedPrefix(t *testing.T) {
 				t.Fatalf("%s: %+v, want the cut put's %d pack bytes reclaimed", what("gc"), res, orphan)
 			}
 			holdsExactly(t, what("after gc"), s, index, resumed)
-			resetPoolRegistry()
 			ro, err = OpenReadOnly(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			holdsExactly(t, what("reopen after gc"), ro, index, resumed)
-			resetPoolRegistry()
 		}
 	}
 }
@@ -324,7 +316,6 @@ func TestChunkRecordsLiveInTheIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after gc")
-	resetPoolRegistry()
 }
 
 // TestManifestChunkRecordsIgnoredUnderIndex pins that no open adopts a
@@ -357,7 +348,69 @@ func TestManifestChunkRecordsIgnoredUnderIndex(t *testing.T) {
 			if secs, err := ReadAll(s, key, nil); err != nil || !bytes.Equal(secs[0].Data, data) {
 				t.Fatalf("%s, read-only=%v: read: %v", layout, readOnly, err)
 			}
-			resetPoolRegistry()
 		}
 	}
+}
+
+// tearingBackend writes only the first half of the next pack append once
+// tear is set, and fails it.
+type tearingBackend struct {
+	Backend
+	tear bool
+}
+
+func (b *tearingBackend) Append(name string, p []byte) error {
+	if !b.tear {
+		return b.Backend.Append(name, p)
+	}
+	b.tear = false
+	if err := b.Backend.Append(name, p[:len(p)/2]); err != nil {
+		return err
+	}
+	return errInjected
+}
+
+// TestFailedPackAppendIsSkippedByTheNextPut pins a pack append that fails
+// part-way: the put fails and commits nothing, and the next put takes its
+// offset from the pack file, so its frames land after the torn bytes rather
+// than over them or inside them. Both committed checkpoints read back, in
+// the same store and after a reopen, and the next GC reclaims the torn
+// bytes.
+func TestFailedPackAppendIsSkippedByTheNextPut(t *testing.T) {
+	k0, k1 := Key{LoopID: "train", Exec: 0}, Key{LoopID: "train", Exec: 1}
+	dir := filepath.Join(t.TempDir(), "run")
+	b := &tearingBackend{Backend: DirBackendAt(dir)}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenWith(dir, Options{Backend: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := putOne(s, k0, 20); err != nil {
+		t.Fatal(err)
+	}
+	before := packBytes(t, dir)
+	b.tear = true
+	if err := putOne(s, k1, 21); !errors.Is(err, errInjected) {
+		t.Fatalf("put through the tearing append: %v, want the injected failure", err)
+	}
+	torn := packBytes(t, dir) - before
+	if torn <= 0 {
+		t.Fatal("the failed append left no bytes")
+	}
+	if err := putOne(s, k1, 22); err != nil {
+		t.Fatalf("put after the failed append: %v", err)
+	}
+	want := map[Key]uint64{k0: 20, k1: 22}
+	index := filepath.Join(dir, poolIndexFile)
+	holdsExactly(t, "same store", s, index, want)
+	if s, err = OpenWith(dir, Options{Backend: b}); err != nil {
+		t.Fatal(err)
+	}
+	holdsExactly(t, "reopened", s, index, want)
+	if res, err := s.GCWith(GCOptions{PackRetention: time.Hour}); err != nil || res.ReclaimedBytes != torn {
+		t.Fatalf("gc: %+v, %v; want the %d torn bytes reclaimed", res, err, torn)
+	}
+	holdsExactly(t, "after gc", s, index, want)
 }

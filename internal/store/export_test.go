@@ -74,28 +74,3 @@ func plant(t testing.TB, dir, name, content string) {
 		t.Fatal(err)
 	}
 }
-
-// resetPoolRegistry drops every registered writable pool, as a fresh process
-// starts: simulated crashes reopen pools from their files.
-func resetPoolRegistry() {
-	poolRegistry.Lock()
-	defer poolRegistry.Unlock()
-	poolRegistry.m = map[string]*ChunkPool{}
-}
-
-// asAnotherProcess runs f as a second process sharing this one's files
-// would: against a registry of its own, so that none of this process's
-// writable pool instances sees what f does in memory. This process's
-// registry is back when f returns.
-func asAnotherProcess(f func()) {
-	poolRegistry.Lock()
-	mine := poolRegistry.m
-	poolRegistry.m = map[string]*ChunkPool{}
-	poolRegistry.Unlock()
-	defer func() {
-		poolRegistry.Lock()
-		poolRegistry.m = mine
-		poolRegistry.Unlock()
-	}()
-	f()
-}

@@ -299,7 +299,18 @@ func TestGCPoolRefcountReleaseOnRunDelete(t *testing.T) {
 	if _, err := b.PutSections(key, familySections(1, 200, 0), 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	before, _, _ := a.PoolStats()
+	// Each writable store is an instance of its own, as of its last put: the
+	// pool as a whole is what a fresh open reads.
+	poolChunks := func() int64 {
+		t.Helper()
+		ro, err := OpenReadOnly(keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, _, _ := ro.PoolStats()
+		return st.Chunks
+	}
+	before := poolChunks()
 
 	if err := DeleteRun(gone); err != nil {
 		t.Fatal(err)
@@ -311,9 +322,8 @@ func TestGCPoolRefcountReleaseOnRunDelete(t *testing.T) {
 	if res.DeadChunks == 0 {
 		t.Fatalf("deleting a run reclaimed no chunks: %+v", res)
 	}
-	after, _, _ := a.PoolStats()
-	if after.Chunks >= before.Chunks {
-		t.Fatalf("pool chunks %d -> %d; want decrease", before.Chunks, after.Chunks)
+	if after := poolChunks(); after >= before {
+		t.Fatalf("pool chunks %d -> %d; want decrease", before, after)
 	}
 
 	// The surviving sibling still reads everything, live, and after reopen.
@@ -321,7 +331,6 @@ func TestGCPoolRefcountReleaseOnRunDelete(t *testing.T) {
 	if err != nil || !bytes.Equal(secs[0].Data, familySections(1, 100, 0)[0].Data) {
 		t.Fatalf("sibling read after pool GC: %v", err)
 	}
-	resetPoolRegistry()
 	a2, err := Open(keep)
 	if err != nil {
 		t.Fatal(err)
@@ -385,7 +394,6 @@ func TestGCPoolReclaimsUncommittedChunks(t *testing.T) {
 	if res.DeadChunks != len(orphans) {
 		t.Fatalf("GCPool reclaimed %d chunks, want the uncommitted checkpoint's %d", res.DeadChunks, len(orphans))
 	}
-	resetPoolRegistry()
 	st, err := Open(run)
 	if err != nil {
 		t.Fatal(err)
@@ -508,7 +516,6 @@ func TestGCPoolFailsClosedOnEmptyLease(t *testing.T) {
 			if after := dirBytes(t, pool); !maps.Equal(before, after) {
 				t.Fatal("the aborted GCPool changed the pool")
 			}
-			resetPoolRegistry()
 			s, err := OpenWith(torn, Options{ReadOnly: true})
 			if err != nil {
 				t.Fatal(err)
@@ -562,7 +569,6 @@ func TestGCPoolFailsClosedOnTornLease(t *testing.T) {
 	if after := dirBytes(t, pool); !maps.Equal(before, after) {
 		t.Fatal("the aborted GCPool changed the pool")
 	}
-	resetPoolRegistry()
 	s, err := OpenReadOnly(torn)
 	if err != nil {
 		t.Fatal(err)
@@ -572,6 +578,75 @@ func TestGCPoolFailsClosedOnTornLease(t *testing.T) {
 	}
 	if _, _, err := s.PoolStats(); err == nil || !strings.Contains(err.Error(), lease) {
 		t.Fatalf("PoolStats over a torn lease: %v, want an error naming %s", err, lease)
+	}
+}
+
+// TestTornLeaseIsRepairedByReattachAndDeleteRun pins the way out of a torn
+// lease: a writable reopen of the run writes its lease over the torn file at
+// its short-hash name, not beside it at the long-hash one, and DeleteRun
+// removes a torn file at either of the run's lease names. So after the run
+// is reopened and deleted, GCPool runs again and reclaims the run's chunks,
+// and the sibling run still reads.
+func TestTornLeaseIsRepairedByReattachAndDeleteRun(t *testing.T) {
+	for _, reattach := range []bool{true, false} {
+		base := t.TempDir()
+		pool := filepath.Join(base, "POOL")
+		keep, torn := filepath.Join(base, "run-keep"), filepath.Join(base, "run-torn")
+		key := Key{LoopID: "train", Exec: 0}
+		for i, run := range []string{keep, torn} {
+			if _, err := openPooled(t, run, pool).PutSections(key, familySections(uint64(i+1), 100, 0), 0, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		entry, err := leaseEntry(pool, torn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lease, ok := findLease(pool, entry)
+		if !ok {
+			t.Fatal("the torn run has no lease")
+		}
+		if err := os.WriteFile(lease, []byte(entry[:len(entry)-2]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if reattach {
+			if _, err := Open(torn); err != nil {
+				t.Fatal(err)
+			}
+			if entries, err := os.ReadDir(filepath.Join(pool, poolLeaseDir)); err != nil || len(entries) != 2 {
+				t.Fatalf("lease files after the reopen: %v, %v; want one per run", entries, err)
+			}
+			if got, ok := findLease(pool, entry); !ok || got != lease {
+				t.Fatalf("the reopen leased the run at %q, want %q", got, lease)
+			}
+		}
+		if err := DeleteRun(torn); err != nil {
+			t.Fatal(err)
+		}
+		res, err := GCPool(pool, GCOptions{PackRetention: time.Hour})
+		if err != nil || res.DeadChunks == 0 {
+			t.Fatalf("reattach=%v: GCPool after DeleteRun: %+v, %v; want the deleted run's chunks reclaimed", reattach, res, err)
+		}
+		checkPayloadSections(t, keep, key, familySections(1, 100, 0))
+	}
+}
+
+// checkPayloadSections reads key's checkpoint from the run at dir, opened
+// afresh, and compares it with want.
+func checkPayloadSections(t *testing.T, dir string, key Key, want []Section) {
+	t.Helper()
+	s, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatalf("reopen %s: %v", dir, err)
+	}
+	secs, err := ReadAll(s, key, nil)
+	if err != nil || len(secs) != len(want) {
+		t.Fatalf("read %s of %s: %d sections, %v", key, dir, len(secs), err)
+	}
+	for i := range secs {
+		if !bytes.Equal(secs[i].Data, want[i].Data) {
+			t.Fatalf("read %s of %s: section %q differs", key, dir, secs[i].Name)
+		}
 	}
 }
 
@@ -607,7 +682,6 @@ func TestGCPoolSkipsScratchLeases(t *testing.T) {
 	if res.DeadChunks == 0 {
 		t.Fatalf("the deleted run's chunks were not reclaimed: %+v", res)
 	}
-	resetPoolRegistry()
 	reopened, err := OpenWith(run, Options{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
@@ -644,7 +718,6 @@ func TestGCPoolRetiredPackReusedAfterReopen(t *testing.T) {
 
 	// "Restart": the empty INDEX resets every shard to generation 0 — the
 	// retired objects' names. A fresh run appends into them.
-	resetPoolRegistry()
 	keep := filepath.Join(base, "run-keep")
 	s2 := openPooled(t, keep, pool)
 	key := Key{LoopID: "train", Exec: 0}
@@ -662,7 +735,6 @@ func TestGCPoolRetiredPackReusedAfterReopen(t *testing.T) {
 	if err != nil || !bytes.Equal(secs[0].Data, familySections(8, 8, 0)[0].Data) {
 		t.Fatalf("read after stale-retirement GC: %v (active pack deleted?)", err)
 	}
-	resetPoolRegistry()
 	s3, err := Open(keep)
 	if err != nil {
 		t.Fatal(err)
@@ -686,7 +758,6 @@ func TestGCPoolSurvivesProjectRelocation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resetPoolRegistry()
 	moved := filepath.Join(base, "proj-moved")
 	if err := os.Rename(proj, moved); err != nil {
 		t.Fatal(err)

@@ -157,7 +157,6 @@ func TestLegacyLayoutsRefuseWritableOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	toSegments(t, run)
-	resetPoolRegistry()
 	cases = append(cases, layout{"pooled over segments", run, pooledSegs, Options{}})
 
 	for _, c := range cases {

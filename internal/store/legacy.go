@@ -28,7 +28,7 @@ const (
 // ReadLegacy reads the run at dir, in any layout a build ever recorded —
 // the two this build writes included — and calls fn with each live
 // checkpoint and all of its sections (Data, Hash, RawLen), in commit order:
-// one sequential pass, with no fetch pipeline, pool, cache, registry,
+// one sequential pass, with no fetch pipeline, pool, cache, lock,
 // statistics or GC, that writes nothing. A checkpoint whose segment file is
 // missing was never committed; any other that cannot be read ends the pass
 // with its error, as does an error of fn.

@@ -137,16 +137,14 @@ func TestInvalidChunkRecordIsDroppedAtOpen(t *testing.T) {
 			if secs, err := ReadAll(r, key, nil); !errors.Is(err, codec.ErrCorrupt) {
 				t.Errorf("%s, %s: read: %d sections, err %v; want codec.ErrCorrupt", name, layout, len(secs), err)
 			}
-			resetPoolRegistry()
 			if _, err := OpenWith(dir, o); !errors.Is(err, codec.ErrCorrupt) {
 				t.Errorf("%s, %s: writable open: %v; want codec.ErrCorrupt", name, layout, err)
 			}
-			resetPoolRegistry()
 		}
 	}
 	// A record another process appends to the pool's INDEX while this
 	// process holds the pool writable is checked when a writable attach
-	// reloads the held instance.
+	// opens the pool, and when the held instance catches up at its next put.
 	base := t.TempDir()
 	pool := filepath.Join(base, "POOL")
 	s, err := OpenWith(filepath.Join(base, "run1"), Options{Pool: pool})
@@ -156,7 +154,6 @@ func TestInvalidChunkRecordIsDroppedAtOpen(t *testing.T) {
 	if _, err := s.PutSections(key, []Section{{Name: "w", Data: data}}, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	defer resetPoolRegistry()
 	foreign := noise(4096, 5)
 	h := ckptfmt.HashChunk(foreign)
 	idx, err := os.OpenFile(filepath.Join(pool, poolIndexFile), os.O_WRONLY|os.O_APPEND, 0o644)
@@ -170,6 +167,9 @@ func TestInvalidChunkRecordIsDroppedAtOpen(t *testing.T) {
 	if _, err := OpenWith(filepath.Join(base, "run2"), Options{Pool: pool}); !errors.Is(err, codec.ErrCorrupt) {
 		t.Fatalf("writable attach after a foreign invalid INDEX record: %v; want codec.ErrCorrupt", err)
 	}
+	if _, err := s.PutSections(Key{LoopID: "L", Exec: 1}, []Section{{Name: "w", Data: noise(4096, 6)}}, 0, 0, 0); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("put through the held instance after a foreign invalid INDEX record: %v; want codec.ErrCorrupt", err)
+	}
 
 	// The unedited store reads back: what fails above is the edit.
 	for _, layout := range recordLogLayouts {
@@ -182,7 +182,6 @@ func TestInvalidChunkRecordIsDroppedAtOpen(t *testing.T) {
 		if secs, err := ReadAll(r, key, nil); err != nil || !bytes.Equal(secs[0].Data, data) {
 			t.Fatalf("unedited %s store: %v", layout, err)
 		}
-		resetPoolRegistry()
 	}
 }
 
@@ -265,7 +264,7 @@ var recordLogLayouts = []string{"index", "pool"}
 // plantedRecordLog records data under key into a store of the given
 // recordLogLayouts layout, under a fresh base directory, and returns the run
 // directory, the options a writable open of it takes, and the log that holds
-// its chunk records. The pool registry is reset.
+// its chunk records.
 func plantedRecordLog(t *testing.T, layout string, key Key, data []byte) (dir string, o Options, records string) {
 	t.Helper()
 	base := t.TempDir()
@@ -281,7 +280,6 @@ func plantedRecordLog(t *testing.T, layout string, key Key, data []byte) (dir st
 	if _, err := s.PutSections(key, []Section{{Name: "w", Data: data}}, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	resetPoolRegistry()
 	return dir, o, records
 }
 
@@ -322,14 +320,12 @@ func TestInflatedRawLenIsDroppedAtOpen(t *testing.T) {
 			})
 			before := dirBytes(t, base)
 
-			resetPoolRegistry()
 			if _, err := OpenWith(dir, o); !errors.Is(err, codec.ErrCorrupt) {
 				t.Errorf("style %d, %s: writable open: %v; want codec.ErrCorrupt", style, layout, err)
 			}
 			if !maps.Equal(before, dirBytes(t, base)) {
 				t.Errorf("style %d, %s: the refused open changed the store", style, layout)
 			}
-			resetPoolRegistry()
 			r, err := OpenReadOnly(dir)
 			if err != nil {
 				t.Fatalf("style %d, %s: read-only open: %v", style, layout, err)
@@ -340,7 +336,6 @@ func TestInflatedRawLenIsDroppedAtOpen(t *testing.T) {
 			if _, err := ReadAll(r, key, nil); !errors.Is(err, codec.ErrCorrupt) {
 				t.Errorf("style %d, %s: read: %v; want codec.ErrCorrupt", style, layout, err)
 			}
-			resetPoolRegistry()
 		}
 	}
 }

@@ -251,7 +251,6 @@ func TestCommittedFixtureDirectoriesReencodeExactly(t *testing.T) {
 func TestResolveDoesNoFileIO(t *testing.T) {
 	base := t.TempDir()
 	dirs, want := recordLayouts(t, base)
-	resetPoolRegistry()
 	stores := map[string]*Store{}
 	for layout, dir := range dirs {
 		s, err := OpenReadOnly(dir)
@@ -359,7 +358,6 @@ func TestGCPoolRefusesALeasedLegacyRun(t *testing.T) {
 			if !maps.Equal(before, dirBytes(t, pool)) {
 				t.Fatal("the refused GCPool changed the pool")
 			}
-			resetPoolRegistry()
 			st, err := OpenReadOnly(sibling)
 			if err != nil {
 				t.Fatal(err)
@@ -391,7 +389,6 @@ func FuzzManifestRecord(f *testing.F) {
 	if _, err := s.GC(); err != nil {
 		f.Fatal(err)
 	}
-	resetPoolRegistry()
 	fixture := func(name string) string { return filepath.Join("..", "..", "testdata", filepath.FromSlash(name)) }
 	for _, log := range []string{
 		filepath.Join(dirs["v2"], manifestFile), filepath.Join(dirs["v2"], poolIndexFile),

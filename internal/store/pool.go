@@ -1,10 +1,11 @@
 package store
 
 // pool.go implements the ChunkPool: the run-agnostic chunk layer under the
-// checkpoint store. A pool owns the hash-prefix shard table — per-shard
-// append locks, the content-addressed dedup index, pack objects behind a
-// Backend — the INDEX its chunk records are committed to, and refcount-style
-// garbage collection of superseded chunks via generational pack compaction.
+// checkpoint store. A pool owns the hash-prefix shard table — the
+// content-addressed dedup index, pack objects behind a Backend — the INDEX
+// its chunk records are committed to, the commit lock its writers take, and
+// refcount-style garbage collection of superseded chunks via generational
+// pack compaction.
 //
 // Every v2 store runs on a pool, and every pool keeps its chunk records in
 // the INDEX at its root; a run's MANIFEST holds only its meta records (and a
@@ -19,14 +20,13 @@ package store
 //	<root>/PACKGC        retired pack generations awaiting expiry
 //	<root>/CHUNKS[-xx][.gN] pack objects, generational after compaction
 //
-// A pool's in-memory state is built one way, by open, from its files. A
-// read-only attach opens a snapshot of its own, as a read-only pool of one
-// does. Writers in one process share one instance per resolved root (the
-// registry), so concurrent sibling-run records share one shard table and
-// its locks; every writable attach reloads that instance from the files, so
-// it holds what another process committed before the attach. Cross-process
-// concurrent *writers* against one pool are not coordinated; serving and
-// replay open pools read-only.
+// Every attach, read-only or writable, is an instance of its own, built one
+// way, by open, from the pool's files. Every writer holds the pool's commit
+// lock (lock: an exclusive flock(2) on the root) for what it writes, first
+// catching up with what other writers committed, and a put takes its pack
+// offsets from the pack files. So writers in many processes, or instances in
+// one, never commit records naming the same bytes. Readers take no lock.
+// docs/FORMATS.md lists the writer paths.
 //
 // # GC and the grace period
 //
@@ -71,7 +71,7 @@ const (
 // on disk for concurrent readers before a later GC pass deletes it.
 const DefaultPackRetention = 10 * time.Minute
 
-// ErrStalePack reports a read through an index that GC in another process
+// ErrStalePack reports a read through an index that another instance's GC
 // has outrun: a pack generation whose grace period expired after the reader
 // resolved chunk locations. The reader's in-memory index is stale, not the
 // data — re-opening the store resolves the current generation and the
@@ -89,21 +89,16 @@ type chunkLoc struct {
 	Style  byte
 }
 
-// poolShard is one hash-prefix slice of a chunk pool: an independently
-// appendable pack object plus its level-two dedup map. Every shard has its
-// own lock, so appends and index probes on different shards never contend.
-// All live index entries of a shard share the shard's active generation.
+// poolShard is one hash-prefix slice of a chunk pool: a pack object plus its
+// level-two dedup map. Every shard has its own lock, so index probes on
+// different shards never contend. All live index entries of a shard share
+// the shard's active generation.
 type poolShard struct {
 	name string // base pack object name within the backend
 
-	mu      sync.Mutex
-	gen     int // active pack generation
-	chunks  map[ckptfmt.Hash]chunkLoc
-	packLen int64 // committed length of the active generation's object
-	// broken latches the first append failure whose length resync also
-	// failed: packLen can no longer be trusted, and appending at an unknown
-	// offset would commit wrong-offset chunk records. Reads stay valid.
-	broken error
+	mu     sync.Mutex
+	gen    int // active pack generation
+	chunks map[ckptfmt.Hash]chunkLoc
 }
 
 // valid reports whether loc can be a frame inside a pack of packLen bytes:
@@ -138,27 +133,21 @@ type PoolStats struct {
 }
 
 // ChunkPool is the run-agnostic chunk layer: shard table, dedup index, pack
-// I/O and GC. It is safe for concurrent use by many stores.
+// I/O and GC. It is safe for concurrent use by its store's goroutines.
 type ChunkPool struct {
 	root   string // holds INDEX and PACKGC: the run directory of a pool of one, a shared pool's own
-	shared bool   // attached by leased runs (writable instances are registered process-wide)
+	shared bool   // attached by leased runs
 	fanout int
 
 	backend Backend
 
-	// gcMu fences compaction against the chunk write path: a put holds the
-	// read side from fresh-chunk filtering through its manifest commit, and
-	// GC the write side for its whole pass, so GC's mark (which reads
-	// committed directories) can never miss a chunk an in-flight checkpoint
-	// is about to reference. Lock order: gcMu before any shard.mu or
-	// Store.mu.
-	gcMu sync.RWMutex
-
+	// mu guards the fields below. The commit lock (lock), which every writer
+	// holds, comes before it, any shard.mu and Store.mu.
 	mu       sync.Mutex
 	readOnly bool
 	stored   PoolStats // Chunks/StoredRawBytes/StoredEncBytes upkeep
 	dropped  []string  // packs whose records are invalid or point past the pack's real end
-	index    recordLog // INDEX; appends hold mu
+	index    recordLog // INDEX
 
 	shardTab []*poolShard // two-level dedup index: shardTab[shardOf(h)].chunks[h]
 
@@ -180,10 +169,13 @@ func (p *ChunkPool) open() error {
 	return p.finishOpen()
 }
 
-// shards is built once at pool construction and never resized; the slice
-// itself is immutable (individual shards have their own locks).
+// initShards builds the shard table, once, and resolves the per-tier fetch
+// counters; the slice is never resized (shards have their own locks).
 func (p *ChunkPool) initShards() {
-	p.initFetchMetrics()
+	for t := range tierTable {
+		p.mFetchBytes[t] = obs.C(obs.MStoreFetchBytes, obs.L("tier", tierTable[t].label))
+		p.mFetchFrames[t] = obs.C(obs.MStoreFetchFrames, obs.L("tier", tierTable[t].label))
+	}
 	p.fanout = max(p.fanout, 1)
 	p.shardTab = make([]*poolShard, p.fanout)
 	for i := range p.shardTab {
@@ -198,15 +190,6 @@ func shardName(fanout, i int) string {
 		return packFile
 	}
 	return fmt.Sprintf("%s-%02x", packFile, i)
-}
-
-// initFetchMetrics resolves the per-tier fetch counters; called from every
-// pool constructor right after initShards.
-func (p *ChunkPool) initFetchMetrics() {
-	for t := range tierTable {
-		p.mFetchBytes[t] = obs.C(obs.MStoreFetchBytes, obs.L("tier", tierTable[t].label))
-		p.mFetchFrames[t] = obs.C(obs.MStoreFetchFrames, obs.L("tier", tierTable[t].label))
-	}
 }
 
 // countFetch attributes frames frames totalling b encoded bytes to a fetch
@@ -247,10 +230,10 @@ func (p *ChunkPool) adopt(h ckptfmt.Hash, loc chunkLoc) {
 }
 
 // finishOpen completes initialization after records were adopted: resolves
-// each shard's active generation and pack length, drops records from stale
-// generations and records that are not valid in their pack (remembering the
-// pack in dropped), and rebuilds the stored-chunk accounting. It runs once,
-// at the end of open, before the pool is shared.
+// each shard's active generation, drops records from stale generations and
+// records that are not valid in their pack (remembering the pack in
+// dropped), and rebuilds the stored-chunk accounting. It runs once, at the
+// end of open, before the pool is shared.
 func (p *ChunkPool) finishOpen() error {
 	p.stored = PoolStats{Root: p.root, Fanout: p.fanout}
 	for _, sh := range p.shardTab {
@@ -259,10 +242,9 @@ func (p *ChunkPool) finishOpen() error {
 			return fmt.Errorf("store: shard %s: %w", sh.obj(), err)
 		}
 		sh.mu.Lock()
-		sh.packLen = max(sh.packLen, n)
 		bad := false
 		for h, loc := range sh.chunks {
-			if loc.Gen != sh.gen || !loc.valid(sh.packLen) {
+			if loc.Gen != sh.gen || !loc.valid(n) {
 				// A record from a superseded generation, with a negative
 				// field or a raw length its frame cannot hold, or pointing
 				// past the pack's real end (pack lost or truncated — never
@@ -317,18 +299,6 @@ func (p *ChunkPool) dropMismatched(dirs []*ckptfmt.Directory) {
 	}
 }
 
-// droppedPacks names packs whose committed chunk records pointed past the
-// pack's real end at open (pack lost or truncated), held a negative offset
-// or length, or gave a raw length that their frame or a live directory
-// contradicts. Read-only opens degrade gracefully; writable opens refuse,
-// because appending to a rewound pack would re-commit hashes at offsets the
-// old records still claim.
-func (p *ChunkPool) droppedPacks() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]string(nil), p.dropped...)
-}
-
 // Stats returns a snapshot of the pool's storage accounting, a shared
 // pool's lease count refreshed from disk; a lease that cannot be read
 // (leases) is the error, and Leases then counts none.
@@ -348,40 +318,32 @@ func (p *ChunkPool) Stats() (PoolStats, error) {
 // indices of hashes not stored yet (deduplicating repeats within the batch
 // too).
 func (p *ChunkPool) filterFresh(hashes []ckptfmt.Hash) []int {
-	byShard := map[int][]int{}
-	for i, h := range hashes {
-		si := p.shardOf(h)
-		byShard[si] = append(byShard[si], i)
-	}
 	var newIdx []int
 	fresh := map[ckptfmt.Hash]bool{}
-	for si, idxs := range byShard {
-		sh := p.shardTab[si]
+	for i, h := range hashes {
+		sh := p.shardTab[p.shardOf(h)]
 		sh.mu.Lock()
-		for _, i := range idxs {
-			h := hashes[i]
-			if _, ok := sh.chunks[h]; !ok && !fresh[h] {
-				fresh[h] = true
-				newIdx = append(newIdx, i)
-			}
-		}
+		_, stored := sh.chunks[h]
 		sh.mu.Unlock()
+		if !stored && !fresh[h] {
+			fresh[h] = true
+			newIdx = append(newIdx, i)
+		}
 	}
-	sort.Ints(newIdx) // deterministic frame order regardless of shard map iteration
 	return newIdx
 }
 
 // appendFrames appends freshly encoded frames to their hash shards' packs —
-// each involved shard appends under its own lock, concurrently with the other
-// shards — and returns each frame's committed location. A shard's frames go
-// out as one backend append: their wire lengths are known up front
+// the involved shards concurrently, each at its pack's end as the file has
+// it (Backend.Size) — and returns each frame's committed location. A shard's
+// frames go out as one backend append: their wire lengths are known up front
 // (Frame.WireLen), so they are staged once, at their exact size, in a span of
 // the ckptfmt.Shared scratch arena that goes back the moment the append
 // returns. Nothing section-sized stays reachable from the pool or its shards
 // after a put — a recording's store outlives its puts by the whole life of
 // the Recording. It then appends the frames' chunk records to the INDEX and
-// publishes their locations to the in-memory dedup index. Callers hold
-// p.gcMu.RLock (via Store.putV2).
+// publishes their locations to the in-memory dedup index. Callers hold the
+// commit lock (via Store.putV2).
 func (p *ChunkPool) appendFrames(frames []ckptfmt.Frame) ([]chunkLoc, error) {
 	if len(frames) == 0 {
 		return nil, nil
@@ -399,44 +361,33 @@ func (p *ChunkPool) appendFrames(frames []ckptfmt.Frame) ([]chunkLoc, error) {
 	appendErrs := make([]error, len(involved))
 	ckptfmt.ParallelDo(len(involved), func(k int) {
 		sh := p.shardTab[involved[k]]
-		idxs := frameShards[involved[k]]
 		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if sh.broken != nil {
-			appendErrs[k] = fmt.Errorf("store: shard %s unusable after failed append: %w", sh.name, sh.broken)
+		obj, gen := sh.obj(), sh.gen
+		sh.mu.Unlock()
+		start, err := p.backend.Size(obj)
+		if err != nil {
+			appendErrs[k] = fmt.Errorf("store: shard %s: %w", sh.name, err)
 			return
 		}
-		off := sh.packLen
+		off := start
+		idxs := frameShards[involved[k]]
 		for _, i := range idxs {
 			wire := frames[i].WireLen()
-			locs[i] = chunkLoc{Gen: sh.gen, Off: off, EncLen: wire, RawLen: frames[i].RawLen, Style: frames[i].Style}
+			locs[i] = chunkLoc{Gen: gen, Off: off, EncLen: wire, RawLen: frames[i].RawLen, Style: frames[i].Style}
 			off += int64(wire)
 		}
-		span := ckptfmt.Shared.Get(int(off - sh.packLen))
+		span := ckptfmt.Shared.Get(int(off - start))
 		defer ckptfmt.Shared.Put(span)
 		buf := span[:0]
 		for _, i := range idxs {
 			buf = frames[i].Append(buf)
 		}
-		if err := p.backend.Append(sh.obj(), buf); err != nil {
-			// A partial append leaves the pack length unknown; resync from
-			// the backend so later appends don't commit bad offsets. If even
-			// the resync fails, latch the shard broken: appending at a
-			// guessed offset would poison the records permanently.
-			if n, serr := p.backend.Size(sh.obj()); serr == nil {
-				sh.packLen = n
-			} else {
-				sh.broken = err
-			}
+		if err := p.backend.Append(obj, buf); err != nil {
 			appendErrs[k] = fmt.Errorf("store: shard %s: %w", sh.name, err)
-			return
 		}
-		sh.packLen = off
 	})
-	for _, err := range appendErrs {
-		if err != nil {
-			return nil, err
-		}
+	if err := errors.Join(appendErrs...); err != nil {
+		return nil, err
 	}
 	// Durable record first, then in-memory publication: a chunk becomes
 	// dedup-visible to any put only once its INDEX record can survive a
@@ -531,41 +482,20 @@ func decodeChunkRecord(b []byte) (hash ckptfmt.Hash, loc chunkLoc, err error) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared-pool persistence: marker, INDEX, leases, registry
+// Shared-pool persistence: marker, INDEX, leases, commit lock
 
-// poolRegistry holds the process's one writable instance of each shared
-// pool, keyed by resolved root: sibling runs recording in one process share
-// its shard table and locks, so their appends never interleave offsets.
-var poolRegistry = struct {
-	sync.Mutex
-	m map[string]*ChunkPool
-}{m: map[string]*ChunkPool{}}
-
-// resolvePoolRoot canonicalizes a pool root for the registry key. The key
-// must be identical before and after the root exists: a symlinked prefix
-// (e.g. a linked workspace) resolved only once the directory appears would
-// register two ChunkPool instances over the same files, and their
-// independent packLen tracking would interleave corrupt offsets. So a
-// nonexistent tail is resolved against its deepest existing ancestor.
-func resolvePoolRoot(root string) (string, error) {
-	abs, err := filepath.Abs(root)
+// canonicalPath makes path absolute, with symlinks resolved where it exists:
+// runs naming one pool through different paths record and compare one root,
+// and a run's lease entry and pool reference are relative to real paths.
+func canonicalPath(path string) (string, error) {
+	abs, err := filepath.Abs(path)
 	if err != nil {
-		return "", fmt.Errorf("store: pool root: %w", err)
+		return "", fmt.Errorf("store: %w", err)
 	}
-	return resolveExistingPrefix(filepath.Clean(abs)), nil
-}
-
-// resolveExistingPrefix resolves symlinks in the longest existing prefix of
-// p, rejoining the (not yet created) remainder verbatim.
-func resolveExistingPrefix(p string) string {
-	if resolved, err := filepath.EvalSymlinks(p); err == nil {
-		return resolved
+	if resolved, err := filepath.EvalSymlinks(abs); err == nil {
+		return resolved, nil
 	}
-	parent := filepath.Dir(p)
-	if parent == p {
-		return p
-	}
-	return filepath.Join(resolveExistingPrefix(parent), filepath.Base(p))
+	return abs, nil
 }
 
 // poolMarker is the POOL marker of every pool this build makes and opens.
@@ -587,20 +517,22 @@ func checkPoolMarker(key string, raw []byte) error {
 }
 
 // openSharedPool opens the shared pool at root, at DefaultShardFanout. A
-// read-only attach opens a snapshot of the pool's files and registers
-// nothing. A writable attach creates the pool directory on first use and
-// returns the process's one writable instance for the root, reloaded from
-// the files (reload).
+// writable attach creates the pool on first use, under the commit lock: so
+// may another attach, and open may cut a torn INDEX tail.
 func openSharedPool(root string, readOnly bool) (*ChunkPool, error) {
-	key, err := resolvePoolRoot(root)
+	if !readOnly {
+		if err := os.MkdirAll(root, 0o755); err != nil {
+			return nil, fmt.Errorf("store: create pool: %w", err)
+		}
+		unlock, err := lockRoot(root)
+		if err != nil {
+			return nil, err
+		}
+		defer unlock()
+	}
+	key, err := canonicalPath(root)
 	if err != nil {
 		return nil, err
-	}
-	if !readOnly {
-		// The marker checks below run under the lock too: a writable attach
-		// must not race another one that is creating the pool.
-		poolRegistry.Lock()
-		defer poolRegistry.Unlock()
 	}
 	markerRaw, merr := os.ReadFile(filepath.Join(key, poolMarkerFile))
 	switch {
@@ -612,71 +544,83 @@ func openSharedPool(root string, readOnly bool) (*ChunkPool, error) {
 		if readOnly {
 			return nil, fmt.Errorf("store: pool %s: no POOL marker (not a chunk pool)", key)
 		}
-		if err := os.MkdirAll(filepath.Join(key, poolLeaseDir), 0o755); err != nil {
-			return nil, fmt.Errorf("store: create pool: %w", err)
-		}
 		if err := writeFileAtomic(filepath.Join(key, poolMarkerFile), []byte(poolMarker)); err != nil {
 			return nil, fmt.Errorf("store: write pool marker: %w", err)
 		}
 	default:
 		return nil, fmt.Errorf("store: read pool marker: %w", merr)
 	}
-	if !readOnly {
-		if held, ok := poolRegistry.m[key]; ok {
-			return held, held.reload()
-		}
-	}
-	// The root exists — the marker was just read or written — so the plain
-	// DirBackend needs no MkdirAll.
 	p := &ChunkPool{root: key, shared: true, fanout: DefaultShardFanout, readOnly: readOnly, backend: DirBackendAt(key)}
-	if err := p.open(); err != nil {
-		return nil, err
-	}
-	if !readOnly {
-		poolRegistry.m[key] = p
-	}
-	return p, nil
+	return p, p.open()
 }
 
-// reload rebuilds a registered pool's state from its files, so that it
-// holds what another process committed since this instance last read them:
-// open runs into a scratch pool over the same backend, and each shard's
-// generation, chunk index and pack length are installed under the shard's
-// lock. It holds the write side of gcMu, so no put of this process is
-// between its pack append and its INDEX append, and the files describe
-// every chunk this instance published. The caller holds the registry lock.
-func (p *ChunkPool) reload() error {
-	p.gcMu.Lock()
-	defer p.gcMu.Unlock()
-	fresh := &ChunkPool{root: p.root, shared: true, fanout: p.fanout, backend: p.backend}
-	if err := fresh.open(); err != nil {
-		return err
+// lock takes the pool's commit lock (lockRoot) and catches the instance up:
+// unless the INDEX is the file and length it last read or appended, open
+// runs into a scratch pool, whose shards are installed under their locks
+// for readers of this instance, and dropped packs are refused.
+func (p *ChunkPool) lock() (unlock func(), err error) {
+	if unlock, err = lockRoot(p.root); err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	changed := p.index.changed()
+	p.mu.Unlock()
+	if !changed {
+		return unlock, nil
+	}
+	fresh := &ChunkPool{root: p.root, shared: p.shared, fanout: p.fanout, backend: p.backend}
+	if err = fresh.open(); err == nil {
+		err = fresh.refuseDropped()
+	}
+	if err != nil {
+		unlock()
+		return nil, err
 	}
 	for i, sh := range p.shardTab {
 		f := fresh.shardTab[i]
 		sh.mu.Lock()
-		sh.gen, sh.chunks, sh.packLen = f.gen, f.chunks, f.packLen
+		sh.gen, sh.chunks = f.gen, f.chunks
 		sh.mu.Unlock()
 	}
 	p.mu.Lock()
-	p.stored, p.dropped = fresh.stored, fresh.dropped
+	p.stored = fresh.stored
+	p.index.file, p.index.size = fresh.index.file, fresh.index.size
 	p.mu.Unlock()
-	return nil
+	return unlock, nil
 }
 
-// replayIndex adopts the pool's INDEX records. A torn tail is truncated
-// (writable) or skipped (read-only).
+// refuseDropped refuses writes to a pool with dropped packs, whose chunk
+// records pointed past the pack's real end at open (pack lost or truncated),
+// held a negative offset or length, or gave a raw length their frame or a
+// live directory contradicts. Readers degrade gracefully; a writer appending
+// to a rewound pack would re-commit hashes at offsets the old records still
+// claim. It runs before the instance is shared.
+func (p *ChunkPool) refuseDropped() error {
+	if len(p.dropped) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%w: shard pack %s is missing or truncated, or its committed chunk records are invalid; writable open refused — repair or open read-only",
+		codec.ErrCorrupt, strings.Join(p.dropped, ", "))
+}
+
+// replayIndex adopts the pool's INDEX records. A torn tail is skipped
+// (read-only) or truncated (writable), and a writable instance notes the
+// INDEX it read, for lock.
 func (p *ChunkPool) replayIndex() error {
 	good, torn, err := scanLog(p.index.path, decodeIndexRecord, func(rec manifestRecord) error {
 		p.adopt(rec.hash, rec.loc)
 		return nil
 	})
-	if err == nil && torn && !p.readOnly {
+	if err != nil || p.readOnly {
+		return err
+	}
+	if torn {
 		if err := os.Truncate(p.index.path, good); err != nil {
 			return fmt.Errorf("store: truncate torn pool index: %w", err)
 		}
 	}
-	return err
+	p.index.note(good)
+	return nil
 }
 
 // decodeIndexRecord decodes an INDEX record, a chunk record: any other
@@ -709,7 +653,7 @@ func (p *ChunkPool) appendIndexRecords(frames []ckptfmt.Frame, locs []chunkLoc) 
 }
 
 // persistIndex atomically rewrites the INDEX from the given records — the
-// commit point of compaction.
+// commit point of compaction — and notes the new file, for lock.
 func (p *ChunkPool) persistIndex(recs []poolChunkRec) error {
 	var buf []byte
 	for _, cr := range recs {
@@ -718,6 +662,9 @@ func (p *ChunkPool) persistIndex(recs []poolChunkRec) error {
 	if err := writeFileAtomic(p.index.path, buf); err != nil {
 		return fmt.Errorf("store: rewrite pool index: %w", err)
 	}
+	p.mu.Lock()
+	p.index.note(int64(len(buf)))
+	p.mu.Unlock()
 	return nil
 }
 
@@ -727,12 +674,9 @@ func (p *ChunkPool) persistIndex(recs []poolChunkRec) error {
 // relocates as a unit keeps its leases valid — GC after a `mv` must not
 // mistake every run for deleted and reclaim the family's chunks.
 func leaseEntry(poolRoot, runDir string) (string, error) {
-	abs, err := filepath.Abs(runDir)
+	abs, err := canonicalPath(runDir)
 	if err != nil {
-		return "", fmt.Errorf("store: lease: %w", err)
-	}
-	if resolved, rerr := filepath.EvalSymlinks(abs); rerr == nil {
-		abs = resolved
+		return "", err
 	}
 	if rel, rerr := filepath.Rel(poolRoot, abs); rerr == nil {
 		return rel, nil
@@ -750,16 +694,9 @@ func leaseNameRune(r rune) rune {
 	}
 }
 
-// leaseFileName derives a stable lease file name from a lease entry.
-func leaseFileName(entry string) string {
-	h := fnv.New32a()
-	h.Write([]byte(entry))
-	return fmt.Sprintf("%08x-%s", h.Sum32(), strings.Map(leaseNameRune, filepath.Base(entry)))
-}
-
 // leaseScratchPrefix starts the name of writeLease's scratch copy of a
-// lease. No lease name can start with it (leaseFileName starts each with a
-// hex hash), so a scratch copy a crash left behind is never read as a lease.
+// lease. No lease name can start with it (each starts with a hex hash), so
+// a scratch copy a crash left behind is never read as a lease.
 const leaseScratchPrefix = "."
 
 // leaseCandidates returns the file paths a lease entry may occupy, in
@@ -769,26 +706,33 @@ const leaseScratchPrefix = "."
 // existence-only check would merge two colliding runs' refcounts, and
 // deleting one would unpin the other's chunks.
 func leaseCandidates(poolRoot, entry string) [2]string {
-	dir := filepath.Join(poolRoot, poolLeaseDir)
-	h64 := fnv.New64a()
+	dir, base := filepath.Join(poolRoot, poolLeaseDir), strings.Map(leaseNameRune, filepath.Base(entry))
+	h32, h64 := fnv.New32a(), fnv.New64a()
+	h32.Write([]byte(entry))
 	h64.Write([]byte(entry))
-	base := filepath.Base(entry)
 	return [2]string{
-		filepath.Join(dir, leaseFileName(entry)),
-		filepath.Join(dir, fmt.Sprintf("%016x-%s", h64.Sum64(), strings.Map(leaseNameRune, base))),
+		filepath.Join(dir, fmt.Sprintf("%08x-%s", h32.Sum32(), base)),
+		filepath.Join(dir, fmt.Sprintf("%016x-%s", h64.Sum64(), base)),
 	}
 }
 
-// leaseContent is the entry a lease file holds: its bytes less writeLease's
-// newline, and nothing more — a run directory's name may end in a space.
-func leaseContent(raw []byte) string { return strings.TrimSuffix(string(raw), "\n") }
+// readLease reads the lease file at path: its entry (its bytes less
+// writeLease's newline: a run directory's name may end in a space), and
+// whether it is sound — not empty, and named for its entry. An unsound lease
+// is torn: "../run-tor" for "../run-torn" names no live run.
+func readLease(path string) (entry string, sound bool, err error) {
+	raw, err := os.ReadFile(path)
+	entry = strings.TrimSuffix(string(raw), "\n")
+	cands := leaseCandidates("", entry)
+	name := filepath.Base(path)
+	return entry, err == nil && entry != "" && (name == filepath.Base(cands[0]) || name == filepath.Base(cands[1])), err
+}
 
 // findLease locates the lease file whose content is exactly entry; ok is
 // false when none exists.
 func findLease(poolRoot, entry string) (path string, ok bool) {
 	for _, cand := range leaseCandidates(poolRoot, entry) {
-		raw, err := os.ReadFile(cand)
-		if err == nil && leaseContent(raw) == entry {
+		if held, sound, _ := readLease(cand); sound && held == entry {
 			return cand, true
 		}
 	}
@@ -797,7 +741,9 @@ func findLease(poolRoot, entry string) (path string, ok bool) {
 
 // writeLease records a run's attachment to the pool (idempotent): the lease
 // is the run's refcount — pool GC treats every chunk referenced by a leased
-// run's committed checkpoints as live.
+// run's committed checkpoints as live. It writes at the short-hash name
+// unless another run's lease holds it, overwriting a torn file there. The
+// caller holds the commit lock.
 func (p *ChunkPool) writeLease(runDir string) error {
 	entry, err := leaseEntry(p.root, runDir)
 	if err != nil {
@@ -808,9 +754,9 @@ func (p *ChunkPool) writeLease(runDir string) error {
 	}
 	cands := leaseCandidates(p.root, entry)
 	path := cands[0]
-	if raw, err := os.ReadFile(path); err == nil && leaseContent(raw) != entry {
+	if _, sound, _ := readLease(path); sound {
 		path = cands[1] // short-hash collision with a different run
-		if raw, err := os.ReadFile(path); err == nil && leaseContent(raw) != entry {
+		if _, sound, _ := readLease(path); sound {
 			return fmt.Errorf("store: lease name collision for %q (both candidates taken)", entry)
 		}
 	}
@@ -824,29 +770,25 @@ func (p *ChunkPool) writeLease(runDir string) error {
 	return nil
 }
 
-// removeLease releases a run's attachment; missing leases are not an error.
-func (p *ChunkPool) removeLease(runDir string) error {
-	entry, err := leaseEntry(p.root, runDir)
-	if err != nil {
-		return err
-	}
-	path, ok := findLease(p.root, entry)
-	if !ok {
-		return nil
-	}
-	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("store: remove lease: %w", err)
+// removeLease releases the lease of the run whose entry is entry, and a torn
+// file at one of its names, which would stop every GC pass for good; missing
+// leases are not an error. The caller holds the commit lock.
+func removeLease(poolRoot, entry string) error {
+	for _, cand := range leaseCandidates(poolRoot, entry) {
+		if held, sound, err := readLease(cand); err == nil && (!sound || held == entry) {
+			if err := os.Remove(cand); err != nil && !errors.Is(err, os.ErrNotExist) {
+				return fmt.Errorf("store: remove lease: %w", err)
+			}
+		}
 	}
 	return nil
 }
 
-// leases returns the run directories currently attached to the pool
-// (relative entries resolved against the pool root). Like the GC mark it
-// feeds, it fails closed: an unreadable or empty lease, or one not named
-// for its content (a torn write: "../run-tor" for "../run-torn" names no
-// live run, and releasing it would unpin run-torn's chunks), is an error
-// naming the file. Only a lease deleted mid-scan (a concurrent DeleteRun)
-// is skipped, and writeLease's scratch copies.
+// leases returns the entries of the runs currently attached to the pool
+// (relative ones are relative to the pool root). Like the GC mark it
+// feeds, it fails closed: an unreadable, empty or torn lease (readLease) is
+// an error naming the file. Only writeLease's scratch copies are skipped,
+// and a lease deleted mid-scan.
 func (p *ChunkPool) leases() ([]string, error) {
 	entries, err := os.ReadDir(filepath.Join(p.root, poolLeaseDir))
 	if errors.Is(err, os.ErrNotExist) {
@@ -855,33 +797,27 @@ func (p *ChunkPool) leases() ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: read leases: %w", err)
 	}
-	var dirs []string
+	var held []string
 	for _, e := range entries {
 		if strings.HasPrefix(e.Name(), leaseScratchPrefix) {
 			continue
 		}
 		path := filepath.Join(p.root, poolLeaseDir, e.Name())
-		raw, err := os.ReadFile(path)
-		if errors.Is(err, os.ErrNotExist) {
+		entry, sound, err := readLease(path)
+		switch {
+		case errors.Is(err, os.ErrNotExist):
 			continue
-		}
-		if err != nil {
+		case err != nil:
 			return nil, fmt.Errorf("store: read lease %s: %w", e.Name(), err)
-		}
-		dir := leaseContent(raw)
-		if dir == "" {
+		case entry == "":
 			return nil, fmt.Errorf("store: lease %s is empty: the run it pinned is unknown, so no chunk can be reclaimed", path)
+		case !sound:
+			return nil, fmt.Errorf("store: lease %s holds %q but is not named for it (a torn write?): the run it pinned is unknown, so no chunk can be reclaimed", path, entry)
 		}
-		if cands := leaseCandidates(p.root, dir); e.Name() != filepath.Base(cands[0]) && e.Name() != filepath.Base(cands[1]) {
-			return nil, fmt.Errorf("store: lease %s holds %q but is not named for it (a torn write?): the run it pinned is unknown, so no chunk can be reclaimed", path, dir)
-		}
-		if !filepath.IsAbs(dir) {
-			dir = filepath.Join(p.root, dir)
-		}
-		dirs = append(dirs, dir)
+		held = append(held, entry)
 	}
-	sort.Strings(dirs)
-	return dirs, nil
+	sort.Strings(held)
+	return held, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -974,8 +910,8 @@ func (p *ChunkPool) writePackGC(sched map[string]int64) error {
 // checkpoint of one of the pool's runs references, reading their MANIFESTs
 // (markRun), compacts every shard holding a chunk or pack bytes nothing
 // live references, and commits by rewriting the INDEX. The caller holds
-// p.gcMu for the whole pass, so any checkpoint that deduplicated against an
-// indexed chunk is committed by the time the mark looks.
+// the commit lock for the whole pass, so any checkpoint that deduplicated
+// against an indexed chunk is committed by the time the mark looks.
 func (p *ChunkPool) gc(o GCOptions) (GCResult, error) {
 	var res GCResult
 
@@ -991,9 +927,9 @@ func (p *ChunkPool) gc(o GCOptions) (GCResult, error) {
 		phaseStart = now
 	}
 
-	// Mark inside the fence: a put's filter→append→commit span holds the
-	// read side, so marking before the lock could miss a checkpoint that
-	// deduplicated against a chunk this pass is about to drop.
+	// Mark under the commit lock: a put holds it from its dedup probe to its
+	// MANIFEST append, so no checkpoint that deduplicated against a chunk
+	// this pass is about to drop is in flight.
 	runs, err := p.runs()
 	if err != nil {
 		return res, err
@@ -1052,9 +988,8 @@ func (p *ChunkPool) gc(o GCOptions) (GCResult, error) {
 
 	// Phase 2: sweep each shard's index against the live set. A shard is
 	// compacted when it indexes a dead chunk, or when its pack holds bytes
-	// no record locates: frames a put appended before a crash or a failed
-	// INDEX append cut it short, or the second copy of a chunk two
-	// concurrent puts both stored.
+	// no record locates: what a crash, or a failed pack or INDEX append, cut
+	// short.
 	type plan struct {
 		sh        *poolShard
 		keep      []poolChunkRec // the survivors, in pack order
@@ -1064,7 +999,8 @@ func (p *ChunkPool) gc(o GCOptions) (GCResult, error) {
 	var plans []*plan
 	for _, sh := range p.shardTab {
 		sh.mu.Lock()
-		pl := &plan{sh: sh, deadBytes: sh.packLen}
+		n, err := p.backend.Size(sh.obj())
+		pl := &plan{sh: sh, deadBytes: n}
 		for h, loc := range sh.chunks {
 			if live(h) {
 				pl.keep = append(pl.keep, poolChunkRec{h, loc})
@@ -1074,6 +1010,9 @@ func (p *ChunkPool) gc(o GCOptions) (GCResult, error) {
 			}
 		}
 		sh.mu.Unlock()
+		if err != nil {
+			return res, fmt.Errorf("store: gc: %w", err)
+		}
 		if pl.deadBytes > 0 {
 			slices.SortFunc(pl.keep, func(a, b poolChunkRec) int { return cmp.Compare(a.loc.Off, b.loc.Off) })
 			plans = append(plans, pl)
@@ -1093,7 +1032,6 @@ func (p *ChunkPool) gc(o GCOptions) (GCResult, error) {
 	type swap struct {
 		sh      *poolShard
 		newGen  int
-		newLen  int64
 		newMap  map[ckptfmt.Hash]chunkLoc
 		oldObj  string
 		removed int
@@ -1138,7 +1076,7 @@ func (p *ChunkPool) gc(o GCOptions) (GCResult, error) {
 				return res, fmt.Errorf("store: gc: commit pack %s: %w", packObjName(sh.name, newGen), err)
 			}
 		}
-		swaps = append(swaps, &swap{sh: sh, newGen: newGen, newLen: newLen, newMap: newMap,
+		swaps = append(swaps, &swap{sh: sh, newGen: newGen, newMap: newMap,
 			oldObj: oldObj, removed: pl.dead, bytes: pl.deadBytes})
 	}
 	phase("rewrite", map[string]int64{"rewritten_shards": int64(len(swaps))})
@@ -1161,7 +1099,6 @@ func (p *ChunkPool) gc(o GCOptions) (GCResult, error) {
 		sh.mu.Lock()
 		sh.gen = sw.newGen
 		sh.chunks = sw.newMap
-		sh.packLen = sw.newLen
 		sh.mu.Unlock()
 		sched[sw.oldObj] = now.Add(o.retention()).UnixNano()
 		res.CompactedShards++
@@ -1217,19 +1154,18 @@ func GCPool(root string, o GCOptions) (GCResult, error) {
 	// GC must never mint a pool: a writable open of a nonexistent root
 	// would create an empty pool tree, turning a typo'd path into a silent
 	// no-op instead of the error it is.
-	key, err := resolvePoolRoot(root)
-	if err != nil {
-		return GCResult{}, err
-	}
-	if _, err := os.Stat(filepath.Join(key, poolMarkerFile)); err != nil {
-		return GCResult{}, fmt.Errorf("store: pool gc: %s is not a chunk pool: %w", key, err)
+	if _, err := os.Stat(filepath.Join(root, poolMarkerFile)); err != nil {
+		return GCResult{}, fmt.Errorf("store: pool gc: %s is not a chunk pool: %w", root, err)
 	}
 	p, err := openSharedPool(root, false)
 	if err != nil {
 		return GCResult{}, err
 	}
-	p.gcMu.Lock()
-	defer p.gcMu.Unlock()
+	unlock, err := p.lock()
+	if err != nil {
+		return GCResult{}, err
+	}
+	defer unlock()
 	res, err := p.gc(o)
 	if err == nil {
 		recordGCMetrics(res)
@@ -1249,10 +1185,11 @@ func (p *ChunkPool) runs() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	runs := leases[:0]
-	for _, runDir := range leases {
+	var runs []string
+	for _, entry := range leases {
+		runDir := resolveRunPath(p.root, entry)
 		if _, serr := os.Stat(runDir); errors.Is(serr, os.ErrNotExist) {
-			if err := p.removeLease(runDir); err != nil {
+			if err := removeLease(p.root, entry); err != nil {
 				return nil, err
 			}
 			continue
@@ -1293,31 +1230,33 @@ func markRun(runDir string, live map[ckptfmt.Hash]bool) error {
 
 // DeleteRun deletes a recorded run directory, then releases its pool lease
 // when the run is attached to a shared pool — the "refcount decrement" that
-// lets a later GCPool pass reclaim the chunks only this run referenced. The
+// lets a later GCPool pass reclaim the chunks only this run referenced. It
+// holds the pool's commit lock, so no GC pass marks between the two. The
 // directory goes first: a crash in between leaves a stale lease pointing at
 // a missing run (harmless; the next GC releases it), whereas the reverse
-// order would leave a live run unpinned. The lease file is removed
-// directly, without opening the pool: a writable pool open would resurrect
-// an already-deleted pool directory.
+// order would leave a live run unpinned. The lease is removed without
+// opening the pool: a writable open would resurrect an already-deleted pool
+// directory.
 func DeleteRun(dir string) error {
 	root, pooled, perr := PoolRef(dir)
-	var lease string
-	if perr == nil && pooled {
-		// Locate the lease before the directory goes away: the entry is
-		// derived from the (still existing) run path.
-		entry, err := leaseEntry(root, dir)
-		if err != nil {
-			return err
-		}
-		lease, _ = findLease(root, entry)
+	if perr != nil || !pooled {
+		return os.RemoveAll(dir)
 	}
-	if err := os.RemoveAll(dir); err != nil {
+	unlock, err := lockRoot(root)
+	if errors.Is(err, os.ErrNotExist) {
+		return os.RemoveAll(dir) // the pool is gone, and its leases with it
+	}
+	if err != nil {
 		return err
 	}
-	if lease != "" {
-		if err := os.Remove(lease); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("store: remove lease: %w", err)
-		}
+	defer unlock()
+	// The entry is derived from the run path while it still exists.
+	entry, err := leaseEntry(root, dir)
+	if err == nil {
+		err = os.RemoveAll(dir)
 	}
-	return nil
+	if err != nil {
+		return err
+	}
+	return removeLease(root, entry)
 }

@@ -88,14 +88,13 @@ func TestPooledRoundTripAndReopen(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("PoolRef: %v ok=%v", err, ok)
 	}
-	want, _ := resolvePoolRoot(pool)
+	want, _ := canonicalPath(pool)
 	if root != want {
 		t.Fatalf("PoolRef = %q, want %q", root, want)
 	}
 
-	// Reopen from disk in a "fresh process" (registry reset): the pool
-	// INDEX and the runs' manifests must reconstruct everything, flag-free.
-	resetPoolRegistry()
+	// Reopen from disk: the pool INDEX and the runs' manifests must
+	// reconstruct everything, flag-free.
 	for _, dir := range []string{runA, runB} {
 		s, err := Open(dir)
 		if err != nil {
@@ -175,7 +174,6 @@ func TestPooledReadOnlyOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resetPoolRegistry()
 	ro, err := OpenReadOnly(run)
 	if err != nil {
 		t.Fatal(err)
@@ -269,10 +267,11 @@ func TestPooledOpenRefusals(t *testing.T) {
 }
 
 // TestPoolConcurrentSiblingRecordReplay is the pool-concurrency race test:
-// several sibling runs record into one pool while other goroutines replay
-// an already-committed sibling, through read-only snapshots and through the
-// writable store that shares the registered instance, and further writable
-// attaches reload that instance under them — the CI -race lane drives it.
+// several sibling runs record into one pool, each through a writable
+// instance of its own, while other goroutines replay an already-committed
+// sibling, through read-only snapshots and through its writable store, and
+// further writable attaches open and put under them — the CI -race lane
+// drives it.
 func TestPoolConcurrentSiblingRecordReplay(t *testing.T) {
 	base := t.TempDir()
 	pool := filepath.Join(base, "POOL")
@@ -304,8 +303,8 @@ func TestPoolConcurrentSiblingRecordReplay(t *testing.T) {
 			}
 		}(w)
 	}
-	// Every attach reloads the registered instance while the writers put
-	// through it and the readers below resolve through it.
+	// Every attach opens the pool under the commit lock while the writers
+	// put and the readers below resolve.
 	for a := 0; a < attachers; a++ {
 		wg.Add(1)
 		go func(a int) {
@@ -414,7 +413,6 @@ func TestLeaseOfARunNamedWithEdgeSpaces(t *testing.T) {
 			if _, err := s.PutSections(Key{LoopID: "train", Exec: 0}, familySections(5, 6, 0), 0, 0, 0); err != nil {
 				t.Fatalf("%q: %v", name, err)
 			}
-			resetPoolRegistry()
 		}
 		leaseDir := filepath.Join(pool, poolLeaseDir)
 		if entries, err := os.ReadDir(leaseDir); err != nil || len(entries) != 1 {
@@ -433,7 +431,6 @@ func TestLeaseOfARunNamedWithEdgeSpaces(t *testing.T) {
 		if _, err := ReadAll(s, Key{LoopID: "train", Exec: 0}, nil); err != nil {
 			t.Fatalf("%q: read after GCPool: %v", name, err)
 		}
-		resetPoolRegistry()
 		if err := DeleteRun(run); err != nil {
 			t.Fatal(err)
 		}
@@ -443,11 +440,11 @@ func TestLeaseOfARunNamedWithEdgeSpaces(t *testing.T) {
 	}
 }
 
-// TestPoolRegistryKeyStableAcrossSymlinks pins the registry-key contract: a
-// pool root named through a symlinked prefix before the root exists must
-// resolve to the same in-process pool as the real path afterward — two
-// instances over one INDEX would interleave corrupt offsets.
-func TestPoolRegistryKeyStableAcrossSymlinks(t *testing.T) {
+// TestPoolRootStableAcrossSymlinks pins the pool root's canonical form: a
+// pool named through a symlinked prefix before the root exists resolves to
+// the same root as the real path afterward, so both runs record one pool
+// reference, lock one directory and deduplicate against each other.
+func TestPoolRootStableAcrossSymlinks(t *testing.T) {
 	base := t.TempDir()
 	real := filepath.Join(base, "real")
 	if err := os.Mkdir(real, 0o755); err != nil {
@@ -469,14 +466,14 @@ func TestPoolRegistryKeyStableAcrossSymlinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.PoolRoot() != b.PoolRoot() {
-		t.Fatalf("registry split-brain: %q vs %q", a.PoolRoot(), b.PoolRoot())
+		t.Fatalf("split pool root: %q vs %q", a.PoolRoot(), b.PoolRoot())
 	}
-	// One instance means cross-run dedup: one backbone pool-wide.
-	ps, _, _ := a.PoolStats()
+	// One pool means cross-run dedup: one backbone pool-wide.
+	ps, _, _ := b.PoolStats()
 	if ps.StoredRawBytes >= 2<<20 {
 		t.Fatalf("pool stored %d raw bytes; the symlinked sibling missed the dedup index", ps.StoredRawBytes)
 	}
-	// And both runs read back through either instance handle.
+	// And both runs read back through their own stores.
 	for _, st := range []*Store{a, b} {
 		if _, err := ReadAll(st, Key{LoopID: "train", Exec: 0}, nil); err != nil {
 			t.Fatalf("read: %v", err)
@@ -533,7 +530,6 @@ func TestLeaseCollisionKeepsBothRunsPinned(t *testing.T) {
 	if res, err := GCPool(pool, GCOptions{PackRetention: time.Hour}); err != nil || res.DeadChunks == 0 {
 		t.Fatalf("GCPool after deleting run A: %+v, %v; want its own chunks reclaimed", res, err)
 	}
-	resetPoolRegistry()
 	reopened, err := OpenReadOnly(runB)
 	if err != nil {
 		t.Fatal(err)
@@ -545,11 +541,11 @@ func TestLeaseCollisionKeepsBothRunsPinned(t *testing.T) {
 	}
 }
 
-// The four tests below run part of their work as another process sharing
-// the pool's files would (asAnotherProcess). A pool instance of this
-// process must then hold what those files commit: a read-only attach opens
-// a snapshot of them, and every writable attach reloads the one writable
-// instance from them.
+// The tests below run part of their work through a second instance of the
+// pool, as another process would: every attach is an instance of its own,
+// so none sees another's memory, only the files. A writable instance must
+// catch up with what those files commit before it writes, and a read-only
+// attach opens a snapshot of them.
 
 // putPayload puts payload as key's one section, named "w".
 func putPayload(t *testing.T, s *Store, key Key, payload []byte) *Meta {
@@ -562,56 +558,44 @@ func putPayload(t *testing.T, s *Store, key Key, payload []byte) *Meta {
 }
 
 // checkPayload reads key's checkpoint from the run at dir, opened afresh as
-// a new process would, and compares it with payload.
+// a new process would, and compares it with payload, as putPayload put it.
 func checkPayload(t *testing.T, dir string, key Key, payload []byte) {
 	t.Helper()
-	s, err := OpenReadOnly(dir)
-	if err != nil {
-		t.Fatalf("reopen %s: %v", dir, err)
-	}
-	secs, err := ReadAll(s, key, nil)
-	if err != nil {
-		t.Fatalf("read %s of %s: %v", key, dir, err)
-	}
-	if len(secs) != 1 || !bytes.Equal(secs[0].Data, payload) {
-		t.Fatalf("read %s of %s: payload mismatch", key, dir)
-	}
+	checkPayloadSections(t, dir, key, []Section{{Name: "w", Data: payload}})
 }
 
-// TestAnotherProcessRecordedSiblingReadsReadOnly: a process that holds a
-// read-only open of run1 opens run2, which another process recorded into
-// the pool afterwards, and reads all of it.
+// TestAnotherProcessRecordedSiblingReadsReadOnly: while a read-only open of
+// run1 is held, another instance records run2 into the pool, and a
+// read-only open of run2 reads all of it.
 func TestAnotherProcessRecordedSiblingReadsReadOnly(t *testing.T) {
 	base := t.TempDir()
 	pool := filepath.Join(base, "POOL")
 	run1, run2 := filepath.Join(base, "run1"), filepath.Join(base, "run2")
 	key := Key{LoopID: "train", Exec: 0}
-	asAnotherProcess(func() { putPayload(t, openPooled(t, run1, pool), key, testPayload(4<<20, 1)) })
+	putPayload(t, openPooled(t, run1, pool), key, testPayload(4<<20, 1))
 	if _, err := OpenReadOnly(run1); err != nil {
 		t.Fatal(err)
 	}
-	asAnotherProcess(func() { putPayload(t, openPooled(t, run2, pool), key, testPayload(4<<20, 2)) })
+	putPayload(t, openPooled(t, run2, pool), key, testPayload(4<<20, 2))
 	checkPayload(t, run2, key, testPayload(4<<20, 2))
 	checkPayload(t, run1, key, testPayload(4<<20, 1))
 }
 
-// TestAnotherProcessAppendsAdoptedByWritableAttach: a process holding a
-// writable instance records run3 after another process recorded run2. The
-// attach adopts run2's chunks (a put of run2's payload stores nothing) and
-// the packs' real lengths, so run3's fresh chunks land at the packs' ends
-// and every run reads back in a new process.
+// TestAnotherProcessAppendsAdoptedByWritableAttach: run3 is attached after
+// other instances recorded run1 and run2. The attach adopts their chunks (a
+// put of run2's payload stores nothing), and run3's fresh chunks land at the
+// packs' ends, so every run reads back in a new process.
 func TestAnotherProcessAppendsAdoptedByWritableAttach(t *testing.T) {
 	base := t.TempDir()
 	pool := filepath.Join(base, "POOL")
 	run1, run2, run3 := filepath.Join(base, "run1"), filepath.Join(base, "run2"), filepath.Join(base, "run3")
 	k0, k1 := Key{LoopID: "train", Exec: 0}, Key{LoopID: "train", Exec: 1}
 	putPayload(t, openPooled(t, run1, pool), k0, testPayload(4<<20, 1))
-	asAnotherProcess(func() { putPayload(t, openPooled(t, run2, pool), k0, testPayload(4<<20, 2)) })
+	putPayload(t, openPooled(t, run2, pool), k0, testPayload(4<<20, 2))
 
 	s3 := openPooled(t, run3, pool)
 	deduped := putPayload(t, s3, k0, testPayload(4<<20, 2))
 	putPayload(t, s3, k1, testPayload(4<<20, 3))
-	resetPoolRegistry()
 	checkPayload(t, run1, k0, testPayload(4<<20, 1))
 	checkPayload(t, run2, k0, testPayload(4<<20, 2))
 	checkPayload(t, run3, k0, testPayload(4<<20, 2))
@@ -621,10 +605,10 @@ func TestAnotherProcessAppendsAdoptedByWritableAttach(t *testing.T) {
 	}
 }
 
-// TestAnotherProcessGCThenAttachAndPut: another process compacts the pool
-// (Store.GCWith, then GCPool) while this one holds it, read-only or
-// writable. A run this process then attaches puts its chunks into the
-// packs' new generations, so they read back in a new process.
+// TestAnotherProcessGCThenAttachAndPut: other instances compact the pool
+// (Store.GCWith, then GCPool) while one is held, read-only or writable. A
+// run attached afterwards puts its chunks into the packs' new generations,
+// so they read back in a new process.
 func TestAnotherProcessGCThenAttachAndPut(t *testing.T) {
 	for _, held := range []string{"read-only", "writable"} {
 		t.Run(held, func(t *testing.T) {
@@ -632,11 +616,9 @@ func TestAnotherProcessGCThenAttachAndPut(t *testing.T) {
 			pool := filepath.Join(base, "POOL")
 			run1, fresh := filepath.Join(base, "run1"), filepath.Join(base, "fresh")
 			key := Key{LoopID: "train", Exec: 0}
-			asAnotherProcess(func() {
-				s := openPooled(t, run1, pool)
-				putPayload(t, s, key, testPayload(8<<20, 1))
-				putPayload(t, s, key, testPayload(8<<20, 2))
-			})
+			s := openPooled(t, run1, pool)
+			putPayload(t, s, key, testPayload(8<<20, 1))
+			putPayload(t, s, key, testPayload(8<<20, 2))
 			var err error
 			if held == "read-only" {
 				_, err = OpenReadOnly(run1)
@@ -646,31 +628,28 @@ func TestAnotherProcessGCThenAttachAndPut(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			asAnotherProcess(func() {
-				s, err := Open(run1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := s.GCWith(GCOptions{PackRetention: time.Hour}); err != nil {
-					t.Fatal(err)
-				}
-				res, err := GCPool(pool, GCOptions{PackRetention: time.Hour})
-				if err != nil || res.CompactedShards == 0 {
-					t.Fatalf("GCPool: %+v, %v; want compacted shards", res, err)
-				}
-			})
+			s, err = Open(run1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.GCWith(GCOptions{PackRetention: time.Hour}); err != nil {
+				t.Fatal(err)
+			}
+			res, err := GCPool(pool, GCOptions{PackRetention: time.Hour})
+			if err != nil || res.CompactedShards == 0 {
+				t.Fatalf("GCPool: %+v, %v; want compacted shards", res, err)
+			}
 			putPayload(t, openPooled(t, fresh, pool), key, testPayload(8<<20, 3))
-			resetPoolRegistry()
 			checkPayload(t, fresh, key, testPayload(8<<20, 3))
 			checkPayload(t, run1, key, testPayload(8<<20, 2))
 		})
 	}
 }
 
-// TestAnotherProcessRecordedSiblingSurvivesGCPool: GCPool runs in a
-// process whose writable instance predates run2, which another process
-// recorded. The pass collects only run1's superseded checkpoint, and run2
-// still reads.
+// TestAnotherProcessRecordedSiblingSurvivesGCPool: GCPool runs while run1's
+// writable store, opened before run2 existed, is held, and run2 was recorded
+// through another instance. The pass collects only run1's superseded
+// checkpoint, and run2 still reads.
 func TestAnotherProcessRecordedSiblingSurvivesGCPool(t *testing.T) {
 	base := t.TempDir()
 	pool := filepath.Join(base, "POOL")
@@ -682,16 +661,88 @@ func TestAnotherProcessRecordedSiblingSurvivesGCPool(t *testing.T) {
 	if _, err := s1.GC(); err != nil {
 		t.Fatal(err)
 	}
-	asAnotherProcess(func() { putPayload(t, openPooled(t, run2, pool), key, testPayload(4<<20, 3)) })
+	putPayload(t, openPooled(t, run2, pool), key, testPayload(4<<20, 3))
 
 	res, err := GCPool(pool, GCOptions{PackRetention: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resetPoolRegistry()
 	checkPayload(t, run2, key, testPayload(4<<20, 3))
 	checkPayload(t, run1, key, testPayload(4<<20, 2))
 	if want := int(superseded.Size / ckptfmt.DefaultChunkSize); res.DeadChunks != want {
 		t.Fatalf("GCPool collected %d chunks, want the superseded checkpoint's %d", res.DeadChunks, want)
+	}
+}
+
+// TestHeldWritableStorePutsAfterGCPool: a writable store is held while
+// another instance's GCPool compacts the shards it wrote to new pack
+// generations. Its next put catches up under the commit lock and lands in the
+// new generations, not in the retired ones a later pass deletes, so the put
+// and the compacted checkpoint both read back in a new process — after the
+// retired generations are gone too.
+func TestHeldWritableStorePutsAfterGCPool(t *testing.T) {
+	base := t.TempDir()
+	pool := filepath.Join(base, "POOL")
+	run := filepath.Join(base, "run")
+	k0, k1 := Key{LoopID: "train", Exec: 0}, Key{LoopID: "train", Exec: 1}
+	held := openPooled(t, run, pool)
+	putPayload(t, held, k0, testPayload(8<<20, 1))
+	putPayload(t, held, k0, testPayload(8<<20, 2))
+	if _, err := held.GC(); err != nil {
+		t.Fatal(err)
+	}
+	first, err := GCPool(pool, GCOptions{PackRetention: time.Nanosecond})
+	if err != nil || first.CompactedShards == 0 {
+		t.Fatalf("GCPool: %+v, %v; want compacted shards", first, err)
+	}
+	putPayload(t, held, k1, testPayload(8<<20, 3))
+	if res, err := GCPool(pool, GCOptions{PackRetention: time.Nanosecond}); err != nil || res.DeletedPacks == 0 || res.DeadChunks != 0 {
+		t.Fatalf("second GCPool: %+v, %v; want retired generations deleted and nothing dead", res, err)
+	}
+	checkPayload(t, run, k0, testPayload(8<<20, 2))
+	checkPayload(t, run, k1, testPayload(8<<20, 3))
+}
+
+// TestWritableInstancesPutConcurrently: two writable stores of one pool in
+// one process, each its own pool instance, put checkpoints sharing a
+// backbone at once. The commit lock orders them as two processes would be:
+// every checkpoint reads back in a new process, and the backbone is stored
+// once.
+func TestWritableInstancesPutConcurrently(t *testing.T) {
+	const epochs = 6
+	base := t.TempDir()
+	pool := filepath.Join(base, "POOL")
+	runs := []string{filepath.Join(base, "run-a"), filepath.Join(base, "run-b")}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(runs))
+	for r, run := range runs {
+		s := openPooled(t, run, pool)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for e := range epochs {
+				if _, err := s.PutSections(Key{LoopID: "train", Exec: e}, familySections(3, uint64(10+r), e), 0, 0, 0); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for r, run := range runs {
+		for e := range epochs {
+			checkPayloadSections(t, run, Key{LoopID: "train", Exec: e}, familySections(3, uint64(10+r), e))
+		}
+	}
+	ro, err := OpenReadOnly(runs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps, _, _ := ro.PoolStats(); ps.StoredRawBytes >= 2<<20 {
+		t.Fatalf("pool stores %d raw bytes; want one 1 MiB backbone and the heads", ps.StoredRawBytes)
 	}
 }

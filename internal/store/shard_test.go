@@ -65,7 +65,6 @@ func TestShardedRoundTripAndReopen(t *testing.T) {
 
 	// A plain reopen (no options), from disk, must detect the sharded layout
 	// and read everything back; the dedup index must survive.
-	resetPoolRegistry()
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +175,6 @@ func TestShardedConcurrentPuts(t *testing.T) {
 func mustReopen(t *testing.T, dir string, fromDisk bool) *Store {
 	t.Helper()
 	if fromDisk {
-		resetPoolRegistry()
 	}
 	s, err := Open(dir)
 	if err != nil {
@@ -294,7 +292,6 @@ func TestMissingShardPackNamesShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Writable open, from disk: refused, naming the shard.
-	resetPoolRegistry()
 	_, err := Open(dir)
 	if !errors.Is(err, codec.ErrCorrupt) {
 		t.Fatalf("writable open with missing shard: err = %v, want codec.ErrCorrupt refusal", err)
@@ -303,7 +300,6 @@ func TestMissingShardPackNamesShard(t *testing.T) {
 		t.Fatalf("refusal %q does not name the missing shard %s", err, victim)
 	}
 	// Read-only open: graceful; reads touching the shard name it.
-	resetPoolRegistry()
 	s2, err := OpenReadOnly(dir)
 	if err != nil {
 		t.Fatalf("read-only open with missing shard must degrade gracefully: %v", err)

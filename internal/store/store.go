@@ -52,9 +52,9 @@
 // was decoded once, at open or put) and reads only the sections its
 // statements touch through Checkpoint.ReadInto, the one read entry point,
 // into buffers the caller laid out or fresh ones; every restore runs one
-// pipeline (fetch.go), whatever the backend. Each shard has its own append
-// lock and dedup map, so concurrent puts fan fresh chunks out across shards
-// and restores read shard packs concurrently.
+// pipeline (fetch.go), whatever the backend. Writers of a pool — puts, GC,
+// lease changes, in any number of stores and processes — are ordered by its
+// commit lock (pool.go); readers take none.
 package store
 
 import (
@@ -356,9 +356,8 @@ func OpenWith(dir string, o Options) (*Store, error) {
 	if s.readOnly {
 		return s, nil
 	}
-	if dropped := s.pool.droppedPacks(); len(dropped) > 0 {
-		return nil, fmt.Errorf("%w: shard pack %s is missing or truncated, or its committed chunk records are invalid; writable open refused — repair or open read-only",
-			codec.ErrCorrupt, strings.Join(dropped, ", "))
+	if err := s.pool.refuseDropped(); err != nil {
+		return nil, err
 	}
 	// Every refusal is behind us: only now may a writable open create the
 	// run directory (detectDir reads a missing one as fresh).
@@ -374,9 +373,6 @@ func OpenWith(dir string, o Options) (*Store, error) {
 		return nil, err
 	}
 	if s.pool.shared {
-		// Make the attachment durable: the pool-reference record is the
-		// manifest's first record, and the LEASE entry is the pool-side
-		// refcount that keeps this run's chunks live under GCPool.
 		if err := s.commitPoolAttachment(); err != nil {
 			return nil, err
 		}
@@ -549,13 +545,13 @@ func (s *Store) attachPool(o Options, recs []manifestRecord) error {
 			// registration-time PoolRef reported and a later manifest rewrite
 			// fails the open instead of silently redirecting reads. Option
 			// paths are cwd-relative, recorded references run-dir-relative.
-			rec, err := resolvePoolRoot(root)
+			rec, err := canonicalPath(root)
 			if err != nil {
 				return err
 			}
 			var want string
 			if o.Pool != "" {
-				if want, err = resolvePoolRoot(o.Pool); err != nil {
+				if want, err = canonicalPath(o.Pool); err != nil {
 					return err
 				}
 			}
@@ -577,17 +573,15 @@ func (s *Store) attachPool(o Options, recs []manifestRecord) error {
 }
 
 // commitPoolAttachment makes a writable pooled open durable: the manifest's
-// leading pool-reference record plus the pool-side LEASE entry.
+// leading pool-reference record plus the pool-side LEASE entry, the refcount
+// that keeps this run's chunks live under GCPool.
 func (s *Store) commitPoolAttachment() error {
 	if s.poolRef == "" {
 		// Prefer a run-dir-relative reference so a project tree (runs +
 		// POOL) can relocate as a unit; fall back to the canonical absolute
 		// root when no relative path exists.
 		ref := s.pool.root
-		if absDir, err := filepath.Abs(s.dir); err == nil {
-			if resolved, rerr := filepath.EvalSymlinks(absDir); rerr == nil {
-				absDir = resolved
-			}
+		if absDir, err := canonicalPath(s.dir); err == nil {
 			if rel, rerr := filepath.Rel(absDir, s.pool.root); rerr == nil {
 				ref = rel
 			}
@@ -602,6 +596,11 @@ func (s *Store) commitPoolAttachment() error {
 			return err
 		}
 	}
+	unlock, err := s.pool.lock()
+	if err != nil {
+		return err
+	}
+	defer unlock()
 	return s.pool.writeLease(s.dir)
 }
 
@@ -630,7 +629,7 @@ func PoolRef(dir string) (root string, ok bool, err error) {
 	}
 	// Canonicalize so callers grouping runs by pool root compare equal
 	// strings regardless of how each run recorded the reference.
-	root, err = resolvePoolRoot(resolveRunPath(dir, rec.ref))
+	root, err = canonicalPath(resolveRunPath(dir, rec.ref))
 	if err != nil {
 		return "", false, err
 	}
@@ -656,11 +655,11 @@ func (s *Store) PoolRoot() string {
 	return s.pool.root
 }
 
-// PoolStats returns the attached pool's pool-wide storage accounting;
-// ok is false for stores without a shared pool, and leaseErr is why the
-// pool's leases could not be counted (ChunkPool.Stats). (For per-run
-// accounting see Dedup; a pooled run's stored-bytes counters cover only
-// chunks this store instance published.)
+// PoolStats returns the attached pool's pool-wide storage accounting as this
+// store last read the pool's files (at open, and a writable one at each
+// put); ok is false for stores without a shared pool, and leaseErr is why
+// the pool's leases could not be counted (ChunkPool.Stats). (For per-run
+// accounting see Dedup: only chunks this store instance published.)
 func (s *Store) PoolStats() (st PoolStats, ok bool, leaseErr error) {
 	if !s.pool.shared {
 		return PoolStats{}, false, nil
@@ -903,13 +902,12 @@ func frameTagged(tag byte, body []byte) []byte {
 // chunked, frames for previously unseen chunks are encoded in parallel and
 // appended to their hash shards' packs (concurrently across shards), their
 // chunk records to the pool's INDEX, and one manifest append commits the
-// checkpoint. PutSections is safe to call from several
-// goroutines at once: shards serialize their own appends and the manifest
-// commit is atomic per checkpoint. The sections' Data is only read, and only
-// until PutSections returns — nothing of it stays referenced from the store,
-// so the caller may overwrite the buffers with its next checkpoint. Every
-// chunk is hashed, every time: the store remembers nothing about a []Section
-// between puts.
+// checkpoint. It is safe to call from several goroutines, stores and
+// processes at once: the pool's commit lock orders their commits. The
+// sections' Data is only read, and only until PutSections returns — nothing
+// of it stays referenced from the store, so the caller may overwrite the
+// buffers with its next checkpoint. Every chunk is hashed, every time: the
+// store remembers nothing about a []Section between puts.
 //
 // snapNs and serNs are the observed snapshot and serialization times for
 // this checkpoint; the put measures its own write time and records
@@ -1015,20 +1013,17 @@ func (s *Store) putV2(key Key, secs []Section, known []KnownChunks, snapNs, serN
 		n += len(chunks)
 	}
 
-	// The pool's GC fence: holding the read side from fresh-chunk filtering
-	// through the manifest commit means a compaction pass can never reclaim
-	// a chunk this checkpoint deduplicated against — its directory is in the
-	// index and the manifest (where GC's mark reads directories) before the
-	// fence releases.
+	// The commit lock, from the dedup probe through the manifest append: no
+	// GC pass marks while a chunk this put deduplicated against is unpinned.
 	p := s.pool
-	p.gcMu.RLock()
-	defer p.gcMu.RUnlock()
+	unlock, err := p.lock()
+	if err != nil {
+		return nil, err
+	}
+	defer unlock()
 
 	// Select chunks the pool has not stored yet (deduplicating within this
-	// checkpoint too), probing each shard's index under its own lock. A
-	// concurrent put racing on the same fresh chunk stores it twice — benign
-	// pack bloat, since locations publish only with the durable commit and
-	// the first committed record wins at replay.
+	// checkpoint too), probing each shard's index under its own lock.
 	newIdx := p.filterFresh(hashes)
 	obs.C(obs.MStoreChunkDedupHits).Add(int64(len(flat) - len(newIdx)))
 	// Raw frames for the fresh chunks only, each carrying the hash settled
@@ -1100,11 +1095,33 @@ func writeFileVia(tmp, path string, data []byte) error {
 // a pool's INDEX. An append lands whole or not at all. A write that fails
 // part-way is cut back to the log's length before it, since a torn record
 // would end the log at replay and take every later commit with it; if even
-// the cut fails, the log is latched broken, as poolShard.broken latches a
-// shard, and refuses every later append. Callers serialize appends.
+// the cut fails, the log is latched broken and refuses every later append.
+// Callers serialize appends.
 type recordLog struct {
 	path   string
 	broken error
+	// file (nil: none) and size are the log as this handle last read
+	// (note) or appended to it.
+	file os.FileInfo
+	size int64
+}
+
+// note records the log on disk as read up to size bytes. A stat error
+// leaves no file, which changed reports, so the next reader meets it.
+func (l *recordLog) note(size int64) {
+	l.file, _ = os.Stat(l.path)
+	l.size = size
+}
+
+// changed reports whether the log on disk is not the file and length this
+// handle last read or appended — another writer appended to it, cut it, or
+// replaced it — or cannot be looked at.
+func (l *recordLog) changed() bool {
+	fi, err := os.Stat(l.path)
+	if err != nil {
+		return l.file != nil || !errors.Is(err, os.ErrNotExist)
+	}
+	return l.file == nil || !os.SameFile(fi, l.file) || fi.Size() != l.size
 }
 
 // writeLog writes a record into an open log file. Tests substitute one that
@@ -1134,6 +1151,7 @@ func (l *recordLog) append(rec []byte) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("store: close %s: %w", name, err)
 	}
+	l.file, l.size = st, st.Size()+int64(len(rec))
 	return nil
 }
 
@@ -1399,13 +1417,9 @@ func (s *Store) TotalSize() int64 {
 // (GCWith for the knobs and full accounting). It returns the number of
 // superseded checkpoints dropped.
 //
-// Compaction is safe under concurrent readers: packs are never rewritten in
-// place. Survivors move to a new pack generation, the INDEX is atomically
-// rewritten with the new locations, and the replaced generation stays on
-// disk as a grace-period tombstone (GCOptions.PackRetention) so a reader
-// that resolved locations before the swap — including a concurrent
-// OpenReadOnly store — keeps reading valid bytes. A later GC pass deletes
-// expired generations.
+// Compaction never rewrites a pack in place (see GC and the grace period in
+// pool.go): a reader that resolved locations before it keeps reading valid
+// bytes for GCOptions.PackRetention.
 //
 // Pooled runs only rewrite their manifest here; their chunks are shared
 // with sibling runs and are reclaimed by GCPool, which consults every lease.
@@ -1421,13 +1435,14 @@ func (s *Store) GCWith(o GCOptions) (GCResult, error) {
 	if s.readOnly {
 		return GCResult{}, ErrReadOnly
 	}
-	// The whole pass runs inside the pool's GC fence: puts hold its read
-	// side from fresh-chunk filtering to their manifest commit, so the index
-	// the manifest rewrite drops records from, and the manifest the mark
-	// reads, hold every committed checkpoint, never one mid-flight.
+	// Under the commit lock, the index the manifest rewrite drops records
+	// from, and the manifest the mark reads, hold no checkpoint mid-flight.
 	p := s.pool
-	p.gcMu.Lock()
-	defer p.gcMu.Unlock()
+	unlock, err := p.lock()
+	if err != nil {
+		return GCResult{}, err
+	}
+	defer unlock()
 	live, err := s.liveEntries()
 	if err != nil {
 		return GCResult{}, err
@@ -1493,7 +1508,7 @@ func (s *Store) liveEntries() ([]*entry, error) {
 // rewritten from the live index: the pool-reference record first on pooled
 // runs, then the live meta records, each with its directory. It returns how
 // many superseded checkpoints the rewrite dropped. The caller holds the
-// pool's GC fence.
+// commit lock.
 func (s *Store) rewriteManifest(live []*entry) (int, error) {
 	var buf []byte
 	if s.pool.shared {
