@@ -283,7 +283,7 @@ func (s *Session) Table4() (*Table4Report, error) {
 // S3 for the run at dir (§6: checkpoints were "compressed by a background
 // process, before being spooled to an S3 bucket"): the gzip size, at the
 // default level, of the MANIFEST (which carries every checkpoint's
-// directory), the INDEX (its chunk records) and each non-empty chunk pack in
+// directory), the INDEX (the snapshot of its chunks) and each non-empty chunk pack in
 // the run directory, compressed one file at a time. It streams the files through gzip into a counter and
 // writes nothing.
 func gzipFootprint(dir string) (int64, error) {

@@ -244,39 +244,57 @@ func (f *Frame) Marshal() []byte {
 	return f.Append(make([]byte, 0, f.WireLen()))
 }
 
-// maxHeaderLen bounds a frame header: the style byte, two uvarints, and the
+// MaxHeaderLen bounds a frame header: the style byte, two uvarints, and the
 // 16-byte content hash. A prefix this long is always enough to parse the
 // header of any well-formed frame.
-const maxHeaderLen = 1 + 2*binary.MaxVarintLen64 + 16
+const MaxHeaderLen = 1 + 2*binary.MaxVarintLen64 + 16
 
 // parseHeaderPrefix decodes the fixed leading fields of a frame — style,
 // rawLen, encLen, content hash — from a prefix of the frame bytes. The
 // prefix need not include the payload; the returned frame's Enc is nil.
 // hdrLen is the header's byte length (Enc begins there).
+//
+// A b that ends inside the header fails with an error that is
+// io.ErrUnexpectedEOF as well as codec.ErrCorrupt; a length no frame can
+// have fails with codec.ErrCorrupt alone.
 func parseHeaderPrefix(b []byte) (f Frame, encLen, hdrLen int, err error) {
 	if len(b) < 1 {
-		return f, 0, 0, fmt.Errorf("%w: empty frame", codec.ErrCorrupt)
+		return f, 0, 0, fmt.Errorf("%w: empty frame: %w", codec.ErrCorrupt, io.ErrUnexpectedEOF)
 	}
 	f.Style = b[0]
 	off := 1
-	rawLen, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return f, 0, 0, fmt.Errorf("%w: bad frame rawLen", codec.ErrCorrupt)
+	var lens [2]uint64
+	for i, name := range [2]string{"rawLen", "encLen"} {
+		v, n := binary.Uvarint(b[off:])
+		switch {
+		case n == 0:
+			return f, 0, 0, fmt.Errorf("%w: truncated frame %s: %w", codec.ErrCorrupt, name, io.ErrUnexpectedEOF)
+		case n < 0 || v > math.MaxInt32:
+			return f, 0, 0, fmt.Errorf("%w: bad frame %s", codec.ErrCorrupt, name)
+		}
+		lens[i], off = v, off+n
 	}
-	off += n
-	el, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return f, 0, 0, fmt.Errorf("%w: bad frame encLen", codec.ErrCorrupt)
-	}
-	off += n
+	rawLen, el := lens[0], lens[1]
 	if len(b)-off < 16 {
-		return f, 0, 0, fmt.Errorf("%w: truncated frame header (need %d bytes, have %d)",
-			codec.ErrCorrupt, off+16, len(b))
+		return f, 0, 0, fmt.Errorf("%w: truncated frame header (need %d bytes, have %d): %w",
+			codec.ErrCorrupt, off+16, len(b), io.ErrUnexpectedEOF)
 	}
 	copy(f.Hash[:], b[off:])
 	off += 16
 	f.RawLen = int(rawLen)
 	return f, int(el), off, nil
+}
+
+// ParseHeader decodes the header at the front of b, which need not hold the
+// rest of the frame (the returned frame's Enc is nil), and returns the
+// frame's wire length: header, payload and CRC trailer. Its errors are
+// parseHeaderPrefix's, so a header b cuts short is io.ErrUnexpectedEOF.
+func ParseHeader(b []byte) (f Frame, wireLen int, err error) {
+	f, encLen, hdrLen, err := parseHeaderPrefix(b)
+	if err != nil {
+		return f, 0, err
+	}
+	return f, hdrLen + encLen + 4, nil
 }
 
 // parseHeader reads a frame's header from the front of b without verifying

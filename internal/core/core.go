@@ -122,6 +122,11 @@ func Record(dir string, factory func() *script.Program, opts RecordOptions) (*Re
 	if err := timings.WriteFile(filepath.Join(dir, timingsFile)); err != nil {
 		return nil, err
 	}
+	// The last put is in and the run is whole: a snapshot of the packs spares
+	// every later open the scan. It is only a hint, so it goes last.
+	if err := st.WriteIndex(); err != nil {
+		return nil, fmt.Errorf("core: record: %w", err)
+	}
 
 	loopStats := map[string]adapt.LoopStats{}
 	for _, id := range rt.Blocks() {
@@ -229,11 +234,12 @@ func loadRecording(dir string, st *store.Store) (*replay.Recording, error) {
 
 // Migrate copies the run at src into dst, a fresh directory, in a layout this
 // build writes: a private store, or a run of the shared pool at pool when
-// pool is not empty. It reads src, in whatever layout a build recorded it,
-// through store.ReadLegacy — the one reader of every older layout — and puts
-// each live checkpoint under its key, in commit order, with its recorded
-// timings; then it copies the program structure, the record log and the
-// iteration timings. Section hashes are over raw bytes, so every migrated
+// pool is not empty. It reads src — through store.ReadLegacy, the one reader
+// of every older layout, or, in a layout this build writes, through a
+// read-only open — and puts each live checkpoint under its key, in commit
+// order, with its recorded timings; then it copies the program structure,
+// the record log and the iteration timings, and last writes the store's
+// INDEX snapshot, a hint. Section hashes are over raw bytes, so every migrated
 // directory names the chunks its source names, and the migrated run replays
 // as its source does. src — and the pool it may be attached to — is never
 // written, and dst is created only once src's layout has been read. A failed
@@ -249,7 +255,7 @@ func Migrate(src, dst, pool string) error {
 		}
 		return err
 	}
-	err := store.ReadLegacy(src, func(m store.Meta, secs []store.Section) error {
+	put := func(m store.Meta, secs []store.Section) error {
 		err := open()
 		if err == nil {
 			_, err = to.PutSectionsKnown(m.Key, secs, nil, m.SnapNs, m.MaterNs-m.SnapNs, m.ComputNs)
@@ -258,7 +264,13 @@ func Migrate(src, dst, pool string) error {
 			return fmt.Errorf("%s: %w", m.Key, err)
 		}
 		return nil
-	})
+	}
+	var err error
+	if _, derr := store.DetectLayout(src); derr == nil {
+		err = readRun(src, put)
+	} else {
+		err = store.ReadLegacy(src, put)
+	}
 	if err == nil {
 		err = open() // a run without checkpoints
 	}
@@ -275,6 +287,36 @@ func Migrate(src, dst, pool string) error {
 		}
 		if err != nil {
 			return fmt.Errorf("core: migrate: %w", err)
+		}
+	}
+	if err := to.WriteIndex(); err != nil {
+		return fmt.Errorf("core: migrate: %w", err)
+	}
+	return nil
+}
+
+// readRun calls fn with each live checkpoint of the run at src, a store in a
+// layout this build writes, and all of its sections, in commit order: what
+// store.ReadLegacy does for the layouts older builds left.
+func readRun(src string, fn func(store.Meta, []store.Section) error) error {
+	st, err := store.OpenReadOnly(src)
+	if err != nil {
+		return err
+	}
+	for _, m := range st.Metas() {
+		if latest, _ := st.Lookup(m.Key); latest.Seq != m.Seq {
+			continue // superseded
+		}
+		c, err := st.Resolve(m.Key)
+		var secs []store.Section
+		if err == nil {
+			secs, err = c.ReadInto(nil, nil, nil, nil)
+		}
+		if err == nil {
+			err = fn(*m, secs)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -13,8 +13,8 @@ import (
 // local directories or an S3-style object store (remote.ObjectBackend)
 // without the read path knowing. Only local backends are written: a run
 // reaches an object store whole, through remote.UploadRun, and a remote
-// backend serves read-only opens — its Append, Create and Remove fail with
-// ErrReadOnly.
+// backend serves read-only opens — its Append, Truncate, Create and Remove
+// fail with ErrReadOnly.
 //
 // The contract is shaped by what an append-only pack needs and by what
 // ranged remote stores can offer:
@@ -39,6 +39,9 @@ type Backend interface {
 	Size(name string) (int64, error)
 	// Append appends p to the named object, creating it if needed.
 	Append(name string, p []byte) error
+	// Truncate cuts the named object to size bytes: a writer cuts a torn
+	// pack tail, bytes that form no whole frame, before it appends.
+	Truncate(name string, size int64) error
 	// Open returns a ranged reader over the named object. It fails if the
 	// object does not exist.
 	Open(name string) (BackendReader, error)
@@ -133,6 +136,9 @@ func (b *DirBackend) Append(name string, p []byte) error {
 	}
 	return nil
 }
+
+// Truncate implements Backend.
+func (b *DirBackend) Truncate(name string, size int64) error { return os.Truncate(b.path(name), size) }
 
 // Open implements Backend.
 func (b *DirBackend) Open(name string) (BackendReader, error) {

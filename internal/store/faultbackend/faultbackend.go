@@ -163,15 +163,15 @@ func (o *Object) Delete(key string) error {
 // store.Backend's Create contract is already atomic-or-Abort, so the
 // interesting write faults live at the object layer (torn Put above).
 type Backend struct {
-	inner store.Backend
-	cfg   Config
-	c     counters
-	inj   injected
+	store.Backend // Truncate passes straight through
+	cfg           Config
+	c             counters
+	inj           injected
 }
 
 // WrapBackend returns b with cfg's read-fault classes layered on top.
 func WrapBackend(b store.Backend, cfg Config) *Backend {
-	return &Backend{inner: b, cfg: cfg}
+	return &Backend{Backend: b, cfg: cfg}
 }
 
 // Injected returns how many faults have fired so far.
@@ -187,19 +187,19 @@ func (b *Backend) latency() {
 // Size implements store.Backend.
 func (b *Backend) Size(name string) (int64, error) {
 	b.latency()
-	return b.inner.Size(name)
+	return b.Backend.Size(name)
 }
 
 // Append implements store.Backend.
 func (b *Backend) Append(name string, p []byte) error {
 	b.latency()
-	return b.inner.Append(name, p)
+	return b.Backend.Append(name, p)
 }
 
 // Open implements store.Backend; the returned reader carries the injector.
 func (b *Backend) Open(name string) (store.BackendReader, error) {
 	b.latency()
-	r, err := b.inner.Open(name)
+	r, err := b.Backend.Open(name)
 	if err != nil {
 		return nil, err
 	}
@@ -209,13 +209,13 @@ func (b *Backend) Open(name string) (store.BackendReader, error) {
 // Create implements store.Backend.
 func (b *Backend) Create(name string) (store.BackendWriter, error) {
 	b.latency()
-	return b.inner.Create(name)
+	return b.Backend.Create(name)
 }
 
 // Remove implements store.Backend.
 func (b *Backend) Remove(name string) error {
 	b.latency()
-	return b.inner.Remove(name)
+	return b.Backend.Remove(name)
 }
 
 type faultReader struct {

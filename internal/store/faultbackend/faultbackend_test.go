@@ -358,5 +358,8 @@ func recordRun(t testing.TB, dir string, n int, seed uint64) map[int][]byte {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
+	if err := s.WriteIndex(); err != nil { // as a finished recording does
+		t.Fatal(err)
+	}
 	return want
 }

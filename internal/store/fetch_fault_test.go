@@ -54,6 +54,9 @@ func TestFetchStopsDispatchingAfterFirstError(t *testing.T) {
 	if _, err := w.PutSections(key, secs, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
+	if err := w.WriteIndex(); err != nil { // so that the opens below GET no pack byte
+		t.Fatal(err)
+	}
 	objs := &countingObjects{ObjectStore: remote.NewMemStore()}
 	if _, err := remote.UploadRun(objs, dir, "run"); err != nil {
 		t.Fatal(err)

@@ -125,6 +125,9 @@ func TestFetchReadsEachNeededByteOnce(t *testing.T) {
 			if _, err := w.PutSections(key, all, 0, 0, 0); err != nil {
 				t.Fatal(err)
 			}
+			if err := w.WriteIndex(); err != nil { // so that the opens below read no pack byte
+				t.Fatal(err)
+			}
 			skip := map[string]bool{}
 			for i := 0; i < 18; i++ { // the repeat sections are always restored
 				if next(0, 4) == 0 {

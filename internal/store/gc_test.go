@@ -468,15 +468,15 @@ func TestGCMarkFailsClosed(t *testing.T) {
 		}
 	}
 	rewriteDirectory(t, run, key, func(d *ckptfmt.Directory) { d.Sections[0].Chunks[0].RawLen = -8 })
-	index, err := os.ReadFile(filepath.Join(pool, poolIndexFile))
-	if err != nil {
+	if err := ps.WriteIndex(); err != nil {
 		t.Fatal(err)
 	}
+	before = dirBytes(t, pool)
 	if _, err := GCPool(pool, GCOptions{PackRetention: time.Hour}); !errors.Is(err, codec.ErrCorrupt) {
 		t.Fatalf("GCPool with an undecodable directory: %v, want codec.ErrCorrupt", err)
 	}
-	if after, _ := os.ReadFile(filepath.Join(pool, poolIndexFile)); !bytes.Equal(after, index) {
-		t.Fatal("the aborted GCPool rewrote the pool INDEX")
+	if !maps.Equal(before, dirBytes(t, pool)) {
+		t.Fatal("the aborted GCPool changed the pool")
 	}
 }
 
@@ -693,10 +693,11 @@ func TestGCPoolSkipsScratchLeases(t *testing.T) {
 	}
 }
 
-// TestGCPoolRetiredPackReusedAfterReopen pins the generation-reset hazard:
-// a shard compacted down to zero chunks persists no generation records, so
-// a reopen resumes appending to the very pack object an earlier pass
-// retired — which must then never be deleted while it is active again.
+// TestGCPoolRetiredPackReusedAfterReopen pins that a retired pack is never
+// reused: a shard compacted down to zero chunks keeps its new generation in
+// the INDEX snapshot, so a fresh run after a reopen appends to the new
+// generation's object, never to the retired one — which the next pass then
+// deletes, as it deletes every retired object, rewriting no shard.
 func TestGCPoolRetiredPackReusedAfterReopen(t *testing.T) {
 	base := t.TempDir()
 	pool := filepath.Join(base, "POOL")
@@ -712,35 +713,121 @@ func TestGCPoolRetiredPackReusedAfterReopen(t *testing.T) {
 	if err := DeleteRun(gone); err != nil {
 		t.Fatal(err)
 	}
-	if res, err := GCPool(pool, GCOptions{PackRetention: time.Nanosecond}); err != nil || res.DeadChunks == 0 {
-		t.Fatalf("pool GC after delete: %+v err=%v", res, err)
+	first, err := GCPool(pool, GCOptions{PackRetention: time.Nanosecond})
+	if err != nil || first.DeadChunks == 0 || first.RetiredPacks == 0 {
+		t.Fatalf("pool GC after delete: %+v err=%v", first, err)
+	}
+	retired := map[string][]byte{} // the objects PACKGC schedules, as they are
+	sched, err := os.ReadFile(filepath.Join(pool, packGCFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ln := range strings.Split(strings.TrimSpace(string(sched)), "\n") {
+		name := strings.Fields(ln)[0]
+		if retired[name], err = os.ReadFile(filepath.Join(pool, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(retired) != first.RetiredPacks {
+		t.Fatalf("PACKGC schedules %d objects, the pass retired %d", len(retired), first.RetiredPacks)
 	}
 
-	// "Restart": the empty INDEX resets every shard to generation 0 — the
-	// retired objects' names. A fresh run appends into them.
+	// "Restart": a fresh run appends to the new generations.
 	keep := filepath.Join(base, "run-keep")
 	s2 := openPooled(t, keep, pool)
 	key := Key{LoopID: "train", Exec: 0}
 	if _, err := s2.PutSections(key, familySections(8, 8, 0), 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-
-	// A later pass sees the stale, expired retirement entries — but the
-	// objects are active again and must survive.
-	time.Sleep(2 * time.Millisecond)
-	if _, err := GCPool(pool, GCOptions{PackRetention: time.Hour}); err != nil {
-		t.Fatal(err)
+	for name, content := range retired {
+		if now, err := os.ReadFile(filepath.Join(pool, name)); err != nil || !bytes.Equal(now, content) {
+			t.Fatalf("retired pack %s changed after the fresh run's put: %v", name, err)
+		}
 	}
+
+	// The next pass finds every retirement expired and deletes it all.
+	time.Sleep(2 * time.Millisecond)
+	res, err := GCPool(pool, GCOptions{PackRetention: time.Hour})
+	if err != nil || res.DeletedPacks != first.RetiredPacks || res.CompactedShards != 0 {
+		t.Fatalf("second pass: %+v, %v; want the %d retired packs deleted and no shard rewritten", res, err, first.RetiredPacks)
+	}
+	t.Logf("second pass deleted %d of the %d retired packs", res.DeletedPacks, first.RetiredPacks)
 	secs, err := ReadAll(s2, key, nil)
 	if err != nil || !bytes.Equal(secs[0].Data, familySections(8, 8, 0)[0].Data) {
-		t.Fatalf("read after stale-retirement GC: %v (active pack deleted?)", err)
+		t.Fatalf("read after the retired packs' deletion: %v", err)
 	}
 	s3, err := Open(keep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadAll(s3, key, nil); err != nil {
-		t.Fatalf("reopen read after stale-retirement GC: %v", err)
+		t.Fatalf("reopen read after the retired packs' deletion: %v", err)
+	}
+}
+
+// TestLostSnapshotRefusesTheRetiredPack removes the INDEX after a compacting
+// GC pass, on both writer layouts. The snapshot was the only record of the
+// shards' new generations, so an open reads them at generation 0 — the
+// objects PACKGC retired, which the next pass deletes with every frame in
+// them. A writable open is therefore refused with ErrCorrupt, and no byte of
+// a retired pack changes; a read-only open still serves the live checkpoint
+// from the retired pack while it lasts.
+func TestLostSnapshotRefusesTheRetiredPack(t *testing.T) {
+	key := Key{LoopID: "train", Exec: 0}
+	for _, pooled := range []bool{false, true} {
+		what := map[bool]string{false: "private", true: "pooled"}[pooled]
+		dir, o, index := commitRun(t.TempDir(), pooled)
+		s, err := OpenWith(dir, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := uint64(1); seed <= 2; seed++ { // the second supersedes the first
+			if err := putOne(s, key, seed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var res GCResult
+		if pooled {
+			if _, err = s.GC(); err == nil {
+				res, err = GCPool(o.Pool, GCOptions{PackRetention: time.Nanosecond})
+			}
+		} else {
+			res, err = s.GCWith(GCOptions{PackRetention: time.Nanosecond})
+		}
+		if err != nil || res.CompactedShards == 0 {
+			t.Fatalf("%s: gc %+v, %v; want a compaction", what, res, err)
+		}
+		root := dir
+		if pooled {
+			root = o.Pool
+		}
+		retired := map[string][]byte{}
+		for name := range (&ChunkPool{root: root}).readPackGC() {
+			if retired[name], err = os.ReadFile(filepath.Join(root, name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(retired) == 0 {
+			t.Fatalf("%s: PACKGC schedules nothing", what)
+		}
+		if err := os.Remove(index); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenWith(dir, o); !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("%s: a writable open without the snapshot: %v, want ErrCorrupt", what, err)
+		}
+		for name, content := range retired {
+			if now, err := os.ReadFile(filepath.Join(root, name)); err != nil || !bytes.Equal(now, content) {
+				t.Fatalf("%s: retired pack %s changed: %v", what, name, err)
+			}
+		}
+		ro, err := OpenReadOnly(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if secs, err := ReadAll(ro, key, nil); err != nil || !bytes.Equal(secs[0].Data, noise(4096, 2)) {
+			t.Fatalf("%s: a read-only read from the retired pack: %v", what, err)
+		}
 	}
 }
 

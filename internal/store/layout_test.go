@@ -105,51 +105,57 @@ func TestFormatMarkerWrittenOnceAtOpen(t *testing.T) {
 }
 
 // TestLegacyLayoutsRefuseWritableOpens takes every layout this build does
-// not write — each committed fixture, the markers older builds planted in a
-// fresh directory before its first put (with a SHARDS file of extra roots,
-// and a pool at fanout 4), and stores under a canonical marker whose
-// manifest still holds segment-file checkpoints, private and pooled —
-// through Open, OpenWith and OpenReadOnly: each fails with ErrLegacyLayout,
-// naming the migrate command, and leaves every byte where it was; GCPool
-// refuses the fanout-4 pools, and a fresh pool that leases a recorded one,
-// naming the run. ReadLegacy, the one reader of them, still reads every
-// checkpoint.
+// not write — each committed fixture (the "2 dirs index" run and the
+// "pool1 shards=16" pool the build before this one wrote included), the
+// markers older builds planted in a fresh directory before its first put
+// (with a SHARDS file of extra roots, and pools at fanout 4 and 16), and
+// stores under this build's marker whose manifest holds segment-file
+// checkpoints, private and pooled — through Open, OpenWith and
+// OpenReadOnly: each fails with ErrLegacyLayout, naming the migrate command,
+// and leaves every byte where it was; GCPool refuses the older pools, and a
+// fresh pool that leases a recorded run, naming the run. ReadLegacy, the one
+// reader of the older layouts, still reads every checkpoint, and refuses the
+// two stores under this build's marker as a layout it does not read.
 func TestLegacyLayoutsRefuseWritableOpens(t *testing.T) {
 	type layout struct {
 		name, run, tree string // the run directory, and the tree that must not change
 		o               Options
+		current         bool // under a marker this build writes
 	}
 	var cases []layout
-	for _, fx := range []string{"v1run", "framestyles/deflate", "framestyles/lz4", "gztwins", "sharded", "private2dirs"} {
+	for _, fx := range []string{"v1run", "framestyles/deflate", "framestyles/lz4", "gztwins", "sharded", "private2dirs", "private2index"} {
 		dir := legacyFixture(t, filepath.FromSlash(fx))
-		cases = append(cases, layout{fx, dir, dir, Options{}})
+		cases = append(cases, layout{fx, dir, dir, Options{}, false})
 	}
 	multi := legacyFixture(t, "multiroot")
-	pool4 := legacyFixture(t, "pool4")
-	cases = append(cases,
-		layout{"multiroot", filepath.Join(multi, "run"), multi, Options{}},
-		layout{"pool4", filepath.Join(pool4, "run"), pool4, Options{}},
-		layout{"pool4 attach", filepath.Join(t.TempDir(), "run"), pool4, Options{Pool: pool4}},
-	)
-	for _, marker := range []string{"2", "2 gc", "2 lz4", "2 dirs", "2 shards=8", "2 shards=8 dirs", "2 shards=8 dirs index", "2 gc dirs", "2 lz4 dirs", "2 pool shards=4 dirs", "2 pool shards=16 dirs index"} {
+	cases = append(cases, layout{"multiroot", filepath.Join(multi, "run"), multi, Options{}, false})
+	for _, fx := range []string{"pool4", "pool16"} {
+		pool := legacyFixture(t, fx)
+		cases = append(cases,
+			layout{fx, filepath.Join(pool, "run"), pool, Options{}, false},
+			layout{fx + " attach", filepath.Join(t.TempDir(), "run"), pool, Options{Pool: pool}, false})
+	}
+	for _, marker := range []string{"2", "2 gc", "2 lz4", "2 dirs", "2 shards=8", "2 shards=8 dirs", "2 shards=8 dirs index", "2 gc dirs", "2 lz4 dirs", "2 pool shards=4 dirs", "2 pool shards=16 dirs index", "2 dirs index", "2 pool shards=16 dirs"} {
 		dir := t.TempDir()
 		plant(t, dir, formatFile, marker+"\n")
-		cases = append(cases, layout{"planted " + marker, dir, dir, Options{}})
+		cases = append(cases, layout{"planted " + marker, dir, dir, Options{}, false})
 	}
 	roots := t.TempDir()
 	plant(t, filepath.Join(roots, "run"), "SHARDS", "../rootA\n")
-	cases = append(cases, layout{"planted SHARDS", filepath.Join(roots, "run"), roots, Options{}})
-	planted := t.TempDir()
-	plant(t, planted, poolMarkerFile, "pool1 shards=4\n")
-	cases = append(cases, layout{"planted pool1 shards=4", filepath.Join(t.TempDir(), "run"), planted, Options{Pool: planted}})
+	cases = append(cases, layout{"planted SHARDS", filepath.Join(roots, "run"), roots, Options{}, false})
+	for _, marker := range []string{"pool1 shards=4", "pool1 shards=16"} {
+		planted := t.TempDir()
+		plant(t, planted, poolMarkerFile, marker+"\n")
+		cases = append(cases, layout{"planted " + marker, filepath.Join(t.TempDir(), "run"), planted, Options{Pool: planted}, false})
+	}
 
-	// A canonical marker over segment-file checkpoints: the gztwins store
-	// with its chunk records moved to its INDEX under "2 dirs index", and a
-	// run of a fresh pool whose directories were moved out to segment files,
-	// the form older builds wrote.
+	// This build's marker over segment-file checkpoints: the gztwins store
+	// with its chunk records moved to its INDEX, and a run of a fresh pool
+	// whose directories were moved out to segment files, the form older
+	// builds wrote.
 	segs := legacyFixture(t, "gztwins")
 	chunksToIndex(t, segs)
-	cases = append(cases, layout{"2 dirs over segments", segs, segs, Options{}})
+	cases = append(cases, layout{"2 dirs over segments", segs, segs, Options{}, true})
 	pooledSegs := t.TempDir()
 	run := filepath.Join(pooledSegs, "run")
 	s := openPooled(t, run, filepath.Join(pooledSegs, "POOL"))
@@ -157,7 +163,7 @@ func TestLegacyLayoutsRefuseWritableOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	toSegments(t, run)
-	cases = append(cases, layout{"pooled over segments", run, pooledSegs, Options{}})
+	cases = append(cases, layout{"pooled over segments", run, pooledSegs, Options{}, true})
 
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -211,7 +217,10 @@ func TestLegacyLayoutsRefuseWritableOpens(t *testing.T) {
 				n++
 				return nil
 			})
-			if err != nil || n == 0 {
+			switch {
+			case c.current && !errors.Is(err, ErrUnknownFormat):
+				t.Fatalf("ReadLegacy of a store under this build's marker: %v, want ErrUnknownFormat", err)
+			case !c.current && (err != nil || n == 0):
 				t.Fatalf("ReadLegacy read %d checkpoints: %v", n, err)
 			}
 			if !maps.Equal(before, dirBytes(t, c.tree)) {
@@ -279,15 +288,18 @@ func TestDirBackendPlacementPinned(t *testing.T) {
 // else — a run's FORMAT marker and a pool's POOL marker — through the
 // classification that decides whether the layout is one this build opens.
 // Nothing panics; only the two run markers a writable open leaves ("2 dirs
-// index", "2 pool shards=16 dirs") and the pool marker "pool1 shards=16"
-// open, whatever the whitespace around their tokens. Every other marker is
+// packlog", "2 pool shards=16 dirs packlog") and the pool marker "pool2
+// shards=16" open, whatever the whitespace around their tokens. Every other marker is
 // ErrLegacyLayout exactly when it is in the grammar older builds wrote
 // (legacy.go; FuzzLegacyMarker fuzzes that grammar), and ErrUnknownFormat
 // or an unknown-pool-marker error otherwise.
 func FuzzFormatMarker(f *testing.F) {
 	for _, seed := range [][2]string{
-		{markerPrivate, "pool1 shards=16\n"},
+		{markerPrivate, poolMarker},
 		{markerPooled, "pool1 shards=4\n"},
+		{"2 dirs index", "pool1 shards=16\n"},
+		{"2 pool shards=16 dirs", " pool2  shards=16 "},
+		{"2 dirs packlog index", "pool2 shards=4"},
 		{"2 shards=4 dirs\n", "pool1 shards=1"},
 		{"2 gc\n", "pool1 shards=16 gc"},
 		{"2 lz4 dirs", "pool1"},
@@ -304,8 +316,8 @@ func FuzzFormatMarker(f *testing.F) {
 	f.Fuzz(func(t *testing.T, format, pool []byte) {
 		l, err := parseFormatMarker("run", format)
 		switch n := norm(format); {
-		case n == "2 dirs index" || n == "2 pool shards=16 dirs":
-			if err != nil || l.Pooled != (n == "2 pool shards=16 dirs") {
+		case n == "2 dirs packlog" || n == "2 pool shards=16 dirs packlog":
+			if err != nil || l.Pooled != (n == "2 pool shards=16 dirs packlog") {
 				t.Fatalf("FORMAT %q: %+v, %v; want it opened", format, l, err)
 			}
 		case err == nil:
@@ -319,7 +331,7 @@ func FuzzFormatMarker(f *testing.F) {
 		err = checkPoolMarker("pool", pool)
 		_, legacy := parseLegacyPoolMarker(pool)
 		switch {
-		case norm(pool) == "pool1 shards=16":
+		case norm(pool) == "pool2 shards=16":
 			if err != nil {
 				t.Fatalf("POOL %q: %v; want it opened", pool, err)
 			}

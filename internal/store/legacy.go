@@ -107,7 +107,7 @@ func openLegacy(dir string) (*legacyRun, error) {
 	}
 	if index {
 		recs = nil
-		if _, _, err := scanLog(filepath.Join(r.roots[0], poolIndexFile), decodeIndexRecord, collect); err != nil {
+		if _, _, err := scanLog(filepath.Join(r.roots[0], poolIndexFile), decodeManifestRecord, collect); err != nil {
 			return nil, err
 		}
 	}
@@ -148,9 +148,9 @@ func decodeV1Record(b []byte) (rec manifestRecord, n int, err error) {
 }
 
 // adopt installs the chunk records among recs (the first of a hash wins),
-// but, as a pool's open does (finishOpen), none of a generation older than
-// the newest its shard's records name and none that cannot locate a frame
-// inside its pack, so that no read is sized by such a record.
+// but none of a generation older than the newest its shard's records name
+// and none that cannot locate a frame inside its pack, so that no read is
+// sized by such a record.
 func (r *legacyRun) adopt(recs []manifestRecord) {
 	gens := make([]int, r.fanout)
 	for _, rec := range recs {

@@ -114,8 +114,8 @@ func rewriteChunkRecords(t *testing.T, path string, edit func(*chunkLoc)) {
 // negative field, or an extent whose end overflows int64: open drops it as
 // it drops a record pointing past the pack's end. A read-only read of its
 // checkpoint is codec.ErrCorrupt, never a panic, and a writable open is
-// refused — in a private store and in a shared pool (read at open or when a
-// writable attach reloads the pool instance this process holds).
+// refused — in a private store and in a shared pool (read at open or when
+// the pool instance this process holds reloads a replaced snapshot).
 func TestInvalidChunkRecordIsDroppedAtOpen(t *testing.T) {
 	edits := map[string]func(*chunkLoc){
 		"negative offset":  func(l *chunkLoc) { l.Off = -1 },
@@ -142,9 +142,9 @@ func TestInvalidChunkRecordIsDroppedAtOpen(t *testing.T) {
 			}
 		}
 	}
-	// A record another process appends to the pool's INDEX while this
-	// process holds the pool writable is checked when a writable attach
-	// opens the pool, and when the held instance catches up at its next put.
+	// A snapshot another process writes while this process holds the pool
+	// writable is checked when a writable attach opens the pool, and when
+	// the held instance catches up at its next put.
 	base := t.TempDir()
 	pool := filepath.Join(base, "POOL")
 	s, err := OpenWith(filepath.Join(base, "run1"), Options{Pool: pool})
@@ -154,21 +154,24 @@ func TestInvalidChunkRecordIsDroppedAtOpen(t *testing.T) {
 	if _, err := s.PutSections(key, []Section{{Name: "w", Data: data}}, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
+	if err := s.WriteIndex(); err != nil {
+		t.Fatal(err)
+	}
 	foreign := noise(4096, 5)
 	h := ckptfmt.HashChunk(foreign)
-	idx, err := os.OpenFile(filepath.Join(pool, poolIndexFile), os.O_WRONLY|os.O_APPEND, 0o644)
+	snap, err := os.ReadFile(filepath.Join(pool, poolIndexFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := idx.Write(frameTagged(recChunk, encodeChunkRecord(h, chunkLoc{EncLen: -40, RawLen: len(foreign)}))); err != nil {
+	snap = append(snap, frameTagged(recChunk, encodeChunkRecord(h, chunkLoc{EncLen: -40, RawLen: len(foreign)}))...)
+	if err := writeFileAtomic(filepath.Join(pool, poolIndexFile), snap); err != nil {
 		t.Fatal(err)
 	}
-	idx.Close()
 	if _, err := OpenWith(filepath.Join(base, "run2"), Options{Pool: pool}); !errors.Is(err, codec.ErrCorrupt) {
-		t.Fatalf("writable attach after a foreign invalid INDEX record: %v; want codec.ErrCorrupt", err)
+		t.Fatalf("writable attach after a foreign invalid snapshot record: %v; want codec.ErrCorrupt", err)
 	}
 	if _, err := s.PutSections(Key{LoopID: "L", Exec: 1}, []Section{{Name: "w", Data: noise(4096, 6)}}, 0, 0, 0); !errors.Is(err, codec.ErrCorrupt) {
-		t.Fatalf("put through the held instance after a foreign invalid INDEX record: %v; want codec.ErrCorrupt", err)
+		t.Fatalf("put through the held instance after a foreign invalid snapshot record: %v; want codec.ErrCorrupt", err)
 	}
 
 	// The unedited store reads back: what fails above is the edit.
@@ -191,9 +194,10 @@ func TestInvalidChunkRecordIsDroppedAtOpen(t *testing.T) {
 // pack's end or overflowing int64, a raw length its frame cannot hold, and a
 // directory whose chunk length disagrees with its record. Each fails the
 // pass with codec.ErrCorrupt before any buffer is sized by it — never a
-// panic or an unbounded allocation — and changes no byte: in a private
-// store, in one an older build left with its chunk records in the MANIFEST
-// ("2 dirs"), and in a shared pool.
+// panic or an unbounded allocation — and changes no byte: in the layouts
+// older builds left, a private store with its chunk records in its INDEX
+// ("2 dirs index") or in its MANIFEST ("2 dirs"), and a run of a "pool1"
+// pool.
 func TestReadLegacyRefusesInvalidRecords(t *testing.T) {
 	const inflated = int(min(1<<40, math.MaxInt))
 	records := map[string]func(*chunkLoc){
@@ -214,7 +218,8 @@ func TestReadLegacyRefusesInvalidRecords(t *testing.T) {
 	data := noise(3*ckptfmt.DefaultChunkSize, 6)
 	plantLegacy := func(layout string) (dir, records string) {
 		if layout != "manifest" {
-			dir, _, records = plantedRecordLog(t, layout, key, data)
+			dir, o, records := plantedRecordLog(t, layout, key, data)
+			asIndexLog(t, dir, o.Pool)
 			return dir, records
 		}
 		dir, _, _ = plantedRecordLog(t, "index", key, data)
@@ -258,13 +263,13 @@ func TestReadLegacyRefusesInvalidRecords(t *testing.T) {
 }
 
 // recordLogLayouts are the two places a chunk record is read from: a
-// private store's INDEX and a shared pool's INDEX.
+// private store's INDEX snapshot and a shared pool's.
 var recordLogLayouts = []string{"index", "pool"}
 
 // plantedRecordLog records data under key into a store of the given
-// recordLogLayouts layout, under a fresh base directory, and returns the run
-// directory, the options a writable open of it takes, and the log that holds
-// its chunk records.
+// recordLogLayouts layout, under a fresh base directory, writes its
+// snapshot, and returns the run directory, the options a writable open of
+// it takes, and the snapshot that holds its chunk records.
 func plantedRecordLog(t *testing.T, layout string, key Key, data []byte) (dir string, o Options, records string) {
 	t.Helper()
 	base := t.TempDir()
@@ -278,6 +283,9 @@ func plantedRecordLog(t *testing.T, layout string, key Key, data []byte) (dir st
 		t.Fatal(err)
 	}
 	if _, err := s.PutSections(key, []Section{{Name: "w", Data: data}}, 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteIndex(); err != nil {
 		t.Fatal(err)
 	}
 	return dir, o, records

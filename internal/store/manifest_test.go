@@ -59,15 +59,51 @@ func manifestRecords(t *testing.T, dir string) (raw [][]byte, recs []manifestRec
 	return raw, recs
 }
 
-// chunksToManifest puts a private store of this build into the layout older
-// builds left ("2 dirs"): its INDEX records move into its MANIFEST, ahead of
-// its meta records, as an older build's GC left them.
-func chunksToManifest(t testing.TB, dir string) {
+// chunksOf returns the chunk records of the INDEX snapshot at path, as an
+// older build's INDEX log held them: the snapshot less its shard records.
+func chunksOf(t testing.TB, path string) []byte {
 	t.Helper()
-	idx, err := os.ReadFile(filepath.Join(dir, poolIndexFile))
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var out []byte
+	for off := 0; off < len(raw); {
+		rec, n, err := decodeManifestRecord(raw[off:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.tag == recChunk {
+			out = append(out, raw[off:off+n]...)
+		}
+		off += n
+	}
+	return out
+}
+
+// asIndexLog puts a store of this build that never compacted, its snapshot
+// written, into the layout the build before this one wrote: its INDEX the
+// log of its chunk records, under the marker "2 dirs index" for a private
+// store, or "2 pool shards=16 dirs" for a pooled run, whose pool (at pool)
+// gets the marker "pool1 shards=16".
+func asIndexLog(t testing.TB, dir, pool string) {
+	t.Helper()
+	if pool == "" {
+		plant(t, dir, poolIndexFile, string(chunksOf(t, filepath.Join(dir, poolIndexFile))))
+		plant(t, dir, formatFile, "2 dirs index\n")
+		return
+	}
+	plant(t, pool, poolIndexFile, string(chunksOf(t, filepath.Join(pool, poolIndexFile))))
+	plant(t, pool, poolMarkerFile, "pool1 shards=16\n")
+	plant(t, dir, formatFile, "2 pool shards=16 dirs\n")
+}
+
+// chunksToManifest puts a private store of this build into the layout older
+// builds left ("2 dirs"): its INDEX chunk records move into its MANIFEST,
+// ahead of its meta records, as an older build's GC left them.
+func chunksToManifest(t testing.TB, dir string) {
+	t.Helper()
+	idx := chunksOf(t, filepath.Join(dir, poolIndexFile))
 	man, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil {
 		t.Fatal(err)
@@ -104,6 +140,8 @@ func encodeRecord(rec manifestRecord) []byte {
 		return frameTagged(recMeta, encodeMeta(rec.e))
 	case recChunk:
 		return frameTagged(recChunk, encodeChunkRecord(rec.hash, rec.loc))
+	case recShard:
+		return frameTagged(recShard, encodeShardRecord(rec.shard))
 	default:
 		return frameTagged(recPool, encodePoolRef(rec.ref, rec.fanout))
 	}
@@ -159,6 +197,9 @@ func recordLayouts(t testing.TB, base string) (dirs map[string]string, want map[
 			}
 		}
 		if _, err := putBlob(s, Key{LoopID: "blob", Exec: 0}, []byte("opaque"), 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteIndex(); err != nil { // as a finished recording does
 			t.Fatal(err)
 		}
 		dirs[layout.name] = dir

@@ -2,50 +2,62 @@ package store
 
 // pool.go implements the ChunkPool: the run-agnostic chunk layer under the
 // checkpoint store. A pool owns the hash-prefix shard table — the
-// content-addressed dedup index, pack objects behind a Backend — the INDEX
-// its chunk records are committed to, the commit lock its writers take, and
+// content-addressed dedup index over pack objects behind a Backend — the
+// INDEX snapshot of that index, the commit lock its writers take, and
 // refcount-style garbage collection of superseded chunks via generational
 // pack compaction.
 //
-// Every v2 store runs on a pool, and every pool keeps its chunk records in
-// the INDEX at its root; a run's MANIFEST holds only its meta records (and a
-// pooled run's pool reference). A private store is a pool of one: its root
-// is the run directory, and that run is the only one it marks. A *shared*
-// pool lives in its own directory (conventionally <project>/POOL) and is
-// attached by many runs of the same project, each holding a lease:
+// The packs are the log. A frame carries its hash, both lengths and its
+// style under its CRC, so a pack's whole frames are its chunk records, found
+// by a scan (ckptfmt.Parse) that stops at the first frame that is not whole.
+// The INDEX only spares that scan (Bitcask's hint file, Sheehy & Smith
+// 2010): a snapshot, written whole by write-then-rename by a GC pass (its
+// commit point) and by a finished recording (Store.WriteIndex), of each
+// shard's generation and the pack bytes it covers, then their chunk
+// records. An open trusts it up to each shard's covered length and scans
+// the rest; a put never touches it.
 //
-//	<root>/POOL          marker: "pool1 shards=N" (shared pools)
-//	<root>/INDEX         append-only CRC-framed chunk records ('C')
+// Every v2 store runs on a pool; a run's MANIFEST holds only its meta records
+// (and a pooled run's pool reference). A private store is a pool of one: its
+// root is the run directory, and that run is the only one it marks. A
+// *shared* pool lives in its own directory (conventionally <project>/POOL)
+// and is attached by many runs of the same project, each holding a lease:
+//
+//	<root>/POOL          marker: "pool2 shards=N" (shared pools)
+//	<root>/INDEX         the snapshot: shard records ('S'), then chunk records ('C')
 //	<root>/LEASES/<id>   one lease file per attached run (shared pools)
 //	<root>/PACKGC        retired pack generations awaiting expiry
-//	<root>/CHUNKS[-xx][.gN] pack objects, generational after compaction
+//	<root>/CHUNKS[-xx][.gN] pack objects of raw frames, generational after compaction
 //
 // Every attach, read-only or writable, is an instance of its own, built one
 // way, by open, from the pool's files. Every writer holds the pool's commit
 // lock (lock: an exclusive flock(2) on the root) for what it writes, first
-// catching up with what other writers committed, and a put takes its pack
-// offsets from the pack files. So writers in many processes, or instances in
-// one, never commit records naming the same bytes. Readers take no lock.
-// docs/FORMATS.md lists the writer paths.
+// catching up with what other writers committed and cutting a torn pack
+// tail, so writers in many processes, or instances in one, never commit
+// records naming the same bytes. Readers take no lock. docs/FORMATS.md lists
+// the writer paths.
 //
 // # GC and the grace period
 //
 // GC marks every chunk a committed checkpoint of one of the pool's runs
 // references, reading their MANIFESTs. Compaction never mutates a pack in
 // place: survivors of shard S at generation g are rewritten into the pack
-// object for generation g+1, the INDEX is atomically rewritten, and only
-// then does the in-memory shard swap to the new generation. The replaced
-// object is a grace-period tombstone: it stays on disk, readable by any
-// store that resolved chunk locations before the swap (including concurrent
-// OpenReadOnly stores in other processes), until a later GC pass finds its
-// retirement deadline expired in PACKGC and deletes it.
+// object for generation g+1, a snapshot naming g+1 atomically replaces the
+// INDEX, and only then does the in-memory shard swap to the new generation.
+// The replaced object is a grace-period tombstone: it stays on disk,
+// readable by any store that resolved chunk locations before the swap
+// (including concurrent OpenReadOnly stores in other processes), until a
+// later GC pass finds its retirement deadline expired in PACKGC and deletes
+// it.
 
 import (
+	"bufio"
 	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -97,7 +109,8 @@ type poolShard struct {
 	name string // base pack object name within the backend
 
 	mu     sync.Mutex
-	gen    int // active pack generation
+	gen    int   // active pack generation
+	end    int64 // the active pack's bytes indexed: whole frames up to here
 	chunks map[ckptfmt.Hash]chunkLoc
 }
 
@@ -140,14 +153,13 @@ type ChunkPool struct {
 	fanout int
 
 	backend Backend
+	snap    os.FileInfo // the INDEX as this instance last read or wrote it (nil: none), under the commit lock
 
 	// mu guards the fields below. The commit lock (lock), which every writer
 	// holds, comes before it, any shard.mu and Store.mu.
-	mu       sync.Mutex
-	readOnly bool
-	stored   PoolStats // Chunks/StoredRawBytes/StoredEncBytes upkeep
-	dropped  []string  // packs whose records are invalid or point past the pack's real end
-	index    recordLog // INDEX
+	mu      sync.Mutex
+	stored  PoolStats // Chunks/StoredRawBytes/StoredEncBytes upkeep
+	dropped []string  // packs shorter than the snapshot covers, or holding invalid snapshot records
 
 	shardTab []*poolShard // two-level dedup index: shardTab[shardOf(h)].chunks[h]
 
@@ -158,15 +170,125 @@ type ChunkPool struct {
 	mFetchFrames [numTiers]*obs.Counter
 }
 
-// open builds the shard table and replays the pool's INDEX. finishOpen then
-// resolves pack generations and lengths and drops records no pack holds.
+// open builds the shard table from the INDEX snapshot and a scan of each
+// pack past what it covers. A pack shorter than that, holding a snapshot
+// record that locates no raw frame inside it or a corrupt frame, or retired
+// by GC, goes into dropped.
 func (p *ChunkPool) open() error {
 	p.initShards()
-	p.index = recordLog{path: filepath.Join(p.root, poolIndexFile)}
-	if err := p.replayIndex(); err != nil {
+	p.stored = PoolStats{Root: p.root, Fanout: p.fanout}
+	if err := p.readSnapshot(); err != nil {
 		return err
 	}
-	return p.finishOpen()
+	sched := p.readPackGC()
+	for _, sh := range p.shardTab {
+		n, err := p.backend.Size(sh.obj())
+		if err != nil {
+			return fmt.Errorf("store: shard %s: %w", sh.obj(), err)
+		}
+		// A pack shorter than its snapshot covers was lost or truncated (a
+		// snapshot covers only bytes that landed); one PACKGC names was
+		// retired by a GC pass whose snapshot is gone, and is deleted by the
+		// next, with every frame appended to it.
+		_, retired := sched[sh.obj()]
+		bad := n < sh.end || retired
+		sh.end = min(sh.end, n)
+		for h, loc := range sh.chunks {
+			if loc.Gen != sh.gen || loc.Style != ckptfmt.StyleRaw || !loc.valid(sh.end) {
+				delete(sh.chunks, h) // reads of what names it surface ErrCorrupt
+				bad = true
+				continue
+			}
+			p.stored.Chunks++
+			p.stored.StoredRawBytes += int64(loc.RawLen)
+			p.stored.StoredEncBytes += int64(loc.EncLen)
+		}
+		scanned, end, corrupt, err := p.scanShard(sh.obj(), sh.gen, sh.end, n)
+		if err != nil {
+			return err
+		}
+		if bad || corrupt {
+			p.dropped = append(p.dropped, sh.obj())
+		}
+		p.adopt(sh, scanned, end)
+	}
+	return nil
+}
+
+// readSnapshot reads the INDEX snapshot, noting its file, into each shard's
+// generation, covered length and chunks (the first record of a hash wins).
+// No snapshot covers nothing, at generation 0. A snapshot is written whole,
+// so one that does not decode to its end is corrupt.
+func (p *ChunkPool) readSnapshot() error {
+	p.snap, _ = os.Stat(p.indexPath()) // before the read: a snapshot replaced in between is read again
+	good, torn, err := scanLog(p.indexPath(), decodeManifestRecord, func(rec manifestRecord) error {
+		switch {
+		case rec.tag == recShard && rec.shard.index < p.fanout:
+			sh := p.shardTab[rec.shard.index]
+			sh.gen, sh.end = rec.shard.gen, rec.shard.end
+		case rec.tag == recChunk:
+			sh := p.shardTab[p.shardOf(rec.hash)]
+			if _, dup := sh.chunks[rec.hash]; !dup {
+				sh.chunks[rec.hash] = rec.loc
+			}
+		default:
+			return fmt.Errorf("%w: INDEX snapshot of %s: record %c", codec.ErrCorrupt, p.root, rec.tag)
+		}
+		return nil
+	})
+	if err == nil && torn {
+		err = fmt.Errorf("%w: INDEX snapshot of %s: a record at byte %d does not decode", codec.ErrCorrupt, p.root, good)
+	}
+	return err
+}
+
+// scanWindow is what a scan reads at once: past the largest frame a put
+// writes, so that a frame declaring more is corrupt.
+const scanWindow = 1 << 20
+
+// scanShard returns the frames in the pack obj, generation gen, from byte
+// from up to byte n, and the offset past the last. It stops at the first
+// frame that is not whole. That frame is torn — the bytes a crash or a
+// failed append left, which the next writer cuts — when the pack ends inside
+// its header or inside the length it declares. Otherwise it is corrupt: a
+// header no raw frame a put writes has, or a CRC that does not match. Then
+// bad is set, and the bytes from there, later whole frames among them, are
+// not a tail to cut.
+func (p *ChunkPool) scanShard(obj string, gen int, from, n int64) (recs []poolChunkRec, end int64, bad bool, err error) {
+	if from >= n {
+		return nil, from, false, nil
+	}
+	r, err := p.backend.Open(obj)
+	if err != nil {
+		return nil, from, false, fmt.Errorf("store: scan %s: %w", obj, err)
+	}
+	defer r.Close()
+	br := bufio.NewReaderSize(io.NewSectionReader(r, from, n-from), int(min(max(n-from, ckptfmt.MaxHeaderLen), scanWindow)))
+	for end = from; end < n; {
+		b, err := br.Peek(ckptfmt.MaxHeaderLen) // fewer bytes where the pack ends
+		f, wire, herr := ckptfmt.ParseHeader(b)
+		if herr == nil && wire <= scanWindow {
+			b, err = br.Peek(wire)
+		}
+		if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, bufio.ErrBufferFull) { // a window sized to a shorter pack
+			return nil, from, false, fmt.Errorf("store: scan %s at %d: %w", obj, end, err)
+		}
+		switch {
+		case errors.Is(herr, io.ErrUnexpectedEOF):
+			return recs, end, false, nil
+		case herr != nil || f.Style != ckptfmt.StyleRaw || wire != ckptfmt.RawWireLen(f.RawLen) || wire > scanWindow:
+			return recs, end, true, nil
+		case len(b) < wire:
+			return recs, end, false, nil
+		}
+		if _, _, err := ckptfmt.Parse(b); err != nil {
+			return recs, end, true, nil
+		}
+		recs = append(recs, poolChunkRec{f.Hash, chunkLoc{Gen: gen, Off: end, EncLen: wire, RawLen: f.RawLen, Style: f.Style}})
+		br.Discard(wire)
+		end += int64(wire)
+	}
+	return recs, end, false, nil
 }
 
 // initShards builds the shard table, once, and resolves the per-tier fetch
@@ -201,102 +323,29 @@ func (p *ChunkPool) countFetch(tier int, b, frames int64, fs *FetchStats) {
 	fs.note(tier, b, frames)
 }
 
-// Fanout returns the pool's shard count.
-func (p *ChunkPool) Fanout() int { return p.fanout }
-
 // shardOf and shardIndex map a content hash to its shard index: the hash's
 // top byte masked to the fanout, a power of two. The shard is a pure
 // function of the hash, so chunk records never need to name it.
 func (p *ChunkPool) shardOf(h ckptfmt.Hash) int { return shardIndex(h, p.fanout) }
 func shardIndex(h ckptfmt.Hash, fanout int) int { return int(h[0]) & (fanout - 1) }
 
-// adopt installs one replayed chunk record (first record wins, matching
-// write-order dedup) and counts it stored. Used while replaying an INDEX and
-// publishing a put's records; the caller holds p.mu or has the pool to
-// itself.
-func (p *ChunkPool) adopt(h ckptfmt.Hash, loc chunkLoc) {
-	sh := p.shardTab[p.shardOf(h)]
+// adopt installs chunk records of shard sh (the first of a hash wins, as
+// write-order dedup does), counts them stored, and moves the shard's indexed
+// end to end. The caller holds the commit lock or has the pool to itself.
+func (p *ChunkPool) adopt(sh *poolShard, recs []poolChunkRec, end int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, dup := sh.chunks[h]; !dup {
-		sh.chunks[h] = loc
-		p.stored.Chunks++
-		p.stored.StoredRawBytes += int64(loc.RawLen)
-		p.stored.StoredEncBytes += int64(loc.EncLen)
-	}
-	if loc.Gen > sh.gen {
-		sh.gen = loc.Gen
-	}
-}
-
-// finishOpen completes initialization after records were adopted: resolves
-// each shard's active generation, drops records from stale generations and
-// records that are not valid in their pack (remembering the pack in
-// dropped), and rebuilds the stored-chunk accounting. It runs once, at the
-// end of open, before the pool is shared.
-func (p *ChunkPool) finishOpen() error {
-	p.stored = PoolStats{Root: p.root, Fanout: p.fanout}
-	for _, sh := range p.shardTab {
-		n, err := p.backend.Size(sh.obj())
-		if err != nil {
-			return fmt.Errorf("store: shard %s: %w", sh.obj(), err)
-		}
-		sh.mu.Lock()
-		bad := false
-		for h, loc := range sh.chunks {
-			if loc.Gen != sh.gen || !loc.valid(n) {
-				// A record from a superseded generation, with a negative
-				// field or a raw length its frame cannot hold, or pointing
-				// past the pack's real end (pack lost or truncated — never
-				// a crash artifact, since pack bytes land before records).
-				// Drop it and let reads of referencing checkpoints surface
-				// ErrCorrupt.
-				delete(sh.chunks, h)
-				bad = true
-				continue
-			}
+	for _, cr := range recs {
+		if _, dup := sh.chunks[cr.hash]; !dup {
+			sh.chunks[cr.hash] = cr.loc
 			p.stored.Chunks++
-			p.stored.StoredRawBytes += int64(loc.RawLen)
-			p.stored.StoredEncBytes += int64(loc.EncLen)
-		}
-		sh.mu.Unlock()
-		if bad && !slices.Contains(p.dropped, sh.obj()) {
-			p.dropped = append(p.dropped, sh.obj())
+			p.stored.StoredRawBytes += int64(cr.loc.RawLen)
+			p.stored.StoredEncBytes += int64(cr.loc.EncLen)
 		}
 	}
-	sort.Strings(p.dropped)
-	return nil
-}
-
-// dropMismatched drops every chunk record whose raw length disagrees with
-// the one a directory in dirs gives its hash, as finishOpen drops a record
-// its pack cannot hold: the pack goes into dropped, and the record out of
-// the index and the stored-chunk accounting.
-func (p *ChunkPool) dropMismatched(dirs []*ckptfmt.Directory) {
-	for _, d := range dirs {
-		for _, sec := range d.Sections {
-			for _, ref := range sec.Chunks {
-				sh := p.shardTab[p.shardOf(ref.Hash)]
-				sh.mu.Lock()
-				loc, ok := sh.chunks[ref.Hash]
-				bad, obj := ok && loc.RawLen != ref.RawLen, sh.obj()
-				if bad {
-					delete(sh.chunks, ref.Hash)
-				}
-				sh.mu.Unlock()
-				if bad {
-					p.mu.Lock()
-					p.stored.Chunks--
-					p.stored.StoredRawBytes -= int64(loc.RawLen)
-					p.stored.StoredEncBytes -= int64(loc.EncLen)
-					if !slices.Contains(p.dropped, obj) {
-						p.dropped = append(p.dropped, obj)
-					}
-					p.mu.Unlock()
-				}
-			}
-		}
-	}
+	sh.end = end
 }
 
 // Stats returns a snapshot of the pool's storage accounting, a shared
@@ -334,16 +383,16 @@ func (p *ChunkPool) filterFresh(hashes []ckptfmt.Hash) []int {
 }
 
 // appendFrames appends freshly encoded frames to their hash shards' packs —
-// the involved shards concurrently, each at its pack's end as the file has
-// it (Backend.Size) — and returns each frame's committed location. A shard's
-// frames go out as one backend append: their wire lengths are known up front
-// (Frame.WireLen), so they are staged once, at their exact size, in a span of
-// the ckptfmt.Shared scratch arena that goes back the moment the append
-// returns. Nothing section-sized stays reachable from the pool or its shards
-// after a put — a recording's store outlives its puts by the whole life of
-// the Recording. It then appends the frames' chunk records to the INDEX and
-// publishes their locations to the in-memory dedup index. Callers hold the
-// commit lock (via Store.putV2).
+// the involved shards concurrently, each after its last whole frame — and
+// returns each frame's committed location. A shard's frames go out as one
+// backend append: their wire lengths are known up front (Frame.WireLen), so
+// they are staged once, at their exact size, in a span of the ckptfmt.Shared
+// scratch arena that goes back the moment the append returns. Nothing
+// section-sized stays reachable from the pool or its shards after a put — a
+// recording's store outlives its puts by the whole life of the Recording.
+// Once every append landed, the frames are published to the dedup index;
+// after a failed one, the next writer's catch-up adopts what whole frames
+// landed and cuts the rest. Callers hold the commit lock (via Store.putV2).
 func (p *ChunkPool) appendFrames(frames []ckptfmt.Frame) ([]chunkLoc, error) {
 	if len(frames) == 0 {
 		return nil, nil
@@ -358,17 +407,13 @@ func (p *ChunkPool) appendFrames(frames []ckptfmt.Frame) ([]chunkLoc, error) {
 		involved = append(involved, si)
 	}
 	locs := make([]chunkLoc, len(frames))
+	ends := make([]int64, len(involved))
 	appendErrs := make([]error, len(involved))
 	ckptfmt.ParallelDo(len(involved), func(k int) {
 		sh := p.shardTab[involved[k]]
 		sh.mu.Lock()
-		obj, gen := sh.obj(), sh.gen
+		obj, gen, start := sh.obj(), sh.gen, sh.end
 		sh.mu.Unlock()
-		start, err := p.backend.Size(obj)
-		if err != nil {
-			appendErrs[k] = fmt.Errorf("store: shard %s: %w", sh.name, err)
-			return
-		}
 		off := start
 		idxs := frameShards[involved[k]]
 		for _, i := range idxs {
@@ -376,6 +421,7 @@ func (p *ChunkPool) appendFrames(frames []ckptfmt.Frame) ([]chunkLoc, error) {
 			locs[i] = chunkLoc{Gen: gen, Off: off, EncLen: wire, RawLen: frames[i].RawLen, Style: frames[i].Style}
 			off += int64(wire)
 		}
+		ends[k] = off
 		span := ckptfmt.Shared.Get(int(off - start))
 		defer ckptfmt.Shared.Put(span)
 		buf := span[:0]
@@ -389,11 +435,12 @@ func (p *ChunkPool) appendFrames(frames []ckptfmt.Frame) ([]chunkLoc, error) {
 	if err := errors.Join(appendErrs...); err != nil {
 		return nil, err
 	}
-	// Durable record first, then in-memory publication: a chunk becomes
-	// dedup-visible to any put only once its INDEX record can survive a
-	// crash.
-	if err := p.appendIndexRecords(frames, locs); err != nil {
-		return nil, err
+	for k, si := range involved {
+		recs := make([]poolChunkRec, 0, len(frameShards[si]))
+		for _, i := range frameShards[si] {
+			recs = append(recs, poolChunkRec{frames[i].Hash, locs[i]})
+		}
+		p.adopt(p.shardTab[si], recs, ends[k])
 	}
 	return locs, nil
 }
@@ -420,11 +467,11 @@ func (p *ChunkPool) resolve(jobs []chunkJob, byShard map[int][]int, key Key) err
 }
 
 // encodeChunkRecord encodes a chunk record's body: the one place a chunk
-// record is made (appendIndexRecords, persistIndex).
+// record is made (persistIndex).
 func encodeChunkRecord(hash ckptfmt.Hash, loc chunkLoc) []byte {
 	w := codec.NewWriter()
 	w.RawBytes(hash[:])
-	w.Int(int(loc.Off))
+	w.Int64(loc.Off)
 	w.Int(loc.EncLen)
 	w.Int(loc.RawLen)
 	w.Uvarint(uint64(loc.Style))
@@ -447,8 +494,7 @@ func decodeChunkRecord(b []byte) (hash ckptfmt.Hash, loc chunkLoc, err error) {
 		return hash, loc, fmt.Errorf("%w: chunk record hash length %d", codec.ErrCorrupt, len(hb))
 	}
 	copy(hash[:], hb)
-	off, err := r.Int()
-	if err != nil {
+	if loc.Off, err = r.Int64(); err != nil {
 		return hash, loc, err
 	}
 	if loc.EncLen, err = r.Int(); err != nil {
@@ -464,7 +510,6 @@ func decodeChunkRecord(b []byte) (hash ckptfmt.Hash, loc chunkLoc, err error) {
 	if style > 0xff {
 		return hash, loc, fmt.Errorf("%w: chunk record style %d", codec.ErrCorrupt, style)
 	}
-	loc.Off = int64(off)
 	loc.Style = byte(style)
 	if r.Remaining() == 0 {
 		return hash, loc, nil
@@ -481,8 +526,36 @@ func decodeChunkRecord(b []byte) (hash ckptfmt.Hash, loc chunkLoc, err error) {
 	return hash, loc, nil
 }
 
+// shardRecord is a snapshot's record of one shard: its index, its active
+// generation, and the bytes of that generation's pack the snapshot covers.
+type shardRecord struct {
+	index, gen int
+	end        int64
+}
+
+func encodeShardRecord(sr shardRecord) []byte {
+	w := codec.NewWriter()
+	w.Int(sr.index)
+	w.Int(sr.gen)
+	w.Int64(sr.end)
+	return w.Bytes()
+}
+
+func decodeShardRecord(b []byte) (sr shardRecord, err error) {
+	r := codec.NewReader(b)
+	if sr.index, err = r.Int(); err == nil {
+		if sr.gen, err = r.Int(); err == nil {
+			sr.end, err = r.Int64()
+		}
+	}
+	if err == nil && (r.Remaining() > 0 || sr.index < 0 || sr.gen < 0 || sr.end < 0) {
+		err = fmt.Errorf("%w: shard record %+v, then %d bytes", codec.ErrCorrupt, sr, r.Remaining())
+	}
+	return sr, err
+}
+
 // ---------------------------------------------------------------------------
-// Shared-pool persistence: marker, INDEX, leases, commit lock
+// Shared-pool persistence: marker, INDEX snapshot, leases, commit lock
 
 // canonicalPath makes path absolute, with symlinks resolved where it exists:
 // runs naming one pool through different paths record and compare one root,
@@ -499,26 +572,29 @@ func canonicalPath(path string) (string, error) {
 }
 
 // poolMarker is the POOL marker of every pool this build makes and opens.
-const poolMarker = "pool1 shards=16\n"
+// Older builds wrote "pool1 shards=N" and read an INDEX as the log of every
+// chunk record: they refuse this one, whose GC would otherwise reclaim every
+// frame a snapshot does not cover.
+const poolMarker = "pool2 shards=16\n"
 
 // checkPoolMarker classifies the POOL marker of the pool at key: the one
-// this build writes, whitespace aside; a pool at another fanout
+// this build writes, whitespace aside; one an older build wrote
 // (ErrLegacyLayout); or an unknown one — misreading an extended pool would
-// end in a writable open truncating INDEX records it cannot decode.
+// end in a writer cutting pack bytes it cannot parse.
 func checkPoolMarker(key string, raw []byte) error {
 	marker := strings.Join(strings.Fields(string(raw)), " ")
 	if marker+"\n" == poolMarker {
 		return nil
 	}
 	if n, ok := parseLegacyPoolMarker(raw); ok {
-		return legacyLayout(key, fmt.Sprintf("a chunk pool at fanout %d", n))
+		return legacyLayout(key, fmt.Sprintf("a chunk pool an older build made (%q, fanout %d)", marker, n))
 	}
 	return fmt.Errorf("store: unknown pool marker %q (newer pool layout or corrupt POOL file)", strings.TrimSpace(string(raw)))
 }
 
 // openSharedPool opens the shared pool at root, at DefaultShardFanout. A
 // writable attach creates the pool on first use, under the commit lock: so
-// may another attach, and open may cut a torn INDEX tail.
+// may another attach.
 func openSharedPool(root string, readOnly bool) (*ChunkPool, error) {
 	if !readOnly {
 		if err := os.MkdirAll(root, 0o755); err != nil {
@@ -550,122 +626,134 @@ func openSharedPool(root string, readOnly bool) (*ChunkPool, error) {
 	default:
 		return nil, fmt.Errorf("store: read pool marker: %w", merr)
 	}
-	p := &ChunkPool{root: key, shared: true, fanout: DefaultShardFanout, readOnly: readOnly, backend: DirBackendAt(key)}
+	p := &ChunkPool{root: key, shared: true, fanout: DefaultShardFanout, backend: DirBackendAt(key)}
 	return p, p.open()
 }
 
-// lock takes the pool's commit lock (lockRoot) and catches the instance up:
-// unless the INDEX is the file and length it last read or appended, open
-// runs into a scratch pool, whose shards are installed under their locks
-// for readers of this instance, and dropped packs are refused.
+// lock takes the pool's commit lock (lockRoot) and catches the instance up
+// with the files. A snapshot that is not the file this instance last read or
+// wrote — a GC pass or a finished recording replaced it — is reloaded whole
+// (open, into a scratch pool whose shards are installed under their locks;
+// dropped packs are refused). Then each pack is scanned from the end this
+// instance indexed, adopting what other writers appended, and a torn tail
+// is cut, so that the next append lands right after the last whole frame.
 func (p *ChunkPool) lock() (unlock func(), err error) {
 	if unlock, err = lockRoot(p.root); err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	changed := p.index.changed()
-	p.mu.Unlock()
-	if !changed {
-		return unlock, nil
-	}
-	fresh := &ChunkPool{root: p.root, shared: p.shared, fanout: p.fanout, backend: p.backend}
-	if err = fresh.open(); err == nil {
-		err = fresh.refuseDropped()
-	}
-	if err != nil {
+	if err = p.catchUp(); err != nil {
 		unlock()
 		return nil, err
 	}
-	for i, sh := range p.shardTab {
-		f := fresh.shardTab[i]
-		sh.mu.Lock()
-		sh.gen, sh.chunks = f.gen, f.chunks
-		sh.mu.Unlock()
-	}
-	p.mu.Lock()
-	p.stored = fresh.stored
-	p.index.file, p.index.size = fresh.index.file, fresh.index.size
-	p.mu.Unlock()
 	return unlock, nil
 }
 
-// refuseDropped refuses writes to a pool with dropped packs, whose chunk
-// records pointed past the pack's real end at open (pack lost or truncated),
-// held a negative offset or length, or gave a raw length their frame or a
-// live directory contradicts. Readers degrade gracefully; a writer appending
-// to a rewound pack would re-commit hashes at offsets the old records still
-// claim. It runs before the instance is shared.
+func (p *ChunkPool) catchUp() error {
+	fi, err := os.Stat(p.indexPath())
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("store: stat INDEX: %w", err)
+	}
+	same := p.snap == nil && fi == nil || p.snap != nil && fi != nil &&
+		os.SameFile(p.snap, fi) && p.snap.Size() == fi.Size() && p.snap.ModTime().Equal(fi.ModTime())
+	if !same {
+		fresh := &ChunkPool{root: p.root, shared: p.shared, fanout: p.fanout, backend: p.backend}
+		if err := fresh.open(); err != nil {
+			return err
+		}
+		if err := fresh.refuseDropped(); err != nil {
+			return err
+		}
+		for i, sh := range p.shardTab {
+			f := fresh.shardTab[i]
+			sh.mu.Lock()
+			sh.gen, sh.end, sh.chunks = f.gen, f.end, f.chunks
+			sh.mu.Unlock()
+		}
+		p.mu.Lock()
+		p.stored = fresh.stored
+		p.mu.Unlock()
+		p.snap = fresh.snap
+	}
+	for _, sh := range p.shardTab {
+		sh.mu.Lock()
+		obj, gen, from := sh.obj(), sh.gen, sh.end
+		sh.mu.Unlock()
+		n, err := p.backend.Size(obj)
+		if err != nil {
+			return fmt.Errorf("store: shard %s: %w", obj, err)
+		}
+		if n < from {
+			return fmt.Errorf("%w: shard pack %s is %d bytes, %d of them indexed: truncated under a writer — repair or open read-only", codec.ErrCorrupt, obj, n, from)
+		}
+		recs, end, corrupt, err := p.scanShard(obj, gen, from, n)
+		if err != nil {
+			return err
+		}
+		if corrupt {
+			return fmt.Errorf("%w: shard pack %s holds a corrupt frame at byte %d; write refused — repair or open read-only", codec.ErrCorrupt, obj, end)
+		}
+		if end < n {
+			if err := p.backend.Truncate(obj, end); err != nil {
+				return err
+			}
+		}
+		p.adopt(sh, recs, end)
+	}
+	return nil
+}
+
+// refuseDropped refuses writes to a pool with dropped packs (open): shorter
+// than the snapshot covers, holding snapshot records that locate no raw
+// frame in it or a corrupt frame, or retired by GC. Readers degrade
+// gracefully; a writer appending to a rewound pack would commit frames at
+// offsets the snapshot still claims, one cutting at a corrupt frame would
+// lose the whole frames past it, and one appending to a retired pack would
+// commit frames the next GC pass deletes.
 func (p *ChunkPool) refuseDropped() error {
 	if len(p.dropped) == 0 {
 		return nil
 	}
-	return fmt.Errorf("%w: shard pack %s is missing or truncated, or its committed chunk records are invalid; writable open refused — repair or open read-only",
+	return fmt.Errorf("%w: shard pack %s is missing, truncated, corrupt or retired by gc, or its committed chunk records are invalid; writable open refused — repair or open read-only",
 		codec.ErrCorrupt, strings.Join(p.dropped, ", "))
 }
 
-// replayIndex adopts the pool's INDEX records. A torn tail is skipped
-// (read-only) or truncated (writable), and a writable instance notes the
-// INDEX it read, for lock.
-func (p *ChunkPool) replayIndex() error {
-	good, torn, err := scanLog(p.index.path, decodeIndexRecord, func(rec manifestRecord) error {
-		p.adopt(rec.hash, rec.loc)
-		return nil
-	})
-	if err != nil || p.readOnly {
-		return err
-	}
-	if torn {
-		if err := os.Truncate(p.index.path, good); err != nil {
-			return fmt.Errorf("store: truncate torn pool index: %w", err)
-		}
-	}
-	p.index.note(good)
-	return nil
-}
+func (p *ChunkPool) indexPath() string { return filepath.Join(p.root, poolIndexFile) }
 
-// decodeIndexRecord decodes an INDEX record, a chunk record: any other
-// record ends the log as a torn tail does.
-func decodeIndexRecord(b []byte) (manifestRecord, int, error) {
-	rec, n, err := decodeManifestRecord(b)
-	if err == nil && rec.tag != recChunk {
-		err = fmt.Errorf("%w: index record tag 0x%02x", codec.ErrCorrupt, rec.tag)
-	}
-	return rec, n, err
-}
-
-// appendIndexRecords durably appends the chunk records of freshly stored
-// frames to the INDEX, in one append, and publishes their locations to the
-// dedup index (first location wins) and the pool's storage accounting.
-func (p *ChunkPool) appendIndexRecords(frames []ckptfmt.Frame, locs []chunkLoc) error {
-	var record []byte
-	for i := range frames {
-		record = append(record, frameTagged(recChunk, encodeChunkRecord(frames[i].Hash, locs[i]))...)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.index.append(record); err != nil {
-		return err
-	}
-	for i := range frames {
-		p.adopt(frames[i].Hash, locs[i])
-	}
-	return nil
-}
-
-// persistIndex atomically rewrites the INDEX from the given records — the
-// commit point of compaction — and notes the new file, for lock.
-func (p *ChunkPool) persistIndex(recs []poolChunkRec) error {
+// persistIndex writes the INDEX snapshot whole, by write-then-rename, and
+// notes the new file: each shard's record — from next where it has an entry
+// (a compaction's new generation), from the live index otherwise — then the
+// chunk records, in an order that keeps a snapshot reproducible, which it
+// returns. The caller holds the commit lock.
+func (p *ChunkPool) persistIndex(next map[*poolShard]*poolShard) ([]poolChunkRec, error) {
 	var buf []byte
+	var recs []poolChunkRec
+	for i, sh := range p.shardTab {
+		sh.mu.Lock()
+		st, ok := next[sh]
+		if !ok {
+			st = sh
+		}
+		buf = append(buf, frameTagged(recShard, encodeShardRecord(shardRecord{i, st.gen, st.end}))...)
+		for h, loc := range st.chunks {
+			recs = append(recs, poolChunkRec{h, loc})
+		}
+		sh.mu.Unlock()
+	}
+	slices.SortFunc(recs, func(a, b poolChunkRec) int {
+		return cmp.Or(cmp.Compare(a.loc.Gen, b.loc.Gen), cmp.Compare(a.loc.Off, b.loc.Off), bytes.Compare(a.hash[:], b.hash[:]))
+	})
 	for _, cr := range recs {
 		buf = append(buf, frameTagged(recChunk, encodeChunkRecord(cr.hash, cr.loc))...)
 	}
-	if err := writeFileAtomic(p.index.path, buf); err != nil {
-		return fmt.Errorf("store: rewrite pool index: %w", err)
+	if err := writeFileAtomic(p.indexPath(), buf); err != nil {
+		return nil, fmt.Errorf("store: write INDEX snapshot: %w", err)
 	}
-	p.mu.Lock()
-	p.index.note(int64(len(buf)))
-	p.mu.Unlock()
-	return nil
+	fi, err := os.Stat(p.indexPath())
+	if err != nil {
+		return nil, fmt.Errorf("store: write INDEX snapshot: %w", err)
+	}
+	p.snap = fi
+	return recs, nil
 }
 
 // leaseEntry derives the path a lease stores for a run directory:
@@ -909,7 +997,7 @@ func (p *ChunkPool) writePackGC(sched map[string]int64) error {
 // of a shared pool (GCPool) alike. It marks every chunk hash a committed
 // checkpoint of one of the pool's runs references, reading their MANIFESTs
 // (markRun), compacts every shard holding a chunk or pack bytes nothing
-// live references, and commits by rewriting the INDEX. The caller holds
+// live references, and commits by replacing the INDEX snapshot. The caller holds
 // the commit lock for the whole pass, so any checkpoint that deduplicated
 // against an indexed chunk is committed by the time the mark looks.
 func (p *ChunkPool) gc(o GCOptions) (GCResult, error) {
@@ -949,21 +1037,10 @@ func (p *ChunkPool) gc(o GCOptions) (GCResult, error) {
 
 	// Phase 1: delete retired generations whose grace period expired, and
 	// adopt any stray superseded generations a crashed pass leaked (every
-	// generation below a shard's active one is by construction replaced).
-	// A scheduled object that is once again some shard's ACTIVE object is
-	// never deleted: a shard compacted down to zero chunks persists no
-	// generation records, so a reopen resets it to generation 0 and resumes
-	// appending to the very object an earlier pass retired. The stale
-	// schedule entry is kept — it becomes deletable again only after a
-	// future compaction moves the shard past the object.
-	active := make(map[string]bool, len(p.shardTab))
-	for _, sh := range p.shardTab {
-		sh.mu.Lock()
-		active[sh.obj()] = true
-		sh.mu.Unlock()
-	}
+	// generation below a shard's active one is by construction replaced, and
+	// the snapshot keeps a shard's generation however few chunks it holds).
 	for name, ddl := range sched {
-		if active[name] || now.UnixNano() < ddl {
+		if now.UnixNano() < ddl {
 			continue
 		}
 		if err := p.backend.Remove(name); err != nil {
@@ -987,20 +1064,21 @@ func (p *ChunkPool) gc(o GCOptions) (GCResult, error) {
 	phase("tombstone", map[string]int64{"deleted_packs": int64(res.DeletedPacks), "retired_packs": int64(res.RetiredPacks)})
 
 	// Phase 2: sweep each shard's index against the live set. A shard is
-	// compacted when it indexes a dead chunk, or when its pack holds bytes
-	// no record locates: what a crash, or a failed pack or INDEX append, cut
-	// short.
+	// compacted when its pack holds bytes no live chunk occupies: a dead
+	// chunk's frame, or a frame a failed or crashed put left that duplicates
+	// an earlier one.
 	type plan struct {
 		sh        *poolShard
 		keep      []poolChunkRec // the survivors, in pack order
 		dead      int
-		deadBytes int64 // the pack bytes compaction drops
+		deadBytes int64      // the pack bytes compaction drops
+		oldObj    string     // the pack object it replaces
+		next      *poolShard // the shard once compacted: its generation, end and chunks
 	}
 	var plans []*plan
 	for _, sh := range p.shardTab {
 		sh.mu.Lock()
-		n, err := p.backend.Size(sh.obj())
-		pl := &plan{sh: sh, deadBytes: n}
+		pl := &plan{sh: sh, deadBytes: sh.end}
 		for h, loc := range sh.chunks {
 			if live(h) {
 				pl.keep = append(pl.keep, poolChunkRec{h, loc})
@@ -1010,9 +1088,6 @@ func (p *ChunkPool) gc(o GCOptions) (GCResult, error) {
 			}
 		}
 		sh.mu.Unlock()
-		if err != nil {
-			return res, fmt.Errorf("store: gc: %w", err)
-		}
 		if pl.deadBytes > 0 {
 			slices.SortFunc(pl.keep, func(a, b poolChunkRec) int { return cmp.Compare(a.loc.Off, b.loc.Off) })
 			plans = append(plans, pl)
@@ -1029,15 +1104,6 @@ func (p *ChunkPool) gc(o GCOptions) (GCResult, error) {
 	// Phase 3: rewrite each affected shard's survivors into the next pack
 	// generation. No in-memory state changes yet — readers keep resolving
 	// against the current generation, whose object is never mutated.
-	type swap struct {
-		sh      *poolShard
-		newGen  int
-		newMap  map[ckptfmt.Hash]chunkLoc
-		oldObj  string
-		removed int
-		bytes   int64
-	}
-	var swaps []*swap
 	for _, pl := range plans {
 		sh, keep := pl.sh, pl.keep
 		sh.mu.Lock()
@@ -1076,35 +1142,32 @@ func (p *ChunkPool) gc(o GCOptions) (GCResult, error) {
 				return res, fmt.Errorf("store: gc: commit pack %s: %w", packObjName(sh.name, newGen), err)
 			}
 		}
-		swaps = append(swaps, &swap{sh: sh, newGen: newGen, newMap: newMap,
-			oldObj: oldObj, removed: pl.dead, bytes: pl.deadBytes})
+		pl.oldObj, pl.next = oldObj, &poolShard{gen: newGen, end: newLen, chunks: newMap}
 	}
-	phase("rewrite", map[string]int64{"rewritten_shards": int64(len(swaps))})
+	phase("rewrite", map[string]int64{"rewritten_shards": int64(len(plans))})
 
-	// Phase 4: commit — atomically rewrite the INDEX. Until this succeeds,
-	// disk and memory both still describe the old generations.
-	next := make(map[*poolShard]map[ckptfmt.Hash]chunkLoc, len(swaps))
-	for _, sw := range swaps {
-		next[sw.sh] = sw.newMap
+	// Phase 4: commit — atomically replace the INDEX snapshot. Until this
+	// succeeds, disk and memory both still describe the old generations.
+	next := make(map[*poolShard]*poolShard, len(plans))
+	for _, pl := range plans {
+		next[pl.sh] = pl.next
 	}
-	recs := p.records(next)
-	if err := p.persistIndex(recs); err != nil {
+	recs, err := p.persistIndex(next)
+	if err != nil {
 		return res, err
 	}
 	phase("persist", map[string]int64{"records": int64(len(recs))})
 
 	// Phase 5: swap in-memory state and retire the replaced objects.
-	for _, sw := range swaps {
-		sh := sw.sh
-		sh.mu.Lock()
-		sh.gen = sw.newGen
-		sh.chunks = sw.newMap
-		sh.mu.Unlock()
-		sched[sw.oldObj] = now.Add(o.retention()).UnixNano()
+	for _, pl := range plans {
+		pl.sh.mu.Lock()
+		pl.sh.gen, pl.sh.end, pl.sh.chunks = pl.next.gen, pl.next.end, pl.next.chunks
+		pl.sh.mu.Unlock()
+		sched[pl.oldObj] = now.Add(o.retention()).UnixNano()
 		res.CompactedShards++
 		res.RetiredPacks++
-		res.DeadChunks += sw.removed
-		res.ReclaimedBytes += sw.bytes
+		res.DeadChunks += pl.dead
+		res.ReclaimedBytes += pl.deadBytes
 	}
 	// Rebuild the stored-chunk accounting from the records just persisted.
 	p.mu.Lock()
@@ -1119,29 +1182,6 @@ func (p *ChunkPool) gc(o GCOptions) (GCResult, error) {
 	}
 	phase("swap", map[string]int64{"dead_chunks": int64(res.DeadChunks), "reclaimed_bytes": res.ReclaimedBytes})
 	return res, nil
-}
-
-// records lists the pool's chunk records, a shard's from next where it has
-// an entry there (a compaction's new generation) and from the live index
-// otherwise, in a deterministic order that keeps a rewritten INDEX
-// reproducible.
-func (p *ChunkPool) records(next map[*poolShard]map[ckptfmt.Hash]chunkLoc) []poolChunkRec {
-	var recs []poolChunkRec
-	for _, sh := range p.shardTab {
-		sh.mu.Lock()
-		chunks, ok := next[sh]
-		if !ok {
-			chunks = sh.chunks
-		}
-		for h, loc := range chunks {
-			recs = append(recs, poolChunkRec{h, loc})
-		}
-		sh.mu.Unlock()
-	}
-	slices.SortFunc(recs, func(a, b poolChunkRec) int {
-		return cmp.Or(cmp.Compare(a.loc.Gen, b.loc.Gen), cmp.Compare(a.loc.Off, b.loc.Off), bytes.Compare(a.hash[:], b.hash[:]))
-	})
-	return recs
 }
 
 // GCPool runs a refcounted GC pass over a shared pool: every chunk

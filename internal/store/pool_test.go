@@ -677,9 +677,10 @@ func TestAnotherProcessRecordedSiblingSurvivesGCPool(t *testing.T) {
 // TestHeldWritableStorePutsAfterGCPool: a writable store is held while
 // another instance's GCPool compacts the shards it wrote to new pack
 // generations. Its next put catches up under the commit lock and lands in the
-// new generations, not in the retired ones a later pass deletes, so the put
-// and the compacted checkpoint both read back in a new process — after the
-// retired generations are gone too.
+// new generations — those of shards compacted to no chunk at all too, whose
+// generation the snapshot keeps — never in a retired one: the next pass
+// deletes every generation the first retired and rewrites no shard, and the
+// put and the compacted checkpoint both read back in a new process.
 func TestHeldWritableStorePutsAfterGCPool(t *testing.T) {
 	base := t.TempDir()
 	pool := filepath.Join(base, "POOL")
@@ -696,9 +697,11 @@ func TestHeldWritableStorePutsAfterGCPool(t *testing.T) {
 		t.Fatalf("GCPool: %+v, %v; want compacted shards", first, err)
 	}
 	putPayload(t, held, k1, testPayload(8<<20, 3))
-	if res, err := GCPool(pool, GCOptions{PackRetention: time.Nanosecond}); err != nil || res.DeletedPacks == 0 || res.DeadChunks != 0 {
-		t.Fatalf("second GCPool: %+v, %v; want retired generations deleted and nothing dead", res, err)
+	res, err := GCPool(pool, GCOptions{PackRetention: time.Nanosecond})
+	if err != nil || res.DeletedPacks != first.RetiredPacks || res.CompactedShards != 0 || res.DeadChunks != 0 {
+		t.Fatalf("second GCPool: %+v, %v; want the first pass's %d retired generations deleted, and nothing rewritten or dead", res, err, first.RetiredPacks)
 	}
+	t.Logf("second pass deleted %d of the %d retired packs", res.DeletedPacks, first.RetiredPacks)
 	checkPayload(t, run, k0, testPayload(8<<20, 2))
 	checkPayload(t, run, k1, testPayload(8<<20, 3))
 }

@@ -136,9 +136,12 @@ func (r *objReader) ReadExtent(off, n int64) ([]byte, func(), store.ExtentTier, 
 // Close implements io.Closer.
 func (r *objReader) Close() error { return nil }
 
-// Append, Create and Remove implement store.Backend: the pool is written
-// only by UploadRun.
+// Append, Truncate, Create and Remove implement store.Backend: the pool is
+// written only by UploadRun.
 func (b *ObjectBackend) Append(name string, _ []byte) error { return b.readOnly("append", name) }
+func (b *ObjectBackend) Truncate(name string, _ int64) error {
+	return b.readOnly("truncate", name)
+}
 func (b *ObjectBackend) Create(name string) (store.BackendWriter, error) {
 	return nil, b.readOnly("create", name)
 }

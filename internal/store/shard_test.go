@@ -276,6 +276,11 @@ func TestMissingShardPackNamesShard(t *testing.T) {
 	if _, err := s.PutSections(key, []Section{{Name: "net", Data: big}}, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
+	// A pack is known to hold bytes once a snapshot covers them: before, a
+	// missing pack is an empty one.
+	if err := s.WriteIndex(); err != nil {
+		t.Fatal(err)
+	}
 	// Find a populated shard pack and remove it.
 	var victim string
 	for i := 0; i < 16; i++ {

@@ -1,12 +1,13 @@
 // Package store implements the on-disk checkpoint store backing Flor record
 // and replay: a manifest that commits each checkpoint in one record, over a
 // run-agnostic ChunkPool layer (pool.go) owning the content-addressed chunk
-// packs (split by hash prefix into shards), the INDEX of chunk records, the
-// dedup index, and refcounted GC/compaction of superseded chunks. A private
-// store is a pool of one rooted at the run directory; a shared pool at a
-// project-level root is attached by many runs, which then deduplicate chunks
-// against each other (fine-tuning families re-checkpointing one frozen
-// backbone store it once). docs/FORMATS.md specifies every byte.
+// packs (split by hash prefix into shards), the dedup index their frames
+// make, its INDEX snapshot, and refcounted GC/compaction of superseded
+// chunks. A private store is a pool of one rooted at the run directory; a
+// shared pool at a project-level root is attached by many runs, which then
+// deduplicate chunks against each other (fine-tuning families
+// re-checkpointing one frozen backbone store it once). docs/FORMATS.md
+// specifies every byte.
 //
 // # Run directory
 //
@@ -15,36 +16,37 @@
 //	                  checkpoint and carries its directory (package
 //	                  ckptfmt: its sections and their chunk hashes); 'P',
 //	                  first in a pooled run, names the pool
-//	<dir>/INDEX       a private store's chunk records (pool.go; a pooled
-//	                  run's are in its pool's INDEX)
-//	<dir>/CHUNKS      a private pack of raw chunk frames (CHUNKS.g<n>
-//	                  after GC compaction rewrote it)
+//	<dir>/CHUNKS      a private pack of raw chunk frames, the log of its
+//	                  chunks (CHUNKS.g<n> after GC compaction rewrote it)
+//	<dir>/INDEX       a private pack's snapshot (pool.go; a pooled run's
+//	                  is its pool's)
 //	<dir>/PACKGC      retired pack generations awaiting expiry
 //
-// Every put, private or pooled, commits in one order: its pack bytes, then
-// its chunk records in one INDEX append, then its meta record in one
-// MANIFEST append. A crash at any point leaves a prefix-consistent run: open
-// replays both logs, checking each record's CRC, and a torn tail (a flipped
-// byte too) ends a log — write-ahead-log discipline for a redo-only workload
-// (paper §7); what a cut put left behind is garbage the next GC reclaims.
-// Nothing derived is persisted: a run leaves the machine as these files
-// (remote.UploadRun).
+// Every put, private or pooled, commits in one order: its frames in one
+// append per pack, then its meta record in one MANIFEST append. A crash at
+// any point leaves a prefix-consistent run: open replays the MANIFEST and
+// scans each pack past its snapshot, checking every CRC, and a torn tail (a
+// flipped byte too) ends a log — write-ahead-log discipline for a redo-only
+// workload (paper §7). The next writer cuts a torn pack tail; whole frames
+// no checkpoint names are garbage the next GC reclaims. A run leaves the
+// machine as these files (remote.UploadRun).
 //
 // # Layouts
 //
 // A store has one of two layouts, and neither is a choice: format v2 over a
-// private pack at fanout 1 (marker "2 dirs index") or, with Options.Pool, a
-// run of a shared pool at DefaultShardFanout (marker "2 pool shards=16
-// dirs", pool marker "pool1 shards=16"). A writable open writes the marker
-// once, into a fresh directory (writeMarker); puts and GC never touch it.
-// Its "dirs" and "index" tokens make older builds refuse the store.
+// private pack at fanout 1 (marker "2 dirs packlog") or, with Options.Pool,
+// a run of a shared pool at DefaultShardFanout (marker "2 pool shards=16
+// dirs packlog", pool marker "pool2 shards=16"). A writable open writes the
+// marker once, into a fresh directory (writeMarker); puts and GC never touch
+// it. Its "packlog" token and "pool2" make older builds refuse the store:
+// their GC would reclaim every frame the snapshot does not cover.
 //
 // Those two are all an open reads: every layout an older build left fails
 // every open, read-only included, with ErrLegacyLayout, touching no byte.
-// Such a run is migrated, not served: core.Migrate (florctl migrate) reads
-// it once through ReadLegacy (legacy.go) into a fresh store. Unknown or
-// corrupt markers surface ErrUnknownFormat rather than risk misparsing and
-// truncating a newer layout's manifest.
+// Such a run — the "2 dirs index" and "pool1" layouts included — is
+// migrated, not served: core.Migrate (florctl migrate) reads it once through
+// ReadLegacy (legacy.go) into a fresh store. Unknown or corrupt markers
+// surface ErrUnknownFormat rather than risk misparsing a newer layout.
 //
 // # Reads and concurrency
 //
@@ -81,11 +83,13 @@ const FormatV2 = 2
 // DefaultShardFanout is the shard count of a shared pool.
 const DefaultShardFanout = 16
 
-// Record tags of a MANIFEST and an INDEX.
+// Record tags of a MANIFEST and an INDEX snapshot.
 const (
 	recMeta = 'M'
 	// recChunk locates a chunk in its pack: an INDEX record.
 	recChunk = 'C'
+	// recShard is an INDEX record, one per shard, before the chunk records.
+	recShard = 'S'
 	// recPool is the pool-reference record: the first record of a pooled
 	// run's manifest, naming the shared chunk pool the run's chunks live in.
 	recPool = 'P'
@@ -333,7 +337,11 @@ func OpenWith(dir string, o Options) (*Store, error) {
 	if o.Pool != "" && l.Recorded && !l.Pooled {
 		return nil, fmt.Errorf("store: cannot attach recorded run %s to pool %s (recorded with a private pack)", dir, o.Pool)
 	}
-	recs, good, torn, err := s.readManifest()
+	var recs []manifestRecord // up to a torn tail, which a writable open cuts once it refused nothing
+	good, torn, err := scanLog(s.manifest.path, decodeManifestRecord, func(rec manifestRecord) error {
+		recs = append(recs, rec)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +359,6 @@ func OpenWith(dir string, o Options) (*Store, error) {
 	for _, rec := range recs {
 		s.applyRecord(rec)
 	}
-	s.pool.dropMismatched(s.liveDirs())
 	s.adoptPoolStats()
 	if s.readOnly {
 		return s, nil
@@ -474,13 +481,13 @@ func parseFormatMarker(dir string, raw []byte) (Layout, error) {
 // The two FORMAT markers this build writes: a private pack, and a run in a
 // shared pool at DefaultShardFanout.
 const (
-	markerPrivate = "2 dirs index\n"
-	markerPooled  = "2 pool shards=16 dirs\n"
+	markerPrivate = "2 dirs packlog\n"
+	markerPooled  = "2 pool shards=16 dirs packlog\n"
 )
 
 // writeMarker settles the FORMAT marker of a writable store, once, at open:
 // markerPrivate or markerPooled. Puts and GC never touch it, so a
-// checkpoint's commit is its pack, INDEX and manifest appends. It writes
+// checkpoint's commit is its pack and manifest appends. It writes
 // only when the marker is absent or different, and via write-then-rename:
 // rewriting it in place on every open would leave a crash window in which a
 // torn marker bricks an otherwise intact run behind the UnknownFormatError
@@ -499,7 +506,7 @@ func (s *Store) writeMarker() error {
 }
 
 // openPrivatePool opens the run's pool of one, rooted at the run directory,
-// its chunk records in the run's INDEX and its packs behind the backend the
+// its snapshot in the run's INDEX and its packs behind the backend the
 // options name or in the run directory.
 func (s *Store) openPrivatePool(o Options) error {
 	if o.PinPool && o.Pool != "" {
@@ -509,7 +516,7 @@ func (s *Store) openPrivatePool(o Options) error {
 	if backend == nil {
 		backend = DirBackendAt(s.dir)
 	}
-	s.pool = &ChunkPool{root: s.dir, fanout: 1, backend: backend, readOnly: s.readOnly}
+	s.pool = &ChunkPool{root: s.dir, fanout: 1, backend: backend}
 	return s.pool.open()
 }
 
@@ -641,7 +648,7 @@ func (s *Store) Dir() string { return s.dir }
 
 // ShardFanout returns the chunk-pack shard count: 1 for a private pack, the
 // pool's fanout for a pooled run.
-func (s *Store) ShardFanout() int { return s.pool.Fanout() }
+func (s *Store) ShardFanout() int { return s.pool.fanout }
 
 // Pooled reports whether the run's chunks live in a shared pool.
 func (s *Store) Pooled() bool { return s.pool.shared }
@@ -669,17 +676,6 @@ func (s *Store) PoolStats() (st PoolStats, ok bool, leaseErr error) {
 }
 
 func (s *Store) formatPath() string { return filepath.Join(s.dir, formatFile) }
-
-// readManifest decodes the manifest's records up to the first that does not
-// decode: a torn tail, which starts at byte good and exists when torn is
-// set. A writable open truncates it once it has refused nothing.
-func (s *Store) readManifest() (recs []manifestRecord, good int64, torn bool, err error) {
-	good, torn, err = scanLog(s.manifest.path, decodeManifestRecord, func(rec manifestRecord) error {
-		recs = append(recs, rec)
-		return nil
-	})
-	return recs, good, torn, err
-}
 
 // scanLog hands each record of the log at path (a MANIFEST or an INDEX),
 // decoded by decode, to apply, up to a torn tail: the first record that
@@ -727,18 +723,6 @@ func (s *Store) applyRecord(rec manifestRecord) {
 	s.commitLocked(rec.e)
 }
 
-// liveDirs returns the directories of the checkpoints the index holds. It
-// runs at open, before the store is shared.
-func (s *Store) liveDirs() []*ckptfmt.Directory {
-	dirs := make([]*ckptfmt.Directory, 0, len(s.index))
-	for _, e := range s.index {
-		if e.dir != nil {
-			dirs = append(dirs, e.dir)
-		}
-	}
-	return dirs
-}
-
 // commitLocked installs an entry into the index and accumulates dedup stats.
 func (s *Store) commitLocked(e *entry) {
 	s.index[e.Key] = e
@@ -755,6 +739,7 @@ type manifestRecord struct {
 	loc    chunkLoc
 	ref    string // recPool
 	fanout int
+	shard  shardRecord // recShard
 }
 
 // decodeManifestRecord unframes and decodes the tagged MANIFEST or INDEX
@@ -780,6 +765,8 @@ func decodeManifestRecord(b []byte) (rec manifestRecord, n int, err error) {
 		rec.hash, rec.loc, err = decodeChunkRecord(body)
 	case recPool:
 		rec.ref, rec.fanout, err = decodePoolRef(body)
+	case recShard:
+		rec.shard, err = decodeShardRecord(body)
 	default:
 		err = fmt.Errorf("%w: manifest record tag 0x%02x", codec.ErrCorrupt, rec.tag)
 	}
@@ -791,13 +778,13 @@ func encodeMeta(e *entry) []byte {
 	w.String(e.Key.LoopID)
 	w.Int(e.Key.Exec)
 	w.Int(e.Seq)
-	w.Int(int(e.Size))
-	w.Int(int(e.gzSize)) // a slot older builds filled; 0 in new records, ignored on read
-	w.Int(int(e.MaterNs))
-	w.Int(int(e.SnapNs))
-	w.Int(int(e.ComputNs))
+	w.Int64(e.Size)
+	w.Int64(e.gzSize) // a slot older builds filled; 0 in new records, ignored on read
+	w.Int64(e.MaterNs)
+	w.Int64(e.SnapNs)
+	w.Int64(e.ComputNs)
 	w.Int(e.Format)
-	w.Int(int(e.StoredBytes))
+	w.Int64(e.StoredBytes)
 	// The directory closes the record; records without one are an older
 	// build's (legacy.go).
 	if e.dir != nil {
@@ -837,31 +824,37 @@ func decodeMeta(b []byte) (*entry, error) {
 // sequence number, size and timings.
 func decodeMetaHead(r *codec.Reader) (*entry, error) {
 	e := &entry{}
-	var exec, seq int64
 	var err error
 	if e.Key.LoopID, err = r.String(); err == nil {
-		err = readInts(r, &exec, &seq, &e.Size, &e.gzSize, &e.MaterNs, &e.SnapNs, &e.ComputNs)
+		e.Key.Exec, err = r.Int() // Exec and Seq are ints: a value past a 32-bit build's int fails there
 	}
-	e.Key.Exec, e.Seq = int(exec), int(seq)
+	if err == nil {
+		e.Seq, err = r.Int()
+	}
+	if err == nil {
+		err = readInts(r, &e.Size, &e.gzSize, &e.MaterNs, &e.SnapNs, &e.ComputNs)
+	}
 	return e, err
 }
 
 // decodeFormat decodes the format fields that follow a meta record's head.
 func (e *entry) decodeFormat(r *codec.Reader) error {
-	var format int64
-	err := readInts(r, &format, &e.StoredBytes)
-	e.Format = int(format)
+	var err error
+	if e.Format, err = r.Int(); err == nil {
+		err = readInts(r, &e.StoredBytes)
+	}
 	return err
 }
 
-// readInts reads one varint into each of fs.
+// readInts reads one varint into each of fs, as an int64: sizes and
+// nanoseconds, which a 32-bit build's int cannot hold.
 func readInts(r *codec.Reader, fs ...*int64) error {
 	for _, f := range fs {
-		v, err := r.Int()
+		v, err := r.Int64()
 		if err != nil {
 			return err
 		}
-		*f = int64(v)
+		*f = v
 	}
 	return nil
 }
@@ -900,13 +893,12 @@ func frameTagged(tag byte, body []byte) []byte {
 
 // PutSections durably stores a checkpoint as named sections. Sections are
 // chunked, frames for previously unseen chunks are encoded in parallel and
-// appended to their hash shards' packs (concurrently across shards), their
-// chunk records to the pool's INDEX, and one manifest append commits the
-// checkpoint. It is safe to call from several goroutines, stores and
-// processes at once: the pool's commit lock orders their commits. The
-// sections' Data is only read, and only until PutSections returns — nothing
-// of it stays referenced from the store, so the caller may overwrite the
-// buffers with its next checkpoint. Every chunk is hashed, every time: the
+// appended to their hash shards' packs (concurrently across shards), and
+// one manifest append commits the checkpoint. It is safe to call from
+// several goroutines, stores and processes at once: the pool's commit lock
+// orders their commits. The sections' Data is only read, and only until
+// PutSections returns — nothing of it stays referenced from the store, so
+// the caller may overwrite the buffers with its next checkpoint. Every chunk is hashed, every time: the
 // store remembers nothing about a []Section between puts.
 //
 // snapNs and serNs are the observed snapshot and serialization times for
@@ -1035,10 +1027,9 @@ func (s *Store) putV2(key Key, secs []Section, known []KnownChunks, snapNs, serN
 	}
 
 	// Commit in the one order: the fresh frames fan out across their hash
-	// shards' packs (concurrently), their chunk records go to the pool's
-	// INDEX in one append, which publishes them to the dedup index, and only
-	// then does the meta record carrying the directory go to the manifest —
-	// neither log ever references bytes that aren't on disk.
+	// shards' packs (concurrently), which publishes them to the dedup index,
+	// and only then does the meta record carrying the directory go to the
+	// manifest — it never references bytes that aren't on disk.
 	a0 := time.Now()
 	locs, err := p.appendFrames(frames)
 	if err != nil {
@@ -1091,37 +1082,15 @@ func writeFileVia(tmp, path string, data []byte) error {
 	return err
 }
 
-// recordLog is an append-only log of CRC-framed records: a run's MANIFEST or
-// a pool's INDEX. An append lands whole or not at all. A write that fails
-// part-way is cut back to the log's length before it, since a torn record
-// would end the log at replay and take every later commit with it; if even
-// the cut fails, the log is latched broken and refuses every later append.
-// Callers serialize appends.
+// recordLog is an append-only log of CRC-framed records: a run's MANIFEST.
+// An append lands whole or not at all. A write that fails part-way is cut
+// back to the log's length before it, since a torn record would end the log
+// at replay and take every later commit with it; if even the cut fails, the
+// log is latched broken and refuses every later append. Callers serialize
+// appends.
 type recordLog struct {
 	path   string
 	broken error
-	// file (nil: none) and size are the log as this handle last read
-	// (note) or appended to it.
-	file os.FileInfo
-	size int64
-}
-
-// note records the log on disk as read up to size bytes. A stat error
-// leaves no file, which changed reports, so the next reader meets it.
-func (l *recordLog) note(size int64) {
-	l.file, _ = os.Stat(l.path)
-	l.size = size
-}
-
-// changed reports whether the log on disk is not the file and length this
-// handle last read or appended — another writer appended to it, cut it, or
-// replaced it — or cannot be looked at.
-func (l *recordLog) changed() bool {
-	fi, err := os.Stat(l.path)
-	if err != nil {
-		return l.file != nil || !errors.Is(err, os.ErrNotExist)
-	}
-	return l.file == nil || !os.SameFile(fi, l.file) || fi.Size() != l.size
 }
 
 // writeLog writes a record into an open log file. Tests substitute one that
@@ -1151,7 +1120,6 @@ func (l *recordLog) append(rec []byte) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("store: close %s: %w", name, err)
 	}
-	l.file, l.size = st, st.Size()+int64(len(rec))
 	return nil
 }
 
@@ -1461,6 +1429,23 @@ func (s *Store) GCWith(o GCOptions) (GCResult, error) {
 	s.mu.Unlock()
 	recordGCMetrics(res)
 	return res, nil
+}
+
+// WriteIndex replaces the pool's INDEX with a snapshot of every chunk its
+// packs hold, under the commit lock, so that the next open reads the
+// snapshot instead of scanning the packs. A recording calls it once, after
+// its last put (core.Record, core.Migrate); a put never does.
+func (s *Store) WriteIndex() error {
+	if s.readOnly {
+		return ErrReadOnly
+	}
+	unlock, err := s.pool.lock()
+	if err != nil {
+		return err
+	}
+	defer unlock()
+	_, err = s.pool.persistIndex(nil)
+	return err
 }
 
 // adoptPoolStats takes a pool of one's stored-chunk accounting over as the

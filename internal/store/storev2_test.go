@@ -443,7 +443,10 @@ func TestSectionIdentityComesFromTheDirectory(t *testing.T) {
 // in turn; reads of the affected checkpoint must fail with codec.ErrCorrupt
 // rather than return garbage state — also when the read lands in pieces the
 // caller laid the section out over, which a failed read may scribble on but
-// must never report as read.
+// must never report as read. No snapshot covers the pack, so each open
+// scans it: a writable open either refuses the corrupt frame or, where the
+// flip leaves what reads as a torn tail, opens; neither changes a byte. The
+// reads go through a read-only open, which serves every pack.
 func TestFlippedPackByteSurfacesErrCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
@@ -471,7 +474,13 @@ func TestFlippedPackByteSurfacesErrCorrupt(t *testing.T) {
 		mut := bytes.Clone(pack)
 		mut[i] ^= 0xff
 		os.WriteFile(packPath, mut, 0o644)
-		s2, err := Open(dir)
+		if _, err := Open(dir); err != nil && !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("byte %d: writable open: %v, want success or codec.ErrCorrupt", i, err)
+		}
+		if now, err := os.ReadFile(packPath); err != nil || !bytes.Equal(now, mut) {
+			t.Fatalf("byte %d: a writable open changed the pack (%v)", i, err)
+		}
+		s2, err := OpenReadOnly(dir)
 		if err != nil {
 			t.Fatalf("byte %d: open failed: %v", i, err)
 		}

@@ -33,7 +33,11 @@ import (
 //     once;
 //   - multiroot: a "2 shards=4 dirs" run at run/ whose SHARDS file spreads
 //     its packs over ../rootA and ../rootB;
-//   - pool4: a "pool1 shards=4" pool holding one run, at run/.
+//   - pool4: a "pool1 shards=4" pool holding one run, at run/;
+//   - private2index: marker "2 dirs index", its chunk records in an INDEX
+//     log, as the build before the packs became the log wrote it;
+//   - pool16: a "pool1 shards=16" pool of that build, holding one leased
+//     run, at run/.
 var legacyFixtures = []struct {
 	name    string
 	factory func() *flor.Program
@@ -46,6 +50,8 @@ var legacyFixtures = []struct {
 	{"private2dirs", counterFactory(6, 3)},
 	{"multiroot", counterFactory(6, 3)},
 	{"pool4", counterFactory(6, 3)},
+	{"private2index", counterFactory(6, 3)},
+	{"pool16", counterFactory(6, 3)},
 }
 
 // fixtureRun returns the run directory of a fixture copy at root, and its
@@ -131,14 +137,19 @@ func migrated(t testing.TB, src, pool string) string {
 	if err := core.Migrate(src, dst, pool); err != nil {
 		t.Fatalf("migrate %s: %v", src, err)
 	}
-	want := "2 dirs index\n"
+	want := "2 dirs packlog\n"
 	if pool != "" {
-		want = "2 pool shards=16 dirs\n"
+		want = "2 pool shards=16 dirs packlog\n"
 	}
 	if m, err := os.ReadFile(filepath.Join(dst, "FORMAT")); err != nil || string(m) != want {
 		t.Fatalf("migrated FORMAT %q (%v), want %q", m, err, want)
 	}
-	got, wantIDs := sectionIdentities(t, dst), legacyIdentities(t, src)
+	got, wantIDs := sectionIdentities(t, dst), map[store.Key]string{}
+	if _, err := store.DetectLayout(src); err == nil {
+		wantIDs = sectionIdentities(t, src) // a layout this build writes: ReadLegacy does not read it
+	} else {
+		wantIDs = legacyIdentities(t, src)
+	}
 	if len(got) == 0 || !maps.Equal(got, wantIDs) {
 		t.Fatalf("migrated sections\n%v\nsource's\n%v", got, wantIDs)
 	}
@@ -318,8 +329,10 @@ func TestLegacyLayoutsRefuseWritesAndStillRead(t *testing.T) {
 }
 
 // TestMigrateEveryFixtureReplaysIdentically migrates a copy of every
-// committed fixture into a private store and into a fresh shared pool. Each
-// migrated run carries one of the two markers this build writes and the
+// committed fixture into a private store and into a fresh shared pool, and
+// that private store, once it took a put and a GC pass, into another pool —
+// a source in a layout this build writes, read through a read-only open.
+// Each migrated run carries one of the two markers this build writes and the
 // source's section identities (migrated checks both), replays what its
 // record.log holds at 1, 2 and 4 workers under weak and strong
 // initialization, and takes writes: a put and a GC pass. The source, its
@@ -334,8 +347,15 @@ func TestMigrateEveryFixtureReplaysIdentically(t *testing.T) {
 			run, _ := fixtureRun(root)
 			want := recordLog(t, run)
 			before := dirBytes(t, root)
-			for _, pool := range []string{"", filepath.Join(t.TempDir(), "POOL")} {
-				dst := migrated(t, run, pool)
+			src, private := run, ""
+			for i, pool := range []string{"", filepath.Join(t.TempDir(), "POOL"), filepath.Join(t.TempDir(), "POOL")} {
+				if i == 2 {
+					src = private // a layout this build writes, after a put and a GC pass
+				}
+				dst := migrated(t, src, pool)
+				if i == 0 {
+					private = dst
+				}
 				committedInManifest(t, dst)
 				for _, workers := range []int{1, 2, 4} {
 					for _, init := range []flor.InitMode{flor.WeakInit, flor.StrongInit} {

@@ -70,10 +70,11 @@ func dirBytes(t *testing.T, dir string) map[string]string {
 
 // TestMigrationMatrixByteIdenticalReplay is the layout-compatibility
 // matrix: the same program as a legacy v1 run, a hash-prefix sharded v2
-// store, one spread over extra pack roots and a run of a fanout-4 pool (the
-// committed fixtures older builds left, each refused by DetectLayout with
-// ErrLegacyLayout and migrated — the v1 run and the stores into private
-// stores, the pooled run into a fresh pool), and recorded now into a
+// store, one spread over extra pack roots, a run of a fanout-4 pool, and a
+// private store and a run of a "pool1 shards=16" pool whose chunk records
+// are in an INDEX log (the committed fixtures older builds left, each
+// refused by DetectLayout with ErrLegacyLayout and migrated — the v1 run and
+// the stores into private stores, the pooled runs into a fresh pool), and recorded now into a
 // private v2 store and a pooled one (shared chunk pool), must open through
 // the same API — no flags, no layout hints — and replay byte-identical
 // logs, with the migrated v1 run's replay as the reference. In particular
@@ -114,6 +115,12 @@ func TestMigrationMatrixByteIdenticalReplay(t *testing.T) {
 		}, "", "v2-pooled/16"},
 		{"v2-pooled-4", func(dir string) error {
 			return os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "pool4")))
+		}, "pooled", "v2-pooled/16"},
+		{"v2-index", func(dir string) error {
+			return os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "private2index")))
+		}, "private", "v2"},
+		{"v2-pooled-16", func(dir string) error {
+			return os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "pool16")))
 		}, "pooled", "v2-pooled/16"},
 	}
 
@@ -433,7 +440,7 @@ func TestShardedFixtureReadsEverywhereAndMigrates(t *testing.T) {
 	if res.Superseded != 1 {
 		t.Fatalf("gc = %+v, want the superseded checkpoint dropped", res)
 	}
-	if m, err := os.ReadFile(filepath.Join(dst, "FORMAT")); err != nil || string(m) != "2 dirs index\n" {
+	if m, err := os.ReadFile(filepath.Join(dst, "FORMAT")); err != nil || string(m) != "2 dirs packlog\n" {
 		t.Fatalf("FORMAT after gc = %q (%v)", m, err)
 	}
 	replayed(dst, "after gc")
@@ -444,7 +451,7 @@ func TestShardedFixtureReadsEverywhereAndMigrates(t *testing.T) {
 // testdata/gztwins, each a meta record without a directory and a segment
 // file per checkpoint — through the move of directories into the manifest,
 // which is now a migration. A writable and a read-only open are refused
-// under the store's own marker and under "2 dirs index" alike, since its
+// under the store's own marker and under "2 dirs packlog" alike, since its
 // manifest still holds segment-file checkpoints; ReadLegacy reads every
 // checkpoint; and the migrated run leaves no segment file, carries "dirs"
 // on its marker, replays byte-identically to a fresh recording of its
@@ -489,7 +496,7 @@ func TestSegmentFileStoresResolveReplayAndMigrate(t *testing.T) {
 			t.Fatalf("%s: ReadLegacy yields no checkpoint", fx.fixture)
 		}
 		canonical := copyFixture(t, fx.fixture)
-		if err := os.WriteFile(filepath.Join(canonical, "FORMAT"), []byte("2 dirs index\n"), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(canonical, "FORMAT"), []byte("2 dirs packlog\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		for _, d := range []string{dir, canonical} {
