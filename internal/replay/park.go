@@ -7,6 +7,7 @@ import (
 	"flor.dev/flor/internal/backmat"
 	"flor.dev/flor/internal/script"
 	"flor.dev/flor/internal/skipblock"
+	"flor.dev/flor/internal/tensor"
 	"flor.dev/flor/internal/value"
 )
 
@@ -28,7 +29,10 @@ import (
 // When the snapshot and one program do not fit, nothing is snapshotted and
 // nothing parks. Only a query that succeeds parks its programs, and a
 // program is never shared between concurrent queries, so a park holds at
-// most as many programs as its queries held worker slots at once.
+// most as many programs as its queries held worker slots at once. A
+// program the park does not keep — its query failed, or the budget or the
+// analysis refuses it — gives its recycled buffers back (release), and so
+// do the programs a closing park held.
 //
 // The snapshot covers what the program's values hold, not what lies outside
 // them: an Opaque's internals, what the program's closures captured, a
@@ -57,12 +61,14 @@ func NewPark(rec *Recording, budget *backmat.PayloadCache) *Park {
 	return &Park{rec: rec, budget: budget}
 }
 
-// Close empties the park and returns its reservation to the budget;
-// programs offered after it are dropped. A serving daemon closes a store
-// entry's parks when it evicts the entry.
+// Close empties the park, gives back the recycled buffers of the programs
+// it held and returns its reservation to the budget; programs offered after
+// it are released, not parked. A serving daemon closes a store entry's parks
+// when it evicts the entry.
 func (k *Park) Close() {
 	k.mu.Lock()
 	defer k.mu.Unlock()
+	release(k.progs)
 	k.budget.Release(k.held)
 	k.setup, k.progs, k.held, k.closed = nil, nil, 0, true
 }
@@ -75,14 +81,48 @@ func (k *Park) Len() int {
 }
 
 // program is one instance of the probed program with its SkipBlock runtime
-// and environment, plus what reuse needs: which objects setup bound, and,
-// while parked, the bytes they hold.
+// and environment, plus what reuse needs: which objects setup bound (when
+// the park admitted it), and, while parked, the bytes they hold; and the
+// pending tensors its setup made, whose buffers go back to tensor's pools
+// when the program is dropped.
 type program struct {
-	p     *script.Program
-	rt    *skipblock.Runtime
-	env   *script.Env
-	setup script.Frame
-	bytes int64
+	p        *script.Program
+	rt       *skipblock.Runtime
+	env      *script.Env
+	setup    script.Frame
+	parkable bool
+	bytes    int64
+	claims   *tensor.Claims
+}
+
+// claimTensors returns the claims of a program whose setup just ran in env:
+// the pending tensors of its models and tensor values that were born after
+// c was made, which is before setup started (tensor.Claims). A tensor the
+// factory made, or one held by another program, is not claimed; nor is one
+// setup drew or overwrote.
+func claimTensors(c *tensor.Claims, env *script.Env) *tensor.Claims {
+	env.Frame().Each(func(_ string, v value.Value) {
+		switch b := v.(type) {
+		case *value.Model:
+			for _, p := range b.M.Params() {
+				c.Claim(p.Var.Value)
+			}
+		case *value.Tensor:
+			c.Claim(b.T)
+		}
+	})
+	return c
+}
+
+// release gives back the recycled buffers of programs nobody keeps (see
+// tensor.Release): their tensors must not be touched again.
+func release(progs []*program) {
+	for _, prog := range progs {
+		if prog.claims != nil {
+			tensor.Release(prog.claims)
+			prog.claims = nil
+		}
+	}
 }
 
 // valueBytes is what the values each walks hold, by their own estimate.
@@ -177,24 +217,30 @@ func bounded(p *script.Program) bool {
 	return true
 }
 
-// put parks the programs of a query that succeeded, as many as the budget
-// takes. A program's bytes are counted now, not at setup: the loop may have
-// grown its state (an optimizer's moments appear with the first step).
-func (k *Park) put(progs []*program) {
+// put parks the admitted programs of a query that succeeded, as many as the
+// budget takes, and returns the ones it does not keep. A program's bytes are
+// counted now, not at setup: the loop may have grown its state (an
+// optimizer's moments appear with the first step).
+func (k *Park) put(progs []*program) (rest []*program) {
 	if k == nil {
-		return
+		return progs
 	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if k.closed || k.setup == nil {
-		return
+		return progs
 	}
-	for _, prog := range progs {
+	for i, prog := range progs {
+		if !prog.parkable {
+			rest = append(rest, prog)
+			continue
+		}
 		prog.bytes = valueBytes(prog.setup.Each)
 		if !k.budget.Reserve(prog.bytes) {
-			return
+			return append(rest, progs[i:]...)
 		}
 		k.progs = append(k.progs, prog)
 		k.held += prog.bytes
 	}
+	return rest
 }

@@ -31,6 +31,14 @@
 // executed span carries its own log lines, and a replay merges spans in
 // iteration order before diffing the merged log against the record log
 // (deferred correctness check, §5.2.2).
+//
+// Once every worker of a query has exited, its programs go to the park if
+// the query succeeded and the park keeps them; every other program gives
+// back the buffers of the pending tensors its setup made and a restore
+// overwrote before anything drew them (tensor.Claims, tensor.Release), so
+// the next fresh worker's initializers take recycled buffers instead of
+// allocating and zero-filling new ones. Such a program is dropped: its
+// released tensors panic on any access.
 package replay
 
 import (
@@ -48,6 +56,7 @@ import (
 	"flor.dev/flor/internal/script"
 	"flor.dev/flor/internal/skipblock"
 	"flor.dev/flor/internal/store"
+	"flor.dev/flor/internal/tensor"
 )
 
 // InitMode selects the worker initialization strategy (paper §5.4.2); it is
@@ -319,6 +328,7 @@ func Replay(rec *Recording, factory func() *script.Program, opts Options) (*Resu
 	t0 := time.Now()
 	spans, err := replayLeases(env, x, n, res)
 	if err != nil {
+		env.retire(false)
 		return nil, err
 	}
 	res.WallNs = time.Since(t0).Nanoseconds()
@@ -328,7 +338,7 @@ func Replay(rec *Recording, factory func() *script.Program, opts Options) (*Resu
 	if !opts.SkipDeferredCheck {
 		res.Anomalies = runlog.DeferredCheck(rec.RecordLog, res.Logs, diff.NewLabels)
 	}
-	env.parkPrograms()
+	env.retire(true)
 	obs.C(obs.MReplayReplays).Inc()
 	recordReplayMetrics(n, res.Workers)
 	return res, nil
@@ -401,7 +411,7 @@ type replayEnv struct {
 	slotCostNs int64
 
 	// mu guards spare, the diffed instance no worker has set up yet, and
-	// used, every program a worker of this query ran.
+	// used, every program a worker of this query set up or took.
 	mu    sync.Mutex
 	spare *script.Program
 	used  []*program
@@ -420,13 +430,17 @@ func (env *replayEnv) fresh() *script.Program {
 	return p
 }
 
-// parkPrograms hands the query's programs to the park once it has
-// succeeded — unless its context ended meanwhile: a cancelled query parks
-// nothing.
-func (env *replayEnv) parkPrograms() {
-	if env.opts.Ctx.Err() == nil {
-		env.opts.Park.put(env.used)
+// retire ends the query's hold on its programs once every worker of it has
+// exited. A query that succeeded hands them to the park — unless its context
+// ended meanwhile: a cancelled query parks nothing — and every program the
+// park does not keep gives its recycled buffers back (release).
+func (env *replayEnv) retire(ok bool) {
+	rest := env.used
+	if ok && env.opts.Ctx.Err() == nil {
+		rest = env.opts.Park.put(env.used)
 	}
+	release(rest)
+	env.used = nil
 }
 
 // iterKeys returns the checkpoint keys the instrumented loops materialize
@@ -557,18 +571,16 @@ func newWorker(env *replayEnv, pid int) (*worker, error) {
 	parked := int64(1)
 	if prog == nil {
 		parked = 0
+		claims := tensor.NewClaims()
 		if err := script.ExecStmts(w.ctx, w.p.Setup); err != nil {
 			return nil, fmt.Errorf("replay: worker %d setup: %w", pid, err)
 		}
-		if setup, ok := env.opts.Park.admit(w.p, penv); ok {
-			prog = &program{p: w.p, rt: w.rt, env: penv, setup: setup}
-		}
+		prog = &program{p: w.p, rt: w.rt, env: penv, claims: claimTensors(claims, penv)}
+		prog.setup, prog.parkable = env.opts.Park.admit(w.p, penv)
 	}
-	if prog != nil {
-		env.mu.Lock()
-		env.used = append(env.used, prog)
-		env.mu.Unlock()
-	}
+	env.mu.Lock()
+	env.used = append(env.used, prog)
+	env.mu.Unlock()
 	w.report.SetupNs = time.Since(s0).Nanoseconds()
 	if w.tr != nil {
 		w.tr.Add(obs.Span{Name: "setup", Worker: pid, StartNs: t0, DurNs: w.report.SetupNs,

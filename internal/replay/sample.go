@@ -118,6 +118,8 @@ func ReplaySampleStream(rec *Recording, factory func() *script.Program, iteratio
 	defer env.releaseSlot()
 
 	t0 := time.Now()
+	ok := false
+	defer func() { env.retire(ok) }()
 	w, err := newWorker(env, 0)
 	if err != nil {
 		return nil, err
@@ -149,7 +151,7 @@ func ReplaySampleStream(rec *Recording, factory func() *script.Program, iteratio
 		}
 	}
 	rep := w.finish()
-	env.parkPrograms()
+	ok = true
 	recordReplayMetrics(len(sample), []WorkerReport{*rep})
 	return &SampleResult{
 		Iterations:    sample,

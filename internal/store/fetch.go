@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -317,6 +318,24 @@ func (r *fetchRun) checkHash(j *chunkJob, got ckptfmt.Hash) error {
 	return nil
 }
 
+// vecScratch is what a vectored run read keeps beside its arena span: the
+// run's vector and each record's scratch offset. A restore reads many runs,
+// so these are pooled and a steady-state run read allocates neither.
+type vecScratch struct {
+	iov   iovecs
+	recAt []int
+}
+
+var vecScratches = sync.Pool{New: func() any { return new(vecScratch) }}
+
+// put returns vs to its pool, dropping the vector's pointers into the run's
+// destinations first.
+func (vs *vecScratch) put() {
+	clear(vs.iov)
+	vs.iov = vs.iov[:0]
+	vecScratches.Put(vs)
+}
+
 // readRunVectored reads a run with one vectored pread. The payload of every
 // record planned as a large raw frame lands straight in its destination
 // pieces; everything between payloads — gaps, headers, trailers, whole small
@@ -332,8 +351,11 @@ func (p *ChunkPool) readRunVectored(fd uintptr, r *fetchRun, jobs []chunkJob, fs
 	scratch := ckptfmt.Shared.Get(r.scratch)
 	defer ckptfmt.Shared.Put(scratch)
 
-	iovs := make([][]byte, 0, r.iovs)
-	recAt := make([]int, len(r.members)) // scratch offset of each record's first byte
+	vs := vecScratches.Get().(*vecScratch)
+	defer vs.put()
+	recAt := slices.Grow(vs.recAt[:0], len(r.members))[:len(r.members)] // scratch offset of each record's first byte
+	vs.recAt = recAt
+	iovs := &vs.iov
 	pos, sOff, seg := r.start, 0, 0
 	for k, ji := range r.members {
 		j := &jobs[ji]
@@ -345,8 +367,10 @@ func (p *ChunkPool) readRunVectored(fd uintptr, r *fetchRun, jobs []chunkJob, fs
 		recAt[k] = sOff
 		if ov := rawOverhead(j); ov >= 0 {
 			sOff += ov - 4
-			iovs = append(iovs, scratch[seg:sOff])
-			iovs = append(iovs, j.dst...)
+			iovs.add(scratch[seg:sOff])
+			for _, d := range j.dst {
+				iovs.add(d)
+			}
 			seg = sOff
 			sOff += 4
 		} else {
@@ -354,8 +378,8 @@ func (p *ChunkPool) readRunVectored(fd uintptr, r *fetchRun, jobs []chunkJob, fs
 		}
 		pos = j.loc.Off + int64(j.loc.EncLen)
 	}
-	iovs = append(iovs, scratch[seg:sOff])
-	if err := preadvFull(fd, iovs, r.start); err != nil {
+	iovs.add(scratch[seg:sOff])
+	if err := iovs.readFull(fd, r.start); err != nil {
 		return r.readErr(err)
 	}
 

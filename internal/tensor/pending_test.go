@@ -228,13 +228,34 @@ func index(r *xrand.RNG, x *tensor.Tensor) []int {
 // a write of one element, a whole overwrite (CopyFrom, Fill, Zero, a codec
 // CopyInto that lands first), an encode — a pending tensor and its eagerly
 // drawn twin return bit-identical results and end bit-identical, and the
-// generators that made them stand at the same state.
+// generators that made them stand at the same state. The property holds
+// twice: on fresh buffers, and on recycled ones full of NaN — two tensors
+// of the shape are released before the pair is born, and every birth is
+// poisoned (PoisonPendingBuffers) — so no operation reads what a pending
+// tensor's buffer held before its draw or overwrite.
 func TestQuickPendingMatchesEager(t *testing.T) {
+	t.Run("fresh buffers", func(t *testing.T) { checkPendingMatchesEager(t, false) })
+	t.Run("recycled poisoned buffers", func(t *testing.T) {
+		defer tensor.PoisonPendingBuffers()()
+		checkPendingMatchesEager(t, true)
+	})
+}
+
+func checkPendingMatchesEager(t *testing.T, recycled bool) {
 	f := func(seed uint64, steps uint8) bool {
 		r := xrand.New(seed)
 		c := randomInit(r)
 		initSeed := r.Uint64()
 		rp, re := xrand.New(initSeed), xrand.New(initSeed)
+		if recycled {
+			claims := tensor.NewClaims()
+			for range 2 {
+				old := c.pending(xrand.New(seed))
+				claims.Claim(old)
+				old.Overwrite()
+			}
+			tensor.Release(claims)
+		}
 		x, y := c.pending(rp), c.pending(rp)
 		ex, ey := c.eager(re), c.eager(re)
 		if !rp.Equal(re) {
@@ -331,4 +352,57 @@ func TestOverwriteDropsTheDraw(t *testing.T) {
 	if n := tensor.DrawnValues() - before; n != 15 {
 		t.Fatalf("two reads of a 15-value tensor drew %d values", n)
 	}
+}
+
+// TestReleaseGivesBackOnlyUndrawnBuffers is the release rule at the tensor
+// level: a Claims takes pending tensors born after it, once each, and
+// Release gives back the buffers of those whose draws an overwrite dropped,
+// and nothing else. A tensor born before the Claims, one drawn after it was
+// claimed, one still pending and one two Claims both took keep their
+// buffers and their values; a released tensor panics on every access.
+func TestReleaseGivesBackOnlyUndrawnBuffers(t *testing.T) {
+	older := tensor.Uniform(xrand.New(1), 0, 1, 5)
+	c, other := tensor.NewClaims(), tensor.NewClaims()
+	pend := tensor.Uniform(xrand.New(2), 0, 1, 3)
+	over := tensor.XavierUniform(xrand.New(3), 2, 4)
+	copied := tensor.Uniform(xrand.New(6), 0, 1, 3)
+	drawn := tensor.Uniform(xrand.New(4), 0, 1, 7)
+	both := tensor.Uniform(xrand.New(5), 0, 1, 11)
+	for _, x := range []*tensor.Tensor{older, pend, over, over, copied, drawn, both} {
+		c.Claim(x)
+	}
+	other.Claim(both)
+	over.Zero()
+	copied.CopyFrom(tensor.Full(2, 3))
+	want := digest(drawn) // drawn after it was claimed
+	if got := tensor.Release(c); got != 8*(8+3) {
+		t.Fatalf("Release gave back %d bytes, want the %d of the two overwritten tensors", got, 8*(8+3))
+	}
+	if got := tensor.Release(other); got != 0 {
+		t.Fatalf("a tensor two Claims took was released (%d bytes)", got)
+	}
+	for _, x := range []*tensor.Tensor{over, copied} {
+		for name, access := range map[string]func(){
+			"Data": func() { x.Data() }, "At": func() { x.At(0) }, "Sum": func() { x.Sum() }, "Clone": func() { x.Clone() },
+			"Overwrite": func() { x.Overwrite() }, "Zero": func() { x.Zero() }, "Storage": func() { x.Storage() },
+		} {
+			if !panicked(access) {
+				t.Fatalf("%s of a released %v tensor did not panic", name, x.Shape())
+			}
+		}
+	}
+	if digest(drawn) != want {
+		t.Fatal("the drawn tensor's values changed")
+	}
+	for _, x := range []*tensor.Tensor{older, pend, both} {
+		if panicked(func() { x.Sum() }) {
+			t.Fatalf("the %v tensor was released", x.Shape())
+		}
+	}
+}
+
+func panicked(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }

@@ -48,6 +48,26 @@
 // and Zero. A replay worker whose first restore overwrites its initial
 // weights therefore never draws them. Randn stays eager: rejection sampling
 // has no fixed draw count. DrawnValues counts the values pending draws made.
+//
+// Since nothing reads a pending tensor's buffer before its draw or a whole
+// overwrite fills it, that buffer need not be fresh: Uniform and
+// XavierUniform take a recycled buffer of their length when one of the
+// per-length pools has it, and allocate one otherwise. Buffers come back
+// through Release, which only replay calls, for the programs of a finished
+// query that nobody keeps. The release rule: a Claims made before a
+// program's setup claims, when setup ends, the tensors of its models and
+// tensor values that are pending still and were born after it — so neither
+// a tensor the factory shares across instances nor one setup already drew
+// or overwrote — and a tensor two programs claim is shared and never
+// released. Release gives back the buffer of a claimed tensor whose draw an
+// overwrite (a restore) dropped. One whose draw was made keeps its buffer:
+// its values may have been read and its memory shared (Reshape). Tied
+// parameters are one tensor and are released once. A released tensor's pend
+// is a sentinel, so any later access — an operation, Data, At, Clone,
+// Overwrite, Storage — panics, with no branch added to the read path. The pools are an allocator, not a
+// cache: a garbage collection empties them. Race builds fill every released
+// buffer with NaN, and PoisonPendingBuffers does the same to every birth,
+// so a read of stale contents shows up as NaN in a replay's logs.
 package tensor
 
 import (
@@ -82,6 +102,9 @@ type pending struct {
 	rng      xrand.RNG
 	lo, span float64
 	stride   int
+	drawn    bool                   // set once the draw is made
+	born     uint64                 // the birth stamp (see Claims)
+	owner    atomic.Pointer[Claims] // the Claims holding the tensor, if any
 }
 
 // drawn counts the values pending draws have made.
@@ -107,6 +130,9 @@ func (t *Tensor) draw() {
 	if p == nil {
 		return
 	}
+	if p == released {
+		panic(errReleased)
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if t.pend.Load() != p {
@@ -119,22 +145,27 @@ func (t *Tensor) draw() {
 		}
 	}
 	drawn.Add(int64(len(t.buf)))
+	p.drawn = true
 	t.pend.Store(nil)
 }
 
-// pendingDraw makes t's values a pending draw from rng and moves rng past
-// it: each value is one Float64, two steps of the generator.
-func pendingDraw(rng *xrand.RNG, lo, span float64, stride int, t *Tensor) *Tensor {
-	if len(t.buf) > 0 {
-		t.pend.Store(&pending{rng: *rng, lo: lo, span: span, stride: stride})
-		rng.Advance(2 * uint64(len(t.buf)))
+// pendingDraw returns a tensor of the given shape whose values are a pending
+// draw from rng, on a buffer from pendingBuf, and moves rng past the draw:
+// each value is one Float64, two steps of the generator.
+func pendingDraw(rng *xrand.RNG, lo, span float64, stride int, shape ...int) *Tensor {
+	n := numel(shape)
+	if n == 0 {
+		return New(shape...)
 	}
+	t := &Tensor{shape: append([]int(nil), shape...), buf: pendingBuf(n)}
+	t.pend.Store(&pending{rng: *rng, lo: lo, span: span, stride: stride, born: births.Add(1)})
+	rng.Advance(2 * uint64(n))
 	return t
 }
 
-// New returns a zero-filled tensor with the given shape. A nil/empty shape
-// yields a scalar (one element).
-func New(shape ...int) *Tensor {
+// numel returns the element count of shape, panicking on a negative
+// dimension.
+func numel(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
@@ -142,7 +173,13 @@ func New(shape ...int) *Tensor {
 		}
 		n *= d
 	}
-	return &Tensor{shape: append([]int(nil), shape...), buf: make([]float64, n)}
+	return n
+}
+
+// New returns a zero-filled tensor with the given shape. A nil/empty shape
+// yields a scalar (one element).
+func New(shape ...int) *Tensor {
+	return &Tensor{shape: append([]int(nil), shape...), buf: make([]float64, numel(shape))}
 }
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used
@@ -186,7 +223,7 @@ func Randn(rng *xrand.RNG, std float64, shape ...int) *Tensor {
 // row-major order. The draw is pending (see the package comment); rng moves
 // past it at once.
 func Uniform(rng *xrand.RNG, lo, hi float64, shape ...int) *Tensor {
-	return pendingDraw(rng, lo, hi-lo, 1, New(shape...))
+	return pendingDraw(rng, lo, hi-lo, 1, shape...)
 }
 
 // XavierUniform returns a (fanIn, fanOut)-shaped weight matrix, the layout
@@ -198,7 +235,7 @@ func Uniform(rng *xrand.RNG, lo, hi float64, shape ...int) *Tensor {
 // rng where that call would. The draw is pending, like Uniform's.
 func XavierUniform(rng *xrand.RNG, fanIn, fanOut int) *Tensor {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
-	return pendingDraw(rng, -limit, 2*limit, fanOut, New(fanIn, fanOut))
+	return pendingDraw(rng, -limit, 2*limit, fanOut, fanIn, fanOut)
 }
 
 // Shape returns the tensor's dimensions. The returned slice must not be
@@ -223,7 +260,10 @@ func (t *Tensor) Data() []float64 { return t.vals() }
 // before anything reads one — a restore's copy, a read laid over the
 // tensor's memory: a pending draw is dropped, never drawn.
 func (t *Tensor) Overwrite() []float64 {
-	if t.pend.Load() != nil {
+	if p := t.pend.Load(); p != nil {
+		if p == released {
+			panic(errReleased)
+		}
 		t.pend.Store(nil)
 	}
 	return t.buf
@@ -233,7 +273,12 @@ func (t *Tensor) Overwrite() []float64 {
 // while the tensor is pending, what it holds is not the tensor's values.
 // It is for a caller that lays a later write over the tensor's memory and
 // calls Overwrite when it issues that write, never for reading values.
-func (t *Tensor) Storage() []float64 { return t.buf }
+func (t *Tensor) Storage() []float64 {
+	if t.pend.Load() == released {
+		panic(errReleased)
+	}
+	return t.buf
+}
 
 // At returns the element at the given indices.
 func (t *Tensor) At(idx ...int) float64 {
