@@ -28,8 +28,8 @@
 // migrate copies a recorded run (core.Migrate) into a fresh directory in a
 // layout this build writes — a private store, or a run of the shared pool
 // named third — reading the source once and never writing it. A run an
-// older build left (format v1, a sharded or multi-root store, a pool at
-// another fanout, a manifest with segment-file checkpoints) fails every
+// older build left (format v1, a sharded or multi-root store, a pool of
+// several packs, a manifest with segment-file checkpoints) fails every
 // open — replay, serving and upload included — with a message naming this
 // command, the one way to replay, serve, record into or GC its checkpoints
 // again.

@@ -39,6 +39,7 @@ package flor
 
 import (
 	"fmt"
+	"slices"
 
 	"flor.dev/flor/internal/adapt"
 	"flor.dev/flor/internal/backmat"
@@ -180,10 +181,10 @@ func DisableAdaptiveCheckpointing() Option {
 // the same pool — a fine-tuning family over one frozen backbone, a swept
 // hyperparameter grid — deduplicate checkpoint chunks against each other,
 // so shared state is stored once per project instead of once per run, and
-// concurrent replays of sibling runs share decoded payloads. A new pool
-// splits its packs into store.DefaultShardFanout hash-prefix shards; a pool
-// an older build made at another fanout is not opened, and recording into it
-// fails with store.ErrLegacyLayout. Any number of recordings, in one process
+// concurrent replays of sibling runs share decoded payloads. A pool is one
+// pack log, as a private run's store is; a pool an older build made (one
+// split into hash-prefix shards included) is not opened, and recording into
+// it fails with store.ErrLegacyLayout. Any number of recordings, in one process
 // or (where the platform has flock) many, may record into one pool at once,
 // and GC may run beside them: each commit holds the pool's lock, an exclusive
 // flock on its directory, so every run replays as if it had recorded alone. Replay needs no matching option —
@@ -275,6 +276,7 @@ func Replay(dir string, factory func() *Program, opts ...Option) (*ReplayResult,
 			probed = append(probed, id)
 		}
 	}
+	slices.Sort(probed)
 	return &ReplayResult{
 		Logs:        res.Logs,
 		ProbedLoops: probed,

@@ -125,6 +125,34 @@ func TestPublicAPIHindsightProbe(t *testing.T) {
 	}
 }
 
+// TestReplayProbedLoopsSorted replays a probe of the inner loop, which
+// probes the outer loop around it too, many times: ProbedLoops names both,
+// sorted, every time, though the replay finds them in a map.
+func TestReplayProbedLoopsSorted(t *testing.T) {
+	dir := t.TempDir()
+	factory := counterFactory(2, 2)
+	if _, err := flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing()); err != nil {
+		t.Fatal(err)
+	}
+	probed := func() *flor.Program {
+		p := factory()
+		train := p.Main.Body[0].Loop
+		train.Body = flor.AddLog(train.Body, 1, flor.LogStmt("hindsight", func(e *flor.Env) (string, error) {
+			return fmt.Sprintf("%.6g", e.MustGet("w").(*flor.TensorVal).T.Norm()), nil
+		}))
+		return p
+	}
+	for i := 0; i < 40; i++ {
+		res, err := flor.Replay(dir, probed, flor.Workers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(res.ProbedLoops, " "); got != "main train" {
+			t.Fatalf("replay %d: probed loops %v, want [main train]", i, res.ProbedLoops)
+		}
+	}
+}
+
 func TestPublicAPIVanilla(t *testing.T) {
 	logs, wall, err := flor.Vanilla(counterFactory(3, 2))
 	if err != nil {

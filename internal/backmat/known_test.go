@@ -156,7 +156,7 @@ func TestCaptureVouchesOnlyForChunksItFoundUnchanged(t *testing.T) {
 }
 
 // layouts are the two layouts a recording can have: a private pack, and a
-// run of a shared pool (sharded at its fanout).
+// run of a shared pool.
 var layouts = []struct {
 	name string
 	opts func(t testing.TB, base string) store.Options

@@ -4,7 +4,7 @@ import "sync"
 
 // Arena recycles byte buffers across frame decodes and restore calls. The
 // restore hot path used to allocate a fresh multi-megabyte staging buffer
-// per shard fetch and per decompressed frame; for non-dedupable payloads
+// per pack fetch and per decompressed frame; for non-dedupable payloads
 // (every chunk distinct, nothing skippable) that allocation churn is pure
 // frame tax. An Arena turns those into pool round-trips: Get hands back a
 // previously released buffer when one is large enough, and Put releases a
@@ -30,7 +30,7 @@ func NewArena() *Arena { return &Arena{} }
 // restore path stages span reads, frame headers and trailers, and small or
 // compressed records here — and decodes a compressed frame whose destination
 // is in pieces here before scattering it — and releases each span the moment
-// a run's frames are decoded; the write path stages a shard's fresh frames
+// a run's frames are decoded; the write path stages a put's fresh frames
 // here for their one pack append and releases the span when the append
 // returns. Remote extents come from it too: a ranged GET reads into a span,
 // which goes back when the extent's last holder (the cache tier, or the last

@@ -234,9 +234,8 @@ func loadRecording(dir string, st *store.Store) (*replay.Recording, error) {
 
 // Migrate copies the run at src into dst, a fresh directory, in a layout this
 // build writes: a private store, or a run of the shared pool at pool when
-// pool is not empty. It reads src — through store.ReadLegacy, the one reader
-// of every older layout, or, in a layout this build writes, through a
-// read-only open — and puts each live checkpoint under its key, in commit
+// pool is not empty. It reads src through store.ReadLegacy, the one reader
+// of every layout, and puts each live checkpoint under its key, in commit
 // order, with its recorded timings; then it copies the program structure,
 // the record log and the iteration timings, and last writes the store's
 // INDEX snapshot, a hint. Section hashes are over raw bytes, so every migrated
@@ -265,12 +264,7 @@ func Migrate(src, dst, pool string) error {
 		}
 		return nil
 	}
-	var err error
-	if _, derr := store.DetectLayout(src); derr == nil {
-		err = readRun(src, put)
-	} else {
-		err = store.ReadLegacy(src, put)
-	}
+	err := store.ReadLegacy(src, put)
 	if err == nil {
 		err = open() // a run without checkpoints
 	}
@@ -291,33 +285,6 @@ func Migrate(src, dst, pool string) error {
 	}
 	if err := to.WriteIndex(); err != nil {
 		return fmt.Errorf("core: migrate: %w", err)
-	}
-	return nil
-}
-
-// readRun calls fn with each live checkpoint of the run at src, a store in a
-// layout this build writes, and all of its sections, in commit order: what
-// store.ReadLegacy does for the layouts older builds left.
-func readRun(src string, fn func(store.Meta, []store.Section) error) error {
-	st, err := store.OpenReadOnly(src)
-	if err != nil {
-		return err
-	}
-	for _, m := range st.Metas() {
-		if latest, _ := st.Lookup(m.Key); latest.Seq != m.Seq {
-			continue // superseded
-		}
-		c, err := st.Resolve(m.Key)
-		var secs []store.Section
-		if err == nil {
-			secs, err = c.ReadInto(nil, nil, nil, nil)
-		}
-		if err == nil {
-			err = fn(*m, secs)
-		}
-		if err != nil {
-			return err
-		}
 	}
 	return nil
 }

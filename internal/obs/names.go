@@ -126,15 +126,15 @@ type Def struct {
 var Catalog = []Def{
 	// store
 	{MStoreChunkDedupHits, KindCounter, nil, "Chunk writes elided because the chunk pool already held the content."},
-	{MStoreChunksWritten, KindCounter, nil, "Fresh chunks appended to pack shards."},
-	{MStoreChunkBytesWritten, KindCounter, nil, "Encoded bytes appended to pack shards."},
-	{MStoreShardAppendSeconds, KindHistogram, nil, "Latency of fanning one checkpoint's fresh frames across pack shards."},
+	{MStoreChunksWritten, KindCounter, nil, "Fresh chunks appended to packs."},
+	{MStoreChunkBytesWritten, KindCounter, nil, "Encoded bytes appended to packs."},
+	{MStoreShardAppendSeconds, KindHistogram, nil, "Latency of appending one checkpoint's fresh frames to its pack."},
 	{MStoreFetchBytes, KindCounter, []string{"tier"}, "Encoded pack bytes served to restores, by fetch tier (scatter|ranged|cache|remote|cache-tier|singleflight; cache counts logical bytes skipped via payload-cache hits)."},
 	{MStoreFetchFrames, KindCounter, []string{"tier"}, "Chunk frames served to restores, by fetch tier (scatter|ranged|cache|remote|cache-tier|singleflight)."},
 	{MStoreGCPasses, KindCounter, nil, "Chunk-reclaiming GC passes."},
 	{MStoreGCMarkedChunks, KindCounter, nil, "Chunks marked live during GC mark phases."},
-	{MStoreGCDeadChunks, KindCounter, nil, "Superseded chunks compacted out of pack shards."},
-	{MStoreGCRewrittenShards, KindCounter, nil, "Shards rewritten to a new pack generation by compaction."},
+	{MStoreGCDeadChunks, KindCounter, nil, "Superseded chunks compacted out of packs."},
+	{MStoreGCRewrittenShards, KindCounter, nil, "Packs rewritten to a new generation by compaction."},
 	{MStoreGCTombstonedPacks, KindCounter, nil, "Replaced pack generations scheduled as grace-period tombstones."},
 	{MStoreGCDeletedPacks, KindCounter, nil, "Tombstoned pack generations deleted after their grace period."},
 	// cache tier (remote-backed stores)

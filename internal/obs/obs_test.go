@@ -177,7 +177,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	out := b.String()
 
 	wantLines := []string{
-		"# HELP flor_store_chunks_written_total Fresh chunks appended to pack shards.",
+		"# HELP flor_store_chunks_written_total Fresh chunks appended to packs.",
 		"# TYPE flor_store_chunks_written_total counter",
 		"flor_store_chunks_written_total 42",
 		"# TYPE flor_serve_queries_total counter",

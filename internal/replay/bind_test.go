@@ -83,11 +83,12 @@ func withLog(factory func() *script.Program, label string, eval func(*script.Env
 // as every replay did before loads were deferred. And a sampled iteration
 // loads that iteration's sections alone: the catch-up iteration before it
 // binds a checkpoint that the sampled one supersedes unread, whose model
-// section's shard pack — deleted here — is never opened.
+// section's frame — a byte of it flipped here, so that any read of it fails
+// its CRC — is never read.
 func TestRestoredBytesCountOnlyWhatStatementsRead(t *testing.T) {
 	const epochs = 6
 	factory := sgdFactory(epochs)
-	// A run of a shared pool, whose packs are split into hash-prefix shards.
+	// A run of a shared pool.
 	dir, pool := t.TempDir(), filepath.Join(t.TempDir(), "POOL")
 	if _, err := core.Record(dir, factory, core.RecordOptions{DisableAdaptive: true, Pool: pool}); err != nil {
 		t.Fatal(err)
@@ -138,31 +139,51 @@ func TestRestoredBytesCountOnlyWhatStatementsRead(t *testing.T) {
 	}
 
 	// Every section is one chunk, so a section's bytes name its chunk and
-	// the chunk its shard pack.
+	// the chunk its frame in the pool's pack.
 	const sampled = 4
-	pack := func(exec int, section string) string {
+	chunk := func(exec int, section string) ckptfmt.Hash {
 		secs, err := readAll(rec.Store, store.Key{LoopID: "train", Exec: exec})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, s := range secs {
 			if s.Name == section {
-				return fmt.Sprintf("CHUNKS-%02x", int(ckptfmt.HashChunk(s.Data)[0])%rec.Store.ShardFanout())
+				return ckptfmt.HashChunk(s.Data)
 			}
 		}
 		t.Fatalf("train@%d has no section %s", exec, section)
-		return ""
+		return ckptfmt.Hash{}
 	}
-	unread := pack(sampled-1, "net")
-	if unread == pack(sampled, "net") || unread == pack(sampled, "avg_loss") {
-		t.Fatalf("epoch %d's model shares shard pack %s with what epoch %d's sample reads", sampled-1, unread, sampled)
+	unread := chunk(sampled-1, "net")
+	if unread == chunk(sampled, "net") || unread == chunk(sampled, "avg_loss") {
+		t.Fatalf("epoch %d's model is a chunk that epoch %d's sample reads", sampled-1, sampled)
 	}
-	if err := os.Remove(filepath.Join(pool, unread)); err != nil {
+	packPath := filepath.Join(pool, "CHUNKS")
+	pack, err := os.ReadFile(packPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := false
+	for off := 0; off < len(pack) && !flipped; {
+		f, n, err := ckptfmt.Parse(pack[off:])
+		if err != nil {
+			t.Fatalf("pack frame at %d: %v", off, err)
+		}
+		if f.Hash == unread {
+			pack[off+n/2] ^= 0xff
+			flipped = true
+		}
+		off += n
+	}
+	if !flipped {
+		t.Fatalf("no frame of the pack holds epoch %d's model", sampled-1)
+	}
+	if err := os.WriteFile(packPath, pack, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	full, err := replay.Replay(rec, wnorm, replay.Options{Workers: 1, Init: replay.Weak, SkipDeferredCheck: true})
 	if err == nil {
-		t.Fatalf("a replay that reads epoch %d's checkpoint succeeded without its model's pack: %v", sampled-1, full.Logs)
+		t.Fatalf("a replay that reads epoch %d's checkpoint succeeded over its model's flipped frame: %v", sampled-1, full.Logs)
 	}
 	res, err := replay.ReplaySampleWith(rec, wnorm, []int{sampled}, replay.SampleOptions{Trace: obs.NewTrace()})
 	if err != nil {

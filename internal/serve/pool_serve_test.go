@@ -66,8 +66,8 @@ func TestServePooledRunsGroupedWithSharedCache(t *testing.T) {
 	if len(runs) != 2 || runs[0].Pool == "" || runs[0].Pool != runs[1].Pool {
 		t.Fatalf("runs not grouped by pool: %+v", runs)
 	}
-	if !strings.HasPrefix(runs[0].Format, "v2-pooled/") {
-		t.Fatalf("format = %q, want v2-pooled/*", runs[0].Format)
+	if runs[0].Format != "v2-pooled" {
+		t.Fatalf("format = %q, want v2-pooled", runs[0].Format)
 	}
 
 	// Concurrent sibling replays: byte-identical to direct library replay.

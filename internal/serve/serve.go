@@ -1148,10 +1148,8 @@ type RunInfo struct {
 	Probes []string `json:"probes"`
 	Open   bool     `json:"open"` // store currently in the LRU
 	// Format is the store layout detected at registration ("v2" for a
-	// private store, "v2-pooled/16" for a run of a shared pool).
+	// private store, "v2-pooled" for a run of a shared pool).
 	Format string `json:"format"`
-	// Shards is the chunk-pack fanout (1 for a private store, 16 pooled).
-	Shards int `json:"shards"`
 	// Pool is the resolved chunk-pool root for pooled runs ("" otherwise);
 	// runs sharing it form one project group.
 	Pool string `json:"pool,omitempty"`
@@ -1174,7 +1172,6 @@ func (s *Server) Runs() []RunInfo {
 			Probes: r.probes(),
 			Open:   s.stores.contains(id),
 			Format: r.layout.String(),
-			Shards: r.layout.ShardFanout,
 			Pool:   r.poolRoot,
 		})
 	}

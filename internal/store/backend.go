@@ -19,12 +19,11 @@ import (
 // The contract is shaped by what an append-only pack needs and by what
 // ranged remote stores can offer:
 //
-//   - Objects are named by flat string keys ("CHUNKS", "CHUNKS-03",
-//     "CHUNKS-03.g2"); the backend owns the mapping from name to location.
+//   - Objects are named by flat string keys ("CHUNKS", "CHUNKS.g2"); the
+//     backend owns the mapping from name to location.
 //   - Append is the only mutation the hot write path uses. The store
 //     serializes appends (the pool's commit lock), so backends
-//     need not make concurrent appends to the same object atomic — but
-//     appends to different objects run concurrently.
+//     need not make concurrent appends to the same object atomic.
 //   - Open returns a ranged reader (io.ReaderAt): replay reads frames by
 //     (offset, length) from the run's manifest, which maps directly onto a
 //     ranged GET against a remote object.
@@ -46,7 +45,7 @@ type Backend interface {
 	// object does not exist.
 	Open(name string) (BackendReader, error)
 	// Create returns a streaming writer that atomically replaces the named
-	// object on Close: compaction writes a shard's survivors into the next
+	// object on Close: compaction writes the pack's survivors into the next
 	// pack generation through it, chunk by chunk. Abort discards the
 	// in-progress write, leaving any existing object untouched.
 	Create(name string) (BackendWriter, error)

@@ -231,7 +231,7 @@ func TestCrashCutPutKeepsCommittedPrefix(t *testing.T) {
 			}
 			restore()
 			whole := packBytes(t, packs) - before // the cut put's whole frames
-			tornObj := shardName(s.pool.fanout, shardIndex(torn, s.pool.fanout))
+			tornObj := packFile
 			var tornAt int64
 			if cut == "torn" {
 				fi, err := os.Stat(filepath.Join(packs, tornObj))
@@ -239,7 +239,7 @@ func TestCrashCutPutKeepsCommittedPrefix(t *testing.T) {
 					t.Fatal(err)
 				}
 				wire := int64(ckptfmt.RawWireLen(len(resumedChunk)))
-				tornAt = fi.Size() - wire // the last frame this put appended to its shard
+				tornAt = fi.Size() - wire // the last frame this put appended
 				if err := os.Truncate(filepath.Join(packs, tornObj), tornAt+wire/2); err != nil {
 					t.Fatal(err)
 				}
@@ -296,7 +296,7 @@ func TestCrashCutPutKeepsCommittedPrefix(t *testing.T) {
 // TestPutLeavesTheIndexAlone pins what writes the INDEX snapshot, on both
 // writer layouts: a put changes no byte of it — the same file, the same
 // length, the same bytes — and WriteIndex and a compacting GC pass replace
-// it whole, each with a new file whose shard records cover every pack byte.
+// it whole, each with a new file whose pack record covers every pack byte.
 func TestPutLeavesTheIndexAlone(t *testing.T) {
 	for _, pooled := range []bool{false, true} {
 		what := map[bool]string{false: "private", true: "pooled"}[pooled]
@@ -323,10 +323,8 @@ func TestPutLeavesTheIndexAlone(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s, %s: INDEX undecodable at %d: %v", what, step, off, err)
 				}
-				if rec.tag == recShard {
-					if end := s.pool.shardTab[rec.shard.index].end; rec.shard.end != end {
-						t.Fatalf("%s, %s: shard record %+v, the pack's indexed end is %d", what, step, rec.shard, end)
-					}
+				if rec.tag == recShard && rec.shard.end != s.pool.end {
+					t.Fatalf("%s, %s: pack record %+v, the pack's indexed end is %d", what, step, rec.shard, s.pool.end)
 				}
 				off += n
 			}
@@ -379,10 +377,10 @@ func TestPutLeavesTheIndexAlone(t *testing.T) {
 // TestChunkRecordsLiveInTheIndex pins where each writer layout keeps its
 // records, once a recording wrote its snapshot and after a compacting GC: a
 // private store's MANIFEST holds only meta records and its INDEX snapshot
-// one shard record, then chunk records; a pooled run's MANIFEST holds its
+// one pack record, then chunk records; a pooled run's MANIFEST holds its
 // pool-reference record, then only meta records, and the snapshot is the
-// pool's INDEX, a shard record per shard, then chunk records — the run
-// directory has none. The GC supersedes a checkpoint first, so that the
+// pool's INDEX, the same pack record and chunk records — the run directory
+// has none. The GC supersedes a checkpoint first, so that the
 // private store compacts.
 func TestChunkRecordsLiveInTheIndex(t *testing.T) {
 	base := t.TempDir()
@@ -410,14 +408,14 @@ func TestChunkRecordsLiveInTheIndex(t *testing.T) {
 	only := func(s string, tag byte) bool {
 		return s != "" && !slices.ContainsFunc([]byte(s), func(c byte) bool { return c != tag })
 	}
-	snapshot := func(s string, shards int) bool {
-		return len(s) > shards && only(s[:shards], recShard) && only(s[shards:], recChunk)
+	snapshot := func(s string) bool {
+		return len(s) > 1 && s[0] == recShard && only(s[1:], recChunk)
 	}
 	check := func(when string) {
 		t.Helper()
 		priv, pooled := dirs["v2"], dirs["v2-pooled"]
-		if m, idx := tags(filepath.Join(priv, manifestFile)), tags(filepath.Join(priv, poolIndexFile)); !only(m, recMeta) || !snapshot(idx, 1) {
-			t.Fatalf("%s: private MANIFEST %q, INDEX %q; want meta records, and a shard record and chunk records", when, m, idx)
+		if m, idx := tags(filepath.Join(priv, manifestFile)), tags(filepath.Join(priv, poolIndexFile)); !only(m, recMeta) || !snapshot(idx) {
+			t.Fatalf("%s: private MANIFEST %q, INDEX %q; want meta records, and a pack record and chunk records", when, m, idx)
 		}
 		m := tags(filepath.Join(pooled, manifestFile))
 		if len(m) < 2 || m[0] != recPool || !only(m[1:], recMeta) {
@@ -426,8 +424,8 @@ func TestChunkRecordsLiveInTheIndex(t *testing.T) {
 		if idx := tags(filepath.Join(pooled, poolIndexFile)); idx != "" {
 			t.Fatalf("%s: pooled run directory holds INDEX records %q", when, idx)
 		}
-		if idx := tags(filepath.Join(base, "POOL", poolIndexFile)); !snapshot(idx, DefaultShardFanout) {
-			t.Fatalf("%s: pool INDEX %q, want a shard record per shard, then chunk records", when, idx)
+		if idx := tags(filepath.Join(base, "POOL", poolIndexFile)); !snapshot(idx) {
+			t.Fatalf("%s: pool INDEX %q, want the pack record, then chunk records", when, idx)
 		}
 	}
 	check("recorded")

@@ -13,11 +13,16 @@ import (
 var (
 	FetchWorkers          = fetchWorkers // the restore worker-group width
 	TestPayload           = testPayload
-	SplitBundle           = splitBundle       // ReadLegacy's v1 bundle parser
-	ParseLegacyMarker     = parseLegacyMarker // the FORMAT grammar older builds wrote
+	SplitBundle           = splitBundle // ReadLegacy's v1 bundle parser
 	ParseLegacyPoolMarker = parseLegacyPoolMarker
 	ParseShardRoots       = parseShardRoots
 )
+
+// ParseLegacyMarker is the FORMAT grammar every build wrote, field by field.
+func ParseLegacyMarker(raw []byte) (fanout int, pooled, index, packlog, ok bool) {
+	m, ok := parseLegacyMarker(raw)
+	return m.fanout, m.pooled, m.index, m.packlog, ok
+}
 
 // VerifyOffers installs, until the test ends, a putHook that re-hashes every
 // chunk whose hash was offered — failing the put on a mismatch — and counts

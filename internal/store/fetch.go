@@ -1,6 +1,6 @@
 package store
 
-// fetch.go is the restore read path: one planner that cuts a shard's chunk
+// fetch.go is the restore read path: one planner that cuts a restore's chunk
 // jobs into bounded runs, and one executor that reads each run with a single
 // call and decodes its frames the moment the bytes land. Every restore goes
 // through it, whatever the backend.
@@ -153,15 +153,18 @@ func rawOverhead(j *chunkJob) int {
 	return ov
 }
 
-// planRuns offset-sorts one shard's jobs — large, small and compressed
-// together — and cuts them into runs within the bounds above. Records never
+// planRuns offset-sorts the jobs — large, small and compressed together —
+// and cuts them into runs within the bounds above. Records never
 // partially overlap (a pack is append-only), so a job that starts before the
 // current run's end wants the run's last record again (zero-initialised
 // tensors, repeated blocks): it joins the run and is decoded from the bytes
 // already planned, so a deduplicated record is read once however often it is
 // referenced.
-func planRuns(pf BackendReader, obj string, jobs []chunkJob, idxs []int) []fetchRun {
-	sorted := append([]int(nil), idxs...)
+func planRuns(pf BackendReader, obj string, jobs []chunkJob) []fetchRun {
+	sorted := make([]int, len(jobs))
+	for i := range sorted {
+		sorted[i] = i
+	}
 	sort.Slice(sorted, func(a, b int) bool { return jobs[sorted[a]].loc.Off < jobs[sorted[b]].loc.Off })
 	var runs []fetchRun
 	var cur *fetchRun
@@ -199,47 +202,26 @@ func planRuns(pf BackendReader, obj string, jobs []chunkJob, idxs []int) []fetch
 }
 
 // fetch reads and decodes every job into its destination buffer: the whole
-// restore below chunk-location resolution. It opens the pack object of every
-// involved shard, plans each shard's runs, and reads them on up to
-// fetchWorkers workers, handing out no run after the first error. Jobs of one
-// shard always share a generation (locations were resolved atomically under
-// the shard lock). A missing pack object surfaces ErrStalePack: the
-// generation was compacted away and deleted after its grace period, so the
-// caller's resolved locations are stale, not corrupt.
-func (p *ChunkPool) fetch(jobs []chunkJob, byShard map[int][]int, fs *FetchStats) error {
-	shards := make([]int, 0, len(byShard))
-	for si := range byShard {
-		shards = append(shards, si)
+// restore below chunk-location resolution. It opens the pack, plans the
+// runs, and reads them on up to fetchWorkers workers, handing out no run
+// after the first error. The jobs share a generation (their locations were
+// resolved atomically under the index lock). A missing pack object surfaces
+// ErrStalePack: the generation was compacted away and deleted after its
+// grace period, so the caller's resolved locations are stale, not corrupt.
+func (p *ChunkPool) fetch(jobs []chunkJob, fs *FetchStats) error {
+	if len(jobs) == 0 {
+		return nil
 	}
-	packs := make([]BackendReader, len(shards))
-	defer func() {
-		for _, pf := range packs {
-			if pf != nil {
-				pf.Close()
-			}
-		}
-	}()
-	objs := make([]string, len(shards))
-	errs := make([]error, len(shards))
-	ckptfmt.ParallelDo(len(shards), func(k int) {
-		objs[k] = packObjName(p.shardTab[shards[k]].name, jobs[byShard[shards[k]][0]].loc.Gen)
-		pf, err := p.backend.Open(objs[k])
-		switch {
-		case err == nil:
-			packs[k] = pf
-		case errors.Is(err, os.ErrNotExist):
-			errs[k] = fmt.Errorf("%w: shard %s: %v", ErrStalePack, objs[k], err)
-		default:
-			errs[k] = fmt.Errorf("store: shard %s: open pack: %w", objs[k], err)
-		}
-	})
-	var runs []fetchRun
-	for k, si := range shards {
-		if errs[k] != nil {
-			return errs[k]
-		}
-		runs = append(runs, planRuns(packs[k], objs[k], jobs, byShard[si])...)
+	obj := packObjName(packFile, jobs[0].loc.Gen)
+	pf, err := p.backend.Open(obj)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		return fmt.Errorf("%w: pack %s: %v", ErrStalePack, obj, err)
+	case err != nil:
+		return fmt.Errorf("store: pack %s: open: %w", obj, err)
 	}
+	defer pf.Close()
+	runs := planRuns(pf, obj, jobs)
 
 	bdgt := newByteBudget(restoreInflightBudget)
 	read := func(r *fetchRun) error {
@@ -290,11 +272,11 @@ func (p *ChunkPool) fetch(jobs []chunkJob, byShard map[int][]int, fs *FetchStats
 func (r *fetchRun) readErr(err error) error {
 	switch {
 	case errors.Is(err, os.ErrNotExist):
-		return fmt.Errorf("%w: shard %s: %v", ErrStalePack, r.obj, err)
+		return fmt.Errorf("%w: pack %s: %v", ErrStalePack, r.obj, err)
 	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
-		return fmt.Errorf("%w: shard %s: read [%d,%d): %v", codec.ErrCorrupt, r.obj, r.start, r.end, err)
+		return fmt.Errorf("%w: pack %s: read [%d,%d): %v", codec.ErrCorrupt, r.obj, r.start, r.end, err)
 	}
-	return fmt.Errorf("store: shard %s: read [%d,%d): %w", r.obj, r.start, r.end, err)
+	return fmt.Errorf("store: pack %s: read [%d,%d): %w", r.obj, r.start, r.end, err)
 }
 
 // decodeRecord decodes one staged frame record into j's destination pieces
@@ -305,14 +287,14 @@ func (r *fetchRun) readErr(err error) error {
 func (r *fetchRun) decodeRecord(rec []byte, j *chunkJob) error {
 	frame, err := ckptfmt.ParseDecodeScatter(rec, j.dst)
 	if err != nil {
-		return fmt.Errorf("store: shard %s frame at %d: %w", r.obj, j.loc.Off, err)
+		return fmt.Errorf("store: pack %s frame at %d: %w", r.obj, j.loc.Off, err)
 	}
 	return r.checkHash(j, frame.Hash)
 }
 
 func (r *fetchRun) checkHash(j *chunkJob, got ckptfmt.Hash) error {
 	if got != j.ref.Hash {
-		return fmt.Errorf("%w: shard %s frame at %d holds %s, directory wants %s",
+		return fmt.Errorf("%w: pack %s frame at %d holds %s, directory wants %s",
 			codec.ErrCorrupt, r.obj, j.loc.Off, got, j.ref.Hash)
 	}
 	return nil
@@ -408,7 +390,7 @@ func (p *ChunkPool) readRunVectored(fd uintptr, r *fetchRun, jobs []chunkJob, fs
 			var hash ckptfmt.Hash
 			var err error
 			if hash, ok, err = ckptfmt.DecodeGatheredRaw(rec[:ov-4], j.dst, rec[ov-4:ov]); err != nil {
-				return fmt.Errorf("store: shard %s frame at %d: %w", r.obj, j.loc.Off, err)
+				return fmt.Errorf("store: pack %s frame at %d: %w", r.obj, j.loc.Off, err)
 			}
 			if ok {
 				if err := r.checkHash(j, hash); err != nil {

@@ -19,9 +19,24 @@ type countingBackend struct {
 	Backend
 	fd bool
 
-	mu    sync.Mutex
-	reads [][2]int64 // [start, end) of every ReadAt
-	fds   int        // Fd() calls: one per vectored run
+	mu             sync.Mutex
+	reads          [][2]int64 // [start, end) of every ReadAt
+	fds            int        // Fd() calls: one per vectored run
+	sizes, appends int        // Size and Append calls
+}
+
+func (b *countingBackend) Size(name string) (int64, error) {
+	b.mu.Lock()
+	b.sizes++
+	b.mu.Unlock()
+	return b.Backend.Size(name)
+}
+
+func (b *countingBackend) Append(name string, p []byte) error {
+	b.mu.Lock()
+	b.appends++
+	b.mu.Unlock()
+	return b.Backend.Append(name, p)
 }
 
 func (b *countingBackend) Open(name string) (BackendReader, error) {
@@ -169,7 +184,7 @@ func TestFetchReadsEachNeededByteOnce(t *testing.T) {
 						continue
 					}
 					for _, h := range hs {
-						loc := s.pool.shardTab[s.pool.shardOf(h)].chunks[h]
+						loc := s.pool.chunks[h]
 						needBytes += int64(loc.EncLen)
 						if !seen[h] {
 							seen[h] = true
@@ -274,24 +289,25 @@ func TestFetchVectoredWrongRawGuessRereads(t *testing.T) {
 		enc.Write(raw[off:end])
 	}
 	f.Style, f.Enc = ckptfmt.StyleDeflate, enc.Bytes()
-	locs, err := w.pool.appendFrames([]ckptfmt.Frame{f})
+	recs, err := w.pool.appendFrames([]ckptfmt.Frame{f})
 	if err != nil {
 		t.Fatal(err)
 	}
+	loc := recs[0].loc
 
-	job := chunkJob{dst: [][]byte{make([]byte, len(raw))}, loc: locs[0], ref: ckptfmt.ChunkRef{Hash: f.Hash, RawLen: len(raw)}}
+	job := chunkJob{dst: [][]byte{make([]byte, len(raw))}, loc: loc, ref: ckptfmt.ChunkRef{Hash: f.Hash, RawLen: len(raw)}}
 	if rawOverhead(&job) < 0 {
-		t.Fatalf("record of %d bytes for %d raw bytes is not raw-shaped; the test no longer provokes the guess", locs[0].EncLen, len(raw))
+		t.Fatalf("record of %d bytes for %d raw bytes is not raw-shaped; the test no longer provokes the guess", loc.EncLen, len(raw))
 	}
 	jobs := []chunkJob{job}
 	var fs FetchStats
-	if err := w.pool.fetch(jobs, map[int][]int{0: {0}}, &fs); err != nil {
+	if err := w.pool.fetch(jobs, &fs); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(jobs[0].dst[0], raw) {
 		t.Fatal("re-read frame decoded to different bytes")
 	}
-	if snap := fs.Snapshot(); snap.RangedFrames != 1 || snap.ScatterFrames != 0 || snap.TotalBytes() != int64(locs[0].EncLen) {
+	if snap := fs.Snapshot(); snap.RangedFrames != 1 || snap.ScatterFrames != 0 || snap.TotalBytes() != int64(loc.EncLen) {
 		t.Fatalf("wrong-guess frame misattributed: %+v", snap)
 	}
 }

@@ -73,8 +73,8 @@ func TestFetchTierAttribution(t *testing.T) {
 // store-tier attribution hot path: with the registry disabled (nil handles)
 // and no per-query observer, counting must not allocate.
 func TestFetchTierCountingDisabledAllocFree(t *testing.T) {
-	p := &ChunkPool{fanout: 1}
-	p.initShards() // resolves nil handles while the registry is disabled
+	p := &ChunkPool{}
+	p.initCounters() // resolves nil handles while the registry is disabled
 	var nilFS *FetchStats
 	allocs := testing.AllocsPerRun(1000, func() {
 		p.countFetch(tierScatter, 4096, 3, nil)

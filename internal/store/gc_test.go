@@ -437,7 +437,7 @@ func TestGCReadOnlyRefused(t *testing.T) {
 // writable open refuses.)
 func TestGCMarkFailsClosed(t *testing.T) {
 	dir := t.TempDir()
-	s := mustReopen(t, dir, false)
+	s := mustOpen(t, dir)
 	intact, broken := Key{LoopID: "train", Exec: 0}, Key{LoopID: "train", Exec: 1}
 	for i, key := range []Key{intact, broken, broken} {
 		if _, err := s.PutSections(key, mutatingSections(uint64(50+i)), 0, 0, 0); err != nil {
@@ -445,7 +445,7 @@ func TestGCMarkFailsClosed(t *testing.T) {
 		}
 	}
 	rewriteDirectory(t, dir, broken, func(d *ckptfmt.Directory) { d.Sections[0].Chunks[0].RawLen = -8 })
-	s = mustReopen(t, dir, false)
+	s = mustOpen(t, dir)
 	before := dirBytes(t, dir)
 	if _, err := s.GCWith(GCOptions{PackRetention: time.Hour}); !errors.Is(err, codec.ErrCorrupt) {
 		t.Fatalf("GC with an unreadable directory: %v, want codec.ErrCorrupt", err)
@@ -694,17 +694,17 @@ func TestGCPoolSkipsScratchLeases(t *testing.T) {
 }
 
 // TestGCPoolRetiredPackReusedAfterReopen pins that a retired pack is never
-// reused: a shard compacted down to zero chunks keeps its new generation in
+// reused: a pack compacted down to zero chunks keeps its new generation in
 // the INDEX snapshot, so a fresh run after a reopen appends to the new
 // generation's object, never to the retired one — which the next pass then
-// deletes, as it deletes every retired object, rewriting no shard.
+// deletes, as it deletes every retired object, rewriting no pack.
 func TestGCPoolRetiredPackReusedAfterReopen(t *testing.T) {
 	base := t.TempDir()
 	pool := filepath.Join(base, "POOL")
 
-	// One run, then delete it: every chunk dies, every involved shard
-	// compacts to empty, and the generation-0 objects retire with an
-	// (immediately expired) deadline.
+	// One run, then delete it: every chunk dies, the pack compacts to
+	// empty, and the generation-0 object retires with an (immediately
+	// expired) deadline.
 	gone := filepath.Join(base, "run-gone")
 	s := openPooled(t, gone, pool)
 	if _, err := s.PutSections(Key{LoopID: "train", Exec: 0}, familySections(9, 9, 0), 0, 0, 0); err != nil {
@@ -732,7 +732,7 @@ func TestGCPoolRetiredPackReusedAfterReopen(t *testing.T) {
 		t.Fatalf("PACKGC schedules %d objects, the pass retired %d", len(retired), first.RetiredPacks)
 	}
 
-	// "Restart": a fresh run appends to the new generations.
+	// "Restart": a fresh run appends to the new generation.
 	keep := filepath.Join(base, "run-keep")
 	s2 := openPooled(t, keep, pool)
 	key := Key{LoopID: "train", Exec: 0}
@@ -749,7 +749,7 @@ func TestGCPoolRetiredPackReusedAfterReopen(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	res, err := GCPool(pool, GCOptions{PackRetention: time.Hour})
 	if err != nil || res.DeletedPacks != first.RetiredPacks || res.CompactedShards != 0 {
-		t.Fatalf("second pass: %+v, %v; want the %d retired packs deleted and no shard rewritten", res, err, first.RetiredPacks)
+		t.Fatalf("second pass: %+v, %v; want the %d retired packs deleted and no pack rewritten", res, err, first.RetiredPacks)
 	}
 	t.Logf("second pass deleted %d of the %d retired packs", res.DeletedPacks, first.RetiredPacks)
 	secs, err := ReadAll(s2, key, nil)

@@ -17,8 +17,8 @@ import (
 // TestFormatMarkerWrittenOnceAtOpen pins when the FORMAT marker is written:
 // by a writable open, once, and never by a put, a GC pass or a reopen —
 // after each, the marker is the same file with the same bytes. A fresh
-// store's marker is "2 dirs index", a fresh pooled run's
-// "2 pool shards=16 dirs".
+// store's marker is "2 dirs packlog", a fresh pooled run's
+// "2 pool shards=1 dirs packlog".
 // A store an older build left keeps its marker, and every other byte: its
 // writable open is refused before anything is written.
 func TestFormatMarkerWrittenOnceAtOpen(t *testing.T) {
@@ -114,39 +114,41 @@ func TestFormatMarkerWrittenOnceAtOpen(t *testing.T) {
 // OpenReadOnly: each fails with ErrLegacyLayout, naming the migrate command,
 // and leaves every byte where it was; GCPool refuses the older pools, and a
 // fresh pool that leases a recorded run, naming the run. ReadLegacy, the one
-// reader of the older layouts, still reads every checkpoint, and refuses the
-// two stores under this build's marker as a layout it does not read.
+// reader of every layout, still reads every checkpoint, the pooled run under
+// this build's marker included; the private one's INDEX holds chunk records
+// of a compacted pack but no pack record, so its reader scans the generation-0
+// pack, whose frames the checkpoints no longer name, and fails as corrupt.
 func TestLegacyLayoutsRefuseWritableOpens(t *testing.T) {
 	type layout struct {
 		name, run, tree string // the run directory, and the tree that must not change
 		o               Options
-		current         bool // under a marker this build writes
+		readErr         error // what ReadLegacy fails with; nil: it reads every checkpoint
 	}
 	var cases []layout
 	for _, fx := range []string{"v1run", "framestyles/deflate", "framestyles/lz4", "gztwins", "sharded", "private2dirs", "private2index"} {
 		dir := legacyFixture(t, filepath.FromSlash(fx))
-		cases = append(cases, layout{fx, dir, dir, Options{}, false})
+		cases = append(cases, layout{fx, dir, dir, Options{}, nil})
 	}
 	multi := legacyFixture(t, "multiroot")
-	cases = append(cases, layout{"multiroot", filepath.Join(multi, "run"), multi, Options{}, false})
-	for _, fx := range []string{"pool4", "pool16"} {
+	cases = append(cases, layout{"multiroot", filepath.Join(multi, "run"), multi, Options{}, nil})
+	for _, fx := range []string{"pool4", "pool16", "pool16packlog"} {
 		pool := legacyFixture(t, fx)
 		cases = append(cases,
-			layout{fx, filepath.Join(pool, "run"), pool, Options{}, false},
-			layout{fx + " attach", filepath.Join(t.TempDir(), "run"), pool, Options{Pool: pool}, false})
+			layout{fx, filepath.Join(pool, "run"), pool, Options{}, nil},
+			layout{fx + " attach", filepath.Join(t.TempDir(), "run"), pool, Options{Pool: pool}, nil})
 	}
-	for _, marker := range []string{"2", "2 gc", "2 lz4", "2 dirs", "2 shards=8", "2 shards=8 dirs", "2 shards=8 dirs index", "2 gc dirs", "2 lz4 dirs", "2 pool shards=4 dirs", "2 pool shards=16 dirs index", "2 dirs index", "2 pool shards=16 dirs"} {
+	for _, marker := range []string{"2", "2 gc", "2 lz4", "2 dirs", "2 shards=8", "2 shards=8 dirs", "2 shards=8 dirs index", "2 gc dirs", "2 lz4 dirs", "2 pool shards=4 dirs", "2 pool shards=16 dirs index", "2 dirs index", "2 pool shards=16 dirs", "2 pool shards=16 dirs packlog"} {
 		dir := t.TempDir()
 		plant(t, dir, formatFile, marker+"\n")
-		cases = append(cases, layout{"planted " + marker, dir, dir, Options{}, false})
+		cases = append(cases, layout{"planted " + marker, dir, dir, Options{}, nil})
 	}
 	roots := t.TempDir()
 	plant(t, filepath.Join(roots, "run"), "SHARDS", "../rootA\n")
-	cases = append(cases, layout{"planted SHARDS", filepath.Join(roots, "run"), roots, Options{}, false})
-	for _, marker := range []string{"pool1 shards=4", "pool1 shards=16"} {
+	cases = append(cases, layout{"planted SHARDS", filepath.Join(roots, "run"), roots, Options{}, nil})
+	for _, marker := range []string{"pool1 shards=4", "pool1 shards=16", "pool2 shards=16"} {
 		planted := t.TempDir()
 		plant(t, planted, poolMarkerFile, marker+"\n")
-		cases = append(cases, layout{"planted " + marker, filepath.Join(t.TempDir(), "run"), planted, Options{Pool: planted}, false})
+		cases = append(cases, layout{"planted " + marker, filepath.Join(t.TempDir(), "run"), planted, Options{Pool: planted}, nil})
 	}
 
 	// This build's marker over segment-file checkpoints: the gztwins store
@@ -155,7 +157,7 @@ func TestLegacyLayoutsRefuseWritableOpens(t *testing.T) {
 	// builds wrote.
 	segs := legacyFixture(t, "gztwins")
 	chunksToIndex(t, segs)
-	cases = append(cases, layout{"2 dirs over segments", segs, segs, Options{}, true})
+	cases = append(cases, layout{"2 dirs over segments", segs, segs, Options{}, codec.ErrCorrupt})
 	pooledSegs := t.TempDir()
 	run := filepath.Join(pooledSegs, "run")
 	s := openPooled(t, run, filepath.Join(pooledSegs, "POOL"))
@@ -163,7 +165,7 @@ func TestLegacyLayoutsRefuseWritableOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	toSegments(t, run)
-	cases = append(cases, layout{"pooled over segments", run, pooledSegs, Options{}, true})
+	cases = append(cases, layout{"pooled over segments", run, pooledSegs, Options{}, nil})
 
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -218,9 +220,9 @@ func TestLegacyLayoutsRefuseWritableOpens(t *testing.T) {
 				return nil
 			})
 			switch {
-			case c.current && !errors.Is(err, ErrUnknownFormat):
-				t.Fatalf("ReadLegacy of a store under this build's marker: %v, want ErrUnknownFormat", err)
-			case !c.current && (err != nil || n == 0):
+			case c.readErr != nil && !errors.Is(err, c.readErr):
+				t.Fatalf("ReadLegacy: %v, want %v", err, c.readErr)
+			case c.readErr == nil && (err != nil || n == 0):
 				t.Fatalf("ReadLegacy read %d checkpoints: %v", n, err)
 			}
 			if !maps.Equal(before, dirBytes(t, c.tree)) {
@@ -288,8 +290,8 @@ func TestDirBackendPlacementPinned(t *testing.T) {
 // else — a run's FORMAT marker and a pool's POOL marker — through the
 // classification that decides whether the layout is one this build opens.
 // Nothing panics; only the two run markers a writable open leaves ("2 dirs
-// packlog", "2 pool shards=16 dirs packlog") and the pool marker "pool2
-// shards=16" open, whatever the whitespace around their tokens. Every other marker is
+// packlog", "2 pool shards=1 dirs packlog") and the pool marker "pool2
+// shards=1" open, whatever the whitespace around their tokens. Every other marker is
 // ErrLegacyLayout exactly when it is in the grammar older builds wrote
 // (legacy.go; FuzzLegacyMarker fuzzes that grammar), and ErrUnknownFormat
 // or an unknown-pool-marker error otherwise.
@@ -308,6 +310,10 @@ func FuzzFormatMarker(f *testing.F) {
 		{"2 pool shards=4 dirs", "pool1 shards=256"},
 		{"2", "pool1 shards=016"},
 		{"2 pool shards=16", "pool2 shards=16"},
+		{"2 pool shards=16 dirs packlog", "pool2 shards=16\n"},
+		{" 2  pool shards=1 dirs  packlog ", " pool2  shards=1 "},
+		{"2 pool shards=1 dirs index", "pool2 shards=01"},
+		{"2 shards=1 dirs packlog", "pool3 shards=1"},
 		{"", ""},
 	} {
 		f.Add([]byte(seed[0]), []byte(seed[1]))
@@ -316,14 +322,14 @@ func FuzzFormatMarker(f *testing.F) {
 	f.Fuzz(func(t *testing.T, format, pool []byte) {
 		l, err := parseFormatMarker("run", format)
 		switch n := norm(format); {
-		case n == "2 dirs packlog" || n == "2 pool shards=16 dirs packlog":
-			if err != nil || l.Pooled != (n == "2 pool shards=16 dirs packlog") {
+		case n == "2 dirs packlog" || n == "2 pool shards=1 dirs packlog":
+			if err != nil || l.Pooled != (n == "2 pool shards=1 dirs packlog") {
 				t.Fatalf("FORMAT %q: %+v, %v; want it opened", format, l, err)
 			}
 		case err == nil:
 			t.Fatalf("FORMAT %q opens as %+v", format, l)
 		default:
-			_, _, _, legacy := parseLegacyMarker(format)
+			_, legacy := parseLegacyMarker(format)
 			if errors.Is(err, ErrLegacyLayout) != legacy || errors.Is(err, ErrUnknownFormat) == legacy {
 				t.Fatalf("FORMAT %q: %v; in the older grammar: %v", format, err, legacy)
 			}
@@ -331,7 +337,7 @@ func FuzzFormatMarker(f *testing.F) {
 		err = checkPoolMarker("pool", pool)
 		_, legacy := parseLegacyPoolMarker(pool)
 		switch {
-		case norm(pool) == "pool2 shards=16":
+		case norm(pool) == "pool2 shards=1":
 			if err != nil {
 				t.Fatalf("POOL %q: %v; want it opened", pool, err)
 			}
@@ -341,4 +347,157 @@ func FuzzFormatMarker(f *testing.F) {
 			t.Fatalf("POOL %q: %v; in the older grammar: %v", pool, err, legacy)
 		}
 	})
+}
+
+// mustOpen opens dir writable.
+func mustOpen(t *testing.T, dir string) *Store {
+	t.Helper()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// multirootFixture copies testdata/multiroot — counterFactory(6, 3)
+// recorded by an older build into a fanout-4 store whose SHARDS file lists
+// ../rootA and ../rootB — and returns the run directory and its two extra
+// roots.
+func multirootFixture(t *testing.T) (dir, rootA, rootB string) {
+	t.Helper()
+	base := legacyFixture(t, "multiroot")
+	return filepath.Join(base, "run"), filepath.Join(base, "rootA"), filepath.Join(base, "rootB")
+}
+
+// TestShardDirsSpreadAndPersist takes the committed store an older build
+// spread over extra root directories: its packs lie in all three roots,
+// every open (writable and read-only) is refused with ErrLegacyLayout, and
+// ReadLegacy finds the packs through the SHARDS file and reads every
+// checkpoint as it reads the committed single-root store of the same
+// recording (testdata/sharded), without a byte changing.
+func TestShardDirsSpreadAndPersist(t *testing.T) {
+	dir, extraA, extraB := multirootFixture(t)
+	for _, root := range []string{dir, extraA, extraB} {
+		if m, _ := filepath.Glob(filepath.Join(root, "CHUNKS-0?")); len(m) == 0 {
+			t.Fatalf("no pack in root %s", root)
+		}
+	}
+	before := dirBytes(t, filepath.Dir(dir))
+	if _, err := Open(dir); !errors.Is(err, ErrLegacyLayout) {
+		t.Fatalf("writable open of a multi-root store: %v, want ErrLegacyLayout", err)
+	}
+	if _, err := OpenReadOnly(dir); !errors.Is(err, ErrLegacyLayout) {
+		t.Fatalf("read-only open of a multi-root store: %v, want ErrLegacyLayout", err)
+	}
+	got, _, err := readLegacy(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := readLegacy(legacyFixture(t, "sharded"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 6 || len(want) != 6 {
+		t.Fatalf("%d and %d checkpoints, want 6 each", len(got), len(want))
+	}
+	for key, w := range want {
+		g := got[key]
+		if len(g) != len(w) {
+			t.Fatalf("%s via SHARDS file: %d sections, want %d", key, len(g), len(w))
+		}
+		for i := range w {
+			if g[i].Name != w[i].Name || !bytes.Equal(g[i].Data, w[i].Data) || g[i].Hash != w[i].Hash {
+				t.Fatalf("%s section %q differs from the single-root store's", key, w[i].Name)
+			}
+		}
+	}
+	if !maps.Equal(before, dirBytes(t, filepath.Dir(dir))) {
+		t.Fatal("the refused opens or the read changed the multi-root fixture")
+	}
+}
+
+// TestShardDirRelocationRefused pins that a multi-root store's root list is
+// part of its bytes: placement hashes each pack's name over the list, so
+// ReadLegacy reads the store only under the list it was written with — a
+// different, reordered, shortened or grown list fails the read, never
+// reads the wrong packs.
+func TestShardDirRelocationRefused(t *testing.T) {
+	dir, extraA, extraB := multirootFixture(t)
+	for _, bad := range [][]string{
+		{t.TempDir()},         // different roots
+		{extraB, extraA},      // reordered (placement is order-sensitive)
+		{extraA},              // dropped
+		{extraA, extraB, dir}, // grown
+	} {
+		plant(t, dir, "SHARDS", strings.Join(bad, "\n")+"\n")
+		if _, _, err := readLegacy(dir); err == nil {
+			t.Fatalf("ReadLegacy with shard dirs %v succeeded, want a failure", bad)
+		}
+	}
+	plant(t, dir, "SHARDS", "../rootA\n../rootB\n")
+	if got, _, err := readLegacy(dir); err != nil || len(got) != 6 {
+		t.Fatalf("ReadLegacy under the written list: %d checkpoints, %v", len(got), err)
+	}
+}
+
+func TestUnknownFormatMarkerTyped(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir)
+	putBlob(s, Key{LoopID: "L", Exec: 0}, []byte("precious"), 0, 0, 0)
+	os.WriteFile(filepath.Join(dir, "FORMAT"), []byte("9 quantum=yes\n"), 0o644)
+
+	for _, open := range []func() (*Store, error){
+		func() (*Store, error) { return Open(dir) },
+		func() (*Store, error) { return OpenReadOnly(dir) },
+	} {
+		_, err := open()
+		if !errors.Is(err, ErrUnknownFormat) {
+			t.Fatalf("open err = %v, want ErrUnknownFormat", err)
+		}
+		var ufe *UnknownFormatError
+		if !errors.As(err, &ufe) || ufe.Marker != "9 quantum=yes" {
+			t.Fatalf("err %v does not carry the detected marker", err)
+		}
+	}
+	if _, err := DetectLayout(dir); !errors.Is(err, ErrUnknownFormat) {
+		t.Fatalf("DetectLayout err = %v, want ErrUnknownFormat", err)
+	}
+	// The refusal must not have truncated anything: restoring the marker
+	// restores the run.
+	os.WriteFile(filepath.Join(dir, "FORMAT"), []byte(markerPrivate), 0o644)
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := getBlob(s2, Key{LoopID: "L", Exec: 0}); err != nil || string(got) != "precious" {
+		t.Fatalf("data lost under unknown marker: %q, %v", got, err)
+	}
+}
+
+// TestDetectLayoutVariants pins what DetectLayout reports: the two layouts
+// this build writes by name, and every committed fixture of an older one as
+// ErrLegacyLayout.
+func TestDetectLayoutVariants(t *testing.T) {
+	v2dir := t.TempDir()
+	Open(v2dir)
+	base := t.TempDir()
+	pooled := openPooled(t, filepath.Join(base, "run"), filepath.Join(base, "POOL"))
+	for _, c := range []struct {
+		dir  string
+		want string
+	}{{v2dir, "v2"}, {pooled.Dir(), "v2-pooled"}} {
+		l, err := DetectLayout(c.dir)
+		if err != nil || l.String() != c.want {
+			t.Fatalf("DetectLayout(%s) = %s, %v; want %s", c.dir, l, err, c.want)
+		}
+	}
+	multi, _, _ := multirootFixture(t)
+	for _, dir := range []string{
+		v1Fixture(t), legacyFixture(t, "sharded"), multi,
+		filepath.Join(legacyFixture(t, "pool4"), "run"), legacyFixture(t, "private2dirs"),
+	} {
+		if l, err := DetectLayout(dir); !errors.Is(err, ErrLegacyLayout) {
+			t.Fatalf("DetectLayout(%s) = %s, %v; want ErrLegacyLayout", dir, l, err)
+		}
+	}
 }

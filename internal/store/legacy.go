@@ -1,8 +1,9 @@
 package store
 
 // legacy.go holds every layout older builds left — format v1, segment
-// files, chunk records in a MANIFEST, the full marker grammar, SHARDS extra
-// pack roots — and their one reader, ReadLegacy, which only core.Migrate
+// files, chunk records in a MANIFEST or an INDEX log, the full marker
+// grammar, packs split by hash prefix into shards, SHARDS extra pack roots —
+// and the one reader of every layout, ReadLegacy, which only core.Migrate
 // calls; every open refuses them (ErrLegacyLayout). docs/FORMATS.md's
 // migration appendix specifies their bytes.
 
@@ -57,7 +58,7 @@ func ReadLegacy(dir string, fn func(Meta, []Section) error) error {
 // legacyRun is a run directory opened by ReadLegacy.
 type legacyRun struct {
 	dir    string
-	fanout int
+	fanout int                       // the pack count: 1, or the shard count of a sharded store or pool
 	roots  []string                  // pack roots: the run's or its pool's, then SHARDS entries
 	chunks map[ckptfmt.Hash]chunkLoc // each shard's active generation's chunk records
 	live   []*entry                  // latest per key, in commit order
@@ -70,8 +71,8 @@ func openLegacy(dir string) (*legacyRun, error) {
 	if st, err := os.Stat(dir); err != nil || !st.IsDir() {
 		return nil, fmt.Errorf("store: read %s: not a run directory (%v)", dir, err)
 	}
-	r := &legacyRun{dir: dir, fanout: 1, roots: []string{dir}, chunks: map[ckptfmt.Hash]chunkLoc{}, packs: map[string]*os.File{}}
-	decode, pooled, index := decodeManifestRecord, false, false
+	r := &legacyRun{dir: dir, roots: []string{dir}, chunks: map[ckptfmt.Hash]chunkLoc{}, packs: map[string]*os.File{}}
+	decode, m := decodeManifestRecord, legacyMarker{fanout: 1}
 	raw, err := os.ReadFile(filepath.Join(dir, formatFile))
 	switch {
 	case errors.Is(err, os.ErrNotExist):
@@ -80,10 +81,11 @@ func openLegacy(dir string) (*legacyRun, error) {
 		return nil, fmt.Errorf("store: read format marker: %w", err)
 	default:
 		var ok bool
-		if r.fanout, pooled, index, ok = parseLegacyMarker(raw); !ok {
+		if m, ok = parseLegacyMarker(raw); !ok {
 			return nil, &UnknownFormatError{Dir: dir, Marker: strings.TrimSpace(string(raw))}
 		}
 	}
+	r.fanout = m.fanout
 	var recs []manifestRecord
 	collect := func(rec manifestRecord) error {
 		recs = append(recs, rec)
@@ -92,8 +94,8 @@ func openLegacy(dir string) (*legacyRun, error) {
 	if _, _, err := scanLog(filepath.Join(dir, manifestFile), decode, collect); err != nil {
 		return nil, err
 	}
-	metas, index := recs, index || pooled
-	if pooled {
+	metas := recs
+	if m.pooled {
 		if len(recs) == 0 || recs[0].tag != recPool || recs[0].ref == "" || recs[0].fanout != r.fanout {
 			return nil, fmt.Errorf("%w: pooled run %s: manifest does not start with a pool-reference record at fanout %d", codec.ErrCorrupt, dir, r.fanout)
 		}
@@ -105,7 +107,12 @@ func openLegacy(dir string) (*legacyRun, error) {
 		}
 		r.roots = append(r.roots, extra...)
 	}
-	if index {
+	switch {
+	case m.packlog:
+		if recs, err = r.scanPacks(); err != nil {
+			return nil, err
+		}
+	case m.index || m.pooled: // chunk records in an INDEX log, not the MANIFEST
 		recs = nil
 		if _, _, err := scanLog(filepath.Join(r.roots[0], poolIndexFile), decodeManifestRecord, collect); err != nil {
 			return nil, err
@@ -145,6 +152,39 @@ func decodeV1Record(b []byte) (rec manifestRecord, n int, err error) {
 		err = rec.e.decodeFormat(r)
 	}
 	return rec, n, err
+}
+
+// scanPacks reads the chunk records of a store whose packs are its log: the
+// whole frames of each shard's pack, at the generation the INDEX snapshot's
+// record of the shard names (0 where it names none).
+func (r *legacyRun) scanPacks() ([]manifestRecord, error) {
+	gens := make([]int, r.fanout)
+	_, _, err := scanLog(filepath.Join(r.roots[0], poolIndexFile), decodeManifestRecord, func(rec manifestRecord) error {
+		if rec.tag == recShard && rec.shard.index < r.fanout {
+			gens[rec.shard.index] = rec.shard.gen
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var recs []manifestRecord
+	for i, gen := range gens {
+		obj := packObjName(shardName(r.fanout, i), gen)
+		b := DirBackendAt(filepath.Dir(r.packPath(obj)))
+		n, err := b.Size(obj) // 0 for a shard no put reached
+		var got []poolChunkRec
+		if err == nil {
+			got, _, _, err = scanPack(b, obj, gen, 0, n)
+		}
+		if err != nil {
+			return nil, err
+		}
+		for _, cr := range got {
+			recs = append(recs, manifestRecord{tag: recChunk, hash: cr.hash, loc: cr.loc})
+		}
+	}
+	return recs, nil
 }
 
 // adopt installs the chunk records among recs (the first of a hash wins),
@@ -239,6 +279,20 @@ func (r *legacyRun) packObj(h ckptfmt.Hash, gen int) string {
 	return packObjName(shardName(r.fanout, shardIndex(h, r.fanout)), gen)
 }
 
+// shardIndex maps a content hash to its shard in a store at fanout, a power
+// of two: the hash's top byte masked to the fanout. The shard is a pure
+// function of the hash, so chunk records never name it.
+func shardIndex(h ckptfmt.Hash, fanout int) int { return int(h[0]) & (fanout - 1) }
+
+// shardName names shard i's pack object at fanout: "CHUNKS" for a single
+// pack, "CHUNKS-xx" otherwise.
+func shardName(fanout, i int) string {
+	if fanout == 1 {
+		return packFile
+	}
+	return fmt.Sprintf("%s-%02x", packFile, i)
+}
+
 // packPath places a pack object on a root: the FNV-1a hash of its name
 // modulo the root count, in uint32 arithmetic as 64-bit builds placed it.
 func (r *legacyRun) packPath(name string) string {
@@ -304,44 +358,57 @@ func splitBundle(b []byte) (dir *ckptfmt.Directory, data [][]byte, err error) {
 	return dir, data, nil
 }
 
-// parseLegacyMarker decodes a FORMAT file in the grammar every build wrote,
-// "2[ pool][ shards=N][ gc][ lz4][ dirs][ index]", tokens in that order
-// (docs/FORMATS.md); the two markers this build writes are sentences of it.
-// index reports chunk records in the run's INDEX; ok is false for anything
-// else.
-func parseLegacyMarker(raw []byte) (fanout int, pooled, index, ok bool) {
-	fields := strings.Fields(string(raw))
-	if len(fields) == 0 || fields[0] != "2" {
-		return 0, false, false, false
-	}
-	fanout, rest := 1, fields[1:]
-	if len(rest) > 0 && rest[0] == "pool" {
-		pooled, rest = true, rest[1:]
-	}
-	if len(rest) > 0 && strings.HasPrefix(rest[0], "shards=") {
-		fanout, ok = parseShards(rest[0])
-		if !ok || fanout == 1 && !pooled { // a pool at fanout 1 is legal (single pack, still shared)
-			return 0, false, false, false
-		}
-		rest = rest[1:]
-	} else if pooled {
-		return 0, false, false, false // pooled markers always carry the fanout
-	}
-	for _, flag := range []string{"gc", "lz4", "dirs", "index"} {
-		if len(rest) > 0 && rest[0] == flag {
-			rest, index = rest[1:], flag == "index"
-		}
-	}
-	return fanout, pooled, index, len(rest) == 0
+// legacyMarker is what a FORMAT marker says of a store.
+type legacyMarker struct {
+	fanout  int  // its pack count
+	pooled  bool // its packs are a pool's, which its pool-reference record names
+	index   bool // its chunk records are an INDEX log's
+	packlog bool // its chunk records are its packs' frames
 }
 
-// parseLegacyPoolMarker decodes a POOL marker: exactly "pool1 shards=N".
+// parseLegacyMarker decodes a FORMAT file in the grammar every build wrote,
+// "2[ pool][ shards=N][ gc][ lz4][ dirs][ index| packlog]", tokens in that
+// order (docs/FORMATS.md); the two markers this build writes are sentences
+// of it. ok is false for anything else.
+func parseLegacyMarker(raw []byte) (m legacyMarker, ok bool) {
+	fields := strings.Fields(string(raw))
+	if len(fields) == 0 || fields[0] != "2" {
+		return m, false
+	}
+	m.fanout = 1
+	rest := fields[1:]
+	if len(rest) > 0 && rest[0] == "pool" {
+		m.pooled, rest = true, rest[1:]
+	}
+	if len(rest) > 0 && strings.HasPrefix(rest[0], "shards=") {
+		m.fanout, ok = parseShards(rest[0])
+		if !ok || m.fanout == 1 && !m.pooled { // a pool at fanout 1 is legal (single pack, still shared)
+			return legacyMarker{}, false
+		}
+		rest = rest[1:]
+	} else if m.pooled {
+		return legacyMarker{}, false // pooled markers always carry the fanout
+	}
+	for _, flag := range []string{"gc", "lz4", "dirs"} {
+		if len(rest) > 0 && rest[0] == flag {
+			rest = rest[1:]
+		}
+	}
+	if len(rest) > 0 && (rest[0] == "index" || rest[0] == "packlog") {
+		m.index, m.packlog, rest = rest[0] == "index", rest[0] == "packlog", rest[1:]
+	}
+	return m, len(rest) == 0
+}
+
+// parseLegacyPoolMarker decodes a POOL marker older builds wrote: "pool1
+// shards=N" (an INDEX log), or "pool2 shards=16" (16 packs that are the log).
 func parseLegacyPoolMarker(raw []byte) (fanout int, ok bool) {
 	fields := strings.Fields(string(raw))
-	if len(fields) == 2 && fields[0] == "pool1" {
-		return parseShards(fields[1])
+	if len(fields) != 2 {
+		return 0, false
 	}
-	return 0, false
+	fanout, ok = parseShards(fields[1])
+	return fanout, ok && (fields[0] == "pool1" || fields[0] == "pool2" && fanout == 16)
 }
 
 // parseShards reads a marker's "shards=N" token: N a power of two in [1,

@@ -180,13 +180,14 @@ func FuzzLegacyV1Segment(f *testing.F) {
 
 // FuzzLegacyMarker fuzzes the layout files older builds wrote, as
 // ReadLegacy parses them: a FORMAT marker in the grammar
-// "2[ pool][ shards=N][ gc][ lz4][ dirs][ index]", a POOL marker
-// "pool1 shards=N" and a SHARDS list. Nothing panics; a marker that parses
-// has a fanout that is a power of two in [1, 256] — 1 in a store without a
-// shards token or in a pool — is pooled exactly when its second token is
-// "pool", and keeps its chunk records in an INDEX exactly when its last
-// token is "index"; the two markers this build writes parse. Every SHARDS
-// root is a non-empty path.
+// "2[ pool][ shards=N][ gc][ lz4][ dirs][ index| packlog]", a POOL marker
+// "pool1 shards=N" or "pool2 shards=16" and a SHARDS list. Nothing panics; a
+// marker that parses has a fanout that is a power of two in [1, 256] — 1 in
+// a store without a shards token or in a pool — is pooled exactly when its
+// second token is "pool", keeps its chunk records in an INDEX exactly when
+// its last token is "index" and in its packs exactly when it is "packlog";
+// the markers every build wrote parse, the two this build writes included.
+// Every SHARDS root is a non-empty path.
 func FuzzLegacyMarker(f *testing.F) {
 	for _, seed := range [][3]string{
 		{"2 dirs index\n", "pool1 shards=16\n", ""},
@@ -197,28 +198,31 @@ func FuzzLegacyMarker(f *testing.F) {
 		{"2 pool shards=4 gc lz4 dirs index", "pool1 shards=256", ""},
 		{"2", "pool1 shards=016", ""},
 		{"2 pool shards=16", "pool2 shards=16", ""},
+		{"2 pool shards=16 dirs packlog", "pool2 shards=16\n", ""},
+		{"2 pool shards=1 dirs packlog\n", "pool2 shards=1", ""},
+		{"2 dirs packlog index", "pool2 shards=4", ""},
 		{"", "", ""},
 	} {
 		f.Add([]byte(seed[0]), []byte(seed[1]), []byte(seed[2]))
 	}
-	for _, written := range []string{"2 dirs index", "2 pool shards=16 dirs"} {
-		if _, _, _, ok := store.ParseLegacyMarker([]byte(written)); !ok {
+	for _, written := range []string{"2 dirs index", "2 pool shards=16 dirs", "2 pool shards=16 dirs packlog", "2 dirs packlog", "2 pool shards=1 dirs packlog"} {
+		if _, _, _, _, ok := store.ParseLegacyMarker([]byte(written)); !ok {
 			f.Fatalf("%q is not in the grammar", written)
 		}
 	}
 	power := func(n int) bool { return n >= 1 && n <= 256 && n&(n-1) == 0 }
 	f.Fuzz(func(t *testing.T, format, pool, shards []byte) {
-		if fanout, pooled, index, ok := store.ParseLegacyMarker(format); ok {
+		if fanout, pooled, index, packlog, ok := store.ParseLegacyMarker(format); ok {
 			tok := strings.Fields(string(format))
 			sharded := slices.ContainsFunc(tok, func(s string) bool { return strings.HasPrefix(s, "shards=") })
 			if !power(fanout) || !sharded && fanout != 1 || sharded && !pooled && fanout == 1 {
 				t.Fatalf("FORMAT %q parses to fanout %d (pooled %v)", format, fanout, pooled)
 			}
-			if pooled != (len(tok) > 1 && tok[1] == "pool") || index != (tok[len(tok)-1] == "index") {
-				t.Fatalf("FORMAT %q parses to pooled=%v index=%v", format, pooled, index)
+			if pooled != (len(tok) > 1 && tok[1] == "pool") || index != (tok[len(tok)-1] == "index") || packlog != (tok[len(tok)-1] == "packlog") {
+				t.Fatalf("FORMAT %q parses to pooled=%v index=%v packlog=%v", format, pooled, index, packlog)
 			}
 		}
-		if fanout, ok := store.ParseLegacyPoolMarker(pool); ok && (!power(fanout) || strings.Join(strings.Fields(string(pool)), " ") != fmt.Sprintf("pool1 shards=%d", fanout)) {
+		if fanout, ok := store.ParseLegacyPoolMarker(pool); ok && (!power(fanout) || !slices.Contains([]string{fmt.Sprintf("pool1 shards=%d", fanout), "pool2 shards=16"}, strings.Join(strings.Fields(string(pool)), " "))) {
 			t.Fatalf("POOL %q parses to fanout %d", pool, fanout)
 		}
 		for _, root := range store.ParseShardRoots("run", shards) {

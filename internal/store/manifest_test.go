@@ -60,7 +60,7 @@ func manifestRecords(t *testing.T, dir string) (raw [][]byte, recs []manifestRec
 }
 
 // chunksOf returns the chunk records of the INDEX snapshot at path, as an
-// older build's INDEX log held them: the snapshot less its shard records.
+// older build's INDEX log held them: the snapshot less its pack record.
 func chunksOf(t testing.TB, path string) []byte {
 	t.Helper()
 	raw, err := os.ReadFile(path)
@@ -82,10 +82,10 @@ func chunksOf(t testing.TB, path string) []byte {
 }
 
 // asIndexLog puts a store of this build that never compacted, its snapshot
-// written, into the layout the build before this one wrote: its INDEX the
-// log of its chunk records, under the marker "2 dirs index" for a private
-// store, or "2 pool shards=16 dirs" for a pooled run, whose pool (at pool)
-// gets the marker "pool1 shards=16".
+// written, into a layout older builds wrote: its INDEX the log of its chunk
+// records, under the marker "2 dirs index" for a private store, or "2 pool
+// shards=1 dirs" for a pooled run, whose pool (at pool) gets the marker
+// "pool1 shards=1" — its one pack stays where it is.
 func asIndexLog(t testing.TB, dir, pool string) {
 	t.Helper()
 	if pool == "" {
@@ -94,8 +94,8 @@ func asIndexLog(t testing.TB, dir, pool string) {
 		return
 	}
 	plant(t, pool, poolIndexFile, string(chunksOf(t, filepath.Join(pool, poolIndexFile))))
-	plant(t, pool, poolMarkerFile, "pool1 shards=16\n")
-	plant(t, dir, formatFile, "2 pool shards=16 dirs\n")
+	plant(t, pool, poolMarkerFile, "pool1 shards=1\n")
+	plant(t, dir, formatFile, "2 pool shards=1 dirs\n")
 }
 
 // chunksToManifest puts a private store of this build into the layout older
@@ -417,9 +417,11 @@ func TestGCPoolRefusesALeasedLegacyRun(t *testing.T) {
 // the record payloads of stores recorded on every writer layout —
 // pool-reference and meta records, sectioned and opaque, and the chunk
 // records (with and without a pack generation) of their INDEXes — the
-// directory-less meta records of the committed gztwins store, and the
-// records of the committed private2dirs, sharded and fanout-4 pooled stores. Each input is decoded as it stands and CRC-framed,
-// so that mutations reach the record bodies behind the CRC.
+// directory-less meta records of the committed gztwins store, the records
+// of the committed private2dirs, sharded and fanout-4 pooled stores, and the
+// INDEX snapshot of the committed 16-pack pool, a pack record per shard.
+// Each input is decoded as it stands and CRC-framed, so that mutations reach
+// the record bodies behind the CRC.
 func FuzzManifestRecord(f *testing.F) {
 	base := f.TempDir()
 	dirs, _ := recordLayouts(f, base)
@@ -436,6 +438,7 @@ func FuzzManifestRecord(f *testing.F) {
 		filepath.Join(dirs["v2-pooled"], manifestFile), filepath.Join(base, "POOL", poolIndexFile),
 		filepath.Join(fixture("gztwins"), manifestFile), filepath.Join(fixture("private2dirs"), manifestFile),
 		filepath.Join(fixture("sharded"), manifestFile), filepath.Join(fixture("pool4/run"), manifestFile),
+		filepath.Join(fixture("pool16packlog"), poolIndexFile),
 	} {
 		b, err := os.ReadFile(log)
 		if err != nil {

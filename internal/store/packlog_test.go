@@ -96,6 +96,45 @@ func TestCatchUpReadsOnlyWhatWasAppended(t *testing.T) {
 	holdsExactly(t, "reopened", ro, index, want)
 }
 
+// TestPutTouchesOnePack pins what a put asks of the backend, in a private
+// store and in a run of a shared pool alike: a put of 24 fresh chunks is one
+// Size — the catch-up's look at the pack, which finds nothing appended and
+// reads no byte — and one Append of all its frames.
+func TestPutTouchesOnePack(t *testing.T) {
+	const fresh = 24
+	for _, pooled := range []bool{false, true} {
+		base := t.TempDir()
+		dir := filepath.Join(base, "run")
+		cb := &countingBackend{Backend: DirBackendAt(dir)}
+		o := Options{Backend: cb}
+		if pooled {
+			o = Options{Pool: filepath.Join(base, "POOL")}
+		}
+		s, err := OpenWith(dir, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pooled { // a pool's packs are its own: count them under it
+			cb.Backend, s.pool.backend = s.pool.backend, cb
+		}
+		for e := 0; e < 3; e++ {
+			secs := make([]Section, fresh)
+			for i := range secs {
+				secs[i] = Section{Name: fmt.Sprint(i), Data: noise(512, uint64(100*e+i))}
+			}
+			cb.sizes, cb.appends, cb.reads = 0, 0, nil
+			m, err := s.PutSections(Key{LoopID: "train", Exec: e}, secs, 0, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.StoredBytes != fresh*int64(ckptfmt.RawWireLen(512)) || cb.sizes != 1 || cb.appends != 1 || len(cb.reads) != 0 {
+				t.Fatalf("pooled=%v, put %d of %d fresh chunks (%d bytes stored): %d Size, %d Append, reads %v; want 1, 1 and none",
+					pooled, e, fresh, m.StoredBytes, cb.sizes, cb.appends, cb.reads)
+			}
+		}
+	}
+}
+
 // poolOfChunks returns a shared pool holding n chunks of size bytes, put by
 // one run, run-0, whose recording wrote the snapshot, and the run's
 // directory.
@@ -227,8 +266,8 @@ func FuzzPackScan(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sh := ro.pool.shardTab[0]; !maps.Equal(sh.chunks, want) || sh.end != int64(end) {
-			t.Fatalf("the scan adopted %d frames up to %d, want Parse's %d up to %d", len(sh.chunks), sh.end, len(want), end)
+		if p := ro.pool; !maps.Equal(p.chunks, want) || p.end != int64(end) {
+			t.Fatalf("the scan adopted %d frames up to %d, want Parse's %d up to %d", len(p.chunks), p.end, len(want), end)
 		}
 		w, err := Open(dir)
 		if !torn {

@@ -1,21 +1,20 @@
 package store
 
 // pool.go implements the ChunkPool: the run-agnostic chunk layer under the
-// checkpoint store. A pool owns the hash-prefix shard table — the
-// content-addressed dedup index over pack objects behind a Backend — the
-// INDEX snapshot of that index, the commit lock its writers take, and
+// checkpoint store. A pool owns one pack log — the content-addressed dedup
+// index over the frames of one pack object behind a Backend — the INDEX
+// snapshot of that index, the commit lock its writers take, and
 // refcount-style garbage collection of superseded chunks via generational
 // pack compaction.
 //
-// The packs are the log. A frame carries its hash, both lengths and its
-// style under its CRC, so a pack's whole frames are its chunk records, found
-// by a scan (ckptfmt.Parse) that stops at the first frame that is not whole.
-// The INDEX only spares that scan (Bitcask's hint file, Sheehy & Smith
-// 2010): a snapshot, written whole by write-then-rename by a GC pass (its
-// commit point) and by a finished recording (Store.WriteIndex), of each
-// shard's generation and the pack bytes it covers, then their chunk
-// records. An open trusts it up to each shard's covered length and scans
-// the rest; a put never touches it.
+// The pack is the log. A frame carries its hash, both lengths and its style
+// under its CRC, so a pack's whole frames are its chunk records, found by a
+// scan (ckptfmt.Parse) that stops at the first frame that is not whole. The
+// INDEX only spares that scan (Bitcask's hint file, Sheehy & Smith 2010): a
+// snapshot, written whole by write-then-rename by a GC pass (its commit
+// point) and by a finished recording (Store.WriteIndex), of the pack's
+// generation and the bytes it covers, then its chunk records. An open trusts
+// it up to the covered length and scans the rest; a put never touches it.
 //
 // Every v2 store runs on a pool; a run's MANIFEST holds only its meta records
 // (and a pooled run's pool reference). A private store is a pool of one: its
@@ -23,11 +22,11 @@ package store
 // *shared* pool lives in its own directory (conventionally <project>/POOL)
 // and is attached by many runs of the same project, each holding a lease:
 //
-//	<root>/POOL          marker: "pool2 shards=N" (shared pools)
-//	<root>/INDEX         the snapshot: shard records ('S'), then chunk records ('C')
+//	<root>/POOL          marker: "pool2 shards=1" (shared pools)
+//	<root>/INDEX         the snapshot: the pack record ('S'), then chunk records ('C')
 //	<root>/LEASES/<id>   one lease file per attached run (shared pools)
 //	<root>/PACKGC        retired pack generations awaiting expiry
-//	<root>/CHUNKS[-xx][.gN] pack objects of raw frames, generational after compaction
+//	<root>/CHUNKS[.gN]   the pack object of raw frames, generational after compaction
 //
 // Every attach, read-only or writable, is an instance of its own, built one
 // way, by open, from the pool's files. Every writer holds the pool's commit
@@ -41,14 +40,13 @@ package store
 //
 // GC marks every chunk a committed checkpoint of one of the pool's runs
 // references, reading their MANIFESTs. Compaction never mutates a pack in
-// place: survivors of shard S at generation g are rewritten into the pack
-// object for generation g+1, a snapshot naming g+1 atomically replaces the
-// INDEX, and only then does the in-memory shard swap to the new generation.
-// The replaced object is a grace-period tombstone: it stays on disk,
-// readable by any store that resolved chunk locations before the swap
-// (including concurrent OpenReadOnly stores in other processes), until a
-// later GC pass finds its retirement deadline expired in PACKGC and deletes
-// it.
+// place: the survivors of generation g are rewritten into the pack object
+// for generation g+1, a snapshot naming g+1 atomically replaces the INDEX,
+// and only then does the in-memory index swap to the new generation. The
+// replaced object is a grace-period tombstone: it stays on disk, readable by
+// any store that resolved chunk locations before the swap (including
+// concurrent OpenReadOnly stores in other processes), until a later GC pass
+// finds its retirement deadline expired in PACKGC and deletes it.
 
 import (
 	"bufio"
@@ -91,27 +89,13 @@ const DefaultPackRetention = 10 * time.Minute
 // cache) catch this to refresh and retry.
 var ErrStalePack = errors.New("store: pack generation retired by gc")
 
-// chunkLoc locates one content-addressed frame inside its shard's pack
-// generation.
+// chunkLoc locates one content-addressed frame inside a pack generation.
 type chunkLoc struct {
 	Gen    int   // pack generation (0 = the original pack object)
 	Off    int64 // offset within the generation's pack object
 	EncLen int
 	RawLen int
 	Style  byte
-}
-
-// poolShard is one hash-prefix slice of a chunk pool: a pack object plus its
-// level-two dedup map. Every shard has its own lock, so index probes on
-// different shards never contend. All live index entries of a shard share
-// the shard's active generation.
-type poolShard struct {
-	name string // base pack object name within the backend
-
-	mu     sync.Mutex
-	gen    int   // active pack generation
-	end    int64 // the active pack's bytes indexed: whole frames up to here
-	chunks map[ckptfmt.Hash]chunkLoc
 }
 
 // valid reports whether loc can be a frame inside a pack of packLen bytes:
@@ -130,38 +114,32 @@ func packObjName(name string, gen int) string {
 	return fmt.Sprintf("%s.g%d", name, gen)
 }
 
-// obj returns the shard's active pack object name. Callers hold sh.mu or
-// have exclusive access.
-func (sh *poolShard) obj() string { return packObjName(sh.name, sh.gen) }
-
 // PoolStats is a chunk pool's storage accounting, pool-wide (for a private
 // pool this equals the run's own dedup accounting).
 type PoolStats struct {
 	Root           string `json:"root,omitempty"`
-	Fanout         int    `json:"fanout"`
 	Leases         int    `json:"leases"` // attached runs (shared pools only)
 	Chunks         int64  `json:"chunks"`
 	StoredRawBytes int64  `json:"stored_raw_bytes"`
 	StoredEncBytes int64  `json:"stored_enc_bytes"`
 }
 
-// ChunkPool is the run-agnostic chunk layer: shard table, dedup index, pack
-// I/O and GC. It is safe for concurrent use by its store's goroutines.
+// ChunkPool is the run-agnostic chunk layer: one pack log, its dedup index,
+// pack I/O and GC. It is safe for concurrent use by its store's goroutines.
 type ChunkPool struct {
-	root   string // holds INDEX and PACKGC: the run directory of a pool of one, a shared pool's own
+	root   string // holds INDEX, PACKGC and the pack: the run directory of a pool of one, a shared pool's own
 	shared bool   // attached by leased runs
-	fanout int
 
 	backend Backend
 	snap    os.FileInfo // the INDEX as this instance last read or wrote it (nil: none), under the commit lock
 
 	// mu guards the fields below. The commit lock (lock), which every writer
-	// holds, comes before it, any shard.mu and Store.mu.
+	// holds, comes before it and Store.mu. Only a writer holding the commit
+	// lock changes gen, end and chunks; every live entry of chunks is at gen.
 	mu      sync.Mutex
 	stored  PoolStats // Chunks/StoredRawBytes/StoredEncBytes upkeep
-	dropped []string  // packs shorter than the snapshot covers, or holding invalid snapshot records
-
-	shardTab []*poolShard // two-level dedup index: shardTab[shardOf(h)].chunks[h]
+	dropped string    // the pack, when shorter than the snapshot covers, or holding invalid snapshot records
+	packState
 
 	// Per-tier fetch counters, resolved once at construction (nil and
 	// branch-free when the registry is disabled — the fetch hot path must
@@ -170,52 +148,62 @@ type ChunkPool struct {
 	mFetchFrames [numTiers]*obs.Counter
 }
 
-// open builds the shard table from the INDEX snapshot and a scan of each
-// pack past what it covers. A pack shorter than that, holding a snapshot
-// record that locates no raw frame inside it or a corrupt frame, or retired
-// by GC, goes into dropped.
+// packState is a pool's dedup index over its active pack generation.
+type packState struct {
+	gen    int   // active pack generation
+	end    int64 // the active pack's bytes indexed: whole frames up to here
+	chunks map[ckptfmt.Hash]chunkLoc
+}
+
+// obj returns the active pack object's name. Callers hold mu or have the
+// pool to themselves.
+func (p *ChunkPool) obj() string { return packObjName(packFile, p.gen) }
+
+// open builds the dedup index from the INDEX snapshot and a scan of the pack
+// past what it covers. A pack shorter than that, holding a snapshot record
+// that locates no raw frame inside it or a corrupt frame, or retired by GC,
+// is dropped.
 func (p *ChunkPool) open() error {
-	p.initShards()
-	p.stored = PoolStats{Root: p.root, Fanout: p.fanout}
+	p.initCounters()
+	p.chunks = map[ckptfmt.Hash]chunkLoc{}
+	p.stored = PoolStats{Root: p.root}
 	if err := p.readSnapshot(); err != nil {
 		return err
 	}
-	sched := p.readPackGC()
-	for _, sh := range p.shardTab {
-		n, err := p.backend.Size(sh.obj())
-		if err != nil {
-			return fmt.Errorf("store: shard %s: %w", sh.obj(), err)
-		}
-		// A pack shorter than its snapshot covers was lost or truncated (a
-		// snapshot covers only bytes that landed); one PACKGC names was
-		// retired by a GC pass whose snapshot is gone, and is deleted by the
-		// next, with every frame appended to it.
-		_, retired := sched[sh.obj()]
-		bad := n < sh.end || retired
-		sh.end = min(sh.end, n)
-		for h, loc := range sh.chunks {
-			if loc.Gen != sh.gen || loc.Style != ckptfmt.StyleRaw || !loc.valid(sh.end) {
-				delete(sh.chunks, h) // reads of what names it surface ErrCorrupt
-				bad = true
-				continue
-			}
-			p.stored.Chunks++
-			p.stored.StoredRawBytes += int64(loc.RawLen)
-			p.stored.StoredEncBytes += int64(loc.EncLen)
-		}
-		scanned, end, corrupt, err := p.scanShard(sh.obj(), sh.gen, sh.end, n)
-		if err != nil {
-			return err
-		}
-		if bad || corrupt {
-			p.dropped = append(p.dropped, sh.obj())
-		}
-		p.adopt(sh, scanned, end)
+	obj := p.obj()
+	n, err := p.backend.Size(obj)
+	if err != nil {
+		return fmt.Errorf("store: pack %s: %w", obj, err)
 	}
+	// A pack shorter than its snapshot covers was lost or truncated (a
+	// snapshot covers only bytes that landed); one PACKGC names was retired
+	// by a GC pass whose snapshot is gone, and is deleted by the next, with
+	// every frame appended to it.
+	_, retired := p.readPackGC()[obj]
+	bad := n < p.end || retired
+	p.end = min(p.end, n)
+	for h, loc := range p.chunks {
+		if loc.Gen != p.gen || loc.Style != ckptfmt.StyleRaw || !loc.valid(p.end) {
+			delete(p.chunks, h) // reads of what names it surface ErrCorrupt
+			bad = true
+			continue
+		}
+		p.stored.Chunks++
+		p.stored.StoredRawBytes += int64(loc.RawLen)
+		p.stored.StoredEncBytes += int64(loc.EncLen)
+	}
+	scanned, end, corrupt, err := scanPack(p.backend, obj, p.gen, p.end, n)
+	if err != nil {
+		return err
+	}
+	if bad || corrupt {
+		p.dropped = obj
+	}
+	p.adopt(scanned, end)
 	return nil
 }
 
-// readSnapshot reads the INDEX snapshot, noting its file, into each shard's
+// readSnapshot reads the INDEX snapshot, noting its file, into the pack's
 // generation, covered length and chunks (the first record of a hash wins).
 // No snapshot covers nothing, at generation 0. A snapshot is written whole,
 // so one that does not decode to its end is corrupt.
@@ -223,13 +211,11 @@ func (p *ChunkPool) readSnapshot() error {
 	p.snap, _ = os.Stat(p.indexPath()) // before the read: a snapshot replaced in between is read again
 	good, torn, err := scanLog(p.indexPath(), decodeManifestRecord, func(rec manifestRecord) error {
 		switch {
-		case rec.tag == recShard && rec.shard.index < p.fanout:
-			sh := p.shardTab[rec.shard.index]
-			sh.gen, sh.end = rec.shard.gen, rec.shard.end
+		case rec.tag == recShard && rec.shard.index == 0:
+			p.gen, p.end = rec.shard.gen, rec.shard.end
 		case rec.tag == recChunk:
-			sh := p.shardTab[p.shardOf(rec.hash)]
-			if _, dup := sh.chunks[rec.hash]; !dup {
-				sh.chunks[rec.hash] = rec.loc
+			if _, dup := p.chunks[rec.hash]; !dup {
+				p.chunks[rec.hash] = rec.loc
 			}
 		default:
 			return fmt.Errorf("%w: INDEX snapshot of %s: record %c", codec.ErrCorrupt, p.root, rec.tag)
@@ -246,19 +232,19 @@ func (p *ChunkPool) readSnapshot() error {
 // writes, so that a frame declaring more is corrupt.
 const scanWindow = 1 << 20
 
-// scanShard returns the frames in the pack obj, generation gen, from byte
-// from up to byte n, and the offset past the last. It stops at the first
-// frame that is not whole. That frame is torn — the bytes a crash or a
+// scanPack returns the frames in the pack obj of b, generation gen, from
+// byte from up to byte n, and the offset past the last. It stops at the
+// first frame that is not whole. That frame is torn — the bytes a crash or a
 // failed append left, which the next writer cuts — when the pack ends inside
 // its header or inside the length it declares. Otherwise it is corrupt: a
 // header no raw frame a put writes has, or a CRC that does not match. Then
 // bad is set, and the bytes from there, later whole frames among them, are
 // not a tail to cut.
-func (p *ChunkPool) scanShard(obj string, gen int, from, n int64) (recs []poolChunkRec, end int64, bad bool, err error) {
+func scanPack(b Backend, obj string, gen int, from, n int64) (recs []poolChunkRec, end int64, bad bool, err error) {
 	if from >= n {
 		return nil, from, false, nil
 	}
-	r, err := p.backend.Open(obj)
+	r, err := b.Open(obj)
 	if err != nil {
 		return nil, from, false, fmt.Errorf("store: scan %s: %w", obj, err)
 	}
@@ -291,27 +277,12 @@ func (p *ChunkPool) scanShard(obj string, gen int, from, n int64) (recs []poolCh
 	return recs, end, false, nil
 }
 
-// initShards builds the shard table, once, and resolves the per-tier fetch
-// counters; the slice is never resized (shards have their own locks).
-func (p *ChunkPool) initShards() {
+// initCounters resolves the per-tier fetch counters.
+func (p *ChunkPool) initCounters() {
 	for t := range tierTable {
 		p.mFetchBytes[t] = obs.C(obs.MStoreFetchBytes, obs.L("tier", tierTable[t].label))
 		p.mFetchFrames[t] = obs.C(obs.MStoreFetchFrames, obs.L("tier", tierTable[t].label))
 	}
-	p.fanout = max(p.fanout, 1)
-	p.shardTab = make([]*poolShard, p.fanout)
-	for i := range p.shardTab {
-		p.shardTab[i] = &poolShard{name: shardName(p.fanout, i), chunks: map[ckptfmt.Hash]chunkLoc{}}
-	}
-}
-
-// shardName names shard i's pack object in a pool at fanout: "CHUNKS" for
-// a single shard, "CHUNKS-xx" otherwise.
-func shardName(fanout, i int) string {
-	if fanout == 1 {
-		return packFile
-	}
-	return fmt.Sprintf("%s-%02x", packFile, i)
 }
 
 // countFetch attributes frames frames totalling b encoded bytes to a fetch
@@ -323,29 +294,21 @@ func (p *ChunkPool) countFetch(tier int, b, frames int64, fs *FetchStats) {
 	fs.note(tier, b, frames)
 }
 
-// shardOf and shardIndex map a content hash to its shard index: the hash's
-// top byte masked to the fanout, a power of two. The shard is a pure
-// function of the hash, so chunk records never need to name it.
-func (p *ChunkPool) shardOf(h ckptfmt.Hash) int { return shardIndex(h, p.fanout) }
-func shardIndex(h ckptfmt.Hash, fanout int) int { return int(h[0]) & (fanout - 1) }
-
-// adopt installs chunk records of shard sh (the first of a hash wins, as
-// write-order dedup does), counts them stored, and moves the shard's indexed
-// end to end. The caller holds the commit lock or has the pool to itself.
-func (p *ChunkPool) adopt(sh *poolShard, recs []poolChunkRec, end int64) {
+// adopt installs chunk records of the active pack (the first of a hash wins,
+// as write-order dedup does), counts them stored, and moves the indexed end
+// to end. The caller holds the commit lock or has the pool to itself.
+func (p *ChunkPool) adopt(recs []poolChunkRec, end int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	for _, cr := range recs {
-		if _, dup := sh.chunks[cr.hash]; !dup {
-			sh.chunks[cr.hash] = cr.loc
+		if _, dup := p.chunks[cr.hash]; !dup {
+			p.chunks[cr.hash] = cr.loc
 			p.stored.Chunks++
 			p.stored.StoredRawBytes += int64(cr.loc.RawLen)
 			p.stored.StoredEncBytes += int64(cr.loc.EncLen)
 		}
 	}
-	sh.end = end
+	p.end = end
 }
 
 // Stats returns a snapshot of the pool's storage accounting, a shared
@@ -369,12 +332,10 @@ func (p *ChunkPool) Stats() (PoolStats, error) {
 func (p *ChunkPool) filterFresh(hashes []ckptfmt.Hash) []int {
 	var newIdx []int
 	fresh := map[ckptfmt.Hash]bool{}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for i, h := range hashes {
-		sh := p.shardTab[p.shardOf(h)]
-		sh.mu.Lock()
-		_, stored := sh.chunks[h]
-		sh.mu.Unlock()
-		if !stored && !fresh[h] {
+		if _, stored := p.chunks[h]; !stored && !fresh[h] {
 			fresh[h] = true
 			newIdx = append(newIdx, i)
 		}
@@ -382,86 +343,54 @@ func (p *ChunkPool) filterFresh(hashes []ckptfmt.Hash) []int {
 	return newIdx
 }
 
-// appendFrames appends freshly encoded frames to their hash shards' packs —
-// the involved shards concurrently, each after its last whole frame — and
-// returns each frame's committed location. A shard's frames go out as one
-// backend append: their wire lengths are known up front (Frame.WireLen), so
-// they are staged once, at their exact size, in a span of the ckptfmt.Shared
+// appendFrames appends freshly encoded frames to the pack, after its last
+// whole frame, in one backend append, and returns each frame's chunk
+// record. Their wire lengths are known up front (Frame.WireLen), so they
+// are staged once, at their exact size, in a span of the ckptfmt.Shared
 // scratch arena that goes back the moment the append returns. Nothing
-// section-sized stays reachable from the pool or its shards after a put — a
-// recording's store outlives its puts by the whole life of the Recording.
-// Once every append landed, the frames are published to the dedup index;
-// after a failed one, the next writer's catch-up adopts what whole frames
-// landed and cuts the rest. Callers hold the commit lock (via Store.putV2).
-func (p *ChunkPool) appendFrames(frames []ckptfmt.Frame) ([]chunkLoc, error) {
+// section-sized stays reachable from the pool after a put — a recording's
+// store outlives its puts by the whole life of the Recording. Once the
+// append landed, the frames are published to the dedup index; after a
+// failed one, the next writer's catch-up adopts what whole frames landed
+// and cuts the rest. Callers hold the commit lock (via Store.putV2).
+func (p *ChunkPool) appendFrames(frames []ckptfmt.Frame) ([]poolChunkRec, error) {
 	if len(frames) == 0 {
 		return nil, nil
 	}
-	frameShards := map[int][]int{} // shard index -> indices into frames
+	p.mu.Lock()
+	obj, gen, start := p.obj(), p.gen, p.end
+	p.mu.Unlock()
+	recs := make([]poolChunkRec, len(frames))
+	off := start
+	for i, f := range frames {
+		recs[i] = poolChunkRec{f.Hash, chunkLoc{Gen: gen, Off: off, EncLen: f.WireLen(), RawLen: f.RawLen, Style: f.Style}}
+		off += int64(recs[i].loc.EncLen)
+	}
+	span := ckptfmt.Shared.Get(int(off - start))
+	defer ckptfmt.Shared.Put(span)
+	buf := span[:0]
 	for i := range frames {
-		si := p.shardOf(frames[i].Hash)
-		frameShards[si] = append(frameShards[si], i)
+		buf = frames[i].Append(buf)
 	}
-	involved := make([]int, 0, len(frameShards))
-	for si := range frameShards {
-		involved = append(involved, si)
+	if err := p.backend.Append(obj, buf); err != nil {
+		return nil, fmt.Errorf("store: pack %s: %w", obj, err)
 	}
-	locs := make([]chunkLoc, len(frames))
-	ends := make([]int64, len(involved))
-	appendErrs := make([]error, len(involved))
-	ckptfmt.ParallelDo(len(involved), func(k int) {
-		sh := p.shardTab[involved[k]]
-		sh.mu.Lock()
-		obj, gen, start := sh.obj(), sh.gen, sh.end
-		sh.mu.Unlock()
-		off := start
-		idxs := frameShards[involved[k]]
-		for _, i := range idxs {
-			wire := frames[i].WireLen()
-			locs[i] = chunkLoc{Gen: gen, Off: off, EncLen: wire, RawLen: frames[i].RawLen, Style: frames[i].Style}
-			off += int64(wire)
-		}
-		ends[k] = off
-		span := ckptfmt.Shared.Get(int(off - start))
-		defer ckptfmt.Shared.Put(span)
-		buf := span[:0]
-		for _, i := range idxs {
-			buf = frames[i].Append(buf)
-		}
-		if err := p.backend.Append(obj, buf); err != nil {
-			appendErrs[k] = fmt.Errorf("store: shard %s: %w", sh.name, err)
-		}
-	})
-	if err := errors.Join(appendErrs...); err != nil {
-		return nil, err
-	}
-	for k, si := range involved {
-		recs := make([]poolChunkRec, 0, len(frameShards[si]))
-		for _, i := range frameShards[si] {
-			recs = append(recs, poolChunkRec{frames[i].Hash, locs[i]})
-		}
-		p.adopt(p.shardTab[si], recs, ends[k])
-	}
-	return locs, nil
+	p.adopt(recs, off)
+	return recs, nil
 }
 
-// resolve fills each job's chunk location from the dedup index, locking
-// each involved shard exactly once. key names the requesting checkpoint for
-// error messages.
-func (p *ChunkPool) resolve(jobs []chunkJob, byShard map[int][]int, key Key) error {
-	for si, idxs := range byShard {
-		sh := p.shardTab[si]
-		sh.mu.Lock()
-		for _, ji := range idxs {
-			loc, ok := sh.chunks[jobs[ji].ref.Hash]
-			if !ok {
-				sh.mu.Unlock()
-				return fmt.Errorf("%w: checkpoint %s references chunk %s absent from shard %s (pack missing, truncated, or collected?)",
-					codec.ErrCorrupt, key, jobs[ji].ref.Hash, sh.name)
-			}
-			jobs[ji].loc = loc
+// resolve fills each job's chunk location from the dedup index, under one
+// hold of its lock. key names the requesting checkpoint for error messages.
+func (p *ChunkPool) resolve(jobs []chunkJob, key Key) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := range jobs {
+		loc, ok := p.chunks[jobs[i].ref.Hash]
+		if !ok {
+			return fmt.Errorf("%w: checkpoint %s references chunk %s absent from pack %s (pack missing, truncated, or collected?)",
+				codec.ErrCorrupt, key, jobs[i].ref.Hash, p.obj())
 		}
-		sh.mu.Unlock()
+		jobs[i].loc = loc
 	}
 	return nil
 }
@@ -526,8 +455,9 @@ func decodeChunkRecord(b []byte) (hash ckptfmt.Hash, loc chunkLoc, err error) {
 	return hash, loc, nil
 }
 
-// shardRecord is a snapshot's record of one shard: its index, its active
-// generation, and the bytes of that generation's pack the snapshot covers.
+// shardRecord is a snapshot's 'S' record: the pack's active generation and
+// the bytes of that generation's pack the snapshot covers. Its index is 0;
+// an older build's sharded pool wrote one per shard (legacy.go).
 type shardRecord struct {
 	index, gen int
 	end        int64
@@ -571,11 +501,11 @@ func canonicalPath(path string) (string, error) {
 	return abs, nil
 }
 
-// poolMarker is the POOL marker of every pool this build makes and opens.
-// Older builds wrote "pool1 shards=N" and read an INDEX as the log of every
-// chunk record: they refuse this one, whose GC would otherwise reclaim every
-// frame a snapshot does not cover.
-const poolMarker = "pool2 shards=16\n"
+// poolMarker is the POOL marker of every pool this build makes and opens:
+// one pack. Older builds wrote "pool1 shards=N", whose INDEX is the log of
+// every chunk record, and "pool2 shards=16", whose packs are split by hash
+// prefix: they refuse this one, which they would misread.
+const poolMarker = "pool2 shards=1\n"
 
 // checkPoolMarker classifies the POOL marker of the pool at key: the one
 // this build writes, whitespace aside; one an older build wrote
@@ -592,9 +522,8 @@ func checkPoolMarker(key string, raw []byte) error {
 	return fmt.Errorf("store: unknown pool marker %q (newer pool layout or corrupt POOL file)", strings.TrimSpace(string(raw)))
 }
 
-// openSharedPool opens the shared pool at root, at DefaultShardFanout. A
-// writable attach creates the pool on first use, under the commit lock: so
-// may another attach.
+// openSharedPool opens the shared pool at root. A writable attach creates
+// the pool on first use, under the commit lock: so may another attach.
 func openSharedPool(root string, readOnly bool) (*ChunkPool, error) {
 	if !readOnly {
 		if err := os.MkdirAll(root, 0o755); err != nil {
@@ -626,17 +555,17 @@ func openSharedPool(root string, readOnly bool) (*ChunkPool, error) {
 	default:
 		return nil, fmt.Errorf("store: read pool marker: %w", merr)
 	}
-	p := &ChunkPool{root: key, shared: true, fanout: DefaultShardFanout, backend: DirBackendAt(key)}
+	p := &ChunkPool{root: key, shared: true, backend: DirBackendAt(key)}
 	return p, p.open()
 }
 
 // lock takes the pool's commit lock (lockRoot) and catches the instance up
 // with the files. A snapshot that is not the file this instance last read or
 // wrote — a GC pass or a finished recording replaced it — is reloaded whole
-// (open, into a scratch pool whose shards are installed under their locks;
-// dropped packs are refused). Then each pack is scanned from the end this
-// instance indexed, adopting what other writers appended, and a torn tail
-// is cut, so that the next append lands right after the last whole frame.
+// (open, into a scratch pool whose index is installed under mu; a dropped
+// pack is refused). Then the pack is scanned from the end this instance
+// indexed, adopting what other writers appended, and a torn tail is cut, so
+// that the next append lands right after the last whole frame.
 func (p *ChunkPool) lock() (unlock func(), err error) {
 	if unlock, err = lockRoot(p.root); err != nil {
 		return nil, err
@@ -656,53 +585,45 @@ func (p *ChunkPool) catchUp() error {
 	same := p.snap == nil && fi == nil || p.snap != nil && fi != nil &&
 		os.SameFile(p.snap, fi) && p.snap.Size() == fi.Size() && p.snap.ModTime().Equal(fi.ModTime())
 	if !same {
-		fresh := &ChunkPool{root: p.root, shared: p.shared, fanout: p.fanout, backend: p.backend}
+		fresh := &ChunkPool{root: p.root, shared: p.shared, backend: p.backend}
 		if err := fresh.open(); err != nil {
 			return err
 		}
 		if err := fresh.refuseDropped(); err != nil {
 			return err
 		}
-		for i, sh := range p.shardTab {
-			f := fresh.shardTab[i]
-			sh.mu.Lock()
-			sh.gen, sh.end, sh.chunks = f.gen, f.end, f.chunks
-			sh.mu.Unlock()
-		}
 		p.mu.Lock()
-		p.stored = fresh.stored
+		p.packState, p.stored = fresh.packState, fresh.stored
 		p.mu.Unlock()
 		p.snap = fresh.snap
 	}
-	for _, sh := range p.shardTab {
-		sh.mu.Lock()
-		obj, gen, from := sh.obj(), sh.gen, sh.end
-		sh.mu.Unlock()
-		n, err := p.backend.Size(obj)
-		if err != nil {
-			return fmt.Errorf("store: shard %s: %w", obj, err)
-		}
-		if n < from {
-			return fmt.Errorf("%w: shard pack %s is %d bytes, %d of them indexed: truncated under a writer — repair or open read-only", codec.ErrCorrupt, obj, n, from)
-		}
-		recs, end, corrupt, err := p.scanShard(obj, gen, from, n)
-		if err != nil {
+	p.mu.Lock()
+	obj, gen, from := p.obj(), p.gen, p.end
+	p.mu.Unlock()
+	n, err := p.backend.Size(obj)
+	if err != nil {
+		return fmt.Errorf("store: pack %s: %w", obj, err)
+	}
+	if n < from {
+		return fmt.Errorf("%w: pack %s is %d bytes, %d of them indexed: truncated under a writer — repair or open read-only", codec.ErrCorrupt, obj, n, from)
+	}
+	recs, end, corrupt, err := scanPack(p.backend, obj, gen, from, n)
+	if err != nil {
+		return err
+	}
+	if corrupt {
+		return fmt.Errorf("%w: pack %s holds a corrupt frame at byte %d; write refused — repair or open read-only", codec.ErrCorrupt, obj, end)
+	}
+	if end < n {
+		if err := p.backend.Truncate(obj, end); err != nil {
 			return err
 		}
-		if corrupt {
-			return fmt.Errorf("%w: shard pack %s holds a corrupt frame at byte %d; write refused — repair or open read-only", codec.ErrCorrupt, obj, end)
-		}
-		if end < n {
-			if err := p.backend.Truncate(obj, end); err != nil {
-				return err
-			}
-		}
-		p.adopt(sh, recs, end)
 	}
+	p.adopt(recs, end)
 	return nil
 }
 
-// refuseDropped refuses writes to a pool with dropped packs (open): shorter
+// refuseDropped refuses writes to a pool whose pack open dropped: shorter
 // than the snapshot covers, holding snapshot records that locate no raw
 // frame in it or a corrupt frame, or retired by GC. Readers degrade
 // gracefully; a writer appending to a rewound pack would commit frames at
@@ -710,35 +631,32 @@ func (p *ChunkPool) catchUp() error {
 // lose the whole frames past it, and one appending to a retired pack would
 // commit frames the next GC pass deletes.
 func (p *ChunkPool) refuseDropped() error {
-	if len(p.dropped) == 0 {
+	if p.dropped == "" {
 		return nil
 	}
-	return fmt.Errorf("%w: shard pack %s is missing, truncated, corrupt or retired by gc, or its committed chunk records are invalid; writable open refused — repair or open read-only",
-		codec.ErrCorrupt, strings.Join(p.dropped, ", "))
+	return fmt.Errorf("%w: pack %s is missing, truncated, corrupt or retired by gc, or its committed chunk records are invalid; writable open refused — repair or open read-only",
+		codec.ErrCorrupt, p.dropped)
 }
 
 func (p *ChunkPool) indexPath() string { return filepath.Join(p.root, poolIndexFile) }
 
 // persistIndex writes the INDEX snapshot whole, by write-then-rename, and
-// notes the new file: each shard's record — from next where it has an entry
-// (a compaction's new generation), from the live index otherwise — then the
-// chunk records, in an order that keeps a snapshot reproducible, which it
-// returns. The caller holds the commit lock.
-func (p *ChunkPool) persistIndex(next map[*poolShard]*poolShard) ([]poolChunkRec, error) {
-	var buf []byte
-	var recs []poolChunkRec
-	for i, sh := range p.shardTab {
-		sh.mu.Lock()
-		st, ok := next[sh]
-		if !ok {
-			st = sh
-		}
-		buf = append(buf, frameTagged(recShard, encodeShardRecord(shardRecord{i, st.gen, st.end}))...)
-		for h, loc := range st.chunks {
-			recs = append(recs, poolChunkRec{h, loc})
-		}
-		sh.mu.Unlock()
+// notes the new file: the pack record and chunk records of next (a
+// compaction's new generation) or, when nil, of the live index, the chunk
+// records in an order that keeps a snapshot reproducible, which it returns.
+// The caller holds the commit lock.
+func (p *ChunkPool) persistIndex(next *packState) ([]poolChunkRec, error) {
+	p.mu.Lock()
+	st := next
+	if st == nil {
+		st = &p.packState
 	}
+	buf := frameTagged(recShard, encodeShardRecord(shardRecord{0, st.gen, st.end}))
+	recs := make([]poolChunkRec, 0, len(st.chunks))
+	for h, loc := range st.chunks {
+		recs = append(recs, poolChunkRec{h, loc})
+	}
+	p.mu.Unlock()
 	slices.SortFunc(recs, func(a, b poolChunkRec) int {
 		return cmp.Or(cmp.Compare(a.loc.Gen, b.loc.Gen), cmp.Compare(a.loc.Off, b.loc.Off), bytes.Compare(a.hash[:], b.hash[:]))
 	})
@@ -942,7 +860,7 @@ type GCResult struct {
 	// ReclaimedBytes is the encoded pack volume those chunks occupied; the
 	// bytes return to the filesystem when the retired generations expire.
 	ReclaimedBytes int64
-	// CompactedShards counts shards rewritten to a new pack generation.
+	// CompactedShards counts packs rewritten to a new generation: 0 or 1.
 	CompactedShards int
 	// RetiredPacks counts pack generations newly scheduled for deletion.
 	RetiredPacks int
@@ -996,8 +914,8 @@ func (p *ChunkPool) writePackGC(sched map[string]int64) error {
 // gc is the chunk-reclaiming GC pass, of a pool of one (Store.GCWith) and
 // of a shared pool (GCPool) alike. It marks every chunk hash a committed
 // checkpoint of one of the pool's runs references, reading their MANIFESTs
-// (markRun), compacts every shard holding a chunk or pack bytes nothing
-// live references, and commits by replacing the INDEX snapshot. The caller holds
+// (markRun), compacts the pack when it holds a chunk or bytes nothing live
+// references, and commits by replacing the INDEX snapshot. The caller holds
 // the commit lock for the whole pass, so any checkpoint that deduplicated
 // against an indexed chunk is committed by the time the mark looks.
 func (p *ChunkPool) gc(o GCOptions) (GCResult, error) {
@@ -1022,23 +940,22 @@ func (p *ChunkPool) gc(o GCOptions) (GCResult, error) {
 	if err != nil {
 		return res, err
 	}
-	liveSet := map[ckptfmt.Hash]bool{}
+	live := map[ckptfmt.Hash]bool{}
 	for _, runDir := range runs {
-		if err := markRun(runDir, liveSet); err != nil {
+		if err := markRun(runDir, live); err != nil {
 			return res, fmt.Errorf("store: gc: %s: %w", runDir, err)
 		}
 	}
-	obs.C(obs.MStoreGCMarkedChunks).Add(int64(len(liveSet)))
-	live := func(h ckptfmt.Hash) bool { return liveSet[h] }
-	phase("mark", map[string]int64{"live_chunks": int64(len(liveSet))})
+	obs.C(obs.MStoreGCMarkedChunks).Add(int64(len(live)))
+	phase("mark", map[string]int64{"live_chunks": int64(len(live))})
 
 	now := time.Now()
 	sched := p.readPackGC()
 
 	// Phase 1: delete retired generations whose grace period expired, and
 	// adopt any stray superseded generations a crashed pass leaked (every
-	// generation below a shard's active one is by construction replaced, and
-	// the snapshot keeps a shard's generation however few chunks it holds).
+	// generation below the active one is by construction replaced, and the
+	// snapshot keeps the generation however few chunks it holds).
 	for name, ddl := range sched {
 		if now.UnixNano() < ddl {
 			continue
@@ -1049,139 +966,109 @@ func (p *ChunkPool) gc(o GCOptions) (GCResult, error) {
 		delete(sched, name)
 		res.DeletedPacks++
 	}
-	for _, sh := range p.shardTab {
-		for g := 0; g < sh.gen; g++ {
-			obj := packObjName(sh.name, g)
-			if _, scheduled := sched[obj]; scheduled {
-				continue
-			}
-			if n, err := p.backend.Size(obj); err == nil && n > 0 {
-				sched[obj] = now.Add(o.retention()).UnixNano()
-				res.RetiredPacks++
-			}
+	for g := 0; g < p.gen; g++ {
+		obj := packObjName(packFile, g)
+		if _, scheduled := sched[obj]; scheduled {
+			continue
+		}
+		if n, err := p.backend.Size(obj); err == nil && n > 0 {
+			sched[obj] = now.Add(o.retention()).UnixNano()
+			res.RetiredPacks++
 		}
 	}
 	phase("tombstone", map[string]int64{"deleted_packs": int64(res.DeletedPacks), "retired_packs": int64(res.RetiredPacks)})
 
-	// Phase 2: sweep each shard's index against the live set. A shard is
-	// compacted when its pack holds bytes no live chunk occupies: a dead
-	// chunk's frame, or a frame a failed or crashed put left that duplicates
-	// an earlier one.
-	type plan struct {
-		sh        *poolShard
-		keep      []poolChunkRec // the survivors, in pack order
-		dead      int
-		deadBytes int64      // the pack bytes compaction drops
-		oldObj    string     // the pack object it replaces
-		next      *poolShard // the shard once compacted: its generation, end and chunks
-	}
-	var plans []*plan
-	for _, sh := range p.shardTab {
-		sh.mu.Lock()
-		pl := &plan{sh: sh, deadBytes: sh.end}
-		for h, loc := range sh.chunks {
-			if live(h) {
-				pl.keep = append(pl.keep, poolChunkRec{h, loc})
-				pl.deadBytes -= int64(loc.EncLen)
-			} else {
-				pl.dead++
-			}
-		}
-		sh.mu.Unlock()
-		if pl.deadBytes > 0 {
-			slices.SortFunc(pl.keep, func(a, b poolChunkRec) int { return cmp.Compare(a.loc.Off, b.loc.Off) })
-			plans = append(plans, pl)
+	// Phase 2: sweep the index against the live set. The pack is compacted
+	// when it holds bytes no live chunk occupies: a dead chunk's frame, or a
+	// frame a failed or crashed put left that duplicates an earlier one.
+	p.mu.Lock()
+	oldObj, deadBytes := p.obj(), p.end
+	next := &packState{gen: p.gen + 1, chunks: map[ckptfmt.Hash]chunkLoc{}}
+	var keep []poolChunkRec // the survivors, in pack order
+	for h, loc := range p.chunks {
+		if live[h] {
+			keep = append(keep, poolChunkRec{h, loc})
+			deadBytes -= int64(loc.EncLen)
+		} else {
+			res.DeadChunks++
 		}
 	}
-	phase("sweep", map[string]int64{"dirty_shards": int64(len(plans))})
-	if len(plans) == 0 {
-		if err := p.writePackGC(sched); err != nil {
+	p.mu.Unlock()
+	phase("sweep", map[string]int64{"dead_bytes": deadBytes})
+	if deadBytes <= 0 {
+		return res, p.writePackGC(sched)
+	}
+
+	// Phase 3: rewrite the survivors into the next pack generation. No
+	// in-memory state changes yet — readers keep resolving against the
+	// current generation, whose object is never mutated.
+	if len(keep) > 0 {
+		slices.SortFunc(keep, func(a, b poolChunkRec) int { return cmp.Compare(a.loc.Off, b.loc.Off) })
+		if err := p.rewrite(oldObj, keep, next); err != nil {
 			return res, err
 		}
-		return res, nil
 	}
-
-	// Phase 3: rewrite each affected shard's survivors into the next pack
-	// generation. No in-memory state changes yet — readers keep resolving
-	// against the current generation, whose object is never mutated.
-	for _, pl := range plans {
-		sh, keep := pl.sh, pl.keep
-		sh.mu.Lock()
-		oldObj, newGen := sh.obj(), sh.gen+1
-		sh.mu.Unlock()
-		newMap := make(map[ckptfmt.Hash]chunkLoc, len(keep))
-		var newLen int64
-		if len(keep) > 0 {
-			src, err := p.backend.Open(oldObj)
-			if err != nil {
-				return res, fmt.Errorf("store: gc: open pack %s: %w", oldObj, err)
-			}
-			dst, err := p.backend.Create(packObjName(sh.name, newGen))
-			if err != nil {
-				src.Close()
-				return res, fmt.Errorf("store: gc: create pack %s: %w", packObjName(sh.name, newGen), err)
-			}
-			fail := func(err error) (GCResult, error) {
-				dst.Abort()
-				src.Close()
-				return res, err
-			}
-			for _, sv := range keep {
-				buf := make([]byte, sv.loc.EncLen)
-				if _, err := src.ReadAt(buf, sv.loc.Off); err != nil {
-					return fail(fmt.Errorf("store: gc: read pack %s at %d: %w", oldObj, sv.loc.Off, err))
-				}
-				if _, err := dst.Write(buf); err != nil {
-					return fail(fmt.Errorf("store: gc: write pack %s: %w", packObjName(sh.name, newGen), err))
-				}
-				newMap[sv.hash] = chunkLoc{Gen: newGen, Off: newLen, EncLen: sv.loc.EncLen, RawLen: sv.loc.RawLen, Style: sv.loc.Style}
-				newLen += int64(sv.loc.EncLen)
-			}
-			src.Close()
-			if err := dst.Close(); err != nil {
-				return res, fmt.Errorf("store: gc: commit pack %s: %w", packObjName(sh.name, newGen), err)
-			}
-		}
-		pl.oldObj, pl.next = oldObj, &poolShard{gen: newGen, end: newLen, chunks: newMap}
-	}
-	phase("rewrite", map[string]int64{"rewritten_shards": int64(len(plans))})
+	phase("rewrite", map[string]int64{"kept_chunks": int64(len(keep))})
 
 	// Phase 4: commit — atomically replace the INDEX snapshot. Until this
-	// succeeds, disk and memory both still describe the old generations.
-	next := make(map[*poolShard]*poolShard, len(plans))
-	for _, pl := range plans {
-		next[pl.sh] = pl.next
-	}
+	// succeeds, disk and memory both still describe the old generation.
 	recs, err := p.persistIndex(next)
 	if err != nil {
 		return res, err
 	}
 	phase("persist", map[string]int64{"records": int64(len(recs))})
 
-	// Phase 5: swap in-memory state and retire the replaced objects.
-	for _, pl := range plans {
-		pl.sh.mu.Lock()
-		pl.sh.gen, pl.sh.end, pl.sh.chunks = pl.next.gen, pl.next.end, pl.next.chunks
-		pl.sh.mu.Unlock()
-		sched[pl.oldObj] = now.Add(o.retention()).UnixNano()
-		res.CompactedShards++
-		res.RetiredPacks++
-		res.DeadChunks += pl.dead
-		res.ReclaimedBytes += pl.deadBytes
-	}
-	// Rebuild the stored-chunk accounting from the records just persisted.
+	// Phase 5: swap in-memory state, rebuild the stored-chunk accounting from
+	// the records just persisted, and retire the replaced object.
 	p.mu.Lock()
+	p.packState = *next
 	p.stored.Chunks, p.stored.StoredRawBytes, p.stored.StoredEncBytes = int64(len(recs)), 0, 0
 	for _, cr := range recs {
 		p.stored.StoredRawBytes += int64(cr.loc.RawLen)
 		p.stored.StoredEncBytes += int64(cr.loc.EncLen)
 	}
 	p.mu.Unlock()
+	sched[oldObj] = now.Add(o.retention()).UnixNano()
+	res.CompactedShards++
+	res.RetiredPacks++
+	res.ReclaimedBytes = deadBytes
 	if err := p.writePackGC(sched); err != nil {
 		return res, err
 	}
 	phase("swap", map[string]int64{"dead_chunks": int64(res.DeadChunks), "reclaimed_bytes": res.ReclaimedBytes})
 	return res, nil
+}
+
+// rewrite copies the frames keep locates in the pack oldObj, in order, into
+// next's generation, and records where each landed in next.
+func (p *ChunkPool) rewrite(oldObj string, keep []poolChunkRec, next *packState) error {
+	newObj := packObjName(packFile, next.gen)
+	src, err := p.backend.Open(oldObj)
+	if err != nil {
+		return fmt.Errorf("store: gc: open pack %s: %w", oldObj, err)
+	}
+	defer src.Close()
+	dst, err := p.backend.Create(newObj)
+	if err != nil {
+		return fmt.Errorf("store: gc: create pack %s: %w", newObj, err)
+	}
+	for _, sv := range keep {
+		buf := make([]byte, sv.loc.EncLen)
+		if _, err := src.ReadAt(buf, sv.loc.Off); err != nil {
+			dst.Abort()
+			return fmt.Errorf("store: gc: read pack %s at %d: %w", oldObj, sv.loc.Off, err)
+		}
+		if _, err := dst.Write(buf); err != nil {
+			dst.Abort()
+			return fmt.Errorf("store: gc: write pack %s: %w", newObj, err)
+		}
+		next.chunks[sv.hash] = chunkLoc{Gen: next.gen, Off: next.end, EncLen: sv.loc.EncLen, RawLen: sv.loc.RawLen, Style: sv.loc.Style}
+		next.end += int64(sv.loc.EncLen)
+	}
+	if err := dst.Close(); err != nil {
+		return fmt.Errorf("store: gc: commit pack %s: %w", newObj, err)
+	}
+	return nil
 }
 
 // GCPool runs a refcounted GC pass over a shared pool: every chunk

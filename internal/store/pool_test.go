@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"flor.dev/flor/internal/ckptfmt"
+	"flor.dev/flor/internal/codec"
 )
 
 // testPayload builds n bytes of deterministic, incompressible data.
@@ -81,7 +82,7 @@ func TestPooledRoundTripAndReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !l.Pooled || l.String() != fmt.Sprintf("v2-pooled/%d", DefaultShardFanout) {
+	if !l.Pooled || l.String() != "v2-pooled" {
 		t.Fatalf("layout = %s (pooled=%v)", l, l.Pooled)
 	}
 	root, ok, err := PoolRef(runA)
@@ -637,7 +638,7 @@ func TestAnotherProcessGCThenAttachAndPut(t *testing.T) {
 			}
 			res, err := GCPool(pool, GCOptions{PackRetention: time.Hour})
 			if err != nil || res.CompactedShards == 0 {
-				t.Fatalf("GCPool: %+v, %v; want compacted shards", res, err)
+				t.Fatalf("GCPool: %+v, %v; want the pack compacted", res, err)
 			}
 			putPayload(t, openPooled(t, fresh, pool), key, testPayload(8<<20, 3))
 			checkPayload(t, fresh, key, testPayload(8<<20, 3))
@@ -675,12 +676,12 @@ func TestAnotherProcessRecordedSiblingSurvivesGCPool(t *testing.T) {
 }
 
 // TestHeldWritableStorePutsAfterGCPool: a writable store is held while
-// another instance's GCPool compacts the shards it wrote to new pack
-// generations. Its next put catches up under the commit lock and lands in the
-// new generations — those of shards compacted to no chunk at all too, whose
-// generation the snapshot keeps — never in a retired one: the next pass
-// deletes every generation the first retired and rewrites no shard, and the
-// put and the compacted checkpoint both read back in a new process.
+// another instance's GCPool compacts the pack it wrote to a new generation.
+// Its next put catches up under the commit lock and lands in the new
+// generation, whose number the snapshot keeps, never in a retired one: the
+// next pass deletes every generation the first retired and rewrites no
+// pack, and the put and the compacted checkpoint both read back in a new
+// process.
 func TestHeldWritableStorePutsAfterGCPool(t *testing.T) {
 	base := t.TempDir()
 	pool := filepath.Join(base, "POOL")
@@ -694,7 +695,7 @@ func TestHeldWritableStorePutsAfterGCPool(t *testing.T) {
 	}
 	first, err := GCPool(pool, GCOptions{PackRetention: time.Nanosecond})
 	if err != nil || first.CompactedShards == 0 {
-		t.Fatalf("GCPool: %+v, %v; want compacted shards", first, err)
+		t.Fatalf("GCPool: %+v, %v; want the pack compacted", first, err)
 	}
 	putPayload(t, held, k1, testPayload(8<<20, 3))
 	res, err := GCPool(pool, GCOptions{PackRetention: time.Nanosecond})
@@ -747,5 +748,100 @@ func TestWritableInstancesPutConcurrently(t *testing.T) {
 	}
 	if ps, _, _ := ro.PoolStats(); ps.StoredRawBytes >= 2<<20 {
 		t.Fatalf("pool stores %d raw bytes; want one 1 MiB backbone and the heads", ps.StoredRawBytes)
+	}
+}
+
+// TestPooledConcurrentPuts drives PutSections on one run of a pool from
+// many goroutines: the commit lock must keep the pack, index, and manifest
+// consistent, and every checkpoint must read back intact after a reopen.
+func TestPooledConcurrentPuts(t *testing.T) {
+	base := t.TempDir()
+	dir := filepath.Join(base, "run")
+	s := openPooled(t, dir, filepath.Join(base, "POOL"))
+	const writers, epochs = 4, 3
+	shared := noise(2*ckptfmt.DefaultChunkSize, 77) // cross-writer dedup races
+	var wg sync.WaitGroup
+	errs := make([]error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for e := 0; e < epochs; e++ {
+				own := noise(3*ckptfmt.DefaultChunkSize+w*17, uint64(100+w*10+e))
+				_, err := s.PutSections(Key{LoopID: fmt.Sprintf("w%d", w), Exec: e}, []Section{
+					{Name: "own", Data: own},
+					{Name: "shared", Data: shared},
+				}, 0, 0, 0)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, st := range []*Store{s, mustOpen(t, dir)} {
+		for w := 0; w < writers; w++ {
+			for e := 0; e < epochs; e++ {
+				want := noise(3*ckptfmt.DefaultChunkSize+w*17, uint64(100+w*10+e))
+				secs, err := ReadAll(st, Key{LoopID: fmt.Sprintf("w%d", w), Exec: e}, nil)
+				if err != nil {
+					t.Fatalf("w%d@%d: %v", w, e, err)
+				}
+				if !bytes.Equal(secs[0].Data, want) || !bytes.Equal(secs[1].Data, shared) {
+					t.Fatalf("w%d@%d: data mismatch", w, e)
+				}
+			}
+		}
+	}
+}
+
+// TestMissingPoolPackNamesPack deletes a pool's pack: a writable open must
+// refuse, naming the pack — appending to a rewound pack would poison the
+// manifest — while a read-only open degrades gracefully (the daemon keeps
+// serving what the manifest holds) and reads touching the pack fail with an
+// error naming it.
+func TestMissingPoolPackNamesPack(t *testing.T) {
+	base := t.TempDir()
+	dir, pool := filepath.Join(base, "run"), filepath.Join(base, "POOL")
+	s := openPooled(t, dir, pool)
+	big := noise(8*ckptfmt.DefaultChunkSize, 13)
+	key := Key{LoopID: "L", Exec: 0}
+	if _, err := s.PutSections(key, []Section{{Name: "net", Data: big}}, 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	// A pack is known to hold bytes once a snapshot covers them: before, a
+	// missing pack is an empty one.
+	if err := s.WriteIndex(); err != nil {
+		t.Fatal(err)
+	}
+	victim := packFile
+	if err := os.Remove(filepath.Join(pool, victim)); err != nil {
+		t.Fatal(err)
+	}
+	// Writable open, from disk: refused, naming the pack.
+	_, err := Open(dir)
+	if !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("writable open with a missing pack: err = %v, want codec.ErrCorrupt refusal", err)
+	}
+	if !bytes.Contains([]byte(err.Error()), []byte(victim)) {
+		t.Fatalf("refusal %q does not name the missing pack %s", err, victim)
+	}
+	// Read-only open: graceful; reads touching the pack name it.
+	s2, err := OpenReadOnly(dir)
+	if err != nil {
+		t.Fatalf("read-only open with a missing pack must degrade gracefully: %v", err)
+	}
+	_, err = ReadAll(s2, key, nil)
+	if !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("read error %v is not codec.ErrCorrupt", err)
+	}
+	if !bytes.Contains([]byte(err.Error()), []byte(victim)) {
+		t.Fatalf("error %q does not name the missing pack %s", err, victim)
 	}
 }

@@ -16,8 +16,7 @@ import (
 //	                       carries every checkpoint's directory), INDEX,
 //	                       PROGRAM, record.log, timings.log — every run-directory
 //	                       file that is not pack bytes
-//	<prefix>/packs/<obj>   pack objects by backend name (CHUNKS, CHUNKS-xx,
-//	                       CHUNKS-xx.g<n>)
+//	<prefix>/packs/<obj>   pack objects by backend name (CHUNKS, CHUNKS.g<n>)
 //	<prefix>/LEASE         the writer lease (lease.go)
 const (
 	ctlDir   = "ctl"

@@ -1,13 +1,12 @@
 // Package store implements the on-disk checkpoint store backing Flor record
 // and replay: a manifest that commits each checkpoint in one record, over a
 // run-agnostic ChunkPool layer (pool.go) owning the content-addressed chunk
-// packs (split by hash prefix into shards), the dedup index their frames
-// make, its INDEX snapshot, and refcounted GC/compaction of superseded
-// chunks. A private store is a pool of one rooted at the run directory; a
-// shared pool at a project-level root is attached by many runs, which then
-// deduplicate chunks against each other (fine-tuning families
-// re-checkpointing one frozen backbone store it once). docs/FORMATS.md
-// specifies every byte.
+// pack, the dedup index its frames make, its INDEX snapshot, and refcounted
+// GC/compaction of superseded chunks. A private store is a pool of one
+// rooted at the run directory; a shared pool at a project-level root is
+// attached by many runs, which then deduplicate chunks against each other
+// (fine-tuning families re-checkpointing one frozen backbone store it once).
+// docs/FORMATS.md specifies every byte.
 //
 // # Run directory
 //
@@ -22,10 +21,10 @@
 //	                  is its pool's)
 //	<dir>/PACKGC      retired pack generations awaiting expiry
 //
-// Every put, private or pooled, commits in one order: its frames in one
-// append per pack, then its meta record in one MANIFEST append. A crash at
-// any point leaves a prefix-consistent run: open replays the MANIFEST and
-// scans each pack past its snapshot, checking every CRC, and a torn tail (a
+// Every put, private or pooled, commits in one order: its frames in one pack
+// append, then its meta record in one MANIFEST append. A crash at any point
+// leaves a prefix-consistent run: open replays the MANIFEST and scans the
+// pack past its snapshot, checking every CRC, and a torn tail (a
 // flipped byte too) ends a log — write-ahead-log discipline for a redo-only
 // workload (paper §7). The next writer cuts a torn pack tail; whole frames
 // no checkpoint names are garbage the next GC reclaims. A run leaves the
@@ -34,19 +33,20 @@
 // # Layouts
 //
 // A store has one of two layouts, and neither is a choice: format v2 over a
-// private pack at fanout 1 (marker "2 dirs packlog") or, with Options.Pool,
-// a run of a shared pool at DefaultShardFanout (marker "2 pool shards=16
-// dirs packlog", pool marker "pool2 shards=16"). A writable open writes the
-// marker once, into a fresh directory (writeMarker); puts and GC never touch
-// it. Its "packlog" token and "pool2" make older builds refuse the store:
-// their GC would reclaim every frame the snapshot does not cover.
+// private pack (marker "2 dirs packlog") or, with Options.Pool, a run of a
+// shared pool, one pack log too (marker "2 pool shards=1 dirs packlog", pool
+// marker "pool2 shards=1"). A writable open writes the marker once, into a
+// fresh directory (writeMarker); puts and GC never touch it. Older builds
+// refuse both: their GC would reclaim every frame the snapshot does not
+// cover, and the build before this one would look for 16 hash-prefix packs.
 //
 // Those two are all an open reads: every layout an older build left fails
 // every open, read-only included, with ErrLegacyLayout, touching no byte.
-// Such a run — the "2 dirs index" and "pool1" layouts included — is
-// migrated, not served: core.Migrate (florctl migrate) reads it once through
-// ReadLegacy (legacy.go) into a fresh store. Unknown or corrupt markers
-// surface ErrUnknownFormat rather than risk misparsing a newer layout.
+// Such a run — the "2 dirs index", "pool1" and 16-pack "pool2 shards=16"
+// layouts included — is migrated, not served: core.Migrate (florctl
+// migrate) reads it once through ReadLegacy (legacy.go) into a fresh store.
+// Unknown or corrupt markers surface ErrUnknownFormat rather than risk
+// misparsing a newer layout.
 //
 // # Reads and concurrency
 //
@@ -80,15 +80,12 @@ import (
 // deduplicated (package ckptfmt).
 const FormatV2 = 2
 
-// DefaultShardFanout is the shard count of a shared pool.
-const DefaultShardFanout = 16
-
 // Record tags of a MANIFEST and an INDEX snapshot.
 const (
 	recMeta = 'M'
 	// recChunk locates a chunk in its pack: an INDEX record.
 	recChunk = 'C'
-	// recShard is an INDEX record, one per shard, before the chunk records.
+	// recShard is the INDEX record of the pack, before the chunk records.
 	recShard = 'S'
 	// recPool is the pool-reference record: the first record of a pooled
 	// run's manifest, naming the shared chunk pool the run's chunks live in.
@@ -272,8 +269,8 @@ type Options struct {
 	// Backend overrides pack storage entirely. The control plane (FORMAT,
 	// MANIFEST, INDEX) stays in the run directory regardless.
 	Backend Backend
-	// Pool attaches the run to a shared chunk pool at this root (created at
-	// DefaultShardFanout if absent; relative paths resolve against the
+	// Pool attaches the run to a shared chunk pool at this root (created if
+	// absent; relative paths resolve against the
 	// process working directory, while the manifest records a
 	// run-dir-relative reference so a project tree relocates as a unit). The
 	// run's chunks are published to and read from the pool, deduplicated
@@ -281,8 +278,8 @@ type Options struct {
 	// the manifest plus a LEASE entry under the pool root make the
 	// attachment durable. Only fresh directories can attach; a recorded
 	// private-pack run cannot be relocated into a pool (nor a pooled run out
-	// of one), and no open attaches to a pool an older build made at
-	// another fanout (ErrLegacyLayout). Reopens need no Pool option
+	// of one), and no open attaches to a pool an older build made
+	// (ErrLegacyLayout). Reopens need no Pool option
 	// — the manifest record names the pool.
 	Pool string
 	// PinPool makes Pool authoritative even when empty: the open fails
@@ -393,8 +390,6 @@ func (s *Store) ReadOnly() bool { return s.readOnly }
 // Layout describes a run directory's on-disk store layout, detected without
 // replaying its manifest.
 type Layout struct {
-	// ShardFanout is 1 for a private pack, DefaultShardFanout pooled.
-	ShardFanout int
 	// Pooled reports whether the run's chunks live in a shared chunk pool
 	// (the manifest's pool-reference record names it).
 	Pooled bool
@@ -404,10 +399,10 @@ type Layout struct {
 	Recorded bool
 }
 
-// String renders the layout for listings ("v2", "v2-pooled/16").
+// String renders the layout for listings ("v2", "v2-pooled").
 func (l Layout) String() string {
 	if l.Pooled {
-		return fmt.Sprintf("v2-pooled/%d", l.ShardFanout)
+		return "v2-pooled"
 	}
 	return "v2"
 }
@@ -447,7 +442,7 @@ func detectDir(dir string) (Layout, error) {
 		if recorded {
 			return Layout{}, legacyLayout(dir, "a format-v1 run") // pre-FORMAT-marker run
 		}
-		l = Layout{ShardFanout: 1} // fresh directory
+		l = Layout{} // fresh directory
 	default:
 		return Layout{}, fmt.Errorf("store: read format marker: %w", err)
 	}
@@ -468,21 +463,21 @@ func parseFormatMarker(dir string, raw []byte) (Layout, error) {
 	marker := strings.Join(strings.Fields(string(raw)), " ")
 	switch marker + "\n" {
 	case markerPrivate:
-		return Layout{ShardFanout: 1}, nil
+		return Layout{}, nil
 	case markerPooled:
-		return Layout{ShardFanout: DefaultShardFanout, Pooled: true}, nil
+		return Layout{Pooled: true}, nil
 	}
-	if _, _, _, ok := parseLegacyMarker(raw); ok {
+	if _, ok := parseLegacyMarker(raw); ok {
 		return Layout{}, legacyLayout(dir, fmt.Sprintf("a store marked %q", marker))
 	}
 	return Layout{}, &UnknownFormatError{Dir: dir, Marker: strings.TrimSpace(string(raw))}
 }
 
-// The two FORMAT markers this build writes: a private pack, and a run in a
-// shared pool at DefaultShardFanout.
+// The two FORMAT markers this build writes: a private pack, and a run of a
+// shared pool, whose one pack the manifest's pool-reference record names.
 const (
 	markerPrivate = "2 dirs packlog\n"
-	markerPooled  = "2 pool shards=16 dirs packlog\n"
+	markerPooled  = "2 pool shards=1 dirs packlog\n"
 )
 
 // writeMarker settles the FORMAT marker of a writable store, once, at open:
@@ -516,7 +511,7 @@ func (s *Store) openPrivatePool(o Options) error {
 	if backend == nil {
 		backend = DirBackendAt(s.dir)
 	}
-	s.pool = &ChunkPool{root: s.dir, fanout: 1, backend: backend}
+	s.pool = &ChunkPool{root: s.dir, backend: backend}
 	return s.pool.open()
 }
 
@@ -532,7 +527,7 @@ func resolveRunPath(dir, entry string) string {
 
 // attachPool connects a pooled store to its shared chunk pool. A recorded
 // run's pool is named by the pool-reference record that leads its manifest
-// records recs, at the marker's fanout; a fresh directory (or one whose
+// records recs, at fanout 1; a fresh directory (or one whose
 // first record was torn) takes it from Options.Pool.
 func (s *Store) attachPool(o Options, recs []manifestRecord) error {
 	if o.Backend != nil {
@@ -542,8 +537,8 @@ func (s *Store) attachPool(o Options, recs []manifestRecord) error {
 	switch {
 	case len(recs) > 0:
 		ref := recs[0]
-		if ref.tag != recPool || ref.ref == "" || ref.fanout != DefaultShardFanout {
-			return fmt.Errorf("%w: pooled run %s: manifest does not start with a pool-reference record at fanout %d", codec.ErrCorrupt, s.dir, DefaultShardFanout)
+		if ref.tag != recPool || ref.ref == "" || ref.fanout != 1 {
+			return fmt.Errorf("%w: pooled run %s: manifest does not start with a pool-reference record at fanout 1", codec.ErrCorrupt, s.dir)
 		}
 		root = resolveRunPath(s.dir, ref.ref)
 		s.poolRef = ref.ref
@@ -594,7 +589,7 @@ func (s *Store) commitPoolAttachment() error {
 			}
 		}
 		s.mu.Lock()
-		err := s.manifest.append(frameTagged(recPool, encodePoolRef(ref, s.pool.fanout)))
+		err := s.manifest.append(frameTagged(recPool, encodePoolRef(ref, 1)))
 		if err == nil {
 			s.poolRef = ref
 		}
@@ -645,10 +640,6 @@ func PoolRef(dir string) (root string, ok bool, err error) {
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
-
-// ShardFanout returns the chunk-pack shard count: 1 for a private pack, the
-// pool's fanout for a pooled run.
-func (s *Store) ShardFanout() int { return s.pool.fanout }
 
 // Pooled reports whether the run's chunks live in a shared pool.
 func (s *Store) Pooled() bool { return s.pool.shared }
@@ -860,7 +851,8 @@ func readInts(r *codec.Reader, fs ...*int64) error {
 }
 
 // encodePoolRef encodes a pool-reference record: the pool root (relative
-// references resolve against the run directory) and the pool's fanout.
+// references resolve against the run directory) and the pool's fanout, 1 in
+// every pool this build writes (older builds' pools had 4 or 16 packs).
 func encodePoolRef(ref string, fanout int) []byte {
 	w := codec.NewWriter()
 	w.String(ref)
@@ -892,9 +884,9 @@ func frameTagged(tag byte, body []byte) []byte {
 }
 
 // PutSections durably stores a checkpoint as named sections. Sections are
-// chunked, frames for previously unseen chunks are encoded in parallel and
-// appended to their hash shards' packs (concurrently across shards), and
-// one manifest append commits the checkpoint. It is safe to call from
+// chunked and hashed in parallel, frames for previously unseen chunks are
+// appended to the pack in one append, and one manifest append commits the
+// checkpoint. It is safe to call from
 // several goroutines, stores and processes at once: the pool's commit lock
 // orders their commits. The sections' Data is only read, and only until
 // PutSections returns — nothing of it stays referenced from the store, so
@@ -955,10 +947,10 @@ func verifyOffered(chunk []byte, h ckptfmt.Hash, offered bool) error {
 // byte is touched three times: hashed once — unless its chunk came with a hash
 // its writer vouches for (PutSectionsKnown), the only way a chunk skips
 // HashChunk — the hash probing the dedup index and, for a fresh chunk, being
-// the one its raw frame carries; and copied once into the staging span of its
-// shard's pack append (appendFrames), together with the CRC pass over that
-// copy. putV2 never decides a hash is reusable: it takes offers and hands
-// every chunk's hash back, and a []Section put twice is hashed in full twice.
+// the one its raw frame carries; and copied once into the staging span of the
+// pack append (appendFrames), together with the CRC pass over that copy.
+// putV2 never decides a hash is reusable: it takes offers and hands every
+// chunk's hash back, and a []Section put twice is hashed in full twice.
 // Chunks and frames alias secs[i].Data throughout; every alias is dropped by
 // the time putV2 returns.
 func (s *Store) putV2(key Key, secs []Section, known []KnownChunks, snapNs, serNs, computNs int64) (*Meta, error) {
@@ -1015,7 +1007,7 @@ func (s *Store) putV2(key Key, secs []Section, known []KnownChunks, snapNs, serN
 	defer unlock()
 
 	// Select chunks the pool has not stored yet (deduplicating within this
-	// checkpoint too), probing each shard's index under its own lock.
+	// checkpoint too).
 	newIdx := p.filterFresh(hashes)
 	obs.C(obs.MStoreChunkDedupHits).Add(int64(len(flat) - len(newIdx)))
 	// Raw frames for the fresh chunks only, each carrying the hash settled
@@ -1026,12 +1018,12 @@ func (s *Store) putV2(key Key, secs []Section, known []KnownChunks, snapNs, serN
 		frames[i] = ckptfmt.BuildHashed(flat[j], hashes[j])
 	}
 
-	// Commit in the one order: the fresh frames fan out across their hash
-	// shards' packs (concurrently), which publishes them to the dedup index,
-	// and only then does the meta record carrying the directory go to the
-	// manifest — it never references bytes that aren't on disk.
+	// Commit in the one order: the fresh frames go to the pack, which
+	// publishes them to the dedup index, and only then does the meta record
+	// carrying the directory go to the manifest — it never references bytes
+	// that aren't on disk.
 	a0 := time.Now()
-	locs, err := p.appendFrames(frames)
+	recs, err := p.appendFrames(frames)
 	if err != nil {
 		return nil, err
 	}
@@ -1041,11 +1033,11 @@ func (s *Store) putV2(key Key, secs []Section, known []KnownChunks, snapNs, serN
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var stored int64
-	for i := range frames {
-		stored += int64(locs[i].EncLen)
+	for _, cr := range recs {
+		stored += int64(cr.loc.EncLen)
 		s.dedup.ChunksStored++
-		s.dedup.StoredRawBytes += int64(locs[i].RawLen)
-		s.dedup.StoredEncBytes += int64(locs[i].EncLen)
+		s.dedup.StoredRawBytes += int64(cr.loc.RawLen)
+		s.dedup.StoredEncBytes += int64(cr.loc.EncLen)
 	}
 	s.dedup.ChunkRefs += int64(len(flat))
 	obs.C(obs.MStoreChunkBytesWritten).Add(stored)
@@ -1189,8 +1181,8 @@ func (s *Store) Resolve(key Key) (*Checkpoint, error) {
 
 // ReadInto materializes sections of a checkpoint: chunk frames are fetched
 // and decoded by the pool's one read pipeline (see fetch.go) — runs of
-// neighbouring frames read concurrently across shards, each run decoded the
-// moment its bytes land. The result has one entry per section, in the
+// neighbouring frames read concurrently, each run decoded the moment its
+// bytes land. The result has one entry per section, in the
 // checkpoint's order.
 //
 // Two callbacks, both optional, keep sections on disk. A section whose name
@@ -1215,10 +1207,10 @@ func (s *Store) Resolve(key Key) (*Checkpoint, error) {
 // Every wanted section's destination is written even when the call fails, so
 // a failed read may leave pieces holding anything.
 //
-// Both callbacks are invoked without any store lock held, and each shard's
-// lock is taken only briefly to resolve chunk locations: concurrent readers
-// from many server goroutines must not serialize on each other's cache
-// probes.
+// Both callbacks are invoked without any store lock held, and the pool's
+// index lock is taken only briefly to resolve chunk locations: concurrent
+// readers from many server goroutines must not serialize on each other's
+// cache probes.
 func (c *Checkpoint) ReadInto(want func(name string) bool, have func(ckptfmt.Hash) bool, fs *FetchStats, into func(name string, rawLen int) [][]byte) ([]Section, error) {
 	dir, p := c.e.dir, c.s.pool
 	secs := make([]Section, len(dir.Sections))
@@ -1241,14 +1233,12 @@ func (c *Checkpoint) ReadInto(want func(name string) bool, have func(ckptfmt.Has
 	if len(load) == 0 {
 		return secs, nil
 	}
-	// Phase 2: lay each section's destination out over its chunks, and
-	// group the chunks by the shard that holds them.
+	// Phase 2: lay each section's destination out over its chunks.
 	nchunks := 0
 	for _, i := range load {
 		nchunks += len(dir.Sections[i].Chunks)
 	}
 	jobs := make([]chunkJob, 0, nchunks)
-	byShard := map[int][]int{} // shard -> indices into jobs
 	for _, i := range load {
 		ds := &dir.Sections[i]
 		var pieces [][]byte
@@ -1264,18 +1254,16 @@ func (c *Checkpoint) ReadInto(want func(name string) bool, have func(ckptfmt.Has
 			return nil, err
 		}
 		for k, ref := range ds.Chunks {
-			si := p.shardOf(ref.Hash)
-			byShard[si] = append(byShard[si], len(jobs))
 			jobs = append(jobs, chunkJob{ref: ref, dst: dsts[k]})
 		}
 	}
 	// Phase 3: resolve every chunk's location in the pool's dedup index,
-	// locking each involved shard once, and fill every destination with its
+	// under one hold of its lock, and fill every destination with its
 	// chunk's bytes.
-	if err := p.resolve(jobs, byShard, c.e.Key); err != nil {
+	if err := p.resolve(jobs, c.e.Key); err != nil {
 		return nil, err
 	}
-	if err := p.fetch(jobs, byShard, fs); err != nil {
+	if err := p.fetch(jobs, fs); err != nil {
 		return nil, err
 	}
 	return secs, nil
@@ -1497,7 +1485,7 @@ func (s *Store) liveEntries() ([]*entry, error) {
 func (s *Store) rewriteManifest(live []*entry) (int, error) {
 	var buf []byte
 	if s.pool.shared {
-		buf = frameTagged(recPool, encodePoolRef(s.poolRef, s.pool.fanout))
+		buf = frameTagged(recPool, encodePoolRef(s.poolRef, 1))
 	}
 	for _, e := range live {
 		buf = append(buf, frameTagged(recMeta, encodeMeta(e))...)

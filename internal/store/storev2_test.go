@@ -625,8 +625,8 @@ func TestFormatMismatchRefusedWithoutDataLoss(t *testing.T) {
 
 func TestNewStoresDefaultToV2(t *testing.T) {
 	s := openTemp(t)
-	if s.ShardFanout() != 1 || s.ReadOnly() {
-		t.Fatalf("new store opened at fanout %d, read-only=%v; want writable v2 at fanout 1", s.ShardFanout(), s.ReadOnly())
+	if s.Pooled() || s.ReadOnly() {
+		t.Fatalf("new store opened pooled=%v, read-only=%v; want a writable private v2 store", s.Pooled(), s.ReadOnly())
 	}
 	m, _ := putBlob(s, Key{LoopID: "L", Exec: 0}, []byte("x"), 0, 0, 0)
 	if m.Format != FormatV2 {
@@ -654,11 +654,11 @@ func TestGCKeepsSharedChunksReadable(t *testing.T) {
 }
 
 // TestPackBytesAreFreshFramesInDirectoryOrder pins what the append routine
-// writes, whatever it stages the bytes in: a shard's pack is the
-// concatenation of the raw frames (BuildHashed) of the chunks that were fresh
-// when their checkpoint was put, in directory order, checkpoint after
-// checkpoint — frozen content once, and compressible content raw like the
-// rest — for the single pack and a pooled one, sharded at its fanout.
+// writes, whatever it stages the bytes in: the pack is the concatenation of
+// the raw frames (BuildHashed) of the chunks that were fresh when their
+// checkpoint was put, in directory order, checkpoint after checkpoint —
+// frozen content once, and compressible content raw like the rest — for a
+// private store's pack and a pool's alike.
 func TestPackBytesAreFreshFramesInDirectoryOrder(t *testing.T) {
 	frozen := noise(2*ckptfmt.DefaultChunkSize+77, 1)
 	checkpoints := make([][]Section, 6)
@@ -677,15 +677,16 @@ func TestPackBytesAreFreshFramesInDirectoryOrder(t *testing.T) {
 	}{
 		{"private", func() (*Store, string) {
 			dir := t.TempDir()
-			return mustReopen(t, dir, false), dir
+			return mustOpen(t, dir), dir
 		}},
 		{"pooled", func() (*Store, string) {
-			s, _, pool := openSharded(t)
-			return s, pool
+			base := t.TempDir()
+			pool := filepath.Join(base, "POOL")
+			return openPooled(t, filepath.Join(base, "run"), pool), pool
 		}},
 	} {
 		s, dir := layout.open()
-		want := map[int][]byte{} // shard -> expected pack bytes
+		var want []byte
 		seen := map[ckptfmt.Hash]bool{}
 		for e, secs := range checkpoints {
 			if _, err := s.PutSections(Key{LoopID: "train", Exec: e}, secs, 0, 0, 0); err != nil {
@@ -698,30 +699,27 @@ func TestPackBytesAreFreshFramesInDirectoryOrder(t *testing.T) {
 						continue
 					}
 					seen[f.Hash] = true
-					shard := s.pool.shardOf(f.Hash)
-					want[shard] = append(want[shard], f.Marshal()...)
+					want = append(want, f.Marshal()...)
 				}
 			}
 		}
-		for shard, sh := range s.pool.shardTab {
-			got, err := os.ReadFile(filepath.Join(dir, sh.obj()))
-			if err != nil && len(want[shard]) > 0 {
+		got, err := os.ReadFile(filepath.Join(dir, packFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: pack holds %d bytes that are not its fresh chunks' raw frames in directory order (%d bytes)",
+				layout.name, len(got), len(want))
+		}
+		for off := 0; off < len(got); {
+			f, n, err := ckptfmt.Parse(got[off:])
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, want[shard]) {
-				t.Fatalf("%s: pack %s holds %d bytes that are not its fresh chunks' raw frames in directory order (%d bytes)",
-					layout.name, sh.obj(), len(got), len(want[shard]))
+			if f.Style != ckptfmt.StyleRaw {
+				t.Fatalf("%s: pack holds a frame of style %d at offset %d; every frame a store writes is raw", layout.name, f.Style, off)
 			}
-			for off := 0; off < len(got); {
-				f, n, err := ckptfmt.Parse(got[off:])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if f.Style != ckptfmt.StyleRaw {
-					t.Fatalf("%s: pack %s holds a frame of style %d at offset %d; every frame a store writes is raw", layout.name, sh.obj(), f.Style, off)
-				}
-				off += n
-			}
+			off += n
 		}
 	}
 }

@@ -37,7 +37,10 @@ import (
 //   - private2index: marker "2 dirs index", its chunk records in an INDEX
 //     log, as the build before the packs became the log wrote it;
 //   - pool16: a "pool1 shards=16" pool of that build, holding one leased
-//     run, at run/.
+//     run, at run/;
+//   - pool16packlog: a "pool2 shards=16" pool, its 16 hash-prefix packs the
+//     log of its chunks, as the build before pools became one pack wrote
+//     it, holding one leased run, at run/.
 var legacyFixtures = []struct {
 	name    string
 	factory func() *flor.Program
@@ -52,6 +55,7 @@ var legacyFixtures = []struct {
 	{"pool4", counterFactory(6, 3)},
 	{"private2index", counterFactory(6, 3)},
 	{"pool16", counterFactory(6, 3)},
+	{"pool16packlog", counterFactory(6, 3)},
 }
 
 // fixtureRun returns the run directory of a fixture copy at root, and its
@@ -139,17 +143,12 @@ func migrated(t testing.TB, src, pool string) string {
 	}
 	want := "2 dirs packlog\n"
 	if pool != "" {
-		want = "2 pool shards=16 dirs packlog\n"
+		want = "2 pool shards=1 dirs packlog\n"
 	}
 	if m, err := os.ReadFile(filepath.Join(dst, "FORMAT")); err != nil || string(m) != want {
 		t.Fatalf("migrated FORMAT %q (%v), want %q", m, err, want)
 	}
-	got, wantIDs := sectionIdentities(t, dst), map[store.Key]string{}
-	if _, err := store.DetectLayout(src); err == nil {
-		wantIDs = sectionIdentities(t, src) // a layout this build writes: ReadLegacy does not read it
-	} else {
-		wantIDs = legacyIdentities(t, src)
-	}
+	got, wantIDs := sectionIdentities(t, dst), legacyIdentities(t, src)
 	if len(got) == 0 || !maps.Equal(got, wantIDs) {
 		t.Fatalf("migrated sections\n%v\nsource's\n%v", got, wantIDs)
 	}

@@ -70,9 +70,10 @@ func dirBytes(t *testing.T, dir string) map[string]string {
 
 // TestMigrationMatrixByteIdenticalReplay is the layout-compatibility
 // matrix: the same program as a legacy v1 run, a hash-prefix sharded v2
-// store, one spread over extra pack roots, a run of a fanout-4 pool, and a
+// store, one spread over extra pack roots, a run of a fanout-4 pool, a
 // private store and a run of a "pool1 shards=16" pool whose chunk records
-// are in an INDEX log (the committed fixtures older builds left, each
+// are in an INDEX log, and a run of a "pool2 shards=16" pool whose 16 packs
+// are the log (the committed fixtures older builds left, each
 // refused by DetectLayout with ErrLegacyLayout and migrated — the v1 run and
 // the stores into private stores, the pooled runs into a fresh pool), and recorded now into a
 // private v2 store and a pooled one (shared chunk pool), must open through
@@ -112,16 +113,19 @@ func TestMigrationMatrixByteIdenticalReplay(t *testing.T) {
 		{"v2-pooled", func(dir string) error {
 			_, err := flor.Record(dir, factory, flor.DisableAdaptiveCheckpointing(), flor.Pool(poolRoot))
 			return err
-		}, "", "v2-pooled/16"},
+		}, "", "v2-pooled"},
 		{"v2-pooled-4", func(dir string) error {
 			return os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "pool4")))
-		}, "pooled", "v2-pooled/16"},
+		}, "pooled", "v2-pooled"},
 		{"v2-index", func(dir string) error {
 			return os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "private2index")))
 		}, "private", "v2"},
 		{"v2-pooled-16", func(dir string) error {
 			return os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "pool16")))
-		}, "pooled", "v2-pooled/16"},
+		}, "pooled", "v2-pooled"},
+		{"v2-pooled-16-packlog", func(dir string) error {
+			return os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "pool16packlog")))
+		}, "pooled", "v2-pooled"},
 	}
 
 	type result struct {
