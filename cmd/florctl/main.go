@@ -26,10 +26,12 @@
 // half-down fleet still renders — but florctl exits nonzero.
 //
 // migrate copies a recorded run (core.Migrate) into a fresh directory in a
-// layout this build writes — a private store, or a run of the shared pool
-// named third — reading the source once and never writing it. A run an
-// older build left (format v1, a sharded or multi-root store, a pool of
-// several packs, a manifest with segment-file checkpoints) fails every
+// layout this build writes — a run that is its own pool, or a run of the
+// shared pool named third, which may not be another run's directory —
+// reading the source once and never writing it. A run an older build left
+// (format v1, a private run without a pool reference, a sharded or
+// multi-root store, a pool of several packs, a manifest with segment-file
+// checkpoints) fails every
 // open — replay, serving and upload included — with a message naming this
 // command, the one way to replay, serve, record into or GC its checkpoints
 // again.

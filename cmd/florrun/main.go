@@ -10,11 +10,12 @@
 //
 // -pool records into a shared chunk pool, deduplicating checkpoint chunks
 // against every other run attached to the same pool (fine-tuning families
-// over one frozen backbone store it once); without it the run keeps its
-// chunks in a private pack. Several florrun processes may record into one
-// pool at once: each commit holds the pool's lock, an exclusive flock on the
-// pool directory. Replay needs no matching flags — the layout is detected
-// from the run directory.
+// over one frozen backbone store it once); without it the run is its own
+// pool, its chunks in its own directory. The pool may not be another run's
+// directory (store.ErrWrongPool). Several florrun processes may record into
+// one pool at once: each commit holds the pool's lock, an exclusive flock on
+// the pool directory. Replay needs no matching flags — the run's manifest
+// names its pool.
 package main
 
 import (
@@ -34,7 +35,7 @@ func main() {
 	epsilon := flag.Float64("epsilon", 0, "record overhead tolerance (default 1/15)")
 	noAdaptive := flag.Bool("no-adaptive", false, "materialize every loop execution")
 	strategy := flag.String("strategy", "fork", "materialization strategy: fork, baseline, queue, plasma")
-	pool := flag.String("pool", "", "shared chunk-pool root: dedup checkpoint chunks across every run attached to the same pool")
+	pool := flag.String("pool", "", "shared chunk-pool root, not another run's directory: dedup checkpoint chunks across every run attached to the same pool")
 	flag.Parse()
 
 	if *dir == "" {

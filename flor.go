@@ -181,14 +181,16 @@ func DisableAdaptiveCheckpointing() Option {
 // the same pool — a fine-tuning family over one frozen backbone, a swept
 // hyperparameter grid — deduplicate checkpoint chunks against each other,
 // so shared state is stored once per project instead of once per run, and
-// concurrent replays of sibling runs share decoded payloads. A pool is one
-// pack log, as a private run's store is; a pool an older build made (one
-// split into hash-prefix shards included) is not opened, and recording into
-// it fails with store.ErrLegacyLayout. Any number of recordings, in one process
+// concurrent replays of sibling runs share decoded payloads. Without this
+// option a run is its own pool, rooted at its directory; a pool is one pack
+// log either way. Another run's directory is no pool to record into
+// (store.ErrWrongPool), and a pool an older build made (one split into
+// hash-prefix shards included) is not opened: recording into it fails with
+// store.ErrLegacyLayout. Any number of recordings, in one process
 // or (where the platform has flock) many, may record into one pool at once,
 // and GC may run beside them: each commit holds the pool's lock, an exclusive
 // flock on its directory, so every run replays as if it had recorded alone. Replay needs no matching option —
-// the run's manifest records the attachment.
+// the run's manifest names its pool.
 func Pool(dir string) Option {
 	return func(o *options) { o.rec.Pool = dir }
 }

@@ -65,8 +65,8 @@ type RecordResult struct {
 }
 
 // Record executes the program with Flor instrumentation, materializing
-// checkpoints into dir: a fresh directory, or a store in one of the two
-// layouts this build writes — any other fails with store.ErrLegacyLayout
+// checkpoints into dir: a fresh directory, or a store in the layout this
+// build writes — any other fails with store.ErrLegacyLayout
 // before a byte is written (Migrate copies such a run forward). The
 // returned Recording is everything replay needs.
 func Record(dir string, factory func() *script.Program, opts RecordOptions) (*RecordResult, error) {
@@ -186,11 +186,12 @@ func LoadRecordingShared(dir string) (*replay.Recording, error) {
 }
 
 // LoadRecordingSharedPinned is LoadRecordingShared with the store's pool
-// attachment pinned: the open fails unless the run's pool attachment still
-// matches pool (empty means "not pooled"), so a server that validated it at
+// pinned: the open fails with store.ErrWrongPool unless the run's pool is
+// still pool (the root store.PoolRef reported, the run directory itself for
+// a run that is its own pool), so a server that validated it at
 // registration time cannot be redirected by a later manifest rewrite.
 func LoadRecordingSharedPinned(dir, pool string) (*replay.Recording, error) {
-	return LoadRecordingWith(dir, store.Options{Pool: pool, PinPool: true})
+	return LoadRecordingWith(dir, store.Options{Pool: pool})
 }
 
 // LoadRecordingWith opens a run directory read-only with explicit store
@@ -233,8 +234,8 @@ func loadRecording(dir string, st *store.Store) (*replay.Recording, error) {
 }
 
 // Migrate copies the run at src into dst, a fresh directory, in a layout this
-// build writes: a private store, or a run of the shared pool at pool when
-// pool is not empty. It reads src through store.ReadLegacy, the one reader
+// build writes: a run that is its own pool, or a run of the shared pool at
+// pool when pool is not empty. It reads src through store.ReadLegacy, the one reader
 // of every layout, and puts each live checkpoint under its key, in commit
 // order, with its recorded timings; then it copies the program structure,
 // the record log and the iteration timings, and last writes the store's

@@ -29,7 +29,7 @@ import (
 // with empty parks, so no query reuses a program reading a superseded store.
 type cacheEntry struct {
 	runID    string
-	poolRoot string // "" for private-pack runs
+	poolRoot string // "" for a run that is its own pool
 	rec      *replay.Recording
 	cache    *backmat.PayloadCache
 
@@ -114,7 +114,7 @@ func newStoreCache(capacity int, cacheBytes int64, onEvict func(string)) *storeC
 // get returns the entry for runID, opening the store via load on a miss
 // (the caller chooses the open path: pinned local roots, or the remote
 // object backend) and evicting the least recently used entry beyond
-// capacity. poolRoot selects the shared payload cache ("" = private).
+// capacity. poolRoot selects the shared payload cache ("" = the run's own).
 //
 // A run is opened by one caller at a time: whoever misses first loads, and
 // callers arriving meanwhile wait for it and then take the hit. A miss is
@@ -185,7 +185,7 @@ func (c *storeCache) get(runID, poolRoot string, load func() (*replay.Recording,
 }
 
 // payloadCache returns the decoded-payload cache for a store: per-run for
-// private-pack stores, shared pool-wide for pooled ones.
+// a run that is its own pool, shared pool-wide for runs of a shared pool.
 func (c *storeCache) payloadCache(poolRoot string) *backmat.PayloadCache {
 	if poolRoot == "" {
 		return backmat.NewPayloadCache(c.cacheBytes)

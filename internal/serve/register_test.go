@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"flor.dev/flor/internal/codec"
 	"flor.dev/flor/internal/core"
 	"flor.dev/flor/internal/script"
 	"flor.dev/flor/internal/serve"
@@ -263,5 +265,91 @@ func TestRunsListingReportsShardedLayout(t *testing.T) {
 	}
 	if got, want := strings.Join(resp.Logs, "\n")+"\n", string(raw); got != want {
 		t.Fatalf("the migrated run replays\n%s\nits record.log holds\n%s", got, want)
+	}
+}
+
+// TestRewrittenPoolReferenceCannotRedirectReads: a run registered by name
+// under a register root is its own pool, and registration pins that root.
+// Its manifest's leading pool reference is then rewritten to name another
+// pool inside the register root — a sibling run's directory, and a decoy
+// whose POOL marker no build writes, so that reading any byte of it would
+// fail the query with another error. Each next query fails with
+// store.ErrWrongPool, and the sibling's bytes stay as they were; with the
+// record restored, the run serves what it recorded.
+func TestRewrittenPoolReferenceCannotRedirectReads(t *testing.T) {
+	base := t.TempDir()
+	dir, sibling, decoy := filepath.Join(base, "run"), filepath.Join(base, "sibling"), filepath.Join(base, "decoy")
+	factory := recordRun(t, dir, 8, 3, 11)
+	recordRun(t, sibling, 8, 3, 12)
+	if err := os.MkdirAll(decoy, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(decoy, "POOL"), []byte("pool9 decoy\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(serve.Options{
+		Slots:        2,
+		Library:      map[string]map[string]func() *script.Program{"mini": {"base": factory}},
+		RegisterRoot: base,
+	})
+	if err := srv.RegisterByName("run", "run", "mini"); err != nil {
+		t.Fatal(err)
+	}
+	if runs := srv.Runs(); len(runs) != 1 || runs[0].Format != "v2" || runs[0].Pool != "" {
+		t.Fatalf("listing %+v, want one run that is its own pool", runs)
+	}
+	manifest := filepath.Join(dir, "MANIFEST")
+	orig, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, n, err := codec.Unframe(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func(root string) map[string]string {
+		t.Helper()
+		out := map[string]string{}
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				raw, rerr := os.ReadFile(path)
+				out[path], err = string(raw), rerr
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, ref := range []string{"../sibling", "../decoy"} {
+		w := codec.NewWriter()
+		w.String(ref)
+		w.Int(1)
+		rec := codec.Frame(append([]byte{'P'}, w.Bytes()...))
+		if err := os.WriteFile(manifest, append(rec, orig[n:]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := snapshot(sibling)
+		if _, err := srv.Replay(context.Background(), "run", serve.ReplayRequest{Workers: 1}); !errors.Is(err, store.ErrWrongPool) {
+			t.Fatalf("query after the pool reference was rewritten to %q: %v, want store.ErrWrongPool", ref, err)
+		}
+		if !maps.Equal(before, snapshot(sibling)) {
+			t.Fatalf("the refused query (pool reference %q) changed the sibling run", ref)
+		}
+	}
+	if err := os.WriteFile(manifest, orig, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "record.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.Replay(context.Background(), "run", serve.ReplayRequest{Workers: 2})
+	if err != nil || resp.Anomalies != 0 {
+		t.Fatalf("replay with the pool reference restored: %+v, %v", resp, err)
+	}
+	if got := strings.Join(resp.Logs, "\n") + "\n"; got != string(raw) {
+		t.Fatalf("the run replays\n%s\nits record.log holds\n%s", got, raw)
 	}
 }

@@ -35,8 +35,8 @@
 // clients can only name programs the embedder registered — and confined to
 // directories under Options.RegisterRoot, so remote clients cannot point
 // the daemon at arbitrary server-side paths). Registration validates the
-// directory's store layout eagerly via store.DetectLayout: both layouts
-// (docs/FORMATS.md) serve through the same lazily opened read-only path,
+// directory's store layout eagerly via store.DetectLayout: the one layout
+// (docs/FORMATS.md) serves through a lazily opened read-only path,
 // while a layout an older build left (store.ErrLegacyLayout, naming
 // florctl migrate) or a future one (store.ErrUnknownFormat, carrying the
 // marker) is a client error (HTTP 400) at registration, not a 500 from the
@@ -268,13 +268,15 @@ const defaultTraceRing = 16
 
 // run is one registered recording's serving state.
 type run struct {
-	cfg    RunConfig
-	layout store.Layout // validated at registration
-	// poolRoot pins a pooled run's chunk-pool root as validated at
-	// registration: opens fail rather than follow a later manifest rewrite
-	// ("" for private-pack runs). Runs sharing a poolRoot form a project group:
-	// their stores resolve chunks through one pool and their queries share
-	// one decoded-payload cache.
+	cfg RunConfig
+	// pin is the run's chunk-pool root as validated at registration
+	// (store.PoolRef), the run directory's own for a run that is its own
+	// pool: opens fail rather than follow a later manifest rewrite.
+	pin string
+	// poolRoot is pin for a run of a shared pool ("" for a run that is its
+	// own pool). Runs sharing a poolRoot form a project group: their stores
+	// resolve chunks through one pool and their queries share one
+	// decoded-payload cache.
 	poolRoot string
 	sem      chan struct{} // in-flight bound
 
@@ -507,20 +509,21 @@ func (s *Server) Register(cfg RunConfig) error {
 		if err := s.fetchRemoteRun(cfg); err != nil {
 			return err
 		}
-		// The fetched control plane must not be pooled (pooled stores refuse
-		// backend overrides), so the pin is empty by construction.
-		return s.registerPinned(cfg, "")
+		// The fetched run is its own pool (only such a run's pack may sit
+		// behind a backend), and opens through the object backend unpinned.
+		return s.registerPinned(cfg, "", true)
 	}
-	poolRoot, _, err := store.PoolRef(cfg.Dir)
+	pin, own, err := store.PoolRef(cfg.Dir)
 	if err != nil {
 		return fmt.Errorf("%w: register %q: %w", ErrBadRequest, cfg.ID, err)
 	}
-	return s.registerPinned(cfg, poolRoot)
+	return s.registerPinned(cfg, pin, own)
 }
 
 // fetchRemoteRun materializes a remote run's control plane into cfg.Dir so
 // the normal registration validation (layout detection, IsRecording) runs
-// against real files; pack bytes stay remote.
+// against real files; pack bytes stay remote. The control plane holds the
+// run's own pool's files but its pack, so a run of a shared pool is refused.
 func (s *Server) fetchRemoteRun(cfg RunConfig) error {
 	if s.remote == nil {
 		if s.remoteErr != nil {
@@ -537,18 +540,19 @@ func (s *Server) fetchRemoteRun(cfg RunConfig) error {
 		}
 		return fmt.Errorf("serve: register %q: %w", cfg.ID, err)
 	}
-	if poolRoot, _, err := store.PoolRef(cfg.Dir); err != nil {
+	if _, own, err := store.PoolRef(cfg.Dir); err != nil {
 		return fmt.Errorf("%w: register %q: %v", ErrBadRequest, cfg.ID, err)
-	} else if poolRoot != "" {
-		return fmt.Errorf("%w: register %q: pooled runs cannot be served remotely", ErrBadRequest, cfg.ID)
+	} else if !own {
+		return fmt.Errorf("%w: register %q: runs of a shared pool cannot be served remotely", ErrBadRequest, cfg.ID)
 	}
 	return nil
 }
 
 // registerPinned is Register with the pool root already read (exactly
-// once): HTTP registration validates confinement and pins from the same
-// read, so a manifest rewrite between check and pin cannot slip through.
-func (s *Server) registerPinned(cfg RunConfig, poolRoot string) error {
+// once), and whether it is the run's own: HTTP registration validates
+// confinement and pins from the same read, so a manifest rewrite between
+// check and pin cannot slip through.
+func (s *Server) registerPinned(cfg RunConfig, pin string, own bool) error {
 	if cfg.ID == "" {
 		return fmt.Errorf("%w: register: empty run ID", ErrBadRequest)
 	}
@@ -563,8 +567,7 @@ func (s *Server) registerPinned(cfg RunConfig, poolRoot string) error {
 	} else if !st.IsDir() {
 		return fmt.Errorf("%w: register %q: %s is not a directory", ErrBadRequest, cfg.ID, cfg.Dir)
 	}
-	layout, err := store.DetectLayout(cfg.Dir)
-	if err != nil {
+	if err := store.DetectLayout(cfg.Dir); err != nil {
 		if errors.Is(err, store.ErrUnknownFormat) || errors.Is(err, store.ErrLegacyLayout) {
 			// The typed error names the marker, or the way forward.
 			return fmt.Errorf("%w: register %q: %w", ErrBadRequest, cfg.ID, err)
@@ -588,7 +591,7 @@ func (s *Server) registerPinned(cfg RunConfig, poolRoot string) error {
 	}
 	id := obs.L("run", cfg.ID)
 	rn := &run{
-		cfg: cfg, layout: layout, poolRoot: poolRoot,
+		cfg: cfg, pin: pin,
 		sem:            make(chan struct{}, s.opts.MaxInflightPerRun),
 		ringCap:        s.opts.TraceRing,
 		inflightAt:     map[int]time.Time{},
@@ -601,6 +604,9 @@ func (s *Server) registerPinned(cfg RunConfig, poolRoot string) error {
 		mSlowQueries:   obs.C(obs.MServeSlowQueries, id),
 		mQueueDepth:    obs.G(obs.MServeQueueDepth, id),
 		mInflight:      obs.G(obs.MServeInflight, id),
+	}
+	if !own {
+		rn.poolRoot = pin
 	}
 	if s.traces != nil {
 		// Seed the trace-ID sequence past anything already persisted for
@@ -713,17 +719,17 @@ func (s *Server) RegisterByName(id, dir, program string) error {
 	if outside(abs) {
 		return fmt.Errorf("%w: register %q: directory missing or outside the register root", ErrBadRequest, id)
 	}
-	// A pooled run's packs live wherever its manifest's pool reference
-	// says — confine that root too, or a planted manifest would point the
-	// daemon's reads outside the register root. The same single read is
-	// what gets pinned: checking one read and pinning another would leave a
-	// window for a rewrite in between.
-	poolRoot, pooled, err := store.PoolRef(abs)
+	// A run's packs live wherever its manifest's pool reference says —
+	// confine that root too, or a planted manifest would point the daemon's
+	// reads outside the register root. The same single read is what gets
+	// pinned: checking one read and pinning another would leave a window for
+	// a rewrite in between.
+	pin, own, err := store.PoolRef(abs)
 	if err != nil {
 		return fmt.Errorf("%w: register %q: %w", ErrBadRequest, id, err)
 	}
-	if pooled && outside(poolRoot) {
-		return fmt.Errorf("%w: register %q: pool root %q outside the register root", ErrBadRequest, id, poolRoot)
+	if !own && outside(pin) {
+		return fmt.Errorf("%w: register %q: pool root %q outside the register root", ErrBadRequest, id, pin)
 	}
 	dir = abs
 	factories, ok := s.opts.Library[program]
@@ -735,7 +741,7 @@ func (s *Server) RegisterByName(id, dir, program string) error {
 		sort.Strings(names)
 		return fmt.Errorf("%w: unknown program %q (library has %s)", ErrBadRequest, program, strings.Join(names, ", "))
 	}
-	return s.registerPinned(RunConfig{ID: id, Dir: dir, Factories: factories}, poolRoot)
+	return s.registerPinned(RunConfig{ID: id, Dir: dir, Factories: factories}, pin, own)
 }
 
 func (s *Server) run(id string) (*run, error) {
@@ -822,15 +828,15 @@ func (s *Server) admit(ctx context.Context, r *run) (release func(), queueNs int
 
 // open resolves the run's shared store entry through the LRU, folding the
 // hit/miss into the run's stats. Local runs open pinned to the pool root
-// registration validated; remote runs open through the object backend and
-// the shared chunk-cache tier.
+// registration validated, a run's own directory included; remote runs open
+// through the object backend and the shared chunk-cache tier.
 func (s *Server) open(r *run) (*cacheEntry, bool, error) {
 	load := func() (*replay.Recording, error) {
 		if r.cfg.Remote {
 			backend := remote.NewObjectBackend(s.remote, remote.PacksPrefix(r.cfg.ID), s.chunkCache)
 			return core.LoadRecordingWith(r.cfg.Dir, store.Options{ReadOnly: true, Backend: backend})
 		}
-		return core.LoadRecordingSharedPinned(r.cfg.Dir, r.poolRoot)
+		return core.LoadRecordingSharedPinned(r.cfg.Dir, r.pin)
 	}
 	ent, hit, err := s.stores.get(r.cfg.ID, r.poolRoot, load)
 	r.mu.Lock()
@@ -1147,11 +1153,11 @@ type RunInfo struct {
 	Dir    string   `json:"dir"`
 	Probes []string `json:"probes"`
 	Open   bool     `json:"open"` // store currently in the LRU
-	// Format is the store layout detected at registration ("v2" for a
-	// private store, "v2-pooled" for a run of a shared pool).
+	// Format is the store layout read at registration ("v2" for a run that
+	// is its own pool, "v2-pooled" for a run of a shared pool).
 	Format string `json:"format"`
-	// Pool is the resolved chunk-pool root for pooled runs ("" otherwise);
-	// runs sharing it form one project group.
+	// Pool is the resolved root of a shared chunk pool ("" for a run that
+	// is its own pool); runs sharing it form one project group.
 	Pool string `json:"pool,omitempty"`
 }
 
@@ -1171,11 +1177,19 @@ func (s *Server) Runs() []RunInfo {
 			Dir:    r.cfg.Dir,
 			Probes: r.probes(),
 			Open:   s.stores.contains(id),
-			Format: r.layout.String(),
+			Format: r.format(),
 			Pool:   r.poolRoot,
 		})
 	}
 	return out
+}
+
+// format is the run's store layout for listings.
+func (r *run) format() string {
+	if r.poolRoot != "" {
+		return "v2-pooled"
+	}
+	return "v2"
 }
 
 // ChunkPoolStats describes one project's shared chunk pool in /v1/stats:

@@ -297,6 +297,8 @@ func TestCrashCutPutKeepsCommittedPrefix(t *testing.T) {
 // writer layouts: a put changes no byte of it — the same file, the same
 // length, the same bytes — and WriteIndex and a compacting GC pass replace
 // it whole, each with a new file whose pack record covers every pack byte.
+// A pooled run's GC collects its pool as GCPool does, so a GCPool pass after
+// it finds nothing more to compact and leaves the snapshot as it was.
 func TestPutLeavesTheIndexAlone(t *testing.T) {
 	for _, pooled := range []bool{false, true} {
 		what := map[bool]string{false: "private", true: "pooled"}[pooled]
@@ -353,35 +355,35 @@ func TestPutLeavesTheIndexAlone(t *testing.T) {
 			t.Fatalf("%s: WriteIndex wrote into the old file", what)
 		}
 		snap = covers("rewritten")
-		var res GCResult
-		if pooled {
-			if _, err := s.GC(); err != nil { // drops the superseded meta records GCPool would mark
-				t.Fatal(err)
-			}
-			res, err = GCPool(o.Pool, GCOptions{PackRetention: time.Hour})
-			if err == nil {
-				s, err = OpenWith(dir, o) // the pool's new generations, for covers
-			}
-		} else {
-			res, err = s.GCWith(GCOptions{PackRetention: time.Hour})
-		}
+		res, err := s.GCWith(GCOptions{PackRetention: time.Hour})
 		if err != nil || res.CompactedShards == 0 {
 			t.Fatalf("%s: gc %+v, %v; want the superseded chunks compacted", what, res, err)
 		}
-		if gc := covers("after gc"); os.SameFile(gc, snap) {
+		gc := covers("after gc")
+		if os.SameFile(gc, snap) {
 			t.Fatalf("%s: GC wrote into the old file", what)
+		}
+		if pooled {
+			if res, err := GCPool(o.Pool, GCOptions{PackRetention: time.Hour}); err != nil || res.CompactedShards != 0 {
+				t.Fatalf("%s: GCPool after the run's GC: %+v, %v; want nothing left to compact", what, res, err)
+			}
+			if s, err = OpenWith(dir, o); err != nil {
+				t.Fatal(err)
+			}
+			if again := covers("after GCPool"); !os.SameFile(again, gc) {
+				t.Fatalf("%s: a GCPool pass that compacted nothing replaced the snapshot", what)
+			}
 		}
 	}
 }
 
-// TestChunkRecordsLiveInTheIndex pins where each writer layout keeps its
-// records, once a recording wrote its snapshot and after a compacting GC: a
-// private store's MANIFEST holds only meta records and its INDEX snapshot
-// one pack record, then chunk records; a pooled run's MANIFEST holds its
-// pool-reference record, then only meta records, and the snapshot is the
-// pool's INDEX, the same pack record and chunk records — the run directory
-// has none. The GC supersedes a checkpoint first, so that the
-// private store compacts.
+// TestChunkRecordsLiveInTheIndex pins where a run keeps its records, once
+// a recording wrote its snapshot and after a compacting GC: every run's
+// MANIFEST holds its pool-reference record, then only meta records. The
+// snapshot is the pool's INDEX, one pack record, then chunk records: in the
+// run directory of a run that is its own pool, whose reference is ".", and
+// in the shared pool's root for a pooled run, whose directory has none. The
+// GC supersedes a checkpoint first, so that each pool compacts.
 func TestChunkRecordsLiveInTheIndex(t *testing.T) {
 	base := t.TempDir()
 	dirs, _ := recordLayouts(t, base)
@@ -414,12 +416,16 @@ func TestChunkRecordsLiveInTheIndex(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		priv, pooled := dirs["v2"], dirs["v2-pooled"]
-		if m, idx := tags(filepath.Join(priv, manifestFile)), tags(filepath.Join(priv, poolIndexFile)); !only(m, recMeta) || !snapshot(idx) {
-			t.Fatalf("%s: private MANIFEST %q, INDEX %q; want meta records, and a pack record and chunk records", when, m, idx)
+		for _, dir := range []string{priv, pooled} {
+			if m := tags(filepath.Join(dir, manifestFile)); len(m) < 2 || m[0] != recPool || !only(m[1:], recMeta) {
+				t.Fatalf("%s: MANIFEST of %s %q, want the pool record, then meta records", when, dir, m)
+			}
 		}
-		m := tags(filepath.Join(pooled, manifestFile))
-		if len(m) < 2 || m[0] != recPool || !only(m[1:], recMeta) {
-			t.Fatalf("%s: pooled MANIFEST %q, want the pool record, then meta records", when, m)
+		if _, recs := manifestRecords(t, priv); recs[0].ref != ownPool {
+			t.Fatalf("%s: the private run's pool reference is %q, want %q", when, recs[0].ref, ownPool)
+		}
+		if idx := tags(filepath.Join(priv, poolIndexFile)); !snapshot(idx) {
+			t.Fatalf("%s: private INDEX %q, want a pack record and chunk records", when, idx)
 		}
 		if idx := tags(filepath.Join(pooled, poolIndexFile)); idx != "" {
 			t.Fatalf("%s: pooled run directory holds INDEX records %q", when, idx)
@@ -437,7 +443,7 @@ func TestChunkRecordsLiveInTheIndex(t *testing.T) {
 		if _, err := s.PutSections(Key{LoopID: "train", Exec: 0}, mutatingSections(5), 0, 0, 0); err != nil {
 			t.Fatal(err)
 		}
-		if res, err := s.GCWith(GCOptions{PackRetention: time.Hour}); err != nil || !s.Pooled() && res.CompactedShards == 0 {
+		if res, err := s.GCWith(GCOptions{PackRetention: time.Hour}); err != nil || res.CompactedShards == 0 {
 			t.Fatalf("%s: gc %+v, %v", dir, res, err)
 		}
 	}

@@ -62,7 +62,7 @@ func TestGCCompactsSupersededChunks(t *testing.T) {
 	}
 
 	// And survives reopen: the rewritten INDEX carries generation records,
-	// and the marker carries "dirs", which every build that predates
+	// and the marker names one pack, which every build that predates
 	// generations refuses — the open wrote it, and GC left it.
 	s2, err := Open(dir)
 	if err != nil {
@@ -73,8 +73,8 @@ func TestGCCompactsSupersededChunks(t *testing.T) {
 		t.Fatalf("reopen read: %v", err)
 	}
 	raw, _ := os.ReadFile(filepath.Join(dir, formatFile))
-	if string(raw) != markerPrivate {
-		t.Fatalf("marker %q after a compacting GC, want %q", raw, markerPrivate)
+	if string(raw) != formatMarker {
+		t.Fatalf("marker %q after a compacting GC, want %q", raw, formatMarker)
 	}
 
 	// New writes after compaction land in the new generation and read back.
@@ -767,7 +767,7 @@ func TestGCPoolRetiredPackReusedAfterReopen(t *testing.T) {
 
 // TestLostSnapshotRefusesTheRetiredPack removes the INDEX after a compacting
 // GC pass, on both writer layouts. The snapshot was the only record of the
-// shards' new generations, so an open reads them at generation 0 — the
+// pack's new generation, so an open reads it at generation 0 — the
 // objects PACKGC retired, which the next pass deletes with every frame in
 // them. A writable open is therefore refused with ErrCorrupt, and no byte of
 // a retired pack changes; a read-only open still serves the live checkpoint
@@ -786,14 +786,7 @@ func TestLostSnapshotRefusesTheRetiredPack(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		var res GCResult
-		if pooled {
-			if _, err = s.GC(); err == nil {
-				res, err = GCPool(o.Pool, GCOptions{PackRetention: time.Nanosecond})
-			}
-		} else {
-			res, err = s.GCWith(GCOptions{PackRetention: time.Nanosecond})
-		}
+		res, err := s.GCWith(GCOptions{PackRetention: time.Nanosecond})
 		if err != nil || res.CompactedShards == 0 {
 			t.Fatalf("%s: gc %+v, %v; want a compaction", what, res, err)
 		}

@@ -17,8 +17,9 @@ import (
 // TestFormatMarkerWrittenOnceAtOpen pins when the FORMAT marker is written:
 // by a writable open, once, and never by a put, a GC pass or a reopen —
 // after each, the marker is the same file with the same bytes. A fresh
-// store's marker is "2 dirs packlog", a fresh pooled run's
-// "2 pool shards=1 dirs packlog".
+// run's marker is "2 pool shards=1 dirs packlog", whether it is its own pool
+// or attached to a shared one, and so is one after a GC pass of either kind
+// (Store.GCWith, GCPool over its pool).
 // A store an older build left keeps its marker, and every other byte: its
 // writable open is refused before anything is written.
 func TestFormatMarkerWrittenOnceAtOpen(t *testing.T) {
@@ -28,8 +29,9 @@ func TestFormatMarkerWrittenOnceAtOpen(t *testing.T) {
 		o         Options
 		want      string
 	}{
-		{"fresh", filepath.Join(base, "fresh"), Options{}, markerPrivate},
-		{"pooled", filepath.Join(base, "pooled"), Options{Pool: filepath.Join(base, "POOL")}, markerPooled},
+		{"fresh", filepath.Join(base, "fresh"), Options{}, formatMarker},
+		{"pooled", filepath.Join(base, "pooled"), Options{Pool: filepath.Join(base, "POOL")}, formatMarker},
+		{"private packlog", legacyFixture(t, "private2packlog"), Options{}, "2 dirs packlog\n"},
 		{"sharded", legacyFixture(t, "sharded"), Options{}, "2 shards=4 dirs\n"},
 		{"manifest chunks", legacyFixture(t, "private2dirs"), Options{}, "2 dirs\n"},
 		{"gc", legacyFixture(t, "gztwins"), Options{}, "2 gc\n"},
@@ -49,7 +51,7 @@ func TestFormatMarkerWrittenOnceAtOpen(t *testing.T) {
 				}
 				return fi, string(raw)
 			}
-			if c.want != markerPrivate && c.want != markerPooled {
+			if c.want != formatMarker {
 				opened, _ := marker()
 				before := dirBytes(t, c.dir)
 				if _, err := OpenWith(c.dir, c.o); !errors.Is(err, ErrLegacyLayout) {
@@ -86,16 +88,14 @@ func TestFormatMarkerWrittenOnceAtOpen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !s.Pooled() && res.CompactedShards == 0 {
+			if res.CompactedShards == 0 {
 				t.Fatalf("GC compacted nothing: %+v", res)
 			}
 			unchanged("a GC pass")
-			if s.Pooled() {
-				if _, err := GCPool(s.PoolRoot(), GCOptions{PackRetention: time.Hour}); err != nil {
-					t.Fatal(err)
-				}
-				unchanged("a pool GC pass")
+			if _, err := GCPool(s.pool.root, GCOptions{PackRetention: time.Hour}); err != nil {
+				t.Fatal(err)
 			}
+			unchanged("a pool GC pass")
 			if _, err := Open(c.dir); err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func TestLegacyLayoutsRefuseWritableOpens(t *testing.T) {
 		readErr         error // what ReadLegacy fails with; nil: it reads every checkpoint
 	}
 	var cases []layout
-	for _, fx := range []string{"v1run", "framestyles/deflate", "framestyles/lz4", "gztwins", "sharded", "private2dirs", "private2index"} {
+	for _, fx := range []string{"v1run", "framestyles/deflate", "framestyles/lz4", "gztwins", "sharded", "private2dirs", "private2index", "private2packlog"} {
 		dir := legacyFixture(t, filepath.FromSlash(fx))
 		cases = append(cases, layout{fx, dir, dir, Options{}, nil})
 	}
@@ -137,7 +137,7 @@ func TestLegacyLayoutsRefuseWritableOpens(t *testing.T) {
 			layout{fx, filepath.Join(pool, "run"), pool, Options{}, nil},
 			layout{fx + " attach", filepath.Join(t.TempDir(), "run"), pool, Options{Pool: pool}, nil})
 	}
-	for _, marker := range []string{"2", "2 gc", "2 lz4", "2 dirs", "2 shards=8", "2 shards=8 dirs", "2 shards=8 dirs index", "2 gc dirs", "2 lz4 dirs", "2 pool shards=4 dirs", "2 pool shards=16 dirs index", "2 dirs index", "2 pool shards=16 dirs", "2 pool shards=16 dirs packlog"} {
+	for _, marker := range []string{"2", "2 gc", "2 lz4", "2 dirs", "2 shards=8", "2 shards=8 dirs", "2 shards=8 dirs index", "2 gc dirs", "2 lz4 dirs", "2 pool shards=4 dirs", "2 pool shards=16 dirs index", "2 dirs index", "2 pool shards=16 dirs", "2 pool shards=16 dirs packlog", "2 dirs packlog"} {
 		dir := t.TempDir()
 		plant(t, dir, formatFile, marker+"\n")
 		cases = append(cases, layout{"planted " + marker, dir, dir, Options{}, nil})
@@ -204,7 +204,7 @@ func TestLegacyLayoutsRefuseWritableOpens(t *testing.T) {
 				return // nothing recorded at c.run
 			}
 			leasing := filepath.Join(t.TempDir(), "POOL")
-			p, err := openSharedPool(leasing, false)
+			p, err := openPool(leasing, false, false, nil)
 			if err == nil {
 				err = p.writeLease(c.run)
 			}
@@ -289,16 +289,17 @@ func TestDirBackendPlacementPinned(t *testing.T) {
 // FuzzFormatMarker fuzzes the layout files every open reads before anything
 // else — a run's FORMAT marker and a pool's POOL marker — through the
 // classification that decides whether the layout is one this build opens.
-// Nothing panics; only the two run markers a writable open leaves ("2 dirs
-// packlog", "2 pool shards=1 dirs packlog") and the pool marker "pool2
-// shards=1" open, whatever the whitespace around their tokens. Every other marker is
+// Nothing panics; only the run marker a writable open leaves ("2 pool
+// shards=1 dirs packlog") and the pool marker "pool2 shards=1" open,
+// whatever the whitespace around their tokens; "2 dirs packlog", the
+// private marker of the build before, is a legacy one. Every other marker is
 // ErrLegacyLayout exactly when it is in the grammar older builds wrote
 // (legacy.go; FuzzLegacyMarker fuzzes that grammar), and ErrUnknownFormat
 // or an unknown-pool-marker error otherwise.
 func FuzzFormatMarker(f *testing.F) {
 	for _, seed := range [][2]string{
-		{markerPrivate, poolMarker},
-		{markerPooled, "pool1 shards=4\n"},
+		{"2 dirs packlog\n", poolMarker},
+		{formatMarker, "pool1 shards=4\n"},
 		{"2 dirs index", "pool1 shards=16\n"},
 		{"2 pool shards=16 dirs", " pool2  shards=16 "},
 		{"2 dirs packlog index", "pool2 shards=4"},
@@ -320,14 +321,14 @@ func FuzzFormatMarker(f *testing.F) {
 	}
 	norm := func(b []byte) string { return strings.Join(strings.Fields(string(b)), " ") }
 	f.Fuzz(func(t *testing.T, format, pool []byte) {
-		l, err := parseFormatMarker("run", format)
+		err := parseFormatMarker("run", format)
 		switch n := norm(format); {
-		case n == "2 dirs packlog" || n == "2 pool shards=1 dirs packlog":
-			if err != nil || l.Pooled != (n == "2 pool shards=1 dirs packlog") {
-				t.Fatalf("FORMAT %q: %+v, %v; want it opened", format, l, err)
+		case n == "2 pool shards=1 dirs packlog":
+			if err != nil {
+				t.Fatalf("FORMAT %q: %v; want it opened", format, err)
 			}
 		case err == nil:
-			t.Fatalf("FORMAT %q opens as %+v", format, l)
+			t.Fatalf("FORMAT %q opens", format)
 		default:
 			_, legacy := parseLegacyMarker(format)
 			if errors.Is(err, ErrLegacyLayout) != legacy || errors.Is(err, ErrUnknownFormat) == legacy {
@@ -459,12 +460,12 @@ func TestUnknownFormatMarkerTyped(t *testing.T) {
 			t.Fatalf("err %v does not carry the detected marker", err)
 		}
 	}
-	if _, err := DetectLayout(dir); !errors.Is(err, ErrUnknownFormat) {
+	if err := DetectLayout(dir); !errors.Is(err, ErrUnknownFormat) {
 		t.Fatalf("DetectLayout err = %v, want ErrUnknownFormat", err)
 	}
 	// The refusal must not have truncated anything: restoring the marker
 	// restores the run.
-	os.WriteFile(filepath.Join(dir, "FORMAT"), []byte(markerPrivate), 0o644)
+	os.WriteFile(filepath.Join(dir, "FORMAT"), []byte(formatMarker), 0o644)
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -474,9 +475,10 @@ func TestUnknownFormatMarkerTyped(t *testing.T) {
 	}
 }
 
-// TestDetectLayoutVariants pins what DetectLayout reports: the two layouts
-// this build writes by name, and every committed fixture of an older one as
-// ErrLegacyLayout.
+// TestDetectLayoutVariants pins what DetectLayout and PoolRef report: the
+// layout this build writes, for a run that is its own pool and a run of a
+// shared one, which PoolRef tells apart, and every committed fixture of an
+// older layout as ErrLegacyLayout.
 func TestDetectLayoutVariants(t *testing.T) {
 	v2dir := t.TempDir()
 	Open(v2dir)
@@ -484,20 +486,25 @@ func TestDetectLayoutVariants(t *testing.T) {
 	pooled := openPooled(t, filepath.Join(base, "run"), filepath.Join(base, "POOL"))
 	for _, c := range []struct {
 		dir  string
-		want string
-	}{{v2dir, "v2"}, {pooled.Dir(), "v2-pooled"}} {
-		l, err := DetectLayout(c.dir)
-		if err != nil || l.String() != c.want {
-			t.Fatalf("DetectLayout(%s) = %s, %v; want %s", c.dir, l, err, c.want)
+		own  bool
+		root string
+	}{{v2dir, true, v2dir}, {pooled.Dir(), false, filepath.Join(base, "POOL")}} {
+		if err := DetectLayout(c.dir); err != nil {
+			t.Fatalf("DetectLayout(%s): %v", c.dir, err)
+		}
+		want, _ := canonicalPath(c.root)
+		if root, own, err := PoolRef(c.dir); err != nil || own != c.own || root != want {
+			t.Fatalf("PoolRef(%s) = %s, own %v, %v; want %s, own %v", c.dir, root, own, err, want, c.own)
 		}
 	}
 	multi, _, _ := multirootFixture(t)
 	for _, dir := range []string{
 		v1Fixture(t), legacyFixture(t, "sharded"), multi,
 		filepath.Join(legacyFixture(t, "pool4"), "run"), legacyFixture(t, "private2dirs"),
+		legacyFixture(t, "private2packlog"),
 	} {
-		if l, err := DetectLayout(dir); !errors.Is(err, ErrLegacyLayout) {
-			t.Fatalf("DetectLayout(%s) = %s, %v; want ErrLegacyLayout", dir, l, err)
+		if err := DetectLayout(dir); !errors.Is(err, ErrLegacyLayout) {
+			t.Fatalf("DetectLayout(%s): %v; want ErrLegacyLayout", dir, err)
 		}
 	}
 }

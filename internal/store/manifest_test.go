@@ -116,7 +116,8 @@ func chunksToManifest(t testing.TB, dir string) {
 }
 
 // chunksToIndex gives a private store an older build left this build's
-// marker, its MANIFEST chunk records moved to its INDEX.
+// marker and a leading pool reference naming its own directory, its
+// MANIFEST chunk records moved to its INDEX.
 func chunksToIndex(t *testing.T, dir string) {
 	t.Helper()
 	raw, recs := manifestRecords(t, dir)
@@ -129,8 +130,8 @@ func chunksToIndex(t *testing.T, dir string) {
 		}
 	}
 	plant(t, dir, poolIndexFile, string(idx))
-	plant(t, dir, manifestFile, string(man))
-	plant(t, dir, formatFile, markerPrivate)
+	plant(t, dir, manifestFile, string(frameTagged(recPool, encodePoolRef(ownPool, 1)))+string(man))
+	plant(t, dir, formatFile, formatMarker)
 }
 
 // encodeRecord is decodeManifestRecord's inverse.
@@ -223,12 +224,12 @@ func TestNewStoresWriteNoSegmentFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m, err := parseFormatMarker(dir, marker); err != nil {
-			t.Errorf("%s: FORMAT %q (%+v, %v), want a marker this build writes", layout, marker, m, err)
+		if err := parseFormatMarker(dir, marker); err != nil {
+			t.Errorf("%s: FORMAT %q (%v), want the marker this build writes", layout, marker, err)
 		}
 	}
-	if m, err := parseFormatMarker("run", []byte("2 dirs gc\n")); !errors.Is(err, ErrUnknownFormat) {
-		t.Fatalf("out-of-order marker parsed as %+v, %v", m, err)
+	if err := parseFormatMarker("run", []byte("2 dirs gc\n")); !errors.Is(err, ErrUnknownFormat) {
+		t.Fatalf("out-of-order marker parsed: %v", err)
 	}
 }
 
@@ -332,8 +333,8 @@ func TestResolveDoesNoFileIO(t *testing.T) {
 // TestLegacySegmentsReadAtOpenAndRefuseWrites pins the segment-file form on
 // a copy of the committed gztwins store (meta records without directories,
 // one segment file each): every open — writable or read-only, under the
-// store's own marker and under the "2 dirs index" a store of this build
-// carries — is refused with ErrLegacyLayout before it reads a checkpoint or
+// store's own marker, under the one this build writes and under the
+// previous build's private "2 dirs packlog" — is refused with ErrLegacyLayout before it reads a checkpoint or
 // writes a byte, so nothing can append a record beside the segment-file
 // ones or GC them away. ReadLegacy reads each directory once, when it opens
 // the run, and yields its seven live checkpoints; migrating is the way
@@ -344,7 +345,7 @@ func TestLegacySegmentsReadAtOpenAndRefuseWrites(t *testing.T) {
 	if err != nil || len(got) != 7 {
 		t.Fatalf("ReadLegacy: %d live checkpoints, %v; want 7", len(got), err)
 	}
-	for _, marker := range []string{"", markerPrivate} {
+	for _, marker := range []string{"", formatMarker, "2 dirs packlog\n"} {
 		if marker != "" {
 			plant(t, dir, formatFile, marker)
 		}

@@ -260,7 +260,8 @@ func FuzzPackScan(f *testing.F) {
 		raw := err == nil && fr.Style == ckptfmt.StyleRaw && wire == ckptfmt.RawWireLen(fr.RawLen) && wire <= scanWindow
 		torn := end == len(pack) || errors.Is(err, io.ErrUnexpectedEOF) || raw && wire > len(pack)-end
 		dir := t.TempDir()
-		plant(t, dir, formatFile, markerPrivate)
+		plant(t, dir, formatFile, formatMarker)
+		plant(t, dir, poolMarkerFile, poolMarker)
 		plant(t, dir, packFile, string(pack))
 		ro, err := OpenReadOnly(dir)
 		if err != nil {
@@ -419,9 +420,9 @@ func TestManifestOfA64BitWriterKeepsEveryCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, recs := manifestRecords(t, dir)
-	var man []byte
-	for _, rec := range recs {
+	raw, recs := manifestRecords(t, dir)
+	man := raw[0] // the pool-reference record, as written
+	for _, rec := range recs[1:] {
 		e := rec.e
 		w := codec.NewWriter()
 		w.String(e.Key.LoopID)

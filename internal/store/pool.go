@@ -16,15 +16,16 @@ package store
 // generation and the bytes it covers, then its chunk records. An open trusts
 // it up to the covered length and scans the rest; a put never touches it.
 //
-// Every v2 store runs on a pool; a run's MANIFEST holds only its meta records
-// (and a pooled run's pool reference). A private store is a pool of one: its
-// root is the run directory, and that run is the only one it marks. A
-// *shared* pool lives in its own directory (conventionally <project>/POOL)
-// and is attached by many runs of the same project, each holding a lease:
+// Every store runs on a pool, which its MANIFEST's leading pool reference
+// names; the rest of a MANIFEST is meta records. A run recorded without
+// Options.Pool is its own pool: the root is the run directory, and the run's
+// is its one lease, ".". A *shared* pool lives in its own directory
+// (conventionally <project>/POOL) and is attached by many runs of the same
+// project. Every pool has one layout, and every attached run holds a lease:
 //
-//	<root>/POOL          marker: "pool2 shards=1" (shared pools)
+//	<root>/POOL          marker: "pool2 shards=1"
 //	<root>/INDEX         the snapshot: the pack record ('S'), then chunk records ('C')
-//	<root>/LEASES/<id>   one lease file per attached run (shared pools)
+//	<root>/LEASES/<id>   one lease file per attached run
 //	<root>/PACKGC        retired pack generations awaiting expiry
 //	<root>/CHUNKS[.gN]   the pack object of raw frames, generational after compaction
 //
@@ -38,8 +39,8 @@ package store
 //
 // # GC and the grace period
 //
-// GC marks every chunk a committed checkpoint of one of the pool's runs
-// references, reading their MANIFESTs. Compaction never mutates a pack in
+// GC marks every chunk a committed checkpoint of one of the pool's leased
+// runs references, reading their MANIFESTs. Compaction never mutates a pack in
 // place: the survivors of generation g are rewritten into the pack object
 // for generation g+1, a snapshot naming g+1 atomically replaces the INDEX,
 // and only then does the in-memory index swap to the new generation. The
@@ -114,11 +115,11 @@ func packObjName(name string, gen int) string {
 	return fmt.Sprintf("%s.g%d", name, gen)
 }
 
-// PoolStats is a chunk pool's storage accounting, pool-wide (for a private
-// pool this equals the run's own dedup accounting).
+// PoolStats is a chunk pool's storage accounting, pool-wide (for a run
+// whose pool is its own directory this equals the run's dedup accounting).
 type PoolStats struct {
 	Root           string `json:"root,omitempty"`
-	Leases         int    `json:"leases"` // attached runs (shared pools only)
+	Leases         int    `json:"leases"` // attached runs
 	Chunks         int64  `json:"chunks"`
 	StoredRawBytes int64  `json:"stored_raw_bytes"`
 	StoredEncBytes int64  `json:"stored_enc_bytes"`
@@ -127,8 +128,7 @@ type PoolStats struct {
 // ChunkPool is the run-agnostic chunk layer: one pack log, its dedup index,
 // pack I/O and GC. It is safe for concurrent use by its store's goroutines.
 type ChunkPool struct {
-	root   string // holds INDEX, PACKGC and the pack: the run directory of a pool of one, a shared pool's own
-	shared bool   // attached by leased runs
+	root string // holds POOL, INDEX, PACKGC, LEASES and the pack: a run directory, or a shared pool's own
 
 	backend Backend
 	snap    os.FileInfo // the INDEX as this instance last read or wrote it (nil: none), under the commit lock
@@ -311,16 +311,13 @@ func (p *ChunkPool) adopt(recs []poolChunkRec, end int64) {
 	p.end = end
 }
 
-// Stats returns a snapshot of the pool's storage accounting, a shared
-// pool's lease count refreshed from disk; a lease that cannot be read
-// (leases) is the error, and Leases then counts none.
+// Stats returns a snapshot of the pool's storage accounting, its lease
+// count refreshed from disk; a lease that cannot be read (leases) is the
+// error, and Leases then counts none.
 func (p *ChunkPool) Stats() (PoolStats, error) {
 	p.mu.Lock()
 	st := p.stored
 	p.mu.Unlock()
-	if !p.shared {
-		return st, nil
-	}
 	leases, err := p.leases()
 	st.Leases = len(leases)
 	return st, err
@@ -485,7 +482,7 @@ func decodeShardRecord(b []byte) (sr shardRecord, err error) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared-pool persistence: marker, INDEX snapshot, leases, commit lock
+// Pool persistence: marker, INDEX snapshot, leases, commit lock
 
 // canonicalPath makes path absolute, with symlinks resolved where it exists:
 // runs naming one pool through different paths record and compare one root,
@@ -495,11 +492,14 @@ func canonicalPath(path string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("store: %w", err)
 	}
-	if resolved, err := filepath.EvalSymlinks(abs); err == nil {
+	if resolved, err := evalSymlinks(abs); err == nil {
 		return resolved, nil
 	}
 	return abs, nil
 }
+
+// evalSymlinks is filepath.EvalSymlinks; tests count its calls.
+var evalSymlinks = filepath.EvalSymlinks
 
 // poolMarker is the POOL marker of every pool this build makes and opens:
 // one pack. Older builds wrote "pool1 shards=N", whose INDEX is the log of
@@ -522,9 +522,11 @@ func checkPoolMarker(key string, raw []byte) error {
 	return fmt.Errorf("store: unknown pool marker %q (newer pool layout or corrupt POOL file)", strings.TrimSpace(string(raw)))
 }
 
-// openSharedPool opens the shared pool at root. A writable attach creates
-// the pool on first use, under the commit lock: so may another attach.
-func openSharedPool(root string, readOnly bool) (*ChunkPool, error) {
+// openPool opens the pool at root, its pack behind backend or, when that is
+// nil, in root. A writable attach creates the pool on first use, under the
+// commit lock: so may another attach. A read-only open of the opener's own
+// pool (own) takes root as it is: it compares no path and writes no lease.
+func openPool(root string, readOnly, own bool, backend Backend) (*ChunkPool, error) {
 	if !readOnly {
 		if err := os.MkdirAll(root, 0o755); err != nil {
 			return nil, fmt.Errorf("store: create pool: %w", err)
@@ -535,9 +537,12 @@ func openSharedPool(root string, readOnly bool) (*ChunkPool, error) {
 		}
 		defer unlock()
 	}
-	key, err := canonicalPath(root)
-	if err != nil {
-		return nil, err
+	key := root
+	if !readOnly || !own {
+		var err error
+		if key, err = canonicalPath(root); err != nil {
+			return nil, err
+		}
 	}
 	markerRaw, merr := os.ReadFile(filepath.Join(key, poolMarkerFile))
 	switch {
@@ -555,7 +560,10 @@ func openSharedPool(root string, readOnly bool) (*ChunkPool, error) {
 	default:
 		return nil, fmt.Errorf("store: read pool marker: %w", merr)
 	}
-	p := &ChunkPool{root: key, shared: true, backend: DirBackendAt(key)}
+	if backend == nil {
+		backend = DirBackendAt(key)
+	}
+	p := &ChunkPool{root: key, backend: backend}
 	return p, p.open()
 }
 
@@ -585,7 +593,7 @@ func (p *ChunkPool) catchUp() error {
 	same := p.snap == nil && fi == nil || p.snap != nil && fi != nil &&
 		os.SameFile(p.snap, fi) && p.snap.Size() == fi.Size() && p.snap.ModTime().Equal(fi.ModTime())
 	if !same {
-		fresh := &ChunkPool{root: p.root, shared: p.shared, backend: p.backend}
+		fresh := &ChunkPool{root: p.root, backend: p.backend}
 		if err := fresh.open(); err != nil {
 			return err
 		}
@@ -911,9 +919,9 @@ func (p *ChunkPool) writePackGC(sched map[string]int64) error {
 	return nil
 }
 
-// gc is the chunk-reclaiming GC pass, of a pool of one (Store.GCWith) and
-// of a shared pool (GCPool) alike. It marks every chunk hash a committed
-// checkpoint of one of the pool's runs references, reading their MANIFESTs
+// gc is the chunk-reclaiming GC pass, Store.GCWith's and GCPool's alike. It
+// marks every chunk hash a committed checkpoint of one of the pool's leased
+// runs references, reading their MANIFESTs
 // (markRun), compacts the pack when it holds a chunk or bytes nothing live
 // references, and commits by replacing the INDEX snapshot. The caller holds
 // the commit lock for the whole pass, so any checkpoint that deduplicated
@@ -1071,7 +1079,8 @@ func (p *ChunkPool) rewrite(oldObj string, keep []poolChunkRec, next *packState)
 	return nil
 }
 
-// GCPool runs a refcounted GC pass over a shared pool: every chunk
+// GCPool runs a refcounted GC pass over the pool at root — a shared pool's,
+// or a run directory that is its own pool — with no store open: every chunk
 // referenced by a committed checkpoint of any leased run is live; everything
 // else is compacted away, with replaced pack generations retained for the
 // grace period (see GCOptions.PackRetention). Leases whose run directory no
@@ -1084,7 +1093,7 @@ func GCPool(root string, o GCOptions) (GCResult, error) {
 	if _, err := os.Stat(filepath.Join(root, poolMarkerFile)); err != nil {
 		return GCResult{}, fmt.Errorf("store: pool gc: %s is not a chunk pool: %w", root, err)
 	}
-	p, err := openSharedPool(root, false)
+	p, err := openPool(root, false, false, nil)
 	if err != nil {
 		return GCResult{}, err
 	}
@@ -1101,13 +1110,10 @@ func GCPool(root string, o GCOptions) (GCResult, error) {
 }
 
 // runs returns the run directories whose committed checkpoints keep the
-// pool's chunks live: a pool of one's own directory, or every leased run of
-// a shared pool. A lease whose run directory is gone no longer pins
-// anything, and is released.
+// pool's chunks live: every leased run, the root itself for the lease "." of
+// a run that is its own pool. A lease whose run directory is gone no longer
+// pins anything, and is released.
 func (p *ChunkPool) runs() ([]string, error) {
-	if !p.shared {
-		return []string{p.root}, nil
-	}
 	leases, err := p.leases()
 	if err != nil {
 		return nil, err
@@ -1133,7 +1139,7 @@ func (p *ChunkPool) runs() ([]string, error) {
 // the run) — fails the whole pass rather than counting as referencing
 // nothing.
 func markRun(runDir string, live map[ckptfmt.Hash]bool) error {
-	if _, err := detectDir(runDir); err != nil {
+	if err := detectDir(runDir); err != nil {
 		return err
 	}
 	_, _, err := scanLog(filepath.Join(runDir, manifestFile), decodeManifestRecord, func(rec manifestRecord) error {
@@ -1155,18 +1161,23 @@ func markRun(runDir string, live map[ckptfmt.Hash]bool) error {
 	return err
 }
 
-// DeleteRun deletes a recorded run directory, then releases its pool lease
-// when the run is attached to a shared pool — the "refcount decrement" that
+// DeleteRun deletes a recorded run directory — a run whose pool is its own
+// goes with its pool — or, for a run of a shared pool, deletes the directory
+// and then releases the run's lease: the "refcount decrement" that
 // lets a later GCPool pass reclaim the chunks only this run referenced. It
 // holds the pool's commit lock, so no GC pass marks between the two. The
 // directory goes first: a crash in between leaves a stale lease pointing at
 // a missing run (harmless; the next GC releases it), whereas the reverse
 // order would leave a live run unpinned. The lease is removed without
 // opening the pool: a writable open would resurrect an already-deleted pool
-// directory.
+// directory. A shared pool's root is no run: DeleteRun refuses it
+// (ErrWrongPool).
 func DeleteRun(dir string) error {
-	root, pooled, perr := PoolRef(dir)
-	if perr != nil || !pooled {
+	root, own, perr := PoolRef(dir)
+	if errors.Is(perr, ErrWrongPool) {
+		return perr
+	}
+	if perr != nil || own {
 		return os.RemoveAll(dir)
 	}
 	unlock, err := lockRoot(root)

@@ -78,16 +78,12 @@ func TestPooledRoundTripAndReopen(t *testing.T) {
 	}
 
 	// Layout and pool reference are detectable without opening.
-	l, err := DetectLayout(runA)
-	if err != nil {
+	if err := DetectLayout(runA); err != nil {
 		t.Fatal(err)
 	}
-	if !l.Pooled || l.String() != "v2-pooled" {
-		t.Fatalf("layout = %s (pooled=%v)", l, l.Pooled)
-	}
-	root, ok, err := PoolRef(runA)
-	if err != nil || !ok {
-		t.Fatalf("PoolRef: %v ok=%v", err, ok)
+	root, own, err := PoolRef(runA)
+	if err != nil || own {
+		t.Fatalf("PoolRef: %v own=%v", err, own)
 	}
 	want, _ := canonicalPath(pool)
 	if root != want {
@@ -198,7 +194,7 @@ func TestPooledOpenRefusals(t *testing.T) {
 	base := t.TempDir()
 	pool := filepath.Join(base, "POOL")
 
-	// A recorded private-pack run cannot be relocated into a pool.
+	// A recorded run that is its own pool cannot be relocated into another.
 	private := filepath.Join(base, "private")
 	s, err := Open(private)
 	if err != nil {
@@ -207,13 +203,37 @@ func TestPooledOpenRefusals(t *testing.T) {
 	if _, err := s.PutSections(Key{LoopID: "train", Exec: 0}, familySections(1, 2, 0), 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenWith(private, Options{Pool: pool}); err == nil {
-		t.Fatal("attaching a recorded private run to a pool must be refused")
+	if _, err := OpenWith(private, Options{Pool: pool}); !errors.Is(err, ErrWrongPool) {
+		t.Fatalf("attaching a recorded run that is its own pool to another pool: %v, want ErrWrongPool", err)
 	}
 
-	// Pool options compose with nothing that moves packs elsewhere.
+	// A Backend holds the pack of a run that is its own pool, and of no
+	// other: a shared pool's other writers would never see a pack behind it.
 	if _, err := OpenWith(filepath.Join(base, "x1"), Options{Pool: pool, Backend: DirBackendAt(base)}); err == nil {
 		t.Fatal("Pool+Backend must be refused")
+	}
+	if _, err := os.Stat(filepath.Join(base, "x1")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the refused attach created the run directory: %v", err)
+	}
+	packs := filepath.Join(base, "packs")
+	if err := os.Mkdir(packs, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []Options{{Backend: DirBackendAt(packs)}, {Pool: filepath.Join(base, "x2"), Backend: DirBackendAt(packs)}} {
+		dir := filepath.Join(base, "x2")
+		b, err := OpenWith(dir, o)
+		if err != nil {
+			t.Fatalf("a Backend for a run that is its own pool (%+v): %v", o, err)
+		}
+		if _, err := b.PutSections(Key{LoopID: "train", Exec: 0}, familySections(1, 5, 0), 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(packs, packFile)); err != nil || b.Pooled() {
+			t.Fatalf("the pack is not behind the Backend (%v), or the run is pooled: %v", err, b.Pooled())
+		}
+		if _, err := os.Stat(filepath.Join(dir, packFile)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("a pack in the run directory beside the Backend's: %v", err)
+		}
 	}
 
 	// A new run cannot attach to a pool an older build made at another
@@ -253,17 +273,23 @@ func TestPooledOpenRefusals(t *testing.T) {
 	if _, err := OpenWith(filepath.Join(base, "c"), Options{Pool: other}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenWith(pooled, Options{Pool: other}); err == nil {
-		t.Fatal("repointing a pooled run to another pool must be refused")
+	if _, err := OpenWith(pooled, Options{Pool: other}); !errors.Is(err, ErrWrongPool) {
+		t.Fatalf("repointing a pooled run to another pool: %v, want ErrWrongPool", err)
 	}
-	if _, err := OpenWith(pooled, Options{ReadOnly: true, PinPool: true}); err == nil {
-		t.Fatal("pinning 'not pooled' onto a pooled run must be refused")
+	if _, err := OpenWith(pooled, Options{ReadOnly: true, Pool: pooled}); !errors.Is(err, ErrWrongPool) {
+		t.Fatalf("pinning its own directory onto a run of a shared pool: %v, want ErrWrongPool", err)
 	}
-	if _, err := OpenWith(pooled, Options{ReadOnly: true, Pool: pool, PinPool: true}); err != nil {
+	if _, err := OpenWith(pooled, Options{ReadOnly: true, Pool: pool}); err != nil {
 		t.Fatalf("pinning the recorded pool must succeed: %v", err)
 	}
-	if _, err := OpenWith(private, Options{ReadOnly: true, PinPool: true}); err != nil {
-		t.Fatalf("pinning 'not pooled' onto a private run must succeed: %v", err)
+	if _, err := OpenWith(pooled, Options{ReadOnly: true, Backend: DirBackendAt(pool)}); err == nil {
+		t.Fatal("a Backend for a recorded run of a shared pool must be refused")
+	}
+	if _, err := OpenWith(private, Options{ReadOnly: true, Pool: private}); err != nil {
+		t.Fatalf("pinning its own directory onto a run that is its own pool must succeed: %v", err)
+	}
+	if _, err := OpenWith(private, Options{ReadOnly: true, Pool: pool}); !errors.Is(err, ErrWrongPool) {
+		t.Fatalf("pinning a shared pool onto a run that is its own pool: %v, want ErrWrongPool", err)
 	}
 }
 
@@ -606,10 +632,11 @@ func TestAnotherProcessAppendsAdoptedByWritableAttach(t *testing.T) {
 	}
 }
 
-// TestAnotherProcessGCThenAttachAndPut: other instances compact the pool
-// (Store.GCWith, then GCPool) while one is held, read-only or writable. A
-// run attached afterwards puts its chunks into the packs' new generations,
-// so they read back in a new process.
+// TestAnotherProcessGCThenAttachAndPut: another instance compacts the pool
+// (Store.GCWith, which collects the pool as GCPool does, so a GCPool pass
+// after it finds nothing) while one is held, read-only or writable. A run
+// attached afterwards puts its chunks into the pack's new generation, so
+// they read back in a new process.
 func TestAnotherProcessGCThenAttachAndPut(t *testing.T) {
 	for _, held := range []string{"read-only", "writable"} {
 		t.Run(held, func(t *testing.T) {
@@ -633,17 +660,36 @@ func TestAnotherProcessGCThenAttachAndPut(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.GCWith(GCOptions{PackRetention: time.Hour}); err != nil {
-				t.Fatal(err)
-			}
-			res, err := GCPool(pool, GCOptions{PackRetention: time.Hour})
+			res, err := s.GCWith(GCOptions{PackRetention: time.Hour})
 			if err != nil || res.CompactedShards == 0 {
-				t.Fatalf("GCPool: %+v, %v; want the pack compacted", res, err)
+				t.Fatalf("GC: %+v, %v; want the pack compacted", res, err)
+			}
+			if res, err := GCPool(pool, GCOptions{PackRetention: time.Hour}); err != nil || res.CompactedShards != 0 {
+				t.Fatalf("GCPool after the run's GC: %+v, %v; want nothing left to compact", res, err)
 			}
 			putPayload(t, openPooled(t, fresh, pool), key, testPayload(8<<20, 3))
 			checkPayload(t, fresh, key, testPayload(8<<20, 3))
 			checkPayload(t, run1, key, testPayload(8<<20, 2))
 		})
+	}
+}
+
+// dropSuperseded rewrites s's manifest without the records of its
+// superseded checkpoints, as Store.GCWith does before it collects the pool,
+// and collects nothing: the next GCPool pass is the one that compacts.
+func dropSuperseded(t *testing.T, s *Store) {
+	t.Helper()
+	unlock, err := s.pool.lock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unlock()
+	live, err := s.liveEntries()
+	if err == nil {
+		_, err = s.rewriteManifest(live)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -659,9 +705,7 @@ func TestAnotherProcessRecordedSiblingSurvivesGCPool(t *testing.T) {
 	s1 := openPooled(t, run1, pool)
 	superseded := putPayload(t, s1, key, testPayload(4<<20, 1))
 	putPayload(t, s1, key, testPayload(4<<20, 2))
-	if _, err := s1.GC(); err != nil {
-		t.Fatal(err)
-	}
+	dropSuperseded(t, s1)
 	putPayload(t, openPooled(t, run2, pool), key, testPayload(4<<20, 3))
 
 	res, err := GCPool(pool, GCOptions{PackRetention: time.Hour})
@@ -690,9 +734,7 @@ func TestHeldWritableStorePutsAfterGCPool(t *testing.T) {
 	held := openPooled(t, run, pool)
 	putPayload(t, held, k0, testPayload(8<<20, 1))
 	putPayload(t, held, k0, testPayload(8<<20, 2))
-	if _, err := held.GC(); err != nil {
-		t.Fatal(err)
-	}
+	dropSuperseded(t, held)
 	first, err := GCPool(pool, GCOptions{PackRetention: time.Nanosecond})
 	if err != nil || first.CompactedShards == 0 {
 		t.Fatalf("GCPool: %+v, %v; want the pack compacted", first, err)
@@ -844,4 +886,133 @@ func TestMissingPoolPackNamesPack(t *testing.T) {
 	if !bytes.Contains([]byte(err.Error()), []byte(victim)) {
 		t.Fatalf("error %q does not name the missing pack %s", err, victim)
 	}
+}
+
+// TestAttachToAnotherRunsDirectoryIsRefused: a run's directory is its own
+// pool, whose one lease is that run's, so a fresh run cannot attach to it —
+// a GC of either would mark one run and reclaim the other's checkpoint. The
+// attach fails with ErrWrongPool, creates nothing and changes no byte of the
+// other run. The refused run then records as its own pool beside it, and
+// neither GC entry point over the first run (GCPool at 1 ns retention,
+// twice; Store.GCWith, then GCPool) nor DeleteRun of the first run loses a
+// checkpoint of either run.
+func TestAttachToAnotherRunsDirectoryIsRefused(t *testing.T) {
+	base := t.TempDir()
+	a, b := filepath.Join(base, "a"), filepath.Join(base, "b")
+	ka, kb := Key{LoopID: "train", Exec: 0}, Key{LoopID: "train", Exec: 1}
+	pa, pb := testPayload(64<<10, 1), testPayload(64<<10, 2)
+	sa := mustOpen(t, a)
+	putPayload(t, sa, ka, pa)
+	if err := sa.WriteIndex(); err != nil {
+		t.Fatal(err)
+	}
+	before := dirBytes(t, a)
+	for _, pool := range []string{a, a + string(filepath.Separator), filepath.Join(b, "..", "a")} {
+		if _, err := OpenWith(b, Options{Pool: pool}); !errors.Is(err, ErrWrongPool) {
+			t.Fatalf("attaching a fresh run to run a's directory (%s): %v, want ErrWrongPool", pool, err)
+		}
+	}
+	if !maps.Equal(before, dirBytes(t, a)) {
+		t.Fatal("the refused attach changed run a")
+	}
+	if _, err := os.Stat(b); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the refused attach created the run directory: %v", err)
+	}
+	putPayload(t, mustOpen(t, b), kb, pb)
+
+	nano := GCOptions{PackRetention: time.Nanosecond}
+	for range 2 {
+		if _, err := GCPool(a, nano); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkPayload(t, a, ka, pa)
+	checkPayload(t, b, kb, pb)
+	if _, err := mustOpen(t, a).GCWith(nano); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := GCPool(a, nano); err != nil {
+		t.Fatal(err)
+	}
+	checkPayload(t, a, ka, pa)
+	checkPayload(t, b, kb, pb)
+	if err := DeleteRun(a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(a); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("DeleteRun left run a: %v", err)
+	}
+	checkPayload(t, b, kb, pb)
+}
+
+// TestReadOnlyOpenOfItsOwnPoolResolvesNoSymlinks: the serving daemon
+// reopens a store on every query of a cold cache, pinned to the root
+// PoolRef reported. For a run that is its own pool that open compares the
+// pin with the run directory and reads the pool's files without resolving
+// a symlink — a pin that is a symlink to the run directory included — and
+// still refuses a pin naming another directory.
+func TestReadOnlyOpenOfItsOwnPoolResolvesNoSymlinks(t *testing.T) {
+	base := t.TempDir()
+	dir := filepath.Join(base, "run")
+	putPayload(t, mustOpen(t, dir), Key{LoopID: "train", Exec: 0}, testPayload(64<<10, 1))
+	link := filepath.Join(base, "link")
+	if err := os.Symlink(dir, link); err != nil {
+		t.Fatal(err)
+	}
+	pin, own, err := PoolRef(dir)
+	if err != nil || !own {
+		t.Fatalf("PoolRef: %s, own %v, %v", pin, own, err)
+	}
+	calls := 0
+	evalSymlinks = func(path string) (string, error) {
+		calls++
+		return filepath.EvalSymlinks(path)
+	}
+	defer func() { evalSymlinks = filepath.EvalSymlinks }()
+	for _, pin := range []string{pin, dir, link} {
+		s, err := OpenWith(dir, Options{ReadOnly: true, Pool: pin})
+		if err != nil {
+			t.Fatalf("pinned to %s: %v", pin, err)
+		}
+		if d := s.Dedup(); d.ChunksStored == 0 || s.Pooled() {
+			t.Fatalf("pinned to %s: dedup %+v, pooled %v; want the pool's chunks adopted as the run's", pin, d, s.Pooled())
+		}
+	}
+	if calls != 0 {
+		t.Fatalf("read-only opens of a run that is its own pool resolved symlinks %d times", calls)
+	}
+	if _, err := OpenWith(dir, Options{ReadOnly: true, Pool: base}); !errors.Is(err, ErrWrongPool) {
+		t.Fatalf("pinned to the run's parent: %v, want ErrWrongPool", err)
+	}
+}
+
+// TestSharedPoolRootIsNoRunDirectory: a shared pool's root, whose leases
+// pin other runs, is not a fresh run's directory. Opening it as one — say,
+// florrun -dir at the pool — fails with ErrWrongPool and changes no byte, so
+// the pool never gains a lease of its own root, and DeleteRun of the pool
+// root as a run never takes its runs' chunks with it.
+func TestSharedPoolRootIsNoRunDirectory(t *testing.T) {
+	base := t.TempDir()
+	pool, run := filepath.Join(base, "POOL"), filepath.Join(base, "run")
+	key, payload := Key{LoopID: "train", Exec: 0}, testPayload(64<<10, 1)
+	putPayload(t, openPooled(t, run, pool), key, payload)
+	before := dirBytes(t, pool)
+	for _, o := range []Options{{}, {ReadOnly: true}, {Pool: pool}} {
+		if _, err := OpenWith(pool, o); !errors.Is(err, ErrWrongPool) {
+			t.Fatalf("opening the pool root as a fresh run (%+v): %v, want ErrWrongPool", o, err)
+		}
+	}
+	if !maps.Equal(before, dirBytes(t, pool)) {
+		t.Fatal("the refused opens changed the pool")
+	}
+	if err := DeleteRun(pool); !errors.Is(err, ErrWrongPool) {
+		t.Fatalf("DeleteRun of the pool root: %v, want ErrWrongPool", err)
+	}
+	if _, _, err := PoolRef(pool); !errors.Is(err, ErrWrongPool) {
+		t.Fatalf("PoolRef of the pool root: %v, want ErrWrongPool", err)
+	}
+	if !maps.Equal(before, dirBytes(t, pool)) {
+		t.Fatal("DeleteRun of the pool root changed the pool")
+	}
+	checkPayload(t, run, key, payload)
 }

@@ -593,14 +593,24 @@ func TestRemoteUploadSkipsLeftBehindFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sawLeases := false
 	for _, e := range entries {
 		name := e.Name()
+		if e.IsDir() {
+			// LEASES/: the run's lease of its own pool is no part of what a
+			// restore reads, and UploadRun ships files only.
+			sawLeases = sawLeases || name == "LEASES"
+			continue
+		}
 		sub := "ctl"
 		if strings.HasPrefix(name, "CHUNKS") {
 			sub = "packs"
 			plant(name + ".gz")
 		}
 		want["runs/r2/"+sub+"/"+name] = true
+	}
+	if !sawLeases {
+		t.Fatal("the migrated run holds no LEASES directory")
 	}
 	plant("ckpt-00000000.bin.gz")
 	plant("SPOOL")

@@ -58,7 +58,7 @@ func leftBehind(name string) bool {
 // finishes) and, when the prefix is shared between daemons, for holding its
 // writer lease.
 func UploadRun(st ObjectStore, dir, prefix string) (int, error) {
-	if _, err := store.DetectLayout(dir); err != nil {
+	if err := store.DetectLayout(dir); err != nil {
 		return 0, fmt.Errorf("remote: upload run: %w", err)
 	}
 	uploaded := 0

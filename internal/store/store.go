@@ -1,28 +1,28 @@
 // Package store implements the on-disk checkpoint store backing Flor record
 // and replay: a manifest that commits each checkpoint in one record, over a
 // run-agnostic ChunkPool layer (pool.go) owning the content-addressed chunk
-// pack, the dedup index its frames make, its INDEX snapshot, and refcounted
-// GC/compaction of superseded chunks. A private store is a pool of one
-// rooted at the run directory; a shared pool at a project-level root is
-// attached by many runs, which then deduplicate chunks against each other
-// (fine-tuning families re-checkpointing one frozen backbone store it once).
-// docs/FORMATS.md specifies every byte.
+// pack, the dedup index its frames make, its INDEX snapshot, its leases, and
+// refcounted GC/compaction of superseded chunks. Every run names its pool.
+// A run recorded without Options.Pool names ".", its own directory, which
+// then holds the pool's files and one lease, its own; a pool at a
+// project-level root is attached by many runs, which then deduplicate chunks
+// against each other (fine-tuning families re-checkpointing one frozen
+// backbone store it once). docs/FORMATS.md specifies every byte.
 //
 // # Run directory
 //
 //	<dir>/FORMAT      format marker
-//	<dir>/MANIFEST    append-only, CRC-framed records: 'M' commits a
-//	                  checkpoint and carries its directory (package
-//	                  ckptfmt: its sections and their chunk hashes); 'P',
-//	                  first in a pooled run, names the pool
-//	<dir>/CHUNKS      a private pack of raw chunk frames, the log of its
-//	                  chunks (CHUNKS.g<n> after GC compaction rewrote it)
-//	<dir>/INDEX       a private pack's snapshot (pool.go; a pooled run's
-//	                  is its pool's)
-//	<dir>/PACKGC      retired pack generations awaiting expiry
+//	<dir>/MANIFEST    append-only, CRC-framed records: 'P', first, names
+//	                  the pool; 'M' commits a checkpoint and carries its
+//	                  directory (package ckptfmt: its sections and their
+//	                  chunk hashes)
 //
-// Every put, private or pooled, commits in one order: its frames in one pack
-// append, then its meta record in one MANIFEST append. A crash at any point
+// and, when the pool is the run's own, the pool's files (pool.go): POOL,
+// INDEX, PACKGC, LEASES/ and the pack, CHUNKS (CHUNKS.g<n> after GC
+// compaction rewrote it).
+//
+// Every put commits in one order: its frames in one pack append, then its
+// meta record in one MANIFEST append. A crash at any point
 // leaves a prefix-consistent run: open replays the MANIFEST and scans the
 // pack past its snapshot, checking every CRC, and a torn tail (a
 // flipped byte too) ends a log — write-ahead-log discipline for a redo-only
@@ -30,21 +30,20 @@
 // no checkpoint names are garbage the next GC reclaims. A run leaves the
 // machine as these files (remote.UploadRun).
 //
-// # Layouts
+// # Layout
 //
-// A store has one of two layouts, and neither is a choice: format v2 over a
-// private pack (marker "2 dirs packlog") or, with Options.Pool, a run of a
-// shared pool, one pack log too (marker "2 pool shards=1 dirs packlog", pool
-// marker "pool2 shards=1"). A writable open writes the marker once, into a
-// fresh directory (writeMarker); puts and GC never touch it. Older builds
-// refuse both: their GC would reclaim every frame the snapshot does not
-// cover, and the build before this one would look for 16 hash-prefix packs.
+// A store has one layout: format v2, a run of a pool that is one pack log
+// (marker "2 pool shards=1 dirs packlog", pool marker "pool2 shards=1"). A
+// writable open writes the marker once, into a fresh directory
+// (writeMarker); puts and GC never touch it. Builds before pools became one
+// pack refuse it: they would look for 16 hash-prefix packs.
 //
-// Those two are all an open reads: every layout an older build left fails
+// That is all an open reads: every layout an older build left fails
 // every open, read-only included, with ErrLegacyLayout, touching no byte.
-// Such a run — the "2 dirs index", "pool1" and 16-pack "pool2 shards=16"
-// layouts included — is migrated, not served: core.Migrate (florctl
-// migrate) reads it once through ReadLegacy (legacy.go) into a fresh store.
+// Such a run — the private "2 dirs packlog" and "2 dirs index", the "pool1"
+// and the 16-pack "pool2 shards=16" layouts included — is migrated, not
+// served: core.Migrate (florctl migrate) reads it once through ReadLegacy
+// (legacy.go) into a fresh store.
 // Unknown or corrupt markers surface ErrUnknownFormat rather than risk
 // misparsing a newer layout.
 //
@@ -87,8 +86,8 @@ const (
 	recChunk = 'C'
 	// recShard is the INDEX record of the pack, before the chunk records.
 	recShard = 'S'
-	// recPool is the pool-reference record: the first record of a pooled
-	// run's manifest, naming the shared chunk pool the run's chunks live in.
+	// recPool is the pool-reference record: the first record of every
+	// run's manifest, naming the chunk pool the run's chunks live in.
 	recPool = 'P'
 )
 
@@ -201,18 +200,17 @@ func (d DedupStats) Ratio() float64 {
 // PutSections callers) write while the training thread queries stats, and
 // replay workers read in parallel.
 //
-// Chunk bytes live in the store's ChunkPool. A plain v2 store runs on a pool
-// of one over the run's own backend, rooted at the run directory; a pooled
-// store attaches to a shared pool named by its manifest's pool-reference
-// record, where sibling runs of the same project dedup against each other.
+// Chunk bytes live in the store's ChunkPool, which its manifest's
+// pool-reference record names: the run directory itself, or a shared pool
+// where sibling runs of the same project dedup against each other.
 type Store struct {
 	dir      string
 	readOnly bool
 	manifest recordLog // appends hold mu
 
-	// pool is the chunk layer. poolRef is, for a run of a shared pool, the
-	// path its manifest's pool-reference record holds ("" until that record
-	// is written).
+	// pool is the chunk layer. poolRef is the path the manifest's
+	// pool-reference record holds: ownPool for a pool rooted at the run
+	// directory ("" until a fresh run's record is settled).
 	pool    *ChunkPool
 	poolRef string
 
@@ -258,6 +256,13 @@ func (e *UnknownFormatError) Is(target error) bool { return target == ErrUnknown
 // florctl migrate copies the run into a fresh store. It is an ErrReadOnly.
 var ErrLegacyLayout = fmt.Errorf("%w: legacy layout", ErrReadOnly)
 
+// ErrWrongPool is returned by an open that names a pool (Options.Pool) the
+// run cannot be attached to: a recorded run's pool is another one — so a
+// server that pinned the pool it validated is never redirected by a rewritten
+// pool reference — or, for a fresh run, the pool root is another run's
+// directory, whose GC would mark only that run. The refusal touches nothing.
+var ErrWrongPool = errors.New("store: wrong pool")
+
 // legacyLayout is the refusal of an open of dir, which is what.
 func legacyLayout(dir, what string) error {
 	return fmt.Errorf("%w: %s is %s, a layout this build does not open; `florctl migrate <src> <dst> [pool]` copies the run into a fresh store", ErrLegacyLayout, dir, what)
@@ -266,28 +271,25 @@ func legacyLayout(dir, what string) error {
 // Options configures OpenWith. The zero value reproduces Open: auto-detect
 // the layout, local packs, read-write.
 type Options struct {
-	// Backend overrides pack storage entirely. The control plane (FORMAT,
-	// MANIFEST, INDEX) stays in the run directory regardless.
+	// Backend overrides pack storage of a run whose pool is its own
+	// directory; the pool's other files stay in the run directory. An attach
+	// to any other pool with a Backend is refused: that pool's other writers
+	// would never see a pack behind it.
 	Backend Backend
-	// Pool attaches the run to a shared chunk pool at this root (created if
-	// absent; relative paths resolve against the
-	// process working directory, while the manifest records a
-	// run-dir-relative reference so a project tree relocates as a unit). The
-	// run's chunks are published to and read from the pool, deduplicated
-	// against every sibling run attached to it; a pool-reference record in
-	// the manifest plus a LEASE entry under the pool root make the
-	// attachment durable. Only fresh directories can attach; a recorded
-	// private-pack run cannot be relocated into a pool (nor a pooled run out
-	// of one), and no open attaches to a pool an older build made
-	// (ErrLegacyLayout). Reopens need no Pool option
-	// — the manifest record names the pool.
+	// Pool is the root of the chunk pool a fresh run attaches to (created
+	// if absent; relative paths resolve against the process working
+	// directory, while the manifest records a run-dir-relative reference so
+	// a project tree relocates as a unit). Empty, or the run directory
+	// itself, makes the run its own pool. The run's chunks are published to
+	// and read from the pool, deduplicated against every sibling run
+	// attached to it; the manifest's pool-reference record plus a lease
+	// under the pool root make the attachment durable. No open attaches to
+	// another run's directory or to a pool an older build made
+	// (ErrLegacyLayout). For a recorded run Pool is a pin: the open fails
+	// with ErrWrongPool unless the run's pool is Pool, so a server that
+	// validated the root PoolRef reported at registration cannot be
+	// redirected by a later manifest rewrite.
 	Pool string
-	// PinPool makes Pool authoritative even when empty: the open fails
-	// unless the run's recorded pool attachment matches Pool exactly
-	// (resolved; empty means "not pooled"). Servers pin the pool root they
-	// validated at registration so a later manifest rewrite cannot redirect
-	// their reads.
-	PinPool bool
 	// ReadOnly opens the store for shared read-only use: nothing on disk is
 	// touched and every write operation fails with ErrReadOnly.
 	ReadOnly bool
@@ -314,25 +316,19 @@ func OpenReadOnly(dir string) (*Store, error) {
 
 // OpenWith opens (or, unless o.ReadOnly, creates) a store at dir under the
 // given options; Open and OpenReadOnly are thin wrappers. A store in any
-// layout but the two this build writes fails with ErrLegacyLayout.
+// layout but the one this build writes fails with ErrLegacyLayout.
 func OpenWith(dir string, o Options) (*Store, error) {
 	s := &Store{dir: dir, readOnly: o.ReadOnly, index: map[Key]*entry{}}
 	s.manifest = recordLog{path: filepath.Join(dir, manifestFile)}
-	// Any layout but the two this build writes stops here, and a read-only
+	// Any layout but the one this build writes stops here, and a read-only
 	// open must not mint an empty store out of a typo'd path: the directory
-	// has to exist already (DetectLayout). Only fresh directories attach to
-	// a pool: moving a recorded run's chunks into (or out of) one would
-	// strand every committed chunk record.
+	// has to exist already (DetectLayout).
 	detect := detectDir
 	if o.ReadOnly {
 		detect = DetectLayout
 	}
-	l, err := detect(dir)
-	if err != nil {
+	if err := detect(dir); err != nil {
 		return nil, err
-	}
-	if o.Pool != "" && l.Recorded && !l.Pooled {
-		return nil, fmt.Errorf("store: cannot attach recorded run %s to pool %s (recorded with a private pack)", dir, o.Pool)
 	}
 	var recs []manifestRecord // up to a torn tail, which a writable open cuts once it refused nothing
 	good, torn, err := scanLog(s.manifest.path, decodeManifestRecord, func(rec manifestRecord) error {
@@ -345,12 +341,7 @@ func OpenWith(dir string, o Options) (*Store, error) {
 	if slices.ContainsFunc(recs, dirless) {
 		return nil, legacyLayout(dir, "a store whose manifest holds segment-file checkpoints")
 	}
-	if l.Pooled || o.Pool != "" {
-		err = s.attachPool(o, recs)
-	} else {
-		err = s.openPrivatePool(o)
-	}
-	if err != nil {
+	if err := s.attachPool(o, recs); err != nil {
 		return nil, err
 	}
 	for _, rec := range recs {
@@ -376,10 +367,8 @@ func OpenWith(dir string, o Options) (*Store, error) {
 	if err := s.writeMarker(); err != nil {
 		return nil, err
 	}
-	if s.pool.shared {
-		if err := s.commitPoolAttachment(); err != nil {
-			return nil, err
-		}
+	if err := s.commitPoolAttachment(len(recs) == 0); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -387,132 +376,83 @@ func OpenWith(dir string, o Options) (*Store, error) {
 // ReadOnly reports whether the store rejects writes: it was opened read-only.
 func (s *Store) ReadOnly() bool { return s.readOnly }
 
-// Layout describes a run directory's on-disk store layout, detected without
-// replaying its manifest.
-type Layout struct {
-	// Pooled reports whether the run's chunks live in a shared chunk pool
-	// (the manifest's pool-reference record names it).
-	Pooled bool
-	// Recorded reports whether the directory holds a committed run (a
-	// manifest exists). False for fresh or unrelated directories, which a
-	// plain open would happily initialize as an empty v2 store.
-	Recorded bool
-}
-
-// String renders the layout for listings ("v2", "v2-pooled").
-func (l Layout) String() string {
-	if l.Pooled {
-		return "v2-pooled"
-	}
-	return "v2"
-}
-
-// DetectLayout inspects a run directory's FORMAT marker (and, absent one,
-// its manifest) and reports the layout a plain open would use, without
-// opening the store. An older build's layout surfaces ErrLegacyLayout and
-// an unknown marker ErrUnknownFormat; registration paths use this to reject
-// bad directories before any query touches them.
-func DetectLayout(dir string) (Layout, error) {
+// DetectLayout checks a run directory's FORMAT marker (and, absent one,
+// its manifest) without opening the store: nil for the layout this build
+// writes or a fresh directory. An older build's layout surfaces
+// ErrLegacyLayout and an unknown marker ErrUnknownFormat; registration
+// paths use this to reject bad directories before any query touches them.
+func DetectLayout(dir string) error {
 	if st, err := os.Stat(dir); err != nil {
-		return Layout{}, fmt.Errorf("store: detect layout: %w", err)
+		return fmt.Errorf("store: detect layout: %w", err)
 	} else if !st.IsDir() {
-		return Layout{}, fmt.Errorf("store: detect layout: %s is not a directory", dir)
+		return fmt.Errorf("store: detect layout: %s is not a directory", dir)
 	}
 	return detectDir(dir)
 }
 
-// detectDir reports a directory's layout from its FORMAT marker and whether
+// detectDir checks a directory's layout from its FORMAT marker and whether
 // it holds a manifest — the shared core of DetectLayout and OpenWith. A
 // recorded run without a marker (format v1) and a list of extra pack roots
 // are ErrLegacyLayout.
-func detectDir(dir string) (Layout, error) {
-	recorded := false
-	if _, merr := os.Stat(filepath.Join(dir, manifestFile)); merr == nil {
-		recorded = true
-	}
+func detectDir(dir string) error {
 	raw, err := os.ReadFile(filepath.Join(dir, formatFile))
-	var l Layout
 	switch {
 	case err == nil:
-		if l, err = parseFormatMarker(dir, raw); err != nil {
-			return Layout{}, err
+		if err := parseFormatMarker(dir, raw); err != nil {
+			return err
 		}
-		l.Recorded = recorded
 	case errors.Is(err, os.ErrNotExist):
-		if recorded {
-			return Layout{}, legacyLayout(dir, "a format-v1 run") // pre-FORMAT-marker run
+		if _, merr := os.Stat(filepath.Join(dir, manifestFile)); merr == nil {
+			return legacyLayout(dir, "a format-v1 run") // pre-FORMAT-marker run
 		}
-		l = Layout{} // fresh directory
 	default:
-		return Layout{}, fmt.Errorf("store: read format marker: %w", err)
+		return fmt.Errorf("store: read format marker: %w", err)
 	}
 	if extra, err := shardRoots(dir); err != nil || len(extra) > 0 {
 		if err == nil {
 			err = legacyLayout(dir, "a store spread over extra pack roots")
 		}
-		return Layout{}, err
+		return err
 	}
-	return l, nil
+	return nil
 }
 
-// parseFormatMarker classifies the FORMAT marker raw of dir: one of the two
-// this build writes, whitespace aside; another in the grammar older builds
-// wrote (ErrLegacyLayout); or an unknown one (ErrUnknownFormat), whose
-// manifest this build would misparse as a torn tail and truncate away.
-func parseFormatMarker(dir string, raw []byte) (Layout, error) {
+// parseFormatMarker classifies the FORMAT marker raw of dir: the one this
+// build writes, whitespace aside; another in the grammar older builds wrote
+// (ErrLegacyLayout); or an unknown one (ErrUnknownFormat), whose manifest
+// this build would misparse as a torn tail and truncate away.
+func parseFormatMarker(dir string, raw []byte) error {
 	marker := strings.Join(strings.Fields(string(raw)), " ")
-	switch marker + "\n" {
-	case markerPrivate:
-		return Layout{}, nil
-	case markerPooled:
-		return Layout{Pooled: true}, nil
+	if marker+"\n" == formatMarker {
+		return nil
 	}
 	if _, ok := parseLegacyMarker(raw); ok {
-		return Layout{}, legacyLayout(dir, fmt.Sprintf("a store marked %q", marker))
+		return legacyLayout(dir, fmt.Sprintf("a store marked %q", marker))
 	}
-	return Layout{}, &UnknownFormatError{Dir: dir, Marker: strings.TrimSpace(string(raw))}
+	return &UnknownFormatError{Dir: dir, Marker: strings.TrimSpace(string(raw))}
 }
 
-// The two FORMAT markers this build writes: a private pack, and a run of a
-// shared pool, whose one pack the manifest's pool-reference record names.
-const (
-	markerPrivate = "2 dirs packlog\n"
-	markerPooled  = "2 pool shards=1 dirs packlog\n"
-)
+// formatMarker is the FORMAT marker this build writes: a run of a pool of
+// one pack, which the manifest's pool-reference record names.
+const formatMarker = "2 pool shards=1 dirs packlog\n"
 
-// writeMarker settles the FORMAT marker of a writable store, once, at open:
-// markerPrivate or markerPooled. Puts and GC never touch it, so a
-// checkpoint's commit is its pack and manifest appends. It writes
-// only when the marker is absent or different, and via write-then-rename:
-// rewriting it in place on every open would leave a crash window in which a
-// torn marker bricks an otherwise intact run behind the UnknownFormatError
-// refusal.
+// ownPool is the pool reference of a run whose pool is its own directory.
+const ownPool = "."
+
+// writeMarker settles the FORMAT marker of a writable store, once, at open.
+// Puts and GC never touch it, so a checkpoint's commit is its pack and
+// manifest appends. It writes only when the marker is absent or different,
+// and via write-then-rename: rewriting it in place on every open would
+// leave a crash window in which a torn marker bricks an otherwise intact
+// run behind the UnknownFormatError refusal.
 func (s *Store) writeMarker() error {
-	want := []byte(markerPrivate)
-	if s.pool.shared {
-		want = []byte(markerPooled)
-	}
+	want := []byte(formatMarker)
 	if cur, err := os.ReadFile(s.formatPath()); err != nil || !bytes.Equal(cur, want) {
 		if err := writeFileAtomic(s.formatPath(), want); err != nil {
 			return fmt.Errorf("store: write format marker: %w", err)
 		}
 	}
 	return nil
-}
-
-// openPrivatePool opens the run's pool of one, rooted at the run directory,
-// its snapshot in the run's INDEX and its packs behind the backend the
-// options name or in the run directory.
-func (s *Store) openPrivatePool(o Options) error {
-	if o.PinPool && o.Pool != "" {
-		return fmt.Errorf("store: %s is not attached to a pool (pinned to %s)", s.dir, o.Pool)
-	}
-	backend := o.Backend
-	if backend == nil {
-		backend = DirBackendAt(s.dir)
-	}
-	s.pool = &ChunkPool{root: s.dir, backend: backend}
-	return s.pool.open()
 }
 
 // resolveRunPath resolves a path a run directory records — its pool
@@ -525,48 +465,42 @@ func resolveRunPath(dir, entry string) string {
 	return entry
 }
 
-// attachPool connects a pooled store to its shared chunk pool. A recorded
-// run's pool is named by the pool-reference record that leads its manifest
-// records recs, at fanout 1; a fresh directory (or one whose
-// first record was torn) takes it from Options.Pool.
+// attachPool connects the store to its chunk pool. A recorded run's pool
+// is named by the pool-reference record that leads its manifest records
+// recs, at fanout 1, and Options.Pool, when given, must name it too. A fresh
+// directory (or one whose first record was torn) takes its pool from
+// Options.Pool, or is its own pool; it does not attach to another run's
+// directory, nor take a shared pool's root for its own. Only a run whose
+// pool is its own may keep its pack behind
+// Options.Backend. Every refusal comes before a byte of the pool is read.
 func (s *Store) attachPool(o Options, recs []manifestRecord) error {
-	if o.Backend != nil {
-		return fmt.Errorf("store: pooled stores place all packs in the pool (Backend not applicable)")
-	}
-	var root string
+	root := s.dir
 	switch {
 	case len(recs) > 0:
 		ref := recs[0]
 		if ref.tag != recPool || ref.ref == "" || ref.fanout != 1 {
-			return fmt.Errorf("%w: pooled run %s: manifest does not start with a pool-reference record at fanout 1", codec.ErrCorrupt, s.dir)
+			return fmt.Errorf("%w: run %s: manifest does not start with a pool-reference record at fanout 1", codec.ErrCorrupt, s.dir)
 		}
-		root = resolveRunPath(s.dir, ref.ref)
-		s.poolRef = ref.ref
-		if o.Pool != "" || o.PinPool {
-			// Pinning compares resolved roots, so callers may pin the root a
-			// registration-time PoolRef reported and a later manifest rewrite
-			// fails the open instead of silently redirecting reads. Option
-			// paths are cwd-relative, recorded references run-dir-relative.
-			rec, err := canonicalPath(root)
-			if err != nil {
-				return err
-			}
-			var want string
-			if o.Pool != "" {
-				if want, err = canonicalPath(o.Pool); err != nil {
-					return err
-				}
-			}
-			if want != rec {
-				return fmt.Errorf("store: cannot repoint %s to pool %q (recorded against %q)", s.dir, o.Pool, ref.ref)
-			}
+		s.poolRef, root = ref.ref, resolveRunPath(s.dir, ref.ref)
+		if o.Pool != "" && !samePath(root, o.Pool) {
+			return fmt.Errorf("%w: %s is recorded against pool %q, not %s", ErrWrongPool, s.dir, ref.ref, o.Pool)
 		}
-	case o.Pool != "":
-		root = o.Pool // cwd-relative; openSharedPool canonicalizes
+	case o.Pool == "" || samePath(s.dir, o.Pool):
+		s.poolRef = ownPool
+		if err := refuseSharedRoot(s.dir); err != nil {
+			return err
+		}
 	default:
-		return fmt.Errorf("store: %s is marked pooled but its manifest carries no pool reference (pass Options.Pool)", s.dir)
+		root = o.Pool // cwd-relative; openPool canonicalizes
+		if _, err := os.Stat(filepath.Join(root, formatFile)); err == nil {
+			return fmt.Errorf("%w: %s is another run's directory, whose GC marks only that run; %s cannot attach to it", ErrWrongPool, root, s.dir)
+		}
 	}
-	p, err := openSharedPool(root, s.readOnly)
+	own := s.poolRef == ownPool
+	if o.Backend != nil && !own {
+		return fmt.Errorf("store: %s: Options.Backend holds the pack of a run whose pool is its own directory, not of pool %s", s.dir, root)
+	}
+	p, err := openPool(root, s.readOnly, own, o.Backend)
 	if err != nil {
 		return err
 	}
@@ -574,25 +508,49 @@ func (s *Store) attachPool(o Options, recs []manifestRecord) error {
 	return nil
 }
 
-// commitPoolAttachment makes a writable pooled open durable: the manifest's
-// leading pool-reference record plus the pool-side LEASE entry, the refcount
-// that keeps this run's chunks live under GCPool.
-func (s *Store) commitPoolAttachment() error {
-	if s.poolRef == "" {
-		// Prefer a run-dir-relative reference so a project tree (runs +
-		// POOL) can relocate as a unit; fall back to the canonical absolute
-		// root when no relative path exists.
-		ref := s.pool.root
-		if absDir, err := canonicalPath(s.dir); err == nil {
-			if rel, rerr := filepath.Rel(absDir, s.pool.root); rerr == nil {
-				ref = rel
+// refuseSharedRoot refuses dir as the directory of a run that is its own
+// pool, but holds no whole manifest record yet, when leases there pin other
+// runs: it is a shared pool's root, and deleting it as a run would take their
+// chunks with it.
+func refuseSharedRoot(dir string) error {
+	held, err := (&ChunkPool{root: dir}).leases()
+	if err == nil && slices.ContainsFunc(held, func(entry string) bool { return entry != ownPool }) {
+		err = fmt.Errorf("%w: %s is the root of a pool other runs lease, not a run directory", ErrWrongPool, dir)
+	}
+	return err
+}
+
+// samePath reports whether paths a and b (cwd-relative or absolute) name
+// one directory: equal once absolute, or one file where both exist.
+func samePath(a, b string) bool {
+	x, errA := filepath.Abs(a)
+	y, errB := filepath.Abs(b)
+	if errA == nil && errB == nil && x == y {
+		return true
+	}
+	fa, errA := os.Stat(a)
+	fb, errB := os.Stat(b)
+	return errA == nil && errB == nil && os.SameFile(fa, fb)
+}
+
+// commitPoolAttachment makes a writable open durable: a fresh run's leading
+// pool-reference record, then the run's lease under the pool root, the
+// refcount that keeps its chunks live under GC.
+func (s *Store) commitPoolAttachment(fresh bool) error {
+	if fresh {
+		if s.poolRef != ownPool {
+			// Prefer a run-dir-relative reference so a project tree (runs +
+			// POOL) can relocate as a unit; fall back to the canonical
+			// absolute root when no relative path exists.
+			s.poolRef = s.pool.root
+			if absDir, err := canonicalPath(s.dir); err == nil {
+				if rel, rerr := filepath.Rel(absDir, s.pool.root); rerr == nil {
+					s.poolRef = rel
+				}
 			}
 		}
 		s.mu.Lock()
-		err := s.manifest.append(frameTagged(recPool, encodePoolRef(ref, 1)))
-		if err == nil {
-			s.poolRef = ref
-		}
+		err := s.manifest.append(frameTagged(recPool, encodePoolRef(s.poolRef, 1)))
 		s.mu.Unlock()
 		if err != nil {
 			return err
@@ -606,60 +564,63 @@ func (s *Store) commitPoolAttachment() error {
 	return s.pool.writeLease(s.dir)
 }
 
-// PoolRef reports the shared chunk pool a run directory is attached to: the
-// resolved pool root and ok=true for pooled runs, ok=false otherwise.
-// Registration paths use it to validate and pin pool roots.
-func PoolRef(dir string) (root string, ok bool, err error) {
-	l, err := detectDir(dir)
-	if err != nil {
+// PoolRef reports the chunk pool a run directory is attached to: the
+// resolved pool root, and whether it is the run's own directory, as it is
+// for a run whose manifest holds no whole record yet (unless the directory
+// is a shared pool's root: ErrWrongPool). Registration paths use it to
+// validate and pin pool roots.
+func PoolRef(dir string) (root string, own bool, err error) {
+	if err := detectDir(dir); err != nil {
 		return "", false, err
-	}
-	if !l.Pooled {
-		return "", false, nil
 	}
 	// The pool-reference record leads the manifest, so only it is decoded.
 	raw, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return "", false, fmt.Errorf("store: read manifest: %w", err)
 	}
-	rec, _, derr := decodeManifestRecord(raw)
-	if derr == nil && rec.tag != recPool {
-		return "", false, fmt.Errorf("%w: pooled run %s: manifest does not start with a pool-reference record", codec.ErrCorrupt, dir)
-	}
-	if derr != nil || rec.ref == "" {
-		return "", false, fmt.Errorf("store: %s is marked pooled but has no manifest", dir)
+	ref := ownPool
+	if rec, _, derr := decodeManifestRecord(raw); derr != nil {
+		if err := refuseSharedRoot(dir); err != nil {
+			return "", false, err
+		}
+	} else if rec.tag != recPool || rec.ref == "" {
+		return "", false, fmt.Errorf("%w: run %s: manifest does not start with a pool-reference record", codec.ErrCorrupt, dir)
+	} else {
+		ref = rec.ref
 	}
 	// Canonicalize so callers grouping runs by pool root compare equal
 	// strings regardless of how each run recorded the reference.
-	root, err = canonicalPath(resolveRunPath(dir, rec.ref))
+	root, err = canonicalPath(resolveRunPath(dir, ref))
 	if err != nil {
 		return "", false, err
 	}
-	return root, true, nil
+	return root, ref == ownPool, nil
 }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Pooled reports whether the run's chunks live in a shared pool.
-func (s *Store) Pooled() bool { return s.pool.shared }
+// Pooled reports whether the run's chunks live in a shared pool: one that
+// is not the run's own directory.
+func (s *Store) Pooled() bool { return s.poolRef != ownPool }
 
-// PoolRoot returns the resolved root of the attached shared pool ("" for
-// private-pack stores).
+// PoolRoot returns the resolved root of the attached shared pool ("" for a
+// run whose pool is its own directory).
 func (s *Store) PoolRoot() string {
-	if !s.pool.shared {
+	if !s.Pooled() {
 		return ""
 	}
 	return s.pool.root
 }
 
-// PoolStats returns the attached pool's pool-wide storage accounting as this
-// store last read the pool's files (at open, and a writable one at each
-// put); ok is false for stores without a shared pool, and leaseErr is why
-// the pool's leases could not be counted (ChunkPool.Stats). (For per-run
-// accounting see Dedup: only chunks this store instance published.)
+// PoolStats returns the attached shared pool's pool-wide storage accounting
+// as this store last read the pool's files (at open, and a writable one at
+// each put); ok is false for a run whose pool is its own directory, and
+// leaseErr is why the pool's leases could not be counted (ChunkPool.Stats).
+// (For per-run accounting see Dedup: only chunks this store instance
+// published.)
 func (s *Store) PoolStats() (st PoolStats, ok bool, leaseErr error) {
-	if !s.pool.shared {
+	if !s.Pooled() {
 		return PoolStats{}, false, nil
 	}
 	st, leaseErr = s.pool.Stats()
@@ -1368,25 +1329,23 @@ func (s *Store) TotalSize() int64 {
 
 // GC reclaims space from superseded materializations: the manifest is
 // rewritten from the live index, without the meta records of checkpoints no
-// longer the latest for their key, and — private stores — chunks referenced
-// only by those superseded checkpoints are compacted out of the packs
-// (GCWith for the knobs and full accounting). It returns the number of
-// superseded checkpoints dropped.
+// longer the latest for their key, and then the run's pool is collected as
+// GCPool collects it: chunks no committed checkpoint of a leased run
+// references are compacted out of the pack (GCWith for the knobs and full
+// accounting). It returns the number of superseded checkpoints dropped.
 //
 // Compaction never rewrites a pack in place (see GC and the grace period in
 // pool.go): a reader that resolved locations before it keeps reading valid
 // bytes for GCOptions.PackRetention.
-//
-// Pooled runs only rewrite their manifest here; their chunks are shared
-// with sibling runs and are reclaimed by GCPool, which consults every lease.
 func (s *Store) GC() (int, error) {
 	res, err := s.GCWith(GCOptions{})
 	return res.Superseded, err
 }
 
 // GCWith is GC with explicit options and full reclamation accounting. It
-// rewrites the manifest, then collects a private store's pool of one exactly
-// as GCPool collects a shared pool: the mark reads the rewritten manifest.
+// rewrites the manifest, then collects the run's pool exactly as GCPool
+// does: the mark reads every leased run's manifest, this rewritten one
+// included.
 func (s *Store) GCWith(o GCOptions) (GCResult, error) {
 	if s.readOnly {
 		return GCResult{}, ErrReadOnly
@@ -1404,8 +1363,8 @@ func (s *Store) GCWith(o GCOptions) (GCResult, error) {
 		return GCResult{}, err
 	}
 	superseded, err := s.rewriteManifest(live)
-	if err != nil || p.shared {
-		return GCResult{Superseded: superseded}, err
+	if err != nil {
+		return GCResult{}, err
 	}
 	res, err := p.gc(o)
 	res.Superseded = superseded
@@ -1436,15 +1395,18 @@ func (s *Store) WriteIndex() error {
 	return err
 }
 
-// adoptPoolStats takes a pool of one's stored-chunk accounting over as the
-// run's: every chunk it holds is the run's. A shared pool's chunks are no
-// one run's, so a pooled run counts only the chunks it publishes (putV2).
-// The caller holds s.mu or has the store to itself.
+// adoptPoolStats takes the stored-chunk accounting of a pool that is the
+// run's own directory over as the run's: every chunk it holds is the run's,
+// whose lease is its only one. A shared pool's chunks are no one run's, so
+// its run counts only the chunks it publishes (putV2). The caller holds s.mu
+// or has the store to itself.
 func (s *Store) adoptPoolStats() {
-	if s.pool.shared {
+	if s.Pooled() {
 		return
 	}
-	st, _ := s.pool.Stats() // a pool of one has no leases
+	s.pool.mu.Lock()
+	st := s.pool.stored
+	s.pool.mu.Unlock()
 	s.dedup.ChunksStored, s.dedup.StoredRawBytes, s.dedup.StoredEncBytes = st.Chunks, st.StoredRawBytes, st.StoredEncBytes
 }
 
@@ -1478,15 +1440,12 @@ func (s *Store) liveEntries() ([]*entry, error) {
 }
 
 // rewriteManifest is GC's manifest commit. The manifest is atomically
-// rewritten from the live index: the pool-reference record first on pooled
-// runs, then the live meta records, each with its directory. It returns how
-// many superseded checkpoints the rewrite dropped. The caller holds the
-// commit lock.
+// rewritten from the live index: the pool-reference record first, then the
+// live meta records, each with its directory. It returns how many
+// superseded checkpoints the rewrite dropped. The caller holds the commit
+// lock.
 func (s *Store) rewriteManifest(live []*entry) (int, error) {
-	var buf []byte
-	if s.pool.shared {
-		buf = frameTagged(recPool, encodePoolRef(s.poolRef, 1))
-	}
+	buf := frameTagged(recPool, encodePoolRef(s.poolRef, 1))
 	for _, e := range live {
 		buf = append(buf, frameTagged(recMeta, encodeMeta(e))...)
 	}

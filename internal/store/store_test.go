@@ -160,14 +160,10 @@ func TestCrashAtAnyManifestPrefixIsConsistent(t *testing.T) {
 	}
 	for cut := 0; cut <= len(manifest); cut += 7 {
 		cutDir := t.TempDir()
-		// Copy segments and the truncated manifest.
-		entries, _ := os.ReadDir(dir)
-		for _, e := range entries {
-			if e.Name() == "MANIFEST" {
-				continue
-			}
-			data, _ := os.ReadFile(filepath.Join(dir, e.Name()))
-			os.WriteFile(filepath.Join(cutDir, e.Name()), data, 0o644)
+		// Copy the run — its pool's files, LEASES/ included — and cut the
+		// manifest.
+		if err := os.CopyFS(cutDir, os.DirFS(dir)); err != nil {
+			t.Fatal(err)
 		}
 		os.WriteFile(filepath.Join(cutDir, "MANIFEST"), manifest[:cut], 0o644)
 		sc, err := Open(cutDir)

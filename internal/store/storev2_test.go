@@ -317,13 +317,10 @@ func TestTornManifestTailWithV2Records(t *testing.T) {
 	}
 	for cut := 0; cut <= len(manifest); cut += 5 {
 		cutDir := t.TempDir()
-		entries, _ := os.ReadDir(dir)
-		for _, e := range entries {
-			if e.Name() == "MANIFEST" {
-				continue
-			}
-			data, _ := os.ReadFile(filepath.Join(dir, e.Name()))
-			os.WriteFile(filepath.Join(cutDir, e.Name()), data, 0o644)
+		// Copy the run — its pool's files, LEASES/ included — and cut the
+		// manifest.
+		if err := os.CopyFS(cutDir, os.DirFS(dir)); err != nil {
+			t.Fatal(err)
 		}
 		os.WriteFile(filepath.Join(cutDir, "MANIFEST"), manifest[:cut], 0o644)
 		sc, err := Open(cutDir)
@@ -569,9 +566,8 @@ func TestV1StoreReadableAndRefusesWrites(t *testing.T) {
 			t.Fatalf("%s of a v1 run: %v, want ErrLegacyLayout naming florctl migrate", what, err)
 		}
 	}
-	_, err := DetectLayout(dir)
-	legacy("DetectLayout", err)
-	_, err = Open(dir)
+	legacy("DetectLayout", DetectLayout(dir))
+	_, err := Open(dir)
 	legacy("writable open", err)
 	_, err = OpenReadOnly(dir)
 	legacy("read-only open", err)
@@ -613,7 +609,7 @@ func TestFormatMismatchRefusedWithoutDataLoss(t *testing.T) {
 	if _, err := Open(dir); err == nil {
 		t.Fatal("unknown format marker opened")
 	}
-	os.WriteFile(filepath.Join(dir, "FORMAT"), []byte(markerPrivate), 0o644)
+	os.WriteFile(filepath.Join(dir, "FORMAT"), []byte(formatMarker), 0o644)
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -626,7 +622,7 @@ func TestFormatMismatchRefusedWithoutDataLoss(t *testing.T) {
 func TestNewStoresDefaultToV2(t *testing.T) {
 	s := openTemp(t)
 	if s.Pooled() || s.ReadOnly() {
-		t.Fatalf("new store opened pooled=%v, read-only=%v; want a writable private v2 store", s.Pooled(), s.ReadOnly())
+		t.Fatalf("new store opened pooled=%v, read-only=%v; want a writable v2 store that is its own pool", s.Pooled(), s.ReadOnly())
 	}
 	m, _ := putBlob(s, Key{LoopID: "L", Exec: 0}, []byte("x"), 0, 0, 0)
 	if m.Format != FormatV2 {

@@ -40,7 +40,10 @@ import (
 //     run, at run/;
 //   - pool16packlog: a "pool2 shards=16" pool, its 16 hash-prefix packs the
 //     log of its chunks, as the build before pools became one pack wrote
-//     it, holding one leased run, at run/.
+//     it, holding one leased run, at run/;
+//   - private2packlog: marker "2 dirs packlog", a private store whose one
+//     pack is the log of its chunks, as the build before every run named its
+//     pool wrote it.
 var legacyFixtures = []struct {
 	name    string
 	factory func() *flor.Program
@@ -56,6 +59,7 @@ var legacyFixtures = []struct {
 	{"private2index", counterFactory(6, 3)},
 	{"pool16", counterFactory(6, 3)},
 	{"pool16packlog", counterFactory(6, 3)},
+	{"private2packlog", counterFactory(6, 3)},
 }
 
 // fixtureRun returns the run directory of a fixture copy at root, and its
@@ -131,22 +135,22 @@ func legacyIdentities(t testing.TB, dir string) map[store.Key]string {
 	return out
 }
 
-// migrated migrates the run at src into a fresh directory — a private store,
-// or a run of the pool at pool — and returns it, once its FORMAT marker is
-// one of the two this build writes and every live checkpoint's sections
-// carry the content identities of the source's.
+// migrated migrates the run at src into a fresh directory — a run that is
+// its own pool, or a run of the pool at pool — and returns it, once its
+// FORMAT marker is the one this build writes, its pool reference names the
+// pool, and every live checkpoint's sections carry the content identities
+// of the source's.
 func migrated(t testing.TB, src, pool string) string {
 	t.Helper()
 	dst := filepath.Join(t.TempDir(), "migrated")
 	if err := core.Migrate(src, dst, pool); err != nil {
 		t.Fatalf("migrate %s: %v", src, err)
 	}
-	want := "2 dirs packlog\n"
-	if pool != "" {
-		want = "2 pool shards=1 dirs packlog\n"
+	if m, err := os.ReadFile(filepath.Join(dst, "FORMAT")); err != nil || string(m) != "2 pool shards=1 dirs packlog\n" {
+		t.Fatalf("migrated FORMAT %q (%v)", m, err)
 	}
-	if m, err := os.ReadFile(filepath.Join(dst, "FORMAT")); err != nil || string(m) != want {
-		t.Fatalf("migrated FORMAT %q (%v), want %q", m, err, want)
+	if _, own, err := store.PoolRef(dst); err != nil || own != (pool == "") {
+		t.Fatalf("migrated run's pool: own %v (%v), want own %v", own, err, pool == "")
 	}
 	got, wantIDs := sectionIdentities(t, dst), legacyIdentities(t, src)
 	if len(got) == 0 || !maps.Equal(got, wantIDs) {

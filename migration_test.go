@@ -72,11 +72,13 @@ func dirBytes(t *testing.T, dir string) map[string]string {
 // matrix: the same program as a legacy v1 run, a hash-prefix sharded v2
 // store, one spread over extra pack roots, a run of a fanout-4 pool, a
 // private store and a run of a "pool1 shards=16" pool whose chunk records
-// are in an INDEX log, and a run of a "pool2 shards=16" pool whose 16 packs
-// are the log (the committed fixtures older builds left, each
-// refused by DetectLayout with ErrLegacyLayout and migrated — the v1 run and
-// the stores into private stores, the pooled runs into a fresh pool), and recorded now into a
-// private v2 store and a pooled one (shared chunk pool), must open through
+// are in an INDEX log, a run of a "pool2 shards=16" pool whose 16 packs
+// are the log, and a "2 dirs packlog" private store, its pack the log (the
+// committed fixtures older builds left, each refused by DetectLayout with
+// ErrLegacyLayout and migrated — the v1 run and the stores into runs that
+// are their own pool, the pooled runs into a fresh pool), and recorded now
+// into a run that is its own pool and a run of a shared chunk pool, must
+// open through
 // the same API — no flags, no layout hints — and replay byte-identical
 // logs, with the migrated v1 run's replay as the reference. In particular
 // the pooled run is the private-pack run's twin: same program, same probes,
@@ -126,6 +128,9 @@ func TestMigrationMatrixByteIdenticalReplay(t *testing.T) {
 		{"v2-pooled-16-packlog", func(dir string) error {
 			return os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "pool16packlog")))
 		}, "pooled", "v2-pooled"},
+		{"v2-private-packlog", func(dir string) error {
+			return os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "private2packlog")))
+		}, "private", "v2"},
 	}
 
 	type result struct {
@@ -143,8 +148,8 @@ func TestMigrationMatrixByteIdenticalReplay(t *testing.T) {
 			dir = filepath.Join(dir, "run") // a fixture tree: the run and its pool or extra roots
 		}
 		if v.migrate != "" {
-			if l, err := store.DetectLayout(dir); !errors.Is(err, store.ErrLegacyLayout) {
-				t.Fatalf("%s: detect layout: %s, %v; want ErrLegacyLayout", v.name, l, err)
+			if err := store.DetectLayout(dir); !errors.Is(err, store.ErrLegacyLayout) {
+				t.Fatalf("%s: detect layout: %v; want ErrLegacyLayout", v.name, err)
 			}
 			pool := ""
 			if v.migrate == "pooled" {
@@ -152,12 +157,17 @@ func TestMigrationMatrixByteIdenticalReplay(t *testing.T) {
 			}
 			dir = migrated(t, dir, pool)
 		}
-		l, err := store.DetectLayout(dir)
-		if err != nil {
+		if err := store.DetectLayout(dir); err != nil {
 			t.Fatalf("%s: detect layout: %v", v.name, err)
 		}
-		if l.String() != v.layout {
-			t.Fatalf("%s: layout = %s, want %s", v.name, l, v.layout)
+		layout := "v2-pooled"
+		if _, own, err := store.PoolRef(dir); err != nil {
+			t.Fatalf("%s: pool reference: %v", v.name, err)
+		} else if own {
+			layout = "v2"
+		}
+		if layout != v.layout {
+			t.Fatalf("%s: layout = %s, want %s", v.name, layout, v.layout)
 		}
 		committedInManifest(t, dir)
 		// Unprobed replay reproduces the record log; probed replay adds the
@@ -397,8 +407,8 @@ func TestShardedFixtureReadsEverywhereAndMigrates(t *testing.T) {
 			t.Fatalf("replay %s differs from record.log: %v", when, err)
 		}
 	}
-	if l, err := store.DetectLayout(dir); !errors.Is(err, store.ErrLegacyLayout) {
-		t.Fatalf("layout = %v (%v), want ErrLegacyLayout", l, err)
+	if err := store.DetectLayout(dir); !errors.Is(err, store.ErrLegacyLayout) {
+		t.Fatalf("detect layout: %v, want ErrLegacyLayout", err)
 	}
 	for i := 0; i < 4; i++ {
 		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("CHUNKS-%02d", i))); err != nil {
@@ -444,7 +454,7 @@ func TestShardedFixtureReadsEverywhereAndMigrates(t *testing.T) {
 	if res.Superseded != 1 {
 		t.Fatalf("gc = %+v, want the superseded checkpoint dropped", res)
 	}
-	if m, err := os.ReadFile(filepath.Join(dst, "FORMAT")); err != nil || string(m) != "2 dirs packlog\n" {
+	if m, err := os.ReadFile(filepath.Join(dst, "FORMAT")); err != nil || string(m) != "2 pool shards=1 dirs packlog\n" {
 		t.Fatalf("FORMAT after gc = %q (%v)", m, err)
 	}
 	replayed(dst, "after gc")
@@ -455,7 +465,7 @@ func TestShardedFixtureReadsEverywhereAndMigrates(t *testing.T) {
 // testdata/gztwins, each a meta record without a directory and a segment
 // file per checkpoint — through the move of directories into the manifest,
 // which is now a migration. A writable and a read-only open are refused
-// under the store's own marker and under "2 dirs packlog" alike, since its
+// under the store's own marker and under this build's alike, since its
 // manifest still holds segment-file checkpoints; ReadLegacy reads every
 // checkpoint; and the migrated run leaves no segment file, carries "dirs"
 // on its marker, replays byte-identically to a fresh recording of its
@@ -500,7 +510,7 @@ func TestSegmentFileStoresResolveReplayAndMigrate(t *testing.T) {
 			t.Fatalf("%s: ReadLegacy yields no checkpoint", fx.fixture)
 		}
 		canonical := copyFixture(t, fx.fixture)
-		if err := os.WriteFile(filepath.Join(canonical, "FORMAT"), []byte("2 dirs packlog\n"), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(canonical, "FORMAT"), []byte("2 pool shards=1 dirs packlog\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		for _, d := range []string{dir, canonical} {
@@ -733,7 +743,7 @@ func TestUnknownFormatMarkersRefuseCleanly(t *testing.T) {
 		if _, err := flor.Replay(dir, factory); !errors.Is(err, store.ErrUnknownFormat) {
 			t.Fatalf("marker %q: replay error = %v, want ErrUnknownFormat", marker, err)
 		}
-		if _, err := store.DetectLayout(dir); !errors.Is(err, store.ErrUnknownFormat) {
+		if err := store.DetectLayout(dir); !errors.Is(err, store.ErrUnknownFormat) {
 			t.Fatalf("marker %q: detect error = %v, want ErrUnknownFormat", marker, err)
 		}
 		// The refusal destroyed nothing: restoring the real marker restores
